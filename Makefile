@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-strict verify bench bench-smoke chaos trace-smoke serve-smoke fleet-smoke cluster-smoke monitor-smoke overload-smoke examples figures clean
+.PHONY: install test lint lint-strict verify bench bench-smoke chaos trace-smoke serve-smoke fleet-smoke cluster-smoke monitor-smoke overload-smoke perf perf-selftest examples figures clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -39,7 +39,7 @@ lint-strict:
 # TranslationDirectory.install; see docs/verifier.md), plus the
 # warm-start smoke gate, the seeded chaos gate and the observability
 # smoke gate.
-verify: lint lint-strict bench-smoke chaos trace-smoke serve-smoke fleet-smoke cluster-smoke monitor-smoke overload-smoke
+verify: lint lint-strict bench-smoke chaos trace-smoke serve-smoke fleet-smoke cluster-smoke monitor-smoke overload-smoke perf-selftest
 	REPRO_VERIFY=1 PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/
 
 bench:
@@ -105,6 +105,17 @@ monitor-smoke:
 # the sibling replica (docs/overload.md).
 overload-smoke:
 	$(PYTHON) tools/overload_smoke.py
+
+# Host-clock benchmark (perf/README.md): all four boot workloads, every
+# end-to-end metric by name, results under perf/out/.  About two
+# minutes; timings are only meaningful on an otherwise idle host.
+perf:
+	$(PYTHON) perf/run.py
+
+# The benchmark's own parts (estimators, span accounting, generator,
+# contract line) checked without timing anything long.
+perf-selftest:
+	$(PYTHON) perf/selftest.py
 
 # Run every example script end to end.
 examples:

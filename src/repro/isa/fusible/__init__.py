@@ -18,6 +18,7 @@ from repro.isa.fusible.encoding import (
 from repro.isa.fusible.machine import (
     ExitEvent,
     FusibleMachine,
+    NativeBudgetExhausted,
     NativeMachineError,
 )
 from repro.isa.fusible.microop import MicroOp
@@ -54,8 +55,9 @@ __all__ = [
     "ARCH_REG_COUNT", "BARRIER_OPS", "BRANCH_OPS", "ExitEvent", "FREG_BYTES",
     "FUSIBLE_HEAD_OPS", "FUSIBLE_TAIL_OPS", "FusibleMachine", "LOAD_OPS",
     "LONG_LATENCY_OPS", "MEMORY_OPS", "MicroOp", "NFREGS", "NREGS",
-    "NativeMachineError", "R_CODE_PTR", "R_EXIT_TARGET", "R_SCRATCH0",
-    "R_SCRATCH1", "R_SCRATCH2", "R_SCRATCH3", "R_X86_PC", "R_ZERO",
+    "NativeBudgetExhausted", "NativeMachineError", "R_CODE_PTR",
+    "R_EXIT_TARGET", "R_SCRATCH0", "R_SCRATCH1", "R_SCRATCH2",
+    "R_SCRATCH3", "R_X86_PC", "R_ZERO",
     "SHORT_OPS", "STORE_OPS", "UOp", "UopDecodeError", "UopEncodeError",
     "VMService", "decode_stream", "decode_uop", "encode_stream",
     "encode_uop", "imm13_in_range", "reg_name", "stream_length",

@@ -29,7 +29,7 @@ bits 18..0 as its immediate.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import (
@@ -169,6 +169,13 @@ def encode_uop(uop: MicroOp) -> bytes:
                  + (word & 0xFFFF).to_bytes(2, "little"))
 
 
+def _decode_cond(value: int) -> Cond:
+    try:
+        return Cond(value)
+    except ValueError:
+        raise UopDecodeError(f"invalid condition code {value}") from None
+
+
 def decode_uop(data: bytes, offset: int = 0) -> MicroOp:
     """Decode one micro-op from ``data`` at ``offset``."""
     if offset + 2 > len(data):
@@ -214,10 +221,12 @@ def decode_uop(data: bytes, offset: int = 0) -> MicroOp:
     if op is UOp.LUI:
         return MicroOp(op, rd=rd, imm=word & 0x7FFFF, fused=fused)
     if op is UOp.BC:
-        return MicroOp(op, cond=Cond(rd), imm=sext13(imm13), fused=fused)
+        return MicroOp(op, cond=_decode_cond(rd), imm=sext13(imm13),
+                       fused=fused)
     if op is UOp.SEL:
-        return MicroOp(op, rd=rd, rs1=rs1, cond=Cond((word >> 5) & 0xF),
-                       fused=fused, setflags=setflags)
+        return MicroOp(op, rd=rd, rs1=rs1,
+                       cond=_decode_cond((word >> 5) & 0xF), fused=fused,
+                       setflags=setflags)
     if op in R_FORM_OPS:
         return MicroOp(op, rd=rd, rs1=rs1, rs2=word & 0x1F, fused=fused,
                        setflags=setflags)
@@ -254,10 +263,3 @@ def decode_stream(data: bytes) -> List[MicroOp]:
 def stream_length(uops: List[MicroOp]) -> int:
     """Total encoded length in bytes."""
     return sum(uop.length for uop in uops)
-
-
-def decode_uop_at(memory, addr: int) -> Tuple[MicroOp, int]:
-    """Decode one micro-op from an AddressSpace; returns (uop, length)."""
-    window = memory.read(addr, 4)
-    uop = decode_uop(window)
-    return uop, uop.length

@@ -8,6 +8,8 @@ Pages are materialized on first touch so that widely separated regions
 
 from __future__ import annotations
 
+from typing import Callable
+
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
@@ -24,10 +26,18 @@ class AddressSpace:
     Pages (4 KiB) are allocated lazily.  Reads from never-written pages
     return zero bytes, matching the "zero-filled fresh page" model that the
     VMM relies on when carving out concealed code-cache regions.
+
+    A page can be *watched* (:meth:`watch`): the next write that touches
+    it, through any accessor, calls the watchers once and forgets them.
+    The native machine keeps what it pre-decoded from code-cache bytes
+    honest this way: its forms for a page are dropped before anything
+    can execute the bytes a write left there.
     """
 
     def __init__(self) -> None:
         self._pages: dict[int, bytearray] = {}
+        #: page index -> callbacks owed one call on the next write to it
+        self._watches: dict[int, list[Callable[[int], None]]] = {}
 
     # -- page management -------------------------------------------------
 
@@ -43,6 +53,19 @@ class AddressSpace:
         """Number of pages materialized so far."""
         return len(self._pages)
 
+    # -- write watches ----------------------------------------------------
+
+    def watch(self, page_index: int,
+              callback: Callable[[int], None]) -> None:
+        """Call ``callback(page_index)`` once, after the next write that
+        touches the page (reads never fire; re-arm from the callback's
+        owner when needed)."""
+        self._watches.setdefault(page_index, []).append(callback)
+
+    def _fire_watches(self, page_index: int) -> None:
+        for callback in self._watches.pop(page_index):
+            callback(page_index)
+
     # -- byte-range access ------------------------------------------------
 
     def write(self, addr: int, data: bytes) -> None:
@@ -57,6 +80,8 @@ class AddressSpace:
             chunk = min(remaining, PAGE_SIZE - in_page)
             page = self._page_for_write(page_index)
             page[in_page:in_page + chunk] = data[offset:offset + chunk]
+            if page_index in self._watches:
+                self._fire_watches(page_index)
             offset += chunk
             remaining -= chunk
 
@@ -90,6 +115,8 @@ class AddressSpace:
     def write_u8(self, addr: int, value: int) -> None:
         page_index, in_page = divmod(addr & ADDRESS_MASK, PAGE_SIZE)
         self._page_for_write(page_index)[in_page] = value & 0xFF
+        if page_index in self._watches:
+            self._fire_watches(page_index)
 
     def read_u16(self, addr: int) -> int:
         data = self.read(addr, 2)
@@ -121,7 +148,11 @@ class AddressSpace:
         self.write(addr, bytes([byte & 0xFF]) * size)
 
     def snapshot(self) -> "AddressSpace":
-        """Deep copy, used by differential tests and precise-state replay."""
+        """Deep copy, used by differential tests and precise-state replay.
+
+        Watches stay with the original: they belong to whoever decoded
+        from *this* memory.
+        """
         clone = AddressSpace()
         clone._pages = {index: bytearray(page)
                         for index, page in self._pages.items()}

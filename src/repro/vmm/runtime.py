@@ -35,6 +35,7 @@ from repro.interp.interpreter import Interpreter
 from repro.isa.fusible.machine import (
     ExitEvent,
     FusibleMachine,
+    NativeBudgetExhausted,
     NativeMachineError,
 )
 from repro.obs.ledger import CycleLedger, runtime_phase_costs
@@ -284,12 +285,7 @@ class VMRuntime:
             self._exec_category = "bbt_execution" \
                 if translation.kind == "bbt" else "sbt_execution"
             copy_arch_to_native(self.state, self.machine)
-            try:
-                event = self.machine.run(translation.native_addr,
-                                         max_uops=budget)
-            except NativeMachineError as exc:
-                raise self._vm_error(NativeExecutionFault(
-                    str(exc), **self._error_context())) from exc
+            event = self._run_native(translation.native_addr, budget)
             budget -= self._service(event, budget)
             if budget <= 0:
                 raise self._vm_error(UopBudgetExhausted(
@@ -312,12 +308,8 @@ class VMRuntime:
             if sbt_translation is not None:
                 self._exec_category = "sbt_execution"
                 copy_arch_to_native(self.state, self.machine)
-                try:
-                    event = self.machine.run(sbt_translation.native_addr,
-                                             max_uops=budget)
-                except NativeMachineError as exc:
-                    raise self._vm_error(NativeExecutionFault(
-                        str(exc), **self._error_context())) from exc
+                event = self._run_native(sbt_translation.native_addr,
+                                         budget)
                 budget -= self._service(event, budget)
                 if budget <= 0:
                     raise self._vm_error(UopBudgetExhausted(
@@ -344,6 +336,20 @@ class VMRuntime:
         else:
             raise self._vm_error(DispatchBudgetExhausted(
                 "dispatch budget exhausted", **self._error_context()))
+
+    def _run_native(self, native_addr: int, budget: int,
+                    **where) -> ExitEvent:
+        """Run translated code to its next VM exit, within ``budget``;
+        ``where`` adds to the context an error carries."""
+        try:
+            return self.machine.run(native_addr, max_uops=budget)
+        except NativeBudgetExhausted as exc:
+            raise self._vm_error(UopBudgetExhausted(
+                "micro-op budget exhausted", **where,
+                **self._error_context())) from exc
+        except NativeMachineError as exc:
+            raise self._vm_error(NativeExecutionFault(
+                str(exc), **where, **self._error_context())) from exc
 
     def _error_context(self) -> dict:
         return {"pc": self.state.eip, "mode": self.initial_emulation,
@@ -599,13 +605,8 @@ class VMRuntime:
             self._service_profile(event)
             # resume inside the BBT prologue (machine state is intact)
             remaining = max(budget - consumed, 1)
-            try:
-                resumed = self.machine.run(event.resume_pc,
-                                           max_uops=remaining)
-            except NativeMachineError as exc:
-                raise self._vm_error(NativeExecutionFault(
-                    str(exc), native_pc=event.resume_pc,
-                    **self._error_context())) from exc
+            resumed = self._run_native(event.resume_pc, remaining,
+                                       native_pc=event.resume_pc)
             return consumed + self._service(resumed, remaining)
         if service is VMService.INTERP_ONE:
             self.interp_one_calls += 1

@@ -3,13 +3,28 @@
 Centralizes how we generate random-but-valid x86lite instructions, operands
 and straight-line programs, so that the ISA round-trip tests, the cracker
 differential tests, and the SBT fusion equivalence tests all draw from the
-same distribution.
+same distribution.  The fusible side is here too: single micro-ops for
+the encoding round trip, and whole native programs for the machine's
+run-versus-step differential.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+from typing import List
+
 from hypothesis import strategies as st
 
+from repro.isa.fusible.microop import MicroOp
+from repro.isa.fusible.opcodes import (
+    I_FORM_OPS,
+    LOAD_OPS,
+    R_FORM_OPS,
+    RR_FORM_OPS,
+    SHORT_OPS,
+    STORE_OPS,
+    UOp,
+)
 from repro.isa.x86lite.instruction import (
     ImmOperand,
     Instruction,
@@ -177,3 +192,147 @@ def loop_programs(draw, min_iterations: int = 5,
               "    mov eax, 1", "    mov ebx, esi", "    int 0x80",
               "    mov eax, 0", "    mov ebx, 0", "    int 0x80"]
     return "\n".join(lines)
+
+
+# -- hypothesis strategies over the micro-op space ---------------------------
+
+def _uop_strategy():
+    def build(draw):
+        kind = draw(st.sampled_from(
+            ["short", "r", "i", "rr", "mem", "lui", "bc", "jmp", "sel",
+             "special"]))
+        fused = draw(st.booleans())
+        if kind == "short":
+            op = draw(st.sampled_from(sorted(SHORT_OPS,
+                                             key=lambda o: o.value)))
+            rd = draw(st.integers(0, 15))
+            if op is UOp.ADDI2:
+                return MicroOp(op, rd=rd, imm=draw(st.integers(-8, 7)),
+                               fused=fused,
+                               setflags=draw(st.booleans()))
+            return MicroOp(op, rd=rd, rs1=draw(st.integers(0, 15)),
+                           fused=fused, setflags=draw(st.booleans()))
+        reg = st.integers(0, 31)
+        if kind == "r":
+            ops = sorted(R_FORM_OPS - {UOp.SEL}, key=lambda o: o.value)
+            return MicroOp(draw(st.sampled_from(ops)), rd=draw(reg),
+                           rs1=draw(reg), rs2=draw(reg), fused=fused,
+                           setflags=draw(st.booleans()))
+        if kind == "i":
+            op = draw(st.sampled_from(sorted(I_FORM_OPS,
+                                             key=lambda o: o.value)))
+            if op in (UOp.ADDI, UOp.SUBI):
+                imm = draw(st.integers(-4096, 4095))
+            else:
+                imm = draw(st.integers(0, 8191))
+            return MicroOp(op, rd=draw(reg), rs1=draw(reg), imm=imm,
+                           fused=fused, setflags=draw(st.booleans()))
+        if kind == "rr":
+            op = draw(st.sampled_from(sorted(RR_FORM_OPS,
+                                             key=lambda o: o.value)))
+            return MicroOp(op, rd=draw(reg), rs1=draw(reg), fused=fused,
+                           setflags=draw(st.booleans()))
+        if kind == "mem":
+            op = draw(st.sampled_from(sorted(LOAD_OPS | STORE_OPS,
+                                             key=lambda o: o.value)))
+            return MicroOp(op, rd=draw(reg), rs1=draw(reg),
+                           imm=draw(st.integers(-4096, 4095)), fused=fused)
+        if kind == "lui":
+            return MicroOp(UOp.LUI, rd=draw(reg),
+                           imm=draw(st.integers(0, (1 << 19) - 1)),
+                           fused=fused)
+        if kind == "bc":
+            return MicroOp(UOp.BC, cond=draw(st.sampled_from(list(Cond))),
+                           imm=draw(st.integers(-4096, 4095)), fused=fused)
+        if kind == "jmp":
+            return MicroOp(UOp.JMP,
+                           imm=draw(st.integers(-(1 << 23),
+                                                (1 << 23) - 1)),
+                           fused=fused)
+        if kind == "sel":
+            return MicroOp(UOp.SEL, rd=draw(reg), rs1=draw(reg),
+                           cond=draw(st.sampled_from(list(Cond))),
+                           fused=fused)
+        op = draw(st.sampled_from([UOp.NOP, UOp.HALT, UOp.VMEXIT, UOp.JR,
+                                   UOp.RDFLG, UOp.WRFLG, UOp.LDCSR,
+                                   UOp.XLTX86, UOp.VMCALL, UOp.JCSRC,
+                                   UOp.JCSRT]))
+        if op in (UOp.VMCALL, UOp.JCSRC, UOp.JCSRT):
+            return MicroOp(op, imm=draw(st.integers(0, 100)
+                                        if op is UOp.VMCALL
+                                        else st.integers(-4096, 4095)),
+                           fused=fused)
+        return MicroOp(op, rd=draw(reg), rs1=draw(reg), fused=fused)
+    return st.composite(build)()
+
+
+uops = _uop_strategy()
+
+
+# -- whole programs for the native machine ------------------------------------
+
+#: Native programs start a few parcels below this page boundary (or on
+#: it), so runs and single micro-ops straddle two pages.
+NATIVE_CODE_PAGE = 0x1000_1000
+NATIVE_DATA_BASE = 0x0050_0000
+
+_RETARGETED_OPS = (UOp.BC, UOp.JMP, UOp.JCSRC, UOp.JCSRT)
+_POINTER_REGS = (8, 9, 10, 11)
+
+
+@dataclass
+class NativeProgram:
+    """What one native-machine execution starts from."""
+
+    start: int
+    uops: List[MicroOp]
+    regs: List[int]
+    flags: int
+    budget: int
+
+
+@st.composite
+def _pointer_accesses(draw) -> MicroOp:
+    """A load or store based on one of the pointer registers."""
+    op = draw(st.sampled_from(sorted(LOAD_OPS | STORE_OPS,
+                                     key=lambda o: o.value)))
+    return MicroOp(op, rd=draw(st.integers(0, 31)),
+                   rs1=draw(st.sampled_from(_POINTER_REGS)),
+                   imm=draw(st.integers(-8, 64)),
+                   fused=draw(st.booleans()))
+
+
+@st.composite
+def native_programs(draw, max_size: int = 24) -> NativeProgram:
+    """A micro-op program with the state and budget to run it under.
+
+    Any micro-op may appear anywhere, and about half are memory accesses
+    through R8..R11, which start out pointing at data, at the program
+    itself (stores there rewrite code that may already be decoded) and
+    at the last bytes of the address space (accesses there fault).  Most
+    branch offsets are moved onto a micro-op boundary a few hops away;
+    backward ones loop until the budget ends them, the rest jump into
+    the wild.  One budget in three is too small to reach the end.
+    """
+    body = draw(st.lists(st.one_of(uops, _pointer_accesses()),
+                         min_size=1, max_size=max_size))
+    body.append(MicroOp(draw(st.sampled_from(
+        [UOp.HALT, UOp.VMEXIT, UOp.VMCALL]))))
+    offsets = [0]
+    for uop in body:
+        offsets.append(offsets[-1] + uop.length)
+    for index, uop in enumerate(body):
+        if uop.op in _RETARGETED_OPS and draw(st.integers(0, 9)):
+            landing = index + 1 + draw(st.integers(-3, 6))
+            landing = min(max(landing, 0), len(body) - 1)
+            body[index] = replace(
+                uop, imm=offsets[landing] - offsets[index + 1])
+    start = NATIVE_CODE_PAGE - 2 * draw(st.integers(0, 24))
+    regs = draw(st.lists(imm32, min_size=32, max_size=32))
+    regs[8:12] = [NATIVE_DATA_BASE, start, start + 2,
+                  draw(st.sampled_from([0xFFFFFFF0, 0xFFFFFFFC]))]
+    budget = draw(st.one_of(st.integers(0, len(body) + 4),
+                            st.just(8 * len(body)),
+                            st.just(8 * len(body))))
+    return NativeProgram(start, body, regs, draw(st.integers(0, 15)),
+                         budget)

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.isa.fusible import MicroOp, UOp, decode_uop, encode_stream
+from repro.isa.fusible import (
+    FusibleMachine,
+    MicroOp,
+    NativeBudgetExhausted,
+    UOp,
+    decode_uop,
+    encode_stream,
+)
 from repro.isa.fusible.registers import R_EXIT_TARGET
 from repro.memory import AddressSpace
 from repro.translator import (
@@ -255,3 +262,75 @@ class TestSideTable:
         directory.install(encode_stream(uops), translation)
         directory.flush("bbt")
         assert directory.resolve_side_table(native) is None
+
+
+class TestExecutionFollowsMemory:
+    """The native machine keeps runs pre-decoded from code-cache bytes;
+    every way the directory (or anything else) rewrites those bytes must
+    reach a machine that has already executed them.
+
+    ``install_simple`` translations are one exit stub each, so the x86
+    target a run leaves through names the code that was executed.
+    """
+
+    A, B, C = 0x400000, 0x400100, 0x400200
+
+    def setup_pair(self):
+        """A (exits to B's entry) and B (exits to C), both executed once."""
+        directory, memory = make_directory()
+        first = install_simple(directory, self.A, x86_target=self.B)
+        second = install_simple(directory, self.B, x86_target=self.C)
+        machine = FusibleMachine(memory)
+        assert self.leaves_through(machine, first) == self.B
+        assert self.leaves_through(machine, second) == self.C
+        return directory, memory, machine, first, second
+
+    @staticmethod
+    def leaves_through(machine, translation):
+        event = machine.run(translation.native_addr, max_uops=16)
+        assert event.kind == "vmexit"
+        return event.value
+
+    def test_patch_then_unpatch(self):
+        directory, _memory, machine, first, second = self.setup_pair()
+        stub = first.exits[0]
+        directory._patch(stub, second.native_addr)
+        assert self.leaves_through(machine, first) == self.C   # chained
+        directory._unpatch(stub)
+        assert self.leaves_through(machine, first) == self.B
+
+    def test_sbt_redirect_and_sbt_flush(self):
+        directory, _memory, machine, first, _second = self.setup_pair()
+        install_simple(directory, self.A, "sbt", x86_target=0x400300)
+        assert self.leaves_through(machine, first) == 0x400300
+        directory.flush("sbt")          # restores the BBT entry word
+        assert self.leaves_through(machine, first) == self.B
+
+    def test_bbt_flush_leaves_nothing_to_execute(self):
+        directory, _memory, machine, first, _second = self.setup_pair()
+        directory.flush("bbt")
+        before = machine.uops_executed
+        with pytest.raises(NativeBudgetExhausted):      # zeros are NOP2s
+            machine.run(first.native_addr, max_uops=16)
+        assert machine.uops_executed == before + 16
+
+    def test_evict_unchains_into_the_victim(self):
+        directory, _memory, machine, first, second = self.setup_pair()
+        directory.request_chain(first.exits[0])
+        assert self.leaves_through(machine, first) == self.C
+        directory.evict(second)
+        assert self.leaves_through(machine, first) == self.B
+
+    def test_byte_poked_into_the_code_page(self):
+        # what the code-cache-corruption fault class does: the ORI's
+        # low immediate byte is the fifth-from-last byte of the stub
+        _directory, memory, machine, first, _second = self.setup_pair()
+        memory.write_u8(first.native_addr + 6, 0x44)
+        assert self.leaves_through(machine, first) == self.B + 0x44
+
+    def test_reinstall_over_flushed_space(self):
+        directory, _memory, machine, first, _second = self.setup_pair()
+        directory.flush("bbt")
+        again = install_simple(directory, self.C, x86_target=0x400300)
+        assert again.native_addr == first.native_addr
+        assert self.leaves_through(machine, again) == 0x400300

@@ -14,15 +14,8 @@ from repro.isa.fusible import (
     encode_uop,
     stream_length,
 )
-from repro.isa.fusible.opcodes import (
-    I_FORM_OPS,
-    LOAD_OPS,
-    R_FORM_OPS,
-    RR_FORM_OPS,
-    SHORT_OPS,
-    STORE_OPS,
-)
 from repro.isa.x86lite.registers import Cond
+from tests.strategies import uops
 
 
 class TestFormats:
@@ -95,80 +88,14 @@ class TestErrors:
         with pytest.raises(UopDecodeError):
             decode_uop(raw)
 
-
-# -- hypothesis strategies over the micro-op space ---------------------------
-
-def _uop_strategy():
-    def build(draw):
-        kind = draw(st.sampled_from(
-            ["short", "r", "i", "rr", "mem", "lui", "bc", "jmp", "sel",
-             "special"]))
-        fused = draw(st.booleans())
-        if kind == "short":
-            op = draw(st.sampled_from(sorted(SHORT_OPS,
-                                             key=lambda o: o.value)))
-            rd = draw(st.integers(0, 15))
-            if op is UOp.ADDI2:
-                return MicroOp(op, rd=rd, imm=draw(st.integers(-8, 7)),
-                               fused=fused,
-                               setflags=draw(st.booleans()))
-            return MicroOp(op, rd=rd, rs1=draw(st.integers(0, 15)),
-                           fused=fused, setflags=draw(st.booleans()))
-        reg = st.integers(0, 31)
-        if kind == "r":
-            ops = sorted(R_FORM_OPS - {UOp.SEL}, key=lambda o: o.value)
-            return MicroOp(draw(st.sampled_from(ops)), rd=draw(reg),
-                           rs1=draw(reg), rs2=draw(reg), fused=fused,
-                           setflags=draw(st.booleans()))
-        if kind == "i":
-            op = draw(st.sampled_from(sorted(I_FORM_OPS,
-                                             key=lambda o: o.value)))
-            if op in (UOp.ADDI, UOp.SUBI):
-                imm = draw(st.integers(-4096, 4095))
-            else:
-                imm = draw(st.integers(0, 8191))
-            return MicroOp(op, rd=draw(reg), rs1=draw(reg), imm=imm,
-                           fused=fused, setflags=draw(st.booleans()))
-        if kind == "rr":
-            op = draw(st.sampled_from(sorted(RR_FORM_OPS,
-                                             key=lambda o: o.value)))
-            return MicroOp(op, rd=draw(reg), rs1=draw(reg), fused=fused,
-                           setflags=draw(st.booleans()))
-        if kind == "mem":
-            op = draw(st.sampled_from(sorted(LOAD_OPS | STORE_OPS,
-                                             key=lambda o: o.value)))
-            return MicroOp(op, rd=draw(reg), rs1=draw(reg),
-                           imm=draw(st.integers(-4096, 4095)), fused=fused)
-        if kind == "lui":
-            return MicroOp(UOp.LUI, rd=draw(reg),
-                           imm=draw(st.integers(0, (1 << 19) - 1)),
-                           fused=fused)
-        if kind == "bc":
-            return MicroOp(UOp.BC, cond=draw(st.sampled_from(list(Cond))),
-                           imm=draw(st.integers(-4096, 4095)), fused=fused)
-        if kind == "jmp":
-            return MicroOp(UOp.JMP,
-                           imm=draw(st.integers(-(1 << 23),
-                                                (1 << 23) - 1)),
-                           fused=fused)
-        if kind == "sel":
-            return MicroOp(UOp.SEL, rd=draw(reg), rs1=draw(reg),
-                           cond=draw(st.sampled_from(list(Cond))),
-                           fused=fused)
-        op = draw(st.sampled_from([UOp.NOP, UOp.HALT, UOp.VMEXIT, UOp.JR,
-                                   UOp.RDFLG, UOp.WRFLG, UOp.LDCSR,
-                                   UOp.XLTX86, UOp.VMCALL, UOp.JCSRC,
-                                   UOp.JCSRT]))
-        if op in (UOp.VMCALL, UOp.JCSRC, UOp.JCSRT):
-            return MicroOp(op, imm=draw(st.integers(0, 100)
-                                        if op is UOp.VMCALL
-                                        else st.integers(-4096, 4095)),
-                           fused=fused)
-        return MicroOp(op, rd=draw(reg), rs1=draw(reg), fused=fused)
-    return st.composite(build)()
-
-
-uops = _uop_strategy()
+    def test_invalid_condition_field(self):
+        # tttn 10 and 11 name no condition: a decode error, not a crash
+        good = encode_uop(MicroOp(UOp.BC, cond=Cond.S, imm=4))
+        word = int.from_bytes(good[:2], "little") << 16
+        bad = (word & ~(0x1F << 19)) | (10 << 19)
+        raw = (bad >> 16).to_bytes(2, "little") + good[2:]
+        with pytest.raises(UopDecodeError):
+            decode_uop(raw)
 
 
 class TestRoundtrip:

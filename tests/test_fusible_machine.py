@@ -1,11 +1,13 @@
 """Native machine tests: micro-op semantics, control flow, VM exits."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.isa.fusible import (
     ExitEvent,
     FusibleMachine,
     MicroOp,
+    NativeBudgetExhausted,
     NativeMachineError,
     UOp,
     encode_stream,
@@ -13,6 +15,11 @@ from repro.isa.fusible import (
 from repro.isa.fusible.registers import R_ZERO
 from repro.isa.x86lite.registers import Cond
 from repro.memory import AddressSpace
+from tests.strategies import (
+    NATIVE_CODE_PAGE,
+    NATIVE_DATA_BASE,
+    native_programs,
+)
 
 CODE = 0x1000_0000
 
@@ -271,3 +278,190 @@ class TestSpecial:
         assert machine.uops_executed == 3
         assert machine.fused_pairs_seen == 1
         assert machine.uop_bytes_fetched == 4 + 2 + 4
+
+
+# -- run() against repeated step() -------------------------------------------
+#
+# ``run`` executes pre-decoded runs; ``step`` fetches, decodes and binds
+# one micro-op at a time.  Whatever ``run`` does must be what stepping
+# from the same start does: state, counters, exit event, error.
+
+def stepped_run(machine, start_pc, max_uops):
+    """``run`` as single-stepping defines it."""
+    machine.pc = start_pc
+    for _ in range(max_uops):
+        event = machine.step()
+        if event is not None:
+            return event
+    raise NativeBudgetExhausted(f"no VM exit within {max_uops} micro-ops")
+
+
+def observe(machine, runner, start_pc, max_uops):
+    """Everything an execution leaves behind."""
+    try:
+        outcome = runner(machine, start_pc, max_uops)
+    except Exception as exc:   # compared, not handled
+        outcome = (type(exc).__name__, str(exc))
+    return {
+        "outcome": outcome,
+        "regs": list(machine.regs),
+        "fregs": [bytes(freg) for freg in machine.fregs],
+        "flags": machine.flags_packed(),
+        "csr": machine.csr,
+        "pc": machine.pc,
+        "uops_executed": machine.uops_executed,
+        "uop_bytes_fetched": machine.uop_bytes_fetched,
+        "fused_pairs_seen": machine.fused_pairs_seen,
+        # every resident page: stores may land anywhere
+        "memory": {index: bytes(page)
+                   for index, page in machine.memory._pages.items()},
+    }
+
+
+def machine_pair(start, uops, regs=None, flags=0, data=b""):
+    """Two machines over equal memories, set up alike."""
+    memory = AddressSpace()
+    memory.write(start, encode_stream(uops))
+    memory.write(NATIVE_DATA_BASE, data)
+    pair = []
+    for space in (memory, memory.snapshot()):
+        machine = FusibleMachine(space)
+        if regs is not None:
+            machine.regs[:] = regs
+            machine.regs[R_ZERO] = 0
+        machine.set_flags_packed(flags)
+        pair.append(machine)
+    return pair
+
+
+def assert_run_matches_stepping(start, uops, budget, rounds=1, **setup):
+    runner, stepper = machine_pair(start, uops, **setup)
+    for _ in range(rounds):
+        ran = observe(runner, FusibleMachine.run, start, budget)
+        stepped = observe(stepper, stepped_run, start, budget)
+        assert ran == stepped
+    return runner, ran
+
+
+class TestRunMatchesStepping:
+    @given(program=native_programs())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_programs(self, program):
+        # the second round starts from runs the first one cached and
+        # from whatever the program did to its own code
+        assert_run_matches_stepping(
+            program.start, program.uops, program.budget, rounds=2,
+            regs=program.regs, flags=program.flags,
+            data=bytes(range(64)))
+
+    def test_fault_in_the_middle_of_a_run(self):
+        machine, seen = assert_run_matches_stepping(CODE, [
+            MicroOp(UOp.ADDI, rd=1, rs1=R_ZERO, imm=5, fused=True),
+            MicroOp(UOp.ADD2, rd=1, rs1=1),
+            MicroOp(UOp.ADDI, rd=2, rs1=R_ZERO, imm=-2),
+            MicroOp(UOp.LDW, rd=3, rs1=2, imm=0),     # 0xFFFFFFFE: faults
+            MicroOp(UOp.ADDI, rd=4, rs1=R_ZERO, imm=1),
+            MicroOp(UOp.HALT),
+        ], budget=100)
+        assert seen["outcome"][0] == "MemoryError_"
+        assert seen["uops_executed"] == 4      # the faulting one counted
+        assert seen["uop_bytes_fetched"] == 4 + 2 + 4 + 4
+        assert seen["fused_pairs_seen"] == 1
+        assert seen["pc"] == CODE + 14         # past the faulting LDW
+        assert machine.regs[4] == 0
+
+    @pytest.mark.parametrize("budget", range(0, 8))
+    def test_budget_ends_inside_a_run(self, budget):
+        body = [MicroOp(UOp.ADDI2, rd=1, imm=1) for _ in range(5)]
+        machine, seen = assert_run_matches_stepping(
+            CODE, body + [MicroOp(UOp.HALT)], budget=budget)
+        if budget < 6:
+            assert seen["outcome"][0] == "NativeBudgetExhausted"
+            assert seen["uops_executed"] == budget
+            assert machine.regs[1] == min(budget, 5)
+        else:
+            assert seen["outcome"] == ExitEvent(
+                "halt", native_pc=CODE + 10, resume_pc=CODE + 14)
+
+    def test_budget_error_is_a_native_machine_error(self):
+        assert issubclass(NativeBudgetExhausted, NativeMachineError)
+
+    @pytest.mark.parametrize("lead", [0, 1, 2])
+    def test_micro_op_straddling_a_page(self, lead):
+        # `lead` short micro-ops, then a 32-bit one whose second parcel
+        # sits in the next page
+        start = NATIVE_CODE_PAGE - 2 - 2 * lead
+        uops = [MicroOp(UOp.ADDI2, rd=1, imm=1)] * lead + [
+            MicroOp(UOp.ADDI, rd=2, rs1=R_ZERO, imm=0x123),
+            MicroOp(UOp.HALT)]
+        machine, seen = assert_run_matches_stepping(start, uops, budget=50)
+        assert seen["outcome"].kind == "halt"
+        assert machine.regs[2] == 0x123
+        # the second page belongs to the run too: rewriting the
+        # immediate there must be seen
+        machine.memory.write_u8(NATIVE_CODE_PAGE, 0x45)
+        machine.run(start, max_uops=50)
+        assert machine.regs[2] == 0x145
+
+    @pytest.mark.parametrize("position", [0, 30, 62, 63, 64, 70])
+    def test_run_cut_by_the_decode_window(self, position):
+        # 80 32-bit micro-ops without a branch span more than one
+        # window; a store is moved through every role in it (body,
+        # last of the window, first of the next)
+        uops = [MicroOp(UOp.ADDI, rd=1, rs1=1, imm=3) for _ in range(80)]
+        uops[position] = MicroOp(UOp.STW, rd=1, rs1=8, imm=4)
+        uops.append(MicroOp(UOp.VMEXIT, rs1=1))
+        regs = [0] * 32
+        regs[8] = NATIVE_DATA_BASE
+        machine, seen = assert_run_matches_stepping(
+            CODE, uops, budget=500, rounds=2, regs=regs)
+        assert seen["outcome"].value == machine.regs[1]
+        # second round: R1 carried 79 additions over from the first
+        assert machine.memory.read_u32(NATIVE_DATA_BASE + 4) == \
+            3 * (79 + position)
+
+    def test_store_into_the_run_being_executed(self):
+        # the STW replaces the micro-op right after it; the run that was
+        # decoded with the old one must stop there
+        new = int.from_bytes(encode_stream(
+            [MicroOp(UOp.ADDI, rd=3, rs1=R_ZERO, imm=2)]), "little")
+        uops = [
+            MicroOp(UOp.LUI, rd=2, imm=new >> 13),
+            MicroOp(UOp.ORI, rd=2, rs1=2, imm=new & 0x1FFF),
+            MicroOp(UOp.STW, rd=2, rs1=9, imm=16),
+            MicroOp(UOp.ADDI, rd=4, rs1=R_ZERO, imm=7),
+            MicroOp(UOp.ADDI, rd=3, rs1=R_ZERO, imm=1),   # at CODE + 16
+            MicroOp(UOp.HALT),
+        ]
+        regs = [0] * 32
+        regs[9] = CODE
+        machine, seen = assert_run_matches_stepping(
+            CODE, uops, budget=50, rounds=2, regs=regs)
+        assert seen["outcome"].kind == "halt"
+        assert machine.regs[3] == 2 and machine.regs[4] == 7
+
+    def test_bad_code_after_a_good_prefix(self):
+        runner, stepper = machine_pair(CODE, [
+            MicroOp(UOp.ADDI2, rd=1, imm=1), MicroOp(UOp.ADDI2, rd=1, imm=1)])
+        for machine in (runner, stepper):
+            machine.memory.write(CODE + 4, b"\xff\x7f\xff\xff")
+        ran = observe(runner, FusibleMachine.run, CODE, 50)
+        assert ran == observe(stepper, stepped_run, CODE, 50)
+        assert ran["outcome"][0] == "NativeMachineError"
+        assert ran["uops_executed"] == 2 and ran["pc"] == CODE + 4
+
+    def test_every_micro_op_has_a_binder(self):
+        from repro.isa.fusible.machine import _BINDERS
+        assert set(_BINDERS) == set(UOp)
+
+    def test_one_xlt_unit_per_machine(self):
+        def setup(machine):
+            machine.memory.write(0x500000, b"\x01\xd8" + bytes(14))
+        machine, _ = run_code([
+            MicroOp(UOp.LUI, rd=2, imm=0x500000 >> 13),
+            MicroOp(UOp.LDF, rd=1, rs1=2, imm=0),
+            MicroOp(UOp.XLTX86, rd=3, rs1=1),
+            MicroOp(UOp.XLTX86, rd=4, rs1=1),
+            MicroOp(UOp.HALT),
+        ], setup=setup)
+        assert machine._xlt_unit.invocations == 2

@@ -89,6 +89,71 @@ class TestAddressSpace:
         assert memory.read_u32(addr) == value
 
 
+class TestWriteWatch:
+    PAGE = 0x400000 // PAGE_SIZE
+
+    def watched(self):
+        memory = AddressSpace()
+        fired = []
+        memory.watch(self.PAGE, fired.append)
+        return memory, fired
+
+    @pytest.mark.parametrize("write", [
+        lambda memory: memory.write(0x400010, b"xy"),
+        lambda memory: memory.write_u8(0x400010, 1),
+        lambda memory: memory.write_u16(0x400010, 1),
+        lambda memory: memory.write_u32(0x400010, 1),
+        lambda memory: memory.fill(0x400010, 8, 0xFF),
+        lambda memory: memory.fill(0x400010, 8),    # same bytes: still a write
+    ], ids=["write", "write_u8", "write_u16", "write_u32", "fill",
+            "fill_zero"])
+    def test_every_write_accessor_fires(self, write):
+        memory, fired = self.watched()
+        write(memory)
+        assert fired == [self.PAGE]
+
+    def test_reads_never_fire(self):
+        memory, fired = self.watched()
+        memory.write(0x400000 + PAGE_SIZE, b"next page")
+        memory.read(0x400000, 64)
+        memory.read_u8(0x400001)
+        memory.read_u16(0x400002)
+        memory.read_u32(0x400004)
+        memory.read_i32(0x400008)
+        assert fired == []
+
+    def test_fires_once_until_watched_again(self):
+        memory, fired = self.watched()
+        memory.write_u8(0x400000, 1)
+        memory.write_u8(0x400000, 2)
+        assert fired == [self.PAGE]
+        memory.watch(self.PAGE, fired.append)
+        memory.write_u8(0x400000, 3)
+        assert fired == [self.PAGE, self.PAGE]
+
+    def test_write_spanning_pages_fires_each_watched_page(self):
+        memory, fired = self.watched()
+        memory.watch(self.PAGE + 1, fired.append)
+        memory.write(0x400000 + PAGE_SIZE - 2, b"abcd")
+        assert fired == [self.PAGE, self.PAGE + 1]
+        assert memory.read(0x400000 + PAGE_SIZE - 2, 4) == b"abcd"
+
+    def test_every_watcher_of_a_page_is_called(self):
+        memory, fired = self.watched()
+        also = []
+        memory.watch(self.PAGE, also.append)
+        memory.write_u8(0x400000, 1)
+        assert fired == also == [self.PAGE]
+
+    def test_snapshot_does_not_inherit_watches(self):
+        memory, fired = self.watched()
+        clone = memory.snapshot()
+        clone.write_u32(0x400000, 7)
+        assert fired == []
+        memory.write_u32(0x400000, 7)
+        assert fired == [self.PAGE]
+
+
 class TestImageLoader:
     def test_load_image(self):
         image = Image(entry=0x400000)

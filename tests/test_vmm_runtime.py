@@ -4,11 +4,17 @@ profiling plumbing."""
 import pytest
 
 from repro.core import CoDesignedVM, vm_soft
+from repro.isa.fusible import MicroOp, R_ZERO, UOp, encode_uop
 from repro.isa.x86lite import assemble, Reg, X86State
 from repro.memory import AddressSpace, load_image
 from repro.memory.loader import DEFAULT_STACK_TOP
 from repro.translator import TranslationDirectory
-from repro.vmm import SoftwareProfiler, VMRuntime
+from repro.vmm import (
+    NativeExecutionFault,
+    SoftwareProfiler,
+    UopBudgetExhausted,
+    VMRuntime,
+)
 from repro.vmm.profiling import EdgeProfile
 
 LOOP = """
@@ -21,6 +27,14 @@ loop:
     mov eax, 0
     mov ebx, 0
     int 0x80
+"""
+
+ENDLESS = """
+start:
+    mov ecx, 0
+loop:
+    add eax, 1
+    jmp loop
 """
 
 
@@ -168,6 +182,37 @@ class TestErrors:
         with pytest.raises(VMRuntimeError):
             runtime.run(max_uops=1000)
 
+    @pytest.mark.parametrize("kwargs", [
+        # hot_threshold=5: the loop is promoted and the superblock
+        # closes on itself; the PROFILE service resumes into it
+        dict(),
+        # never hot: the BBT block is chained to itself
+        dict(hot_threshold=10 ** 6),
+        # the interpretive run loop, once the superblock exists
+        dict(initial_emulation="interp"),
+    ], ids=["profile-resume", "translated", "interpretive"])
+    def test_endless_native_loop_exhausts_the_uop_budget(self, kwargs):
+        """Once the loop never leaves native code the budget runs out
+        inside the machine, not at a dispatch: still a budget error."""
+        runtime, _labels = make_runtime(ENDLESS, **kwargs)
+        with pytest.raises(UopBudgetExhausted) as excinfo:
+            runtime.run(max_uops=20000)
+        assert "budget" in str(excinfo.value)
+        # the machine stopped exactly at the budget, mid-run or not
+        assert runtime.total_uops_executed + \
+            runtime.machine.uops_executed == 20000
+
+    def test_bad_native_code_is_an_execution_fault(self):
+        runtime, _labels = make_runtime(LOOP)
+        runtime.run()
+        translation = runtime.directory.lookup(runtime.state.eip) or \
+            runtime.directory.bbt_cache.translations[0]
+        runtime.memory.write(translation.native_addr, b"\xff\x7f\xff\xff")
+        runtime.state.halted = False
+        runtime.state.eip = translation.entry
+        with pytest.raises(NativeExecutionFault):
+            runtime.run()
+
 
 class TestEdgeProfile:
     def test_biased_successor(self):
@@ -228,3 +273,55 @@ class TestVMFacade:
         text = report.summary()
         assert "VM.soft" in text
         assert "fused pair fraction" in text
+
+
+class TestGuestStoreIntoItsOwnTranslation:
+    """Nothing stops architected code from addressing the concealed
+    code cache.  A guest store that rewrites a translation the machine
+    has already executed must take effect: the machine executes what
+    memory holds, not what it once decoded."""
+
+    SOURCE = """
+start:
+    mov esi, 3
+    jmp again
+again:
+    mov edi, 7
+    dec esi
+    jz done
+    cmp esi, 1
+    jne again
+    mov dword [{address}], {word}
+    jmp again
+done:
+    mov eax, 0
+    mov ebx, 0
+    int 0x80
+"""
+
+    def boot(self, address, word):
+        runtime, labels = make_runtime(
+            self.SOURCE.format(address=address, word=word),
+            hot_threshold=10 ** 6)
+        runtime.run()
+        return runtime, runtime.directory.lookup(labels["again"])
+
+    def test_next_pass_executes_the_stored_bytes(self):
+        # a first boot (storing into plain data) tells where `mov edi, 7`
+        # lives in the translation of `again`; the layout of a boot is
+        # deterministic, so the second boot can aim at it
+        runtime, translation = self.boot(0x600000, 0)
+        assert runtime.state.regs[Reg.EDI] == 7
+        load_seven = MicroOp(UOp.ADDI, rd=int(Reg.EDI), rs1=R_ZERO, imm=7)
+        index = [str(uop) for uop in translation.uops].index(str(load_seven))
+        target = translation.native_addr + sum(
+            uop.length for uop in translation.uops[:index])
+        word = int.from_bytes(encode_uop(
+            MicroOp(UOp.ADDI, rd=int(Reg.EDI), rs1=R_ZERO, imm=9)), "little")
+
+        runtime, again = self.boot(target, word)
+        assert again.native_addr == translation.native_addr
+        # passes one and two ran the original (and left it pre-decoded);
+        # the store came before pass three
+        assert runtime.state.regs[Reg.EDI] == 9
+        assert runtime.state.regs[Reg.ESI] == 0
