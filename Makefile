@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-strict verify bench bench-smoke chaos trace-smoke serve-smoke fleet-smoke cluster-smoke monitor-smoke overload-smoke perf perf-selftest examples figures clean
+.PHONY: install test lint lint-strict verify bench bench-smoke chaos trace-smoke serve-smoke fleet-smoke cluster-smoke monitor-smoke overload-smoke perf perf-compare perf-selftest examples figures clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -111,6 +111,34 @@ overload-smoke:
 # minutes; timings are only meaningful on an otherwise idle host.
 perf:
 	$(PYTHON) perf/run.py
+
+# A/B the host-clock benchmark: PERF_BASE (default HEAD, i.e. the
+# parent of an uncommitted change) is checked out into a temporary git
+# worktree, then each tree's own perf/run.py measures its own src/ once
+# per seed of PERF_SEEDS, the two sides alternating which goes first,
+# and perf/compare.py prints the verdict table (exit 1 on a regression
+# or a moved exact count).  Use seeds no run of the change has seen.
+# PERF_ARGS goes to both run.py (e.g. --trace).  About 4 minutes per
+# seed; only meaningful on an otherwise idle host.
+PERF_BASE ?= HEAD
+PERF_SEEDS ?= 11 12 13
+perf-compare:
+	@set -e; tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/tree" 2>/dev/null; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach "$$tmp/tree" $(PERF_BASE) >/dev/null; \
+	mkdir "$$tmp/parent" "$$tmp/change"; \
+	order="parent change"; \
+	for seed in $(PERF_SEEDS); do \
+		for side in $$order; do \
+			if [ $$side = parent ]; then root="$$tmp/tree"; else root=.; fi; \
+			echo "== seed $$seed: $$side"; \
+			$(PYTHON) "$$root/perf/run.py" --seed $$seed $(PERF_ARGS) \
+				--out "$$tmp/$$side/run-seed$$seed.json" || true; \
+		done; \
+		if [ "$$order" = "parent change" ]; then order="change parent"; \
+		else order="parent change"; fi; \
+	done; \
+	$(PYTHON) perf/compare.py "$$tmp/parent" "$$tmp/change"
 
 # The benchmark's own parts (estimators, span accounting, generator,
 # contract line) checked without timing anything long.

@@ -29,17 +29,11 @@ bits 18..0 as its immediate.
 
 from __future__ import annotations
 
+import struct
 from typing import List
 
 from repro.isa.fusible.microop import MicroOp
-from repro.isa.fusible.opcodes import (
-    I_FORM_OPS,
-    LOAD_OPS,
-    R_FORM_OPS,
-    RR_FORM_OPS,
-    STORE_OPS,
-    UOp,
-)
+from repro.isa.fusible.opcodes import OP_INFO, UOp
 from repro.isa.x86lite.registers import Cond
 
 
@@ -51,38 +45,20 @@ class UopDecodeError(Exception):
     """Raised on invalid micro-op bytes."""
 
 
-_SHORT_NUMBERS = {
-    UOp.NOP2: 0, UOp.MOV2: 1, UOp.ADD2: 2, UOp.SUB2: 3, UOp.AND2: 4,
-    UOp.OR2: 5, UOp.XOR2: 6, UOp.CMP2: 7, UOp.TEST2: 8, UOp.ADDI2: 9,
-}
-_SHORT_BY_NUMBER = {number: op for op, number in _SHORT_NUMBERS.items()}
-
-_LONG_NUMBERS = {
-    UOp.NOP: 0, UOp.ADD: 1, UOp.ADC: 2, UOp.SUB: 3, UOp.SBB: 4,
-    UOp.AND: 5, UOp.OR: 6, UOp.XOR: 7, UOp.SHL: 8, UOp.SHR: 9,
-    UOp.SAR: 10, UOp.MULL: 11, UOp.MULLU: 12, UOp.MULH: 13, UOp.MULHU: 14,
-    UOp.SEL: 15, UOp.ADDI: 16, UOp.SUBI: 17, UOp.ANDI: 18, UOp.ORI: 19,
-    UOp.XORI: 20, UOp.SHLI: 21, UOp.SHRI: 22, UOp.SARI: 23, UOp.LUI: 24,
-    UOp.INCF: 25, UOp.DECF: 26, UOp.LDW: 27, UOp.LDHU: 28, UOp.LDHS: 29,
-    UOp.LDBU: 30, UOp.LDBS: 31, UOp.STW: 32, UOp.STH: 33, UOp.STB: 34,
-    UOp.LDF: 35, UOp.STF: 36, UOp.BC: 37, UOp.JMP: 38, UOp.JR: 39,
-    UOp.VMEXIT: 40, UOp.VMCALL: 41, UOp.RDFLG: 42, UOp.WRFLG: 43,
-    UOp.XLTX86: 44, UOp.LDCSR: 45, UOp.JCSRC: 46, UOp.JCSRT: 47,
-    UOp.HALT: 48,
-}
-_LONG_BY_NUMBER = {number: op for op, number in _LONG_NUMBERS.items()}
-
 _IMM13_MIN, _IMM13_MAX = -(1 << 12), (1 << 12) - 1
 _IMM24_MIN, _IMM24_MAX = -(1 << 23), (1 << 23) - 1
 
-#: Immediate forms that zero-extend their 13-bit field.
-_UNSIGNED_IMM_OPS = frozenset({UOp.ANDI, UOp.ORI, UOp.XORI, UOp.SHLI,
-                               UOp.SHRI, UOp.SARI, UOp.VMCALL})
+#: bit 30 of a 32-bit micro-op's word (bit 14 of its first parcel)
+_LONG_FORMAT = 1 << 30
+
+_PARCEL = struct.Struct("<H").pack
+#: 32-bit format, high parcel first: the discriminator bits lead the stream
+_PARCELS = struct.Struct("<HH").pack
 
 
 def imm13_in_range(op: UOp, imm: int) -> bool:
     """Whether ``imm`` fits the 13-bit field of ``op``."""
-    if op in _UNSIGNED_IMM_OPS:
+    if OP_INFO[op].form == "U13":
         return 0 <= imm <= 0x1FFF
     return _IMM13_MIN <= imm <= _IMM13_MAX
 
@@ -93,81 +69,76 @@ def _check_reg(value: int, limit: int, what: str) -> int:
     return value
 
 
-def encode_uop(uop: MicroOp) -> bytes:
-    """Encode one micro-op to its 2- or 4-byte form."""
-    if uop.is_short:
-        word = (int(uop.fused) << 15) | (_SHORT_NUMBERS[uop.op] << 9)
-        word |= _check_reg(uop.rd, 16, "short rd") << 5
-        if uop.op is UOp.ADDI2:
-            if not -8 <= uop.imm <= 7:
-                raise UopEncodeError(f"imm4 {uop.imm} out of range")
-            word |= (uop.imm & 0xF) << 1
-        else:
-            word |= _check_reg(uop.rs1, 16, "short rs") << 1
-        word |= int(uop.setflags)
-        return word.to_bytes(2, "little")
+def _check_cond(uop: MicroOp) -> int:
+    if uop.cond is None:
+        raise UopEncodeError(f"{uop.op.name} requires a condition")
+    return int(uop.cond)
 
-    op = uop.op
-    number = _LONG_NUMBERS.get(op)
-    if number is None:
-        raise UopEncodeError(f"unencodable micro-op {op!r}")
-    word = (int(uop.fused) << 31) | (1 << 30) | (number << 24)
 
-    if op is UOp.JMP:
-        if not _IMM24_MIN <= uop.imm <= _IMM24_MAX:
-            raise UopEncodeError(f"imm24 {uop.imm} out of range")
-        word |= uop.imm & 0xFFFFFF
-    elif op is UOp.LUI:
-        if not 0 <= uop.imm < (1 << 19):
-            raise UopEncodeError(f"imm19 {uop.imm:#x} out of range")
-        word |= _check_reg(uop.rd, 32, "rd") << 19
-        word |= uop.imm
-    elif op is UOp.BC:
-        if uop.cond is None:
-            raise UopEncodeError("BC requires a condition")
-        if not imm13_in_range(op, uop.imm):
-            raise UopEncodeError(f"imm13 {uop.imm} out of range")
-        word |= int(uop.cond) << 19
-        word |= uop.imm & 0x1FFF
-    elif op is UOp.SEL:
-        if uop.cond is None:
-            raise UopEncodeError("SEL requires a condition")
-        word |= _check_reg(uop.rd, 32, "rd") << 19
-        word |= _check_reg(uop.rs1, 32, "rs1") << 14
-        word |= int(uop.cond) << 5
-        word |= int(uop.setflags) << 13
-    elif op in R_FORM_OPS:
-        word |= _check_reg(uop.rd, 32, "rd") << 19
-        word |= _check_reg(uop.rs1, 32, "rs1") << 14
-        word |= int(uop.setflags) << 13
-        word |= _check_reg(uop.rs2, 32, "rs2")
-    elif op in RR_FORM_OPS or op in (UOp.WRFLG, UOp.JR, UOp.VMEXIT):
-        word |= _check_reg(uop.rd, 32, "rd") << 19
-        word |= _check_reg(uop.rs1, 32, "rs1") << 14
-        word |= int(uop.setflags) << 13
-    elif op in (UOp.RDFLG, UOp.LDCSR):
-        word |= _check_reg(uop.rd, 32, "rd") << 19
-    elif op is UOp.XLTX86:
-        word |= _check_reg(uop.rd, 32, "fd") << 19
-        word |= _check_reg(uop.rs1, 32, "fs") << 14
-    elif op in I_FORM_OPS or op in LOAD_OPS or op in STORE_OPS \
-            or op in (UOp.VMCALL, UOp.JCSRC, UOp.JCSRT):
-        if not imm13_in_range(op, uop.imm):
-            raise UopEncodeError(f"imm13 {uop.imm} out of range for "
-                                 f"{op.value}")
-        word |= _check_reg(uop.rd, 32, "rd") << 19
-        word |= _check_reg(uop.rs1, 32, "rs1") << 14
-        word |= int(uop.setflags) << 13
-        word |= uop.imm & 0x1FFF
-    elif op in (UOp.NOP, UOp.HALT):
-        pass
-    else:  # pragma: no cover - table is exhaustive
-        raise UopEncodeError(f"unhandled micro-op {op!r}")
+def _rd_rs1_f(uop: MicroOp) -> int:
+    return (_check_reg(uop.rd, 32, "rd") << 19
+            | _check_reg(uop.rs1, 32, "rs1") << 14
+            | int(uop.setflags) << 13)
 
-    # high parcel first so the discriminator bits lead the stream
-    return bytes(((word >> 16) & 0xFFFF).to_bytes(2, "little")
-                 + (word & 0xFFFF).to_bytes(2, "little"))
 
+# -- per-form packers: the operand bits of the encoded word --------------------
+
+def _pack_s2(uop: MicroOp) -> int:
+    return (_check_reg(uop.rd, 16, "short rd") << 5
+            | _check_reg(uop.rs1, 16, "short rs") << 1 | int(uop.setflags))
+
+
+def _pack_s2i(uop: MicroOp) -> int:
+    word = _check_reg(uop.rd, 16, "short rd") << 5 | int(uop.setflags)
+    if not -8 <= uop.imm <= 7:
+        raise UopEncodeError(f"imm4 {uop.imm} out of range")
+    return word | (uop.imm & 0xF) << 1
+
+
+def _pack_j24(uop: MicroOp) -> int:
+    if not _IMM24_MIN <= uop.imm <= _IMM24_MAX:
+        raise UopEncodeError(f"imm24 {uop.imm} out of range")
+    return uop.imm & 0xFFFFFF
+
+
+def _pack_u19(uop: MicroOp) -> int:
+    if not 0 <= uop.imm < (1 << 19):
+        raise UopEncodeError(f"imm19 {uop.imm:#x} out of range")
+    return _check_reg(uop.rd, 32, "rd") << 19 | uop.imm
+
+
+def _pack_bc(uop: MicroOp) -> int:
+    cond = _check_cond(uop)
+    if not _IMM13_MIN <= uop.imm <= _IMM13_MAX:
+        raise UopEncodeError(f"imm13 {uop.imm} out of range")
+    return cond << 19 | uop.imm & 0x1FFF
+
+
+def _pack_sel(uop: MicroOp) -> int:
+    return _check_cond(uop) << 5 | _rd_rs1_f(uop)
+
+
+def _pack_r3(uop: MicroOp) -> int:
+    return _rd_rs1_f(uop) | _check_reg(uop.rs2, 32, "rs2")
+
+
+def _pack_r1(uop: MicroOp) -> int:
+    return _check_reg(uop.rd, 32, "rd") << 19
+
+
+def _pack_x2(uop: MicroOp) -> int:
+    return (_check_reg(uop.rd, 32, "fd") << 19
+            | _check_reg(uop.rs1, 32, "fs") << 14)
+
+
+def _pack_imm13(uop: MicroOp) -> int:
+    if not imm13_in_range(uop.op, uop.imm):
+        raise UopEncodeError(f"imm13 {uop.imm} out of range for "
+                             f"{uop.op.value}")
+    return _rd_rs1_f(uop) | uop.imm & 0x1FFF
+
+
+# -- per-form unpackers: (op, word, fused) -> MicroOp --------------------------
 
 def _decode_cond(value: int) -> Cond:
     try:
@@ -176,72 +147,108 @@ def _decode_cond(value: int) -> Cond:
         raise UopDecodeError(f"invalid condition code {value}") from None
 
 
+def _sext13(word: int) -> int:
+    return (word & 0x1FFF) - 0x2000 if word & 0x1000 else word & 0x1FFF
+
+
+def _sext24(word: int) -> int:
+    return (word & 0xFFFFFF) - 0x1000000 if word & 0x800000 \
+        else word & 0xFFFFFF
+
+
+def _unpack_s2(op: UOp, word: int, fused: bool) -> MicroOp:
+    return MicroOp(op, rd=(word >> 5) & 0xF, rs1=(word >> 1) & 0xF,
+                   fused=fused, setflags=bool(word & 1))
+
+
+def _unpack_s2i(op: UOp, word: int, fused: bool) -> MicroOp:
+    field = (word >> 1) & 0xF
+    return MicroOp(op, rd=(word >> 5) & 0xF,
+                   imm=field - 16 if field & 0x8 else field,
+                   fused=fused, setflags=bool(word & 1))
+
+
+def _unpacker(rd: int = 0, rs1: int = 0, rs2: int = 0, flags: int = 0,
+              imm=None, cond=None):
+    """Unpacker of one 32-bit form.  The masks select the register and
+    ``.f`` fields the form carries (a field it does not carry decodes
+    as 0); ``imm``/``cond`` extract those two from the word."""
+    def unpack(op: UOp, word: int, fused: bool) -> MicroOp:
+        return MicroOp(op, rd=word >> 19 & rd, rs1=word >> 14 & rs1,
+                       rs2=word & rs2, imm=imm(word) if imm else 0,
+                       cond=cond(word) if cond else None, fused=fused,
+                       setflags=bool(word & flags))
+    return unpack
+
+
+_REG, _F = 0x1F, 1 << 13
+
+#: codec form (``OpInfo.form``) -> (packer, unpacker)
+_CODECS = {
+    "S2": (_pack_s2, _unpack_s2),
+    "S2I": (_pack_s2i, _unpack_s2i),
+    "N0": (lambda uop: 0, _unpacker()),
+    "R1": (_pack_r1, _unpacker(rd=_REG)),
+    "X2": (_pack_x2, _unpacker(rd=_REG, rs1=_REG)),
+    "R2": (_rd_rs1_f, _unpacker(rd=_REG, rs1=_REG, flags=_F)),
+    "R3": (_pack_r3, _unpacker(rd=_REG, rs1=_REG, rs2=_REG, flags=_F)),
+    "SEL": (_pack_sel, _unpacker(
+        rd=_REG, rs1=_REG, flags=_F,
+        cond=lambda word: _decode_cond(word >> 5 & 0xF))),
+    "I13": (_pack_imm13, _unpacker(rd=_REG, rs1=_REG, flags=_F,
+                                   imm=_sext13)),
+    "U13": (_pack_imm13, _unpacker(rd=_REG, rs1=_REG, flags=_F,
+                                   imm=lambda word: word & 0x1FFF)),
+    "U19": (_pack_u19, _unpacker(rd=_REG,
+                                 imm=lambda word: word & 0x7FFFF)),
+    "BC": (_pack_bc, _unpacker(
+        imm=_sext13, cond=lambda word: _decode_cond(word >> 19 & 0x1F))),
+    "J24": (_pack_j24, _unpacker(imm=_sext24)),
+}
+
+#: opcode -> (packer, word with the format bit and opcode number set)
+_ENCODERS = {
+    op: (_CODECS[info.form][0],
+         info.number << 9 if info.length == 2
+         else _LONG_FORMAT | info.number << 24)
+    for op, info in OP_INFO.items()}
+
+#: opcode number -> (opcode, unpacker), per format
+_SHORT_DECODERS = {info.number: (op, _CODECS[info.form][1])
+                   for op, info in OP_INFO.items() if info.length == 2}
+_LONG_DECODERS = {info.number: (op, _CODECS[info.form][1])
+                  for op, info in OP_INFO.items() if info.length == 4}
+
+
+def encode_uop(uop: MicroOp) -> bytes:
+    """Encode one micro-op to its 2- or 4-byte form."""
+    pack, word = _ENCODERS[uop.op]
+    word |= pack(uop)
+    if not word & _LONG_FORMAT:
+        return _PARCEL(word | int(uop.fused) << 15)
+    return _PARCELS(word >> 16 | int(uop.fused) << 15, word & 0xFFFF)
+
+
 def decode_uop(data: bytes, offset: int = 0) -> MicroOp:
     """Decode one micro-op from ``data`` at ``offset``."""
     if offset + 2 > len(data):
         raise UopDecodeError("truncated micro-op stream")
-    first = int.from_bytes(data[offset:offset + 2], "little")
+    first = data[offset] | data[offset + 1] << 8
     fused = bool(first & 0x8000)
-
     if not first & 0x4000:  # 16-bit format
         number = (first >> 9) & 0x1F
-        op = _SHORT_BY_NUMBER.get(number)
-        if op is None:
+        entry = _SHORT_DECODERS.get(number)
+        if entry is None:
             raise UopDecodeError(f"invalid short opcode {number}")
-        rd = (first >> 5) & 0xF
-        field = (first >> 1) & 0xF
-        setflags = bool(first & 1)
-        if op is UOp.ADDI2:
-            imm = field - 16 if field & 0x8 else field
-            return MicroOp(op, rd=rd, imm=imm, fused=fused,
-                           setflags=setflags)
-        return MicroOp(op, rd=rd, rs1=field, fused=fused, setflags=setflags)
-
+        return entry[1](entry[0], first, fused)
     if offset + 4 > len(data):
         raise UopDecodeError("truncated 32-bit micro-op")
-    second = int.from_bytes(data[offset + 2:offset + 4], "little")
-    word = (first << 16) | second
-    number = (word >> 24) & 0x3F
-    op = _LONG_BY_NUMBER.get(number)
-    if op is None:
+    number = (first >> 8) & 0x3F
+    entry = _LONG_DECODERS.get(number)
+    if entry is None:
         raise UopDecodeError(f"invalid long opcode {number}")
-
-    rd = (word >> 19) & 0x1F
-    rs1 = (word >> 14) & 0x1F
-    setflags = bool((word >> 13) & 1)
-    imm13 = word & 0x1FFF
-
-    def sext13(value: int) -> int:
-        return value - 0x2000 if value & 0x1000 else value
-
-    if op is UOp.JMP:
-        imm24 = word & 0xFFFFFF
-        imm = imm24 - 0x1000000 if imm24 & 0x800000 else imm24
-        return MicroOp(op, imm=imm, fused=fused)
-    if op is UOp.LUI:
-        return MicroOp(op, rd=rd, imm=word & 0x7FFFF, fused=fused)
-    if op is UOp.BC:
-        return MicroOp(op, cond=_decode_cond(rd), imm=sext13(imm13),
-                       fused=fused)
-    if op is UOp.SEL:
-        return MicroOp(op, rd=rd, rs1=rs1,
-                       cond=_decode_cond((word >> 5) & 0xF), fused=fused,
-                       setflags=setflags)
-    if op in R_FORM_OPS:
-        return MicroOp(op, rd=rd, rs1=rs1, rs2=word & 0x1F, fused=fused,
-                       setflags=setflags)
-    if op in RR_FORM_OPS or op in (UOp.WRFLG, UOp.JR, UOp.VMEXIT):
-        return MicroOp(op, rd=rd, rs1=rs1, fused=fused, setflags=setflags)
-    if op in (UOp.RDFLG, UOp.LDCSR):
-        return MicroOp(op, rd=rd, fused=fused)
-    if op is UOp.XLTX86:
-        return MicroOp(op, rd=rd, rs1=rs1, fused=fused)
-    if op in (UOp.NOP, UOp.HALT):
-        return MicroOp(op, fused=fused)
-    # immediate forms
-    imm = imm13 if op in _UNSIGNED_IMM_OPS else sext13(imm13)
-    return MicroOp(op, rd=rd, rs1=rs1, imm=imm, fused=fused,
-                   setflags=setflags)
+    return entry[1](entry[0], first << 16 | data[offset + 2]
+                    | data[offset + 3] << 8, fused)
 
 
 def encode_stream(uops: List[MicroOp]) -> bytes:

@@ -17,21 +17,18 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.isa.fusible.opcodes import (
-    BRANCH_OPS,
+    DEST_NONE,
+    DEST_RD_NZ,
     I_FORM_OPS,
     LOAD_OPS,
+    OP_INFO,
     R_FORM_OPS,
     RR_FORM_OPS,
-    SHORT_OPS,
     STORE_OPS,
     UOp,
 )
 from repro.isa.fusible.registers import R_ZERO, SHORT_FORM_REG_LIMIT, reg_name
 from repro.isa.x86lite.registers import Cond
-
-#: Ops whose flag effects exist regardless of the .f bit (compare/test
-#: forms have no other effect).
-_ALWAYS_FLAGS = frozenset({UOp.CMP2, UOp.TEST2})
 
 
 @dataclass(frozen=True)
@@ -48,70 +45,48 @@ class MicroOp:
     setflags: bool = False
     x86_addr: Optional[int] = None   # metadata (side table), never encoded
 
-    # -- structure -----------------------------------------------------------
+    # -- structure (every per-opcode fact comes from OP_INFO) -----------------
 
     @property
     def is_short(self) -> bool:
-        return self.op in SHORT_OPS
+        return OP_INFO[self.op].length == 2
 
     @property
     def length(self) -> int:
         """Encoded length in bytes."""
-        return 2 if self.is_short else 4
+        return OP_INFO[self.op].length
 
     @property
     def is_branch(self) -> bool:
-        return self.op in BRANCH_OPS
+        return OP_INFO[self.op].branch
 
     @property
     def is_load(self) -> bool:
-        return self.op in LOAD_OPS
+        return OP_INFO[self.op].load
 
     @property
     def is_store(self) -> bool:
-        return self.op in STORE_OPS
+        return OP_INFO[self.op].store
+
+    @property
+    def reads_flags(self) -> bool:
+        return OP_INFO[self.op].reads_flags
 
     @property
     def writes_flags(self) -> bool:
-        return self.setflags or self.op in _ALWAYS_FLAGS
+        """Compare/test forms set the flags with or without the .f bit."""
+        return self.setflags or OP_INFO[self.op].always_flags
 
     def dest(self) -> Optional[int]:
         """The general register written, or None."""
-        op = self.op
-        if op in (UOp.MOV2, UOp.ADD2, UOp.SUB2, UOp.AND2, UOp.OR2,
-                  UOp.XOR2, UOp.ADDI2):
-            return self.rd
-        if op in R_FORM_OPS or op in I_FORM_OPS or op in RR_FORM_OPS:
-            return None if self.rd == R_ZERO else self.rd
-        if op in (UOp.LUI, UOp.RDFLG, UOp.LDCSR):
-            return None if self.rd == R_ZERO else self.rd
-        if op in LOAD_OPS and op is not UOp.LDF:
-            return None if self.rd == R_ZERO else self.rd
-        return None
+        rule = OP_INFO[self.op].dest
+        if rule == DEST_NONE or (rule == DEST_RD_NZ and self.rd == R_ZERO):
+            return None
+        return self.rd
 
     def sources(self) -> List[int]:
         """General registers read (R31/zero excluded)."""
-        op = self.op
-        regs: List[int] = []
-        if op in (UOp.ADD2, UOp.SUB2, UOp.AND2, UOp.OR2, UOp.XOR2,
-                  UOp.CMP2, UOp.TEST2):
-            regs = [self.rd, self.rs1]
-        elif op in (UOp.MOV2,):
-            regs = [self.rs1]
-        elif op in (UOp.ADDI2,):
-            regs = [self.rd]
-        elif op in R_FORM_OPS:
-            regs = [self.rs1, self.rs2]
-            if op is UOp.SEL:
-                regs = [self.rs1, self.rd]  # keeps old rd if cond fails
-        elif op in I_FORM_OPS or op in RR_FORM_OPS:
-            regs = [self.rs1]
-        elif op in LOAD_OPS:
-            regs = [self.rs1]
-        elif op in STORE_OPS:
-            regs = [self.rs1] if op is UOp.STF else [self.rs1, self.rd]
-        elif op in (UOp.JR, UOp.VMEXIT, UOp.WRFLG):
-            regs = [self.rs1]
+        regs = [getattr(self, field) for field in OP_INFO[self.op].sources]
         return [reg for reg in regs if reg != R_ZERO]
 
     @property

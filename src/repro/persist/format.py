@@ -48,6 +48,9 @@ _EXIT_KINDS = frozenset({"jump", "fallthrough", "taken", "indirect",
                          "vmcall", "loop"})
 
 
+_COND_VALUES = frozenset(int(cond) for cond in Cond)
+
+
 class PersistFormatError(Exception):
     """A record is structurally invalid (corrupt or wrong version)."""
 
@@ -100,6 +103,12 @@ def _uop_to_list(uop: MicroOp) -> List:
             int(uop.fused), int(uop.setflags), uop.x86_addr]
 
 
+def _is_number(value) -> bool:
+    """An integer, but not JSON ``true``/``false`` (``bool`` is an
+    ``int`` subclass and would pass for register 1 or 0)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _uop_from_list(fields) -> MicroOp:
     if not isinstance(fields, (list, tuple)) or len(fields) != 9:
         raise PersistFormatError(f"malformed micro-op record: {fields!r}")
@@ -109,15 +118,18 @@ def _uop_from_list(fields) -> MicroOp:
     except ValueError as error:
         raise PersistFormatError(f"unknown micro-op {name!r}") from error
     for value in (rd, rs1, rs2, imm):
-        if not isinstance(value, int):
+        if not _is_number(value):
             raise PersistFormatError(f"non-integer field in {fields!r}")
+    # capture writes the two flags as int(bool): exactly 0 or 1
+    for value in (fused, setflags):
+        if type(value) is not int or value not in (0, 1):
+            raise PersistFormatError(f"bad flag field in {fields!r}")
     if cond is not None:
-        try:
-            cond = Cond(cond)
-        except ValueError as error:
+        if not _is_number(cond) or cond not in _COND_VALUES:
             raise PersistFormatError(
-                f"bad condition {cond!r} in {fields!r}") from error
-    if x86_addr is not None and not isinstance(x86_addr, int):
+                f"bad condition {cond!r} in {fields!r}")
+        cond = Cond(cond)
+    if x86_addr is not None and not _is_number(x86_addr):
         raise PersistFormatError(f"bad x86_addr in {fields!r}")
     return MicroOp(op, rd=rd, rs1=rs1, rs2=rs2, imm=imm, cond=cond,
                    fused=bool(fused), setflags=bool(setflags),

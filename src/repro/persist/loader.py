@@ -5,19 +5,21 @@ For every record the loader
 1. re-checks the **source fingerprint** against the freshly loaded
    program memory (a record translated from different bytes is stale and
    dropped);
-2. rebuilds the micro-op stream and **re-encodes it at the new native
-   address** handed out by the owning code cache — BC/JMP displacements
-   are translation-relative, so only exit-stub and side-table anchors
-   need rebasing;
+2. rebuilds the micro-op stream **at the new native address** handed
+   out by the owning code cache — BC/JMP displacements are
+   translation-relative, so only exit-stub and side-table anchors need
+   rebasing;
 3. re-binds the BBT profiling prologue to a freshly allocated countdown
    counter (the old counter address is dead VMM state from the previous
    process);
-4. runs the stream through the translation **verifier rule-pack**; a
-   record that violates any invariant is dropped, never installed, never
-   executed;
-5. installs through ``TranslationDirectory.install`` — the same path new
-   translations take, so lookup tables, side tables and BBT->SBT
-   redirects are wired identically to a cold translation.
+4. runs the stream through the translation **verifier rule-pack**, whose
+   context encodes every micro-op exactly once; a record that violates
+   any invariant (an unencodable micro-op included) is dropped, never
+   installed, never executed;
+5. installs *the bytes the verifier checked* through
+   ``TranslationDirectory.install`` — the same path new translations
+   take, so lookup tables, side tables and BBT->SBT redirects are wired
+   identically to a cold translation.
 
 After installation the loader eagerly **re-chains** exit stubs whose
 targets were also loaded, and disables the countdown counters of BBT
@@ -28,13 +30,10 @@ steady state the cold VM ended in.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Set, Tuple
 
-from dataclasses import replace as _replace
-
 from repro.faults.plane import fault_point
-from repro.isa.fusible.encoding import UopEncodeError, encode_stream
 from repro.isa.fusible.opcodes import UOp
 from repro.isa.fusible.registers import R_SCRATCH0
 from repro.persist.format import (
@@ -43,7 +42,9 @@ from repro.persist.format import (
     source_matches,
     validate_record,
 )
-from repro.verify.verifier import verify_translation
+from repro.verify.rules import VerifyContext
+from repro.verify.verifier import run_rules
+from repro.vmm.runtime import COUNTER_DISABLED
 
 log = logging.getLogger("repro.persist")
 
@@ -117,8 +118,8 @@ def _rebind_counter(uops, old_addr: int, new_addr: int):
         raise PersistFormatError(
             "profiling prologue does not match recorded counter")
     out = list(uops)
-    out[1] = _replace(uops[1], imm=(new_addr >> 13) & 0x7FFFF)
-    out[2] = _replace(uops[2], imm=new_addr & 0x1FFF)
+    out[1] = replace(uops[1], imm=(new_addr >> 13) & 0x7FFFF)
+    out[2] = replace(uops[2], imm=new_addr & 0x1FFF)
     return out
 
 
@@ -185,8 +186,10 @@ class WarmStartLoader:
                                            new_counter)
                     translation.uops = uops
                     translation.counter_addr = new_counter
-                data = encode_stream(uops)
-            except (PersistFormatError, UopEncodeError) as error:
+                # the one walk: CFG, encoded bytes and (on demand) the
+                # dataflow facts every rule below shares
+                screen = VerifyContext(uops, translation=translation)
+            except PersistFormatError as error:
                 report.corrupt += 1
                 reject("corrupt", record)
                 log.warning("warm start: record %s@%#x failed to "
@@ -203,7 +206,7 @@ class WarmStartLoader:
                             "(%s: %s); skipped", kind, entry,
                             type(error).__name__, error)
                 continue
-            if not cache.would_fit(len(data)):
+            if not cache.would_fit(screen.cfg.total_bytes):
                 report.capacity_skipped += 1
                 reject("capacity", record)
                 continue
@@ -211,15 +214,16 @@ class WarmStartLoader:
             # breaks an invariant is dropped, never executed
             # (fault_point lets chaos runs force a false positive)
             if fault_point("loader.verify", entry=entry, kind=kind) \
-                    or not verify_translation(translation).ok:
+                    or not run_rules(screen).ok:
                 report.verifier_rejected += 1
                 reject("verifier", record)
                 log.warning("warm start: record %s@%#x rejected by "
                             "the verifier; skipped", kind, entry)
                 continue
+            data = screen.image   # the bytes ENC001/ENC002 just checked
             directory.install(data, translation)
             # warm-start work is a startup phase of its own: charge the
-            # deserialize/re-encode/screen cost to the run's ledger
+            # deserialize/encode/screen cost to the run's ledger
             if ledger is not None and phase_costs is not None:
                 ledger.charge("persist_load",
                               translation.instr_count
@@ -255,10 +259,9 @@ class WarmStartLoader:
                         report.chains_restored += 1
         # a loaded SBT copy supersedes the BBT copy's profiling: stop the
         # countdown so the warm run does not re-trigger promotion
-        from repro.vmm.runtime import _COUNTER_DISABLED
         for translation in loaded:
             if (translation.kind == "bbt"
                     and translation.counter_addr is not None
                     and directory.has_sbt(translation.entry)):
                 self.runtime.memory.write_u32(translation.counter_addr,
-                                              _COUNTER_DISABLED)
+                                              COUNTER_DISABLED)

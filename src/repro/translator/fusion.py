@@ -26,13 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.isa.fusible.microop import MicroOp
-from repro.isa.fusible.opcodes import (
-    BARRIER_OPS,
-    FLAG_READING_UOPS,
-    FUSIBLE_HEAD_OPS,
-    FUSIBLE_TAIL_OPS,
-    UOp,
-)
+from repro.isa.fusible.opcodes import OP_INFO, UOp
 
 #: How far ahead (in micro-ops) the pairing pass searches for a tail.
 DEFAULT_WINDOW = 8
@@ -58,14 +52,6 @@ class FusionStats:
         return 2.0 * self.pairs / self.uops_total
 
 
-def _is_boundary(uop: MicroOp) -> bool:
-    return uop.is_branch or uop.op in BARRIER_OPS
-
-
-def _reads_flags(uop: MicroOp) -> bool:
-    return uop.op in FLAG_READING_UOPS
-
-
 def _conflict(first: MicroOp, second: MicroOp) -> bool:
     """True if ``second`` cannot move above ``first``."""
     first_dest = first.dest()
@@ -77,9 +63,9 @@ def _conflict(first: MicroOp, second: MicroOp) -> bool:
     if first_dest is not None and first_dest == second_dest:
         return True  # WAW
     # flags as a single resource
-    if first.writes_flags and (second.writes_flags or _reads_flags(second)):
+    if first.writes_flags and (second.writes_flags or second.reads_flags):
         return True
-    if _reads_flags(first) and second.writes_flags:
+    if first.reads_flags and second.writes_flags:
         return True
     # memory ordering: stores are fences against any memory op
     if first.is_store and (second.is_store or second.is_load):
@@ -97,17 +83,15 @@ def _pair_sources(head: MicroOp, tail: MicroOp) -> int:
 
 
 def _can_pair(head: MicroOp, tail: MicroOp) -> bool:
-    if head.op not in FUSIBLE_HEAD_OPS:
+    if not OP_INFO[head.op].head:
         return False
     if tail.op is UOp.BC:
         # compare-branch fusion: the dependence is through the flags
         return head.writes_flags and \
             _pair_sources(head, tail) <= MAX_PAIR_SOURCES
-    if head.dest() is None:
-        return False
-    if tail.op not in FUSIBLE_TAIL_OPS:
-        return False
-    if head.dest() not in tail.sources():
+    head_dest = head.dest()
+    if head_dest is None or not OP_INFO[tail.op].tail \
+            or head_dest not in tail.sources():
         return False
     return _pair_sources(head, tail) <= MAX_PAIR_SOURCES
 
@@ -119,7 +103,7 @@ def _fuse_region(region: List[MicroOp], window: int,
     index = 0
     while index < len(uops) - 1:
         head = uops[index]
-        if head.fused or head.op not in FUSIBLE_HEAD_OPS \
+        if head.fused or not OP_INFO[head.op].head \
                 or head.dest() is None:
             index += 1
             continue
@@ -185,7 +169,7 @@ def fuse_microops(uops: List[MicroOp], window: int = DEFAULT_WINDOW
             out.append(boundary)
 
     for uop in uops:
-        if _is_boundary(uop):
+        if OP_INFO[uop.op].boundary:
             close_region(uop)
         else:
             region.append(uop)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.fusible.microop import MicroOp
-from repro.isa.fusible.opcodes import BARRIER_OPS, UOp
+from repro.isa.fusible.opcodes import OP_INFO, UOp
 from repro.isa.fusible.registers import SHORT_FORM_REG_LIMIT
 
 
@@ -34,10 +34,6 @@ class RedundancyStats:
 
     loads_eliminated: int = 0
     regions: int = 0
-
-
-def _is_boundary(uop: MicroOp) -> bool:
-    return uop.is_branch or uop.op in BARRIER_OPS
 
 
 class _AvailableLocations:
@@ -134,7 +130,7 @@ def eliminate_redundant_loads(uops: List[MicroOp]
     out: List[MicroOp] = []
     region: List[MicroOp] = []
     for uop in uops:
-        if _is_boundary(uop):
+        if OP_INFO[uop.op].boundary:
             if region:
                 stats.regions += 1
                 out.extend(_process_region(region, stats))

@@ -27,10 +27,7 @@ from typing import List, Optional, Tuple
 from repro.faults.plane import fault_point
 from repro.isa.fusible.encoding import encode_stream, stream_length
 from repro.isa.fusible.microop import MicroOp
-from repro.isa.fusible.opcodes import (
-    FLAG_READING_UOPS,
-    UOp,
-)
+from repro.isa.fusible.opcodes import UOp
 from repro.memory.address_space import AddressSpace
 from repro.obs.metrics import metric_field
 from repro.translator.code_cache import (
@@ -324,7 +321,7 @@ def eliminate_dead_flags(uops: List[MicroOp]) -> Tuple[List[MicroOp], int]:
                         (uop.dest() is None and not uop.is_store):
                     continue  # pure compare: drop entirely
                 uop = _without_flags(uop)
-        if uop.op in FLAG_READING_UOPS or uop.op is UOp.BC:
+        if uop.reads_flags:
             cf_live = rest_live = True  # conservative: reads any flag
         out.append(uop)
     out.reverse()

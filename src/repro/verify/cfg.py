@@ -2,12 +2,12 @@
 
 Two partitions of the same stream matter to the rule-pack:
 
-* **CFG basic blocks** — split at control transfers (``BRANCH_OPS``) and
-  at branch-target leaders.  The dataflow engine runs over these.
+* **CFG basic blocks** — split at control transfers (``OpInfo.branch``)
+  and at branch-target leaders.  The dataflow engine runs over these.
 * **Fusion regions** — maximal runs of micro-ops containing no control
-  transfer and no VMM barrier (``BARRIER_OPS``).  The fusion legality
-  rules are scoped to these, mirroring the paper's "nothing moves across
-  a region boundary".
+  transfer and no VMM barrier (``OpInfo.boundary``).  The fusion
+  legality rules are scoped to these, mirroring the paper's "nothing
+  moves across a region boundary".
 
 Branch displacement semantics match the native machine
 (:mod:`repro.isa.fusible.machine`): ``target = offset_after_uop + imm``
@@ -17,23 +17,13 @@ for BC/JMP/JCSRC/JCSRT, in encoded bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.isa.fusible.microop import MicroOp
-from repro.isa.fusible.opcodes import BARRIER_OPS, BRANCH_OPS, UOp
-
-#: Micro-ops whose imm is a pc-relative byte displacement.
-RELATIVE_CONTROL_OPS = frozenset({UOp.BC, UOp.JMP, UOp.JCSRC, UOp.JCSRT})
-
-#: Micro-ops with no successor inside the stream.
-TERMINAL_OPS = frozenset({UOp.JR, UOp.VMEXIT, UOp.HALT})
-
-#: Fusion-region delimiters (control transfers + VMM barriers).
-REGION_BOUNDARY_OPS = BRANCH_OPS | BARRIER_OPS
+from repro.isa.fusible.opcodes import OP_INFO, UOp
 
 
-@dataclass(frozen=True)
-class Located:
+class Located(NamedTuple):
     """A micro-op pinned to its position in the stream."""
 
     index: int       # micro-op index
@@ -45,15 +35,16 @@ def locate(uops: Sequence[MicroOp]) -> List[Located]:
     out: List[Located] = []
     offset = 0
     for index, uop in enumerate(uops):
-        out.append(Located(index=index, offset=offset, uop=uop))
-        offset += uop.length
+        out.append(Located(index, offset, uop))
+        offset += OP_INFO[uop.op].length
     return out
 
 
 def branch_target_offset(loc: Located) -> Optional[int]:
     """Byte offset a relative control transfer lands on."""
-    if loc.uop.op in RELATIVE_CONTROL_OPS:
-        return loc.offset + loc.uop.length + loc.uop.imm
+    info = OP_INFO[loc.uop.op]
+    if info.relative:
+        return loc.offset + info.length + loc.uop.imm
     return None
 
 
@@ -79,6 +70,8 @@ class CFG:
     block_of: Dict[int, int]          # uop index -> block id
     bad_targets: List[Located]        # control ops with off-stream targets
     total_bytes: int = 0
+    #: byte offset -> index of the micro-op starting there
+    index_at_offset: Dict[int, int] = field(default_factory=dict)
 
     @property
     def entry(self) -> Optional[BasicBlock]:
@@ -88,7 +81,7 @@ class CFG:
 def build_cfg(uops: Sequence[MicroOp]) -> CFG:
     """Partition a stream into basic blocks and wire successor edges."""
     locs = locate(uops)
-    total = sum(loc.uop.length for loc in locs)
+    total = locs[-1].offset + locs[-1].uop.length if locs else 0
     index_at_offset = {loc.offset: loc.index for loc in locs}
 
     leaders = {0} if locs else set()
@@ -100,7 +93,7 @@ def build_cfg(uops: Sequence[MicroOp]) -> CFG:
                 leaders.add(index_at_offset[target])
             else:
                 bad_targets.append(loc)
-        if loc.uop.op in BRANCH_OPS and loc.index + 1 < len(locs):
+        if OP_INFO[loc.uop.op].branch and loc.index + 1 < len(locs):
             leaders.add(loc.index + 1)
 
     blocks: List[BasicBlock] = []
@@ -121,7 +114,7 @@ def build_cfg(uops: Sequence[MicroOp]) -> CFG:
         target = branch_target_offset(last)
         if target is not None and target in index_at_offset:
             block.succs.append(block_of[index_at_offset[target]])
-        if op in TERMINAL_OPS or op is UOp.JMP:
+        if OP_INFO[op].terminal or op is UOp.JMP:
             continue
         # everything else (BC/JCSRx fallthrough, VMCALL resume, plain
         # fall-into-leader) continues to the next micro-op
@@ -129,27 +122,8 @@ def build_cfg(uops: Sequence[MicroOp]) -> CFG:
             block.succs.append(block_of[last.index + 1])
 
     return CFG(locs=locs, blocks=blocks, block_of=block_of,
-               bad_targets=bad_targets, total_bytes=total)
-
-
-def fusion_regions(locs: Sequence[Located]) -> List[Tuple[int, int]]:
-    """Maximal ``[start, end)`` index ranges free of region boundaries.
-
-    A region-ending BC may still carry a fused compare-branch tail; the
-    fusion rules handle that case explicitly.
-    """
-    regions: List[Tuple[int, int]] = []
-    start: Optional[int] = None
-    for loc in locs:
-        if loc.uop.op in REGION_BOUNDARY_OPS:
-            if start is not None:
-                regions.append((start, loc.index))
-                start = None
-        elif start is None:
-            start = loc.index
-    if start is not None:
-        regions.append((start, len(locs)))
-    return regions
+               bad_targets=bad_targets, total_bytes=total,
+               index_at_offset=index_at_offset)
 
 
 def fused_pairs(locs: Sequence[Located]) -> List[Tuple[Located, Optional[Located]]]:

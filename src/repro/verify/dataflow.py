@@ -9,7 +9,9 @@ rule-pack and the tests:
   hygiene, SCR001).
 * :func:`flag_provenance` — forward: whether the architected flags are
   intact at each point, and which scratch register holds a saved copy
-  (precise-exception discipline, PRS001).
+  (precise-exception discipline, PRS001).  :func:`defined_and_flags`
+  solves these two in one walk of the CFG, which is what the rule-pack
+  uses.
 * :func:`live_registers` — backward liveness over registers and the flags
   resource; :func:`reaching_definitions` — forward may-reach def sites.
   These round out the engine (def-use chains come straight out of the
@@ -18,10 +20,10 @@ rule-pack and the tests:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.isa.fusible.microop import MicroOp
-from repro.isa.fusible.opcodes import FLAG_READING_UOPS, UOp
+from repro.isa.fusible.opcodes import UOp
 from repro.isa.fusible.registers import (
     ARCH_REG_COUNT,
     NREGS,
@@ -52,10 +54,6 @@ def regs_written(uop: MicroOp) -> FrozenSet[int]:
     return frozenset() if dest is None else frozenset({dest})
 
 
-def reads_flags(uop: MicroOp) -> bool:
-    return uop.op in FLAG_READING_UOPS
-
-
 def conflicts(first: MicroOp, second: MicroOp) -> bool:
     """True when ``second`` must not be reordered above ``first``.
 
@@ -70,9 +68,9 @@ def conflicts(first: MicroOp, second: MicroOp) -> bool:
         return True  # WAR
     if first_writes & second_writes:
         return True  # WAW
-    if first.writes_flags and (second.writes_flags or reads_flags(second)):
+    if first.writes_flags and (second.writes_flags or second.reads_flags):
         return True
-    if reads_flags(first) and second.writes_flags:
+    if first.reads_flags and second.writes_flags:
         return True
     if first.is_store and (second.is_store or second.is_load):
         return True
@@ -102,16 +100,19 @@ class ForwardAnalysis:
 
     def run(self, cfg: CFG) -> List[Optional[object]]:
         """Solve to fixpoint; returns the state *before* each micro-op."""
-        nblocks = len(cfg.blocks)
-        block_in: List[Optional[object]] = [None] * nblocks
-        if not nblocks:
-            return []
+        before: List[Optional[object]] = [None] * len(cfg.locs)
+        if not cfg.blocks:
+            return before
+        block_in: List[Optional[object]] = [None] * len(cfg.blocks)
         block_in[0] = self.entry_state()
         worklist = [0]
         while worklist:
             bid = worklist.pop()
             state = block_in[bid]
+            # a block is walked again whenever its in-state changes, so
+            # the states its last walk leaves in ``before`` are final
             for loc in cfg.blocks[bid].locs:
+                before[loc.index] = state
                 state = self.transfer(state, loc)
             for succ in cfg.blocks[bid].succs:
                 merged = state if block_in[succ] is None \
@@ -119,14 +120,6 @@ class ForwardAnalysis:
                 if merged != block_in[succ]:
                     block_in[succ] = merged
                     worklist.append(succ)
-        before: List[Optional[object]] = [None] * len(cfg.locs)
-        for block in cfg.blocks:
-            state = block_in[block.bid]
-            if state is None:
-                continue
-            for loc in block.locs:
-                before[loc.index] = state
-                state = self.transfer(state, loc)
         return before
 
 
@@ -192,8 +185,8 @@ class _DefinitelyDefined(ForwardAnalysis):
         return left & right
 
     def transfer(self, state, loc: Located):
-        written = regs_written(loc.uop)
-        return state | written if written else state
+        dest = loc.uop.dest()
+        return state if dest is None or dest in state else state | {dest}
 
 
 def definitely_defined(cfg: CFG,
@@ -252,6 +245,31 @@ def flag_provenance(cfg: CFG) -> List[Optional[FlagState]]:
     return _FlagProvenance().run(cfg)
 
 
+class _Both(ForwardAnalysis):
+    """Two independent forward analyses as one: the state is the pair of
+    their states, so one walk of the CFG reaches both fixpoints."""
+
+    def __init__(self, left: ForwardAnalysis, right: ForwardAnalysis):
+        self._left, self._right = left, right
+
+    def entry_state(self):
+        return (self._left.entry_state(), self._right.entry_state())
+
+    def meet(self, left, right):
+        return (self._left.meet(left[0], right[0]),
+                self._right.meet(left[1], right[1]))
+
+    def transfer(self, state, loc: Located):
+        return (self._left.transfer(state[0], loc),
+                self._right.transfer(state[1], loc))
+
+
+def defined_and_flags(cfg: CFG) -> List[Optional[Tuple[FrozenSet[int],
+                                                       FlagState]]]:
+    """``(definitely_defined, flag_provenance)`` before each micro-op."""
+    return _Both(_DefinitelyDefined(ENTRY_DEFINED), _FlagProvenance()).run(cfg)
+
+
 class _LiveRegisters(BackwardAnalysis):
     def exit_state(self):
         # precise architected state must survive every exit
@@ -266,7 +284,7 @@ class _LiveRegisters(BackwardAnalysis):
         if uop.writes_flags:
             state = state - {FLAGS}
         state = state | regs_read(uop)
-        if reads_flags(uop):
+        if uop.reads_flags:
             state = state | {FLAGS}
         return state
 
@@ -310,15 +328,10 @@ def def_use_chains(cfg: CFG) -> Dict[int, List[int]]:
         if state is None:
             continue
         used = regs_read(loc.uop)
-        flag_use = reads_flags(loc.uop)
+        flag_use = loc.uop.reads_flags
         for resource, def_index in state:
             if def_index < 0:
                 continue
             if resource in used or (resource == FLAGS and flag_use):
                 chains.setdefault(def_index, set()).add(loc.index)
     return {key: sorted(value) for key, value in sorted(chains.items())}
-
-
-def region_uops(locs: Sequence[Located], start: int, end: int
-                ) -> List[Located]:
-    return list(locs[start:end])

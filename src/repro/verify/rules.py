@@ -27,8 +27,8 @@ SID001      every VMCALL has a side-table entry for precise state
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, FrozenSet, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.isa.fusible.encoding import (
     UopDecodeError,
@@ -37,24 +37,13 @@ from repro.isa.fusible.encoding import (
     encode_uop,
 )
 from repro.isa.fusible.microop import MicroOp
-from repro.isa.fusible.opcodes import (
-    FUSIBLE_HEAD_OPS,
-    FUSIBLE_TAIL_OPS,
-    UOp,
-    VMService,
-)
+from repro.isa.fusible.opcodes import OP_INFO, UOp, VMService
 from repro.isa.fusible.registers import R_EXIT_TARGET, reg_name
-from repro.verify.cfg import (
-    REGION_BOUNDARY_OPS,
-    Located,
-    build_cfg,
-    fused_pairs,
-)
+from repro.verify.cfg import Located, build_cfg, fused_pairs
 from repro.verify.dataflow import (
     VMM_REGS,
     conflicts,
-    definitely_defined,
-    flag_provenance,
+    defined_and_flags,
     regs_read,
 )
 from repro.verify.report import Violation
@@ -70,31 +59,66 @@ HOIST_SCAN = 8
 STUB_BYTES = 12
 
 
+def live_native_entries(directory) -> Set[int]:
+    """Native entry addresses of every live translation (CHN001)."""
+    return {translation.native_addr
+            for cache in (directory.bbt_cache, directory.sbt_cache)
+            for translation in cache.translations}
+
+
+def _encode(uop: MicroOp):
+    try:
+        return encode_uop(uop)
+    except UopEncodeError as error:
+        return error
+
+
+def _encoded_fields(uop: MicroOp) -> tuple:
+    """The fields a micro-op's bytes carry (``x86_addr`` is metadata)."""
+    return (uop.op, uop.rd, uop.rs1, uop.rs2, uop.imm, uop.cond, uop.fused,
+            uop.setflags)
+
+
 class VerifyContext:
-    """Everything a rule may consult, with lazily built analyses."""
+    """Everything a rule may consult.  What several rules need is built
+    once per context: the CFG, the fused pairs, each micro-op's encoded
+    bytes, and (on first use) the forward dataflow facts."""
 
     def __init__(self, uops, translation=None, memory=None,
-                 directory=None) -> None:
+                 directory=None, live_entries: Optional[Set[int]] = None
+                 ) -> None:
         self.uops: List[MicroOp] = list(uops)
         self.translation = translation
         self.memory = memory
         self.directory = directory
         self.cfg = build_cfg(self.uops)
         self.locs = self.cfg.locs
-        self._defined = None
-        self._flags = None
+        self.pairs = fused_pairs(self.locs)
+        #: per micro-op: its encoded bytes, or the UopEncodeError.  The
+        #: one encoding ENC001, ENC002 and CCH001 check and, for a warm
+        #: install, the very bytes that go into the code cache.
+        self.encoded = [_encode(uop) for uop in self.uops]
+        self._facts = None
+        self._live_entries = live_entries
 
     @property
-    def defined(self):
-        if self._defined is None:
-            self._defined = definitely_defined(self.cfg)
-        return self._defined
+    def image(self) -> bytes:
+        """The encoded stream; defined when ENC001 holds."""
+        return b"".join(self.encoded)
 
     @property
-    def flags(self):
-        if self._flags is None:
-            self._flags = flag_provenance(self.cfg)
-        return self._flags
+    def facts(self):
+        """``(defined registers, flag provenance)`` before each micro-op,
+        both analyses solved in one walk of the CFG."""
+        if self._facts is None:
+            self._facts = defined_and_flags(self.cfg)
+        return self._facts
+
+    @property
+    def live_entries(self) -> Set[int]:
+        if self._live_entries is None:
+            self._live_entries = live_native_entries(self.directory)
+        return self._live_entries
 
     def available(self) -> FrozenSet[str]:
         have = set()
@@ -144,9 +168,9 @@ def _v(rule_id: str, message: str, loc: Optional[Located] = None,
 
 @rule("FUS001", "fused head must be a single-cycle ALU producing a value")
 def _check_fus001(ctx: VerifyContext) -> Iterator[Violation]:
-    for head, tail in fused_pairs(ctx.locs):
+    for head, tail in ctx.pairs:
         uop = head.uop
-        if uop.op not in FUSIBLE_HEAD_OPS:
+        if not OP_INFO[uop.op].head:
             yield _v("FUS001", f"{uop.op.value} cannot head a fused pair",
                      head)
             continue
@@ -161,7 +185,7 @@ def _check_fus001(ctx: VerifyContext) -> Iterator[Violation]:
 
 @rule("FUS002", "fused tail must exist, be unfused, and consume the head")
 def _check_fus002(ctx: VerifyContext) -> Iterator[Violation]:
-    for head, tail in fused_pairs(ctx.locs):
+    for head, tail in ctx.pairs:
         if tail is None:
             yield _v("FUS002", "fused head has no successor micro-op",
                      head)
@@ -172,7 +196,7 @@ def _check_fus002(ctx: VerifyContext) -> Iterator[Violation]:
             continue
         if tail.uop.op is UOp.BC:
             continue  # flag dependence; the head side is FUS001's job
-        if tail.uop.op not in FUSIBLE_TAIL_OPS:
+        if not OP_INFO[tail.uop.op].tail:
             yield _v("FUS002",
                      f"{tail.uop.op.value} cannot tail a fused pair", tail)
             continue
@@ -184,7 +208,7 @@ def _check_fus002(ctx: VerifyContext) -> Iterator[Violation]:
 
 @rule("FUS003", "a fused pair carries at most three distinct sources")
 def _check_fus003(ctx: VerifyContext) -> Iterator[Violation]:
-    for head, tail in fused_pairs(ctx.locs):
+    for head, tail in ctx.pairs:
         if tail is None:
             continue
         head_dest = head.uop.dest()
@@ -201,11 +225,11 @@ def _check_fus003(ctx: VerifyContext) -> Iterator[Violation]:
 
 @rule("FUS004", "no fused pair spans a region boundary")
 def _check_fus004(ctx: VerifyContext) -> Iterator[Violation]:
-    for head, tail in fused_pairs(ctx.locs):
-        if head.uop.op in REGION_BOUNDARY_OPS:
+    for head, tail in ctx.pairs:
+        if OP_INFO[head.uop.op].boundary:
             yield _v("FUS004", f"region boundary {head.uop.op.value} "
                                f"marked as a fused head", head)
-        if tail is not None and tail.uop.op in REGION_BOUNDARY_OPS \
+        if tail is not None and OP_INFO[tail.uop.op].boundary \
                 and tail.uop.op is not UOp.BC:
             yield _v("FUS004", f"pair crosses a region boundary into "
                                f"{tail.uop.op.value}", tail)
@@ -214,7 +238,7 @@ def _check_fus004(ctx: VerifyContext) -> Iterator[Violation]:
 @rule("FUS005", "a hoisted tail must not cross a conflicting micro-op")
 def _check_fus005(ctx: VerifyContext) -> Iterator[Violation]:
     locs = ctx.locs
-    for head, tail in fused_pairs(ctx.locs):
+    for head, tail in ctx.pairs:
         if tail is None or tail.uop.op is UOp.BC:
             continue
         head_addr = head.uop.x86_addr
@@ -231,7 +255,7 @@ def _check_fus005(ctx: VerifyContext) -> Iterator[Violation]:
         previous = head_addr
         for loc in locs[tail.index + 1:tail.index + 1 + HOIST_SCAN]:
             uop = loc.uop
-            if uop.op in REGION_BOUNDARY_OPS:
+            if OP_INFO[uop.op].boundary:
                 break
             addr = uop.x86_addr
             if addr is None or addr < previous or addr >= tail_addr:
@@ -286,23 +310,22 @@ def _stub_shape_errors(uops: List[MicroOp], target: int) -> List[str]:
                 "shape", requires=("translation",))
 def _check_stb001(ctx: VerifyContext) -> Iterator[Violation]:
     translation = ctx.translation
-    loc_at_offset = {loc.offset: loc for loc in ctx.locs}
     for stub in translation.exits:
         offset = stub.stub_addr - translation.native_addr
-        loc = loc_at_offset.get(offset)
-        if loc is None:
+        index = ctx.cfg.index_at_offset.get(offset)
+        if index is None:
             yield _v("STB001", f"exit stub at +{offset:#x} does not sit "
                                f"on a micro-op boundary",
                      offset=offset)
             continue
+        loc = ctx.locs[index]
         if stub.x86_target is None:
             if loc.uop.op is not UOp.VMEXIT:
                 yield _v("STB001", f"indirect exit records '{loc.uop}', "
                                    f"expected VMEXIT", loc)
             continue
-        window = [entry.uop for entry in
-                  ctx.locs[loc.index:loc.index + 3]]
-        for error in _stub_shape_errors(window, stub.x86_target):
+        for error in _stub_shape_errors(ctx.uops[index:index + 3],
+                                        stub.x86_target):
             yield _v("STB001", error, loc)
 
 
@@ -321,13 +344,12 @@ def _check_stb002(ctx: VerifyContext) -> Iterator[Violation]:
 
 @rule("SCR001", "VMM registers are defined before every use")
 def _check_scr001(ctx: VerifyContext) -> Iterator[Violation]:
-    defined = ctx.defined
-    for loc in ctx.locs:
-        state = defined[loc.index]
-        if state is None:
+    for loc, fact in zip(ctx.locs, ctx.facts):
+        if fact is None:
             continue  # unreachable from entry
+        defined = fact[0]
         for reg in sorted(regs_read(loc.uop)):
-            if reg in VMM_REGS and reg not in state:
+            if reg in VMM_REGS and reg not in defined:
                 yield _v("SCR001",
                          f"reads VMM register {reg_name(reg)} which is "
                          f"not defined on every path from entry", loc)
@@ -335,17 +357,13 @@ def _check_scr001(ctx: VerifyContext) -> Iterator[Violation]:
 
 @rule("PRS001", "architected flags are intact at every VMM handoff")
 def _check_prs001(ctx: VerifyContext) -> Iterator[Violation]:
-    flags = ctx.flags
-    for loc in ctx.locs:
+    for loc, fact in zip(ctx.locs, ctx.facts):
         uop = loc.uop
         handoff = uop.op is UOp.VMEXIT or (
             uop.op is UOp.VMCALL and uop.imm != int(VMService.PROFILE))
-        if not handoff:
+        if not handoff or fact is None:
             continue
-        state = flags[loc.index]
-        if state is None:
-            continue
-        if not state[0]:
+        if not fact[1][0]:
             yield _v("PRS001",
                      f"{uop.op.value} reached with clobbered architected "
                      f"flags (unbalanced RDFLG/WRFLG save window)", loc)
@@ -356,24 +374,18 @@ def _check_prs001(ctx: VerifyContext) -> Iterator[Violation]:
 
 @rule("ENC001", "every emitted micro-op is encodable")
 def _check_enc001(ctx: VerifyContext) -> Iterator[Violation]:
-    for loc in ctx.locs:
-        try:
-            encode_uop(loc.uop)
-        except UopEncodeError as error:
-            yield _v("ENC001", f"'{loc.uop}' does not encode: {error}",
-                     loc)
+    for loc, data in zip(ctx.locs, ctx.encoded):
+        if isinstance(data, UopEncodeError):
+            yield _v("ENC001", f"'{loc.uop}' does not encode: {data}", loc)
 
 
 @rule("ENC002", "encode -> decode is the identity on emitted micro-ops")
 def _check_enc002(ctx: VerifyContext) -> Iterator[Violation]:
-    for loc in ctx.locs:
-        try:
-            data = encode_uop(loc.uop)
-        except UopEncodeError:
+    for loc, data in zip(ctx.locs, ctx.encoded):
+        if isinstance(data, UopEncodeError):
             continue  # ENC001's finding
         decoded = decode_uop(data)
-        expected = replace(loc.uop, x86_addr=None)
-        if decoded != expected:
+        if _encoded_fields(decoded) != _encoded_fields(loc.uop):
             yield _v("ENC002",
                      f"round trip loses state: '{loc.uop}' decodes back "
                      f"as '{decoded}'", loc)
@@ -408,20 +420,22 @@ def _check_cch001(ctx: VerifyContext) -> Iterator[Violation]:
                  f"but native_len is {translation.native_len}",
                  entry=translation.entry, kind=translation.kind)
     patched = _patched_ranges(ctx)
-    for loc in ctx.locs:
+    image = ctx.memory.read(translation.native_addr,
+                            ctx.cfg.total_bytes + 2)
+    for loc, data in zip(ctx.locs, ctx.encoded):
         if any(start <= loc.offset < end for start, end in patched):
             continue
-        try:
-            canonical = decode_uop(encode_uop(loc.uop))
-        except UopEncodeError:
+        if isinstance(data, UopEncodeError):
             continue  # ENC001's finding
-        window = ctx.memory.read(translation.native_addr + loc.offset, 4)
+        window = image[loc.offset:loc.offset + 4]
+        if window.startswith(data):
+            continue  # the recorded micro-op's own bytes
         try:
             in_memory = decode_uop(window)
         except UopDecodeError as error:
             yield _v("CCH001", f"cache bytes do not decode: {error}", loc)
             continue
-        if in_memory != canonical:
+        if in_memory != decode_uop(data):
             yield _v("CCH001",
                      f"cache image holds '{in_memory}' where the "
                      f"translation recorded '{loc.uop}'", loc)
@@ -431,14 +445,11 @@ def _check_cch001(ctx: VerifyContext) -> Iterator[Violation]:
       requires=("translation", "memory", "directory"))
 def _check_chn001(ctx: VerifyContext) -> Iterator[Violation]:
     translation = ctx.translation
-    directory = ctx.directory
-    live = {t.native_addr for t in directory.bbt_cache.translations}
-    live |= {t.native_addr for t in directory.sbt_cache.translations}
     for stub in translation.exits:
         if stub.chained_to is None:
             continue
         offset = stub.stub_addr - translation.native_addr
-        if stub.chained_to not in live:
+        if stub.chained_to not in ctx.live_entries:
             yield _v("CHN001",
                      f"stub chained to {stub.chained_to:#x}, which is "
                      f"not a live translation entry", offset=offset)

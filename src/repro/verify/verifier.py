@@ -8,7 +8,7 @@ from typing import List, Optional
 
 from repro.isa.fusible.encoding import UopDecodeError, decode_stream
 from repro.verify.report import VerifierReport, Violation
-from repro.verify.rules import RULES, VerifyContext
+from repro.verify.rules import RULES, VerifyContext, live_native_entries
 
 log = logging.getLogger("repro.verify")
 
@@ -26,7 +26,10 @@ def _context_lines(ctx: VerifyContext, index: int) -> tuple:
     return tuple(lines)
 
 
-def _run_rules(ctx: VerifyContext) -> VerifierReport:
+def run_rules(ctx: VerifyContext) -> VerifierReport:
+    """Run every rule the context can support; the one walk all entry
+    points (and the warm-start loader, which keeps the context for the
+    bytes it encoded) go through."""
     available = ctx.available()
     entry = kind = None
     if ctx.translation is not None:
@@ -51,17 +54,22 @@ def _run_rules(ctx: VerifyContext) -> VerifierReport:
                           rules_run=tuple(rules_run))
 
 
-def verify_uops(uops, translation=None, memory=None,
-                directory=None) -> VerifierReport:
+def verify_uops(uops, translation=None, memory=None, directory=None,
+                live_entries=None) -> VerifierReport:
     """Run every applicable rule over a micro-op stream."""
-    ctx = VerifyContext(uops, translation=translation, memory=memory,
-                        directory=directory)
-    return _run_rules(ctx)
+    return run_rules(VerifyContext(uops, translation=translation,
+                                   memory=memory, directory=directory,
+                                   live_entries=live_entries))
 
 
-def verify_translation(translation, memory=None,
-                       directory=None) -> VerifierReport:
-    """Run the full rule-pack over one installed translation."""
+def verify_translation(translation, memory=None, directory=None,
+                       live_entries=None) -> VerifierReport:
+    """Run the full rule-pack over one installed translation.
+
+    ``live_entries`` (native entry addresses of the directory's live
+    translations) lets a sweep over many translations build that set
+    once; left out, CHN001 derives it from ``directory`` when needed.
+    """
     uops = translation.uops
     if not uops and memory is not None and translation.native_len:
         try:
@@ -75,7 +83,7 @@ def verify_translation(translation, memory=None,
                 entry=translation.entry, kind=translation.kind))
             return report
     report = verify_uops(uops, translation=translation, memory=memory,
-                         directory=directory)
+                         directory=directory, live_entries=live_entries)
     report.translations_checked = 1
     if not report.ok:
         log.warning("%s@%#x: %d invariant violation(s)",
@@ -89,8 +97,10 @@ def verify_directory(directory,
     """Verify every live translation in a directory."""
     memory = memory if memory is not None else directory.memory
     report = VerifierReport()
+    live = live_native_entries(directory)
     for cache in (directory.bbt_cache, directory.sbt_cache):
         for translation in cache.translations:
-            report.merge(verify_translation(translation, memory=memory,
-                                            directory=directory))
+            report.merge(verify_translation(
+                translation, memory=memory, directory=directory,
+                live_entries=live))
     return report

@@ -58,7 +58,7 @@ from repro.vmm.quarantine import TranslationQuarantine
 log = logging.getLogger("repro.vmm")
 
 #: Counter value used to disable an already-promoted block's profiling.
-_COUNTER_DISABLED = 0x4000_0000
+COUNTER_DISABLED = 0x4000_0000
 
 
 class VMRuntimeError(Exception):
@@ -640,7 +640,7 @@ class VMRuntime:
         self.profiler.record_entry(entry, self.hot_threshold)
         self._maybe_optimize_hotspots()
         # disable further countdowns on the (now superseded) BBT copy
-        self.bbt.reset_counter(translation, _COUNTER_DISABLED)
+        self.bbt.reset_counter(translation, COUNTER_DISABLED)
 
     def _service_interp_one(self, event: ExitEvent) -> None:
         """Precisely emulate one complex instruction in VMM software.

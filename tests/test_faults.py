@@ -331,16 +331,16 @@ def test_warm_start_works_after_fsck_repair(tmp_path):
 def test_loader_counts_undecodable_records(tmp_path, monkeypatch):
     repo = _populated_repo(tmp_path)
     import repro.persist.loader as loader_module
-    real_encode = loader_module.encode_stream
+    real_materialize = loader_module.materialize
     calls = []
 
-    def explode_once(uops):
+    def explode_once(record, native_addr):
         if not calls:
             calls.append(1)
-            raise RuntimeError("injected encoder meltdown")
-        return real_encode(uops)
+            raise RuntimeError("injected rebuild meltdown")
+        return real_materialize(record, native_addr)
 
-    monkeypatch.setattr(loader_module, "encode_stream", explode_once)
+    monkeypatch.setattr(loader_module, "materialize", explode_once)
     vm = _fresh_vm(PROGRAMS["fibonacci"])
     report = vm.warm_start(repo)
     assert report.undecodable == 1

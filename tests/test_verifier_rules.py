@@ -6,12 +6,16 @@ is allowed to be vacuous.  Clean counterparts pin the absence of false
 positives, and the dataflow engine gets direct unit coverage.
 """
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.isa.fusible.encoding import encode_stream, encode_uop, \
     stream_length
 from repro.isa.fusible.microop import MicroOp
-from repro.isa.fusible.opcodes import UOp
+from repro.isa.fusible.opcodes import OP_INFO, UOp
 from repro.isa.fusible.registers import R_EXIT_TARGET
 from repro.isa.x86lite.registers import Cond
 from repro.memory import AddressSpace
@@ -27,14 +31,17 @@ from repro.verify import (
     verify_translation,
     verify_uops,
 )
+from repro.verify.cfg import locate
 from repro.verify.dataflow import (
     FLAGS,
     def_use_chains,
+    defined_and_flags,
     definitely_defined,
     flag_provenance,
     live_registers,
     reaching_definitions,
 )
+from tests.strategies import uops as any_uop
 
 NOP = MicroOp(UOp.NOP)
 
@@ -279,6 +286,36 @@ CORPUS = [
 ]
 
 
+#: every ``(rule_id, micro-op index)`` each fixture raised at PR 13,
+#: before the rules shared one walk (one encoding, one dataflow pass,
+#: one offset map per context): the screen must find exactly these
+PARENT_FINDINGS = {
+    "fus001_nonalu_head": {("FUS001", 0)},
+    "fus001_flagless_compare_branch": {("FUS001", 0)},
+    "fus002_overlapping_pairs": {("FUS002", 0)},
+    "fus002_dangling_head": {("FUS002", 0)},
+    "fus002_tail_not_consuming": {("FUS002", 1)},
+    "fus003_four_source_pair": {("FUS002", 1), ("FUS003", 0)},
+    "fus004_barrier_head": {("FUS001", 0), ("FUS002", 1), ("FUS004", 0)},
+    "fus004_pair_into_jump": {("FUS002", 1), ("FUS004", 1)},
+    "fus005_hoist_across_flag_writer": {("FUS005", 1)},
+    "ctl001_misaligned_branch": {("CTL001", 0)},
+    "stb001_truncated_stub": {("STB001", 0)},
+    "stb001_wrong_target_immediates": {("STB001", 0)},
+    "stb002_vmexit_wrong_register": {("STB002", 0)},
+    "scr001_scratch_use_before_def": {("SCR001", 0)},
+    "scr001_defined_on_one_path_only": {("SCR001", 2)},
+    "prs001_unbalanced_save_window": {("PRS001", 4)},
+    "enc001_oversized_immediate": {("ENC001", 0)},
+    "enc002_short_form_drops_rd": {("ENC002", 0)},
+    "enc002_bc_drops_setflags": {("ENC002", 0)},
+    "cch001_corrupted_cache_image": {("CCH001", 0)},
+    "chn001_stale_chain_target": {("CHN001", None)},
+    "chn002_unpatched_stub_not_vmexit": {("CCH001", 2), ("CHN002", None)},
+    "sid001_vmcall_without_side_table": {("SID001", 0)},
+}
+
+
 class TestCorpus:
     @pytest.mark.parametrize("expected,fixture", CORPUS,
                              ids=[f"{rule}-{fn.__name__}"
@@ -288,6 +325,9 @@ class TestCorpus:
         assert expected in ids(report), \
             f"expected {expected}, got {sorted(ids(report))}:\n" \
             f"{report.format()}"
+        assert {(violation.rule_id, violation.index)
+                for violation in report.violations} == \
+            PARENT_FINDINGS[fixture.__name__], report.format()
 
     def test_no_rule_is_vacuous(self):
         covered = {rule for rule, _fixture in CORPUS}
@@ -425,3 +465,72 @@ class TestDataflowEngine:
         before = reaching_definitions(cfg)
         defs_of_r5 = {index for reg, index in before[2] if reg == 5}
         assert defs_of_r5 == {-1, 1}  # entry def and the ADDI both reach
+
+
+def two_pass_solve(analysis, cfg):
+    """The forward solver as it was before PR 14, kept as the reference:
+    iterate block in-states to the fixpoint, then walk every block once
+    more to collect the state before each micro-op."""
+    block_in = [None] * len(cfg.blocks)
+    if not cfg.blocks:
+        return []
+    block_in[0] = analysis.entry_state()
+    worklist = [0]
+    while worklist:
+        bid = worklist.pop()
+        state = block_in[bid]
+        for loc in cfg.blocks[bid].locs:
+            state = analysis.transfer(state, loc)
+        for succ in cfg.blocks[bid].succs:
+            merged = state if block_in[succ] is None \
+                else analysis.meet(block_in[succ], state)
+            if merged != block_in[succ]:
+                block_in[succ] = merged
+                worklist.append(succ)
+    before = [None] * len(cfg.locs)
+    for block in cfg.blocks:
+        state = block_in[block.bid]
+        if state is None:
+            continue
+        for loc in block.locs:
+            before[loc.index] = state
+            state = analysis.transfer(state, loc)
+    return before
+
+
+@st.composite
+def branchy_cfgs(draw):
+    """CFG of a generated stream whose relative branches mostly land on
+    micro-op boundaries of the stream (forwards and backwards: joins,
+    loops, unreachable tails), and sometimes nowhere."""
+    stream = draw(st.lists(any_uop, min_size=1, max_size=24))
+    locs = locate(stream)
+    retargeted = []
+    for loc in locs:
+        uop = loc.uop
+        if OP_INFO[uop.op].relative and draw(st.integers(0, 7)):
+            target = draw(st.sampled_from(locs)).offset
+            uop = replace(uop, imm=target - (loc.offset + uop.length))
+        retargeted.append(uop)
+    return build_cfg(retargeted)
+
+
+class TestOneWalk:
+    """The screen's shared dataflow pass against the separate ones."""
+
+    @given(cfg=branchy_cfgs())
+    @settings(max_examples=200, deadline=None)
+    def test_product_analysis_equals_the_two_analyses(self, cfg):
+        defined, flags = definitely_defined(cfg), flag_provenance(cfg)
+        assert defined_and_flags(cfg) == [
+            None if left is None else (left, right)
+            for left, right in zip(defined, flags)]
+
+    @given(cfg=branchy_cfgs())
+    @settings(max_examples=200, deadline=None)
+    def test_single_pass_solver_equals_the_two_pass_reference(self, cfg):
+        from repro.verify import dataflow
+        for analysis in (dataflow._DefinitelyDefined(dataflow.ENTRY_DEFINED),
+                         dataflow._FlagProvenance(),
+                         dataflow._ReachingDefinitions()):
+            assert analysis.run(cfg) == two_pass_solve(analysis, cfg)
