@@ -119,7 +119,13 @@ perf:
 # and perf/compare.py prints the verdict table (exit 1 on a regression
 # or a moved exact count).  Use seeds no run of the change has seen.
 # PERF_ARGS goes to both run.py (e.g. --trace).  About 4 minutes per
-# seed; only meaningful on an otherwise idle host.
+# seed; only meaningful on an otherwise idle host.  The default
+# (untraced) comparison must end "0 regressed or mismatched".  With
+# PERF_ARGS=--trace, compare.py counts cacheserver.frame_bytes among its
+# exact counts, so a change to the record or frame layout (PR 15: 299 176
+# -> 173 486 bytes) prints one expected MISMATCH row per seed on each
+# workload that moves frames (served_boot, herd) and exits 1: report
+# the rows, do not edit perf/.
 PERF_BASE ?= HEAD
 PERF_SEEDS ?= 11 12 13
 perf-compare:

@@ -30,7 +30,8 @@ bits 18..0 as its immediate.
 from __future__ import annotations
 
 import struct
-from typing import List
+from itertools import repeat
+from typing import List, Optional, Sequence
 
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import OP_INFO, UOp
@@ -50,6 +51,8 @@ _IMM24_MIN, _IMM24_MAX = -(1 << 23), (1 << 23) - 1
 
 #: bit 30 of a 32-bit micro-op's word (bit 14 of its first parcel)
 _LONG_FORMAT = 1 << 30
+#: bit 31 of a 32-bit micro-op's word (bit 15 of its first parcel)
+_FUSED = 1 << 31
 
 _PARCEL = struct.Struct("<H").pack
 #: 32-bit format, high parcel first: the discriminator bits lead the stream
@@ -138,7 +141,7 @@ def _pack_imm13(uop: MicroOp) -> int:
     return _rd_rs1_f(uop) | uop.imm & 0x1FFF
 
 
-# -- per-form unpackers: (op, word, fused) -> MicroOp --------------------------
+# -- per-form unpackers: (op, word, x86_addr) -> MicroOp -----------------------
 
 def _decode_cond(value: int) -> Cond:
     try:
@@ -156,16 +159,16 @@ def _sext24(word: int) -> int:
         else word & 0xFFFFFF
 
 
-def _unpack_s2(op: UOp, word: int, fused: bool) -> MicroOp:
-    return MicroOp(op, rd=(word >> 5) & 0xF, rs1=(word >> 1) & 0xF,
-                   fused=fused, setflags=bool(word & 1))
+def _unpack_s2(op: UOp, word: int, x86_addr) -> MicroOp:
+    return MicroOp(op, word >> 5 & 0xF, word >> 1 & 0xF, 0, 0, None,
+                   bool(word & 0x8000), bool(word & 1), x86_addr)
 
 
-def _unpack_s2i(op: UOp, word: int, fused: bool) -> MicroOp:
-    field = (word >> 1) & 0xF
-    return MicroOp(op, rd=(word >> 5) & 0xF,
-                   imm=field - 16 if field & 0x8 else field,
-                   fused=fused, setflags=bool(word & 1))
+def _unpack_s2i(op: UOp, word: int, x86_addr) -> MicroOp:
+    field = word >> 1 & 0xF
+    return MicroOp(op, word >> 5 & 0xF, 0, 0,
+                   field - 16 if field & 0x8 else field, None,
+                   bool(word & 0x8000), bool(word & 1), x86_addr)
 
 
 def _unpacker(rd: int = 0, rs1: int = 0, rs2: int = 0, flags: int = 0,
@@ -173,11 +176,11 @@ def _unpacker(rd: int = 0, rs1: int = 0, rs2: int = 0, flags: int = 0,
     """Unpacker of one 32-bit form.  The masks select the register and
     ``.f`` fields the form carries (a field it does not carry decodes
     as 0); ``imm``/``cond`` extract those two from the word."""
-    def unpack(op: UOp, word: int, fused: bool) -> MicroOp:
-        return MicroOp(op, rd=word >> 19 & rd, rs1=word >> 14 & rs1,
-                       rs2=word & rs2, imm=imm(word) if imm else 0,
-                       cond=cond(word) if cond else None, fused=fused,
-                       setflags=bool(word & flags))
+    def unpack(op: UOp, word: int, x86_addr) -> MicroOp:
+        return MicroOp(op, word >> 19 & rd, word >> 14 & rs1, word & rs2,
+                       imm(word) if imm else 0,
+                       cond(word) if cond else None,
+                       bool(word & _FUSED), bool(word & flags), x86_addr)
     return unpack
 
 
@@ -229,18 +232,19 @@ def encode_uop(uop: MicroOp) -> bytes:
     return _PARCELS(word >> 16 | int(uop.fused) << 15, word & 0xFFFF)
 
 
-def decode_uop(data: bytes, offset: int = 0) -> MicroOp:
-    """Decode one micro-op from ``data`` at ``offset``."""
+def decode_uop(data: bytes, offset: int = 0,
+               x86_addr: Optional[int] = None) -> MicroOp:
+    """Decode one micro-op from ``data`` at ``offset``.  ``x86_addr`` is
+    the metadata to attach: the bytes do not carry it."""
     if offset + 2 > len(data):
         raise UopDecodeError("truncated micro-op stream")
     first = data[offset] | data[offset + 1] << 8
-    fused = bool(first & 0x8000)
     if not first & 0x4000:  # 16-bit format
         number = (first >> 9) & 0x1F
         entry = _SHORT_DECODERS.get(number)
         if entry is None:
             raise UopDecodeError(f"invalid short opcode {number}")
-        return entry[1](entry[0], first, fused)
+        return entry[1](entry[0], first, x86_addr)
     if offset + 4 > len(data):
         raise UopDecodeError("truncated 32-bit micro-op")
     number = (first >> 8) & 0x3F
@@ -248,7 +252,7 @@ def decode_uop(data: bytes, offset: int = 0) -> MicroOp:
     if entry is None:
         raise UopDecodeError(f"invalid long opcode {number}")
     return entry[1](entry[0], first << 16 | data[offset + 2]
-                    | data[offset + 3] << 8, fused)
+                    | data[offset + 3] << 8, x86_addr)
 
 
 def encode_stream(uops: List[MicroOp]) -> bytes:
@@ -256,14 +260,28 @@ def encode_stream(uops: List[MicroOp]) -> bytes:
     return b"".join(encode_uop(uop) for uop in uops)
 
 
-def decode_stream(data: bytes) -> List[MicroOp]:
-    """Decode an entire byte string as a micro-op sequence."""
+def decode_stream(data: bytes,
+                  x86_addrs: Optional[Sequence[Optional[int]]] = None
+                  ) -> List[MicroOp]:
+    """Decode an entire byte string as a micro-op sequence.
+
+    ``x86_addrs``, when given, holds the ``x86_addr`` of each micro-op in
+    stream order and must cover the stream exactly: one entry more or
+    fewer than ``data`` holds micro-ops is a decode error.
+    """
     out: List[MicroOp] = []
     offset = 0
-    while offset < len(data):
-        uop = decode_uop(data, offset)
-        out.append(uop)
-        offset += uop.length
+    for x86_addr in repeat(None) if x86_addrs is None else x86_addrs:
+        if offset >= len(data):
+            break
+        out.append(decode_uop(data, offset, x86_addr))
+        # the format bit of the parcel just decoded
+        offset += 4 if data[offset + 1] & 0x40 else 2
+    if offset < len(data) or (x86_addrs is not None
+                              and len(out) != len(x86_addrs)):
+        raise UopDecodeError(
+            f"x86_addr list covers {len(x86_addrs)} micro-op(s), not the "
+            f"stream's {len(data)} bytes")
     return out
 
 

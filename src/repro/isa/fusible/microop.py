@@ -31,7 +31,7 @@ from repro.isa.fusible.registers import R_ZERO, SHORT_FORM_REG_LIMIT, reg_name
 from repro.isa.x86lite.registers import Cond
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class MicroOp:
     """One implementation-ISA micro-op."""
 
@@ -44,6 +44,25 @@ class MicroOp:
     fused: bool = False
     setflags: bool = False
     x86_addr: Optional[int] = None   # metadata (side table), never encoded
+
+    def __init__(self, op: UOp, rd: int = 0, rs1: int = 0, rs2: int = 0,
+                 imm: int = 0, cond: Optional[Cond] = None,
+                 fused: bool = False, setflags: bool = False,
+                 x86_addr: Optional[int] = None) -> None:
+        # Every decode, crack and ``replace`` lands here.  The generated
+        # frozen ``__init__`` makes nine ``object.__setattr__`` calls (a
+        # name lookup each); the slot descriptors store the same nine
+        # fields directly.  ``__setattr__`` stays the frozen one, so an
+        # instance is still immutable once built.
+        _set_op(self, op)
+        _set_rd(self, rd)
+        _set_rs1(self, rs1)
+        _set_rs2(self, rs2)
+        _set_imm(self, imm)
+        _set_cond(self, cond)
+        _set_fused(self, fused)
+        _set_setflags(self, setflags)
+        _set_x86_addr(self, x86_addr)
 
     # -- structure (every per-opcode fact comes from OP_INFO) -----------------
 
@@ -144,3 +163,8 @@ class MicroOp:
         else:  # remaining 16-bit two-register forms
             body = f"{name} {reg_name(self.rd)}, {reg_name(self.rs1)}"
         return head + body
+
+
+(_set_op, _set_rd, _set_rs1, _set_rs2, _set_imm, _set_cond, _set_fused,
+ _set_setflags, _set_x86_addr) = (getattr(MicroOp, name).__set__
+                                  for name in MicroOp.__slots__)

@@ -48,6 +48,7 @@ from repro.persist.format import (
     image_fingerprint,
     materialize,
     record_key,
+    record_stream,
     serialize_translation,
     source_matches,
     validate_record,
@@ -92,6 +93,7 @@ __all__ = [
     "materialize",
     "parse_address",
     "record_key",
+    "record_stream",
     "serialize_translation",
     "source_matches",
     "validate_record",

@@ -2,9 +2,13 @@
 
 A persisted translation is a *record*: a JSON-friendly dict holding the
 canonical (un-chained, un-redirected) micro-op stream of one BBT or SBT
-translation plus everything needed to re-materialize it in a fresh VM —
-exit-stub offsets, side-table offsets, profiling-counter linkage, and a
-**source fingerprint**.
+translation **as its encoded bytes** (``code``, hex) plus everything
+needed to re-materialize it in a fresh VM — the ``x86_addr`` metadata
+the bytes do not carry (``origins``, run-length ``[x86_addr, count]``
+pairs in stream order), exit-stub offsets, side-table offsets,
+profiling-counter linkage, and a **source fingerprint**.  The micro-op
+decoder is the only parser of a record's code: there is no field-list
+form, and a record of an older layout reads as corrupt.
 
 Content addressing
 ------------------
@@ -31,24 +35,25 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional
+from itertools import groupby
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.isa.fusible.encoding import encode_stream
 from repro.isa.fusible.microop import MicroOp
-from repro.isa.fusible.opcodes import UOp
 from repro.isa.x86lite.decoder import DecodeError, decode_at
-from repro.isa.x86lite.registers import Cond
 from repro.memory.address_space import MemoryError_
 from repro.translator.code_cache import ExitStub, Translation
 
 #: Bump on any incompatible change to the record layout.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-#: Exit-stub kinds a record may carry (mirrors ExitStub.kind).
-_EXIT_KINDS = frozenset({"jump", "fallthrough", "taken", "indirect",
-                         "vmcall", "loop"})
+#: Exit-stub kinds a record may carry (mirrors ExitStub.kind).  A tuple:
+#: membership compares, so an unhashable JSON value is just "not in".
+_EXIT_KINDS = ("jump", "fallthrough", "taken", "indirect", "vmcall", "loop")
 
 
-_COND_VALUES = frozenset(int(cond) for cond in Cond)
+#: the one JSON spelling content keys are computed over
+_canonical_json = json.JSONEncoder(sort_keys=True).encode
 
 
 class PersistFormatError(Exception):
@@ -89,51 +94,9 @@ def record_key(record: Dict) -> str:
     up as a key mismatch during validation, before the verifier ever
     sees the record.
     """
-    payload = {name: value for name, value in sorted(record.items())
-               if name != "key"}
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
-# -- micro-op <-> list ------------------------------------------------------
-
-def _uop_to_list(uop: MicroOp) -> List:
-    return [uop.op.value, uop.rd, uop.rs1, uop.rs2, uop.imm,
-            None if uop.cond is None else int(uop.cond),
-            int(uop.fused), int(uop.setflags), uop.x86_addr]
-
-
-def _is_number(value) -> bool:
-    """An integer, but not JSON ``true``/``false`` (``bool`` is an
-    ``int`` subclass and would pass for register 1 or 0)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _uop_from_list(fields) -> MicroOp:
-    if not isinstance(fields, (list, tuple)) or len(fields) != 9:
-        raise PersistFormatError(f"malformed micro-op record: {fields!r}")
-    name, rd, rs1, rs2, imm, cond, fused, setflags, x86_addr = fields
-    try:
-        op = UOp(name)
-    except ValueError as error:
-        raise PersistFormatError(f"unknown micro-op {name!r}") from error
-    for value in (rd, rs1, rs2, imm):
-        if not _is_number(value):
-            raise PersistFormatError(f"non-integer field in {fields!r}")
-    # capture writes the two flags as int(bool): exactly 0 or 1
-    for value in (fused, setflags):
-        if type(value) is not int or value not in (0, 1):
-            raise PersistFormatError(f"bad flag field in {fields!r}")
-    if cond is not None:
-        if not _is_number(cond) or cond not in _COND_VALUES:
-            raise PersistFormatError(
-                f"bad condition {cond!r} in {fields!r}")
-        cond = Cond(cond)
-    if x86_addr is not None and not _is_number(x86_addr):
-        raise PersistFormatError(f"bad x86_addr in {fields!r}")
-    return MicroOp(op, rd=rd, rs1=rs1, rs2=rs2, imm=imm, cond=cond,
-                   fused=bool(fused), setflags=bool(setflags),
-                   x86_addr=x86_addr)
+    payload = dict(record)
+    payload.pop("key", None)
+    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
 
 # -- translation -> record --------------------------------------------------
@@ -178,7 +141,9 @@ def serialize_translation(translation: Translation,
         "instr_count": translation.instr_count,
         "fused_pairs": translation.fused_pairs,
         "counter_addr": translation.counter_addr,
-        "uops": [_uop_to_list(uop) for uop in translation.uops],
+        "code": encode_stream(translation.uops).hex(),
+        "origins": [[addr, len(list(run))] for addr, run
+                    in groupby(uop.x86_addr for uop in translation.uops)],
         "exits": [[stub.stub_addr - translation.native_addr, stub.kind,
                    stub.x86_target] for stub in translation.exits],
         "side_table": [[addr - translation.native_addr, x86_addr]
@@ -201,29 +166,48 @@ def validate_record(record: Dict) -> None:
             f"format version {record.get('format')!r} != {FORMAT_VERSION}")
     if record.get("kind") not in ("bbt", "sbt"):
         raise PersistFormatError(f"bad kind {record.get('kind')!r}")
+    # a number is ``type(...) is int``: JSON ``true``/``false`` (``bool`` is
+    # an ``int`` subclass) would otherwise pass for a count of 1 or 0
     for field in ("entry", "instr_count", "fused_pairs"):
-        if not isinstance(record.get(field), int):
+        if type(record.get(field)) is not int:
             raise PersistFormatError(f"bad {field!r} field")
-    if not isinstance(record.get("uops"), list) or not record["uops"]:
+    code = record.get("code")
+    if not isinstance(code, str) or not code:
         raise PersistFormatError("missing micro-op stream")
-    for exit_fields in record.get("exits", ()):
+    origins = record.get("origins")
+    if not isinstance(origins, list):
+        raise PersistFormatError("missing origins")
+    covered = 0
+    for run in origins:
+        if (not isinstance(run, (list, tuple)) or len(run) != 2
+                or not (run[0] is None or type(run[0]) is int)
+                or type(run[1]) is not int or run[1] < 1):
+            raise PersistFormatError(f"bad origins run {run!r}")
+        covered += run[1]
+    # a micro-op is at least one 16-bit parcel (four hex digits): bounds
+    # what expanding the runs may allocate; exact coverage is the
+    # decoder's finding
+    if covered > len(code) // 4:
+        raise PersistFormatError(
+            f"origins cover {covered} micro-ops, more than the code holds")
+    for field in ("exits", "side_table", "source"):
+        if not isinstance(record.get(field), list):
+            raise PersistFormatError(f"missing {field!r} list")
+    for exit_fields in record["exits"]:
         if (not isinstance(exit_fields, (list, tuple))
                 or len(exit_fields) != 3
-                or not isinstance(exit_fields[0], int)
+                or type(exit_fields[0]) is not int
                 or exit_fields[1] not in _EXIT_KINDS
                 or not (exit_fields[2] is None
-                        or isinstance(exit_fields[2], int))):
+                        or type(exit_fields[2]) is int)):
             raise PersistFormatError(f"bad exit record {exit_fields!r}")
-    for side in record.get("side_table", ()):
+    for side in record["side_table"]:
         if (not isinstance(side, (list, tuple)) or len(side) != 2
-                or not all(isinstance(value, int) for value in side)):
+                or type(side[0]) is not int or type(side[1]) is not int):
             raise PersistFormatError(f"bad side-table record {side!r}")
-    source = record.get("source")
-    if not isinstance(source, list):
-        raise PersistFormatError("missing source fingerprint")
-    for entry in source:
+    for entry in record["source"]:
         if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                or not isinstance(entry[0], int)
+                or type(entry[0]) is not int
                 or not isinstance(entry[1], str)):
             raise PersistFormatError(f"bad source entry {entry!r}")
     if record.get("key") != record_key(record):
@@ -242,15 +226,30 @@ def source_matches(record: Dict, memory) -> bool:
     return True
 
 
-def materialize(record: Dict, native_addr: int) -> Translation:
-    """Build an installable Translation from a validated record.
+def record_stream(record: Dict) -> Tuple[bytes, List[Optional[int]]]:
+    """A validated record's encoded stream and the ``x86_addr`` of each
+    micro-op in it (``origins`` expanded)."""
+    try:
+        code = bytes.fromhex(record["code"])
+    except ValueError as error:
+        raise PersistFormatError(f"code is not hex: {error}") from error
+    addrs: List[Optional[int]] = []
+    for addr, count in record["origins"]:
+        addrs += [addr] * count
+    return code, addrs
+
+
+def materialize(record: Dict, native_addr: int,
+                uops: Sequence[MicroOp]) -> Translation:
+    """Build an installable Translation from a validated record and the
+    micro-ops decoded from its :func:`record_stream`.
 
     The caller supplies the target ``native_addr`` (the owning cache's
     ``reserve()``); exit stubs and side-table entries are rebased onto
     it.  Micro-op displacements (BC/JMP) are translation-relative and
     need no adjustment.
     """
-    uops = [_uop_from_list(fields) for fields in record["uops"]]
+    uops = list(uops)
     translation = Translation(
         entry=record["entry"], kind=record["kind"],
         native_addr=native_addr,

@@ -5,17 +5,18 @@ For every record the loader
 1. re-checks the **source fingerprint** against the freshly loaded
    program memory (a record translated from different bytes is stale and
    dropped);
-2. rebuilds the micro-op stream **at the new native address** handed
-   out by the owning code cache — BC/JMP displacements are
-   translation-relative, so only exit-stub and side-table anchors need
-   rebasing;
+2. decodes the record's ``code`` — each micro-op **once**, by the
+   verifier's context, with its ``x86_addr`` attached — for **the new
+   native address** handed out by the owning code cache: BC/JMP
+   displacements are translation-relative, so only exit-stub and
+   side-table anchors need rebasing; code that does not decode, or that
+   ``origins`` does not cover exactly, is corrupt;
 3. re-binds the BBT profiling prologue to a freshly allocated countdown
    counter (the old counter address is dead VMM state from the previous
    process);
 4. runs the stream through the translation **verifier rule-pack**, whose
    context encodes every micro-op exactly once; a record that violates
-   any invariant (an unencodable micro-op included) is dropped, never
-   installed, never executed;
+   any invariant is dropped, never installed, never executed;
 5. installs *the bytes the verifier checked* through
    ``TranslationDirectory.install`` — the same path new translations
    take, so lookup tables, side tables and BBT->SBT redirects are wired
@@ -34,11 +35,13 @@ from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Set, Tuple
 
 from repro.faults.plane import fault_point
+from repro.isa.fusible.encoding import UopDecodeError
 from repro.isa.fusible.opcodes import UOp
 from repro.isa.fusible.registers import R_SCRATCH0
 from repro.persist.format import (
     PersistFormatError,
     materialize,
+    record_stream,
     source_matches,
     validate_record,
 )
@@ -139,24 +142,29 @@ class WarmStartLoader:
         ledger = getattr(self.runtime, "ledger", None)
         phase_costs = getattr(self.runtime, "phase_costs", None)
 
-        def reject(reason: str, record: Dict) -> None:
+        def reject(reason: str, record) -> None:
             if tracer is not None:
-                entry = record.get("entry")
+                fields = record if isinstance(record, dict) else {}
+                entry = fields.get("entry")
                 tracer.instant(
                     "warmstart.reject", reason=reason,
-                    kind=str(record.get("kind")),
+                    kind=str(fields.get("kind")),
                     entry=f"{entry:#x}" if isinstance(entry, int)
                     else str(entry))
 
+        def install_order(record) -> Tuple[bool, int]:
+            """BBT copies first so a following SBT copy installs its
+            redirect.  Nothing is validated yet: an element that is not
+            even an object sorts last and is counted corrupt below."""
+            if not isinstance(record, dict):
+                return (True, 0)
+            entry = record.get("entry")
+            return (record.get("kind") != "bbt",
+                    entry if isinstance(entry, int) else 0)
+
         loaded = []
         seen: Set[Tuple[str, int]] = set()
-        # BBT copies first so a following SBT copy installs its redirect
-        ordered = sorted(records,
-                         key=lambda r: (r.get("kind") != "bbt",
-                                        r.get("entry", 0)
-                                        if isinstance(r.get("entry"), int)
-                                        else 0))
-        for record in ordered:
+        for record in sorted(records, key=install_order):
             report.attempted += 1
             try:
                 validate_record(record)
@@ -176,20 +184,27 @@ class WarmStartLoader:
                 reject("stale-source", record)
                 continue
             cache = directory.cache_for(kind)
+            old_counter = record.get("counter_addr")
+            new_counter = None
+
+            def rebind(uops):
+                # runs inside from_code, once the code has decoded
+                nonlocal new_counter
+                if kind != "bbt" or old_counter is None:
+                    return uops
+                new_counter = self.runtime.bbt.allocate_counter()
+                return _rebind_counter(uops, old_counter, new_counter)
+
             try:
-                translation = materialize(record, cache.reserve())
-                uops = translation.uops
-                if kind == "bbt" and record["counter_addr"] is not None:
-                    new_counter = self.runtime.bbt.allocate_counter()
-                    uops = _rebind_counter(uops,
-                                           record["counter_addr"],
-                                           new_counter)
-                    translation.uops = uops
-                    translation.counter_addr = new_counter
-                # the one walk: CFG, encoded bytes and (on demand) the
-                # dataflow facts every rule below shares
-                screen = VerifyContext(uops, translation=translation)
-            except PersistFormatError as error:
+                # the one walk: the decode, the CFG, the encoded bytes
+                # and (on demand) the dataflow facts every rule shares
+                screen = VerifyContext.from_code(*record_stream(record),
+                                                 rebind=rebind)
+                translation = materialize(record, cache.reserve(),
+                                          screen.uops)
+                translation.counter_addr = new_counter
+                screen.translation = translation
+            except (PersistFormatError, UopDecodeError) as error:
                 report.corrupt += 1
                 reject("corrupt", record)
                 log.warning("warm start: record %s@%#x failed to "

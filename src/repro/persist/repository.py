@@ -160,7 +160,11 @@ class TranslationRepository:
         try:
             fault_point("repo.write", path=str(path))
             with open(tmp, "w") as handle:
-                json.dump(payload, handle, indent=indent, sort_keys=True)
+                # one dumps, one write: json.dump would issue a write
+                # call per chunk (and, with indent, run the pure-Python
+                # encoder)
+                handle.write(json.dumps(payload, indent=indent,
+                                        sort_keys=True))
                 handle.flush()
                 # the data must be durable *before* the rename is: a
                 # rename journaled ahead of its contents would survive
@@ -225,7 +229,9 @@ class TranslationRepository:
 
     def _write_meta(self, meta: Dict) -> bool:
         self.root.mkdir(parents=True, exist_ok=True)
-        return self._write_json(self.meta_path, meta, indent=1)
+        # compact: machine-read, and rewritten as the LRU touch of
+        # every load (manifests, which people read, keep indent=1)
+        return self._write_json(self.meta_path, meta)
 
     @staticmethod
     def _manifest_name(config_fp: str, image_fp: str) -> str:

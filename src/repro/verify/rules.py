@@ -33,6 +33,7 @@ from typing import Callable, FrozenSet, Iterator, List, Optional, Set, Tuple
 from repro.isa.fusible.encoding import (
     UopDecodeError,
     UopEncodeError,
+    decode_stream,
     decode_uop,
     encode_uop,
 )
@@ -98,8 +99,36 @@ class VerifyContext:
         #: one encoding ENC001, ENC002 and CCH001 check and, for a warm
         #: install, the very bytes that go into the code cache.
         self.encoded = [_encode(uop) for uop in self.uops]
+        #: indices ENC002 holds by construction (see ``from_code``)
+        self.round_trip_proven: FrozenSet[int] = frozenset()
         self._facts = None
         self._live_entries = live_entries
+
+    @classmethod
+    def from_code(cls, code: bytes, x86_addrs=None, rebind=None,
+                  **where) -> "VerifyContext":
+        """A context over the micro-ops *it decodes* from ``code``
+        (raises ``UopDecodeError``); ``x86_addrs`` as ``decode_stream``
+        takes it.  ``rebind`` may swap micro-ops of the decoded list
+        before anything is built on it.
+
+        Where a micro-op is the very object decoded here and re-encodes
+        to the bytes it was decoded from, decode(encode(u)) = u holds by
+        construction and ENC002 does not decode it again.  A swapped
+        micro-op, or one whose bytes had don't-care bits set, is checked
+        like any other, and ``image`` is the canonical re-encoding.
+        """
+        decoded = decode_stream(code, x86_addrs)
+        ctx = cls(decoded if rebind is None else rebind(decoded), **where)
+        proven = set()
+        end = 0
+        for index, (was, now, data) in enumerate(
+                zip(decoded, ctx.uops, ctx.encoded)):
+            start, end = end, end + OP_INFO[was.op].length
+            if now is was and data == code[start:end]:
+                proven.add(index)
+        ctx.round_trip_proven = frozenset(proven)
+        return ctx
 
     @property
     def image(self) -> bytes:
@@ -384,6 +413,8 @@ def _check_enc002(ctx: VerifyContext) -> Iterator[Violation]:
     for loc, data in zip(ctx.locs, ctx.encoded):
         if isinstance(data, UopEncodeError):
             continue  # ENC001's finding
+        if loc.index in ctx.round_trip_proven:
+            continue  # decoded by this context from these very bytes
         decoded = decode_uop(data)
         if _encoded_fields(decoded) != _encoded_fields(loc.uop):
             yield _v("ENC002",

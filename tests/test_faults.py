@@ -334,11 +334,11 @@ def test_loader_counts_undecodable_records(tmp_path, monkeypatch):
     real_materialize = loader_module.materialize
     calls = []
 
-    def explode_once(record, native_addr):
+    def explode_once(*args):
         if not calls:
             calls.append(1)
             raise RuntimeError("injected rebuild meltdown")
-        return real_materialize(record, native_addr)
+        return real_materialize(*args)
 
     monkeypatch.setattr(loader_module, "materialize", explode_once)
     vm = _fresh_vm(PROGRAMS["fibonacci"])

@@ -1,19 +1,33 @@
 """The warm-install screen: one walk per record, nothing weakened.
 
 A persisted record is screened by the full rule-pack before it is
-installed.  These tests pin the three properties of that screen:
+installed.  These tests pin the properties of that screen:
 
-* a record that breaks an invariant is ``verifier_rejected`` — not
-  installed, not executed — for each rule the walk now shares work
-  between (ENC001, ENC002, SCR001, PRS001, FUS002);
-* each micro-op is encoded exactly once per install, and the bytes
-  written to the code cache are the bytes the verifier checked;
-* records whose fields are JSON booleans, or whose flag fields are
-  anything but 0/1, never reach the loader's rebuild (``corrupt``).
+* a record whose code breaks an invariant is ``verifier_rejected`` — not
+  installed, not executed — for each rule the walk shares work between
+  (SCR001, PRS001, FUS002).  The violations are **byte edits** of the
+  record's ``code``.  Two records PR 14 tested here no longer exist: a
+  field out of its range (ENC001) and a field its form does not carry
+  (ENC002) cannot be written down in bytes — the decoder yields only
+  encodable, canonical micro-ops — so both rules are exercised on
+  contexts built from micro-ops instead;
+* each micro-op is decoded at most once and encoded exactly once per
+  install, and the bytes written to the code cache are the bytes the
+  verifier checked — the canonical re-encoding, even where the record's
+  code had don't-care bits set;
+* ENC002 skips its re-decode only for micro-ops the context itself
+  decoded from bytes equal to their re-encoding;
+* numbers a record spells out in JSON are numbers: booleans and other
+  junk never reach the loader's rebuild (``corrupt``);
+* ``MicroOp`` under its hand-written constructor is the value type it
+  was.
 """
 
 import copy
 import json
+import tracemalloc
+from dataclasses import FrozenInstanceError, dataclass, replace
+from typing import Optional
 
 import pytest
 
@@ -23,20 +37,29 @@ import repro.verify.rules as rules_module
 import repro.verify.verifier as verifier_module
 from repro.core.config import vm_soft
 from repro.core.vm import CoDesignedVM
+from repro.isa.fusible.encoding import (
+    decode_stream,
+    encode_stream,
+    encode_uop,
+)
+from repro.isa.fusible.microop import MicroOp
+from repro.isa.fusible.opcodes import UOp
+from repro.isa.fusible.registers import R_EXIT_TARGET
 from repro.isa.x86lite import assemble
+from repro.isa.x86lite.registers import Cond
 from repro.persist import (
     PersistFormatError,
     WarmStartLoader,
     capture_translations,
     materialize,
     record_key,
+    record_stream,
     validate_record,
 )
 from repro.verify import sanitizer, verify_directory, verify_translation
+from repro.verify.rules import VerifyContext
+from repro.verify.verifier import run_rules
 from tests.test_persist import LOOP
-
-# field positions of a micro-op inside a record (format._uop_to_list)
-RD, RS1, RS2, IMM, COND, FUSED, SETFLAGS = 1, 2, 3, 4, 5, 6, 7
 
 #: positions inside the BBT profiling prologue (emit.profile_prologue)
 PROLOGUE_LDW, PROLOGUE_WRFLG = 3, 8
@@ -46,6 +69,10 @@ def booted(source=LOOP) -> CoDesignedVM:
     vm = CoDesignedVM(vm_soft(), hot_threshold=50)
     vm.load(assemble(source))
     return vm
+
+
+def decoded(record):
+    return decode_stream(*record_stream(record))
 
 
 @pytest.fixture(scope="module")
@@ -60,46 +87,56 @@ def victim(records):
     """A BBT record with a profiling prologue whose body sets flags."""
     for record in records:
         if record["kind"] == "bbt" and record["counter_addr"] is not None \
-                and any(uop[SETFLAGS] for uop in record["uops"][9:]):
+                and any(uop.setflags for uop in decoded(record)[9:]):
             return copy.deepcopy(record)
     raise AssertionError("no suitable record")
 
 
 def resealed(record):
     """The record with its content key recomputed: structurally valid,
-    so only the verifier stands between it and the code cache."""
+    so only the decoder and the verifier stand between it and the code
+    cache."""
     record["key"] = record_key(record)
     validate_record(record)
     return record
 
 
-def break_enc001(record):
-    record["uops"][PROLOGUE_LDW][IMM] = 5000        # past imm13
-
-
-def break_enc002(record):
-    record["uops"][-1][RS2] = 7      # VMEXIT's form carries no rs2
+def splice(record, index, **fields):
+    """Overwrite the bytes of micro-op ``index`` of the record's code
+    with those of the same micro-op with ``fields`` changed (an edit
+    that keeps the length, so nothing else moves)."""
+    uops = decoded(record)
+    if index < 0:
+        index += len(uops)
+    offset = len(encode_stream(uops[:index]))
+    patch = encode_uop(replace(uops[index], **fields))
+    assert len(patch) == uops[index].length
+    code = bytearray.fromhex(record["code"])
+    code[offset:offset + len(patch)] = patch
+    record["code"] = code.hex()
 
 
 def break_scr001(record):
-    record["uops"][PROLOGUE_LDW][RS1] = 20          # r20: never defined
+    splice(record, PROLOGUE_LDW, rs1=20)            # r20: never defined
 
 
 def break_prs001(record):
     # the save window opened by the prologue's RDFLG never closes, so
     # the body's flag writes reach the exit as housekeeping
-    wrflg = record["uops"][PROLOGUE_WRFLG]
-    assert wrflg[0] == "wrflg"
-    record["uops"][PROLOGUE_WRFLG] = ["nop", 0, 0, 0, 0, None, 0, 0,
-                                      wrflg[8]]
+    assert decoded(record)[PROLOGUE_WRFLG].op is UOp.WRFLG
+    splice(record, PROLOGUE_WRFLG, op=UOp.NOP, rs1=0)
 
 
 def break_fus002(record):
-    record["uops"][-1][FUSED] = 1    # a head with no successor
+    # a head with no successor: the fused bit is bit 15 of the first
+    # (little-endian) parcel of the last, 32-bit micro-op
+    code = bytearray.fromhex(record["code"])
+    code[-3] |= 0x80
+    record["code"] = code.hex()
+    assert decoded(record)[-1].fused
 
 
-BREAKS = {"ENC001": break_enc001, "ENC002": break_enc002,
-          "SCR001": break_scr001, "PRS001": break_prs001,
+BREAKS = {"SCR001": break_scr001, "PRS001": break_prs001,
           "FUS002": break_fus002}
 
 
@@ -111,8 +148,8 @@ class TestViolatingRecordsNeverRun:
         vm = booted()
         directory = vm.runtime.directory
         # the record does break the rule it is meant to break
-        found = verify_translation(
-            materialize(record, directory.bbt_cache.reserve()))
+        found = verify_translation(materialize(
+            record, directory.bbt_cache.reserve(), decoded(record)))
         assert rule in {violation.rule_id for violation in found.violations}
 
         report = WarmStartLoader(vm.runtime).load_records([record])
@@ -137,40 +174,54 @@ class TestViolatingRecordsNeverRun:
         assert (report.loaded, report.dropped) == (1, 0)
 
 
+def counted(monkeypatch, name, modules):
+    """Replace ``name`` in ``modules`` by a wrapper that records every
+    result; returns the list of results."""
+    real = getattr(encoding_module, name)
+    results = []
+
+    def counting(*args):
+        result = real(*args)
+        results.append(result)
+        return result
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return results
+
+
+def recorded_installs(monkeypatch, directory, progress):
+    """Record ``(len(progress), data, translation)`` at every install."""
+    installs = []
+    real_install = directory.install
+
+    def recording_install(data, translation):
+        installs.append((len(progress), data, translation))
+        real_install(data, translation)
+
+    monkeypatch.setattr(directory, "install", recording_install)
+    return installs
+
+
 class TestOneEncodePerMicroOp:
     def test_installed_bytes_are_the_bytes_the_verifier_saw(
             self, records, monkeypatch):
         # the autouse sanitizer would verify (and so encode) each
         # install a second time; this test counts the loader's own work
         monkeypatch.setattr(sanitizer._STATE, "mode", None)
-        real_encode = encoding_module.encode_uop
-        encoded = []
-
-        def counting_encode(uop):
-            data = real_encode(uop)
-            encoded.append(data)
-            return data
-
-        for module in (encoding_module, rules_module, code_cache_module):
-            monkeypatch.setattr(module, "encode_uop", counting_encode)
-
+        encoded = counted(monkeypatch, "encode_uop",
+                          (encoding_module, rules_module,
+                           code_cache_module))
         vm = booted()
         directory = vm.runtime.directory
-        installs = []
-        real_install = directory.install
-
-        def recording_install(data, translation):
-            installs.append((len(encoded), data, translation))
-            real_install(data, translation)
-
-        monkeypatch.setattr(directory, "install", recording_install)
+        installs = recorded_installs(monkeypatch, directory, encoded)
         bbt_records = [r for r in records if r["kind"] == "bbt"]
         report = WarmStartLoader(vm.runtime, rechain=False).load_records(
             bbt_records)
         assert report.loaded == len(bbt_records) > 1
 
         # one encode_uop call per micro-op per install, nothing else
-        assert len(encoded) == sum(len(r["uops"]) for r in bbt_records)
+        assert len(encoded) == sum(len(decoded(r)) for r in bbt_records)
         seen = 0
         for calls_so_far, data, translation in installs:
             # the bytes handed to the code cache are the verifier's ...
@@ -180,6 +231,92 @@ class TestOneEncodePerMicroOp:
             assert vm.state.memory.read(translation.native_addr,
                                         len(data)) == data
         assert verify_directory(directory).ok
+
+    def test_at_most_one_decode_per_micro_op(self, records, monkeypatch):
+        """Outside the machine (which binds its own ``decode_uop`` and
+        decodes what it is about to execute), an install decodes each
+        micro-op of the record once — in the context — and ENC002
+        decodes again only the two the loader re-bound."""
+        monkeypatch.setattr(sanitizer._STATE, "mode", None)
+        vm = booted()
+        bbt_records = [r for r in records if r["kind"] == "bbt"]
+        total = sum(len(decoded(r)) for r in bbt_records)
+        decodes = counted(monkeypatch, "decode_uop",
+                          (encoding_module, rules_module))
+        report = WarmStartLoader(vm.runtime, rechain=False).load_records(
+            bbt_records)
+        assert report.loaded == len(bbt_records) > 1
+        rebound = 2 * sum(r["counter_addr"] is not None
+                          for r in bbt_records)
+        assert rebound > 0
+        # the re-bound LUI/ORI are new micro-ops, not decoded before:
+        # ENC002 checks them as it always did
+        assert len(decodes) == total + rebound
+
+
+class TestRoundTripByConstruction:
+    def clean(self, record):
+        return VerifyContext.from_code(*record_stream(record))
+
+    def test_every_decoded_micro_op_is_proven(self, victim):
+        ctx = self.clean(victim)
+        assert ctx.round_trip_proven == frozenset(range(len(ctx.uops)))
+        assert ctx.image == bytes.fromhex(victim["code"])
+        assert run_rules(ctx).ok
+
+    def test_a_context_built_from_micro_ops_proves_nothing(self, victim):
+        ctx = VerifyContext(decoded(victim))
+        assert ctx.round_trip_proven == frozenset()
+
+    def test_enc002_fires_on_a_micro_op_whose_decode_differs(self):
+        # VMEXIT's form carries no rs2: the field is lost in the bytes
+        ctx = VerifyContext([MicroOp(UOp.VMEXIT, rs1=R_EXIT_TARGET,
+                                     rs2=7)])
+        assert "ENC002" in {v.rule_id for v in run_rules(ctx).violations}
+
+    def test_enc001_fires_on_a_field_out_of_range(self):
+        ctx = VerifyContext([MicroOp(UOp.LDW, rd=17, rs1=16, imm=5000)])
+        assert "ENC001" in {v.rule_id for v in run_rules(ctx).violations}
+
+    def test_a_swapped_micro_op_is_checked_like_any_other(self, victim):
+        bad = MicroOp(UOp.VMEXIT, rs1=R_EXIT_TARGET, rs2=7)
+
+        def rebind(uops):
+            return uops[:-1] + [bad]
+
+        ctx = VerifyContext.from_code(*record_stream(victim),
+                                      rebind=rebind)
+        last = len(ctx.uops) - 1
+        # same bytes as the micro-op it replaced, yet not proven: it is
+        # not the object this context decoded
+        assert ctx.encoded[last] == bytes.fromhex(victim["code"])[-4:]
+        assert ctx.round_trip_proven == frozenset(range(last))
+        assert "ENC002" in {v.rule_id for v in run_rules(ctx).violations}
+
+    def test_dont_care_bits_install_canonical_bytes(self, victim,
+                                                    monkeypatch):
+        clean_code = bytes.fromhex(victim["code"])
+        code = bytearray(clean_code)
+        code[-2] |= 0x07         # rs2 bits of the final VMEXIT: no field
+        victim["code"] = code.hex()
+        record = resealed(victim)
+        assert decoded(record) == decoded({**record,
+                                           "code": clean_code.hex()})
+        ctx = VerifyContext.from_code(*record_stream(record))
+        last = len(ctx.uops) - 1
+        assert ctx.round_trip_proven == frozenset(range(last))
+        assert ctx.image == clean_code
+
+        vm = booted()
+        installs = recorded_installs(monkeypatch, vm.runtime.directory, [])
+        report = WarmStartLoader(vm.runtime).load_records([record])
+        assert (report.loaded, report.dropped) == (1, 0)
+        (_, data, translation), = installs
+        # canonical: the clean code, but for the re-bound counter address
+        assert len(data) == len(clean_code)
+        assert data[12:] == clean_code[12:] != bytes(code)[12:]
+        assert vm.state.memory.read(translation.native_addr,
+                                    len(data)) == data
 
 
 class TestDirectorySweepIsLinear:
@@ -208,26 +345,118 @@ class TestDirectorySweepIsLinear:
 
 
 class TestRecordFieldTypes:
-    @pytest.mark.parametrize("position", [RD, RS1, RS2, IMM, COND])
+    """What a record still spells out as JSON numbers must be numbers.
+
+    The test names and ids are those of the v1 suite, where ``position``
+    indexed the nine-element micro-op lists; v2 has no such lists, so
+    ``position`` picks one of the places a v2 record keeps an integer.
+    """
+
+    #: position -> (what it is, path into the record)
+    PLACES = {
+        1: ("origins run: x86_addr", ("origins", 0, 0)),
+        2: ("origins run: count", ("origins", 0, 1)),
+        3: ("exit stub: offset", ("exits", 0, 0)),
+        4: ("side table: offset", ("side_table", 0, 0)),
+        5: ("entry", ("entry",)),
+        6: ("origins: count of the first run", ("origins", 0, 1)),
+        7: ("origins: count of the last run", ("origins", -1, 1)),
+    }
+
+    @classmethod
+    def put(cls, record, position, value):
+        *path, last = cls.PLACES[position][1]
+        holder = record
+        for step in path:
+            holder = holder[step]
+        holder[last] = value
+
+    @pytest.mark.parametrize("position", [1, 2, 3, 4, 5])
     def test_json_booleans_are_not_numbers(self, victim, position):
-        uop = next(u for u in victim["uops"]
-                   if position != COND or u[COND] is not None)
-        uop[position] = True
+        self.put(victim, position, True)
         self.assert_corrupt(json.loads(json.dumps(victim)))
 
-    @pytest.mark.parametrize("position", [FUSED, SETFLAGS])
+    @pytest.mark.parametrize("position", [6, 7])
     @pytest.mark.parametrize("junk", [True, 2, -1, "1", [1], 1.0, None])
     def test_flag_fields_are_exactly_zero_or_one(self, victim, position,
                                                   junk):
-        victim["uops"][0][position] = junk
+        """v1 spelled ``fused``/``setflags`` out per micro-op (positions
+        6 and 7) and had to police them; in v2 they are single bits of
+        ``code`` and cannot be anything but 0 or 1.  The small integers
+        a record still spells out are the run counts of ``origins``:
+        the same junk must not pass for one (``2`` is a fine count, and
+        is corrupt because it no longer covers the code exactly)."""
+        assert victim["origins"][0][1] > 2 < victim["origins"][-1][1]
+        self.put(victim, position, junk)
         self.assert_corrupt(json.loads(json.dumps(victim)))
 
     @staticmethod
     def assert_corrupt(record):
-        record = resealed(record)    # passes structural validation
-        with pytest.raises(PersistFormatError):
-            materialize(record, 0x2000_0000)
+        record["key"] = record_key(record)   # only the key is right
         vm = booted()
         report = WarmStartLoader(vm.runtime).load_records([record])
         assert report.corrupt == 1 and report.loaded == 0
-        assert vm.runtime.directory.lookup(record["entry"]) is None
+        assert not vm.runtime.directory.bbt_cache.translations
+
+
+class TestMicroOpIsStillAValue:
+    UOP = MicroOp(UOp.ADD, rd=1, rs1=2, rs2=3, setflags=True,
+                  x86_addr=0x400000)
+
+    def test_defaults_keywords_and_positions(self):
+        assert MicroOp(UOp.NOP) == MicroOp(UOp.NOP, 0, 0, 0, 0, None,
+                                           False, False, None)
+        assert self.UOP == MicroOp(UOp.ADD, 1, 2, 3, 0, None, False, True,
+                                   0x400000)
+        assert MicroOp(UOp.BC, cond=Cond.NE, imm=4).cond is Cond.NE
+        with pytest.raises(TypeError):
+            MicroOp()
+        with pytest.raises(TypeError):
+            MicroOp(UOp.NOP, colour=1)
+
+    def test_immutable(self):
+        with pytest.raises(FrozenInstanceError):
+            self.UOP.rd = 5
+        with pytest.raises(FrozenInstanceError):
+            del self.UOP.rd
+        with pytest.raises((FrozenInstanceError, AttributeError,
+                            TypeError)):
+            self.UOP.colour = 1
+        assert self.UOP.rd == 1
+
+    def test_equal_hashable_replaceable(self):
+        twin = MicroOp(UOp.ADD, rd=1, rs1=2, rs2=3, setflags=True,
+                       x86_addr=0x400000)
+        assert twin == self.UOP and hash(twin) == hash(self.UOP)
+        assert len({twin, self.UOP}) == 1
+        assert replace(self.UOP, x86_addr=None) != self.UOP
+        moved = replace(self.UOP, imm=7, fused=True)
+        assert (moved.imm, moved.fused, moved.rd, moved.x86_addr) == \
+            (7, True, 1, 0x400000)
+        assert self.UOP.with_fused().fused and not self.UOP.fused
+        assert copy.deepcopy(self.UOP) == self.UOP
+        assert "rd=1" in repr(self.UOP)
+
+    def test_an_instance_is_no_bigger_than_the_generated_dataclass(self):
+        @dataclass(frozen=True)
+        class Generated:
+            op: UOp
+            rd: int = 0
+            rs1: int = 0
+            rs2: int = 0
+            imm: int = 0
+            cond: Optional[Cond] = None
+            fused: bool = False
+            setflags: bool = False
+            x86_addr: Optional[int] = None
+
+        def bytes_each(cls, count=2000):
+            tracemalloc.start()
+            before = tracemalloc.get_traced_memory()[0]
+            keep = [cls(UOp.ADD, 1, 2, 3) for _ in range(count)]
+            after = tracemalloc.get_traced_memory()[0]
+            tracemalloc.stop()
+            assert len(keep) == count
+            return (after - before) / count
+
+        assert bytes_each(MicroOp) <= bytes_each(Generated)

@@ -169,14 +169,15 @@ class TestInvalidation:
     def test_corrupt_object_never_installs(self, tmp_path):
         repo = TranslationRepository(tmp_path / "cache")
         cold_save(repo)
-        # tamper every stored object: flip the micro-op payloads
+        # tamper every stored object: flip one bit of the encoded code
         tampered = 0
         for path in (tmp_path / "cache" / "objects").glob("*.json"):
             record = json.loads(path.read_text())
-            if record["uops"]:
-                record["uops"][0][4] ^= 1  # imm bit-flip
-                path.write_text(json.dumps(record))
-                tampered += 1
+            code = bytearray.fromhex(record["code"])
+            code[-1] ^= 1   # an immediate bit of the last exit stub
+            record["code"] = code.hex()
+            path.write_text(json.dumps(record))
+            tampered += 1
         assert tampered > 0
         warm_vm, load = warm_boot(repo)
         # validation recomputes the content key: mismatch = corrupt,
@@ -210,7 +211,7 @@ class TestInvalidation:
         # control-flow rule must reject a fall-through-into-nothing body
         victim = dict(records[0])
         victim["exits"] = []
-        victim["uops"] = victim["uops"][:max(3, len(victim["uops"]) - 4)]
+        victim["code"] = victim["code"][:-24]   # the last 12-byte stub
         report = WarmStartLoader(fresh_vm.runtime).load_records([victim])
         assert report.loaded == 0
         assert report.verifier_rejected + report.corrupt == 1
