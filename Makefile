@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-strict verify bench bench-smoke chaos trace-smoke serve-smoke fleet-smoke cluster-smoke monitor-smoke overload-smoke perf perf-compare perf-selftest examples figures clean
+.PHONY: install test lint lint-strict verify verify-suite bench bench-smoke chaos trace-smoke serve-smoke fleet-smoke cluster-smoke monitor-smoke overload-smoke perf perf-compare perf-selftest examples figures clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -14,7 +14,7 @@ test:
 # project-invariant rules always run — determinism, lock discipline,
 # fault-point coverage, taxonomy conformance.  Style checking goes to
 # ruff + mypy when installed; otherwise reprolint's built-in style pack
-# (the old tools/minilint.py) covers the zero-dependency case.
+# covers the zero-dependency case.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests tools; \
@@ -38,8 +38,21 @@ lint-strict:
 # (the autouse sanitizer fixture arms the full rule-pack at every
 # TranslationDirectory.install; see docs/verifier.md), plus the
 # warm-start smoke gate, the seeded chaos gate and the observability
-# smoke gate.
-verify: lint lint-strict bench-smoke chaos trace-smoke serve-smoke fleet-smoke cluster-smoke monitor-smoke overload-smoke perf-selftest
+# smoke gate.  Stages run one after another, stop at the first failure,
+# and the wall seconds of each and of the whole are printed at the end
+# (ROADMAP: the gate's own cost is tracked beside the perf/ rows).
+VERIFY_STAGES = lint lint-strict bench-smoke chaos trace-smoke serve-smoke fleet-smoke cluster-smoke monitor-smoke overload-smoke perf-selftest verify-suite
+verify:
+	@start=$$(date +%s); rows=""; \
+	for stage in $(VERIFY_STAGES); do \
+		began=$$(date +%s); \
+		$(MAKE) --no-print-directory $$stage || exit 1; \
+		rows="$$rows$$(printf '\n  %-16s %4d s' $$stage $$(( $$(date +%s) - began )))"; \
+	done; \
+	printf 'make verify: wall seconds per stage%s\n  %-16s %4d s\n' \
+		"$$rows" total $$(( $$(date +%s) - start ))
+
+verify-suite:
 	REPRO_VERIFY=1 PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/
 
 bench:

@@ -26,9 +26,11 @@ Operations (see ``docs/cache_server.md`` for the full matrix):
 * ``health`` — structured liveness: shard id, role, object count,
   writer-lease state and drain status.  Smoke tools and the cluster
   client's health view key on this instead of ad-hoc pings.
-* ``pull`` — fetch the records for one (config, image) fingerprint
-  pair, plus the manifest entry count so the client can report
-  missing objects exactly like a local load.
+* ``pull`` — one (config, image) pair's manifest ``entries`` (keys)
+  and, in step with them, ``objects``: each object file's text as it
+  lies on the server's disk (``null`` where unreadable), unparsed and
+  unjudged.  ``persist.remote.pulled_records`` parses them; the
+  loader's ``validate_record`` is the one integrity check.
 * ``push`` — upload records; the server saves them under its writer
   lease and reports how many objects were newly written vs deduped
   against content-addressed objects other workloads already stored.

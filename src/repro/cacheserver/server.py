@@ -16,10 +16,11 @@ Design points:
   threads, other server processes and direct local savers all
   serialize identically; a contended lease surfaces to the client as a
   retryable ``lease-busy`` error instead of a torn manifest;
-* **server-side validation**: pushed records are structurally
-  validated (content key recomputed) before they touch the store, so
-  one corrupt client cannot poison the cache other instances pull
-  from;
+* **server-side validation on the way in only**: pushed records are
+  structurally validated (content key recomputed) before they touch
+  the store, so one corrupt client cannot poison the cache other
+  instances pull from; a pull ships objects as stored and leaves the
+  judging to the loader that installs them;
 * **dedup is inherent and reported**: objects are content-addressed,
   so a push whose records were already stored by another workload
   (shared library code) writes nothing and the response says how many
@@ -673,11 +674,12 @@ class CacheServer:
         pair = self._fingerprints(request)
         if pair is None:
             return protocol.error("bad-request", "missing fingerprints")
-        records = self.repository.load(*pair)
-        self.stats.count("records_served", len(records))
-        return protocol.ok(
-            records=records,
-            manifest_entries=self.repository.manifest_entry_count(*pair))
+        # a store only stores: one manifest read, each object shipped as
+        # it lies on disk; the loader that installs a record judges it
+        entries, objects = self.repository.load_stored(*pair)
+        self.stats.count("records_served",
+                         len(objects) - objects.count(None))
+        return protocol.ok(entries=entries, objects=objects)
 
     def _op_push(self, request: Dict) -> Dict:
         pair = self._fingerprints(request)
@@ -701,14 +703,14 @@ class CacheServer:
             config_name = ""
         if request.get("repair"):
             # anti-entropy heal: a pushed key whose on-disk object
-            # exists but no longer validates must be rewritten — the
-            # normal save would skip it as an already-stored dedup
+            # exists but is not the (validated) record pushed must be
+            # rewritten — the normal save would skip it as a dedup
             for record in valid:
                 key = record["key"]
                 path = self.repository._object_path(key)
                 try:
                     damaged = path.exists() and \
-                        self.repository._read_object(key) is None
+                        self.repository._read_object(key) != record
                 except OSError:
                     damaged = False
                 if damaged:

@@ -78,7 +78,7 @@ Commands:
 * ``lint [PATHS...] [--strict] [--json] [--rules IDS] [--no-style]``
   — run reprolint, the project-invariant static analyzer (determinism,
   lock discipline, fault-point coverage, taxonomy conformance, plus the
-  old minilint style pack); see :mod:`repro.lint` and
+  style pack); see :mod:`repro.lint` and
   ``docs/static_analysis.md``.
 """
 

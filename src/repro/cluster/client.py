@@ -54,7 +54,12 @@ from repro.cluster.topology import ClusterSpec
 from repro.faults.plane import fault_point
 from repro.obs.metrics import MetricsRegistry
 from repro.persist.deadline import Deadline
-from repro.persist.remote import RemoteError, RemoteRepository, RemoteStats
+from repro.persist.remote import (
+    RemoteError,
+    RemoteRepository,
+    RemoteStats,
+    pulled_records,
+)
 from repro.persist.repository import TranslationRepository
 
 log = logging.getLogger("repro.cluster")
@@ -328,11 +333,7 @@ class ClusterRepository:
                 self._trace("cluster.failover", group=group,
                             reason="stale-replica")
                 continue
-            records = response.get("records")
-            if not isinstance(records, list):
-                raise RemoteError(
-                    f"pull from {group} carried no record list")
-            return records
+            return pulled_records(response)
         raise RemoteError(f"every replica of {group} answered stale")
 
     def load(self, config_fp: str, image_fp: str) -> List[Dict]:
@@ -356,8 +357,7 @@ class ClusterRepository:
                 degraded = True
                 continue
             for record in records:
-                if isinstance(record, dict) and "key" in record:
-                    merged.setdefault(record["key"], record)
+                merged.setdefault(record["key"], record)
         if degraded:
             if self.local is not None:
                 self.cluster_stats.local_fallbacks += 1

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.cluster.topology import ClusterSpec
 from repro.persist.format import PersistFormatError, validate_record
-from repro.persist.remote import RemoteRepository
+from repro.persist.remote import RemoteRepository, pulled_records
 
 log = logging.getLogger("repro.cluster")
 
@@ -139,7 +139,8 @@ def anti_entropy(spec, timeout: float = 2.0, retries: int = 1,
             holdings: Dict[str, Set[str]] = {}
             for address, client in reachable.items():
                 try:
-                    response = client.request("pull", dict(payload))
+                    records = pulled_records(
+                        client.request("pull", dict(payload)))
                 except Exception as error:  # noqa: BLE001 - a replica
                     # dying mid-pass is the expected weather here
                     log.warning("repair pull from %s failed: %s",
@@ -148,7 +149,7 @@ def anti_entropy(spec, timeout: float = 2.0, retries: int = 1,
                         outcome.unreachable.append(address)
                     continue
                 held = set()
-                for record in response.get("records") or []:
+                for record in records:
                     try:
                         validate_record(record)
                     except PersistFormatError:

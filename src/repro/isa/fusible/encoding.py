@@ -143,11 +143,14 @@ def _pack_imm13(uop: MicroOp) -> int:
 
 # -- per-form unpackers: (op, word, x86_addr) -> MicroOp -----------------------
 
+_CONDS = {int(cond): cond for cond in Cond}
+
+
 def _decode_cond(value: int) -> Cond:
-    try:
-        return Cond(value)
-    except ValueError:
-        raise UopDecodeError(f"invalid condition code {value}") from None
+    cond = _CONDS.get(value)    # ``Cond(value)`` is a Python-level call
+    if cond is None:
+        raise UopDecodeError(f"invalid condition code {value}")
+    return cond
 
 
 def _sext13(word: int) -> int:
@@ -186,27 +189,33 @@ def _unpacker(rd: int = 0, rs1: int = 0, rs2: int = 0, flags: int = 0,
 
 _REG, _F = 0x1F, 1 << 13
 
-#: codec form (``OpInfo.form``) -> (packer, unpacker)
+#: codec form (``OpInfo.form``) -> (packer, unpacker, carried bits): the
+#: operand bits (of 9 in the 16-bit format, 24 in the 32-bit one) the form
+#: carries; the unpacker ignores the rest and the packer leaves them clear.
 _CODECS = {
-    "S2": (_pack_s2, _unpack_s2),
-    "S2I": (_pack_s2i, _unpack_s2i),
-    "N0": (lambda uop: 0, _unpacker()),
-    "R1": (_pack_r1, _unpacker(rd=_REG)),
-    "X2": (_pack_x2, _unpacker(rd=_REG, rs1=_REG)),
-    "R2": (_rd_rs1_f, _unpacker(rd=_REG, rs1=_REG, flags=_F)),
-    "R3": (_pack_r3, _unpacker(rd=_REG, rs1=_REG, rs2=_REG, flags=_F)),
+    "S2": (_pack_s2, _unpack_s2, 0x1FF),
+    "S2I": (_pack_s2i, _unpack_s2i, 0x1FF),
+    "N0": (lambda uop: 0, _unpacker(), 0),
+    "R1": (_pack_r1, _unpacker(rd=_REG), 0xF80000),
+    "X2": (_pack_x2, _unpacker(rd=_REG, rs1=_REG), 0xFFC000),
+    "R2": (_rd_rs1_f, _unpacker(rd=_REG, rs1=_REG, flags=_F), 0xFFE000),
+    "R3": (_pack_r3, _unpacker(rd=_REG, rs1=_REG, rs2=_REG, flags=_F),
+           0xFFE01F),
     "SEL": (_pack_sel, _unpacker(
         rd=_REG, rs1=_REG, flags=_F,
-        cond=lambda word: _decode_cond(word >> 5 & 0xF))),
+        cond=lambda word: _decode_cond(word >> 5 & 0xF)), 0xFFE1E0),
     "I13": (_pack_imm13, _unpacker(rd=_REG, rs1=_REG, flags=_F,
-                                   imm=_sext13)),
+                                   imm=_sext13), 0xFFFFFF),
     "U13": (_pack_imm13, _unpacker(rd=_REG, rs1=_REG, flags=_F,
-                                   imm=lambda word: word & 0x1FFF)),
+                                   imm=lambda word: word & 0x1FFF),
+            0xFFFFFF),
     "U19": (_pack_u19, _unpacker(rd=_REG,
-                                 imm=lambda word: word & 0x7FFFF)),
+                                 imm=lambda word: word & 0x7FFFF),
+            0xFFFFFF),
     "BC": (_pack_bc, _unpacker(
-        imm=_sext13, cond=lambda word: _decode_cond(word >> 19 & 0x1F))),
-    "J24": (_pack_j24, _unpacker(imm=_sext24)),
+        imm=_sext13, cond=lambda word: _decode_cond(word >> 19 & 0x1F)),
+        0xF81FFF),
+    "J24": (_pack_j24, _unpacker(imm=_sext24), 0xFFFFFF),
 }
 
 #: opcode -> (packer, word with the format bit and opcode number set)
@@ -221,6 +230,26 @@ _SHORT_DECODERS = {info.number: (op, _CODECS[info.form][1])
                    for op, info in OP_INFO.items() if info.length == 2}
 _LONG_DECODERS = {info.number: (op, _CODECS[info.form][1])
                   for op, info in OP_INFO.items() if info.length == 4}
+
+
+def _stream_order(word: int) -> int:
+    # as ``int.from_bytes(the word's bytes, "little")`` reads a 32-bit
+    # word: its high parcel leads the stream
+    return word >> 16 | (word & 0xFFFF) << 16
+
+
+#: opcode -> its form's don't-care bits, as they lie in the stream
+_DONT_CARE = {
+    op: 0x1FF & ~_CODECS[info.form][2] if info.length == 2
+    else _stream_order(0xFFFFFF & ~_CODECS[info.form][2])
+    for op, info in OP_INFO.items()}
+
+
+def is_canonical(op: UOp, chunk: bytes) -> bool:
+    """Whether ``chunk``, the bytes a micro-op of ``op`` was decoded
+    from, has every don't-care bit of its form clear -- which is exactly
+    when ``encode_uop(decode_uop(chunk)) == chunk``."""
+    return not int.from_bytes(chunk, "little") & _DONT_CARE[op]
 
 
 def encode_uop(uop: MicroOp) -> bytes:

@@ -137,6 +137,11 @@ class FusibleMachine:
         self.uops_executed = 0
         self.fused_pairs_seen = 0
         self.uop_bytes_fetched = 0
+        #: word bytes -> (bound step, shape entry) of every non-control
+        #: micro-op decoded so far: such a step depends on nothing but
+        #: its word, so all sites holding those bytes share it, and a
+        #: table keyed by content cannot go stale
+        self._steps_by_word: Dict[bytes, Tuple[Step, int]] = {}
         # pre-decoded runs and the pages they were decoded from
         self._runs: Dict[int, Run] = {}
         self._run_pcs_by_page: Dict[int, Set[int]] = {}
@@ -311,24 +316,32 @@ class FusibleMachine:
         # two bytes of slack: a 32-bit micro-op may start in the last
         # parcel of the window and straddle into the next page
         data = self.memory.read(pc, min(window + 2, ADDRESS_MASK + 1 - pc))
+        shared = self._steps_by_word
         steps: List[Step] = []
         shape = bytearray()
-        fused_pairs = 0
         offset = 0
-        while offset < window:
-            try:
-                uop = _decode_at(data, offset, pc + offset)
-            except NativeMachineError:
-                if not steps:
-                    raise
-                break   # reported if and when execution gets there
-            native_pc = pc + offset
-            offset += uop.length
-            steps.append(self._bind(uop, native_pc, pc + offset))
-            shape.append(uop.length | 0x80 if uop.fused else uop.length)
-            fused_pairs += uop.fused
-            if uop.op in BRANCH_OPS:
-                break
+        control = False     # a control micro-op ends the run
+        while offset < window and not control:
+            long = offset + 1 < len(data) and data[offset + 1] & 0x40
+            word = data[offset:offset + (4 if long else 2)]
+            entry = shared.get(word)
+            if entry is None:
+                native_pc = pc + offset
+                try:
+                    uop = _decode_at(data, offset, native_pc)
+                except NativeMachineError:
+                    if not steps:
+                        raise
+                    break   # reported if and when execution gets there
+                entry = (self._bind(uop, native_pc, native_pc + uop.length),
+                         uop.length | 0x80 if uop.fused else uop.length)
+                control = uop.op in BRANCH_OPS
+                if not control:     # its step holds no pc: any site's
+                    shared[word] = entry
+            steps.append(entry[0])
+            shape.append(entry[1])
+            offset += len(word)
+        fused_pairs = sum(entry >> 7 for entry in shape)
         run = (tuple(steps[:-1]), steps[-1], len(steps), offset,
                fused_pairs, pc + offset, bytes(shape))
         for page in {pc >> PAGE_SHIFT, (pc + offset - 1) >> PAGE_SHIFT}:

@@ -1,6 +1,6 @@
 """reprolint — the project-invariant static analyzer.
 
-Generic linters (ruff, mypy, the old ``tools/minilint.py``) check
+Generic linters (ruff, mypy) check
 Python; they cannot check *this project's* contracts: that simulated
 time never leaks wall-clock entropy (byte-identical traces), that the
 threaded cache server only touches shared counters under its lock, that

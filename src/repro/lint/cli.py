@@ -3,8 +3,6 @@
 Also reachable as the ``make lint`` fallback (full run: invariants +
 style) and the ``make verify`` gate (``--strict``: the baseline escape
 hatch is disabled, so only inline-justified suppressions pass).
-``tools/minilint.py`` delegates here with ``--style-only`` for
-backwards compatibility.
 """
 
 from __future__ import annotations
@@ -38,8 +36,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                         help="skip the style pack (F401/E501/W191/"
                              "W291) — for running next to ruff")
     parser.add_argument("--style-only", action="store_true",
-                        help="run only the style pack (the old "
-                             "tools/minilint.py surface)")
+                        help="run only the style pack")
     parser.add_argument("--baseline", default=None,
                         help=f"baseline file (default: "
                              f"{BASELINE_NAME} if present)")

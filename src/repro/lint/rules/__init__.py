@@ -9,7 +9,7 @@ Project-invariant packs (severity ``error``):
 * :mod:`repro.lint.rules.exceptions` — EXC001
 * :mod:`repro.lint.rules.timeouts` — TMO001
 
-Style pack (severity ``warning``, the old ``tools/minilint.py``):
+Style pack (severity ``warning``):
 
 * :mod:`repro.lint.rules.style` — F401, E501, W291, W191
 """

@@ -1,4 +1,4 @@
-"""The style pack — ``tools/minilint.py`` folded into reprolint.
+"""The style pack: a zero-dependency stand-in for ruff.
 
 Approximates the ruff surface configured in ``pyproject.toml`` with
 zero dependencies, under ruff's rule IDs so the two ``make lint``

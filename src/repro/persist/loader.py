@@ -1,6 +1,8 @@
 """Warm-start loader: re-materialize persisted translations at VM boot.
 
-For every record the loader
+Stores and servers hand records over unjudged: ``validate_record``
+here is the one integrity check on the read path.  For every record it
+accepts, the loader
 
 1. re-checks the **source fingerprint** against the freshly loaded
    program memory (a record translated from different bytes is stale and
@@ -15,8 +17,9 @@ For every record the loader
    counter (the old counter address is dead VMM state from the previous
    process);
 4. runs the stream through the translation **verifier rule-pack**, whose
-   context encodes every micro-op exactly once; a record that violates
-   any invariant is dropped, never installed, never executed;
+   context encodes only the micro-ops re-bound in step 3 (a canonical
+   record's bytes are its encoding); a record that violates any
+   invariant is dropped, never installed, never executed;
 5. installs *the bytes the verifier checked* through
    ``TranslationDirectory.install`` — the same path new translations
    take, so lookup tables, side tables and BBT->SBT redirects are wired

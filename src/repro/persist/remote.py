@@ -72,7 +72,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cacheserver import protocol
 from repro.faults.plane import fault_point
 from repro.persist.deadline import Deadline, RetryBudget
-from repro.persist.repository import TranslationRepository
+from repro.persist.repository import TranslationRepository, parse_object
 
 log = logging.getLogger("repro.persist.remote")
 
@@ -94,6 +94,19 @@ class RemoteRejected(RemoteError):
     ``deadline-exceeded``): fail fast, no retry, and — unlike server
     faults — no circuit-breaker penalty and no dropped connection,
     because the endpoint is healthy."""
+
+
+def pulled_records(response: Dict) -> List[Dict]:
+    """The records of a ``pull`` response: each object the server
+    shipped as stored, parsed.  One that is not a JSON object stored
+    under its manifest key is dropped here (it shows as a missing
+    object); everything else is the loader's to judge."""
+    entries, objects = response.get("entries"), response.get("objects")
+    if not isinstance(entries, list) or not isinstance(objects, list) \
+            or len(entries) != len(objects):
+        raise RemoteError("pull response carried no object list")
+    return [record for record in map(parse_object, entries, objects)
+            if record is not None]
 
 
 def parse_address(address) -> Tuple[str, object]:
@@ -755,11 +768,8 @@ class RemoteRepository:
     def load(self, config_fp: str, image_fp: str) -> List[Dict]:
         """Pull records for one (config, image) pair; never raises."""
         try:
-            response = self._request("pull", {"config_fp": config_fp,
-                                              "image_fp": image_fp})
-            records = response.get("records")
-            if not isinstance(records, list):
-                raise RemoteError("pull response carried no record list")
+            records = pulled_records(self._request(
+                "pull", {"config_fp": config_fp, "image_fp": image_fp}))
         except Exception as error:  # noqa: BLE001 - degrade, never raise
             self._fall_back("pull", error)
             if self.local is None:

@@ -57,17 +57,26 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.faults.plane import fault_point
-from repro.persist.format import (
-    FORMAT_VERSION,
-    PersistFormatError,
-    validate_record,
-)
+from repro.persist.format import FORMAT_VERSION
 from repro.persist.lease import DEFAULT_TIMEOUT, WriterLease
 
 log = logging.getLogger("repro.persist")
+
+
+def parse_object(key, text) -> Optional[Dict]:
+    """A stored object's text as a record, or None when it is not a
+    JSON object stored under its own key.  Whether the record is
+    *intact* is its installer's finding (``validate_record``)."""
+    try:
+        record = json.loads(text)
+    except (TypeError, ValueError):
+        return None
+    if not isinstance(record, dict) or record.get("key") != key:
+        return None
+    return record
 
 
 @dataclass
@@ -162,9 +171,11 @@ class TranslationRepository:
             with open(tmp, "w") as handle:
                 # one dumps, one write: json.dump would issue a write
                 # call per chunk (and, with indent, run the pure-Python
-                # encoder)
-                handle.write(json.dumps(payload, indent=indent,
-                                        sort_keys=True))
+                # encoder); without indent the text is compact, so an
+                # object's stored text is its wire text
+                handle.write(json.dumps(
+                    payload, indent=indent, sort_keys=True,
+                    separators=None if indent else (",", ":")))
                 handle.flush()
                 # the data must be durable *before* the rename is: a
                 # rename journaled ahead of its contents would survive
@@ -221,7 +232,7 @@ class TranslationRepository:
                 continue
             meta["objects"][record["key"]] = {
                 "last_used": 0, "size": size,
-                "kind": record["kind"], "entry": record["entry"]}
+                "kind": record.get("kind"), "entry": record.get("entry")}
         log.warning("meta.json was missing or corrupt; rebuilt index "
                     "with %d object(s) from %s",
                     len(meta["objects"]), self.objects_dir)
@@ -335,29 +346,33 @@ class TranslationRepository:
     # -- load ---------------------------------------------------------------
 
     def load(self, config_fp: str, image_fp: str) -> List[Dict]:
-        """Fetch the validated records for one (config, image) pair.
+        """Fetch the parsed records for one (config, image) pair.
 
-        Records that fail structural validation (truncated files,
-        tampered payloads, key mismatches) are silently skipped here and
-        reported by the loader as corrupt via the manifest/record count
-        difference.  Returns ``[]`` when no matching manifest exists.
+        A store only stores: objects that do not parse or sit under
+        another record's name are skipped (they show in the
+        manifest/record count difference); whether a record is intact
+        is the loader's finding.  ``[]`` when no manifest matches.
         """
+        records = map(parse_object, *self.load_stored(config_fp, image_fp))
+        return [record for record in records if record is not None]
+
+    def load_stored(self, config_fp: str, image_fp: str
+                    ) -> Tuple[List, List[Optional[str]]]:
+        """One manifest read: its entry list and, per entry, the object
+        file's text as it lies on disk (None where unreadable)."""
         manifest = self._read_manifest(config_fp, image_fp)
         if manifest is None:
-            return []
+            return [], []
         meta = self._load_meta()
         meta["clock"] += 1
         clock = meta["clock"]
-        records: List[Dict] = []
-        for key in manifest.get("entries", ()):
-            record = self._read_object(key)
-            if record is None:
-                continue
-            records.append(record)
-            if key in meta["objects"]:
+        entries = list(manifest.get("entries", ()))
+        texts = [self._read_stored(key) for key in entries]
+        for key, text in zip(entries, texts):
+            if text is not None and key in meta["objects"]:
                 meta["objects"][key]["last_used"] = clock
         self._write_meta(meta)
-        return records
+        return entries, texts
 
     def manifest_entry_count(self, config_fp: str,
                              image_fp: str) -> Optional[int]:
@@ -385,21 +400,17 @@ class TranslationRepository:
             return None  # tampered or misplaced manifest
         return manifest
 
-    def _read_object(self, key: str) -> Optional[Dict]:
+    def _read_stored(self, key: str) -> Optional[str]:
         path = self._object_path(key)
         try:
             fault_point("repo.read", path=str(path))
             with open(path) as handle:
-                record = json.load(handle)
+                return handle.read()
         except (OSError, ValueError):
             return None
-        try:
-            validate_record(record)
-        except PersistFormatError:
-            return None
-        if record["key"] != key:
-            return None  # stored under the wrong name
-        return record
+
+    def _read_object(self, key: str) -> Optional[Dict]:
+        return parse_object(key, self._read_stored(key))
 
     # -- stats / gc ---------------------------------------------------------
 

@@ -20,7 +20,7 @@ The sanitizer (:mod:`repro.verify.sanitizer`) hooks these into
 test suite or a debug run is checked the moment it is created.
 """
 
-from repro.verify.cfg import CFG, Located, build_cfg, locate
+from repro.verify.cfg import CFG, Located, build_cfg
 from repro.verify.report import Violation, VerifierReport
 from repro.verify.rules import RULES, rule_ids
 from repro.verify.sanitizer import TranslationVerifyError
@@ -38,7 +38,6 @@ __all__ = [
     "VerifierReport",
     "Violation",
     "build_cfg",
-    "locate",
     "rule_ids",
     "verify_directory",
     "verify_translation",

@@ -31,98 +31,72 @@ class Located(NamedTuple):
     uop: MicroOp
 
 
-def locate(uops: Sequence[MicroOp]) -> List[Located]:
-    out: List[Located] = []
-    offset = 0
-    for index, uop in enumerate(uops):
-        out.append(Located(index, offset, uop))
-        offset += OP_INFO[uop.op].length
-    return out
-
-
-def branch_target_offset(loc: Located) -> Optional[int]:
-    """Byte offset a relative control transfer lands on."""
-    info = OP_INFO[loc.uop.op]
-    if info.relative:
-        return loc.offset + info.length + loc.uop.imm
-    return None
-
-
 @dataclass
 class BasicBlock:
     bid: int
     locs: List[Located]
     succs: List[int] = field(default_factory=list)
 
-    @property
-    def first(self) -> Located:
-        return self.locs[0]
-
-    @property
-    def last(self) -> Located:
-        return self.locs[-1]
-
 
 @dataclass
 class CFG:
     locs: List[Located]
     blocks: List[BasicBlock]
-    block_of: Dict[int, int]          # uop index -> block id
     bad_targets: List[Located]        # control ops with off-stream targets
+    branches: List[Located]           # every control transfer, in order
     total_bytes: int = 0
     #: byte offset -> index of the micro-op starting there
     index_at_offset: Dict[int, int] = field(default_factory=dict)
 
-    @property
-    def entry(self) -> Optional[BasicBlock]:
-        return self.blocks[0] if self.blocks else None
-
 
 def build_cfg(uops: Sequence[MicroOp]) -> CFG:
-    """Partition a stream into basic blocks and wire successor edges."""
-    locs = locate(uops)
-    total = locs[-1].offset + locs[-1].uop.length if locs else 0
-    index_at_offset = {loc.offset: loc.index for loc in locs}
+    """Partition a stream into basic blocks and wire successor edges.
 
-    leaders = {0} if locs else set()
+    One pass over the micro-ops locates them, indexes their offsets and
+    finds the leaders; what follows walks only branches and blocks."""
+    locs: List[Located] = []
+    index_at_offset: Dict[int, int] = {}
+    leaders = {0}
+    branches: List[Located] = []
+    relative: List[Tuple[Located, int]] = []     # (branch, target offset)
+    offset = 0
+    for index, uop in enumerate(uops):
+        info = OP_INFO[uop.op]
+        loc = Located(index, offset, uop)
+        locs.append(loc)
+        index_at_offset[offset] = index
+        offset += info.length
+        if info.branch:
+            leaders.add(index + 1)
+            branches.append(loc)
+        if info.relative:
+            relative.append((loc, offset + uop.imm))
     bad_targets: List[Located] = []
-    for loc in locs:
-        target = branch_target_offset(loc)
-        if target is not None:
-            if target in index_at_offset:
-                leaders.add(index_at_offset[target])
-            else:
-                bad_targets.append(loc)
-        if OP_INFO[loc.uop.op].branch and loc.index + 1 < len(locs):
-            leaders.add(loc.index + 1)
+    target_of: Dict[int, int] = {}      # branch index -> target index
+    for loc, target in relative:    # forward targets are indexed only now
+        if target in index_at_offset:
+            target_of[loc.index] = index_at_offset[target]
+        else:
+            bad_targets.append(loc)
+    leaders.update(target_of.values())
 
-    blocks: List[BasicBlock] = []
-    block_of: Dict[int, int] = {}
-    current: List[Located] = []
-    for loc in locs:
-        if loc.index in leaders and current:
-            blocks.append(BasicBlock(bid=len(blocks), locs=current))
-            current = []
-        current.append(loc)
-        block_of[loc.index] = len(blocks)
-    if current:
-        blocks.append(BasicBlock(bid=len(blocks), locs=current))
-
+    starts = sorted(leaders - {len(locs)})
+    blocks = [BasicBlock(bid, locs[start:end]) for bid, (start, end)
+              in enumerate(zip(starts, starts[1:] + [len(locs)]))]
+    block_at = {start: bid for bid, start in enumerate(starts)}
     for block in blocks:
-        last = block.last
-        op = last.uop.op
-        target = branch_target_offset(last)
-        if target is not None and target in index_at_offset:
-            block.succs.append(block_of[index_at_offset[target]])
-        if OP_INFO[op].terminal or op is UOp.JMP:
-            continue
-        # everything else (BC/JCSRx fallthrough, VMCALL resume, plain
-        # fall-into-leader) continues to the next micro-op
-        if last.index + 1 < len(locs):
-            block.succs.append(block_of[last.index + 1])
-
-    return CFG(locs=locs, blocks=blocks, block_of=block_of,
-               bad_targets=bad_targets, total_bytes=total,
+        last = block.locs[-1]
+        info = OP_INFO[last.uop.op]
+        if last.index in target_of:
+            block.succs.append(block_at[target_of[last.index]])
+        # everything but a terminal or a JMP (BC/JCSRx fallthrough,
+        # VMCALL resume, plain fall-into-leader) continues to the next
+        # micro-op
+        if not (info.terminal or last.uop.op is UOp.JMP) \
+                and block.bid + 1 < len(blocks):
+            block.succs.append(block.bid + 1)
+    return CFG(locs=locs, blocks=blocks, bad_targets=bad_targets,
+               branches=branches, total_bytes=offset,
                index_at_offset=index_at_offset)
 
 

@@ -20,10 +20,10 @@ rule-pack and the tests:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.fusible.microop import MicroOp
-from repro.isa.fusible.opcodes import UOp
+from repro.isa.fusible.opcodes import OP_INFO, UOp
 from repro.isa.fusible.registers import (
     ARCH_REG_COUNT,
     NREGS,
@@ -31,27 +31,36 @@ from repro.isa.fusible.registers import (
 )
 from repro.verify.cfg import CFG, Located
 
-#: Pseudo-register index standing for the architected flags resource.
-FLAGS = -1
+# A register set is an integer mask, bit ``r`` standing for register
+# ``r``: union, intersection and difference are one int operation each.
+
+#: Bit index standing for the architected flags resource.
+FLAGS = NREGS
 
 #: Registers architecturally defined at translation entry: the mapped
 #: x86 GPRs plus the hardwired zero.  Every other register is VMM state
 #: that carries nothing between translations.
-ENTRY_DEFINED: FrozenSet[int] = frozenset(range(ARCH_REG_COUNT)) | {R_ZERO}
+ENTRY_DEFINED = (1 << ARCH_REG_COUNT) - 1 | 1 << R_ZERO
 
 #: Registers the VMM owns (must never carry live architected state).
-VMM_REGS: FrozenSet[int] = frozenset(range(ARCH_REG_COUNT, NREGS)) - {R_ZERO}
-
-ALL_REGS: FrozenSet[int] = frozenset(range(NREGS))
+VMM_MASK = (1 << NREGS) - 1 & ~ENTRY_DEFINED
 
 
-def regs_read(uop: MicroOp) -> FrozenSet[int]:
-    return frozenset(uop.sources())
+def regs_in(mask: int) -> List[int]:
+    """The members of a register mask, ascending."""
+    return [reg for reg in range(mask.bit_length()) if mask >> reg & 1]
 
 
-def regs_written(uop: MicroOp) -> FrozenSet[int]:
+def regs_read(uop: MicroOp) -> int:
+    mask = 0
+    for field in OP_INFO[uop.op].sources:
+        mask |= 1 << getattr(uop, field)
+    return mask & ~(1 << R_ZERO)
+
+
+def regs_written(uop: MicroOp) -> int:
     dest = uop.dest()
-    return frozenset() if dest is None else frozenset({dest})
+    return 0 if dest is None else 1 << dest
 
 
 def conflicts(first: MicroOp, second: MicroOp) -> bool:
@@ -83,10 +92,11 @@ def conflicts(first: MicroOp, second: MicroOp) -> bool:
 
 
 class ForwardAnalysis:
-    """Worklist solver; subclasses define lattice and transfer.
+    """Sweep solver; subclasses define lattice and transfer.
 
-    States must be hashable-equality values (frozensets, tuples).  A
-    ``None`` per-uop state means the micro-op is unreachable from entry.
+    States must be equality-comparable values (ints, tuples,
+    frozensets).  A ``None`` per-uop state means the micro-op is
+    unreachable from entry.
     """
 
     def entry_state(self):
@@ -99,27 +109,34 @@ class ForwardAnalysis:
         raise NotImplementedError
 
     def run(self, cfg: CFG) -> List[Optional[object]]:
-        """Solve to fixpoint; returns the state *before* each micro-op."""
+        """Solve to fixpoint; returns the state *before* each micro-op.
+
+        Blocks are swept in address order; only a back edge that lowered
+        its (already walked) target asks for another sweep.  In-states
+        only move down a finite lattice, so the sweeps end, and the last
+        one walked every block from its final in-state.
+        """
         before: List[Optional[object]] = [None] * len(cfg.locs)
         if not cfg.blocks:
             return before
         block_in: List[Optional[object]] = [None] * len(cfg.blocks)
         block_in[0] = self.entry_state()
-        worklist = [0]
-        while worklist:
-            bid = worklist.pop()
-            state = block_in[bid]
-            # a block is walked again whenever its in-state changes, so
-            # the states its last walk leaves in ``before`` are final
-            for loc in cfg.blocks[bid].locs:
-                before[loc.index] = state
-                state = self.transfer(state, loc)
-            for succ in cfg.blocks[bid].succs:
-                merged = state if block_in[succ] is None \
-                    else self.meet(block_in[succ], state)
-                if merged != block_in[succ]:
-                    block_in[succ] = merged
-                    worklist.append(succ)
+        again = True
+        while again:
+            again = False
+            for block in cfg.blocks:
+                state = block_in[block.bid]
+                if state is None:
+                    continue    # not (yet) reachable
+                for loc in block.locs:
+                    before[loc.index] = state
+                    state = self.transfer(state, loc)
+                for succ in block.succs:
+                    merged = state if block_in[succ] is None \
+                        else self.meet(block_in[succ], state)
+                    if merged != block_in[succ]:
+                        block_in[succ] = merged
+                        again = again or succ <= block.bid
         return before
 
 
@@ -175,7 +192,7 @@ class BackwardAnalysis:
 
 
 class _DefinitelyDefined(ForwardAnalysis):
-    def __init__(self, entry_defined: FrozenSet[int]) -> None:
+    def __init__(self, entry_defined: int) -> None:
         self._entry = entry_defined
 
     def entry_state(self):
@@ -185,19 +202,22 @@ class _DefinitelyDefined(ForwardAnalysis):
         return left & right
 
     def transfer(self, state, loc: Located):
-        dest = loc.uop.dest()
-        return state if dest is None or dest in state else state | {dest}
+        return state | regs_written(loc.uop)
 
 
-def definitely_defined(cfg: CFG,
-                       entry_defined: FrozenSet[int] = ENTRY_DEFINED
-                       ) -> List[Optional[FrozenSet[int]]]:
-    """Registers written on every path before each micro-op."""
+def definitely_defined(cfg: CFG, entry_defined: int = ENTRY_DEFINED
+                       ) -> List[Optional[int]]:
+    """Registers (a mask) written on every path before each micro-op."""
     return _DefinitelyDefined(entry_defined).run(cfg)
 
 
 #: Flag-provenance lattice value: (architected_flags_intact, saved_copy).
 FlagState = Tuple[bool, Optional[int]]
+
+#: ``saved_copy`` where paths disagree: a window may be open, no register
+#: is known to hold the copy.  Below None ("no window") and every
+#: register, so the transfer is monotone and visiting order cannot show.
+CONFLICT = -1
 
 
 class _FlagProvenance(ForwardAnalysis):
@@ -217,7 +237,7 @@ class _FlagProvenance(ForwardAnalysis):
 
     def meet(self, left: FlagState, right: FlagState) -> FlagState:
         arch = left[0] and right[0]
-        saved = left[1] if left[1] == right[1] else None
+        saved = left[1] if left[1] == right[1] else CONFLICT
         return (arch, saved)
 
     def transfer(self, state: FlagState, loc: Located) -> FlagState:
@@ -227,7 +247,7 @@ class _FlagProvenance(ForwardAnalysis):
             if arch:
                 return (True, uop.rd)  # opens a save window
             # snapshot of already-clobbered flags: useless as a save
-            return (False, None if saved == uop.rd else saved)
+            return (False, CONFLICT)
         if uop.op is UOp.WRFLG:
             # closes the window; restores only from the valid saved copy
             return (saved is not None and uop.rs1 == saved, None)
@@ -264,8 +284,7 @@ class _Both(ForwardAnalysis):
                 self._right.transfer(state[1], loc))
 
 
-def defined_and_flags(cfg: CFG) -> List[Optional[Tuple[FrozenSet[int],
-                                                       FlagState]]]:
+def defined_and_flags(cfg: CFG) -> List[Optional[Tuple[int, FlagState]]]:
     """``(definitely_defined, flag_provenance)`` before each micro-op."""
     return _Both(_DefinitelyDefined(ENTRY_DEFINED), _FlagProvenance()).run(cfg)
 
@@ -273,24 +292,19 @@ def defined_and_flags(cfg: CFG) -> List[Optional[Tuple[FrozenSet[int],
 class _LiveRegisters(BackwardAnalysis):
     def exit_state(self):
         # precise architected state must survive every exit
-        return frozenset(range(ARCH_REG_COUNT)) | {FLAGS}
+        return (1 << ARCH_REG_COUNT) - 1 | 1 << FLAGS
 
     def meet(self, left, right):
         return left | right
 
     def transfer(self, state, loc: Located):
         uop = loc.uop
-        state = state - regs_written(uop)
-        if uop.writes_flags:
-            state = state - {FLAGS}
-        state = state | regs_read(uop)
-        if uop.reads_flags:
-            state = state | {FLAGS}
-        return state
+        state &= ~(regs_written(uop) | uop.writes_flags << FLAGS)
+        return state | regs_read(uop) | uop.reads_flags << FLAGS
 
 
-def live_registers(cfg: CFG) -> List[Optional[FrozenSet[int]]]:
-    """Registers (plus FLAGS) live *after* each micro-op."""
+def live_registers(cfg: CFG) -> List[Optional[int]]:
+    """Registers (plus FLAGS; a mask) live *after* each micro-op."""
     return _LiveRegisters().run(cfg)
 
 
@@ -299,19 +313,19 @@ class _ReachingDefinitions(ForwardAnalysis):
     register number or FLAGS.  Index -1 marks an entry definition."""
 
     def entry_state(self):
-        return frozenset((reg, -1) for reg in ALL_REGS) | {(FLAGS, -1)}
+        return frozenset((res, -1) for res in range(FLAGS + 1))
 
     def meet(self, left, right):
         return left | right
 
     def transfer(self, state, loc: Located):
-        killed = regs_written(loc.uop)
-        if loc.uop.writes_flags:
-            killed = killed | {FLAGS}
+        killed = regs_written(loc.uop) | loc.uop.writes_flags << FLAGS
         if not killed:
             return state
-        state = frozenset(pair for pair in state if pair[0] not in killed)
-        return state | frozenset((res, loc.index) for res in killed)
+        state = frozenset(pair for pair in state
+                          if not killed >> pair[0] & 1)
+        return state | frozenset((res, loc.index)
+                                 for res in regs_in(killed))
 
 
 def reaching_definitions(cfg: CFG):
@@ -327,11 +341,8 @@ def def_use_chains(cfg: CFG) -> Dict[int, List[int]]:
         state = before[loc.index]
         if state is None:
             continue
-        used = regs_read(loc.uop)
-        flag_use = loc.uop.reads_flags
+        used = regs_read(loc.uop) | loc.uop.reads_flags << FLAGS
         for resource, def_index in state:
-            if def_index < 0:
-                continue
-            if resource in used or (resource == FLAGS and flag_use):
+            if def_index >= 0 and used >> resource & 1:
                 chains.setdefault(def_index, set()).add(loc.index)
     return {key: sorted(value) for key, value in sorted(chains.items())}

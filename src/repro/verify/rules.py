@@ -36,15 +36,17 @@ from repro.isa.fusible.encoding import (
     decode_stream,
     decode_uop,
     encode_uop,
+    is_canonical,
 )
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import OP_INFO, UOp, VMService
 from repro.isa.fusible.registers import R_EXIT_TARGET, reg_name
 from repro.verify.cfg import Located, build_cfg, fused_pairs
 from repro.verify.dataflow import (
-    VMM_REGS,
+    VMM_MASK,
     conflicts,
     defined_and_flags,
+    regs_in,
     regs_read,
 )
 from repro.verify.report import Violation
@@ -86,8 +88,8 @@ class VerifyContext:
     bytes, and (on first use) the forward dataflow facts."""
 
     def __init__(self, uops, translation=None, memory=None,
-                 directory=None, live_entries: Optional[Set[int]] = None
-                 ) -> None:
+                 directory=None, live_entries: Optional[Set[int]] = None,
+                 source: tuple = (b"", ())) -> None:
         self.uops: List[MicroOp] = list(uops)
         self.translation = translation
         self.memory = memory
@@ -98,9 +100,22 @@ class VerifyContext:
         #: per micro-op: its encoded bytes, or the UopEncodeError.  The
         #: one encoding ENC001, ENC002 and CCH001 check and, for a warm
         #: install, the very bytes that go into the code cache.
-        self.encoded = [_encode(uop) for uop in self.uops]
-        #: indices ENC002 holds by construction (see ``from_code``)
-        self.round_trip_proven: FrozenSet[int] = frozenset()
+        self.encoded: List = []
+        #: indices ENC001/ENC002 must check (``encoded`` is ``encode_uop``'s);
+        #: elsewhere it *is* the canonical ``source`` slice decoded from
+        self.unproven: List[int] = []
+        code, decoded = source      # bytes, and what they decoded to
+        end = 0
+        for was, now in zip(decoded, self.uops):
+            start, end = end, end + OP_INFO[was.op].length
+            chunk = code[start:end]
+            if now is was and is_canonical(was.op, chunk):
+                self.encoded.append(chunk)
+            else:
+                self.unproven.append(len(self.encoded))
+                self.encoded.append(_encode(now))
+        self.unproven += range(len(self.encoded), len(self.uops))
+        self.encoded += map(_encode, self.uops[len(self.encoded):])
         self._facts = None
         self._live_entries = live_entries
 
@@ -112,23 +127,16 @@ class VerifyContext:
         takes it.  ``rebind`` may swap micro-ops of the decoded list
         before anything is built on it.
 
-        Where a micro-op is the very object decoded here and re-encodes
-        to the bytes it was decoded from, decode(encode(u)) = u holds by
-        construction and ENC002 does not decode it again.  A swapped
-        micro-op, or one whose bytes had don't-care bits set, is checked
+        Where a micro-op is the very object decoded here and its bytes
+        are canonical (no don't-care bit of its form set), those bytes
+        *are* its encoding: ENC001 and ENC002 hold by construction and
+        it is neither encoded nor decoded again.  A swapped micro-op, or
+        one decoded from non-canonical bytes, is encoded and checked
         like any other, and ``image`` is the canonical re-encoding.
         """
         decoded = decode_stream(code, x86_addrs)
-        ctx = cls(decoded if rebind is None else rebind(decoded), **where)
-        proven = set()
-        end = 0
-        for index, (was, now, data) in enumerate(
-                zip(decoded, ctx.uops, ctx.encoded)):
-            start, end = end, end + OP_INFO[was.op].length
-            if now is was and data == code[start:end]:
-                proven.add(index)
-        ctx.round_trip_proven = frozenset(proven)
-        return ctx
+        return cls(decoded if rebind is None else rebind(decoded),
+                   source=(code, decoded), **where)
 
     @property
     def image(self) -> bytes:
@@ -360,7 +368,7 @@ def _check_stb001(ctx: VerifyContext) -> Iterator[Violation]:
 
 @rule("STB002", "VMEXIT hands the continuation to the VMM in R29")
 def _check_stb002(ctx: VerifyContext) -> Iterator[Violation]:
-    for loc in ctx.locs:
+    for loc in ctx.cfg.branches:
         if loc.uop.op is UOp.VMEXIT and loc.uop.rs1 != R_EXIT_TARGET:
             yield _v("STB002",
                      f"VMEXIT reads {reg_name(loc.uop.rs1)}; the "
@@ -376,18 +384,16 @@ def _check_scr001(ctx: VerifyContext) -> Iterator[Violation]:
     for loc, fact in zip(ctx.locs, ctx.facts):
         if fact is None:
             continue  # unreachable from entry
-        defined = fact[0]
-        for reg in sorted(regs_read(loc.uop)):
-            if reg in VMM_REGS and reg not in defined:
-                yield _v("SCR001",
-                         f"reads VMM register {reg_name(reg)} which is "
-                         f"not defined on every path from entry", loc)
+        for reg in regs_in(regs_read(loc.uop) & VMM_MASK & ~fact[0]):
+            yield _v("SCR001",
+                     f"reads VMM register {reg_name(reg)} which is "
+                     f"not defined on every path from entry", loc)
 
 
 @rule("PRS001", "architected flags are intact at every VMM handoff")
 def _check_prs001(ctx: VerifyContext) -> Iterator[Violation]:
-    for loc, fact in zip(ctx.locs, ctx.facts):
-        uop = loc.uop
+    for loc in ctx.cfg.branches:
+        uop, fact = loc.uop, ctx.facts[loc.index]
         handoff = uop.op is UOp.VMEXIT or (
             uop.op is UOp.VMCALL and uop.imm != int(VMService.PROFILE))
         if not handoff or fact is None:
@@ -403,18 +409,18 @@ def _check_prs001(ctx: VerifyContext) -> Iterator[Violation]:
 
 @rule("ENC001", "every emitted micro-op is encodable")
 def _check_enc001(ctx: VerifyContext) -> Iterator[Violation]:
-    for loc, data in zip(ctx.locs, ctx.encoded):
+    for index in ctx.unproven:
+        loc, data = ctx.locs[index], ctx.encoded[index]
         if isinstance(data, UopEncodeError):
             yield _v("ENC001", f"'{loc.uop}' does not encode: {data}", loc)
 
 
 @rule("ENC002", "encode -> decode is the identity on emitted micro-ops")
 def _check_enc002(ctx: VerifyContext) -> Iterator[Violation]:
-    for loc, data in zip(ctx.locs, ctx.encoded):
+    for index in ctx.unproven:     # the rest: decoded from these very bytes
+        loc, data = ctx.locs[index], ctx.encoded[index]
         if isinstance(data, UopEncodeError):
             continue  # ENC001's finding
-        if loc.index in ctx.round_trip_proven:
-            continue  # decoded by this context from these very bytes
         decoded = decode_uop(data)
         if _encoded_fields(decoded) != _encoded_fields(loc.uop):
             yield _v("ENC002",
@@ -531,7 +537,7 @@ def _check_chn002(ctx: VerifyContext) -> Iterator[Violation]:
       requires=("translation",))
 def _check_sid001(ctx: VerifyContext) -> Iterator[Violation]:
     translation = ctx.translation
-    for loc in ctx.locs:
+    for loc in ctx.cfg.branches:
         if loc.uop.op is not UOp.VMCALL:
             continue
         native = translation.native_addr + loc.offset

@@ -23,6 +23,7 @@ from repro.persist import (
     config_fingerprint,
     image_fingerprint,
 )
+from repro.persist.remote import pulled_records
 
 LOOP = """
 start:
@@ -195,9 +196,13 @@ class TestServerOps:
         pulled = raw_call(server, {"op": "pull", "config_fp": config_fp,
                                    "image_fp": image_fp})
         assert pulled["ok"] is True
-        assert {r["key"] for r in pulled["records"]} == \
-            {r["key"] for r in records}
-        assert pulled["manifest_entries"] == len(records)
+        # each object rides as the text the store holds, under its key
+        assert set(pulled["entries"]) == {r["key"] for r in records}
+        assert len(pulled["entries"]) == len(records)
+        assert sorted(pulled_records(pulled), key=lambda r: r["key"]) == \
+            sorted(records, key=lambda r: r["key"])
+        stored = server.repository._object_path(pulled["entries"][0])
+        assert pulled["objects"][0] == stored.read_text()
 
     def test_manifest_probe(self, server):
         records, config_fp, image_fp, _vm = cold_records()
@@ -232,8 +237,8 @@ class TestServerOps:
         assert response["rejected"] == 3
         pulled = raw_call(server, {"op": "pull", "config_fp": config_fp,
                                    "image_fp": image_fp})
-        assert [r["key"] for r in pulled["records"]] == \
-            [records[1]["key"]]
+        assert pulled["entries"] == [records[1]["key"]]
+        assert pulled_records(pulled) == [records[1]]
         assert server.stats.to_dict()["records_rejected"] == 3
 
     def test_cross_workload_dedup(self, server):
@@ -258,7 +263,7 @@ class TestServerOps:
             pulled = raw_call(server, {"op": "pull",
                                        "config_fp": config_fp,
                                        "image_fp": image_fp})
-            assert len(pulled["records"]) == len(records)
+            assert len(pulled_records(pulled)) == len(records)
 
     def test_contended_lease_surfaces_as_lease_busy(self, tmp_path):
         with CacheServer(tmp_path / "repo",

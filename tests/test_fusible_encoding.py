@@ -14,6 +14,8 @@ from repro.isa.fusible import (
     encode_uop,
     stream_length,
 )
+from repro.isa.fusible.encoding import is_canonical
+from repro.isa.fusible.opcodes import OP_INFO
 from repro.isa.x86lite.registers import Cond
 from tests.strategies import uops
 
@@ -116,3 +118,63 @@ class TestRoundtrip:
         decoded = decode_stream(data)
         assert [str(uop) for uop in decoded] == \
             [str(uop) for uop in sequence]
+
+
+@st.composite
+def words(draw):
+    """The bytes of one micro-op of a drawn opcode: every operand bit
+    random, so fields the form does not carry get set as well; half the
+    long words are thinned out, or few would have every such bit clear."""
+    info = OP_INFO[draw(st.sampled_from(sorted(UOp, key=lambda o: o.name)))]
+    fused = draw(st.integers(0, 1))
+    if info.length == 2:
+        return info.op, (fused << 15 | info.number << 9
+                         | draw(st.integers(0, 0x1FF))).to_bytes(2, "little")
+    operand = draw(st.integers(0, 0xFFFFFF))
+    if draw(st.booleans()):
+        operand &= draw(st.integers(0, 0xFFFFFF))
+    word = fused << 31 | 1 << 30 | info.number << 24 | operand
+    return info.op, ((word >> 16).to_bytes(2, "little")
+                     + (word & 0xFFFF).to_bytes(2, "little"))
+
+
+class TestCanonicalWords:
+    """``is_canonical`` is what lets the install screen take a record's
+    own bytes for a micro-op's encoding."""
+
+    @given(drawn=words())
+    @settings(max_examples=3000, deadline=None)
+    def test_canonical_iff_the_word_survives_the_round_trip(self, drawn):
+        op, word = drawn
+        try:
+            uop = decode_uop(word)
+        except UopDecodeError:
+            return      # e.g. a condition field that names no condition
+        assert uop.op is op
+        assert is_canonical(op, word) == (encode_uop(uop) == word)
+
+    @given(uop=uops)
+    @settings(max_examples=400)
+    def test_every_encoding_is_canonical(self, uop):
+        assert is_canonical(uop.op, encode_uop(uop))
+
+    def test_every_operand_bit_of_every_opcode_on_its_own(self):
+        partial = set()     # forms that leave some operand bit uncarried
+        for op, info in OP_INFO.items():
+            for bit in range(9 if info.length == 2 else 24):
+                if info.length == 2:
+                    word = (info.number << 9 | 1 << bit).to_bytes(
+                        2, "little")
+                else:
+                    value = 1 << 30 | info.number << 24 | 1 << bit
+                    word = ((value >> 16).to_bytes(2, "little")
+                            + (value & 0xFFFF).to_bytes(2, "little"))
+                try:
+                    uop = decode_uop(word)
+                except UopDecodeError:
+                    continue
+                canonical = encode_uop(uop) == word
+                assert is_canonical(op, word) == canonical, (op, bit)
+                if not canonical:
+                    partial.add(info.form)
+        assert partial == {"N0", "R1", "X2", "R2", "R3", "SEL", "BC"}

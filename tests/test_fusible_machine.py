@@ -10,6 +10,7 @@ from repro.isa.fusible import (
     NativeBudgetExhausted,
     NativeMachineError,
     UOp,
+    decode_uop,
     encode_stream,
 )
 from repro.isa.fusible.registers import R_ZERO
@@ -465,3 +466,94 @@ class TestRunMatchesStepping:
             MicroOp(UOp.HALT),
         ], setup=setup)
         assert machine._xlt_unit.invocations == 2
+
+
+# -- bound steps are shared by word ------------------------------------------
+#
+# A run looks each non-control micro-op up by its bytes and binds a word
+# only the first time the machine meets it.  ``step`` binds per site, so
+# ``TestRunMatchesStepping`` above is the differential; these pin what is
+# shared, what is not, and that rewritten code is looked up afresh.
+
+def run_steps(machine, pc):
+    body, tail = machine._runs[pc][:2]
+    return body + (tail,)
+
+
+class TestStepsSharedByWord:
+    def test_equal_words_share_one_step_across_sites_and_runs(self):
+        inc = MicroOp(UOp.ADDI2, rd=1, imm=1)
+        add = MicroOp(UOp.ADDI, rd=2, rs1=2, imm=5)
+        machine, event = run_code([
+            inc, add, inc, MicroOp(UOp.JMP, imm=0),
+            add, inc, MicroOp(UOp.HALT)])
+        assert event.kind == "halt"
+        assert (machine.regs[1], machine.regs[2]) == (3, 10)
+        first, second = run_steps(machine, CODE), \
+            run_steps(machine, CODE + 12)
+        assert first[0] is first[2] is second[1]
+        assert first[1] is second[0]
+        # one closure per distinct non-control word, none for the JMP
+        # and the HALT
+        assert set(machine._steps_by_word) == {
+            encode_stream([inc]), encode_stream([add])}
+
+    def test_control_micro_ops_are_bound_per_site(self):
+        # the same BC word at two sites: each branches relative to its
+        # own pc, so each site needs a step of its own
+        skip = MicroOp(UOp.BC, cond=Cond.E, imm=2)
+        inc = MicroOp(UOp.ADDI2, rd=1, imm=1)
+        machine, event = run_code([
+            MicroOp(UOp.SUBI, rd=R_ZERO, rs1=R_ZERO, imm=0, setflags=True),
+            skip, inc, skip, inc, MicroOp(UOp.VMEXIT, rs1=1)])
+        assert event == ExitEvent("vmexit", value=0, native_pc=CODE + 16,
+                                  resume_pc=CODE + 20)
+        assert run_steps(machine, CODE)[-1] is not \
+            run_steps(machine, CODE + 10)[-1]
+        assert not any(word == encode_stream([skip])
+                       for word in machine._steps_by_word)
+
+    @pytest.mark.parametrize("new_imm", [1, 2])
+    def test_a_store_rewrites_code_to_the_same_or_to_other_bytes(
+            self, new_imm):
+        # the STW overwrites the ADDI at CODE + 16 with ``addi r3, 1``
+        # (the bytes already there) or ``addi r3, 2``; either way the
+        # write drops the runs decoded from the page and what follows is
+        # decoded from the bytes memory holds now
+        old = MicroOp(UOp.ADDI, rd=3, rs1=R_ZERO, imm=1)
+        new = int.from_bytes(encode_stream(
+            [MicroOp(UOp.ADDI, rd=3, rs1=R_ZERO, imm=new_imm)]), "little")
+        uops = [
+            MicroOp(UOp.LUI, rd=2, imm=new >> 13),
+            MicroOp(UOp.ORI, rd=2, rs1=2, imm=new & 0x1FFF),
+            MicroOp(UOp.STW, rd=2, rs1=9, imm=16),
+            MicroOp(UOp.ADDI, rd=4, rs1=R_ZERO, imm=7),
+            old,                                          # at CODE + 16
+            MicroOp(UOp.HALT),
+        ]
+        regs = [0] * 32
+        regs[9] = CODE
+        machine, seen = assert_run_matches_stepping(
+            CODE, uops, budget=50, rounds=2, regs=regs)
+        assert seen["outcome"].kind == "halt"
+        assert machine.regs[3] == new_imm and machine.regs[4] == 7
+        # the run was cut at the store and decoded again behind it; the
+        # old word was decoded (with the first run) but, once rewritten,
+        # it is the new word's step that sits at CODE + 16
+        words = machine._steps_by_word
+        assert encode_stream([old]) in words
+        assert run_steps(machine, CODE + 12)[1] is \
+            words[new.to_bytes(4, "little")][0]
+
+    @given(program=native_programs())
+    @settings(max_examples=100, deadline=None)
+    def test_the_table_holds_only_words_memory_held(self, program):
+        runner, _ = machine_pair(program.start, program.uops,
+                                 regs=program.regs, flags=program.flags,
+                                 data=bytes(range(64)))
+        observe(runner, FusibleMachine.run, program.start, program.budget)
+        for word, (step, shape) in runner._steps_by_word.items():
+            uop = decode_uop(word)
+            assert not uop.is_branch
+            assert shape == (uop.length | 0x80 if uop.fused
+                             else uop.length)

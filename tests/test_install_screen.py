@@ -11,12 +11,14 @@ installed.  These tests pin the properties of that screen:
   (ENC002) cannot be written down in bytes — the decoder yields only
   encodable, canonical micro-ops — so both rules are exercised on
   contexts built from micro-ops instead;
-* each micro-op is decoded at most once and encoded exactly once per
-  install, and the bytes written to the code cache are the bytes the
-  verifier checked — the canonical re-encoding, even where the record's
+* each micro-op is decoded at most once and encoded at most once per
+  install — encoded only where the loader re-bound it or its bytes were
+  not canonical; everywhere else the record's own bytes are its
+  encoding — and the bytes written to the code cache are the bytes the
+  verifier checked: the canonical encoding, even where the record's
   code had don't-care bits set;
-* ENC002 skips its re-decode only for micro-ops the context itself
-  decoded from bytes equal to their re-encoding;
+* ENC001 and ENC002 hold by construction only for micro-ops the context
+  itself decoded from canonical bytes;
 * numbers a record spells out in JSON are numbers: booleans and other
   junk never reach the loader's rebuild (``corrupt``);
 * ``MicroOp`` under its hand-written constructor is the value type it
@@ -220,12 +222,19 @@ class TestOneEncodePerMicroOp:
             bbt_records)
         assert report.loaded == len(bbt_records) > 1
 
-        # one encode_uop call per micro-op per install, nothing else
-        assert len(encoded) == sum(len(decoded(r)) for r in bbt_records)
+        # every record here is canonical, so the only micro-ops encoded
+        # are the two of each profiling prologue the loader re-bound
+        by_entry = {r["entry"]: r for r in bbt_records}
+        rebound = sum(r["counter_addr"] is not None for r in bbt_records)
+        assert len(encoded) == 2 * rebound > 0
         seen = 0
         for calls_so_far, data, translation in installs:
-            # the bytes handed to the code cache are the verifier's ...
-            assert data == b"".join(encoded[seen:calls_so_far])
+            # the bytes handed to the code cache are the verifier's: the
+            # record's own, but for the re-bound LUI/ORI at bytes 4..12
+            code = bytes.fromhex(by_entry[translation.entry]["code"])
+            patch = b"".join(encoded[seen:calls_so_far])
+            assert len(patch) in (0, 8)
+            assert data == (code[:4] + patch + code[12:] if patch else code)
             seen = calls_so_far
             # ... and they are what the machine will decode
             assert vm.state.memory.read(translation.native_addr,
@@ -260,13 +269,13 @@ class TestRoundTripByConstruction:
 
     def test_every_decoded_micro_op_is_proven(self, victim):
         ctx = self.clean(victim)
-        assert ctx.round_trip_proven == frozenset(range(len(ctx.uops)))
+        assert ctx.unproven == []
         assert ctx.image == bytes.fromhex(victim["code"])
         assert run_rules(ctx).ok
 
     def test_a_context_built_from_micro_ops_proves_nothing(self, victim):
         ctx = VerifyContext(decoded(victim))
-        assert ctx.round_trip_proven == frozenset()
+        assert ctx.unproven == list(range(len(ctx.uops)))
 
     def test_enc002_fires_on_a_micro_op_whose_decode_differs(self):
         # VMEXIT's form carries no rs2: the field is lost in the bytes
@@ -290,7 +299,7 @@ class TestRoundTripByConstruction:
         # same bytes as the micro-op it replaced, yet not proven: it is
         # not the object this context decoded
         assert ctx.encoded[last] == bytes.fromhex(victim["code"])[-4:]
-        assert ctx.round_trip_proven == frozenset(range(last))
+        assert ctx.unproven == [last]
         assert "ENC002" in {v.rule_id for v in run_rules(ctx).violations}
 
     def test_dont_care_bits_install_canonical_bytes(self, victim,
@@ -302,10 +311,12 @@ class TestRoundTripByConstruction:
         record = resealed(victim)
         assert decoded(record) == decoded({**record,
                                            "code": clean_code.hex()})
+        encoded = counted(monkeypatch, "encode_uop", (rules_module,))
         ctx = VerifyContext.from_code(*record_stream(record))
         last = len(ctx.uops) - 1
-        assert ctx.round_trip_proven == frozenset(range(last))
+        assert ctx.unproven == [last]
         assert ctx.image == clean_code
+        assert encoded == [clean_code[-4:]]     # the one non-canonical word
 
         vm = booted()
         installs = recorded_installs(monkeypatch, vm.runtime.directory, [])

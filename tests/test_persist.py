@@ -180,10 +180,12 @@ class TestInvalidation:
             tampered += 1
         assert tampered > 0
         warm_vm, load = warm_boot(repo)
-        # validation recomputes the content key: mismatch = corrupt,
-        # filtered in the repository before the loader ever sees it
+        # the store only stores: a tampered object that still parses is
+        # served, and the loader's validation (it recomputes the content
+        # key) is the one check that finds it
         assert load.loaded == 0
-        assert load.missing_objects == tampered
+        assert load.corrupt == tampered
+        assert load.missing_objects == 0
         warm = warm_vm.run()
         assert warm.exit_code == 0  # falls back to cold translation
 

@@ -247,10 +247,16 @@ class TestDamagedCodeIsCorrupt:
 
 
 class TestNonObjectRecords:
-    """A pull response whose ``records`` holds something that is not an
-    object used to raise ``AttributeError`` out of ``vm.warm_start``."""
+    """A record list holding something that is not an object used to
+    raise ``AttributeError`` out of ``vm.warm_start``."""
 
     JUNK = [None, "junk", 7, [1, 2], True]
+    #: what a server may ship as stored objects: things that are not
+    #: text, text that is not a JSON object, an object under another
+    #: name -- dropped by ``pulled_records`` -- and two objects under
+    #: their own names that are no records: the loader's finding
+    SHIPPED = JUNK + ["{not json", "null", "[1, 2]", '{"key": "other"}',
+                      '{"key": "k9"}', '{"key": "k10", "kind": 7}']
 
     def test_loader_counts_them_corrupt(self, records):
         vm = booted()
@@ -289,10 +295,15 @@ class TestNonObjectRecords:
                     conn.settimeout(5.0)
                     try:
                         while True:
-                            protocol.recv_message(conn)
-                            protocol.send_message(conn, protocol.ok(
-                                records=self.JUNK, entries=len(self.JUNK),
-                                manifest_entries=len(self.JUNK)))
+                            request = protocol.recv_message(conn)
+                            count = len(self.SHIPPED)
+                            if request["op"] == "pull":
+                                answer = protocol.ok(
+                                    entries=[f"k{i}" for i in range(count)],
+                                    objects=self.SHIPPED)
+                            else:
+                                answer = protocol.ok(entries=count)
+                            protocol.send_message(conn, answer)
                     except (OSError, protocol.ProtocolError):
                         pass
 
@@ -310,10 +321,26 @@ class TestNonObjectRecords:
             listener.close()
             thread.join(timeout=5.0)
         assert not thread.is_alive()
-        assert client.remote_stats.records_pulled == len(self.JUNK)
-        assert (report.corrupt, report.loaded) == (len(self.JUNK), 0)
+        assert client.remote_stats.records_pulled == 2
+        assert (report.corrupt, report.loaded) == (2, 0)
+        assert report.missing_objects == len(self.SHIPPED) - 2
         result = vm.run()
         assert result.exit_code == 0 and result.blocks_translated > 0
+
+
+def forge_v2_manifest(store, vm) -> int:
+    """Re-issue the v1 store's manifest under the current format and
+    ``vm``'s fingerprints; returns how many (v1) objects it lists."""
+    old = next((store / "manifests").glob("*.json"))
+    manifest = json.loads(old.read_text())
+    manifest["format"] = FORMAT_VERSION
+    manifest["config_fingerprint"] = config_fingerprint(vm.config)
+    old.unlink()
+    (store / "manifests" / (
+        f"{manifest['config_fingerprint']}__"
+        f"{manifest['image_fingerprint']}.json")).write_text(
+            json.dumps(manifest))
+    return len(manifest["entries"])
 
 
 class TestV1Store:
@@ -349,20 +376,13 @@ class TestV1Store:
 
     def test_forged_v2_manifest_still_loads_nothing(self, store):
         """Even when a manifest of the current version and name points
-        at them, v1 objects never reach the loader."""
-        old = next((store / "manifests").glob("*.json"))
-        manifest = json.loads(old.read_text())
+        at them, v1 objects are never installed: the store serves what
+        it holds and the loader finds every one corrupt."""
         vm = booted()
-        manifest["format"] = FORMAT_VERSION
-        manifest["config_fingerprint"] = config_fingerprint(vm.config)
-        old.unlink()
-        (store / "manifests" / (
-            f"{manifest['config_fingerprint']}__"
-            f"{manifest['image_fingerprint']}.json")).write_text(
-                json.dumps(manifest))
+        listed = forge_v2_manifest(store, vm)
         report = vm.warm_start(TranslationRepository(store))
-        assert report.loaded == 0
-        assert report.missing_objects == len(manifest["entries"]) == 5
+        assert report.loaded == report.missing_objects == 0
+        assert report.corrupt == listed == 5
         assert vm.run().blocks_translated > 0
 
     def test_repairing_fsck_leaves_a_usable_store(self, store):

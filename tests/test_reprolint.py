@@ -10,7 +10,6 @@ real CLI resolves the same registries from the live modules.
 from __future__ import annotations
 
 import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -621,14 +620,6 @@ def test_cli_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
     assert "DET001" in out and "FLT001" in out
-
-
-def test_minilint_shim_still_works():
-    result = subprocess.run(
-        [sys.executable, str(REPO / "tools" / "minilint.py"),
-         str(REPO / "src" / "repro" / "lint")],
-        capture_output=True, text=True)
-    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_chaos_preflight_passes_on_live_tree():
