@@ -30,7 +30,6 @@ bits 18..0 as its immediate.
 from __future__ import annotations
 
 import struct
-from itertools import repeat
 from typing import List, Optional, Sequence
 
 from repro.isa.fusible.microop import MicroOp
@@ -284,34 +283,71 @@ def decode_uop(data: bytes, offset: int = 0,
                     | data[offset + 3] << 8, x86_addr)
 
 
+class Word:
+    """Everything static about one micro-op word: what it decodes to and
+    what each layer would otherwise re-derive from that per occurrence."""
+
+    __slots__ = ("uop", "info", "shape", "canonical", "step", "facts")
+
+    def __init__(self, uop: MicroOp, canonical: bool = False) -> None:
+        self.uop = uop                  # ``x86_addr`` None in a table
+        self.info = info = OP_INFO[uop.op]
+        #: the machine's shape byte: length, | 0x80 for a fused head
+        self.shape = info.length | 0x80 if uop.fused else info.length
+        self.canonical = canonical      # ``is_canonical`` of its bytes
+        #: filled on first need: the machine's bound step (a branch
+        #: binds per site: never) and the verifier's ``word_facts``
+        self.step = self.facts = None
+
+
+class WordTable(dict):
+    """``word bytes -> Word``, one per VM (its machine owns it): loader,
+    verifier and machine decode and classify each distinct word once.
+    ``table[chunk]`` enters a missing word; an entry is only ever
+    ``decode_uop``'s reading of its own key, so it cannot go stale."""
+
+    def __missing__(self, chunk: bytes) -> Word:
+        # bytes that do not decode, or are cut short, raise: not entered
+        uop = decode_uop(chunk)
+        word = self[chunk] = Word(uop, is_canonical(uop.op, chunk))
+        return word
+
+
 def encode_stream(uops: List[MicroOp]) -> bytes:
     """Encode a micro-op sequence to bytes."""
     return b"".join(encode_uop(uop) for uop in uops)
 
 
 def decode_stream(data: bytes,
-                  x86_addrs: Optional[Sequence[Optional[int]]] = None
-                  ) -> List[MicroOp]:
+                  x86_addrs: Optional[Sequence[Optional[int]]] = None,
+                  words: Optional[WordTable] = None) -> List[MicroOp]:
     """Decode an entire byte string as a micro-op sequence.
 
     ``x86_addrs``, when given, holds the ``x86_addr`` of each micro-op in
     stream order and must cover the stream exactly: one entry more or
-    fewer than ``data`` holds micro-ops is a decode error.
+    fewer than ``data`` holds micro-ops is a decode error.  With a table
+    only a word new to ``words`` is decoded, and ``x86_addr`` is stamped
+    onto a copy of the table's micro-op; a table for one stream would
+    only cost, so without one every word is decoded.
     """
-    out: List[MicroOp] = []
-    offset = 0
-    for x86_addr in repeat(None) if x86_addrs is None else x86_addrs:
-        if offset >= len(data):
-            break
-        out.append(decode_uop(data, offset, x86_addr))
-        # the format bit of the parcel just decoded
-        offset += 4 if data[offset + 1] & 0x40 else 2
-    if offset < len(data) or (x86_addrs is not None
-                              and len(out) != len(x86_addrs)):
+    uops: List[MicroOp] = []
+    offset, size = 0, len(data)
+    while offset < size:
+        # a word is as long as the format bit of its first parcel says
+        long = offset + 1 < size and data[offset + 1] & 0x40
+        end = offset + (4 if long else 2)
+        uops.append(decode_uop(data, offset) if words is None
+                    else words[data[offset:end]].uop)
+        offset = end
+    if x86_addrs is None:
+        return uops
+    if len(uops) != len(x86_addrs):
         raise UopDecodeError(
             f"x86_addr list covers {len(x86_addrs)} micro-op(s), not the "
-            f"stream's {len(data)} bytes")
-    return out
+            f"stream's {len(uops)}")
+    return [uop if x86_addr is None else MicroOp(
+        uop.op, uop.rd, uop.rs1, uop.rs2, uop.imm, uop.cond, uop.fused,
+        uop.setflags, x86_addr) for uop, x86_addr in zip(uops, x86_addrs)]
 
 
 def stream_length(uops: List[MicroOp]) -> int:

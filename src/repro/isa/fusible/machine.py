@@ -22,10 +22,12 @@ Decode work is paid once per static micro-op, not once per dynamic one
 (``docs/isa_reference.md``, "How the machine executes"):
 
 * **Run.**  On a miss at ``pc`` the machine reads the code bytes in bulk
-  and decodes forward to the first control micro-op (or the end of the
-  decode window).  That straight-line stretch is cached by entry pc as
-  ``(body, tail, steps, nbytes, fused_pairs, end_pc, shape)``; executing
-  it is ``for step in body: step()`` with the counters added once.
+  and resolves them, word by word through the VM's word table (a word no
+  layer has met is decoded there), to the first control micro-op or the
+  end of the decode window.  That straight-line stretch is cached by
+  entry pc as ``(body, tail, steps, nbytes, fused_pairs, end_pc,
+  shape)``; executing it is ``for step in body: step()`` with the
+  counters added once.
 * **Binder table.**  Every micro-op becomes a host callable through the
   one ``UOp -> binder`` table (:data:`_BINDERS`).  Which register cell an
   operand reads (``R_ZERO`` reads a constant zero, writes to it land in a
@@ -48,10 +50,9 @@ from dataclasses import dataclass
 from operator import length_hint
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.isa.fusible.encoding import UopDecodeError, decode_uop
+from repro.isa.fusible.encoding import UopDecodeError, WordTable, decode_uop
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import (
-    BRANCH_OPS,
     I_FORM_OPS,
     RR_FORM_OPS,
     UOp,
@@ -106,15 +107,6 @@ def _sext32(value: int) -> int:
     return value - 0x100000000 if value & SIGN32 else value
 
 
-def _decode_at(data: bytes, offset: int, pc: int) -> MicroOp:
-    """Decode the micro-op at ``data[offset:]``, fetched from ``pc``."""
-    try:
-        return decode_uop(data, offset)
-    except UopDecodeError as exc:
-        raise NativeMachineError(f"bad native code at {pc:#x}: "
-                                 f"{exc}") from exc
-
-
 class FusibleMachine:
     """Executes fusible-ISA micro-op code from an address space."""
 
@@ -137,11 +129,10 @@ class FusibleMachine:
         self.uops_executed = 0
         self.fused_pairs_seen = 0
         self.uop_bytes_fetched = 0
-        #: word bytes -> (bound step, shape entry) of every non-control
-        #: micro-op decoded so far: such a step depends on nothing but
-        #: its word, so all sites holding those bytes share it, and a
-        #: table keyed by content cannot go stale
-        self._steps_by_word: Dict[bytes, Tuple[Step, int]] = {}
+        #: the VM's word table.  The machine keeps each non-control
+        #: word's bound step in its entry: such a step depends on nothing
+        #: but the word, so all sites holding those bytes share it
+        self.words = WordTable()
         # pre-decoded runs and the pages they were decoded from
         self._runs: Dict[int, Run] = {}
         self._run_pcs_by_page: Dict[int, Set[int]] = {}
@@ -316,31 +307,32 @@ class FusibleMachine:
         # two bytes of slack: a 32-bit micro-op may start in the last
         # parcel of the window and straddle into the next page
         data = self.memory.read(pc, min(window + 2, ADDRESS_MASK + 1 - pc))
-        shared = self._steps_by_word
+        words = self.words
         steps: List[Step] = []
         shape = bytearray()
         offset = 0
         control = False     # a control micro-op ends the run
         while offset < window and not control:
             long = offset + 1 < len(data) and data[offset + 1] & 0x40
-            word = data[offset:offset + (4 if long else 2)]
-            entry = shared.get(word)
-            if entry is None:
-                native_pc = pc + offset
-                try:
-                    uop = _decode_at(data, offset, native_pc)
-                except NativeMachineError:
-                    if not steps:
-                        raise
+            chunk = data[offset:offset + (4 if long else 2)]
+            try:
+                word = words[chunk]     # decoded if no layer met it yet
+            except UopDecodeError as exc:
+                if steps:
                     break   # reported if and when execution gets there
-                entry = (self._bind(uop, native_pc, native_pc + uop.length),
-                         uop.length | 0x80 if uop.fused else uop.length)
-                control = uop.op in BRANCH_OPS
+                raise NativeMachineError(
+                    f"bad native code at {pc:#x}: {exc}") from exc
+            step = word.step
+            if step is None:
+                native_pc = pc + offset
+                step = self._bind(word.uop, native_pc,
+                                  native_pc + len(chunk))
+                control = word.info.branch
                 if not control:     # its step holds no pc: any site's
-                    shared[word] = entry
-            steps.append(entry[0])
-            shape.append(entry[1])
-            offset += len(word)
+                    word.step = step
+            steps.append(step)
+            shape.append(word.shape)
+            offset += len(chunk)
         fused_pairs = sum(entry >> 7 for entry in shape)
         run = (tuple(steps[:-1]), steps[-1], len(steps), offset,
                fused_pairs, pc + offset, bytes(shape))
@@ -371,7 +363,11 @@ class FusibleMachine:
         native_pc = self.pc
         window = self.memory.read(native_pc,
                                   min(4, ADDRESS_MASK + 1 - native_pc))
-        uop = _decode_at(window, 0, native_pc)
+        try:
+            uop = decode_uop(window)
+        except UopDecodeError as exc:
+            raise NativeMachineError(
+                f"bad native code at {native_pc:#x}: {exc}") from exc
         next_pc = native_pc + uop.length
         self.pc = next_pc
         self._retire(1, uop.length, uop.fused)

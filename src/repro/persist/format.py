@@ -215,15 +215,18 @@ def validate_record(record: Dict) -> None:
 
 
 def source_matches(record: Dict, memory) -> bool:
-    """Whether the record's source bytes match the current memory."""
+    """Whether the record's source bytes match the current memory,
+    compared one read per contiguous run of ``source`` entries."""
     try:
+        runs: List[List] = []       # [addr, bytes] of each run so far
         for addr, hexbytes in record["source"]:
-            data = bytes.fromhex(hexbytes)
-            if memory.read(addr, len(data)) != data:
-                return False
+            if not runs or addr != runs[-1][0] + len(runs[-1][1]):
+                runs.append([addr, b""])
+            runs[-1][1] += bytes.fromhex(hexbytes)
+        return all(memory.read(addr, len(data)) == data
+                   for addr, data in runs)
     except (ValueError, MemoryError_):
         return False
-    return True
 
 
 def record_stream(record: Dict) -> Tuple[bytes, List[Optional[int]]]:

@@ -201,8 +201,9 @@ class WarmStartLoader:
             try:
                 # the one walk: the decode, the CFG, the encoded bytes
                 # and (on demand) the dataflow facts every rule shares
-                screen = VerifyContext.from_code(*record_stream(record),
-                                                 rebind=rebind)
+                screen = VerifyContext.from_code(
+                    *record_stream(record), rebind=rebind,
+                    words=self.runtime.machine.words)
                 translation = materialize(record, cache.reserve(),
                                           screen.uops)
                 translation.counter_addr = new_counter

@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.isa.fusible.encoding import Word
 from repro.isa.fusible.microop import MicroOp
-from repro.isa.fusible.opcodes import OP_INFO, UOp
+from repro.isa.fusible.opcodes import UOp
 
 
 class Located(NamedTuple):
@@ -29,6 +30,7 @@ class Located(NamedTuple):
     index: int       # micro-op index
     offset: int      # byte offset of the first parcel
     uop: MicroOp
+    word: Word       # its static facts
 
 
 @dataclass
@@ -49,20 +51,23 @@ class CFG:
     index_at_offset: Dict[int, int] = field(default_factory=dict)
 
 
-def build_cfg(uops: Sequence[MicroOp]) -> CFG:
+def build_cfg(uops: Sequence[MicroOp],
+              words: Optional[Sequence[Word]] = None) -> CFG:
     """Partition a stream into basic blocks and wire successor edges.
 
     One pass over the micro-ops locates them, indexes their offsets and
-    finds the leaders; what follows walks only branches and blocks."""
+    finds the leaders; what follows walks only branches and blocks.
+    ``words``: each micro-op's word-table entry, where a context has it."""
     locs: List[Located] = []
     index_at_offset: Dict[int, int] = {}
     leaders = {0}
     branches: List[Located] = []
     relative: List[Tuple[Located, int]] = []     # (branch, target offset)
     offset = 0
-    for index, uop in enumerate(uops):
-        info = OP_INFO[uop.op]
-        loc = Located(index, offset, uop)
+    for index, (uop, word) in enumerate(
+            zip(uops, words or map(Word, uops))):
+        info = word.info
+        loc = Located(index, offset, uop, word)
         locs.append(loc)
         index_at_offset[offset] = index
         offset += info.length
@@ -86,7 +91,7 @@ def build_cfg(uops: Sequence[MicroOp]) -> CFG:
     block_at = {start: bid for bid, start in enumerate(starts)}
     for block in blocks:
         last = block.locs[-1]
-        info = OP_INFO[last.uop.op]
+        info = last.word.info
         if last.index in target_of:
             block.succs.append(block_at[target_of[last.index]])
         # everything but a terminal or a JMP (BC/JCSRx fallthrough,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.isa.fusible.encoding import Word
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import OP_INFO, UOp
 from repro.isa.fusible.registers import (
@@ -265,28 +266,44 @@ def flag_provenance(cfg: CFG) -> List[Optional[FlagState]]:
     return _FlagProvenance().run(cfg)
 
 
-class _Both(ForwardAnalysis):
-    """Two independent forward analyses as one: the state is the pair of
-    their states, so one walk of the CFG reaches both fixpoints."""
+def word_facts(word: Word) -> Tuple[int, int, bool, bool]:
+    """``(regs_read, regs_written, writes_flags, RDFLG or WRFLG)`` of a
+    ``Word``, derived once; the last two are how it moves the flags'
+    provenance outside a save window (the fourth opens or closes one)."""
+    facts = word.facts
+    if facts is None:
+        uop = word.uop
+        facts = word.facts = (regs_read(uop), regs_written(uop),
+                              uop.writes_flags,
+                              uop.op in (UOp.RDFLG, UOp.WRFLG))
+    return facts
 
-    def __init__(self, left: ForwardAnalysis, right: ForwardAnalysis):
-        self._left, self._right = left, right
+
+class _DefinedAndFlags(_FlagProvenance):
+    """:class:`_DefinitelyDefined` and :class:`_FlagProvenance` as one
+    analysis over pairs of their states, stepped over the word's facts
+    (the tests hold it to the product of the two)."""
 
     def entry_state(self):
-        return (self._left.entry_state(), self._right.entry_state())
+        return (ENTRY_DEFINED, super().entry_state())
 
     def meet(self, left, right):
-        return (self._left.meet(left[0], right[0]),
-                self._right.meet(left[1], right[1]))
+        return (left[0] & right[0], super().meet(left[1], right[1]))
 
     def transfer(self, state, loc: Located):
-        return (self._left.transfer(state[0], loc),
-                self._right.transfer(state[1], loc))
+        defined, flags = state
+        _, writes, writes_flags, window = \
+            loc.word.facts or word_facts(loc.word)
+        if window or flags[1] is not None:
+            flags = super().transfer(flags, loc)    # in or at a window
+        elif writes_flags:
+            flags = (True, None)    # outside one: an architected write
+        return (defined | writes, flags)
 
 
 def defined_and_flags(cfg: CFG) -> List[Optional[Tuple[int, FlagState]]]:
     """``(definitely_defined, flag_provenance)`` before each micro-op."""
-    return _Both(_DefinitelyDefined(ENTRY_DEFINED), _FlagProvenance()).run(cfg)
+    return _DefinedAndFlags().run(cfg)
 
 
 class _LiveRegisters(BackwardAnalysis):

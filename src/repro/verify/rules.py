@@ -28,15 +28,17 @@ SID001      every VMCALL has a side-table entry for precise state
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.isa.fusible.encoding import (
     UopDecodeError,
     UopEncodeError,
+    Word,
+    WordTable,
     decode_stream,
     decode_uop,
     encode_uop,
-    is_canonical,
 )
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import OP_INFO, UOp, VMService
@@ -47,7 +49,7 @@ from repro.verify.dataflow import (
     conflicts,
     defined_and_flags,
     regs_in,
-    regs_read,
+    word_facts,
 )
 from repro.verify.report import Violation
 
@@ -84,19 +86,18 @@ def _encoded_fields(uop: MicroOp) -> tuple:
 
 class VerifyContext:
     """Everything a rule may consult.  What several rules need is built
-    once per context: the CFG, the fused pairs, each micro-op's encoded
-    bytes, and (on first use) the forward dataflow facts."""
+    once per context: each micro-op's encoded bytes and word-table entry,
+    the CFG, the fused pairs and (on first use) the forward dataflow
+    facts."""
 
     def __init__(self, uops, translation=None, memory=None,
                  directory=None, live_entries: Optional[Set[int]] = None,
-                 source: tuple = (b"", ())) -> None:
+                 source: tuple = (b"", ()),
+                 words: Optional[WordTable] = None) -> None:
         self.uops: List[MicroOp] = list(uops)
         self.translation = translation
         self.memory = memory
         self.directory = directory
-        self.cfg = build_cfg(self.uops)
-        self.locs = self.cfg.locs
-        self.pairs = fused_pairs(self.locs)
         #: per micro-op: its encoded bytes, or the UopEncodeError.  The
         #: one encoding ENC001, ENC002 and CCH001 check and, for a warm
         #: install, the very bytes that go into the code cache.
@@ -104,39 +105,61 @@ class VerifyContext:
         #: indices ENC001/ENC002 must check (``encoded`` is ``encode_uop``'s);
         #: elsewhere it *is* the canonical ``source`` slice decoded from
         self.unproven: List[int] = []
+        #: index -> what ``encoded`` decodes back as, where that is not
+        #: the micro-op that was encoded (ENC002's findings)
+        self.misread: dict = {}
+        # the VM's table or a private one: each micro-op's static facts
+        # are those of the entry its ``encoded`` bytes decode to
+        words = WordTable() if words is None else words
+        entries: List[Word] = []
         code, decoded = source      # bytes, and what they decoded to
         end = 0
-        for was, now in zip(decoded, self.uops):
-            start, end = end, end + OP_INFO[was.op].length
-            chunk = code[start:end]
-            if now is was and is_canonical(was.op, chunk):
-                self.encoded.append(chunk)
-            else:
-                self.unproven.append(len(self.encoded))
-                self.encoded.append(_encode(now))
-        self.unproven += range(len(self.encoded), len(self.uops))
-        self.encoded += map(_encode, self.uops[len(self.encoded):])
+        for was, now in zip_longest(decoded[:len(self.uops)], self.uops):
+            word = None
+            if was is not None:
+                start, end = end, end + OP_INFO[was.op].length
+                if now is was:
+                    chunk = code[start:end]
+                    word = words[chunk]
+            if word is None or not word.canonical:
+                # encoded here, so checked: the table's decode of those
+                # bytes is ENC002's comparison and, if equal, the entry
+                self.unproven.append(len(entries))
+                chunk = _encode(now)
+                word = None if isinstance(chunk, UopEncodeError) \
+                    else words[chunk]
+                if word and _encoded_fields(word.uop) != _encoded_fields(now):
+                    self.misread[len(entries)], word = word.uop, None
+            self.encoded.append(chunk)
+            # no bytes read as this micro-op: its facts are its own
+            entries.append(word or Word(now))
+        self.cfg = build_cfg(self.uops, entries)
+        self.locs = self.cfg.locs
+        self.pairs = fused_pairs(self.locs)
         self._facts = None
         self._live_entries = live_entries
 
     @classmethod
     def from_code(cls, code: bytes, x86_addrs=None, rebind=None,
+                  words: Optional[WordTable] = None,
                   **where) -> "VerifyContext":
         """A context over the micro-ops *it decodes* from ``code``
         (raises ``UopDecodeError``); ``x86_addrs`` as ``decode_stream``
         takes it.  ``rebind`` may swap micro-ops of the decoded list
-        before anything is built on it.
+        before anything is built on it; ``words`` is the installing
+        VM's table (what is decoded here it need not decode again).
 
         Where a micro-op is the very object decoded here and its bytes
         are canonical (no don't-care bit of its form set), those bytes
-        *are* its encoding: ENC001 and ENC002 hold by construction and
-        it is neither encoded nor decoded again.  A swapped micro-op, or
-        one decoded from non-canonical bytes, is encoded and checked
-        like any other, and ``image`` is the canonical re-encoding.
+        *are* its encoding: ENC001 and ENC002 hold by construction.  A
+        swapped micro-op, or one decoded from non-canonical bytes, is
+        encoded and checked like any other, and ``image`` is the
+        canonical re-encoding.
         """
-        decoded = decode_stream(code, x86_addrs)
+        words = WordTable() if words is None else words
+        decoded = decode_stream(code, x86_addrs, words)
         return cls(decoded if rebind is None else rebind(decoded),
-                   source=(code, decoded), **where)
+                   source=(code, decoded), words=words, **where)
 
     @property
     def image(self) -> bytes:
@@ -384,7 +407,9 @@ def _check_scr001(ctx: VerifyContext) -> Iterator[Violation]:
     for loc, fact in zip(ctx.locs, ctx.facts):
         if fact is None:
             continue  # unreachable from entry
-        for reg in regs_in(regs_read(loc.uop) & VMM_MASK & ~fact[0]):
+        reads = (loc.word.facts or word_facts(loc.word))[0]
+        undefined = reads & VMM_MASK & ~fact[0]
+        for reg in regs_in(undefined) if undefined else ():
             yield _v("SCR001",
                      f"reads VMM register {reg_name(reg)} which is "
                      f"not defined on every path from entry", loc)
@@ -417,15 +442,12 @@ def _check_enc001(ctx: VerifyContext) -> Iterator[Violation]:
 
 @rule("ENC002", "encode -> decode is the identity on emitted micro-ops")
 def _check_enc002(ctx: VerifyContext) -> Iterator[Violation]:
-    for index in ctx.unproven:     # the rest: decoded from these very bytes
-        loc, data = ctx.locs[index], ctx.encoded[index]
-        if isinstance(data, UopEncodeError):
-            continue  # ENC001's finding
-        decoded = decode_uop(data)
-        if _encoded_fields(decoded) != _encoded_fields(loc.uop):
-            yield _v("ENC002",
-                     f"round trip loses state: '{loc.uop}' decodes back "
-                     f"as '{decoded}'", loc)
+    # the context compared each unproven micro-op with its bytes' decode
+    for index, decoded in ctx.misread.items():
+        loc = ctx.locs[index]
+        yield _v("ENC002",
+                 f"round trip loses state: '{loc.uop}' decodes back "
+                 f"as '{decoded}'", loc)
 
 
 # -- code cache and chaining ---------------------------------------------------

@@ -463,8 +463,7 @@ class VMRuntime:
             try:
                 translation = self.bbt.translate(entry)
             except CodeCacheFull:
-                evicted = self.directory.flush("bbt")
-                self.translations_lost_in_flushes += len(evicted)
+                self._flush("bbt")
                 self.bbt_full_flushes += 1
                 translation = self.bbt.translate(entry)
         except (AssertionError, KeyboardInterrupt, SystemExit):
@@ -491,6 +490,14 @@ class VMRuntime:
         self._bbt_entries_ever.add(entry)
         return translation
 
+    def _flush(self, kind: str) -> None:
+        """Flush one code cache under pressure.  The only moment the
+        set of live words shrinks, so the word table is dropped with it
+        and stays bounded by live code: runs already decoded keep their
+        steps, the next miss refills."""
+        self.translations_lost_in_flushes += len(self.directory.flush(kind))
+        self.machine.words.clear()
+
     def _optimize(self, entry: int) -> Optional[Translation]:
         """Run the SBT on a newly hot region.
 
@@ -512,8 +519,7 @@ class VMRuntime:
             try:
                 translation = self.sbt.translate(entry, edges)
             except CodeCacheFull:
-                evicted = self.directory.flush("sbt")
-                self.translations_lost_in_flushes += len(evicted)
+                self._flush("sbt")
                 self.sbt_full_flushes += 1
                 self.sbt_retranslations += 1
                 translation = self.sbt.translate(entry, edges)

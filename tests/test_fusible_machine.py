@@ -13,6 +13,11 @@ from repro.isa.fusible import (
     decode_uop,
     encode_stream,
 )
+from repro.isa.fusible.encoding import (
+    UopDecodeError,
+    WordTable,
+    is_canonical,
+)
 from repro.isa.fusible.registers import R_ZERO
 from repro.isa.x86lite.registers import Cond
 from repro.memory import AddressSpace
@@ -468,39 +473,58 @@ class TestRunMatchesStepping:
         assert machine._xlt_unit.invocations == 2
 
 
-# -- bound steps are shared by word ------------------------------------------
+# -- the word table ------------------------------------------------------------
 #
-# A run looks each non-control micro-op up by its bytes and binds a word
-# only the first time the machine meets it.  ``step`` binds per site, so
-# ``TestRunMatchesStepping`` above is the differential; these pin what is
-# shared, what is not, and that rewritten code is looked up afresh.
+# A run looks each micro-op up by its bytes in the machine's word table:
+# a word is decoded the first time any layer meets it, a non-control
+# word is bound the first time the machine does.  ``step`` decodes and
+# binds per site, so ``TestRunMatchesStepping`` above is the
+# differential; these pin what is shared, what is not, and that
+# rewritten code is looked up afresh.
 
 def run_steps(machine, pc):
     body, tail = machine._runs[pc][:2]
     return body + (tail,)
 
 
+@pytest.fixture
+def decodes(monkeypatch):
+    """The chunks ``decode_uop`` is called on where tables use it."""
+    from repro.isa.fusible import encoding
+    seen, real = [], encoding.decode_uop
+
+    def counting(data, offset=0, x86_addr=None):
+        seen.append(bytes(data[offset:offset + 4]))
+        return real(data, offset, x86_addr)
+    monkeypatch.setattr(encoding, "decode_uop", counting)
+    return seen
+
+
 class TestStepsSharedByWord:
     def test_equal_words_share_one_step_across_sites_and_runs(self):
         inc = MicroOp(UOp.ADDI2, rd=1, imm=1)
         add = MicroOp(UOp.ADDI, rd=2, rs1=2, imm=5)
-        machine, event = run_code([
-            inc, add, inc, MicroOp(UOp.JMP, imm=0),
-            add, inc, MicroOp(UOp.HALT)])
+        jmp, halt = MicroOp(UOp.JMP, imm=0), MicroOp(UOp.HALT)
+        machine, event = run_code([inc, add, inc, jmp, add, inc, halt])
         assert event.kind == "halt"
         assert (machine.regs[1], machine.regs[2]) == (3, 10)
         first, second = run_steps(machine, CODE), \
             run_steps(machine, CODE + 12)
         assert first[0] is first[2] is second[1]
         assert first[1] is second[0]
-        # one closure per distinct non-control word, none for the JMP
-        # and the HALT
-        assert set(machine._steps_by_word) == {
-            encode_stream([inc]), encode_stream([add])}
+        # one entry per distinct word; one closure per distinct
+        # non-control word, none kept for the JMP and the HALT
+        words = machine.words
+        assert set(words) == {encode_stream([uop])
+                              for uop in (inc, add, jmp, halt)}
+        assert words[encode_stream([inc])].step is first[0]
+        assert words[encode_stream([add])].step is first[1]
+        assert words[encode_stream([jmp])].step is None
+        assert words[encode_stream([halt])].step is None
 
-    def test_control_micro_ops_are_bound_per_site(self):
+    def test_control_micro_ops_are_bound_per_site(self, decodes):
         # the same BC word at two sites: each branches relative to its
-        # own pc, so each site needs a step of its own
+        # own pc, so each site needs a step of its own -- decoded once
         skip = MicroOp(UOp.BC, cond=Cond.E, imm=2)
         inc = MicroOp(UOp.ADDI2, rd=1, imm=1)
         machine, event = run_code([
@@ -510,8 +534,8 @@ class TestStepsSharedByWord:
                                   resume_pc=CODE + 20)
         assert run_steps(machine, CODE)[-1] is not \
             run_steps(machine, CODE + 10)[-1]
-        assert not any(word == encode_stream([skip])
-                       for word in machine._steps_by_word)
+        assert machine.words[encode_stream([skip])].step is None
+        assert decodes.count(encode_stream([skip])) == 1
 
     @pytest.mark.parametrize("new_imm", [1, 2])
     def test_a_store_rewrites_code_to_the_same_or_to_other_bytes(
@@ -519,7 +543,7 @@ class TestStepsSharedByWord:
         # the STW overwrites the ADDI at CODE + 16 with ``addi r3, 1``
         # (the bytes already there) or ``addi r3, 2``; either way the
         # write drops the runs decoded from the page and what follows is
-        # decoded from the bytes memory holds now
+        # looked up, word by word, from the bytes memory holds now
         old = MicroOp(UOp.ADDI, rd=3, rs1=R_ZERO, imm=1)
         new = int.from_bytes(encode_stream(
             [MicroOp(UOp.ADDI, rd=3, rs1=R_ZERO, imm=new_imm)]), "little")
@@ -538,12 +562,57 @@ class TestStepsSharedByWord:
         assert seen["outcome"].kind == "halt"
         assert machine.regs[3] == new_imm and machine.regs[4] == 7
         # the run was cut at the store and decoded again behind it; the
-        # old word was decoded (with the first run) but, once rewritten,
-        # it is the new word's step that sits at CODE + 16
-        words = machine._steps_by_word
+        # old word was entered (with the first run) but, once rewritten,
+        # it is the new word's step that sits at CODE + 16: identical
+        # bytes share the entry, different bytes get one of their own
+        words = machine.words
         assert encode_stream([old]) in words
+        assert len(words) == len(uops) + (new_imm != 1)
         assert run_steps(machine, CODE + 12)[1] is \
-            words[new.to_bytes(4, "little")][0]
+            words[new.to_bytes(4, "little")].step
+
+    def test_a_word_the_loader_screened_is_not_decoded_again(self, decodes):
+        from repro.verify.rules import VerifyContext
+        uops = [MicroOp(UOp.ADDI2, rd=1, imm=1),
+                MicroOp(UOp.ADDI, rd=2, rs1=1, imm=5, x86_addr=0x40_0000),
+                MicroOp(UOp.ADDI2, rd=1, imm=1), MicroOp(UOp.HALT)]
+        machine = FusibleMachine(AddressSpace())
+        screen = VerifyContext.from_code(
+            encode_stream(uops), [uop.x86_addr for uop in uops],
+            words=machine.words)
+        assert screen.uops == uops and not screen.unproven
+        assert len(decodes) == len(machine.words) == 3
+        machine.memory.write(CODE, screen.image)
+        assert machine.run(CODE).kind == "halt"
+        assert machine.regs[2] == 6
+        assert len(decodes) == 3        # bound, not decoded again
+
+    @pytest.mark.parametrize("tail", [b"\x00", b"\x00\x41",
+                                      b"\x00\x41\x00"])
+    def test_a_word_cut_short_is_never_entered(self, tail):
+        # an ADDI2, then a word (of the long-format NOP 00 41 00 00)
+        # that the end of the address space cuts short; the end of a
+        # page or of the decode window never does, a run reads two
+        # bytes past them (``test_micro_op_straddling_a_page``)
+        inc = MicroOp(UOp.ADDI2, rd=1, imm=1)
+        start = (1 << 32) - 2 - len(tail)
+        runner, stepper = machine_pair(start, [inc])
+        for machine in (runner, stepper):
+            machine.memory.write(start + 2, tail)
+        ran = observe(runner, FusibleMachine.run, start, 50)
+        assert ran == observe(stepper, stepped_run, start, 50)
+        assert ran["outcome"][0] == "NativeMachineError"
+        assert "truncated" in ran["outcome"][1]
+        assert ran["uops_executed"] == 1 and ran["pc"] == start + 2
+        assert set(runner.words) == {encode_stream([inc])}
+
+    def test_undecodable_bytes_are_not_cached(self):
+        table = WordTable()
+        for chunk in (b"\xff\x7f\xff\xff", b"\x00\x3e", b"\x00", b"",
+                      b"\x00\x41\x00"):
+            with pytest.raises(UopDecodeError):
+                table[chunk]
+        assert not table
 
     @given(program=native_programs())
     @settings(max_examples=100, deadline=None)
@@ -552,8 +621,11 @@ class TestStepsSharedByWord:
                                  regs=program.regs, flags=program.flags,
                                  data=bytes(range(64)))
         observe(runner, FusibleMachine.run, program.start, program.budget)
-        for word, (step, shape) in runner._steps_by_word.items():
-            uop = decode_uop(word)
-            assert not uop.is_branch
-            assert shape == (uop.length | 0x80 if uop.fused
-                             else uop.length)
+        for chunk, word in runner.words.items():
+            uop = decode_uop(chunk)
+            assert word.uop == uop and uop.x86_addr is None
+            assert len(chunk) == uop.length
+            assert word.shape == (uop.length | 0x80 if uop.fused
+                                  else uop.length)
+            assert word.canonical == is_canonical(uop.op, chunk)
+            assert word.step is None or not uop.is_branch

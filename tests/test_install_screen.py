@@ -34,6 +34,7 @@ from typing import Optional
 import pytest
 
 import repro.isa.fusible.encoding as encoding_module
+import repro.isa.fusible.machine as machine_module
 import repro.translator.code_cache as code_cache_module
 import repro.verify.rules as rules_module
 import repro.verify.verifier as verifier_module
@@ -179,7 +180,7 @@ class TestViolatingRecordsNeverRun:
 def counted(monkeypatch, name, modules):
     """Replace ``name`` in ``modules`` by a wrapper that records every
     result; returns the list of results."""
-    real = getattr(encoding_module, name)
+    real = getattr(modules[0], name)
     results = []
 
     def counting(*args):
@@ -241,26 +242,34 @@ class TestOneEncodePerMicroOp:
                                         len(data)) == data
         assert verify_directory(directory).ok
 
-    def test_at_most_one_decode_per_micro_op(self, records, monkeypatch):
-        """Outside the machine (which binds its own ``decode_uop`` and
-        decodes what it is about to execute), an install decodes each
-        micro-op of the record once — in the context — and ENC002
-        decodes again only the two the loader re-bound."""
+    def test_at_most_one_decode_per_distinct_word_per_vm(
+            self, records, monkeypatch):
+        """Loader, verifier and machine share the VM's word table: an
+        install and the run behind it decode each distinct word once,
+        however many micro-ops hold it -- the records' words, the
+        re-bound LUI/ORI (whose table decode is ENC002's comparison)
+        and what chaining patches into the code cache."""
         monkeypatch.setattr(sanitizer._STATE, "mode", None)
         vm = booted()
-        bbt_records = [r for r in records if r["kind"] == "bbt"]
-        total = sum(len(decoded(r)) for r in bbt_records)
+        total = sum(len(decoded(r)) for r in records)
         decodes = counted(monkeypatch, "decode_uop",
-                          (encoding_module, rules_module))
-        report = WarmStartLoader(vm.runtime, rechain=False).load_records(
-            bbt_records)
-        assert report.loaded == len(bbt_records) > 1
-        rebound = 2 * sum(r["counter_addr"] is not None
-                          for r in bbt_records)
-        assert rebound > 0
-        # the re-bound LUI/ORI are new micro-ops, not decoded before:
-        # ENC002 checks them as it always did
-        assert len(decodes) == total + rebound
+                          (encoding_module, rules_module, machine_module))
+        report = WarmStartLoader(vm.runtime).load_records(records)
+        assert report.loaded == len(records) > 1
+        words = vm.runtime.machine.words
+        screened = len(decodes)
+        assert 0 < screened == len(words) < total
+        vm.run()
+        # the machine met words no record holds (chain JMPs) and decoded
+        # those, and only those: every decode made is an entry's
+        assert len(decodes) == len(words) > screened
+        assert {id(uop) for uop in decodes} == \
+            {id(word.uop) for word in words.values()}
+        # a second VM shares nothing with the first
+        other = booted()
+        assert not other.runtime.machine.words
+        WarmStartLoader(other.runtime).load_records(records)
+        assert len(decodes) == len(words) + screened
 
 
 class TestRoundTripByConstruction:

@@ -37,6 +37,8 @@ from repro.isa.fusible.encoding import (
 from repro.isa.fusible.opcodes import OP_INFO
 from repro.isa.x86lite import assemble
 from repro.isa.x86lite.decoder import decode_at
+from repro.memory import AddressSpace
+from repro.memory.address_space import MemoryError_
 from repro.persist import (
     FORMAT_VERSION,
     PersistFormatError,
@@ -51,6 +53,7 @@ from repro.persist import (
     serialize_translation,
     validate_record,
 )
+from repro.persist.format import source_matches
 from repro.translator.code_cache import ExitStub, Translation
 from tests.strategies import uops as any_uop
 from tests.test_persist import LOOP
@@ -244,6 +247,127 @@ class TestDamagedCodeIsCorrupt:
                                                   junk):
         victim[field] = junk
         assert_corrupt(resealed(victim))
+
+
+# -- the source fingerprint: one read per contiguous run ---------------------
+
+TEXT = 0x40_0000
+
+
+def per_entry(record, memory) -> bool:
+    """``source_matches`` as it compared before: one read an entry."""
+    try:
+        for addr, hexbytes in record["source"]:
+            data = bytes.fromhex(hexbytes)
+            if memory.read(addr, len(data)) != data:
+                return False
+    except (ValueError, MemoryError_):
+        return False
+    return True
+
+
+class CountingMemory(AddressSpace):
+    def __init__(self):
+        super().__init__()
+        self.reads = []
+
+    def read(self, addr, size):
+        self.reads.append((addr, size))
+        return super().read(addr, size)
+
+
+@pytest.fixture
+def text():
+    memory = CountingMemory()
+    memory.write(TEXT, bytes(range(1, 65)))
+    return memory
+
+
+def entries(*spans):
+    """``source`` entries holding what ``bytes(range(1, 65))`` at TEXT
+    holds over each ``(offset, length)`` span."""
+    return [[TEXT + offset,
+             bytes(range(1 + offset, 1 + offset + length)).hex()]
+            for offset, length in spans]
+
+
+class TestSourceFingerprint:
+    def test_one_read_per_contiguous_run(self, text):
+        source = entries((0, 2), (2, 5), (7, 1), (20, 3), (23, 3), (40, 6))
+        assert source_matches({"source": source}, text)
+        assert text.reads == [(TEXT, 8), (TEXT + 20, 6), (TEXT + 40, 6)]
+
+    def test_a_loaded_record_is_read_once_per_run(self, records):
+        vm = booted()
+        for record in records:
+            assert source_matches(record, vm.state.memory)
+            source = record["source"]
+            runs = 1 + sum(
+                addr != before + len(text) // 2 for (before, text), (addr, _)
+                in zip(source, source[1:]))
+            memory = CountingMemory()
+            source_matches(record, memory)
+            assert len(memory.reads) == runs <= len(source)
+
+    @pytest.mark.parametrize("stale_at", [0, 3, 6, 7])
+    def test_a_stale_byte_anywhere_in_a_run(self, text, stale_at):
+        source = entries((0, 2), (2, 5), (7, 1))
+        text.write_u8(TEXT + stale_at, 0xEE)
+        assert not source_matches({"source": source}, text)
+
+    def test_entries_that_are_not_adjacent_start_runs_of_their_own(
+            self, text):
+        # a gap, an overlap and an entry out of order: each compares
+        # against its own address, as it did one read an entry
+        source = entries((8, 4), (16, 4), (18, 4), (0, 4))
+        assert source_matches({"source": source}, text)
+        assert text.reads == [(TEXT + 8, 4), (TEXT + 16, 4),
+                              (TEXT + 18, 4), (TEXT, 4)]
+        text.write_u8(TEXT + 1, 0xEE)       # only the last entry sees it
+        assert not source_matches({"source": source}, text)
+
+    def test_a_run_that_leaves_mapped_memory(self, text):
+        # an unmapped page reads as zeros: stale unless zeros were saved
+        edge = [[0x40_0FFE, "0000"], [0x40_1000, "0000"]]
+        assert source_matches({"source": edge}, text)
+        edge[1][1] = "9000"
+        assert not source_matches({"source": edge}, text)
+        # the end of the address space raises MemoryError_: stale.  (The
+        # one verdict that moved: read on its own, an entry *at* 2**32
+        # wrapped to address 0 and matched the zeros there.)
+        top = [[0xFFFF_FFFC, "0000"], [0xFFFF_FFFE, "0000"]]
+        assert source_matches({"source": top}, text)
+        top.append([0x1_0000_0000, "00"])
+        with pytest.raises(MemoryError_):
+            text.read(0xFFFF_FFFC, 5)
+        assert not source_matches({"source": top}, text)
+        assert per_entry({"source": top}, text)
+
+    @pytest.mark.parametrize("bad", ["0", "zz", "0102 ", "0x01"])
+    def test_bad_hex_is_stale_wherever_it_sits(self, text, bad):
+        good = entries((0, 2), (2, 2))
+        for position in range(3):
+            source = good[:position] + [[TEXT + 4, bad]] + good[position:]
+            assert not source_matches({"source": source}, text)
+            assert not per_entry({"source": source}, text)
+
+    @given(spans=st.lists(st.tuples(st.integers(0, 56), st.integers(0, 8)),
+                          max_size=8),
+           contiguous=st.lists(st.integers(0, 8), max_size=8),
+           stale=st.one_of(st.none(), st.integers(0, 63)))
+    @settings(max_examples=400, deadline=None)
+    def test_same_verdict_as_one_read_per_entry(self, spans, contiguous,
+                                                stale):
+        memory = AddressSpace()
+        memory.write(TEXT, bytes(range(1, 65)))
+        offset = 0
+        for length in contiguous:       # a run, then arbitrary spans
+            spans.append((offset, length))
+            offset += length
+        record = {"source": entries(*spans)}
+        if stale is not None:
+            memory.write_u8(TEXT + stale, 0xEE)
+        assert source_matches(record, memory) == per_entry(record, memory)
 
 
 class TestNonObjectRecords:
