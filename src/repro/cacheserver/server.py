@@ -65,7 +65,6 @@ from repro.cacheserver import protocol
 from repro.obs.metrics import MetricsRegistry, metric_field
 from repro.obs.telemetry import (
     DEFAULT_MAX_SPANS,
-    SPAN_BUFFER_CAPACITY,
     TELEMETRY_VERSION,
     SpanBuffer,
     TraceContext,
@@ -77,6 +76,10 @@ log = logging.getLogger("repro.cacheserver")
 
 #: Latency percentiles the stats op / fleet report surface.
 _LATENCY_PERCENTILES = (50, 95, 99)
+
+#: Seconds a connection may sit idle between frames before its handler
+#: thread gives it up.
+CONNECTION_TIMEOUT = 30.0
 
 #: Store ops subject to queue-depth shedding.  Observability ops stay
 #: admissible under overload on purpose — shedding the telemetry
@@ -208,7 +211,7 @@ class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:   # pragma: no cover - exercised via sockets
         server: CacheServer = self.server.cache_server
         sock = self.request
-        sock.settimeout(server.connection_timeout)
+        sock.settimeout(CONNECTION_TIMEOUT)
         if not server._admit(sock):
             # backpressure/drain rejection: answer with the retryable
             # ``busy`` category, then drop the connection
@@ -275,10 +278,8 @@ class CacheServer:
     def __init__(self, repository, socket_path=None,
                  host: str = "127.0.0.1", port: int = 0,
                  tracer=None, lease_timeout: float = 5.0,
-                 connection_timeout: float = 30.0,
                  max_conns: Optional[int] = None,
                  shard_id: str = "", role: str = "primary",
-                 span_capacity: int = SPAN_BUFFER_CAPACITY,
                  max_queue_depth: Optional[int] = None,
                  shed_retry_after: float = 0.05) -> None:
         if isinstance(repository, TranslationRepository):
@@ -295,7 +296,6 @@ class CacheServer:
         self.port = port
         self.tracer = tracer
         self.lease_timeout = lease_timeout
-        self.connection_timeout = connection_timeout
         #: admission bound on concurrent connections (None = unlimited);
         #: excess clients get a retryable ``busy`` error instead of an
         #: unbounded handler-thread pile-up
@@ -310,7 +310,7 @@ class CacheServer:
         self.stats = ServerStats()
         #: bounded buffer of spans opened under propagated trace
         #: contexts; the wire ``telemetry`` op ships it to collectors
-        self.spans = SpanBuffer(capacity=span_capacity)
+        self.spans = SpanBuffer()
         self._server: Optional[socketserver.BaseServer] = None
         self._thread: Optional[threading.Thread] = None
         #: serializes pushes in-process so the lease_failures delta

@@ -31,9 +31,10 @@ Commands:
   repairs on-disk damage — torn writes, corrupt objects, dangling
   manifest references (see :mod:`repro.persist`, ``docs/persistence.md``
   and ``docs/robustness.md``).
-* ``cache {push,pull} PROGRAM --server ADDR [--timeout S] [--retries N]``
-  — the same save/load flows through a shared translation-cache server
-  (``unix:<path>`` or ``host:port``): ``push`` uploads a cold run's
+* ``cache {push,pull} PROGRAM --server SPEC [--timeout S] [--retries N]``
+  — the same save/load flows through a shared translation cache: one
+  server (``unix:<path>`` or ``host:port``) or a cluster spec as
+  ``--cluster`` takes it.  ``push`` uploads a cold run's
   translations, ``pull`` warm-starts from the server.  Any server
   failure degrades to the local ``--cache-dir`` repository and
   ultimately to cold translation (see ``docs/cache_server.md``).
@@ -446,23 +447,25 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cluster_spec(text: str):
-    """Parse a ``--cluster`` value: a spec string
-    (``shard0=host:port,host:port;shard1=...``) or ``@file.json``
-    holding a spec document."""
-    from repro.cluster import ClusterSpec
+    """Parse a ``--cluster`` / ``--server`` value: a spec string
+    (``shard0=host:port,host:port;shard1=...``), ``@file.json``
+    holding a spec document, or one server's address (the 1x1
+    cluster)."""
     from repro.persist import parse_address
+    from repro.persist.remote import as_spec
     if text.startswith("@"):
         with open(text[1:]) as handle:
-            spec = ClusterSpec.parse(json.load(handle))
+            spec = as_spec(json.load(handle))
     else:
-        spec = ClusterSpec.parse(text)
+        spec = as_spec(text)
     for address in spec.addresses():
         parse_address(address)      # unusable addresses fail here, as
     return spec                     # a clean CLI error, not mid-request
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import ClusterRepository, anti_entropy
+    from repro.cluster import anti_entropy
+    from repro.persist import RemoteRepository
     try:
         spec = _cluster_spec(args.cluster)
     except (OSError, ValueError, json.JSONDecodeError) as error:
@@ -475,8 +478,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         return 0 if report.ok else 1
 
     # health: per-group, per-endpoint breaker + server health answers
-    client = ClusterRepository(spec, timeout=args.timeout,
-                               retries=args.retries)
+    client = RemoteRepository(spec, timeout=args.timeout,
+                              retries=args.retries)
     try:
         view = client.health_view()
     finally:
@@ -487,7 +490,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         total = len(view[group])
         status = "ok" if live else "DOWN"
         print(f"{status:4s} {group}: {live}/{total} replica(s) live "
-              f"(write quorum {client.quorum_for(group)})")
+              f"(write quorum {client.groups[group].quorum})")
         for entry in view[group]:
             health = entry["health"]
             if health is None:
@@ -640,8 +643,13 @@ def cmd_cache(args: argparse.Namespace) -> int:
     if args.action in ("push", "pull"):
         if not args.server:
             raise SystemExit(f"cache {args.action} requires --server "
-                             "(unix:<path> or host:port)")
-        remote = RemoteRepository(args.server, local=args.cache_dir,
+                             "(unix:<path>, host:port or a cluster "
+                             "spec)")
+        try:
+            spec = _cluster_spec(args.server)
+        except (OSError, ValueError, json.JSONDecodeError) as error:
+            raise SystemExit(f"bad --server: {error}")
+        remote = RemoteRepository(spec, local=args.cache_dir,
                                   timeout=args.timeout,
                                   retries=args.retries)
         repo = remote
@@ -1029,8 +1037,9 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--max-instructions", type=int,
                        default=10_000_000)
     cache.add_argument("--server", default=None,
-                       help="shared cache server address for push/pull "
-                            "(unix:<path> or host:port)")
+                       help="shared cache for push/pull: one server "
+                            "(unix:<path> or host:port) or a cluster "
+                            "spec (see cluster --cluster)")
     cache.add_argument("--timeout", type=float, default=2.0,
                        help="per-request server timeout in seconds "
                             "(default 2.0)")

@@ -3,10 +3,10 @@
 The single-socket cache server of :mod:`repro.cacheserver` scales out
 here: content-addressed objects are sharded across N server processes
 by a consistent-hash ring (:mod:`repro.cluster.ring`), each shard group
-is replicated R ways (:mod:`repro.cluster.topology`), and the
-cluster-aware client (:mod:`repro.cluster.client`) degrades replica →
-other replica → local cache → cold translation — never raising into
-the VM, mirroring the single-server contract.  Replicas converge
+is replicated R ways (:mod:`repro.cluster.topology`), and the one wire
+client (:mod:`repro.persist.remote`; a single server is its 1x1 case)
+degrades replica → other replica → local cache → cold translation —
+never raising into the VM.  Replicas converge
 through deterministic manifest merging (sorted union of
 verifier-screened entries) and the anti-entropy repair pass
 (:mod:`repro.cluster.repair`).
@@ -15,7 +15,7 @@ See ``docs/cluster.md`` for topology, merge semantics, the failover
 ladder and the fault classes that exercise every rung.
 """
 
-from repro.cluster.client import ClusterRepository, ClusterStats
+from repro.cluster.client import ClusterRepository
 from repro.cluster.manager import LocalCluster
 from repro.cluster.repair import RepairReport, anti_entropy
 from repro.cluster.ring import HashRing
@@ -24,7 +24,6 @@ from repro.cluster.topology import ClusterSpec, ShardGroup
 __all__ = [
     "ClusterRepository",
     "ClusterSpec",
-    "ClusterStats",
     "HashRing",
     "LocalCluster",
     "RepairReport",

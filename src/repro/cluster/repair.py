@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.cluster.topology import ClusterSpec
 from repro.persist.format import PersistFormatError, validate_record
-from repro.persist.remote import RemoteRepository, pulled_records
+from repro.persist.remote import ReplicaSet, pulled_records
 
 log = logging.getLogger("repro.cluster")
 
@@ -88,10 +88,10 @@ class RepairReport:
         return "\n".join(lines)
 
 
-def _manifest_pairs(client: RemoteRepository) -> Optional[Set]:
+def _manifest_pairs(client: ReplicaSet) -> Optional[Set]:
     """The (config_fp, image_fp) pairs one replica holds, from its
     stats manifests (names are ``<config_fp>__<image_fp>``)."""
-    info = client.server_stats()
+    info = client.ask("stats")
     if info is None:
         return None
     pairs = set()
@@ -118,10 +118,12 @@ def anti_entropy(spec, timeout: float = 2.0, retries: int = 1,
                       "name": group.name}
             if sleep is not None:
                 kwargs["sleep"] = sleep
-            clients[str(address)] = RemoteRepository(address, **kwargs)
+            # one engine per replica: repair needs each one's own
+            # answer, not the first healthy sibling's
+            clients[str(address)] = ReplicaSet([address], **kwargs)
         # discover the manifest pairs present anywhere in the group
         pairs: Set = set()
-        reachable: Dict[str, RemoteRepository] = {}
+        reachable: Dict[str, ReplicaSet] = {}
         for address, client in clients.items():
             found = _manifest_pairs(client)
             if found is None:

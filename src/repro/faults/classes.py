@@ -55,7 +55,7 @@ class FaultClass:
     network: bool = False
     #: whether this class strikes the cluster tier (shard routing,
     #: replica sets); its full surface needs a warm start through a
-    #: ClusterRepository fronting a live LocalCluster
+    #: RemoteRepository fronting a sharded, replicated LocalCluster
     cluster: bool = False
     #: per-visit firing probability (deterministic via the seeded rng)
     rate: float = 0.25
@@ -421,9 +421,10 @@ class CorruptPayloadFault(FaultClass):
 
 # -- cluster faults ----------------------------------------------------------
 #
-# These strike the cluster tier (src/repro/cluster/): shard routing in
-# the ClusterRepository (``cluster.route``/``cluster.pull``) and the
-# per-replica attempt engine in RemoteRepository (``cluster.replica``).
+# These strike the wire client (src/repro/persist/remote.py) where a
+# cluster shows: shard routing in RemoteRepository (``cluster.route``)
+# and the per-replica attempts of its ReplicaSet engines
+# (``cluster.replica``, ``cluster.pull``).
 # Outage classes pick a sticky victim — the first shard group (or
 # replica) a rate-passing visit lands on stays down for the whole run,
 # modelling a crashed process rather than flickering packet loss — so
@@ -516,7 +517,7 @@ class StaleReplicaFault(FaultClass):
     rate = 0.4
 
     def fire(self, rng, site: str, context: Dict):
-        return True     # the cluster client treats truthy as stale
+        return True     # the engine treats truthy as a stale answer
 
 
 @register
@@ -557,7 +558,7 @@ class SplitManifestFault(FaultClass):
 # These strike the overload-protection control plane (docs/overload.md)
 # at its decision points: shedding in the client's response handling
 # (``overload.shed``), deadline budgets at request entry
-# (``overload.deadline``), and the cluster client's hedge trigger
+# (``overload.deadline``), and the hedge trigger of a replicated pull
 # (``overload.hedge``).  Architected state must survive every one —
 # shed and hedged requests retry or degrade down the normal ladder.
 
@@ -593,7 +594,7 @@ class ExpiredDeadlineFault(FaultClass):
 @register
 class HedgeTriggerFault(FaultClass):
     """The primary replica looks slow past the hedge threshold: the
-    cluster client must abandon it and hedge the pull to a sibling."""
+    client must abandon it and hedge the pull to a sibling."""
 
     name = "hedge-trigger"
     sites = ("overload.hedge",)
@@ -602,7 +603,7 @@ class HedgeTriggerFault(FaultClass):
     max_injections = 100
 
     def fire(self, rng, site: str, context: Dict):
-        return True     # the cluster client hedges on truthy
+        return True     # the engine hedges on truthy
 
 
 # -- policy faults -----------------------------------------------------------

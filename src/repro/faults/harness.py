@@ -92,11 +92,12 @@ class ChaosOutcome:
     #: warm chaos runs boot from a mangled repository; cold runs skip
     #: the warm start so translator/dispatch faults hit live translation
     warm: bool = True
-    #: remote runs warm-start through a live cache server + the
-    #: fault-tolerant client, so the network fault classes have surface
+    #: remote runs warm-start through one live cache server (a 1x1
+    #: LocalCluster) + the fault-tolerant client, so the network fault
+    #: classes have surface
     remote: bool = False
     #: cluster runs warm-start through a live sharded/replicated
-    #: LocalCluster + the cluster client, so the cluster fault classes
+    #: LocalCluster + the same client, so the cluster fault classes
     #: (shard-down, replica-partition, ...) have surface
     cluster: bool = False
     problems: List[str] = field(default_factory=list)
@@ -167,19 +168,18 @@ def run_faulted(baseline: Baseline, faults: Sequence[str], seed: int,
     ``warm=True`` boots from a mangled copy of the baseline repository
     (exercising the repository/loader fault surface); ``warm=False``
     runs cold, so the BBT/SBT/hotspot/dispatch fault sites see live
-    translation work.  ``remote=True`` (implies warm) serves the
-    mangled copy through a live :class:`CacheServer` and warm-starts
-    through the fault-tolerant :class:`RemoteRepository` client, so the
-    network fault classes strike a real socket path — with the same
-    copy as the client's local fallback, every degradation ends at
-    state the fault-free run could have produced.  ``cluster=True``
-    (implies warm) primes a live sharded/replicated
-    :class:`~repro.cluster.manager.LocalCluster` from the mangled copy,
-    rots each replica store independently, and warm-starts through the
-    :class:`~repro.cluster.client.ClusterRepository` — the surface for
-    the cluster fault classes (shard-down, replica-partition,
-    stale-replica, ...).  In every mode the architected outcome must
-    match the fault-free baseline exactly.
+    translation work.  ``remote=True`` and ``cluster=True`` (both imply
+    warm) prime a live :class:`~repro.cluster.manager.LocalCluster`
+    from the mangled copy, rot each replica store independently, and
+    warm-start through the fault-tolerant
+    :class:`~repro.persist.remote.RemoteRepository` client with the
+    same copy as its local fallback, so every degradation ends at state
+    the fault-free run could have produced.  The two differ in topology
+    only: remote is 1x1 — one server, the socket path the network fault
+    classes strike — and cluster the default sharded, replicated grid,
+    the surface for the cluster fault classes (shard-down,
+    replica-partition, stale-replica, ...).  In every mode the
+    architected outcome must match the fault-free baseline exactly.
     """
     injector = FaultInjector(seed, faults, **fault_overrides)
     cleanup = workdir is None
@@ -202,22 +202,28 @@ def run_faulted(baseline: Baseline, faults: Sequence[str], seed: int,
     config = vm_soft().with_(integrity_check_interval=1, trace=True)
     vm = CoDesignedVM(config, hot_threshold=baseline.hot_threshold)
     vm.load(assemble(baseline.source))
-    server = None
     grid = None
     try:
-        if cluster:
-            # a real shards x replicas grid on loopback, primed
-            # (fault-free) from the mangled copy, then each replica
-            # store rotted independently — the same copy backs the
-            # client's local fallback, so every rung of the
-            # degradation ladder lands on loadable records
-            from repro.cluster import ClusterRepository, LocalCluster
+        if remote or cluster:
+            # a live shards x replicas grid on loopback (1x1 for the
+            # remote mode: one server, so the network classes strike a
+            # single socket path), primed (fault-free) from the mangled
+            # copy, then each replica store rotted independently — the
+            # same copy backs the client's local fallback, so every
+            # rung of the degradation ladder lands on loadable records
+            from repro.cluster.manager import (DEFAULT_REPLICAS,
+                                               DEFAULT_SHARDS,
+                                               LocalCluster)
+            from repro.persist.remote import RemoteRepository
+            shards, replicas = (DEFAULT_SHARDS, DEFAULT_REPLICAS) \
+                if cluster else (1, 1)
             grid = LocalCluster(
-                Path(workdir) / f"cluster-{baseline.name}-{seed}")
+                Path(workdir) / f"cluster-{baseline.name}-{seed}",
+                shards=shards, replicas=replicas)
             spec = grid.start()
             source_repo = TranslationRepository(repo_copy)
-            primer = ClusterRepository(spec, retries=1,
-                                       sleep=lambda _s: None)
+            primer = RemoteRepository(spec, retries=1,
+                                      sleep=lambda _s: None)
             for config_fp, image_fp in _manifest_pairs(repo_copy):
                 primer.save(source_repo.load(config_fp, image_fp),
                             config_fp, image_fp)
@@ -226,19 +232,8 @@ def run_faulted(baseline: Baseline, faults: Sequence[str], seed: int,
                 disk_corruptions += injector.mangle_repository(
                     grid.repo_dir(group, index))
             outcome.disk_corruptions = disk_corruptions
-            repository = ClusterRepository(
-                spec, local=repo_copy, timeout=2.0, retries=2,
-                breaker_cooldown=0.0, sleep=lambda _s: None)
-        elif remote:
-            # TCP on loopback: the server reads the *mangled* copy, the
-            # client falls back to the same copy, so remote and local
-            # degradation paths converge on identical loadable records
-            from repro.cacheserver.server import CacheServer
-            from repro.persist.remote import RemoteRepository
-            server = CacheServer(repo_copy)
-            address = server.start()
             repository = RemoteRepository(
-                address, local=repo_copy, timeout=2.0, retries=2,
+                spec, local=repo_copy, timeout=2.0, retries=2,
                 breaker_cooldown=0.0, sleep=lambda _s: None)
         elif warm:
             repository = TranslationRepository(repo_copy)
@@ -259,8 +254,6 @@ def run_faulted(baseline: Baseline, faults: Sequence[str], seed: int,
                 faults=list(faults))
         return outcome
     finally:
-        if server is not None:
-            server.stop()
         if grid is not None:
             grid.stop()
         outcome.injected = dict(injector.injected)

@@ -1,14 +1,15 @@
 """Fleet engine — boot herds of CoDesignedVM instances against one
-shared translation-cache server.
+shared translation cache.
 
 One :meth:`FleetEngine.run` call executes one
 :class:`~repro.fleet.grid.FleetScenario`: it hosts a private
-:class:`~repro.cacheserver.server.CacheServer` over a scratch
-repository, boots ``scenario.n`` instances through a worker pool
+``shards`` x ``replicas`` :class:`~repro.cluster.manager.LocalCluster`
+over scratch repositories (1x1, one cache server, unless the scenario
+says otherwise), boots ``scenario.n`` instances through a worker pool
 (threads by default, spawn-based processes on request), and collects
 per-instance startup ledgers, tracer events, warm-start reports and
 client degradation counters into a :class:`FleetResult`.  Every
-instance warm-starts *through* the server with its own fault-tolerant
+instance warm-starts *through* the servers with its own fault-tolerant
 :class:`~repro.persist.remote.RemoteRepository` client, so the herd
 exercises the exact pull/validate/degrade path a real consolidation
 host would.
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.cacheserver.server import CacheServer
+from repro.cluster.manager import LocalCluster
 from repro.core import ALL_CONFIGS
 from repro.core.vm import CoDesignedVM
 from repro.faults.classes import make_fault
@@ -61,8 +62,8 @@ from repro.fleet.grid import FleetScenario
 from repro.isa.x86lite.assembler import assemble
 from repro.obs.telemetry import TraceContext
 from repro.obs.tracer import EventTracer
-from repro.persist import (TranslationRepository, capture_translations,
-                           config_fingerprint, image_fingerprint)
+from repro.persist import (capture_translations, config_fingerprint,
+                           image_fingerprint)
 from repro.persist.remote import RemoteRepository
 from repro.workloads.programs import PROGRAMS
 
@@ -125,30 +126,21 @@ def _boot_instance(spec: Dict) -> Dict:
     """Boot one fleet instance; top-level and dict-in/dict-out so the
     spawn-based process pool can pickle it.
 
-    The instance pulls from the shared server (warm start through a
+    The instance pulls from the shared cache named by the spec string
+    ``spec["cluster"]`` (warm start through a
     :class:`RemoteRepository` with **no** local fallback — degradation
     goes straight to cold translation), runs the workload, then
     captures its translations for the engine to publish later.  It
-    never pushes: see the module determinism contract.  Cluster
-    scenarios hand a spec string in ``spec["cluster"]`` and boot
-    through the cluster-aware client instead.
+    never pushes: see the module determinism contract.
     """
     config = resolve_config(spec["config"]).with_(trace=True)
     vm = CoDesignedVM(config, hot_threshold=spec["hot_threshold"])
     vm.load(assemble(spec["source"]))
-    if spec.get("cluster"):
-        from repro.cluster import ClusterRepository
-        remote = ClusterRepository(
-            spec["cluster"], local=None,
-            timeout=spec["timeout"], retries=spec["retries"],
-            request_budget=spec["request_budget"],
-            jitter_seed=spec["instance_seed"])
-    else:
-        remote = RemoteRepository(
-            spec["address"], local=None,
-            timeout=spec["timeout"], retries=spec["retries"],
-            request_budget=spec["request_budget"],
-            jitter_seed=spec["instance_seed"])
+    remote = RemoteRepository(
+        spec["cluster"], local=None,
+        timeout=spec["timeout"], retries=spec["retries"],
+        request_budget=spec["request_budget"],
+        jitter_seed=spec["instance_seed"])
     remote.bind_trace_context(
         TraceContext.for_boot(spec["instance_seed"], spec["rank"]))
     injector = None
@@ -177,8 +169,7 @@ def _boot_instance(spec: Dict) -> Dict:
         "config_fp": config_fingerprint(vm.config),
         "image_fp": image_fingerprint(vm._image),
         "records_loaded": load_report.loaded,
-        "records_pulled":
-            remote.remote_stats.to_dict().get("records_pulled", 0),
+        "records_pulled": remote.remote_stats.records_pulled,
         "total_cycles": stats["total_cycles"],
         "blocks_translated": stats["blocks_translated"],
         "superblocks_translated": stats["superblocks_translated"],
@@ -272,17 +263,19 @@ class FleetResult:
         return doc
 
 
-def _merge_server_stats(stats_list: List[Dict]) -> Dict:
-    """Aggregate many servers' stats into one cluster-wide summary:
-    numbers sum, nested dicts (the per-op request counters) merge
-    recursively, and the wall-clock ``latency`` section is dropped —
-    summing percentiles across servers would be meaningless, and
-    canonical reports strip it anyway."""
+def _merge_server_stats(stats_by_target: Dict[str, Dict]) -> Dict:
+    """Aggregate the servers' stats into one cluster-wide summary:
+    numbers sum and nested dicts (the per-op request counters) merge
+    recursively; the wall-clock ``latency`` sections stay apart, one
+    per target — summing percentiles across servers would be
+    meaningless, and canonical reports strip them anyway."""
     merged: Dict = {}
-    for stats in stats_list:
+    for stats in stats_by_target.values():
         _merge_counters(merged,
                         {key: value for key, value in stats.items()
                          if key != "latency"})
+    merged["latency"] = {target: stats["latency"]
+                         for target, stats in stats_by_target.items()}
     return merged
 
 
@@ -355,9 +348,8 @@ class FleetEngine:
     """Boots fleets.  ``workdir`` (optional) hosts the scratch server
     repositories; without one each run uses a private temp dir."""
 
-    def __init__(self, workdir=None, host: str = "127.0.0.1") -> None:
+    def __init__(self, workdir=None) -> None:
         self.workdir = str(workdir) if workdir is not None else None
-        self.host = host
 
     # -- scenario pieces ----------------------------------------------------
 
@@ -398,20 +390,20 @@ class FleetEngine:
                     f"{key} {result[key]!r} != baseline {baseline[key]!r}")
         return problems
 
-    def _prime(self, scenario: FleetScenario, repo_root: Path,
-               sources: List[str]) -> None:
-        """Warm-repository policy: pre-populate the server store with
-        each distinct image's translations via direct local saves
-        (before the server starts, so priming never contends with the
+    @staticmethod
+    def _prime(scenario: FleetScenario, sources: List[str],
+               push_client) -> None:
+        """Warm-repository policy: pre-populate the servers with each
+        distinct image's translations, pushed through the client
+        before any instance boots (so priming never contends with the
         fleet).  ``one_per_vm`` priming costs one cold run per rank."""
-        repo = TranslationRepository(repo_root)
         config = resolve_config(scenario.config)
         for source in dict.fromkeys(sources):   # distinct, rank order
             vm = CoDesignedVM(config,
                               hot_threshold=scenario.hot_threshold)
             vm.load(assemble(source))
             vm.run(max_instructions=scenario.max_instructions)
-            vm.save_translations(repo)
+            vm.save_translations(push_client)
 
     # -- the run ------------------------------------------------------------
 
@@ -434,91 +426,41 @@ class FleetEngine:
 
     def _run_in(self, scenario: FleetScenario,
                 repo_root: Path) -> FleetResult:
+        """Host a live shards x replicas :class:`LocalCluster` under
+        ``repo_root``, prime it *through* the client (so warm stores
+        carry replicated, merged manifests), rot each replica store
+        independently under disk fault cocktails, and boot every
+        instance through its own client.  Priming and publishing
+        happen outside the herd's pull window, in rank order — the
+        determinism contract."""
         sources = self._sources(scenario)
         baseline = self._baseline(scenario, PROGRAMS[scenario.workload])
-        if scenario.cluster:
-            return self._run_cluster(scenario, repo_root, sources,
-                                     baseline)
-        if scenario.warm:
-            self._prime(scenario, repo_root, sources)
-        disk_faults = [name for name in scenario.faults
-                       if make_fault(name).disk]
-        if disk_faults:
-            FaultInjector(scenario.seed,
-                          disk_faults).mangle_repository(repo_root)
-
-        server = CacheServer(repo_root, host=self.host, port=0,
-                             max_queue_depth=scenario.max_queue_depth)
-        address = server.start()
-        push_client = RemoteRepository(
-            address, local=None, timeout=scenario.timeout,
-            retries=scenario.retries)
-        collector, publisher = self._attach_collector(
-            scenario, f"shard0={address}", push_client)
-        try:
-            raw = self._boot_fleet(scenario, sources, address,
-                                   push_client, publisher=publisher)
-            telemetry = self._collect(collector, publisher, raw,
-                                      push_client)
-        finally:
-            push_client.close()
-            server.stop()
-            if collector is not None:
-                collector.close()
-
-        instances = self._instances(raw, baseline)
-        return FleetResult(scenario=scenario, instances=instances,
-                           server=server.stats.to_dict(),
-                           baseline=baseline, **telemetry)
-
-    def _run_cluster(self, scenario: FleetScenario, repo_root: Path,
-                     sources: List[str], baseline: Dict) -> FleetResult:
-        """Cluster variant of :meth:`_run_in`: hosts a live
-        shards x replicas :class:`LocalCluster` under ``repo_root``,
-        primes it *through* the cluster client (so warm stores carry
-        replicated, merged manifests), rots each replica store
-        independently under disk fault cocktails, and boots every
-        instance through a :class:`ClusterRepository`.  The
-        determinism contract is unchanged — priming and publishing
-        happen outside the herd's pull window, in rank order."""
-        from repro.cluster import ClusterRepository, LocalCluster
         grid = LocalCluster(repo_root, shards=scenario.shards,
                             replicas=scenario.replicas,
                             max_queue_depth=scenario.max_queue_depth)
         spec = grid.start()
-        push_client = ClusterRepository(
+        push_client = RemoteRepository(
             spec, local=None, timeout=scenario.timeout,
             retries=scenario.retries)
         collector, publisher = self._attach_collector(
             scenario, spec, push_client)
         try:
             if scenario.warm:
-                staging = repo_root.parent / f"{repo_root.name}-prime"
-                if staging.exists():
-                    shutil.rmtree(staging)
-                self._prime(scenario, staging, sources)
-                source_repo = TranslationRepository(staging)
-                manifests = Path(staging) / "manifests"
-                for path in sorted(manifests.glob("*.json")):
-                    config_fp, sep, image_fp = path.stem.partition("__")
-                    if sep:
-                        push_client.save(
-                            source_repo.load(config_fp, image_fp),
-                            config_fp, image_fp)
+                self._prime(scenario, sources, push_client)
             disk_faults = [name for name in scenario.faults
                            if make_fault(name).disk]
             if disk_faults:
                 injector = FaultInjector(scenario.seed, disk_faults)
                 for key in sorted(grid.servers):
                     injector.mangle_repository(grid.repo_dir(*key))
-            raw = self._boot_fleet(scenario, sources,
-                                   spec.to_string(), push_client,
-                                   cluster=True, publisher=publisher)
+            raw = self._boot_fleet(scenario, sources, spec.to_string(),
+                                   push_client, publisher)
             telemetry = self._collect(collector, publisher, raw,
                                       push_client)
             server_stats = _merge_server_stats(
-                [grid.servers[key].stats.to_dict()
-                 for key in sorted(grid.servers)])
+                {f"{group}/replica{index}":
+                 grid.servers[group, index].stats.to_dict()
+                 for group, index in sorted(grid.servers)})
         finally:
             push_client.close()
             grid.stop()
@@ -554,8 +496,10 @@ class FleetEngine:
             return {}
         for result in raw:
             collector.observe_client_stats(result["remote"])
-        collector.observe_client_stats(
-            push_client.remote_stats.to_dict())
+        publishing = push_client.remote_stats.to_dict()
+        # _publish credited each push's records to its instance
+        del publishing["records_pushed"]
+        collector.observe_client_stats(publishing)
         collector.scrape()
         return {
             "telemetry": {
@@ -590,18 +534,15 @@ class FleetEngine:
         return instances
 
     def _boot_fleet(self, scenario: FleetScenario, sources: List[str],
-                    address: str, push_client,
-                    cluster: bool = False,
-                    publisher: Optional[_Publisher] = None
-                    ) -> List[Dict]:
+                    cluster: str, push_client,
+                    publisher: Optional[_Publisher]) -> List[Dict]:
         specs = [{
             "rank": rank,
             "source": sources[rank],
             "config": scenario.config,
             "hot_threshold": scenario.hot_threshold,
             "max_instructions": scenario.max_instructions,
-            "address": address,
-            "cluster": address if cluster else "",
+            "cluster": cluster,
             "timeout": scenario.timeout,
             "retries": scenario.retries,
             "request_budget": scenario.request_budget,

@@ -30,13 +30,13 @@ Axes:
   (``tools/chaos.py`` classes); faulted scenarios serialize the pool
   (``workers=1``) so injection stays seed-deterministic;
 * ``seed`` — the scenario seed (image perturbation, fault injectors);
-* ``shards`` / ``replicas`` — cluster topology: ``1x1`` (default)
-  hosts the classic single cache server, anything larger hosts a
-  sharded/replicated :class:`~repro.cluster.manager.LocalCluster` and
-  boots every instance through the cluster-aware client (see
-  ``docs/cluster.md``).  The axes only appear in the canonical
-  scenario dict when a cluster is in play, so single-server reports
-  are byte-identical to earlier releases.
+* ``shards`` / ``replicas`` — the topology of the
+  :class:`~repro.cluster.manager.LocalCluster` the herd boots through:
+  ``1x1`` (default) is one cache server, anything larger a
+  sharded/replicated grid (see ``docs/cluster.md``); same client
+  either way.  The axes only appear in the canonical scenario dict
+  when they are not 1x1, so those reports' scenario sections keep the
+  bytes they always had.
 
 Scenario expansion order is fixed by :data:`AXIS_ORDER`, never by dict
 iteration order of the caller's mapping, so a sweep's report is
@@ -115,8 +115,8 @@ class FleetScenario:
 
     @property
     def cluster(self) -> bool:
-        """Whether this scenario hosts a sharded cluster (anything
-        beyond the classic 1x1 single cache server)."""
+        """Whether the topology is anything beyond 1x1 (and so is
+        spelled out in the label and the canonical dict)."""
         return self.shards > 1 or self.replicas > 1
 
     @property

@@ -41,9 +41,8 @@ log = logging.getLogger("repro.fleet")
 SCHEMA = "repro.fleet/v1"
 
 #: RemoteStats counters summed across the herd for the degradation
-#: section (zero across the board in a healthy fleet).  The cluster
-#: tier's ladder counters ride along; instances booted through a
-#: single server simply report 0 for them (``dict.get`` below).
+#: section (zero across the board in a healthy fleet): the request
+#: path's failure counters and the ladder's, on every topology.
 DEGRADATION_COUNTERS = ("retries", "timeouts", "conn_errors",
                         "protocol_errors", "lease_busy",
                         "server_errors", "breaker_opens",

@@ -37,8 +37,6 @@ WALL_CLOCK_ALLOWED = {
                             # nature; excluded from canonical reports)
     "fleet.engine",         # herd wall-time in the non-canonical ops
                             # section; all measurements are sim-cycle
-    "cluster.client",       # default sleep/clock for retry backoff,
-                            # injectable exactly like persist.remote
 }
 
 _WALL_CLOCK_FUNCS = {

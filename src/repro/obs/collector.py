@@ -64,7 +64,7 @@ class ClusterCollector:
 
     ``spec`` is anything :meth:`repro.cluster.ClusterSpec.parse`
     accepts (a single server wraps as ``"shard0=<address>"``).  The
-    collector owns one :class:`~repro.persist.remote.RemoteRepository`
+    collector owns one :class:`~repro.persist.remote.ReplicaSet` engine
     per replica — per *address*, deliberately bypassing the failover
     ladder, because a monitor must see each replica individually.
     """
@@ -73,19 +73,19 @@ class ClusterCollector:
                  slos: Optional[Sequence] = None,
                  max_spans: int = DEFAULT_MAX_SPANS) -> None:
         from repro.cluster import ClusterSpec
-        from repro.persist.remote import RemoteRepository
+        from repro.persist.remote import ReplicaSet
         self.spec = ClusterSpec.parse(spec)
         self.slos = tuple(slos) if slos is not None else DEFAULT_SLOS
         self.max_spans = max_spans
-        self._clients: Dict[str, "RemoteRepository"] = {}
+        self._clients: Dict[str, "ReplicaSet"] = {}
         self._addresses: Dict[str, str] = {}
         self._groups: Dict[str, str] = {}
         for group in self.spec.groups:
             for index, address in enumerate(group.replicas):
                 key = f"{group.name}/replica{index}"
-                self._clients[key] = RemoteRepository(
-                    address, local=None, timeout=timeout,
-                    retries=retries, name=key)
+                self._clients[key] = ReplicaSet(
+                    [address], name=key, timeout=timeout,
+                    retries=retries)
                 self._addresses[key] = str(address)
                 self._groups[key] = group.name
         self.scrapes = 0

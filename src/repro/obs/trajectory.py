@@ -2,7 +2,9 @@
 
 Single-shot benchmark results answer "how fast is it now"; the
 trajectory answers "which PR made it slower".  Every benchmark run
-appends one row per bench to ``results/bench_history.jsonl``:
+that measured something new appends one row per bench to
+``results/bench_history.jsonl`` (a run that repeats its bench's newest
+row appends nothing):
 
     {"bench": <id>, "fp": <config fingerprint>, "metrics": {...}}
 
@@ -62,12 +64,23 @@ def history_row(bench: str, metrics: Dict, config: Dict) -> Dict:
             "metrics": scalars}
 
 
-def append_row(row: Dict, path=HISTORY_PATH) -> None:
+def append_row(row: Dict, path=HISTORY_PATH) -> bool:
+    """Append ``row`` unless it repeats the newest row of its bench and
+    fingerprint — a re-run that measured the same thing is not a new
+    point on the trajectory (and must not dirty the checked-in file).
+    Returns whether a line was written."""
     path = Path(path)
+    for earlier in reversed(load_history(path)):
+        if earlier["bench"] == row["bench"] \
+                and earlier.get("fp") == row.get("fp"):
+            if earlier == row:
+                return False
+            break
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a") as handle:
         handle.write(json.dumps(row, sort_keys=True,
                                 separators=(",", ":")) + "\n")
+    return True
 
 
 def load_history(path=HISTORY_PATH) -> List[Dict]:

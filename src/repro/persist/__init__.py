@@ -62,6 +62,7 @@ from repro.persist.remote import (
     RemoteRepository,
     RemoteStats,
     RemoteUnavailable,
+    ReplicaSet,
     parse_address,
 )
 from repro.persist.repository import (
@@ -82,6 +83,7 @@ __all__ = [
     "RemoteRepository",
     "RemoteStats",
     "RemoteUnavailable",
+    "ReplicaSet",
     "RepositoryStats",
     "TranslationRepository",
     "WarmStartLoader",

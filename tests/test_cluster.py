@@ -30,7 +30,7 @@ from repro.faults import (
 )
 from repro.isa.x86lite import assemble
 from repro.persist import (
-    RemoteRepository,
+    ReplicaSet,
     TranslationRepository,
     capture_translations,
     config_fingerprint,
@@ -190,8 +190,104 @@ class TestMergeConvergence:
             two.close()
 
 
-class TestFailoverLadder:
-    """replica → other replica → local cache → cold translation."""
+class LadderChecks:
+    """replica → other replica → local cache → cold translation: one
+    body per rung, run on every topology by the subclasses below (a
+    single server is the 1x1 cluster), asserting the same counters on
+    each."""
+
+    shards = replicas = 0
+
+    def grid(self, tmp_path):
+        return LocalCluster(tmp_path / "grid", shards=self.shards,
+                            replicas=self.replicas)
+
+    def kill_owning_group(self, grid, records):
+        """Stop every replica of the first group that owns records;
+        returns (group, keys by owning group)."""
+        owners = grid.spec().ring().partition(
+            [r["key"] for r in records])
+        group = sorted(name for name, keys in owners.items() if keys)[0]
+        for index in range(self.replicas):
+            grid.stop_replica(group, index)
+        return group, owners
+
+    def test_dead_group_falls_back_to_local(self, tmp_path, payload):
+        records, config_fp, image_fp = payload
+        local = TranslationRepository(tmp_path / "local")
+        local.save(records, config_fp, image_fp)
+        with self.grid(tmp_path) as grid:
+            spec = grid.spec()
+            fast_client(spec).save(records, config_fp, image_fp)
+            self.kill_owning_group(grid, records)
+            client = fast_client(spec, local=local)
+            loaded = client.load(config_fp, image_fp)
+            assert [r["key"] for r in loaded] == \
+                sorted(r["key"] for r in records)
+            stats = client.remote_stats.to_dict()
+            assert stats["conn_errors"] == 2    # retries + 1 attempts
+            assert stats["group_degradations"] == 1
+            assert stats["fallbacks"] == 1
+            assert stats["local_fallbacks"] == 1
+            assert stats["cold_degradations"] == 0
+            client.close()
+
+    def test_dead_group_without_local_shrinks_to_cold(self, tmp_path,
+                                                      payload):
+        records, config_fp, image_fp = payload
+        with self.grid(tmp_path) as grid:
+            spec = grid.spec()
+            fast_client(spec).save(records, config_fp, image_fp)
+            group, owners = self.kill_owning_group(grid, records)
+            client = fast_client(spec)
+            loaded = client.load(config_fp, image_fp)    # never raises
+            surviving = {r["key"] for r in records} \
+                - set(owners.get(group, []))
+            assert {r["key"] for r in loaded} == surviving
+            stats = client.remote_stats.to_dict()
+            assert stats["group_degradations"] == 1
+            assert stats["fallbacks"] == 1
+            assert stats["cold_degradations"] == 1
+            assert stats["local_fallbacks"] == 0
+            client.close()
+
+    def test_zero_ack_push_degrades_not_raises(self, tmp_path,
+                                               payload):
+        records, config_fp, image_fp = payload
+        local = TranslationRepository(tmp_path / "local")
+        with self.grid(tmp_path) as grid:
+            spec = grid.spec()
+            group, owners = self.kill_owning_group(grid, records)
+            client = fast_client(spec, local=local)
+            written = client.save(records, config_fp, image_fp)
+            assert written == len(records)  # dead group's share landed
+            stats = client.remote_stats.to_dict()   # in the local repo
+            assert stats["push_group_failures"] == 1
+            assert stats["fallbacks"] == 1
+            assert stats["local_fallbacks"] == 1
+            held = {r["key"]
+                    for r in local.load(config_fp, image_fp)}
+            assert held == set(owners.get(group, []))
+            client.close()
+
+    def test_zero_ack_push_without_local_writes_less(self, tmp_path,
+                                                     payload):
+        records, config_fp, image_fp = payload
+        with self.grid(tmp_path) as grid:
+            spec = grid.spec()
+            group, owners = self.kill_owning_group(grid, records)
+            client = fast_client(spec)
+            written = client.save(records, config_fp, image_fp)
+            assert written == len(records) - len(owners[group])
+            stats = client.remote_stats.to_dict()
+            assert stats["push_group_failures"] == 1
+            assert stats["fallbacks"] == 1
+            assert stats["cold_degradations"] == 1
+            client.close()
+
+
+class ReplicatedLadderChecks(LadderChecks):
+    """The rungs that need a sibling to fail over to."""
 
     def owning_group(self, spec, records):
         owners = spec.ring().partition([r["key"] for r in records])
@@ -201,8 +297,7 @@ class TestFailoverLadder:
     def test_dead_primary_fails_over_to_its_sibling(self, tmp_path,
                                                     payload):
         records, config_fp, image_fp = payload
-        with LocalCluster(tmp_path / "grid", shards=2,
-                          replicas=2) as grid:
+        with self.grid(tmp_path) as grid:
             spec = grid.spec()
             fast_client(spec).save(records, config_fp, image_fp)
             group, _ = self.owning_group(spec, records)
@@ -212,86 +307,41 @@ class TestFailoverLadder:
             assert {r["key"] for r in loaded} == \
                 {r["key"] for r in records}
             stats = client.remote_stats.to_dict()
-            assert stats["failovers"] > 0
+            # a dead replica costs one attempt, and no breaker but its
+            # own could have noticed
+            assert stats["conn_errors"] == 1
+            assert stats["failovers"] == 1
             assert stats["group_degradations"] == 0
-            client.close()
-
-    def test_dead_group_falls_back_to_local(self, tmp_path, payload):
-        records, config_fp, image_fp = payload
-        local = TranslationRepository(tmp_path / "local")
-        local.save(records, config_fp, image_fp)
-        with LocalCluster(tmp_path / "grid", shards=2,
-                          replicas=2) as grid:
-            spec = grid.spec()
-            fast_client(spec).save(records, config_fp, image_fp)
-            group, _ = self.owning_group(spec, records)
-            grid.stop_replica(group, 0)
-            grid.stop_replica(group, 1)
-            client = fast_client(spec, local=local)
-            loaded = client.load(config_fp, image_fp)
-            assert {r["key"] for r in loaded} == \
-                {r["key"] for r in records}
-            stats = client.remote_stats.to_dict()
-            assert stats["group_degradations"] > 0
-            assert stats["local_fallbacks"] > 0
-            client.close()
-
-    def test_dead_group_without_local_shrinks_to_cold(self, tmp_path,
-                                                      payload):
-        records, config_fp, image_fp = payload
-        with LocalCluster(tmp_path / "grid", shards=2,
-                          replicas=2) as grid:
-            spec = grid.spec()
-            fast_client(spec).save(records, config_fp, image_fp)
-            group, owners = self.owning_group(spec, records)
-            grid.stop_replica(group, 0)
-            grid.stop_replica(group, 1)
-            client = fast_client(spec)
-            loaded = client.load(config_fp, image_fp)    # never raises
-            surviving = {r["key"] for r in records} \
-                - set(owners.get(group, []))
-            assert {r["key"] for r in loaded} == surviving
-            stats = client.remote_stats.to_dict()
-            assert stats["cold_degradations"] > 0
-            assert stats["local_fallbacks"] == 0
+            assert stats["fallbacks"] == 0
             client.close()
 
     def test_below_quorum_write_counts_a_miss(self, tmp_path, payload):
         records, config_fp, image_fp = payload
-        with LocalCluster(tmp_path / "grid", shards=2,
-                          replicas=2) as grid:
+        with self.grid(tmp_path) as grid:
             spec = grid.spec()
             group, owners = self.owning_group(spec, records)
             grid.stop_replica(group, 1)     # one ack < majority of 2
             client = fast_client(spec)
-            assert client.quorum_for(group) == 2
+            assert client.groups[group].quorum == 2
             written = client.save(records, config_fp, image_fp)
             assert written == len(records)  # the surviving replica took
             stats = client.remote_stats.to_dict()   # the whole share
-            assert stats["quorum_misses"] >= 1
+            assert stats["quorum_misses"] == 1
             assert stats["push_group_failures"] == 0
+            assert stats["fallbacks"] == 0
             client.close()
 
-    def test_zero_ack_push_degrades_not_raises(self, tmp_path,
-                                               payload):
-        records, config_fp, image_fp = payload
-        local = TranslationRepository(tmp_path / "local")
-        with LocalCluster(tmp_path / "grid", shards=2,
-                          replicas=2) as grid:
-            spec = grid.spec()
-            group, owners = self.owning_group(spec, records)
-            grid.stop_replica(group, 0)
-            grid.stop_replica(group, 1)
-            client = fast_client(spec, local=local)
-            written = client.save(records, config_fp, image_fp)
-            assert written == len(records)  # dead group's share landed
-            stats = client.remote_stats.to_dict()   # in the local repo
-            assert stats["push_group_failures"] >= 1
-            assert stats["local_fallbacks"] >= 1
-            held = {r["key"]
-                    for r in local.load(config_fp, image_fp)}
-            assert held == set(owners.get(group, []))
-            client.close()
+
+class TestFailoverLadder(ReplicatedLadderChecks):
+    shards, replicas = 2, 2
+
+
+class TestFailoverLadder1x2(ReplicatedLadderChecks):
+    shards, replicas = 1, 2
+
+
+class TestFailoverLadder1x1(LadderChecks):
+    shards, replicas = 1, 1
 
 
 class TestHealthOp:
@@ -299,9 +349,9 @@ class TestHealthOp:
         with LocalCluster(tmp_path / "grid", shards=1,
                           replicas=2) as grid:
             address = grid.server("shard0", 1).address
-            probe = RemoteRepository(address, retries=0,
-                                     sleep=lambda _s: None)
-            health = probe.health()
+            probe = ReplicaSet([address], retries=0,
+                               sleep=lambda _s: None)
+            health = probe.ask("health")
             assert health["shard_id"] == "shard0"
             assert health["role"] == "replica"
             assert health["draining"] is False

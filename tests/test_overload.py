@@ -10,8 +10,6 @@ backoff.
 
 from __future__ import annotations
 
-import socket
-
 import pytest
 
 from repro.cacheserver import CacheServer, protocol
@@ -23,26 +21,21 @@ from repro.faults.plane import injecting
 from repro.fleet import FleetEngine, FleetScenario
 from repro.isa.x86lite import assemble
 from repro.lint import LintEngine
+from repro.obs.telemetry import TraceContext
+from repro.obs.tracer import EventTracer
 from repro.persist.deadline import Deadline, RetryBudget
 from repro.persist.remote import (RemoteRejected, RemoteRepository,
-                                  RemoteUnavailable)
+                                  RemoteUnavailable, ReplicaSet)
 from repro.workloads.programs import PROGRAMS
+from tests.test_remote_client import backoff_waits, dead_address
 
 
-def dead_address() -> str:
-    """A loopback port guaranteed to refuse connections."""
-    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    return f"127.0.0.1:{port}"
-
-
-def dead_client(**kwargs):
+def dead_engine(address=None, **kwargs):
+    """A request engine whose only replica refuses connections."""
     kwargs.setdefault("retries", 1)
     kwargs.setdefault("timeout", 0.5)
     kwargs.setdefault("sleep", lambda _s: None)
-    return RemoteRepository(dead_address(), local=None, **kwargs)
+    return ReplicaSet([address or dead_address()], **kwargs)
 
 
 # -- deadline + retry budget primitives ---------------------------------------
@@ -112,9 +105,8 @@ class TestErrorClassification:
         """Regression: a malformed push used to burn the full retry
         schedule on an error no retry can fix."""
         with CacheServer(tmp_path / "repo") as server:
-            client = RemoteRepository(server.address, local=None,
-                                      retries=3,
-                                      sleep=lambda _s: None)
+            client = ReplicaSet([server.address], retries=3,
+                                sleep=lambda _s: None)
             with pytest.raises(RemoteRejected):
                 client.request("push", {"records": [],
                                         "config_fp": 123,
@@ -122,13 +114,13 @@ class TestErrorClassification:
             stats = client.remote_stats
             assert stats.retries == 0
             assert stats.rejected_fast == 1
-            assert not client.breaker.is_open
+            assert client.endpoints[0].breaker.failures == 0
             # the connection survives a fail-fast rejection
             assert client.ping()
             client.close()
 
     def test_retryable_categories_still_retry(self, tmp_path):
-        client = dead_client(retries=2)
+        client = dead_engine(retries=2)
         with pytest.raises(RemoteUnavailable):
             client.request("pull", {"config_fp": "c", "image_fp": "i"})
         assert client.remote_stats.retries == 2
@@ -140,29 +132,25 @@ class TestErrorClassification:
 
 class TestJitterDecorrelation:
     def test_backoff_deterministic_for_same_inputs(self):
-        one = dead_client(jitter_seed=3)
-        two = dead_client(jitter_seed=3)
-        assert one._backoff("pull", 1, endpoint="a:1") == \
-            two._backoff("pull", 1, endpoint="a:1")
-        one.close(), two.close()
+        address = dead_address()
+        one, = backoff_waits(address, retries=3, jitter_seed=3)
+        two, = backoff_waits(address, retries=3, jitter_seed=3)
+        assert len(one) == 3 and one == two
 
     def test_backoff_decorrelates_across_endpoints_and_seeds(self):
-        client = dead_client(jitter_seed=0)
-        other = dead_client(jitter_seed=1)
-        by_endpoint = {client._backoff("pull", 1, endpoint=ep)
-                       for ep in ("a:1", "b:2", "c:3")}
+        addresses = [dead_address() for _ in range(3)]
+        by_endpoint = {backoff_waits(address, jitter_seed=0)[0][0]
+                       for address in addresses}
         assert len(by_endpoint) == 3      # per-endpoint decorrelation
-        assert client._backoff("pull", 1, endpoint="a:1") != \
-            other._backoff("pull", 1, endpoint="a:1")
-        client.close(), other.close()
+        assert backoff_waits(addresses[0], jitter_seed=0) != \
+            backoff_waits(addresses[0], jitter_seed=1)
 
     def test_backoff_grows_with_attempt_and_respects_cap(self):
-        client = dead_client(backoff_base=0.1, backoff_cap=0.3)
-        values = [client._backoff("pull", attempt, endpoint="a:1")
-                  for attempt in range(8)]
+        values, = backoff_waits(dead_address(), retries=8,
+                                backoff_base=0.1, backoff_cap=0.3)
+        assert len(values) == 8
         assert all(value <= 0.3 for value in values)
-        assert values[-1] == 0.3          # cap reached
-        client.close()
+        assert values[0] < values[-1] == 0.3      # cap reached
 
 
 # -- deadline propagation -----------------------------------------------------
@@ -171,7 +159,7 @@ class TestJitterDecorrelation:
 class TestDeadlinePropagation:
     def test_client_stops_retrying_past_deadline(self):
         clock = [0.0]
-        client = dead_client(
+        client = dead_engine(
             retries=10, request_budget=1.0,
             retry_budget_initial=8.0,
             clock=lambda: clock[0],
@@ -253,9 +241,8 @@ class TestAdmissionControl:
         hint (not just its own backoff) before the next attempt."""
         sleeps = []
         with CacheServer(tmp_path / "repo") as server:
-            client = RemoteRepository(server.address, local=None,
-                                      retries=2, backoff_base=0.001,
-                                      sleep=sleeps.append)
+            client = ReplicaSet([server.address], retries=2,
+                                backoff_base=0.001, sleep=sleeps.append)
             injector = FaultInjector(5, ["server-overloaded"],
                                      rate=1.0)
             with injecting(injector):
@@ -268,7 +255,7 @@ class TestAdmissionControl:
             client.close()
 
     def test_budget_exhaustion_degrades_immediately(self):
-        client = dead_client(retries=10, retry_budget_initial=1.0,
+        client = dead_engine(retries=10, retry_budget_initial=1.0,
                              retry_budget_earn=0.0)
         with pytest.raises(RemoteUnavailable) as excinfo:
             client.request("pull", {"config_fp": "c", "image_fp": "i"})
@@ -299,9 +286,20 @@ def _primed_cluster_client(tmp_path, **kwargs):
     return grid, client, vm
 
 
+def _traced(client):
+    """Bind a tracer and a trace root; returns a function counting the
+    client-side pull spans emitted so far."""
+    tracer = EventTracer()
+    client.bind_tracer(tracer)
+    client.bind_trace_context(TraceContext.for_boot(1, 0))
+    return lambda: sum(1 for event in tracer.events
+                       if event.name == "remote.pull")
+
+
 class TestHedgedReads:
     def test_forced_hedge_wins_on_sibling(self, tmp_path):
         grid, client, gold = _primed_cluster_client(tmp_path)
+        pull_spans = _traced(client)
         try:
             injector = FaultInjector(7, ["hedge-trigger"], rate=1.0)
             with injecting(injector):
@@ -309,8 +307,12 @@ class TestHedgedReads:
                 vm.load(assemble(PROGRAMS["fibonacci"]))
                 load = vm.warm_start(client)
                 vm.run()
-            assert client.cluster_stats.hedges >= 1
-            assert client.cluster_stats.hedge_wins >= 1
+            assert client.remote_stats.hedges >= 1
+            assert client.remote_stats.hedge_wins >= 1
+            # the hedge is part of its pull, not a request of its own:
+            # one pull + one manifest, one client span for the pull
+            assert client.remote_stats.requests == 2
+            assert pull_spans() == 1
             assert load.loaded > 0
             assert vm.state.exit_code == gold.state.exit_code
             assert list(vm.state.output) == list(gold.state.output)
@@ -325,12 +327,16 @@ class TestHedgedReads:
         probe's own retry schedule."""
         grid, client, gold = _primed_cluster_client(
             tmp_path, hedge_threshold=0.25)
+        pull_spans = _traced(client)
         try:
             grid.stop_replica(grid.group_name(0), 0)
             records = client.load(*_fingerprints(gold))
             assert records
-            assert client.cluster_stats.hedges >= 1
-            assert client.cluster_stats.hedge_wins >= 1
+            assert client.remote_stats.hedges >= 1
+            assert client.remote_stats.hedge_wins >= 1
+            assert client.remote_stats.requests == 1
+            assert client.remote_stats.retries == 1   # the hedge itself
+            assert pull_spans() == 1
         finally:
             client.close()
             grid.stop()
@@ -340,9 +346,12 @@ class TestHedgedReads:
         spec = grid.start()
         client = ClusterRepository(spec, local=None, retries=1,
                                    sleep=lambda _s: None)
+        pull_spans = _traced(client)
         try:
             client.load("cfg", "img")
-            assert client.cluster_stats.hedges == 0
+            assert client.remote_stats.hedges == 0
+            assert client.remote_stats.requests == 1
+            assert pull_spans() == 1
         finally:
             client.close()
             grid.stop()

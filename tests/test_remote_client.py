@@ -12,6 +12,7 @@ import socket
 import pytest
 
 from repro.cacheserver import CacheServer
+from repro.cluster import LocalCluster
 from repro.core.config import vm_soft
 from repro.core.vm import CoDesignedVM
 from repro.faults import (
@@ -26,6 +27,7 @@ from repro.obs.tracer import EventTracer
 from repro.persist import (
     CircuitBreaker,
     RemoteRepository,
+    ReplicaSet,
     TranslationRepository,
     WriterLease,
     parse_address,
@@ -85,28 +87,37 @@ class TestParseAddress:
             parse_address(bad)
 
 
+def backoff_waits(address, requests=1, **kwargs):
+    """The backoff sleeps of ``requests`` doomed pulls against a dead
+    address, one list per request — the engine's observable schedule."""
+    waits = []
+    kwargs.setdefault("retries", 4)
+    engine = ReplicaSet([address], timeout=0.5,
+                        retry_budget_initial=8.0,   # the bucket's size
+                        sleep=lambda s: waits[-1].append(s), **kwargs)
+    for _ in range(requests):
+        waits.append([])
+        assert engine.ask("pull") is None
+    return waits
+
+
 class TestBackoff:
     def test_deterministic_across_clients(self):
-        a = dead_client()
-        b = dead_client()
-        a._request_seq = b._request_seq = 3
-        waits_a = [a._backoff("pull", n) for n in range(4)]
-        waits_b = [b._backoff("pull", n) for n in range(4)]
+        address = dead_address()
+        waits_a = backoff_waits(address, requests=2)
+        waits_b = backoff_waits(address, requests=2)
         assert waits_a == waits_b
+        assert [len(waits) for waits in waits_a] == [4, 4]
 
     def test_jitter_decorrelates_requests(self):
-        client = dead_client()
-        client._request_seq = 1
-        first = client._backoff("pull", 0)
-        client._request_seq = 2
-        second = client._backoff("pull", 0)
-        assert first != second       # same attempt, different request
+        first, second = backoff_waits(dead_address(), requests=2)
+        assert first[0] != second[0]  # same attempt, different request
 
     def test_capped(self):
-        client = dead_client(backoff_base=0.05, backoff_cap=0.2)
-        client._request_seq = 1
-        for attempt in range(12):
-            assert client._backoff("push", attempt) <= 0.2
+        waits, = backoff_waits(dead_address(), retries=8,
+                               backoff_base=0.05, backoff_cap=0.2)
+        assert len(waits) == 8
+        assert all(wait <= 0.2 for wait in waits)
 
 
 class TestCircuitBreaker:
@@ -162,8 +173,6 @@ class TestDegradation:
         assert load.loaded > 0
         assert warm.blocks_translated == 0
         assert warm.output == cold.output
-        assert client.remote_stats.fallbacks > 0
-        assert client.remote_stats.conn_errors > 0
         assert client.remote_stats.successes == 0
 
     def test_load_without_local_acts_empty(self):
@@ -171,7 +180,7 @@ class TestDegradation:
         assert client.load("cfg", "img") == []
         assert client.manifest_entry_count("cfg", "img") is None
         assert client.ping() is False
-        assert client.server_stats() is None
+        assert client.groups["shard0"].ask("stats") is None
 
     def test_save_falls_back_to_local(self, tmp_path):
         vm = CoDesignedVM(vm_soft(), hot_threshold=50)
@@ -180,7 +189,6 @@ class TestDegradation:
         client = dead_client(local=tmp_path / "local")
         written = vm.save_translations(client)
         assert written > 0               # landed in the local store
-        assert client.remote_stats.fallbacks == 1
         assert client.local.stats().objects == written
 
     def test_save_without_local_returns_zero(self, tmp_path):
@@ -212,16 +220,22 @@ class TestDegradation:
 
     def test_breaker_probe_recovers_live_server(self, tmp_path):
         clock = [0.0]
-        client = dead_client(retries=0, breaker_threshold=1,
-                             breaker_cooldown=5.0,
-                             clock=lambda: clock[0])
-        client.ping()                    # opens the breaker
-        assert client.breaker.is_open
-        with CacheServer(tmp_path / "repo") as server:
-            client.kind, client.endpoint = parse_address(server.address)
+        with LocalCluster(tmp_path / "grid", shards=1,
+                          replicas=1) as grid:
+            client = RemoteRepository(
+                grid.spec(), retries=0, timeout=0.5,
+                breaker_threshold=1, breaker_cooldown=5.0,
+                clock=lambda: clock[0], sleep=lambda _s: None)
+            breaker = client.groups["shard0"].endpoints[0].breaker
+            grid.stop_replica("shard0", 0)
+            assert client.ping() is False    # opens the breaker
+            assert breaker.is_open
+            grid.restart_replica("shard0", 0)
+            assert client.ping() is False    # still cooling down
             clock[0] = 10.0              # cooldown elapsed: probe allowed
             assert client.ping() is True
-        assert not client.breaker.is_open
+            assert not breaker.is_open
+            client.close()
 
     def test_fallback_takes_flight_dump(self):
         tracer = EventTracer()

@@ -33,7 +33,8 @@ from repro.obs.telemetry import (
     merge_snapshots,
     telemetry_request,
 )
-from repro.obs.trajectory import bench_diff, history_row
+from repro.obs.trajectory import (append_row, bench_diff, history_row,
+                                  load_history)
 
 
 class TestTraceContextCodec:
@@ -338,3 +339,24 @@ class TestBenchTrajectory:
         assert bench_diff(rows, against="first")[0]
         with pytest.raises(ValueError):
             bench_diff(rows, against="median")
+
+    def test_append_skips_a_repeat_of_the_newest_same_bench_row(
+            self, tmp_path):
+        """A re-run that measured the same thing leaves the history
+        file alone (``make verify`` must not dirty the tree), while a
+        regression stays the newest row — and stays flagged — however
+        often the run repeats."""
+        path = tmp_path / "history.jsonl"
+        fast, slow = self.rows({"cycles": 100}, {"cycles": 120})
+        other = history_row("other", {"cycles": 7}, {"seed": 0})
+        assert append_row(fast, path)
+        assert not append_row(fast, path)
+        assert append_row(other, path)
+        assert not append_row(fast, path)   # newest of *its* bench
+        assert append_row(slow, path)
+        assert not append_row(slow, path)
+        assert append_row(fast, path)       # a move back is a new point
+        assert load_history(path) == [fast, other, slow, fast]
+        retuned = self.rows({"cycles": 100}, config={"seed": 1})[0]
+        assert append_row(retuned, path)    # same metrics, new baseline
+        assert bench_diff(load_history(path)[:3])[0]

@@ -43,7 +43,7 @@ from repro.cluster.topology import ClusterSpec, ShardGroup  # noqa: E402
 from repro.core.config import vm_soft                       # noqa: E402
 from repro.core.vm import CoDesignedVM                      # noqa: E402
 from repro.isa.x86lite.assembler import assemble            # noqa: E402
-from repro.persist import (RemoteRepository,                # noqa: E402
+from repro.persist import (ReplicaSet,                      # noqa: E402
                            TranslationRepository)
 from repro.workloads.programs import PROGRAMS               # noqa: E402
 
@@ -86,12 +86,12 @@ def read_address(proc: subprocess.Popen) -> str:
 def await_health(address: str, shard_id: str, role: str) -> None:
     """Block until the server answers the wire ``health`` op with the
     expected cluster membership."""
-    probe = RemoteRepository(address, timeout=0.5, retries=0,
-                             sleep=lambda _s: None)
+    probe = ReplicaSet([address], timeout=0.5, retries=0,
+                       sleep=lambda _s: None)
     try:
         deadline = time.monotonic() + SERVER_STARTUP_DEADLINE
         while time.monotonic() < deadline:
-            health = probe.health()
+            health = probe.ask("health")
             if health is not None:
                 if health.get("shard_id") != shard_id or \
                         health.get("role") != role:

@@ -56,8 +56,7 @@ from repro.obs.trajectory import (append_row, bench_diff,  # noqa: E402
                                   format_diff, history_row,
                                   load_history)
 from repro.persist import capture_translations           # noqa: E402
-from repro.persist.remote import (RemoteRepository,      # noqa: E402
-                                  RemoteUnavailable)
+from repro.persist.remote import RemoteRepository        # noqa: E402
 from repro.workloads.programs import PROGRAMS            # noqa: E402
 
 HOT_THRESHOLD = 20
@@ -169,17 +168,15 @@ def shed_burst(workdir: str):
         try:
             barrier.wait()
             for round_no in range(BURST_ROUNDS):
+                # load() and save() absorb sheds/degradation; distinct
+                # image fingerprints keep the push leases uncontended
                 if rank % 2:
-                    client.request("pull", {"config_fp": "cfg-burst",
-                                            "image_fp": "img0"})
+                    client.load("cfg-burst", "img0")
                 else:
-                    # save() absorbs sheds/degradation; distinct image
-                    # fingerprints keep the push leases uncontended
                     client.save(records, "cfg-burst",
                                 f"img{rank}-{round_no}")
-            outcomes[rank] = "ok"
-        except RemoteUnavailable:
-            outcomes[rank] = "degraded"
+            outcomes[rank] = "degraded" \
+                if client.remote_stats.fallbacks else "ok"
         except Exception as error:   # noqa: BLE001 - the gate reports
             outcomes[rank] = f"{type(error).__name__}: {error}"
         finally:
@@ -244,7 +241,7 @@ def hedge_drill(workdir: str) -> int:
         with injecting(injector):
             load = vm.warm_start(client)
             vm.run()
-        stats = client.cluster_stats
+        stats = client.remote_stats
         client.close()
 
     hedges, wins = stats.hedges, stats.hedge_wins

@@ -35,7 +35,7 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.core.config import vm_soft                    # noqa: E402
 from repro.core.vm import CoDesignedVM                   # noqa: E402
 from repro.isa.x86lite.assembler import assemble         # noqa: E402
-from repro.persist import RemoteRepository               # noqa: E402
+from repro.persist import RemoteRepository, ReplicaSet   # noqa: E402
 from repro.workloads.programs import PROGRAMS            # noqa: E402
 
 HOT_THRESHOLD = 20
@@ -53,12 +53,12 @@ def start_server(socket_path: str, cache_dir: str) -> subprocess.Popen:
         text=True, env=env, cwd=str(REPO))
     # readiness via the wire ``health`` op — the same structured probe
     # operators and the cluster tooling use, not a stdout scrape
-    probe = RemoteRepository(f"unix:{socket_path}", timeout=0.5,
-                             retries=0, sleep=lambda _s: None)
+    probe = ReplicaSet([f"unix:{socket_path}"], timeout=0.5,
+                       retries=0, sleep=lambda _s: None)
     try:
         deadline = time.monotonic() + SERVER_STARTUP_DEADLINE
         while time.monotonic() < deadline:
-            health = probe.health()
+            health = probe.ask("health")
             if health is not None:
                 print(f"server ready: role={health.get('role')} "
                       f"objects={health.get('objects')} "
@@ -90,7 +90,7 @@ def main() -> int:
             cold = cold_vm.run()
             client = RemoteRepository(f"unix:{socket_path}")
             pushed = cold_vm.save_translations(client)
-            print(f"pushed {pushed} record(s) through {client.address}")
+            print(f"pushed {pushed} record(s) through unix:{socket_path}")
             if pushed <= 0:
                 problems.append("push wrote no records")
             # seed the local fallback store for the degraded client
