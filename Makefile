@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-strict verify verify-suite bench bench-smoke chaos trace-smoke serve-smoke fleet-smoke cluster-smoke monitor-smoke overload-smoke perf perf-compare perf-selftest examples figures clean
+.PHONY: install test lint lint-strict verify verify-suite drills bench perf perf-compare perf-selftest examples figures clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -14,34 +14,34 @@ test:
 # project-invariant rules always run — determinism, lock discipline,
 # fault-point coverage, taxonomy conformance.  Style checking goes to
 # ruff + mypy when installed; otherwise reprolint's built-in style pack
-# covers the zero-dependency case.
-lint:
-	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests tools; \
-		PYTHONPATH=src $(PYTHON) -m repro lint --no-style; \
+# covers the zero-dependency case.  lint-strict is the verify-gate
+# flavor of the same run: the baseline escape hatch is disabled, so
+# legacy violations fail too; only inline-justified suppressions pass.
+lint lint-strict:
+	@flags="$(if $(filter lint-strict,$@),--strict)"; \
+	if command -v ruff >/dev/null 2>&1; then \
+		ruff check src tests tools; flags="$$flags --no-style"; \
 	else \
 		echo "ruff not installed; reprolint style pack covers F401/E501/W19x/W29x"; \
-		PYTHONPATH=src $(PYTHON) -m repro lint; \
-	fi
+	fi; \
+	PYTHONPATH=src $(PYTHON) -m repro lint $$flags
 	@if command -v mypy >/dev/null 2>&1; then \
 		mypy; \
 	else \
 		echo "mypy not installed; skipping type check"; \
 	fi
 
-# The verify-gate flavor: the baseline escape hatch is disabled, so
-# legacy violations fail too; only inline-justified suppressions pass.
-lint-strict:
-	PYTHONPATH=src $(PYTHON) -m repro lint --strict
-
-# Lint + the tier-1 suite with the translation verifier forced on
-# (the autouse sanitizer fixture arms the full rule-pack at every
-# TranslationDirectory.install; see docs/verifier.md), plus the
-# warm-start smoke gate, the seeded chaos gate and the observability
-# smoke gate.  Stages run one after another, stop at the first failure,
-# and the wall seconds of each and of the whole are printed at the end
-# (ROADMAP: the gate's own cost is tracked beside the perf/ rows).
-VERIFY_STAGES = lint lint-strict bench-smoke chaos trace-smoke serve-smoke fleet-smoke cluster-smoke monitor-smoke overload-smoke perf-selftest verify-suite
+# Strict lint, the drills (everything tier-1 cannot hold: real serve
+# subprocesses and kill -9, the exhaustive fault sweep, herds that shed,
+# the telemetry plane end to end — `python tools/drills.py --list`; it
+# prints its own wall seconds per drill), the benchmark's self-test and
+# the tier-1 suite with the translation verifier forced on (the autouse
+# sanitizer fixture arms the full rule-pack at every
+# TranslationDirectory.install; see docs/verifier.md).  Stages run one
+# after another, stop at the first failure, and the wall seconds of
+# each and of the whole are printed at the end (ROADMAP: the gate's own
+# cost is tracked beside the perf/ rows).
+VERIFY_STAGES = lint-strict drills perf-selftest verify-suite
 verify:
 	@start=$$(date +%s); rows=""; \
 	for stage in $(VERIFY_STAGES); do \
@@ -58,66 +58,8 @@ verify-suite:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Fast gate for the persistent translation cache: a warm start from the
-# repository must do strictly fewer (in fact zero) BBT translations and
-# cost fewer simulated cycles than a cold start (docs/persistence.md).
-# The run appends its metrics to results/bench_history.jsonl; the
-# trajectory gate then fails on any regression beyond tolerance.
-bench-smoke:
-	$(PYTHON) tools/bench_smoke.py
-	PYTHONPATH=src $(PYTHON) -m repro bench diff
-
-# Seeded fault-injection gate: every fault class, every workload, warm
-# and cold — faulted runs must match their fault-free baselines exactly,
-# and fsck must repair every injected disk corruption
-# (docs/robustness.md).
-chaos:
-	$(PYTHON) tools/chaos.py
-
-# Observability gate: every seed workload's trace export must pass the
-# checked-in schema with conserved per-phase cycle totals, traced runs
-# must be byte-identical, and disabled tracing must cost nothing
-# measurable on the throughput hot loop (docs/observability.md).
-trace-smoke:
-	$(PYTHON) tools/trace_smoke.py
-
-# Shared-cache server gate: spawn a real server subprocess, push and
-# warm-boot through it, then kill -9 it — degraded clients must still
-# reproduce the cold run's architected results (docs/cache_server.md).
-serve-smoke:
-	$(PYTHON) tools/server_smoke.py
-
-# Mass-boot gate: sweep every boot/image policy pair on a small herd —
-# architected equality per instance, valid percentile reports, a real
-# amortization gain in the staged shared-image scenario, and
-# byte-identical same-seed reports (docs/fleet.md).
-fleet-smoke:
-	$(PYTHON) tools/fleet_smoke.py
-
-# Cluster gate: a real 3x2 shard grid of serve subprocesses — push a
-# workload, kill -9 the primary of a record-owning group mid-herd,
-# push another workload while it is down, then restart it and prove
-# anti-entropy re-replicates exactly its missed share; every boot must
-# byte-match its cold baseline throughout (docs/cluster.md).
-cluster-smoke:
-	$(PYTHON) tools/cluster_smoke.py
-
-# Telemetry gate: a --collect fleet over a live 3x2 cluster must embed
-# passing SLO verdicts in a byte-deterministic collector snapshot, and
-# its merged Perfetto trace must flow-link every client pull/push span
-# to the server span that served it; `repro monitor` must read the
-# same cluster end to end (docs/observability.md).
-monitor-smoke:
-	$(PYTHON) tools/monitor_smoke.py
-
-# Overload-protection gate: a 16-boot cold herd through a deliberately
-# undersized server must shed (retryable 'overloaded' + retry_after),
-# keep retry amplification at or under the 2x budget target, accept no
-# response past its deadline, and byte-match the fault-free architected
-# state; a forced hedge drill through a live 1x2 cluster must win on
-# the sibling replica (docs/overload.md).
-overload-smoke:
-	$(PYTHON) tools/overload_smoke.py
+drills:
+	$(PYTHON) tools/drills.py
 
 # Host-clock benchmark (perf/README.md): all four boot workloads, every
 # end-to-end metric by name, results under perf/out/.  About two
@@ -171,11 +113,10 @@ examples:
 		$(PYTHON) $$script > /dev/null || exit 1; \
 	done; echo "all examples ran"
 
-# Regenerate results/*.txt and the archived outputs.
-figures:
-	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+# Regenerate results/*.txt (the tests and the benchmarks write them).
+figures: test bench
 
+# Only what .gitignore lists: results/ is checked in.
 clean:
-	rm -rf results .pytest_cache .benchmarks
+	rm -rf perf/out .pytest_cache .benchmarks .hypothesis
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -53,6 +53,7 @@ client's time but never change its architected results.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import socket
 import socketserver
@@ -89,6 +90,27 @@ _SHEDDABLE_OPS = frozenset({"pull", "push", "manifest"})
 #: Minimum latency-histogram samples before the estimated-service-time
 #: admission check trusts the p95 (cold histograms reject nothing).
 _SERVICE_EST_MIN_SAMPLES = 32
+
+#: Every way the server turns work away, one row per decision
+#: (docs/overload.md has the conditions): the error category answered
+#: (``protocol.RETRYABLE_ERRORS`` says which a client may retry), the
+#: ``ServerStats`` counter, the tracer event, the answer's detail.
+#: ``busy`` has a counter and no event: it refuses a connection, not a
+#: request, and nothing reads connection events.
+_REJECTIONS = {
+    "busy": ("busy", "conns_rejected", None,
+             "connection limit reached or server draining"),
+    "expired": ("deadline-exceeded", "deadline_rejected",
+                "server.deadline",
+                "request budget already spent "
+                "({deadline_ms} ms remaining)"),
+    "estimate": ("deadline-exceeded", "deadline_rejected",
+                 "server.deadline",
+                 "estimated {op} service time {estimate_ms:.1f} ms "
+                 "exceeds the {deadline_ms} ms budget"),
+    "depth": ("overloaded", "requests_shed", "server.shed",
+              "queue depth {depth} over bound {bound}"),
+}
 
 
 class ServerStats:
@@ -213,11 +235,9 @@ class _Handler(socketserver.BaseRequestHandler):
         sock = self.request
         sock.settimeout(CONNECTION_TIMEOUT)
         if not server._admit(sock):
-            # backpressure/drain rejection: answer with the retryable
-            # ``busy`` category, then drop the connection
-            server.stats.count("conns_rejected")
-            self._try_send(sock, protocol.error(
-                "busy", "connection limit reached or server draining"))
+            # backpressure/drain rejection: answer, then drop the
+            # connection
+            self._try_send(sock, server._reject("busy"))
             return
         server.stats.count("connections")
         try:
@@ -344,23 +364,18 @@ class CacheServer:
             kwargs={"poll_interval": 0.05},
             name="cacheserver", daemon=True)
         self._thread.start()
-        self._trace("server.start", address=self.address)
-        log.info("cache server for %s listening on %s",
-                 self.repository.root, self.address)
         return self.address
 
     def serve_forever(self) -> None:
         """Bind and serve on the calling thread (the CLI path)."""
         self._bind()
-        self._trace("server.start", address=self.address)
-        log.info("cache server for %s listening on %s",
-                 self.repository.root, self.address)
         try:
             self._server.serve_forever(poll_interval=0.05)
         finally:
             self.stop()
 
     def _bind(self) -> None:
+        """Bind the listener and announce it (once per bind)."""
         if self._server is not None:
             return
         if self.socket_path is not None:
@@ -380,6 +395,9 @@ class CacheServer:
                                       bind_and_activate=True)
             self.port = self._server.server_address[1]
         self._server.cache_server = self
+        self._trace("server.start", address=self.address)
+        log.info("cache server for %s listening on %s",
+                 self.repository.root, self.address)
 
     def stop(self) -> None:
         server, self._server = self._server, None
@@ -402,17 +420,18 @@ class CacheServer:
         process answers nothing, so cluster failure drills
         (``LocalCluster.stop_replica``) use this."""
         self.stop()
+        self._sever_connections()
+
+    def _sever_connections(self) -> None:
+        """Cut every established connection; its handler thread sees
+        the socket die and releases it."""
         with self._conn_lock:
             socks = list(self._conn_socks)
         for sock in socks:
-            try:
+            with contextlib.suppress(OSError):
                 sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
+            with contextlib.suppress(OSError):
                 sock.close()
-            except OSError:
-                pass
 
     # -- connection admission / graceful drain ------------------------------
 
@@ -467,15 +486,7 @@ class CacheServer:
             if not clean:
                 # idle persistent connections never send another
                 # frame; cut them so handler threads cannot leak
-                for sock in list(self._conn_socks):
-                    try:
-                        sock.shutdown(socket.SHUT_RDWR)
-                    except OSError:
-                        pass
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
+                self._sever_connections()
                 self._conn_lock.wait_for(
                     lambda: self._active_conns == 0, timeout=1.0)
         log.info("cache server drained %s (%s)", self.address,
@@ -498,6 +509,20 @@ class CacheServer:
 
     # -- request dispatch ---------------------------------------------------
 
+    def _reject(self, decision: str, **facts) -> Dict:
+        """The one exit of every admission decision: count it, trace
+        it and phrase the error answer from its ``_REJECTIONS`` row.
+        ``facts`` are the event's arguments; a ``retry_after`` pacing
+        hint among them goes into the answer too."""
+        category, counter, event, detail = _REJECTIONS[decision]
+        self.stats.count(counter)
+        if event is not None:
+            self._trace(event, **facts)
+        response = protocol.error(category, detail.format(**facts))
+        if "retry_after" in facts:
+            response["retry_after"] = facts["retry_after"]
+        return response
+
     def _admission_check(self, op: str, request: Dict,
                          depth: int) -> Optional[Dict]:
         """Admission control (docs/overload.md); an error response to
@@ -517,39 +542,21 @@ class CacheServer:
             deadline_ms = None          # malformed/absent: ignored
         if deadline_ms is not None:
             if deadline_ms <= 0:
-                self.stats.count("deadline_rejected")
-                self._trace("server.deadline", op=op,
-                            deadline_ms=deadline_ms, stage="expired")
-                return protocol.error(
-                    "deadline-exceeded",
-                    f"request budget already spent "
-                    f"({deadline_ms} ms remaining)")
+                return self._reject("expired", op=op, stage="expired",
+                                    deadline_ms=deadline_ms)
             estimate = self.stats.latency_percentile(
                 op, 95, min_count=_SERVICE_EST_MIN_SAMPLES)
             if estimate is not None and estimate > deadline_ms:
-                self.stats.count("deadline_rejected")
-                self._trace("server.deadline", op=op,
-                            deadline_ms=deadline_ms,
-                            estimate_ms=estimate, stage="estimate")
-                return protocol.error(
-                    "deadline-exceeded",
-                    f"estimated {op} service time {estimate:.1f} ms "
-                    f"exceeds the {deadline_ms} ms budget")
+                return self._reject("estimate", op=op, stage="estimate",
+                                    deadline_ms=deadline_ms,
+                                    estimate_ms=estimate)
         if self.max_queue_depth is not None \
                 and op in _SHEDDABLE_OPS \
                 and depth > self.max_queue_depth:
             excess = depth - self.max_queue_depth
-            retry_after = round(self.shed_retry_after * excess, 6)
-            self.stats.count("requests_shed")
-            self._trace("server.shed", op=op, depth=depth,
-                        bound=self.max_queue_depth,
-                        retry_after=retry_after)
-            response = protocol.error(
-                "overloaded",
-                f"queue depth {depth} over bound "
-                f"{self.max_queue_depth}")
-            response["retry_after"] = retry_after
-            return response
+            return self._reject(
+                "depth", op=op, depth=depth, bound=self.max_queue_depth,
+                retry_after=round(self.shed_retry_after * excess, 6))
         return None
 
     def dispatch(self, request: Dict) -> Dict:
@@ -570,10 +577,12 @@ class CacheServer:
         with self._inflight_lock:
             self._inflight += 1
             depth = self._inflight
+        admitted = False
         try:
-            shed = self._admission_check(op, request, depth)
-            if shed is not None:
-                return shed
+            rejection = self._admission_check(op, request, depth)
+            if rejection is not None:
+                return rejection
+            admitted = True
             if context is None:
                 return handler(request)
             with self.spans.span("server.op", context, op=op,
@@ -592,8 +601,12 @@ class CacheServer:
         finally:
             with self._inflight_lock:
                 self._inflight -= 1
-            self.stats.observe_latency(
-                op, (time.perf_counter() - started) * 1000.0)
+            # a rejection took microseconds and served nothing: in the
+            # histogram it would drag down the very p95 the estimate
+            # gate reads as "service time"
+            if admitted:
+                self.stats.observe_latency(
+                    op, (time.perf_counter() - started) * 1000.0)
 
     @staticmethod
     def _fingerprints(request: Dict):
@@ -606,6 +619,14 @@ class CacheServer:
     def _op_ping(self, request: Dict) -> Dict:
         return protocol.ok(root=str(self.repository.root))
 
+    def _identity(self) -> Dict:
+        """Who this server is and what it holds — the block the
+        ``health`` and ``telemetry`` answers share."""
+        return {"shard_id": self.shard_id, "role": self.role,
+                "address": self.address,
+                "objects": len(self.repository._load_meta()["objects"]),
+                "draining": self.draining}
+
     def _op_health(self, request: Dict) -> Dict:
         """Structured liveness: shard identity + store + lease state.
 
@@ -617,11 +638,7 @@ class CacheServer:
         body = lease._read()
         held = body is not None
         return protocol.ok(
-            shard_id=self.shard_id,
-            role=self.role,
-            address=self.address,
-            objects=len(self.repository._load_meta()["objects"]),
-            draining=self.draining,
+            **self._identity(),
             lease={"held": held,
                    "holder": body.get("holder") if held else None,
                    "expired": lease._expired() if held else False})
@@ -649,11 +666,7 @@ class CacheServer:
                                   f"bad max_spans {max_spans!r}")
         return protocol.ok(
             version=TELEMETRY_VERSION,
-            shard_id=self.shard_id,
-            role=self.role,
-            address=self.address,
-            objects=len(self.repository._load_meta()["objects"]),
-            draining=self.draining,
+            **self._identity(),
             metrics=self.stats.registry_snapshot(),
             spans=self.spans.to_wire(max_spans))
 

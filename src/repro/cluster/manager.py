@@ -1,6 +1,6 @@
 """LocalCluster — a shards x replicas grid of in-process cache servers.
 
-Tests, the chaos tool and the fleet engine need a real cluster — real
+Tests, the drills and the fleet engine need a real cluster — real
 sockets, real per-replica stores — without managing OS processes.
 :class:`LocalCluster` spins up ``shards`` x ``replicas``
 :class:`~repro.cacheserver.server.CacheServer` instances on loopback
@@ -12,9 +12,10 @@ Failure drills are first-class: :meth:`stop_replica` hard-stops one
 server (its port stays reserved in the spec, so clients see a refused
 connection — the same observable as a crashed process), and
 :meth:`restart_replica` brings it back on the *same* address, store
-intact, so anti-entropy can heal it.  ``tools/cluster_smoke.py`` does
-the genuine ``kill -9`` variant against subprocess shards; this class
-is the in-process twin the deterministic gates drive.
+intact, so anti-entropy can heal it.  ``tools/drills.py`` subclasses it
+over ``repro serve`` subprocesses (:meth:`_spawn` is the one seam) for
+the genuine ``kill -9`` variant; this class is the in-process twin the
+deterministic gates drive.
 """
 
 from __future__ import annotations
@@ -65,6 +66,26 @@ class LocalCluster:
 
     # -- lifecycle ----------------------------------------------------------
 
+    @staticmethod
+    def role(index: int) -> str:
+        return "primary" if index == 0 else "replica"
+
+    def _spawn(self, group: str, index: int, old=None):
+        """Start replica ``index`` of ``group`` on a kernel-assigned
+        loopback port — or, replacing the stopped server ``old``, on
+        its address."""
+        server = CacheServer(
+            self.repo_dir(group, index),
+            host=old.host if old else "127.0.0.1",
+            port=old.port if old else 0,
+            lease_timeout=self.lease_timeout,
+            max_conns=self.max_conns, tracer=self.tracer,
+            max_queue_depth=self.max_queue_depth,
+            shed_retry_after=self.shed_retry_after,
+            shard_id=group, role=self.role(index))
+        server.start()
+        return server
+
     def start(self) -> ClusterSpec:
         """Bind and start every server; returns the live spec."""
         if self._started:
@@ -72,17 +93,7 @@ class LocalCluster:
         for shard in range(self.shards):
             group = self.group_name(shard)
             for index in range(self.replicas):
-                server = CacheServer(
-                    self.repo_dir(group, index),
-                    host="127.0.0.1", port=0,
-                    lease_timeout=self.lease_timeout,
-                    max_conns=self.max_conns, tracer=self.tracer,
-                    max_queue_depth=self.max_queue_depth,
-                    shed_retry_after=self.shed_retry_after,
-                    shard_id=group,
-                    role="primary" if index == 0 else "replica")
-                server.start()
-                self.servers[(group, index)] = server
+                self.servers[(group, index)] = self._spawn(group, index)
         self._started = True
         log.info("local cluster up: %dx%d under %s",
                  self.shards, self.replicas, self.root)
@@ -127,16 +138,8 @@ class LocalCluster:
         on-disk store untouched (the anti-entropy repair target)."""
         old = self.servers[(group, index)]
         old.stop()
-        server = CacheServer(
-            self.repo_dir(group, index),
-            host=old.host, port=old.port,
-            lease_timeout=self.lease_timeout,
-            max_conns=self.max_conns, tracer=self.tracer,
-            max_queue_depth=self.max_queue_depth,
-            shed_retry_after=self.shed_retry_after,
-            shard_id=group, role=old.role)
-        server.start()
-        self.servers[(group, index)] = server
+        server = self.servers[(group, index)] = \
+            self._spawn(group, index, old)
         return server.address
 
     def __enter__(self) -> "LocalCluster":

@@ -19,7 +19,7 @@ manifest pair:
 The pass is read-mostly, idempotent, and safe to run against a live
 cluster; replicas that stay unreachable are reported, not fatal — the
 next pass heals them after restart.  ``repro cluster repair`` and the
-smoke/chaos gates drive this.
+outage drills of ``tools/drills.py`` drive this.
 """
 
 from __future__ import annotations

@@ -139,6 +139,6 @@ class ClusterSpec:
         return "\n".join(lines)
 
     def addresses(self) -> List[str]:
-        """Every replica address in spec order (smoke/health tools)."""
+        """Every replica address in spec order (drills/health tools)."""
         return [str(addr) for group in self.groups
                 for addr in group.replicas]

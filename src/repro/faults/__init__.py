@@ -16,7 +16,8 @@ makes that contract testable:
   must produce architected state identical to the fault-free run.
 
 See ``docs/robustness.md`` for the fault taxonomy and the recovery
-guarantee each class is matched by, and ``make chaos`` for the gate.
+guarantee each class is matched by; the ``chaos`` drill of
+``tools/drills.py`` is the gate.
 """
 
 from repro.faults.classes import (
@@ -35,8 +36,9 @@ from repro.faults.plane import fault_point, injecting
 #: CoDesignedVM runs, while the low-level fault *plane* is imported by
 #: the translators themselves — an eager import here would be circular.
 _HARNESS_SYMBOLS = ("ArchOutcome", "Baseline", "ChaosOutcome",
-                    "modes_for", "needs_cluster", "needs_remote",
-                    "prepare_baseline", "run_faulted", "run_matrix")
+                    "manifest_pairs", "modes_for", "needs_cluster",
+                    "needs_remote", "prepare_baseline", "run_faulted",
+                    "run_matrix")
 
 
 def __getattr__(name):
@@ -58,6 +60,7 @@ __all__ = [
     "fault_point",
     "injecting",
     "make_fault",
+    "manifest_pairs",
     "needs_cluster",
     "needs_remote",
     "modes_for",

@@ -13,7 +13,7 @@ All randomness comes from the injector's seeded generator, so a given
 chaos gate's reproducibility rests on this.
 
 Adding a fault class is one subclass plus :func:`register`; the chaos
-matrix (``make chaos``), the hypothesis property test and the CLI pick
+matrix (the ``chaos`` drill), the hypothesis property test and the CLI pick
 it up from :data:`FAULT_CLASSES` automatically.
 """
 

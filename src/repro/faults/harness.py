@@ -13,8 +13,9 @@ harness makes that executable:
 3. the run must complete (no exception escapes) with an architected
    outcome identical to step 1, all recovery recorded in the stats.
 
-``tools/chaos.py`` sweeps the full (workload x fault class x seed)
-matrix through this module; the hypothesis chaos test samples it.
+The ``chaos`` drill of ``tools/drills.py`` sweeps the full (workload x
+fault class x seed) matrix through :func:`run_matrix`; the hypothesis
+chaos test samples it.
 """
 
 from __future__ import annotations
@@ -79,6 +80,13 @@ class Baseline:
     outcome: ArchOutcome
     repo_dir: str
     records_saved: int
+
+    def fresh_vm(self, config=None) -> CoDesignedVM:
+        """A new VM with this baseline's program loaded, nothing run."""
+        vm = CoDesignedVM(config or vm_soft(),
+                          hot_threshold=self.hot_threshold)
+        vm.load(assemble(self.source))
+        return vm
 
 
 @dataclass
@@ -146,7 +154,7 @@ def prepare_baseline(name: str, source: str, workdir: str,
                     repo_dir=repo_dir, records_saved=saved)
 
 
-def _manifest_pairs(repo_dir) -> List[tuple]:
+def manifest_pairs(repo_dir) -> List[tuple]:
     """The (config_fp, image_fp) pairs a repository directory holds
     (manifest files are named ``<config_fp>__<image_fp>.json``)."""
     pairs = []
@@ -199,9 +207,8 @@ def run_faulted(baseline: Baseline, faults: Sequence[str], seed: int,
                            disk_corruptions=disk_corruptions)
     # chaos runs fly instrumented: the flight recorder turns any escape
     # or divergence into a replayable forensic trace (docs/observability)
-    config = vm_soft().with_(integrity_check_interval=1, trace=True)
-    vm = CoDesignedVM(config, hot_threshold=baseline.hot_threshold)
-    vm.load(assemble(baseline.source))
+    vm = baseline.fresh_vm(
+        vm_soft().with_(integrity_check_interval=1, trace=True))
     grid = None
     try:
         if remote or cluster:
@@ -224,7 +231,7 @@ def run_faulted(baseline: Baseline, faults: Sequence[str], seed: int,
             source_repo = TranslationRepository(repo_copy)
             primer = RemoteRepository(spec, retries=1,
                                       sleep=lambda _s: None)
-            for config_fp, image_fp in _manifest_pairs(repo_copy):
+            for config_fp, image_fp in manifest_pairs(repo_copy):
                 primer.save(source_repo.load(config_fp, image_fp),
                             config_fp, image_fp)
             primer.close()
@@ -321,24 +328,43 @@ def needs_cluster(faults: Sequence[str]) -> bool:
     return False
 
 
-def run_matrix(programs: Dict[str, str], fault_sets: Sequence[Sequence[str]],
-               seeds: Sequence[int],
+def run_matrix(programs: Dict[str, str],
+               fault_sets: Sequence[Sequence[str]], seeds: Sequence[int],
+               workdir: str, mode: str = "surface",
                hot_threshold: int = DEFAULT_HOT_THRESHOLD,
                max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-               progress=None) -> List[ChaosOutcome]:
-    """The full chaos sweep: every workload x fault set x seed."""
+               progress=None, **fault_overrides) -> List[ChaosOutcome]:
+    """The chaos sweep: every workload x fault set x seed x mode, in
+    the order given.
+
+    ``mode`` picks the transports of each run: ``"surface"`` is every
+    mode the fault set has surface in (:func:`modes_for`, through the
+    wire where :func:`needs_remote` / :func:`needs_cluster` say so),
+    ``"local"`` the same warm/cold pair against the local repository
+    only, ``"remote"`` and ``"cluster"`` one warm boot through a live
+    1x1 / sharded grid.
+    """
+    if mode not in ("surface", "local", "remote", "cluster"):
+        raise ValueError(f"unknown sweep mode {mode!r}")
     outcomes: List[ChaosOutcome] = []
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as workdir:
-        for name, source in sorted(programs.items()):
-            baseline = prepare_baseline(
-                name, source, workdir, hot_threshold=hot_threshold,
-                max_instructions=max_instructions)
-            for fault_set in fault_sets:
-                for seed in seeds:
-                    for warm in modes_for(fault_set):
-                        outcome = run_faulted(baseline, fault_set, seed,
-                                              workdir=workdir, warm=warm)
-                        outcomes.append(outcome)
-                        if progress is not None:
-                            progress(outcome)
+    for name, source in programs.items():
+        baseline = prepare_baseline(
+            name, source, workdir, hot_threshold=hot_threshold,
+            max_instructions=max_instructions)
+        for fault_set in fault_sets:
+            remote = mode == "remote" or \
+                (mode == "surface" and needs_remote(fault_set))
+            cluster = mode == "cluster" or \
+                (mode == "surface" and needs_cluster(fault_set))
+            warmth = [True] if mode in ("remote", "cluster") \
+                else modes_for(fault_set)
+            for seed in seeds:
+                for warm in warmth:
+                    outcome = run_faulted(
+                        baseline, fault_set, seed, workdir=workdir,
+                        warm=warm, remote=remote, cluster=cluster,
+                        **fault_overrides)
+                    outcomes.append(outcome)
+                    if progress is not None:
+                        progress(outcome)
     return outcomes

@@ -27,7 +27,7 @@ Axes:
 * ``workload`` — a seed program name (:data:`repro.workloads.programs
   .PROGRAMS`);
 * ``faults`` — an optional cocktail of registered fault-class names
-  (``tools/chaos.py`` classes); faulted scenarios serialize the pool
+  (:data:`repro.faults.FAULT_CLASSES`); faulted scenarios serialize the pool
   (``workers=1``) so injection stays seed-deterministic;
 * ``seed`` — the scenario seed (image perturbation, fault injectors);
 * ``shards`` / ``replicas`` — the topology of the

@@ -24,7 +24,7 @@ the scenario (simulated cycles, record counts), so the same seed
 serializes byte-identically across runs and hosts
 (:func:`serialize_report` pins key order and separators exactly like
 the benchmark and trace emitters).  :func:`validate_report` is the
-schema-and-invariants gate ``tools/fleet_smoke.py`` and the tests run.
+schema-and-invariants gate the tests and the ``collect`` drill run.
 """
 
 from __future__ import annotations

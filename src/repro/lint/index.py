@@ -10,7 +10,7 @@ project registries the cross-check rules compare against:
   :data:`repro.faults.classes.FAULT_CLASSES` (FLT001);
 * **fault-point call sites** — every ``fault_point("<site>")`` literal
   found in the scanned tree (FLT001's drift direction, and the
-  ``tools/chaos.py`` fail-fast check).
+  ``chaos`` drill's fail-fast check).
 
 Registries are resolved by importing the live modules — the same
 objects the runtime enforces with — never from hardcoded lists; tests
@@ -229,7 +229,8 @@ def fault_site_drift(src_root=None) -> Dict[str, List[str]]:
     Returns ``{fault class name: [missing sites]}`` — non-empty means a
     fault class declares a site string the production tree no longer
     visits, so chaos runs of that class silently test nothing.  Used by
-    ``tools/chaos.py`` as its fail-fast preflight and by FLT001.
+    ``tools/drills.py`` as the chaos drill's fail-fast preflight and by
+    FLT001.
     """
     try:
         from repro.faults.classes import FAULT_CLASSES

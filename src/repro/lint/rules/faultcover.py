@@ -18,7 +18,7 @@ Three checks, all cross-checked against the live fault-class registry
   dead weight that injects nothing);
 * every registered site must appear as a literal somewhere in the
   scanned tree (else that fault class silently tests nothing —
-  ``tools/chaos.py`` fails fast on the same drift).
+  the ``chaos`` drill fails fast on the same drift).
 
 Dominance is approximated lexically (an earlier ``fault_point`` in the
 same function body); intentional exemptions — the lease protocol, whose
@@ -116,7 +116,7 @@ class FaultCoverageRule(Rule):
     def check_project(self,
                       index: ProjectIndex) -> Iterable[Violation]:
         """Direction 3: registered sites that nothing in the scanned
-        tree visits (registry drift — also the chaos.py preflight)."""
+        tree visits (registry drift — also the chaos drill's preflight)."""
         registered = index.fault_sites
         if registered is None or not any(
                 module.package for module in index.modules):

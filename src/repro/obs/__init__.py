@@ -30,7 +30,7 @@ of a bench-only aggregate:
 
 Tracing is off by default and the hooks are guarded (``tracer is None``
 checks on dispatch paths), so a non-traced run pays near-zero cost;
-``tools/trace_smoke.py`` gates that.  Enabled tracing is deterministic:
+the ``trace-overhead`` drill gates that.  Enabled tracing is deterministic:
 timestamps come from the simulated-cycle clock, never the wall clock,
 so the same workload and seed produce a byte-identical event stream.
 """

@@ -14,7 +14,7 @@ simulated-cycle clock by exactly the cycles it attributes, so
     ``sum(ledger.totals().values()) == ledger.total``
 
 always holds — no cycle unattributed, none double-counted
-(:meth:`conserved` asserts it; the trace smoke gate and the benches
+(:meth:`conserved` asserts it; ``tests/test_obs.py`` and the benches
 check it on real runs).
 
 On top of the phase totals the ledger keeps

@@ -16,7 +16,7 @@ workload and seed produce a byte-identical exported stream.
 Cost contract: the tracer is only constructed when ``trace=True``; all
 hot-path hooks in the runtime are guarded by ``if tracer is not None``
 so a non-traced run pays a single pointer test per hook site (the
-``make trace-smoke`` gate measures this).
+``trace-overhead`` drill of ``tools/drills.py`` measures this).
 
 The **flight recorder** is the same stream viewed through a bounded
 ring: the last ``flight_capacity`` events are always retained even

@@ -21,8 +21,8 @@ Regression detection is direction-aware: metric names ending in
 cycle/latency/miss/error-ish suffixes regress *upward*, names that
 are obviously throughput-ish regress *downward*, and the gate fails
 on any relative change beyond the tolerance (default 5%).
-``tools/bench_smoke.py`` appends its rows and runs the gate inside
-``make bench-smoke`` (docs/observability.md).
+The ``bench`` and ``overload`` drills of ``tools/drills.py`` append
+their rows and run the gate (docs/observability.md).
 """
 
 from __future__ import annotations

@@ -22,8 +22,9 @@ missing/bad object     still warm-starts)
 =====================  ===========================================
 
 ``fsck(repair=False)`` only reports; ``repair=True`` applies the right
-column.  After a repairing pass a second fsck is clean — the chaos gate
-(``make chaos``) asserts exactly that for every disk fault class.
+column.  After a repairing pass a second fsck is clean — the ``fsck``
+drill (``tools/drills.py``) asserts exactly that for every disk fault
+class.
 """
 
 from __future__ import annotations

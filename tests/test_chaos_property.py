@@ -5,7 +5,7 @@ the chaos invariant end-to-end: the faulted run completes — warm-started
 from a mangled repository and/or cold with runtime faults armed — with
 architected state identical to the fault-free baseline.  The
 deterministic per-class matrix lives in ``tests/test_faults.py`` and
-``make chaos``; this test explores the *combinations* those sweeps
+the ``chaos`` drill; this test explores the *combinations* those sweeps
 don't enumerate.
 """
 

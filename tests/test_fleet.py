@@ -188,17 +188,22 @@ class TestFleetEngine:
             assert later.records_loaded > 0
             assert later.blocks_translated == 0
             assert later.tts_cycles < rank0.tts_cycles
+            # ... and their pushes dedup to zero new objects
+            assert later.push_written == 0
 
     def test_one_per_vm_defeats_sharing(self):
-        result = boot(boot_policy="one_then_others",
-                      image_policy="one_per_vm")
-        assert result.arch_ok
-        fps = {i.image_fp for i in result.instances}
-        assert len(fps) == len(result.instances)
-        # distinct images: nobody warm-starts from rank 0's manifest
-        assert all(i.records_loaded == 0 for i in result.instances)
-        assert all(i.tts_cycles == result.instances[0].tts_cycles
-                   for i in result.instances)
+        for boot_policy in BOOT_POLICIES:
+            result = boot(boot_policy=boot_policy,
+                          image_policy="one_per_vm")
+            assert result.arch_ok
+            fps = {i.image_fp for i in result.instances}
+            assert len(fps) == len(result.instances)
+            # distinct images: nobody warm-starts from rank 0's
+            # manifest
+            assert all(i.records_loaded == 0 for i in result.instances)
+            assert all(i.tts_cycles == result.instances[0].tts_cycles
+                       for i in result.instances)
+            assert validate_report(build_report([result])) == []
 
     def test_warm_repository_short_circuits_the_transient(
             self, shared_fleets):
@@ -211,12 +216,14 @@ class TestFleetEngine:
             assert instance.tts_cycles < cold.instances[0].tts_cycles
 
     def test_reports_are_byte_identical_across_runs(self):
-        scenario = FleetScenario(n=3, workers=3, seed=11)
-        first = serialize_report(
-            build_report([FleetEngine().run(scenario)]))
-        second = serialize_report(
-            build_report([FleetEngine().run(scenario)]))
-        assert first == second
+        for policy, seed in (("all_at_once", 11), ("one_then_others", 5)):
+            scenario = FleetScenario(n=3, boot_policy=policy, workers=3,
+                                     seed=seed)
+            first = serialize_report(
+                build_report([FleetEngine().run(scenario)]))
+            second = serialize_report(
+                build_report([FleetEngine().run(scenario)]))
+            assert first == second
 
     def test_network_fault_cocktail_keeps_architected_state(self):
         result = boot(n=2, faults=("conn-refused", "torn-frame"),

@@ -135,6 +135,13 @@ def traced_doc():
 class TestTraceExport:
     def test_schema_validation_passes(self, traced_doc):
         assert validate_trace(traced_doc) == []
+        # every seed workload exports a schema-valid, conserved trace
+        for name in sorted(PROGRAMS):
+            doc = _traced_vm(name).export_trace()
+            assert validate_trace(doc) == [], name
+            assert doc["traceEvents"] and doc["conserved"] is True, name
+            assert sum(doc["phase_cycles"].values()) == \
+                pytest.approx(doc["total_cycles"]), name
 
     def test_jsonschema_backend_is_available(self):
         # the fallback validator covers a subset; make sure the real
@@ -165,9 +172,10 @@ class TestTraceExport:
             set(EQ1_PHASES.values()) | {"other"}
 
     def test_determinism_byte_identical(self):
-        first = serialize_trace(_traced_vm().export_trace())
-        second = serialize_trace(_traced_vm().export_trace())
-        assert first == second
+        for name in ("checksum", "quicksort"):
+            first = serialize_trace(_traced_vm(name).export_trace())
+            second = serialize_trace(_traced_vm(name).export_trace())
+            assert first == second, name
 
     def test_export_requires_tracing(self):
         vm = CoDesignedVM(vm_soft())

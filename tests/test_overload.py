@@ -236,6 +236,21 @@ class TestAdmissionControl:
         assert server._admission_check(
             "pull", {"op": "pull"}, depth=10_000) is None
 
+    def test_rejections_stay_out_of_the_service_estimate(self, tmp_path):
+        """Only requests that reached their handler feed the latency
+        histogram whose p95 the estimate gate reads as service time."""
+        server = CacheServer(tmp_path / "repo", max_queue_depth=0)
+        pull = {"op": "pull", "config_fp": "c", "image_fp": "i"}
+        for _ in range(5):      # depth 1 > bound 0: every pull sheds
+            assert server.dispatch(pull)["error"] == "overloaded"
+        server.max_queue_depth = None
+        assert server.dispatch(dict(pull, deadline_ms=0))["error"] == \
+            "deadline-exceeded"
+        for _ in range(2):
+            assert server.dispatch(pull)["ok"]
+        assert server.stats.requests["pull"] == 8
+        assert server.stats.to_dict()["latency"]["pull"]["count"] == 2
+
     def test_client_honors_retry_after_hint(self, tmp_path):
         """Injected sheds: the client must sleep at least the server's
         hint (not just its own backoff) before the next attempt."""
@@ -316,6 +331,7 @@ class TestHedgedReads:
             assert load.loaded > 0
             assert vm.state.exit_code == gold.state.exit_code
             assert list(vm.state.output) == list(gold.state.output)
+            assert list(vm.state.regs) == list(gold.state.regs)
         finally:
             client.close()
             grid.stop()

@@ -625,7 +625,7 @@ def test_cli_list_rules(capsys):
 def test_chaos_preflight_passes_on_live_tree():
     sys.path.insert(0, str(REPO / "tools"))
     try:
-        import chaos
-        assert chaos.preflight_fault_sites() == 0
+        import drills
+        assert drills.preflight_fault_sites() == 0
     finally:
         sys.path.remove(str(REPO / "tools"))
