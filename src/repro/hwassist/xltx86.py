@@ -16,9 +16,9 @@ Documented deviation from Fig. 6b: the paper packs the two byte counts in
 bytes, so our CSR uses 5-bit count fields (the HAloop masks change from
 0x0F/0xF0 to 0x1F/0x3E0).  Nothing else shifts.
 
-The unit is *the same hardware* as the software BBT's decode/crack step by
-construction: both call :func:`repro.isa.x86lite.decode` and
-:func:`repro.translator.cracker.crack`.  What the assist changes is cost —
+The unit is *the same function* as the software BBT's decode/crack step:
+instruction bytes in, cracked micro-op bytes and the CSR facts out, both
+through :mod:`repro.translator.templates`.  What the assist changes is cost —
 4 pipeline cycles instead of ~70 of the 83 software-BBT cycles per
 instruction (Section 5.3) — which the timing model accounts for.
 """
@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.isa.fusible.encoding import encode_stream
+from repro.isa.fusible.encoding import decode_stream
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.registers import FREG_BYTES
-from repro.isa.x86lite.decoder import DecodeError, decode
-from repro.translator.cracker import crack
+from repro.isa.x86lite.decoder import DecodeError
+from repro.translator.templates import shape_at
 
 #: Execution latency of one XLTx86 invocation, in cycles (Section 4.2).
 XLTX86_LATENCY = 4
@@ -46,8 +46,13 @@ class XLTx86Result:
     uop_byte_count: int
     flag_cmplx: bool
     flag_cti: bool
-    uops: List[MicroOp]
-    uop_bytes: bytes
+    uop_bytes: bytes = b""
+    uop_count: int = 0
+
+    @property
+    def uops(self) -> List[MicroOp]:
+        """The micro-ops ``uop_bytes`` hold."""
+        return decode_stream(self.uop_bytes)
 
     @property
     def uop_bytes_padded(self) -> bytes:
@@ -71,27 +76,20 @@ class XLTx86Unit:
         buffer's fetch address).
         """
         self.invocations += 1
-        if len(fsrc) < FREG_BYTES:
-            fsrc = fsrc + bytes(FREG_BYTES - len(fsrc))
+        fsrc = bytes(fsrc[:FREG_BYTES]).ljust(FREG_BYTES, b"\0")
         try:
-            instr = decode(fsrc[:FREG_BYTES], addr=addr)
+            shape = shape_at(fsrc, 0, addr)
         except DecodeError:
             self.complex_punts += 1
-            return XLTx86Result(0, 0, True, False, [], b"")
-
-        result = crack(instr)
-        if result.cmplx:
-            self.complex_punts += 1
-            if result.cti:
-                self.cti_flags += 1
-            return XLTx86Result(instr.length, 0, True, result.cti, [], b"")
-
-        data = encode_stream(result.uops)
-        if len(data) > FREG_BYTES:
-            # cracked body does not fit the 128-bit Fdst: punt to software
-            self.complex_punts += 1
-            return XLTx86Result(instr.length, 0, True, result.cti, [], b"")
-        if result.cti:
+            return XLTx86Result(0, 0, True, False)
+        data, count = shape.body(fsrc, 0, addr)     # a complex one: none
+        # a cracked body that does not fit the 128-bit Fdst is punted
+        # to software like a complex instruction
+        oversized = len(data) > FREG_BYTES
+        if shape.cti and not oversized:
             self.cti_flags += 1
-        return XLTx86Result(instr.length, len(data), False, result.cti,
-                            result.uops, data)
+        if shape.cmplx or oversized:
+            self.complex_punts += 1
+            return XLTx86Result(shape.length, 0, True, shape.cti)
+        return XLTx86Result(shape.length, len(data), False, shape.cti,
+                            data, count)

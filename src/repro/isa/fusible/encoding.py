@@ -65,6 +65,19 @@ def imm13_in_range(op: UOp, imm: int) -> bool:
     return _IMM13_MIN <= imm <= _IMM13_MAX
 
 
+#: codec form -> (its immediate's bits in the 32-bit word, least and
+#: greatest value): the fields a template (``template.py``) may leave open
+_IMM_FIELDS = {"I13": (0x1FFF, _IMM13_MIN, _IMM13_MAX),
+               "U13": (0x1FFF, 0, 0x1FFF),
+               "U19": (0x7FFFF, 0, 0x7FFFF)}
+
+
+def imm_field(op: UOp) -> "tuple[int, int, int]":
+    """``(mask, least, greatest)`` of the immediate of ``op``'s form;
+    ``KeyError`` for a form whose immediate no template can patch."""
+    return _IMM_FIELDS[OP_INFO[op].form]
+
+
 def _check_reg(value: int, limit: int, what: str) -> int:
     if not 0 <= value < limit:
         raise UopEncodeError(f"{what} {value} out of range (<{limit})")

@@ -39,8 +39,11 @@ class DecodeError(Exception):
     """Raised on bytes that are not a valid x86lite instruction."""
 
 
-class _Cursor:
-    """Byte-stream reader that tracks consumed length."""
+class Cursor:
+    """Byte-stream reader that tracks consumed length.  ``u8`` reads the
+    bytes that say what the instruction *is* (prefix, opcode, ModRM,
+    SIB); every other reader fetches a displacement or immediate,
+    through ``value``."""
 
     def __init__(self, data: bytes, offset: int = 0) -> None:
         self._data = data
@@ -58,22 +61,32 @@ class _Cursor:
         self._pos += 1
         return value
 
+    def value(self, size: int, signed: bool = False) -> int:
+        """A ``size``-byte little-endian displacement or immediate."""
+        end = self._pos + size
+        if end > len(self._data):
+            raise DecodeError("truncated instruction")
+        raw = self._data[self._pos:end]
+        self._pos = end
+        return int.from_bytes(raw, "little", signed=signed)
+
+    def imm8(self) -> int:
+        return self.value(1)
+
     def i8(self) -> int:
-        value = self.u8()
-        return value - 0x100 if value & 0x80 else value
+        return self.value(1, True)
 
     def u16(self) -> int:
-        return self.u8() | (self.u8() << 8)
+        return self.value(2)
 
     def u32(self) -> int:
-        return self.u16() | (self.u16() << 16)
+        return self.value(4)
 
     def i32(self) -> int:
-        value = self.u32()
-        return value - 0x100000000 if value & 0x80000000 else value
+        return self.value(4, True)
 
 
-def _decode_modrm(cursor: _Cursor, size: int = 32
+def _decode_modrm(cursor: Cursor, size: int = 32
                   ) -> "tuple[int, Union[RegOperand, MemOperand]]":
     """Decode ModRM (+SIB, +disp).  Returns ``(reg_field, rm_operand)``."""
     modrm = cursor.u8()
@@ -114,13 +127,13 @@ def _decode_modrm(cursor: _Cursor, size: int = 32
     return reg_field, MemOperand(base, index, scale, disp, size)
 
 
-def _imm(cursor: _Cursor, width: int) -> ImmOperand:
+def _imm(cursor: Cursor, width: int) -> ImmOperand:
     if width == 16:
         return ImmOperand(cursor.u16(), 16)
     return ImmOperand(cursor.u32(), 32)
 
 
-def _sext_imm8(cursor: _Cursor, width: int) -> ImmOperand:
+def _sext_imm8(cursor: Cursor, width: int) -> ImmOperand:
     value = cursor.i8()
     mask = 0xFFFF if width == 16 else 0xFFFFFFFF
     return ImmOperand(value & mask, width)
@@ -132,7 +145,13 @@ def decode(data: bytes, addr: int = 0, offset: int = 0) -> Instruction:
     ``addr`` is the architected address of the instruction, used to resolve
     PC-relative branch targets and recorded on the result.
     """
-    cursor = _Cursor(data, offset)
+    return decode_from(Cursor(data, offset), addr)
+
+
+def decode_from(cursor: Cursor, addr: int = 0) -> Instruction:
+    """:func:`decode` reading through ``cursor`` (the translation
+    templates decode a shape's first instance through one that records
+    where its displacement and immediate lie)."""
     rep = False
     width = 32
     prefix_count = 0
@@ -235,7 +254,7 @@ def decode(data: bytes, addr: int = 0, offset: int = 0) -> Instruction:
             raise DecodeError(f"invalid shift selector {reg_field}")
         op = GROUP2_TO_OP[reg_field]
         if byte == 0xC1:
-            count: "ImmOperand | RegOperand" = ImmOperand(cursor.u8(), 8)
+            count: "ImmOperand | RegOperand" = ImmOperand(cursor.imm8(), 8)
         elif byte == 0xD1:
             count = ImmOperand(1, 8)
         else:
@@ -251,7 +270,7 @@ def decode(data: bytes, addr: int = 0, offset: int = 0) -> Instruction:
             raise DecodeError("invalid 0xC7 selector")
         return done(Op.MOV, (rm, _imm(cursor, width)))
     if byte == 0xCD:
-        return done(Op.INT, (ImmOperand(cursor.u8(), 8),))
+        return done(Op.INT, (ImmOperand(cursor.imm8(), 8),))
     if byte == 0xE2:
         rel = cursor.i8()
         return done(Op.LOOP,

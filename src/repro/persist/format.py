@@ -35,14 +35,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.isa.fusible.encoding import encode_stream
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.x86lite.decoder import DecodeError, decode_at
 from repro.memory.address_space import MemoryError_
-from repro.translator.code_cache import ExitStub, Translation
+from repro.translator.code_cache import (
+    ExitStub,
+    Translation,
+    expand_origins,
+)
 
 #: Bump on any incompatible change to the record layout.
 FORMAT_VERSION = 2
@@ -101,15 +103,16 @@ def record_key(record: Dict) -> str:
 
 # -- translation -> record --------------------------------------------------
 
-def _covered_source(translation: Translation, memory) -> List[List]:
+def _covered_source(origins: List[List], memory) -> List[List]:
     """``[addr, hexbytes]`` for every x86 instruction the stream covers.
 
-    Coverage comes from the per-micro-op ``x86_addr`` metadata, so the
-    fingerprint spans exactly the instructions whose semantics the
-    translation encodes (including superblock constituents).
+    Coverage comes from the per-micro-op ``x86_addr`` metadata (the
+    ``origins`` runs), so the fingerprint spans exactly the instructions
+    whose semantics the translation encodes (including superblock
+    constituents).
     """
-    addrs = sorted({uop.x86_addr for uop in translation.uops
-                    if uop.x86_addr is not None})
+    addrs = sorted({addr for addr, _count in origins
+                    if addr is not None})
     source: List[List] = []
     for addr in addrs:
         instr = decode_at(memory, addr)
@@ -122,15 +125,16 @@ def serialize_translation(translation: Translation,
                           memory) -> Optional[Dict]:
     """One translation -> JSON-ready record, or None if unserializable.
 
-    Serializes the *canonical* stream (``translation.uops``), which chain
-    patches and BBT->SBT redirects never touch — persisted translations
-    are therefore always in their un-chained form and re-link naturally
-    after loading.
+    Serializes the *canonical* stream (``translation.code``, the bytes
+    as installed), which chain patches and BBT->SBT redirects never
+    touch — persisted translations are therefore always in their
+    un-chained form and re-link naturally after loading.
     """
-    if not translation.uops:
+    code, origins = translation.stream()
+    if not code or origins is None:
         return None
     try:
-        source = _covered_source(translation, memory)
+        source = _covered_source(origins, memory)
     except (DecodeError, MemoryError_):
         return None  # source no longer decodes (e.g. overwritten text)
     record = {
@@ -141,9 +145,8 @@ def serialize_translation(translation: Translation,
         "instr_count": translation.instr_count,
         "fused_pairs": translation.fused_pairs,
         "counter_addr": translation.counter_addr,
-        "code": encode_stream(translation.uops).hex(),
-        "origins": [[addr, len(list(run))] for addr, run
-                    in groupby(uop.x86_addr for uop in translation.uops)],
+        "code": code.hex(),
+        "origins": [list(run) for run in origins],
         "exits": [[stub.stub_addr - translation.native_addr, stub.kind,
                    stub.x86_target] for stub in translation.exits],
         "side_table": [[addr - translation.native_addr, x86_addr]
@@ -236,10 +239,7 @@ def record_stream(record: Dict) -> Tuple[bytes, List[Optional[int]]]:
         code = bytes.fromhex(record["code"])
     except ValueError as error:
         raise PersistFormatError(f"code is not hex: {error}") from error
-    addrs: List[Optional[int]] = []
-    for addr, count in record["origins"]:
-        addrs += [addr] * count
-    return code, addrs
+    return code, expand_origins(record["origins"])
 
 
 def materialize(record: Dict, native_addr: int,
@@ -260,7 +260,7 @@ def materialize(record: Dict, native_addr: int,
         instr_count=record["instr_count"],
         uop_count=len(uops),
         fused_pairs=record["fused_pairs"],
-        uops=uops)
+        uops=uops, origins=record["origins"])
     for offset, kind, x86_target in record["exits"]:
         translation.exits.append(ExitStub(
             stub_addr=native_addr + offset, kind=kind,

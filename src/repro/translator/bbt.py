@@ -16,39 +16,42 @@ Layout of a BBT translation::
         indirect JMP/CALL/RET -> VMEXIT via R29
         complex instruction  -> VMCALL INTERP_ONE
         block-size limit     -> fall-through exit stub
+
+The translator works bytes to bytes, as the paper's XLTx86 loop does
+(Fig. 6a): the prologue, every instruction's cracked body, what the last
+instruction ends the block with and every exit stub is a byte template
+patched with that use's values (``templates.py``, ``emit.py``) -- no
+``Instruction`` and no ``MicroOp`` is built for a shape seen before.
+``Translation.uops`` is a view decoded from what was installed.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.faults.plane import fault_point
-from repro.isa.fusible.encoding import encode_stream, stream_length
-from repro.isa.fusible.microop import MicroOp
-from repro.memory.address_space import AddressSpace
+from repro.isa.x86lite.instruction import MAX_INSTRUCTION_LENGTH
+from repro.memory.address_space import ADDRESS_MASK, AddressSpace
 from repro.obs.metrics import metric_field
 from repro.translator.code_cache import (
     ExitStub,
     Translation,
     TranslationDirectory,
 )
-from repro.translator.cracker import crack
 from repro.translator.emit import (
-    EXIT_STUB_BYTES,
-    direct_exit_stub,
-    indirect_exit,
-    profile_prologue,
-    scan_block,
-    vmcall_complex,
+    PROFILE_PROLOGUE_BYTES,
+    PROFILE_PROLOGUE_UOPS,
+    PROFILE_VMCALL_OFFSET,
+    exit_code,
+    prologue_code,
 )
-from repro.isa.fusible.opcodes import UOp
-from repro.isa.x86lite.instruction import Instruction
-from repro.verify.sanitizer import check_stream
+from repro.translator.templates import Shape, shape_at
 
 log = logging.getLogger("repro.translator")
-from repro.isa.x86lite.opcodes import Op
-from repro.isa.x86lite.registers import Cond
+
+#: Architected bytes fetched at a time while walking a block.
+FETCH_BYTES = 256
 
 #: Where per-translation profiling counters live (concealed VMM data).
 COUNTER_AREA_BASE = 0x2800_0000
@@ -78,15 +81,12 @@ class BasicBlockTranslator:
                  embed_profiling: bool = True,
                  hot_threshold: int = 8000,
                  max_block_instrs: int = 64,
-                 xlt_unit=None,
-                 verify: bool = False) -> None:
+                 xlt_unit=None) -> None:
         self.directory = directory
         self.memory = memory
         self.embed_profiling = embed_profiling
         self.hot_threshold = hot_threshold
         self.max_block_instrs = max_block_instrs
-        #: debug mode: statically verify each stream before install
-        self.verify = verify
         #: optional XLTx86 backend unit (VM.be): the translator's
         #: decode/crack step runs through the hardware model instead of
         #: the software path, falling back to software for punted cases.
@@ -125,121 +125,101 @@ class BasicBlockTranslator:
     def translate(self, entry: int) -> Translation:
         """Translate the basic block at architected address ``entry``."""
         fault_point("translate.bbt", entry=entry)
-        instrs = scan_block(self.memory, entry, self.max_block_instrs)
-        translation = Translation(entry=entry, kind="bbt",
-                                  x86_addrs=[entry])
+        parts: List[bytes] = []             # encoded pieces, in order
+        origins: List[List] = []            # [x86_addr, micro-ops] runs
+        side: List[Tuple[int, int]] = []    # (VMCALL offset, x86_addr)
+        size = 0                            # bytes laid out so far
+        if self.embed_profiling:            # (its bytes once all decoded)
+            size = PROFILE_PROLOGUE_BYTES
+            origins.append([entry, PROFILE_PROLOGUE_UOPS])
+            side.append((PROFILE_VMCALL_OFFSET, entry))
 
-        uops: List[MicroOp] = []
+        # body: every instruction before the one that ends the block
+        pc, instr_count = entry, 1
+        window, base = b"", entry
+        while True:
+            offset = pc - base
+            if offset + MAX_INSTRUCTION_LENGTH > len(window):
+                # (a 16-byte fetch always; at the very top of memory it
+                # raises, as every instruction fetch there has)
+                window = self.memory.read(pc, max(
+                    MAX_INSTRUCTION_LENGTH,
+                    min(FETCH_BYTES, ADDRESS_MASK + 1 - pc)))
+                base, offset = pc, 0
+            shape = shape_at(window, offset, pc)
+            if shape.cti or shape.cmplx \
+                    or instr_count == self.max_block_instrs:
+                break
+            code, count = self._body(shape, window, offset, pc)
+            parts.append(code)
+            size += len(code)
+            _cover(origins, pc, count)
+            pc += shape.length
+            instr_count += 1
+
+        # terminator: what ends the block after this instruction
+        code, count, vmcalls, stubs = shape.ending(window, offset, pc)
+        side.extend((size + at, pc) for at in vmcalls)
+        parts.append(code)
+        size += len(code)
+        exits = []
+        for kind, x86_target in stubs:
+            exits.append((size, kind, x86_target))
+            code, stub_uops = exit_code(x86_target)
+            parts.append(code)
+            size += len(code)
+            count += stub_uops
+        _cover(origins, pc, count)
+
         counter_addr = None
         if self.embed_profiling:
             counter_addr = self._allocate_counter()
-            uops.extend(profile_prologue(counter_addr, entry))
-        translation.counter_addr = counter_addr
-
-        body_instrs = instrs[:-1]
-        last = instrs[-1]
-        for instr in body_instrs:
-            uops.extend(self._crack_one(instr))
-
-        exits: List[_ExitPlan] = []
-        uops, exits = _emit_terminator(uops, last, crack(last))
+            parts.insert(0, prologue_code(counter_addr))
 
         # relocate against the cache and materialize linkage records
         native_addr = self.directory.bbt_cache.reserve()
-        data = encode_stream(uops)
-        translation.native_addr = native_addr
-        translation.instr_count = len(instrs)
-        translation.uop_count = len(uops)
-        translation.uops = uops
-        for plan in exits:
-            stub = ExitStub(stub_addr=native_addr + plan.offset,
-                            kind=plan.kind, x86_target=plan.x86_target)
-            translation.exits.append(stub)
-        for offset, x86_addr in _side_entries(uops):
-            if x86_addr is None:
-                x86_addr = entry
-            translation.side_table[native_addr + offset] = x86_addr
+        uop_count = sum(run[1] for run in origins)
+        translation = Translation(
+            entry=entry, kind="bbt", native_addr=native_addr,
+            x86_addrs=[entry], instr_count=instr_count,
+            uop_count=uop_count, counter_addr=counter_addr,
+            code=b"".join(parts), origins=origins,
+            exits=[ExitStub(stub_addr=native_addr + at, kind=kind,
+                            x86_target=x86_target)
+                   for at, kind, x86_target in exits],
+            side_table={native_addr + at: x86_addr
+                        for at, x86_addr in side})
 
-        if self.verify:
-            check_stream(uops, force=True)
-        self.directory.install(data, translation)
+        self.directory.install(translation.code, translation)
         self.blocks_translated += 1
-        self.instrs_translated += len(instrs)
-        self.uops_emitted += len(uops)
-        self.metrics.histogram("bbt_block_instrs").observe(len(instrs))
+        self.instrs_translated += instr_count
+        self.uops_emitted += uop_count
+        self.metrics.histogram("bbt_block_instrs").observe(instr_count)
         log.debug("bbt: %#x -> %#x (%d instr(s), %d uop(s))",
-                  entry, native_addr, len(instrs), len(uops))
+                  entry, native_addr, instr_count, uop_count)
         return translation
 
-    def _crack_one(self, instr: Instruction) -> List[MicroOp]:
-        """Decode/crack one instruction, via XLTx86 when configured."""
+    def _body(self, shape: Shape, window: bytes, offset: int,
+              pc: int) -> Tuple[bytes, int]:
+        """One body instruction's micro-op bytes, via XLTx86 when
+        configured: the same function either way (the unit's
+        ``translate`` *is* ``shape.body``); VM.be differs in what the
+        timing layer charges, and in the 16-byte Fdst that makes the
+        unit punt an oversized body back to software."""
         if self.xlt_unit is not None:
-            window = self.memory.read(instr.addr, 16)
-            result = self.xlt_unit.translate(window, instr.addr)
+            result = self.xlt_unit.translate(
+                window[offset:offset + MAX_INSTRUCTION_LENGTH], pc)
             if not result.flag_cmplx:
                 self.hw_assisted_instrs += 1
-                return result.uops
-            # hardware punted (oversized body etc.): software handles it
+                return result.uop_bytes, result.uop_count
             self.hw_punted_instrs += 1
-        return crack(instr).uops
+        return shape.body(window, offset, pc)
 
 
-class _ExitPlan:
-    """An exit stub position within an un-relocated micro-op list."""
-
-    def __init__(self, offset: int, kind: str,
-                 x86_target: Optional[int]) -> None:
-        self.offset = offset
-        self.kind = kind
-        self.x86_target = x86_target
-
-
-def _emit_terminator(uops: List[MicroOp], last: Instruction, cracked
-                     ) -> "tuple[List[MicroOp], List[_ExitPlan]]":
-    """Append the block terminator; returns (uops, exit plans)."""
-    exits: List[_ExitPlan] = []
-    uops = list(uops)
-
-    if cracked.cmplx:
-        uops.extend(vmcall_complex(last.addr))
-        return uops, exits
-
-    uops.extend(cracked.uops)  # CTI computation part (push ret, R29, ...)
-
-    if last.op is Op.JCC:
-        uops.append(MicroOp(UOp.BC, cond=Cond(last.cond), imm=EXIT_STUB_BYTES,
-                            x86_addr=last.addr))
-        offset = stream_length(uops)
-        uops.extend(direct_exit_stub(last.next_addr, last.addr))
-        exits.append(_ExitPlan(offset, "fallthrough", last.next_addr))
-        offset = stream_length(uops)
-        uops.extend(direct_exit_stub(last.target, last.addr))
-        exits.append(_ExitPlan(offset, "taken", last.target))
-        return uops, exits
-
-    if last.is_control_transfer and last.target is not None:
-        offset = stream_length(uops)
-        uops.extend(direct_exit_stub(last.target, last.addr))
-        exits.append(_ExitPlan(offset, "jump", last.target))
-        return uops, exits
-
-    if last.is_control_transfer:  # indirect JMP/CALL or RET
-        offset = stream_length(uops)
-        uops.extend(indirect_exit(last.addr))
-        exits.append(_ExitPlan(offset, "indirect", None))
-        return uops, exits
-
-    # block ended at the size limit: fall through to the next instruction
-    offset = stream_length(uops)
-    uops.extend(direct_exit_stub(last.next_addr, last.addr))
-    exits.append(_ExitPlan(offset, "fallthrough", last.next_addr))
-    return uops, exits
-
-
-def _side_entries(uops: List[MicroOp]):
-    """Yield (byte offset, x86_addr) for every VMCALL in the stream."""
-    offset = 0
-    for uop in uops:
-        if uop.op is UOp.VMCALL:
-            yield offset, uop.x86_addr
-        offset += uop.length
+def _cover(origins: List[List], x86_addr: int, count: int) -> None:
+    """Extend the run-length ``origins`` by ``count`` micro-ops of
+    ``x86_addr``."""
+    if origins and origins[-1][0] == x86_addr:
+        origins[-1][1] += count
+    elif count:
+        origins.append([x86_addr, count])

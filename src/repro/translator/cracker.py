@@ -48,17 +48,16 @@ T2 = 10   # secondary data temp
 _SHIFT_UOPS = {Op.SHL: (UOp.SHL, UOp.SHLI), Op.SHR: (UOp.SHR, UOp.SHRI),
                Op.SAR: (UOp.SAR, UOp.SARI)}
 
-_ACCUM_SHORT = {Op.ADD: UOp.ADD2, Op.SUB: UOp.SUB2, Op.AND: UOp.AND2,
-                Op.OR: UOp.OR2, Op.XOR: UOp.XOR2}
-_ACCUM_LONG = {Op.ADD: UOp.ADD, Op.ADC: UOp.ADC, Op.SUB: UOp.SUB,
-               Op.SBB: UOp.SBB, Op.AND: UOp.AND, Op.OR: UOp.OR,
-               Op.XOR: UOp.XOR}
-_ACCUM_IMM = {Op.ADD: UOp.ADDI, Op.SUB: UOp.SUBI, Op.AND: UOp.ANDI,
-              Op.OR: UOp.ORI, Op.XOR: UOp.XORI}
-
 _SCALE_SHIFT = {1: 0, 2: 1, 4: 2, 8: 3}
 
 MASK32 = 0xFFFFFFFF
+
+
+def _signed32(value: int) -> int:
+    """An unsigned 32-bit ``value`` read as signed -- by arithmetic, not
+    a branch on the sign bit: under ``translator/templates.py`` an
+    instruction's values are ``Sym``s, and a branch would be a guard."""
+    return (value ^ 0x80000000) - 0x80000000
 
 
 class CrackError(Exception):
@@ -106,7 +105,7 @@ class _Emitter:
     def load_imm(self, rd: int, value: int) -> None:
         """Load a 32-bit constant into ``rd`` (1-2 micro-ops)."""
         value &= MASK32
-        signed = value - 0x100000000 if value & 0x80000000 else value
+        signed = _signed32(value)
         if imm13_in_range(UOp.ADDI, signed):
             self.emit(UOp.ADDI, rd=rd, rs1=R_ZERO, imm=signed)
             return
@@ -169,69 +168,27 @@ def is_crackable(instr: Instruction) -> bool:
     Mirrors the hardware assists' ``Flag_cmplx`` test: complex ops and all
     16-bit-operand forms are punted to VMM software.
     """
-    if instr.is_complex or instr.width == 16:
-        return False
-    return True
+    return not (instr.is_complex or instr.width == 16)
 
 
 def crack(instr: Instruction) -> CrackResult:
     """Crack one architected instruction into micro-ops."""
+    cti = instr.is_control_transfer
     if not is_crackable(instr):
-        return CrackResult(instr, cmplx=True, cti=instr.is_control_transfer)
-
-    emitter = _Emitter(instr.addr)
-    op = instr.op
-    flags = instr.writes_flags
-
-    if op is Op.NOP:
-        emitter.emit(UOp.NOP2)
-    elif op is Op.MOV:
-        _crack_mov(instr, emitter)
-    elif op in (Op.MOVZX, Op.MOVSX):
-        dst, src = instr.operands
-        load_op = {(Op.MOVZX, 8): UOp.LDBU, (Op.MOVZX, 16): UOp.LDHU,
-                   (Op.MOVSX, 8): UOp.LDBS, (Op.MOVSX, 16): UOp.LDHS}[
-                       (op, src.size)]
-        reg, disp = emitter.address(src)
-        emitter.emit(load_op, rd=int(dst.reg), rs1=reg, imm=disp)
-    elif op is Op.LEA:
-        _crack_lea(instr, emitter)
-    elif op is Op.CMOV:
-        dst, src = instr.operands
-        value = emitter.load_operand(src, T1)
-        emitter.emit(UOp.SEL, rd=int(dst.reg), rs1=value, cond=instr.cond)
-    elif op is Op.XCHG:
-        _crack_xchg(instr, emitter)
-    elif op in _ACCUM_LONG or op in (Op.CMP, Op.TEST):
-        _crack_alu(instr, emitter)
-    elif op in (Op.INC, Op.DEC):
-        _crack_rmw_unary(instr, emitter,
-                         UOp.INCF if op is Op.INC else UOp.DECF, flags)
-    elif op is Op.NEG:
-        _crack_neg(instr, emitter)
-    elif op is Op.NOT:
-        _crack_not(instr, emitter)
-    elif op in _SHIFT_UOPS:
-        _crack_shift(instr, emitter)
-    elif op is Op.IMUL:
-        _crack_imul(instr, emitter)
-    elif op is Op.MUL:
-        _crack_mul(instr, emitter)
-    elif op is Op.PUSH:
-        _crack_push(instr, emitter)
-    elif op is Op.POP:
-        _crack_pop(instr, emitter)
-    elif op in (Op.MOVS, Op.STOS, Op.LODS):
-        _crack_string(instr, emitter)
-    elif op in (Op.JMP, Op.JCC, Op.CALL, Op.RET):
-        return _crack_cti(instr, emitter)
-    else:
+        return CrackResult(instr, cmplx=True, cti=cti)
+    rule = _RULES.get(instr.op)
+    if rule is None:
         raise CrackError(f"no cracking rule for {instr}")
+    emitter = _Emitter(instr.addr)
+    rule(instr, emitter)
+    return CrackResult(instr, emitter.uops, cti=cti)
 
-    return CrackResult(instr, emitter.uops)
 
+# -- the rules, one per architected operation -----------------------------------
 
-# -- per-op helpers ----------------------------------------------------------
+def _crack_nop(instr: Instruction, emitter: _Emitter) -> None:
+    emitter.emit(UOp.NOP2)
+
 
 def _crack_mov(instr: Instruction, emitter: _Emitter) -> None:
     dst, src = instr.operands
@@ -250,6 +207,17 @@ def _crack_mov(instr: Instruction, emitter: _Emitter) -> None:
     emitter.emit(UOp.STW, rd=value, rs1=reg, imm=disp)
 
 
+_EXTENDING_LOADS = {(Op.MOVZX, 8): UOp.LDBU, (Op.MOVZX, 16): UOp.LDHU,
+                    (Op.MOVSX, 8): UOp.LDBS, (Op.MOVSX, 16): UOp.LDHS}
+
+
+def _crack_extend(instr: Instruction, emitter: _Emitter) -> None:
+    dst, src = instr.operands
+    reg, disp = emitter.address(src)
+    emitter.emit(_EXTENDING_LOADS[instr.op, src.size], rd=int(dst.reg),
+                 rs1=reg, imm=disp)
+
+
 def _crack_lea(instr: Instruction, emitter: _Emitter) -> None:
     dst, src = instr.operands
     rd = int(dst.reg)
@@ -258,6 +226,12 @@ def _crack_lea(instr: Instruction, emitter: _Emitter) -> None:
         emitter.emit(UOp.ADDI, rd=rd, rs1=reg, imm=disp)
     else:
         emitter.emit(UOp.MOV2, rd=rd, rs1=reg)
+
+
+def _crack_cmov(instr: Instruction, emitter: _Emitter) -> None:
+    dst, src = instr.operands
+    value = emitter.load_operand(src, T1)
+    emitter.emit(UOp.SEL, rd=int(dst.reg), rs1=value, cond=instr.cond)
 
 
 def _crack_xchg(instr: Instruction, emitter: _Emitter) -> None:
@@ -274,164 +248,122 @@ def _crack_xchg(instr: Instruction, emitter: _Emitter) -> None:
     emitter.emit(UOp.MOV2, rd=src_reg, rs1=T1)
 
 
+#: op -> (its ``rd, rs1, imm13`` micro-op, whether ``rd`` keeps the result)
+_ALU_IMM = {Op.ADD: (UOp.ADDI, True), Op.SUB: (UOp.SUBI, True),
+            Op.AND: (UOp.ANDI, True), Op.OR: (UOp.ORI, True),
+            Op.XOR: (UOp.XORI, True),
+            # compare-with-immediate in one micro-op (rd = zero reg)
+            Op.CMP: (UOp.SUBI, False), Op.TEST: (UOp.ANDI, False)}
+
+#: op -> (its two-register micro-op, whether that takes ``.f``)
+_ALU_SHORT = {Op.ADD: (UOp.ADD2, True), Op.SUB: (UOp.SUB2, True),
+              Op.AND: (UOp.AND2, True), Op.OR: (UOp.OR2, True),
+              Op.XOR: (UOp.XOR2, True),
+              Op.CMP: (UOp.CMP2, False), Op.TEST: (UOp.TEST2, False)}
+_ALU_LONG = {Op.ADC: UOp.ADC, Op.SBB: UOp.SBB}
+
+
+def _alu(emitter: _Emitter, op: Op, rd: int, value: int) -> None:
+    """``rd = rd <op> value`` (flags only, for CMP / TEST)."""
+    if op in _ALU_SHORT:
+        uop, setflags = _ALU_SHORT[op]
+        emitter.emit(uop, rd=rd, rs1=value, setflags=setflags)
+    else:
+        emitter.emit(_ALU_LONG[op], rd=rd, rs1=rd, rs2=value, setflags=True)
+
+
 def _crack_alu(instr: Instruction, emitter: _Emitter) -> None:
     """ADD/ADC/SUB/SBB/AND/OR/XOR/CMP/TEST in all operand forms."""
     op = instr.op
     dst, src = instr.operands
-    compare_only = op in (Op.CMP, Op.TEST)
-
     if isinstance(dst, RegOperand):
         rd = int(dst.reg)
-        if op is Op.CMP:
-            if isinstance(src, ImmOperand):
-                signed = src.value - 0x100000000 \
-                    if src.value & 0x80000000 else src.value
-                if imm13_in_range(UOp.SUBI, signed):
-                    # compare-with-immediate in one micro-op (rd = zero reg)
-                    emitter.emit(UOp.SUBI, rd=R_ZERO, rs1=rd, imm=signed,
-                                 setflags=True)
-                    return
-            value = emitter.load_operand(src, T1)
-            emitter.emit(UOp.CMP2, rd=rd, rs1=value)
-            return
-        if op is Op.TEST:
-            if isinstance(src, ImmOperand) \
-                    and imm13_in_range(UOp.ANDI, src.value):
-                emitter.emit(UOp.ANDI, rd=R_ZERO, rs1=rd, imm=src.value,
-                             setflags=True)
+        if isinstance(src, ImmOperand) and op in _ALU_IMM:
+            imm_op, keeps = _ALU_IMM[op]
+            imm = _signed32(src.value) \
+                if imm_op in (UOp.ADDI, UOp.SUBI) else src.value
+            if imm13_in_range(imm_op, imm):
+                emitter.emit(imm_op, rd=rd if keeps else R_ZERO, rs1=rd,
+                             imm=imm, setflags=True)
                 return
-            value = emitter.load_operand(src, T1)
-            emitter.emit(UOp.TEST2, rd=rd, rs1=value)
-            return
-        if isinstance(src, ImmOperand) and op in _ACCUM_IMM:
-            signed = src.value - 0x100000000 if src.value & 0x80000000 \
-                else src.value
-            imm_op = _ACCUM_IMM[op]
-            imm_ok = (imm13_in_range(imm_op, signed)
-                      if imm_op in (UOp.ADDI, UOp.SUBI)
-                      else imm13_in_range(imm_op, src.value))
-            if imm_ok:
-                imm = signed if imm_op in (UOp.ADDI, UOp.SUBI) \
-                    else src.value
-                emitter.emit(imm_op, rd=rd, rs1=rd, imm=imm,
-                             setflags=True)
-                return
-        value = emitter.load_operand(src, T1)
-        if op in _ACCUM_SHORT:
-            emitter.emit(_ACCUM_SHORT[op], rd=rd, rs1=value, setflags=True)
-        else:  # ADC / SBB
-            emitter.emit(_ACCUM_LONG[op], rd=rd, rs1=rd, rs2=value,
-                         setflags=True)
+        _alu(emitter, op, rd, emitter.load_operand(src, T1))
         return
-
     # memory destination: load / op / (store unless compare)
     value = emitter.load_operand(src, T2)
     reg, disp = emitter.address(dst)
     emitter.emit(UOp.LDW, rd=T1, rs1=reg, imm=disp)
-    if op is Op.CMP:
-        emitter.emit(UOp.CMP2, rd=T1, rs1=value)
-        return
-    if op is Op.TEST:
-        emitter.emit(UOp.TEST2, rd=T1, rs1=value)
-        return
-    if op in _ACCUM_SHORT:
-        emitter.emit(_ACCUM_SHORT[op], rd=T1, rs1=value, setflags=True)
-    else:
-        emitter.emit(_ACCUM_LONG[op], rd=T1, rs1=T1, rs2=value,
-                     setflags=True)
-    if not compare_only:
+    _alu(emitter, op, T1, value)
+    if op not in (Op.CMP, Op.TEST):
         emitter.emit(UOp.STW, rd=T1, rs1=reg, imm=disp)
 
 
-def _crack_rmw_unary(instr: Instruction, emitter: _Emitter, uop: UOp,
-                     flags: bool) -> None:
-    (dst,) = instr.operands
+def _rmw(instr: Instruction, emitter: _Emitter, operate) -> None:
+    """``operate(register)`` on the destination: in place, or for a
+    memory destination load / operate on T1 / store."""
+    dst = instr.operands[0]
     if isinstance(dst, RegOperand):
-        rd = int(dst.reg)
-        emitter.emit(uop, rd=rd, rs1=rd, setflags=flags)
+        operate(int(dst.reg))
         return
     reg, disp = emitter.address(dst)
     emitter.emit(UOp.LDW, rd=T1, rs1=reg, imm=disp)
-    emitter.emit(uop, rd=T1, rs1=T1, setflags=flags)
+    operate(T1)
     emitter.emit(UOp.STW, rd=T1, rs1=reg, imm=disp)
+
+
+def _crack_incdec(instr: Instruction, emitter: _Emitter) -> None:
+    uop = UOp.INCF if instr.op is Op.INC else UOp.DECF
+    _rmw(instr, emitter, lambda reg: emitter.emit(
+        uop, rd=reg, rs1=reg, setflags=instr.writes_flags))
 
 
 def _crack_neg(instr: Instruction, emitter: _Emitter) -> None:
-    (dst,) = instr.operands
-    if isinstance(dst, RegOperand):
-        rd = int(dst.reg)
-        emitter.emit(UOp.SUB, rd=rd, rs1=R_ZERO, rs2=rd, setflags=True)
-        return
-    reg, disp = emitter.address(dst)
-    emitter.emit(UOp.LDW, rd=T1, rs1=reg, imm=disp)
-    emitter.emit(UOp.SUB, rd=T1, rs1=R_ZERO, rs2=T1, setflags=True)
-    emitter.emit(UOp.STW, rd=T1, rs1=reg, imm=disp)
+    _rmw(instr, emitter, lambda reg: emitter.emit(
+        UOp.SUB, rd=reg, rs1=R_ZERO, rs2=reg, setflags=True))
 
 
 def _crack_not(instr: Instruction, emitter: _Emitter) -> None:
-    (dst,) = instr.operands
     emitter.emit(UOp.ADDI, rd=T2, rs1=R_ZERO, imm=-1)
-    if isinstance(dst, RegOperand):
-        rd = int(dst.reg)
-        emitter.emit(UOp.XOR, rd=rd, rs1=rd, rs2=T2)
-        return
-    reg, disp = emitter.address(dst)
-    emitter.emit(UOp.LDW, rd=T1, rs1=reg, imm=disp)
-    emitter.emit(UOp.XOR, rd=T1, rs1=T1, rs2=T2)
-    emitter.emit(UOp.STW, rd=T1, rs1=reg, imm=disp)
+    _rmw(instr, emitter, lambda reg: emitter.emit(
+        UOp.XOR, rd=reg, rs1=reg, rs2=T2))
 
 
 def _crack_shift(instr: Instruction, emitter: _Emitter) -> None:
-    op = instr.op
-    reg_uop, imm_uop = _SHIFT_UOPS[op]
-    dst, count = instr.operands
+    reg_uop, imm_uop = _SHIFT_UOPS[instr.op]
+    count = instr.operands[1]
+    if isinstance(count, ImmOperand):
+        _rmw(instr, emitter, lambda reg: emitter.emit(
+            imm_uop, rd=reg, rs1=reg, imm=count.value & 31, setflags=True))
+    else:  # by ECX
+        _rmw(instr, emitter, lambda reg: emitter.emit(
+            reg_uop, rd=reg, rs1=reg, rs2=int(Reg.ECX), setflags=True))
 
-    def emit_shift(target: int) -> None:
-        if isinstance(count, ImmOperand):
-            emitter.emit(imm_uop, rd=target, rs1=target,
-                         imm=count.value & 31, setflags=True)
-        else:  # by ECX
-            emitter.emit(reg_uop, rd=target, rs1=target,
-                         rs2=int(Reg.ECX), setflags=True)
 
-    if isinstance(dst, RegOperand):
-        emit_shift(int(dst.reg))
-        return
-    reg, disp = emitter.address(dst)
-    emitter.emit(UOp.LDW, rd=T1, rs1=reg, imm=disp)
-    emit_shift(T1)
-    emitter.emit(UOp.STW, rd=T1, rs1=reg, imm=disp)
+def _widening_multiply(instr: Instruction, emitter: _Emitter, high: UOp,
+                       low: UOp) -> None:
+    """EDX:EAX = EAX * operand."""
+    value = emitter.load_operand(instr.operands[0], T1)
+    eax, edx = int(Reg.EAX), int(Reg.EDX)
+    emitter.emit(high, rd=T2, rs1=eax, rs2=value)
+    emitter.emit(low, rd=eax, rs1=eax, rs2=value, setflags=True)
+    emitter.emit(UOp.MOV2, rd=edx, rs1=T2)
 
 
 def _crack_imul(instr: Instruction, emitter: _Emitter) -> None:
     if len(instr.operands) == 1:
-        (src,) = instr.operands
-        value = emitter.load_operand(src, T1)
-        eax, edx = int(Reg.EAX), int(Reg.EDX)
-        emitter.emit(UOp.MULH, rd=T2, rs1=eax, rs2=value)
-        emitter.emit(UOp.MULL, rd=eax, rs1=eax, rs2=value, setflags=True)
-        emitter.emit(UOp.MOV2, rd=edx, rs1=T2)
+        _widening_multiply(instr, emitter, UOp.MULH, UOp.MULL)
         return
+    dst, src = instr.operands[:2]
+    value = emitter.load_operand(src, T1)
+    rd = int(dst.reg)
     if len(instr.operands) == 2:
-        dst, src = instr.operands
-        value = emitter.load_operand(src, T1)
-        rd = int(dst.reg)
         emitter.emit(UOp.MULL, rd=rd, rs1=rd, rs2=value, setflags=True)
         return
-    dst, src, imm = instr.operands
-    value = emitter.load_operand(src, T1)
-    emitter.load_imm(T2, imm.value)
-    emitter.emit(UOp.MULL, rd=int(dst.reg), rs1=value, rs2=T2,
-                 setflags=True)
+    emitter.load_imm(T2, instr.operands[2].value)
+    emitter.emit(UOp.MULL, rd=rd, rs1=value, rs2=T2, setflags=True)
 
 
 def _crack_mul(instr: Instruction, emitter: _Emitter) -> None:
-    (src,) = instr.operands
-    value = emitter.load_operand(src, T1)
-    eax, edx = int(Reg.EAX), int(Reg.EDX)
-    emitter.emit(UOp.MULHU, rd=T2, rs1=eax, rs2=value)
-    emitter.emit(UOp.MULLU, rd=eax, rs1=eax, rs2=value, setflags=True)
-    emitter.emit(UOp.MOV2, rd=edx, rs1=T2)
+    _widening_multiply(instr, emitter, UOp.MULHU, UOp.MULLU)
 
 
 def _crack_push(instr: Instruction, emitter: _Emitter) -> None:
@@ -450,11 +382,9 @@ def _crack_pop(instr: Instruction, emitter: _Emitter) -> None:
     (dst,) = instr.operands
     esp = int(Reg.ESP)
     rd = int(dst.reg)
-    if rd == esp:  # pop esp: ESP becomes the loaded value
-        emitter.emit(UOp.LDW, rd=esp, rs1=esp, imm=0)
-        return
     emitter.emit(UOp.LDW, rd=rd, rs1=esp, imm=0)
-    emitter.emit(UOp.ADDI, rd=esp, rs1=esp, imm=4)
+    if rd != esp:  # pop esp: ESP becomes the loaded value
+        emitter.emit(UOp.ADDI, rd=esp, rs1=esp, imm=4)
 
 
 def _crack_string(instr: Instruction, emitter: _Emitter) -> None:
@@ -472,7 +402,7 @@ def _crack_string(instr: Instruction, emitter: _Emitter) -> None:
         emitter.emit(UOp.ADDI, rd=esi, rs1=esi, imm=4)
 
 
-def _crack_cti(instr: Instruction, emitter: _Emitter) -> CrackResult:
+def _crack_cti(instr: Instruction, emitter: _Emitter) -> None:
     """Control transfers: emit the computation part only.
 
     Indirect targets land in R29 (R_EXIT_TARGET); direct targets are known
@@ -499,4 +429,16 @@ def _crack_cti(instr: Instruction, emitter: _Emitter) -> CrackResult:
         pop_bytes = 4 + (instr.operands[0].value if instr.operands else 0)
         emitter.emit(UOp.ADDI, rd=esp, rs1=esp, imm=pop_bytes)
 
-    return CrackResult(instr, emitter.uops, cti=True)
+
+_RULES = {
+    Op.NOP: _crack_nop, Op.MOV: _crack_mov, Op.MOVZX: _crack_extend,
+    Op.MOVSX: _crack_extend, Op.LEA: _crack_lea, Op.CMOV: _crack_cmov,
+    Op.XCHG: _crack_xchg, Op.INC: _crack_incdec, Op.DEC: _crack_incdec,
+    Op.NEG: _crack_neg, Op.NOT: _crack_not, Op.SHL: _crack_shift,
+    Op.SHR: _crack_shift, Op.SAR: _crack_shift, Op.IMUL: _crack_imul,
+    Op.MUL: _crack_mul, Op.PUSH: _crack_push, Op.POP: _crack_pop,
+    Op.MOVS: _crack_string, Op.STOS: _crack_string, Op.LODS: _crack_string,
+    Op.JMP: _crack_cti, Op.JCC: _crack_cti, Op.CALL: _crack_cti,
+    Op.RET: _crack_cti,
+    **{op: _crack_alu for op in (*_ALU_SHORT, *_ALU_LONG)},
+}

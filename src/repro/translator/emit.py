@@ -10,12 +10,18 @@ place::
 The VMM dispatcher receives the architected continuation address in R29
 whether the exit was direct (built by the stub) or indirect (materialized
 by the cracked body).
+
+The stub and the profiling prologue have one shape each, so BBT emits
+them as bytes: :func:`exit_code` and :func:`prologue_code` patch the
+target / counter address into a ``Template`` traced once from the
+micro-op builders below, which stay the one place either is written.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, List, Optional, Tuple
 
+from repro.isa.fusible.encoding import encode_stream
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import UOp, VMService
 from repro.isa.fusible.registers import (
@@ -24,8 +30,10 @@ from repro.isa.fusible.registers import (
     R_SCRATCH1,
     R_SCRATCH2,
 )
+from repro.isa.fusible.template import Template
 from repro.isa.x86lite.decoder import decode_at
 from repro.isa.x86lite.instruction import Instruction
+from repro.isa.x86lite.opcodes import Op
 from repro.isa.x86lite.registers import Cond
 
 #: Encoded size of a direct exit stub (LUI + ORI + VMEXIT).
@@ -82,6 +90,60 @@ def vmcall_complex(x86_addr: int) -> List[MicroOp]:
     """Punt a complex architected instruction to VMM software."""
     return [MicroOp(UOp.VMCALL, imm=int(VMService.INTERP_ONE),
                     x86_addr=x86_addr)]
+
+
+def terminator(last: Instruction, cracked
+               ) -> "Tuple[List[MicroOp], List[Tuple[str, Optional[int]]]]":
+    """How a BBT block ends after ``last``: the micro-ops that lead up
+    to its exits, and each exit as ``(kind, x86 target)`` in layout
+    order -- a direct exit stub, or (target None) a VMEXIT through the
+    R29 the head has loaded."""
+    if cracked.cmplx:
+        return vmcall_complex(last.addr), []
+    head = list(cracked.uops)  # CTI computation part (push ret, R29, ...)
+    if last.op is Op.JCC:
+        head.append(MicroOp(UOp.BC, cond=Cond(last.cond), imm=EXIT_STUB_BYTES,
+                            x86_addr=last.addr))
+        return head, [("fallthrough", last.next_addr),
+                      ("taken", last.target)]
+    if last.is_control_transfer and last.target is not None:
+        return head, [("jump", last.target)]
+    if last.is_control_transfer:  # indirect JMP/CALL or RET
+        return head, [("indirect", None)]
+    # block ended at the size limit: fall through to the next instruction
+    return head, [("fallthrough", last.next_addr)]
+
+
+def side_entries(uops: List[MicroOp]
+                 ) -> Iterator[Tuple[int, Optional[int]]]:
+    """Yield (byte offset, x86_addr) for every VMCALL in the stream."""
+    offset = 0
+    for uop in uops:
+        if uop.op is UOp.VMCALL:
+            yield offset, uop.x86_addr
+        offset += uop.length
+
+
+_STUB = Template.of(lambda target: direct_exit_stub(target, 0), 0)
+_INDIRECT = encode_stream(indirect_exit(0)), 1
+_PROLOGUE = Template.of(lambda counter: profile_prologue(counter, 0), 0)
+
+#: micro-ops in the profiling prologue, and where its VMCALL lies
+PROFILE_PROLOGUE_UOPS = _PROLOGUE.uops
+((PROFILE_VMCALL_OFFSET, _),) = side_entries(profile_prologue(0, 0))
+
+
+def exit_code(x86_target: Optional[int]) -> Tuple[bytes, int]:
+    """``(bytes, micro-ops)`` of one block exit: the direct stub to
+    ``x86_target``, or (None) the VMEXIT through a loaded R29."""
+    if x86_target is None:
+        return _INDIRECT
+    return _STUB.fill((x86_target,)), _STUB.uops
+
+
+def prologue_code(counter_addr: int) -> bytes:
+    """``encode_stream(profile_prologue(counter_addr, ...))``."""
+    return _PROLOGUE.fill((counter_addr,))
 
 
 def scan_block(memory, entry: int, max_instrs: int = 64

@@ -48,7 +48,6 @@ from repro.translator.superblock import (
 )
 from repro.isa.x86lite.opcodes import Op
 from repro.isa.x86lite.registers import Cond
-from repro.verify.sanitizer import check_stream
 
 log = logging.getLogger("repro.translator")
 
@@ -82,8 +81,7 @@ class SuperblockTranslator:
                  bias: float = DEFAULT_BIAS,
                  enable_fusion: bool = True,
                  enable_dead_flag_elim: bool = True,
-                 enable_load_elim: bool = True,
-                 verify: bool = False) -> None:
+                 enable_load_elim: bool = True) -> None:
         self.directory = directory
         self.memory = memory
         self.max_instrs = max_instrs
@@ -91,8 +89,6 @@ class SuperblockTranslator:
         self.enable_fusion = enable_fusion
         self.enable_dead_flag_elim = enable_dead_flag_elim
         self.enable_load_elim = enable_load_elim
-        #: debug mode: statically verify each stream before install
-        self.verify = verify
         # statistics (metric_field descriptors backed by this registry)
         self.metrics = directory.metrics
         self.superblocks_translated = 0
@@ -149,8 +145,6 @@ class SuperblockTranslator:
                     else superblock.head
             offset += uop.length
 
-        if self.verify:
-            check_stream(uops, force=True)
         self.directory.install(encode_stream(uops), translation)
         self.superblocks_translated += 1
         self.instrs_translated += superblock.instr_count

@@ -92,26 +92,8 @@ def check_install(directory, translation) -> None:
         return
     from repro.verify.verifier import verify_translation
     report = verify_translation(translation, memory=directory.memory,
-                                directory=directory)
-    if _STATE.mode == "collect":
-        _STATE.report.merge(report)
-        return
-    if not report.ok:
-        raise TranslationVerifyError(report)
-
-
-def check_stream(uops, force: bool = False) -> None:
-    """Pre-install debug check used by the translators.
-
-    Runs the stream-level rules only (the translation is not installed
-    yet); raises in raise mode, accumulates in collect mode.  With
-    ``force`` (the translators' ``verify`` debug flag) the check runs
-    even when the global sanitizer is off.
-    """
-    if _STATE.mode is None and not force:
-        return
-    from repro.verify.verifier import verify_uops
-    report = verify_uops(uops)
+                                directory=directory,
+                                words=getattr(directory, "words", None))
     if _STATE.mode == "collect":
         _STATE.report.merge(report)
         return

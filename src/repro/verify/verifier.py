@@ -6,7 +6,7 @@ import logging
 from dataclasses import replace
 from typing import List, Optional
 
-from repro.isa.fusible.encoding import UopDecodeError, decode_stream
+from repro.isa.fusible.encoding import UopDecodeError
 from repro.verify.report import VerifierReport, Violation
 from repro.verify.rules import RULES, VerifyContext, live_native_entries
 
@@ -63,27 +63,37 @@ def verify_uops(uops, translation=None, memory=None, directory=None,
 
 
 def verify_translation(translation, memory=None, directory=None,
-                       live_entries=None) -> VerifierReport:
+                       live_entries=None, words=None) -> VerifierReport:
     """Run the full rule-pack over one installed translation.
 
-    ``live_entries`` (native entry addresses of the directory's live
-    translations) lets a sweep over many translations build that set
-    once; left out, CHN001 derives it from ``directory`` when needed.
+    What is screened is the installed ``code`` + ``origins``, decoded
+    by the context through ``words`` (the installing VM's table; left
+    out, a private one) -- the path a warm install takes.  Where the
+    translator handed over its micro-op list (SBT), that list is the
+    side ENC001/ENC002 compare the bytes with.  ``live_entries`` (native
+    entry addresses of the directory's live translations) lets a sweep
+    over many translations build that set once; left out, CHN001
+    derives it from ``directory`` when needed.
     """
-    uops = translation.uops
-    if not uops and memory is not None and translation.native_len:
-        try:
-            uops = decode_stream(memory.read(translation.native_addr,
-                                             translation.native_len))
-        except UopDecodeError as error:
-            report = VerifierReport(translations_checked=1)
-            report.violations.append(Violation(
-                rule_id="CCH001",
-                message=f"translation bytes do not decode: {error}",
-                entry=translation.entry, kind=translation.kind))
-            return report
-    report = verify_uops(uops, translation=translation, memory=memory,
-                         directory=directory, live_entries=live_entries)
+    where = dict(translation=translation, memory=memory,
+                 directory=directory, live_entries=live_entries)
+    emitted = translation.emitted
+    try:
+        if translation.code:
+            ctx = VerifyContext.from_code(
+                translation.code, translation.uop_addrs(), words=words,
+                rebind=None if emitted is None else lambda _: emitted,
+                **where)
+        else:       # never installed: all there is is the list
+            ctx = VerifyContext(emitted or (), **where)
+    except UopDecodeError as error:
+        report = VerifierReport(translations_checked=1)
+        report.violations.append(Violation(
+            rule_id="CCH001",
+            message=f"translation bytes do not decode: {error}",
+            entry=translation.entry, kind=translation.kind))
+        return report
+    report = run_rules(ctx)
     report.translations_checked = 1
     if not report.ok:
         log.warning("%s@%#x: %d invariant violation(s)",
@@ -102,5 +112,5 @@ def verify_directory(directory,
         for translation in cache.translations:
             report.merge(verify_translation(
                 translation, memory=memory, directory=directory,
-                live_entries=live))
+                live_entries=live, words=directory.words))
     return report

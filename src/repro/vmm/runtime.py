@@ -181,6 +181,7 @@ class VMRuntime:
         self.tracer = EventTracer(clock=lambda: self.ledger.total) \
             if trace else None
         self.directory.tracer = self.tracer
+        self.directory.words = self.machine.words
         if initial_emulation == "x86-mode":
             self._interp_category = "x86_mode"
             self._interp_cpi = self.phase_costs.x86_mode_cpi
@@ -198,12 +199,10 @@ class VMRuntime:
             self.directory, self.memory,
             embed_profiling=(initial_emulation == "bbt"),
             hot_threshold=hot_threshold,
-            max_block_instrs=max_block_instrs,
-            verify=verify_translations)
+            max_block_instrs=max_block_instrs)
         self.sbt = SuperblockTranslator(
             self.directory, self.memory, bias=superblock_bias,
-            max_instrs=max_superblock_instrs, enable_fusion=enable_fusion,
-            verify=verify_translations)
+            max_instrs=max_superblock_instrs, enable_fusion=enable_fusion)
         self.interp = Interpreter(state)
 
         #: failed-translation ledger: bounded retry, then permanent

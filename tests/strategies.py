@@ -158,6 +158,86 @@ instructions = st.one_of(alu_instructions(), mov_instructions(),
                          misc_instructions())
 
 
+# -- raw encodings: every ModRM/SIB form, values at the guard boundaries ------
+
+#: where the cracker's questions about a value change their answer:
+#: the 13-bit immediate ranges (signed and unsigned), low 13 bits zero
+#: (``load_imm`` drops its ORI), the 32-bit sign boundary
+_BOUNDARIES = (-4097, -4096, -1, 0, 1, 4095, 4096, 8191, 8192, 0x6000,
+               0x12340000, 0x7FFFFFFF, -0x80000000, -0x7FFFE000)
+
+
+def boundary_values(size: int):
+    """Signed values of a ``size``-byte displacement / immediate field,
+    biased to the guard boundaries."""
+    low, high = -(1 << 8 * size - 1), (1 << 8 * size - 1) - 1
+    return st.one_of(
+        st.sampled_from([value for value in _BOUNDARIES + (low, high)
+                         if low <= value <= high]),
+        st.integers(low, high))
+
+
+def _field(draw, size: int) -> bytes:
+    if not size:
+        return b""
+    return draw(boundary_values(size)).to_bytes(size, "little", signed=True)
+
+
+@st.composite
+def _modrm_tails(draw, selectors=range(8)) -> bytes:
+    """ModRM (+SIB) (+disp): every mod / rm / scale / index / base."""
+    mod, rm = draw(st.integers(0, 3)), draw(st.integers(0, 7))
+    out = bytes([mod << 6 | draw(st.sampled_from(selectors)) << 3 | rm])
+    disp = (0, 1, 4, 0)[mod]
+    if mod != 3 and rm == 4:
+        sib = draw(st.integers(0, 255))
+        out += bytes([sib])
+        if mod == 0 and sib & 7 == 5:
+            disp = 4
+    elif mod == 0 and rm == 5:
+        disp = 4
+    return out + _field(draw, disp)
+
+
+#: (opcode bytes, /reg selectors, immediate bytes) of the ModRM opcodes
+_MODRM_OPCODES = (
+    [(bytes([base + form]), range(8), 0)
+     for base in range(0x00, 0x40, 8) for form in (1, 3)]
+    + [(bytes([op]), range(8), 0) for op in (0x85, 0x87, 0x89, 0x8B, 0x8D)]
+    + [(b"\x0f" + bytes([op]), range(8), 0)
+       for op in (0x40, 0x45, 0x4C, 0x4F, 0xAF, 0xB6, 0xB7, 0xBE, 0xBF)]
+    + [(b"\x81", range(8), 4), (b"\x83", range(8), 1), (b"\xc7", (0,), 4),
+       (b"\xc1", (4, 5, 7), 1), (b"\xd1", (4, 5, 7), 0),
+       (b"\xd3", (4, 5, 7), 0), (b"\xf7", (0,), 4),
+       (b"\xf7", (2, 3, 4, 5, 6), 0), (b"\xff", (0, 1, 2, 4, 6), 0),
+       (b"\x69", range(8), 4), (b"\x6b", range(8), 1)])
+
+#: (opcode bytes, immediate bytes) of the opcodes without a ModRM
+_PLAIN_OPCODES = (
+    [(bytes([base + 5]), 4) for base in range(0x00, 0x40, 8)]
+    + [(bytes([op]), 0) for op in (0x40, 0x4B, 0x50, 0x54, 0x5C, 0x5F,
+                                   0x90, 0xA5, 0xAB, 0xAD, 0xC3, 0xF4)]
+    + [(b"\x68", 4), (b"\x6a", 1), (b"\xb8", 4), (b"\xbd", 4),
+       (b"\xc2", 2), (b"\xcd", 1), (b"\x74", 1), (b"\xeb", 1),
+       (b"\xe8", 4), (b"\xe9", 4), (b"\x0f\x85", 4), (b"\xe2", 1)])
+
+
+@st.composite
+def raw_instructions(draw) -> bytes:
+    """Instruction bytes built field by field (the encoder picks one
+    form per instruction; this reaches disp8 *and* disp32 of a value,
+    every SIB, the prefixed forms), padded to a 16-byte fetch.  Some do
+    not decode: a reserved selector, ``lea`` of a register."""
+    prefix = draw(st.sampled_from([b"", b"", b"", b"", b"\x66", b"\xf3"]))
+    if draw(st.integers(0, 3)):
+        opcode, selectors, imm = draw(st.sampled_from(_MODRM_OPCODES))
+        body = opcode + draw(_modrm_tails(selectors))
+    else:
+        opcode, imm = draw(st.sampled_from(_PLAIN_OPCODES))
+        body = opcode
+    return (prefix + body + _field(draw, imm)).ljust(16, b"\0")
+
+
 @st.composite
 def basic_blocks(draw, min_size: int = 1, max_size: int = 10) -> list:
     """A straight-line dynamic basic block (no control transfers)."""

@@ -396,7 +396,10 @@ def failover_drill(workdir) -> List[str]:
             client = ClusterRepository(spec, **FAST)
             keys = push(client, baseline, found)
             rng = random.Random(seed)
-            group = grid.group_name(rng.randrange(grid.shards))
+            # the victim's group owns records, so the wipe leaves
+            # anti-entropy real work (a draw over all groups owned
+            # none at seed 1: "re-replicated" compared 0 with 0)
+            group = rng.choice(sorted(spec.ring().partition(keys)))
             victim = rng.randrange(grid.replicas)
             boot(baseline, client, "fault-free boot", found, len(keys))
             grid.stop_replica(group, victim)
@@ -412,6 +415,9 @@ def failover_drill(workdir) -> List[str]:
             for index in range(grid.replicas):
                 grid.restart_replica(group, index)
             report = repair(spec, share(spec, keys, group), found)
+            if not report.total_re_replicated:
+                found.append(f"the wiped replica {group}/{victim} had "
+                             f"nothing to repair: the step proves nothing")
             boot(baseline, client, "boot after repair", found, len(keys))
             stats = client.remote_stats
             client.close()
