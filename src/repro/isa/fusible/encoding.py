@@ -331,6 +331,21 @@ def encode_stream(uops: List[MicroOp]) -> bytes:
     return b"".join(encode_uop(uop) for uop in uops)
 
 
+def stream_words(data: bytes, words: WordTable) -> List[Word]:
+    """The table's entry of each word of ``data``, in stream order (a
+    word new to ``words`` is decoded and entered on the way)."""
+    entries: List[Word] = []
+    offset, last = 0, len(data) - 1
+    while offset < last:
+        # a word is as long as the format bit of its first parcel says
+        end = offset + (4 if data[offset + 1] & 0x40 else 2)
+        entries.append(words[data[offset:end]])
+        offset = end
+    if offset == last:
+        words[data[offset:]]        # an odd byte: cut short, raises
+    return entries
+
+
 def decode_stream(data: bytes,
                   x86_addrs: Optional[Sequence[Optional[int]]] = None,
                   words: Optional[WordTable] = None) -> List[MicroOp]:
@@ -343,15 +358,14 @@ def decode_stream(data: bytes,
     onto a copy of the table's micro-op; a table for one stream would
     only cost, so without one every word is decoded.
     """
-    uops: List[MicroOp] = []
-    offset, size = 0, len(data)
-    while offset < size:
-        # a word is as long as the format bit of its first parcel says
-        long = offset + 1 < size and data[offset + 1] & 0x40
-        end = offset + (4 if long else 2)
-        uops.append(decode_uop(data, offset) if words is None
-                    else words[data[offset:end]].uop)
-        offset = end
+    if words is not None:
+        uops = [word.uop for word in stream_words(data, words)]
+    else:
+        uops = []
+        offset, size = 0, len(data)
+        while offset < size:
+            uops.append(decode_uop(data, offset))   # raises if cut short
+            offset += 4 if data[offset + 1] & 0x40 else 2
     if x86_addrs is None:
         return uops
     if len(uops) != len(x86_addrs):

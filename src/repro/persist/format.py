@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.x86lite.decoder import DecodeError, decode_at
@@ -232,33 +232,38 @@ def source_matches(record: Dict, memory) -> bool:
         return False
 
 
-def record_stream(record: Dict) -> Tuple[bytes, List[Optional[int]]]:
-    """A validated record's encoded stream and the ``x86_addr`` of each
-    micro-op in it (``origins`` expanded)."""
+def record_code(record: Dict) -> bytes:
+    """A validated record's encoded stream."""
     try:
-        code = bytes.fromhex(record["code"])
+        return bytes.fromhex(record["code"])
     except ValueError as error:
         raise PersistFormatError(f"code is not hex: {error}") from error
-    return code, expand_origins(record["origins"])
+
+
+def record_stream(record: Dict) -> Tuple[bytes, List[Optional[int]]]:
+    """:func:`record_code` and the ``x86_addr`` of each micro-op in it
+    (``origins`` expanded)."""
+    return record_code(record), expand_origins(record["origins"])
 
 
 def materialize(record: Dict, native_addr: int,
-                uops: Sequence[MicroOp]) -> Translation:
-    """Build an installable Translation from a validated record and the
-    micro-ops decoded from its :func:`record_stream`.
+                uops: Optional[List[MicroOp]] = None,
+                uop_count: int = 0) -> Translation:
+    """Build an installable Translation from a validated record.
 
     The caller supplies the target ``native_addr`` (the owning cache's
     ``reserve()``); exit stubs and side-table entries are rebased onto
     it.  Micro-op displacements (BC/JMP) are translation-relative and
-    need no adjustment.
+    need no adjustment.  The loader, which holds bytes, passes the
+    ``uop_count`` its walk found and installs the code; a caller with
+    the micro-ops decoded from :func:`record_stream` passes those.
     """
-    uops = list(uops)
     translation = Translation(
         entry=record["entry"], kind=record["kind"],
         native_addr=native_addr,
         x86_addrs=list(record["x86_addrs"]),
         instr_count=record["instr_count"],
-        uop_count=len(uops),
+        uop_count=uop_count if uops is None else len(uops),
         fused_pairs=record["fused_pairs"],
         uops=uops, origins=record["origins"])
     for offset, kind, x86_target in record["exits"]:

@@ -7,18 +7,21 @@ accepts, the loader
 1. re-checks the **source fingerprint** against the freshly loaded
    program memory (a record translated from different bytes is stale and
    dropped);
-2. decodes the record's ``code`` — each micro-op **once**, by the
-   verifier's context, with its ``x86_addr`` attached — for **the new
-   native address** handed out by the owning code cache: BC/JMP
-   displacements are translation-relative, so only exit-stub and
-   side-table anchors need rebasing; code that does not decode, or that
-   ``origins`` does not cover exactly, is corrupt;
-3. re-binds the BBT profiling prologue to a freshly allocated countdown
+2. re-binds the BBT profiling prologue to a freshly allocated countdown
    counter (the old counter address is dead VMM state from the previous
-   process);
-4. runs the stream through the translation **verifier rule-pack**, whose
-   context encodes only the micro-ops re-bound in step 3 (a canonical
-   record's bytes are its encoding); a record that violates any
+   process) **in the bytes**: the two prologue words at bytes 4..12 are
+   checked against the recorded counter through the VM's word table and
+   re-encoded -- the only micro-ops the loader ever builds; a record
+   dropped further down hands its counter back;
+3. has the verifier's context walk those bytes through that table (each
+   distinct word decoded **once** per VM, no micro-op list), ``origins``
+   kept as the record's runs, for **the new native address** handed out
+   by the owning code cache: BC/JMP displacements are
+   translation-relative, so only exit-stub and side-table anchors need
+   rebasing; code that does not decode, or that ``origins`` does not
+   cover exactly, is corrupt;
+4. runs that context through the translation **verifier rule-pack** (a
+   canonical word is its own encoding); a record that violates any
    invariant is dropped, never installed, never executed;
 5. installs *the bytes the verifier checked* through
    ``TranslationDirectory.install`` — the same path new translations
@@ -34,17 +37,22 @@ steady state the cold VM ended in.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Set, Tuple
 
 from repro.faults.plane import fault_point
-from repro.isa.fusible.encoding import UopDecodeError
+from repro.isa.fusible.encoding import (
+    UopDecodeError,
+    WordTable,
+    encode_stream,
+)
+from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import UOp
 from repro.isa.fusible.registers import R_SCRATCH0
 from repro.persist.format import (
     PersistFormatError,
     materialize,
-    record_stream,
+    record_code,
     source_matches,
     validate_record,
 )
@@ -106,27 +114,29 @@ class LoadReport:
         return "\n".join(lines)
 
 
-def _rebind_counter(uops, old_addr: int, new_addr: int):
+def _rebind_counter(code: bytes, words: WordTable, old_addr: int,
+                    new_addr: int) -> bytes:
     """Point the profiling prologue at a freshly allocated counter.
 
     The prologue shape is fixed (see ``emit.profile_prologue``): the
-    LUI/ORI pair at positions 1 and 2 materializes the counter address
-    into R_SCRATCH0.  Anything else means the record does not match its
-    metadata and is treated as corrupt.
+    LUI/ORI pair at bytes 4..12, behind the 32-bit RDFLG, materializes
+    the counter address into R_SCRATCH0.  Anything else means the record
+    does not match its metadata and is treated as corrupt (as is code
+    too short to hold the pair: the table's decode raises).
     """
-    old_high = (old_addr >> 13) & 0x7FFFF
-    old_low = old_addr & 0x1FFF
-    if (len(uops) < 3
-            or uops[1].op is not UOp.LUI or uops[1].rd != R_SCRATCH0
-            or uops[1].imm != old_high
-            or uops[2].op is not UOp.ORI or uops[2].rd != R_SCRATCH0
-            or uops[2].imm != old_low):
+    lui, ori = words[code[4:8]].uop, words[code[8:12]].uop
+    if (not code[1] & 0x40
+            or lui.op is not UOp.LUI or lui.rd != R_SCRATCH0
+            or lui.imm != (old_addr >> 13) & 0x7FFFF
+            or ori.op is not UOp.ORI or ori.rd != R_SCRATCH0
+            or ori.imm != old_addr & 0x1FFF):
         raise PersistFormatError(
             "profiling prologue does not match recorded counter")
-    out = list(uops)
-    out[1] = replace(uops[1], imm=(new_addr >> 13) & 0x7FFFF)
-    out[2] = replace(uops[2], imm=new_addr & 0x1FFF)
-    return out
+    return code[:4] + encode_stream([
+        MicroOp(UOp.LUI, lui.rd, imm=(new_addr >> 13) & 0x7FFFF,
+                fused=lui.fused),
+        MicroOp(UOp.ORI, ori.rd, ori.rs1, imm=new_addr & 0x1FFF,
+                fused=ori.fused, setflags=ori.setflags)]) + code[12:]
 
 
 class WarmStartLoader:
@@ -141,11 +151,15 @@ class WarmStartLoader:
         report = LoadReport()
         directory = self.runtime.directory
         memory = self.runtime.memory
+        words = self.runtime.machine.words
+        new_counter = None
         tracer = getattr(self.runtime, "tracer", None)
         ledger = getattr(self.runtime, "ledger", None)
         phase_costs = getattr(self.runtime, "phase_costs", None)
 
         def reject(reason: str, record) -> None:
+            if new_counter is not None:     # armed, and now unreferenced
+                self.runtime.bbt.release_counter(new_counter)
             if tracer is not None:
                 fields = record if isinstance(record, dict) else {}
                 entry = fields.get("entry")
@@ -169,6 +183,7 @@ class WarmStartLoader:
         seen: Set[Tuple[str, int]] = set()
         for record in sorted(records, key=install_order):
             report.attempted += 1
+            new_counter = None
             try:
                 validate_record(record)
             except PersistFormatError as error:
@@ -188,24 +203,19 @@ class WarmStartLoader:
                 continue
             cache = directory.cache_for(kind)
             old_counter = record.get("counter_addr")
-            new_counter = None
-
-            def rebind(uops):
-                # runs inside from_code, once the code has decoded
-                nonlocal new_counter
-                if kind != "bbt" or old_counter is None:
-                    return uops
-                new_counter = self.runtime.bbt.allocate_counter()
-                return _rebind_counter(uops, old_counter, new_counter)
-
             try:
-                # the one walk: the decode, the CFG, the encoded bytes
-                # and (on demand) the dataflow facts every rule shares
-                screen = VerifyContext.from_code(
-                    *record_stream(record), rebind=rebind,
-                    words=self.runtime.machine.words)
-                translation = materialize(record, cache.reserve(),
-                                          screen.uops)
+                code = record_code(record)
+                if kind == "bbt" and old_counter is not None:
+                    # the screen must see the final bytes
+                    new_counter = self.runtime.bbt.allocate_counter()
+                    code = _rebind_counter(code, words, old_counter,
+                                           new_counter)
+                # the one walk: the words, the CFG and (on demand) the
+                # dataflow facts every rule shares
+                screen = VerifyContext.from_code(code, record["origins"],
+                                                 words=words)
+                translation = materialize(record, cache.reserve(), None,
+                                          len(screen.words))
                 translation.counter_addr = new_counter
                 screen.translation = translation
             except (PersistFormatError, UopDecodeError) as error:

@@ -112,6 +112,12 @@ class BasicBlockTranslator:
         """Allocate one armed countdown counter (warm-start loader)."""
         return self._allocate_counter()
 
+    def release_counter(self, addr: int) -> None:
+        """Hand back the counter allocated last: the warm-start record
+        it was armed for was dropped before it was installed."""
+        if addr == self._next_counter - 4:
+            self._next_counter = addr
+
     def reset_counter(self, translation: Translation,
                       value: Optional[int] = None) -> None:
         """Re-arm a translation's countdown counter (VMM policy)."""

@@ -109,6 +109,14 @@ class ForwardAnalysis:
     def transfer(self, state, loc: Located):
         raise NotImplementedError
 
+    def walk(self, state, block, before: List[Optional[object]]):
+        """Record the state before each micro-op of ``block`` in
+        ``before``; returns the state after its last."""
+        for loc in block.locs:
+            before[loc.index] = state
+            state = self.transfer(state, loc)
+        return state
+
     def run(self, cfg: CFG) -> List[Optional[object]]:
         """Solve to fixpoint; returns the state *before* each micro-op.
 
@@ -117,7 +125,7 @@ class ForwardAnalysis:
         only move down a finite lattice, so the sweeps end, and the last
         one walked every block from its final in-state.
         """
-        before: List[Optional[object]] = [None] * len(cfg.locs)
+        before: List[Optional[object]] = [None] * len(cfg.words)
         if not cfg.blocks:
             return before
         block_in: List[Optional[object]] = [None] * len(cfg.blocks)
@@ -129,9 +137,7 @@ class ForwardAnalysis:
                 state = block_in[block.bid]
                 if state is None:
                     continue    # not (yet) reachable
-                for loc in block.locs:
-                    before[loc.index] = state
-                    state = self.transfer(state, loc)
+                state = self.walk(state, block, before)
                 for succ in block.succs:
                     merged = state if block_in[succ] is None \
                         else self.meet(block_in[succ], state)
@@ -178,7 +184,7 @@ class BackwardAnalysis:
                 if merged != block_out[pred]:
                     block_out[pred] = merged
                     worklist.append(pred)
-        after: List[Optional[object]] = [None] * len(cfg.locs)
+        after: List[Optional[object]] = [None] * len(cfg.words)
         for block in cfg.blocks:
             state = block_out[block.bid]
             if state is None:
@@ -281,8 +287,9 @@ def word_facts(word: Word) -> Tuple[int, int, bool, bool]:
 
 class _DefinedAndFlags(_FlagProvenance):
     """:class:`_DefinitelyDefined` and :class:`_FlagProvenance` as one
-    analysis over pairs of their states, stepped over the word's facts
-    (the tests hold it to the product of the two)."""
+    analysis over pairs of their states, stepped a basic block at a time
+    over the words' facts: one loop, no call per micro-op (the tests
+    hold it to the product of the two)."""
 
     def entry_state(self):
         return (ENTRY_DEFINED, super().entry_state())
@@ -291,14 +298,39 @@ class _DefinedAndFlags(_FlagProvenance):
         return (left[0] & right[0], super().meet(left[1], right[1]))
 
     def transfer(self, state, loc: Located):
+        return self.step(state, (loc.word,), [None], 0)
+
+    def walk(self, state, block, before):
+        return self.step(state, block.cfg.words[block.start:block.end],
+                         before, block.start)
+
+    @staticmethod
+    def step(state, words, before, index: int):
+        """``walk`` over ``words``, the first of them micro-op ``index``."""
         defined, flags = state
-        _, writes, writes_flags, window = \
-            loc.word.facts or word_facts(loc.word)
-        if window or flags[1] is not None:
-            flags = super().transfer(flags, loc)    # in or at a window
-        elif writes_flags:
-            flags = (True, None)    # outside one: an architected write
-        return (defined | writes, flags)
+        for word in words:
+            before[index] = (defined, flags)
+            index += 1
+            _, writes, writes_flags, window = word.facts or word_facts(word)
+            defined |= writes
+            saved = flags[1]
+            if window:
+                uop = word.uop
+                if uop.op is UOp.WRFLG:     # closes the window: restores
+                    flags = (saved is not None and uop.rs1 == saved, None)
+                elif flags[0]:              # only from the valid copy
+                    flags = (True, uop.rd)  # RDFLG opens a save window
+                else:   # snapshot of clobbered flags: useless as a save
+                    flags = (False, CONFLICT)
+            elif saved is None:
+                if writes_flags:    # outside a window: architected
+                    flags = (True, None)
+            else:   # inside one a flag write is housekeeping
+                lost = saved >= 0 and writes >> saved & 1
+                if lost or writes_flags and flags[0]:
+                    flags = (flags[0] and not writes_flags,
+                             None if lost else saved)
+        return (defined, flags)
 
 
 def defined_and_flags(cfg: CFG) -> List[Optional[Tuple[int, FlagState]]]:

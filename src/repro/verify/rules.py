@@ -27,8 +27,9 @@ SID001      every VMCALL has a side-table entry for precise state
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import accumulate, groupby
 from typing import Callable, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.isa.fusible.encoding import (
@@ -39,9 +40,10 @@ from repro.isa.fusible.encoding import (
     decode_stream,
     decode_uop,
     encode_uop,
+    stream_words,
 )
 from repro.isa.fusible.microop import MicroOp
-from repro.isa.fusible.opcodes import OP_INFO, UOp, VMService
+from repro.isa.fusible.opcodes import UOp, VMService
 from repro.isa.fusible.registers import R_EXIT_TARGET, reg_name
 from repro.verify.cfg import Located, build_cfg, fused_pairs
 from repro.verify.dataflow import (
@@ -49,7 +51,6 @@ from repro.verify.dataflow import (
     conflicts,
     defined_and_flags,
     regs_in,
-    word_facts,
 )
 from repro.verify.report import Violation
 
@@ -85,86 +86,136 @@ def _encoded_fields(uop: MicroOp) -> tuple:
 
 
 class VerifyContext:
-    """Everything a rule may consult.  What several rules need is built
-    once per context: each micro-op's encoded bytes and word-table entry,
-    the CFG, the fused pairs and (on first use) the forward dataflow
-    facts."""
+    """Everything a rule may consult: a stream as its bytes, the
+    word-table entry (``words``) at each offset (``offsets``) and the
+    ``x86_addr`` metadata as ``[x86_addr, count]`` runs.  What several
+    rules need is built once per context: the CFG, the fused pairs and
+    (on first use) the forward dataflow facts.  Micro-ops with their
+    ``x86_addr`` attached (``uops``, ``locs``) are views built on demand
+    for reports and tests; no rule walks them."""
 
     def __init__(self, uops, translation=None, memory=None,
                  directory=None, live_entries: Optional[Set[int]] = None,
-                 source: tuple = (b"", ()),
+                 source: Optional[tuple] = None,
                  words: Optional[WordTable] = None) -> None:
-        self.uops: List[MicroOp] = list(uops)
+        """A context over ``uops``: each is encoded here, so ENC001 and
+        ENC002 check every one.  (``source`` is ``from_code``'s.)"""
         self.translation = translation
         self.memory = memory
         self.directory = directory
-        #: per micro-op: its encoded bytes, or the UopEncodeError.  The
-        #: one encoding ENC001, ENC002 and CCH001 check and, for a warm
-        #: install, the very bytes that go into the code cache.
-        self.encoded: List = []
-        #: indices ENC001/ENC002 must check (``encoded`` is ``encode_uop``'s);
-        #: elsewhere it *is* the canonical ``source`` slice decoded from
-        self.unproven: List[int] = []
+        # the VM's table or a private one
+        self._table = WordTable() if words is None else words
         #: index -> what ``encoded`` decodes back as, where that is not
         #: the micro-op that was encoded (ENC002's findings)
         self.misread: dict = {}
-        # the VM's table or a private one: each micro-op's static facts
-        # are those of the entry its ``encoded`` bytes decode to
-        words = WordTable() if words is None else words
-        entries: List[Word] = []
-        code, decoded = source      # bytes, and what they decoded to
-        end = 0
-        for was, now in zip_longest(decoded[:len(self.uops)], self.uops):
-            word = None
-            if was is not None:
-                start, end = end, end + OP_INFO[was.op].length
-                if now is was:
-                    chunk = code[start:end]
-                    word = words[chunk]
-            if word is None or not word.canonical:
-                # encoded here, so checked: the table's decode of those
-                # bytes is ENC002's comparison and, if equal, the entry
-                self.unproven.append(len(entries))
-                chunk = _encode(now)
-                word = None if isinstance(chunk, UopEncodeError) \
-                    else words[chunk]
-                if word and _encoded_fields(word.uop) != _encoded_fields(now):
-                    self.misread[len(entries)], word = word.uop, None
-            self.encoded.append(chunk)
-            # no bytes read as this micro-op: its facts are its own
-            entries.append(word or Word(now))
-        self.cfg = build_cfg(self.uops, entries)
-        self.locs = self.cfg.locs
-        self.pairs = fused_pairs(self.locs)
+        #: index -> ``encode_uop``'s answer (bytes or the error) for the
+        #: micro-ops encoded here; any other's encoding is the canonical
+        #: slice of ``_code`` it was read from
+        self._encoded: dict = {}
+        self._uops = self._code = self.origins = self._run_ends = None
+        if source is None:
+            self._uops = list(uops)
+            entries = [self._checked(index, uop)
+                       for index, uop in enumerate(self._uops)]
+        else:
+            self._code, origins = source
+            entries = stream_words(self._code, self._table)
+            for index in [index for index, word in enumerate(entries)
+                          if not word.canonical]:   # to other bytes
+                entries[index] = self._checked(index, entries[index].uop)
+            if origins is None:
+                origins = [[None, len(entries)]]
+            elif origins and not isinstance(origins[0], (list, tuple)):
+                origins = [[addr, len(list(run))]       # one a micro-op
+                           for addr, run in groupby(origins)]
+            self.origins = origins
+            counts = [run[1] for run in origins]
+            self._run_ends = list(accumulate(counts))
+            if sum(counts) != len(entries):
+                raise UopDecodeError(
+                    f"x86_addr list covers {sum(counts)} micro-op(s), not "
+                    f"the stream's {len(entries)}")
+        #: indices ENC001/ENC002 must check; everywhere else the bytes
+        #: are the micro-op's encoding by construction
+        self.unproven: List[int] = sorted(self._encoded)
+        self.cfg = build_cfg(entries)
+        self.words, self.offsets = self.cfg.words, self.cfg.offsets
+        self.pairs = fused_pairs(entries)
         self._facts = None
         self._live_entries = live_entries
 
+    def _checked(self, index: int, uop: MicroOp) -> Word:
+        """Encode ``uop`` here, so it is checked: the table's decode of
+        those bytes is ENC002's comparison and, if equal, the entry."""
+        chunk = self._encoded[index] = _encode(uop)
+        word = None if isinstance(chunk, UopEncodeError) \
+            else self._table[chunk]
+        if word and _encoded_fields(word.uop) != _encoded_fields(uop):
+            self.misread[index], word = word.uop, None
+        # no bytes read as this micro-op: its facts are its own
+        return word or Word(uop)
+
     @classmethod
-    def from_code(cls, code: bytes, x86_addrs=None, rebind=None,
+    def from_code(cls, code: bytes, origins=None, rebind=None,
                   words: Optional[WordTable] = None,
                   **where) -> "VerifyContext":
-        """A context over the micro-ops *it decodes* from ``code``
-        (raises ``UopDecodeError``); ``x86_addrs`` as ``decode_stream``
-        takes it.  ``rebind`` may swap micro-ops of the decoded list
-        before anything is built on it; ``words`` is the installing
-        VM's table (what is decoded here it need not decode again).
-
-        Where a micro-op is the very object decoded here and its bytes
-        are canonical (no don't-care bit of its form set), those bytes
-        *are* its encoding: ENC001 and ENC002 hold by construction.  A
-        swapped micro-op, or one decoded from non-canonical bytes, is
-        encoded and checked like any other, and ``image`` is the
-        canonical re-encoding.
+        """A context over the words *it reads* in ``code`` through
+        ``words`` (the installing VM's table: what is decoded here it
+        need not decode again; raises ``UopDecodeError``).  ``origins``
+        is the ``x86_addr`` metadata as a record keeps it, ``[x86_addr,
+        count]`` runs, or one ``x86_addr`` a micro-op; it must cover the
+        stream exactly.  A canonical word (no don't-care bit of its form
+        set) *is* the encoding of what it decodes to: ENC001 and ENC002
+        hold by construction.  A non-canonical one is encoded and
+        checked like any other, and ``image`` is the canonical
+        re-encoding.  ``rebind`` (tests) may swap micro-ops of the
+        decoded list: the result is screened as micro-ops, of which only
+        the very objects decoded here, from canonical bytes, stay proven.
         """
-        words = WordTable() if words is None else words
-        decoded = decode_stream(code, x86_addrs, words)
-        return cls(decoded if rebind is None else rebind(decoded),
-                   source=(code, decoded), words=words, **where)
+        read = cls(None, source=(code, origins), words=words, **where)
+        if rebind is None:
+            return read
+        decoded = read.uops
+        ctx = cls(rebind(decoded), words=read._table, **where)
+        ctx.unproven = [index for index, uop in enumerate(ctx.uops)
+                        if index >= len(decoded) or index in read._encoded
+                        or uop is not decoded[index]]
+        return ctx
+
+    def addr_at(self, index: int) -> Optional[int]:
+        """The ``x86_addr`` of micro-op ``index``: FUS005's hoist scan
+        and a ``Violation`` ask the run table, nobody else needs one."""
+        if self._run_ends is None:
+            return self._uops[index].x86_addr
+        return self.origins[bisect_right(self._run_ends, index)][0]
+
+    @property
+    def uops(self) -> List[MicroOp]:
+        """The micro-ops, ``x86_addr`` attached (a view)."""
+        if self._uops is None:
+            self._uops = decode_stream(
+                self.image, [self.addr_at(index) for index
+                             in range(len(self.words))], self._table)
+        return self._uops
+
+    @property
+    def locs(self) -> List[Located]:
+        return self.cfg.located(0, len(self.words), self.uops)
+
+    @property
+    def encoded(self) -> List:
+        """Per micro-op: its encoded bytes, or the ``UopEncodeError``.
+        The one encoding ENC001, ENC002 and CCH001 check and, for a warm
+        install, the very bytes that go into the code cache."""
+        return [self._encoded[index] if index in self._encoded
+                else self._code[offset:offset + (word.shape & 0x7F)]
+                for index, (offset, word)
+                in enumerate(zip(self.offsets, self.words))]
 
     @property
     def image(self) -> bytes:
         """The encoded stream; defined when ENC001 holds."""
-        return b"".join(self.encoded)
+        return b"".join(self.encoded) if self._encoded else self._code
 
     @property
     def facts(self):
@@ -214,12 +265,12 @@ def rule_ids() -> List[str]:
     return [spec.rule_id for spec in RULES]
 
 
-def _v(rule_id: str, message: str, loc: Optional[Located] = None,
-       **extra) -> Violation:
-    if loc is not None:
-        extra.setdefault("index", loc.index)
-        extra.setdefault("offset", loc.offset)
-        extra.setdefault("x86_addr", loc.uop.x86_addr)
+def _v(rule_id: str, message: str, ctx: Optional[VerifyContext] = None,
+       index: Optional[int] = None, **extra) -> Violation:
+    if index is not None:
+        extra.setdefault("index", index)
+        extra.setdefault("offset", ctx.offsets[index])
+        extra.setdefault("x86_addr", ctx.addr_at(index))
     return Violation(rule_id=rule_id, message=message, **extra)
 
 
@@ -228,81 +279,87 @@ def _v(rule_id: str, message: str, loc: Optional[Located] = None,
 
 @rule("FUS001", "fused head must be a single-cycle ALU producing a value")
 def _check_fus001(ctx: VerifyContext) -> Iterator[Violation]:
+    words = ctx.words
     for head, tail in ctx.pairs:
-        uop = head.uop
-        if not OP_INFO[uop.op].head:
+        uop = words[head].uop
+        if not words[head].info.head:
             yield _v("FUS001", f"{uop.op.value} cannot head a fused pair",
-                     head)
+                     ctx, head)
             continue
-        if tail is not None and tail.uop.op is UOp.BC:
+        if tail is not None and words[tail].uop.op is UOp.BC:
             if not uop.writes_flags:
                 yield _v("FUS001", "compare-branch head does not write "
-                                   "the flags the BC consumes", head)
+                                   "the flags the BC consumes", ctx, head)
         elif uop.dest() is None:
             yield _v("FUS001", "fused head produces no register value",
-                     head)
+                     ctx, head)
 
 
 @rule("FUS002", "fused tail must exist, be unfused, and consume the head")
 def _check_fus002(ctx: VerifyContext) -> Iterator[Violation]:
+    words = ctx.words
     for head, tail in ctx.pairs:
         if tail is None:
             yield _v("FUS002", "fused head has no successor micro-op",
-                     head)
+                     ctx, head)
             continue
-        if tail.uop.fused:
+        uop = words[tail].uop
+        if uop.fused:
             yield _v("FUS002", "pairs overlap: the tail is itself marked "
-                               "as a fused head", head)
+                               "as a fused head", ctx, head)
             continue
-        if tail.uop.op is UOp.BC:
+        if uop.op is UOp.BC:
             continue  # flag dependence; the head side is FUS001's job
-        if not OP_INFO[tail.uop.op].tail:
+        if not words[tail].info.tail:
             yield _v("FUS002",
-                     f"{tail.uop.op.value} cannot tail a fused pair", tail)
+                     f"{uop.op.value} cannot tail a fused pair", ctx, tail)
             continue
-        head_dest = head.uop.dest()
-        if head_dest is None or head_dest not in tail.uop.sources():
+        head_dest = words[head].uop.dest()
+        if head_dest is None or head_dest not in uop.sources():
             yield _v("FUS002", "tail does not consume the head's result",
-                     tail)
+                     ctx, tail)
 
 
 @rule("FUS003", "a fused pair carries at most three distinct sources")
 def _check_fus003(ctx: VerifyContext) -> Iterator[Violation]:
+    words = ctx.words
     for head, tail in ctx.pairs:
         if tail is None:
             continue
-        head_dest = head.uop.dest()
-        sources = set(head.uop.sources())
-        sources.update(reg for reg in tail.uop.sources()
+        head_dest = words[head].uop.dest()
+        sources = set(words[head].uop.sources())
+        sources.update(reg for reg in words[tail].uop.sources()
                        if reg != head_dest)
         if len(sources) > PAIR_SOURCE_LIMIT:
             names = ", ".join(reg_name(reg) for reg in sorted(sources))
             yield _v("FUS003",
                      f"pair reads {len(sources)} registers ({names}); "
                      f"the collapsed ALU has {PAIR_SOURCE_LIMIT} read "
-                     f"ports", head)
+                     f"ports", ctx, head)
 
 
 @rule("FUS004", "no fused pair spans a region boundary")
 def _check_fus004(ctx: VerifyContext) -> Iterator[Violation]:
+    words = ctx.words
     for head, tail in ctx.pairs:
-        if OP_INFO[head.uop.op].boundary:
-            yield _v("FUS004", f"region boundary {head.uop.op.value} "
-                               f"marked as a fused head", head)
-        if tail is not None and OP_INFO[tail.uop.op].boundary \
-                and tail.uop.op is not UOp.BC:
+        if words[head].info.boundary:
+            yield _v("FUS004", f"region boundary "
+                               f"{words[head].uop.op.value} marked as a "
+                               f"fused head", ctx, head)
+        if tail is not None and words[tail].info.boundary \
+                and words[tail].uop.op is not UOp.BC:
             yield _v("FUS004", f"pair crosses a region boundary into "
-                               f"{tail.uop.op.value}", tail)
+                               f"{words[tail].uop.op.value}", ctx, tail)
 
 
 @rule("FUS005", "a hoisted tail must not cross a conflicting micro-op")
 def _check_fus005(ctx: VerifyContext) -> Iterator[Violation]:
-    locs = ctx.locs
+    words = ctx.words
     for head, tail in ctx.pairs:
-        if tail is None or tail.uop.op is UOp.BC:
+        if tail is None or words[tail].uop.op is UOp.BC:
             continue
-        head_addr = head.uop.x86_addr
-        tail_addr = tail.uop.x86_addr
+        head_addr = ctx.addr_at(head)
+        tail_addr = ctx.addr_at(tail)
         if head_addr is None or tail_addr is None \
                 or tail_addr <= head_addr:
             continue  # no detectable hoist
@@ -313,18 +370,19 @@ def _check_fus005(ctx: VerifyContext) -> Iterator[Violation]:
         # (straightened traces may bend backwards), and at the pairing
         # window bound.
         previous = head_addr
-        for loc in locs[tail.index + 1:tail.index + 1 + HOIST_SCAN]:
-            uop = loc.uop
-            if OP_INFO[uop.op].boundary:
+        for index in range(tail + 1,
+                           min(tail + 1 + HOIST_SCAN, len(words))):
+            if words[index].info.boundary:
                 break
-            addr = uop.x86_addr
+            addr = ctx.addr_at(index)
             if addr is None or addr < previous or addr >= tail_addr:
                 break
             previous = addr
-            if conflicts(uop, tail.uop):
+            uop = words[index].uop
+            if conflicts(uop, words[tail].uop):
                 yield _v("FUS005",
                          f"tail was hoisted across a conflicting "
-                         f"{uop.op.value} at x86 {addr:#x}", tail)
+                         f"{uop.op.value} at x86 {addr:#x}", ctx, tail)
                 break
 
 
@@ -333,12 +391,13 @@ def _check_fus005(ctx: VerifyContext) -> Iterator[Violation]:
 
 @rule("CTL001", "control transfers must land on micro-op boundaries")
 def _check_ctl001(ctx: VerifyContext) -> Iterator[Violation]:
-    for loc in ctx.cfg.bad_targets:
-        target = loc.offset + loc.uop.length + loc.uop.imm
+    for index in ctx.cfg.bad_targets:
+        uop = ctx.words[index].uop
+        target = ctx.offsets[index] + uop.length + uop.imm
         yield _v("CTL001",
-                 f"{loc.uop.op.value} displacement {loc.uop.imm:+d} lands "
+                 f"{uop.op.value} displacement {uop.imm:+d} lands "
                  f"at byte {target}, not on a micro-op boundary within "
-                 f"the translation", loc)
+                 f"the translation", ctx, index)
 
 
 def _stub_shape_errors(uops: List[MicroOp], target: int) -> List[str]:
@@ -378,25 +437,25 @@ def _check_stb001(ctx: VerifyContext) -> Iterator[Violation]:
                                f"on a micro-op boundary",
                      offset=offset)
             continue
-        loc = ctx.locs[index]
+        uops = [word.uop for word in ctx.words[index:index + 3]]
         if stub.x86_target is None:
-            if loc.uop.op is not UOp.VMEXIT:
-                yield _v("STB001", f"indirect exit records '{loc.uop}', "
-                                   f"expected VMEXIT", loc)
+            if uops[0].op is not UOp.VMEXIT:
+                yield _v("STB001", f"indirect exit records '{uops[0]}', "
+                                   f"expected VMEXIT", ctx, index)
             continue
-        for error in _stub_shape_errors(ctx.uops[index:index + 3],
-                                        stub.x86_target):
-            yield _v("STB001", error, loc)
+        for error in _stub_shape_errors(uops, stub.x86_target):
+            yield _v("STB001", error, ctx, index)
 
 
 @rule("STB002", "VMEXIT hands the continuation to the VMM in R29")
 def _check_stb002(ctx: VerifyContext) -> Iterator[Violation]:
-    for loc in ctx.cfg.branches:
-        if loc.uop.op is UOp.VMEXIT and loc.uop.rs1 != R_EXIT_TARGET:
+    for index in ctx.cfg.transfers:
+        uop = ctx.words[index].uop
+        if uop.op is UOp.VMEXIT and uop.rs1 != R_EXIT_TARGET:
             yield _v("STB002",
-                     f"VMEXIT reads {reg_name(loc.uop.rs1)}; the "
+                     f"VMEXIT reads {reg_name(uop.rs1)}; the "
                      f"dispatcher expects the continuation in "
-                     f"{reg_name(R_EXIT_TARGET)}", loc)
+                     f"{reg_name(R_EXIT_TARGET)}", ctx, index)
 
 
 # -- dataflow hygiene ----------------------------------------------------------
@@ -404,21 +463,23 @@ def _check_stb002(ctx: VerifyContext) -> Iterator[Violation]:
 
 @rule("SCR001", "VMM registers are defined before every use")
 def _check_scr001(ctx: VerifyContext) -> Iterator[Violation]:
-    for loc, fact in zip(ctx.locs, ctx.facts):
-        if fact is None:
-            continue  # unreachable from entry
-        reads = (loc.word.facts or word_facts(loc.word))[0]
-        undefined = reads & VMM_MASK & ~fact[0]
-        for reg in regs_in(undefined) if undefined else ():
+    # a fact is None where the micro-op is unreachable from entry
+    for index in [index for index, (word, fact)
+                  in enumerate(zip(ctx.words, ctx.facts))
+                  if fact and word.facts[0] & VMM_MASK & ~fact[0]]:
+        undefined = ctx.words[index].facts[0] & VMM_MASK \
+            & ~ctx.facts[index][0]
+        for reg in regs_in(undefined):
             yield _v("SCR001",
                      f"reads VMM register {reg_name(reg)} which is "
-                     f"not defined on every path from entry", loc)
+                     f"not defined on every path from entry", ctx, index)
 
 
 @rule("PRS001", "architected flags are intact at every VMM handoff")
 def _check_prs001(ctx: VerifyContext) -> Iterator[Violation]:
-    for loc in ctx.cfg.branches:
-        uop, fact = loc.uop, ctx.facts[loc.index]
+    facts = ctx.facts
+    for index in ctx.cfg.transfers:
+        uop, fact = ctx.words[index].uop, facts[index]
         handoff = uop.op is UOp.VMEXIT or (
             uop.op is UOp.VMCALL and uop.imm != int(VMService.PROFILE))
         if not handoff or fact is None:
@@ -426,7 +487,8 @@ def _check_prs001(ctx: VerifyContext) -> Iterator[Violation]:
         if not fact[1][0]:
             yield _v("PRS001",
                      f"{uop.op.value} reached with clobbered architected "
-                     f"flags (unbalanced RDFLG/WRFLG save window)", loc)
+                     f"flags (unbalanced RDFLG/WRFLG save window)",
+                     ctx, index)
 
 
 # -- encoding ------------------------------------------------------------------
@@ -435,19 +497,19 @@ def _check_prs001(ctx: VerifyContext) -> Iterator[Violation]:
 @rule("ENC001", "every emitted micro-op is encodable")
 def _check_enc001(ctx: VerifyContext) -> Iterator[Violation]:
     for index in ctx.unproven:
-        loc, data = ctx.locs[index], ctx.encoded[index]
+        data = ctx._encoded[index]
         if isinstance(data, UopEncodeError):
-            yield _v("ENC001", f"'{loc.uop}' does not encode: {data}", loc)
+            yield _v("ENC001", f"'{ctx.words[index].uop}' does not "
+                               f"encode: {data}", ctx, index)
 
 
 @rule("ENC002", "encode -> decode is the identity on emitted micro-ops")
 def _check_enc002(ctx: VerifyContext) -> Iterator[Violation]:
     # the context compared each unproven micro-op with its bytes' decode
     for index, decoded in ctx.misread.items():
-        loc = ctx.locs[index]
         yield _v("ENC002",
-                 f"round trip loses state: '{loc.uop}' decodes back "
-                 f"as '{decoded}'", loc)
+                 f"round trip loses state: '{ctx.words[index].uop}' "
+                 f"decodes back as '{decoded}'", ctx, index)
 
 
 # -- code cache and chaining ---------------------------------------------------
@@ -481,23 +543,29 @@ def _check_cch001(ctx: VerifyContext) -> Iterator[Violation]:
     patched = _patched_ranges(ctx)
     image = ctx.memory.read(translation.native_addr,
                             ctx.cfg.total_bytes + 2)
-    for loc, data in zip(ctx.locs, ctx.encoded):
-        if any(start <= loc.offset < end for start, end in patched):
+    if not patched and not any(
+            isinstance(ctx._encoded[index], UopEncodeError)
+            for index in ctx.unproven) and image.startswith(ctx.image):
+        return      # the common case: what was installed, untouched
+    for index, (offset, data) in enumerate(zip(ctx.offsets, ctx.encoded)):
+        if any(start <= offset < end for start, end in patched):
             continue
         if isinstance(data, UopEncodeError):
             continue  # ENC001's finding
-        window = image[loc.offset:loc.offset + 4]
+        window = image[offset:offset + 4]
         if window.startswith(data):
             continue  # the recorded micro-op's own bytes
         try:
             in_memory = decode_uop(window)
         except UopDecodeError as error:
-            yield _v("CCH001", f"cache bytes do not decode: {error}", loc)
+            yield _v("CCH001", f"cache bytes do not decode: {error}",
+                     ctx, index)
             continue
         if in_memory != decode_uop(data):
             yield _v("CCH001",
                      f"cache image holds '{in_memory}' where the "
-                     f"translation recorded '{loc.uop}'", loc)
+                     f"translation recorded '{ctx.words[index].uop}'",
+                     ctx, index)
 
 
 @rule("CHN001", "chained stubs jump to a live translation entry",
@@ -559,18 +627,18 @@ def _check_chn002(ctx: VerifyContext) -> Iterator[Violation]:
       requires=("translation",))
 def _check_sid001(ctx: VerifyContext) -> Iterator[Violation]:
     translation = ctx.translation
-    for loc in ctx.cfg.branches:
-        if loc.uop.op is not UOp.VMCALL:
+    for index in ctx.cfg.transfers:
+        if ctx.words[index].uop.op is not UOp.VMCALL:
             continue
-        native = translation.native_addr + loc.offset
+        native = translation.native_addr + ctx.offsets[index]
         if native not in translation.side_table:
             yield _v("SID001",
                      "VMCALL has no side-table entry; the VMM cannot "
-                     "reconstruct precise architected state", loc)
+                     "reconstruct precise architected state", ctx, index)
             continue
         if ctx.directory is not None:
             resolved = ctx.directory.resolve_side_table(native)
             if resolved is None or resolved[1] is not translation:
                 yield _v("SID001",
                          "side-table entry is not registered with the "
-                         "translation directory", loc)
+                         "translation directory", ctx, index)

@@ -18,11 +18,11 @@ CONTEXT_RADIUS = 2
 
 def _context_lines(ctx: VerifyContext, index: int) -> tuple:
     low = max(0, index - CONTEXT_RADIUS)
-    high = min(len(ctx.uops), index + CONTEXT_RADIUS + 1)
+    high = min(len(ctx.words), index + CONTEXT_RADIUS + 1)
     lines = []
     for position in range(low, high):
         marker = "->" if position == index else "  "
-        lines.append(f"{marker} {position:4d}: {ctx.uops[position]}")
+        lines.append(f"{marker} {position:4d}: {ctx.words[position].uop}")
     return tuple(lines)
 
 
@@ -50,7 +50,7 @@ def run_rules(ctx: VerifyContext) -> VerifierReport:
                     context=_context_lines(ctx, violation.index))
             violations.append(violation)
     return VerifierReport(violations=violations,
-                          uops_checked=len(ctx.uops),
+                          uops_checked=len(ctx.words),
                           rules_run=tuple(rules_run))
 
 
@@ -66,26 +66,25 @@ def verify_translation(translation, memory=None, directory=None,
                        live_entries=None, words=None) -> VerifierReport:
     """Run the full rule-pack over one installed translation.
 
-    What is screened is the installed ``code`` + ``origins``, decoded
-    by the context through ``words`` (the installing VM's table; left
-    out, a private one) -- the path a warm install takes.  Where the
-    translator handed over its micro-op list (SBT), that list is the
-    side ENC001/ENC002 compare the bytes with.  ``live_entries`` (native
+    What is screened is the installed ``code`` + ``origins``, read by
+    the context through ``words`` (the installing VM's table; left out,
+    a private one) -- the path a warm install takes.  Where the
+    translator handed over its micro-op list (SBT), that list is what
+    is screened: ENC001/ENC002 encode it and CCH001 holds the cache to
+    those bytes.  ``live_entries`` (native
     entry addresses of the directory's live translations) lets a sweep
     over many translations build that set once; left out, CHN001
     derives it from ``directory`` when needed.
     """
     where = dict(translation=translation, memory=memory,
-                 directory=directory, live_entries=live_entries)
-    emitted = translation.emitted
+                 directory=directory, live_entries=live_entries,
+                 words=words)
     try:
-        if translation.code:
-            ctx = VerifyContext.from_code(
-                translation.code, translation.uop_addrs(), words=words,
-                rebind=None if emitted is None else lambda _: emitted,
-                **where)
-        else:       # never installed: all there is is the list
-            ctx = VerifyContext(emitted or (), **where)
+        if translation.emitted is None and translation.code:
+            ctx = VerifyContext.from_code(translation.code,
+                                          translation.origins, **where)
+        else:       # the translator's list, or nothing installed yet
+            ctx = VerifyContext(translation.emitted or (), **where)
     except UopDecodeError as error:
         report = VerifierReport(translations_checked=1)
         report.violations.append(Violation(
