@@ -30,6 +30,7 @@ from repro.isa.x86lite.registers import Reg
 from repro.isa.x86lite.state import X86State
 from repro.memory.address_space import AddressSpace
 from repro.memory.loader import DEFAULT_STACK_TOP, Image, load_image
+from repro.translator.code_cache import BBT_CACHE_BASE
 from repro.vmm.profiling import SoftwareProfiler
 from repro.vmm.runtime import VMRuntime
 
@@ -83,8 +84,10 @@ class CoDesignedVM:
         self.state.halted = False
         self.state.exit_code = None
         self.state.output.clear()
-        # restore program text+data exactly (the previous run may have
-        # written data segments); code caches live elsewhere
+        # guest memory is the image again and nothing else (the previous
+        # run wrote data segments, heap and stack); the concealed code
+        # caches and counters live above it and stay
+        self.state.memory.drop_pages(0, BBT_CACHE_BASE)
         self.state.eip = load_image(self._image, self.state.memory)
         if self.config.is_vm:
             if warm and self.runtime is not None:

@@ -8,12 +8,17 @@ Pages are materialized on first touch so that widely separated regions
 
 from __future__ import annotations
 
+import struct
 from typing import Callable
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
 ADDRESS_MASK = 0xFFFFFFFF
+
+#: the little-endian scalar codecs
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 
 
 class MemoryError_(Exception):
@@ -67,10 +72,24 @@ class AddressSpace:
             callback(page_index)
 
     # -- byte-range access ------------------------------------------------
+    # A range inside one page is one operation on that page; the page
+    # walk below it is reached only by a range that crosses a boundary.
 
     def write(self, addr: int, data: bytes) -> None:
         """Write ``data`` starting at ``addr`` (wrapping is an error)."""
         addr &= ADDRESS_MASK
+        in_page = addr & PAGE_MASK
+        size = len(data)
+        # (an empty write touches no page: it falls through both paths)
+        if 0 < size <= PAGE_SIZE - in_page:
+            page_index = addr >> PAGE_SHIFT
+            page = self._pages.get(page_index)
+            if page is None:
+                page = self._page_for_write(page_index)
+            page[in_page:in_page + size] = data
+            if page_index in self._watches:
+                self._fire_watches(page_index)
+            return
         if addr + len(data) > ADDRESS_MASK + 1:
             raise MemoryError_(f"write past end of address space at {addr:#x}")
         offset = 0
@@ -90,6 +109,12 @@ class AddressSpace:
         addr &= ADDRESS_MASK
         if size < 0:
             raise MemoryError_("negative read size")
+        in_page = addr & PAGE_MASK
+        if in_page + size <= PAGE_SIZE:
+            page = self._pages.get(addr >> PAGE_SHIFT)
+            if page is None:
+                return bytes(size)
+            return bytes(page[in_page:in_page + size])
         if addr + size > ADDRESS_MASK + 1:
             raise MemoryError_(f"read past end of address space at {addr:#x}")
         out = bytearray(size)
@@ -106,6 +131,8 @@ class AddressSpace:
         return bytes(out)
 
     # -- scalar accessors ---------------------------------------------------
+    # A scalar inside its page is one ``struct`` operation on the page; one
+    # that straddles goes through ``read``/``write`` with the same codec.
 
     def read_u8(self, addr: int) -> int:
         page_index, in_page = divmod(addr & ADDRESS_MASK, PAGE_SIZE)
@@ -119,23 +146,42 @@ class AddressSpace:
             self._fire_watches(page_index)
 
     def read_u16(self, addr: int) -> int:
-        data = self.read(addr, 2)
-        return data[0] | (data[1] << 8)
+        in_page = addr & PAGE_MASK
+        if in_page > PAGE_SIZE - 2:
+            return _U16.unpack(self.read(addr, 2))[0]
+        page = self._pages.get((addr & ADDRESS_MASK) >> PAGE_SHIFT)
+        return _U16.unpack_from(page, in_page)[0] if page is not None else 0
 
     def write_u16(self, addr: int, value: int) -> None:
-        value &= 0xFFFF
-        self.write(addr, bytes((value & 0xFF, value >> 8)))
+        in_page = addr & PAGE_MASK
+        if in_page > PAGE_SIZE - 2:
+            return self.write(addr, _U16.pack(value & 0xFFFF))
+        page_index = (addr & ADDRESS_MASK) >> PAGE_SHIFT
+        page = self._pages.get(page_index)
+        if page is None:
+            page = self._page_for_write(page_index)
+        _U16.pack_into(page, in_page, value & 0xFFFF)
+        if page_index in self._watches:
+            self._fire_watches(page_index)
 
     def read_u32(self, addr: int) -> int:
-        data = self.read(addr, 4)
-        return data[0] | (data[1] << 8) | (data[2] << 16) | (data[3] << 24)
+        in_page = addr & PAGE_MASK
+        if in_page > PAGE_SIZE - 4:
+            return _U32.unpack(self.read(addr, 4))[0]
+        page = self._pages.get((addr & ADDRESS_MASK) >> PAGE_SHIFT)
+        return _U32.unpack_from(page, in_page)[0] if page is not None else 0
 
     def write_u32(self, addr: int, value: int) -> None:
-        value &= 0xFFFFFFFF
-        self.write(addr, bytes((value & 0xFF,
-                                (value >> 8) & 0xFF,
-                                (value >> 16) & 0xFF,
-                                (value >> 24) & 0xFF)))
+        in_page = addr & PAGE_MASK
+        if in_page > PAGE_SIZE - 4:
+            return self.write(addr, _U32.pack(value & 0xFFFFFFFF))
+        page_index = (addr & ADDRESS_MASK) >> PAGE_SHIFT
+        page = self._pages.get(page_index)
+        if page is None:
+            page = self._page_for_write(page_index)
+        _U32.pack_into(page, in_page, value & 0xFFFFFFFF)
+        if page_index in self._watches:
+            self._fire_watches(page_index)
 
     def read_i32(self, addr: int) -> int:
         value = self.read_u32(addr)
@@ -146,6 +192,15 @@ class AddressSpace:
     def fill(self, addr: int, size: int, byte: int = 0) -> None:
         """Fill a range with a constant byte (used to scrub code caches)."""
         self.write(addr, bytes([byte & 0xFF]) * size)
+
+    def drop_pages(self, start: int, end: int) -> None:
+        """Forget every resident page that begins in ``[start, end)``: it
+        reads as zeros again, which is a write as far as watches go."""
+        for page_index in [index for index in self._pages
+                           if start <= index << PAGE_SHIFT < end]:
+            del self._pages[page_index]
+            if page_index in self._watches:
+                self._fire_watches(page_index)
 
     def snapshot(self) -> "AddressSpace":
         """Deep copy, used by differential tests and precise-state replay.

@@ -27,6 +27,7 @@ from typing import List, Optional, Tuple
 
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import OP_INFO, UOp
+from repro.isa.fusible.registers import NREGS
 
 #: How far ahead (in micro-ops) the pairing pass searches for a tail.
 DEFAULT_WINDOW = 8
@@ -52,78 +53,79 @@ class FusionStats:
         return 2.0 * self.pairs / self.uops_total
 
 
-def _conflict(first: MicroOp, second: MicroOp) -> bool:
-    """True if ``second`` cannot move above ``first``."""
-    first_dest = first.dest()
-    second_dest = second.dest()
-    if first_dest is not None and first_dest in second.sources():
-        return True  # RAW
-    if second_dest is not None and second_dest in first.sources():
-        return True  # WAR
-    if first_dest is not None and first_dest == second_dest:
-        return True  # WAW
-    # flags as a single resource
-    if first.writes_flags and (second.writes_flags or second.reads_flags):
-        return True
-    if first.reads_flags and second.writes_flags:
-        return True
-    # memory ordering: stores are fences against any memory op
-    if first.is_store and (second.is_store or second.is_load):
-        return True
-    if second.is_store and first.is_load:
-        return True
-    return False
+#: Above the register bits of a row's masks: the flags and memory, each
+#: one resource (a store writes memory, a load reads it).
+_FLAGS = 1 << NREGS
+_MEMORY = _FLAGS << 1
+_REGS = _FLAGS - 1
+
+Row = Tuple[int, int]
 
 
-def _pair_sources(head: MicroOp, tail: MicroOp) -> int:
-    head_dest = head.dest()
-    sources = set(head.sources())
-    sources.update(reg for reg in tail.sources() if reg != head_dest)
-    return len(sources)
+def _row(uop: MicroOp) -> Row:
+    """``(reads, writes)`` of a micro-op as masks over the registers,
+    ``_FLAGS`` and ``_MEMORY``: every dependence fact the pass tests,
+    derived once and moved with the micro-op."""
+    info = OP_INFO[uop.op]
+    reads = info.reads_flags * _FLAGS | info.load * _MEMORY
+    for reg in uop.sources():
+        reads |= 1 << reg
+    writes = uop.writes_flags * _FLAGS | info.store * _MEMORY
+    dest = uop.dest()
+    return reads, writes if dest is None else writes | 1 << dest
 
 
-def _can_pair(head: MicroOp, tail: MicroOp) -> bool:
+def _conflict(first: Row, second: Row) -> bool:
+    """True if ``second`` cannot move above ``first``: RAW, WAW or WAR
+    over registers, the flags and memory (a store fences every access)."""
+    return bool(first[1] & (second[0] | second[1]) or second[1] & first[0])
+
+
+def _can_pair(head: MicroOp, tail: MicroOp, head_row: Row,
+              tail_row: Row) -> bool:
     if not OP_INFO[head.op].head:
         return False
+    dest = head_row[1] & _REGS
     if tail.op is UOp.BC:
         # compare-branch fusion: the dependence is through the flags
-        return head.writes_flags and \
-            _pair_sources(head, tail) <= MAX_PAIR_SOURCES
-    head_dest = head.dest()
-    if head_dest is None or not OP_INFO[tail.op].tail \
-            or head_dest not in tail.sources():
+        linked = head_row[1] & _FLAGS
+    else:
+        linked = OP_INFO[tail.op].tail and dest & tail_row[0]
+    if not linked:
         return False
-    return _pair_sources(head, tail) <= MAX_PAIR_SOURCES
+    sources = (head_row[0] | tail_row[0] & ~dest) & _REGS
+    return bin(sources).count("1") <= MAX_PAIR_SOURCES
 
 
 def _fuse_region(region: List[MicroOp], window: int,
                  stats: FusionStats) -> List[MicroOp]:
     """Greedy in-order pairing with bounded tail hoisting."""
     uops = list(region)
+    rows = [_row(uop) for uop in uops]
     index = 0
     while index < len(uops) - 1:
-        head = uops[index]
-        if head.fused or not OP_INFO[head.op].head \
-                or head.dest() is None:
+        head, head_row = uops[index], rows[index]
+        dest = head_row[1] & _REGS
+        if head.fused or not OP_INFO[head.op].head or not dest:
             index += 1
             continue
         paired = False
         limit = min(len(uops), index + 1 + window)
         for scan in range(index + 1, limit):
-            tail = uops[scan]
+            tail, tail_row = uops[scan], rows[scan]
             if tail.fused:
                 break  # never split an existing pair
-            if not _can_pair(head, tail):
-                if _conflict(head, tail) and head.dest() in tail.sources():
+            if not _can_pair(head, tail, head_row, tail_row):
+                if dest & tail_row[0]:
                     break  # the consumer exists but cannot pair; stop
                 continue
             # legality of hoisting the tail up behind the head
-            blocked = any(_conflict(uops[between], tail)
-                          for between in range(index + 1, scan))
+            blocked = any(_conflict(between, tail_row)
+                          for between in rows[index + 1:scan])
             if blocked:
                 continue
-            del uops[scan]
-            uops.insert(index + 1, tail)
+            uops.insert(index + 1, uops.pop(scan))
+            rows.insert(index + 1, rows.pop(scan))
             uops[index] = head.with_fused(True)
             stats.pairs += 1
             if scan != index + 1:
@@ -160,7 +162,8 @@ def fuse_microops(uops: List[MicroOp], window: int = DEFAULT_WINDOW
                 last_is_tail = len(fused) >= 2 and fused[-2].fused
                 if not last.fused and not last_is_tail \
                         and last.writes_flags \
-                        and _can_pair(last, boundary):
+                        and _can_pair(last, boundary, _row(last),
+                                      _row(boundary)):
                     fused[-1] = last.with_fused(True)
                     stats.pairs += 1
             out.extend(fused)

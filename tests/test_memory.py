@@ -1,7 +1,7 @@
 """Unit tests for the sparse address space and image loader."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.memory import AddressSpace, Image, MemoryError_, load_image
 from repro.memory.address_space import PAGE_SIZE
@@ -186,3 +186,158 @@ class TestImageLoader:
     def test_missing_text_raises(self):
         with pytest.raises(ValueError):
             _ = Image(entry=0).text
+
+
+# -- every accessor against a flat model, by search ---------------------------
+
+TOP = 1 << 32
+#: page bases worth meeting: the first and last pages of the address
+#: space, two neighbours (so a straddle lands on a page also written
+#: directly) and one far away that most runs never write
+BASES = (0, 0x600000, 0x600000 + PAGE_SIZE, 0x7FFFF000, TOP - PAGE_SIZE)
+addresses = st.builds(
+    lambda base, offset, wrap: base + offset + wrap,
+    st.sampled_from(BASES),
+    st.one_of(st.integers(PAGE_SIZE - 4, PAGE_SIZE),     # the page's end
+              st.integers(0, PAGE_SIZE - 1)),
+    st.sampled_from((0, 0, 0, TOP, -TOP)))               # masked away
+sizes = st.sampled_from((-1, 0, 1, 2, 3, 4, 5, 15, PAGE_SIZE,
+                         PAGE_SIZE + 3, 2 * PAGE_SIZE + 1))
+values = st.one_of(st.sampled_from((-1, 0x1FF, 0x8000, 0x1FFFF, 0x80000000,
+                                    TOP - 1, TOP + 0x11223344)),
+                   st.integers(0, TOP - 1))
+SCALARS = {"u8": 1, "u16": 2, "u32": 4, "i32": 4}
+operations = st.one_of(
+    st.tuples(st.just("read"), addresses, sizes),
+    st.tuples(st.just("write"), addresses, sizes.filter(lambda n: n >= 0),
+              st.integers(0, 255)),
+    st.tuples(st.just("fill"), addresses, sizes, st.integers(-1, 0x1FF)),
+    *(st.tuples(st.just(name), addresses)
+      for name in ("read_u8", "read_u16", "read_u32", "read_i32")),
+    *(st.tuples(st.just(name), addresses, values)
+      for name in ("write_u8", "write_u16", "write_u32")),
+    st.tuples(st.just("snapshot"), addresses),
+    st.tuples(st.just("drop_pages"), st.sampled_from(BASES),
+              st.sampled_from((0, PAGE_SIZE, 2 * PAGE_SIZE, TOP))),
+)
+
+
+def pages_of(addr, size):
+    return list(range(addr // PAGE_SIZE, (addr + size - 1) // PAGE_SIZE + 1)) \
+        if size > 0 else []
+
+
+class FlatModel:
+    """What an :class:`AddressSpace` must be indistinguishable from: one
+    ``dict`` entry per byte ever written."""
+
+    def __init__(self):
+        self.bytes = {}       # dict[int, int]
+        self.resident = set()
+
+    def read(self, addr, size):
+        return bytes(self.bytes.get(addr + i, 0) for i in range(size))
+
+    def write(self, addr, data):
+        self.bytes.update(zip(range(addr, addr + len(data)), data))
+        self.resident.update(pages_of(addr, len(data)))
+
+    def drop(self, start, end):
+        gone = {page for page in self.resident
+                if start <= page * PAGE_SIZE < end}
+        self.resident -= gone
+        self.bytes = {addr: byte for addr, byte in self.bytes.items()
+                      if addr // PAGE_SIZE not in gone}
+        return gone
+
+
+class TestAgainstFlatModel:
+    @staticmethod
+    def apply(memory, model, operation):
+        """Run one operation on both; returns ``(pages it must have
+        written, in order)`` or ``None`` for one that must write nothing."""
+        name, addr, *rest = operation
+        masked = addr % TOP
+        if name in ("read", "read_u8", "read_u16", "read_u32", "read_i32"):
+            size = rest[0] if name == "read" else SCALARS[name[5:]]
+            call = getattr(memory, name)
+            if size < 0 or masked + size > TOP:
+                with pytest.raises(MemoryError_) as caught:
+                    call(addr, *rest)
+                assert str(caught.value) == (
+                    "negative read size" if size < 0 else
+                    f"read past end of address space at {masked:#x}")
+                return None
+            expected = model.read(masked, size)
+            if name != "read":
+                expected = int.from_bytes(expected, "little",
+                                          signed=name == "read_i32")
+            assert call(addr, *rest) == expected
+            return None
+        if name == "snapshot":
+            clone = memory.snapshot()
+            assert clone.resident_pages == memory.resident_pages
+            for page in model.resident:
+                assert clone.read(page * PAGE_SIZE, PAGE_SIZE) == \
+                    model.read(page * PAGE_SIZE, PAGE_SIZE)
+            clone.write_u8(addr, memory.read_u8(addr) ^ 0xFF)   # no watch,
+            assert memory.read_u8(addr) == model.read(masked, 1)[0]  # no alias
+            return None
+        if name == "drop_pages":
+            memory.drop_pages(addr, addr + rest[0])
+            return sorted(model.drop(addr, addr + rest[0]))
+        if name == "write":
+            data = bytes((rest[1] + i) & 0xFF for i in range(rest[0]))
+            arguments = (data,)
+        elif name == "fill":
+            data = bytes([rest[1] & 0xFF]) * rest[0]
+            arguments = tuple(rest)
+        else:
+            data = (rest[0] % (1 << 8 * SCALARS[name[6:]])).to_bytes(
+                SCALARS[name[6:]], "little")
+            arguments = (rest[0],)
+        if masked + len(data) > TOP:
+            with pytest.raises(MemoryError_) as caught:
+                getattr(memory, name)(addr, *arguments)
+            assert str(caught.value) == \
+                f"write past end of address space at {masked:#x}"
+            return None
+        getattr(memory, name)(addr, *arguments)
+        model.write(masked, data)
+        return pages_of(masked, len(data))
+
+    @given(st.lists(operations, min_size=5, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_same_values_errors_residency_and_watch_firings(self, program):
+        memory, model = AddressSpace(), FlatModel()
+        for operation in program:
+            # one fresh arming of every page near every base, per step
+            # (what a read left armed fires into its own, finished list)
+            fired = []
+            for page in {(base // PAGE_SIZE + n) % (TOP // PAGE_SIZE)
+                         for base in BASES for n in range(-1, 4)}:
+                memory.watch(page, fired.append)
+            written = self.apply(memory, model, operation)
+            if operation[0] == "drop_pages":
+                fired.sort()        # dropped in residency order
+            assert fired == (written or [])     # once each; reads never
+            assert memory.resident_pages == len(model.resident)
+        for page in model.resident:
+            assert memory.read(page * PAGE_SIZE, PAGE_SIZE) == \
+                model.read(page * PAGE_SIZE, PAGE_SIZE)
+
+    def test_a_hot_loop_boot_reaches_read_and_write_only_for_ranges(
+            self, monkeypatch):
+        # every LDW/STW is one operation on its page: what is left for
+        # ``read``/``write`` is fetch windows, installs and patches
+        from pathlib import Path
+        from repro.verify import sanitizer
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parent.parent / "tools"))
+        # the autouse sanitizer would read every install back
+        monkeypatch.setattr(sanitizer._STATE, "mode", None)
+        import callcounts
+        counts = callcounts.call_counts("hot_loop")
+        assert counts["read_u32"] > 2000 and counts["write_u32"] > 2000
+        assert counts["AddressSpace.read"] <= 320
+        assert counts["AddressSpace.write"] <= 40

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import CoDesignedVM, ref_superscalar, vm_soft
 from repro.isa.x86lite import assemble
+from repro.memory.loader import DEFAULT_STACK_TOP
 from repro.workloads.programs import PROGRAMS
 
 PROGRAM = PROGRAMS["fibonacci"]
@@ -89,3 +90,31 @@ class TestColdRestart:
         vm = CoDesignedVM(vm_soft())
         with pytest.raises(RuntimeError):
             vm.restart()
+
+
+class TestRestartEqualsFreshBoot:
+    # the heap page is in no segment of the image: only a restart that
+    # drops guest memory starts the second run from zeros again
+    HEAP_COUNTER = """
+    start:
+        mov edi, 0x600000
+        mov eax, [edi]
+        add eax, 1
+        mov [edi], eax
+        mov ebx, eax
+        mov eax, 0
+        int 0x80
+    """
+
+    @pytest.mark.parametrize("warm", [True, False])
+    @pytest.mark.parametrize("config", [vm_soft, ref_superscalar])
+    def test_memory_outside_the_image_is_reset(self, config, warm):
+        vm = CoDesignedVM(config(), hot_threshold=8)
+        vm.load(assemble(self.HEAP_COUNTER))
+        assert vm.run().exit_code == 1
+        stack = DEFAULT_STACK_TOP - 64
+        vm.state.memory.write_u32(stack, 0xDEAD)
+        vm.restart(warm=warm)
+        assert vm.state.memory.read_u32(stack) == 0
+        assert vm.run().exit_code == 1     # 2 when the heap page survived
+        assert vm.state.memory.read_u32(0x600000) == 1

@@ -40,6 +40,11 @@ COUNTED = {
     "dataflow.step": ("verify/dataflow.py", "step"),
     "dataclasses.replace": ("dataclasses.py", "replace"),
     "record_key": ("persist/format.py", "record_key"),
+    "AddressSpace.read": ("memory/address_space.py", "read"),
+    "AddressSpace.write": ("memory/address_space.py", "write"),
+    "read_u32": ("memory/address_space.py", "read_u32"),
+    "write_u32": ("memory/address_space.py", "write_u32"),
+    "fusion._conflict": ("translator/fusion.py", "_conflict"),
 }
 
 
