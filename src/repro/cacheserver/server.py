@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import selectors
 import socket
 import socketserver
 import threading
@@ -333,6 +334,7 @@ class CacheServer:
         self.spans = SpanBuffer()
         self._server: Optional[socketserver.BaseServer] = None
         self._thread: Optional[threading.Thread] = None
+        self._wake: Optional[tuple] = None  # accept loop's (read, write)
         #: serializes pushes in-process so the lease_failures delta
         #: check below cannot be confused by a sibling handler thread
         self._push_lock = threading.Lock()
@@ -358,36 +360,36 @@ class CacheServer:
 
     def start(self) -> str:
         """Bind and serve in a daemon thread; returns the address."""
-        self._bind()
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="cacheserver", daemon=True)
-        self._thread.start()
+        if self._server is None:
+            self._bind()
+            self._wake = socket.socketpair()
+            self._thread = threading.Thread(
+                target=self._accept_loop,
+                args=(self._server, self._wake[0]),
+                name="cacheserver", daemon=True)
+            self._thread.start()
         return self.address
 
-    def serve_forever(self) -> None:
-        """Bind and serve on the calling thread (the CLI path)."""
-        self._bind()
-        try:
-            self._server.serve_forever(poll_interval=0.05)
-        finally:
-            self.stop()
+    @staticmethod
+    def _accept_loop(server, wake) -> None:
+        """Accept until :meth:`signal_stop` writes to ``wake``; the
+        wait has no timeout, so an idle server makes no wake-ups."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(server, selectors.EVENT_READ)
+            selector.register(wake, selectors.EVENT_READ)
+            while wake not in [key.fileobj for key, _ in selector.select()]:
+                server._handle_request_noblock()
 
     def _bind(self) -> None:
-        """Bind the listener and announce it (once per bind)."""
-        if self._server is not None:
-            return
+        """Bind the listener and announce it."""
         if self.socket_path is not None:
             if _UnixServer is None:          # pragma: no cover
                 raise RuntimeError("unix sockets unsupported here; "
                                    "use a TCP port")
             Path(self.socket_path).parent.mkdir(parents=True,
                                                 exist_ok=True)
-            try:
+            with contextlib.suppress(OSError):
                 Path(self.socket_path).unlink()
-            except OSError:
-                pass
             self._server = _UnixServer(self.socket_path, _Handler,
                                        bind_and_activate=True)
         else:
@@ -399,17 +401,33 @@ class CacheServer:
         log.info("cache server for %s listening on %s",
                  self.repository.root, self.address)
 
+    def signal_stop(self) -> None:
+        """Tell the accept loop to exit, without waiting for it as
+        :meth:`stop` does (a cluster signals all before it waits)."""
+        wake = self._wake
+        if wake is not None:
+            with contextlib.suppress(OSError):
+                wake[1].send(b"\0")
+
     def stop(self) -> None:
-        server, self._server = self._server, None
+        """Stop accepting and close the listener, as soon as the accept
+        loop has seen the signal; established connections drain in their
+        handler threads.  Idempotent, safe before :meth:`start` and from
+        any thread but the accept thread."""
+        self.signal_stop()
+        with self._conn_lock:
+            server, self._server = self._server, None
+            thread, self._thread = self._thread, None
+            wake, self._wake = self._wake, None
         if server is None:
             return
-        server.shutdown()
+        thread.join()
         server.server_close()
+        for end in wake:
+            end.close()
         if self.socket_path is not None:
-            try:
+            with contextlib.suppress(OSError):
                 Path(self.socket_path).unlink()
-            except OSError:
-                pass
         self._trace("server.stop", address=self.address)
 
     def kill(self) -> None:
@@ -474,12 +492,8 @@ class CacheServer:
         Returns True when every connection finished inside ``grace``.
         """
         with self._conn_lock:
-            if self._draining and self._server is None:
-                return True     # already drained
             self._draining = True
-        server = self._server
-        if server is not None:
-            server.shutdown()   # no new accepts; listener closes below
+        self.stop()     # no new accepts: the port refuses from here on
         with self._conn_lock:
             clean = self._conn_lock.wait_for(
                 lambda: self._active_conns == 0, timeout=grace)
@@ -491,7 +505,6 @@ class CacheServer:
                     lambda: self._active_conns == 0, timeout=1.0)
         log.info("cache server drained %s (%s)", self.address,
                  "clean" if clean else "idle connections cut")
-        self.stop()
         return clean
 
     def __enter__(self) -> "CacheServer":
@@ -674,11 +687,12 @@ class CacheServer:
         pair = self._fingerprints(request)
         if pair is None:
             return protocol.error("bad-request", "missing fingerprints")
+        # one read: the count and the keys are of the same manifest
+        manifest = self.repository._read_manifest(*pair)
+        entries = manifest.get("entries", ()) if manifest else ()
         response = protocol.ok(
-            entries=self.repository.manifest_entry_count(*pair))
+            entries=None if manifest is None else len(entries))
         if request.get("keys"):
-            manifest = self.repository._read_manifest(*pair)
-            entries = manifest.get("entries", []) if manifest else []
             response["keys"] = sorted(key for key in entries
                                       if isinstance(key, str))
         return response

@@ -115,6 +115,9 @@ class LocalCluster:
         return ClusterSpec(groups=tuple(groups))
 
     def stop(self) -> None:
+        # every accept loop is told before any is waited for
+        for server in self.servers.values():
+            server.signal_stop()
         for server in self.servers.values():
             server.stop()
         self._started = False

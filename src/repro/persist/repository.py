@@ -14,10 +14,12 @@ fingerprint) pair to the set of object keys that warm-start it; a config
 or program change selects a different manifest and never sees stale
 objects.
 
-Eviction is LRU over a logical clock: every save or load touch bumps the
-repository clock and stamps the objects involved.  :meth:`gc` drops the
-least-recently-used objects until the store fits a byte budget, then
-strips dangling references from every manifest.
+Eviction is LRU over a logical clock: a save or load makes the objects
+it touches the most recently used, ticking the clock and rewriting
+``meta.json`` only where that changes the order (docs/persistence.md,
+"Eviction").  :meth:`gc` drops the least-recently-used objects until the
+store fits a byte budget, then strips dangling references from every
+manifest.
 
 Crash safety
 ------------
@@ -43,10 +45,11 @@ file-based :class:`~repro.persist.lease.WriterLease`, so concurrent
 savers from many processes — or the cache server's handler threads —
 never interleave the object-write -> manifest -> meta sequence, and a
 gc pass can never evict objects a mid-flight save's manifest is about
-to reference.  Readers stay lease-free: loads only race the LRU
-recency stamp, which is reconstructable state.  A writer that cannot
-get the lease degrades (saves/evicts nothing, counts
-``lease_failures``) instead of blocking the VM.
+to reference.  A load reads lease-free; its LRU stamp, where one must
+be written, rewrites the index, so it is made under the lease (one try,
+from a fresh read) or not at all.  A writer that cannot get the lease
+degrades (saves/evicts nothing, counts ``lease_failures``) instead of
+blocking the VM.
 """
 
 from __future__ import annotations
@@ -158,11 +161,10 @@ class TranslationRepository:
         full disk or a flaky device degrades to a smaller/staler store,
         never a crashed VM or a torn document.
 
-        The journal name is unique per process+thread: concurrent
-        loaders all LRU-touch ``meta.json`` (the cache server's handler
-        threads do this for parallel pulls), and a shared ``.tmp`` name
-        would make one writer's rename eat another's journal file.
-        Last rename wins; fsck still collects any stray ``*.tmp``.
+        The journal name is unique per process+thread: writers can still
+        meet (a lease stolen past its TTL, a repairing fsck that got
+        none), and a shared ``.tmp`` name would make one's rename eat the
+        other's journal file; fsck collects any stray ``*.tmp``.
         """
         tmp = path.with_name(
             f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
@@ -196,6 +198,11 @@ class TranslationRepository:
     # -- meta handling ------------------------------------------------------
 
     def _load_meta(self) -> Dict:
+        return self._open_meta()[0]
+
+    def _open_meta(self) -> Tuple[Dict, bool]:
+        """The index, and whether it had to be rebuilt — what a writer
+        then writes back whatever else it changes."""
         try:
             fault_point("repo.read", path=str(self.meta_path))
             with open(self.meta_path) as handle:
@@ -205,15 +212,15 @@ class TranslationRepository:
         except (OSError, ValueError):
             # missing (fresh repo, or crash between object and meta
             # writes), unreadable, or torn: rebuild from ground truth
-            meta, damaged = {}, True
-        if damaged or not isinstance(meta, dict):
+            damaged = True
+        if damaged:
             # torn write / bit rot / version skew: the objects are the
             # ground truth, the index is reconstructable state
             meta = self._rebuild_meta()
         meta.setdefault("format", FORMAT_VERSION)
         meta.setdefault("clock", 0)
         meta.setdefault("objects", {})
-        return meta
+        return meta, damaged
 
     def _rebuild_meta(self) -> Dict:
         """Reconstruct the object index by scanning the objects dir."""
@@ -240,9 +247,26 @@ class TranslationRepository:
 
     def _write_meta(self, meta: Dict) -> bool:
         self.root.mkdir(parents=True, exist_ok=True)
-        # compact: machine-read, and rewritten as the LRU touch of
-        # every load (manifests, which people read, keep indent=1)
+        # compact: machine-read (manifests, for people, keep indent=1)
         return self._write_json(self.meta_path, meta)
+
+    @staticmethod
+    def _stamp(meta: Dict, touched: Dict[str, Dict]) -> bool:
+        """Make ``touched`` (key -> index entry) the most recently used;
+        True when that changed the index.  :meth:`gc` evicts in
+        ``(last_used, key)`` order, which a new tick leaves as it is
+        exactly when the objects carrying the newest *are* ``touched``."""
+        objects, clock = meta["objects"], meta["clock"]
+        newest = {key: entry for key, entry in objects.items()
+                  if entry["last_used"] == clock}
+        if not touched or newest == {
+                key: {**entry, "last_used": clock}
+                for key, entry in touched.items()}:
+            return False
+        meta["clock"] = clock + 1
+        objects.update((key, {**entry, "last_used": clock + 1})
+                       for key, entry in touched.items())
+        return True
 
     @staticmethod
     def _manifest_name(config_fp: str, image_fp: str) -> str:
@@ -293,10 +317,8 @@ class TranslationRepository:
                      merge: bool = False) -> int:
         self.objects_dir.mkdir(parents=True, exist_ok=True)
         self.manifests_dir.mkdir(parents=True, exist_ok=True)
-        meta = self._load_meta()
-        meta["clock"] += 1
-        clock = meta["clock"]
-
+        meta, dirty = self._open_meta()
+        touched: Dict[str, Dict] = {}
         keys: List[str] = []
         saved = 0
         for record in records:
@@ -319,28 +341,33 @@ class TranslationRepository:
                 self.io_errors += 1
                 log.warning("cannot stat %s: %s", path, error)
                 continue
-            meta["objects"][key] = {"last_used": clock, "size": size,
-                                    "kind": record["kind"],
-                                    "entry": record["entry"]}
+            touched[key] = {"size": size, "kind": record["kind"],
+                            "entry": record["entry"]}
             keys.append(key)
+        dirty |= self._stamp(meta, touched)
 
-        if merge:
-            previous = self._read_manifest(config_fp, image_fp)
-            if previous is not None:
-                existing = [key for key in previous.get("entries", ())
-                            if isinstance(key, str)]
-                keys = sorted(set(keys) | set(existing))
-        manifest = {
-            "format": FORMAT_VERSION,
-            "config_fingerprint": config_fp,
-            "image_fingerprint": image_fp,
-            "config_name": config_name,
-            "saved_clock": clock,
-            "entries": keys,
-        }
-        self._write_json(self._manifest_path(config_fp, image_fp),
-                         manifest, indent=1)
-        self._write_meta(meta)
+        previous = self._read_manifest(config_fp, image_fp)
+        if merge and previous is not None:
+            existing = [key for key in previous.get("entries", ())
+                        if isinstance(key, str)]
+            keys = sorted(set(keys) | set(existing))
+        # ``saved_clock`` is the tick of the last save that changed the
+        # manifest: one that changes nothing does not write it
+        if saved or previous is None or (
+                previous.get("entries"), previous.get("config_name")
+        ) != (keys, config_name):
+            manifest = {
+                "format": FORMAT_VERSION,
+                "config_fingerprint": config_fp,
+                "image_fingerprint": image_fp,
+                "config_name": config_name,
+                "saved_clock": meta["clock"],
+                "entries": keys,
+            }
+            self._write_json(self._manifest_path(config_fp, image_fp),
+                             manifest, indent=1)
+        if dirty:
+            self._write_meta(meta)
         return saved
 
     # -- load ---------------------------------------------------------------
@@ -363,16 +390,31 @@ class TranslationRepository:
         manifest = self._read_manifest(config_fp, image_fp)
         if manifest is None:
             return [], []
-        meta = self._load_meta()
-        meta["clock"] += 1
-        clock = meta["clock"]
         entries = list(manifest.get("entries", ()))
         texts = [self._read_stored(key) for key in entries]
-        for key, text in zip(entries, texts):
-            if text is not None and key in meta["objects"]:
-                meta["objects"][key]["last_used"] = clock
-        self._write_meta(meta)
+        self._touch([key for key, text in zip(entries, texts)
+                     if text is not None])
         return entries, texts
+
+    def _touch(self, keys: List[str], locked: bool = False) -> None:
+        """The LRU stamp of a load.  Where it changes the index it
+        rewrites all of ``meta.json``, so it is made again under the
+        writer lease from a fresh read (a save completed meanwhile stays
+        indexed); a busy lease skips it: that loses nothing but recency."""
+        meta, dirty = self._open_meta()
+        touched = {key: dict(meta["objects"][key]) for key in keys
+                   if key in meta["objects"]}
+        if not (self._stamp(meta, touched) or dirty):
+            return
+        if locked:
+            self._write_meta(meta)
+            return
+        lease = self.writer_lease()
+        if lease.try_acquire():
+            try:
+                self._touch(keys, locked=True)
+            finally:
+                lease.release()
 
     def manifest_entry_count(self, config_fp: str,
                              image_fp: str) -> Optional[int]:
@@ -463,7 +505,7 @@ class TranslationRepository:
             lease.release()
 
     def _gc_locked(self, budget_bytes: int) -> GCReport:
-        meta = self._load_meta()
+        meta, dirty = self._open_meta()
         report = GCReport(budget_bytes=budget_bytes)
         total = sum(entry["size"] for entry in meta["objects"].values())
         # oldest first; ties broken by key for determinism
@@ -484,7 +526,8 @@ class TranslationRepository:
             del meta["objects"][key]
         if evicted:
             self._strip_manifest_refs(evicted)
-        self._write_meta(meta)
+        if evicted or dirty:
+            self._write_meta(meta)
         report.remaining_objects = len(meta["objects"])
         report.remaining_bytes = total
         return report

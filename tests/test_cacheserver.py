@@ -6,6 +6,7 @@ robustness plan cares about (torn frames, mid-stream garbage, dropped
 connections) only exist on real transports.
 """
 
+import os
 import socket
 import threading
 import time
@@ -566,3 +567,134 @@ class TestEndToEnd:
             stats = vm.stats()
         assert stats["remote"]["requests"] >= 1
         assert stats["remote"]["records_pushed"] > 0
+
+
+def open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def held_ping(server):
+    """Make ``ping`` wait inside its handler: ``(entered, release,
+    answer)``, the last a one-slot dict the client thread fills."""
+    entered, release, answer = threading.Event(), threading.Event(), {}
+
+    def slow_ping(_request):
+        entered.set()
+        release.wait(timeout=5.0)
+        return protocol.ok(late=True)
+
+    def client():
+        try:
+            answer["response"] = raw_call(server, {"op": "ping"})
+        except (OSError, protocol.ProtocolError) as error:
+            answer["error"] = error
+
+    server._op_ping = slow_ping
+    thread = threading.Thread(target=client)
+    thread.start()
+    assert entered.wait(timeout=5.0)
+    return thread, release, answer
+
+
+class TestLifecycle:
+    """Stop is a signal, not a poll (docs/cache_server.md,
+    "Lifecycle")."""
+
+    CYCLES = 50
+
+    @pytest.mark.parametrize("transport", ["tcp", "unix"])
+    def test_start_stop_cycles_leak_nothing_and_are_quick(
+            self, tmp_path, transport):
+        kwargs = {"socket_path": tmp_path / "cache.sock"} \
+            if transport == "unix" else {}
+        server = CacheServer(tmp_path / "cycled", **kwargs)
+        server.start()
+        server.stop()               # lazy imports, the repository root
+        threads, descriptors = threading.active_count(), open_descriptors()
+        stops = []
+        for _ in range(self.CYCLES):
+            server.start()
+            started = time.perf_counter()
+            server.stop()
+            stops.append(time.perf_counter() - started)
+        assert threading.active_count() == threads
+        assert open_descriptors() == descriptors
+        # a loop that polled for a stop flag would read tens of ms
+        assert sorted(stops)[self.CYCLES // 2] <= 0.005
+
+    def test_stop_is_idempotent_before_start_and_from_many_threads(
+            self, tmp_path):
+        server = CacheServer(tmp_path / "stopped")
+        server.stop()               # never started
+        server.signal_stop()
+        server.start()
+        assert raw_call(server, {"op": "ping"})["ok"] is True
+        stoppers = [threading.Thread(target=server.stop)
+                    for _ in range(8)]
+        for thread in stoppers:
+            thread.start()
+        for thread in stoppers:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        server.stop()
+        assert server._server is None and server._thread is None
+        server.start()              # and it comes back
+        assert raw_call(server, {"op": "ping"})["ok"] is True
+        server.stop()
+
+    def test_stopped_server_refuses_at_once(self, server):
+        server.stop()
+        started = time.perf_counter()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((server.host, server.port),
+                                     timeout=5.0)
+        assert time.perf_counter() - started < 0.5
+
+    def test_request_in_flight_outlives_stop(self, server):
+        thread, release, answer = held_ping(server)
+        server.stop()               # returns while the handler waits
+        release.set()
+        thread.join(timeout=5.0)
+        assert answer["response"] == protocol.ok(late=True)
+
+    def test_request_in_flight_dies_with_kill(self, server):
+        thread, release, answer = held_ping(server)
+        server.kill()
+        release.set()
+        thread.join(timeout=5.0)
+        assert "response" not in answer and "error" in answer
+
+    def test_stop_counts_no_connection_of_its_own(self, tmp_path):
+        server = CacheServer(tmp_path / "counted", max_conns=1)
+        for _ in range(3):
+            server.start()
+            assert raw_call(server, {"op": "ping"})["ok"] is True
+            server.stop()
+        server.start()
+        server.drain(grace=1.0)
+        server.start()
+        server.kill()
+        stats = server.stats.to_dict()
+        assert stats["connections"] == 3
+        assert stats["conns_rejected"] == 0
+        assert stats["requests"] == {"ping": 3}
+
+    def test_manifest_with_keys_reads_the_manifest_once(self, server):
+        records, config_fp, image_fp, _vm = cold_records()
+        pair = {"config_fp": config_fp, "image_fp": image_fp}
+        raw_call(server, {"op": "push", "records": records, **pair})
+        repository = server.repository
+        real_read, reads = repository._read_manifest, []
+
+        def counted_read(*args):
+            reads.append(args)
+            return real_read(*args)
+
+        repository._read_manifest = counted_read
+        response = raw_call(server, {"op": "manifest", "keys": True,
+                                     **pair})
+        assert len(reads) == 1
+        assert response["entries"] == len(response["keys"]) == len(records)
+        assert raw_call(server, {"op": "manifest", "keys": True,
+                                 "config_fp": "no", "image_fp": "such"}
+                        ) == protocol.ok(entries=None, keys=[])

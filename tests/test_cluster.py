@@ -8,7 +8,9 @@ manifests converge to one merged union regardless of push order, and
 anti-entropy re-replicates exactly what a dead replica missed.
 """
 
+import contextlib
 import json
+import time
 
 import pytest
 
@@ -445,3 +447,68 @@ class TestClusterFaultInjection:
             assert needs_cluster([name]) is True
             assert modes_for([name]) == [True]    # warm surface only
         assert needs_cluster(["conn-refused"]) is False
+
+
+@contextlib.contextmanager
+def journaled_writes():
+    """Every ``_write_json`` made inside the block, on any thread, as
+    ``(store root, file name)``."""
+    real_write, writes = TranslationRepository._write_json, []
+
+    def recording_write(self, path, payload, indent=None):
+        writes.append((self.root, path.name))
+        return real_write(self, path, payload, indent=indent)
+
+    TranslationRepository._write_json = recording_write
+    try:
+        yield writes
+    finally:
+        TranslationRepository._write_json = real_write
+
+
+class TestNoChangeNoWrite:
+    """A request that leaves a replica's store as it was writes nothing
+    there (docs/persistence.md, "Eviction")."""
+
+    def test_repeated_push_and_following_pull_write_nothing(
+            self, tmp_path, payload):
+        records, config_fp, image_fp = payload
+        # in key order, as a merge leaves a manifest: pushed in another
+        # order, the second push would sort the entries — a change
+        records = sorted(records, key=lambda record: record["key"])
+        with LocalCluster(tmp_path / "grid", shards=2,
+                          replicas=2) as grid:
+            client = fast_client(grid.spec())
+            with journaled_writes() as first:
+                client.save(records, config_fp, image_fp)
+            # each object once per replica of its group, and a manifest
+            # and an index on every replica that got any
+            touched = {root for root, _name in first}
+            assert len(first) == 2 * len(records) + 2 * len(touched)
+            with journaled_writes() as again:
+                client.save(records, config_fp, image_fp)
+                pulled = client.load(config_fp, image_fp)
+            assert again == []
+            assert len(pulled) == len(records)
+            # a push under another manifest makes its records the most
+            # recent: the next pull of the first is a change of order,
+            # one index written by the one replica that serves it
+            client.save(records[:1], config_fp, "another-image")
+            with journaled_writes() as after:
+                assert len(client.load(config_fp, image_fp)) == \
+                    len(records)
+            assert [name for _root, name in after] == ["meta.json"]
+            client.close()
+
+    def test_cluster_stop_is_quick(self, tmp_path):
+        grid = LocalCluster(tmp_path / "grid", shards=2, replicas=2)
+        stops = []
+        for _ in range(9):
+            grid.start()
+            started = time.perf_counter()
+            grid.stop()
+            stops.append(time.perf_counter() - started)
+            grid.servers.clear()
+        # four loops polling for a stop flag, stopped one after the
+        # other, would read a tenth of a second
+        assert sorted(stops)[len(stops) // 2] <= 0.015

@@ -8,6 +8,8 @@ show later boot ranks starting cheaper than rank 0.
 """
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -385,3 +387,21 @@ class TestFleetCLI:
         from repro.cli import main
         with pytest.raises(SystemExit, match="report"):
             main(["fleet", "report"])
+
+
+def test_a_herd_writes_only_what_changes_its_stores():
+    """``tools/callcounts.py herd``, the benchmark's herd at seed 0:
+    76 new objects and the manifest and index of each of the four
+    replicas after the first two publishes — the ten publishes and
+    22 pulls that change nothing write nothing."""
+    repo = Path(__file__).resolve().parent.parent
+    before = list(sys.path)
+    try:
+        sys.path.insert(0, str(repo / "tools"))
+        import callcounts
+    finally:
+        sys.path[:] = before
+    assert callcounts.herd_counts() == {
+        "journaled writes": 92, "os.fsync": 92, "meta reads": 70,
+        "lease attempts": 48, "requests dispatched": 96,
+        "connections accepted": 28, "objects written": 76}

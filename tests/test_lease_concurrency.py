@@ -191,6 +191,46 @@ class TestLeaseSerialization:
         assert repo.stats().objects == 0
         assert repo.save(records, "cfg", "img") == len(records)
 
+    def test_pull_keeps_a_save_that_lands_while_it_reads(self, tmp_path):
+        """The load-vs-save race: a load's LRU touch must not write
+        back an index read before a save that completed while it was
+        reading objects — that save's entries would be on disk and never
+        seen by ``stats`` or ``gc`` again."""
+        records = [{"key": f"key{index}", "kind": "bbt", "entry": index}
+                   for index in range(10)]
+        repo = TranslationRepository(tmp_path / "repo")
+        assert repo.save(records[:5], "cfg", "first") == 5
+        real_read, landed = repo._read_stored, []
+
+        def read_while_a_save_lands(key):
+            if not landed:
+                # another process, or a sibling handler thread
+                landed.append(TranslationRepository(repo.root).save(
+                    records[5:], "cfg", "second"))
+            return real_read(key)
+
+        repo._read_stored = read_while_a_save_lands
+        assert len(repo.load("cfg", "first")) == 5
+        assert landed == [5]
+        assert len(list(repo.objects_dir.glob("*.json"))) == 10
+        assert len(repo._load_meta()["objects"]) == 10
+        assert repo.stats().objects == 10
+        # and the load's stamp took: its five are the last gc evicts
+        assert repo.gc(0).evicted_objects == 10
+
+    def test_touch_under_a_busy_lease_is_skipped(self, tmp_path):
+        repo = populated_repo(tmp_path)
+        pair = next(repo.manifests_dir.glob("*.json")).stem.split("__")
+        records = [{"key": "other", "kind": "bbt", "entry": 1}]
+        repo.save(records, "cfg", "other")      # now the most recent
+        before = repo.meta_path.read_bytes()
+        with WriterLease(repo.root, ttl=60.0):
+            loaded = repo.load(*pair)           # does not wait
+        assert loaded and repo.meta_path.read_bytes() == before
+        assert repo.lease_failures == 0
+        assert repo.load(*pair) == loaded       # lease free: stamped
+        assert repo.meta_path.read_bytes() != before
+
 
 class _FsyncFault(FaultClass):
     """Test-local fault: fail every fsync with EIO."""

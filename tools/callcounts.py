@@ -1,32 +1,39 @@
 #!/usr/bin/env python
-"""Exact call counts of one boot: the table every perf PR quotes.
+"""Exact call counts of one boot or herd: the table every perf PR quotes.
 
     python tools/callcounts.py wide_cold [--warm]   # cold, or from a store
+    python tools/callcounts.py herd     # what a herd's stores are asked
 
-Boots one ``perf/gen.py`` image (seed 0) under cProfile, after one
-discarded boot (lazy set-up, the process-wide template table), and
-prints the calls of a fixed list of functions as one JSON line: counts
-repeat exactly, so parent and change compare digit by digit.  All it
-writes is a temporary store, removed on exit.
+Boots one ``perf/gen.py`` image under cProfile — or runs the herd of
+``perf/workloads.py``, counting on all its threads — after one discarded
+run (lazy set-up, the template table), and prints the calls of a fixed
+list of functions as one JSON line: counts repeat exactly, so parent and
+change compare digit by digit.  Seed 0; writes only a temporary store.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import cProfile
 import json
+import os
 import pathlib
 import pstats
 import sys
 import tempfile
+from unittest import mock
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "perf")]
 
 import gen                                                # noqa: E402
+import workloads                                          # noqa: E402
+from repro.cacheserver.server import CacheServer          # noqa: E402
 from repro.core import CoDesignedVM, vm_soft              # noqa: E402
 from repro.isa.x86lite import assemble                    # noqa: E402
-from repro.persist import TranslationRepository          # noqa: E402
+from repro.persist import TranslationRepository, repository  # noqa: E402
+from repro.persist.lease import WriterLease               # noqa: E402
 
 SHAPES = {"hot_loop": gen.HOT_LOOP, "wide_cold": gen.WIDE_COLD}
 #: row -> (end of the file name, function name) as cProfile spells them:
@@ -44,8 +51,7 @@ COUNTED = {
     "AddressSpace.write": ("memory/address_space.py", "write"),
     "read_u32": ("memory/address_space.py", "read_u32"),
     "write_u32": ("memory/address_space.py", "write_u32"),
-    "fusion._conflict": ("translator/fusion.py", "_conflict"),
-}
+    "fusion._conflict": ("translator/fusion.py", "_conflict")}
 
 
 def call_counts(workload: str, warm: bool = False) -> dict[str, int]:
@@ -78,8 +84,42 @@ def call_counts(workload: str, warm: bool = False) -> dict[str, int]:
     return counts
 
 
+#: ``herd``'s rows: (row, owner, attribute, (fault site, part of its path))
+HERD_ROWS = (
+    ("journaled writes", repository, "fault_point", ("repo.write", "")),
+    ("os.fsync", os, "fsync", None),
+    ("meta reads", repository, "fault_point", ("repo.read", "meta.json")),
+    ("lease attempts", WriterLease, "try_acquire", None),
+    ("requests dispatched", CacheServer, "dispatch", None),
+    ("connections accepted", CacheServer, "_admit", None),
+    ("objects written", repository, "fault_point", ("repo.write", "objects/")))
+
+
+def herd_counts() -> dict[str, int]:
+    """What one herd asks of its stores and servers, on every thread."""
+    seen: dict[str, list] = {row: [] for row, *_call in HERD_ROWS}
+
+    def counting(row, function, at):
+        def counted(*args, **kwargs):
+            if at is None or args[0] == at[0] and at[1] in kwargs["path"]:
+                seen[row].append(None)      # atomic: no lock
+            return function(*args, **kwargs)
+        return counted
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as undo:
+        herd = workloads.Herd(0, tmp)
+        herd.setup()                        # runs one herd, discarded
+        for row, owner, name, at in HERD_ROWS:
+            undo.enter_context(mock.patch.object(
+                owner, name, counting(row, getattr(owner, name), at)))
+        herd.run_herd()
+    return {row: len(calls) for row, calls in seen.items()}
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workload", choices=sorted(SHAPES))
+    parser.add_argument("workload", choices=[*SHAPES, "herd"])
     parser.add_argument("--warm", action="store_true")
-    print(json.dumps(call_counts(**vars(parser.parse_args()))))
+    args = parser.parse_args()
+    print(json.dumps(herd_counts() if args.workload == "herd"
+                     else call_counts(args.workload, args.warm)))

@@ -228,11 +228,15 @@ class ServeProcess:
             probe.close()
         raise RuntimeError(f"{self.address} never answered the health op")
 
-    def kill(self) -> None:
-        """``kill -9``; a process already dead stays dead."""
+    def signal_stop(self) -> None:
+        """``kill -9``, not waited for; a process already dead stays
+        dead."""
         if self.proc.poll() is None:
             self.proc.send_signal(signal.SIGKILL)
-            self.proc.wait(timeout=10)
+
+    def kill(self) -> None:
+        self.signal_stop()
+        self.proc.wait(timeout=10)
         self.proc.stdout.close()
 
     stop = kill
