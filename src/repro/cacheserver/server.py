@@ -60,11 +60,12 @@ import socket
 import socketserver
 import threading
 import time
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, Optional
 
 from repro.cacheserver import protocol
-from repro.obs.metrics import MetricsRegistry, metric_field
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
     DEFAULT_MAX_SPANS,
     TELEMETRY_VERSION,
@@ -114,44 +115,40 @@ _REJECTIONS = {
 }
 
 
+@dataclass
 class ServerStats:
     """Thread-safe request counters + per-op latency histograms.
 
-    Counters route through an owned :class:`~repro.obs.metrics
-    .MetricsRegistry` via :func:`~repro.obs.metrics.metric_field`
-    (same single-source-of-truth discipline as the VM runtime's
-    stats), per-op request counts are labeled ``server_requests``
-    counter series, and :meth:`observe_latency` feeds pow2
-    ``server_op_latency_ms`` histograms whose p50/p95/p99 the
-    ``stats`` op and the fleet report's server-load section read.
-    Latency is wall-clock by nature, so report consumers keep it out
-    of canonical (byte-stable) documents.
+    The fields are the counters, bumped under the lock by
+    :meth:`count`; :meth:`to_dict` and the wire snapshot (as
+    ``server_<field>`` series) are derived from them.  Per-op request
+    counts are labeled ``server_requests`` counter series in an owned
+    :class:`~repro.obs.metrics.MetricsRegistry`, and
+    :meth:`observe_latency` feeds pow2 ``server_op_latency_ms``
+    histograms whose p50/p95/p99 the ``stats`` op and the fleet
+    report's server-load section read.  Latency is wall-clock by
+    nature, so report consumers keep it out of canonical (byte-stable)
+    documents.
     """
 
-    errors = metric_field("server_errors")
-    connections = metric_field("server_connections")
-    conns_rejected = metric_field("server_conns_rejected")
-    records_served = metric_field("server_records_served")
-    records_received = metric_field("server_records_received")
-    objects_deduped = metric_field("server_objects_deduped")
-    records_rejected = metric_field("server_records_rejected")
-    lease_busy = metric_field("server_lease_busy")
-    requests_shed = metric_field("server_requests_shed")
-    deadline_rejected = metric_field("server_deadline_rejected")
+    errors: int = 0
+    connections: int = 0
+    conns_rejected: int = 0
+    records_served: int = 0
+    records_received: int = 0
+    objects_deduped: int = 0
+    records_rejected: int = 0
+    lease_busy: int = 0
+    requests_shed: int = 0
+    deadline_rejected: int = 0
 
-    def __init__(self) -> None:
+    def __post_init__(self) -> None:
         self._lock = threading.Lock()
         self.metrics = MetricsRegistry()
-        self.errors = 0
-        self.connections = 0
-        self.conns_rejected = 0
-        self.records_served = 0
-        self.records_received = 0
-        self.objects_deduped = 0
-        self.records_rejected = 0
-        self.lease_busy = 0
-        self.requests_shed = 0
-        self.deadline_rejected = 0
+
+    def _counters(self) -> Dict[str, int]:
+        return {counter.name: getattr(self, counter.name)
+                for counter in fields(self)}
 
     def count(self, attr: str, amount: int = 1) -> None:
         with self._lock:
@@ -185,7 +182,10 @@ class ServerStats:
         ships — counters as numbers, histograms as re-mergeable bucket
         dicts (:func:`repro.obs.telemetry.merge_snapshots`)."""
         with self._lock:
-            return self.metrics.snapshot()
+            snapshot = self.metrics.snapshot()
+            snapshot.update((f"server_{name}", value)
+                            for name, value in self._counters().items())
+        return dict(sorted(snapshot.items()))
 
     @property
     def requests(self) -> Dict[str, int]:
@@ -212,20 +212,8 @@ class ServerStats:
 
     def to_dict(self) -> Dict:
         with self._lock:
-            return {
-                "requests": self._requests(),
-                "errors": self.errors,
-                "connections": self.connections,
-                "conns_rejected": self.conns_rejected,
-                "records_served": self.records_served,
-                "records_received": self.records_received,
-                "objects_deduped": self.objects_deduped,
-                "records_rejected": self.records_rejected,
-                "lease_busy": self.lease_busy,
-                "requests_shed": self.requests_shed,
-                "deadline_rejected": self.deadline_rejected,
-                "latency": self._latency(),
-            }
+            return {"requests": self._requests(), **self._counters(),
+                    "latency": self._latency()}
 
 
 class _Handler(socketserver.BaseRequestHandler):

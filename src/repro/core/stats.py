@@ -5,50 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-#: ExecutionReport field -> (metrics-registry series name, labels).
-#: Every report field backed by the runtime's registry appears here;
-#: ``tests/test_metrics.py`` asserts the two surfaces agree field by
-#: field after a mixed BBT/SBT/fault run, so they can never silently
-#: diverge (the registry is the single source of truth — see
-#: :mod:`repro.obs.metrics`).
-REPORT_METRICS: Dict[str, tuple] = {
-    "instructions_interpreted": ("instructions_interpreted", {}),
-    "uops_executed": ("uops_executed", {}),
-    "fused_pairs_executed": ("fused_pairs_seen", {}),
-    "blocks_translated": ("blocks_translated", {}),
-    "superblocks_translated": ("superblocks_translated", {}),
-    "bbt_instrs_translated": ("bbt_instrs_translated", {}),
-    "sbt_instrs_translated": ("sbt_instrs_translated", {}),
-    "pairs_fused": ("pairs_fused", {}),
-    "chains_made": ("chains_made", {}),
-    "vm_exits": ("vm_exits", {}),
-    "interp_one_calls": ("interp_one_calls", {}),
-    "profile_calls": ("profile_calls", {}),
-    "bbt_flushes": ("code_cache_flushes", {"cache": "bbt"}),
-    "sbt_flushes": ("code_cache_flushes", {"cache": "sbt"}),
-    "xltx86_invocations": ("xltx86_invocations", {}),
-    "translations_lost_in_flushes":
-        ("translations_lost_in_flushes", {}),
-    "bbt_retranslations": ("bbt_retranslations", {}),
-    "sbt_retranslations": ("sbt_retranslations", {}),
-    "hotspot_retranslations": ("hotspot_retranslations", {}),
-    "persist_loaded": ("persist_loaded", {}),
-    "persist_dropped": ("persist_dropped", {}),
-    "persist_chains_restored": ("persist_chains_restored", {}),
-    "translation_faults": ("translation_faults", {}),
-    "blocks_quarantined": ("blocks_quarantined", {}),
-    "blocks_degraded": ("blocks_degraded", {}),
-    "interpreted_fallback_instrs": ("interpreted_fallback_instrs", {}),
-    "integrity_faults_detected": ("integrity_faults_detected", {}),
-    "integrity_retranslations": ("integrity_retranslations", {}),
-    "hotspot_misfires": ("hotspot_misfires", {}),
-    "total_cycles": ("sim_cycles_total", {}),
-}
-
 
 @dataclass
 class ExecutionReport:
-    """Outcome of running one program under one machine configuration."""
+    """Outcome of running one program under one machine configuration.
+
+    A VM run fills every field after ``output`` from the key of the same
+    name in :meth:`repro.vmm.runtime.VMRuntime.stats`."""
 
     config_name: str
     exit_code: Optional[int]
@@ -76,7 +39,6 @@ class ExecutionReport:
     #: translation cache exists to drive down)
     translations_lost_in_flushes: int = 0
     bbt_retranslations: int = 0
-    sbt_retranslations: int = 0
     hotspot_retranslations: int = 0
     #: warm-start outcome (persistent translation cache; 0s = cold boot)
     persist_loaded: int = 0

@@ -19,6 +19,7 @@ timing layer (:mod:`repro.timing`) models at scale.
 from __future__ import annotations
 
 import logging
+from dataclasses import fields
 from typing import Optional
 
 from repro.core.config import MachineConfig, vm_soft
@@ -199,11 +200,6 @@ class CoDesignedVM:
         """The runtime's cycle-attribution ledger (None pre-load)."""
         return self.runtime.ledger if self.runtime is not None else None
 
-    @property
-    def metrics(self):
-        """The runtime's metrics registry (None pre-load)."""
-        return self.runtime.metrics if self.runtime is not None else None
-
     def export_trace(self, metadata: Optional[dict] = None) -> dict:
         """Perfetto-loadable trace of the last run (requires a config
         with ``trace=True``); includes the ledger's phase attribution."""
@@ -255,47 +251,14 @@ class CoDesignedVM:
                 output=list(self.state.output),
                 instructions_interpreted=interp.instructions_executed)
 
-        runtime = self.runtime
-        runtime.run(max_uops=max_uops)
-        stats = runtime.stats()
+        self.runtime.run(max_uops=max_uops)
+        stats = self.runtime.stats()
         return ExecutionReport(
             config_name=self.config.name,
             exit_code=self.state.exit_code,
             output=list(self.state.output),
-            instructions_interpreted=stats["instructions_interpreted"],
-            uops_executed=stats["uops_executed"],
-            fused_pairs_executed=stats["fused_pairs_seen"],
-            blocks_translated=stats["blocks_translated"],
-            superblocks_translated=stats["superblocks_translated"],
-            bbt_instrs_translated=stats["bbt_instrs_translated"],
-            sbt_instrs_translated=stats["sbt_instrs_translated"],
-            pairs_fused=stats["pairs_fused"],
-            chains_made=stats["chains_made"],
-            vm_exits=stats["vm_exits"],
-            interp_one_calls=stats["interp_one_calls"],
-            profile_calls=stats["profile_calls"],
-            bbt_flushes=stats["bbt_flushes"],
-            sbt_flushes=stats["sbt_flushes"],
-            translations_lost_in_flushes=stats[
-                "translations_lost_in_flushes"],
-            bbt_retranslations=stats["bbt_retranslations"],
-            sbt_retranslations=stats["sbt_retranslations"],
-            hotspot_retranslations=stats["hotspot_retranslations"],
-            persist_loaded=stats["persist_loaded"],
-            persist_dropped=stats["persist_dropped"],
-            persist_chains_restored=stats["persist_chains_restored"],
-            translation_faults=stats["translation_faults"],
-            blocks_quarantined=stats["blocks_quarantined"],
-            blocks_degraded=stats["blocks_degraded"],
-            interpreted_fallback_instrs=stats[
-                "interpreted_fallback_instrs"],
-            integrity_faults_detected=stats["integrity_faults_detected"],
-            integrity_retranslations=stats["integrity_retranslations"],
-            hotspot_misfires=stats["hotspot_misfires"],
-            total_cycles=stats["total_cycles"],
-            phase_cycles=stats["phase_cycles"],
-            xltx86_invocations=(self.xlt_unit.invocations
-                                if self.xlt_unit else 0))
+            **{counter.name: stats[counter.name]
+               for counter in fields(ExecutionReport)[3:]})
 
 
 def run_program(source_or_image, config: Optional[MachineConfig] = None,

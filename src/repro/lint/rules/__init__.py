@@ -5,7 +5,7 @@ Project-invariant packs (severity ``error``):
 * :mod:`repro.lint.rules.determinism` — DET001-003
 * :mod:`repro.lint.rules.concurrency` — CONC001-002
 * :mod:`repro.lint.rules.faultcover` — FLT001
-* :mod:`repro.lint.rules.observability` — OBS001-002
+* :mod:`repro.lint.rules.observability` — OBS001, OBS003
 * :mod:`repro.lint.rules.exceptions` — EXC001
 * :mod:`repro.lint.rules.timeouts` — TMO001
 

@@ -1,13 +1,9 @@
-"""OBS001-003 — taxonomy conformance for events, counters and spans.
+"""OBS001, OBS003 — taxonomy conformance for events and spans.
 
-The observability plane is registry-driven by design: the tracer
-rejects event names outside :data:`repro.obs.tracer.EVENT_TYPES` *at
-emit time*, and every VM statistic is a
-:func:`~repro.obs.metrics.metric_field` descriptor backed by the
-metrics registry.  Both properties are enforced dynamically — which
-means a typo'd event name on a cold error path, or a counter added as
-a plain attribute, survives until that path happens to execute.  These
-rules move the check to lint time.
+The tracer rejects event names outside
+:data:`repro.obs.tracer.EVENT_TYPES` *at emit time* — which means a
+typo'd event name on a cold error path survives until that path
+happens to execute.  These rules move the check to lint time.
 
 **OBS001** — every literal event name passed to a tracer ``instant`` /
 ``complete`` call must exist in ``EVENT_TYPES`` (resolved from the live
@@ -15,14 +11,6 @@ module, so adding an event to the taxonomy automatically legalizes its
 emit sites).  Dynamic names (forwarder shims like
 ``CacheServer._trace``) are skipped — the runtime check still covers
 them.
-
-**OBS002** — in a class that declares ``metric_field`` descriptors, an
-instance attribute initialized to ``0`` in ``__init__`` and incremented
-with ``+=`` elsewhere but *not* declared as a ``metric_field`` is a
-shadow counter: it bypasses the registry, so ``stats()`` and the
-metrics plane diverge — exactly the bug class PR 4 eliminated.
-Private pacing state (``self._dispatches_since_sweep``) is exempt by
-the underscore convention.
 
 **OBS003** — spans opened from a propagated trace context
 (:meth:`repro.obs.telemetry.SpanBuffer.span`) must (a) use a name
@@ -39,12 +27,12 @@ stamps ``status: "error"``) only holds inside ``with``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Set
+from typing import Iterable
 
 from repro.lint.core import Rule, Violation, register_rule
 from repro.lint.index import ModuleInfo, ProjectIndex
 from repro.lint.rules.common import call_target, iter_calls, \
-    literal_str_arg, self_attr
+    literal_str_arg
 
 _EMIT_METHODS = {"instant", "complete"}
 
@@ -76,69 +64,6 @@ class EventTaxonomyRule(Rule):
                     f"event {name!r} is not in EVENT_TYPES "
                     f"(repro.obs.tracer); this emit will raise at "
                     f"runtime")
-
-
-@register_rule
-class ShadowCounterRule(Rule):
-    rule_id = "OBS002"
-    title = "counter bypasses the metrics registry"
-    rationale = ("a zero-initialized, incremented attribute that is "
-                 "not a metric_field splits the stats surfaces the "
-                 "registry was built to unify")
-
-    def check_module(self, module: ModuleInfo,
-                     index: ProjectIndex) -> Iterable[Violation]:
-        if not module.package:
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(module, node)
-
-    def _check_class(self, module: ModuleInfo,
-                     cls: ast.ClassDef) -> Iterable[Violation]:
-        declared = self._declared_metric_fields(cls)
-        if not declared:
-            return              # class is not on the metrics plane
-        zero_init: Dict[str, int] = {}
-        incremented: Dict[str, int] = {}
-        for item in cls.body:
-            if not isinstance(item, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(item):
-                if item.name == "__init__" \
-                        and isinstance(node, ast.Assign) \
-                        and isinstance(node.value, ast.Constant) \
-                        and node.value.value == 0:
-                    for target in node.targets:
-                        attr = self_attr(target)
-                        if attr is not None:
-                            zero_init.setdefault(attr, node.lineno)
-                elif isinstance(node, ast.AugAssign) \
-                        and isinstance(node.op, ast.Add):
-                    attr = self_attr(node.target)
-                    if attr is not None:
-                        incremented.setdefault(attr, node.lineno)
-        for attr in sorted(set(zero_init) & set(incremented)):
-            if attr in declared or attr.startswith("_"):
-                continue
-            yield self.violation(
-                module, incremented[attr],
-                f"{cls.name}.{attr} is a shadow counter (0-initialized "
-                f"and incremented) that bypasses the metrics registry; "
-                f"declare it as a metric_field")
-
-    @staticmethod
-    def _declared_metric_fields(cls: ast.ClassDef) -> Set[str]:
-        declared: Set[str] = set()
-        for node in cls.body:
-            if isinstance(node, ast.Assign) \
-                    and isinstance(node.value, ast.Call) \
-                    and call_target(node.value)[1] == "metric_field":
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        declared.add(target.id)
-        return declared
 
 
 @register_rule

@@ -7,8 +7,10 @@ package makes that attribution a first-class, per-run artifact instead
 of a bench-only aggregate:
 
 * :mod:`repro.obs.metrics` — the metrics registry (counters, gauges,
-  histograms with labeled series) that backs every counter surfaced by
-  ``ExecutionReport`` and ``stats()``;
+  histograms with labeled series) behind the cache server's wire
+  snapshot, and the pow2 percentile machinery of fleet reports and the
+  collector (VM counters are plain attributes, reported by ``stats()``
+  and ``ExecutionReport``);
 * :mod:`repro.obs.ledger` — the cycle-attribution ledger: every
   simulated cycle lands in exactly one Eq. 1 phase bucket, with a
   per-interval timeline and per-block translation-overhead profiles;
@@ -46,7 +48,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    metric_field,
 )
 from repro.obs.tracer import EventTracer, TraceEvent
 from repro.obs.export import (
@@ -92,7 +93,6 @@ __all__ = [
     "load_trace_schema",
     "merge_histogram",
     "merge_snapshots",
-    "metric_field",
     "runtime_phase_costs",
     "validate_trace",
 ]

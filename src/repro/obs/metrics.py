@@ -1,27 +1,22 @@
-"""The metrics registry — single source of truth for runtime counters.
+"""The metrics registry — labeled series for the wire and for fleets.
 
-Before this module, every statistic the VM reported lived in a
-hand-maintained instance attribute (``self.dispatches += 1``) that
-``stats()`` and ``ExecutionReport`` copied by name; nothing stopped the
-two surfaces from silently diverging.  Now each of those attributes is a
-:func:`metric_field` descriptor backed by a labeled series in a
-:class:`MetricsRegistry`, so incrementing the attribute *is* updating
-the registry, and both reporting surfaces read the same storage
-(``tests/test_metrics.py`` pins the equivalence field by field).
+A :class:`MetricsRegistry` is what the cache server ships in its wire
+``telemetry`` snapshot (per-op request counters, per-op latency
+histograms), and its pow2 :class:`Histogram` is the percentile
+machinery of fleet reports and the cluster collector.  VM counters are
+not series: they are plain attributes, reported by
+``VMRuntime.stats()`` and ``ExecutionReport``.
 
 Three series kinds:
 
 * :class:`Counter` — monotone event count (``inc``);
-* :class:`Gauge`  — point-in-time level (``set``), used for values
-  derived at snapshot time (quarantine depth, cache occupancy);
+* :class:`Gauge`  — point-in-time level (``set``);
 * :class:`Histogram` — power-of-two bucketed distribution
-  (``observe``), used for translation sizes.
+  (``observe``), used for latencies.
 
 Registry snapshots are plain dicts keyed ``name`` or
 ``name{label=value,...}`` and support :meth:`MetricsRegistry.diff` for
-before/after comparisons.  Everything here is deterministic and
-allocation-light; the hot dispatch path touches one cached series
-object per increment.
+before/after comparisons.  Everything here is deterministic.
 """
 
 from __future__ import annotations
@@ -55,7 +50,7 @@ class Series:
 
 
 class Counter(Series):
-    """Monotone counter (``set`` exists only for descriptor rebinds)."""
+    """Monotone counter."""
 
     kind = "counter"
     __slots__ = ("value",)
@@ -66,9 +61,6 @@ class Counter(Series):
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-    def set(self, value) -> None:
-        self.value = value
 
     def snapshot(self):
         return self.value
@@ -215,47 +207,3 @@ class MetricsRegistry:
             if value != old:
                 deltas[key] = value - old
         return deltas
-
-
-class metric_field:
-    """Descriptor routing an int attribute through the owner's registry.
-
-    The owning object must expose ``self.metrics`` (a
-    :class:`MetricsRegistry`) before the first access, and may expose
-    ``self._metric_labels`` (a dict) for per-instance label sets —
-    that is how the two :class:`~repro.translator.code_cache.CodeCache`
-    instances share one ``code_cache_flushes`` series name with
-    ``cache=bbt`` / ``cache=sbt`` labels.
-
-    Reads return the plain number, writes store it, so existing
-    ``self.counter += 1`` call sites (and every external
-    ``runtime.dispatches``-style reader) keep working unchanged while
-    the registry becomes the single source of truth.
-    """
-
-    def __init__(self, name: Optional[str] = None,
-                 kind: str = "counter") -> None:
-        self.name = name
-        self.kind = kind
-
-    def __set_name__(self, owner, attr: str) -> None:
-        self.attr = attr
-        if self.name is None:
-            self.name = attr
-        self._cache_slot = f"_series_{attr}"
-
-    def _series(self, obj) -> Series:
-        series = obj.__dict__.get(self._cache_slot)
-        if series is None:
-            labels = getattr(obj, "_metric_labels", None) or {}
-            series = obj.metrics._get(self.kind, self.name, labels)
-            obj.__dict__[self._cache_slot] = series
-        return series
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        return self._series(obj).value
-
-    def __set__(self, obj, value) -> None:
-        self._series(obj).set(value)

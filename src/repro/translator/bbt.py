@@ -33,7 +33,6 @@ from typing import List, Optional, Tuple
 from repro.faults.plane import fault_point
 from repro.isa.x86lite.instruction import MAX_INSTRUCTION_LENGTH
 from repro.memory.address_space import ADDRESS_MASK, AddressSpace
-from repro.obs.metrics import metric_field
 from repro.translator.code_cache import (
     ExitStub,
     Translation,
@@ -69,13 +68,6 @@ DELTA_BBT_CYCLES_ASSISTED = 20
 class BasicBlockTranslator:
     """Stage-1 translator; installs translations into the directory."""
 
-    # registry-backed statistics (shared registry via the directory)
-    blocks_translated = metric_field()
-    instrs_translated = metric_field(name="bbt_instrs_translated")
-    uops_emitted = metric_field(name="bbt_uops_emitted")
-    hw_assisted_instrs = metric_field()
-    hw_punted_instrs = metric_field()
-
     def __init__(self, directory: TranslationDirectory,
                  memory: AddressSpace,
                  embed_profiling: bool = True,
@@ -92,8 +84,7 @@ class BasicBlockTranslator:
         #: the software path, falling back to software for punted cases.
         self.xlt_unit = xlt_unit
         self._next_counter = COUNTER_AREA_BASE
-        # statistics (metric_field descriptors backed by this registry)
-        self.metrics = directory.metrics
+        # statistics
         self.blocks_translated = 0
         self.instrs_translated = 0
         self.uops_emitted = 0
@@ -200,7 +191,6 @@ class BasicBlockTranslator:
         self.blocks_translated += 1
         self.instrs_translated += instr_count
         self.uops_emitted += uop_count
-        self.metrics.histogram("bbt_block_instrs").observe(instr_count)
         log.debug("bbt: %#x -> %#x (%d instr(s), %d uop(s))",
                   entry, native_addr, instr_count, uop_count)
         return translation

@@ -31,7 +31,6 @@ from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import UOp
 from repro.isa.fusible.registers import R_EXIT_TARGET
 from repro.memory.address_space import AddressSpace
-from repro.obs.metrics import MetricsRegistry, metric_field
 from repro.verify.sanitizer import check_install
 
 log = logging.getLogger("repro.translator")
@@ -161,20 +160,12 @@ def masked_digest(data: bytes, mask_offsets: Iterable[int]) -> str:
 class CodeCache:
     """A bump-allocated native-code region with wholesale flush."""
 
-    # registry-backed statistics; both caches share the series names,
-    # distinguished by the ``cache=bbt`` / ``cache=sbt`` label
-    flushes = metric_field(name="code_cache_flushes")
-    bytes_installed_total = metric_field(name="code_cache_bytes_installed")
-
     def __init__(self, memory: AddressSpace, base: int, capacity: int,
-                 name: str,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 name: str) -> None:
         self.memory = memory
         self.base = base
         self.capacity = capacity
         self.name = name
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._metric_labels = {"cache": name}
         self._next = base
         self.translations: List[Translation] = []
         self.flushes = 0
@@ -214,8 +205,6 @@ class CodeCache:
             data, translation.integrity_mask())
         self.translations.append(translation)
         self.bytes_installed_total += len(data)
-        self.metrics.histogram("translation_bytes",
-                               cache=self.name).observe(len(data))
         return addr
 
     def reserve(self) -> int:
@@ -243,36 +232,23 @@ class TranslationDirectory:
     invalidate the affected entries and any chains into the flushed region.
     """
 
-    # registry-backed statistics (see repro.obs.metrics)
-    chains_made = metric_field()
-    chains_broken = metric_field()
-    lookups = metric_field()
-    lookup_misses = metric_field()
-    redirects_made = metric_field()
-
     def __init__(self, memory: AddressSpace,
                  bbt_base: int = BBT_CACHE_BASE,
                  bbt_capacity: int = BBT_CACHE_CAPACITY,
                  sbt_base: int = SBT_CACHE_BASE,
                  sbt_capacity: int = SBT_CACHE_CAPACITY,
-                 verify_on_install: bool = False,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 verify_on_install: bool = False) -> None:
         self.memory = memory
         #: debug hook: verify every translation as it is installed
         self.verify_on_install = verify_on_install
-        #: the machine's metrics plane; shared with both caches, the
-        #: translators and the owning runtime
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: lifecycle event tracer; None (the default) costs one pointer
         #: test per chain/flush/evict site
         self.tracer = None
         #: the owning VM's word table (``VMRuntime`` sets it): what the
         #: install-time sanitizer decodes through; None = a private one
         self.words = None
-        self.bbt_cache = CodeCache(memory, bbt_base, bbt_capacity, "bbt",
-                                   metrics=self.metrics)
-        self.sbt_cache = CodeCache(memory, sbt_base, sbt_capacity, "sbt",
-                                   metrics=self.metrics)
+        self.bbt_cache = CodeCache(memory, bbt_base, bbt_capacity, "bbt")
+        self.sbt_cache = CodeCache(memory, sbt_base, sbt_capacity, "sbt")
         self._bbt_lookup: Dict[int, Translation] = {}
         self._sbt_lookup: Dict[int, Translation] = {}
         #: x86 target -> stubs waiting to be chained to it
@@ -285,7 +261,6 @@ class TranslationDirectory:
         #: bbt native_addr -> (bbt translation, original first 4 bytes)
         self._redirects: Dict[int, Tuple[Translation, bytes]] = {}
         self.chains_made = 0
-        self.chains_broken = 0
         self.lookups = 0
         self.lookup_misses = 0
         self.redirects_made = 0
@@ -432,10 +407,6 @@ class TranslationDirectory:
                 del self._redirects[native_addr]
         return evicted
 
-    def flush_all(self) -> None:
-        self.flush("bbt")
-        self.flush("sbt")
-
     # -- integrity ---------------------------------------------------------
 
     def verify_integrity(self, translation: Translation) -> bool:
@@ -512,7 +483,6 @@ class TranslationDirectory:
                                  imm=(target >> 13)))
         self.memory.write(stub.stub_addr, lui)
         stub.chained_to = None
-        self.chains_broken += 1
         if self.tracer is not None:
             self.tracer.instant("chain.broken",
                                 stub=f"{stub.stub_addr:#x}")

@@ -29,7 +29,6 @@ from repro.isa.fusible.encoding import encode_stream, stream_length
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import UOp
 from repro.memory.address_space import AddressSpace
-from repro.obs.metrics import metric_field
 from repro.translator.code_cache import (
     ExitStub,
     Translation,
@@ -67,14 +66,6 @@ def invert_cond(cond: Cond) -> Cond:
 class SuperblockTranslator:
     """Stage-2 translator: forms, optimizes and installs superblocks."""
 
-    # registry-backed statistics (shared registry via the directory)
-    superblocks_translated = metric_field()
-    instrs_translated = metric_field(name="sbt_instrs_translated")
-    uops_emitted = metric_field(name="sbt_uops_emitted")
-    pairs_fused = metric_field()
-    flags_eliminated = metric_field()
-    loads_eliminated = metric_field()
-
     def __init__(self, directory: TranslationDirectory,
                  memory: AddressSpace,
                  max_instrs: int = MAX_SUPERBLOCK_INSTRS,
@@ -89,8 +80,7 @@ class SuperblockTranslator:
         self.enable_fusion = enable_fusion
         self.enable_dead_flag_elim = enable_dead_flag_elim
         self.enable_load_elim = enable_load_elim
-        # statistics (metric_field descriptors backed by this registry)
-        self.metrics = directory.metrics
+        # statistics
         self.superblocks_translated = 0
         self.instrs_translated = 0
         self.uops_emitted = 0
@@ -150,8 +140,6 @@ class SuperblockTranslator:
         self.instrs_translated += superblock.instr_count
         self.uops_emitted += len(uops)
         self.pairs_fused += stats.pairs
-        self.metrics.histogram("sbt_superblock_instrs").observe(
-            superblock.instr_count)
         log.debug("sbt: %#x -> %#x (%d instr(s), %d uop(s), "
                   "%d fused pair(s))", superblock.head,
                   translation.native_addr, superblock.instr_count,

@@ -39,7 +39,6 @@ from repro.isa.fusible.machine import (
     NativeMachineError,
 )
 from repro.obs.ledger import CycleLedger, runtime_phase_costs
-from repro.obs.metrics import MetricsRegistry, metric_field
 from repro.obs.tracer import EventTracer
 from repro.isa.fusible.opcodes import VMService
 from repro.isa.x86lite.state import X86State
@@ -114,27 +113,6 @@ class VMServiceFault(VMRuntimeError):
 class VMRuntime:
     """Orchestrates staged emulation over one architected machine state."""
 
-    # Every statistic is a registry-backed series (repro.obs.metrics):
-    # ``self.dispatches += 1`` updates the series, so ``stats()`` /
-    # ``ExecutionReport`` and the metrics plane can never diverge.
-    dispatches = metric_field()
-    vm_exits = metric_field()
-    interp_one_calls = metric_field()
-    profile_calls = metric_field()
-    bbt_full_flushes = metric_field()
-    sbt_full_flushes = metric_field()
-    sbt_retranslations = metric_field()
-    instructions_interpreted = metric_field()
-    total_uops_executed = metric_field(name="uops_executed")
-    translations_lost_in_flushes = metric_field()
-    bbt_retranslations = metric_field()
-    hotspot_retranslations = metric_field()
-    translation_faults = metric_field()
-    interpreted_fallback_instrs = metric_field()
-    integrity_faults_detected = metric_field()
-    integrity_retranslations = metric_field()
-    hotspot_misfires = metric_field()
-
     def __init__(self, state: X86State,
                  hot_threshold: int = 8000,
                  initial_emulation: str = "bbt",
@@ -150,8 +128,7 @@ class VMRuntime:
                  integrity_check_interval: int = 0,
                  quarantine_max_retries: int = 3,
                  costs=None,
-                 trace: bool = False,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 trace: bool = False) -> None:
         if initial_emulation not in ("bbt", "interp", "x86-mode"):
             raise ValueError(f"bad initial emulation {initial_emulation!r}")
         self.state = state
@@ -161,16 +138,8 @@ class VMRuntime:
         self.enable_chaining = enable_chaining
 
         self.machine = FusibleMachine(self.memory)
-        if directory is not None:
-            self.directory = directory
-            # one registry per machine: adopt the directory's so runtime
-            # and translator counters share a single metrics plane
-            self.metrics = directory.metrics
-        else:
-            self.metrics = metrics if metrics is not None \
-                else MetricsRegistry()
-            self.directory = TranslationDirectory(self.memory,
-                                                  metrics=self.metrics)
+        self.directory = directory if directory is not None \
+            else TranslationDirectory(self.memory)
 
         # observability: the cycle ledger is the run's simulated clock
         # (every charge is attributed to exactly one Eq. 1 phase); the
@@ -214,14 +183,12 @@ class VMRuntime:
         self.integrity_check_interval = integrity_check_interval
         self._dispatches_since_sweep = 0
 
-        # statistics
+        # statistics: plain counters, reported by ``stats()`` (the one
+        # list that ``ExecutionReport`` is filled from, by field name)
         self.dispatches = 0
         self.vm_exits = 0
         self.interp_one_calls = 0
         self.profile_calls = 0
-        self.bbt_full_flushes = 0
-        self.sbt_full_flushes = 0
-        self.sbt_retranslations = 0
         self.instructions_interpreted = 0
         self.total_uops_executed = 0
         #: translations evicted by wholesale flushes (work thrown away)
@@ -463,7 +430,6 @@ class VMRuntime:
                 translation = self.bbt.translate(entry)
             except CodeCacheFull:
                 self._flush("bbt")
-                self.bbt_full_flushes += 1
                 translation = self.bbt.translate(entry)
         except (AssertionError, KeyboardInterrupt, SystemExit):
             raise           # verifier findings and aborts are not faults
@@ -519,8 +485,6 @@ class VMRuntime:
                 translation = self.sbt.translate(entry, edges)
             except CodeCacheFull:
                 self._flush("sbt")
-                self.sbt_full_flushes += 1
-                self.sbt_retranslations += 1
                 translation = self.sbt.translate(entry, edges)
         except (AssertionError, KeyboardInterrupt, SystemExit):
             raise
@@ -668,32 +632,10 @@ class VMRuntime:
 
     # -- aggregate statistics ------------------------------------------------------
 
-    def _sync_gauges(self) -> None:
-        """Mirror snapshot-time values into the metrics registry.
-
-        Per-micro-op machine counters and derived values (quarantine
-        depth, warm-start outcome) stay plain attributes on the hot
-        path; this publishes them as gauges so the registry is a
-        complete single source of truth at every ``stats()`` call.
-        """
-        report = self.persist_report
-        gauge = self.metrics.gauge
-        gauge("fused_pairs_seen").set(self.machine.fused_pairs_seen)
-        gauge("blocks_quarantined").set(self.quarantine.quarantined)
-        gauge("blocks_degraded").set(self.quarantine.degraded)
-        gauge("persist_loaded").set(report.loaded if report else 0)
-        gauge("persist_dropped").set(report.dropped if report else 0)
-        gauge("persist_chains_restored").set(
-            report.chains_restored if report else 0)
-        gauge("xltx86_invocations").set(
-            self.bbt.xlt_unit.invocations if self.bbt.xlt_unit else 0)
-        gauge("sim_cycles_total").set(self.ledger.total)
-        for phase, cycles in self.ledger.totals().items():
-            gauge("phase_cycles", phase=phase).set(cycles)
-
     def stats(self) -> dict:
-        """Snapshot of runtime counters across all components."""
-        self._sync_gauges()
+        """Snapshot of runtime counters across all components: every
+        counter the VM reports, each under its ``ExecutionReport``
+        field name."""
         return {
             "dispatches": self.dispatches,
             "vm_exits": self.vm_exits,
@@ -706,12 +648,13 @@ class VMRuntime:
             "sbt_instrs_translated": self.sbt.instrs_translated,
             "pairs_fused": self.sbt.pairs_fused,
             "uops_executed": self.total_uops_executed,
-            "fused_pairs_seen": self.machine.fused_pairs_seen,
+            "fused_pairs_executed": self.machine.fused_pairs_seen,
+            "xltx86_invocations": (self.bbt.xlt_unit.invocations
+                                   if self.bbt.xlt_unit else 0),
             "chains_made": self.directory.chains_made,
             "lookups": self.directory.lookups,
             "bbt_flushes": self.directory.bbt_cache.flushes,
             "sbt_flushes": self.directory.sbt_cache.flushes,
-            "sbt_retranslations": self.sbt_retranslations,
             "translations_lost_in_flushes":
                 self.translations_lost_in_flushes,
             "bbt_retranslations": self.bbt_retranslations,

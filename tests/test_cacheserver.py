@@ -205,6 +205,22 @@ class TestServerOps:
         stored = server.repository._object_path(pulled["entries"][0])
         assert pulled["objects"][0] == stored.read_text()
 
+    def test_wire_snapshot_ships_every_counter_from_birth(self, tmp_path):
+        fresh = CacheServer(tmp_path / "fresh")
+        assert fresh.stats.registry_snapshot() == {
+            f"server_{name}": 0 for name in (
+                "errors", "connections", "conns_rejected", "records_served",
+                "records_received", "objects_deduped", "records_rejected",
+                "lease_busy", "requests_shed", "deadline_rejected")}
+        records, config_fp, image_fp, _vm = cold_records()
+        fresh.dispatch({"op": "push", "records": records,
+                        "config_fp": config_fp, "image_fp": image_fp})
+        pulled = fresh.dispatch({"op": "pull", "config_fp": config_fp,
+                                 "image_fp": image_fp})
+        snapshot = fresh.stats.registry_snapshot()
+        assert snapshot["server_requests{op=pull}"] == 1
+        assert snapshot["server_records_served"] == len(pulled["entries"])
+
     def test_manifest_probe(self, server):
         records, config_fp, image_fp, _vm = cold_records()
         absent = raw_call(server, {"op": "manifest",

@@ -1,19 +1,20 @@
 """The metrics registry and the no-counter-drift contract.
 
-The registry (:mod:`repro.obs.metrics`) is the single source of truth
-for runtime statistics; ``ExecutionReport`` is a view over it.  The
-drift test here runs a mixed BBT/SBT/fault workload and asserts every
-report field named in :data:`repro.core.stats.REPORT_METRICS` equals
-the registry series backing it — so the two surfaces can never silently
-diverge again.
+VM counters are plain attributes; ``VMRuntime.stats()`` is the one list
+that reports them and ``ExecutionReport`` is filled from it by field
+name.  The drift test runs a mixed BBT/SBT/fault workload and asserts
+every counter field of the report is a ``stats()`` key with an equal
+value, so the two surfaces cannot silently diverge.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.config import vm_soft
-from repro.core.stats import REPORT_METRICS
+from repro.core.stats import ExecutionReport
 from repro.core.vm import CoDesignedVM
 from repro.faults import FaultInjector, injecting
 from repro.isa.x86lite import assemble
@@ -22,7 +23,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    metric_field,
     series_key,
 )
 from repro.workloads.programs import PROGRAMS
@@ -94,37 +94,6 @@ class TestRegistry:
         assert deltas == {"hits": 3, "sizes": 1, "fresh": 1}
 
 
-class TestMetricField:
-    class Owner:
-        hits = metric_field()
-        renamed = metric_field(name="series_name")
-
-        def __init__(self, registry, labels=None):
-            self.metrics = registry
-            if labels:
-                self._metric_labels = labels
-            self.hits = 0
-            self.renamed = 0
-
-    def test_attribute_writes_hit_the_registry(self):
-        registry = MetricsRegistry()
-        owner = self.Owner(registry)
-        owner.hits += 1
-        owner.hits += 2
-        assert owner.hits == 3
-        assert registry.value("hits") == 3
-        assert registry.value("series_name") == 0
-
-    def test_per_instance_labels_split_series(self):
-        registry = MetricsRegistry()
-        left = self.Owner(registry, {"cache": "bbt"})
-        right = self.Owner(registry, {"cache": "sbt"})
-        left.hits += 1
-        right.hits += 5
-        assert registry.value("hits", cache="bbt") == 1
-        assert registry.value("hits", cache="sbt") == 5
-
-
 @pytest.fixture(scope="module")
 def mixed_run():
     """A run that exercises BBT, SBT and the fault/recovery plane."""
@@ -147,15 +116,11 @@ class TestNoCounterDrift:
 
     def test_every_report_field_matches_its_series(self, mixed_run):
         vm, report, _injector = mixed_run
-        registry = vm.metrics
-        for field_name, (series, labels) in REPORT_METRICS.items():
-            reported = getattr(report, field_name)
-            backing = registry.value(series, **labels)
-            assert backing is not None, \
-                f"{field_name}: no registry series {series!r} {labels!r}"
-            assert reported == backing, \
-                f"{field_name}: report says {reported}, " \
-                f"registry series {series!r} says {backing}"
+        stats = vm.runtime.stats()
+        for field in fields(ExecutionReport):
+            if field.name not in ("config_name", "exit_code", "output"):
+                assert getattr(report, field.name) == stats[field.name], \
+                    field.name
 
     def test_phase_cycles_conserve_total(self, mixed_run):
         _vm, report, _injector = mixed_run

@@ -10,6 +10,7 @@ real CLI resolves the same registries from the live modules.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -38,9 +39,15 @@ def hits(report, rule_id):
 
 def test_rule_catalog_is_complete():
     expected = {"DET001", "DET002", "DET003", "CONC001", "CONC002",
-                "FLT001", "OBS001", "OBS002", "OBS003", "EXC001",
+                "FLT001", "OBS001", "OBS003", "EXC001",
                 "F401", "E501", "W291", "W191"}
     assert expected <= set(all_rule_ids())
+
+
+def test_rule_catalog_doc_has_one_row_per_rule():
+    doc = (REPO / "docs" / "static_analysis.md").read_text()
+    rows = set(re.findall(r"^\| `([A-Z]+[0-9]+)` \|", doc, re.MULTILINE))
+    assert rows == set(all_rule_ids())
 
 
 def test_register_rule_rejects_duplicates():
@@ -329,7 +336,7 @@ def test_fault_site_drift_detects_missing_sites(tmp_path):
     assert "repo.read" in missing
 
 
-# -- OBS001-002: taxonomy conformance -------------------------------------------
+# -- OBS001: taxonomy conformance ----------------------------------------------
 
 
 def test_obs001_flags_unregistered_event_name():
@@ -348,41 +355,6 @@ def test_obs001_registered_and_dynamic_names_are_clean():
               "    self.tracer.instant(name, 0)\n")
     report = lint_one("src/repro/vmm/emit2.py", source, "OBS001",
                       event_types={"vm.dispatch"})
-    assert report.ok
-
-
-_SHADOW = """\
-from repro.obs.metrics import metric_field
-
-
-class Runtime:
-    dispatches = metric_field("dispatches")
-
-    def __init__(self):
-        self.hits = 0
-
-    def step(self):
-        self.hits += 1
-"""
-
-
-def test_obs002_flags_shadow_counter():
-    report = lint_one("src/repro/vmm/rt2.py", _SHADOW, "OBS002")
-    found = hits(report, "OBS002")
-    assert len(found) == 1
-    assert "hits" in found[0].message
-
-
-def test_obs002_private_pacing_state_is_exempt():
-    source = _SHADOW.replace("self.hits", "self._hits")
-    report = lint_one("src/repro/vmm/rt2.py", source, "OBS002")
-    assert report.ok
-
-
-def test_obs002_ignores_classes_off_the_metrics_plane():
-    source = _SHADOW.replace(
-        "    dispatches = metric_field(\"dispatches\")\n\n", "")
-    report = lint_one("src/repro/vmm/rt2.py", source, "OBS002")
     assert report.ok
 
 

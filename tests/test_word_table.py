@@ -412,7 +412,7 @@ class TestBoundedByLiveCode:
         assert state.halted
         assert (state.exit_code, state.output, list(state.regs)) == \
             architected(reference)
-        assert runtime.bbt_full_flushes + runtime.sbt_full_flushes \
+        assert directory.bbt_cache.flushes + directory.sbt_cache.flushes \
             == len(sizes) >= 2
         assert all(sizes)       # each flush found a table to drop
 
