@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-strict verify verify-suite drills bench perf perf-compare perf-selftest examples figures clean
+.PHONY: install test lint lint-strict verify paper drills bench perf perf-compare perf-selftest examples figures clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -31,17 +31,17 @@ lint lint-strict:
 		echo "mypy not installed; skipping type check"; \
 	fi
 
-# Strict lint, the drills (everything tier-1 cannot hold: real serve
-# subprocesses and kill -9, the exhaustive fault sweep, herds that shed,
-# the telemetry plane end to end — `python tools/drills.py --list`; it
-# prints its own wall seconds per drill), the benchmark's self-test and
-# the tier-1 suite with the translation verifier forced on (the autouse
-# sanitizer fixture arms the full rule-pack at every
-# TranslationDirectory.install; see docs/verifier.md).  Stages run one
-# after another, stop at the first failure, and the wall seconds of
-# each and of the whole are printed at the end (ROADMAP: the gate's own
-# cost is tracked beside the perf/ rows).
-VERIFY_STAGES = lint-strict drills perf-selftest verify-suite
+# Everything tier-1 does not run, so the full gate is tier-1 plus this:
+# strict lint, the drills (real serve subprocesses and kill -9, the
+# exhaustive fault sweep, herds that shed, the telemetry plane end to
+# end — `python tools/drills.py --list`; it prints its own wall seconds
+# per drill), the benchmark's self-test, and the paper's figures
+# regenerated.  Tier-1 already runs with the translation sanitizer on
+# (tests/conftest.py; docs/verifier.md).  Stages run one after another,
+# stop at the first failure, and the wall seconds of each and of the
+# whole are printed at the end (ROADMAP: the gate's own cost is tracked
+# beside the perf/ rows).
+VERIFY_STAGES = lint-strict drills perf-selftest paper
 verify:
 	@start=$$(date +%s); rows=""; \
 	for stage in $(VERIFY_STAGES); do \
@@ -52,11 +52,19 @@ verify:
 	printf 'make verify: wall seconds per stage%s\n  %-16s %4d s\n' \
 		"$$rows" total $$(( $$(date +%s) - start ))
 
-verify-suite:
-	REPRO_VERIFY=1 PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/
+# Every bench_*.py once (its figure's shape assertions, no timing
+# rounds), then fail if a regenerated results/ file differs from the
+# checked-in one or a bench left a file git does not know.
+paper:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -q --benchmark-disable
+	@drift=$$(git status --porcelain -- results/); \
+	if [ -n "$$drift" ]; then \
+		echo "paper: regenerated results/ differ from the checked-in files:"; \
+		echo "$$drift"; exit 1; \
+	fi
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 drills:
 	$(PYTHON) tools/drills.py

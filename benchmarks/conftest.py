@@ -7,7 +7,9 @@ additionally times a representative kernel via pytest-benchmark.
 
 Reproduced figures are *emitted* — written to ``results/<name>.txt`` and
 echoed to the real stdout so they appear in ``bench_output.txt`` even
-under pytest's capture.
+under pytest's capture.  ``make paper`` (a stage of ``make verify``)
+runs every bench once with ``--benchmark-disable`` and fails when a
+regenerated ``results/`` file differs from the checked-in one.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from repro.core import (
     ALL_CONFIGS,
     MachineConfig,
 )
-from repro.obs import trajectory
 from repro.timing import Scenario, simulate_startup
 from repro.timing.startup_sim import StartupResult
 from repro.workloads import Workload, generate_workload, winstone_suite
@@ -52,52 +53,11 @@ def emit(name: str, text: str) -> None:
 
 def emit_json(name: str, payload: dict) -> None:
     """Write a machine-readable result to ``results/<name>.json``
-    (deterministic serialization: sorted keys, fixed separators), and
-    append the payload's scalar leaves to the bench trajectory
-    (``results/bench_history.jsonl``) so ``repro bench diff`` can gate
-    on drift across runs."""
+    (deterministic serialization: sorted keys, fixed separators)."""
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.json").write_text(
         json.dumps(payload, sort_keys=True, indent=1,
                    separators=(",", ": ")) + "\n")
-    scalars = _history_scalars(payload)
-    if scalars:
-        trajectory.append_row(
-            trajectory.history_row(name, scalars,
-                                   {"bench": name, "seed": SEED}),
-            path=RESULTS_DIR / "bench_history.jsonl")
-
-
-#: History rows are bounded: at most this many scalar leaves per bench
-#: (sorted by path, so the selection is stable across runs).
-_HISTORY_CAP = 48
-
-
-def _history_scalars(payload, prefix: str = "") -> Dict[str, float]:
-    """Flatten a result document's numeric leaves into dotted paths.
-
-    Wall-clock material never belongs in the trajectory (it would make
-    every diff noisy), so any path mentioning wall/latency is dropped;
-    canonical payloads contain none anyway.
-    """
-    flat: Dict[str, float] = {}
-
-    def walk(node, path):
-        if isinstance(node, dict):
-            for key in sorted(node):
-                walk(node[key], f"{path}.{key}" if path else str(key))
-        elif isinstance(node, (list, tuple)):
-            for index, item in enumerate(node):
-                walk(item, f"{path}[{index}]")
-        elif isinstance(node, bool) or node is None:
-            return
-        elif isinstance(node, (int, float)):
-            lowered = path.lower()
-            if "wall" not in lowered and "latency" not in lowered:
-                flat[path] = node
-
-    walk(payload, prefix)
-    return {path: flat[path] for path in sorted(flat)[:_HISTORY_CAP]}
 
 
 def ledger_payload(result) -> dict:

@@ -59,11 +59,6 @@ Commands:
   ``telemetry`` op, merge the metric registries exactly, evaluate SLO
   verdicts (pass/warn/fail with burn accounting) and print anomalies;
   exits 1 while any SLO is failing.
-* ``bench {diff,show} [--against last|first] [--tolerance PCT]`` — the
-  bench-trajectory gate (:mod:`repro.obs.trajectory`): benchmarks
-  append one row per run to ``results/bench_history.jsonl``; ``diff``
-  compares each bench's newest row to its same-fingerprint baseline
-  and exits 1 on regressions beyond the tolerance.
 * ``fleet {run,sweep,report}`` — the mass-boot scenario harness
   (:mod:`repro.fleet`, ``docs/fleet.md``): boot N instances through a
   worker pool against a self-hosted cache server (``run``; with
@@ -601,42 +596,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs.trajectory import (bench_diff, format_diff,
-                                      load_history)
-    try:
-        rows = load_history(args.history)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-    if args.action == "show":
-        if not rows:
-            print(f"no bench history at {args.history}")
-            return 0
-        for row in rows[-args.limit:]:
-            print(json.dumps(row, sort_keys=True,
-                             separators=(",", ":")))
-        return 0
-
-    # diff: the trajectory regression gate
-    if not rows:
-        print(f"no bench history at {args.history}: nothing to "
-              f"compare (gate passes vacuously)")
-        return 0
-    try:
-        regressions, comparisons = bench_diff(
-            rows, against=args.against, tolerance=args.tolerance)
-    except ValueError as error:
-        raise SystemExit(str(error))
-    if args.json:
-        print(json.dumps({"regressions": regressions,
-                          "comparisons": comparisons},
-                         indent=2, sort_keys=True))
-    else:
-        print(format_diff(regressions, comparisons))
-    return 1 if regressions else 0
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
     from repro.persist import RemoteRepository, TranslationRepository
     remote = None
@@ -984,32 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--out", default=None,
                          help="also write the last snapshot JSON here")
     monitor.set_defaults(func=cmd_monitor)
-
-    bench = sub.add_parser(
-        "bench",
-        help="bench trajectory: inspect results/bench_history.jsonl "
-             "and gate on regressions")
-    bench.add_argument("action", choices=["diff", "show"],
-                       help="diff: compare each bench's newest row to "
-                            "its baseline, exit 1 on regressions; "
-                            "show: print recent history rows")
-    bench.add_argument("--history",
-                       default="results/bench_history.jsonl",
-                       help="history file (default: "
-                            "results/bench_history.jsonl)")
-    bench.add_argument("--against", default="last",
-                       choices=["last", "first"],
-                       help="baseline: previous same-fingerprint row "
-                            "(last, default) or the oldest one (first)")
-    bench.add_argument("--tolerance", type=float, default=5.0,
-                       help="allowed relative change in percent "
-                            "(default 5)")
-    bench.add_argument("--limit", type=int, default=20,
-                       help="show: print at most this many trailing "
-                            "rows (default 20)")
-    bench.add_argument("--json", action="store_true",
-                       help="diff: machine-readable comparison")
-    bench.set_defaults(func=cmd_bench)
 
     cache = sub.add_parser(
         "cache",

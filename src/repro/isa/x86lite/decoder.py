@@ -39,6 +39,18 @@ class DecodeError(Exception):
     """Raised on bytes that are not a valid x86lite instruction."""
 
 
+_CONDS = {int(cond): cond for cond in Cond}
+
+
+def _cond(tttn: int) -> Cond:
+    """The condition a Jcc/CMOVcc opcode names; ``tttn`` 10 and 11
+    (parity) are not x86lite conditions."""
+    cond = _CONDS.get(tttn)     # ``Cond(tttn)`` is a Python-level call
+    if cond is None:
+        raise DecodeError(f"invalid condition code {tttn}")
+    return cond
+
+
 class Cursor:
     """Byte-stream reader that tracks consumed length.  ``u8`` reads the
     bytes that say what the instruction *is* (prefix, opcode, ModRM,
@@ -212,7 +224,7 @@ def decode_from(cursor: Cursor, addr: int = 0) -> Instruction:
         return done(Op.IMUL, (RegOperand(Reg(reg_field)), rm, imm))
     if 0x70 <= byte <= 0x7F:
         rel = cursor.i8()
-        return done(Op.JCC, cond=Cond(byte - 0x70),
+        return done(Op.JCC, cond=_cond(byte - 0x70),
                     target=(addr + cursor.consumed + rel) & 0xFFFFFFFF)
     if byte in (0x81, 0x83):
         reg_field, rm = _decode_modrm(cursor, width)
@@ -320,10 +332,10 @@ def decode_from(cursor: Cursor, addr: int = 0) -> Instruction:
         if 0x40 <= second <= 0x4F:
             reg_field, rm = _decode_modrm(cursor, width)
             return done(Op.CMOV, (RegOperand(Reg(reg_field)), rm),
-                        cond=Cond(second - 0x40))
+                        cond=_cond(second - 0x40))
         if 0x80 <= second <= 0x8F:
             rel = cursor.i32()
-            return done(Op.JCC, cond=Cond(second - 0x80),
+            return done(Op.JCC, cond=_cond(second - 0x80),
                         target=(addr + cursor.consumed + rel) & 0xFFFFFFFF)
         if second == 0xA2:
             return done(Op.CPUID)

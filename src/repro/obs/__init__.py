@@ -26,9 +26,7 @@ of a bench-only aggregate:
 * :mod:`repro.obs.collector` — the cluster-wide telemetry scraper
   driving ``repro monitor`` and the fleet ``--collect`` axis;
 * :mod:`repro.obs.slo` — declarative SLO rules evaluated into
-  pass/warn/fail verdicts with burn accounting;
-* :mod:`repro.obs.trajectory` — the append-only benchmark history and
-  the ``repro bench diff`` regression gate.
+  pass/warn/fail verdicts with burn accounting.
 
 Tracing is off by default and the hooks are guarded (``tracer is None``
 checks on dispatch paths), so a non-traced run pays near-zero cost;
@@ -65,7 +63,6 @@ from repro.obs.telemetry import (
 )
 from repro.obs.collector import ClusterCollector
 from repro.obs.slo import DEFAULT_SLOS, SLORule, evaluate, load_slo_file
-from repro.obs.trajectory import append_row, bench_diff, history_row
 
 __all__ = [
     "ClusterCollector",
@@ -82,13 +79,10 @@ __all__ = [
     "SpanBuffer",
     "TraceContext",
     "TraceEvent",
-    "append_row",
-    "bench_diff",
     "configure_logging",
     "evaluate",
     "export_trace",
     "histogram_percentile",
-    "history_row",
     "load_slo_file",
     "load_trace_schema",
     "merge_histogram",

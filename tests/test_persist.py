@@ -120,14 +120,27 @@ class TestRoundTrip:
             assert warm.superblocks_translated == 0
             assert warm.output == cold.output
 
+    #: ``(BBT blocks, SBT superblocks)`` a cold run translates at
+    #: ``hot_threshold=50``; a change that moves one shows here.
+    COLD_TRANSLATIONS = {
+        "bubble_sort": (10, 3), "checksum": (6, 1),
+        "fib_recursive": (8, 5), "fibonacci": (4, 0), "matmul": (14, 4),
+        "mixhash": (6, 2), "quicksort": (17, 2), "sieve": (11, 6),
+    }
+
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_every_seed_workload_warm_starts_clean(self, tmp_path, name):
         repo = TranslationRepository(tmp_path / "cache")
         _, cold = cold_save(repo, source=PROGRAMS[name])
         warm_vm, load = warm_boot(repo, source=PROGRAMS[name])
         warm = warm_vm.run()
+        assert (cold.blocks_translated, cold.superblocks_translated) \
+            == self.COLD_TRANSLATIONS[name]
+        assert load.loaded == \
+            cold.blocks_translated + cold.superblocks_translated
         assert load.dropped == 0
-        assert warm.blocks_translated == 0 < cold.blocks_translated
+        assert warm.blocks_translated == 0
+        assert warm.superblocks_translated == 0
         assert warm.output == cold.output
         assert warm.exit_code == cold.exit_code
 

@@ -1,6 +1,5 @@
 """Distributed telemetry: trace-context codec, span buffer, the wire
-``telemetry`` op, exact snapshot merging, SLOs and the bench
-trajectory gate.
+``telemetry`` op, exact snapshot merging and SLOs.
 
 The propagation test is the load-bearing one: a client span id stamped
 into a protocol frame must come back as the ``parent`` of a server
@@ -33,8 +32,6 @@ from repro.obs.telemetry import (
     merge_snapshots,
     telemetry_request,
 )
-from repro.obs.trajectory import (append_row, bench_diff, history_row,
-                                  load_history)
 
 
 class TestTraceContextCodec:
@@ -299,64 +296,3 @@ class TestSLOs:
         with pytest.raises(ValueError):
             load_slo_file(path)
 
-
-class TestBenchTrajectory:
-    @staticmethod
-    def rows(*metric_dicts, config=None):
-        return [history_row("bench", metrics, config or {"seed": 0})
-                for metrics in metric_dicts]
-
-    def test_lower_is_better_regression_trips(self):
-        rows = self.rows({"warm_cycles": 100}, {"warm_cycles": 120})
-        regressions, _ = bench_diff(rows)
-        assert len(regressions) == 1
-        assert "warm_cycles" in regressions[0]
-
-    def test_higher_is_better_direction(self):
-        rows = self.rows({"loaded": 100}, {"loaded": 80})
-        regressions, _ = bench_diff(rows)
-        assert regressions
-        improved = self.rows({"loaded": 100}, {"loaded": 120})
-        assert not bench_diff(improved)[0]
-
-    def test_within_tolerance_passes(self):
-        rows = self.rows({"cycles": 100}, {"cycles": 104})
-        regressions, comparisons = bench_diff(rows, tolerance=5.0)
-        assert not regressions
-        assert comparisons[0]["metrics"]["cycles"]["change_pct"] == 4.0
-
-    def test_fingerprint_change_starts_fresh_baseline(self):
-        old = self.rows({"cycles": 100}, config={"seed": 0})
-        new = self.rows({"cycles": 500}, config={"seed": 1})
-        regressions, comparisons = bench_diff(old + new)
-        assert not regressions
-        assert comparisons[0]["baseline"] is None
-
-    def test_against_first_measures_cumulative_drift(self):
-        rows = self.rows({"cycles": 100}, {"cycles": 104},
-                         {"cycles": 108})
-        assert not bench_diff(rows, against="last")[0]
-        assert bench_diff(rows, against="first")[0]
-        with pytest.raises(ValueError):
-            bench_diff(rows, against="median")
-
-    def test_append_skips_a_repeat_of_the_newest_same_bench_row(
-            self, tmp_path):
-        """A re-run that measured the same thing leaves the history
-        file alone (``make verify`` must not dirty the tree), while a
-        regression stays the newest row — and stays flagged — however
-        often the run repeats."""
-        path = tmp_path / "history.jsonl"
-        fast, slow = self.rows({"cycles": 100}, {"cycles": 120})
-        other = history_row("other", {"cycles": 7}, {"seed": 0})
-        assert append_row(fast, path)
-        assert not append_row(fast, path)
-        assert append_row(other, path)
-        assert not append_row(fast, path)   # newest of *its* bench
-        assert append_row(slow, path)
-        assert not append_row(slow, path)
-        assert append_row(fast, path)       # a move back is a new point
-        assert load_history(path) == [fast, other, slow, fast]
-        retuned = self.rows({"cycles": 100}, config={"seed": 1})[0]
-        assert append_row(retuned, path)    # same metrics, new baseline
-        assert bench_diff(load_history(path)[:3])[0]

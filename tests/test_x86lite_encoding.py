@@ -7,6 +7,7 @@ reproduces canonical byte sequences.
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.isa.x86lite import (
     Cond,
@@ -221,6 +222,28 @@ class TestDecodeErrors:
     def test_empty(self):
         with pytest.raises(DecodeError):
             decode(b"")
+
+    @pytest.mark.parametrize("data", [
+        b"\x7a\x00", b"\x7b\x00",
+        b"\x0f\x4a\xc0", b"\x0f\x4b\xc0",
+        b"\x0f\x8a\0\0\0\0", b"\x0f\x8b\0\0\0\0",
+    ], ids=["jp-rel8", "jnp-rel8", "cmovp", "cmovnp", "jp-rel32",
+            "jnp-rel32"])
+    def test_parity_conditions_are_invalid(self, data):
+        """``tttn`` 10 and 11 name no x86lite condition: the bytes are
+        invalid, not a host ``ValueError`` from building a ``Cond``."""
+        with pytest.raises(DecodeError, match="invalid condition code"):
+            decode(data)
+
+    @given(data=st.binary(max_size=2 * MAX_INSTRUCTION_LENGTH))
+    @settings(max_examples=500)
+    def test_arbitrary_bytes_raise_only_decode_error(self, data):
+        try:
+            decoded = decode(data)
+        except DecodeError:
+            return
+        assert 1 <= decoded.length <= min(len(data),
+                                          MAX_INSTRUCTION_LENGTH)
 
 
 class TestBranchTargets:

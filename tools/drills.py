@@ -5,8 +5,8 @@ The tier-1 suite asserts what one process can: architected equality
 under every fault class, byte-identical reports, amortization, trace
 schemas.  What it cannot hold is checked here, once — real ``repro
 serve`` subprocesses and ``kill -9``, the exhaustive fault sweep (tier-1
-samples it), herds that really shed, the telemetry plane end to end, a
-timing, and the two bench-trajectory rows.
+samples it), herds that really shed, the telemetry plane end to end, and
+a timing.
 
 A drill is a row of :data:`DRILLS`: a name, the ``docs/`` section whose
 claim it executes, and a function ``(workdir) -> problems``.  The runner
@@ -61,14 +61,8 @@ from repro.fleet import (FleetEngine, FleetScenario,     # noqa: E402
                          serialize_report, validate_report)
 from repro.obs.export import validate_trace              # noqa: E402
 from repro.obs.slo import worst_status                   # noqa: E402
-from repro.obs.trajectory import (HISTORY_PATH,          # noqa: E402
-                                  append_row, history_row)
 from repro.persist import ReplicaSet, TranslationRepository  # noqa: E402
-from repro.timing.scenarios import Scenario              # noqa: E402
-from repro.timing.startup_sim import simulate_startup    # noqa: E402
 from repro.workloads.programs import PROGRAMS            # noqa: E402
-from repro.workloads.trace import generate_workload      # noqa: E402
-from repro.workloads.winstone import winstone_suite      # noqa: E402
 
 HOT_THRESHOLD = 20
 #: Client knobs of every drill: never wait out a backoff, and re-probe a
@@ -78,20 +72,20 @@ FAST = dict(retries=2, breaker_cooldown=0.0, sleep=lambda _s: None)
 
 # -- the steps every drill shares ---------------------------------------------
 
-def baseline_of(name: str, workdir, hot_threshold: int = HOT_THRESHOLD):
+def baseline_of(name: str, workdir):
     """Fault-free cold run of a seed workload + its repository."""
     return prepare_baseline(name, PROGRAMS[name], str(workdir),
-                            hot_threshold=hot_threshold)
+                            hot_threshold=HOT_THRESHOLD)
 
 
 def boot(baseline, repository, stage: str, problems: List[str],
          loaded=None):
-    """Boot a fresh VM of the baseline's program — warm-started through
-    ``repository`` unless it is None — and hold its architected outcome
-    against the baseline's; ``loaded`` is how many records the warm
-    start must install.  Returns ``(load report, run summary)``."""
+    """Boot a fresh VM of the baseline's program, warm-started through
+    ``repository``, and hold its architected outcome against the
+    baseline's; ``loaded`` is how many records the warm start must
+    install.  Returns ``(load report, run summary)``."""
     vm = baseline.fresh_vm()
-    load = vm.warm_start(repository) if repository is not None else None
+    load = vm.warm_start(repository)
     run = vm.run(max_instructions=baseline.max_instructions)
     problems.extend(f"{stage}: {difference}" for difference
                     in baseline.outcome.diff(ArchOutcome.of(vm)))
@@ -157,18 +151,6 @@ def cli(*args):
     with contextlib.redirect_stdout(out):
         code = repro_main([str(arg) for arg in args])
     return code, out.getvalue()
-
-
-def trajectory(bench: str, metrics: dict, config: dict) -> List[str]:
-    """Append the run's scalars to ``results/bench_history.jsonl`` (a
-    repeat of the bench's newest row appends nothing) and gate on drift
-    against the previous same-fingerprint row, as ``repro bench diff``
-    does — a PR that silently moves them trips here, not three PRs on."""
-    history = REPO / HISTORY_PATH
-    append_row(history_row(bench, metrics, config), history)
-    code, text = cli("bench", "diff", "--history", history)
-    print(f"bench trajectory ({HISTORY_PATH}):\n{text}", end="")
-    return [f"{bench} trajectory regressed"] if code else []
 
 
 # -- the one subprocess grid --------------------------------------------------
@@ -580,22 +562,14 @@ def herd_through_undersized_server():
     verdicts = [verdict for verdict in (result.telemetry or {})
                 .get("canonical", {}).get("slo", [])
                 if verdict["name"] in OVERLOAD_SLOS]
-    slo_failed = len(verdicts) != len(OVERLOAD_SLOS) \
-        or worst_status(verdicts) == "fail"
-    if slo_failed:
+    if len(verdicts) != len(OVERLOAD_SLOS) \
+            or worst_status(verdicts) == "fail":
         problems.append(f"expected {len(OVERLOAD_SLOS)} overload SLO "
                         f"verdicts, none failing; got {verdicts}")
     for verdict in verdicts:
         print(f"slo {verdict['name']}: {verdict['status']} "
               f"(value={verdict['value']})")
-    # trajectory scalars are violation-style — zero is healthy, any
-    # increase regresses under the default lower-is-better direction
-    return problems, sheds, {
-        "overload.herd_arch_divergences": int(not result.arch_ok),
-        "overload.amplification_excess": round(
-            max(0.0, amplification - 2.0), 4),
-        "overload.late_responses": late,
-        "overload.slo_failures": int(slo_failed)}
+    return problems
 
 
 def shed_burst(workdir):
@@ -663,22 +637,13 @@ def shed_burst(workdir):
     if "ok" not in outcomes:
         problems.append("no shed client completed after honoring "
                         "retry_after")
-    return problems, sheds
+    return problems
 
 
 def overload_drill(workdir) -> List[str]:
     """Overload protection against live sockets and real concurrency:
-    the herd stays bounded, and shedding really sheds.  Normalized
-    scalars (pass flags — never raw scheduling-dependent tallies) go to
-    the bench trajectory, so an overload regression shows in the PR it
-    lands in."""
-    problems, herd_sheds, metrics = herd_through_undersized_server()
-    burst_problems, burst_sheds = shed_burst(workdir)
-    metrics["overload.sheds_missing"] = int(herd_sheds + burst_sheds < 1)
-    return problems + burst_problems + trajectory(
-        "overload_smoke", metrics,
-        {"herd_n": HERD_N, "herd_queue_depth": HERD_QUEUE_DEPTH,
-         "burst_threads": BURST_THREADS})
+    the herd stays bounded, and shedding really sheds."""
+    return herd_through_undersized_server() + shed_burst(workdir)
 
 
 # -- the telemetry plane ------------------------------------------------------
@@ -819,7 +784,7 @@ def monitor_drill(workdir) -> List[str]:
     return problems
 
 
-# -- a timing, and the warm-start trajectory ----------------------------------
+# -- a timing -----------------------------------------------------------------
 
 #: Same hot loop as benchmarks/bench_functional_throughput.py.
 HOT_LOOP = """
@@ -880,45 +845,6 @@ def trace_overhead_drill(workdir) -> List[str]:
         if ratio > OVERHEAD_ALLOWANCE else []
 
 
-BENCH_HOT_THRESHOLD = 50
-TIMING_INSTRS = 20_000_000
-
-
-def bench_drill(workdir) -> List[str]:
-    """The warm-start trajectory row: per seed workload the cold run's
-    BBT/SBT translation counts, the records a warm start re-loads and
-    the (zero) blocks it still translates; from the timing model the
-    MEMORY_STARTUP and PERSISTENT_WARM cycles of the software VM."""
-    problems, metrics = [], {}
-    for name in sorted(PROGRAMS):
-        baseline = baseline_of(name, workdir, BENCH_HOT_THRESHOLD)
-        _, cold = boot(baseline, None, f"{name} cold", problems)
-        load, warm = boot(baseline,
-                          TranslationRepository(baseline.repo_dir),
-                          f"{name} warm", problems)
-        print(f"{name:14s} cold bbt={cold.blocks_translated:3d} "
-              f"sbt={cold.superblocks_translated:2d} | "
-              f"loaded={load.loaded:3d} dropped={load.dropped} | "
-              f"warm bbt={warm.blocks_translated}")
-        metrics[f"{name}.cold_bbt"] = cold.blocks_translated
-        metrics[f"{name}.cold_sbt"] = cold.superblocks_translated
-        metrics[f"{name}.warm_loaded"] = load.loaded
-        metrics[f"{name}.warm_bbt"] = warm.blocks_translated
-    app = winstone_suite()[0]
-    workload = generate_workload(app, dyn_instrs=TIMING_INSTRS, seed=0)
-    for key, scenario in (("cold", Scenario.MEMORY_STARTUP),
-                          ("warm", Scenario.PERSISTENT_WARM)):
-        metrics[f"timing.{key}_cycles"] = simulate_startup(
-            vm_soft(), workload, scenario).total_cycles
-    print(f"timing ({app.name}, 20M instrs): cold "
-          f"{metrics['timing.cold_cycles'] / 1e6:.1f}M cycles, warm "
-          f"{metrics['timing.warm_cycles'] / 1e6:.1f}M cycles")
-    return problems + trajectory(
-        "bench_smoke", metrics,
-        {"hot_threshold": BENCH_HOT_THRESHOLD,
-         "timing_instrs": TIMING_INSTRS, "seed": 0})
-
-
 # -- the table and its runner -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -948,7 +874,6 @@ DRILLS = (
           monitor_drill),
     Drill("trace-overhead", "docs/observability.md#The gates",
           trace_overhead_drill),
-    Drill("bench", "docs/persistence.md#Timing model", bench_drill),
 )
 
 
