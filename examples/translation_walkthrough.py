@@ -21,7 +21,6 @@ from repro.translator import (
     SuperblockTranslator,
     TranslationDirectory,
 )
-from repro.translator.emit import scan_block
 from repro.vmm.profiling import EdgeProfile
 
 PROGRAM = """
@@ -45,7 +44,10 @@ def main() -> None:
     loop = image.labels["loop"]
 
     print("=== architected basic block (x86lite) ===")
-    for instr in scan_block(memory, loop):
+    block = [decode_at(memory, loop)]
+    while not block[-1].is_control_transfer:
+        block.append(decode_at(memory, block[-1].next_addr))
+    for instr in block:
         raw = memory.read(instr.addr, instr.length).hex()
         print(f"  {instr.addr:#x}: {raw:<14s} {instr}")
 
@@ -60,7 +62,7 @@ def main() -> None:
         print(f"  {uop}")
 
     edges = EdgeProfile()
-    exit_addr = scan_block(memory, loop)[-1].next_addr
+    exit_addr = block[-1].next_addr
     edges.record(loop, loop, 990)
     edges.record(loop, exit_addr, 10)
     sbt = SuperblockTranslator(directory, memory)

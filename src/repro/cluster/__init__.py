@@ -15,11 +15,14 @@ See ``docs/cluster.md`` for topology, merge semantics, the failover
 ladder and the fault classes that exercise every rung.
 """
 
-from repro.cluster.client import ClusterRepository
 from repro.cluster.manager import LocalCluster
 from repro.cluster.repair import RepairReport, anti_entropy
 from repro.cluster.ring import HashRing
 from repro.cluster.topology import ClusterSpec, ShardGroup
+from repro.persist.remote import RemoteRepository
+
+#: the wire repository under the name the cluster tier's callers import
+ClusterRepository = RemoteRepository
 
 __all__ = [
     "ClusterRepository",

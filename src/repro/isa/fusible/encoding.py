@@ -300,17 +300,27 @@ class Word:
     """Everything static about one micro-op word: what it decodes to and
     what each layer would otherwise re-derive from that per occurrence."""
 
-    __slots__ = ("uop", "info", "shape", "canonical", "step", "facts")
+    __slots__ = ("uop", "info", "shape", "canonical", "code", "step",
+                 "facts")
 
-    def __init__(self, uop: MicroOp, canonical: bool = False) -> None:
+    def __init__(self, uop: MicroOp, canonical: bool = False,
+                 code: Optional[bytes] = None) -> None:
         self.uop = uop                  # ``x86_addr`` None in a table
         self.info = info = OP_INFO[uop.op]
         #: the machine's shape byte: length, | 0x80 for a fused head
         self.shape = info.length | 0x80 if uop.fused else info.length
         self.canonical = canonical      # ``is_canonical`` of its bytes
+        self.code = code                # its bytes (a table's key)
         #: filled on first need: the machine's bound step (a branch
         #: binds per site: never) and the verifier's ``word_facts``
         self.step = self.facts = None
+
+
+def word_of(uop: MicroOp) -> Word:
+    """The word ``uop`` encodes to, outside any table: what a translator
+    pass emits where it changes a micro-op (its facts are ``uop``'s own;
+    raises ``UopEncodeError``)."""
+    return Word(uop, True, encode_uop(uop))
 
 
 class WordTable(dict):
@@ -322,7 +332,7 @@ class WordTable(dict):
     def __missing__(self, chunk: bytes) -> Word:
         # bytes that do not decode, or are cut short, raise: not entered
         uop = decode_uop(chunk)
-        word = self[chunk] = Word(uop, is_canonical(uop.op, chunk))
+        word = self[chunk] = Word(uop, is_canonical(uop.op, chunk), chunk)
         return word
 
 

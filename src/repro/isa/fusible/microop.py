@@ -13,7 +13,7 @@ bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.isa.fusible.opcodes import (
@@ -114,7 +114,8 @@ class MicroOp:
                    for reg in (self.rd, self.rs1, self.rs2))
 
     def with_fused(self, fused: bool = True) -> "MicroOp":
-        return replace(self, fused=fused)
+        return MicroOp(self.op, self.rd, self.rs1, self.rs2, self.imm,
+                       self.cond, fused, self.setflags, self.x86_addr)
 
     # -- printing --------------------------------------------------------------
 

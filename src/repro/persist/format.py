@@ -37,14 +37,16 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Tuple
 
-from repro.isa.fusible.microop import MicroOp
-from repro.isa.x86lite.decoder import DecodeError, decode_at
+from repro.isa.fusible.encoding import UopEncodeError
+from repro.isa.x86lite.decoder import DecodeError
+from repro.isa.x86lite.instruction import MAX_INSTRUCTION_LENGTH
 from repro.memory.address_space import MemoryError_
 from repro.translator.code_cache import (
     ExitStub,
     Translation,
     expand_origins,
 )
+from repro.translator.templates import fetch, shape_at
 
 #: Bump on any incompatible change to the record layout.
 FORMAT_VERSION = 2
@@ -109,15 +111,19 @@ def _covered_source(origins: List[List], memory) -> List[List]:
     Coverage comes from the per-micro-op ``x86_addr`` metadata (the
     ``origins`` runs), so the fingerprint spans exactly the instructions
     whose semantics the translation encodes (including superblock
-    constituents).
+    constituents).  Each instruction's length is its shape's, read from
+    windows fetched as the translators fetch them: nothing is decoded.
     """
     addrs = sorted({addr for addr, _count in origins
                     if addr is not None})
     source: List[List] = []
+    window, base = b"", 0
     for addr in addrs:
-        instr = decode_at(memory, addr)
-        nbytes = instr.next_addr - addr
-        source.append([addr, memory.read(addr, nbytes).hex()])
+        offset = addr - base
+        if offset + MAX_INSTRUCTION_LENGTH > len(window):
+            window, base, offset = fetch(memory, addr), addr, 0
+        length = shape_at(window, offset, addr).length
+        source.append([addr, window[offset:offset + length].hex()])
     return source
 
 
@@ -130,12 +136,12 @@ def serialize_translation(translation: Translation,
     touch — persisted translations are therefore always in their
     un-chained form and re-link naturally after loading.
     """
-    code, origins = translation.stream()
+    code, origins = translation.code, translation.origins
     if not code or origins is None:
         return None
     try:
         source = _covered_source(origins, memory)
-    except (DecodeError, MemoryError_):
+    except (DecodeError, MemoryError_, UopEncodeError):
         return None  # source no longer decodes (e.g. overwritten text)
     record = {
         "format": FORMAT_VERSION,
@@ -247,25 +253,21 @@ def record_stream(record: Dict) -> Tuple[bytes, List[Optional[int]]]:
 
 
 def materialize(record: Dict, native_addr: int,
-                uops: Optional[List[MicroOp]] = None,
-                uop_count: int = 0) -> Translation:
+                uop_count: int) -> Translation:
     """Build an installable Translation from a validated record.
 
     The caller supplies the target ``native_addr`` (the owning cache's
     ``reserve()``); exit stubs and side-table entries are rebased onto
     it.  Micro-op displacements (BC/JMP) are translation-relative and
-    need no adjustment.  The loader, which holds bytes, passes the
-    ``uop_count`` its walk found and installs the code; a caller with
-    the micro-ops decoded from :func:`record_stream` passes those.
+    need no adjustment.  The loader passes the ``uop_count`` its walk
+    found, and installs the code it screened.
     """
     translation = Translation(
         entry=record["entry"], kind=record["kind"],
         native_addr=native_addr,
         x86_addrs=list(record["x86_addrs"]),
-        instr_count=record["instr_count"],
-        uop_count=uop_count if uops is None else len(uops),
-        fused_pairs=record["fused_pairs"],
-        uops=uops, origins=record["origins"])
+        instr_count=record["instr_count"], uop_count=uop_count,
+        fused_pairs=record["fused_pairs"], origins=record["origins"])
     for offset, kind, x86_target in record["exits"]:
         translation.exits.append(ExitStub(
             stub_addr=native_addr + offset, kind=kind,

@@ -214,7 +214,7 @@ class WarmStartLoader:
                 # dataflow facts every rule shares
                 screen = VerifyContext.from_code(code, record["origins"],
                                                  words=words)
-                translation = materialize(record, cache.reserve(), None,
+                translation = materialize(record, cache.reserve(),
                                           len(screen.words))
                 translation.counter_addr = new_counter
                 screen.translation = translation

@@ -3,8 +3,10 @@
 Staged translation per the paper: a light-weight basic block translator
 (:mod:`~repro.translator.bbt`) for initial emulation, and an optimizing
 superblock translator (:mod:`~repro.translator.sbt`) with macro-op fusion
-(:mod:`~repro.translator.fusion`) for hotspots.  Translations live in code
-caches (:mod:`~repro.translator.code_cache`) and are linked by chaining.
+(:mod:`~repro.translator.fusion`) for hotspots, both served micro-op
+bytes by instruction shape (:mod:`~repro.translator.templates`).
+Translations live in code caches (:mod:`~repro.translator.code_cache`)
+and are linked by chaining.
 """
 
 from repro.translator.cracker import CrackError, CrackResult, crack, \
@@ -24,12 +26,13 @@ from repro.translator.redundancy import RedundancyStats, \
     eliminate_redundant_loads
 from repro.translator.sbt import SuperblockTranslator, \
     eliminate_dead_flags, invert_cond
+from repro.translator.templates import Shape, shape_at
 
 __all__ = [
     "BasicBlockTranslator", "CodeCache", "CodeCacheFull", "CrackError",
-    "CrackResult", "ExitStub", "FusionStats", "RedundancyStats",
+    "CrackResult", "ExitStub", "FusionStats", "RedundancyStats", "Shape",
     "Superblock", "SuperblockBlock", "SuperblockTranslator",
-    "Translation", "TranslationDirectory", "crack",
-    "eliminate_dead_flags", "eliminate_redundant_loads",
-    "form_superblock", "fuse_microops", "invert_cond", "is_crackable",
+    "Translation", "TranslationDirectory", "crack", "eliminate_dead_flags",
+    "eliminate_redundant_loads", "form_superblock", "fuse_microops",
+    "invert_cond", "is_crackable", "shape_at",
 ]

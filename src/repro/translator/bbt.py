@@ -32,11 +32,12 @@ from typing import List, Optional, Tuple
 
 from repro.faults.plane import fault_point
 from repro.isa.x86lite.instruction import MAX_INSTRUCTION_LENGTH
-from repro.memory.address_space import ADDRESS_MASK, AddressSpace
+from repro.memory.address_space import AddressSpace
 from repro.translator.code_cache import (
     ExitStub,
     Translation,
     TranslationDirectory,
+    extend_origins,
 )
 from repro.translator.emit import (
     PROFILE_PROLOGUE_BYTES,
@@ -45,12 +46,9 @@ from repro.translator.emit import (
     exit_code,
     prologue_code,
 )
-from repro.translator.templates import Shape, shape_at
+from repro.translator.templates import Shape, fetch, shape_at
 
 log = logging.getLogger("repro.translator")
-
-#: Architected bytes fetched at a time while walking a block.
-FETCH_BYTES = 256
 
 #: Where per-translation profiling counters live (concealed VMM data).
 COUNTER_AREA_BASE = 0x2800_0000
@@ -137,12 +135,7 @@ class BasicBlockTranslator:
         while True:
             offset = pc - base
             if offset + MAX_INSTRUCTION_LENGTH > len(window):
-                # (a 16-byte fetch always; at the very top of memory it
-                # raises, as every instruction fetch there has)
-                window = self.memory.read(pc, max(
-                    MAX_INSTRUCTION_LENGTH,
-                    min(FETCH_BYTES, ADDRESS_MASK + 1 - pc)))
-                base, offset = pc, 0
+                window, base, offset = fetch(self.memory, pc), pc, 0
             shape = shape_at(window, offset, pc)
             if shape.cti or shape.cmplx \
                     or instr_count == self.max_block_instrs:
@@ -150,7 +143,7 @@ class BasicBlockTranslator:
             code, count = self._body(shape, window, offset, pc)
             parts.append(code)
             size += len(code)
-            _cover(origins, pc, count)
+            extend_origins(origins, pc, count)
             pc += shape.length
             instr_count += 1
 
@@ -166,7 +159,7 @@ class BasicBlockTranslator:
             parts.append(code)
             size += len(code)
             count += stub_uops
-        _cover(origins, pc, count)
+        extend_origins(origins, pc, count)
 
         counter_addr = None
         if self.embed_profiling:
@@ -211,11 +204,3 @@ class BasicBlockTranslator:
             self.hw_punted_instrs += 1
         return shape.body(window, offset, pc)
 
-
-def _cover(origins: List[List], x86_addr: int, count: int) -> None:
-    """Extend the run-length ``origins`` by ``count`` micro-ops of
-    ``x86_addr``."""
-    if origins and origins[-1][0] == x86_addr:
-        origins[-1][1] += count
-    elif count:
-        origins.append([x86_addr, count])

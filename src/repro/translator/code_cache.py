@@ -19,14 +19,9 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.isa.fusible.encoding import (
-    decode_stream,
-    encode_stream,
-    encode_uop,
-)
+from repro.isa.fusible.encoding import WordTable, decode_stream, encode_uop
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import UOp
 from repro.isa.fusible.registers import R_EXIT_TARGET
@@ -75,10 +70,6 @@ class Translation:
     #: native VMCALL address -> architected address (precise-state map)
     side_table: Dict[int, int] = field(default_factory=dict)
     counter_addr: Optional[int] = None
-    #: the micro-op list, where the translator had one in hand (SBT, the
-    #: warm-start loader): kept as ``emitted``, read through the view
-    #: that replaces this attribute below the class
-    uops: Optional[List[MicroOp]] = None
     #: the canonical (un-chained, un-redirected) bytes as installed, and
     #: the ``x86_addr`` of their micro-ops as ``[x86_addr, count]`` runs
     #: in stream order: what persists, and what the verifier screens
@@ -87,16 +78,12 @@ class Translation:
     #: masked digest of the installed bytes (integrity checking)
     install_checksum: Optional[str] = None
 
-    def stream(self) -> Tuple[bytes, Optional[List[List]]]:
-        """``(code, origins)``: as installed, or (not installed yet)
-        derived from the micro-op list the translation was given."""
-        if self.code or self.emitted is None:
-            return self.code, self.origins
-        return encode_stream(self.emitted), origin_runs(self.emitted)
-
-    def uop_addrs(self) -> Optional[List[Optional[int]]]:
-        """``origins`` expanded: the ``x86_addr`` of each micro-op."""
-        return None if self.origins is None else expand_origins(self.origins)
+    @property
+    def uops(self) -> List[MicroOp]:
+        """The micro-ops, decoded from ``code`` + ``origins`` (a view:
+        both translators emit bytes, and so does the warm loader)."""
+        return decode_stream(self.code, None if self.origins is None
+                             else expand_origins(self.origins))
 
     @property
     def fused_fraction(self) -> float:
@@ -120,12 +107,6 @@ class Translation:
         return offsets
 
 
-def origin_runs(uops: Iterable[MicroOp]) -> List[List]:
-    """The ``x86_addr`` of each micro-op as ``[x86_addr, count]`` runs."""
-    return [[x86_addr, len(list(run))] for x86_addr, run
-            in groupby(uop.x86_addr for uop in uops)]
-
-
 def expand_origins(origins: Iterable) -> List[Optional[int]]:
     """``[x86_addr, count]`` runs back to one ``x86_addr`` a micro-op."""
     addrs: List[Optional[int]] = []
@@ -134,18 +115,13 @@ def expand_origins(origins: Iterable) -> List[Optional[int]]:
     return addrs
 
 
-def _uops_view(translation: Translation) -> List[MicroOp]:
-    """The translation's micro-ops: the list it was given, else (BBT
-    emits bytes, not objects) decoded from ``code`` + ``origins``."""
-    if translation.emitted is not None:
-        return translation.emitted
-    return decode_stream(translation.code, translation.uop_addrs())
-
-
-# ``uops`` stays an ``__init__`` parameter of the dataclass; assigning
-# it keeps the list as ``emitted``, reading it goes through the view
-Translation.uops = property(    # type: ignore[assignment]
-    _uops_view, lambda self, uops: setattr(self, "emitted", uops))
+def extend_origins(origins: List[List], x86_addr: Optional[int],
+                   count: int) -> None:
+    """Add ``count`` micro-ops of ``x86_addr`` to the ``origins`` runs."""
+    if origins and origins[-1][0] == x86_addr:
+        origins[-1][1] += count
+    elif count:
+        origins.append([x86_addr, count])
 
 
 def masked_digest(data: bytes, mask_offsets: Iterable[int]) -> str:
@@ -198,8 +174,6 @@ class CodeCache:
         self.memory.write(addr, data)
         self._next += len(data)
         translation.native_len = len(data)
-        if translation.origins is None and translation.emitted is not None:
-            translation.origins = origin_runs(translation.emitted)
         translation.code = data
         translation.install_checksum = masked_digest(
             data, translation.integrity_mask())
@@ -244,9 +218,9 @@ class TranslationDirectory:
         #: lifecycle event tracer; None (the default) costs one pointer
         #: test per chain/flush/evict site
         self.tracer = None
-        #: the owning VM's word table (``VMRuntime`` sets it): what the
-        #: install-time sanitizer decodes through; None = a private one
-        self.words = None
+        #: the owning VM's word table (``VMRuntime`` sets it): what SBT
+        #: and the install-time sanitizer read code through
+        self.words = WordTable()
         self.bbt_cache = CodeCache(memory, bbt_base, bbt_capacity, "bbt")
         self.sbt_cache = CodeCache(memory, sbt_base, sbt_capacity, "sbt")
         self._bbt_lookup: Dict[int, Translation] = {}

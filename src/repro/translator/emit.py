@@ -31,7 +31,6 @@ from repro.isa.fusible.registers import (
     R_SCRATCH2,
 )
 from repro.isa.fusible.template import Template
-from repro.isa.x86lite.decoder import decode_at
 from repro.isa.x86lite.instruction import Instruction
 from repro.isa.x86lite.opcodes import Op
 from repro.isa.x86lite.registers import Cond
@@ -145,21 +144,3 @@ def prologue_code(counter_addr: int) -> bytes:
     """``encode_stream(profile_prologue(counter_addr, ...))``."""
     return _PROLOGUE.fill((counter_addr,))
 
-
-def scan_block(memory, entry: int, max_instrs: int = 64
-               ) -> List[Instruction]:
-    """Scan one dynamic basic block starting at ``entry``.
-
-    The block ends at (and includes) the first control transfer or complex
-    instruction, or after ``max_instrs`` instructions.
-    """
-    instrs: List[Instruction] = []
-    pc = entry
-    while len(instrs) < max_instrs:
-        instr = decode_at(memory, pc)
-        instrs.append(instr)
-        if instr.is_control_transfer or instr.is_complex \
-                or instr.width == 16:
-            break
-        pc = instr.next_addr
-    return instrs

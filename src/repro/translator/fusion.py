@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.isa.fusible.encoding import Word, word_of
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import OP_INFO, UOp
 from repro.isa.fusible.registers import NREGS
@@ -60,6 +61,9 @@ _MEMORY = _FLAGS << 1
 _REGS = _FLAGS - 1
 
 Row = Tuple[int, int]
+
+#: a micro-op of a superblock body: its word, and its ``x86_addr``
+Item = Tuple[Word, Optional[int]]
 
 
 def _row(uop: MicroOp) -> Row:
@@ -97,22 +101,22 @@ def _can_pair(head: MicroOp, tail: MicroOp, head_row: Row,
     return bin(sources).count("1") <= MAX_PAIR_SOURCES
 
 
-def _fuse_region(region: List[MicroOp], window: int,
-                 stats: FusionStats) -> List[MicroOp]:
+def _fuse_region(region: List[Item], window: int,
+                 stats: FusionStats) -> List[Item]:
     """Greedy in-order pairing with bounded tail hoisting."""
-    uops = list(region)
-    rows = [_row(uop) for uop in uops]
+    items = list(region)
+    rows = [_row(word.uop) for word, _x86_addr in items]
     index = 0
-    while index < len(uops) - 1:
-        head, head_row = uops[index], rows[index]
+    while index < len(items) - 1:
+        head, head_row = items[index][0].uop, rows[index]
         dest = head_row[1] & _REGS
         if head.fused or not OP_INFO[head.op].head or not dest:
             index += 1
             continue
         paired = False
-        limit = min(len(uops), index + 1 + window)
+        limit = min(len(items), index + 1 + window)
         for scan in range(index + 1, limit):
-            tail, tail_row = uops[scan], rows[scan]
+            tail, tail_row = items[scan][0].uop, rows[scan]
             if tail.fused:
                 break  # never split an existing pair
             if not _can_pair(head, tail, head_row, tail_row):
@@ -124,9 +128,9 @@ def _fuse_region(region: List[MicroOp], window: int,
                           for between in rows[index + 1:scan])
             if blocked:
                 continue
-            uops.insert(index + 1, uops.pop(scan))
+            items.insert(index + 1, items.pop(scan))
             rows.insert(index + 1, rows.pop(scan))
-            uops[index] = head.with_fused(True)
+            items[index] = word_of(head.with_fused(True)), items[index][1]
             stats.pairs += 1
             if scan != index + 1:
                 stats.tails_hoisted += 1
@@ -135,46 +139,48 @@ def _fuse_region(region: List[MicroOp], window: int,
             break
         if not paired:
             index += 1
-    return uops
+    return items
 
 
-def fuse_microops(uops: List[MicroOp], window: int = DEFAULT_WINDOW
-                  ) -> Tuple[List[MicroOp], FusionStats]:
-    """Fuse dependent pairs across an entire micro-op body.
+def fuse_microops(body: List[Item], window: int = DEFAULT_WINDOW
+                  ) -> Tuple[List[Item], FusionStats]:
+    """Fuse dependent pairs across an entire body of ``(word,
+    x86_addr)`` items; a word becomes a fused head's as ``word_of``.
 
     Control transfers and VMM barriers split the body into regions; pairs
     never span regions, but the flag producer feeding a region-ending BC
     may fuse with it (compare-branch fusion).
     """
-    stats = FusionStats(uops_total=len(uops))
-    out: List[MicroOp] = []
-    region: List[MicroOp] = []
+    stats = FusionStats(uops_total=len(body))
+    out: List[Item] = []
+    region: List[Item] = []
 
-    def close_region(boundary: Optional[MicroOp]) -> None:
+    def close_region(boundary: Optional[Item]) -> None:
         if region:
             stats.regions += 1
             fused = _fuse_region(region, window, stats)
             # compare-branch fusion with the boundary BC; the flag
             # producer must not already be the tail of an earlier pair
             # (a micro-op belongs to at most one macro-op)
-            if boundary is not None and boundary.op is UOp.BC and fused:
-                last = fused[-1]
-                last_is_tail = len(fused) >= 2 and fused[-2].fused
+            branch = boundary[0].uop if boundary is not None else None
+            if branch is not None and branch.op is UOp.BC and fused:
+                last = fused[-1][0].uop
+                last_is_tail = len(fused) >= 2 and fused[-2][0].uop.fused
                 if not last.fused and not last_is_tail \
                         and last.writes_flags \
-                        and _can_pair(last, boundary, _row(last),
-                                      _row(boundary)):
-                    fused[-1] = last.with_fused(True)
+                        and _can_pair(last, branch, _row(last),
+                                      _row(branch)):
+                    fused[-1] = word_of(last.with_fused(True)), fused[-1][1]
                     stats.pairs += 1
             out.extend(fused)
             region.clear()
         if boundary is not None:
             out.append(boundary)
 
-    for uop in uops:
-        if OP_INFO[uop.op].boundary:
-            close_region(uop)
+    for item in body:
+        if item[0].info.boundary:
+            close_region(item)
         else:
-            region.append(uop)
+            region.append(item)
     close_region(None)
     return out, stats

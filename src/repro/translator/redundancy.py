@@ -23,9 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.isa.fusible.encoding import word_of
 from repro.isa.fusible.microop import MicroOp
-from repro.isa.fusible.opcodes import OP_INFO, UOp
+from repro.isa.fusible.opcodes import UOp
 from repro.isa.fusible.registers import SHORT_FORM_REG_LIMIT
+from repro.translator.fusion import Item
 
 
 @dataclass
@@ -70,74 +72,70 @@ class _AvailableLocations:
             del self._values[key]
 
 
-def _rewrite_to_move(load: MicroOp, source_reg: int) -> Optional[MicroOp]:
+def _rewrite_to_move(load: MicroOp, source_reg: int) -> MicroOp:
     """LDW rd, disp(base) whose value is in ``source_reg`` -> MOV2."""
     if load.rd == source_reg:
-        return MicroOp(UOp.NOP2, x86_addr=load.x86_addr,
-                       fused=load.fused)
+        return MicroOp(UOp.NOP2, fused=load.fused)
     if load.rd < SHORT_FORM_REG_LIMIT and \
             source_reg < SHORT_FORM_REG_LIMIT:
         return MicroOp(UOp.MOV2, rd=load.rd, rs1=source_reg,
-                       x86_addr=load.x86_addr, fused=load.fused)
+                       fused=load.fused)
     # out of the 16-bit format's range: use an OR with the zero register
     return MicroOp(UOp.ADDI, rd=load.rd, rs1=source_reg, imm=0,
-                   x86_addr=load.x86_addr, fused=load.fused)
+                   fused=load.fused)
 
 
-def _process_region(region: List[MicroOp],
-                    stats: RedundancyStats) -> List[MicroOp]:
+def _process_region(region: List[Item],
+                    stats: RedundancyStats) -> List[Item]:
     available = _AvailableLocations()
-    out: List[MicroOp] = []
-    for uop in region:
+    out: List[Item] = []
+    for item in region:
+        uop = item[0].uop
         if uop.op is UOp.LDW:
             key = (uop.rs1, uop.imm)
             held = available.lookup(*key)
             if held is not None:
-                replacement = _rewrite_to_move(uop, held)
                 stats.loads_eliminated += 1
                 available.clobber_register(uop.rd)
                 if uop.rd != held:
                     available.define(key[0], key[1], uop.rd)
-                out.append(replacement)
+                out.append((word_of(_rewrite_to_move(uop, held)), item[1]))
                 continue
             available.clobber_register(uop.rd)
             if uop.rd != uop.rs1:  # rd==base would self-invalidate
                 available.define(uop.rs1, uop.imm, uop.rd)
-            out.append(uop)
-            continue
-        if uop.op is UOp.STW:
+        elif uop.op is UOp.STW:
             key = (uop.rs1, uop.imm)
             available.clobber_stores(except_key=key)
             available.define(key[0], key[1], uop.rd)
-            out.append(uop)
-            continue
-        if uop.is_store or uop.op in (UOp.LDHU, UOp.LDHS, UOp.LDBU,
-                                      UOp.LDBS, UOp.LDF):
+        elif uop.is_store or uop.op in (UOp.LDHU, UOp.LDHS, UOp.LDBU,
+                                        UOp.LDBS, UOp.LDF):
             # sub-word / wide accesses: give up on everything
             available.clobber_stores()
             available.clobber_register(uop.dest())
-            out.append(uop)
-            continue
-        available.clobber_register(uop.dest())
-        out.append(uop)
+        else:
+            available.clobber_register(uop.dest())
+        out.append(item)
     return out
 
 
-def eliminate_redundant_loads(uops: List[MicroOp]
-                              ) -> Tuple[List[MicroOp], RedundancyStats]:
-    """Run the pass over a micro-op body; region-scoped and safe."""
+def eliminate_redundant_loads(body: List[Item]
+                              ) -> Tuple[List[Item], RedundancyStats]:
+    """Run the pass over a body of ``(word, x86_addr)`` items (a
+    rewritten load's word is ``word_of`` its move); region-scoped and
+    safe."""
     stats = RedundancyStats()
-    out: List[MicroOp] = []
-    region: List[MicroOp] = []
-    for uop in uops:
-        if OP_INFO[uop.op].boundary:
+    out: List[Item] = []
+    region: List[Item] = []
+    for item in body:
+        if item[0].info.boundary:
             if region:
                 stats.regions += 1
                 out.extend(_process_region(region, stats))
                 region = []
-            out.append(uop)
+            out.append(item)
         else:
-            region.append(uop)
+            region.append(item)
     if region:
         stats.regions += 1
         out.extend(_process_region(region, stats))

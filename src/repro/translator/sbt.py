@@ -2,17 +2,21 @@
 
 Translation of a formed superblock proceeds in four steps:
 
-1. **Crack** every constituent instruction (shared cracker).
+1. **Gather** each constituent instruction's cracked body as the bytes
+   the template table serves BBT too (``Shape.body``; a complex one's
+   VMCALL is its ``Shape.ending``), read through the VM's word table.
 2. **Straighten** control flow: followed unconditional jumps vanish;
    followed conditional branches become a single BC to a side-exit stub
    (inverting the condition when the trace follows the taken direction).
-3. **Optimize**: dead-flag elimination, redundant-load elimination with
-   store-to-load forwarding (:mod:`repro.translator.redundancy`), then
-   dependence-aware reordering with macro-op fusion
-   (:mod:`repro.translator.fusion`).
+3. **Optimize** the words: dead-flag elimination, redundant-load
+   elimination with store-to-load forwarding
+   (:mod:`repro.translator.redundancy`), then dependence-aware
+   reordering with macro-op fusion (:mod:`repro.translator.fusion`).
+   A pass builds and encodes a ``MicroOp`` only for a word it changes.
 4. **Emit**: body, tail (loop-back jump / exit stub / VMEXIT / VMCALL),
-   and the side-exit stubs; fix up BC displacements; install in the SBT
-   code cache with a side table for precise-state reconstruction.
+   and the side-exit stubs; fix up BC displacements; install the bytes
+   and their ``origins`` in the SBT code cache with a side table for
+   precise-state reconstruction.
 
 Measured SBT costs from the paper (kept as configuration for the timing
 layer): Δ_SBT = 1152 x86 instructions ≈ 1674 native instructions per hot
@@ -25,7 +29,7 @@ import logging
 from typing import List, Optional, Tuple
 
 from repro.faults.plane import fault_point
-from repro.isa.fusible.encoding import encode_stream, stream_length
+from repro.isa.fusible.encoding import stream_words, word_of
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import UOp
 from repro.memory.address_space import AddressSpace
@@ -33,11 +37,10 @@ from repro.translator.code_cache import (
     ExitStub,
     Translation,
     TranslationDirectory,
+    extend_origins,
 )
-from repro.translator.cracker import crack
-from repro.translator.emit import direct_exit_stub, indirect_exit, \
-    vmcall_complex
-from repro.translator.fusion import FusionStats, fuse_microops
+from repro.translator.emit import exit_code
+from repro.translator.fusion import FusionStats, Item, fuse_microops
 from repro.translator.redundancy import eliminate_redundant_loads
 from repro.translator.superblock import (
     DEFAULT_BIAS,
@@ -45,7 +48,6 @@ from repro.translator.superblock import (
     Superblock,
     form_superblock,
 )
-from repro.isa.x86lite.opcodes import Op
 from repro.isa.x86lite.registers import Cond
 
 log = logging.getLogger("repro.translator")
@@ -99,8 +101,7 @@ class SuperblockTranslator:
         return self.translate_superblock(superblock)
 
     def translate_superblock(self, superblock: Superblock) -> Translation:
-        body, bc_stub_indices, stub_plans, side_x86 = \
-            self._build_body(superblock)
+        body, bc_stub_indices, stub_plans = self._build_body(superblock)
 
         if self.enable_dead_flag_elim:
             body, eliminated = eliminate_dead_flags(body)
@@ -112,115 +113,111 @@ class SuperblockTranslator:
         if self.enable_fusion:
             body, stats = fuse_microops(body)
 
-        uops, exits = self._layout(body, bc_stub_indices, stub_plans,
-                                   superblock)
-
+        native_addr = self.directory.sbt_cache.reserve()
+        code, origins, exits, side = self._layout(body, bc_stub_indices,
+                                                  stub_plans, superblock)
+        uop_count = sum(run[1] for run in origins)
         translation = Translation(
-            entry=superblock.head, kind="sbt",
-            native_addr=self.directory.sbt_cache.reserve(),
+            entry=superblock.head, kind="sbt", native_addr=native_addr,
             x86_addrs=superblock.entries,
-            instr_count=superblock.instr_count,
-            uop_count=len(uops),
-            fused_pairs=stats.pairs,
-            uops=uops)
-        for offset, kind, target in exits:
-            translation.exits.append(ExitStub(
-                stub_addr=translation.native_addr + offset, kind=kind,
-                x86_target=target))
-        offset = 0
-        for uop in uops:
-            if uop.op is UOp.VMCALL:
-                translation.side_table[translation.native_addr + offset] = \
-                    uop.x86_addr if uop.x86_addr is not None \
-                    else superblock.head
-            offset += uop.length
+            instr_count=superblock.instr_count, uop_count=uop_count,
+            fused_pairs=stats.pairs, code=code, origins=origins,
+            exits=[ExitStub(stub_addr=native_addr + at, kind=kind,
+                            x86_target=target)
+                   for at, kind, target in exits],
+            side_table={native_addr + at: x86_addr
+                        for at, x86_addr in side})
 
-        self.directory.install(encode_stream(uops), translation)
+        self.directory.install(code, translation)
         self.superblocks_translated += 1
         self.instrs_translated += superblock.instr_count
-        self.uops_emitted += len(uops)
+        self.uops_emitted += uop_count
         self.pairs_fused += stats.pairs
         log.debug("sbt: %#x -> %#x (%d instr(s), %d uop(s), "
-                  "%d fused pair(s))", superblock.head,
-                  translation.native_addr, superblock.instr_count,
-                  len(uops), stats.pairs)
+                  "%d fused pair(s))", superblock.head, native_addr,
+                  superblock.instr_count, uop_count, stats.pairs)
         return translation
 
     # -- body construction ------------------------------------------------------
 
     def _build_body(self, superblock: Superblock):
-        """Crack and straighten the trace.
+        """Gather and straighten the trace.
 
-        Returns ``(body, bc_stub_indices, stub_plans, side_x86)`` where
-        ``stub_plans`` is an ordered list of ``(kind, x86_target)`` and
-        ``bc_stub_indices`` maps each BC occurrence (in order) to the stub
-        it must branch to.  Stub plan index 0 is reserved for a
-        fall-through tail when the body runs off its end.
+        Returns ``(body, bc_stub_indices, stub_plans)``: ``body`` holds
+        the ``(word, x86_addr)`` of each micro-op, ``stub_plans`` is an
+        ordered list of ``(kind, x86_target)`` and ``bc_stub_indices``
+        maps each BC occurrence (in order) to the stub it must branch to.
+        Stub plan index 0 is reserved for a fall-through tail when the
+        body runs off its end.
         """
-        body: List[MicroOp] = []
+        words = self.directory.words
+        body: List[Item] = []
         bc_stub_indices: List[int] = []
         stub_plans: List[Tuple[str, Optional[int]]] = []
-        side_x86: List[int] = []
+
+        def add(sites) -> None:
+            # the cracked bodies of ``sites``, read in one walk
+            parts, addrs = [], []
+            for shape, window, offset, pc in sites:
+                code, count = shape.body(window, offset, pc)
+                parts.append(code)
+                addrs += [pc] * count
+            body.extend(zip(stream_words(b"".join(parts), words), addrs))
+
+        def branch(op: UOp, x86_addr: int, cond=None) -> None:
+            # its displacement is fixed up in ``_layout``
+            body.append((word_of(MicroOp(op, cond=cond)), x86_addr))
 
         final_block = superblock.blocks[-1]
         needs_leading_stub: Optional[Tuple[str, Optional[int]]] = None
 
         for block in superblock.blocks:
-            is_final = block is final_block
-            for instr in block.instrs[:-1]:
-                body.extend(crack(instr).uops)
-            last = block.last
-            cracked = crack(last)
-
+            last, pc, exits = block.last, block.sites[-1][3], block.exits
             if block.followed is not None:
                 # the trace continues through this block's terminator
-                body.extend(cracked.uops)
+                add(block.sites)
                 if block.followed in ("taken", "fallthrough"):
                     if block.followed == "taken":
                         cond = invert_cond(last.cond)
-                        side_target = last.next_addr
+                        side_target = exits["fallthrough"]
                     else:
-                        cond = Cond(last.cond)
-                        side_target = last.target
+                        cond = last.cond
+                        side_target = exits["taken"]
                     stub_plans.append(("side", side_target))
                     bc_stub_indices.append(len(stub_plans) - 1)
-                    body.append(MicroOp(UOp.BC, cond=cond, imm=0,
-                                        x86_addr=last.addr))
+                    branch(UOp.BC, pc, cond)
                 # 'jump' and 'fallthrough-limit': straightened away
-                if is_final:
+                if block is final_block:
                     if superblock.loops_to_head:
                         bc_stub_indices.append(-1)  # loop-back marker
-                        body.append(MicroOp(UOp.JMP, imm=0,
-                                            x86_addr=last.addr))
+                        branch(UOp.JMP, pc)
                     else:
                         # trace hit its size cap mid-flight: exit to the
                         # followed direction's continuation
                         if block.followed in ("taken", "jump"):
-                            continuation = last.target
+                            continuation = exits[block.followed]
                         else:
-                            continuation = last.next_addr
+                            continuation = exits["fallthrough"]
                         needs_leading_stub = ("fallthrough", continuation)
                 continue
 
             # final block with an unfollowed terminator
-            if cracked.cmplx:
-                body.extend(vmcall_complex(last.addr))
-            elif last.op is Op.JCC:
-                stub_plans.append(("taken", last.target))
+            add(block.sites[:-1])
+            if "taken" in exits:        # a JCC
+                stub_plans.append(("taken", exits["taken"]))
                 bc_stub_indices.append(len(stub_plans) - 1)
-                body.append(MicroOp(UOp.BC, cond=Cond(last.cond), imm=0,
-                                    x86_addr=last.addr))
-                body.extend(cracked.uops)
-                needs_leading_stub = ("fallthrough", last.next_addr)
-            elif last.is_control_transfer and last.target is not None:
-                body.extend(cracked.uops)
-                needs_leading_stub = ("jump", last.target)
-            elif last.is_control_transfer:
-                body.extend(cracked.uops)
-                body.extend(indirect_exit(last.addr))
-            else:
-                body.extend(cracked.uops)
-                needs_leading_stub = ("fallthrough", last.next_addr)
+                branch(UOp.BC, pc, last.cond)
+                add(block.sites[-1:])
+                needs_leading_stub = ("fallthrough", exits["fallthrough"])
+                continue
+            # what ends a BBT block there: the cracked body, or a complex
+            # instruction's VMCALL; then its one exit, if any
+            tail = block.head
+            if "indirect" in exits:
+                tail += exit_code(None)[0]
+            elif exits:
+                (needs_leading_stub,) = exits.items()
+            body.extend((word, pc) for word in stream_words(tail, words))
 
         if needs_leading_stub is not None:
             # the body runs off its end: its continuation stub must be
@@ -229,48 +226,59 @@ class SuperblockTranslator:
             bc_stub_indices = [index + 1 if index >= 0 else index
                                for index in bc_stub_indices]
 
-        return body, bc_stub_indices, stub_plans, side_x86
+        return body, bc_stub_indices, stub_plans
 
-    def _layout(self, body: List[MicroOp], bc_stub_indices: List[int],
+    def _layout(self, body: List[Item], bc_stub_indices: List[int],
                 stub_plans: List[Tuple[str, Optional[int]]],
                 superblock: Superblock):
-        """Concatenate body + stubs; resolve BC/JMP displacements."""
-        body_len = stream_length(body)
+        """Concatenate body + stubs; resolve BC/JMP displacements: the
+        code, its origins, exits as ``(offset, kind, x86 target)`` and
+        each VMCALL as ``(offset, x86_addr)``."""
+        offset = sum(len(word.code) for word, _x86_addr in body)
         stub_offsets: List[int] = []
-        offset = body_len
-        stub_uops: List[MicroOp] = []
+        stub_codes: List[bytes] = []
         exits: List[Tuple[int, str, Optional[int]]] = []
         for kind, target in stub_plans:
             stub_offsets.append(offset)
-            stub = direct_exit_stub(target, superblock.head)
-            stub_uops.extend(stub)
-            exit_kind = "taken" if kind == "side" else kind
-            exits.append((offset, exit_kind, target))
-            offset += stream_length(stub)
+            code, _count = exit_code(target)
+            stub_codes.append(code)
+            exits.append((offset, "taken" if kind == "side" else kind,
+                          target))
+            offset += len(code)
 
         # fix up control displacements by occurrence order
         fixups = list(bc_stub_indices)
-        out: List[MicroOp] = []
+        parts: List[bytes] = []
+        origins: List[List] = []
+        side: List[Tuple[int, int]] = []
         position = 0
-        for uop in body:
+        for word, x86_addr in body:
+            uop = word.uop
             if uop.op in (UOp.BC, UOp.JMP) and fixups:
                 stub_index = fixups.pop(0)
                 target_offset = 0 if stub_index == -1 \
                     else stub_offsets[stub_index]
-                displacement = target_offset - (position + uop.length)
-                uop = MicroOp(uop.op, rd=uop.rd, rs1=uop.rs1, rs2=uop.rs2,
-                              imm=displacement, cond=uop.cond,
-                              fused=uop.fused, setflags=uop.setflags,
-                              x86_addr=uop.x86_addr)
-            out.append(uop)
-            position += uop.length
-        return out + stub_uops, exits
+                word = word_of(MicroOp(
+                    uop.op, uop.rd, uop.rs1, uop.rs2,
+                    target_offset - (position + len(word.code)), uop.cond,
+                    uop.fused, uop.setflags))
+            elif uop.op is UOp.VMCALL:
+                side.append((position, x86_addr))
+            parts.append(word.code)
+            extend_origins(origins, x86_addr, 1)
+            position += len(word.code)
+        for code in stub_codes:
+            parts.append(code)
+            extend_origins(origins, superblock.head, 3)
+        return b"".join(parts), origins, exits, side
 
 
 # -- dead flag elimination --------------------------------------------------------
 
-def eliminate_dead_flags(uops: List[MicroOp]) -> Tuple[List[MicroOp], int]:
-    """Clear ``.f`` bits (and drop pure compares) whose flags are dead.
+def eliminate_dead_flags(body: List[Item]) -> Tuple[List[Item], int]:
+    """Clear ``.f`` bits (and drop pure compares) whose flags are dead,
+    over a body of ``(word, x86_addr)`` items; a cleared micro-op's word
+    is ``word_of`` it.
 
     A flag write is live if some later micro-op reads flags, or an exit
     (branch, VMEXIT, VMCALL) is reached before the next flag write —
@@ -281,10 +289,11 @@ def eliminate_dead_flags(uops: List[MicroOp]) -> Tuple[List[MicroOp], int]:
     full writer may still be live *for CF only* across them.
     """
     eliminated = 0
-    out: List[MicroOp] = []
+    out: List[Item] = []
     cf_live = True    # flags are live-out at the end of the stream
     rest_live = True  # ZF/SF/OF
-    for uop in reversed(uops):
+    for item in reversed(body):
+        uop = item[0].uop
         if uop.is_branch and uop.op is not UOp.BC:
             cf_live = rest_live = True  # exits need precise flags
         if uop.writes_flags:
@@ -294,7 +303,7 @@ def eliminate_dead_flags(uops: List[MicroOp]) -> Tuple[List[MicroOp], int]:
                     rest_live = False  # provides ZF/SF/OF; CF untouched
                 else:
                     eliminated += 1
-                    uop = _without_flags(uop)
+                    item = _without_flags(item)
             elif cf_live or rest_live:
                 cf_live = rest_live = False
             else:
@@ -302,15 +311,15 @@ def eliminate_dead_flags(uops: List[MicroOp]) -> Tuple[List[MicroOp], int]:
                 if uop.op in (UOp.CMP2, UOp.TEST2) or \
                         (uop.dest() is None and not uop.is_store):
                     continue  # pure compare: drop entirely
-                uop = _without_flags(uop)
+                item = _without_flags(item)
         if uop.reads_flags:
             cf_live = rest_live = True  # conservative: reads any flag
-        out.append(uop)
+        out.append(item)
     out.reverse()
     return out, eliminated
 
 
-def _without_flags(uop: MicroOp) -> MicroOp:
-    return MicroOp(uop.op, rd=uop.rd, rs1=uop.rs1, rs2=uop.rs2,
-                   imm=uop.imm, cond=uop.cond, fused=uop.fused,
-                   setflags=False, x86_addr=uop.x86_addr)
+def _without_flags(item: Item) -> Item:
+    uop = item[0].uop
+    return word_of(MicroOp(uop.op, uop.rd, uop.rs1, uop.rs2, uop.imm,
+                           uop.cond, uop.fused, False)), item[1]

@@ -12,11 +12,11 @@ cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.isa.x86lite.instruction import Instruction
+from repro.isa.x86lite.instruction import MAX_INSTRUCTION_LENGTH
 from repro.isa.x86lite.opcodes import Op
-from repro.translator.emit import scan_block
+from repro.translator.templates import Shape, fetch, shape_at
 
 #: Default superblock size cap, in architected instructions.
 MAX_SUPERBLOCK_INSTRS = 200
@@ -25,21 +25,29 @@ MAX_SUPERBLOCK_INSTRS = 200
 #: for the trace to follow it.
 DEFAULT_BIAS = 0.6
 
+#: Size cap of one constituent basic block, in architected instructions.
+MAX_BLOCK_INSTRS = 64
+
 
 @dataclass
 class SuperblockBlock:
     """One constituent basic block of a superblock trace."""
 
     entry: int
-    instrs: List[Instruction]
+    #: ``(shape, window, offset, addr)`` of each instruction
+    sites: List[Tuple[Shape, bytes, int, int]]
+    #: what ends a BBT block after the last one (``Shape.ending``): its
+    #: bytes, and each exit kind -> x86 target (None: through R29)
+    head: bytes
+    exits: Dict[str, Optional[int]]
     #: how the trace leaves this block: 'taken'/'fallthrough' (followed
     #: JCC), 'jump' (direct JMP straightened away), 'fallthrough-limit'
     #: (size-limited block), or None for the final block.
     followed: Optional[str] = None
 
     @property
-    def last(self) -> Instruction:
-        return self.instrs[-1]
+    def last(self) -> Shape:
+        return self.sites[-1][0]
 
 
 @dataclass
@@ -58,12 +66,30 @@ class Superblock:
 
     @property
     def instr_count(self) -> int:
-        return sum(len(block.instrs) for block in self.blocks)
+        return sum(len(block.sites) for block in self.blocks)
 
     @property
     def side_exit_count(self) -> int:
         return sum(1 for block in self.blocks
                    if block.followed in ("taken", "fallthrough"))
+
+
+def block_at(memory, entry: int) -> SuperblockBlock:
+    """The dynamic basic block at ``entry``, walked by shape over fetched
+    windows as BBT walks it: it ends at (and includes) the first control
+    transfer or complex instruction, or after ``MAX_BLOCK_INSTRS``."""
+    sites: List[Tuple[Shape, bytes, int, int]] = []
+    pc, window, base = entry, b"", entry
+    while True:
+        offset = pc - base
+        if offset + MAX_INSTRUCTION_LENGTH > len(window):
+            window, base, offset = fetch(memory, pc), pc, 0
+        shape = shape_at(window, offset, pc)
+        sites.append((shape, window, offset, pc))
+        if shape.cti or shape.cmplx or len(sites) == MAX_BLOCK_INSTRS:
+            head, _count, _vmcalls, stubs = shape.ending(window, offset, pc)
+            return SuperblockBlock(entry, sites, head, dict(stubs))
+        pc += shape.length
 
 
 def form_superblock(memory, seed: int, edges,
@@ -84,36 +110,34 @@ def form_superblock(memory, seed: int, edges,
 
     while len(superblock.blocks) < max_blocks and \
             superblock.instr_count < max_instrs:
-        instrs = scan_block(memory, pc)
-        block = SuperblockBlock(entry=pc, instrs=instrs)
+        block = block_at(memory, pc)
         superblock.blocks.append(block)
         visited.add(pc)
 
-        last = block.last
-        if last.is_complex or last.width == 16:
+        last, exits = block.last, block.exits
+        if last.cmplx:
             break
-        if last.op in (Op.RET, Op.CALL) or \
-                (last.is_control_transfer and last.target is None):
+        if last.op in (Op.RET, Op.CALL) or "indirect" in exits:
             break  # calls/returns/indirects end the trace
 
         if last.op is Op.JMP:
-            next_pc = last.target
+            next_pc = exits["jump"]
             block.followed = "jump"
         elif last.op is Op.JCC:
             biased = edges.biased_successor(pc, bias)
-            if biased == last.target:
+            if biased == exits["taken"]:
                 block.followed = "taken"
-                next_pc = last.target
-            elif biased == last.next_addr:
+                next_pc = exits["taken"]
+            elif biased == exits["fallthrough"]:
                 block.followed = "fallthrough"
-                next_pc = last.next_addr
+                next_pc = exits["fallthrough"]
             else:
                 block.followed = None
                 break
-        elif not last.is_control_transfer:
+        elif not last.cti:
             # block hit the scan size limit; continue straight through
             block.followed = "fallthrough-limit"
-            next_pc = last.next_addr
+            next_pc = exits["fallthrough"]
         else:  # pragma: no cover - cases above are exhaustive
             break
 

@@ -19,12 +19,27 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.isa.fusible.template import Sym, Template, resolve
 from repro.isa.x86lite.decoder import Cursor, decode_from
+from repro.isa.x86lite.instruction import MAX_INSTRUCTION_LENGTH
+from repro.isa.x86lite.opcodes import Op
+from repro.isa.x86lite.registers import Cond
+from repro.memory.address_space import ADDRESS_MASK
 from repro.translator.cracker import crack
 from repro.translator.emit import side_entries, terminator
 
 #: index of the instruction's address among a template's values; its
 #: displacement / immediate fields follow in byte order
 ADDR = 0
+
+#: Architected bytes fetched at a time while walking instructions.
+FETCH_BYTES = 256
+
+
+def fetch(memory, addr: int) -> bytes:
+    """The window an instruction walk reads at ``addr`` (always 16 bytes:
+    at the very top of memory it raises, as every instruction fetch
+    there does)."""
+    return memory.read(addr, max(MAX_INSTRUCTION_LENGTH,
+                                 min(FETCH_BYTES, ADDRESS_MASK + 1 - addr)))
 
 
 class _FieldCursor(Cursor):
@@ -67,14 +82,17 @@ class Ending(Template):
 class Shape:
     """What all instructions with the same shape bytes share."""
 
-    __slots__ = ("length", "fields", "cti", "cmplx", "bodies", "endings")
+    __slots__ = ("length", "fields", "cti", "cmplx", "op", "cond", "bodies",
+                 "endings")
 
-    def __init__(self, length: int, fields: tuple, cti: bool,
-                 cmplx: bool) -> None:
+    def __init__(self, length: int, fields: tuple, cti: bool, cmplx: bool,
+                 op: Op, cond: Optional[Cond]) -> None:
         self.length = length        # x86_ilen
         self.fields = fields        # where displacement / immediate lie
         self.cti = cti              # Flag_cti
-        self.cmplx = cmplx          # Flag_cmplx
+        self.cmplx = cmplx          # Flag_cmplx (16-bit forms too)
+        self.op = op                # the x86 operation (JMP, JCC, CALL ...)
+        self.cond = cond            # a JCC's condition code
         #: one template per path the cracker has taken through the
         #: shape, and one per path through what ends a block after it
         self.bodies: List[Template] = []
@@ -164,7 +182,8 @@ def _learn(data: bytes, offset: int, addr: int,
     shape = _SHAPES.get(key)
     if shape is None:
         shape = _SHAPES[key] = Shape(instr.length, tuple(cursor.fields),
-                                     cracked.cti, cracked.cmplx)
+                                     cracked.cti, cracked.cmplx, instr.op,
+                                     instr.cond)
         for shorter in range(1, size):
             marker = _SHAPES.setdefault(key[:shorter], _MORE)
             assert marker is _MORE, "one shape is a prefix of another"

@@ -66,25 +66,18 @@ def verify_translation(translation, memory=None, directory=None,
                        live_entries=None, words=None) -> VerifierReport:
     """Run the full rule-pack over one installed translation.
 
-    What is screened is the installed ``code`` + ``origins``, read by
-    the context through ``words`` (the installing VM's table; left out,
-    a private one) -- the path a warm install takes.  Where the
-    translator handed over its micro-op list (SBT), that list is what
-    is screened: ENC001/ENC002 encode it and CCH001 holds the cache to
-    those bytes.  ``live_entries`` (native
-    entry addresses of the directory's live translations) lets a sweep
-    over many translations build that set once; left out, CHN001
-    derives it from ``directory`` when needed.
+    What is screened is the installed ``code`` + ``origins`` of either
+    translator (or the warm loader), read by the context through
+    ``words`` (the installing VM's table; left out, a private one).
+    ``live_entries`` (native entry addresses of the directory's live
+    translations) lets a sweep over many translations build that set
+    once; left out, CHN001 derives it from ``directory`` when needed.
     """
-    where = dict(translation=translation, memory=memory,
-                 directory=directory, live_entries=live_entries,
-                 words=words)
     try:
-        if translation.emitted is None and translation.code:
-            ctx = VerifyContext.from_code(translation.code,
-                                          translation.origins, **where)
-        else:       # the translator's list, or nothing installed yet
-            ctx = VerifyContext(translation.emitted or (), **where)
+        ctx = VerifyContext.from_code(
+            translation.code, translation.origins, translation=translation,
+            memory=memory, directory=directory, live_entries=live_entries,
+            words=words)
     except UopDecodeError as error:
         report = VerifierReport(translations_checked=1)
         report.violations.append(Violation(

@@ -9,8 +9,8 @@ from repro.translator.emit import (
     EXIT_STUB_BYTES,
     PROFILE_PROLOGUE_BYTES,
     profile_prologue,
-    scan_block,
 )
+from tests.sbt_oracle import scan_block
 
 
 def make_bbt(source, embed_profiling=False, **kwargs):

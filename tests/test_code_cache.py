@@ -37,7 +37,7 @@ def install_simple(directory, entry, kind="bbt", x86_target=0x400100):
     uops = direct_exit_stub(x86_target, entry)
     translation = Translation(entry=entry, kind=kind, native_addr=native,
                               x86_addrs=[entry], uop_count=len(uops),
-                              uops=uops)
+                              origins=[[entry, len(uops)]])
     translation.exits.append(ExitStub(stub_addr=native, kind="jump",
                                       x86_target=x86_target))
     directory.install(encode_stream(uops), translation)
@@ -244,7 +244,7 @@ class TestSideTable:
         native = cache.reserve()
         uops = [MicroOp(UOp.VMCALL, imm=0, x86_addr=0x400123)]
         translation = Translation(entry=0x400120, kind="bbt",
-                                  native_addr=native, uops=uops,
+                                  native_addr=native, origins=[[0x400123, 1]],
                                   side_table={native: 0x400123})
         directory.install(encode_stream(uops), translation)
         x86_addr, owner = directory.resolve_side_table(native)
@@ -257,7 +257,7 @@ class TestSideTable:
         native = cache.reserve()
         uops = [MicroOp(UOp.VMCALL, imm=0, x86_addr=0x400123)]
         translation = Translation(entry=0x400120, kind="bbt",
-                                  native_addr=native, uops=uops,
+                                  native_addr=native, origins=[[0x400123, 1]],
                                   side_table={native: 0x400123})
         directory.install(encode_stream(uops), translation)
         directory.flush("bbt")

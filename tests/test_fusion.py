@@ -8,12 +8,20 @@ from repro.isa.fusible.opcodes import FUSIBLE_HEAD_OPS
 from repro.isa.fusible.registers import R_ZERO
 from repro.isa.x86lite.registers import Cond
 from repro.memory import AddressSpace
-from repro.translator import fuse_microops
-from repro.translator.sbt import eliminate_dead_flags
+from repro.translator import fusion, sbt
+from tests.sbt_oracle import on_uops
 
 
 def uop(op, **kwargs):
     return MicroOp(op, **kwargs)
+
+
+def fuse_microops(uops):
+    return on_uops(fusion.fuse_microops, uops)
+
+
+def eliminate_dead_flags(uops):
+    return on_uops(sbt.eliminate_dead_flags, uops)
 
 
 class TestPairing:

@@ -8,7 +8,7 @@ from repro.isa.fusible import FusibleMachine, decode_stream, \
 from repro.isa.x86lite import assemble
 from repro.memory import AddressSpace, load_image
 from repro.translator import crack
-from repro.translator.emit import scan_block
+from tests.sbt_oracle import scan_block
 
 LOOP_ADDR = 0x1000_0000
 CODE_PTR = 0x2000_0000

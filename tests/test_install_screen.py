@@ -151,8 +151,10 @@ class TestViolatingRecordsNeverRun:
         vm = booted()
         directory = vm.runtime.directory
         # the record does break the rule it is meant to break
-        found = verify_translation(materialize(
-            record, directory.bbt_cache.reserve(), decoded(record)))
+        translation = materialize(record, directory.bbt_cache.reserve(),
+                                  len(decoded(record)))
+        translation.code = record_stream(record)[0]
+        found = verify_translation(translation)
         assert rule in {violation.rule_id for violation in found.violations}
 
         report = WarmStartLoader(vm.runtime).load_records([record])

@@ -30,8 +30,8 @@ from repro.core.config import vm_soft
 from repro.core.vm import CoDesignedVM
 from repro.isa.fusible.encoding import (
     UopDecodeError,
-    decode_stream,
     decode_uop,
+    encode_stream,
     encode_uop,
 )
 from repro.isa.fusible.opcodes import OP_INFO
@@ -55,6 +55,7 @@ from repro.persist import (
 )
 from repro.persist.format import source_matches
 from repro.translator.code_cache import ExitStub, Translation
+from tests.sbt_oracle import origin_runs
 from tests.strategies import uops as any_uop
 from tests.test_persist import LOOP
 
@@ -76,8 +77,9 @@ def booted() -> CoDesignedVM:
 
 def rebuilt(record, native_addr=NATIVE) -> Translation:
     """The record as a Translation, the way the loader builds one."""
-    translation = materialize(record, native_addr,
-                              decode_stream(*record_stream(record)))
+    code, x86_addrs = record_stream(record)
+    translation = materialize(record, native_addr, len(x86_addrs))
+    translation.code = code
     translation.counter_addr = record["counter_addr"]
     return translation
 
@@ -159,7 +161,8 @@ class TestRoundTrip:
         original = Translation(
             entry=addrs[1], kind=kind, native_addr=NATIVE,
             x86_addrs=addrs[1:3], instr_count=2, uop_count=len(uops),
-            fused_pairs=sum(uop.fused for uop in uops), uops=uops)
+            fused_pairs=sum(uop.fused for uop in uops),
+            code=encode_stream(uops), origins=origin_runs(uops))
         original.exits.append(ExitStub(stub_addr=NATIVE + 8, kind="taken",
                                        x86_target=addrs[2]))
         original.exits.append(ExitStub(stub_addr=NATIVE + 20,

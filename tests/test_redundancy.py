@@ -8,11 +8,16 @@ from repro.isa.fusible import FusibleMachine, MicroOp, UOp
 from repro.isa.fusible.registers import R_ZERO
 from repro.isa.x86lite import assemble
 from repro.memory import AddressSpace
-from repro.translator.redundancy import eliminate_redundant_loads
+from repro.translator import redundancy
+from tests.sbt_oracle import on_uops
 
 
 def uop(op, **kwargs):
     return MicroOp(op, **kwargs)
+
+
+def eliminate_redundant_loads(uops):
+    return on_uops(redundancy.eliminate_redundant_loads, uops)
 
 
 class TestRewrites:

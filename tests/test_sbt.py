@@ -9,9 +9,9 @@ from repro.translator import (
     form_superblock,
     invert_cond,
 )
-from repro.translator.emit import scan_block
 from repro.vmm.profiling import EdgeProfile
 from repro.isa.x86lite.registers import Cond
+from tests.sbt_oracle import scan_block
 
 
 def setup(source):

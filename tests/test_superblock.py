@@ -3,8 +3,8 @@
 from repro.isa.x86lite import assemble
 from repro.memory import AddressSpace, load_image
 from repro.translator import form_superblock
-from repro.translator.emit import scan_block
 from repro.vmm.profiling import EdgeProfile
+from tests.sbt_oracle import scan_block
 
 
 def block_fallthrough(memory, entry):
@@ -128,7 +128,7 @@ class TestFormation:
         memory, _labels, entry = setup(source)
         superblock = form_superblock(memory, entry, EdgeProfile())
         assert len(superblock.blocks) == 1
-        assert superblock.blocks[0].last.is_complex
+        assert superblock.blocks[0].last.cmplx
 
     def test_ends_at_indirect(self):
         source = "start:\nmov eax, 1\njmp eax"

@@ -5,9 +5,9 @@ what ends a block after it, by patching templates traced from the one
 decoder, the one cracker and the one terminator rule; BBT installs what
 it joins from those, the profiling-prologue template and the exit-stub
 template.  Everything here compares that byte path with the object path
-it replaced -- ``decode`` + ``crack`` + ``encode_stream``, ``scan_block``,
-the terminator and its stubs as ``MicroOp`` lists -- whose parts stay
-callable as the reference.
+it replaced -- ``decode`` + ``crack`` + ``encode_stream``, ``scan_block``
+(kept in ``tests/sbt_oracle.py``), the terminator and its stubs as
+``MicroOp`` lists -- whose parts stay callable as the reference.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.isa.x86lite.decoder import DecodeError
 from repro.memory import AddressSpace, load_image
 from repro.translator import BasicBlockTranslator, TranslationDirectory
 from repro.translator import templates
+from repro.translator.code_cache import expand_origins
 from repro.translator.cracker import crack
 from repro.translator.emit import (
     direct_exit_stub,
@@ -40,12 +41,12 @@ from repro.translator.emit import (
     indirect_exit,
     profile_prologue,
     prologue_code,
-    scan_block,
     side_entries,
     terminator,
 )
 from repro.translator.templates import Shape, shape_at
 from repro.workloads.programs import PROGRAMS
+from tests.sbt_oracle import scan_block
 from tests.strategies import boundary_values, raw_instructions
 
 ADDR = 0x400000
@@ -111,8 +112,9 @@ class TestInstructionTemplates:
                 shape_at(raw, 0, addr).ending(raw, 0, addr)
             return
         shape = shape_at(raw, 0, addr)
-        assert (shape.length, shape.cti, shape.cmplx) == \
-            (instr.length, cracked.cti, cracked.cmplx)
+        assert (shape.length, shape.cti, shape.cmplx, shape.op,
+                shape.cond) == (instr.length, cracked.cti, cracked.cmplx,
+                                instr.op, instr.cond)
         assert shape.body(raw, 0, addr) == expected
         assert shape.body(b"\x90" + raw, 1, addr) == expected
         assert len(serving(shape, raw, addr)) == 1  # siblings never overlap
@@ -271,7 +273,7 @@ class TestColdBoot:
             assert installed(translation) == \
                 object_translation(vm.state.memory, translation)
             assert [uop.x86_addr for uop in translation.uops] == \
-                translation.uop_addrs()
+                expand_origins(translation.origins)
 
     def test_the_block_size_limit_ends_in_a_fallthrough_stub(self):
         image = assemble("\n".join(["add eax, 0x1234"] * 20 + ["hlt"]))

@@ -14,11 +14,11 @@ from repro.isa.x86lite.encoder import encode
 from repro.isa.x86lite.instruction import Instruction
 from repro.isa.x86lite.opcodes import Op
 from repro.memory import AddressSpace
-from repro.translator import crack, is_crackable
+from repro.translator import crack, fusion, is_crackable
 from repro.translator.bbt import BasicBlockTranslator
 from repro.translator.code_cache import TranslationDirectory
-from repro.translator.fusion import fuse_microops
 from repro.verify import verify_directory, verify_translation, verify_uops
+from tests.sbt_oracle import on_uops
 from tests.strategies import basic_blocks, loop_programs
 
 ENTRY = 0x40_0000
@@ -53,7 +53,7 @@ class TestTranslatorOutputsVerify:
         for instr in block:
             if is_crackable(instr):
                 body.extend(crack(instr).uops)
-        fused, stats = fuse_microops(body)
+        fused, stats = on_uops(fusion.fuse_microops, body)
         assert 0.0 <= stats.fused_fraction <= 1.0
         report = verify_uops(fused)
         assert report.ok, report.format()

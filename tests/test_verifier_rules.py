@@ -24,7 +24,7 @@ from repro.translator.code_cache import (
     Translation,
     TranslationDirectory,
 )
-from repro.translator.fusion import fuse_microops
+from repro.translator import fusion
 from repro.verify import (
     build_cfg,
     rule_ids,
@@ -40,6 +40,7 @@ from repro.verify.dataflow import (
     live_registers,
     reaching_definitions,
 )
+from tests.sbt_oracle import on_uops, origin_runs
 from tests.strategies import uops as any_uop
 
 NOP = MicroOp(UOp.NOP)
@@ -66,7 +67,9 @@ def make_translation(uops, exits=(), side=(), native_addr=0x2000_0000,
     translation = Translation(entry=entry, kind=kind,
                               native_addr=native_addr,
                               native_len=stream_length(uops),
-                              uop_count=len(uops), uops=list(uops))
+                              uop_count=len(uops),
+                              code=encode_stream(uops),
+                              origins=origin_runs(uops))
     for offset, stub_kind, target in exits:
         translation.exits.append(ExitStub(
             stub_addr=native_addr + offset, kind=stub_kind,
@@ -396,7 +399,7 @@ class TestFusionRegression:
             MicroOp(UOp.BC, cond=Cond.NE, imm=0),
             NOP,
         ]
-        fused, stats = fuse_microops(uops)
+        fused, stats = on_uops(fusion.fuse_microops, uops)
         assert stats.pairs == 1
         report = verify_uops(fused)
         assert report.ok, report.format()
@@ -407,7 +410,7 @@ class TestFusionRegression:
             MicroOp(UOp.BC, cond=Cond.E, imm=0),
             NOP,
         ]
-        fused, stats = fuse_microops(uops)
+        fused, stats = on_uops(fusion.fuse_microops, uops)
         assert stats.pairs == 1
         assert fused[0].fused
         assert verify_uops(fused).ok

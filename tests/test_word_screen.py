@@ -55,15 +55,12 @@ from repro.persist import (
     record_stream,
 )
 from repro.translator.bbt import COUNTER_AREA_BASE
-from repro.translator.code_cache import (
-    expand_origins,
-    masked_digest,
-    origin_runs,
-)
+from repro.translator.code_cache import expand_origins, masked_digest
 from repro.verify import build_cfg, dataflow, sanitizer
 from repro.verify.rules import VerifyContext
 from repro.verify.verifier import run_rules
 from repro.workloads.programs import PROGRAMS
+from tests.sbt_oracle import origin_runs
 from tests.strategies import native_programs
 from tests.strategies import uops as any_uop
 from tests.test_persist import LOOP

@@ -39,6 +39,8 @@ SHAPES = {"hot_loop": gen.HOT_LOOP, "wide_cold": gen.WIDE_COLD}
 #: row -> (end of the file name, function name) as cProfile spells them:
 #: a namedtuple's ``__new__`` (``Located``'s) is a ``<lambda>`` in a string
 COUNTED = {
+    "decode": ("isa/x86lite/decoder.py", "decode"),
+    "crack": ("translator/cracker.py", "crack"),
     "decode_uop": ("isa/fusible/encoding.py", "decode_uop"),
     "encode_uop": ("isa/fusible/encoding.py", "encode_uop"),
     "MicroOp.__init__": ("isa/fusible/microop.py", "__init__"),
