@@ -851,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pre-populate the server repository "
                             "before the herd boots")
     fleet.add_argument("--faults", default=None,
-                       help="comma list of fault classes to arm "
+                       help="comma list of faults to arm "
                             "(serializes the pool for determinism)")
     fleet.add_argument("--seed", type=int, default=0)
     fleet.add_argument("--shards", type=int, default=1,

@@ -12,7 +12,7 @@ verifier-screened entries) and the anti-entropy repair pass
 (:mod:`repro.cluster.repair`).
 
 See ``docs/cluster.md`` for topology, merge semantics, the failover
-ladder and the fault classes that exercise every rung.
+ladder and the faults that exercise every rung.
 """
 
 from repro.cluster.manager import LocalCluster

@@ -8,26 +8,26 @@ makes that contract testable:
 
 * :mod:`repro.faults.plane` — the fault-point hooks compiled into the
   production paths (no-ops unless an injector is armed);
-* :mod:`repro.faults.classes` — the registry of fault classes, from
-  torn ``meta.json`` writes to hotspot-detector misfires;
+* :mod:`repro.faults.classes` — the table of faults, from torn
+  ``meta.json`` writes to hotspot-detector misfires;
 * :mod:`repro.faults.injector` — the seeded, bounded injector with a
   full event log (same seed => same failure sequence);
 * :mod:`repro.faults.harness` — chaos runs: a faulted, warm-started run
   must produce architected state identical to the fault-free run.
 
-See ``docs/robustness.md`` for the fault taxonomy and the recovery
-guarantee each class is matched by; the ``chaos`` drill of
+See ``docs/robustness.md`` for the fault table and the recovery
+guarantee each fault is matched by; the ``chaos`` drill of
 ``tools/drills.py`` is the gate.
 """
 
 from repro.faults.classes import (
-    FAULT_CLASSES,
-    FaultClass,
+    FAULTS,
+    SURFACES,
+    Fault,
     InjectedFault,
     InjectedTranslatorFault,
     all_fault_names,
     make_fault,
-    register,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plane import fault_point, injecting
@@ -36,9 +36,8 @@ from repro.faults.plane import fault_point, injecting
 #: CoDesignedVM runs, while the low-level fault *plane* is imported by
 #: the translators themselves — an eager import here would be circular.
 _HARNESS_SYMBOLS = ("ArchOutcome", "Baseline", "ChaosOutcome",
-                    "manifest_pairs", "modes_for", "needs_cluster",
-                    "needs_remote", "prepare_baseline", "run_faulted",
-                    "run_matrix")
+                    "manifest_pairs", "modes_for", "prepare_baseline",
+                    "run_faulted", "run_matrix")
 
 
 def __getattr__(name):
@@ -48,11 +47,12 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "FAULT_CLASSES",
+    "FAULTS",
+    "SURFACES",
     "ArchOutcome",
     "Baseline",
     "ChaosOutcome",
-    "FaultClass",
+    "Fault",
     "FaultInjector",
     "InjectedFault",
     "InjectedTranslatorFault",
@@ -61,11 +61,8 @@ __all__ = [
     "injecting",
     "make_fault",
     "manifest_pairs",
-    "needs_cluster",
-    "needs_remote",
     "modes_for",
     "prepare_baseline",
-    "register",
     "run_faulted",
     "run_matrix",
 ]

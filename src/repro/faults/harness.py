@@ -1,4 +1,4 @@
-"""Chaos harness: prove every fault class is survivable.
+"""Chaos harness: prove every fault is survivable.
 
 The correctness bar is the paper's own premise — staged translation is
 an *optimization* over an always-correct emulation path, so no failure
@@ -7,14 +7,14 @@ harness makes that executable:
 
 1. run a workload fault-free (cold run + repository snapshot), recording
    its architected outcome — registers, flags, output, exit code;
-2. mangle a copy of the repository with the disk fault classes, arm the
-   runtime fault classes, and run the same workload warm-started from
-   the damaged repository;
+2. mangle a copy of the repository with the disk faults, arm the
+   runtime faults, and run the same workload warm-started from the
+   damaged repository;
 3. the run must complete (no exception escapes) with an architected
    outcome identical to step 1, all recovery recorded in the stats.
 
 The ``chaos`` drill of ``tools/drills.py`` sweeps the full (workload x
-fault class x seed) matrix through :func:`run_matrix`; the hypothesis
+fault x seed) matrix through :func:`run_matrix`; the hypothesis
 chaos test samples it.
 """
 
@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import vm_soft
 from repro.core.vm import CoDesignedVM
-from repro.faults.classes import FaultClass, make_fault
+from repro.faults.classes import SURFACES, make_fault
 from repro.faults.injector import FaultInjector
 from repro.faults.plane import injecting
 from repro.isa.x86lite.assembler import assemble
@@ -97,17 +97,9 @@ class ChaosOutcome:
     faults: List[str]
     seed: int
     ok: bool
-    #: warm chaos runs boot from a mangled repository; cold runs skip
-    #: the warm start so translator/dispatch faults hit live translation
-    warm: bool = True
-    #: remote runs warm-start through one live cache server (a 1x1
-    #: LocalCluster) + the fault-tolerant client, so the network fault
-    #: classes have surface
-    remote: bool = False
-    #: cluster runs warm-start through a live sharded/replicated
-    #: LocalCluster + the same client, so the cluster fault classes
-    #: (shard-down, replica-partition, ...) have surface
-    cluster: bool = False
+    #: the run's transport, one of :data:`~repro.faults.classes.SURFACES`
+    #: (see :func:`run_faulted`)
+    mode: str = "warm"
     problems: List[str] = field(default_factory=list)
     injected: Dict[str, int] = field(default_factory=dict)
     disk_corruptions: int = 0
@@ -126,11 +118,8 @@ class ChaosOutcome:
         fired = ", ".join(f"{name} x{count}"
                           for name, count in sorted(self.injected.items())
                           if count) or "none fired"
-        mode = "cluster" if self.cluster else \
-            ("remote" if self.remote else
-             ("warm" if self.warm else "cold"))
         line = (f"{status}  {self.workload:14s} seed={self.seed:<4d} "
-                f"{mode} [{'+'.join(self.faults)}] ({fired})")
+                f"{self.mode} [{'+'.join(self.faults)}] ({fired})")
         if self.problems:
             line += "\n      " + "\n      ".join(self.problems)
         return line
@@ -168,32 +157,33 @@ def manifest_pairs(repo_dir) -> List[tuple]:
 
 
 def run_faulted(baseline: Baseline, faults: Sequence[str], seed: int,
-                workdir: Optional[str] = None, warm: bool = True,
-                remote: bool = False, cluster: bool = False,
+                workdir: Optional[str] = None, mode: str = "warm",
                 **fault_overrides) -> ChaosOutcome:
     """One chaos run under an armed injector.
 
-    ``warm=True`` boots from a mangled copy of the baseline repository
-    (exercising the repository/loader fault surface); ``warm=False``
-    runs cold, so the BBT/SBT/hotspot/dispatch fault sites see live
-    translation work.  ``remote=True`` and ``cluster=True`` (both imply
-    warm) prime a live :class:`~repro.cluster.manager.LocalCluster`
-    from the mangled copy, rot each replica store independently, and
-    warm-start through the fault-tolerant
-    :class:`~repro.persist.remote.RemoteRepository` client with the
-    same copy as its local fallback, so every degradation ends at state
-    the fault-free run could have produced.  The two differ in topology
-    only: remote is 1x1 — one server, the socket path the network fault
-    classes strike — and cluster the default sharded, replicated grid,
-    the surface for the cluster fault classes (shard-down,
-    replica-partition, stale-replica, ...).  In every mode the
-    architected outcome must match the fault-free baseline exactly.
+    ``mode="warm"`` boots from a mangled copy of the baseline repository
+    (exercising the repository/loader fault surface); ``"cold"`` runs
+    cold, so the BBT/SBT/hotspot/dispatch fault sites see live
+    translation work.  ``"remote"`` and ``"cluster"`` prime a live
+    :class:`~repro.cluster.manager.LocalCluster` from the mangled copy,
+    rot each replica store independently, and warm-start through the
+    fault-tolerant :class:`~repro.persist.remote.RemoteRepository`
+    client with the same copy as its local fallback, so every
+    degradation ends at state the fault-free run could have produced.
+    The two differ in topology only: remote is 1x1 — one server, the
+    socket path the network faults strike — and cluster the default
+    sharded, replicated grid, the surface for the cluster faults
+    (shard-down, replica-partition, stale-replica, ...).  In every mode
+    the architected outcome must match the fault-free baseline exactly.
     """
+    if mode not in SURFACES:
+        raise ValueError(f"unknown chaos mode {mode!r}; one of {SURFACES}")
     injector = FaultInjector(seed, faults, **fault_overrides)
     cleanup = workdir is None
     workdir = workdir or tempfile.mkdtemp(prefix="repro-chaos-")
     disk_corruptions = 0
-    warm = warm or remote or cluster
+    warm = mode != "cold"
+    wire = mode in ("remote", "cluster")
     if warm:
         repo_copy = Path(workdir) / f"faulted-{baseline.name}-{seed}"
         if repo_copy.exists():
@@ -203,17 +193,16 @@ def run_faulted(baseline: Baseline, faults: Sequence[str], seed: int,
 
     outcome = ChaosOutcome(workload=baseline.name,
                            faults=list(faults), seed=seed, ok=False,
-                           warm=warm, remote=remote, cluster=cluster,
-                           disk_corruptions=disk_corruptions)
+                           mode=mode, disk_corruptions=disk_corruptions)
     # chaos runs fly instrumented: the flight recorder turns any escape
     # or divergence into a replayable forensic trace (docs/observability)
     vm = baseline.fresh_vm(
         vm_soft().with_(integrity_check_interval=1, trace=True))
     grid = None
     try:
-        if remote or cluster:
+        if wire:
             # a live shards x replicas grid on loopback (1x1 for the
-            # remote mode: one server, so the network classes strike a
+            # remote mode: one server, so the network faults strike a
             # single socket path), primed (fault-free) from the mangled
             # copy, then each replica store rotted independently — the
             # same copy backs the client's local fallback, so every
@@ -223,7 +212,7 @@ def run_faulted(baseline: Baseline, faults: Sequence[str], seed: int,
                                                LocalCluster)
             from repro.persist.remote import RemoteRepository
             shards, replicas = (DEFAULT_SHARDS, DEFAULT_REPLICAS) \
-                if cluster else (1, 1)
+                if mode == "cluster" else (1, 1)
             grid = LocalCluster(
                 Path(workdir) / f"cluster-{baseline.name}-{seed}",
                 shards=shards, replicas=replicas)
@@ -265,7 +254,7 @@ def run_faulted(baseline: Baseline, faults: Sequence[str], seed: int,
             grid.stop()
         outcome.injected = dict(injector.injected)
         outcome.stats = vm.stats()
-        if remote or cluster:
+        if wire:
             outcome.stats["remote"] = repository.remote_stats.to_dict()
         if cleanup:
             shutil.rmtree(workdir, ignore_errors=True)
@@ -279,53 +268,22 @@ def run_faulted(baseline: Baseline, faults: Sequence[str], seed: int,
     return outcome
 
 
-def modes_for(faults: Sequence[str]) -> List[bool]:
-    """Which chaos modes exercise a fault set (True=warm, False=cold).
+def modes_for(faults: Sequence[str]) -> List[str]:
+    """The chaos runs that give every fault of a set its surface.
 
-    Disk, repository/loader and network faults need a warm start to
-    have any surface at all (network faults specifically need the
-    *remote* warm path — see :func:`needs_remote`); translator, hotspot
-    and dispatch faults need a cold run, because a fully warm boot
+    One warm start through the widest transport a fault needs — a
+    cluster reaches every remote fault too, and any warm start every
+    repository/loader fault — and one cold run when a translator,
+    hotspot or dispatch fault is in the set, because a fully warm boot
     never invokes the translators.
     """
-    warm = cold = False
-    for fault in faults:
-        if not isinstance(fault, FaultClass):
-            fault = make_fault(fault)
-        if fault.disk or fault.network or fault.cluster or \
-                any(site.startswith(("repo.", "loader."))
-                    for site in fault.sites):
-            warm = True
-        if any(not site.startswith(("repo.", "loader.", "net.",
-                                    "cluster.", "overload."))
-               for site in fault.sites):
-            cold = True
-    modes = []
-    if warm:
-        modes.append(True)
-    if cold:
-        modes.append(False)
-    return modes or [True]
-
-
-def needs_remote(faults: Sequence[str]) -> bool:
-    """Whether a fault set only has surface through the remote client."""
-    for fault in faults:
-        if not isinstance(fault, FaultClass):
-            fault = make_fault(fault)
-        if fault.network:
-            return True
-    return False
-
-
-def needs_cluster(faults: Sequence[str]) -> bool:
-    """Whether a fault set only has surface through the cluster client."""
-    for fault in faults:
-        if not isinstance(fault, FaultClass):
-            fault = make_fault(fault)
-        if fault.cluster:
-            return True
-    return False
+    surfaces = {make_fault(name).surface for name in faults}
+    # the widest warm transport named, if any
+    modes = [mode for mode in ("cluster", "remote", "warm")
+             if mode in surfaces][:1]
+    if "cold" in surfaces:
+        modes.append("cold")
+    return modes or ["warm"]
 
 
 def run_matrix(programs: Dict[str, str],
@@ -338,11 +296,10 @@ def run_matrix(programs: Dict[str, str],
     the order given.
 
     ``mode`` picks the transports of each run: ``"surface"`` is every
-    mode the fault set has surface in (:func:`modes_for`, through the
-    wire where :func:`needs_remote` / :func:`needs_cluster` say so),
-    ``"local"`` the same warm/cold pair against the local repository
-    only, ``"remote"`` and ``"cluster"`` one warm boot through a live
-    1x1 / sharded grid.
+    mode the fault set has surface in (:func:`modes_for`), ``"local"``
+    the same runs with the warm start against the local repository,
+    ``"remote"`` and ``"cluster"`` one warm boot through a live 1x1 /
+    sharded grid.
     """
     if mode not in ("surface", "local", "remote", "cluster"):
         raise ValueError(f"unknown sweep mode {mode!r}")
@@ -352,18 +309,16 @@ def run_matrix(programs: Dict[str, str],
             name, source, workdir, hot_threshold=hot_threshold,
             max_instructions=max_instructions)
         for fault_set in fault_sets:
-            remote = mode == "remote" or \
-                (mode == "surface" and needs_remote(fault_set))
-            cluster = mode == "cluster" or \
-                (mode == "surface" and needs_cluster(fault_set))
-            warmth = [True] if mode in ("remote", "cluster") \
+            runs = [mode] if mode in ("remote", "cluster") \
                 else modes_for(fault_set)
+            if mode == "local":
+                runs = ["cold" if run == "cold" else "warm"
+                        for run in runs]
             for seed in seeds:
-                for warm in warmth:
+                for run in runs:
                     outcome = run_faulted(
                         baseline, fault_set, seed, workdir=workdir,
-                        warm=warm, remote=remote, cluster=cluster,
-                        **fault_overrides)
+                        mode=run, **fault_overrides)
                     outcomes.append(outcome)
                     if progress is not None:
                         progress(outcome)

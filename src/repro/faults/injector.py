@@ -1,13 +1,13 @@
 """The deterministic fault injector.
 
-One :class:`FaultInjector` owns a seeded random generator and a set of
-fault-class instances.  Runtime faults are consulted at every
-:func:`~repro.faults.plane.fault_point` visit whose site they listen
-on; disk faults are applied to a repository directory with
+One :class:`FaultInjector` owns a seeded random generator and fresh
+copies of a set of :data:`~repro.faults.classes.FAULTS` rows.  Runtime
+faults are consulted at every :func:`~repro.faults.plane.fault_point`
+visit whose site they listen on; disk faults are applied to a repository directory with
 :meth:`FaultInjector.mangle_repository` (between a save and the next
 warm start, modelling rot while the VM was down).
 
-Everything the injector does is recorded in :attr:`injected` (per-class
+Everything the injector does is recorded in :attr:`injected` (per-fault
 firing counts) and :attr:`log` (ordered event tuples), so a chaos
 failure can name the exact faults that preceded it — and re-running
 with the same seed replays them bit-for-bit.
@@ -20,14 +20,15 @@ import random
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.faults.classes import FaultClass, all_fault_names, make_fault
+from repro.faults.classes import Fault, all_fault_names, make_fault
 
 # module logger; self.log below is the injector's *event* log
 _log = logging.getLogger("repro.faults")
 
 
 class FaultInjector:
-    """Seeded, bounded driver for a set of fault classes."""
+    """Seeded, bounded driver for a set of faults (names, or
+    :class:`Fault` rows used as given)."""
 
     def __init__(self, seed: int,
                  faults: Optional[Iterable] = None,
@@ -35,15 +36,15 @@ class FaultInjector:
         self.seed = seed
         self.rng = random.Random(seed)
         names = list(faults) if faults is not None else all_fault_names()
-        self.faults: List[FaultClass] = [
-            fault if isinstance(fault, FaultClass)
+        self.faults: List[Fault] = [
+            fault if isinstance(fault, Fault)
             else make_fault(fault, **overrides)
             for fault in names]
-        #: fault-class name -> number of times it actually fired
+        #: fault name -> number of times it actually fired
         self.injected: Dict[str, int] = {f.name: 0 for f in self.faults}
         #: ordered (site, fault name, detail) event log
         self.log: List[Tuple[str, str, object]] = []
-        self._by_site: Dict[str, List[FaultClass]] = {}
+        self._by_site: Dict[str, List[Fault]] = {}
         for fault in self.faults:
             for site in fault.sites:
                 self._by_site.setdefault(site, []).append(fault)
@@ -60,7 +61,7 @@ class FaultInjector:
                 continue
             self.injected[fault.name] += 1
             try:
-                fired = fault.fire(self.rng, site, context)
+                fired = fault.fire(fault, self.rng, site, context)
             except Exception as error:
                 self.log.append((site, fault.name, repr(error)))
                 raise
@@ -74,14 +75,14 @@ class FaultInjector:
     # -- disk faults --------------------------------------------------------
 
     def mangle_repository(self, root) -> int:
-        """Apply every disk fault class to a repository; returns the
-        total number of corruptions introduced."""
+        """Apply every disk fault to a repository; returns the total
+        number of corruptions introduced."""
         root = Path(root)
         total = 0
         for fault in self.faults:
-            if not fault.disk:
+            if fault.mangle is None:
                 continue
-            applied = fault.mangle(self.rng, root)
+            applied = fault.mangle(fault, self.rng, root)
             if applied:
                 self.injected[fault.name] += applied
                 self.log.append(("repository", fault.name, applied))

@@ -38,7 +38,7 @@ def active():
 def fault_point(site: str, **context):
     """Visit one injection site; no-op unless an injector is armed.
 
-    Returns whatever the injector's fault classes produce for this site
+    Returns whatever the injector's faults produce for this site
     (usually ``None``), and may raise an injected exception.
     """
     if _ACTIVE is None:

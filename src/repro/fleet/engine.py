@@ -448,7 +448,7 @@ class FleetEngine:
             if scenario.warm:
                 self._prime(scenario, sources, push_client)
             disk_faults = [name for name in scenario.faults
-                           if make_fault(name).disk]
+                           if make_fault(name).mangle is not None]
             if disk_faults:
                 injector = FaultInjector(scenario.seed, disk_faults)
                 for key in sorted(grid.servers):
@@ -547,7 +547,7 @@ class FleetEngine:
             "retries": scenario.retries,
             "request_budget": scenario.request_budget,
             "faults": [name for name in scenario.faults
-                       if not make_fault(name).disk],
+                       if make_fault(name).mangle is None],
             "instance_seed": scenario.seed * 100003 + rank,
         } for rank in range(scenario.n)]
 

@@ -26,8 +26,8 @@ Axes:
   workload's translations before the herd boots;
 * ``workload`` — a seed program name (:data:`repro.workloads.programs
   .PROGRAMS`);
-* ``faults`` — an optional cocktail of registered fault-class names
-  (:data:`repro.faults.FAULT_CLASSES`); faulted scenarios serialize the pool
+* ``faults`` — an optional cocktail of fault names
+  (:data:`repro.faults.FAULTS`); faulted scenarios serialize the pool
   (``workers=1``) so injection stays seed-deterministic;
 * ``seed`` — the scenario seed (image perturbation, fault injectors);
 * ``shards`` / ``replicas`` — the topology of the

@@ -8,7 +8,7 @@ every risky I/O call sits behind a registered fault-injection point,
 that every traced event name exists in the taxonomy.  reprolint encodes
 those invariants as AST rules that cross-check the source tree against
 its own registries — :data:`repro.obs.tracer.EVENT_TYPES`,
-:data:`repro.faults.classes.FAULT_CLASSES` — so the registries stay the
+:data:`repro.faults.classes.FAULTS` — so the registries stay the
 single source of truth and the checks never rot into hardcoded lists.
 
 Entry points: ``repro lint`` (CLI), ``make lint`` / ``make verify``
@@ -28,7 +28,7 @@ from repro.lint.core import (
     all_rule_ids,
     register_rule,
 )
-from repro.lint.index import ModuleInfo, ProjectIndex, fault_site_drift
+from repro.lint.index import ModuleInfo, ProjectIndex
 
 # importing the pack registers every rule with RULES
 import repro.lint.rules  # noqa: F401  (registration side effect)
@@ -44,6 +44,5 @@ __all__ = [
     "RULES",
     "Violation",
     "all_rule_ids",
-    "fault_site_drift",
     "register_rule",
 ]

@@ -1,11 +1,10 @@
 """reprolint core: rule plugin API, engine, suppressions, baseline.
 
 A rule is a subclass of :class:`Rule` registered with
-:func:`register_rule` (mirroring the fault-class registry idiom); the
-engine instantiates every registered rule, runs ``check_module`` over
-each parsed file and ``check_project`` once over the whole
-:class:`~repro.lint.index.ProjectIndex`, then filters what fired
-through two escape hatches:
+:func:`register_rule`; the engine instantiates every registered rule,
+runs ``check_module`` over each parsed file and ``check_project`` once
+over the whole :class:`~repro.lint.index.ProjectIndex`, then filters
+what fired through two escape hatches:
 
 * **inline suppressions** — ``# reprolint: disable=RULE`` on the
   flagged line (or ``disable-file=RULE`` anywhere in the file) for

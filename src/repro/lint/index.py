@@ -6,11 +6,11 @@ AST, package path, suppression table) and builds one
 project registries the cross-check rules compare against:
 
 * **event taxonomy** — :data:`repro.obs.tracer.EVENT_TYPES` (OBS001);
-* **fault sites** — the union of ``sites`` over
-  :data:`repro.faults.classes.FAULT_CLASSES` (FLT001);
+* **fault sites** — the union of ``sites`` over the rows of
+  :data:`repro.faults.classes.FAULTS` (FLT001);
 * **fault-point call sites** — every ``fault_point("<site>")`` literal
-  found in the scanned tree (FLT001's drift direction, and the
-  ``chaos`` drill's fail-fast check).
+  found in the scanned tree (FLT001's drift direction, which the
+  ``chaos`` drill also runs as its fail-fast check).
 
 Registries are resolved by importing the live modules — the same
 objects the runtime enforces with — never from hardcoded lists; tests
@@ -214,47 +214,7 @@ def _import_event_types() -> Optional[Set[str]]:
 
 def _import_fault_sites() -> Optional[Set[str]]:
     try:
-        from repro.faults.classes import FAULT_CLASSES
+        from repro.faults.classes import FAULTS
     except ImportError:         # pragma: no cover - always importable here
         return None
-    sites: Set[str] = set()
-    for cls in FAULT_CLASSES.values():
-        sites.update(cls.sites)
-    return sites
-
-
-def fault_site_drift(src_root=None) -> Dict[str, List[str]]:
-    """Registered fault sites that no ``fault_point`` literal serves.
-
-    Returns ``{fault class name: [missing sites]}`` — non-empty means a
-    fault class declares a site string the production tree no longer
-    visits, so chaos runs of that class silently test nothing.  Used by
-    ``tools/drills.py`` as the chaos drill's fail-fast preflight and by
-    FLT001.
-    """
-    try:
-        from repro.faults.classes import FAULT_CLASSES
-    except ImportError:         # pragma: no cover - always importable here
-        return {}
-    if src_root is None:
-        import repro
-        src_root = Path(repro.__file__).parent
-    literals: Set[str] = set()
-    for path in sorted(Path(src_root).rglob("*.py")):
-        try:
-            module = ModuleInfo(path, path.read_text())
-        except OSError:         # pragma: no cover - unreadable tree
-            continue
-        if module.tree is None:
-            continue
-        for call in _iter_calls(module.tree):
-            if _call_name(call) == "fault_point":
-                literal = _literal_first_arg(call)
-                if literal is not None:
-                    literals.add(literal)
-    drift: Dict[str, List[str]] = {}
-    for name, cls in sorted(FAULT_CLASSES.items()):
-        missing = [site for site in cls.sites if site not in literals]
-        if missing:
-            drift[name] = missing
-    return drift
+    return {site for fault in FAULTS.values() for site in fault.sites}

@@ -6,19 +6,19 @@ mode (disk write, fsync, rename, socket connect) with no
 ``fault_point(...)`` in front of it is a path the chaos matrix has
 never exercised and the recovery code has never been forced to absorb.
 
-Three checks, all cross-checked against the live fault-class registry
-(:data:`repro.faults.classes.FAULT_CLASSES`), never a hardcoded list:
+Three checks, all cross-checked against the live fault table
+(:data:`repro.faults.classes.FAULTS`), never a hardcoded list:
 
 * every risky call (``open``, ``os.open``, ``os.replace``,
   ``os.rename``, ``os.fsync``, ``socket.socket``, ``.connect``) in a
   production ``persist``/``cacheserver``/``cluster`` function must be
   *dominated* by a ``fault_point`` call earlier in the same function;
 * every ``fault_point("<site>")`` literal anywhere in the package must
-  name a site some registered fault class listens on (else the call is
-  dead weight that injects nothing);
-* every registered site must appear as a literal somewhere in the
-  scanned tree (else that fault class silently tests nothing —
-  the ``chaos`` drill fails fast on the same drift).
+  name a site some fault listens on (else the call is dead weight that
+  injects nothing);
+* every site of the table must appear as a literal somewhere in the
+  scanned tree (else that fault silently tests nothing — the ``chaos``
+  drill runs this rule as its fail-fast preflight).
 
 Dominance is approximated lexically (an earlier ``fault_point`` in the
 same function body); intentional exemptions — the lease protocol, whose
@@ -81,8 +81,8 @@ class FaultCoverageRule(Rule):
                     yield self.violation(
                         module, call.lineno,
                         f"fault_point site {site!r} is not listed by "
-                        f"any registered fault class (repro.faults."
-                        f"classes); it injects nothing")
+                        f"any fault of repro.faults.classes.FAULTS; "
+                        f"it injects nothing")
         # direction 2: risky calls need a dominating fault_point
         if not module.in_package(*_SCOPE):
             return
@@ -115,8 +115,8 @@ class FaultCoverageRule(Rule):
 
     def check_project(self,
                       index: ProjectIndex) -> Iterable[Violation]:
-        """Direction 3: registered sites that nothing in the scanned
-        tree visits (registry drift — also the chaos drill's preflight)."""
+        """Direction 3: table sites that nothing in the scanned tree
+        visits (drift — also the chaos drill's preflight)."""
         registered = index.fault_sites
         if registered is None or not any(
                 module.package for module in index.modules):
@@ -135,29 +135,28 @@ class FaultCoverageRule(Rule):
             yield Violation(
                 rule_id=self.rule_id, severity=self.severity,
                 path=path, line=line,
-                message=(f"registered fault site {site!r} has no "
+                message=(f"fault site {site!r} has no "
                          f"fault_point({site!r}) call in the tree; "
-                         f"the fault class listening on it tests "
-                         f"nothing"))
+                         f"the fault listening on it tests nothing"))
 
     @staticmethod
     def _anchor(index: ProjectIndex):
-        """Best-effort source anchor per site: the ``sites = (...)``
-        tuple entry in the scanned fault-class module."""
+        """Best-effort source anchor per site: the ``Fault(...)`` row
+        of the scanned fault table that names it (its third argument,
+        ``sites``)."""
         anchors = {}
         for module in index.modules:
             if module.tree is None \
                     or not module.in_package("faults"):
                 continue
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.Assign) \
-                        and any(isinstance(t, ast.Name)
-                                and t.id == "sites"
-                                for t in node.targets):
-                    for element in ast.walk(node.value):
+            for call in iter_calls(module.tree):
+                if call_target(call)[1] != "Fault":
+                    continue
+                for node in call.args[2:3]:
+                    for element in ast.walk(node):
                         if isinstance(element, ast.Constant) \
                                 and isinstance(element.value, str):
                             anchors.setdefault(
                                 element.value,
-                                (module.rel, node.lineno))
+                                (module.rel, call.lineno))
         return anchors

@@ -9,24 +9,17 @@ a latent overrun: a request can keep burning socket time after its
 budget is spent, so "no response accepted past its deadline" silently
 degrades into "usually".
 
-Two checks:
-
-* in the production ``persist``/``cacheserver``/``cluster`` packages,
-  ``settimeout(...)`` calls and ``timeout=`` keywords on the
-  request-path call names (``settimeout``, ``create_connection``,
-  ``request``/``_request``/``_attempt``) must not pass a bare numeric
-  literal — derive the value from the propagated deadline (or a config
-  attribute clamped by it).  Constructor config knobs
-  (``RemoteRepository(timeout=2.0)``) and lock waits
-  (``Condition.wait_for(timeout=...)``, ``lease.acquire(timeout=...)``)
-  are deliberately out of scope: they are capacity configuration, not
-  per-request I/O bounds.
-* project-wide, the ``overload.*`` fault-point sites are cross-checked
-  against the live fault-class registry in both directions (the FLT001
-  idiom, scoped to the overload plane): an ``overload.*`` literal no
-  class listens on injects nothing, and a registered ``overload.*``
-  site never visited is a shed/deadline/hedge path the chaos gate has
-  stopped exercising.
+In the production ``persist``/``cacheserver``/``cluster`` packages,
+``settimeout(...)`` calls and ``timeout=`` keywords on the
+request-path call names (``settimeout``, ``create_connection``,
+``request``/``_request``/``_attempt``) must not pass a bare numeric
+literal — derive the value from the propagated deadline (or a config
+attribute clamped by it).  Constructor config knobs
+(``RemoteRepository(timeout=2.0)``) and lock waits
+(``Condition.wait_for(timeout=...)``, ``lease.acquire(timeout=...)``)
+are deliberately out of scope: they are capacity configuration, not
+per-request I/O bounds.  (Whether the ``overload.*`` fault sites and
+the fault table agree is FLT001's check, like every other site's.)
 """
 
 from __future__ import annotations
@@ -36,8 +29,7 @@ from typing import Iterable, Optional
 
 from repro.lint.core import Rule, Violation, register_rule
 from repro.lint.index import ModuleInfo, ProjectIndex
-from repro.lint.rules.common import call_target, iter_calls, \
-    literal_str_arg
+from repro.lint.rules.common import call_target, iter_calls
 
 #: Packages whose request paths carry propagated deadlines.
 _SCOPE = ("persist", "cacheserver", "cluster")
@@ -93,43 +85,3 @@ class DeadlineTimeoutRule(Rule):
                         f"{func}(timeout={value!r}) hardcodes a "
                         f"request timeout; derive it from the "
                         f"propagated deadline budget")
-
-    def check_project(self,
-                      index: ProjectIndex) -> Iterable[Violation]:
-        """Overload fault-plane drift, both directions (FLT001 idiom
-        scoped to ``overload.*`` sites)."""
-        registered = index.fault_sites
-        if registered is None:
-            return
-        scanned = {module.package[0] for module in index.modules
-                   if module.package}
-        if not {"persist", "cluster"} <= scanned:
-            return          # partial scan would false-positive
-        overload_sites = {site for site in registered
-                          if site.startswith("overload.")}
-        visited = {}
-        for module in index.modules:
-            if module.tree is None:
-                continue
-            for call in iter_calls(module.tree):
-                if call_target(call)[1] != "fault_point":
-                    continue
-                site = literal_str_arg(call)
-                if site is None or not site.startswith("overload."):
-                    continue
-                visited.setdefault(site, (module.rel, call.lineno))
-                if site not in overload_sites:
-                    yield Violation(
-                        rule_id=self.rule_id, severity=self.severity,
-                        path=module.rel, line=call.lineno,
-                        message=(f"overload fault site {site!r} is "
-                                 f"not listed by any registered fault "
-                                 f"class; the drill injects nothing"))
-        for site in sorted(overload_sites - set(visited)):
-            yield Violation(
-                rule_id=self.rule_id, severity=self.severity,
-                path="repro/faults/classes.py", line=0,
-                message=(f"registered overload fault site {site!r} "
-                         f"has no fault_point({site!r}) call in the "
-                         f"tree; its shed/deadline/hedge drill tests "
-                         f"nothing"))

@@ -24,9 +24,8 @@ from repro.cluster.topology import ClusterSpec, ShardGroup
 from repro.core.config import vm_soft
 from repro.core.vm import CoDesignedVM
 from repro.faults import (
-    make_fault,
+    FAULTS,
     modes_for,
-    needs_cluster,
     prepare_baseline,
     run_faulted,
 )
@@ -430,7 +429,7 @@ class TestClusterFaultInjection:
     def test_each_class_is_survivable_at_full_rate(self, baseline,
                                                    fault):
         outcome = run_faulted(baseline, [fault], seed=11,
-                              cluster=True, rate=1.0)
+                              mode="cluster", rate=1.0)
         assert outcome.ok, outcome.format()
         assert outcome.injected[fault] > 0
         assert outcome.stats["remote"]["requests"] > 0
@@ -438,15 +437,14 @@ class TestClusterFaultInjection:
     def test_cocktail_of_all_cluster_classes(self, baseline):
         for seed in (0, 1):
             outcome = run_faulted(baseline, list(CLUSTER_FAULTS), seed,
-                                  cluster=True)
+                                  mode="cluster")
             assert outcome.ok, outcome.format()
 
     def test_mode_selection(self):
         for name in CLUSTER_FAULTS:
-            assert make_fault(name).cluster is True
-            assert needs_cluster([name]) is True
-            assert modes_for([name]) == [True]    # warm surface only
-        assert needs_cluster(["conn-refused"]) is False
+            assert FAULTS[name].surface == "cluster"
+            assert modes_for([name]) == ["cluster"]   # one warm boot
+        assert modes_for(["conn-refused"]) == ["remote"]
 
 
 @contextlib.contextmanager

@@ -86,7 +86,7 @@ def test_sweep_rows_are_runnable_data(drills, tmp_path):
                           [("bbt-fault",)], (11,), str(tmp_path),
                           hot_threshold=20, progress=seen.append,
                           rate=1.0)
-    assert outcomes == seen and [o.warm for o in outcomes] == [False]
+    assert outcomes == seen and [o.mode for o in outcomes] == ["cold"]
     assert outcomes[0].ok and outcomes[0].injected["bbt-fault"] > 0
     with pytest.raises(ValueError, match="unknown sweep mode"):
         run_matrix({}, [], (), str(tmp_path), mode="wan")

@@ -10,12 +10,16 @@ architected results or kill the run.
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import vm_soft
 from repro.core.vm import CoDesignedVM
 from repro.faults import (
+    FAULTS,
+    SURFACES,
     FaultInjector,
     all_fault_names,
     injecting,
@@ -23,6 +27,7 @@ from repro.faults import (
     modes_for,
     prepare_baseline,
     run_faulted,
+    run_matrix,
 )
 from repro.isa.x86lite import assemble
 from repro.persist import TranslationRepository
@@ -35,6 +40,7 @@ from repro.vmm.runtime import (
 from repro.workloads.programs import PROGRAMS
 
 HOT = 20
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -52,23 +58,81 @@ def _fresh_vm(source: str, **config_overrides) -> CoDesignedVM:
     return vm
 
 
-# -- chaos invariant: every fault class, every mode --------------------------
+# -- the fault table ------------------------------------------------------------
+
+def test_fault_table_doc_has_one_row_per_fault():
+    doc = (REPO / "docs" / "robustness.md").read_text()
+    table = doc.split("\n## Faults\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z-]+)` \| `([a-z]+)` \|", table,
+                      re.MULTILINE)
+    assert sorted(name for name, _ in rows) == all_fault_names()
+    assert dict(rows) == {name: fault.surface
+                          for name, fault in FAULTS.items()}
+
+
+def test_every_fault_has_one_surface_and_something_to_do():
+    for fault in FAULTS.values():
+        assert fault.surface in SURFACES, fault.name
+        assert (fault.fire is None) == (not fault.sites), fault.name
+        assert fault.fire is not None or fault.mangle is not None
+
+
+def test_make_fault_copies_the_row_and_overrides_two_fields():
+    first, second = make_fault("shard-down"), make_fault("shard-down")
+    first.victim = ("shard0",)
+    assert second.victim is None and FAULTS["shard-down"].victim is None
+    assert make_fault("io-error", rate=1.0, max_injections=3).rate == 1.0
+    with pytest.raises(ValueError, match="only rate and max_injections"):
+        make_fault("io-error", sites=("dispatch",))
+    with pytest.raises(ValueError, match="unknown fault"):
+        make_fault("no-such-fault")
+
+
+def test_modes_for_derives_runs_from_surfaces():
+    assert modes_for(["io-error"]) == ["warm"]
+    assert modes_for(["bbt-fault"]) == ["cold"]
+    assert modes_for(["bbt-fault", "conn-refused"]) == ["remote", "cold"]
+    assert modes_for(["conn-refused", "shard-down", "torn-meta"]) == \
+        ["cluster"]
+    assert modes_for(all_fault_names()) == ["cluster", "cold"]
+    assert modes_for([]) == ["warm"]
+
+
+def test_surface_sweep_runs_a_mixed_set_cold_and_remote(tmp_path):
+    """A set with a cold and a remote fault gets one boot of each: the
+    translator fault must see live translation, not a second warm
+    boot through the server."""
+    outcomes = run_matrix({"fibonacci": PROGRAMS["fibonacci"]},
+                          [("bbt-fault", "conn-refused")], (11,),
+                          str(tmp_path), hot_threshold=HOT, rate=1.0)
+    assert [o.mode for o in outcomes] == ["remote", "cold"]
+    assert ["remote" in o.stats for o in outcomes] == [True, False]
+    assert outcomes[1].injected["bbt-fault"] > 0
+    assert all(o.ok for o in outcomes), [o.format() for o in outcomes]
+
+
+def test_run_faulted_rejects_an_unknown_mode(fib_baseline):
+    with pytest.raises(ValueError, match="unknown chaos mode"):
+        run_faulted(fib_baseline, [], seed=0, mode="lan")
+
+
+# -- chaos invariant: every fault, every mode --------------------------------
 
 @pytest.mark.parametrize("fault_name", all_fault_names())
 def test_every_fault_class_is_survivable(fib_baseline, fault_name,
                                          tmp_path):
-    """Forced-rate injection of each class leaves results unchanged."""
-    for warm in modes_for([fault_name]):
+    """Forced-rate injection of each fault leaves results unchanged."""
+    for mode in modes_for([fault_name]):
         outcome = run_faulted(fib_baseline, [fault_name], seed=11,
-                              workdir=tmp_path, warm=warm, rate=1.0)
+                              workdir=tmp_path, mode=mode, rate=1.0)
         assert outcome.ok, outcome.format()
 
 
 def test_all_fault_classes_together(fib_baseline, tmp_path):
     for seed in (0, 1, 2):
-        for warm in (True, False):
+        for mode in ("warm", "cold"):
             outcome = run_faulted(fib_baseline, all_fault_names(),
-                                  seed=seed, workdir=tmp_path, warm=warm)
+                                  seed=seed, workdir=tmp_path, mode=mode)
             assert outcome.ok, outcome.format()
 
 
@@ -85,7 +149,7 @@ def test_same_seed_replays_identical_fault_sequence(fib_baseline,
 def test_recovery_is_recorded_in_stats(fib_baseline, tmp_path):
     """Graceful degradation must be visible, not silent."""
     outcome = run_faulted(fib_baseline, ["bbt-fault"], seed=1,
-                          workdir=tmp_path, warm=False, rate=1.0)
+                          workdir=tmp_path, mode="cold", rate=1.0)
     assert outcome.ok, outcome.format()
     assert outcome.stats["translation_faults"] > 0
     assert outcome.stats["interpreted_fallback_instrs"] > 0
@@ -103,7 +167,7 @@ def test_verifier_false_positive_degrades_to_cold_boot(fib_baseline,
 
 def test_hotspot_misfire_is_absorbed(fib_baseline, tmp_path):
     outcome = run_faulted(fib_baseline, ["hotspot-misfire"], seed=3,
-                          workdir=tmp_path, warm=False, rate=1.0)
+                          workdir=tmp_path, mode="cold", rate=1.0)
     assert outcome.ok, outcome.format()
     assert outcome.stats["hotspot_misfires"] > 0
     # the bogus entries failed into the quarantine, not into a crash
@@ -112,7 +176,7 @@ def test_hotspot_misfire_is_absorbed(fib_baseline, tmp_path):
 
 def test_cache_corruption_detected_and_healed(fib_baseline, tmp_path):
     outcome = run_faulted(fib_baseline, ["cache-corruption"], seed=4,
-                          workdir=tmp_path, warm=False, rate=1.0)
+                          workdir=tmp_path, mode="cold", rate=1.0)
     assert outcome.ok, outcome.format()
     if outcome.total_injected:
         assert outcome.stats["integrity_faults_detected"] > 0
@@ -257,7 +321,7 @@ def test_fsck_clean_repo_is_clean(tmp_path):
 
 
 @pytest.mark.parametrize("fault_name", [
-    name for name in all_fault_names() if make_fault(name).disk])
+    name for name in all_fault_names() if FAULTS[name].mangle is not None])
 def test_fsck_detects_and_repairs_every_disk_fault(tmp_path, fault_name):
     repo = _populated_repo(tmp_path)
     injector = FaultInjector(13, [fault_name], rate=1.0)

@@ -21,8 +21,7 @@ import pytest
 from repro.cacheserver import CacheServer
 from repro.core.config import vm_soft
 from repro.core.vm import CoDesignedVM
-from repro.faults import FaultInjector
-from repro.faults.classes import FaultClass
+from repro.faults import Fault, FaultInjector
 from repro.faults.plane import injecting
 from repro.isa.x86lite import assemble
 from repro.persist import (
@@ -232,15 +231,13 @@ class TestLeaseSerialization:
         assert repo.meta_path.read_bytes() != before
 
 
-class _FsyncFault(FaultClass):
-    """Test-local fault: fail every fsync with EIO."""
+def _fail_fsync(fault, rng, site, context):
+    raise OSError(5, f"injected EIO fsyncing {context.get('path')}")
 
-    name = "fsync-eio"
-    sites = ("repo.fsync",)
-    rate = 1.0
 
-    def fire(self, rng, site, context):
-        raise OSError(5, f"injected EIO fsyncing {context.get('path')}")
+#: Test-local fault: fail every fsync with EIO.
+FSYNC_EIO = Fault("fsync-eio", "warm", ("repo.fsync",), rate=1.0,
+                  fire=_fail_fsync)
 
 
 class TestFsyncDurability:
@@ -271,7 +268,7 @@ class TestFsyncDurability:
         vm.run()
         records = capture_translations(vm.runtime.directory,
                                        vm.state.memory)
-        injector = FaultInjector(7, [_FsyncFault()])
+        injector = FaultInjector(7, [FSYNC_EIO])
         with injecting(injector):
             written = repo.save(records, config_fingerprint(vm.config),
                                 image_fingerprint(vm._image))

@@ -219,7 +219,7 @@ class TestFlightRecorder:
 
         monkeypatch.setattr(CoDesignedVM, "run", exploding_run)
         outcome = run_faulted(baseline, ["bbt-fault"], seed=1,
-                              workdir=str(tmp_path), warm=False)
+                              workdir=str(tmp_path), mode="cold")
         monkeypatch.setattr(CoDesignedVM, "run", original_run)
         assert not outcome.ok
         assert outcome.flight_recording is not None
@@ -230,7 +230,7 @@ class TestFlightRecorder:
         baseline = prepare_baseline("checksum", PROGRAMS["checksum"],
                                     str(tmp_path), hot_threshold=10)
         outcome = run_faulted(baseline, ["bbt-fault"], seed=2,
-                              workdir=str(tmp_path), warm=False)
+                              workdir=str(tmp_path), mode="cold")
         assert outcome.ok
         assert outcome.flight_recording is None
 

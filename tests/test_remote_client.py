@@ -16,9 +16,8 @@ from repro.cluster import LocalCluster
 from repro.core.config import vm_soft
 from repro.core.vm import CoDesignedVM
 from repro.faults import (
-    make_fault,
+    FAULTS,
     modes_for,
-    needs_remote,
     prepare_baseline,
     run_faulted,
 )
@@ -278,7 +277,7 @@ class TestNetworkFaultInjection:
     @pytest.mark.parametrize("fault", NETWORK_FAULTS)
     def test_each_class_is_survivable_at_full_rate(self, baseline,
                                                    fault):
-        outcome = run_faulted(baseline, [fault], seed=11, remote=True,
+        outcome = run_faulted(baseline, [fault], seed=11, mode="remote",
                               rate=1.0)
         assert outcome.ok, outcome.format()
         assert outcome.injected[fault] > 0
@@ -287,12 +286,11 @@ class TestNetworkFaultInjection:
     def test_cocktail_of_all_network_classes(self, baseline):
         for seed in (0, 1, 2):
             outcome = run_faulted(baseline, list(NETWORK_FAULTS), seed,
-                                  remote=True)
+                                  mode="remote")
             assert outcome.ok, outcome.format()
 
     def test_mode_selection(self):
         for name in NETWORK_FAULTS:
-            assert make_fault(name).network is True
-            assert needs_remote([name]) is True
-            assert modes_for([name]) == [True]    # warm surface only
-        assert needs_remote(["io-error"]) is False
+            assert FAULTS[name].surface == "remote"
+            assert modes_for([name]) == ["remote"]    # one warm boot
+        assert modes_for(["io-error"]) == ["warm"]

@@ -19,7 +19,7 @@ import pytest
 from repro.lint import LintEngine, all_rule_ids
 from repro.lint.core import ERROR, WARNING, RULES, Rule, load_baseline, \
     register_rule, write_baseline
-from repro.lint.index import ModuleInfo, fault_site_drift
+from repro.lint.index import ModuleInfo
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -289,32 +289,48 @@ def test_flt001_clean_with_dominating_fault_point():
 
 
 def test_flt001_flags_unregistered_site_literal():
-    source = ("from repro.faults.plane import fault_point\n\n\n"
-              "def step():\n    fault_point(\"bogus.site\")\n")
-    report = lint_one("src/repro/vmm/step2.py", source, "FLT001",
-                      fault_sites={"repo.read"})
-    found = hits(report, "FLT001")
-    assert len(found) == 1
-    assert "bogus.site" in found[0].message
+    for site in ("bogus.site", "overload.bogus"):
+        source = ("from repro.faults.plane import fault_point\n\n\n"
+                  f"def step():\n    fault_point(\"{site}\")\n")
+        report = lint_one("src/repro/persist/step2.py", source, "FLT001",
+                          fault_sites={"repo.read", "overload.shed"})
+        found = hits(report, "FLT001")
+        assert len(found) == 1
+        assert site in found[0].message
+
+
+FULL_SCAN = {
+    "src/repro/persist/a.py":
+        "from repro.faults.plane import fault_point\n\n\n"
+        "def touch(path):\n"
+        "    fault_point(\"repo.read\", path=path)\n"
+        "    with open(path) as handle:\n"
+        "        return handle.read()\n",
+    "src/repro/translator/b.py": "x = 1\n",
+    "src/repro/vmm/c.py": "y = 2\n",
+    "src/repro/faults/table.py":
+        "ROWS = [Fault(\"ghost\", \"remote\", (\"net.ghost\",)),\n"
+        "        Fault(\"hedge\", \"cluster\", (\"overload.hedge\",))]\n",
+}
 
 
 def test_flt001_reports_registry_drift_on_full_scans():
-    sources = {
-        "src/repro/persist/a.py":
-            "from repro.faults.plane import fault_point\n\n\n"
-            "def touch(path):\n"
-            "    fault_point(\"repo.read\", path=path)\n"
-            "    with open(path) as handle:\n"
-            "        return handle.read()\n",
-        "src/repro/translator/b.py": "x = 1\n",
-        "src/repro/vmm/c.py": "y = 2\n",
-    }
     engine = LintEngine(rules=["FLT001"],
-                        fault_sites={"repo.read", "net.ghost"})
-    report = engine.lint_sources(sources)
-    found = hits(report, "FLT001")
-    assert len(found) == 1
+                        fault_sites={"repo.read", "net.ghost",
+                                     "overload.hedge"})
+    found = hits(engine.lint_sources(FULL_SCAN), "FLT001")
+    assert [(v.path, v.line) for v in found] == \
+        [("repro/faults/table.py", 1), ("repro/faults/table.py", 2)]
     assert "net.ghost" in found[0].message
+    assert "overload.hedge" in found[1].message
+
+
+def test_flt001_drift_reads_the_live_fault_table():
+    found = hits(LintEngine(rules=["FLT001"]).lint_sources(FULL_SCAN),
+                 "FLT001")
+    missing = {v.message.split("'")[1] for v in found}
+    assert "repo.write" in missing and "cluster.route" in missing
+    assert "repo.read" not in missing
 
 
 def test_flt001_partial_scans_skip_the_drift_check():
@@ -322,18 +338,6 @@ def test_flt001_partial_scans_skip_the_drift_check():
     report = lint_one("src/repro/persist/a.py", source, "FLT001",
                       fault_sites={"net.ghost"})
     assert report.ok
-
-
-def test_fault_site_drift_live_tree_is_clean():
-    assert fault_site_drift() == {}
-
-
-def test_fault_site_drift_detects_missing_sites(tmp_path):
-    (tmp_path / "mod.py").write_text("def f():\n    pass\n")
-    drift = fault_site_drift(src_root=tmp_path)
-    assert drift, "an empty tree must show every registered site missing"
-    missing = {site for sites in drift.values() for site in sites}
-    assert "repo.read" in missing
 
 
 # -- OBS001: taxonomy conformance ----------------------------------------------

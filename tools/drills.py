@@ -53,9 +53,9 @@ from repro.cli import main as repro_main                 # noqa: E402
 from repro.cluster import (ClusterRepository,            # noqa: E402
                            LocalCluster, anti_entropy)
 from repro.core.config import vm_soft                    # noqa: E402
-from repro.faults import (ArchOutcome, FaultInjector,    # noqa: E402
-                          all_fault_names, make_fault, manifest_pairs,
-                          prepare_baseline, run_matrix)
+from repro.faults import (FAULTS, ArchOutcome,           # noqa: E402
+                          FaultInjector, all_fault_names,
+                          manifest_pairs, prepare_baseline, run_matrix)
 from repro.fleet import (FleetEngine, FleetScenario,     # noqa: E402
                          build_report, export_fleet_trace,
                          serialize_report, validate_report)
@@ -257,8 +257,8 @@ OVERLOAD = "overload cocktail (shed/deadline/hedge classes)"
 
 #: The sweep, one row per (section, workloads, fault sets, seeds, mode,
 #: injector overrides) — ``faults.run_matrix`` is the loop.  Per
-#: workload: every registered class alone at a forced rate in every mode
-#: it has surface in, then all classes together, warm and cold; then the
+#: workload: every fault alone at a forced rate in the mode of its
+#: surface, then all faults together, warm and cold; then the
 #: cocktails through a live server (docs/cache_server.md), a live 3x2
 #: cluster (docs/cluster.md), and the overload classes stacked on a slow
 #: server so shed, deadline, hedge, retry budget and the degradation
@@ -281,23 +281,21 @@ SWEEP = [row for name in WORKLOADS for row in (
 
 
 def preflight_fault_sites() -> int:
-    """Fail fast when the fault-site registry has drifted.
+    """Fail fast when the fault table and the fault points disagree.
 
-    A fault class whose site string no production code visits makes
-    every chaos run of that class silently test nothing — the sweep
-    would pass while injecting zero faults.  reprolint's FLT001 rule
-    checks the same invariant at lint time; this preflight stops the
-    (much slower) sweep before it burns its seconds on a vacuous matrix.
+    A fault whose site string no production code visits makes every
+    chaos run of it silently test nothing — the sweep would pass while
+    injecting zero faults.  This is reprolint's FLT001 over the package,
+    run before the (much slower) sweep burns its seconds on a vacuous
+    matrix.
     """
-    from repro.lint.index import fault_site_drift
-    drift = fault_site_drift()
-    if not drift:
+    from repro.lint import LintEngine
+    package = REPO / "src" / "repro"
+    report = LintEngine(rules=["FLT001"]).lint_paths([package])
+    if report.ok:
         return 0
-    print("fault-site registry drift — the following registered sites "
-          "have no fault_point(...) call site:")
-    for name, missing in sorted(drift.items()):
-        print(f"  {name}: {', '.join(missing)}")
-    print("fix the registry or the call sites (reprolint rule FLT001; "
+    print(report.format())
+    print("fix the fault table or the call sites (reprolint rule FLT001; "
           "see docs/static_analysis.md), then re-run")
     return 1
 
@@ -307,7 +305,7 @@ def chaos_drill(workdir) -> List[str]:
     must complete and match its fault-free baseline.  Every line carries
     the seed, so a failure replays bit-for-bit."""
     if preflight_fault_sites():
-        return ["fault-site registry drift: the sweep would be vacuous"]
+        return ["fault-site drift: the sweep would be vacuous"]
     problems = []
 
     def report(outcome) -> None:
@@ -329,12 +327,11 @@ def chaos_drill(workdir) -> List[str]:
 
 
 def fsck_drill(workdir) -> List[str]:
-    """Every disk fault class is fully repairable: mangle, ``fsck
-    --repair``, re-check clean, then warm-start from the repaired
-    store."""
+    """Every disk fault is fully repairable: mangle, ``fsck --repair``,
+    re-check clean, then warm-start from the repaired store."""
     problems = []
     baseline = baseline_of("fibonacci", workdir)
-    disk_faults = [name for name in ALL if make_fault(name).disk]
+    disk_faults = [name for name in ALL if FAULTS[name].mangle is not None]
     for seed, fault in enumerate(disk_faults):
         repo_dir = workdir / f"fsck-{fault}"
         shutil.copytree(baseline.repo_dir, repo_dir)
@@ -857,14 +854,14 @@ class Drill:
 
 DRILLS = (
     Drill("chaos", "docs/robustness.md#The chaos gate", chaos_drill),
-    Drill("failover", "docs/cluster.md#Fault classes and gates",
+    Drill("failover", "docs/cluster.md#Faults and gates",
           failover_drill),
     Drill("fsck", "docs/persistence.md#Crash safety and repair",
           fsck_drill),
     Drill("serve", "docs/cache_server.md#Chaos coverage", serve_drill),
     Drill("cluster", "docs/cluster.md#Anti-entropy repair",
           cluster_drill),
-    Drill("overload", "docs/overload.md#Fault classes and gates",
+    Drill("overload", "docs/overload.md#Faults and gates",
           overload_drill),
     Drill("collect",
           "docs/observability.md#Distributed tracing & monitoring",
