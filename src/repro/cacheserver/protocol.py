@@ -31,8 +31,9 @@ Operations (see ``docs/cache_server.md`` for the full matrix):
   lies on the server's disk (``null`` where unreadable), unparsed and
   unjudged.  ``persist.remote.pulled_records`` parses them; the
   loader's ``validate_record`` is the one integrity check.
-* ``push`` — upload records; the server saves them under its writer
-  lease and reports how many objects were newly written vs deduped
+* ``push`` — upload records, each as its stored text; the server
+  validates each text and saves it verbatim under its writer lease
+  and reports how many objects were newly written vs deduped
   against content-addressed objects other workloads already stored.
   An optional ``"merge": true`` flag unions the pushed keys with the
   manifest's existing entries (sorted, so concurrent writers converge

@@ -16,9 +16,10 @@ Design points:
   threads, other server processes and direct local savers all
   serialize identically; a contended lease surfaces to the client as a
   retryable ``lease-busy`` error instead of a torn manifest;
-* **server-side validation on the way in only**: pushed records are
-  structurally validated (content key recomputed) before they touch
-  the store, so one corrupt client cannot poison the cache other
+* **server-side validation on the way in only**: a push ships each
+  record's stored text; the server validates it (field types, content
+  key hashed over the text) before it touches the store and writes it
+  verbatim, so one corrupt client cannot poison the cache other
   instances pull from; a pull ships objects as stored and leaves the
   judging to the loader that installs them;
 * **dedup is inherent and reported**: objects are content-addressed,
@@ -72,7 +73,11 @@ from repro.obs.telemetry import (
     SpanBuffer,
     TraceContext,
 )
-from repro.persist.format import PersistFormatError, validate_record
+from repro.persist.format import (
+    PersistFormatError,
+    parse_record,
+    validate_record,
+)
 from repro.persist.repository import TranslationRepository
 
 log = logging.getLogger("repro.cacheserver")
@@ -704,7 +709,8 @@ class CacheServer:
                                   "missing fingerprints or records")
         valid = []
         rejected = 0
-        for record in records:
+        for text in records:
+            record = parse_record(text)
             try:
                 validate_record(record)
             except PersistFormatError:
@@ -718,14 +724,14 @@ class CacheServer:
             config_name = ""
         if request.get("repair"):
             # anti-entropy heal: a pushed key whose on-disk object
-            # exists but is not the (validated) record pushed must be
+            # exists but is not the (validated) text pushed must be
             # rewritten — the normal save would skip it as a dedup
             for record in valid:
                 key = record["key"]
                 path = self.repository._object_path(key)
                 try:
                     damaged = path.exists() and \
-                        self.repository._read_object(key) != record
+                        self.repository._read_stored(key) != record.text
                 except OSError:
                     damaged = False
                 if damaged:

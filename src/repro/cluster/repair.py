@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.cluster.topology import ClusterSpec
-from repro.persist.format import PersistFormatError, validate_record
+from repro.persist.format import PersistFormatError, Record, validate_record
 from repro.persist.remote import ReplicaSet, pulled_records
 
 log = logging.getLogger("repro.cluster")
@@ -137,7 +137,7 @@ def anti_entropy(spec, timeout: float = 2.0, retries: int = 1,
         outcome.pairs = len(pairs)
         for config_fp, image_fp in sorted(pairs):
             payload = {"config_fp": config_fp, "image_fp": image_fp}
-            merged: Dict[str, Dict] = {}
+            merged: Dict[str, Record] = {}
             holdings: Dict[str, Set[str]] = {}
             for address, client in reachable.items():
                 try:
@@ -167,7 +167,7 @@ def anti_entropy(spec, timeout: float = 2.0, retries: int = 1,
                 if not missing:
                     continue
                 push = dict(payload)
-                push["records"] = [merged[key] for key in missing]
+                push["records"] = [merged[key].text for key in missing]
                 push["merge"] = True
                 # repair pushes may overwrite an existing-but-corrupt
                 # object file (a plain push would skip it as a dedup)

@@ -179,13 +179,11 @@ class CoDesignedVM:
         self._last_repository = repo
         config_fp = config_fingerprint(self.config)
         image_fp = image_fingerprint(self._image)
-        records = repo.load(config_fp, image_fp)
+        records, missing = repo.fetch(config_fp, image_fp)
         report = WarmStartLoader(self.runtime).load_records(records)
+        report.missing_objects += missing
         log.info("warm start under %s: %d/%d record(s) loaded",
                  self.config.name, report.loaded, report.attempted)
-        expected = repo.manifest_entry_count(config_fp, image_fp)
-        if expected is not None and expected > len(records):
-            report.missing_objects += expected - len(records)
         return report
 
     # -- observability --------------------------------------------------------

@@ -139,11 +139,10 @@ def _make_stale(rng, root: Path, path: Path) -> bool:
         + first[2:]
     # keep the content key consistent: this models a *stale* record
     # (valid on disk, wrong source), not a corrupt one
-    from repro.persist.format import record_key
-    record.pop("key", None)
-    record["key"] = record_key(record)
+    from repro.persist.format import encode_record
+    record = encode_record(record)
     path.unlink()
-    path.with_name(record["key"] + ".json").write_text(json.dumps(record))
+    path.with_name(record["key"] + ".json").write_text(record.text)
     for manifest_path in _files(root, "manifests"):
         manifest = _read_json(manifest_path)
         if manifest is None:

@@ -45,9 +45,10 @@ from repro.persist.format import (
     FORMAT_VERSION,
     PersistFormatError,
     config_fingerprint,
+    encode_record,
     image_fingerprint,
     materialize,
-    record_key,
+    parse_record,
     record_stream,
     serialize_translation,
     source_matches,
@@ -90,11 +91,12 @@ __all__ = [
     "WriterLease",
     "capture_translations",
     "config_fingerprint",
+    "encode_record",
     "fsck_repository",
     "image_fingerprint",
     "materialize",
     "parse_address",
-    "record_key",
+    "parse_record",
     "record_stream",
     "serialize_translation",
     "source_matches",

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from repro.persist.format import serialize_translation
+from repro.persist.format import Record, serialize_translation
 from repro.translator.code_cache import TranslationDirectory
 
 
 def capture_translations(directory: TranslationDirectory,
-                         memory) -> List[Dict]:
+                         memory) -> List[Record]:
     """Serialize every currently installed translation.
 
     Only what is in the caches *now* is captured: translations lost to a
@@ -17,7 +17,7 @@ def capture_translations(directory: TranslationDirectory,
     cost the flush/retranslation counters quantify).  Unserializable
     translations (e.g. whose source bytes no longer decode) are skipped.
     """
-    records: List[Dict] = []
+    records: List[Record] = []
     for cache in (directory.bbt_cache, directory.sbt_cache):
         for translation in cache.translations:
             record = serialize_translation(translation, memory)

@@ -1,24 +1,27 @@
 """Serialization format for persisted translations.
 
-A persisted translation is a *record*: a JSON-friendly dict holding the
+A persisted translation is a *record*: a JSON object holding the
 canonical (un-chained, un-redirected) micro-op stream of one BBT or SBT
 translation **as its encoded bytes** (``code``, hex) plus everything
 needed to re-materialize it in a fresh VM — the ``x86_addr`` metadata
 the bytes do not carry (``origins``, run-length ``[x86_addr, count]``
-pairs in stream order), exit-stub offsets, side-table offsets,
-profiling-counter linkage, and a **source fingerprint**.  The micro-op
-decoder is the only parser of a record's code: there is no field-list
-form, and a record of an older layout reads as corrupt.
+pairs in stream order), exit-stub offsets, side-table offsets and a
+**source fingerprint** (``source``, the covered x86 bytes as contiguous
+``[addr, hex]`` runs).  The micro-op decoder is the only parser of a
+record's code: there is no field-list form, and a record of an older
+layout reads as corrupt.
 
-Content addressing
-------------------
-Every record is keyed by a hash over its entire payload: the x86 bytes
-it was translated from (per covered instruction), its kind and entry
-address, and the emitted micro-op stream with its exit/side-table
-anchors.  Validation recomputes the key, so any on-disk tampering is
-caught as corruption; separately, the loader re-reads the recorded
-source bytes from the *current* program memory, so a record whose
-source changed since it was saved is dropped as stale, never installed.
+A record is its bytes
+---------------------
+:func:`encode_record` writes a record's text once, at capture: compact,
+key-sorted JSON, which the store writes, the wire carries and the loader
+parses.  Its key is the SHA-256 of the text with its ``"key":"<hex>",``
+member cut out, so the one key check (:func:`validate_record`) hashes
+the bytes in hand, and a :class:`Record` (read-only) carries the text
+its fields are the parse of.  The loader re-reads the recorded source
+bytes from the *current* memory: a record whose source changed since it
+was saved is stale.  A BBT record's prologue is counter-free
+(:data:`STORED_PROLOGUE`), so identical translations are one record.
 
 Configuration fingerprints
 --------------------------
@@ -46,22 +49,88 @@ from repro.translator.code_cache import (
     Translation,
     expand_origins,
 )
+from repro.translator.emit import prologue_code
 from repro.translator.templates import fetch, shape_at
 
 #: Bump on any incompatible change to the record layout.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+#: Every member of a record, ``key`` among them.
+_FIELDS = frozenset(("code", "entry", "exits", "format", "fused_pairs",
+                     "instr_count", "key", "kind", "origins", "side_table",
+                     "source", "x86_addrs"))
 
 #: Exit-stub kinds a record may carry (mirrors ExitStub.kind).  A tuple:
 #: membership compares, so an unhashable JSON value is just "not in".
 _EXIT_KINDS = ("jump", "fallthrough", "taken", "indirect", "vmcall", "loop")
 
+#: the one JSON spelling of a record: compact, keys sorted
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-#: the one JSON spelling content keys are computed over
-_canonical_json = json.JSONEncoder(sort_keys=True).encode
+#: the key a record is encoded under before its text is hashed
+_NO_KEY = "0" * 64
+
+#: a record's ``key`` member as its text spells it
+_key_member = '"key":"{}",'.format
+
+#: A profiled BBT block's first three words as a record stores them:
+#: RDFLG, then the LUI/ORI pair of the counter address with zero
+#: immediates.
+STORED_PROLOGUE = prologue_code(0)[:12]
 
 
 class PersistFormatError(Exception):
     """A record is structurally invalid (corrupt or wrong version)."""
+
+
+class Record(dict):
+    """One record: its stored text, as the dict of the fields that text
+    spells.  Read-only, so the fields stay what the key was computed
+    over.  Only :func:`encode_record` (from fields) and
+    :func:`parse_record` (from a stored text) build one."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str, fields: Dict) -> None:
+        super().__init__(fields)
+        self.text = text
+
+    def _read_only(self, *_args, **_kwargs):
+        raise TypeError("a record's fields are its stored text's")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return parse_record, (self.text,)
+
+
+def _around_key(text: str, key: str) -> Optional[Tuple[str, str]]:
+    """The text before and after its ``"key":"<key>",`` member (what the
+    key is the SHA-256 of), or None when the text has no such member."""
+    head, member, tail = text.partition(_key_member(key))
+    return (head, tail) if member else None
+
+
+def encode_record(fields) -> Record:
+    """The one encoder: ``fields`` (a ``key`` among them is replaced) as
+    a record, keyed by the SHA-256 of its text minus the key member."""
+    fields = dict(fields, key=_NO_KEY)
+    head, tail = _around_key(_encode(fields), _NO_KEY)
+    fields["key"] = hashlib.sha256((head + tail).encode()).hexdigest()
+    return Record(head + _key_member(fields["key"]) + tail, fields)
+
+
+def parse_record(text) -> Optional[Record]:
+    """A stored text as a record, or None when it is not a JSON object.
+    Whether the record is intact is :func:`validate_record`'s finding."""
+    if not isinstance(text, str):
+        return None
+    try:
+        fields = json.loads(text)
+    except ValueError:
+        return None
+    return Record(text, fields) if isinstance(fields, dict) else None
 
 
 # -- fingerprints ----------------------------------------------------------
@@ -90,23 +159,11 @@ def image_fingerprint(image) -> str:
     return digest.hexdigest()[:16]
 
 
-def record_key(record: Dict) -> str:
-    """Content hash over the record's entire payload (minus the key).
-
-    Covering the full payload — micro-ops, exits, side table, not just
-    the source bytes — means any on-disk tampering or truncation shows
-    up as a key mismatch during validation, before the verifier ever
-    sees the record.
-    """
-    payload = dict(record)
-    payload.pop("key", None)
-    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
-
-
 # -- translation -> record --------------------------------------------------
 
 def _covered_source(origins: List[List], memory) -> List[List]:
-    """``[addr, hexbytes]`` for every x86 instruction the stream covers.
+    """``[addr, hexbytes]`` runs of the x86 instructions the stream
+    covers, each run as long as the instructions are contiguous.
 
     Coverage comes from the per-micro-op ``x86_addr`` metadata (the
     ``origins`` runs), so the fingerprint spans exactly the instructions
@@ -117,24 +174,30 @@ def _covered_source(origins: List[List], memory) -> List[List]:
     addrs = sorted({addr for addr, _count in origins
                     if addr is not None})
     source: List[List] = []
-    window, base = b"", 0
+    window, base, end = b"", 0, None
     for addr in addrs:
         offset = addr - base
         if offset + MAX_INSTRUCTION_LENGTH > len(window):
             window, base, offset = fetch(memory, addr), addr, 0
         length = shape_at(window, offset, addr).length
-        source.append([addr, window[offset:offset + length].hex()])
+        data = window[offset:offset + length].hex()
+        if addr == end:
+            source[-1][1] += data
+        else:
+            source.append([addr, data])
+        end = addr + length
     return source
 
 
 def serialize_translation(translation: Translation,
-                          memory) -> Optional[Dict]:
-    """One translation -> JSON-ready record, or None if unserializable.
+                          memory) -> Optional[Record]:
+    """One translation -> record, or None if unserializable.
 
     Serializes the *canonical* stream (``translation.code``, the bytes
     as installed), which chain patches and BBT->SBT redirects never
     touch — persisted translations are therefore always in their
-    un-chained form and re-link naturally after loading.
+    un-chained form and re-link naturally after loading.  A profiled
+    block's counter address is zeroed (:data:`STORED_PROLOGUE`).
     """
     code, origins = translation.code, translation.origins
     if not code or origins is None:
@@ -143,14 +206,15 @@ def serialize_translation(translation: Translation,
         source = _covered_source(origins, memory)
     except (DecodeError, MemoryError_, UopEncodeError):
         return None  # source no longer decodes (e.g. overwritten text)
-    record = {
+    if translation.counter_addr is not None:
+        code = STORED_PROLOGUE + code[len(STORED_PROLOGUE):]
+    return encode_record({
         "format": FORMAT_VERSION,
         "kind": translation.kind,
         "entry": translation.entry,
         "x86_addrs": list(translation.x86_addrs),
         "instr_count": translation.instr_count,
         "fused_pairs": translation.fused_pairs,
-        "counter_addr": translation.counter_addr,
         "code": code.hex(),
         "origins": [list(run) for run in origins],
         "exits": [[stub.stub_addr - translation.native_addr, stub.kind,
@@ -159,36 +223,43 @@ def serialize_translation(translation: Translation,
                        for addr, x86_addr
                        in sorted(translation.side_table.items())],
         "source": source,
-    }
-    record["key"] = record_key(record)
-    return record
+    })
 
 
 # -- record -> translation --------------------------------------------------
 
-def validate_record(record: Dict) -> None:
-    """Structural validation; raises PersistFormatError on corruption."""
-    if not isinstance(record, dict):
-        raise PersistFormatError("record is not an object")
+def validate_record(record) -> None:
+    """The one integrity check, raising PersistFormatError: every field
+    of its JSON type (a number is ``type(...) is int``: JSON ``true`` is
+    no count of 1), then the content key over the stored text."""
+    if not isinstance(record, Record):
+        raise PersistFormatError("record is not a stored object")
     if record.get("format") != FORMAT_VERSION:
         raise PersistFormatError(
             f"format version {record.get('format')!r} != {FORMAT_VERSION}")
-    if record.get("kind") not in ("bbt", "sbt"):
-        raise PersistFormatError(f"bad kind {record.get('kind')!r}")
-    # a number is ``type(...) is int``: JSON ``true``/``false`` (``bool`` is
-    # an ``int`` subclass) would otherwise pass for a count of 1 or 0
+    if record.keys() != _FIELDS:
+        raise PersistFormatError(
+            f"fields {sorted(record)} are not the layout's")
+    if record["kind"] not in ("bbt", "sbt"):
+        raise PersistFormatError(f"bad kind {record['kind']!r}")
     for field in ("entry", "instr_count", "fused_pairs"):
-        if type(record.get(field)) is not int:
+        if type(record[field]) is not int:
             raise PersistFormatError(f"bad {field!r} field")
-    code = record.get("code")
-    if not isinstance(code, str) or not code:
+    addrs = record["x86_addrs"]
+    if type(addrs) is not list:
+        raise PersistFormatError("bad 'x86_addrs' field")
+    for addr in addrs:
+        if type(addr) is not int:
+            raise PersistFormatError(f"bad x86 address {addr!r}")
+    code = record["code"]
+    if type(code) is not str or not code:
         raise PersistFormatError("missing micro-op stream")
-    origins = record.get("origins")
-    if not isinstance(origins, list):
+    origins = record["origins"]
+    if type(origins) is not list:
         raise PersistFormatError("missing origins")
     covered = 0
     for run in origins:
-        if (not isinstance(run, (list, tuple)) or len(run) != 2
+        if (type(run) is not list or len(run) != 2
                 or not (run[0] is None or type(run[0]) is int)
                 or type(run[1]) is not int or run[1] < 1):
             raise PersistFormatError(f"bad origins run {run!r}")
@@ -199,46 +270,47 @@ def validate_record(record: Dict) -> None:
     if covered > len(code) // 4:
         raise PersistFormatError(
             f"origins cover {covered} micro-ops, more than the code holds")
-    for field in ("exits", "side_table", "source"):
-        if not isinstance(record.get(field), list):
-            raise PersistFormatError(f"missing {field!r} list")
-    for exit_fields in record["exits"]:
-        if (not isinstance(exit_fields, (list, tuple))
-                or len(exit_fields) != 3
-                or type(exit_fields[0]) is not int
-                or exit_fields[1] not in _EXIT_KINDS
-                or not (exit_fields[2] is None
-                        or type(exit_fields[2]) is int)):
-            raise PersistFormatError(f"bad exit record {exit_fields!r}")
-    for side in record["side_table"]:
-        if (not isinstance(side, (list, tuple)) or len(side) != 2
+    exits, side_table, source = \
+        record["exits"], record["side_table"], record["source"]
+    if not type(exits) is type(side_table) is type(source) is list:
+        raise PersistFormatError("missing exits, side table or source")
+    for stub in exits:
+        if (type(stub) is not list or len(stub) != 3
+                or type(stub[0]) is not int or stub[1] not in _EXIT_KINDS
+                or not (stub[2] is None or type(stub[2]) is int)):
+            raise PersistFormatError(f"bad exit record {stub!r}")
+    for side in side_table:
+        if (type(side) is not list or len(side) != 2
                 or type(side[0]) is not int or type(side[1]) is not int):
             raise PersistFormatError(f"bad side-table record {side!r}")
-    for entry in record["source"]:
-        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                or type(entry[0]) is not int
-                or not isinstance(entry[1], str)):
-            raise PersistFormatError(f"bad source entry {entry!r}")
-    if record.get("key") != record_key(record):
-        raise PersistFormatError("content key does not match payload")
-
-
-def source_matches(record: Dict, memory) -> bool:
-    """Whether the record's source bytes match the current memory,
-    compared one read per contiguous run of ``source`` entries."""
+    for run in source:
+        if (type(run) is not list or len(run) != 2
+                or type(run[0]) is not int or type(run[1]) is not str):
+            raise PersistFormatError(f"bad source run {run!r}")
+    around = _around_key(record.text, record["key"])
     try:
-        runs: List[List] = []       # [addr, bytes] of each run so far
+        if around is None or hashlib.sha256(
+                "".join(around).encode()).hexdigest() != record["key"]:
+            raise PersistFormatError("content key does not match the text")
+    except UnicodeEncodeError as error:     # e.g. a lone surrogate
+        raise PersistFormatError("the text has no UTF-8 bytes") from error
+
+
+def source_matches(record, memory) -> bool:
+    """Whether the record's source runs match the current memory: one
+    ``fromhex`` and one read per run.  A run outside the 32-bit address
+    space, or that leaves it, is stale."""
+    try:
         for addr, hexbytes in record["source"]:
-            if not runs or addr != runs[-1][0] + len(runs[-1][1]):
-                runs.append([addr, b""])
-            runs[-1][1] += bytes.fromhex(hexbytes)
-        return all(memory.read(addr, len(data)) == data
-                   for addr, data in runs)
+            data = bytes.fromhex(hexbytes)
+            if addr >> 32 or memory.read(addr, len(data)) != data:
+                return False
     except (ValueError, MemoryError_):
         return False
+    return True
 
 
-def record_code(record: Dict) -> bytes:
+def record_code(record) -> bytes:
     """A validated record's encoded stream."""
     try:
         return bytes.fromhex(record["code"])
@@ -246,13 +318,13 @@ def record_code(record: Dict) -> bytes:
         raise PersistFormatError(f"code is not hex: {error}") from error
 
 
-def record_stream(record: Dict) -> Tuple[bytes, List[Optional[int]]]:
+def record_stream(record) -> Tuple[bytes, List[Optional[int]]]:
     """:func:`record_code` and the ``x86_addr`` of each micro-op in it
     (``origins`` expanded)."""
     return record_code(record), expand_origins(record["origins"])
 
 
-def materialize(record: Dict, native_addr: int,
+def materialize(record, native_addr: int,
                 uop_count: int) -> Translation:
     """Build an installable Translation from a validated record.
 

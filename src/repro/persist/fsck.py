@@ -36,6 +36,7 @@ from typing import Dict, List
 from repro.persist.format import (
     FORMAT_VERSION,
     PersistFormatError,
+    parse_record,
     validate_record,
 )
 
@@ -143,7 +144,7 @@ def fsck_repository(repo, repair: bool = False) -> FsckReport:
             report.objects_checked += 1
             problem = None
             try:
-                record = json.loads(path.read_text())
+                record = parse_record(path.read_text())
                 validate_record(record)
                 if record["key"] != path.stem:
                     problem = "stored under the wrong key"

@@ -7,12 +7,11 @@ accepts, the loader
 1. re-checks the **source fingerprint** against the freshly loaded
    program memory (a record translated from different bytes is stale and
    dropped);
-2. re-binds the BBT profiling prologue to a freshly allocated countdown
-   counter (the old counter address is dead VMM state from the previous
-   process) **in the bytes**: the two prologue words at bytes 4..12 are
-   checked against the recorded counter through the VM's word table and
-   re-encoded -- the only micro-ops the loader ever builds; a record
-   dropped further down hands its counter back;
+2. points the BBT profiling prologue at a freshly allocated countdown
+   counter **in the bytes**: a record stores the LUI/ORI pair at bytes
+   4..12 with zero immediates, the loader checks them against that pair
+   and splices in the pair for the new counter; a record dropped
+   further down hands its counter back;
 3. has the verifier's context walk those bytes through that table (each
    distinct word decoded **once** per VM, no micro-op list), ``origins``
    kept as the record's runs, for **the new native address** handed out
@@ -41,21 +40,16 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Set, Tuple
 
 from repro.faults.plane import fault_point
-from repro.isa.fusible.encoding import (
-    UopDecodeError,
-    WordTable,
-    encode_stream,
-)
-from repro.isa.fusible.microop import MicroOp
-from repro.isa.fusible.opcodes import UOp
-from repro.isa.fusible.registers import R_SCRATCH0
+from repro.isa.fusible.encoding import UopDecodeError
 from repro.persist.format import (
+    STORED_PROLOGUE,
     PersistFormatError,
     materialize,
     record_code,
     source_matches,
     validate_record,
 )
+from repro.translator.emit import prologue_code
 from repro.verify.rules import VerifyContext
 from repro.verify.verifier import run_rules
 from repro.vmm.runtime import COUNTER_DISABLED
@@ -114,29 +108,16 @@ class LoadReport:
         return "\n".join(lines)
 
 
-def _rebind_counter(code: bytes, words: WordTable, old_addr: int,
-                    new_addr: int) -> bytes:
-    """Point the profiling prologue at a freshly allocated counter.
-
-    The prologue shape is fixed (see ``emit.profile_prologue``): the
-    LUI/ORI pair at bytes 4..12, behind the 32-bit RDFLG, materializes
-    the counter address into R_SCRATCH0.  Anything else means the record
-    does not match its metadata and is treated as corrupt (as is code
-    too short to hold the pair: the table's decode raises).
-    """
-    lui, ori = words[code[4:8]].uop, words[code[8:12]].uop
-    if (not code[1] & 0x40
-            or lui.op is not UOp.LUI or lui.rd != R_SCRATCH0
-            or lui.imm != (old_addr >> 13) & 0x7FFFF
-            or ori.op is not UOp.ORI or ori.rd != R_SCRATCH0
-            or ori.imm != old_addr & 0x1FFF):
-        raise PersistFormatError(
-            "profiling prologue does not match recorded counter")
-    return code[:4] + encode_stream([
-        MicroOp(UOp.LUI, lui.rd, imm=(new_addr >> 13) & 0x7FFFF,
-                fused=lui.fused),
-        MicroOp(UOp.ORI, ori.rd, ori.rs1, imm=new_addr & 0x1FFF,
-                fused=ori.fused, setflags=ori.setflags)]) + code[12:]
+def _rebind_counter(code: bytes, new_addr: int) -> bytes:
+    """Point the stored profiling prologue at a freshly allocated
+    counter.  The record holds the prologue's first three words (see
+    ``emit.profile_prologue``) as :data:`STORED_PROLOGUE`, the LUI/ORI
+    pair with zero immediates; code that does not start with them does
+    not match its metadata and is corrupt."""
+    if not code.startswith(STORED_PROLOGUE):
+        raise PersistFormatError("profiling prologue is not the stored one")
+    return prologue_code(new_addr)[:len(STORED_PROLOGUE)] \
+        + code[len(STORED_PROLOGUE):]
 
 
 class WarmStartLoader:
@@ -152,6 +133,7 @@ class WarmStartLoader:
         directory = self.runtime.directory
         memory = self.runtime.memory
         words = self.runtime.machine.words
+        profiled = self.runtime.bbt.embed_profiling
         new_counter = None
         tracer = getattr(self.runtime, "tracer", None)
         ledger = getattr(self.runtime, "ledger", None)
@@ -202,14 +184,12 @@ class WarmStartLoader:
                 reject("stale-source", record)
                 continue
             cache = directory.cache_for(kind)
-            old_counter = record.get("counter_addr")
             try:
                 code = record_code(record)
-                if kind == "bbt" and old_counter is not None:
+                if kind == "bbt" and profiled:
                     # the screen must see the final bytes
                     new_counter = self.runtime.bbt.allocate_counter()
-                    code = _rebind_counter(code, words, old_counter,
-                                           new_counter)
+                    code = _rebind_counter(code, new_counter)
                 # the one walk: the words, the CFG and (on demand) the
                 # dataflow facts every rule shares
                 screen = VerifyContext.from_code(code, record["origins"],

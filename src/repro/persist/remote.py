@@ -1,7 +1,7 @@
 """The wire repository — one fault-tolerant shared-cache client.
 
 To the VM :class:`RemoteRepository` is just another repository
-(``load`` / ``save`` / ``manifest_entry_count``), but it fronts
+(``load`` / ``fetch`` / ``save``), but it fronts
 :class:`~repro.cacheserver.server.CacheServer` processes over sockets:
 shard groups routed by the consistent-hash ring, each group a replica
 set served by one :class:`ReplicaSet` request engine.  A single server
@@ -83,6 +83,7 @@ from repro.cacheserver import protocol
 from repro.faults.plane import fault_point
 from repro.obs.metrics import Histogram
 from repro.persist.deadline import Deadline, RetryBudget
+from repro.persist.format import Record
 from repro.persist.repository import TranslationRepository, parse_object
 
 log = logging.getLogger("repro.persist.remote")
@@ -117,7 +118,7 @@ class RemoteRejected(RemoteError):
     because the endpoint is healthy."""
 
 
-def pulled_records(response: Dict) -> List[Dict]:
+def pulled_records(response: Dict) -> List[Record]:
     """The records of a ``pull`` response: each object the server
     shipped as stored, parsed.  One that is not a JSON object stored
     under its manifest key is dropped here (it shows as a missing
@@ -977,36 +978,48 @@ class RemoteRepository:
 
     # -- the repository surface ---------------------------------------------
 
-    def load(self, config_fp: str, image_fp: str) -> List[Dict]:
+    def load(self, config_fp: str, image_fp: str) -> List[Record]:
         """Key-sorted union of every reachable group's records for one
         (config, image) pair; never raises."""
+        return self.fetch(config_fp, image_fp)[0]
+
+    def fetch(self, config_fp: str, image_fp: str
+              ) -> Tuple[List[Record], int]:
+        """:meth:`load`'s records, and how many entries of the manifests
+        they came from did not arrive as a record (one pull per group,
+        its ``entries`` and objects from one manifest read)."""
         stats = self.remote_stats
         stats.pulls += 1
         payload = {"config_fp": config_fp, "image_fp": image_fp}
-        merged: Dict[str, Dict] = {}
+        merged: Dict[str, Record] = {}
+        missing = 0
         failure = None
         for name in sorted(self.groups):
             try:
                 fault_point("cluster.route", group=name, op="pull")
-                records = pulled_records(
-                    self.groups[name].request("pull", payload))
+                response = self.groups[name].request("pull", payload)
+                records = pulled_records(response)
             except Exception as error:  # noqa: BLE001 - degrade, never
                 # raise into the VM
                 failure = self._group_failed(name, "pull", error)
                 continue
             stats.records_pulled += len(records)
+            missing += len(response["entries"]) - len(records)
             for record in records:
                 merged.setdefault(record["key"], record)
         if failure is not None:
             local = self._fall_back("pull", failure)
             if local is not None:
-                for record in local.load(config_fp, image_fp):
+                records, dropped = local.fetch(config_fp, image_fp)
+                missing += dropped
+                for record in records:
                     merged.setdefault(record["key"], record)
-        return [merged[key] for key in sorted(merged)]
+        return [merged[key] for key in sorted(merged)], missing
 
-    def save(self, records: List[Dict], config_fp: str, image_fp: str,
+    def save(self, records: List[Record], config_fp: str, image_fp: str,
              config_name: str = "") -> int:
         """Replicated, sharded push with quorum accounting; never raises.
+        Each record travels as its stored text.
 
         Per group: zero acks counts ``push_group_failures`` and that
         share goes down the ladder; acks below the quorum count
@@ -1017,7 +1030,7 @@ class RemoteRepository:
         """
         stats = self.remote_stats
         stats.pushes += 1
-        by_group: Dict[str, List[Dict]] = {}
+        by_group: Dict[str, List[Record]] = {}
         for record in records:
             if record is not None:
                 by_group.setdefault(
@@ -1025,7 +1038,7 @@ class RemoteRepository:
         written = 0
         summary = {"written": 0, "deduped": 0, "rejected": 0}
         acked = False
-        unplaced: List[Dict] = []
+        unplaced: List[Record] = []
         failure = None
         for name in sorted(by_group):
             share = by_group[name]
@@ -1033,7 +1046,8 @@ class RemoteRepository:
             try:
                 fault_point("cluster.route", group=name, op="push")
                 acks = [ack for ack in engine.fan_out("push", {
-                    "records": share, "config_fp": config_fp,
+                    "records": [record.text for record in share],
+                    "config_fp": config_fp,
                     "image_fp": image_fp, "config_name": config_name,
                     "merge": True}) if ack is not None]
             except Exception as error:  # noqa: BLE001 - degrade, never
@@ -1067,30 +1081,6 @@ class RemoteRepository:
                 written += local.save(unplaced, config_fp, image_fp,
                                       config_name=config_name, merge=True)
         return written
-
-    def manifest_entry_count(self, config_fp: str,
-                             image_fp: str) -> Optional[int]:
-        """Sum of the answering groups' manifest entries, or the local
-        count, or None when nothing answers; never raises."""
-        payload = {"config_fp": config_fp, "image_fp": image_fp}
-        total = None
-        failure = None
-        for name in sorted(self.groups):
-            try:
-                fault_point("cluster.route", group=name, op="manifest")
-                entries = self.groups[name].request(
-                    "manifest", payload).get("entries")
-            except Exception as error:  # noqa: BLE001 - degrade, never
-                # raise into the VM
-                failure = self._group_failed(name, "manifest", error)
-                continue
-            if isinstance(entries, int):
-                total = (total or 0) + entries
-        if total is None and failure is not None:
-            local = self._fall_back("manifest", failure)
-            if local is not None:
-                return local.manifest_entry_count(config_fp, image_fp)
-        return total
 
     # -- observability -------------------------------------------------------
 

@@ -4,7 +4,7 @@ Layout (all JSON, no external dependencies)::
 
     <root>/
         meta.json                  # format version, LRU clock, object index
-        objects/<key>.json         # one record per content key
+        objects/<key>.json         # a record's stored text, by its key
         manifests/<cfg>__<img>.json  # entry list per (config, image) pair
 
 Objects are content-addressed (see :mod:`repro.persist.format`), so the
@@ -63,21 +63,18 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults.plane import fault_point
-from repro.persist.format import FORMAT_VERSION
+from repro.persist.format import FORMAT_VERSION, Record, parse_record
 from repro.persist.lease import DEFAULT_TIMEOUT, WriterLease
 
 log = logging.getLogger("repro.persist")
 
 
-def parse_object(key, text) -> Optional[Dict]:
+def parse_object(key, text) -> Optional[Record]:
     """A stored object's text as a record, or None when it is not a
     JSON object stored under its own key.  Whether the record is
     *intact* is its installer's finding (``validate_record``)."""
-    try:
-        record = json.loads(text)
-    except (TypeError, ValueError):
-        return None
-    if not isinstance(record, dict) or record.get("key") != key:
+    record = parse_record(text)
+    if record is None or record.get("key") != key:
         return None
     return record
 
@@ -153,9 +150,11 @@ class TranslationRepository:
 
     # -- journaled I/O ------------------------------------------------------
 
-    def _write_json(self, path: Path, payload: Dict,
+    def _write_json(self, path: Path, payload,
                     indent: Optional[int] = None) -> bool:
-        """Journaled write: tmp file + atomic rename.
+        """Journaled write: tmp file + atomic rename.  ``payload`` is a
+        document, or a ``str`` that already is one's text (a record's
+        stored text, written verbatim).
 
         Returns False (and counts the failure) instead of raising, so a
         full disk or a flaky device degrades to a smaller/staler store,
@@ -173,11 +172,11 @@ class TranslationRepository:
             with open(tmp, "w") as handle:
                 # one dumps, one write: json.dump would issue a write
                 # call per chunk (and, with indent, run the pure-Python
-                # encoder); without indent the text is compact, so an
-                # object's stored text is its wire text
-                handle.write(json.dumps(
-                    payload, indent=indent, sort_keys=True,
-                    separators=None if indent else (",", ":")))
+                # encoder)
+                handle.write(payload if isinstance(payload, str)
+                             else json.dumps(
+                                 payload, indent=indent, sort_keys=True,
+                                 separators=None if indent else (",", ":")))
                 handle.flush()
                 # the data must be durable *before* the rename is: a
                 # rename journaled ahead of its contents would survive
@@ -281,14 +280,15 @@ class TranslationRepository:
 
     # -- save ---------------------------------------------------------------
 
-    def save(self, records: List[Dict], config_fp: str, image_fp: str,
+    def save(self, records: List[Record], config_fp: str, image_fp: str,
              config_name: str = "",
              lease_timeout: float = DEFAULT_TIMEOUT,
              merge: bool = False) -> int:
         """Persist records under one (config, image) manifest.
 
-        Returns the number of records written.  Existing objects with
-        the same content key are reused (their LRU stamp is refreshed).
+        Returns the number of records written, each as its stored text.
+        Existing objects with the same content key are reused (their LRU
+        stamp is refreshed).
         By default the manifest is replaced wholesale so it exactly
         mirrors the saved snapshot; with ``merge=True`` the new keys
         are *unioned* with the manifest's existing entries and the
@@ -312,7 +312,7 @@ class TranslationRepository:
         finally:
             lease.release()
 
-    def _save_locked(self, records: List[Dict], config_fp: str,
+    def _save_locked(self, records: List[Record], config_fp: str,
                      image_fp: str, config_name: str,
                      merge: bool = False) -> int:
         self.objects_dir.mkdir(parents=True, exist_ok=True)
@@ -331,7 +331,7 @@ class TranslationRepository:
             except OSError:
                 exists = False
             if not exists:
-                if not self._write_json(path, record):
+                if not self._write_json(path, record.text):
                     continue    # failed write: leave it out of the
                     #             manifest, the rest of the save stands
                 saved += 1
@@ -372,16 +372,24 @@ class TranslationRepository:
 
     # -- load ---------------------------------------------------------------
 
-    def load(self, config_fp: str, image_fp: str) -> List[Dict]:
-        """Fetch the parsed records for one (config, image) pair.
+    def load(self, config_fp: str, image_fp: str) -> List[Record]:
+        """The parsed records for one (config, image) pair."""
+        return self.fetch(config_fp, image_fp)[0]
+
+    def fetch(self, config_fp: str, image_fp: str
+              ) -> Tuple[List[Record], int]:
+        """The parsed records for one (config, image) pair, and how many
+        of the manifest's entries did not arrive as one.
 
         A store only stores: objects that do not parse or sit under
-        another record's name are skipped (they show in the
-        manifest/record count difference); whether a record is intact
-        is the loader's finding.  ``[]`` when no manifest matches.
+        another record's name are skipped (and counted); whether a
+        record is intact is the loader's finding.  ``([], 0)`` when no
+        manifest matches.
         """
-        records = map(parse_object, *self.load_stored(config_fp, image_fp))
-        return [record for record in records if record is not None]
+        entries, texts = self.load_stored(config_fp, image_fp)
+        records = [record for record in map(parse_object, entries, texts)
+                   if record is not None]
+        return records, len(entries) - len(records)
 
     def load_stored(self, config_fp: str, image_fp: str
                     ) -> Tuple[List, List[Optional[str]]]:
@@ -416,14 +424,6 @@ class TranslationRepository:
             finally:
                 lease.release()
 
-    def manifest_entry_count(self, config_fp: str,
-                             image_fp: str) -> Optional[int]:
-        """Entries listed in the manifest, or None if absent."""
-        manifest = self._read_manifest(config_fp, image_fp)
-        if manifest is None:
-            return None
-        return len(manifest.get("entries", ()))
-
     def _read_manifest(self, config_fp: str,
                        image_fp: str) -> Optional[Dict]:
         path = self._manifest_path(config_fp, image_fp)
@@ -451,7 +451,7 @@ class TranslationRepository:
         except (OSError, ValueError):
             return None
 
-    def _read_object(self, key: str) -> Optional[Dict]:
+    def _read_object(self, key: str) -> Optional[Record]:
         return parse_object(key, self._read_stored(key))
 
     # -- stats / gc ---------------------------------------------------------

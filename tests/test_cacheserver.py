@@ -6,6 +6,7 @@ robustness plan cares about (torn frames, mid-stream garbage, dropped
 connections) only exist on real transports.
 """
 
+import json
 import os
 import socket
 import threading
@@ -61,6 +62,11 @@ top:
     mov ebx, 0
     int 0x80
 """
+
+
+def texts(records):
+    """What a push ships: each record's stored text."""
+    return [record.text for record in records]
 
 
 def cold_records(source=LOOP, hot_threshold=50):
@@ -189,7 +195,7 @@ class TestServerOps:
     def test_push_then_pull_round_trip(self, server):
         records, config_fp, image_fp, _vm = cold_records()
         response = raw_call(server, {
-            "op": "push", "records": records, "config_fp": config_fp,
+            "op": "push", "records": texts(records), "config_fp": config_fp,
             "image_fp": image_fp, "config_name": "test"})
         assert response["ok"] is True
         assert response["written"] == len(records)
@@ -213,7 +219,7 @@ class TestServerOps:
                 "records_received", "objects_deduped", "records_rejected",
                 "lease_busy", "requests_shed", "deadline_rejected")}
         records, config_fp, image_fp, _vm = cold_records()
-        fresh.dispatch({"op": "push", "records": records,
+        fresh.dispatch({"op": "push", "records": texts(records),
                         "config_fp": config_fp, "image_fp": image_fp})
         pulled = fresh.dispatch({"op": "pull", "config_fp": config_fp,
                                  "image_fp": image_fp})
@@ -227,7 +233,7 @@ class TestServerOps:
                                    "config_fp": config_fp,
                                    "image_fp": image_fp})
         assert absent["ok"] is True and absent["entries"] is None
-        raw_call(server, {"op": "push", "records": records,
+        raw_call(server, {"op": "push", "records": texts(records),
                           "config_fp": config_fp, "image_fp": image_fp})
         present = raw_call(server, {"op": "manifest",
                                     "config_fp": config_fp,
@@ -243,11 +249,12 @@ class TestServerOps:
     def test_server_validates_pushed_records(self, server):
         """A corrupt client cannot poison the store other VMs pull from."""
         records, config_fp, image_fp, _vm = cold_records()
-        tampered = dict(records[0])
+        tampered = json.loads(records[0].text)
         tampered["code"] = "ffffffff"       # key no longer matches body
         response = raw_call(server, {
             "op": "push",
-            "records": [records[1], tampered, {"garbage": True}, None],
+            "records": [records[1].text, json.dumps(tampered),
+                        '{"garbage": true}', None],
             "config_fp": config_fp, "image_fp": image_fp})
         assert response["ok"] is True
         assert response["written"] == 1
@@ -258,16 +265,32 @@ class TestServerOps:
         assert pulled_records(pulled) == [records[1]]
         assert server.stats.to_dict()["records_rejected"] == 3
 
+    def test_a_pushed_text_without_bytes_is_rejected(self, server):
+        """A lone surrogate in a source run (the frame's ``\\ud800``):
+        that record is rejected, the rest of the push is written."""
+        records, config_fp, image_fp, _vm = cold_records()
+        addr, data = records[0]["source"][0]
+        damaged = records[0].text.replace(f'[{addr},"{data}"]',
+                                          f'[{addr},"\ud800{data[1:]}"]', 1)
+        assert damaged != records[0].text
+        response = raw_call(server, {
+            "op": "push", "records": [damaged] + texts(records[1:]),
+            "config_fp": config_fp, "image_fp": image_fp})
+        assert response["ok"] is True
+        assert (response["written"], response["rejected"]) == \
+            (len(records) - 1, 1)
+        assert server.stats.to_dict()["records_rejected"] == 1
+
     def test_cross_workload_dedup(self, server):
         """Two programs sharing a code prefix store the prefix once."""
         rec_a, config_fp, image_a, _ = cold_records(LOOP)
         rec_b, _, image_b, _ = cold_records(LOOP_VARIANT)
         assert image_a != image_b
-        first = raw_call(server, {"op": "push", "records": rec_a,
+        first = raw_call(server, {"op": "push", "records": texts(rec_a),
                                   "config_fp": config_fp,
                                   "image_fp": image_a})
         assert first["deduped"] == 0
-        second = raw_call(server, {"op": "push", "records": rec_b,
+        second = raw_call(server, {"op": "push", "records": texts(rec_b),
                                    "config_fp": config_fp,
                                    "image_fp": image_b})
         # the shared loop blocks content-address identically
@@ -288,7 +311,7 @@ class TestServerOps:
             records, config_fp, image_fp, _vm = cold_records()
             with WriterLease(server.repository.root, ttl=60.0):
                 response = raw_call(server, {
-                    "op": "push", "records": records,
+                    "op": "push", "records": texts(records),
                     "config_fp": config_fp, "image_fp": image_fp})
             assert response["ok"] is False
             assert response["error"] == "lease-busy"
@@ -296,13 +319,13 @@ class TestServerOps:
             assert server.stats.to_dict()["lease_busy"] == 1
             # released: the same push now lands
             retry = raw_call(server, {
-                "op": "push", "records": records,
+                "op": "push", "records": texts(records),
                 "config_fp": config_fp, "image_fp": image_fp})
             assert retry["ok"] is True and retry["written"] > 0
 
     def test_stats_op_reports_both_sides(self, server):
         records, config_fp, image_fp, _vm = cold_records()
-        raw_call(server, {"op": "push", "records": records,
+        raw_call(server, {"op": "push", "records": texts(records),
                           "config_fp": config_fp, "image_fp": image_fp})
         response = raw_call(server, {"op": "stats"})
         assert response["repository"]["objects"] == len(records)
@@ -359,7 +382,7 @@ class TestManyClients:
     def test_sixteen_clients_pull_and_push(self, server):
         """Every client pulls complete and dedups against the store."""
         records, config_fp, image_fp, _vm = cold_records()
-        raw_call(server, {"op": "push", "records": records,
+        raw_call(server, {"op": "push", "records": texts(records),
                           "config_fp": config_fp, "image_fp": image_fp})
         results = [None] * self.CLIENTS
 
@@ -536,7 +559,7 @@ class TestManyClients:
         records, config_fp, image_fp, _vm = cold_records()
         for _ in range(3):
             assert raw_call(server, {"op": "ping"})["ok"] is True
-        raw_call(server, {"op": "push", "records": records,
+        raw_call(server, {"op": "push", "records": texts(records),
                           "config_fp": config_fp, "image_fp": image_fp})
         latency = raw_call(server, {"op": "stats"})["server"]["latency"]
         for op, count in (("ping", 3), ("push", 1)):
@@ -698,7 +721,7 @@ class TestLifecycle:
     def test_manifest_with_keys_reads_the_manifest_once(self, server):
         records, config_fp, image_fp, _vm = cold_records()
         pair = {"config_fp": config_fp, "image_fp": image_fp}
-        raw_call(server, {"op": "push", "records": records, **pair})
+        raw_call(server, {"op": "push", "records": texts(records), **pair})
         repository = server.repository
         real_read, reads = repository._read_manifest, []
 

@@ -391,9 +391,10 @@ class TestFleetCLI:
 
 def test_a_herd_writes_only_what_changes_its_stores():
     """``tools/callcounts.py herd``, the benchmark's herd at seed 0:
-    76 new objects and the manifest and index of each of the four
-    replicas after the first two publishes — the ten publishes and
-    22 pulls that change nothing write nothing."""
+    46 new objects (the leader's 23 records, on both replicas of their
+    group: a follower captures the same texts, counter-free) and the
+    manifests and indexes they change — the publishes and pulls that
+    change nothing write nothing."""
     repo = Path(__file__).resolve().parent.parent
     before = list(sys.path)
     try:
@@ -402,6 +403,6 @@ def test_a_herd_writes_only_what_changes_its_stores():
     finally:
         sys.path[:] = before
     assert callcounts.herd_counts() == {
-        "journaled writes": 92, "os.fsync": 92, "meta reads": 70,
-        "lease attempts": 48, "requests dispatched": 96,
-        "connections accepted": 28, "objects written": 76}
+        "journaled writes": 58, "os.fsync": 58, "meta reads": 70,
+        "lease attempts": 48, "requests dispatched": 72,
+        "connections accepted": 28, "objects written": 46}

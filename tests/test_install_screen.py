@@ -12,11 +12,11 @@ installed.  These tests pin the properties of that screen:
   encodable, canonical micro-ops — so both rules are exercised on
   contexts built from micro-ops instead;
 * each micro-op is decoded at most once and encoded at most once per
-  install — encoded only where the loader re-bound it or its bytes were
-  not canonical; everywhere else the record's own bytes are its
-  encoding — and the bytes written to the code cache are the bytes the
-  verifier checked: the canonical encoding, even where the record's
-  code had don't-care bits set;
+  install — encoded only where its bytes were not canonical; everywhere
+  else the record's own bytes are its encoding, and the re-bound
+  profiling counter is spliced in as bytes — and the bytes written to
+  the code cache are the bytes the verifier checked: the canonical
+  encoding, even where the record's code had don't-care bits set;
 * ENC001 and ENC002 hold by construction only for micro-ops the context
   itself decoded from canonical bytes;
 * numbers a record spells out in JSON are numbers: booleans and other
@@ -54,11 +54,13 @@ from repro.persist import (
     PersistFormatError,
     WarmStartLoader,
     capture_translations,
+    encode_record,
     materialize,
-    record_key,
     record_stream,
     validate_record,
 )
+from repro.persist.format import STORED_PROLOGUE
+from repro.translator.emit import prologue_code
 from repro.verify import sanitizer, verify_directory, verify_translation
 from repro.verify.rules import VerifyContext
 from repro.verify.verifier import run_rules
@@ -87,19 +89,20 @@ def records():
 
 @pytest.fixture
 def victim(records):
-    """A BBT record with a profiling prologue whose body sets flags."""
+    """The fields of a BBT record (profiled, as every BBT block of this
+    VM is) whose body sets flags, as an editable dict."""
     for record in records:
-        if record["kind"] == "bbt" and record["counter_addr"] is not None \
+        if record["kind"] == "bbt" \
                 and any(uop.setflags for uop in decoded(record)[9:]):
-            return copy.deepcopy(record)
+            return json.loads(record.text)
     raise AssertionError("no suitable record")
 
 
-def resealed(record):
-    """The record with its content key recomputed: structurally valid,
-    so only the decoder and the verifier stand between it and the code
-    cache."""
-    record["key"] = record_key(record)
+def resealed(fields):
+    """The fields as a record with its content key recomputed:
+    structurally valid, so only the decoder and the verifier stand
+    between it and the code cache."""
+    record = encode_record(fields)
     validate_record(record)
     return record
 
@@ -175,7 +178,8 @@ class TestViolatingRecordsNeverRun:
 
     def test_clean_record_still_loads(self, victim):
         vm = booted()
-        report = WarmStartLoader(vm.runtime).load_records([victim])
+        report = WarmStartLoader(vm.runtime).load_records(
+            [resealed(victim)])
         assert (report.loaded, report.dropped) == (1, 0)
 
 
@@ -225,20 +229,18 @@ class TestOneEncodePerMicroOp:
             bbt_records)
         assert report.loaded == len(bbt_records) > 1
 
-        # every record here is canonical, so the only micro-ops encoded
-        # are the two of each profiling prologue the loader re-bound
+        # every record here is canonical and the re-bound counter is
+        # spliced in as bytes: no micro-op is encoded
         by_entry = {r["entry"]: r for r in bbt_records}
-        rebound = sum(r["counter_addr"] is not None for r in bbt_records)
-        assert len(encoded) == 2 * rebound > 0
-        seen = 0
-        for calls_so_far, data, translation in installs:
+        assert encoded == []
+        for _calls, data, translation in installs:
             # the bytes handed to the code cache are the verifier's: the
-            # record's own, but for the re-bound LUI/ORI at bytes 4..12
+            # record's own, but for the stored LUI/ORI at bytes 4..12,
+            # now the pair of the counter allocated for this block
             code = bytes.fromhex(by_entry[translation.entry]["code"])
-            patch = b"".join(encoded[seen:calls_so_far])
-            assert len(patch) in (0, 8)
-            assert data == (code[:4] + patch + code[12:] if patch else code)
-            seen = calls_so_far
+            assert code.startswith(STORED_PROLOGUE)
+            head = prologue_code(translation.counter_addr)[:12]
+            assert data == head + code[12:] != code
             # ... and they are what the machine will decode
             assert vm.state.memory.read(translation.native_addr,
                                         len(data)) == data
@@ -370,8 +372,9 @@ class TestRecordFieldTypes:
     """What a record still spells out as JSON numbers must be numbers.
 
     The test names and ids are those of the v1 suite, where ``position``
-    indexed the nine-element micro-op lists; v2 has no such lists, so
-    ``position`` picks one of the places a v2 record keeps an integer.
+    indexed the nine-element micro-op lists; v2 and v3 have no such
+    lists, so ``position`` picks one of the places a record keeps an
+    integer.
     """
 
     #: position -> (what it is, path into the record)
@@ -413,8 +416,8 @@ class TestRecordFieldTypes:
         self.assert_corrupt(json.loads(json.dumps(victim)))
 
     @staticmethod
-    def assert_corrupt(record):
-        record["key"] = record_key(record)   # only the key is right
+    def assert_corrupt(fields):
+        record = encode_record(fields)      # only the key is right
         vm = booted()
         report = WarmStartLoader(vm.runtime).load_records([record])
         assert report.corrupt == 1 and report.loaded == 0

@@ -33,6 +33,7 @@ from repro.persist import (
     config_fingerprint,
     image_fingerprint,
 )
+from tests.test_record_format import unsealed
 
 LOOP = """
 start:
@@ -195,8 +196,9 @@ class TestLeaseSerialization:
         back an index read before a save that completed while it was
         reading objects — that save's entries would be on disk and never
         seen by ``stats`` or ``gc`` again."""
-        records = [{"key": f"key{index}", "kind": "bbt", "entry": index}
-                   for index in range(10)]
+        # stored texts under made-up keys: a store does not judge them
+        records = [unsealed({"key": f"key{index}", "kind": "bbt",
+                             "entry": index}) for index in range(10)]
         repo = TranslationRepository(tmp_path / "repo")
         assert repo.save(records[:5], "cfg", "first") == 5
         real_read, landed = repo._read_stored, []
@@ -220,7 +222,7 @@ class TestLeaseSerialization:
     def test_touch_under_a_busy_lease_is_skipped(self, tmp_path):
         repo = populated_repo(tmp_path)
         pair = next(repo.manifests_dir.glob("*.json")).stem.split("__")
-        records = [{"key": "other", "kind": "bbt", "entry": 1}]
+        records = [unsealed({"key": "other", "kind": "bbt", "entry": 1})]
         repo.save(records, "cfg", "other")      # now the most recent
         before = repo.meta_path.read_bytes()
         with WriterLease(repo.root, ttl=60.0):

@@ -33,13 +33,14 @@ from repro.persist import (
     capture_translations,
     config_fingerprint,
     image_fingerprint,
+    parse_record,
     validate_record,
 )
 from repro.persist.remote import pulled_records
 from repro.verify import rule_ids, sanitizer
 from repro.verify.rules import RULES
 from tests.test_persist import LOOP
-from tests.test_record_format import forge_v2_manifest
+from tests.test_record_format import forge_manifest
 
 DATA = Path(__file__).parent / "data"
 
@@ -86,26 +87,38 @@ def scribble(path: Path, _others) -> None:
 
 
 def misname(path: Path, others) -> None:
-    """An intact record, stored under another record's name."""
+    """An intact record, stored under another record's name (one of any
+    store: a shard may hold a single object)."""
     path.write_text(next(other for other in others
-                         if other != path).read_text())
+                         if other.name != path.name).read_text())
 
 
 DROPPED_BEFORE_THE_LOADER = {"truncated": truncate, "non-json": scribble,
                              "wrong-name": misname}
 
 
+def by_entry(path: Path):
+    """An object file's place in a pick that the layout cannot move: by
+    its record's entry and kind, not by its key."""
+    record = json.loads(path.read_text())
+    return record["entry"], record["kind"]
+
+
 def damage(store_dirs, how, every=False):
-    """Damage one object (or every object) in each store directory the
-    same way; returns how many objects of one store were hit."""
+    """Damage one object (the one of the lowest entry) or every object in
+    each store directory the same way; returns how many objects of one
+    store were hit."""
     hit = 0
+    everywhere = sorted(path for store in store_dirs
+                        for path in (Path(store) / "objects").glob("*.json"))
     for store in store_dirs:
-        paths = sorted((Path(store) / "objects").glob("*.json"))
+        paths = sorted((Path(store) / "objects").glob("*.json"),
+                       key=by_entry)
         if not paths:
             continue
         victims = paths if every else paths[:1]
         for victim in victims:
-            how(victim, paths)
+            how(victim, everywhere)
         hit = max(hit, len(victims))
     return hit
 
@@ -231,7 +244,8 @@ class TestServerShipsWhatItHolds:
         assert len(pulled_records(response)) == len(server.records) - 1
 
     def test_a_missing_object_ships_as_null(self, server):
-        victim = sorted((server.stores[0] / "objects").glob("*.json"))[0]
+        victim = min((server.stores[0] / "objects").glob("*.json"),
+                     key=by_entry)
         victim.unlink()
         response = self.pull(server)
         assert response["objects"].count(None) == 1
@@ -240,12 +254,16 @@ class TestServerShipsWhatItHolds:
 
     def test_the_server_neither_validates_nor_rekeys(self, server,
                                                      monkeypatch):
+        import repro.cacheserver.server as server_module
         import repro.persist.format as format_module
 
         def forbidden(*_args):
             raise AssertionError("the read path judged a record")
-        monkeypatch.setattr(format_module, "record_key", forbidden)
-        monkeypatch.setattr(format_module, "validate_record", forbidden)
+        for module, name in ((format_module, "encode_record"),
+                             (format_module, "validate_record"),
+                             (server_module, "parse_record"),
+                             (server_module, "validate_record")):
+            monkeypatch.setattr(module, name, forbidden)
         response = self.pull(server)
         assert len(pulled_records(response)) == len(server.records)
 
@@ -278,7 +296,7 @@ class TestV1ObjectsBehindAForgedManifest:
         store = tmp_path / "store"
         shutil.copytree(DATA / "v1_store", store)
         vm = booted()
-        assert forge_v2_manifest(store, vm) == 5
+        assert forge_manifest(store, vm) == 5
         with CacheServer(store) as server:
             client = RemoteRepository(server.address, local=None)
             report = vm.warm_start(client)
@@ -319,8 +337,10 @@ class TestRepairStillScreens:
 
 class TestTheLoaderIsTheOneJudge:
     def test_nothing_is_installed_unvalidated(self, payload, monkeypatch):
-        records = json.loads(json.dumps(payload[0]))
-        broken = dict(records[0], entry=records[0]["entry"] + 1)
+        records = [parse_record(record.text) for record in payload[0]]
+        edited = json.loads(records[0].text)
+        edited["entry"] += 1
+        broken = parse_record(json.dumps(edited))
         accepted = []
         real = loader_module.validate_record
 
@@ -361,7 +381,7 @@ class TestTheLoaderIsTheOneJudge:
         vm = booted()
         with sanitizer.collecting() as installed:
             report = WarmStartLoader(vm.runtime).load_records(
-                json.loads(json.dumps(payload[0])))
+                [parse_record(record.text) for record in payload[0]])
         assert report.loaded == len(payload[0]) == len(screens)
         before_install = tuple(spec.rule_id for spec in RULES
                                if spec.requires <= {"translation"})

@@ -1,17 +1,21 @@
-"""Record layout v2: the encoded stream is the record.
+"""Record layout v3: a record is its stored text.
 
 A persisted record carries its micro-ops as ``code`` (hex of the encoded
 stream) plus ``origins`` (run-length ``[x86_addr, count]``), and the
-micro-op decoder is the only parser of that code.  Pinned here:
+micro-op decoder is the only parser of that code.  Its text is written
+once, at capture, and its key is the SHA-256 of that text minus the key
+member.  Pinned here:
 
 * the layout itself, against a checked-in golden record — it cannot
   drift without a ``FORMAT_VERSION`` bump;
 * translation -> record -> translation is lossless on every field,
   ``x86_addr`` included, for generated micro-op streams;
-* every way ``code``/``origins`` can be damaged is ``corrupt``: counted,
-  never installed, never raised;
-* a store written in layout v1 reads as empty: the VM boots cold and
-  ``fsck`` says why.
+* every way a record can be damaged is ``corrupt`` (or, where its text
+  no longer parses under its key, a missing object): counted, never
+  installed, never raised — every field of the wrong JSON type, every
+  one-byte flip and every truncation of the golden texts;
+* a store written in layout v1 or v2 reads as empty: the VM boots cold
+  and ``fsck`` says why.
 """
 
 import copy
@@ -47,13 +51,15 @@ from repro.persist import (
     WarmStartLoader,
     capture_translations,
     config_fingerprint,
+    encode_record,
     materialize,
-    record_key,
+    parse_record,
     record_stream,
     serialize_translation,
     validate_record,
 )
-from repro.persist.format import source_matches
+from repro.persist.format import STORED_PROLOGUE, source_matches
+from repro.persist.remote import pulled_records
 from repro.translator.code_cache import ExitStub, Translation
 from tests.sbt_oracle import origin_runs
 from tests.strategies import uops as any_uop
@@ -76,19 +82,37 @@ def booted() -> CoDesignedVM:
 
 
 def rebuilt(record, native_addr=NATIVE) -> Translation:
-    """The record as a Translation, the way the loader builds one."""
+    """The record as a Translation, the way the loader builds one (its
+    prologue, if any, as stored)."""
     code, x86_addrs = record_stream(record)
     translation = materialize(record, native_addr, len(x86_addrs))
     translation.code = code
-    translation.counter_addr = record["counter_addr"]
     return translation
 
 
-def resealed(record):
-    """The record re-keyed: only what the key does not protect against
-    stands between it and the code cache."""
-    record["key"] = record_key(record)
-    return record
+def fields_of(record) -> dict:
+    """A record's fields as a fresh, editable dict: its text parsed."""
+    return json.loads(record.text)
+
+
+def resealed(fields):
+    """The fields re-keyed: only what the key does not protect against
+    stands between them and the code cache."""
+    return encode_record(fields)
+
+
+def unsealed(fields):
+    """The fields stored as text under the key they carry, whatever it
+    is: damage the key was not recomputed for."""
+    return parse_record(json.dumps(fields, sort_keys=True,
+                                   separators=(",", ":")))
+
+
+def golden_texts():
+    """The stored texts of ``tests/data/golden_record_v3.json``: one a
+    line between the brackets of a JSON array."""
+    return [line.rstrip(",") for line in
+            (DATA / "golden_record_v3.json").read_text().splitlines()[1:-1]]
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +124,7 @@ def records():
 
 @pytest.fixture
 def victim(records):
-    return copy.deepcopy(records[0])
+    return fields_of(records[0])
 
 
 def assert_corrupt(record):
@@ -114,28 +138,31 @@ def assert_corrupt(record):
 
 
 class TestGoldenRecord:
-    """``tests/data/golden_record_v2.json``: a BBT block with a profiling
-    prologue and a fused superblock, as PR 15 wrote them."""
+    """``tests/data/golden_record_v3.json``: the stored texts of a BBT
+    block with a profiling prologue and of a fused superblock."""
 
     def test_serialize_reproduces_the_golden_bytes(self):
-        text = (DATA / "golden_record_v2.json").read_text()
-        golden = json.loads(text)
+        texts = golden_texts()
+        golden = [parse_record(text) for text in texts]
         assert [r["kind"] for r in golden] == ["bbt", "sbt"]
-        assert golden[0]["counter_addr"] is not None
         assert golden[1]["fused_pairs"] > 0
+        # the prologue is stored counter-free
+        assert bytes.fromhex(golden[0]["code"]).startswith(STORED_PROLOGUE)
         memory = booted().state.memory
-        again = []
-        for record in golden:
+        for record, text in zip(golden, texts):
             validate_record(record)
-            assert record["format"] == FORMAT_VERSION == 2
-            again.append(serialize_translation(rebuilt(record), memory))
-        assert json.dumps(again, indent=1, sort_keys=True) + "\n" == text
+            assert record["format"] == FORMAT_VERSION == 3
+            again = serialize_translation(rebuilt(record), memory)
+            assert again.text == text and again == record
 
     def test_a_live_capture_has_the_golden_layout(self, records):
-        golden = json.loads((DATA / "golden_record_v2.json").read_text())
+        golden = json.loads(golden_texts()[0])
         for record in records:
-            assert sorted(record) == sorted(golden[0])
-            assert "uops" not in record
+            assert sorted(record) == sorted(golden)
+            assert "uops" not in record and "counter_addr" not in record
+            # the text is the one spelling: compact, keys sorted
+            assert record.text == json.dumps(
+                fields_of(record), sort_keys=True, separators=(",", ":"))
 
 
 class TestRoundTrip:
@@ -169,8 +196,7 @@ class TestRoundTrip:
                                        kind="indirect", x86_target=None))
         original.side_table[NATIVE + 4] = addrs[1]
 
-        record = json.loads(json.dumps(
-            serialize_translation(original, memory)))
+        record = parse_record(serialize_translation(original, memory).text)
         validate_record(record)
         back = rebuilt(record, native)
         assert back.uops == uops
@@ -184,21 +210,22 @@ class TestRoundTrip:
                 for stub in back.exits] == \
             [(8, "taken", addrs[2]), (20, "indirect", None)]
         assert back.side_table == {native + 4: addrs[1]}
-        # and the record of the rebuilt translation is the same record
-        assert serialize_translation(back, memory) == record
+        # and the record of the rebuilt translation is the same text
+        assert serialize_translation(back, memory).text == record.text
 
 
 class TestDamagedCodeIsCorrupt:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_any_flipped_hex_digit_without_rekeying(self, records, data):
-        record = copy.deepcopy(data.draw(st.sampled_from(records)))
-        code = record["code"]
+        fields = fields_of(data.draw(st.sampled_from(records)))
+        code = fields["code"]
         position = data.draw(st.integers(0, len(code) - 1))
         other = data.draw(st.sampled_from(
             [digit for digit in "0123456789abcdef"
              if digit != code[position]]))
-        record["code"] = code[:position] + other + code[position + 1:]
+        fields["code"] = code[:position] + other + code[position + 1:]
+        record = unsealed(fields)
         with pytest.raises(PersistFormatError):
             validate_record(record)
         assert_corrupt(record)
@@ -231,7 +258,7 @@ class TestDamagedCodeIsCorrupt:
         victim["origins"][0][1] = 10 ** 12     # never expanded
         with pytest.raises(PersistFormatError):
             validate_record(resealed(victim))
-        assert_corrupt(victim)
+        assert_corrupt(resealed(victim))
 
     @pytest.mark.parametrize("origins", [
         None, [], "runs", [[None]], [[0, 1, 2]], [None], [[1.5, 20]],
@@ -242,7 +269,7 @@ class TestDamagedCodeIsCorrupt:
 
     def test_json_booleans_are_not_counts(self, victim):
         victim["origins"] = [[victim["origins"][0][0], True]]
-        assert_corrupt(resealed(json.loads(json.dumps(victim))))
+        assert_corrupt(resealed(victim))
 
     @pytest.mark.parametrize("field", ["exits", "side_table", "source"])
     @pytest.mark.parametrize("junk", [None, 5, [[0, ["taken"], None]]])
@@ -250,6 +277,128 @@ class TestDamagedCodeIsCorrupt:
                                                   junk):
         victim[field] = junk
         assert_corrupt(resealed(victim))
+
+
+def json_type(value) -> str:
+    """A JSON value's type as the layout tells them apart (a boolean is
+    not a number)."""
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}.get(
+        type(value), "null")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def load_one(record):
+    """One record through a fresh VM's loader; its report."""
+    return WarmStartLoader(booted().runtime).load_records([record])
+
+
+class TestEveryFieldIsTyped:
+    """Each field the layout keeps is checked for its JSON type before
+    anything reads it: a well-keyed record of the wrong shape is
+    ``corrupt``, never ``undecodable``, never installed."""
+
+    @pytest.mark.parametrize("addrs", [[True, "x"], 5, None, [1.5],
+                                       [[4194304]]],
+                             ids=["bool-and-str", "number", "null",
+                                  "float", "nested"])
+    def test_x86_addrs(self, victim, addrs):
+        victim["x86_addrs"] = addrs
+        report = load_one(resealed(victim))
+        assert (report.corrupt, report.undecodable, report.loaded) == \
+            (1, 0, 0)
+
+    @pytest.mark.parametrize("value", ["abc", 0, None])
+    def test_an_unknown_field_is_corrupt(self, victim, value):
+        # the dead counter address of layout v2 among them
+        victim["counter_addr"] = value
+        report = load_one(resealed(victim))
+        assert (report.corrupt, report.undecodable) == (1, 0)
+
+    def test_a_missing_field_is_corrupt(self, victim):
+        del victim["fused_pairs"]
+        assert load_one(resealed(victim)).corrupt == 1
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_any_field_of_the_wrong_json_type(self, records, data):
+        fields = fields_of(data.draw(st.sampled_from(records)))
+        name = data.draw(st.sampled_from(sorted(fields)))
+        fields[name] = data.draw(json_values.filter(
+            lambda value: json_type(value) != json_type(fields[name])))
+        # a key that is not a string cannot be sealed: stored as it is
+        record = unsealed(fields) if name == "key" else resealed(fields)
+        with pytest.raises(PersistFormatError):
+            validate_record(record)
+        report = load_one(record)
+        assert (report.corrupt, report.undecodable, report.loaded) == \
+            (1, 0, 0)
+
+
+class TestTheStoredTextUnderSearch:
+    """The record -> loader boundary over every one-byte flip and every
+    truncation of the golden stored texts: what the pull hands the
+    loader is ``corrupt``, what it drops is a ``missing_objects``;
+    nothing is loaded, nothing is ``undecodable``, nothing raises."""
+
+    @staticmethod
+    def outcomes(text, damaged_texts):
+        key = json.loads(text)["key"]
+        loader = WarmStartLoader(booted().runtime)
+        seen = {"corrupt": 0, "missing": 0}
+        for damaged in damaged_texts:
+            records = pulled_records({"entries": [key],
+                                      "objects": [damaged]})
+            if not records:
+                seen["missing"] += 1
+                continue
+            report = loader.load_records(records)
+            assert (report.corrupt, report.loaded, report.undecodable) \
+                == (1, 0, 0), damaged
+            seen["corrupt"] += 1
+        return seen
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["bbt", "sbt"])
+    @pytest.mark.parametrize("mask", [0x01, 0x08, 0x20])
+    def test_every_flipped_byte(self, which, mask):
+        text = golden_texts()[which]
+        data = text.encode()
+        flipped = []
+        for at in range(len(data)):
+            damaged = bytearray(data)
+            damaged[at] ^= mask
+            flipped.append(bytes(damaged).decode())
+        seen = self.outcomes(text, flipped)
+        assert seen["corrupt"] + seen["missing"] == len(data)
+        assert seen["corrupt"] > 0
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["bbt", "sbt"])
+    def test_a_lone_surrogate_in_a_source_run(self, which):
+        """A pulled text may hold a character that has no UTF-8 bytes (a
+        frame's ``\\ud800`` decodes to one): corrupt, never raised."""
+        text = golden_texts()[which]
+        addr, data = json.loads(text)["source"][0]
+        damaged = text.replace(f'[{addr},"{data}"]',
+                               f'[{addr},"\ud800{data[1:]}"]', 1)
+        assert damaged != text
+        assert self.outcomes(text, [damaged]) == {"corrupt": 1, "missing": 0}
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["bbt", "sbt"])
+    def test_every_truncation(self, which):
+        text = golden_texts()[which]
+        seen = self.outcomes(text, [text[:at] for at in range(len(text))])
+        # a cut JSON object never parses: every one is a missing object
+        assert seen == {"corrupt": 0, "missing": len(text)}
 
 
 # -- the source fingerprint: one read per contiguous run ---------------------
@@ -296,7 +445,7 @@ def entries(*spans):
 
 class TestSourceFingerprint:
     def test_one_read_per_contiguous_run(self, text):
-        source = entries((0, 2), (2, 5), (7, 1), (20, 3), (23, 3), (40, 6))
+        source = entries((0, 8), (20, 6), (40, 6))
         assert source_matches({"source": source}, text)
         assert text.reads == [(TEXT, 8), (TEXT + 20, 6), (TEXT + 40, 6)]
 
@@ -305,16 +454,17 @@ class TestSourceFingerprint:
         for record in records:
             assert source_matches(record, vm.state.memory)
             source = record["source"]
-            runs = 1 + sum(
-                addr != before + len(text) // 2 for (before, text), (addr, _)
-                in zip(source, source[1:]))
+            # capture stores maximal runs: none continues the one before
+            assert all(addr != before + len(text) // 2
+                       for (before, text), (addr, _)
+                       in zip(source, source[1:]))
             memory = CountingMemory()
             source_matches(record, memory)
-            assert len(memory.reads) == runs <= len(source)
+            assert len(memory.reads) == len(source)
 
     @pytest.mark.parametrize("stale_at", [0, 3, 6, 7])
     def test_a_stale_byte_anywhere_in_a_run(self, text, stale_at):
-        source = entries((0, 2), (2, 5), (7, 1))
+        source = entries((0, 8))
         text.write_u8(TEXT + stale_at, 0xEE)
         assert not source_matches({"source": source}, text)
 
@@ -331,20 +481,22 @@ class TestSourceFingerprint:
 
     def test_a_run_that_leaves_mapped_memory(self, text):
         # an unmapped page reads as zeros: stale unless zeros were saved
-        edge = [[0x40_0FFE, "0000"], [0x40_1000, "0000"]]
+        edge = [[0x40_0FFE, "00000000"]]
         assert source_matches({"source": edge}, text)
-        edge[1][1] = "9000"
+        edge[0][1] = "00009000"
         assert not source_matches({"source": edge}, text)
-        # the end of the address space raises MemoryError_: stale.  (The
-        # one verdict that moved: read on its own, an entry *at* 2**32
-        # wrapped to address 0 and matched the zeros there.)
-        top = [[0xFFFF_FFFC, "0000"], [0xFFFF_FFFE, "0000"]]
+        # the end of the address space raises MemoryError_: stale
+        top = [[0xFFFF_FFFC, "00000000"]]
         assert source_matches({"source": top}, text)
-        top.append([0x1_0000_0000, "00"])
+        top[0][1] += "00"
         with pytest.raises(MemoryError_):
             text.read(0xFFFF_FFFC, 5)
         assert not source_matches({"source": top}, text)
-        assert per_entry({"source": top}, text)
+        # and so is a run that starts past it, although a bare read
+        # there wraps to address 0 and matches the zeros it finds
+        beyond = [[0x1_0000_0000, "00"]]
+        assert per_entry({"source": beyond}, text)
+        assert not source_matches({"source": beyond}, text)
 
     @pytest.mark.parametrize("bad", ["0", "zz", "0102 ", "0x01"])
     def test_bad_hex_is_stale_wherever_it_sits(self, text, bad):
@@ -455,9 +607,9 @@ class TestNonObjectRecords:
         assert result.exit_code == 0 and result.blocks_translated > 0
 
 
-def forge_v2_manifest(store, vm) -> int:
-    """Re-issue the v1 store's manifest under the current format and
-    ``vm``'s fingerprints; returns how many (v1) objects it lists."""
+def forge_manifest(store, vm) -> int:
+    """Re-issue an old store's manifest under the current format and
+    ``vm``'s fingerprints; returns how many (old) objects it lists."""
     old = next((store / "manifests").glob("*.json"))
     manifest = json.loads(old.read_text())
     manifest["format"] = FORMAT_VERSION
@@ -474,16 +626,25 @@ class TestV1Store:
     """``tests/data/v1_store``: the LOOP program's translations as the
     PR 14 code saved them (format 1, nine-field micro-op lists)."""
 
+    STORE, VERSION = "v1_store", 1
+
+    @staticmethod
+    def spells_its_layout(record) -> bool:
+        """Layout 1 keeps its micro-ops as field lists."""
+        return "uops" in record and "code" not in record
+
     @pytest.fixture
     def store(self, tmp_path):
-        shutil.copytree(DATA / "v1_store", tmp_path / "store")
+        shutil.copytree(DATA / self.STORE, tmp_path / "store")
         return tmp_path / "store"
 
     def test_it_is_the_old_layout(self, store):
         for path in (store / "objects").glob("*.json"):
-            record = json.loads(path.read_text())
-            assert record["format"] == 1 and "uops" in record
-            with pytest.raises(PersistFormatError):
+            record = parse_record(path.read_text())
+            assert record["format"] == self.VERSION
+            assert self.spells_its_layout(record)
+            with pytest.raises(PersistFormatError, match=(
+                    f"format version {self.VERSION} != {FORMAT_VERSION}")):
                 validate_record(record)
 
     def test_boots_cold_and_fsck_says_why(self, store):
@@ -499,14 +660,14 @@ class TestV1Store:
         assert found.corrupt_objects == found.objects_checked == 5
         assert found.corrupt_manifests == 1
         assert found.meta_corrupt
-        assert "format version 1 != 2" in found.format()
+        assert f"format version {self.VERSION} != 3" in found.format()
 
     def test_forged_v2_manifest_still_loads_nothing(self, store):
         """Even when a manifest of the current version and name points
-        at them, v1 objects are never installed: the store serves what
+        at them, old objects are never installed: the store serves what
         it holds and the loader finds every one corrupt."""
         vm = booted()
-        listed = forge_v2_manifest(store, vm)
+        listed = forge_manifest(store, vm)
         report = vm.warm_start(TranslationRepository(store))
         assert report.loaded == report.missing_objects == 0
         assert report.corrupt == listed == 5
@@ -514,7 +675,7 @@ class TestV1Store:
 
     def test_repairing_fsck_leaves_a_usable_store(self, store):
         repo = TranslationRepository(store)
-        repo.fsck(repair=True)
+        assert repo.fsck(repair=True).quarantined_objects == 5
         assert repo.fsck().ok
         cold = booted()
         cold.run()
@@ -523,3 +684,20 @@ class TestV1Store:
         report = warm.warm_start(repo)
         assert report.loaded > 0 and report.dropped == 0
         assert warm.run().blocks_translated == 0
+
+
+class TestV2Store(TestV1Store):
+    """``tests/data/v2_store``: the same program's translations as the
+    layout-2 code saved them (counter addresses in the prologue, source
+    per instruction, keys over a re-encoding)."""
+
+    STORE, VERSION = "v2_store", 2
+
+    @staticmethod
+    def spells_its_layout(record) -> bool:
+        """Layout 2 names the counter address and keeps one source entry
+        per instruction, contiguous ones included."""
+        source = record["source"]
+        return "counter_addr" in record and any(
+            addr + len(data) // 2 == following
+            for (addr, data), (following, _) in zip(source, source[1:]))

@@ -177,7 +177,7 @@ class TestDegradation:
     def test_load_without_local_acts_empty(self):
         client = dead_client()
         assert client.load("cfg", "img") == []
-        assert client.manifest_entry_count("cfg", "img") is None
+        assert client.fetch("cfg", "img") == ([], 0)
         assert client.ping() is False
         assert client.groups["shard0"].ask("stats") is None
 

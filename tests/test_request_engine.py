@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.cacheserver import CacheServer, protocol
 from repro.cluster import LocalCluster
+from repro.persist.format import parse_record
 from repro.persist.remote import (RemoteError, RemoteRepository,
                                   ReplicaSet)
 
@@ -165,15 +166,14 @@ def test_repository_surface_never_raises(replicas, script):
     wire = ScriptedWire(engine, clock)
     wire.script = list(script)
     engine._connect = wire.connect
-    record = {"key": "k" * 8}
+    record = parse_record('{"key":"kkkkkkkk"}')
     with wire.patched():
         assert client.load("cfg", "img") == []
         assert client.save([record], "cfg", "img") == 0
-        assert client.manifest_entry_count("cfg", "img") is None
         assert client.ping() in (True, False)
     stats = client.remote_stats
     assert stats.pulls == 1 and stats.pushes == 1
-    assert stats.fallbacks == stats.cold_degradations <= 3
+    assert stats.fallbacks == stats.cold_degradations <= 2
 
 
 class TestHalfOpenProbe:

@@ -75,12 +75,16 @@ class TestEverySuperblock:
 
 def decoded_source(origins, memory):
     """``_covered_source`` as it was: each instruction decoded for its
-    length."""
+    length (its bytes joined to the run they continue)."""
     source = []
     for addr in sorted({addr for addr, _count in origins
                         if addr is not None}):
         length = decode_at(memory, addr).length
-        source.append([addr, memory.read(addr, length).hex()])
+        data = memory.read(addr, length).hex()
+        if source and source[-1][0] + len(source[-1][1]) // 2 == addr:
+            source[-1][1] += data
+        else:
+            source.append([addr, data])
     return source
 
 

@@ -23,6 +23,7 @@ replaced:
 """
 
 import copy
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -51,7 +52,7 @@ from repro.isa.x86lite.registers import Cond
 from repro.persist import (
     WarmStartLoader,
     capture_translations,
-    record_key,
+    encode_record,
     record_stream,
 )
 from repro.translator.bbt import COUNTER_AREA_BASE
@@ -216,14 +217,14 @@ class TestCorpusThroughBytes:
     def test_such_a_record_is_corrupt_and_leaks_no_counter(self, delta):
         vm = booted()
         vm.run()
-        record = next(
-            copy.deepcopy(record) for record in capture_translations(
+        fields = next(
+            json.loads(record.text) for record in capture_translations(
                 vm.runtime.directory, vm.state.memory)
-            if record["counter_addr"] is not None)
+            if record["kind"] == "bbt")
         # one more micro-op than the code holds passes the format's
         # bound only on a stream of 16-bit words; one fewer always does
-        record["origins"][-1][1] += delta
-        record["key"] = record_key(record)
+        fields["origins"][-1][1] += delta
+        record = encode_record(fields)
         fresh = booted()
         report = WarmStartLoader(fresh.runtime).load_records([record])
         assert (report.corrupt, report.loaded) == (1, 0)
@@ -304,14 +305,14 @@ def booted(source=LOOP, hot_threshold=50) -> CoDesignedVM:
 def object_path(records):
     """``(record, code, micro-op count, counter)`` per record in install
     order, the way the loader built them while it held micro-op lists:
-    decode with ``x86_addr`` attached, re-bind the prologue by
-    ``replace``, encode."""
+    decode with ``x86_addr`` attached, bind the stored prologue (every
+    BBT block of these VMs is profiled) by ``replace``, encode."""
     counter = COUNTER_AREA_BASE
     for record in sorted(records, key=lambda r: (r["kind"] != "bbt",
                                                  r["entry"])):
         uops = decode_stream(*record_stream(record))
         bound = None
-        if record["kind"] == "bbt" and record["counter_addr"] is not None:
+        if record["kind"] == "bbt":
             bound, counter = counter, counter + 4
             uops[1] = replace(uops[1], imm=bound >> 13 & 0x7FFFF)
             uops[2] = replace(uops[2], imm=bound & 0x1FFF)
@@ -387,8 +388,7 @@ class TestDroppedRecordsLeakNoCounter:
         vm.run()
         records = [record for record in capture_translations(
             vm.runtime.directory, vm.state.memory)
-            if record["kind"] == "bbt"
-            and record["counter_addr"] is not None]
+            if record["kind"] == "bbt"]
         assert len(records) > 2
         return records
 
@@ -405,10 +405,10 @@ class TestDroppedRecordsLeakNoCounter:
             self, records):
         vm = booted()
         bbt = vm.runtime.bbt
-        corrupt = copy.deepcopy(records[1])
-        corrupt["code"] = corrupt["code"][:8] + "00" * 8 \
-            + corrupt["code"][24:]          # no LUI/ORI at bytes 4..12
-        corrupt["key"] = record_key(corrupt)
+        fields = json.loads(records[1].text)
+        fields["code"] = fields["code"][:8] + "00" * 8 \
+            + fields["code"][24:]           # no LUI/ORI at bytes 4..12
+        corrupt = encode_record(fields)
         load = [corrupt if record is records[1] else copy.deepcopy(record)
                 for record in records]
         with injecting(Rejecting({records[0]["entry"]})):
@@ -459,10 +459,14 @@ class TestNoPerOccurrenceConstructor:
         chains = vm.runtime.directory.chains_made
         assert load.loaded == load.bbt_loaded >= 200 and chains > 0
         assert counts["MicroOp.__init__"] <= \
-            distinct + 2 * load.bbt_loaded + chains < micro_ops / 2
+            distinct + chains < micro_ops / 2
         assert counts["decode_uop"] == distinct
-        assert counts["encode_uop"] == 2 * load.bbt_loaded + chains
+        # the counter is spliced in as bytes: only chaining encodes
+        assert counts["encode_uop"] == chains
         assert counts["Located.__new__"] == 0
         assert counts["dataflow.transfer"] == 0
         assert 0 < counts["dataflow.step"] < micro_ops / 4
-        assert counts["record_key"] == load.loaded
+        # nothing re-encodes a record; each is hashed once, as stored
+        # (and its install checksummed), beside the two fingerprints
+        assert counts["JSON encodes"] == 0
+        assert counts["SHA-256"] == 2 * load.loaded + 2

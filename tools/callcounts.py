@@ -37,7 +37,8 @@ from repro.persist.lease import WriterLease               # noqa: E402
 
 SHAPES = {"hot_loop": gen.HOT_LOOP, "wide_cold": gen.WIDE_COLD}
 #: row -> (end of the file name, function name) as cProfile spells them:
-#: a namedtuple's ``__new__`` (``Located``'s) is a ``<lambda>`` in a string
+#: a namedtuple's ``__new__`` (``Located``'s) is a ``<lambda>`` in a string,
+#: a C function sits in ``~`` (``hashlib.sha256`` is OpenSSL's)
 COUNTED = {
     "decode": ("isa/x86lite/decoder.py", "decode"),
     "crack": ("translator/cracker.py", "crack"),
@@ -48,7 +49,8 @@ COUNTED = {
     "dataflow.transfer": ("verify/dataflow.py", "transfer"),
     "dataflow.step": ("verify/dataflow.py", "step"),
     "dataclasses.replace": ("dataclasses.py", "replace"),
-    "record_key": ("persist/format.py", "record_key"),
+    "JSON encodes": ("json/encoder.py", "encode"),
+    "SHA-256": ("~", "<built-in method _hashlib.openssl_sha256>"),
     "AddressSpace.read": ("memory/address_space.py", "read"),
     "AddressSpace.write": ("memory/address_space.py", "write"),
     "read_u32": ("memory/address_space.py", "read_u32"),
