@@ -1,31 +1,31 @@
 """Warm-start loader: re-materialize persisted translations at VM boot.
 
 Stores and servers hand records over unjudged: ``validate_record``
-here is the one integrity check on the read path.  For every record it
-accepts, the loader
+here is the one integrity check on the read path.  The loader takes a
+pull in three passes, records in install order (BBT copies first):
 
-1. re-checks the **source fingerprint** against the freshly loaded
-   program memory (a record translated from different bytes is stale and
-   dropped);
-2. points the BBT profiling prologue at a freshly allocated countdown
-   counter **in the bytes**: a record stores the LUI/ORI pair at bytes
-   4..12 with zero immediates, the loader checks them against that pair
-   and splices in the pair for the new counter; a record dropped
-   further down hands its counter back;
-3. has the verifier's context walk those bytes through that table (each
-   distinct word decoded **once** per VM, no micro-op list), ``origins``
-   kept as the record's runs, for **the new native address** handed out
-   by the owning code cache: BC/JMP displacements are
+1. **each record on its own**: ``validate_record``; the **source
+   fingerprint** against the freshly loaded program memory (a record
+   translated from different bytes is stale); the BBT profiling
+   prologue pointed **in the bytes** at the countdown counter the record
+   will hold if every record before it installs (stored as the LUI/ORI
+   pair with zero immediates at bytes 4..12, checked and spliced); its
+   code read through the VM's word table as one verifier ``Segment``
+   (each distinct word decoded **once** per VM, no micro-op list; code
+   that does not decode, or that ``origins`` does not cover exactly, is
+   corrupt).  A later copy of a ``(kind, entry)`` waits for the first;
+2. **one screen**: the **verifier rule-pack** runs once over every
+   segment read, as one ``VerifyContext``; nothing crosses from one
+   record to the next, and each violation names its record;
+3. **each record in order**: duplicate check (a copy that waited, or a
+   record whose counter moved because one before it was dropped, is
+   read and screened again on its own); **the new native address**
+   from the owning code cache (BC/JMP displacements are
    translation-relative, so only exit-stub and side-table anchors need
-   rebasing; code that does not decode, or that ``origins`` does not
-   cover exactly, is corrupt;
-4. runs that context through the translation **verifier rule-pack** (a
-   canonical word is its own encoding); a record that violates any
-   invariant is dropped, never installed, never executed;
-5. installs *the bytes the verifier checked* through
-   ``TranslationDirectory.install`` — the same path new translations
-   take, so lookup tables, side tables and BBT->SBT redirects are wired
-   identically to a cold translation.
+   rebasing); capacity; the verdict -- a record that violates any
+   invariant is never installed, never executed; then its counter, and
+   *the bytes the verifier checked* installed through
+   ``TranslationDirectory.install``, the path new translations take.
 
 After installation the loader eagerly **re-chains** exit stubs whose
 targets were also loaded, and disables the countdown counters of BBT
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.faults.plane import fault_point
 from repro.isa.fusible.encoding import UopDecodeError
@@ -50,7 +50,7 @@ from repro.persist.format import (
     validate_record,
 )
 from repro.translator.emit import prologue_code
-from repro.verify.rules import VerifyContext
+from repro.verify.rules import Segment, VerifyContext
 from repro.verify.verifier import run_rules
 from repro.vmm.runtime import COUNTER_DISABLED
 
@@ -108,16 +108,21 @@ class LoadReport:
         return "\n".join(lines)
 
 
-def _rebind_counter(code: bytes, new_addr: int) -> bytes:
-    """Point the stored profiling prologue at a freshly allocated
-    counter.  The record holds the prologue's first three words (see
-    ``emit.profile_prologue``) as :data:`STORED_PROLOGUE`, the LUI/ORI
-    pair with zero immediates; code that does not start with them does
-    not match its metadata and is corrupt."""
-    if not code.startswith(STORED_PROLOGUE):
-        raise PersistFormatError("profiling prologue is not the stored one")
-    return prologue_code(new_addr)[:len(STORED_PROLOGUE)] \
-        + code[len(STORED_PROLOGUE):]
+def _attempt(record, work):
+    """``work()``, or why the record is dropped: ``(LoadReport field,
+    reason, log message)``.  A record the format layer accepted but the
+    rebuild machinery cannot digest is quarantined, never fatal."""
+    try:
+        return work()
+    except (PersistFormatError, UopDecodeError) as error:
+        return ("corrupt", "corrupt", f"record {record['kind']}@"
+                f"{record['entry']:#x} failed to materialize: {error}")
+    except (AssertionError, KeyboardInterrupt, SystemExit):
+        raise
+    except Exception as error:
+        return ("undecodable", "undecodable", f"record {record['kind']}@"
+                f"{record['entry']:#x} is undecodable "
+                f"({type(error).__name__}: {error}); skipped")
 
 
 class WarmStartLoader:
@@ -130,18 +135,17 @@ class WarmStartLoader:
     def load_records(self, records: List[Dict]) -> LoadReport:
         """Install every loadable record; returns the hit/miss report."""
         report = LoadReport()
-        directory = self.runtime.directory
-        memory = self.runtime.memory
-        words = self.runtime.machine.words
-        profiled = self.runtime.bbt.embed_profiling
-        new_counter = None
-        tracer = getattr(self.runtime, "tracer", None)
-        ledger = getattr(self.runtime, "ledger", None)
-        phase_costs = getattr(self.runtime, "phase_costs", None)
+        runtime = self.runtime
+        directory = runtime.directory
+        bbt = runtime.bbt
+        tracer = getattr(runtime, "tracer", None)
+        ledger = getattr(runtime, "ledger", None)
+        phase_costs = getattr(runtime, "phase_costs", None)
 
-        def reject(reason: str, record) -> None:
-            if new_counter is not None:     # armed, and now unreferenced
-                self.runtime.bbt.release_counter(new_counter)
+        def drop(record, field: str, reason: str, message=None) -> None:
+            setattr(report, field, getattr(report, field) + 1)
+            if message is not None:
+                log.warning("warm start: %s", message)
             if tracer is not None:
                 fields = record if isinstance(record, dict) else {}
                 entry = fields.get("entry")
@@ -161,75 +165,76 @@ class WarmStartLoader:
             return (record.get("kind") != "bbt",
                     entry if isinstance(entry, int) else 0)
 
-        loaded = []
-        seen: Set[Tuple[str, int]] = set()
+        # pass 1: each record's own checks.  A later copy of a
+        # (kind, entry) waits (None) to see whether the first installs.
+        items: List[tuple] = []     # (record, Segment or drop, counter)
+        first: Set[Tuple[str, int]] = set()     # (kind, entry) read
+        counters = 0
         for record in sorted(records, key=install_order):
             report.attempted += 1
-            new_counter = None
             try:
                 validate_record(record)
             except PersistFormatError as error:
-                report.corrupt += 1
-                reject("corrupt", record)
-                log.warning("warm start: corrupt record skipped: %s",
-                            error)
+                items.append((record, ("corrupt", "corrupt", f"corrupt "
+                                       f"record skipped: {error}"), None))
+                continue
+            key = (record["kind"], record["entry"])
+            if key in first:
+                items.append((record, None, None))
+                continue
+            counter = self._counter_for(record, counters)
+            read = self._read(record, counter)
+            if isinstance(read, Segment):
+                first.add(key)
+                counters += counter is not None
+            items.append((record, read, counter))
+
+        # pass 2: one screen of every record read
+        segments = [read for _record, read, _counter in items
+                    if isinstance(read, Segment)]
+        screened = self._screen(segments)
+
+        # pass 3: in order, each record that passed is installed
+        loaded = []
+        installed: Set[Tuple[str, int]] = set()
+        for record, read, counter in items:
+            if isinstance(read, tuple):
+                drop(record, *read)
                 continue
             kind, entry = record["kind"], record["entry"]
-            if (kind, entry) in seen:
-                report.duplicate_skipped += 1
-                reject("duplicate", record)
+            if (kind, entry) in installed:
+                drop(record, "duplicate_skipped", "duplicate")
                 continue
-            if not source_matches(record, memory):
-                report.stale_source += 1
-                reject("stale-source", record)
-                continue
+            if read is None or counter != self._counter_for(record):
+                # its first copy, or a record handed a counter before
+                # it, was dropped: read it again, on its own
+                counter = self._counter_for(record)
+                read = self._read(record, counter)
+                if isinstance(read, tuple):
+                    drop(record, *read)
+                    continue
+                screened.update(self._screen([read]))
             cache = directory.cache_for(kind)
-            try:
-                code = record_code(record)
-                if kind == "bbt" and profiled:
-                    # the screen must see the final bytes
-                    new_counter = self.runtime.bbt.allocate_counter()
-                    code = _rebind_counter(code, new_counter)
-                # the one walk: the words, the CFG and (on demand) the
-                # dataflow facts every rule shares
-                screen = VerifyContext.from_code(code, record["origins"],
-                                                 words=words)
-                translation = materialize(record, cache.reserve(),
-                                          len(screen.words))
-                translation.counter_addr = new_counter
-                screen.translation = translation
-            except (PersistFormatError, UopDecodeError) as error:
-                report.corrupt += 1
-                reject("corrupt", record)
-                log.warning("warm start: record %s@%#x failed to "
-                            "materialize: %s", kind, entry, error)
+            translation = _attempt(record, lambda: materialize(
+                record, cache.reserve(), len(read.words)))
+            if isinstance(translation, tuple):
+                drop(record, *translation)
                 continue
-            except (AssertionError, KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as error:
-                # a record the format layer accepted but the rebuild
-                # machinery cannot digest: quarantine it, keep booting
-                report.undecodable += 1
-                reject("undecodable", record)
-                log.warning("warm start: record %s@%#x is undecodable "
-                            "(%s: %s); skipped", kind, entry,
-                            type(error).__name__, error)
-                continue
-            if not cache.would_fit(screen.cfg.total_bytes):
-                report.capacity_skipped += 1
-                reject("capacity", record)
+            if not cache.would_fit(read.size):
+                drop(record, "capacity_skipped", "capacity")
                 continue
             # the PR-1 rule-pack gates every install: a record that
             # breaks an invariant is dropped, never executed
             # (fault_point lets chaos runs force a false positive)
+            data = screened[read]   # the bytes ENC001/ENC002 checked
             if fault_point("loader.verify", entry=entry, kind=kind) \
-                    or not run_rules(screen).ok:
-                report.verifier_rejected += 1
-                reject("verifier", record)
-                log.warning("warm start: record %s@%#x rejected by "
-                            "the verifier; skipped", kind, entry)
+                    or data is None:
+                drop(record, "verifier_rejected", "verifier",
+                     f"record {kind}@{entry:#x} rejected by the "
+                     f"verifier; skipped")
                 continue
-            data = screen.image   # the bytes ENC001/ENC002 just checked
+            if counter is not None:
+                translation.counter_addr = bbt.allocate_counter()
             directory.install(data, translation)
             # warm-start work is a startup phase of its own: charge the
             # deserialize/encode/screen cost to the run's ledger
@@ -241,7 +246,7 @@ class WarmStartLoader:
             if tracer is not None:
                 tracer.instant("warmstart.load", kind=kind,
                                entry=f"{entry:#x}", bytes=len(data))
-            seen.add((kind, entry))
+            installed.add((kind, entry))
             loaded.append(translation)
             report.loaded += 1
             report.bytes_loaded += len(data)
@@ -255,8 +260,57 @@ class WarmStartLoader:
             tracer.instant("warmstart.done", loaded=report.loaded,
                            dropped=report.dropped,
                            chains_restored=report.chains_restored)
-        self.runtime.persist_report = report
+        runtime.persist_report = report
         return report
+
+    def _counter_for(self, record, ahead: int = 0) -> Optional[int]:
+        """The counter a BBT record of a profiling VM points at: the
+        one ``ahead`` allocations from now."""
+        bbt = self.runtime.bbt
+        if record["kind"] == "bbt" and bbt.embed_profiling:
+            return bbt.next_counter(ahead)
+        return None
+
+    def _read(self, record, counter: Optional[int]):
+        """A validated record's own checks: its source against memory,
+        its prologue pointed at ``counter``, its code read through the
+        VM's word table.  Returns its ``Segment``, or why it is dropped
+        (:func:`_attempt`)."""
+        if not source_matches(record, self.runtime.memory):
+            return ("stale_source", "stale-source", None)
+
+        def read() -> Segment:
+            code = record_code(record)
+            if counter is not None:
+                # the stored prologue's first three words (RDFLG, then
+                # the counter's LUI/ORI pair with zero immediates); code
+                # that does not start with them does not match its
+                # metadata
+                if not code.startswith(STORED_PROLOGUE):
+                    raise PersistFormatError(
+                        "profiling prologue is not the stored one")
+                code = prologue_code(counter)[:len(STORED_PROLOGUE)] \
+                    + code[len(STORED_PROLOGUE):]
+            return Segment(code, record["origins"],
+                           self.runtime.machine.words,
+                           exits=record["exits"],
+                           side_table=record["side_table"])
+        return _attempt(record, read)
+
+    def _screen(self, segments: List[Segment]
+                ) -> Dict[Segment, Optional[bytes]]:
+        """Screen ``segments`` as one context, the rule-pack run once
+        over all of them: each one's bytes as screened, or None where a
+        rule fired."""
+        if not segments:
+            return {}
+        ctx = VerifyContext(words=self.runtime.machine.words,
+                            segments=segments)
+        failed = {violation.segment
+                  for violation in run_rules(ctx).violations}
+        return {seg: None if number in failed
+                else ctx.image[seg.base:seg.base + seg.size]
+                for number, seg in enumerate(segments)}
 
     def _relink(self, loaded, report: LoadReport) -> None:
         """Restore steady-state linkage among the loaded translations."""

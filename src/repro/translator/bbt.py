@@ -101,11 +101,11 @@ class BasicBlockTranslator:
         """Allocate one armed countdown counter (warm-start loader)."""
         return self._allocate_counter()
 
-    def release_counter(self, addr: int) -> None:
-        """Hand back the counter allocated last: the warm-start record
-        it was armed for was dropped before it was installed."""
-        if addr == self._next_counter - 4:
-            self._next_counter = addr
+    def next_counter(self, ahead: int = 0) -> int:
+        """The counter :meth:`allocate_counter` hands out after ``ahead``
+        more calls (the warm-start loader splices it in before it
+        screens the record, and allocates it only to install it)."""
+        return self._next_counter + 4 * ahead
 
     def reset_counter(self, translation: Translation,
                       value: Optional[int] = None) -> None:

@@ -7,11 +7,13 @@ round-trip, code-cache/chaining consistency).  The verifier never
 consults the emitters; it re-checks their output from first principles
 so that a bug in :mod:`repro.translator` cannot hide itself.
 
-Three entry points:
+Four entry points:
 
 * :func:`verify_uops` — stream-level rules over a bare micro-op list.
-* :func:`verify_translation` — the full rule-pack over one installed
-  translation (memory image, stubs, chaining, side tables).
+* :func:`verify_translations` — the full rule-pack over installed
+  translations (memory image, stubs, chaining, side tables), screened
+  as the segments of one context; :func:`verify_translation` is the
+  one-translation case.
 * :func:`verify_directory` — every live translation in a
   :class:`~repro.translator.code_cache.TranslationDirectory`.
 
@@ -27,6 +29,7 @@ from repro.verify.sanitizer import TranslationVerifyError
 from repro.verify.verifier import (
     verify_directory,
     verify_translation,
+    verify_translations,
     verify_uops,
 )
 
@@ -41,5 +44,6 @@ __all__ = [
     "rule_ids",
     "verify_directory",
     "verify_translation",
+    "verify_translations",
     "verify_uops",
 ]

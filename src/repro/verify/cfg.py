@@ -9,6 +9,11 @@ Two partitions of the same stream matter to the rule-pack:
   legality rules are scoped to these, mirroring the paper's "nothing
   moves across a region boundary".
 
+A stream may join several translations as **segments** (``starts``:
+the index of each one's first micro-op).  Nothing crosses a segment
+boundary: no fallthrough edge, no branch target outside the branch's
+own segment, no fused pair.
+
 Branch displacement semantics match the native machine
 (:mod:`repro.isa.fusible.machine`): ``target = offset_after_uop + imm``
 for BC/JMP/JCSRC/JCSRT, in encoded bytes.
@@ -16,6 +21,7 @@ for BC/JMP/JCSRC/JCSRT, in encoded bytes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -60,6 +66,8 @@ class CFG:
     #: byte offset -> index of the micro-op starting there
     index_at_offset: Dict[int, int]
     blocks: List[BasicBlock] = field(default_factory=list)
+    #: ``(first, end)`` block ids of each segment that has micro-ops
+    segment_blocks: List[Tuple[int, int]] = field(default_factory=list)
 
     def located(self, start: int, end: int,
                 uops: Optional[Sequence[MicroOp]] = None) -> List[Located]:
@@ -79,10 +87,11 @@ class CFG:
                 for index in self.transfers]
 
 
-def build_cfg(words: Sequence) -> CFG:
+def build_cfg(words: Sequence, starts: Sequence[int] = (0,)) -> CFG:
     """Partition a stream -- its word-table entries or, a ``Word`` being
     made of each, its micro-ops -- into basic blocks and wire successor
-    edges.  The words are walked for the offsets and for the control
+    edges; ``starts`` (ascending, from 0) are its segments' first
+    micro-ops.  The words are walked for the offsets and for the control
     transfers; what follows walks only those and the blocks.  Nothing
     is allocated per micro-op."""
     if words and not isinstance(words[0], Word):
@@ -92,7 +101,9 @@ def build_cfg(words: Sequence) -> CFG:
     total_bytes = offsets.pop()
     transfers = [index for index, word in enumerate(words)
                  if word.info.branch]
-    leaders = {0}
+    ends = [*starts[1:], len(words)]
+    heads = set(starts)
+    leaders = set(heads)
     relative: List[Tuple[int, int]] = []     # (branch, target offset)
     for index in transfers:
         leaders.add(index + 1)
@@ -103,36 +114,43 @@ def build_cfg(words: Sequence) -> CFG:
     bad_targets: List[int] = []
     target_of: Dict[int, int] = {}      # branch index -> target index
     for index, target in relative:  # forward targets are indexed only now
-        if target in index_at_offset:
-            target_of[index] = index_at_offset[target]
+        found = index_at_offset.get(target, -1)
+        segment = bisect_right(starts, index) - 1
+        if starts[segment] <= found < ends[segment]:
+            target_of[index] = found
         else:
             bad_targets.append(index)
     leaders.update(target_of.values())
 
     cfg = CFG(words, offsets, bad_targets, transfers, total_bytes,
               index_at_offset)
-    starts = sorted(leaders - {len(words)})
+    first = sorted(leaders - {len(words)})
     cfg.blocks = blocks = [
         BasicBlock(bid, start, end, cfg) for bid, (start, end)
-        in enumerate(zip(starts, starts[1:] + [len(words)]))]
-    block_at = {start: bid for bid, start in enumerate(starts)}
+        in enumerate(zip(first, first[1:] + [len(words)]))]
+    block_at = {start: bid for bid, start in enumerate(first)}
+    firsts = [block_at[start] for start in dict.fromkeys(starts)
+              if start < len(words)]
+    cfg.segment_blocks = list(zip(firsts, firsts[1:] + [len(blocks)]))
     for block in blocks:
         last = block.end - 1
         if last in target_of:
             block.succs.append(block_at[target_of[last]])
         # everything but a terminal or a JMP (BC/JCSRx fallthrough,
         # VMCALL resume, plain fall-into-leader) continues to the next
-        # micro-op
+        # micro-op of its segment
         if not (words[last].info.terminal
-                or words[last].uop.op is UOp.JMP) \
+                or words[last].uop.op is UOp.JMP
+                or block.end in heads) \
                 and block.bid + 1 < len(blocks):
             block.succs.append(block.bid + 1)
     return cfg
 
 
-def fused_pairs(words: Sequence[Word]) -> List[Tuple[int, Optional[int]]]:
-    """Indices of all (head, tail) pairs; tail is None for a dangling
-    trailing head."""
-    last = len(words) - 1
-    return [(index, index + 1 if index < last else None)
+def fused_pairs(words: Sequence[Word], starts: Sequence[int] = (0,)
+                ) -> List[Tuple[int, Optional[int]]]:
+    """Indices of all (head, tail) pairs; tail is None for a head that
+    is the last micro-op of its segment."""
+    ends = {*starts[1:], len(words)}
+    return [(index, None if index + 1 in ends else index + 1)
             for index, word in enumerate(words) if word.shape & 0x80]

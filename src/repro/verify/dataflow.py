@@ -120,30 +120,31 @@ class ForwardAnalysis:
     def run(self, cfg: CFG) -> List[Optional[object]]:
         """Solve to fixpoint; returns the state *before* each micro-op.
 
-        Blocks are swept in address order; only a back edge that lowered
-        its (already walked) target asks for another sweep.  In-states
-        only move down a finite lattice, so the sweeps end, and the last
-        one walked every block from its final in-state.
+        Each segment starts from the entry state and is solved on its
+        own (no edge leaves one).  Its blocks are swept in address
+        order; only a back edge that lowered its (already walked) target
+        asks for another sweep of that segment.  In-states only move
+        down a finite lattice, so the sweeps end, and the last one
+        walked every block from its final in-state.
         """
         before: List[Optional[object]] = [None] * len(cfg.words)
-        if not cfg.blocks:
-            return before
         block_in: List[Optional[object]] = [None] * len(cfg.blocks)
-        block_in[0] = self.entry_state()
-        again = True
-        while again:
-            again = False
-            for block in cfg.blocks:
-                state = block_in[block.bid]
-                if state is None:
-                    continue    # not (yet) reachable
-                state = self.walk(state, block, before)
-                for succ in block.succs:
-                    merged = state if block_in[succ] is None \
-                        else self.meet(block_in[succ], state)
-                    if merged != block_in[succ]:
-                        block_in[succ] = merged
-                        again = again or succ <= block.bid
+        for head, end in cfg.segment_blocks:
+            block_in[head] = self.entry_state()
+            again = True
+            while again:
+                again = False
+                for block in cfg.blocks[head:end]:
+                    state = block_in[block.bid]
+                    if state is None:
+                        continue    # not (yet) reachable
+                    state = self.walk(state, block, before)
+                    for succ in block.succs:
+                        merged = state if block_in[succ] is None \
+                            else self.meet(block_in[succ], state)
+                        if merged != block_in[succ]:
+                            block_in[succ] = merged
+                            again = again or succ <= block.bid
         return before
 
 

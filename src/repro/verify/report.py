@@ -18,6 +18,10 @@ class Violation:
     entry: Optional[int] = None      # architected entry of the translation
     kind: Optional[str] = None       # 'bbt' | 'sbt' | None (bare stream)
     context: Tuple[str, ...] = ()    # surrounding disassembly
+    #: which segment of the screened context it is in (its position;
+    #: not part of the report's output)
+    segment: Optional[int] = field(default=None, compare=False,
+                                   repr=False)
 
     def to_dict(self) -> dict:
         return {

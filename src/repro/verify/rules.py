@@ -12,6 +12,7 @@ FUS003      a fused pair carries at most three distinct source registers
 FUS004      no fused pair spans a region boundary
 FUS005      a hoisted tail must not have crossed a conflicting micro-op
 CTL001      relative control transfers land on micro-op boundaries
+CTL002      a translation ends where the machine never runs the next byte
 STB001      direct exit stubs have the fixed 12-byte patchable shape
 STB002      VMEXIT hands the continuation to the VMM in R29
 SCR001      VMM registers are defined before every use (scratch hygiene)
@@ -27,8 +28,9 @@ SID001      every VMCALL has a side-table entry for precise state
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, groupby
 from typing import Callable, FrozenSet, Iterator, List, Optional, Set, Tuple
 
@@ -85,102 +87,175 @@ def _encoded_fields(uop: MicroOp) -> tuple:
             uop.setflags)
 
 
-class VerifyContext:
-    """Everything a rule may consult: a stream as its bytes, the
-    word-table entry (``words``) at each offset (``offsets``) and the
-    ``x86_addr`` metadata as ``[x86_addr, count]`` runs.  What several
-    rules need is built once per context: the CFG, the fused pairs and
-    (on first use) the forward dataflow facts.  Micro-ops with their
-    ``x86_addr`` attached (``uops``, ``locs``) are views built on demand
-    for reports and tests; no rule walks them."""
+class Segment:
+    """One translation's stretch of a context, read on its own: its
+    ``code``, the table's entry of each word (``words``), the
+    ``x86_addr`` runs (``origins``), its ``size`` in bytes, its exits
+    (``[offset, kind, x86_target]``) and side table (``offset ->
+    x86_addr``), offsets from its first byte (None: a bare stream), and
+    the ``translation`` where the rules read an installed copy.
+    ``encoded`` / ``misread`` are ENC001's and ENC002's findings.  The
+    joining context sets ``start`` / ``end`` (its micro-ops) and
+    ``base`` (its first byte)."""
 
-    def __init__(self, uops, translation=None, memory=None,
-                 directory=None, live_entries: Optional[Set[int]] = None,
-                 source: Optional[tuple] = None,
-                 words: Optional[WordTable] = None) -> None:
-        """A context over ``uops``: each is encoded here, so ENC001 and
-        ENC002 check every one.  (``source`` is ``from_code``'s.)"""
-        self.translation = translation
-        self.memory = memory
-        self.directory = directory
-        # the VM's table or a private one
-        self._table = WordTable() if words is None else words
-        #: index -> what ``encoded`` decodes back as, where that is not
-        #: the micro-op that was encoded (ENC002's findings)
+    __slots__ = ("code", "words", "origins", "run_ends", "encoded",
+                 "misread", "exits", "side_table", "translation", "start",
+                 "end", "base", "size")
+
+    def __init__(self, code: Optional[bytes], origins, table: WordTable,
+                 exits=None, side_table=None, translation=None,
+                 uops: Optional[List[MicroOp]] = None) -> None:
+        """Walk ``code`` through ``table`` (raises ``UopDecodeError``:
+        bytes that do not decode, or ``origins`` -- runs, or one
+        ``x86_addr`` a micro-op -- that do not cover them exactly); or
+        encode each of ``uops``, so ENC001 and ENC002 check every one."""
+        self.code, self.translation = code, translation
+        self.encoded: dict = {}
         self.misread: dict = {}
-        #: index -> ``encode_uop``'s answer (bytes or the error) for the
-        #: micro-ops encoded here; any other's encoding is the canonical
-        #: slice of ``_code`` it was read from
-        self._encoded: dict = {}
-        self._uops = self._code = self.origins = self._run_ends = None
-        if source is None:
-            self._uops = list(uops)
-            entries = [self._checked(index, uop)
-                       for index, uop in enumerate(self._uops)]
+        if uops is not None:
+            self.words = [self._checked(index, uop, table)
+                          for index, uop in enumerate(uops)]
+            self.origins = self.run_ends = None
+            self.size = sum([word.shape & 0x7F for word in self.words])
         else:
-            self._code, origins = source
-            entries = stream_words(self._code, self._table)
+            entries = self.words = stream_words(code, table)
             for index in [index for index, word in enumerate(entries)
                           if not word.canonical]:   # to other bytes
-                entries[index] = self._checked(index, entries[index].uop)
+                entries[index] = self._checked(index, entries[index].uop,
+                                               table)
             if origins is None:
                 origins = [[None, len(entries)]]
             elif origins and not isinstance(origins[0], (list, tuple)):
                 origins = [[addr, len(list(run))]       # one a micro-op
                            for addr, run in groupby(origins)]
-            self.origins = origins
-            counts = [run[1] for run in origins]
-            self._run_ends = list(accumulate(counts))
-            if sum(counts) != len(entries):
+            self.run_ends = list(accumulate([run[1] for run in origins]))
+            covered = self.run_ends[-1] if origins else 0
+            if covered != len(entries):
                 raise UopDecodeError(
-                    f"x86_addr list covers {sum(counts)} micro-op(s), not "
+                    f"x86_addr list covers {covered} micro-op(s), not "
                     f"the stream's {len(entries)}")
-        #: indices ENC001/ENC002 must check; everywhere else the bytes
-        #: are the micro-op's encoding by construction
-        self.unproven: List[int] = sorted(self._encoded)
-        self.cfg = build_cfg(entries)
-        self.words, self.offsets = self.cfg.words, self.cfg.offsets
-        self.pairs = fused_pairs(entries)
-        self._facts = None
-        self._live_entries = live_entries
+            self.origins, self.size = origins, len(code)
+        if translation is not None and exits is None:
+            base = translation.native_addr
+            exits = [(stub.stub_addr - base, stub.kind, stub.x86_target)
+                     for stub in translation.exits]
+            side_table = {addr - base: x86_addr for addr, x86_addr
+                          in translation.side_table.items()}
+        elif side_table is not None:        # a record's pairs
+            side_table = dict(side_table)
+        self.exits, self.side_table = exits, side_table
 
-    def _checked(self, index: int, uop: MicroOp) -> Word:
+    def _checked(self, index: int, uop: MicroOp, table: WordTable) -> Word:
         """Encode ``uop`` here, so it is checked: the table's decode of
         those bytes is ENC002's comparison and, if equal, the entry."""
-        chunk = self._encoded[index] = _encode(uop)
-        word = None if isinstance(chunk, UopEncodeError) \
-            else self._table[chunk]
+        chunk = self.encoded[index] = _encode(uop)
+        word = None if isinstance(chunk, UopEncodeError) else table[chunk]
         if word and _encoded_fields(word.uop) != _encoded_fields(uop):
             self.misread[index], word = word.uop, None
         # no bytes read as this micro-op: its facts are its own
         return word or Word(uop)
 
+
+class VerifyContext:
+    """Everything a rule may consult: one or more translations as
+    ``segments`` of one stream -- its bytes, the word-table entry
+    (``words``) at each offset (``offsets``) and the ``x86_addr``
+    metadata as ``[x86_addr, count]`` runs.  What several rules need is
+    built once per context, over the joined words: the CFG, the fused
+    pairs and (on first use) the forward dataflow facts; nothing crosses
+    a segment boundary.  Micro-ops with their ``x86_addr`` attached
+    (``uops``, ``locs``) are views built on demand for reports and
+    tests; no rule walks them."""
+
+    def __init__(self, uops=None, translation=None, memory=None,
+                 directory=None, live_entries: Optional[Set[int]] = None,
+                 words: Optional[WordTable] = None,
+                 segments: Optional[List[Segment]] = None) -> None:
+        """A context over ``segments``, each read through ``words`` (the
+        VM's table or a private one), or over ``uops`` as one segment
+        of ``translation``."""
+        self.memory = memory
+        self.directory = directory
+        self._table = WordTable() if words is None else words
+        self._uops = None
+        if segments is None:
+            self._uops = list(uops)
+            segments = [Segment(None, None, self._table, uops=self._uops,
+                                translation=translation)]
+        self.segments = segments
+        #: index -> ``encode_uop``'s answer (bytes or the error) for the
+        #: micro-ops encoded here; any other's encoding is the canonical
+        #: slice of ``_code`` it was read from
+        self._encoded: dict = {}
+        #: index -> what ``encoded`` decodes back as, where that is not
+        #: the micro-op that was encoded (ENC002's findings)
+        self.misread: dict = {}
+        #: every segment knows its translation (exits, side table)
+        self.translated = bool(segments)
+        entries: List[Word] = []
+        base = 0
+        for seg in segments:
+            seg.start, seg.base = len(entries), base
+            for index, data in seg.encoded.items():
+                self._encoded[seg.start + index] = data
+            for index, uop in seg.misread.items():
+                self.misread[seg.start + index] = uop
+            entries += seg.words
+            seg.end, base = len(entries), base + seg.size
+            self.translated &= seg.exits is not None
+        self._starts = [seg.start for seg in segments] or [0]
+        if len(segments) == 1:      # nothing to join
+            self._code, self.origins, self._run_ends = \
+                seg.code, seg.origins, seg.run_ends
+        else:
+            self._code = b"".join([seg.code for seg in segments])
+            self.origins = [run for seg in segments for run in seg.origins]
+            self._run_ends = [seg.start + end for seg in segments
+                              for end in seg.run_ends]
+        #: indices ENC001/ENC002 must check; everywhere else the bytes
+        #: are the micro-op's encoding by construction
+        self.unproven: List[int] = sorted(self._encoded)
+        self.cfg = build_cfg(entries, self._starts)
+        self.words, self.offsets = self.cfg.words, self.cfg.offsets
+        self.pairs = fused_pairs(entries, self._starts)
+        self._facts = None
+        self._live_entries = live_entries
+
     @classmethod
     def from_code(cls, code: bytes, origins=None, rebind=None,
-                  words: Optional[WordTable] = None,
+                  words: Optional[WordTable] = None, translation=None,
                   **where) -> "VerifyContext":
         """A context over the words *it reads* in ``code`` through
         ``words`` (the installing VM's table: what is decoded here it
-        need not decode again; raises ``UopDecodeError``).  ``origins``
-        is the ``x86_addr`` metadata as a record keeps it, ``[x86_addr,
-        count]`` runs, or one ``x86_addr`` a micro-op; it must cover the
-        stream exactly.  A canonical word (no don't-care bit of its form
-        set) *is* the encoding of what it decodes to: ENC001 and ENC002
-        hold by construction.  A non-canonical one is encoded and
-        checked like any other, and ``image`` is the canonical
-        re-encoding.  ``rebind`` (tests) may swap micro-ops of the
-        decoded list: the result is screened as micro-ops, of which only
-        the very objects decoded here, from canonical bytes, stay proven.
+        need not decode again; raises ``UopDecodeError``), as one
+        segment.  ``origins`` is the ``x86_addr`` metadata as a record
+        keeps it, ``[x86_addr, count]`` runs, or one ``x86_addr`` a
+        micro-op; it must cover the stream exactly.  A canonical word
+        (no don't-care bit of its form set) *is* the encoding of what it
+        decodes to: ENC001 and ENC002 hold by construction.  A
+        non-canonical one is encoded and checked like any other, and
+        ``image`` is the canonical re-encoding.  ``rebind`` (tests) may
+        swap micro-ops of the decoded list: the result is screened as
+        micro-ops, of which only the very objects decoded here, from
+        canonical bytes, stay proven.
         """
-        read = cls(None, source=(code, origins), words=words, **where)
+        table = WordTable() if words is None else words
+        read = cls(segments=[Segment(code, origins, table,
+                                     translation=translation)],
+                   words=table, **where)
         if rebind is None:
             return read
         decoded = read.uops
-        ctx = cls(rebind(decoded), words=read._table, **where)
+        ctx = cls(rebind(decoded), translation=translation, words=table,
+                  **where)
         ctx.unproven = [index for index, uop in enumerate(ctx.uops)
                         if index >= len(decoded) or index in read._encoded
                         or uop is not decoded[index]]
         return ctx
+
+    def segment_at(self, index: int) -> int:
+        """The position of the segment micro-op ``index`` belongs to."""
+        return bisect_right(self._starts, index) - 1
 
     def addr_at(self, index: int) -> Optional[int]:
         """The ``x86_addr`` of micro-op ``index``: FUS005's hoist scan
@@ -202,19 +277,23 @@ class VerifyContext:
     def locs(self) -> List[Located]:
         return self.cfg.located(0, len(self.words), self.uops)
 
-    @property
-    def encoded(self) -> List:
-        """Per micro-op: its encoded bytes, or the ``UopEncodeError``.
-        The one encoding ENC001, ENC002 and CCH001 check and, for a warm
-        install, the very bytes that go into the code cache."""
-        return [self._encoded[index] if index in self._encoded
-                else self._code[offset:offset + (word.shape & 0x7F)]
-                for index, (offset, word)
-                in enumerate(zip(self.offsets, self.words))]
+    def encoding(self, index: int):
+        """Micro-op ``index``'s encoded bytes, or its
+        ``UopEncodeError``: what ENC001, ENC002 and CCH001 check."""
+        if index in self._encoded:
+            return self._encoded[index]
+        offset = self.offsets[index]
+        return self._code[offset:offset + (self.words[index].shape & 0x7F)]
 
     @property
+    def encoded(self) -> List:
+        """Per micro-op: :meth:`encoding`."""
+        return [self.encoding(index) for index in range(len(self.words))]
+
+    @cached_property
     def image(self) -> bytes:
-        """The encoded stream; defined when ENC001 holds."""
+        """The encoded stream (defined when ENC001 holds): for a warm
+        install, segment by segment, what goes into the code cache."""
         return b"".join(self.encoded) if self._encoded else self._code
 
     @property
@@ -231,23 +310,19 @@ class VerifyContext:
             self._live_entries = live_native_entries(self.directory)
         return self._live_entries
 
-    def available(self) -> FrozenSet[str]:
-        have = set()
-        if self.translation is not None:
-            have.add("translation")
-        if self.memory is not None:
-            have.add("memory")
-        if self.directory is not None:
-            have.add("directory")
-        return frozenset(have)
 
 
 @dataclass(frozen=True)
 class RuleSpec:
+    """A rule: ``check(ctx)`` walks the joined stream once, or, when it
+    ``requires`` the translation (its exits, side table, installed
+    copy), ``check(ctx, seg)`` reads one segment."""
+
     rule_id: str
     title: str
     requires: FrozenSet[str]
-    check: Callable[[VerifyContext], Iterator[Violation]]
+    check: Callable[..., Iterator[Violation]]
+    per_segment: bool
 
 
 RULES: List[RuleSpec] = []
@@ -256,7 +331,8 @@ RULES: List[RuleSpec] = []
 def rule(rule_id: str, title: str, requires: Tuple[str, ...] = ()):
     def decorate(func):
         RULES.append(RuleSpec(rule_id=rule_id, title=title,
-                              requires=frozenset(requires), check=func))
+                              requires=frozenset(requires), check=func,
+                              per_segment="translation" in requires))
         return func
     return decorate
 
@@ -370,8 +446,8 @@ def _check_fus005(ctx: VerifyContext) -> Iterator[Violation]:
         # (straightened traces may bend backwards), and at the pairing
         # window bound.
         previous = head_addr
-        for index in range(tail + 1,
-                           min(tail + 1 + HOIST_SCAN, len(words))):
+        end = min(tail + 1 + HOIST_SCAN, ctx.segments[ctx.segment_at(tail)].end)
+        for index in range(tail + 1, end):
             if words[index].info.boundary:
                 break
             addr = ctx.addr_at(index)
@@ -393,11 +469,28 @@ def _check_fus005(ctx: VerifyContext) -> Iterator[Violation]:
 def _check_ctl001(ctx: VerifyContext) -> Iterator[Violation]:
     for index in ctx.cfg.bad_targets:
         uop = ctx.words[index].uop
-        target = ctx.offsets[index] + uop.length + uop.imm
+        target = ctx.offsets[index] + uop.length + uop.imm \
+            - ctx.segments[ctx.segment_at(index)].base
         yield _v("CTL001",
                  f"{uop.op.value} displacement {uop.imm:+d} lands "
                  f"at byte {target}, not on a micro-op boundary within "
                  f"the translation", ctx, index)
+
+
+@rule("CTL002", "a translation never runs off its end",
+      requires=("translation",))
+def _check_ctl002(ctx: VerifyContext, seg: Segment) -> Iterator[Violation]:
+    if seg.end == seg.start:
+        return
+    last = seg.end - 1
+    word = ctx.words[last]
+    uop = word.uop
+    # PROFILE is the one VMM service that resumes the translation
+    if word.info.terminal or uop.op is UOp.JMP or (
+            uop.op is UOp.VMCALL and uop.imm != int(VMService.PROFILE)):
+        return
+    yield _v("CTL002", f"translation ends in {uop.op.value}: the machine "
+                       f"runs on into the bytes after it", ctx, last)
 
 
 def _stub_shape_errors(uops: List[MicroOp], target: int) -> List[str]:
@@ -427,23 +520,23 @@ def _stub_shape_errors(uops: List[MicroOp], target: int) -> List[str]:
 
 @rule("STB001", "direct exit stubs have the fixed 12-byte patchable "
                 "shape", requires=("translation",))
-def _check_stb001(ctx: VerifyContext) -> Iterator[Violation]:
-    translation = ctx.translation
-    for stub in translation.exits:
-        offset = stub.stub_addr - translation.native_addr
-        index = ctx.cfg.index_at_offset.get(offset)
+def _check_stb001(ctx: VerifyContext, seg: Segment) -> Iterator[Violation]:
+    for offset, _kind, x86_target in seg.exits:
+        index = ctx.cfg.index_at_offset.get(seg.base + offset) \
+            if 0 <= offset < seg.size else None
         if index is None:
             yield _v("STB001", f"exit stub at +{offset:#x} does not sit "
                                f"on a micro-op boundary",
                      offset=offset)
             continue
-        uops = [word.uop for word in ctx.words[index:index + 3]]
-        if stub.x86_target is None:
+        end = index + 3 if index + 3 < seg.end else seg.end
+        uops = [word.uop for word in ctx.words[index:end]]
+        if x86_target is None:
             if uops[0].op is not UOp.VMEXIT:
                 yield _v("STB001", f"indirect exit records '{uops[0]}', "
                                    f"expected VMEXIT", ctx, index)
             continue
-        for error in _stub_shape_errors(uops, stub.x86_target):
+        for error in _stub_shape_errors(uops, x86_target):
             yield _v("STB001", error, ctx, index)
 
 
@@ -515,9 +608,10 @@ def _check_enc002(ctx: VerifyContext) -> Iterator[Violation]:
 # -- code cache and chaining ---------------------------------------------------
 
 
-def _patched_ranges(ctx: VerifyContext) -> List[Tuple[int, int]]:
+def _patched_ranges(ctx: VerifyContext,
+                    seg: Segment) -> List[Tuple[int, int]]:
     """Byte ranges chaining/redirection legitimately rewrote in memory."""
-    translation = ctx.translation
+    translation = seg.translation
     ranges: List[Tuple[int, int]] = []
     for stub in translation.exits:
         if stub.chained_to is not None:
@@ -532,22 +626,22 @@ def _patched_ranges(ctx: VerifyContext) -> List[Tuple[int, int]]:
 
 @rule("CCH001", "cache memory matches the recorded micro-ops",
       requires=("translation", "memory"))
-def _check_cch001(ctx: VerifyContext) -> Iterator[Violation]:
-    translation = ctx.translation
-    if translation.native_len and \
-            translation.native_len != ctx.cfg.total_bytes:
+def _check_cch001(ctx: VerifyContext, seg: Segment) -> Iterator[Violation]:
+    translation = seg.translation
+    if translation.native_len and translation.native_len != seg.size:
         yield _v("CCH001",
-                 f"recorded micro-ops cover {ctx.cfg.total_bytes} bytes "
+                 f"recorded micro-ops cover {seg.size} bytes "
                  f"but native_len is {translation.native_len}",
                  entry=translation.entry, kind=translation.kind)
-    patched = _patched_ranges(ctx)
-    image = ctx.memory.read(translation.native_addr,
-                            ctx.cfg.total_bytes + 2)
+    patched = _patched_ranges(ctx, seg)
+    image = ctx.memory.read(translation.native_addr, seg.size + 2)
     if not patched and not any(
-            isinstance(ctx._encoded[index], UopEncodeError)
-            for index in ctx.unproven) and image.startswith(ctx.image):
+            isinstance(data, UopEncodeError)
+            for data in seg.encoded.values()) \
+            and image.startswith(ctx.image[seg.base:seg.base + seg.size]):
         return      # the common case: what was installed, untouched
-    for index, (offset, data) in enumerate(zip(ctx.offsets, ctx.encoded)):
+    for index in range(seg.start, seg.end):
+        offset, data = ctx.offsets[index] - seg.base, ctx.encoding(index)
         if any(start <= offset < end for start, end in patched):
             continue
         if isinstance(data, UopEncodeError):
@@ -570,8 +664,8 @@ def _check_cch001(ctx: VerifyContext) -> Iterator[Violation]:
 
 @rule("CHN001", "chained stubs jump to a live translation entry",
       requires=("translation", "memory", "directory"))
-def _check_chn001(ctx: VerifyContext) -> Iterator[Violation]:
-    translation = ctx.translation
+def _check_chn001(ctx: VerifyContext, seg: Segment) -> Iterator[Violation]:
+    translation = seg.translation
     for stub in translation.exits:
         if stub.chained_to is None:
             continue
@@ -600,8 +694,8 @@ def _check_chn001(ctx: VerifyContext) -> Iterator[Violation]:
 
 @rule("CHN002", "unpatched stubs still leave through VMEXIT",
       requires=("translation", "memory"))
-def _check_chn002(ctx: VerifyContext) -> Iterator[Violation]:
-    translation = ctx.translation
+def _check_chn002(ctx: VerifyContext, seg: Segment) -> Iterator[Violation]:
+    translation = seg.translation
     for stub in translation.exits:
         if stub.chained_to is not None or stub.x86_target is None:
             continue
@@ -625,19 +719,22 @@ def _check_chn002(ctx: VerifyContext) -> Iterator[Violation]:
 
 @rule("SID001", "every VMCALL has a side-table entry for precise state",
       requires=("translation",))
-def _check_sid001(ctx: VerifyContext) -> Iterator[Violation]:
-    translation = ctx.translation
-    for index in ctx.cfg.transfers:
+def _check_sid001(ctx: VerifyContext, seg: Segment) -> Iterator[Violation]:
+    transfers = ctx.cfg.transfers
+    for index in transfers[bisect_left(transfers, seg.start):
+                           bisect_left(transfers, seg.end)]:
         if ctx.words[index].uop.op is not UOp.VMCALL:
             continue
-        native = translation.native_addr + ctx.offsets[index]
-        if native not in translation.side_table:
+        offset = ctx.offsets[index] - seg.base
+        if offset not in seg.side_table:
             yield _v("SID001",
                      "VMCALL has no side-table entry; the VMM cannot "
                      "reconstruct precise architected state", ctx, index)
             continue
         if ctx.directory is not None:
-            resolved = ctx.directory.resolve_side_table(native)
+            translation = seg.translation
+            resolved = ctx.directory.resolve_side_table(
+                translation.native_addr + offset)
             if resolved is None or resolved[1] is not translation:
                 yield _v("SID001",
                          "side-table entry is not registered with the "

@@ -22,7 +22,15 @@ installed.  These tests pin the properties of that screen:
 * numbers a record spells out in JSON are numbers: booleans and other
   junk never reach the loader's rebuild (``corrupt``);
 * ``MicroOp`` under its hand-written constructor is the value type it
-  was.
+  was;
+* a block cut short so that it ends in a plain ALU micro-op (the
+  ``wide_cold`` seed-0 record at 0x4000aa after 12 micro-ops) is
+  ``verifier_rejected`` (CTL002) and the warm run equals the cold one;
+  loaded, the machine ran on into the next translation's bytes;
+* a store damaged at one stage (corrupt, stale, duplicate, capacity,
+  verifier) counts what it counted when each record had a context of
+  its own, and every counter handed out is held by an installed
+  translation.
 """
 
 import copy
@@ -60,6 +68,7 @@ from repro.persist import (
     validate_record,
 )
 from repro.persist.format import STORED_PROLOGUE
+from repro.translator.bbt import COUNTER_AREA_BASE
 from repro.translator.emit import prologue_code
 from repro.verify import sanitizer, verify_directory, verify_translation
 from repro.verify.rules import VerifyContext
@@ -485,3 +494,139 @@ class TestMicroOpIsStillAValue:
             return (after - before) / count
 
         assert bytes_each(MicroOp) <= bytes_each(Generated)
+
+
+# -- a translation that runs off its end ---------------------------------------
+
+@pytest.fixture(scope="module")
+def wide():
+    """The ``wide_cold`` seed-0 image, its cold VM after the run, the
+    run's output, and its records."""
+    from tests.test_templates import IMAGES
+    image = IMAGES["wide_cold-0"]
+    vm = CoDesignedVM(vm_soft(), hot_threshold=50)
+    vm.load(image)
+    output = vm.run().output
+    return image, vm, output, capture_translations(vm.runtime.directory,
+                                                   vm.state.memory)
+
+
+def cut_short(record, keep: int):
+    """``record`` with its code cut after ``keep`` micro-ops, its exits
+    dropped and its origins trimmed to match, re-keyed: a valid record
+    of a block that ends mid-stream."""
+    fields = json.loads(record.text)
+    uops = decoded(record)[:keep]
+    runs, left = [], keep
+    for addr, count in fields["origins"]:
+        if left:
+            runs.append([addr, min(count, left)])
+            left -= runs[-1][1]
+    fields.update(code=encode_stream(uops).hex(), origins=runs, exits=[])
+    return resealed(fields), uops[-1]
+
+
+class TestATranslationEndsWhereTheMachineLeavesIt:
+    def test_a_block_cut_mid_stream_is_rejected_and_the_boot_is_cold(
+            self, wide):
+        image, cold, output, records = wide
+        (victim,) = [r for r in records
+                     if (r["kind"], r["entry"]) == ("bbt", 0x4000AA)]
+        cut, last = cut_short(victim, 12)
+        assert (last.op, last.rd, last.rs1, last.imm) == (UOp.SHLI, 8, 3, 1)
+        vm = CoDesignedVM(vm_soft(), hot_threshold=50)
+        vm.load(image)
+        report = WarmStartLoader(vm.runtime).load_records(
+            [cut if record is victim else record for record in records])
+        assert (report.verifier_rejected, report.loaded) == \
+            (1, len(records) - 1)
+        assert vm.run().output == output
+        assert vm.state.regs == cold.state.regs
+
+    def test_ctl002_names_the_last_micro_op(self, wide):
+        records = wide[-1]
+        cut, _last = cut_short(next(r for r in records
+                                    if r["entry"] == 0x4000AA), 12)
+        report = run_rules(VerifyContext.from_code(
+            *record_stream(cut),
+            translation=materialize(cut, 0x2000_0000, 12)))
+        assert [(v.rule_id, v.index) for v in report.violations] == \
+            [("CTL002", 11)]
+
+
+# -- a damaged store counts what it counted -------------------------------------
+
+def damaged_load(damage):
+    """The ``LoadReport`` of the LOOP image's records after ``damage``
+    (``(vm, records) -> records``) on a fresh VM."""
+    source = booted()
+    source.run()
+    records = capture_translations(source.runtime.directory,
+                                   source.state.memory)
+    vm = booted()
+    load = damage(vm, list(records))
+    report = WarmStartLoader(vm.runtime).load_records(load)
+    # every counter handed out is held by an installed translation
+    held = sorted(t.counter_addr for t in
+                  vm.runtime.directory.bbt_cache.translations)
+    assert held == list(range(COUNTER_AREA_BASE,
+                              vm.runtime.bbt._next_counter, 4))
+    return report.to_dict()
+
+
+def corrupt(vm, records):
+    fields = json.loads(records[0].text)
+    fields["code"] = fields["code"][:-2]        # half a word
+    return [dict(records[1]), encode_record(fields)] + records[2:]
+
+
+def stale(vm, records):
+    addr, _hex = records[1]["source"][0]
+    vm.state.memory.write(addr, b"\x90")
+    return records
+
+
+def duplicate(vm, records):
+    return records + records[:2] + [records[-1]]
+
+
+def capacity(vm, records):
+    cache = vm.runtime.directory.bbt_cache
+    cache.capacity = sum(len(r["code"]) // 2 for r in records
+                         if r["kind"] == "bbt") - 1
+    return records
+
+
+def verifier(vm, records):
+    first, *rest = [r for r in records if r["kind"] == "bbt"]
+    fields = json.loads(first.text)
+    fields["exits"][0][0] += 2                  # off its stub
+    return [encode_record(fields), first] + rest + \
+        [r for r in records if r["kind"] != "bbt"]
+
+
+class TestADamagedStoreCountsTheSame:
+    """Each store damaged at one stage of the loader: the counts (zeros
+    left out) are the ones the loader reported when it gave each record
+    a context of its own."""
+
+    @pytest.mark.parametrize("damage,counts", [
+        (corrupt, {"attempted": 5, "bbt_loaded": 2, "bytes_loaded": 120,
+                   "chains_restored": 1, "corrupt": 2, "dropped": 2,
+                   "loaded": 3, "sbt_loaded": 1}),
+        (stale, {"attempted": 5, "bbt_loaded": 2, "bytes_loaded": 94,
+                 "dropped": 3, "loaded": 2, "stale_source": 3}),
+        (duplicate, {"attempted": 8, "bbt_loaded": 4, "bytes_loaded": 268,
+                     "chains_restored": 5, "duplicate_skipped": 3, "loaded": 5,
+                     "sbt_loaded": 1}),
+        (capacity, {"attempted": 5, "bbt_loaded": 3, "bytes_loaded": 220,
+                    "capacity_skipped": 1, "chains_restored": 5, "dropped": 1,
+                    "loaded": 4, "sbt_loaded": 1}),
+        (verifier, {"attempted": 6, "bbt_loaded": 4, "bytes_loaded": 268,
+                    "chains_restored": 5, "dropped": 1, "loaded": 5,
+                    "sbt_loaded": 1, "verifier_rejected": 1}),
+    ], ids=lambda value: getattr(value, "__name__", ""))
+    def test_counts(self, damage, counts):
+        report = damaged_load(damage)
+        assert {key: value for key, value in report.items() if value} \
+            == counts

@@ -1,0 +1,359 @@
+"""One screen per pull: a segmented context is its one-segment screens.
+
+A ``VerifyContext`` joins many translations as **segments** of one word
+stream; the warm loader screens a whole pull that way and
+``verify_directory`` a whole directory.  Nothing crosses a segment
+boundary, so these tests hold the joined screen to the one-segment
+screens it batches -- the same rule ids, messages, segment-relative
+indices, offsets, x86 addresses and context lines, in the same order:
+
+* every translation of the seed images booted under ``vm_soft``,
+  ``vm_be``, ``vm_fe`` and ``interp_sbt``, as installed (all seventeen
+  rules) and as their records keep them (the loader's fourteen);
+* every corpus entry of ``test_verifier_rules.py`` that encodes, between
+  two clean translations;
+* by search, a pull of good records with one damaged (a byte flipped,
+  the code cut short, an origins run shifted, an exit moved): the
+  joined screen finds what each record's own finds, the loader drops
+  that record alone when it drops it alone, and every counter handed out
+  is held by an installed translation;
+* the joins themselves: no fallthrough, branch target, fused pair or
+  hoist scan crosses a boundary, and the dataflow starts each segment
+  from the entry state.
+"""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.verify.verifier as verifier_module
+from repro.core import CoDesignedVM, interp_sbt, vm_be, vm_fe, vm_soft
+from repro.isa.fusible.encoding import (
+    UopDecodeError,
+    UopEncodeError,
+    WordTable,
+    decode_stream,
+    encode_stream,
+)
+from repro.isa.fusible.microop import MicroOp
+from repro.isa.fusible.opcodes import UOp
+from repro.isa.x86lite import assemble
+from repro.isa.x86lite.registers import Cond
+from repro.persist import (
+    WarmStartLoader,
+    capture_translations,
+    encode_record,
+)
+from repro.persist.format import record_code
+from repro.translator.bbt import COUNTER_AREA_BASE
+from repro.verify import verify_directory, verify_translation
+from repro.verify.rules import Segment, VerifyContext, live_native_entries
+from repro.verify.verifier import run_rules
+from tests.sbt_oracle import origin_runs
+from tests.test_persist import LOOP
+from tests.test_templates import IMAGES, cold_boot
+from tests.test_verifier_rules import CORPUS, exit_stub, make_translation
+
+CONFIGS = {"vm_soft": vm_soft, "vm_be": vm_be, "vm_fe": vm_fe,
+           "interp_sbt": interp_sbt}
+
+
+def findings(violations):
+    """Everything a violation says, and which segment it is in."""
+    return [(v.segment, v.rule_id, v.message, v.index, v.offset,
+             v.x86_addr, v.entry, v.kind, v.context) for v in violations]
+
+
+def joined_and_alone(parts, **where):
+    """``(findings, rules run)`` of one context over all ``parts``
+    (``Segment`` arguments) and of one context per part, the latter's
+    segment numbers set to the part's position."""
+    table = WordTable()
+    joined = run_rules(VerifyContext(
+        words=table, segments=[Segment(table=table, **part)
+                               for part in parts], **where))
+    alone, rules = [], set()
+    for position, part in enumerate(parts):
+        report = run_rules(VerifyContext(
+            words=table, segments=[Segment(table=table, **part)], **where))
+        rules.add(report.rules_run)
+        alone += [(position,) + finding[1:]
+                  for finding in findings(report.violations)]
+    return (findings(joined.violations), {joined.rules_run}), \
+        (alone, rules)
+
+
+def record_part(record):
+    """A record's code (counter-free prologue), runs, exits and side
+    table, as the loader hands them to a segment."""
+    return dict(code=record_code(record), origins=record["origins"],
+                exits=record["exits"], side_table=record["side_table"])
+
+
+# -- every translation of the images -------------------------------------------
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_every_translation_of_the_images(config):
+    checked = 0
+    for name in sorted(IMAGES):
+        vm = cold_boot(IMAGES[name], CONFIGS[config]())
+        directory = vm.runtime.directory
+        translations = [translation for cache
+                        in (directory.bbt_cache, directory.sbt_cache)
+                        for translation in cache.translations]
+        live = live_native_entries(directory)
+        joined = verify_directory(directory)
+        alone = [verify_translation(translation, directory.memory,
+                                    directory, live, directory.words)
+                 for translation in translations]
+        if not translations:    # nothing ran hot, nothing translated
+            continue
+        checked += 1
+        assert joined.translations_checked == len(translations)
+        assert joined.uops_checked == sum(r.uops_checked for r in alone)
+        assert {joined.rules_run} == {r.rules_run for r in alone}
+        assert len(joined.rules_run) == 17
+        assert joined.to_dict()["violations"] == \
+            [v.to_dict() for r in alone for v in r.violations]
+        records = capture_translations(directory, vm.state.memory)
+        (joined_found, joined_rules), (alone_found, alone_rules) = \
+            joined_and_alone([record_part(r) for r in records])
+        assert joined_found == alone_found == []
+        assert joined_rules == alone_rules
+        assert len(next(iter(joined_rules))) == 14, name
+    assert checked >= 9
+
+
+# -- the corpus between two clean translations --------------------------------
+
+def corpus_contexts(fixture, monkeypatch):
+    """The contexts ``fixture()`` screens."""
+    seen = []
+    real = verifier_module.run_rules
+
+    def watching(ctx):
+        seen.append(ctx)
+        return real(ctx)
+    monkeypatch.setattr(verifier_module, "run_rules", watching)
+    fixture()
+    monkeypatch.undo()
+    return seen
+
+
+def neighbour(native_addr, memory, with_translation):
+    """A clean one-stub translation, as segment arguments."""
+    uops = exit_stub(0x40_0100, addr=0x40_0000)
+    if not with_translation:
+        return dict(code=encode_stream(uops), origins=origin_runs(uops))
+    translation = make_translation(uops, exits=[(0, "jump", 0x40_0100)],
+                                   native_addr=native_addr, memory=memory)
+    return dict(code=translation.code, origins=translation.origins,
+                translation=translation)
+
+
+@pytest.mark.parametrize("expected,fixture", CORPUS,
+                         ids=[fn.__name__ for _rule, fn in CORPUS])
+def test_a_corpus_entry_between_clean_translations(expected, fixture,
+                                                   monkeypatch):
+    (ctx,) = corpus_contexts(fixture, monkeypatch)
+    (seg,) = ctx.segments
+    if seg.code is None:        # built from micro-ops
+        uops = ctx.uops
+        try:
+            code = encode_stream(uops)
+        except UopEncodeError:
+            assert expected == "ENC001"
+            return
+        if decode_stream(code, [uop.x86_addr for uop in uops]) != uops:
+            assert expected == "ENC002"
+            return
+        part = dict(code=code, origins=origin_runs(uops))
+    else:
+        part = dict(code=seg.code, origins=seg.origins)
+    has_translation = seg.exits is not None
+    if seg.translation is not None:
+        part["translation"] = seg.translation
+    elif has_translation:
+        part.update(exits=seg.exits, side_table=seg.side_table)
+    parts = [neighbour(0x2100_0000, ctx.memory, has_translation), part,
+             neighbour(0x2200_0000, ctx.memory, has_translation)]
+    where = dict(memory=ctx.memory, directory=ctx.directory,
+                 live_entries=ctx._live_entries)
+    joined, alone = joined_and_alone(parts, **where)
+    assert joined == alone
+    found = joined[0]
+    assert expected in {rule for segment, rule, *_ in found}
+    assert {segment for segment, *_ in found} == {1}
+
+
+# -- one damaged record in a pull of good ones ---------------------------------
+
+def booted():
+    vm = CoDesignedVM(vm_soft(), hot_threshold=50)
+    vm.load(assemble(LOOP))
+    return vm
+
+
+@pytest.fixture(scope="module")
+def pull():
+    vm = booted()
+    vm.run()
+    records = capture_translations(vm.runtime.directory, vm.state.memory)
+    assert {record["kind"] for record in records} == {"bbt", "sbt"}
+    return records
+
+
+def flip_a_byte(fields, draw):
+    code = bytearray.fromhex(fields["code"])
+    position = draw(st.integers(0, len(code) - 1))
+    code[position] ^= draw(st.integers(1, 255))
+    fields["code"] = code.hex()
+
+
+def cut_the_code(fields, draw):
+    fields["code"] = fields["code"][
+        :2 * draw(st.integers(1, len(fields["code"]) // 2 - 1))]
+
+
+def shift_a_run(fields, draw):
+    runs = fields["origins"]
+    position = draw(st.integers(0, len(runs) - 1))
+    if position + 1 < len(runs) and runs[position][1] > 1:
+        runs[position][1] -= 1          # its last micro-op to the next
+        runs[position + 1][1] += 1
+    else:
+        runs[position][0] += draw(st.sampled_from([-1, 1]))
+
+
+def move_an_exit(fields, draw):
+    if not fields["exits"]:
+        fields["exits"] = [[0, "jump", fields["entry"]]]
+    stub = draw(st.sampled_from(fields["exits"]))
+    stub[0] += draw(st.sampled_from([-4, -2, 2, 4]))
+
+
+MUTATIONS = [flip_a_byte, cut_the_code, shift_a_run, move_an_exit]
+
+
+def reads(part) -> bool:
+    """Whether a record's code reads as words its runs cover (else the
+    loader counts it corrupt before any screen)."""
+    try:
+        Segment(table=WordTable(), **part)
+    except UopDecodeError:
+        return False
+    return True
+
+
+def loaded(records):
+    """``(report, vm)`` of a fresh VM's warm load of ``records``."""
+    vm = booted()
+    return WarmStartLoader(vm.runtime).load_records(records), vm
+
+
+class TestOneDamagedRecordInAPull:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_judged_as_alone(self, pull, data):
+        position = data.draw(st.integers(0, len(pull) - 1))
+        fields = json.loads(pull[position].text)
+        data.draw(st.sampled_from(MUTATIONS))(fields, data.draw)
+        damaged = encode_record(fields)
+        records = [damaged if index == position else record
+                   for index, record in enumerate(pull)]
+        joined, alone = joined_and_alone(
+            [part for part in map(record_part, records) if reads(part)])
+        assert joined == alone
+        report, vm = loaded(records)
+        by_itself, _vm = loaded([damaged])
+        dropped = 1 - by_itself.loaded
+        assert report.loaded == len(records) - dropped
+        assert report.dropped == by_itself.dropped == dropped
+        held = sorted(t.counter_addr for t in
+                      vm.runtime.directory.bbt_cache.translations)
+        assert held == list(range(COUNTER_AREA_BASE,
+                                  vm.runtime.bbt._next_counter, 4))
+        assert len(held) == report.bbt_loaded
+
+
+# -- the boundaries ------------------------------------------------------------
+
+def parts_of(*streams):
+    return [dict(code=encode_stream(uops), origins=None)
+            for uops in streams]
+
+
+def context(*streams):
+    table = WordTable()
+    return VerifyContext(words=table, segments=[
+        Segment(table=table, **part) for part in parts_of(*streams)])
+
+
+ADD = MicroOp(UOp.ADDI, rd=1, rs1=1, imm=1)
+HALT = MicroOp(UOp.HALT)
+
+
+class TestNothingCrossesABoundary:
+    def test_no_fallthrough_edge(self):
+        ctx = context([ADD, ADD], [ADD, HALT])
+        assert [block.succs for block in ctx.cfg.blocks] == [[], []]
+
+    def test_a_branch_into_the_next_segment_is_ctl001(self):
+        # +4 from the end of the first stream is the second's second
+        # micro-op: a boundary of the joined stream, not of its own
+        branch = MicroOp(UOp.BC, cond=Cond.E, imm=4)
+        joined, alone = joined_and_alone(parts_of([branch], [ADD, ADD,
+                                                            HALT]))
+        assert joined == alone
+        assert [finding[:2] for finding in joined[0]] == [(0, "CTL001")]
+
+    def test_a_fused_head_at_a_segment_end_has_no_tail(self):
+        head = MicroOp(UOp.ADDI, rd=5, rs1=1, imm=1, fused=True)
+        ctx = context([ADD, head], [MicroOp(UOp.ADD2, rd=6, rs1=5), HALT])
+        assert ctx.pairs == [(1, None)]
+        joined, alone = joined_and_alone(parts_of(
+            [ADD, head], [MicroOp(UOp.ADD2, rd=6, rs1=5), HALT]))
+        assert joined == alone
+        assert {finding[:2] for finding in joined[0]} == {(0, "FUS002")}
+
+    def test_the_hoist_scan_stops_at_a_segment_end(self):
+        table = WordTable()
+        fused = [MicroOp(UOp.ADDI, rd=5, rs1=1, imm=1, fused=True),
+                 MicroOp(UOp.ADD2, rd=6, rs1=5, setflags=True)]
+        # the next segment's first micro-op writes the flags at an
+        # address between head and tail: inside one segment, a hoist
+        parts = [dict(code=encode_stream(fused),
+                      origins=[[0x100, 1], [0x108, 1]]),
+                 dict(code=encode_stream(
+                     [MicroOp(UOp.SUBI, rd=2, rs1=2, imm=1, setflags=True),
+                      HALT]), origins=[[0x104, 2]])]
+        joined, alone = joined_and_alone(parts)
+        assert joined == alone and joined[0] == []
+        whole = dict(code=parts[0]["code"] + parts[1]["code"],
+                     origins=parts[0]["origins"] + parts[1]["origins"])
+        one = run_rules(VerifyContext(words=table, segments=[
+            Segment(table=table, **whole)]))
+        assert [v.rule_id for v in one.violations] == ["FUS005"]
+
+    def test_each_segment_starts_from_the_entry_state(self):
+        # the first segment defines a VMM register; the second reads it
+        define = MicroOp(UOp.ADDI, rd=16, rs1=1, imm=1)
+        use = MicroOp(UOp.ADD, rd=1, rs1=16, rs2=2)
+        joined, alone = joined_and_alone(parts_of([define, HALT],
+                                                  [use, HALT]))
+        assert joined == alone
+        assert [finding[:4] for finding in joined[0]] == \
+            [(1, "SCR001", joined[0][0][2], 0)]
+
+    def test_a_stub_past_the_segment_end_is_off_its_boundary(self):
+        stub = exit_stub(0x40_0100)
+        parts = [dict(code=encode_stream(stub), origins=None,
+                      exits=[[12, "jump", 0x40_0100]], side_table=[]),
+                 dict(code=encode_stream(stub), origins=None,
+                      exits=[[0, "jump", 0x40_0100]], side_table=[])]
+        joined, alone = joined_and_alone(parts)
+        assert joined == alone
+        assert [finding[:2] for finding in joined[0]] == [(0, "STB001")]

@@ -160,6 +160,15 @@ def ctl001_misaligned_branch():
     ])
 
 
+def ctl002_runs_off_its_end():
+    # a block cut after a plain ALU op: the machine would run on into
+    # whatever bytes the code cache holds next
+    translation = make_translation([
+        MicroOp(UOp.ADDI, rd=1, rs1=1, imm=1),
+        MicroOp(UOp.SHLI, rd=8, rs1=3, imm=1)])
+    return verify_translation(translation)
+
+
 def stb001_truncated_stub():
     target = 0x40_0100
     uops = exit_stub(target)[:2]  # VMEXIT missing
@@ -272,6 +281,7 @@ CORPUS = [
     ("FUS004", fus004_pair_into_jump),
     ("FUS005", fus005_hoist_across_flag_writer),
     ("CTL001", ctl001_misaligned_branch),
+    ("CTL002", ctl002_runs_off_its_end),
     ("STB001", stb001_truncated_stub),
     ("STB001", stb001_wrong_target_immediates),
     ("STB002", stb002_vmexit_wrong_register),
@@ -290,7 +300,8 @@ CORPUS = [
 
 #: every ``(rule_id, micro-op index)`` each fixture raised at PR 13,
 #: before the rules shared one walk (one encoding, one dataflow pass,
-#: one offset map per context): the screen must find exactly these
+#: one offset map per context): the screen must find exactly these,
+#: and CTL002 wherever a translation ends before its stub does
 PARENT_FINDINGS = {
     "fus001_nonalu_head": {("FUS001", 0)},
     "fus001_flagless_compare_branch": {("FUS001", 0)},
@@ -302,7 +313,8 @@ PARENT_FINDINGS = {
     "fus004_pair_into_jump": {("FUS002", 1), ("FUS004", 1)},
     "fus005_hoist_across_flag_writer": {("FUS005", 1)},
     "ctl001_misaligned_branch": {("CTL001", 0)},
-    "stb001_truncated_stub": {("STB001", 0)},
+    "ctl002_runs_off_its_end": {("CTL002", 1)},
+    "stb001_truncated_stub": {("STB001", 0), ("CTL002", 1)},
     "stb001_wrong_target_immediates": {("STB001", 0)},
     "stb002_vmexit_wrong_register": {("STB002", 0)},
     "scr001_scratch_use_before_def": {("SCR001", 0)},

@@ -18,8 +18,9 @@ replaced:
 * a warm load of SBT records (fused pairs, non-monotone origins)
   installs what the object path -- decode, re-bind by ``replace``,
   encode -- produces, byte for byte;
-* a dropped record hands its profiling counter back;
-* exact counts (``tools/callcounts.py``): no per-occurrence constructor.
+* a dropped record holds no profiling counter;
+* exact counts (``tools/callcounts.py``): no per-occurrence constructor,
+  and one context, one CFG and one rule-pack run for a whole pull.
 """
 
 import copy
@@ -155,7 +156,9 @@ def through_bytes(fixture, monkeypatch):
     do not read back as themselves (ENC001's and ENC002's entries)."""
     skipped = []
 
-    def bytes_entry(uops, **where):
+    def bytes_entry(uops=None, **where):
+        if uops is None:        # segments, already read from bytes
+            return VerifyContext(**where)
         uops = list(uops)
         try:
             code = encode_stream(uops)
@@ -369,7 +372,7 @@ class TestWarmLoadInstallsWhatTheObjectPathDid:
             (cold.state.exit_code, cold.state.output)
 
 
-# -- a dropped record hands its counter back ------------------------------------
+# -- a dropped record holds no counter -----------------------------------------
 
 class Rejecting:
     """A fault injector that fails ``loader.verify`` for chosen entries."""
@@ -470,3 +473,7 @@ class TestNoPerOccurrenceConstructor:
         # (and its install checksummed), beside the two fingerprints
         assert counts["JSON encodes"] == 0
         assert counts["SHA-256"] == 2 * load.loaded + 2
+        # one screen for the whole pull: one context, one CFG, one run
+        # of the rule-pack over every record's segment
+        assert counts["VerifyContext"] == counts["build_cfg"] == \
+            counts["run_rules"] == 1

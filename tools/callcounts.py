@@ -34,11 +34,15 @@ from repro.core import CoDesignedVM, vm_soft              # noqa: E402
 from repro.isa.x86lite import assemble                    # noqa: E402
 from repro.persist import TranslationRepository, repository  # noqa: E402
 from repro.persist.lease import WriterLease               # noqa: E402
+from repro.verify.cfg import build_cfg                    # noqa: E402
+from repro.verify.rules import VerifyContext              # noqa: E402
+from repro.verify.verifier import run_rules               # noqa: E402
 
 SHAPES = {"hot_loop": gen.HOT_LOOP, "wide_cold": gen.WIDE_COLD}
-#: row -> (end of the file name, function name) as cProfile spells them:
-#: a namedtuple's ``__new__`` (``Located``'s) is a ``<lambda>`` in a string,
-#: a C function sits in ``~`` (``hashlib.sha256`` is OpenSSL's)
+#: row -> (end of the file name, function name) as cProfile spells them
+#: (a namedtuple's ``__new__`` (``Located``'s) is a ``<lambda>`` in a
+#: string, a C function sits in ``~``: ``hashlib.sha256`` is OpenSSL's),
+#: or the function itself where its file defines others of its name
 COUNTED = {
     "decode": ("isa/x86lite/decoder.py", "decode"),
     "crack": ("translator/cracker.py", "crack"),
@@ -55,7 +59,10 @@ COUNTED = {
     "AddressSpace.write": ("memory/address_space.py", "write"),
     "read_u32": ("memory/address_space.py", "read_u32"),
     "write_u32": ("memory/address_space.py", "write_u32"),
-    "fusion._conflict": ("translator/fusion.py", "_conflict")}
+    "fusion._conflict": ("translator/fusion.py", "_conflict"),
+    "VerifyContext": VerifyContext.__init__,
+    "build_cfg": build_cfg,
+    "run_rules": run_rules}
 
 
 def call_counts(workload: str, warm: bool = False) -> dict[str, int]:
@@ -81,9 +88,15 @@ def call_counts(workload: str, warm: bool = False) -> dict[str, int]:
     stats = pstats.Stats(profile)
     counts = {"total calls": stats.total_calls,     # type: ignore
               **dict.fromkeys(COUNTED, 0)}
-    for (path, _line, name), called in stats.stats.items():  # type: ignore
-        for row, (suffix, function) in COUNTED.items():
-            if name == function and path.endswith(suffix):
+    for (path, line, name), called in stats.stats.items():  # type: ignore
+        for row, where in COUNTED.items():
+            if callable(where):
+                code = where.__code__
+                found = (path, line, name) == \
+                    (code.co_filename, code.co_firstlineno, code.co_name)
+            else:
+                found = name == where[1] and path.endswith(where[0])
+            if found:
                 counts[row] += called[1]
     return counts
 
