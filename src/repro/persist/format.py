@@ -79,6 +79,14 @@ _key_member = '"key":"{}",'.format
 STORED_PROLOGUE = prologue_code(0)[:12]
 
 
+def splice_counter(code: bytes, counter_addr: int) -> bytes:
+    """A profiled BBT block's ``code`` with its prologue's LUI/ORI pair
+    pointed at ``counter_addr``: 0 as a record stores it, the allocated
+    counter as the loader installs it."""
+    return prologue_code(counter_addr)[:len(STORED_PROLOGUE)] \
+        + code[len(STORED_PROLOGUE):]
+
+
 class PersistFormatError(Exception):
     """A record is structurally invalid (corrupt or wrong version)."""
 
@@ -207,7 +215,7 @@ def serialize_translation(translation: Translation,
     except (DecodeError, MemoryError_, UopEncodeError):
         return None  # source no longer decodes (e.g. overwritten text)
     if translation.counter_addr is not None:
-        code = STORED_PROLOGUE + code[len(STORED_PROLOGUE):]
+        code = splice_counter(code, 0)
     return encode_record({
         "format": FORMAT_VERSION,
         "kind": translation.kind,

@@ -2,29 +2,28 @@
 
 Stores and servers hand records over unjudged: ``validate_record``
 here is the one integrity check on the read path.  The loader takes a
-pull in three passes, records in install order (BBT copies first):
+pull in two steps, records in install order (BBT copies first):
 
-1. **each record on its own**: ``validate_record``; the **source
-   fingerprint** against the freshly loaded program memory (a record
-   translated from different bytes is stale); the BBT profiling
-   prologue pointed **in the bytes** at the countdown counter the record
-   will hold if every record before it installs (stored as the LUI/ORI
-   pair with zero immediates at bytes 4..12, checked and spliced); its
-   code read through the VM's word table as one verifier ``Segment``
-   (each distinct word decoded **once** per VM, no micro-op list; code
-   that does not decode, or that ``origins`` does not cover exactly, is
-   corrupt).  A later copy of a ``(kind, entry)`` waits for the first;
-2. **one screen**: the **verifier rule-pack** runs once over every
-   segment read, as one ``VerifyContext``; nothing crosses from one
-   record to the next, and each violation names its record;
-3. **each record in order**: duplicate check (a copy that waited, or a
-   record whose counter moved because one before it was dropped, is
-   read and screened again on its own); **the new native address**
-   from the owning code cache (BC/JMP displacements are
-   translation-relative, so only exit-stub and side-table anchors need
-   rebasing); capacity; the verdict -- a record that violates any
-   invariant is never installed, never executed; then its counter, and
-   *the bytes the verifier checked* installed through
+1. **read and screen, once**: every record's ``validate_record``; its
+   **source fingerprint** against the freshly loaded program memory (a
+   record translated from different bytes is stale); a profiled BBT
+   block's first 12 bytes checked to be the stored prologue (the
+   counter's LUI/ORI pair with zero immediates); its code read through
+   the VM's word table as one verifier ``Segment`` (each distinct word
+   decoded **once** per VM; code that does not decode, or that
+   ``origins`` does not cover exactly, is corrupt).  Then the
+   **verifier rule-pack** runs once over every segment, later copies of
+   a ``(kind, entry)`` included, as one ``VerifyContext``; nothing
+   crosses from one record to the next.  No rule's verdict depends on
+   the prologue's immediates, so the stored bytes are judged as
+   installed;
+2. **install in order**: the duplicate check; the read's drop; **the
+   new native address** from the owning code cache (BC/JMP
+   displacements are translation-relative, so only exit-stub and
+   side-table anchors need rebasing); capacity; the verdict -- a record
+   that violates any invariant is never installed, never executed;
+   then a profiled block is handed its counter, and the screened bytes,
+   the prologue's immediates set, go through
    ``TranslationDirectory.install``, the path new translations take.
 
 After installation the loader eagerly **re-chains** exit stubs whose
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.faults.plane import fault_point
 from repro.isa.fusible.encoding import UopDecodeError
@@ -47,9 +46,9 @@ from repro.persist.format import (
     materialize,
     record_code,
     source_matches,
+    splice_counter,
     validate_record,
 )
-from repro.translator.emit import prologue_code
 from repro.verify.rules import Segment, VerifyContext
 from repro.verify.verifier import run_rules
 from repro.vmm.runtime import COUNTER_DISABLED
@@ -165,55 +164,34 @@ class WarmStartLoader:
             return (record.get("kind") != "bbt",
                     entry if isinstance(entry, int) else 0)
 
-        # pass 1: each record's own checks.  A later copy of a
-        # (kind, entry) waits (None) to see whether the first installs.
-        items: List[tuple] = []     # (record, Segment or drop, counter)
-        first: Set[Tuple[str, int]] = set()     # (kind, entry) read
-        counters = 0
+        # step 1: every validated record read, and one screen of them
+        # all.  (kind, entry) is None where the record is not valid.
+        items: List[tuple] = []     # ((kind, entry), record, read)
         for record in sorted(records, key=install_order):
             report.attempted += 1
             try:
                 validate_record(record)
             except PersistFormatError as error:
-                items.append((record, ("corrupt", "corrupt", f"corrupt "
-                                       f"record skipped: {error}"), None))
+                items.append((None, record, ("corrupt", "corrupt",
+                                             f"corrupt record skipped: "
+                                             f"{error}")))
                 continue
-            key = (record["kind"], record["entry"])
-            if key in first:
-                items.append((record, None, None))
-                continue
-            counter = self._counter_for(record, counters)
-            read = self._read(record, counter)
-            if isinstance(read, Segment):
-                first.add(key)
-                counters += counter is not None
-            items.append((record, read, counter))
+            items.append(((record["kind"], record["entry"]), record,
+                          self._read(record)))
+        image, failed = self._screen([read for _key, _record, read in items
+                                      if isinstance(read, Segment)])
 
-        # pass 2: one screen of every record read
-        segments = [read for _record, read, _counter in items
-                    if isinstance(read, Segment)]
-        screened = self._screen(segments)
-
-        # pass 3: in order, each record that passed is installed
+        # step 2: in order, each record that passed is installed
         loaded = []
         installed: Set[Tuple[str, int]] = set()
-        for record, read, counter in items:
+        for key, record, read in items:
+            if key in installed:
+                drop(record, "duplicate_skipped", "duplicate")
+                continue
             if isinstance(read, tuple):
                 drop(record, *read)
                 continue
-            kind, entry = record["kind"], record["entry"]
-            if (kind, entry) in installed:
-                drop(record, "duplicate_skipped", "duplicate")
-                continue
-            if read is None or counter != self._counter_for(record):
-                # its first copy, or a record handed a counter before
-                # it, was dropped: read it again, on its own
-                counter = self._counter_for(record)
-                read = self._read(record, counter)
-                if isinstance(read, tuple):
-                    drop(record, *read)
-                    continue
-                screened.update(self._screen([read]))
+            kind, entry = key
             cache = directory.cache_for(kind)
             translation = _attempt(record, lambda: materialize(
                 record, cache.reserve(), len(read.words)))
@@ -226,15 +204,17 @@ class WarmStartLoader:
             # the PR-1 rule-pack gates every install: a record that
             # breaks an invariant is dropped, never executed
             # (fault_point lets chaos runs force a false positive)
-            data = screened[read]   # the bytes ENC001/ENC002 checked
             if fault_point("loader.verify", entry=entry, kind=kind) \
-                    or data is None:
+                    or read in failed:
                 drop(record, "verifier_rejected", "verifier",
                      f"record {kind}@{entry:#x} rejected by the "
                      f"verifier; skipped")
                 continue
-            if counter is not None:
+            # the bytes ENC001/ENC002 checked
+            data = image[read.base:read.base + read.size]
+            if kind == "bbt" and bbt.embed_profiling:
                 translation.counter_addr = bbt.allocate_counter()
+                data = splice_counter(data, translation.counter_addr)
             directory.install(data, translation)
             # warm-start work is a startup phase of its own: charge the
             # deserialize/encode/screen cost to the run's ledger
@@ -246,7 +226,7 @@ class WarmStartLoader:
             if tracer is not None:
                 tracer.instant("warmstart.load", kind=kind,
                                entry=f"{entry:#x}", bytes=len(data))
-            installed.add((kind, entry))
+            installed.add(key)
             loaded.append(translation)
             report.loaded += 1
             report.bytes_loaded += len(data)
@@ -263,34 +243,22 @@ class WarmStartLoader:
         runtime.persist_report = report
         return report
 
-    def _counter_for(self, record, ahead: int = 0) -> Optional[int]:
-        """The counter a BBT record of a profiling VM points at: the
-        one ``ahead`` allocations from now."""
-        bbt = self.runtime.bbt
-        if record["kind"] == "bbt" and bbt.embed_profiling:
-            return bbt.next_counter(ahead)
-        return None
-
-    def _read(self, record, counter: Optional[int]):
+    def _read(self, record):
         """A validated record's own checks: its source against memory,
-        its prologue pointed at ``counter``, its code read through the
-        VM's word table.  Returns its ``Segment``, or why it is dropped
-        (:func:`_attempt`)."""
+        its code read through the VM's word table.  Returns its
+        ``Segment``, or why it is dropped (:func:`_attempt`)."""
         if not source_matches(record, self.runtime.memory):
             return ("stale_source", "stale-source", None)
 
         def read() -> Segment:
             code = record_code(record)
-            if counter is not None:
-                # the stored prologue's first three words (RDFLG, then
-                # the counter's LUI/ORI pair with zero immediates); code
-                # that does not start with them does not match its
-                # metadata
-                if not code.startswith(STORED_PROLOGUE):
-                    raise PersistFormatError(
-                        "profiling prologue is not the stored one")
-                code = prologue_code(counter)[:len(STORED_PROLOGUE)] \
-                    + code[len(STORED_PROLOGUE):]
+            # a profiled block is stored starting RDFLG and the counter's
+            # LUI/ORI pair with zero immediates: code that does not start
+            # so does not match its metadata
+            if record["kind"] == "bbt" and self.runtime.bbt.embed_profiling \
+                    and not code.startswith(STORED_PROLOGUE):
+                raise PersistFormatError(
+                    "profiling prologue is not the stored one")
             return Segment(code, record["origins"],
                            self.runtime.machine.words,
                            exits=record["exits"],
@@ -298,19 +266,15 @@ class WarmStartLoader:
         return _attempt(record, read)
 
     def _screen(self, segments: List[Segment]
-                ) -> Dict[Segment, Optional[bytes]]:
-        """Screen ``segments`` as one context, the rule-pack run once
-        over all of them: each one's bytes as screened, or None where a
-        rule fired."""
+                ) -> Tuple[bytes, Set[Segment]]:
+        """The rule-pack run once over ``segments`` as one context: the
+        context's image, and the segments a rule fired in."""
         if not segments:
-            return {}
+            return b"", set()
         ctx = VerifyContext(words=self.runtime.machine.words,
                             segments=segments)
-        failed = {violation.segment
-                  for violation in run_rules(ctx).violations}
-        return {seg: None if number in failed
-                else ctx.image[seg.base:seg.base + seg.size]
-                for number, seg in enumerate(segments)}
+        return ctx.image, {segments[violation.segment]
+                           for violation in run_rules(ctx).violations}
 
     def _relink(self, loaded, report: LoadReport) -> None:
         """Restore steady-state linkage among the loaded translations."""

@@ -91,21 +91,13 @@ class BasicBlockTranslator:
 
     # -- profiling counters ----------------------------------------------------
 
-    def _allocate_counter(self) -> int:
+    def allocate_counter(self) -> int:
+        """Allocate one armed countdown counter (a translated or a
+        warm-loaded block's)."""
         addr = self._next_counter
         self._next_counter += 4
         self.memory.write_u32(addr, self.hot_threshold)
         return addr
-
-    def allocate_counter(self) -> int:
-        """Allocate one armed countdown counter (warm-start loader)."""
-        return self._allocate_counter()
-
-    def next_counter(self, ahead: int = 0) -> int:
-        """The counter :meth:`allocate_counter` hands out after ``ahead``
-        more calls (the warm-start loader splices it in before it
-        screens the record, and allocates it only to install it)."""
-        return self._next_counter + 4 * ahead
 
     def reset_counter(self, translation: Translation,
                       value: Optional[int] = None) -> None:
@@ -163,7 +155,7 @@ class BasicBlockTranslator:
 
         counter_addr = None
         if self.embed_profiling:
-            counter_addr = self._allocate_counter()
+            counter_addr = self.allocate_counter()
             parts.insert(0, prologue_code(counter_addr))
 
         # relocate against the cache and materialize linkage records

@@ -20,6 +20,13 @@ indices, offsets, x86 addresses and context lines, in the same order:
 * the joins themselves: no fallthrough, branch target, fused pair or
   hoist scan crosses a boundary, and the dataflow starts each segment
   from the entry state.
+
+The loader screens a profiled block as stored, its counter's LUI/ORI
+pair with zero immediates, and splices the counter in after the
+verdict.  So every BBT record of the images, and by search a damaged
+one, gets the same verdict with a drawn counter address as with zero;
+and a pull whose early records drop is still screened once, every later
+record installed with the next armed counter.
 """
 
 import json
@@ -28,6 +35,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.persist.loader as loader_module
 import repro.verify.verifier as verifier_module
 from repro.core import CoDesignedVM, interp_sbt, vm_be, vm_fe, vm_soft
 from repro.isa.fusible.encoding import (
@@ -46,7 +54,7 @@ from repro.persist import (
     capture_translations,
     encode_record,
 )
-from repro.persist.format import record_code
+from repro.persist.format import STORED_PROLOGUE, record_code, splice_counter
 from repro.translator.bbt import COUNTER_AREA_BASE
 from repro.verify import verify_directory, verify_translation
 from repro.verify.rules import Segment, VerifyContext, live_native_entries
@@ -124,6 +132,82 @@ def test_every_translation_of_the_images(config):
         assert joined_rules == alone_rules
         assert len(next(iter(joined_rules))) == 14, name
     assert checked >= 9
+
+
+# -- the prologue's immediates ------------------------------------------------
+
+@pytest.fixture(scope="module")
+def bbt_parts():
+    """Every BBT record of the images under the four configurations, as
+    segment arguments (the profiled ones: the stored prologue)."""
+    parts = []
+    for config in sorted(CONFIGS):
+        for name in sorted(IMAGES):
+            vm = cold_boot(IMAGES[name], CONFIGS[config]())
+            parts += [record_part(record) for record in capture_translations(
+                vm.runtime.directory, vm.state.memory)
+                if record["kind"] == "bbt"]
+    assert len(parts) > 500
+    assert all(part["code"].startswith(STORED_PROLOGUE) for part in parts)
+    return parts
+
+
+def screened(parts, counter_addr):
+    """What the rules say of ``parts`` as one context, each prologue's
+    LUI/ORI pair pointed at ``counter_addr``: (segment, rule id,
+    message, segment-relative index, offset) of each violation."""
+    table = WordTable()
+    report = run_rules(VerifyContext(words=table, segments=[
+        Segment(table=table, **dict(
+            part, code=splice_counter(part["code"], counter_addr)))
+        for part in parts]))
+    return [finding[:5] for finding in findings(report.violations)]
+
+
+counter_addrs = st.integers(0, 2 ** 20 - 1).map(
+    lambda slot: COUNTER_AREA_BASE + 4 * slot)
+
+
+def flip_past_the_prologue(fields, draw):
+    code = bytearray.fromhex(fields["code"])
+    position = draw(st.integers(len(STORED_PROLOGUE), len(code) - 1))
+    code[position] ^= draw(st.integers(1, 255))
+    fields["code"] = code.hex()
+
+
+class TestNoRuleReadsTheCounter:
+    """The loader screens a profiled block as stored (its counter pair
+    with zero immediates) and installs it with its counter spliced in:
+    the premise is that the rules say the same of both."""
+
+    @given(counter_addr=counter_addrs)
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_bbt_record(self, bbt_parts, counter_addr):
+        assert screened(bbt_parts, counter_addr) == \
+            screened(bbt_parts, 0) == []
+
+    @given(data=st.data(), counter_addr=counter_addrs)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_damaged_bbt_record(self, bbt_parts, data, counter_addr):
+        part = dict(data.draw(st.sampled_from(bbt_parts)))
+        fields = {"code": part["code"].hex(), "entry": 0,
+                  "origins": json.loads(json.dumps(part["origins"])),
+                  "exits": json.loads(json.dumps(part["exits"]))}
+        data.draw(st.sampled_from([flip_past_the_prologue, shift_a_run,
+                                   move_an_exit]))(fields, data.draw)
+        part.update(code=bytes.fromhex(fields["code"]),
+                    origins=fields["origins"], exits=fields["exits"])
+        if not reads(part):
+            return
+        spliced, stored = screened([part], counter_addr), screened([part], 0)
+        # the same verdict; only a message about the pair's own words (an
+        # exit moved onto them) may quote their immediates
+        assert [finding[:2] + finding[3:] for finding in spliced] == \
+            [finding[:2] + finding[3:] for finding in stored]
+        assert [finding for finding in spliced if finding[4] not in (4, 8)] \
+            == [finding for finding in stored if finding[4] not in (4, 8)]
 
 
 # -- the corpus between two clean translations --------------------------------
@@ -277,6 +361,50 @@ class TestOneDamagedRecordInAPull:
         assert held == list(range(COUNTER_AREA_BASE,
                                   vm.runtime.bbt._next_counter, 4))
         assert len(held) == report.bbt_loaded
+
+
+class TestADroppedRecordMovesNoScreen:
+    def test_one_screen_and_consecutive_counters(self, monkeypatch):
+        source = cold_boot(IMAGES["wide_cold-0"])
+        records = capture_translations(source.runtime.directory,
+                                       source.state.memory)
+        bbt_records = sorted((record for record in records
+                              if record["kind"] == "bbt"),
+                             key=lambda record: record["entry"])
+        stale, rejected = bbt_records[:2]
+        fields = json.loads(rejected.text)
+        fields["exits"][0][0] += 2              # off its stub: STB001
+        records = [encode_record(fields) if record is rejected else record
+                   for record in records]
+        vm = CoDesignedVM(vm_soft(), hot_threshold=50)
+        vm.load(IMAGES["wide_cold-0"])
+        vm.state.memory.write(stale["entry"], b"\x90")
+        screens = []
+        real = loader_module.run_rules
+
+        def counting(ctx):
+            screens.append(len(ctx.segments))
+            return real(ctx)
+        monkeypatch.setattr(loader_module, "run_rules", counting)
+        report = WarmStartLoader(vm.runtime).load_records(records)
+        # every record read is screened once, in one context, though
+        # the counter of each after the two dropped ones moved
+        assert screens == [len(records) - 1]
+        assert (report.stale_source, report.verifier_rejected,
+                report.dropped) == (1, 1, 2)
+        assert report.loaded == len(records) - 2
+        installed = sorted(vm.runtime.directory.bbt_cache.translations,
+                           key=lambda translation: translation.entry)
+        assert [t.entry for t in installed] == \
+            [record["entry"] for record in bbt_records[2:]]
+        assert [t.counter_addr for t in installed] == list(range(
+            COUNTER_AREA_BASE, COUNTER_AREA_BASE + 4 * len(installed), 4))
+        for translation, record in zip(installed, bbt_records[2:]):
+            assert vm.state.memory.read_u32(translation.counter_addr) \
+                == vm.runtime.bbt.hot_threshold
+            # the screened bytes with the prologue's immediates set
+            assert translation.code == splice_counter(
+                record_code(record), translation.counter_addr)
 
 
 # -- the boundaries ------------------------------------------------------------

@@ -498,13 +498,14 @@ class TestExactCountsOnAWideImage:
             copy.deepcopy(records))
         assert (load.loaded, load.dropped) == (len(records), 0)
         words = vm.runtime.machine.words
-        # the install met the records' words, but for the LUI/ORI pair
-        # they store with zero immediates: the pairs it spliced in for
-        # the counters it handed out instead
+        # the install screened the records' words as stored, the LUI/ORI
+        # pair with zero immediates among them; it spliced in the pairs
+        # of the counters it handed out after the verdict
         stored = {STORED_PROLOGUE[4:8], STORED_PROLOGUE[8:12]}
         assert stored <= in_records
         screened = set(words)
         assert in_records - stored <= screened
+        assert stored <= screened
         assert len(decodes) == len(classified) == len(screened)
         assert len(screened) < micro_ops / 3    # what the table saves
         assert all(word.facts is not None and word.step is None
@@ -514,12 +515,17 @@ class TestExactCountsOnAWideImage:
         assert report.blocks_translated == 0
         assert architected(vm) == architected(reference)
         # running met the words chaining patched in (one JMP per chained
-        # stub): decoded once each, never classified; everything the
-        # loader screened was bound, not decoded again
+        # stub) and the spliced counter pairs the screen did not meet:
+        # decoded once each, never classified; everything the loader
+        # screened was bound, not decoded again
         assert len(decodes) == len(words) > len(classified)
         assert {id(uop) for uop in decodes} == \
             {id(word.uop) for word in words.values()}
+        spliced = {translation.code[at:at + 4] for translation
+                   in vm.runtime.directory.bbt_cache.translations
+                   for at in (4, 8)}
         patched = set(words) - screened
-        assert patched and all(
-            words[chunk].uop.op is UOp.JMP and words[chunk].facts is None
-            for chunk in patched)
+        assert patched & spliced == spliced - screened != set()
+        assert patched - spliced and all(
+            words[chunk].uop.op is UOp.JMP for chunk in patched - spliced)
+        assert all(words[chunk].facts is None for chunk in patched)
