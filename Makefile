@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-strict verify paper drills bench perf perf-compare perf-selftest examples figures clean
+.PHONY: install test lint verify paper drills bench perf perf-compare perf-selftest examples figures clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -14,11 +14,10 @@ test:
 # project-invariant rules always run — determinism, lock discipline,
 # fault-point coverage, taxonomy conformance.  Style checking goes to
 # ruff + mypy when installed; otherwise reprolint's built-in style pack
-# covers the zero-dependency case.  lint-strict is the verify-gate
-# flavor of the same run: the baseline escape hatch is disabled, so
-# legacy violations fail too; only inline-justified suppressions pass.
-lint lint-strict:
-	@flags="$(if $(filter lint-strict,$@),--strict)"; \
+# covers the zero-dependency case.  Only inline-justified suppressions
+# pass; there is no baseline of accepted violations.
+lint:
+	@flags=""; \
 	if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests tools; flags="$$flags --no-style"; \
 	else \
@@ -32,7 +31,7 @@ lint lint-strict:
 	fi
 
 # Everything tier-1 does not run, so the full gate is tier-1 plus this:
-# strict lint, the drills (real serve subprocesses and kill -9, the
+# lint, the drills (real serve subprocesses and kill -9, the
 # exhaustive fault sweep, herds that shed, the telemetry plane end to
 # end — `python tools/drills.py --list`; it prints its own wall seconds
 # per drill), the benchmark's self-test, and the paper's figures
@@ -41,7 +40,7 @@ lint lint-strict:
 # stop at the first failure, and the wall seconds of each and of the
 # whole are printed at the end (ROADMAP: the gate's own cost is tracked
 # beside the perf/ rows).
-VERIFY_STAGES = lint-strict drills perf-selftest paper
+VERIFY_STAGES = lint drills perf-selftest paper
 verify:
 	@start=$$(date +%s); rows=""; \
 	for stage in $(VERIFY_STAGES); do \

@@ -11,7 +11,7 @@ from repro.analysis.startup_curves import (
     suite_average_curve,
     half_gain_point,
 )
-from repro.analysis.breakeven import breakeven_for_app, breakeven_table
+from repro.analysis.breakeven import breakeven_for_app
 from repro.analysis.frequency_profile import (
     FrequencyProfile,
     frequency_profile,
@@ -20,12 +20,12 @@ from repro.analysis.frequency_profile import (
 from repro.analysis.activity import activity_curve
 from repro.analysis.consistency import ConsistencyReport, \
     consistency_report, interval_ipcs
-from repro.analysis.reporting import ascii_chart, format_table
+from repro.analysis.reporting import format_table
 
 __all__ = [
     "ConsistencyReport", "FrequencyProfile", "TranslationOverheadModel",
-    "activity_curve", "ascii_chart", "breakeven_for_app",
-    "breakeven_table", "consistency_report", "format_table",
+    "activity_curve", "breakeven_for_app", "consistency_report",
+    "format_table",
     "frequency_profile", "half_gain_point", "hot_threshold",
     "interval_ipcs", "normalized_curve", "sbt_breakeven_executions",
     "suite_average_curve", "suite_frequency_profile",

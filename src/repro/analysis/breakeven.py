@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List
+from typing import Dict, Iterable
 
 from repro.core.config import MachineConfig
 from repro.timing.sampler import crossover_cycles
@@ -49,17 +49,6 @@ def breakeven_for_app(app: AppProfile,
         cycles_by_config[config.name] = crossover_cycles(
             vm_result.series, ref_result.series, start=1e4)
     return BreakevenRow(app=app.name, cycles_by_config=cycles_by_config)
-
-
-def breakeven_table(apps: Iterable[AppProfile],
-                    vm_configs: "Callable[[], List[MachineConfig]]",
-                    reference: "Callable[[], MachineConfig]",
-                    dyn_instrs: int = 500_000_000,
-                    seed: int = 0) -> List[BreakevenRow]:
-    """Fig. 9's full table: one row per application."""
-    return [breakeven_for_app(app, vm_configs(), reference(),
-                              dyn_instrs=dyn_instrs, seed=seed)
-            for app in apps]
 
 
 def format_breakeven(value: float) -> str:

@@ -53,10 +53,6 @@ class ConsistencyReport:
     cv: float                     # std / mean of interval IPCs
     worst_interval_fraction: float
 
-    def summary_row(self) -> list:
-        return [self.config_name, self.mean_interval_ipc, self.cv,
-                self.worst_interval_fraction]
-
 
 def consistency_report(result: StartupResult,
                        skip_cycles: float = 1e5) -> ConsistencyReport:

@@ -48,13 +48,6 @@ class FrequencyProfile:
         fractions = self.dynamic_fractions()
         return self.buckets[fractions.index(max(fractions))]
 
-    def hotspot_dynamic_fraction(self, threshold: int) -> float:
-        """Dynamic weight in buckets at/above ``threshold``."""
-        total = sum(value for bucket, value
-                    in zip(self.buckets, self.dynamic_instrs)
-                    if bucket >= threshold)
-        return total / self.total_dynamic if self.total_dynamic else 0.0
-
 
 def frequency_profile(workload: Workload,
                       buckets: tuple = DEFAULT_BUCKETS,

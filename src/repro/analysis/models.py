@@ -20,7 +20,6 @@ from dataclasses import dataclass
 #: Paper-measured parameters (Section 3.2).
 PAPER_DELTA_BBT_NATIVE = 105          # native instrs / x86 instr
 PAPER_DELTA_SBT_NATIVE = 1674         # native instrs / hot x86 instr
-PAPER_DELTA_SBT_X86 = 1152            # expressed in x86 instructions
 PAPER_M_BBT = 150_000                 # static instrs touched (100M trace)
 PAPER_M_SBT = 3_000                   # static instrs above threshold
 PAPER_SPEEDUP_P = 1.15                # SBT over BBT code (1.15 - 1.2)

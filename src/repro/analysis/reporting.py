@@ -1,14 +1,14 @@
 """Plain-text tables and charts for benchmark output.
 
-The benchmark harness prints each reproduced figure as an ASCII chart or
-table so results are inspectable straight from ``pytest benchmarks/``
+The benchmark harness prints each reproduced figure as a table so
+results are inspectable straight from ``pytest benchmarks/``
 output (and are archived in ``bench_output.txt``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence],
@@ -39,45 +39,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence],
         lines.append("  ".join(cell.rjust(width)
                                for cell, width in zip(row, widths)))
     return "\n".join(lines)
-
-
-def ascii_chart(x_labels: Sequence[str],
-                series: Dict[str, Sequence[float]],
-                width: int = 40, title: Optional[str] = None,
-                y_format: str = "{:.2f}") -> str:
-    """Horizontal bar chart per x position, one row per series value.
-
-    Suited to the paper's log-x startup curves: each x label gets one
-    line per series with a proportional bar.
-    """
-    peak = max((max(values) for values in series.values() if values),
-               default=1.0) or 1.0
-    lines = []
-    if title:
-        lines.append(title)
-    name_width = max(len(name) for name in series)
-    for index, label in enumerate(x_labels):
-        lines.append(f"{label}:")
-        for name, values in series.items():
-            value = values[index]
-            bar = "#" * int(round(width * value / peak))
-            lines.append(f"  {name.ljust(name_width)} "
-                         f"{y_format.format(value).rjust(8)} {bar}")
-    return "\n".join(lines)
-
-
-def sparkline(values: Sequence[float], width: int = 60) -> str:
-    """One-line trend rendering for a series."""
-    if not values:
-        return ""
-    blocks = " .:-=+*#%@"
-    peak = max(values) or 1.0
-    step = max(len(values) / width, 1.0)
-    out = []
-    index = 0.0
-    while index < len(values):
-        value = values[int(index)]
-        out.append(blocks[min(int(value / peak * (len(blocks) - 1)),
-                              len(blocks) - 1)])
-        index += step
-    return "".join(out)

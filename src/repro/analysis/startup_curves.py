@@ -9,7 +9,7 @@ over the ten Winstone applications.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from repro.timing.sampler import interpolate_at
 from repro.timing.startup_sim import StartupResult
@@ -70,16 +70,3 @@ def half_gain_point(result: StartupResult, reference: StartupResult,
         if ref_instrs > 1000 and vm_instrs / ref_instrs >= target:
             return cycles
     return math.inf
-
-
-def curve_table(grid: Sequence[float],
-                named_curves: "List[Tuple[str, List[float]]]"
-                ) -> List[dict]:
-    """Rows of {cycles, <name>: value, ...} for printing."""
-    rows = []
-    for index, cycles in enumerate(grid):
-        row = {"cycles": cycles}
-        for name, curve in named_curves:
-            row[name] = curve[index]
-        rows.append(row)
-    return rows

@@ -101,21 +101,17 @@ _SERVICE_EST_MIN_SAMPLES = 32
 #: Every way the server turns work away, one row per decision
 #: (docs/overload.md has the conditions): the error category answered
 #: (``protocol.RETRYABLE_ERRORS`` says which a client may retry), the
-#: ``ServerStats`` counter, the tracer event, the answer's detail.
-#: ``busy`` has a counter and no event: it refuses a connection, not a
-#: request, and nothing reads connection events.
+#: ``ServerStats`` counter, the answer's detail.
 _REJECTIONS = {
-    "busy": ("busy", "conns_rejected", None,
+    "busy": ("busy", "conns_rejected",
              "connection limit reached or server draining"),
     "expired": ("deadline-exceeded", "deadline_rejected",
-                "server.deadline",
                 "request budget already spent "
                 "({deadline_ms} ms remaining)"),
     "estimate": ("deadline-exceeded", "deadline_rejected",
-                 "server.deadline",
                  "estimated {op} service time {estimate_ms:.1f} ms "
                  "exceeds the {deadline_ms} ms budget"),
-    "depth": ("overloaded", "requests_shed", "server.shed",
+    "depth": ("overloaded", "requests_shed",
               "queue depth {depth} over bound {bound}"),
 }
 
@@ -291,7 +287,7 @@ class CacheServer:
 
     def __init__(self, repository, socket_path=None,
                  host: str = "127.0.0.1", port: int = 0,
-                 tracer=None, lease_timeout: float = 5.0,
+                 lease_timeout: float = 5.0,
                  max_conns: Optional[int] = None,
                  shard_id: str = "", role: str = "primary",
                  max_queue_depth: Optional[int] = None,
@@ -308,7 +304,6 @@ class CacheServer:
         self.socket_path = str(socket_path) if socket_path else None
         self.host = host
         self.port = port
-        self.tracer = tracer
         self.lease_timeout = lease_timeout
         #: admission bound on concurrent connections (None = unlimited);
         #: excess clients get a retryable ``busy`` error instead of an
@@ -331,7 +326,6 @@ class CacheServer:
         #: serializes pushes in-process so the lease_failures delta
         #: check below cannot be confused by a sibling handler thread
         self._push_lock = threading.Lock()
-        self._trace_lock = threading.Lock()
         #: guards the dispatch-depth gauge the shed check reads
         self._inflight_lock = threading.Lock()
         self._inflight = 0
@@ -390,7 +384,6 @@ class CacheServer:
                                       bind_and_activate=True)
             self.port = self._server.server_address[1]
         self._server.cache_server = self
-        self._trace("server.start", address=self.address)
         log.info("cache server for %s listening on %s",
                  self.repository.root, self.address)
 
@@ -421,7 +414,6 @@ class CacheServer:
         if self.socket_path is not None:
             with contextlib.suppress(OSError):
                 Path(self.socket_path).unlink()
-        self._trace("server.stop", address=self.address)
 
     def kill(self) -> None:
         """Hard-stop: close the listener *and* sever every established
@@ -507,23 +499,15 @@ class CacheServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def _trace(self, name: str, **args) -> None:
-        if self.tracer is None:
-            return
-        with self._trace_lock:
-            self.tracer.instant(name, **args)
-
     # -- request dispatch ---------------------------------------------------
 
     def _reject(self, decision: str, **facts) -> Dict:
-        """The one exit of every admission decision: count it, trace
-        it and phrase the error answer from its ``_REJECTIONS`` row.
-        ``facts`` are the event's arguments; a ``retry_after`` pacing
-        hint among them goes into the answer too."""
-        category, counter, event, detail = _REJECTIONS[decision]
+        """The one exit of every admission decision: count it and
+        phrase the error answer from its ``_REJECTIONS`` row.
+        ``facts`` fill the detail; a ``retry_after`` pacing hint among
+        them goes into the answer too."""
+        category, counter, detail = _REJECTIONS[decision]
         self.stats.count(counter)
-        if event is not None:
-            self._trace(event, **facts)
         response = protocol.error(category, detail.format(**facts))
         if "retry_after" in facts:
             response["retry_after"] = facts["retry_after"]
@@ -548,12 +532,11 @@ class CacheServer:
             deadline_ms = None          # malformed/absent: ignored
         if deadline_ms is not None:
             if deadline_ms <= 0:
-                return self._reject("expired", op=op, stage="expired",
-                                    deadline_ms=deadline_ms)
+                return self._reject("expired", deadline_ms=deadline_ms)
             estimate = self.stats.latency_percentile(
                 op, 95, min_count=_SERVICE_EST_MIN_SAMPLES)
             if estimate is not None and estimate > deadline_ms:
-                return self._reject("estimate", op=op, stage="estimate",
+                return self._reject("estimate", op=op,
                                     deadline_ms=deadline_ms,
                                     estimate_ms=estimate)
         if self.max_queue_depth is not None \
@@ -573,7 +556,6 @@ class CacheServer:
             self.stats.count("errors")
             return protocol.error("bad-request", f"unknown op {op!r}")
         self.stats.count_request(op)
-        self._trace("server.request", op=op)
         # distributed tracing: a request stamped with a trace context
         # runs inside a child span; the span closes on every path (the
         # SpanBuffer context manager guarantees it) and an error

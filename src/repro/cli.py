@@ -71,7 +71,7 @@ Commands:
   ``--collect`` attaches the telemetry collector to the hosted
   server(s): SLO verdicts embed in the report and the merged trace
   gains per-server span lanes with client→server flow arrows.
-* ``lint [PATHS...] [--strict] [--json] [--rules IDS] [--no-style]``
+* ``lint [PATHS...] [--json] [--rules IDS] [--no-style]``
   — run reprolint, the project-invariant static analyzer (determinism,
   lock discipline, fault-point coverage, taxonomy conformance, plus the
   style pack); see :mod:`repro.lint` and
@@ -92,6 +92,7 @@ from repro.analysis.frequency_profile import suite_frequency_profile
 from repro.analysis.reporting import format_table
 from repro.analysis.startup_curves import log_grid
 from repro.core import ALL_CONFIGS, CoDesignedVM
+from repro.core.config import resolve_config
 from repro.isa.x86lite import assemble
 from repro.obs.logutil import LOG_LEVELS, configure_logging
 from repro.timing import simulate_startup
@@ -103,17 +104,10 @@ log = logging.getLogger("repro.cli")
 
 
 def _config_by_name(name: str):
-    configs = ALL_CONFIGS()
-    if name in configs:
-        return configs[name]
-    # forgiving aliases: soft / be / fe / ref / interp
-    aliases = {"ref": "Ref: superscalar", "soft": "VM.soft",
-               "be": "VM.be", "fe": "VM.fe",
-               "interp": "VM: Interp & SBT"}
-    if name in aliases:
-        return configs[aliases[name]]
-    raise SystemExit(f"unknown configuration {name!r}; choose from "
-                     f"{sorted(configs) + sorted(aliases)}")
+    try:
+        return resolve_config(name)
+    except ValueError as error:
+        raise SystemExit(str(error))
 
 
 def cmd_run(args: argparse.Namespace) -> int:

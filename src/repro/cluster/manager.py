@@ -38,11 +38,7 @@ class LocalCluster:
 
     def __init__(self, root, shards: int = DEFAULT_SHARDS,
                  replicas: int = DEFAULT_REPLICAS,
-                 lease_timeout: float = 5.0,
-                 max_conns: Optional[int] = None,
-                 tracer=None,
-                 max_queue_depth: Optional[int] = None,
-                 shed_retry_after: float = 0.05) -> None:
+                 max_queue_depth: Optional[int] = None) -> None:
         if shards < 1 or replicas < 1:
             raise ValueError(
                 f"need at least 1 shard and 1 replica, got "
@@ -50,11 +46,7 @@ class LocalCluster:
         self.root = Path(root)
         self.shards = shards
         self.replicas = replicas
-        self.lease_timeout = lease_timeout
-        self.max_conns = max_conns
-        self.tracer = tracer
         self.max_queue_depth = max_queue_depth
-        self.shed_retry_after = shed_retry_after
         self.servers: Dict[Tuple[str, int], CacheServer] = {}
         self._started = False
 
@@ -78,10 +70,7 @@ class LocalCluster:
             self.repo_dir(group, index),
             host=old.host if old else "127.0.0.1",
             port=old.port if old else 0,
-            lease_timeout=self.lease_timeout,
-            max_conns=self.max_conns, tracer=self.tracer,
             max_queue_depth=self.max_queue_depth,
-            shed_retry_after=self.shed_retry_after,
             shard_id=group, role=self.role(index))
         server.start()
         return server

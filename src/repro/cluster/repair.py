@@ -105,7 +105,7 @@ def _manifest_pairs(client: ReplicaSet) -> Optional[Set]:
 
 
 def anti_entropy(spec, timeout: float = 2.0, retries: int = 1,
-                 tracer=None, sleep=None) -> RepairReport:
+                 sleep=None) -> RepairReport:
     """One repair pass; see the module docstring for the algorithm."""
     spec = ClusterSpec.parse(spec)
     report = RepairReport()
@@ -182,10 +182,6 @@ def anti_entropy(spec, timeout: float = 2.0, retries: int = 1,
                     continue
                 outcome.re_replicated[address] = \
                     outcome.re_replicated.get(address, 0) + len(missing)
-                if tracer is not None:
-                    tracer.instant("cluster.repair", group=group.name,
-                                   address=address,
-                                   records=len(missing))
             # convergence check: every reachable replica's manifest
             # must now cover the merged union (a replica may keep
             # dangling entries for keys *no* replica holds a valid

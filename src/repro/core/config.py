@@ -44,10 +44,6 @@ class CacheConfig:
     line_size: int
     latency: int
 
-    @property
-    def sets(self) -> int:
-        return self.size // (self.assoc * self.line_size)
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -117,10 +113,6 @@ class MachineConfig:
     max_superblock_instrs: int = 200
     enable_fusion: bool = True
     enable_chaining: bool = True
-    #: debug mode: statically verify every translation at install time
-    #: (see :mod:`repro.verify`); raises TranslationVerifyError on the
-    #: first invariant violation
-    verify_translations: bool = False
     #: sweep the code caches for corrupted translations every N
     #: dispatches, evicting and re-translating on checksum mismatch
     #: (0 = off; armed by chaos runs — see :mod:`repro.faults` and
@@ -132,10 +124,6 @@ class MachineConfig:
     #: from the persistence fingerprint: traced and untraced runs share
     #: warm-start repositories.
     trace: bool = False
-    #: steady-state IPC advantage of fused macro-op execution over the
-    #: reference superscalar (Section 2: +8% on Winstone, +18% SPECint;
-    #: per-application values live in the workload models)
-    steady_state_speedup: float = 1.08
 
     @property
     def is_vm(self) -> bool:
@@ -202,3 +190,20 @@ def ALL_CONFIGS() -> Dict[str, MachineConfig]:
     configs.update(VM_CONFIGS())
     configs["VM: Interp & SBT"] = interp_sbt()
     return configs
+
+
+#: Forgiving short spellings of the :func:`ALL_CONFIGS` names.
+CONFIG_ALIASES = {"ref": "Ref: superscalar", "soft": "VM.soft",
+                  "be": "VM.be", "fe": "VM.fe",
+                  "interp": "VM: Interp & SBT"}
+
+
+def resolve_config(name: str) -> MachineConfig:
+    """The configuration called ``name``, or the one it is an alias of;
+    ``ValueError`` names every spelling when there is none."""
+    configs = ALL_CONFIGS()
+    key = CONFIG_ALIASES.get(name, name)
+    if key not in configs:
+        raise ValueError(f"unknown configuration {name!r}; choose from "
+                         f"{sorted(configs) + sorted(CONFIG_ALIASES)}")
+    return configs[key]

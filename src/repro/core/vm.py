@@ -111,7 +111,6 @@ class CoDesignedVM:
             max_superblock_instrs=config.max_superblock_instrs,
             enable_fusion=config.enable_fusion,
             enable_chaining=config.enable_chaining,
-            verify_translations=config.verify_translations,
             integrity_check_interval=config.integrity_check_interval,
             costs=config.costs,
             trace=config.trace)

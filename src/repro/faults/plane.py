@@ -30,11 +30,6 @@ from typing import Optional
 _ACTIVE = None
 
 
-def active():
-    """The armed injector, or None."""
-    return _ACTIVE
-
-
 def fault_point(site: str, **context):
     """Visit one injection site; no-op unless an injector is armed.
 
@@ -49,11 +44,6 @@ def fault_point(site: str, **context):
 def arm(injector) -> None:
     global _ACTIVE
     _ACTIVE = injector
-
-
-def disarm() -> None:
-    global _ACTIVE
-    _ACTIVE = None
 
 
 @contextmanager

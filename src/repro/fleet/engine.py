@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.cluster.manager import LocalCluster
-from repro.core import ALL_CONFIGS
+from repro.core.config import resolve_config
 from repro.core.vm import CoDesignedVM
 from repro.faults.classes import make_fault
 from repro.faults.injector import FaultInjector
@@ -69,23 +69,9 @@ from repro.workloads.programs import PROGRAMS
 
 log = logging.getLogger("repro.fleet")
 
-#: Forgiving config aliases (mirrors the CLI's spelling).
-CONFIG_ALIASES = {"ref": "Ref: superscalar", "soft": "VM.soft",
-                  "be": "VM.be", "fe": "VM.fe",
-                  "interp": "VM: Interp & SBT"}
-
 #: Tracer events that mark startup-transient work still happening.
 #: Steady state is reached when the last of these ends.
 _TRANSIENT_PREFIXES = ("translate.", "warmstart.", "chain.", "hotspot.")
-
-
-def resolve_config(name: str):
-    configs = ALL_CONFIGS()
-    key = CONFIG_ALIASES.get(name, name)
-    if key not in configs:
-        raise ValueError(f"unknown configuration {name!r}; choose from "
-                         f"{sorted(configs) + sorted(CONFIG_ALIASES)}")
-    return configs[key]
 
 
 def perturb_source(source: str, rank: int, seed: int) -> str:

@@ -46,7 +46,6 @@ class DualModeDecoder:
 
     def __init__(self) -> None:
         self.x86_mode_instructions = 0
-        self.native_mode_uops = 0
         self.complex_traps = 0
 
     def decode_x86(self, memory, addr: int) -> DecodedGroup:
@@ -62,8 +61,3 @@ class DualModeDecoder:
             self.complex_traps += 1
             return DecodedGroup(instr, [], True, result.cti)
         return DecodedGroup(instr, result.uops, False, result.cti)
-
-    def pass_native(self, uops: List[MicroOp]) -> List[MicroOp]:
-        """Native-mode: bypass level 1 entirely (it can be powered off)."""
-        self.native_mode_uops += len(uops)
-        return uops

@@ -45,7 +45,6 @@ from repro.isa.fusible.registers import (
     R_SCRATCH0,
     R_SCRATCH1,
     R_SCRATCH2,
-    R_SCRATCH3,
     R_X86_PC,
     R_ZERO,
     reg_name,
@@ -57,7 +56,7 @@ __all__ = [
     "LONG_LATENCY_OPS", "MEMORY_OPS", "MicroOp", "NFREGS", "NREGS",
     "NativeBudgetExhausted", "NativeMachineError", "R_CODE_PTR",
     "R_EXIT_TARGET", "R_SCRATCH0", "R_SCRATCH1", "R_SCRATCH2",
-    "R_SCRATCH3", "R_X86_PC", "R_ZERO",
+    "R_X86_PC", "R_ZERO",
     "SHORT_OPS", "STORE_OPS", "UOp", "UopDecodeError", "UopEncodeError",
     "VMService", "decode_stream", "decode_uop", "encode_stream",
     "encode_uop", "imm13_in_range", "reg_name", "stream_length",

@@ -27,7 +27,7 @@ from repro.isa.fusible.opcodes import (
     STORE_OPS,
     UOp,
 )
-from repro.isa.fusible.registers import R_ZERO, SHORT_FORM_REG_LIMIT, reg_name
+from repro.isa.fusible.registers import R_ZERO, reg_name
 from repro.isa.x86lite.registers import Cond
 
 
@@ -107,11 +107,6 @@ class MicroOp:
         """General registers read (R31/zero excluded)."""
         regs = [getattr(self, field) for field in OP_INFO[self.op].sources]
         return [reg for reg in regs if reg != R_ZERO]
-
-    @property
-    def uses_short_regs_only(self) -> bool:
-        return all(reg < SHORT_FORM_REG_LIMIT
-                   for reg in (self.rd, self.rs1, self.rs2))
 
     def with_fused(self, fused: bool = True) -> "MicroOp":
         return MicroOp(self.op, self.rd, self.rs1, self.rs2, self.imm,

@@ -27,9 +27,6 @@ NFREGS = 32
 #: Bytes per F register (holds a maximal x86lite instruction).
 FREG_BYTES = 16
 
-#: First implementation register mapping an architected GPR (R0 = EAX ...).
-ARCH_REG_BASE = 0
-
 #: Number of architected GPRs mapped into the implementation file.
 ARCH_REG_COUNT = 8
 
@@ -40,7 +37,6 @@ SHORT_FORM_REG_LIMIT = 16
 R_SCRATCH0 = 16
 R_SCRATCH1 = 17
 R_SCRATCH2 = 18
-R_SCRATCH3 = 19
 R_CODE_PTR = 28
 R_EXIT_TARGET = 29
 R_X86_PC = 30

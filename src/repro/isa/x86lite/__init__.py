@@ -19,7 +19,7 @@ from repro.isa.x86lite.instruction import (
     RegOperand,
 )
 from repro.isa.x86lite.opcodes import Op
-from repro.isa.x86lite.registers import Cond, Flag, Reg, cond_holds
+from repro.isa.x86lite.registers import Cond, Reg, cond_holds
 from repro.isa.x86lite.semantics import (
     SYS_EXIT,
     SYS_PRINT_CHAR,
@@ -32,7 +32,7 @@ from repro.isa.x86lite.state import ArchException, X86State
 
 __all__ = [
     "ArchException", "AssemblerError", "Cond", "DecodeError", "EncodeError",
-    "Flag", "ImmOperand", "Instruction", "MAX_INSTRUCTION_LENGTH",
+    "ImmOperand", "Instruction", "MAX_INSTRUCTION_LENGTH",
     "MemOperand", "Op", "Reg", "RegOperand", "SYSCALL_VECTOR", "SYS_EXIT",
     "SYS_PRINT_CHAR", "SYS_PRINT_INT", "SYS_PRINT_STR", "X86State",
     "assemble", "assemble_to_bytes", "cond_holds", "decode", "decode_at",

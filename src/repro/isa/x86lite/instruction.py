@@ -115,10 +115,6 @@ class Instruction:
         return self.op in CONDITIONAL_OPS
 
     @property
-    def is_direct_branch(self) -> bool:
-        return self.target is not None
-
-    @property
     def is_complex(self) -> bool:
         """True if the hardware assist decoders punt this to software.
 
@@ -134,31 +130,6 @@ class Instruction:
     @property
     def reads_flags(self) -> bool:
         return self.op in FLAG_READING_OPS
-
-    @property
-    def reads_memory(self) -> bool:
-        if self.op in (Op.LEA,):
-            return False
-        if self.op in (Op.POP, Op.RET):
-            return True
-        if self.op in (Op.MOVS, Op.LODS):
-            return True
-        if self.op is Op.PUSH or self.is_control_transfer:
-            return any(isinstance(operand, MemOperand)
-                       for operand in self.operands)
-        # loads: any memory source, or read-modify-write destination
-        return any(isinstance(operand, MemOperand)
-                   for operand in self.operands)
-
-    @property
-    def writes_memory(self) -> bool:
-        if self.op in (Op.PUSH, Op.CALL, Op.MOVS, Op.STOS):
-            return True
-        if self.op in (Op.CMP, Op.TEST, Op.LEA, Op.POP, Op.RET, Op.JMP,
-                       Op.JCC):
-            return False
-        return bool(self.operands) and isinstance(self.operands[0],
-                                                  MemOperand)
 
     @property
     def next_addr(self) -> int:

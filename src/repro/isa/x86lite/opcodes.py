@@ -89,9 +89,6 @@ FLAG_WRITING_OPS = frozenset({
 #: Operations that read the arithmetic flags.
 FLAG_READING_OPS = frozenset({Op.JCC, Op.CMOV, Op.ADC, Op.SBB})
 
-#: String operations (may carry a REP prefix; REP forms are "complex").
-STRING_OPS = frozenset({Op.MOVS, Op.STOS, Op.LODS})
-
 
 class Group1(enum.IntEnum):
     """/reg selector for the 0x81/0x83 immediate-ALU group."""

@@ -38,15 +38,6 @@ REG16_BY_NAME = {
 }
 
 
-class Flag(enum.IntEnum):
-    """Arithmetic flags (bit positions mirror EFLAGS)."""
-
-    CF = 0
-    ZF = 6
-    SF = 7
-    OF = 11
-
-
 class Cond(enum.IntEnum):
     """Condition codes (``tttn`` encodings shared by Jcc/CMOVcc)."""
 

@@ -91,19 +91,7 @@ class X86State:
         self.regs[Reg.ESP] = (esp + size) & MASK32
         return value
 
-    # -- comparison / copying ---------------------------------------------
-
-    def arch_equal(self, other: "X86State") -> bool:
-        """Architected-state equality (registers, flags, eip, halt status).
-
-        Memory is compared by the differential test harness separately,
-        over the address ranges the program touches.
-        """
-        return (self.regs == other.regs
-                and self.flags_tuple() == other.flags_tuple()
-                and self.eip == other.eip
-                and self.halted == other.halted
-                and self.exit_code == other.exit_code)
+    # -- copying -------------------------------------------------------------
 
     def copy_architected(self, memory: Optional[AddressSpace] = None
                          ) -> "X86State":

@@ -14,7 +14,7 @@ single source of truth and the checks never rot into hardcoded lists.
 Entry points: ``repro lint`` (CLI), ``make lint`` / ``make verify``
 (gates), :class:`LintEngine` (programmatic).  See
 ``docs/static_analysis.md`` for the rule catalog and the
-suppression/baseline workflow.
+suppression workflow.
 """
 
 from repro.lint.core import (

@@ -1,8 +1,7 @@
 """``repro lint`` — the reprolint command-line front end.
 
-Also reachable as the ``make lint`` fallback (full run: invariants +
-style) and the ``make verify`` gate (``--strict``: the baseline escape
-hatch is disabled, so only inline-justified suppressions pass).
+Also reachable as ``make lint`` (full run: invariants + style), the
+lint stage of ``make verify``; only inline-justified suppressions pass.
 """
 
 from __future__ import annotations
@@ -13,9 +12,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-#: default baseline location, resolved relative to the working tree
-BASELINE_NAME = ".reprolint-baseline.json"
-
 DEFAULT_PATHS = ("src", "tests", "tools")
 
 
@@ -25,10 +21,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                              "src tests tools, where present)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable report")
-    parser.add_argument("--strict", action="store_true",
-                        help="ignore the baseline file: legacy "
-                             "violations fail too (the `make verify` "
-                             "gate)")
     parser.add_argument("--rules", default=None,
                         help="comma-separated rule IDs to run "
                              "(default: all)")
@@ -37,12 +29,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                              "W291) — for running next to ruff")
     parser.add_argument("--style-only", action="store_true",
                         help="run only the style pack")
-    parser.add_argument("--baseline", default=None,
-                        help=f"baseline file (default: "
-                             f"{BASELINE_NAME} if present)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="accept every current violation into the "
-                             "baseline file and exit clean")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
 
@@ -72,7 +58,6 @@ def _default_paths() -> List[str]:
 
 def run_lint(args: argparse.Namespace) -> int:
     from repro.lint import RULES, LintEngine
-    from repro.lint.core import load_baseline, write_baseline
 
     if args.list_rules:
         width = max(len(rid) for rid in RULES)
@@ -83,29 +68,16 @@ def run_lint(args: argparse.Namespace) -> int:
         return 0
 
     paths = args.paths or _default_paths()
-    baseline_path = args.baseline or BASELINE_NAME
-    baseline = {} if args.strict \
-        else load_baseline(baseline_path)
     try:
-        engine = LintEngine(rules=_selected_rules(args),
-                            baseline=baseline)
+        engine = LintEngine(rules=_selected_rules(args))
     except ValueError as error:
         raise SystemExit(str(error))
     report = engine.lint_paths(paths)
-
-    if args.write_baseline:
-        write_baseline(baseline_path, report.violations)
-        print(f"baselined {len(report.violations)} violation(s) "
-              f"into {baseline_path}")
-        return 0
 
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         for violation in report.violations:
             print(violation.format())
-        summary = report.format().splitlines()[-1]
-        if args.strict:
-            summary += " [strict]"
-        print(summary, file=sys.stderr)
+        print(report.format().splitlines()[-1], file=sys.stderr)
     return 0 if report.ok else 1

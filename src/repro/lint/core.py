@@ -1,20 +1,14 @@
-"""reprolint core: rule plugin API, engine, suppressions, baseline.
+"""reprolint core: rule plugin API, engine, suppressions.
 
 A rule is a subclass of :class:`Rule` registered with
 :func:`register_rule`; the engine instantiates every registered rule,
 runs ``check_module`` over each parsed file and ``check_project`` once
 over the whole :class:`~repro.lint.index.ProjectIndex`, then filters
-what fired through two escape hatches:
-
-* **inline suppressions** — ``# reprolint: disable=RULE`` on the
-  flagged line (or ``disable-file=RULE`` anywhere in the file) for
-  violations that are individually justified; the justification
-  belongs in a comment next to the pragma;
-* **baseline** — a checked-in JSON file of accepted legacy violations
-  (``.reprolint-baseline.json``), so the gate can be adopted on a
-  dirty tree and ratcheted down.  ``--strict`` ignores the baseline:
-  the ``make verify`` gate accepts inline-justified suppressions but
-  never baselined debt.
+what fired through one escape hatch: **inline suppressions** —
+``# reprolint: disable=RULE`` on the flagged line (or
+``disable-file=RULE`` anywhere in the file) for violations that are
+individually justified; the justification belongs in a comment next to
+the pragma.  A file that cannot be read or parsed is an ``E999``.
 
 Exit semantics match every other linter: any reported violation fails
 the run.  Severity (``error`` for invariant rules, ``warning`` for the
@@ -24,7 +18,6 @@ distinguish.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Type
@@ -52,11 +45,6 @@ class Violation:
         return {"rule": self.rule_id, "severity": self.severity,
                 "path": self.path, "line": self.line,
                 "message": self.message}
-
-    def baseline_key(self) -> str:
-        # line numbers shift under unrelated edits; identity is
-        # (rule, file, message) so a baseline survives reformatting
-        return f"{self.rule_id}:{self.path}:{self.message}"
 
 
 class Rule:
@@ -109,7 +97,6 @@ class LintReport:
     violations: List[Violation] = field(default_factory=list)
     files: int = 0
     suppressed: int = 0
-    baselined: int = 0
 
     @property
     def ok(self) -> bool:
@@ -120,7 +107,6 @@ class LintReport:
             "ok": self.ok,
             "files": self.files,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "violations": [v.to_dict() for v in self.violations],
         }
 
@@ -128,49 +114,17 @@ class LintReport:
         lines = [violation.format() for violation in self.violations]
         status = "clean" if self.ok else \
             f"{len(self.violations)} problem(s)"
-        extras = []
-        if self.suppressed:
-            extras.append(f"{self.suppressed} suppressed inline")
-        if self.baselined:
-            extras.append(f"{self.baselined} baselined")
-        tail = f" ({', '.join(extras)})" if extras else ""
+        tail = f" ({self.suppressed} suppressed inline)" \
+            if self.suppressed else ""
         lines.append(f"reprolint: {self.files} file(s), {status}{tail}")
         return "\n".join(lines)
 
 
-def load_baseline(path) -> Dict[str, int]:
-    """Baseline keys -> allowance count (missing/invalid file = {})."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, ValueError):
-        return {}
-    counts: Dict[str, int] = {}
-    for entry in payload.get("entries", []):
-        if not isinstance(entry, dict):
-            continue
-        key = (f"{entry.get('rule')}:{entry.get('path')}:"
-               f"{entry.get('message')}")
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def write_baseline(path, violations: Sequence[Violation]) -> None:
-    payload = {
-        "comment": "accepted legacy reprolint violations; shrink, "
-                   "never grow (see docs/static_analysis.md)",
-        "entries": [{"rule": v.rule_id, "path": v.path,
-                     "message": v.message} for v in violations],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1,
-                                     sort_keys=True) + "\n")
-
-
 class LintEngine:
-    """Parse, index, run rules, filter suppressions and baseline."""
+    """Parse, index, run rules, filter suppressions."""
 
     def __init__(self, rules: Optional[Sequence[str]] = None,
-                 event_types=None, fault_sites=None,
-                 baseline: Optional[Dict[str, int]] = None) -> None:
+                 event_types=None, fault_sites=None) -> None:
         selected = all_rule_ids() if rules is None else list(rules)
         unknown = [rid for rid in selected if rid not in RULES]
         if unknown:
@@ -179,7 +133,6 @@ class LintEngine:
         self.rules: List[Rule] = [RULES[rid]() for rid in selected]
         self._event_types = event_types
         self._fault_sites = fault_sites
-        self.baseline = dict(baseline or {})
 
     # -- input collection ------------------------------------------------------
 
@@ -195,22 +148,25 @@ class LintEngine:
         return files
 
     def lint_paths(self, paths: Sequence) -> LintReport:
-        sources = {}
+        modules = []
         for path in self.collect_files(paths):
             try:
-                sources[path] = path.read_text()
+                text = path.read_text()
             except (OSError, UnicodeDecodeError) as error:
-                sources[path] = None
-                bad = ModuleInfo(path, "")
-                bad.syntax_error = SyntaxError(str(error))
-        return self.lint_sources({path: text
-                                  for path, text in sources.items()
-                                  if text is not None})
+                # an unreadable file is reported, never skipped
+                module = ModuleInfo(path, "")
+                module.tree, module.syntax_error = None, error
+                modules.append(module)
+                continue
+            modules.append(ModuleInfo(path, text))
+        return self._lint(modules)
 
     def lint_sources(self, sources: Dict) -> LintReport:
         """Lint in-memory {path: source} (the corpus-test entry point)."""
-        modules = [ModuleInfo(path, text)
-                   for path, text in sources.items()]
+        return self._lint([ModuleInfo(path, text)
+                           for path, text in sources.items()])
+
+    def _lint(self, modules: List[ModuleInfo]) -> LintReport:
         index = ProjectIndex(modules,
                              event_types=self._event_types,
                              fault_sites=self._fault_sites)
@@ -219,11 +175,12 @@ class LintEngine:
         for module in modules:
             if module.tree is None:
                 error = module.syntax_error
+                kind = "syntax error" if isinstance(error, SyntaxError) \
+                    else "unreadable"
                 raw.append(Violation(
                     rule_id="E999", severity=ERROR, path=module.rel,
                     line=getattr(error, "lineno", 0) or 0,
-                    message=f"syntax error: "
-                            f"{getattr(error, 'msg', error)}"))
+                    message=f"{kind}: {getattr(error, 'msg', error)}"))
                 continue
             for rule in self.rules:
                 raw.extend(rule.check_module(module, index))
@@ -231,18 +188,12 @@ class LintEngine:
             raw.extend(rule.check_project(index))
 
         by_rel = {module.rel: module for module in modules}
-        budget = dict(self.baseline)
         for violation in sorted(raw, key=lambda v: (v.path, v.line,
                                                     v.rule_id)):
             module = by_rel.get(violation.path)
             if module is not None and module.suppressed(
                     violation.rule_id, violation.line):
                 report.suppressed += 1
-                continue
-            key = violation.baseline_key()
-            if budget.get(key, 0) > 0:
-                budget[key] -= 1
-                report.baselined += 1
                 continue
             report.violations.append(violation)
         return report

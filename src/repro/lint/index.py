@@ -45,7 +45,8 @@ class ModuleInfo:
         self.source = source
         self.lines: List[str] = source.splitlines()
         self.tree: Optional[ast.AST] = None
-        self.syntax_error: Optional[SyntaxError] = None
+        #: why the file has no tree: a SyntaxError, or the read error
+        self.syntax_error: Optional[Exception] = None
         try:
             self.tree = ast.parse(source, filename=self.path)
         except SyntaxError as error:

@@ -64,12 +64,6 @@ def literal_str_arg(call: ast.Call, position: int = 0) -> Optional[str]:
     return None
 
 
-def iter_functions(tree: ast.AST) -> Iterator[ast.AST]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 def self_attr(node: ast.AST) -> Optional[str]:
     """Attribute name when ``node`` is ``self.<name>``, else None."""
     if isinstance(node, ast.Attribute) \

@@ -33,7 +33,6 @@ monotonic clock, which is what makes traced runs deterministic.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -215,12 +214,3 @@ class CycleLedger:
         lines.append(f"  {'total':18s} {self.total:14.0f} cycles "
                      f"({'conserved' if self.conserved() else 'LEAK'})")
         return "\n".join(lines)
-
-
-def breakeven_interval(total_cycles: float,
-                       intervals_per_decade: int = 2) -> int:
-    """Index of the timeline interval containing ``total_cycles``."""
-    if total_cycles <= 0:
-        return 0
-    return max(0, int(math.floor(
-        math.log10(total_cycles / 100.0) * intervals_per_decade)) + 1)

@@ -81,21 +81,12 @@ EVENT_TYPES: Dict[str, str] = {
     "remote.push": "X",
     "remote.op": "X",
     "server.op": "X",
-    # shared-cache server
-    "server.start": "i",
-    "server.request": "i",
-    "server.stop": "i",
-    # server-side admission control: a request shed past the queue
-    # bound, or rejected because its deadline budget was already spent
-    "server.shed": "i",
-    "server.deadline": "i",
     # cluster tier (repro.cluster): the degradation ladder made
     # visible — replica failovers, per-group degradations, write
-    # quorum accounting, anti-entropy repair actions
+    # quorum accounting
     "cluster.failover": "i",
     "cluster.degrade": "i",
     "cluster.quorum": "i",
-    "cluster.repair": "i",
     # hedged reads: the primary probe abandoned past its threshold,
     # and the sibling replica's answer winning the race
     "cluster.hedge": "i",

@@ -10,7 +10,7 @@ loop iterations between events are advanced in closed form — which is
 exact under the block-level cost model.
 """
 
-from repro.timing.caches import ColdFootprintModel, SetAssociativeCache
+from repro.timing.caches import ColdFootprintModel
 from repro.timing.pipeline import ModeCosts, mode_costs_for
 from repro.timing.sampler import LogSampler, SampledSeries
 from repro.timing.startup_sim import StartupResult, StartupSimulator, \
@@ -19,6 +19,6 @@ from repro.timing.scenarios import Scenario
 
 __all__ = [
     "ColdFootprintModel", "LogSampler", "ModeCosts", "SampledSeries",
-    "Scenario", "SetAssociativeCache", "StartupResult", "StartupSimulator",
+    "Scenario", "StartupResult", "StartupSimulator",
     "mode_costs_for", "simulate_startup",
 ]

@@ -1,85 +1,18 @@
-"""Cache models for the timing layer.
+"""The timing layer's cache model.
 
-Two models, used at two fidelities:
-
-* :class:`SetAssociativeCache` — a faithful set-associative LRU cache,
-  exercised by unit tests and by the detailed small-scale examples.
-* :class:`ColdFootprintModel` — the memory-startup abstraction the
-  event-driven simulator uses at 500M-instruction scale.  The paper's
-  scenario 2 starts with *empty caches*; the dominant cache effect that
-  differs between configurations is the pattern of cold (first-touch)
-  misses.  Steady-state miss behaviour for a given working set is common
-  across configurations and is folded into each application's base CPI
-  (see DESIGN.md §6.3), exactly as the paper's own §3.1 argues when it
-  calls scenario-3 differences "second order".
+:class:`ColdFootprintModel` is the memory-startup abstraction the
+event-driven simulator uses at 500M-instruction scale.  The paper's
+scenario 2 starts with *empty caches*; the dominant cache effect that
+differs between configurations is the pattern of cold (first-touch)
+misses.  Steady-state miss behaviour for a given working set is common
+across configurations and is folded into each application's base CPI
+(see DESIGN.md §6.3), exactly as the paper's own §3.1 argues when it
+calls scenario-3 differences "second order".
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
-
-from repro.core.config import CacheConfig
-
-
-class SetAssociativeCache:
-    """Set-associative LRU cache with optional next level."""
-
-    def __init__(self, config: CacheConfig, name: str = "cache",
-                 next_level: "Optional[SetAssociativeCache]" = None,
-                 memory_latency: int = 0) -> None:
-        self.config = config
-        self.name = name
-        self.next_level = next_level
-        self.memory_latency = memory_latency
-        self._sets: Dict[int, "dict[int, int]"] = {}
-        self._clock = 0
-        self.hits = 0
-        self.misses = 0
-
-    def _locate(self, addr: int) -> "tuple[int, int]":
-        line = addr // self.config.line_size
-        return line % self.config.sets, line
-
-    def access(self, addr: int) -> int:
-        """Access one address; returns total latency in cycles."""
-        self._clock += 1
-        set_index, tag = self._locate(addr)
-        ways = self._sets.setdefault(set_index, {})
-        if tag in ways:
-            ways[tag] = self._clock
-            self.hits += 1
-            return self.config.latency
-        self.misses += 1
-        if len(ways) >= self.config.assoc:
-            victim = min(ways, key=ways.get)
-            del ways[victim]
-        ways[tag] = self._clock
-        if self.next_level is not None:
-            return self.config.latency + self.next_level.access(addr)
-        return self.config.latency + self.memory_latency
-
-    def access_range(self, addr: int, size: int) -> int:
-        """Access every line in ``[addr, addr+size)``."""
-        cycles = 0
-        line_size = self.config.line_size
-        first = addr // line_size
-        last = (addr + max(size, 1) - 1) // line_size
-        for line in range(first, last + 1):
-            cycles += self.access(line * line_size)
-        return cycles
-
-    def contains(self, addr: int) -> bool:
-        set_index, tag = self._locate(addr)
-        return tag in self._sets.get(set_index, {})
-
-    def invalidate_all(self) -> None:
-        self._sets.clear()
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0
-
+from typing import Set
 
 class ColdFootprintModel:
     """First-touch (cold miss) accounting at 64-byte line granularity.
@@ -113,7 +46,3 @@ class ColdFootprintModel:
 
     def is_warm(self, addr: int) -> bool:
         return addr // self.LINE_SIZE in self._warm
-
-    def scrub(self) -> None:
-        """Forget warmth (context switch / scenario boundary)."""
-        self._warm.clear()

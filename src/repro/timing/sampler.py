@@ -30,11 +30,6 @@ class SampledSeries:
         return [instrs / cycles if cycles else 0.0
                 for cycles, instrs in zip(self.cycles, self.instructions)]
 
-    def aux_fraction(self) -> List[float]:
-        """aux / cycles at each sample (e.g. Fig. 11's activity %)."""
-        return [aux / cycles if cycles else 0.0
-                for cycles, aux in zip(self.cycles, self.aux)]
-
 
 class LogSampler:
     """Record (cycles, instructions, aux) at log-spaced cycle points."""

@@ -53,15 +53,6 @@ log = logging.getLogger("repro.translator")
 #: Where per-translation profiling counters live (concealed VMM data).
 COUNTER_AREA_BASE = 0x2800_0000
 
-#: Measured software-BBT translation overhead, in native instructions per
-#: x86 instruction (Section 3.2: "∆BBT = 105"), and in cycles (Section
-#: 5.3: 83 cycles software, 20 cycles with the XLTx86 assist).  The
-#: functional translator does not consume cycles itself; the timing layer
-#: charges these constants.
-DELTA_BBT_NATIVE_INSTRUCTIONS = 105
-DELTA_BBT_CYCLES_SOFTWARE = 83
-DELTA_BBT_CYCLES_ASSISTED = 20
-
 
 class BasicBlockTranslator:
     """Stage-1 translator; installs translations into the directory."""

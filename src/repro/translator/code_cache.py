@@ -210,11 +210,8 @@ class TranslationDirectory:
                  bbt_base: int = BBT_CACHE_BASE,
                  bbt_capacity: int = BBT_CACHE_CAPACITY,
                  sbt_base: int = SBT_CACHE_BASE,
-                 sbt_capacity: int = SBT_CACHE_CAPACITY,
-                 verify_on_install: bool = False) -> None:
+                 sbt_capacity: int = SBT_CACHE_CAPACITY) -> None:
         self.memory = memory
-        #: debug hook: verify every translation as it is installed
-        self.verify_on_install = verify_on_install
         #: lifecycle event tracer; None (the default) costs one pointer
         #: test per chain/flush/evict site
         self.tracer = None

@@ -52,13 +52,6 @@ from repro.isa.x86lite.registers import Cond
 
 log = logging.getLogger("repro.translator")
 
-#: Paper-measured SBT translation overheads (Section 3.2).
-DELTA_SBT_X86_INSTRUCTIONS = 1152
-DELTA_SBT_NATIVE_INSTRUCTIONS = 1674
-
-#: Speedup of SBT-optimized code over BBT code (Section 3.2: 1.15-1.2).
-SBT_OVER_BBT_SPEEDUP = 1.18
-
 
 def invert_cond(cond: Cond) -> Cond:
     """The negated condition code (tttn LSB flips the sense)."""

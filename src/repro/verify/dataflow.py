@@ -1,7 +1,7 @@
 """A small dataflow engine over verifier CFGs.
 
 Provides an independent dependence model (the rules must not trust
-:func:`repro.translator.fusion._conflict`) and three analyses used by the
+:func:`repro.translator.fusion._conflict`) and two analyses used by the
 rule-pack and the tests:
 
 * :func:`definitely_defined` — forward, intersection meet: the registers
@@ -12,15 +12,11 @@ rule-pack and the tests:
   (precise-exception discipline, PRS001).  :func:`defined_and_flags`
   solves these two in one walk of the CFG, which is what the rule-pack
   uses.
-* :func:`live_registers` — backward liveness over registers and the flags
-  resource; :func:`reaching_definitions` — forward may-reach def sites.
-  These round out the engine (def-use chains come straight out of the
-  reaching sets) and anchor the property tests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.isa.fusible.encoding import Word
 from repro.isa.fusible.microop import MicroOp
@@ -34,9 +30,6 @@ from repro.verify.cfg import CFG, Located
 
 # A register set is an integer mask, bit ``r`` standing for register
 # ``r``: union, intersection and difference are one int operation each.
-
-#: Bit index standing for the architected flags resource.
-FLAGS = NREGS
 
 #: Registers architecturally defined at translation entry: the mapped
 #: x86 GPRs plus the hardwired zero.  Every other register is VMM state
@@ -146,54 +139,6 @@ class ForwardAnalysis:
                             block_in[succ] = merged
                             again = again or succ <= block.bid
         return before
-
-
-class BackwardAnalysis:
-    """Backward counterpart; returns the state *after* each micro-op."""
-
-    def exit_state(self):
-        raise NotImplementedError
-
-    def meet(self, left, right):
-        raise NotImplementedError
-
-    def transfer(self, state, loc: Located):
-        raise NotImplementedError
-
-    def run(self, cfg: CFG) -> List[Optional[object]]:
-        nblocks = len(cfg.blocks)
-        if not nblocks:
-            return []
-        preds: List[List[int]] = [[] for _ in range(nblocks)]
-        for block in cfg.blocks:
-            for succ in block.succs:
-                preds[succ].append(block.bid)
-        block_out: List[Optional[object]] = [None] * nblocks
-        worklist = []
-        for block in cfg.blocks:
-            if not block.succs:
-                block_out[block.bid] = self.exit_state()
-                worklist.append(block.bid)
-        while worklist:
-            bid = worklist.pop()
-            state = block_out[bid]
-            for loc in reversed(cfg.blocks[bid].locs):
-                state = self.transfer(state, loc)
-            for pred in preds[bid]:
-                merged = state if block_out[pred] is None \
-                    else self.meet(block_out[pred], state)
-                if merged != block_out[pred]:
-                    block_out[pred] = merged
-                    worklist.append(pred)
-        after: List[Optional[object]] = [None] * len(cfg.words)
-        for block in cfg.blocks:
-            state = block_out[block.bid]
-            if state is None:
-                continue
-            for loc in reversed(block.locs):
-                after[loc.index] = state
-                state = self.transfer(state, loc)
-        return after
 
 
 # -- concrete analyses ---------------------------------------------------------
@@ -337,62 +282,3 @@ class _DefinedAndFlags(_FlagProvenance):
 def defined_and_flags(cfg: CFG) -> List[Optional[Tuple[int, FlagState]]]:
     """``(definitely_defined, flag_provenance)`` before each micro-op."""
     return _DefinedAndFlags().run(cfg)
-
-
-class _LiveRegisters(BackwardAnalysis):
-    def exit_state(self):
-        # precise architected state must survive every exit
-        return (1 << ARCH_REG_COUNT) - 1 | 1 << FLAGS
-
-    def meet(self, left, right):
-        return left | right
-
-    def transfer(self, state, loc: Located):
-        uop = loc.uop
-        state &= ~(regs_written(uop) | uop.writes_flags << FLAGS)
-        return state | regs_read(uop) | uop.reads_flags << FLAGS
-
-
-def live_registers(cfg: CFG) -> List[Optional[int]]:
-    """Registers (plus FLAGS; a mask) live *after* each micro-op."""
-    return _LiveRegisters().run(cfg)
-
-
-class _ReachingDefinitions(ForwardAnalysis):
-    """State: frozenset of (resource, defining uop index); resource is a
-    register number or FLAGS.  Index -1 marks an entry definition."""
-
-    def entry_state(self):
-        return frozenset((res, -1) for res in range(FLAGS + 1))
-
-    def meet(self, left, right):
-        return left | right
-
-    def transfer(self, state, loc: Located):
-        killed = regs_written(loc.uop) | loc.uop.writes_flags << FLAGS
-        if not killed:
-            return state
-        state = frozenset(pair for pair in state
-                          if not killed >> pair[0] & 1)
-        return state | frozenset((res, loc.index)
-                                 for res in regs_in(killed))
-
-
-def reaching_definitions(cfg: CFG):
-    """May-reach definition sites before each micro-op."""
-    return _ReachingDefinitions().run(cfg)
-
-
-def def_use_chains(cfg: CFG) -> Dict[int, List[int]]:
-    """def index -> sorted uop indices that may consume that definition."""
-    before = reaching_definitions(cfg)
-    chains: Dict[int, set] = {}
-    for loc in cfg.locs:
-        state = before[loc.index]
-        if state is None:
-            continue
-        used = regs_read(loc.uop) | loc.uop.reads_flags << FLAGS
-        for resource, def_index in state:
-            if def_index >= 0 and used >> resource & 1:
-                chains.setdefault(def_index, set()).add(loc.index)
-    return {key: sorted(value) for key, value in sorted(chains.items())}

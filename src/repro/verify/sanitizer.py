@@ -2,17 +2,14 @@
 
 ``TranslationDirectory.install`` calls :func:`check_install` for every
 translation it wires up.  The check is a no-op unless the sanitizer is
-armed, either globally (:func:`enable`, the autouse pytest fixture, the
-``repro verify`` CLI) or per-directory (``verify_on_install=True``, set
-by the ``verify_translations`` machine-config flag).
+armed for a scope, in one of two modes:
 
-Two modes:
-
-* ``"raise"`` — violations raise :class:`TranslationVerifyError`
+* :func:`raising` — violations raise :class:`TranslationVerifyError`
   immediately, attributing the broken invariant to the exact install
-  that produced it (the sanitizer style used by the test suite).
-* ``"collect"`` — violations accumulate in a shared report; the CLI
-  uses this to sweep a whole workload and print one summary.
+  that produced it (the autouse pytest fixture arms this).
+* :func:`collecting` — violations accumulate in a shared report; the
+  ``repro verify`` CLI uses this to sweep a whole workload and print
+  one summary.
 """
 
 from __future__ import annotations
@@ -40,26 +37,8 @@ class _SanitizerState:
 _STATE = _SanitizerState()
 
 
-def enabled() -> bool:
-    return _STATE.mode is not None
-
-
 def mode() -> Optional[str]:
     return _STATE.mode
-
-
-def enable(new_mode: str = "raise") -> None:
-    if new_mode not in ("raise", "collect"):
-        raise ValueError(f"unknown sanitizer mode {new_mode!r}")
-    _STATE.mode = new_mode
-
-
-def disable() -> None:
-    _STATE.mode = None
-
-
-def current_report() -> VerifierReport:
-    return _STATE.report
 
 
 @contextmanager
@@ -87,8 +66,7 @@ def collecting():
 
 def check_install(directory, translation) -> None:
     """Install-time hook; called by ``TranslationDirectory.install``."""
-    per_directory = getattr(directory, "verify_on_install", False)
-    if _STATE.mode is None and not per_directory:
+    if _STATE.mode is None:
         return
     from repro.verify.verifier import verify_translation
     report = verify_translation(translation, memory=directory.memory,

@@ -124,9 +124,7 @@ class VMRuntime:
                  enable_fusion: bool = True,
                  enable_chaining: bool = True,
                  max_block_instrs: int = 64,
-                 verify_translations: bool = False,
                  integrity_check_interval: int = 0,
-                 quarantine_max_retries: int = 3,
                  costs=None,
                  trace: bool = False) -> None:
         if initial_emulation not in ("bbt", "interp", "x86-mode"):
@@ -159,9 +157,6 @@ class VMRuntime:
             self._interp_cpi = self.phase_costs.interp_cpi
         #: ledger category of the currently dispatched translation
         self._exec_category = "bbt_execution"
-        if verify_translations:
-            # debug hook: statically verify translations as installed
-            self.directory.verify_on_install = True
         self.profiler = profiler if profiler is not None \
             else SoftwareProfiler(hot_threshold)
         self.bbt = BasicBlockTranslator(
@@ -176,8 +171,7 @@ class VMRuntime:
 
         #: failed-translation ledger: bounded retry, then permanent
         #: degradation to the emulation fallback (never a crash)
-        self.quarantine = TranslationQuarantine(
-            max_retries=quarantine_max_retries)
+        self.quarantine = TranslationQuarantine()
         #: sweep the code caches for corruption every N dispatches
         #: (0 = off; enabled by chaos runs and the config debug knob)
         self.integrity_check_interval = integrity_check_interval

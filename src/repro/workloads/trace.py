@@ -94,10 +94,6 @@ class Workload:
         return sum(region.instr_count * region.total_iterations
                    for region in self.regions)
 
-    def region_execution_counts(self) -> np.ndarray:
-        return np.array([region.total_iterations
-                         for region in self.regions])
-
 
 #: Reference dynamic length the frequency mixture is calibrated at.
 REFERENCE_DYN_INSTRS = 100_000_000

@@ -78,10 +78,6 @@ class AppProfile:
     hot_early_pull: float = 0.5
 
     @property
-    def ipc_vm_steady(self) -> float:
-        return self.ipc_ref * self.vm_speedup
-
-    @property
     def x86_bytes(self) -> int:
         """Approximate text footprint of the working set."""
         return int(self.static_instrs * self.bytes_per_instr)
@@ -132,8 +128,3 @@ def winstone_app(name: str) -> AppProfile:
 def winstone_suite() -> List[AppProfile]:
     """All ten application models, in Fig. 9 order."""
     return list(WINSTONE_APPS)
-
-
-def suite_average_static_instrs() -> float:
-    return sum(app.static_instrs for app in WINSTONE_APPS) / \
-        len(WINSTONE_APPS)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import (
     TranslationOverheadModel,
-    ascii_chart,
     breakeven_for_app,
     format_table,
     half_gain_point,
@@ -18,7 +17,7 @@ from repro.analysis import (
 )
 from repro.analysis.breakeven import format_breakeven
 from repro.analysis.frequency_profile import frequency_profile
-from repro.analysis.startup_curves import curve_table, log_grid
+from repro.analysis.startup_curves import log_grid
 from repro.core import VM_CONFIGS, ref_superscalar, vm_fe, vm_soft
 from repro.timing import simulate_startup
 from repro.workloads import generate_workload, winstone_app
@@ -105,14 +104,6 @@ class TestCurves:
         _workload, ref, _soft, _fe = sim_pair
         assert math.isinf(half_gain_point(ref, ref, steady_gain=0.08))
 
-    def test_curve_table_rows(self, sim_pair):
-        workload, ref, _soft, _fe = sim_pair
-        grid = log_grid(1e4, 1e5, per_decade=1)
-        rows = curve_table(grid, [
-            ("ref", normalized_curve(ref, workload.app.ipc_ref, grid))])
-        assert len(rows) == len(grid)
-        assert "ref" in rows[0]
-
 
 class TestBreakevenHelpers:
     def test_breakeven_for_app_produces_all_configs(self):
@@ -160,12 +151,3 @@ class TestReporting:
     def test_format_table_large_numbers(self):
         text = format_table(["v"], [[123456.0]])
         assert "1.23e+05" in text
-
-    def test_ascii_chart_renders_bars(self):
-        text = ascii_chart(["t1"], {"ref": [1.0], "vm": [0.5]}, width=10)
-        assert text.count("#") == 15  # 10 + 5
-
-    def test_sparkline(self):
-        from repro.analysis.reporting import sparkline
-        line = sparkline([0, 1, 2, 3, 4], width=5)
-        assert len(line) == 5

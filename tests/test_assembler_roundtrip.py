@@ -1,15 +1,14 @@
-"""Property: assembled programs disassemble back to themselves.
+"""Property: assembled programs decode back to themselves.
 
 Random instruction sequences are encoded via the Instruction API,
-disassembled to text, re-assembled through the text assembler, and the
-resulting bytes compared — closing the loop between all three front
-ends (builder API, assembler, disassembler/decoder).
+decoded and rendered as text, re-assembled through the text assembler,
+and the resulting bytes compared — closing the loop between all three
+front ends (builder API, assembler, decoder).
 """
 
 from hypothesis import given, settings
 
 from repro.isa.x86lite import decode, encode
-from repro.isa.x86lite.disasm import disassemble_range
 from repro.isa.x86lite.assembler import assemble
 from repro.memory.loader import DEFAULT_TEXT_BASE
 from tests.strategies import instructions
@@ -26,11 +25,10 @@ def _as_text(instr) -> str:
 @settings(max_examples=250, deadline=None)
 def test_encode_disassemble_reassemble(instr):
     encoded = encode(instr, addr=DEFAULT_TEXT_BASE)
-    lines = disassemble_range(encoded, base=DEFAULT_TEXT_BASE)
-    assert len(lines) == 1
-    text = _as_text(lines[0].instr)
+    decoded = decode(encoded, addr=DEFAULT_TEXT_BASE)
+    assert decoded.length == len(encoded)
+    text = _as_text(decoded)
     # MOVZX/MOVSX need their size keyword to re-assemble
-    decoded = lines[0].instr
     if decoded.op.value in ("movzx", "movsx"):
         size = {8: "byte", 16: "word"}[decoded.operands[1].size]
         dst, mem = decoded.operands
@@ -41,5 +39,4 @@ def test_encode_disassemble_reassemble(instr):
         raise AssertionError(f"assembler rejected its own "
                              f"disassembly {text!r}: {exc}")
     redecoded = decode(reassembled, addr=DEFAULT_TEXT_BASE)
-    original = decode(encoded, addr=DEFAULT_TEXT_BASE)
-    assert str(redecoded) == str(original)
+    assert str(redecoded) == str(decoded)

@@ -31,7 +31,7 @@ from repro.fleet import (
     steady_state_cycle,
     validate_report,
 )
-from repro.fleet.engine import resolve_config
+from repro.core.config import resolve_config
 from repro.isa.x86lite import assemble
 from repro.obs.export import validate_trace
 from repro.persist import image_fingerprint

@@ -99,13 +99,6 @@ class TestDualModeDecoder:
         assert group.cmplx
         assert decoder.complex_traps == 1
 
-    def test_native_mode_bypass(self):
-        decoder = DualModeDecoder()
-        uops = [object(), object()]
-        assert decoder.pass_native(uops) is uops
-        assert decoder.native_mode_uops == 2
-        assert decoder.x86_mode_instructions == 0
-
 
 class TestBranchBehaviorBuffer:
     def test_detects_hot_block(self):

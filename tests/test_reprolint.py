@@ -1,5 +1,5 @@
 """reprolint: one violating and one clean snippet per rule, plus the
-suppression/baseline machinery and the live-tree gate.
+suppression machinery and the live-tree gate.
 
 Corpus snippets are linted in-memory through
 :meth:`repro.lint.LintEngine.lint_sources` with *injected* registries
@@ -17,8 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import LintEngine, all_rule_ids
-from repro.lint.core import ERROR, WARNING, RULES, Rule, load_baseline, \
-    register_rule, write_baseline
+from repro.lint.core import ERROR, WARNING, RULES, Rule, register_rule
 from repro.lint.index import ModuleInfo
 
 REPO = Path(__file__).resolve().parents[1]
@@ -67,6 +66,17 @@ def test_syntax_error_reports_e999():
     report = LintEngine().lint_sources(
         {"src/repro/vmm/broken.py": "def broken(:\n"})
     assert [v.rule_id for v in report.violations] == ["E999"]
+    assert not report.ok
+
+
+def test_unreadable_file_reports_e999(tmp_path):
+    (tmp_path / "good.py").write_text("x = 1\n")
+    (tmp_path / "bad.py").write_bytes(b"\xff\xfe")
+    report = LintEngine().lint_paths([tmp_path])
+    assert report.files == 2
+    assert [(v.rule_id, Path(v.path).name)
+            for v in report.violations] == [("E999", "bad.py")]
+    assert "unreadable" in report.violations[0].message
     assert not report.ok
 
 
@@ -484,7 +494,7 @@ def test_w291_and_w191():
     assert len(hits(report, "W191")) == 1
 
 
-# -- suppressions and baseline ------------------------------------------------------
+# -- suppressions ------------------------------------------------------------------
 
 
 def test_inline_suppression_same_line():
@@ -521,42 +531,6 @@ def test_suppression_does_not_leak_to_other_rules():
     assert len(hits(report, "DET001")) == 1
 
 
-def test_baseline_round_trip(tmp_path):
-    source = "import time\n\n\ndef step():\n    return time.time()\n"
-    path = "src/repro/vmm/clockish.py"
-    first = lint_one(path, source, "DET001")
-    assert len(first.violations) == 1
-
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, first.violations)
-    counts = load_baseline(baseline_path)
-    assert len(counts) == 1
-
-    engine = LintEngine(rules=["DET001"], baseline=counts)
-    second = engine.lint_sources({path: source})
-    assert second.ok
-    assert second.baselined == 1
-
-
-def test_baseline_budget_does_not_cover_new_violations(tmp_path):
-    source = "import time\n\n\ndef step():\n    return time.time()\n"
-    path = "src/repro/vmm/clockish.py"
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path,
-                   lint_one(path, source, "DET001").violations)
-
-    doubled = source + "\n\ndef again():\n    return time.time()\n"
-    engine = LintEngine(rules=["DET001"],
-                        baseline=load_baseline(baseline_path))
-    report = engine.lint_sources({path: doubled})
-    assert len(report.violations) == 1
-    assert report.baselined == 1
-
-
-def test_missing_baseline_file_loads_empty(tmp_path):
-    assert load_baseline(tmp_path / "nope.json") == {}
-
-
 # -- module identity -----------------------------------------------------------------
 
 
@@ -575,7 +549,7 @@ def test_package_detection():
 
 
 def test_live_tree_is_clean():
-    """The shipped tree passes its own strict gate (no baseline)."""
+    """The shipped tree passes its own gate."""
     engine = LintEngine()
     report = engine.lint_paths([REPO / "src", REPO / "tests",
                                 REPO / "tools"])

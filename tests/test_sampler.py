@@ -41,8 +41,8 @@ class TestLogSampler:
         sampler.advance(200, 100, delta_aux=200)
         sampler.advance(800, 800, delta_aux=0)
         series = sampler.finish()
-        fractions = series.aux_fraction()
-        assert fractions[-1] == pytest.approx(200 / 1000)
+        assert series.aux[-1] == 200      # of 1000 cycles
+        assert series.cycles[-1] == 1000
 
     def test_aggregate_ipc(self):
         sampler = LogSampler(first=100, per_decade=1)

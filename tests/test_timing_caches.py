@@ -1,68 +1,6 @@
 """Cache model tests."""
 
-from repro.core.config import CacheConfig
-from repro.timing.caches import ColdFootprintModel, SetAssociativeCache
-
-
-def small_cache(size=1024, assoc=2, line=64, latency=2, **kwargs):
-    return SetAssociativeCache(CacheConfig(size, assoc, line, latency),
-                               **kwargs)
-
-
-class TestSetAssociativeCache:
-    def test_miss_then_hit(self):
-        cache = small_cache(memory_latency=100)
-        assert cache.access(0x1000) == 102  # cold miss
-        assert cache.access(0x1000) == 2    # hit
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_same_line_hits(self):
-        cache = small_cache(memory_latency=100)
-        cache.access(0x1000)
-        assert cache.access(0x103F) == 2  # same 64B line
-
-    def test_lru_eviction(self):
-        cache = small_cache(size=2 * 64, assoc=2, memory_latency=100)
-        # one set; two ways
-        cache.access(0x0000)
-        cache.access(0x1000)
-        cache.access(0x0000)   # refresh
-        cache.access(0x2000)   # evicts 0x1000 (LRU)
-        assert cache.contains(0x0000)
-        assert not cache.contains(0x1000)
-        assert cache.contains(0x2000)
-
-    def test_set_indexing(self):
-        cache = small_cache(size=4 * 64, assoc=1)
-        cache.access(0x0000)
-        cache.access(0x0040)
-        assert cache.contains(0x0000)  # different sets, no conflict
-
-    def test_next_level_chaining(self):
-        l2 = small_cache(size=4096, assoc=4, latency=12,
-                         memory_latency=168)
-        l1 = small_cache(latency=2, next_level=l2)
-        first = l1.access(0x5000)
-        assert first == 2 + 12 + 168
-        l1.invalidate_all()
-        second = l1.access(0x5000)   # L1 miss, L2 hit
-        assert second == 2 + 12
-
-    def test_access_range_touches_each_line(self):
-        cache = small_cache(memory_latency=100)
-        cycles = cache.access_range(0x1000, 130)  # 3 lines
-        assert cache.misses == 3
-        assert cycles == 3 * 102
-
-    def test_miss_rate(self):
-        cache = small_cache()
-        cache.access(0)
-        cache.access(0)
-        assert cache.miss_rate == 0.5
-
-    def test_config_sets_property(self):
-        config = CacheConfig(64 * 1024, 2, 64, 2)
-        assert config.sets == 512
+from repro.timing.caches import ColdFootprintModel
 
 
 class TestColdFootprintModel:
@@ -86,12 +24,6 @@ class TestColdFootprintModel:
         model.touch(0x1000, 1, charge=5)
         assert model.is_warm(0x1010)
         assert not model.is_warm(0x2000)
-
-    def test_scrub(self):
-        model = ColdFootprintModel()
-        model.touch(0x1000, 64, charge=10)
-        model.scrub()
-        assert model.touch(0x1000, 64, charge=10) == 10
 
     def test_cycle_accounting(self):
         model = ColdFootprintModel()

@@ -1,13 +1,11 @@
 """Zero-violation regression: every seed program verifies clean.
 
-Runs each workload with the verifier armed three ways — the config-level
-debug hook (``verify_translations=True``), an explicit collecting
-sanitizer sweep, and a post-run :func:`verify_directory` pass over the
+Runs each workload with the verifier armed three ways — the raising
+sanitizer (:func:`sanitizer.raising`), an explicit collecting sanitizer
+sweep, and a post-run :func:`verify_directory` pass over the
 steady-state caches — and pins that the emitters produce no invariant
 violations anywhere.
 """
-
-from dataclasses import replace
 
 import pytest
 
@@ -18,22 +16,21 @@ from repro.workloads.programs import EXPECTED_OUTPUT, PROGRAMS
 
 
 def run_verified(factory, name, hot_threshold=12):
-    config = replace(factory(), verify_translations=True)
-    vm = CoDesignedVM(config, hot_threshold=hot_threshold)
+    vm = CoDesignedVM(factory(), hot_threshold=hot_threshold)
     vm.load(assemble(PROGRAMS[name]))
-    report = vm.run()
+    with sanitizer.raising():
+        report = vm.run()
     return vm, report
 
 
 @pytest.mark.parametrize("program_name", sorted(PROGRAMS))
 def test_workload_installs_verified_translations(program_name):
-    # the debug hook raises TranslationVerifyError on the first bad
+    # the sanitizer raises TranslationVerifyError on the first bad
     # install, so simply finishing means every translation was clean
-    vm, report = run_verified(vm_soft, program_name)
+    _, report = run_verified(vm_soft, program_name)
     assert report.exit_code == 0
     if program_name in EXPECTED_OUTPUT:
         assert report.output == EXPECTED_OUTPUT[program_name]
-    assert vm.runtime.directory.verify_on_install
 
 
 @pytest.mark.parametrize("program_name", sorted(PROGRAMS))

@@ -32,13 +32,9 @@ from repro.verify import (
     verify_uops,
 )
 from repro.verify.dataflow import (
-    FLAGS,
-    def_use_chains,
     defined_and_flags,
     definitely_defined,
     flag_provenance,
-    live_registers,
-    reaching_definitions,
 )
 from tests.sbt_oracle import on_uops, origin_runs
 from tests.strategies import uops as any_uop
@@ -472,34 +468,6 @@ class TestDataflowEngine:
         assert states[2] == (False, 18)   # clobbered inside the window
         assert states[3] == (True, None)  # restored at the VMEXIT
 
-    def test_liveness_flags_and_registers(self):
-        cfg = build_cfg([
-            MicroOp(UOp.SUBI, rd=31, rs1=1, imm=3, setflags=True),
-            MicroOp(UOp.BC, cond=Cond.E, imm=0),
-            NOP,
-        ])
-        live = live_registers(cfg)
-        # the compare's flags are consumed by the BC
-        assert live[0] >> FLAGS & 1
-
-    def test_def_use_chains_connect_producer_to_consumer(self):
-        cfg = build_cfg([
-            MicroOp(UOp.ADDI, rd=5, rs1=1, imm=1),
-            MicroOp(UOp.ADD, rd=6, rs1=5, rs2=2),
-        ])
-        chains = def_use_chains(cfg)
-        assert chains.get(0) == [1]
-
-    def test_reaching_definitions_merge_at_joins(self):
-        cfg = build_cfg([
-            MicroOp(UOp.BC, cond=Cond.E, imm=4),
-            MicroOp(UOp.ADDI, rd=5, rs1=31, imm=7),
-            MicroOp(UOp.ADD, rd=6, rs1=5, rs2=5),
-        ])
-        before = reaching_definitions(cfg)
-        defs_of_r5 = {index for reg, index in before[2] if reg == 5}
-        assert defs_of_r5 == {-1, 1}  # entry def and the ADDI both reach
-
 
 def worklist_solve(analysis, cfg):
     """The forward solver as it was before the address-order sweep, kept
@@ -608,8 +576,7 @@ class TestOneWalk:
         from repro.verify import dataflow
         for analysis in (dataflow._DefinitelyDefined(dataflow.ENTRY_DEFINED),
                          dataflow._FlagProvenance(),
-                         dataflow._DefinedAndFlags(),
-                         dataflow._ReachingDefinitions()):
+                         dataflow._DefinedAndFlags()):
             assert analysis.run(cfg) == worklist_solve(analysis, cfg)
 
     @given(cfg=branchy_cfgs().filter(lambda cfg: not has_back_edge(cfg)))
