@@ -60,8 +60,8 @@ Commands:
   verdicts (pass/warn/fail with burn accounting) and print anomalies;
   exits 1 while any SLO is failing.
 * ``fleet {run,sweep,report}`` — the mass-boot scenario harness
-  (:mod:`repro.fleet`, ``docs/fleet.md``): boot N instances through a
-  worker pool against a self-hosted cache server (``run``; with
+  (:mod:`repro.fleet`, ``docs/fleet.md``): boot N instances on a
+  thread pool against a self-hosted cache server (``run``; with
   ``--shards``/``--replicas`` > 1, against a self-hosted sharded
   cluster), expand a
   {N, boot policy, image policy} grid and boot every scenario
@@ -376,9 +376,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
     fixed = dict(config=args.config, warm=args.warm,
                  workload=args.workload,
-                 faults=tuple(_csv_list(args.faults))
-                 if args.faults else (),
-                 seed=args.seed, workers=args.workers, pool=args.pool,
+                 seed=args.seed, workers=args.workers,
                  hot_threshold=args.hot_threshold,
                  max_instructions=args.max_instructions,
                  shards=args.shards, replicas=args.replicas,
@@ -844,9 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--warm", action="store_true",
                        help="pre-populate the server repository "
                             "before the herd boots")
-    fleet.add_argument("--faults", default=None,
-                       help="comma list of faults to arm "
-                            "(serializes the pool for determinism)")
     fleet.add_argument("--seed", type=int, default=0)
     fleet.add_argument("--shards", type=int, default=1,
                        help="cluster shard groups to host (default 1: "
@@ -867,9 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "ops past this many concurrent dispatches "
                             "(default: unlimited)")
     fleet.add_argument("--workers", type=int, default=8,
-                       help="worker-pool width (default 8)")
-    fleet.add_argument("--pool", choices=["thread", "process"],
-                       default="thread")
+                       help="boot threads (default 8)")
     fleet.add_argument("--hot-threshold", type=int, default=20)
     fleet.add_argument("--max-instructions", type=int,
                        default=2_000_000)

@@ -198,7 +198,7 @@ def run_faulted(baseline: Baseline, faults: Sequence[str], seed: int,
     # or divergence into a replayable forensic trace (docs/observability)
     vm = baseline.fresh_vm(
         vm_soft().with_(integrity_check_interval=1, trace=True))
-    grid = None
+    grid = repository = None
     try:
         if wire:
             # a live shards x replicas grid on loopback (1x1 for the
@@ -220,10 +220,12 @@ def run_faulted(baseline: Baseline, faults: Sequence[str], seed: int,
             source_repo = TranslationRepository(repo_copy)
             primer = RemoteRepository(spec, retries=1,
                                       sleep=lambda _s: None)
-            for config_fp, image_fp in manifest_pairs(repo_copy):
-                primer.save(source_repo.load(config_fp, image_fp),
-                            config_fp, image_fp)
-            primer.close()
+            try:
+                for config_fp, image_fp in manifest_pairs(repo_copy):
+                    primer.save(source_repo.load(config_fp, image_fp),
+                                config_fp, image_fp)
+            finally:
+                primer.close()
             for group, index in sorted(grid.servers):
                 disk_corruptions += injector.mangle_repository(
                     grid.repo_dir(group, index))
@@ -254,7 +256,7 @@ def run_faulted(baseline: Baseline, faults: Sequence[str], seed: int,
             grid.stop()
         outcome.injected = dict(injector.injected)
         outcome.stats = vm.stats()
-        if wire:
+        if wire and repository is not None:
             outcome.stats["remote"] = repository.remote_stats.to_dict()
         if cleanup:
             shutil.rmtree(workdir, ignore_errors=True)

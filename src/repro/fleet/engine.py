@@ -5,14 +5,14 @@ One :meth:`FleetEngine.run` call executes one
 :class:`~repro.fleet.grid.FleetScenario`: it hosts a private
 ``shards`` x ``replicas`` :class:`~repro.cluster.manager.LocalCluster`
 over scratch repositories (1x1, one cache server, unless the scenario
-says otherwise), boots ``scenario.n`` instances through a worker pool
-(threads by default, spawn-based processes on request), and collects
-per-instance startup ledgers, tracer events, warm-start reports and
-client degradation counters into a :class:`FleetResult`.  Every
-instance warm-starts *through* the servers with its own fault-tolerant
+says otherwise), boots ``scenario.n`` instances on a thread pool, and
+collects per-instance startup ledgers, tracer events, warm-start
+reports and client degradation counters into a :class:`FleetResult`.
+Every instance warm-starts *through* the servers with its own
 :class:`~repro.persist.remote.RemoteRepository` client, so the herd
 exercises the exact pull/validate/degrade path a real consolidation
-host would.
+host would.  A herd is never faulted: chaos through one server or a
+cluster is :func:`repro.faults.harness.run_faulted`'s.
 
 Determinism contract (the acceptance bar is byte-identical reports at
 the same seed, under real thread concurrency):
@@ -30,15 +30,13 @@ the same seed, under real thread concurrency):
   time-to-steady-state comes from the instance's own tracer stream on
   the :class:`~repro.obs.ledger.CycleLedger` clock.  Wall-clock lives
   only in the non-canonical ``ops`` section of the result.
-* **fault cocktails serialize the pool** (the fault plane is a process
-  global) and use per-rank seeded injectors, so chaos fleets replay
-  bit-for-bit too.
 
 The per-instance invariant is the same as everywhere else in the
-stack: no server behaviour — cold store, contended lease, injected
-network faults — may change an instance's architected results.  The
-engine checks every instance against a fault-free local baseline and
-records the diff in :attr:`InstanceResult.problems`.
+stack: no server behaviour — cold store, contended lease, shed
+request — may change an instance's architected results.  The engine
+checks every instance's :class:`~repro.faults.harness.ArchOutcome`
+against a local cold run's and records the diff in
+:attr:`InstanceResult.problems`.
 """
 
 from __future__ import annotations
@@ -48,16 +46,14 @@ import logging
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.cluster.manager import LocalCluster
 from repro.core.config import resolve_config
 from repro.core.vm import CoDesignedVM
-from repro.faults.classes import make_fault
-from repro.faults.injector import FaultInjector
-from repro.faults.plane import injecting
+from repro.faults.harness import ArchOutcome
 from repro.fleet.grid import FleetScenario
 from repro.isa.x86lite.assembler import assemble
 from repro.obs.telemetry import TraceContext
@@ -72,6 +68,9 @@ log = logging.getLogger("repro.fleet")
 #: Tracer events that mark startup-transient work still happening.
 #: Steady state is reached when the last of these ends.
 _TRANSIENT_PREFIXES = ("translate.", "warmstart.", "chain.", "hotspot.")
+#: Every client's per-attempt timeout (seconds) and retries per request.
+TIMEOUT = 5.0
+RETRIES = 3
 
 
 def perturb_source(source: str, rank: int, seed: int) -> str:
@@ -108,72 +107,13 @@ def steady_state_cycle(trace_events: List[Dict]) -> float:
     return steady
 
 
-def _boot_instance(spec: Dict) -> Dict:
-    """Boot one fleet instance; top-level and dict-in/dict-out so the
-    spawn-based process pool can pickle it.
-
-    The instance pulls from the shared cache named by the spec string
-    ``spec["cluster"]`` (warm start through a
-    :class:`RemoteRepository` with **no** local fallback — degradation
-    goes straight to cold translation), runs the workload, then
-    captures its translations for the engine to publish later.  It
-    never pushes: see the module determinism contract.
-    """
-    config = resolve_config(spec["config"]).with_(trace=True)
-    vm = CoDesignedVM(config, hot_threshold=spec["hot_threshold"])
-    vm.load(assemble(spec["source"]))
-    remote = RemoteRepository(
-        spec["cluster"], local=None,
-        timeout=spec["timeout"], retries=spec["retries"],
-        request_budget=spec["request_budget"],
-        jitter_seed=spec["instance_seed"])
-    remote.bind_trace_context(
-        TraceContext.for_boot(spec["instance_seed"], spec["rank"]))
-    injector = None
-    if spec["faults"]:
-        injector = FaultInjector(spec["instance_seed"], spec["faults"])
-    try:
-        if injector is not None:
-            with injecting(injector):
-                load_report = vm.warm_start(remote)
-                vm.run(max_instructions=spec["max_instructions"])
-        else:
-            load_report = vm.warm_start(remote)
-            vm.run(max_instructions=spec["max_instructions"])
-    finally:
-        remote.close()
-    records = capture_translations(vm.runtime.directory, vm.state.memory)
-    stats = vm.stats()
-    state = vm.state
-    return {
-        "rank": spec["rank"],
-        "exit_code": state.exit_code,
-        "output": list(state.output),
-        "regs": list(state.regs),
-        "flags": [state.cf, state.zf, state.sf, state.of],
-        "records": records,
-        "config_fp": config_fingerprint(vm.config),
-        "image_fp": image_fingerprint(vm._image),
-        "records_loaded": load_report.loaded,
-        "records_pulled": remote.remote_stats.records_pulled,
-        "total_cycles": stats["total_cycles"],
-        "blocks_translated": stats["blocks_translated"],
-        "superblocks_translated": stats["superblocks_translated"],
-        "remote": remote.remote_stats.to_dict(),
-        "injected": dict(injector.injected) if injector else {},
-        "trace_events": [event.to_trace_event()
-                         for event in vm.tracer.events],
-    }
-
-
 @dataclass
 class InstanceResult:
     """One instance's boot, reduced to deterministic measurements."""
 
     rank: int
     image_fp: str
-    exit_code: Optional[int]
-    output: List[object]
+    outcome: ArchOutcome         # what the baseline check compares
     tts_cycles: float            # time-to-steady-state (simulated)
     total_cycles: float
     records_loaded: int          # warm-start records materialized
@@ -183,10 +123,13 @@ class InstanceResult:
     blocks_translated: int = 0
     superblocks_translated: int = 0
     remote: Dict = field(default_factory=dict)
-    injected: Dict = field(default_factory=dict)
     problems: List[str] = field(default_factory=list)
     #: raw per-instance trace events (export-only; never in reports)
     trace_events: List[Dict] = field(default_factory=list)
+    #: captured translations under ``config_fp``, until the engine
+    #: publishes them (never in reports)
+    records: List = field(default_factory=list)
+    config_fp: str = ""
 
     @property
     def arch_ok(self) -> bool:
@@ -196,7 +139,7 @@ class InstanceResult:
         return {
             "rank": self.rank,
             "image_fp": self.image_fp[:12],
-            "exit_code": self.exit_code,
+            "exit_code": self.outcome.exit_code,
             "tts_cycles": self.tts_cycles,
             "total_cycles": self.total_cycles,
             "records_loaded": self.records_loaded,
@@ -206,10 +149,52 @@ class InstanceResult:
             "blocks_translated": self.blocks_translated,
             "superblocks_translated": self.superblocks_translated,
             "remote": dict(self.remote),
-            "injected": dict(sorted(self.injected.items())),
             "arch_ok": self.arch_ok,
             "problems": list(self.problems),
         }
+
+
+def _boot_instance(scenario: FleetScenario, rank: int, source: str,
+                   cluster: str) -> InstanceResult:
+    """Boot fleet instance ``rank`` of ``source``.
+
+    The instance pulls from the shared cache named by the spec string
+    ``cluster`` (warm start through a :class:`RemoteRepository` with
+    **no** local fallback — degradation goes straight to cold
+    translation), runs the workload, then captures its translations
+    for the engine to publish later.  It never pushes: see the module
+    determinism contract.
+    """
+    config = resolve_config(scenario.config).with_(trace=True)
+    vm = CoDesignedVM(config, hot_threshold=scenario.hot_threshold)
+    vm.load(assemble(source))
+    instance_seed = scenario.seed * 100003 + rank
+    remote = RemoteRepository(
+        cluster, local=None, timeout=TIMEOUT, retries=RETRIES,
+        request_budget=scenario.request_budget, jitter_seed=instance_seed)
+    remote.bind_trace_context(TraceContext.for_boot(instance_seed, rank))
+    try:
+        load_report = vm.warm_start(remote)
+        vm.run(max_instructions=scenario.max_instructions)
+    finally:
+        remote.close()
+    stats = vm.stats()
+    trace_events = [event.to_trace_event() for event in vm.tracer.events]
+    return InstanceResult(
+        rank=rank,
+        image_fp=image_fingerprint(vm._image),
+        outcome=ArchOutcome.of(vm),
+        tts_cycles=steady_state_cycle(trace_events),
+        total_cycles=stats["total_cycles"],
+        records_loaded=load_report.loaded,
+        records_pulled=remote.remote_stats.records_pulled,
+        blocks_translated=stats["blocks_translated"],
+        superblocks_translated=stats["superblocks_translated"],
+        remote=remote.remote_stats.to_dict(),
+        trace_events=trace_events,
+        records=capture_translations(vm.runtime.directory,
+                                     vm.state.memory),
+        config_fp=config_fingerprint(vm.config))
 
 
 @dataclass
@@ -219,7 +204,7 @@ class FleetResult:
     scenario: FleetScenario
     instances: List[InstanceResult]
     server: Dict                  # ServerStats.to_dict() snapshot
-    baseline: Dict                # fault-free architected reference
+    baseline: Dict                # asdict() of the baseline ArchOutcome
     wall_ms: float = 0.0          # non-canonical (ops section only)
     #: --collect artifacts (None on plain runs).  ``telemetry`` holds
     #: the collector's {"canonical", "ops"} snapshot pair; the spans
@@ -318,11 +303,11 @@ class _Publisher:
         self.tracer = EventTracer(clock=self.clock)
         push_client.bind_tracer(self.tracer)
 
-    def before(self, result: Dict) -> None:
+    def before(self, instance: InstanceResult) -> None:
         """Stamp the next publish with its instance's steady cycle and
         a fresh per-rank publish lane."""
-        rank = result["rank"]
-        self.clock.value = steady_state_cycle(result["trace_events"])
+        rank = instance.rank
+        self.clock.value = instance.tts_cycles
         self.client.bind_trace_context(TraceContext.for_boot(
             self.scenario.seed * 100003 + rank, rank, lane="publish"))
 
@@ -352,29 +337,14 @@ class FleetEngine:
                 for rank in range(scenario.n)]
 
     @staticmethod
-    def _baseline(scenario: FleetScenario, gold: str) -> Dict:
-        """Fault-free local cold run: the architected reference every
-        instance (any rank, any image perturbation) must match."""
+    def _baseline(scenario: FleetScenario, gold: str) -> ArchOutcome:
+        """Local cold run: the architected reference every instance
+        (any rank, any image perturbation) must match."""
         config = resolve_config(scenario.config)
         vm = CoDesignedVM(config, hot_threshold=scenario.hot_threshold)
         vm.load(assemble(gold))
         vm.run(max_instructions=scenario.max_instructions)
-        state = vm.state
-        return {
-            "exit_code": state.exit_code,
-            "output": list(state.output),
-            "regs": list(state.regs),
-            "flags": [state.cf, state.zf, state.sf, state.of],
-        }
-
-    @staticmethod
-    def _check_instance(result: Dict, baseline: Dict) -> List[str]:
-        problems = []
-        for key in ("exit_code", "output", "regs", "flags"):
-            if result[key] != baseline[key]:
-                problems.append(
-                    f"{key} {result[key]!r} != baseline {baseline[key]!r}")
-        return problems
+        return ArchOutcome.of(vm)
 
     @staticmethod
     def _prime(scenario: FleetScenario, sources: List[str],
@@ -414,34 +384,27 @@ class FleetEngine:
                 repo_root: Path) -> FleetResult:
         """Host a live shards x replicas :class:`LocalCluster` under
         ``repo_root``, prime it *through* the client (so warm stores
-        carry replicated, merged manifests), rot each replica store
-        independently under disk fault cocktails, and boot every
-        instance through its own client.  Priming and publishing
-        happen outside the herd's pull window, in rank order — the
-        determinism contract."""
+        carry replicated, merged manifests), and boot every instance
+        through its own client.  Priming and publishing happen outside
+        the herd's pull window, in rank order — the determinism
+        contract."""
         sources = self._sources(scenario)
         baseline = self._baseline(scenario, PROGRAMS[scenario.workload])
         grid = LocalCluster(repo_root, shards=scenario.shards,
                             replicas=scenario.replicas,
                             max_queue_depth=scenario.max_queue_depth)
         spec = grid.start()
-        push_client = RemoteRepository(
-            spec, local=None, timeout=scenario.timeout,
-            retries=scenario.retries)
+        push_client = RemoteRepository(spec, local=None,
+                                       timeout=TIMEOUT, retries=RETRIES)
         collector, publisher = self._attach_collector(
             scenario, spec, push_client)
         try:
             if scenario.warm:
                 self._prime(scenario, sources, push_client)
-            disk_faults = [name for name in scenario.faults
-                           if make_fault(name).mangle is not None]
-            if disk_faults:
-                injector = FaultInjector(scenario.seed, disk_faults)
-                for key in sorted(grid.servers):
-                    injector.mangle_repository(grid.repo_dir(*key))
-            raw = self._boot_fleet(scenario, sources, spec.to_string(),
-                                   push_client, publisher)
-            telemetry = self._collect(collector, publisher, raw,
+            instances = self._boot_fleet(scenario, sources,
+                                         spec.to_string(), push_client,
+                                         publisher)
+            telemetry = self._collect(collector, publisher, instances,
                                       push_client)
             server_stats = _merge_server_stats(
                 {f"{group}/replica{index}":
@@ -452,9 +415,10 @@ class FleetEngine:
             grid.stop()
             if collector is not None:
                 collector.close()
-        instances = self._instances(raw, baseline)
+        for instance in instances:
+            instance.problems = baseline.diff(instance.outcome)
         return FleetResult(scenario=scenario, instances=instances,
-                           server=server_stats, baseline=baseline,
+                           server=server_stats, baseline=asdict(baseline),
                            **telemetry)
 
     # -- telemetry (--collect) ----------------------------------------------
@@ -468,20 +432,20 @@ class FleetEngine:
         if not scenario.collect:
             return None, None
         from repro.obs.collector import ClusterCollector
-        collector = ClusterCollector(spec, timeout=scenario.timeout,
-                                     retries=scenario.retries)
+        collector = ClusterCollector(spec, timeout=TIMEOUT,
+                                     retries=RETRIES)
         collector.scrape()
         return collector, _Publisher(scenario, push_client)
 
     @staticmethod
-    def _collect(collector, publisher, raw: List[Dict],
+    def _collect(collector, publisher, instances: List[InstanceResult],
                  push_client) -> Dict:
         """Final scrape + client-stat fold; returns the FleetResult
         telemetry kwargs (empty on plain runs)."""
         if collector is None:
             return {}
-        for result in raw:
-            collector.observe_client_stats(result["remote"])
+        for instance in instances:
+            collector.observe_client_stats(instance.remote)
         publishing = push_client.remote_stats.to_dict()
         # _publish credited each push's records to its instance
         del publishing["records_pushed"]
@@ -496,93 +460,49 @@ class FleetEngine:
             "publish_events": publisher.events(),
         }
 
-    def _instances(self, raw: List[Dict],
-                   baseline: Dict) -> List[InstanceResult]:
-        instances = []
-        for rank, result in enumerate(raw):
-            instances.append(InstanceResult(
-                rank=rank,
-                image_fp=result["image_fp"],
-                exit_code=result["exit_code"],
-                output=result["output"],
-                tts_cycles=steady_state_cycle(result["trace_events"]),
-                total_cycles=result["total_cycles"],
-                records_loaded=result["records_loaded"],
-                records_pulled=result["records_pulled"],
-                push_written=result["push_written"],
-                push_deduped=result["push_deduped"],
-                blocks_translated=result["blocks_translated"],
-                superblocks_translated=result["superblocks_translated"],
-                remote=result["remote"],
-                injected=result["injected"],
-                problems=self._check_instance(result, baseline),
-                trace_events=result["trace_events"]))
-        return instances
-
     def _boot_fleet(self, scenario: FleetScenario, sources: List[str],
                     cluster: str, push_client,
-                    publisher: Optional[_Publisher]) -> List[Dict]:
-        specs = [{
-            "rank": rank,
-            "source": sources[rank],
-            "config": scenario.config,
-            "hot_threshold": scenario.hot_threshold,
-            "max_instructions": scenario.max_instructions,
-            "cluster": cluster,
-            "timeout": scenario.timeout,
-            "retries": scenario.retries,
-            "request_budget": scenario.request_budget,
-            "faults": [name for name in scenario.faults
-                       if make_fault(name).mangle is None],
-            "instance_seed": scenario.seed * 100003 + rank,
-        } for rank in range(scenario.n)]
-
+                    publisher: Optional[_Publisher]
+                    ) -> List[InstanceResult]:
+        ranks = range(scenario.n)
         if scenario.boot_policy == "one_then_others":
-            first = _boot_instance(specs[0])
+            first = _boot_instance(scenario, 0, sources[0], cluster)
             self._publish(first, push_client, publisher)
-            rest = self._pool_boot(scenario, specs[1:])
-            results = [first] + rest
-            for result in rest:
-                self._publish(result, push_client, publisher)
-        else:
-            results = self._pool_boot(scenario, specs)
-            for result in results:
-                self._publish(result, push_client, publisher)
-        return results
+            rest = self._pool_boot(scenario, sources, cluster, ranks[1:])
+            for instance in rest:
+                self._publish(instance, push_client, publisher)
+            return [first] + rest
+        instances = self._pool_boot(scenario, sources, cluster, ranks)
+        for instance in instances:
+            self._publish(instance, push_client, publisher)
+        return instances
 
     @staticmethod
-    def _publish(result: Dict, push_client,
+    def _publish(instance: InstanceResult, push_client,
                  publisher: Optional[_Publisher] = None) -> None:
         """Push one instance's captured translations (engine-side, in
         rank order — see the determinism contract)."""
         if publisher is not None:
-            publisher.before(result)
-        push_client.save(result["records"], result["config_fp"],
-                         result["image_fp"])
+            publisher.before(instance)
+        push_client.save(instance.records, instance.config_fp,
+                         instance.image_fp)
         push = push_client.last_push or {}
-        result["push_written"] = push.get("written", 0)
-        result["push_deduped"] = push.get("deduped", 0)
-        result["remote"]["records_pushed"] = \
-            len([r for r in result["records"] if r is not None])
+        instance.push_written = push.get("written", 0)
+        instance.push_deduped = push.get("deduped", 0)
+        instance.remote["records_pushed"] = \
+            len([r for r in instance.records if r is not None])
+        instance.records = []       # published: a result keeps no copy
 
-    def _pool_boot(self, scenario: FleetScenario,
-                   specs: List[Dict]) -> List[Dict]:
-        if not specs:
-            return []
-        workers = scenario.effective_workers
-        if workers == 1:
-            return [_boot_instance(spec) for spec in specs]
-        if scenario.pool == "process":
-            import multiprocessing
-            context = multiprocessing.get_context("spawn")
-            executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, mp_context=context)
-        else:
-            executor = concurrent.futures.ThreadPoolExecutor(
+    @staticmethod
+    def _pool_boot(scenario: FleetScenario, sources: List[str],
+                   cluster: str, ranks: range) -> List[InstanceResult]:
+        workers = max(1, min(scenario.workers, len(ranks)))
+        with concurrent.futures.ThreadPoolExecutor(
                 max_workers=workers,
-                thread_name_prefix="fleet-boot")
-        with executor:
-            return list(executor.map(_boot_instance, specs))
+                thread_name_prefix="fleet-boot") as executor:
+            return list(executor.map(
+                lambda rank: _boot_instance(scenario, rank, sources[rank],
+                                            cluster), ranks))
 
 
 def run_sweep(scenarios, workdir=None, progress=None) -> List[FleetResult]:

@@ -26,10 +26,7 @@ Axes:
   workload's translations before the herd boots;
 * ``workload`` — a seed program name (:data:`repro.workloads.programs
   .PROGRAMS`);
-* ``faults`` — an optional cocktail of fault names
-  (:data:`repro.faults.FAULTS`); faulted scenarios serialize the pool
-  (``workers=1``) so injection stays seed-deterministic;
-* ``seed`` — the scenario seed (image perturbation, fault injectors);
+* ``seed`` — the scenario seed (image perturbation, client jitter);
 * ``shards`` / ``replicas`` — the topology of the
   :class:`~repro.cluster.manager.LocalCluster` the herd boots through:
   ``1x1`` (default) is one cache server, anything larger a
@@ -41,23 +38,26 @@ Axes:
 Scenario expansion order is fixed by :data:`AXIS_ORDER`, never by dict
 iteration order of the caller's mapping, so a sweep's report is
 byte-stable across runs and hosts.
+
+A scenario has no fault axis: a herd is plain boots, and chaos runs
+through one cache server or a cluster are
+:func:`repro.faults.harness.run_faulted`'s (``docs/robustness.md``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 BOOT_POLICIES = ("all_at_once", "one_then_others")
 IMAGE_POLICIES = ("one", "one_per_vm")
-POOLS = ("thread", "process")
 
 #: Canonical axis expansion order (outermost first).  `expand_grid`
 #: iterates the cartesian product in exactly this order regardless of
 #: how the caller's mapping is ordered.
 AXIS_ORDER = ("n", "boot_policy", "image_policy", "config", "warm",
-              "workload", "faults", "seed", "shards", "replicas")
+              "workload", "seed", "shards", "replicas")
 
 
 @dataclass(frozen=True)
@@ -70,17 +70,14 @@ class FleetScenario:
     config: str = "soft"
     warm: bool = False
     workload: str = "fibonacci"
-    faults: Tuple[str, ...] = ()
     seed: int = 0
     shards: int = 1
     replicas: int = 1
     # execution knobs (not grid axes; excluded from the canonical dict)
     hot_threshold: int = 20
     max_instructions: int = 2_000_000
+    #: boot threads (at most ``n``)
     workers: int = 8
-    pool: str = "thread"
-    timeout: float = 5.0
-    retries: int = 3
     #: per-request deadline budget (seconds) each instance's client
     #: spends across attempts/retries/failovers (docs/overload.md)
     request_budget: float = 8.0
@@ -103,11 +100,6 @@ class FleetScenario:
             raise ValueError(
                 f"unknown image policy {self.image_policy!r}; "
                 f"choose from {IMAGE_POLICIES}")
-        if self.pool not in POOLS:
-            raise ValueError(f"unknown pool {self.pool!r}; "
-                             f"choose from {POOLS}")
-        if not isinstance(self.faults, tuple):
-            object.__setattr__(self, "faults", tuple(self.faults))
         if self.shards < 1 or self.replicas < 1:
             raise ValueError(
                 f"cluster topology must be >= 1x1, got "
@@ -119,21 +111,10 @@ class FleetScenario:
         spelled out in the label and the canonical dict)."""
         return self.shards > 1 or self.replicas > 1
 
-    @property
-    def effective_workers(self) -> int:
-        """Pool width actually used: faulted scenarios serialize so the
-        per-rank seeded injectors replay deterministically (the fault
-        plane is process-global)."""
-        if self.faults:
-            return 1
-        return max(1, min(self.workers, self.n))
-
     def label(self) -> str:
         parts = [f"n={self.n}", self.boot_policy, self.image_policy,
                  self.config, "warm" if self.warm else "cold",
                  self.workload, f"seed={self.seed}"]
-        if self.faults:
-            parts.append("faults=" + "+".join(self.faults))
         if self.cluster:
             parts.append(f"cluster={self.shards}x{self.replicas}")
         return " ".join(parts)
@@ -149,7 +130,6 @@ class FleetScenario:
             "config": self.config,
             "warm": self.warm,
             "workload": self.workload,
-            "faults": list(self.faults),
             "seed": self.seed,
         }
         if self.cluster:

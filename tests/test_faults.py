@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster.manager import LocalCluster
 from repro.core.config import vm_soft
 from repro.core.vm import CoDesignedVM
 from repro.faults import (
@@ -116,16 +117,46 @@ def test_run_faulted_rejects_an_unknown_mode(fib_baseline):
         run_faulted(fib_baseline, [], seed=0, mode="lan")
 
 
+def test_a_failed_wire_setup_is_an_outcome(fib_baseline, tmp_path,
+                                           monkeypatch):
+    """A cluster that cannot start fails the run with its flight
+    recording; nothing escapes the harness."""
+    def refuse(self):
+        raise OSError("no port to bind")
+
+    monkeypatch.setattr(LocalCluster, "start", refuse)
+    outcome = run_faulted(fib_baseline, ["conn-refused"], seed=0,
+                          workdir=tmp_path, mode="remote")
+    assert not outcome.ok
+    assert outcome.problems[0].startswith(
+        "run did not complete: OSError: no port to bind")
+    assert outcome.flight_recording is not None
+    assert "remote" not in outcome.stats
+
+
 # -- chaos invariant: every fault, every mode --------------------------------
 
-@pytest.mark.parametrize("fault_name", all_fault_names())
-def test_every_fault_class_is_survivable(fib_baseline, fault_name,
-                                         tmp_path):
-    """Forced-rate injection of each fault leaves results unchanged."""
-    for mode in modes_for([fault_name]):
-        outcome = run_faulted(fib_baseline, [fault_name], seed=11,
-                              workdir=tmp_path, mode=mode, rate=1.0)
-        assert outcome.ok, outcome.format()
+#: (faults, seed, mode, fault overrides): each fault alone at full rate
+#: on its surface, then two cocktails at their table rates through one
+#: cache server -- network faults on its socket path, and a rotten
+#: manifest on its store
+SURVIVABLE = [
+    *(pytest.param([name], 11, modes_for([name])[0], {"rate": 1.0},
+                   id=name) for name in all_fault_names()),
+    pytest.param(["conn-refused", "torn-frame"], 3, "remote", {},
+                 id="remote-conn-refused+torn-frame"),
+    pytest.param(["corrupt-manifest"], 1, "remote", {},
+                 id="remote-corrupt-manifest"),
+]
+
+
+@pytest.mark.parametrize("faults,seed,mode,overrides", SURVIVABLE)
+def test_every_fault_class_is_survivable(fib_baseline, faults, seed,
+                                         mode, overrides, tmp_path):
+    """Injecting a fault set leaves results unchanged."""
+    outcome = run_faulted(fib_baseline, faults, seed=seed,
+                          workdir=tmp_path, mode=mode, **overrides)
+    assert outcome.ok, outcome.format()
 
 
 def test_all_fault_classes_together(fib_baseline, tmp_path):

@@ -96,24 +96,15 @@ class TestGrid:
             FleetScenario(image_policy="several")
         with pytest.raises(ValueError, match="fleet size"):
             FleetScenario(n=0)
-        with pytest.raises(ValueError, match="pool"):
-            FleetScenario(pool="fork")
-
-    def test_faults_serialize_the_pool(self):
-        assert FleetScenario(n=8, workers=8).effective_workers == 8
-        assert FleetScenario(n=4, workers=8).effective_workers == 4
-        assert FleetScenario(n=8, workers=8,
-                             faults=("torn-frame",)) \
-            .effective_workers == 1
 
     def test_canonical_dict_is_axes_only(self):
-        doc = FleetScenario(workers=3, timeout=1.0).to_dict()
+        doc = FleetScenario(workers=3, hot_threshold=5).to_dict()
         # non-cluster (1x1) scenarios keep their exact pre-cluster
         # keys so existing reports stay byte-identical
         assert sorted(doc) == sorted(
             axis for axis in AXIS_ORDER
             if axis not in ("shards", "replicas"))
-        assert "workers" not in doc and "timeout" not in doc
+        assert "workers" not in doc and "hot_threshold" not in doc
         clustered = FleetScenario(shards=2, replicas=2).to_dict()
         assert sorted(clustered) == sorted(AXIS_ORDER)
 
@@ -226,25 +217,6 @@ class TestFleetEngine:
             second = serialize_report(
                 build_report([FleetEngine().run(scenario)]))
             assert first == second
-
-    def test_network_fault_cocktail_keeps_architected_state(self):
-        result = boot(n=2, faults=("conn-refused", "torn-frame"),
-                      seed=3)
-        assert result.arch_ok
-        assert result.scenario.effective_workers == 1
-        report = build_report([result])
-        assert validate_report(report) == []
-
-    def test_disk_fault_on_warm_store_degrades_to_cold(self):
-        result = boot(n=2, warm=True, faults=("corrupt-manifest",),
-                      seed=1)
-        assert result.arch_ok
-
-    def test_process_pool_matches_thread_pool(self, shared_fleets):
-        threaded = shared_fleets["all_at_once"]
-        spawned = boot(pool="process")
-        assert serialize_report(build_report([spawned])) == \
-            serialize_report(build_report([threaded]))
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError, match="unknown workload"):

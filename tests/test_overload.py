@@ -16,6 +16,7 @@ from repro.cacheserver import CacheServer, protocol
 from repro.cluster import ClusterRepository, LocalCluster
 from repro.core.config import vm_soft
 from repro.core.vm import CoDesignedVM
+from repro.faults.harness import prepare_baseline, run_faulted
 from repro.faults.injector import FaultInjector
 from repro.faults.plane import injecting
 from repro.fleet import FleetEngine, FleetScenario
@@ -383,25 +384,41 @@ def _fingerprints(vm):
 
 class TestThunderingHerd:
     def test_cold_herd_through_undersized_server(self, tmp_path):
-        """16 cold boots, all at once, through one undersized server
-        with a slow-server cocktail: amplification stays within the 2x
-        budget, nothing is accepted past its deadline, and every
-        instance byte-matches the fault-free architected baseline."""
+        """16 cold boots, all at once on 8 threads, through one server
+        that admits two store ops at a time: amplification stays within
+        the 2x budget, nothing is accepted past its deadline, and every
+        instance byte-matches the local baseline."""
         scenario = FleetScenario(
             n=16, boot_policy="all_at_once", image_policy="one",
             config="soft", warm=False, workload="fibonacci", seed=0,
-            faults=("slow-server",), max_queue_depth=2,
-            hot_threshold=20)
+            workers=8, max_queue_depth=2, hot_threshold=20)
         result = FleetEngine(workdir=tmp_path).run(scenario)
 
         assert result.arch_ok, \
             [p for i in result.instances for p in i.problems]
-        requests = sum(i.remote.get("requests", 0)
-                       for i in result.instances)
-        retries = sum(i.remote.get("retries", 0)
-                      for i in result.instances)
-        late = sum(i.remote.get("late_responses", 0)
-                   for i in result.instances)
+        requests, retries, late = (
+            sum(i.remote.get(counter, 0) for i in result.instances)
+            for counter in ("requests", "retries", "late_responses"))
+        assert requests > 0
+        amplification = (requests + retries) / requests
+        assert amplification <= 2.0, \
+            f"retry amplification {amplification:.2f} over bound"
+        assert late == 0, f"{late} response(s) accepted past deadline"
+
+    def test_slow_server_keeps_amplification_bounded(self, tmp_path):
+        """``slow-server`` on one server's socket path, at 16 seeds:
+        summed amplification stays within the 2x budget, nothing is
+        accepted past its deadline, every run matches the baseline."""
+        baseline = prepare_baseline("fibonacci", PROGRAMS["fibonacci"],
+                                    str(tmp_path), hot_threshold=20)
+        outcomes = [run_faulted(baseline, ["slow-server"], seed,
+                                workdir=str(tmp_path), mode="remote")
+                    for seed in range(16)]
+        assert all(o.ok for o in outcomes), \
+            [o.format() for o in outcomes if not o.ok]
+        requests, retries, late = (
+            sum(o.stats["remote"][counter] for o in outcomes)
+            for counter in ("requests", "retries", "late_responses"))
         assert requests > 0
         amplification = (requests + retries) / requests
         assert amplification <= 2.0, \

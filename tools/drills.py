@@ -814,7 +814,10 @@ def trace_overhead_drill(workdir) -> List[str]:
     (the native machine replays pre-decoded runs), short enough for a
     busy host to double it: a sample is several runs, and since the two
     samples of a round share the host's mood, the gate reads the median
-    of the per-round quotients, not a quotient of medians.
+    of the per-round quotients, not a quotient of medians.  Rounds
+    alternate which side runs first, so neither always meets the
+    warmer host, and the quotients' interquartile range is printed as
+    the noise band the median sits in.
     """
     loop = prepare_baseline("hot_loop", HOT_LOOP, str(workdir),
                             hot_threshold=50)
@@ -828,16 +831,22 @@ def trace_overhead_drill(workdir) -> List[str]:
             elapsed += time.perf_counter() - started
         return elapsed
 
+    def timed_round(order) -> tuple:
+        seconds = {trace: sample(trace) for trace in order}
+        return seconds[False], seconds[True]
+
     sample(False), sample(True)         # warm caches / allocator
-    rounds = [(sample(False), sample(True))
-              for _ in range(TIMING_ROUNDS)]
-    ratio = statistics.median(untraced / traced
-                              for untraced, traced in rounds)
+    rounds = [timed_round((False, True) if index % 2 else (True, False))
+              for index in range(TIMING_ROUNDS)]
+    quotients = [untraced / traced for untraced, traced in rounds]
+    ratio = statistics.median(quotients)
+    low, _, high = statistics.quantiles(quotients, n=4)
     untraced, traced = (statistics.median(column) * 1e3
                         for column in zip(*rounds))
     print(f"hot loop: untraced {untraced:.1f} ms, traced {traced:.1f} "
-          f"ms (untraced/traced = {ratio:.3f} over {TIMING_ROUNDS} "
-          f"rounds, allowed <= {OVERHEAD_ALLOWANCE})")
+          f"ms (untraced/traced = {ratio:.3f}, IQR {low:.3f}-{high:.3f}, "
+          f"over {TIMING_ROUNDS} rounds alternating which runs first, "
+          f"allowed <= {OVERHEAD_ALLOWANCE})")
     return [f"untraced/traced = {ratio:.3f} > {OVERHEAD_ALLOWANCE}"] \
         if ratio > OVERHEAD_ALLOWANCE else []
 
