@@ -704,29 +704,16 @@ class CacheServer:
         config_name = request.get("config_name")
         if not isinstance(config_name, str):
             config_name = ""
-        if request.get("repair"):
-            # anti-entropy heal: a pushed key whose on-disk object
-            # exists but is not the (validated) text pushed must be
-            # rewritten — the normal save would skip it as a dedup
-            for record in valid:
-                key = record["key"]
-                path = self.repository._object_path(key)
-                try:
-                    damaged = path.exists() and \
-                        self.repository._read_stored(key) != record.text
-                except OSError:
-                    damaged = False
-                if damaged:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
         with self._push_lock:
             failures_before = self.repository.lease_failures
+            # an anti-entropy heal also rewrites a pushed record whose
+            # stored copy is not the (validated) text pushed: the plain
+            # save would skip it as a dedup
             written = self.repository.save(
                 valid, *pair, config_name=config_name,
                 lease_timeout=self.lease_timeout,
-                merge=bool(request.get("merge")))
+                merge=bool(request.get("merge")),
+                repair=bool(request.get("repair")))
             lease_failed = \
                 self.repository.lease_failures > failures_before
         if lease_failed:

@@ -68,21 +68,27 @@ class Fault:
 
 # -- repository disk faults --------------------------------------------------
 
-def _files(root: Path, subdir: str) -> List[Path]:
-    directory = root / subdir
+def _manifests(root: Path) -> List[Path]:
+    directory = root / "manifests"
     if not directory.is_dir():
         return []
     return sorted(directory.glob("*.json"))
 
 
-def _each_file(subdir: str, damage: Callable, coin: bool = True):
-    """A mangle offering ``damage(rng, root, path)`` every
-    ``<subdir>/*.json`` file in name order until ``max_injections`` of
-    them took it; each file first draws a coin against ``rate`` unless
-    ``coin`` is off."""
+def _packs(root: Path) -> List[Path]:
+    from repro.persist.repository import TranslationRepository
+    repo = TranslationRepository(root)
+    return [repo.packs_dir / name for name in repo.pack_names()]
+
+
+def _each_file(files: Callable, damage: Callable, coin: bool = True):
+    """A mangle offering ``damage(rng, root, path)`` every file of
+    ``files(root)`` in name order until ``max_injections`` of them took
+    it; each file first draws a coin against ``rate`` unless ``coin``
+    is off."""
     def mangle(fault: Fault, rng, root: Path) -> int:
         applied = 0
-        for path in _files(root, subdir):
+        for path in files(root):
             if applied >= fault.max_injections:
                 break
             if coin and rng.random() >= fault.rate:
@@ -127,32 +133,36 @@ def _read_json(path: Path):
         return None
 
 
-def _make_stale(rng, root: Path, path: Path) -> bool:
-    record = _read_json(path)
-    if not isinstance(record, dict):
-        return False
-    source = record.get("source")
-    if not source or not source[0][1]:
-        return False
-    first = source[0][1]
-    record["source"][0][1] = format(int(first[:2], 16) ^ 0xFF, "02x") \
-        + first[2:]
-    # keep the content key consistent: this models a *stale* record
-    # (valid on disk, wrong source), not a corrupt one
+def _make_stale(fault: Fault, rng, root: Path) -> int:
+    """Point each manifest at a stale copy of one of its records (valid
+    on disk, wrong source), saved through the repository's own writer:
+    the copy keeps a consistent content key, so this models a *stale*
+    record, not a corrupt one."""
     from repro.persist.format import encode_record
-    record = encode_record(record)
-    path.unlink()
-    path.with_name(record["key"] + ".json").write_text(record.text)
-    for manifest_path in _files(root, "manifests"):
-        manifest = _read_json(manifest_path)
-        if manifest is None:
+    from repro.persist.repository import TranslationRepository
+    repo = TranslationRepository(root)
+    applied = 0
+    for path in _manifests(root):
+        manifest = _read_json(path)
+        if not isinstance(manifest, dict):
             continue
-        entries = manifest.get("entries", [])
-        if path.stem in entries:
-            manifest["entries"] = [record["key"] if key == path.stem
-                                   else key for key in entries]
-            manifest_path.write_text(json.dumps(manifest, indent=1))
-    return True
+        pair = (manifest.get("config_fingerprint"),
+                manifest.get("image_fingerprint"))
+        records = repo.load(*pair)
+        if not records:
+            continue
+        index = rng.randrange(len(records))
+        fields = json.loads(records[index].text)
+        try:
+            first = fields["source"][0][1]
+            fields["source"][0][1] = \
+                format(int(first[:2], 16) ^ 0xFF, "02x") + first[2:]
+        except (LookupError, TypeError, ValueError):
+            continue
+        records[index] = encode_record(fields)
+        applied += bool(repo.save(
+            records, *pair, config_name=manifest.get("config_name", "")))
+    return applied
 
 
 def _split(rng, root: Path, path: Path) -> bool:
@@ -209,7 +219,7 @@ def _translator_crash(fault: Fault, rng, site: str, context: Dict):
 def _corrupt_cache(fault: Fault, rng, site: str, context: Dict):
     """Flip one bit of an installed translation's immutable body: a
     byte outside the runtime-patchable linkage words, which are
-    VMM-owned and excluded from the integrity checksum (see
+    VMM-owned and excluded from the integrity check (see
     ``Translation.integrity_mask``)."""
     directory = context.get("directory")
     if directory is None:
@@ -282,14 +292,13 @@ def _sticky(strike: Callable, *keys: str):
 
 FAULTS: Dict[str, Fault] = {fault.name: fault for fault in (
     Fault("corrupt-object", "warm",
-          mangle=_each_file("objects", _flip_byte)),
+          mangle=_each_file(_packs, _flip_byte)),
     Fault("truncate-object", "warm",
-          mangle=_each_file("objects", _truncate)),
+          mangle=_each_file(_packs, _truncate)),
     Fault("torn-meta", "warm", rate=1.0, mangle=_tear_meta),
     Fault("corrupt-manifest", "warm", rate=0.5,
-          mangle=_each_file("manifests", _flip_byte)),
-    Fault("stale-record", "warm", rate=0.5,
-          mangle=_each_file("objects", _make_stale)),
+          mangle=_each_file(_manifests, _flip_byte)),
+    Fault("stale-record", "warm", mangle=_make_stale),
     Fault("io-error", "warm", ("repo.read", "repo.write", "repo.fsync"),
           rate=0.3, fire=_io_error),
     Fault("bbt-fault", "cold", ("translate.bbt",), rate=0.3,
@@ -316,7 +325,7 @@ FAULTS: Dict[str, Fault] = {fault.name: fault for fault in (
     Fault("stale-replica", "cluster", ("cluster.pull",), rate=0.4,
           fire=_stimulus),
     Fault("split-manifest", "cluster", rate=1.0,
-          mangle=_each_file("manifests", _split, coin=False)),
+          mangle=_each_file(_manifests, _split, coin=False)),
     Fault("server-overloaded", "remote", ("overload.shed",), rate=0.4,
           fire=_stimulus),
     Fault("expired-deadline", "remote", ("overload.deadline",), rate=0.3,

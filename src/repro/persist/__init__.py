@@ -14,7 +14,7 @@ Pieces:
   config/image fingerprints;
 * :mod:`repro.persist.capture` — snapshot a live translation directory;
 * :mod:`repro.persist.repository` — the on-disk store (manifests,
-  content-addressed objects, LRU eviction);
+  content-addressed records in packs, LRU eviction);
 * :mod:`repro.persist.loader` — boot-time re-materialization with
   source re-fingerprinting and verifier screening;
 * :mod:`repro.persist.fsck` — consistency check and repair of the

@@ -53,7 +53,7 @@ from repro.translator.emit import prologue_code
 from repro.translator.templates import fetch, shape_at
 
 #: Bump on any incompatible change to the record layout.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Every member of a record, ``key`` among them.
 _FIELDS = frozenset(("code", "entry", "exits", "format", "fused_pairs",

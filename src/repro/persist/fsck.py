@@ -1,26 +1,36 @@
 """``repro cache fsck`` — repository consistency check and repair.
 
 The repository is designed so that readers survive arbitrary damage
-(corrupt files read as absent, a lost index is rebuilt), but damage
-left in place costs every boot: corrupt objects are re-read and
-re-rejected, manifests reference records that no longer load, stray
-journal files accumulate.  fsck walks the whole store once and settles
-it:
+(corrupt records read as absent, a lost index is rebuilt from the
+packs), but damage left in place costs every boot: corrupt records are
+re-read and re-rejected, manifests reference records that no longer
+load, stray journal files accumulate.  fsck walks the whole store once
+and settles it:
 
 =====================  ===========================================
 finding                repair
 =====================  ===========================================
 stray ``*.tmp`` file   deleted (incomplete journaled write)
-corrupt/invalid meta   rebuilt from the objects directory
-corrupt object         moved to ``<root>/quarantine/`` (kept for
-                       post-mortem, never loaded again)
-object not in index    indexed (crash between object and meta write)
-index entry w/o file   dropped from the index
+corrupt/invalid meta,  rebuilt from the packs
+or one naming other
+packs (a crash between
+a pack and the index)
+corrupt record in a    its bytes copied to ``<root>/quarantine/``
+pack                   (kept for post-mortem, never loaded again),
+                       its pack rewritten without it
+record file of an      moved to ``<root>/quarantine/`` (a store of
+older layout           format 1-3 held one record per file)
+record not in index    indexed (a second copy of an indexed key:
+                       dropped with its pack's rewrite)
+index entry that       dropped from the index
+locates no valid
+record
 corrupt manifest       deleted (that (config, image) pair boots cold)
 manifest ref to a      reference stripped (the rest of the manifest
-missing/bad object     still warm-starts)
+missing/bad record     still warm-starts)
 =====================  ===========================================
 
+After a repairing pass every pack holds exactly the indexed records.
 ``fsck(repair=False)`` only reports; ``repair=True`` applies the right
 column.  After a repairing pass a second fsck is clean — the ``fsck``
 drill (``tools/drills.py``) asserts exactly that for every disk fault
@@ -31,7 +41,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.persist.format import (
     FORMAT_VERSION,
@@ -39,6 +49,7 @@ from repro.persist.format import (
     parse_record,
     validate_record,
 )
+from repro.persist.repository import decoded, pack_lines
 
 
 @dataclass
@@ -98,22 +109,11 @@ class FsckReport:
         return "\n".join(lines)
 
 
-def _meta_is_valid(repo) -> bool:
-    try:
-        # reprolint: disable=FLT001 - fsck IS the repair path and runs
-        # with injection disarmed; faulting it would break self-healing
-        with open(repo.meta_path) as handle:
-            meta = json.load(handle)
-    except FileNotFoundError:
-        # acceptable only when there is nothing to index
-        return not any(repo.objects_dir.glob("*.json")) \
-            if repo.objects_dir.is_dir() else True
-    except (OSError, ValueError):
-        return False
-    return (isinstance(meta, dict)
-            and meta.get("format") == FORMAT_VERSION
-            and isinstance(meta.get("objects"), dict)
-            and isinstance(meta.get("clock"), int))
+def _quarantine(repo, report: FsckReport, name: str, data: bytes) -> None:
+    """Keep a bad record's bytes for post-mortem, never loaded again."""
+    repo.quarantine_dir.mkdir(parents=True, exist_ok=True)
+    (repo.quarantine_dir / name).write_bytes(data)
+    report.quarantined_objects += 1
 
 
 def fsck_repository(repo, repair: bool = False) -> FsckReport:
@@ -125,7 +125,7 @@ def fsck_repository(repo, repair: bool = False) -> FsckReport:
         return report
 
     # 1. stray journal files from interrupted writes
-    for directory in (repo.root, repo.objects_dir, repo.manifests_dir):
+    for directory in (repo.root, repo.packs_dir, repo.manifests_dir):
         if not directory.is_dir():
             continue
         for tmp in sorted(directory.glob("*.tmp")):
@@ -137,60 +137,76 @@ def fsck_repository(repo, repair: bool = False) -> FsckReport:
                 except OSError:
                     pass
 
-    # 2. objects: every file must parse, validate, and match its name
-    good_objects: Dict[str, Dict] = {}
-    if repo.objects_dir.is_dir():
-        for path in sorted(repo.objects_dir.glob("*.json")):
+    # 2. records: every line of every pack must parse and validate; a
+    # file of an older layout is a record this store cannot use
+    for path in repo.legacy_files():
+        report.objects_checked += 1
+        report.corrupt_objects += 1
+        report.details.append(f"object {path.parent.name}/{path.name}: "
+                              f"a record file of an older layout")
+        if repair:
+            _quarantine(repo, report, path.name, path.read_bytes())
+            path.unlink()
+    #: (pack, offset, size) -> the valid record stored there
+    good: Dict[Tuple[str, int, int], Dict] = {}
+    damaged_packs = set()
+    for name in repo.pack_names():
+        data = repo.read_pack(name)
+        if data is None:
+            damaged_packs.add(name)
+            report.details.append(f"pack {name}: unreadable")
+        for offset, raw in pack_lines(data or b""):
             report.objects_checked += 1
-            problem = None
+            record = parse_record(decoded(raw))
             try:
-                record = parse_record(path.read_text())
                 validate_record(record)
-                if record["key"] != path.stem:
-                    problem = "stored under the wrong key"
-            except (OSError, ValueError) as error:
-                problem = f"unreadable: {error}"
             except PersistFormatError as error:
-                problem = f"invalid: {error}"
-            if problem is None:
-                good_objects[path.stem] = record
+                report.corrupt_objects += 1
+                report.details.append(
+                    f"object at {name}:{offset}: invalid: {error}")
+                damaged_packs.add(name)
+                if repair:
+                    _quarantine(repo, report, f"{name}.{offset}", raw)
                 continue
-            report.corrupt_objects += 1
-            report.details.append(f"object {path.name}: {problem}")
-            if repair:
-                repo.quarantine_dir.mkdir(parents=True, exist_ok=True)
-                try:
-                    path.rename(repo.quarantine_dir / path.name)
-                    report.quarantined_objects += 1
-                except OSError:
-                    pass
+            good[(name, offset, len(raw))] = record
 
-    # 3. index <-> objects reconciliation
-    meta_valid = _meta_is_valid(repo)
-    if not meta_valid:
-        report.meta_corrupt = True
-        report.details.append("meta.json missing, torn, or invalid")
-    meta = repo._load_meta()    # rebuilds from objects when damaged
-    indexed = set(meta.get("objects", {}))
-    for key in sorted(indexed - set(good_objects)):
+    # 3. index <-> records reconciliation
+    meta, report.meta_corrupt = repo._open_meta()
+    if report.meta_corrupt:
+        report.details.append("meta.json missing, torn, invalid or "
+                              "naming other packs: rebuilt from them")
+    objects = meta["objects"]
+    #: key -> where the valid copy the index keeps lies
+    where = {}
+    for key, entry in sorted(objects.items()):
+        spot = (entry["pack"], entry["offset"], entry["size"])
+        if spot in good and good[spot]["key"] == key:
+            where[key] = spot
+            continue
         report.dangling_index_entries += 1
-        report.details.append(f"index entry {key[:16]}... has no "
-                              f"(valid) object file")
+        report.details.append(f"index entry {key[:16]}... locates no "
+                              f"valid record")
         if repair:
-            del meta["objects"][key]
-    for key in sorted(set(good_objects) - indexed):
+            del objects[key]
+    for spot, record in sorted(good.items()):
+        key = record["key"]
+        if where.get(key) == spot:
+            continue
         report.unindexed_objects += 1
-        report.details.append(f"object {key[:16]}... missing from index")
-        if repair:
-            path = repo._object_path(key)
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue
-            meta["objects"][key] = {
-                "last_used": 0, "size": size,
-                "kind": good_objects[key]["kind"],
-                "entry": good_objects[key]["entry"]}
+        report.details.append(f"object {key[:16]}... at {spot[0]}:"
+                              f"{spot[1]} missing from index")
+        if key in where:
+            # a second copy goes with its pack's rewrite
+            damaged_packs.add(spot[0])
+        elif repair:
+            where[key] = spot
+            objects[key] = {"last_used": 0, "size": spot[2],
+                            "kind": record["kind"],
+                            "entry": record["entry"],
+                            "pack": spot[0], "offset": spot[1]}
+    valid = {record["key"] for record in good.values()}
+    if repair:
+        valid -= repo._repack(meta, damaged_packs)
 
     # 4. manifests: structure, fingerprints-vs-filename, references
     if repo.manifests_dir.is_dir():
@@ -203,10 +219,12 @@ def fsck_repository(repo, repair: bool = False) -> FsckReport:
             except (OSError, ValueError) as error:
                 problem = f"unreadable: {error}"
             if problem is None:
-                if (not isinstance(manifest, dict)
-                        or manifest.get("format") != FORMAT_VERSION
-                        or not isinstance(manifest.get("entries"), list)):
-                    problem = "invalid structure or format version"
+                if not isinstance(manifest, dict) or \
+                        not isinstance(manifest.get("entries"), list):
+                    problem = "invalid structure"
+                elif manifest.get("format") != FORMAT_VERSION:
+                    problem = (f"format version {manifest.get('format')!r} "
+                               f"!= {FORMAT_VERSION}")
                 else:
                     expected = repo._manifest_name(
                         manifest.get("config_fingerprint", ""),
@@ -223,17 +241,17 @@ def fsck_repository(repo, repair: bool = False) -> FsckReport:
                         pass
                 continue
             entries = manifest["entries"]
-            kept = [key for key in entries if key in good_objects]
+            kept = [key for key in entries if key in valid]
             dangling = len(entries) - len(kept)
             if dangling:
                 report.dangling_manifest_refs += dangling
                 report.details.append(
                     f"manifest {path.name}: {dangling} reference(s) "
-                    f"to missing/corrupt objects")
+                    f"to missing/corrupt records")
                 if repair:
                     if kept:
                         manifest["entries"] = kept
-                        repo._write_json(path, manifest, indent=1)
+                        repo._write(path, manifest, indent=1)
                     else:
                         try:
                             path.unlink()

@@ -16,7 +16,6 @@ lookup entries and profiling state.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -75,8 +74,6 @@ class Translation:
     #: in stream order: what persists, and what the verifier screens
     code: bytes = b""
     origins: Optional[List[List]] = None
-    #: masked digest of the installed bytes (integrity checking)
-    install_checksum: Optional[str] = None
 
     @property
     def uops(self) -> List[MicroOp]:
@@ -98,7 +95,7 @@ class Translation:
         Chaining overwrites the first micro-op of each exit stub, and a
         superseding SBT copy overwrites the first word at the entry
         (the BBT->SBT redirect).  Those words are VMM-owned and legally
-        mutate after install, so the integrity checksum masks them; the
+        mutate after install, so the integrity check masks them; the
         rest of the translation is immutable and fully covered.
         """
         offsets = [0]
@@ -122,15 +119,6 @@ def extend_origins(origins: List[List], x86_addr: Optional[int],
         origins[-1][1] += count
     elif count:
         origins.append([x86_addr, count])
-
-
-def masked_digest(data: bytes, mask_offsets: Iterable[int]) -> str:
-    """Digest of ``data`` with each masked word (4 bytes) zeroed."""
-    buf = bytearray(data)
-    for offset in mask_offsets:
-        for index in range(max(offset, 0), min(offset + 4, len(buf))):
-            buf[index] = 0
-    return hashlib.sha256(bytes(buf)).hexdigest()
 
 
 class CodeCache:
@@ -175,8 +163,6 @@ class CodeCache:
         self._next += len(data)
         translation.native_len = len(data)
         translation.code = data
-        translation.install_checksum = masked_digest(
-            data, translation.integrity_mask())
         self.translations.append(translation)
         self.bytes_installed_total += len(data)
         return addr
@@ -381,20 +367,22 @@ class TranslationDirectory:
     # -- integrity ---------------------------------------------------------
 
     def verify_integrity(self, translation: Translation) -> bool:
-        """Whether the installed bytes still match the install checksum.
+        """Whether the installed bytes still are ``translation.code``,
+        the bytes :meth:`install` wrote.
 
         The runtime-patchable linkage words (chain/redirect sites) are
         masked out, so legal chaining and redirection never trip this;
         any other byte differing from what :meth:`install` wrote means
         the cache copy is corrupt and must not be executed.
         """
-        if translation.install_checksum is None or \
-                translation.native_len == 0:
+        if translation.native_len == 0:
             return True
-        data = self.memory.read(translation.native_addr,
-                                translation.native_len)
-        return masked_digest(data, translation.integrity_mask()) == \
-            translation.install_checksum
+        code = translation.code
+        data = bytearray(self.memory.read(translation.native_addr,
+                                          translation.native_len))
+        for offset in translation.integrity_mask():
+            data[offset:offset + 4] = code[offset:offset + 4]
+        return data == code
 
     def evict(self, translation: Translation) -> None:
         """Unlink one translation (detected corruption) without a flush.

@@ -26,6 +26,7 @@ from repro.persist import (
     image_fingerprint,
 )
 from repro.persist.remote import pulled_records
+from tests.stored import stored_texts
 
 LOOP = """
 start:
@@ -208,8 +209,8 @@ class TestServerOps:
         assert len(pulled["entries"]) == len(records)
         assert sorted(pulled_records(pulled), key=lambda r: r["key"]) == \
             sorted(records, key=lambda r: r["key"])
-        stored = server.repository._object_path(pulled["entries"][0])
-        assert pulled["objects"][0] == stored.read_text()
+        stored = stored_texts(server.repository.root)
+        assert pulled["objects"][0] == stored[pulled["entries"][0]]
 
     def test_wire_snapshot_ships_every_counter_from_birth(self, tmp_path):
         fresh = CacheServer(tmp_path / "fresh")

@@ -37,6 +37,7 @@ from repro.persist import (
     config_fingerprint,
     image_fingerprint,
 )
+from tests.stored import stored_texts
 
 LOOP = """
 start:
@@ -449,19 +450,19 @@ class TestClusterFaultInjection:
 
 @contextlib.contextmanager
 def journaled_writes():
-    """Every ``_write_json`` made inside the block, on any thread, as
+    """Every journaled write made inside the block, on any thread, as
     ``(store root, file name)``."""
-    real_write, writes = TranslationRepository._write_json, []
+    real_write, writes = TranslationRepository._write, []
 
     def recording_write(self, path, payload, indent=None):
         writes.append((self.root, path.name))
         return real_write(self, path, payload, indent=indent)
 
-    TranslationRepository._write_json = recording_write
+    TranslationRepository._write = recording_write
     try:
         yield writes
     finally:
-        TranslationRepository._write_json = real_write
+        TranslationRepository._write = real_write
 
 
 class TestNoChangeNoWrite:
@@ -479,10 +480,16 @@ class TestNoChangeNoWrite:
             client = fast_client(grid.spec())
             with journaled_writes() as first:
                 client.save(records, config_fp, image_fp)
-            # each object once per replica of its group, and a manifest
-            # and an index on every replica that got any
+            # one pack, one manifest and one index on every replica
+            # that got any record
             touched = {root for root, _name in first}
-            assert len(first) == 2 * len(records) + 2 * len(touched)
+            assert len(first) == 3 * len(touched)
+            assert sorted(name.rpartition(".")[2] for root, name in first
+                          if root == min(touched)) == \
+                ["json", "json", "pack"]
+            # each record once per replica of its group
+            assert sum(len(stored_texts(root)) for root in touched) == \
+                2 * len(records)
             with journaled_writes() as again:
                 client.save(records, config_fp, image_fp)
                 pulled = client.load(config_fp, image_fp)
@@ -490,8 +497,14 @@ class TestNoChangeNoWrite:
             assert len(pulled) == len(records)
             # a push under another manifest makes its records the most
             # recent: the next pull of the first is a change of order,
-            # one index written by the one replica that serves it
-            client.save(records[:1], config_fp, "another-image")
+            # one index written by the one replica that serves it (of
+            # a group that holds other records too)
+            crowded = max(grid.spec().ring().partition(
+                [record["key"] for record in records]).values(), key=len)
+            assert len(crowded) > 1
+            client.save([record for record in records
+                         if record["key"] == crowded[0]],
+                        config_fp, "another-image")
             with journaled_writes() as after:
                 assert len(client.load(config_fp, image_fp)) == \
                     len(records)

@@ -32,13 +32,13 @@ from repro.faults import (
 )
 from repro.isa.x86lite import assemble
 from repro.persist import TranslationRepository
-from repro.translator.code_cache import masked_digest
 from repro.vmm.quarantine import TranslationQuarantine
 from repro.vmm.runtime import (
     DispatchBudgetExhausted,
     VMRuntimeError,
 )
 from repro.workloads.programs import PROGRAMS
+from tests.stored import damage_stored, stored_texts
 
 HOT = 20
 REPO = Path(__file__).resolve().parents[1]
@@ -267,12 +267,25 @@ def test_dispatch_budget_error_carries_context():
 # -- code-cache integrity -----------------------------------------------------
 
 def test_masked_digest_ignores_linkage_words():
-    data = bytes(range(64))
-    patched = bytearray(data)
-    patched[8:12] = b"\xff\xff\xff\xff"        # inside the mask
-    assert masked_digest(data, [8]) == masked_digest(bytes(patched), [8])
-    patched[20] ^= 0xFF                        # outside the mask
-    assert masked_digest(data, [8]) != masked_digest(bytes(patched), [8])
+    """The integrity check compares the installed bytes with the
+    translation's ``code`` with the linkage words masked: a patched
+    linkage word is ignored, any other flipped byte is caught."""
+    vm = _fresh_vm(PROGRAMS["fibonacci"])
+    vm.run(max_instructions=200_000)
+    directory = vm.runtime.directory
+    memory = vm.runtime.memory
+    translation = directory.bbt_cache.translations[0]
+    masked = set()
+    for offset in translation.integrity_mask():
+        masked.update(range(offset, offset + 4))
+    for offset in range(translation.native_len):
+        addr = translation.native_addr + offset
+        byte = memory.read(addr, 1)[0]
+        memory.write(addr, bytes([byte ^ 0xFF]))
+        assert directory.verify_integrity(translation) == \
+            (offset in masked)
+        memory.write(addr, bytes([byte]))
+    assert directory.verify_integrity(translation)
 
 
 def test_integrity_sweep_evicts_corrupted_translation():
@@ -372,13 +385,15 @@ def test_fsck_detects_and_repairs_every_disk_fault(tmp_path, fault_name):
 
 def test_fsck_repair_quarantines_corrupt_objects(tmp_path):
     repo = _populated_repo(tmp_path)
-    victim = sorted(repo.objects_dir.glob("*.json"))[0]
-    victim.write_text("{ not json")
+    keys = sorted(stored_texts(repo.root))
+    damage_stored(repo.root, keys[0], lambda _text: "{ not json")
     report = repo.fsck(repair=True)
     assert report.corrupt_objects == 1
     assert report.quarantined_objects == 1
-    assert (repo.quarantine_dir / victim.name).exists()
-    assert not victim.exists()
+    assert [path.read_text() for path in repo.quarantine_dir.iterdir()] \
+        == ["{ not json"]
+    # the pack was rewritten without it: the survivors stay indexed
+    assert sorted(stored_texts(repo.root)) == keys[1:]
     assert repo.fsck().ok
 
 
@@ -400,7 +415,7 @@ def test_fsck_strips_dangling_manifest_refs(tmp_path):
     manifest_path = sorted(repo.manifests_dir.glob("*.json"))[0]
     manifest = json.loads(manifest_path.read_text())
     victim_key = manifest["entries"][0]
-    (repo.objects_dir / f"{victim_key}.json").unlink()
+    damage_stored(repo.root, victim_key, lambda _text: None)
     repo.fsck(repair=True)
     repaired = json.loads(manifest_path.read_text())
     assert victim_key not in repaired["entries"]

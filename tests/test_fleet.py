@@ -363,10 +363,10 @@ class TestFleetCLI:
 
 def test_a_herd_writes_only_what_changes_its_stores():
     """``tools/callcounts.py herd``, the benchmark's herd at seed 0:
-    46 new objects (the leader's 23 records, on both replicas of their
-    group: a follower captures the same texts, counter-free) and the
-    manifests and indexes they change — the publishes and pulls that
-    change nothing write nothing."""
+    46 new records (the leader's 23, on both replicas of their group: a
+    follower captures the same texts, counter-free) in one pack per
+    replica that got any, and the manifests and indexes they change —
+    the publishes and pulls that change nothing write nothing."""
     repo = Path(__file__).resolve().parent.parent
     before = list(sys.path)
     try:
@@ -375,6 +375,7 @@ def test_a_herd_writes_only_what_changes_its_stores():
     finally:
         sys.path[:] = before
     assert callcounts.herd_counts() == {
-        "journaled writes": 58, "os.fsync": 58, "meta reads": 70,
+        "journaled writes": 16, "os.fsync": 16, "meta reads": 70,
         "lease attempts": 48, "requests dispatched": 72,
-        "connections accepted": 28, "objects written": 46}
+        "connections accepted": 28, "packs written": 4,
+        "records written": 46}

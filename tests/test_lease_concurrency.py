@@ -33,6 +33,7 @@ from repro.persist import (
     config_fingerprint,
     image_fingerprint,
 )
+from tests.stored import stored_texts
 from tests.test_record_format import unsealed
 
 LOOP = """
@@ -194,30 +195,34 @@ class TestLeaseSerialization:
     def test_pull_keeps_a_save_that_lands_while_it_reads(self, tmp_path):
         """The load-vs-save race: a load's LRU touch must not write
         back an index read before a save that completed while it was
-        reading objects — that save's entries would be on disk and never
+        reading packs — that save's entries would be on disk and never
         seen by ``stats`` or ``gc`` again."""
         # stored texts under made-up keys: a store does not judge them
         records = [unsealed({"key": f"key{index}", "kind": "bbt",
-                             "entry": index}) for index in range(10)]
+                             "entry": index}) for index in range(11)]
         repo = TranslationRepository(tmp_path / "repo")
         assert repo.save(records[:5], "cfg", "first") == 5
-        real_read, landed = repo._read_stored, []
+        # now the most recent: the load of "first" has a stamp to make
+        assert repo.save(records[10:], "cfg", "other") == 1
+        real_read, landed = repo.read_pack, []
 
-        def read_while_a_save_lands(key):
+        def read_while_a_save_lands(name):
             if not landed:
                 # another process, or a sibling handler thread
                 landed.append(TranslationRepository(repo.root).save(
-                    records[5:], "cfg", "second"))
-            return real_read(key)
+                    records[5:10], "cfg", "second"))
+            return real_read(name)
 
-        repo._read_stored = read_while_a_save_lands
+        repo.read_pack = read_while_a_save_lands
         assert len(repo.load("cfg", "first")) == 5
         assert landed == [5]
-        assert len(list(repo.objects_dir.glob("*.json"))) == 10
-        assert len(repo._load_meta()["objects"]) == 10
-        assert repo.stats().objects == 10
+        assert len(stored_texts(repo.root)) == 11
+        assert len(repo._load_meta()["objects"]) == 11
+        assert repo.stats().objects == 11
         # and the load's stamp took: its five are the last gc evicts
-        assert repo.gc(0).evicted_objects == 10
+        repo.gc(sum(len(record.text) for record in records[:5]))
+        assert sorted(stored_texts(repo.root)) == \
+            sorted(record["key"] for record in records[:5])
 
     def test_touch_under_a_busy_lease_is_skipped(self, tmp_path):
         repo = populated_repo(tmp_path)

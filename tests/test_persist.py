@@ -5,10 +5,13 @@ every ``TranslationDirectory.install``, so each warm start here is also
 screened by the PR-1 static checks.
 """
 
+import errno
 import json
+import os
 
 import pytest
 
+import repro.persist.repository as repository_module
 from repro.core.config import interp_sbt, vm_be, vm_soft
 from repro.core.vm import CoDesignedVM
 from repro.isa.x86lite import assemble
@@ -18,9 +21,11 @@ from repro.persist import (
     capture_translations,
     config_fingerprint,
     image_fingerprint,
+    parse_record,
     serialize_translation,
 )
 from repro.workloads.programs import PROGRAMS
+from tests.stored import damage_stored, stored_texts
 
 LOOP = """
 start:
@@ -183,14 +188,17 @@ class TestInvalidation:
     def test_corrupt_object_never_installs(self, tmp_path):
         repo = TranslationRepository(tmp_path / "cache")
         cold_save(repo)
-        # tamper every stored object: flip one bit of the encoded code
-        tampered = 0
-        for path in (tmp_path / "cache" / "objects").glob("*.json"):
-            record = json.loads(path.read_text())
+        # tamper every stored record: flip one bit of the encoded code
+        def flip(text):
+            record = json.loads(text)
             code = bytearray.fromhex(record["code"])
             code[-1] ^= 1   # an immediate bit of the last exit stub
             record["code"] = code.hex()
-            path.write_text(json.dumps(record))
+            return json.dumps(record)
+
+        tampered = 0
+        for key in stored_texts(repo.root):
+            damage_stored(repo.root, key, flip)
             tampered += 1
         assert tampered > 0
         warm_vm, load = warm_boot(repo)
@@ -206,8 +214,8 @@ class TestInvalidation:
     def test_truncated_object_counts_missing(self, tmp_path):
         repo = TranslationRepository(tmp_path / "cache")
         cold_save(repo)
-        victim = next((tmp_path / "cache" / "objects").glob("*.json"))
-        victim.write_text("{not json")
+        victim = min(stored_texts(repo.root))
+        damage_stored(repo.root, victim, lambda _text: "{not json")
         _warm_vm, load = warm_boot(repo)
         assert load.missing_objects == 1
         assert load.loaded == load.attempted
@@ -256,22 +264,19 @@ class TestRepositoryStore:
     def test_gc_lru_evicts_oldest_first(self, tmp_path):
         repo = TranslationRepository(tmp_path / "cache")
         cold_save(repo, source=LOOP)
-        first_keys = {p.stem for p
-                      in (tmp_path / "cache" / "objects").glob("*.json")}
+        first_keys = set(stored_texts(repo.root))
         # second program saved later: its objects are more recent
         cold_save(repo, source=PROGRAMS["checksum"])
-        all_keys = {p.stem for p
-                    in (tmp_path / "cache" / "objects").glob("*.json")}
-        second_keys = all_keys - first_keys
+        texts = stored_texts(repo.root)
+        second_keys = set(texts) - first_keys
         assert second_keys
-        second_bytes = sum(
-            (tmp_path / "cache" / "objects" / f"{k}.json").stat().st_size
-            for k in second_keys)
+        second_bytes = sum(len(texts[key].encode()) for key in second_keys)
         report = repo.gc(second_bytes)
         assert report.evicted_objects == len(first_keys)
-        survivors = {p.stem for p
-                     in (tmp_path / "cache" / "objects").glob("*.json")}
-        assert survivors == second_keys
+        assert set(stored_texts(repo.root)) == second_keys
+        # the packs hold exactly the survivors: a rebuilt index agrees
+        repo.meta_path.unlink()
+        assert set(repo._load_meta()["objects"]) == second_keys
 
     def test_gc_strips_manifest_references(self, tmp_path):
         repo = TranslationRepository(tmp_path / "cache")
@@ -290,10 +295,71 @@ class TestRepositoryStore:
         image_fp = image_fingerprint(vm._image)
         records = repo.load(config_fp, image_fp)
         assert records
-        keep_bytes = sum(
-            repo._object_path(r["key"]).stat().st_size for r in records)
+        keep_bytes = sum(len(record.text.encode()) for record in records)
         repo.gc(keep_bytes)
         assert repo.load(config_fp, image_fp)
+
+
+def made_up(count, name="k"):
+    """Stored texts under made-up keys: a store does not judge them."""
+    return [parse_record(json.dumps({"entry": index, "key": f"{name}{index}",
+                                     "kind": "bbt"}))
+            for index in range(count)]
+
+
+class TestOnePackPerSave:
+    @pytest.mark.parametrize("count", [1, 206])
+    def test_a_save_makes_three_fsyncs(self, tmp_path, monkeypatch, count):
+        """A save of new records writes one pack, one manifest and one
+        index, and syncs each once — however many records it holds."""
+        synced, real_fsync = [], os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: synced.append(fd) or real_fsync(fd))
+        visits, real_point = [], repository_module.fault_point
+        monkeypatch.setattr(
+            repository_module, "fault_point",
+            lambda site, **context: visits.append(
+                (site, context["path"].rpartition("/")[2]))
+            or real_point(site, **context))
+        repo = TranslationRepository(tmp_path / "store")
+        assert repo.save(made_up(count), "cfg", "img") == count
+        assert len(synced) == 3
+        assert [name.rpartition(".")[2] for site, name in visits
+                if site == "repo.fsync"] == ["pack", "json", "json"]
+        assert [name for site, name in visits
+                if site == "repo.fsync"][1:] == ["cfg__img.json",
+                                                 "meta.json"]
+        assert len(list((tmp_path / "store" / "packs").iterdir())) == 1
+        assert len(stored_texts(repo.root)) == count
+
+    def test_a_lost_index_write_is_rebuilt_from_the_packs(
+            self, tmp_path, monkeypatch):
+        """An io-error on the ``meta.json`` write after the pack landed:
+        the next open sees a pack its index does not name, rebuilds the
+        index from the packs, and the pull returns every record."""
+        repo = TranslationRepository(tmp_path / "store")
+        first, second = made_up(3, "a"), made_up(4, "b")
+        assert repo.save(first, "cfg", "first") == 3
+        real_point = repository_module.fault_point
+
+        def failing_meta_write(site, **context):
+            if site == "repo.write" and \
+                    context["path"].endswith("meta.json"):
+                raise OSError(errno.EIO, "injected EIO writing meta")
+            return real_point(site, **context)
+
+        monkeypatch.setattr(repository_module, "fault_point",
+                            failing_meta_write)
+        assert repo.save(second, "cfg", "second") == 4
+        assert repo.io_errors == 1
+        monkeypatch.setattr(repository_module, "fault_point", real_point)
+        fresh = TranslationRepository(repo.root)
+        for name, records in (("second", second), ("first", first)):
+            assert fresh.fetch("cfg", name) == (records, 0)
+        assert fresh.meta_recoveries > 0
+        # and the first load wrote the rebuilt index back
+        meta, rebuilt = TranslationRepository(repo.root)._open_meta()
+        assert not rebuilt and len(meta["objects"]) == 7
 
 
 class TestFlushCounters:

@@ -29,6 +29,7 @@ from repro.persist import (
     capture_translations,
     parse_record,
 )
+from tests.stored import packed_keys
 from tests.strategies import loop_programs
 from tests.test_record_format import unsealed
 
@@ -196,7 +197,7 @@ operations = st.one_of(
               st.booleans()),
     st.tuples(st.just("load"), st.sampled_from(MANIFESTS)),
     st.tuples(st.just("gc"), st.integers(0, sum(SIZES.values()))),
-    st.tuples(st.just("forget")))
+    st.tuples(st.just("forget"), st.integers(0, sum(SIZES.values()))))
 
 
 @settings(max_examples=120, deadline=None)
@@ -209,24 +210,37 @@ def test_store_equals_the_always_stamping_one_and_writes_only_changes(
         for operation, *args in steps:
             before, files = reference.state(), files_of(repo)
             indexed = repo.meta_path.exists()
+            packs = {path: files[path] for path in files
+                     if path.endswith(".pack")}
             if operation == "save":
                 records, name, merge = args
+                dedup_only = all(record["key"] in reference.used
+                                 for record in records)
                 reference.save(records, name, merge)
                 repo.save(records, "cfg", name, merge=merge)
+                if dedup_only:
+                    # a save of stored records writes no pack
+                    assert {path: found for path, found
+                            in files_of(repo).items()
+                            if path.endswith(".pack")} == packs
             elif operation == "load":
                 loaded = [r["key"] for r in repo.load("cfg", *args)]
                 assert loaded == reference.load(*args)
             elif operation == "gc":
                 assert repo.gc(*args).evicted_objects == \
                     reference.gc(*args)
-            elif repo.meta_path.exists():
-                reference.forget()
-                repo.meta_path.unlink()
+            else:
+                # a gc, then a lost index: rebuilt from the packs, which
+                # hold exactly what gc left, so nothing evicted is back
+                assert repo.gc(*args).evicted_objects == \
+                    reference.gc(*args)
+                if repo.meta_path.exists():
+                    reference.forget()
+                    repo.meta_path.unlink()
             ties, manifests = reference.state()
             assert store_ties(repo) == ties
             assert store_manifests(repo) == manifests
-            assert {p.stem for p in repo.objects_dir.glob("*.json")} == \
-                set(reference.used)
+            assert packed_keys(repo.root) == sorted(reference.used)
             if operation != "forget" and not (
                     operation == "load" and args[0] not in manifests):
                 # a lost index is back after the first operation (a

@@ -40,6 +40,7 @@ from repro.persist.remote import pulled_records
 from repro.verify import rule_ids, sanitizer
 from repro.verify.rules import RULES
 from tests.test_persist import LOOP
+from tests.stored import damage_stored, stored_texts
 from tests.test_record_format import forge_manifest
 
 DATA = Path(__file__).parent / "data"
@@ -66,59 +67,59 @@ def payload():
             config_fingerprint(vm.config), image_fingerprint(vm._image))
 
 
-# -- damage, applied to object files on disk ---------------------------------
+# -- damage, applied to stored copies on disk --------------------------------
 
-def tamper(path: Path, _others) -> None:
+def tamper(text: str, _others) -> str:
     """Flip a code bit; the key stays, so the text parses and sits under
     its own name: only recomputing the content key finds it."""
-    record = json.loads(path.read_text())
+    record = json.loads(text)
     code = bytearray.fromhex(record["code"])
     code[-1] ^= 1
     record["code"] = code.hex()
-    path.write_text(json.dumps(record))
+    return json.dumps(record)
 
 
-def truncate(path: Path, _others) -> None:
-    path.write_text(path.read_text()[:40])
+def truncate(text: str, _others) -> str:
+    return text[:40]
 
 
-def scribble(path: Path, _others) -> None:
-    path.write_text("{not json")
+def scribble(_text: str, _others) -> str:
+    return "{not json"
 
 
-def misname(path: Path, others) -> None:
+def misname(text: str, others) -> str:
     """An intact record, stored under another record's name (one of any
     store: a shard may hold a single object)."""
-    path.write_text(next(other for other in others
-                         if other.name != path.name).read_text())
+    return next(other for other in others if other != text)
 
 
 DROPPED_BEFORE_THE_LOADER = {"truncated": truncate, "non-json": scribble,
                              "wrong-name": misname}
 
 
-def by_entry(path: Path):
-    """An object file's place in a pick that the layout cannot move: by
-    its record's entry and kind, not by its key."""
-    record = json.loads(path.read_text())
+def by_entry(text: str):
+    """A stored record's place in a pick that the layout cannot move: by
+    its entry and kind, not by its key."""
+    record = json.loads(text)
     return record["entry"], record["kind"]
 
 
 def damage(store_dirs, how, every=False):
-    """Damage one object (the one of the lowest entry) or every object in
-    each store directory the same way; returns how many objects of one
-    store were hit."""
+    """Damage one stored record (the one of the lowest entry) or every
+    record in each store directory the same way; returns how many
+    records of one store were hit."""
     hit = 0
-    everywhere = sorted(path for store in store_dirs
-                        for path in (Path(store) / "objects").glob("*.json"))
+    everywhere = [text for store in store_dirs
+                  for _key, text in sorted(stored_texts(store).items())]
     for store in store_dirs:
-        paths = sorted((Path(store) / "objects").glob("*.json"),
-                       key=by_entry)
-        if not paths:
+        texts = stored_texts(store)
+        keys = sorted(texts, key=lambda key: by_entry(texts[key]))
+        if not keys:
             continue
-        victims = paths if every else paths[:1]
+        victims = keys if every else keys[:1]
         for victim in victims:
-            how(victim, everywhere)
+            damage_stored(store, victim,
+                          lambda text: how(text, everywhere))
         hit = max(hit, len(victims))
     return hit
 
@@ -233,9 +234,9 @@ class TestServerShipsWhatItHolds:
         response = self.pull(server)
         assert len(response["entries"]) == len(response["objects"]) \
             == len(server.records)
+        stored = stored_texts(server.stores[0])
         for key, text in zip(response["entries"], response["objects"]):
-            stored = server.stores[0] / "objects" / f"{key}.json"
-            assert text == stored.read_text()
+            assert text == stored[key]
         assert "{not json" in response["objects"]
         # stored text is wire text: compact, canonical key order
         clean = json.loads(response["objects"][-1])
@@ -244,9 +245,9 @@ class TestServerShipsWhatItHolds:
         assert len(pulled_records(response)) == len(server.records) - 1
 
     def test_a_missing_object_ships_as_null(self, server):
-        victim = min((server.stores[0] / "objects").glob("*.json"),
-                     key=by_entry)
-        victim.unlink()
+        texts = stored_texts(server.stores[0])
+        victim = min(texts, key=lambda key: by_entry(texts[key]))
+        damage_stored(server.stores[0], victim, lambda _text: None)
         response = self.pull(server)
         assert response["objects"].count(None) == 1
         assert len(response["entries"]) == len(server.records)

@@ -1,4 +1,4 @@
-"""Record layout v3: a record is its stored text.
+"""Record layout v4: a record is its stored text.
 
 A persisted record carries its micro-ops as ``code`` (hex of the encoded
 stream) plus ``origins`` (run-length ``[x86_addr, count]``), and the
@@ -14,8 +14,8 @@ member.  Pinned here:
   no longer parses under its key, a missing object): counted, never
   installed, never raised — every field of the wrong JSON type, every
   one-byte flip and every truncation of the golden texts;
-* a store written in layout v1 or v2 reads as empty: the VM boots cold
-  and ``fsck`` says why.
+* a store written in layout v1, v2 or v3 reads as empty: the VM boots
+  cold and ``fsck`` says why.
 """
 
 import copy
@@ -109,10 +109,10 @@ def unsealed(fields):
 
 
 def golden_texts():
-    """The stored texts of ``tests/data/golden_record_v3.json``: one a
+    """The stored texts of ``tests/data/golden_record_v4.json``: one a
     line between the brackets of a JSON array."""
     return [line.rstrip(",") for line in
-            (DATA / "golden_record_v3.json").read_text().splitlines()[1:-1]]
+            (DATA / "golden_record_v4.json").read_text().splitlines()[1:-1]]
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +138,7 @@ def assert_corrupt(record):
 
 
 class TestGoldenRecord:
-    """``tests/data/golden_record_v3.json``: the stored texts of a BBT
+    """``tests/data/golden_record_v4.json``: the stored texts of a BBT
     block with a profiling prologue and of a fused superblock."""
 
     def test_serialize_reproduces_the_golden_bytes(self):
@@ -151,7 +151,7 @@ class TestGoldenRecord:
         memory = booted().state.memory
         for record, text in zip(golden, texts):
             validate_record(record)
-            assert record["format"] == FORMAT_VERSION == 3
+            assert record["format"] == FORMAT_VERSION == 4
             again = serialize_translation(rebuilt(record), memory)
             assert again.text == text and again == record
 
@@ -608,17 +608,17 @@ class TestNonObjectRecords:
 
 
 def forge_manifest(store, vm) -> int:
-    """Re-issue an old store's manifest under the current format and
-    ``vm``'s fingerprints; returns how many (old) objects it lists."""
-    old = next((store / "manifests").glob("*.json"))
-    manifest = json.loads(old.read_text())
-    manifest["format"] = FORMAT_VERSION
-    manifest["config_fingerprint"] = config_fingerprint(vm.config)
-    old.unlink()
-    (store / "manifests" / (
-        f"{manifest['config_fingerprint']}__"
-        f"{manifest['image_fingerprint']}.json")).write_text(
-            json.dumps(manifest))
+    """Re-issue an old store's records under the current layout: its
+    object files' texts as they are, saved by the repository's own
+    writer under a manifest of the current format and ``vm``'s
+    fingerprints; returns how many (old) records it lists."""
+    manifest = json.loads(next((store / "manifests").glob("*.json"))
+                          .read_text())
+    records = [parse_record((store / "objects" / f"{key}.json").read_text())
+               for key in manifest["entries"]]
+    TranslationRepository(store).save(
+        records, config_fingerprint(vm.config),
+        manifest["image_fingerprint"], config_name=manifest["config_name"])
     return len(manifest["entries"])
 
 
@@ -660,12 +660,13 @@ class TestV1Store:
         assert found.corrupt_objects == found.objects_checked == 5
         assert found.corrupt_manifests == 1
         assert found.meta_corrupt
-        assert f"format version {self.VERSION} != 3" in found.format()
+        assert f"format version {self.VERSION} != {FORMAT_VERSION}" \
+            in found.format()
 
     def test_forged_v2_manifest_still_loads_nothing(self, store):
-        """Even when a manifest of the current version and name points
-        at them, old objects are never installed: the store serves what
-        it holds and the loader finds every one corrupt."""
+        """Even when a pack and a manifest of the current version hold
+        them, old records are never installed: the store serves what it
+        holds and the loader finds every one corrupt."""
         vm = booted()
         listed = forge_manifest(store, vm)
         report = vm.warm_start(TranslationRepository(store))
@@ -701,3 +702,16 @@ class TestV2Store(TestV1Store):
         return "counter_addr" in record and any(
             addr + len(data) // 2 == following
             for (addr, data), (following, _) in zip(source, source[1:]))
+
+
+class TestV3Store(TestV1Store):
+    """``tests/data/v3_store``: the same program's translations as the
+    layout-3 code saved them (today's record fields, one object file per
+    record, keys over a text that says format 3)."""
+
+    STORE, VERSION = "v3_store", 3
+
+    @staticmethod
+    def spells_its_layout(record) -> bool:
+        """Layout 3 holds the fields of today's records."""
+        return "code" in record and "counter_addr" not in record

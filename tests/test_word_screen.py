@@ -57,7 +57,7 @@ from repro.persist import (
     record_stream,
 )
 from repro.translator.bbt import COUNTER_AREA_BASE
-from repro.translator.code_cache import expand_origins, masked_digest
+from repro.translator.code_cache import expand_origins
 from repro.verify import build_cfg, dataflow, sanitizer
 from repro.verify.rules import VerifyContext
 from repro.verify.verifier import run_rules
@@ -349,8 +349,6 @@ class TestWarmLoadInstallsWhatTheObjectPathDid:
             assert (translation.kind, translation.entry) == \
                 (record["kind"], record["entry"])
             assert translation.code == code
-            assert translation.install_checksum == masked_digest(
-                code, translation.integrity_mask())
             assert (translation.uop_count, translation.counter_addr,
                     translation.native_len) == \
                 (len(uops), counter, len(code))
@@ -469,10 +467,10 @@ class TestNoPerOccurrenceConstructor:
         assert counts["Located.__new__"] == 0
         assert counts["dataflow.transfer"] == 0
         assert 0 < counts["dataflow.step"] < micro_ops / 4
-        # nothing re-encodes a record; each is hashed once, as stored
-        # (and its install checksummed), beside the two fingerprints
+        # nothing re-encodes a record; each is hashed once, as stored,
+        # beside the two fingerprints
         assert counts["JSON encodes"] == 0
-        assert counts["SHA-256"] == 2 * load.loaded + 2
+        assert counts["SHA-256"] == load.loaded + 2
         # one screen for the whole pull: one context, one CFG, one run
         # of the rule-pack over every record's segment
         assert counts["VerifyContext"] == counts["build_cfg"] == \

@@ -81,6 +81,7 @@ from repro.verify.dataflow import (
 from repro.verify.rules import VerifyContext
 from repro.verify.verifier import run_rules
 from repro.vmm import VMRuntime
+from tests.stored import damage_stored, stored_texts
 from tests.strategies import uops as any_uop
 from tests.test_install_screen import counted
 from tests.test_persist import LOOP
@@ -329,20 +330,20 @@ class TestTableSemantics:
         assert architected(vm_a) == interpreted
         table_a = dict(vm_a.runtime.machine.words)
 
-        paths = sorted((tmp_path / "store" / "objects").glob("*.json"))
-        # one object's code edited under its old key, one re-keyed to
+        keys = sorted(stored_texts(repo.root))
+        # one record's code edited under its old key, one re-keyed to
         # hold a word that does not decode: the format check catches the
         # first, the table's decode the second
-        edited, rekeyed = (json.loads(path.read_text())
-                           for path in paths[:2])
+        edited, rekeyed = (json.loads(stored_texts(repo.root)[key])
+                           for key in keys[:2])
         code = bytearray.fromhex(edited["code"])
         code[-1] ^= 1
         edited["code"] = code.hex()
-        paths[0].write_text(json.dumps(edited))
+        damage_stored(repo.root, keys[0], lambda _text: json.dumps(edited))
         rekeyed["code"] = "ff7fffff" + rekeyed["code"][8:]
         records = [encode_record(rekeyed)] + [
-            parse_record(path.read_text()) for path in paths
-            if path != paths[1]]
+            parse_record(text) for key, text
+            in sorted(stored_texts(repo.root).items()) if key != keys[1]]
         vm_b = booted()
         assert not vm_b.runtime.machine.words
         load_b = WarmStartLoader(vm_b.runtime).load_records(records)

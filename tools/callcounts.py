@@ -3,6 +3,7 @@
 
     python tools/callcounts.py wide_cold [--warm]   # cold, or from a store
     python tools/callcounts.py herd     # what a herd's stores are asked
+    python tools/callcounts.py publish  # writes of one wide_cold publish
 
 Boots one ``perf/gen.py`` image under cProfile — or runs the herd of
 ``perf/workloads.py``, counting on all its threads — after one discarded
@@ -101,42 +102,73 @@ def call_counts(workload: str, warm: bool = False) -> dict[str, int]:
     return counts
 
 
-#: ``herd``'s rows: (row, owner, attribute, (fault site, part of its path))
-HERD_ROWS = (
-    ("journaled writes", repository, "fault_point", ("repo.write", "")),
-    ("os.fsync", os, "fsync", None),
-    ("meta reads", repository, "fault_point", ("repo.read", "meta.json")),
+def _site(site: str, part: str):
+    """Weigh a ``fault_point`` visit: 1 at ``site`` on a path holding
+    ``part``, else 0."""
+    return lambda args, kwargs: int(args[0] == site
+                                    and part in kwargs["path"])
+
+
+#: rows of the I/O counts: (row, owner, attribute, weight of one call
+#: from its ``(args, kwargs)``; None: 1)
+WRITES = (
+    ("journaled writes", repository, "fault_point",
+     _site("repo.write", "")),
+    ("os.fsync", os, "fsync", None))
+HERD_ROWS = WRITES + (
+    ("meta reads", repository, "fault_point", _site("repo.read", "meta.json")),
     ("lease attempts", WriterLease, "try_acquire", None),
     ("requests dispatched", CacheServer, "dispatch", None),
     ("connections accepted", CacheServer, "_admit", None),
-    ("objects written", repository, "fault_point", ("repo.write", "objects/")))
+    ("packs written", repository, "fault_point", _site("repo.write", ".pack")),
+    ("records written", TranslationRepository, "_write_pack",
+     lambda args, _kwargs: len(args[1])))
+
+
+def io_counts(rows, run) -> dict[str, int]:
+    """The weighed calls of ``rows`` that ``run()`` makes, on every
+    thread."""
+    seen: dict[str, list] = {row: [] for row, *_call in rows}
+
+    def counting(row, function, weigh):
+        def counted(*args, **kwargs):
+            seen[row].append(1 if weigh is None          # atomic: no lock
+                             else weigh(args, kwargs))
+            return function(*args, **kwargs)
+        return counted
+
+    with contextlib.ExitStack() as undo:
+        for row, owner, name, weigh in rows:
+            undo.enter_context(mock.patch.object(
+                owner, name, counting(row, getattr(owner, name), weigh)))
+        run()
+    return {row: sum(calls) for row, calls in seen.items()}
 
 
 def herd_counts() -> dict[str, int]:
     """What one herd asks of its stores and servers, on every thread."""
-    seen: dict[str, list] = {row: [] for row, *_call in HERD_ROWS}
-
-    def counting(row, function, at):
-        def counted(*args, **kwargs):
-            if at is None or args[0] == at[0] and at[1] in kwargs["path"]:
-                seen[row].append(None)      # atomic: no lock
-            return function(*args, **kwargs)
-        return counted
-
-    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as undo:
+    with tempfile.TemporaryDirectory() as tmp:
         herd = workloads.Herd(0, tmp)
         herd.setup()                        # runs one herd, discarded
-        for row, owner, name, at in HERD_ROWS:
-            undo.enter_context(mock.patch.object(
-                owner, name, counting(row, getattr(owner, name), at)))
-        herd.run_herd()
-    return {row: len(calls) for row, calls in seen.items()}
+        return io_counts(HERD_ROWS, herd.run_herd)
+
+
+def publish_counts() -> dict[str, int]:
+    """The journaled writes and fsyncs of one ``wide_cold`` publish to a
+    fresh local store."""
+    vm = CoDesignedVM(vm_soft(), hot_threshold=50)
+    vm.load(assemble(gen.generate_source(gen.WIDE_COLD, 0)))
+    vm.run()
+    with tempfile.TemporaryDirectory() as tmp:
+        return io_counts(WRITES, lambda: vm.save_translations(
+            TranslationRepository(tmp)))
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workload", choices=[*SHAPES, "herd"])
+    parser.add_argument("workload", choices=[*SHAPES, "herd", "publish"])
     parser.add_argument("--warm", action="store_true")
     args = parser.parse_args()
     print(json.dumps(herd_counts() if args.workload == "herd"
+                     else publish_counts() if args.workload == "publish"
                      else call_counts(args.workload, args.warm)))
