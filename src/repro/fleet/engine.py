@@ -48,7 +48,7 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.manager import LocalCluster
 from repro.core.config import resolve_config
@@ -56,6 +56,7 @@ from repro.core.vm import CoDesignedVM
 from repro.faults.harness import ArchOutcome
 from repro.fleet.grid import FleetScenario
 from repro.isa.x86lite.assembler import assemble
+from repro.memory.loader import Image
 from repro.obs.telemetry import TraceContext
 from repro.obs.tracer import EventTracer
 from repro.persist import (capture_translations, config_fingerprint,
@@ -154,9 +155,9 @@ class InstanceResult:
         }
 
 
-def _boot_instance(scenario: FleetScenario, rank: int, source: str,
+def _boot_instance(scenario: FleetScenario, rank: int, image: Image,
                    cluster: str) -> InstanceResult:
-    """Boot fleet instance ``rank`` of ``source``.
+    """Boot fleet instance ``rank`` of ``image``.
 
     The instance pulls from the shared cache named by the spec string
     ``cluster`` (warm start through a :class:`RemoteRepository` with
@@ -167,7 +168,7 @@ def _boot_instance(scenario: FleetScenario, rank: int, source: str,
     """
     config = resolve_config(scenario.config).with_(trace=True)
     vm = CoDesignedVM(config, hot_threshold=scenario.hot_threshold)
-    vm.load(assemble(source))
+    vm.load(image)
     instance_seed = scenario.seed * 100003 + rank
     remote = RemoteRepository(
         cluster, local=None, timeout=TIMEOUT, retries=RETRIES,
@@ -325,39 +326,43 @@ class FleetEngine:
     # -- scenario pieces ----------------------------------------------------
 
     @staticmethod
-    def _sources(scenario: FleetScenario) -> List[str]:
+    def _images(scenario: FleetScenario) -> Tuple[Image, List[Image]]:
+        """The gold image and each rank's: each distinct source assembled
+        once and its ``Image`` shared (``load_image`` copies it in)."""
         if scenario.workload not in PROGRAMS:
             raise ValueError(
                 f"unknown workload {scenario.workload!r}; choose from "
                 f"{sorted(PROGRAMS)}")
         gold = PROGRAMS[scenario.workload]
-        if scenario.image_policy == "one":
-            return [gold] * scenario.n
-        return [perturb_source(gold, rank, scenario.seed)
-                for rank in range(scenario.n)]
+        sources = [gold] * scenario.n if scenario.image_policy == "one" \
+            else [perturb_source(gold, rank, scenario.seed)
+                  for rank in range(scenario.n)]
+        images = {source: assemble(source)
+                  for source in dict.fromkeys([gold, *sources])}
+        return images[gold], [images[source] for source in sources]
 
     @staticmethod
-    def _baseline(scenario: FleetScenario, gold: str) -> ArchOutcome:
+    def _baseline(scenario: FleetScenario, gold: Image) -> ArchOutcome:
         """Local cold run: the architected reference every instance
         (any rank, any image perturbation) must match."""
         config = resolve_config(scenario.config)
         vm = CoDesignedVM(config, hot_threshold=scenario.hot_threshold)
-        vm.load(assemble(gold))
+        vm.load(gold)
         vm.run(max_instructions=scenario.max_instructions)
         return ArchOutcome.of(vm)
 
     @staticmethod
-    def _prime(scenario: FleetScenario, sources: List[str],
+    def _prime(scenario: FleetScenario, images: List[Image],
                push_client) -> None:
         """Warm-repository policy: pre-populate the servers with each
         distinct image's translations, pushed through the client
         before any instance boots (so priming never contends with the
         fleet).  ``one_per_vm`` priming costs one cold run per rank."""
         config = resolve_config(scenario.config)
-        for source in dict.fromkeys(sources):   # distinct, rank order
+        for image in {id(image): image for image in images}.values():
             vm = CoDesignedVM(config,
                               hot_threshold=scenario.hot_threshold)
-            vm.load(assemble(source))
+            vm.load(image)
             vm.run(max_instructions=scenario.max_instructions)
             vm.save_translations(push_client)
 
@@ -388,8 +393,8 @@ class FleetEngine:
         through its own client.  Priming and publishing happen outside
         the herd's pull window, in rank order — the determinism
         contract."""
-        sources = self._sources(scenario)
-        baseline = self._baseline(scenario, PROGRAMS[scenario.workload])
+        gold, images = self._images(scenario)
+        baseline = self._baseline(scenario, gold)
         grid = LocalCluster(repo_root, shards=scenario.shards,
                             replicas=scenario.replicas,
                             max_queue_depth=scenario.max_queue_depth)
@@ -400,8 +405,8 @@ class FleetEngine:
             scenario, spec, push_client)
         try:
             if scenario.warm:
-                self._prime(scenario, sources, push_client)
-            instances = self._boot_fleet(scenario, sources,
+                self._prime(scenario, images, push_client)
+            instances = self._boot_fleet(scenario, images,
                                          spec.to_string(), push_client,
                                          publisher)
             telemetry = self._collect(collector, publisher, instances,
@@ -460,19 +465,19 @@ class FleetEngine:
             "publish_events": publisher.events(),
         }
 
-    def _boot_fleet(self, scenario: FleetScenario, sources: List[str],
+    def _boot_fleet(self, scenario: FleetScenario, images: List[Image],
                     cluster: str, push_client,
                     publisher: Optional[_Publisher]
                     ) -> List[InstanceResult]:
         ranks = range(scenario.n)
         if scenario.boot_policy == "one_then_others":
-            first = _boot_instance(scenario, 0, sources[0], cluster)
+            first = _boot_instance(scenario, 0, images[0], cluster)
             self._publish(first, push_client, publisher)
-            rest = self._pool_boot(scenario, sources, cluster, ranks[1:])
+            rest = self._pool_boot(scenario, images, cluster, ranks[1:])
             for instance in rest:
                 self._publish(instance, push_client, publisher)
             return [first] + rest
-        instances = self._pool_boot(scenario, sources, cluster, ranks)
+        instances = self._pool_boot(scenario, images, cluster, ranks)
         for instance in instances:
             self._publish(instance, push_client, publisher)
         return instances
@@ -494,14 +499,14 @@ class FleetEngine:
         instance.records = []       # published: a result keeps no copy
 
     @staticmethod
-    def _pool_boot(scenario: FleetScenario, sources: List[str],
+    def _pool_boot(scenario: FleetScenario, images: List[Image],
                    cluster: str, ranks: range) -> List[InstanceResult]:
         workers = max(1, min(scenario.workers, len(ranks)))
         with concurrent.futures.ThreadPoolExecutor(
                 max_workers=workers,
                 thread_name_prefix="fleet-boot") as executor:
             return list(executor.map(
-                lambda rank: _boot_instance(scenario, rank, sources[rank],
+                lambda rank: _boot_instance(scenario, rank, images[rank],
                                             cluster), ranks))
 
 

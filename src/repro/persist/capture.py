@@ -14,8 +14,8 @@ def capture_translations(directory: TranslationDirectory,
 
     Only what is in the caches *now* is captured: translations lost to a
     wholesale flush earlier in the run are gone (which is exactly the
-    cost the flush/retranslation counters quantify).  Unserializable
-    translations (e.g. whose source bytes no longer decode) are skipped.
+    cost the flush/retranslation counters quantify).  One whose source
+    memory no longer holds (rewritten since it was translated) is not.
     """
     records: List[Record] = []
     for cache in (directory.bbt_cache, directory.sbt_cache):

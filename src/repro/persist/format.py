@@ -6,10 +6,10 @@ translation **as its encoded bytes** (``code``, hex) plus everything
 needed to re-materialize it in a fresh VM — the ``x86_addr`` metadata
 the bytes do not carry (``origins``, run-length ``[x86_addr, count]``
 pairs in stream order), exit-stub offsets, side-table offsets and a
-**source fingerprint** (``source``, the covered x86 bytes as contiguous
-``[addr, hex]`` runs).  The micro-op decoder is the only parser of a
-record's code: there is no field-list form, and a record of an older
-layout reads as corrupt.
+**source fingerprint** (``source``, the x86 bytes the translator read
+as contiguous ``[addr, hex]`` runs).  The micro-op decoder is the only
+parser of a record's code: there is no field-list form, and a record of
+an older layout reads as corrupt.
 
 A record is its bytes
 ---------------------
@@ -40,9 +40,6 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Tuple
 
-from repro.isa.fusible.encoding import UopEncodeError
-from repro.isa.x86lite.decoder import DecodeError
-from repro.isa.x86lite.instruction import MAX_INSTRUCTION_LENGTH
 from repro.memory.address_space import MemoryError_
 from repro.translator.code_cache import (
     ExitStub,
@@ -50,7 +47,6 @@ from repro.translator.code_cache import (
     expand_origins,
 )
 from repro.translator.emit import prologue_code
-from repro.translator.templates import fetch, shape_at
 
 #: Bump on any incompatible change to the record layout.
 FORMAT_VERSION = 4
@@ -81,8 +77,7 @@ STORED_PROLOGUE = prologue_code(0)[:12]
 
 def splice_counter(code: bytes, counter_addr: int) -> bytes:
     """A profiled BBT block's ``code`` with its prologue's LUI/ORI pair
-    pointed at ``counter_addr``: 0 as a record stores it, the allocated
-    counter as the loader installs it."""
+    pointed at ``counter_addr``, as the loader installs it."""
     return prologue_code(counter_addr)[:len(STORED_PROLOGUE)] \
         + code[len(STORED_PROLOGUE):]
 
@@ -169,34 +164,6 @@ def image_fingerprint(image) -> str:
 
 # -- translation -> record --------------------------------------------------
 
-def _covered_source(origins: List[List], memory) -> List[List]:
-    """``[addr, hexbytes]`` runs of the x86 instructions the stream
-    covers, each run as long as the instructions are contiguous.
-
-    Coverage comes from the per-micro-op ``x86_addr`` metadata (the
-    ``origins`` runs), so the fingerprint spans exactly the instructions
-    whose semantics the translation encodes (including superblock
-    constituents).  Each instruction's length is its shape's, read from
-    windows fetched as the translators fetch them: nothing is decoded.
-    """
-    addrs = sorted({addr for addr, _count in origins
-                    if addr is not None})
-    source: List[List] = []
-    window, base, end = b"", 0, None
-    for addr in addrs:
-        offset = addr - base
-        if offset + MAX_INSTRUCTION_LENGTH > len(window):
-            window, base, offset = fetch(memory, addr), addr, 0
-        length = shape_at(window, offset, addr).length
-        data = window[offset:offset + length].hex()
-        if addr == end:
-            source[-1][1] += data
-        else:
-            source.append([addr, data])
-        end = addr + length
-    return source
-
-
 def serialize_translation(translation: Translation,
                           memory) -> Optional[Record]:
     """One translation -> record, or None if unserializable.
@@ -205,17 +172,19 @@ def serialize_translation(translation: Translation,
     as installed), which chain patches and BBT->SBT redirects never
     touch — persisted translations are therefore always in their
     un-chained form and re-link naturally after loading.  A profiled
-    block's counter address is zeroed (:data:`STORED_PROLOGUE`).
+    block's prologue is written as :data:`STORED_PROLOGUE`; the source,
+    ``translation.source``, is checked with one read a run: code whose
+    source memory no longer holds is not persisted (the loader's stale
+    rule, where a record is written).
     """
     code, origins = translation.code, translation.origins
     if not code or origins is None:
         return None
-    try:
-        source = _covered_source(origins, memory)
-    except (DecodeError, MemoryError_, UopEncodeError):
-        return None  # source no longer decodes (e.g. overwritten text)
+    if any(memory.read(addr, len(data)) != data
+           for addr, data in translation.source):
+        return None
     if translation.counter_addr is not None:
-        code = splice_counter(code, 0)
+        code = STORED_PROLOGUE + code[len(STORED_PROLOGUE):]
     return encode_record({
         "format": FORMAT_VERSION,
         "kind": translation.kind,
@@ -230,7 +199,7 @@ def serialize_translation(translation: Translation,
         "side_table": [[addr - translation.native_addr, x86_addr]
                        for addr, x86_addr
                        in sorted(translation.side_table.items())],
-        "source": source,
+        "source": [[addr, data.hex()] for addr, data in translation.source],
     })
 
 
@@ -347,7 +316,9 @@ def materialize(record, native_addr: int,
         native_addr=native_addr,
         x86_addrs=list(record["x86_addrs"]),
         instr_count=record["instr_count"], uop_count=uop_count,
-        fused_pairs=record["fused_pairs"], origins=record["origins"])
+        fused_pairs=record["fused_pairs"], origins=record["origins"],
+        source=[[addr, bytes.fromhex(data)]
+                for addr, data in record["source"]])
     for offset, kind, x86_target in record["exits"]:
         translation.exits.append(ExitStub(
             stub_addr=native_addr + offset, kind=kind,

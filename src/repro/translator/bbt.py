@@ -112,12 +112,14 @@ class BasicBlockTranslator:
             origins.append([entry, PROFILE_PROLOGUE_UOPS])
             side.append((PROFILE_VMCALL_OFFSET, entry))
 
-        # body: every instruction before the one that ends the block
+        # body: every instruction before the one that ends the block;
+        # ``read`` keeps the source bytes of the windows left behind
         pc, instr_count = entry, 1
-        window, base = b"", entry
+        window, base, read = b"", entry, b""
         while True:
             offset = pc - base
             if offset + MAX_INSTRUCTION_LENGTH > len(window):
+                read += window[:offset]
                 window, base, offset = fetch(self.memory, pc), pc, 0
             shape = shape_at(window, offset, pc)
             if shape.cti or shape.cmplx \
@@ -157,6 +159,7 @@ class BasicBlockTranslator:
             x86_addrs=[entry], instr_count=instr_count,
             uop_count=uop_count, counter_addr=counter_addr,
             code=b"".join(parts), origins=origins,
+            source=[[entry, read + window[:offset + shape.length]]],
             exits=[ExitStub(stub_addr=native_addr + at, kind=kind,
                             x86_target=x86_target)
                    for at, kind, x86_target in exits],

@@ -55,7 +55,8 @@ class ExitStub:
 
 @dataclass
 class Translation:
-    """One installed translation (basic block or superblock)."""
+    """One installed translation (basic block or superblock) and the
+    x86 source it was made from."""
 
     entry: int                       # architected entry address
     kind: str                        # 'bbt' | 'sbt'
@@ -74,6 +75,8 @@ class Translation:
     #: in stream order: what persists, and what the verifier screens
     code: bytes = b""
     origins: Optional[List[List]] = None
+    #: the x86 bytes it was made from, as contiguous ``[addr, bytes]`` runs
+    source: List[List] = field(default_factory=list)
 
     @property
     def uops(self) -> List[MicroOp]:

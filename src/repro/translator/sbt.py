@@ -115,6 +115,7 @@ class SuperblockTranslator:
             x86_addrs=superblock.entries,
             instr_count=superblock.instr_count, uop_count=uop_count,
             fused_pairs=stats.pairs, code=code, origins=origins,
+            source=_source(superblock, origins),
             exits=[ExitStub(stub_addr=native_addr + at, kind=kind,
                             x86_target=target)
                    for at, kind, target in exits],
@@ -264,6 +265,23 @@ class SuperblockTranslator:
             parts.append(code)
             extend_origins(origins, superblock.head, 3)
         return b"".join(parts), origins, exits, side
+
+
+def _source(superblock: Superblock, origins: List[List]) -> List[List]:
+    """``[addr, bytes]`` runs of the instructions ``origins`` still
+    covers (a pass may drop one's last micro-op; blocks may overlap),
+    each sliced from the window the trace read it from."""
+    covered = {addr for addr, _count in origins}
+    sites = {pc: window[offset:offset + shape.length]
+             for block in superblock.blocks
+             for shape, window, offset, pc in block.sites if pc in covered}
+    source: List[List] = []
+    for pc, data in sorted(sites.items()):
+        if source and source[-1][0] + len(source[-1][1]) == pc:
+            source[-1][1] += data
+        else:
+            source.append([pc, data])
+    return source
 
 
 # -- dead flag elimination --------------------------------------------------------

@@ -62,6 +62,7 @@ from repro.persist.format import STORED_PROLOGUE, source_matches
 from repro.persist.remote import pulled_records
 from repro.translator.code_cache import ExitStub, Translation
 from tests.sbt_oracle import origin_runs
+from tests.source_oracle import covered_source
 from tests.strategies import uops as any_uop
 from tests.test_persist import LOOP
 
@@ -189,7 +190,8 @@ class TestRoundTrip:
             entry=addrs[1], kind=kind, native_addr=NATIVE,
             x86_addrs=addrs[1:3], instr_count=2, uop_count=len(uops),
             fused_pairs=sum(uop.fused for uop in uops),
-            code=encode_stream(uops), origins=origin_runs(uops))
+            code=encode_stream(uops), origins=origin_runs(uops),
+            source=covered_source(origin_runs(uops), memory))
         original.exits.append(ExitStub(stub_addr=NATIVE + 8, kind="taken",
                                        x86_target=addrs[2]))
         original.exits.append(ExitStub(stub_addr=NATIVE + 20,

@@ -4,7 +4,8 @@
 the passes over ``MicroOp`` lists, ``encode_stream`` -- and checks every
 superblock a VM translates against it at the moment it is translated:
 code, origins, exits, side table, counts, and what each pass eliminated.
-Capture is held the same way to the ``decode_at`` path it replaced.
+Each translation's ``source``, and the record capture writes from it,
+is held the same way to the ``decode_at`` path the walk replaced.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.persist.format as format_module
 from repro.core import CoDesignedVM, interp_sbt, vm_be, vm_fe, vm_soft
 from repro.isa.x86lite import assemble
 from repro.isa.x86lite.decoder import decode_at
 from repro.persist import capture_translations
 from tests.sbt_oracle import checking_sbt
+from tests.source_oracle import translations
 from tests.test_random_branchy import branchy_program
 from tests.test_templates import IMAGES
 from tests.test_vm_end_to_end import random_loop_program
@@ -74,8 +75,9 @@ class TestEverySuperblock:
 
 
 def decoded_source(origins, memory):
-    """``_covered_source`` as it was: each instruction decoded for its
-    length (its bytes joined to the run they continue)."""
+    """``tests/source_oracle.py``'s walk as it was before: each
+    instruction decoded for its length (its bytes, as hex, joined to the
+    run they continue)."""
     source = []
     for addr in sorted({addr for addr, _count in origins
                         if addr is not None}):
@@ -91,11 +93,12 @@ def decoded_source(origins, memory):
 class TestCapture:
     @pytest.mark.parametrize("config", ["vm_soft", "interp_sbt"])
     @pytest.mark.parametrize("name", sorted(IMAGES))
-    def test_records_equal_the_decoded_path(self, name, config,
-                                            monkeypatch):
+    def test_records_equal_the_decoded_path(self, name, config):
         vm, _checked = boot(IMAGES[name], config)
         directory, memory = vm.runtime.directory, vm.state.memory
         records = capture_translations(directory, memory)
-        monkeypatch.setattr(format_module, "_covered_source",
-                            decoded_source)
-        assert capture_translations(directory, memory) == records
+        decoded = [decoded_source(translation.origins, memory)
+                   for translation in translations(vm)]
+        assert [[[addr, data.hex()] for addr, data in translation.source]
+                for translation in translations(vm)] == decoded
+        assert [record["source"] for record in records] == decoded

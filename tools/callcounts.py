@@ -3,7 +3,8 @@
 
     python tools/callcounts.py wide_cold [--warm]   # cold, or from a store
     python tools/callcounts.py herd     # what a herd's stores are asked
-    python tools/callcounts.py publish  # writes of one wide_cold publish
+    python tools/callcounts.py publish  # writes of one wide_cold publish,
+                                        # and what one capture re-derives
 
 Boots one ``perf/gen.py`` image under cProfile — or runs the herd of
 ``perf/workloads.py``, counting on all its threads — after one discarded
@@ -33,7 +34,8 @@ import workloads                                          # noqa: E402
 from repro.cacheserver.server import CacheServer          # noqa: E402
 from repro.core import CoDesignedVM, vm_soft              # noqa: E402
 from repro.isa.x86lite import assemble                    # noqa: E402
-from repro.persist import TranslationRepository, repository  # noqa: E402
+from repro.persist import (TranslationRepository,  # noqa: E402
+                           capture_translations, repository)
 from repro.persist.lease import WriterLease               # noqa: E402
 from repro.verify.cfg import build_cfg                    # noqa: E402
 from repro.verify.rules import VerifyContext              # noqa: E402
@@ -66,6 +68,30 @@ COUNTED = {
     "run_rules": run_rules}
 
 
+#: rows of a capture's counts: the walk and the template fills a record's
+#: source and prologue cost when capture derives them again
+CAPTURED = {
+    "shape_at": ("translator/templates.py", "shape_at"),
+    "template fills": ("isa/fusible/template.py", "fill"),
+    "fetch": ("translator/templates.py", "fetch")}
+
+
+def counted(stats: pstats.Stats, rows: dict) -> dict[str, int]:
+    """The calls of each row's function in ``stats``."""
+    counts = dict.fromkeys(rows, 0)
+    for (path, line, name), called in stats.stats.items():  # type: ignore
+        for row, where in rows.items():
+            if callable(where):
+                code = where.__code__
+                found = (path, line, name) == \
+                    (code.co_filename, code.co_firstlineno, code.co_name)
+            else:
+                found = name == where[1] and path.endswith(where[0])
+            if found:
+                counts[row] += called[1]
+    return counts
+
+
 def call_counts(workload: str, warm: bool = False) -> dict[str, int]:
     """Calls made by one boot of ``workload``'s image: cold, or (``warm``)
     published to and warm-booted from a local repository."""
@@ -87,19 +113,8 @@ def call_counts(workload: str, warm: bool = False) -> dict[str, int]:
         boot(repository)                    # discarded
         profile.runcall(boot, repository)
     stats = pstats.Stats(profile)
-    counts = {"total calls": stats.total_calls,     # type: ignore
-              **dict.fromkeys(COUNTED, 0)}
-    for (path, line, name), called in stats.stats.items():  # type: ignore
-        for row, where in COUNTED.items():
-            if callable(where):
-                code = where.__code__
-                found = (path, line, name) == \
-                    (code.co_filename, code.co_firstlineno, code.co_name)
-            else:
-                found = name == where[1] and path.endswith(where[0])
-            if found:
-                counts[row] += called[1]
-    return counts
+    return {"total calls": stats.total_calls,       # type: ignore
+            **counted(stats, COUNTED)}
 
 
 def _site(site: str, part: str):
@@ -153,15 +168,31 @@ def herd_counts() -> dict[str, int]:
         return io_counts(HERD_ROWS, herd.run_herd)
 
 
+def capture_counts(workload: str) -> dict[str, int]:
+    """The ``CAPTURED`` calls of one capture of a cold ``workload``
+    boot's translations."""
+    vm = CoDesignedVM(vm_soft(), hot_threshold=50)
+    vm.load(assemble(gen.generate_source(SHAPES[workload], 0)))
+    vm.run()
+    profile = cProfile.Profile()
+    profile.runcall(capture_translations, vm.runtime.directory,
+                    vm.state.memory)
+    return counted(pstats.Stats(profile), CAPTURED)
+
+
 def publish_counts() -> dict[str, int]:
     """The journaled writes and fsyncs of one ``wide_cold`` publish to a
-    fresh local store."""
+    fresh local store, then each shape's capture counts."""
     vm = CoDesignedVM(vm_soft(), hot_threshold=50)
     vm.load(assemble(gen.generate_source(gen.WIDE_COLD, 0)))
     vm.run()
     with tempfile.TemporaryDirectory() as tmp:
-        return io_counts(WRITES, lambda: vm.save_translations(
+        counts = io_counts(WRITES, lambda: vm.save_translations(
             TranslationRepository(tmp)))
+    for workload in SHAPES:
+        for row, calls in capture_counts(workload).items():
+            counts[f"{workload} capture: {row}"] = calls
+    return counts
 
 
 if __name__ == "__main__":
