@@ -98,8 +98,11 @@ class WriterLease:
         self.held = True
         return True
 
-    def acquire(self, timeout: float = DEFAULT_TIMEOUT) -> bool:
-        """Contend for the lease; returns False after ``timeout``."""
+    def acquire(self, timeout: Optional[float] = None) -> bool:
+        """Contend for the lease; returns False after ``timeout``
+        (``DEFAULT_TIMEOUT``, read at call time, when None)."""
+        if timeout is None:
+            timeout = DEFAULT_TIMEOUT
         deadline = time.monotonic() + timeout
         while True:
             if self.try_acquire():

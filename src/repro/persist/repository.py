@@ -74,7 +74,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.faults.plane import fault_point
 from repro.persist.format import FORMAT_VERSION, Record, parse_record
-from repro.persist.lease import DEFAULT_TIMEOUT, WriterLease
+from repro.persist.lease import WriterLease
 
 log = logging.getLogger("repro.persist")
 
@@ -394,7 +394,7 @@ class TranslationRepository:
 
     def save(self, records: List[Record], config_fp: str, image_fp: str,
              config_name: str = "",
-             lease_timeout: float = DEFAULT_TIMEOUT,
+             lease_timeout: Optional[float] = None,
              merge: bool = False, repair: bool = False) -> int:
         """Persist records under one (config, image) manifest.
 
@@ -418,7 +418,7 @@ class TranslationRepository:
         if not lease.acquire(timeout=lease_timeout):
             self.lease_failures += 1
             log.warning("save skipped: writer lease at %s stayed "
-                        "contended for %.1fs", lease.path, lease_timeout)
+                        "contended", lease.path)
             return 0
         try:
             return self._save_locked(
@@ -598,7 +598,7 @@ class TranslationRepository:
         return stats
 
     def gc(self, budget_bytes: int,
-           lease_timeout: float = DEFAULT_TIMEOUT) -> GCReport:
+           lease_timeout: Optional[float] = None) -> GCReport:
         """Evict least-recently-used records until under the budget.
 
         Runs under the writer lease: a gc that raced a concurrent save
@@ -611,7 +611,7 @@ class TranslationRepository:
         if not lease.acquire(timeout=lease_timeout):
             self.lease_failures += 1
             log.warning("gc skipped: writer lease at %s stayed "
-                        "contended for %.1fs", lease.path, lease_timeout)
+                        "contended", lease.path)
             return GCReport(budget_bytes=budget_bytes, lease_busy=True)
         try:
             return self._gc_locked(budget_bytes)

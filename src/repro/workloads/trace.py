@@ -28,8 +28,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import List
 
-import numpy as np
-
 from repro.workloads.winstone import AppProfile
 
 #: Synthetic text base for workload block addresses.
@@ -107,6 +105,8 @@ def generate_workload(app: AppProfile, dyn_instrs: int = 100_000_000,
     ``dyn_instrs`` is hit exactly (iteration counts are rescaled after
     sampling, preserving the mixture's shape).
     """
+    import numpy as np  # here, so a process that only boots VMs never loads it
+
     # zlib.crc32 is stable across processes (unlike hash(), which is
     # salted); workload generation must be exactly reproducible
     rng = np.random.default_rng(

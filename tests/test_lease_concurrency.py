@@ -82,10 +82,14 @@ class TestWriterLease:
                                                    monkeypatch):
         import repro.persist.lease as lease_mod
         monkeypatch.setattr(lease_mod, "DEFAULT_TIMEOUT", 0.05)
+        started = time.monotonic()
         with WriterLease(tmp_path, ttl=60.0):
             with pytest.raises(LeaseBusyError):
                 with WriterLease(tmp_path):
                     pass
+        # the patched default is read when acquire runs, not when it
+        # was defined: the real 10 s default would blow this bound
+        assert time.monotonic() - started < 1.0
 
     def test_expired_lease_is_stolen(self, tmp_path):
         stale = WriterLease(tmp_path, ttl=-1.0)   # born expired

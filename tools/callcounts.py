@@ -5,12 +5,18 @@
     python tools/callcounts.py herd     # what a herd's stores are asked
     python tools/callcounts.py publish  # writes of one wide_cold publish,
                                         # and what one capture re-derives
+    python tools/callcounts.py imports served_boot  # what its process loads
 
 Boots one ``perf/gen.py`` image under cProfile — or runs the herd of
 ``perf/workloads.py``, counting on all its threads — after one discarded
 run (lazy set-up, the template table), and prints the calls of a fixed
 list of functions as one JSON line: counts repeat exactly, so parent and
 change compare digit by digit.  Seed 0; writes only a temporary store.
+``imports`` is the one mode that is not a count: it runs one set-up and
+one sample of a ``perf/`` workload in a fresh interpreter, which imports
+what ``perf/run.py --workload`` imports, and prints that process's peak
+resident set, the third-party packages it loaded and the
+timing-simulator modules (``TIMING_LAYER``) among its modules.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ import json
 import os
 import pathlib
 import pstats
+import subprocess
 import sys
+import sysconfig
 import tempfile
 from unittest import mock
 
@@ -195,11 +203,60 @@ def publish_counts() -> dict[str, int]:
     return counts
 
 
+#: module prefixes of the timing simulator, which no boot calls
+TIMING_LAYER = ("repro.timing", "repro.analysis", "repro.workloads.trace",
+                "repro.workloads.winstone", "repro.workloads.spec")
+
+#: the child of ``imports``: one set-up and one sample of the workload
+#: named by argv[1], as ``perf/run.py --workload`` makes them; prints its
+#: peak RSS and the file of each module it loaded.  The peak is VmHWM,
+#: the peak of the child's own address space: ``ru_maxrss`` keeps the
+#: spawning process's peak across exec, so here it would read this
+#: tool's own size whenever that is the larger
+FOOTPRINT = """
+import json, sys, tempfile
+from harness import WORKLOADS
+with tempfile.TemporaryDirectory() as store:
+    workload = WORKLOADS[sys.argv[1]](0, store)
+    workload.setup()
+    workload.sample()
+    workload.close()
+with open("/proc/self/status") as status:
+    peak_kb = int(status.read().split("VmHWM:")[1].split()[0])
+print(json.dumps([peak_kb, {name: getattr(module, "__file__", None)
+                            for name, module in sys.modules.items()}]))
+"""
+
+
+def import_footprint(workload: str) -> dict:
+    """Peak RSS, third-party packages and timing-layer modules of a
+    fresh process that runs ``FOOTPRINT`` for ``workload``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), str(REPO / "perf")]))
+    peak_kb, modules = json.loads(subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, workload], env=env, check=True,
+        capture_output=True, text=True).stdout)
+    installed = tuple({sysconfig.get_paths()[key]
+                       for key in ("purelib", "platlib")})
+    return {"peak_rss_mb": round(peak_kb / 1024, 1),
+            "third-party": sorted({name.partition(".")[0]
+                                   for name, path in modules.items()
+                                   if path and path.startswith(installed)}),
+            "timing layer": sorted(name for name in modules
+                                   if name.startswith(TIMING_LAYER))}
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workload", choices=[*SHAPES, "herd", "publish"])
+    parser.add_argument("workload",
+                        choices=[*SHAPES, "herd", "publish", "imports"])
+    parser.add_argument("imported", nargs="?", choices=workloads.WORKLOADS,
+                        help="with imports: the perf/ workload to run")
     parser.add_argument("--warm", action="store_true")
     args = parser.parse_args()
-    print(json.dumps(herd_counts() if args.workload == "herd"
+    if (args.workload == "imports") != (args.imported is not None):
+        parser.error("a workload after imports, and only there")
+    print(json.dumps(import_footprint(args.imported) if args.imported
+                     else herd_counts() if args.workload == "herd"
                      else publish_counts() if args.workload == "publish"
                      else call_counts(args.workload, args.warm)))
