@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Hardware assists in action: XLTx86, the HAloop, dual-mode decoders.
+"""Hardware assists in action: XLTx86 and the HAloop.
 
 Demonstrates Section 4's two proposals at the functional level:
 
@@ -7,14 +7,12 @@ Demonstrates Section 4's two proposals at the functional level:
   into Fdst with CSR flags;
 * the **HAloop** (Fig. 6a) — the VMM's hardware-accelerated BBT inner
   loop — running as *native fusible code* on the micro-op machine and
-  depositing a translation into the code cache;
-* the **dual-mode decoder** (Figs. 4/5) running raw x86lite code in
-  x86-mode while counting its activity.
+  depositing a translation into the code cache.
 
 Run:  python examples/hardware_assist_demo.py
 """
 
-from repro.hwassist import DualModeDecoder, XLTx86Unit
+from repro.hwassist import XLTx86Unit
 from repro.hwassist.haloop import run_haloop
 from repro.isa.fusible import FusibleMachine, decode_stream
 from repro.isa.x86lite import assemble
@@ -75,26 +73,9 @@ def show_haloop() -> None:
     print()
 
 
-def show_dual_mode() -> None:
-    print("=== dual-mode decoder (Figs. 4/5) in x86-mode ===")
-    image = assemble(PROGRAM)
-    memory = AddressSpace()
-    entry = load_image(image, memory)
-    decoder = DualModeDecoder()
-    pc = entry
-    for _ in range(4):
-        group = decoder.decode_x86(memory, pc)
-        uops = ", ".join(str(u).strip() for u in group.uops)
-        print(f"  {group.instr!s:28s} -> {uops}")
-        pc = group.instr.next_addr
-    print(f"  level-1 decoder handled {decoder.x86_mode_instructions} "
-          f"instructions (bypassed & powered off in native mode)")
-
-
 def main() -> None:
     show_xltx86()
     show_haloop()
-    show_dual_mode()
 
 
 if __name__ == "__main__":

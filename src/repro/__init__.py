@@ -6,8 +6,8 @@ Two layers:
 * a **functional co-designed VM** that really runs programs — an x86lite
   (IA-32-subset) front end over a fusible micro-op ISA, with staged
   BBT/SBT dynamic binary translation, code caches with chaining, macro-op
-  fusion, and the paper's hardware assists (XLTx86, dual-mode decoders,
-  a branch-behavior-buffer hotspot detector);
+  fusion, and the paper's hardware assists (XLTx86, a
+  branch-behavior-buffer hotspot detector);
 * a **timing layer** that reproduces the paper's startup study (Figs.
   2/3/8/9/10/11, Eqs. 1/2, Tables 1/2) at full 500M-instruction scale via
   event-driven simulation over synthetic Winstone2004 workload models.

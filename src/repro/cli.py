@@ -1,81 +1,9 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
-
-* ``run PROGRAM.asm [--config NAME] [--hot-threshold N]`` — assemble and
-  run an x86lite program on the functional VM, print its output and the
-  execution report.
-* ``startup [--app NAME] [--instrs N]`` — simulate the memory-startup
-  scenario for one application under all configurations; print the
-  normalized curves and breakeven points (Fig. 8 style).
-* ``breakeven [--instrs N]`` — the full Fig. 9 per-application table.
-* ``profile [WORKLOAD] [--top N] [--instrs N]`` — with no workload, the
-  Fig. 3 execution-frequency profile; with a workload, run it traced and
-  print the cycle-attribution ledger: Eq. 1 per-phase totals, the
-  startup timeline and the top-N blocks by translation overhead (see
-  :mod:`repro.obs.ledger` and ``docs/observability.md``).
-* ``trace WORKLOAD [--out FILE]`` — run a workload with event tracing
-  enabled and export a Chrome/Perfetto-loadable ``trace_event`` JSON
-  document (load it at https://ui.perfetto.dev); includes the ledger's
-  per-phase cycle attribution in ``metadata``.
-* ``configs`` — list the machine configurations (Table 2).
-* ``verify [--workload NAME|all] [--program FILE] [--json]`` — run a
-  workload with the translation verifier armed and report every
-  invariant violation with micro-op-level diagnostics (see
-  :mod:`repro.verify` and ``docs/verifier.md``).
-* ``cache {save,load,stats,gc,fsck} [PROGRAM] [--cache-dir DIR]`` — the
-  persistent translation repository: ``save`` cold-runs a program and
-  snapshots its translations, ``load`` warm-starts from the repository
-  (zero BBT translations for previously seen blocks), ``stats`` and
-  ``gc`` manage the on-disk store, ``fsck [--repair]`` detects and
-  repairs on-disk damage — torn writes, corrupt objects, dangling
-  manifest references (see :mod:`repro.persist`, ``docs/persistence.md``
-  and ``docs/robustness.md``).
-* ``cache {push,pull} PROGRAM --server SPEC [--timeout S] [--retries N]``
-  — the same save/load flows through a shared translation cache: one
-  server (``unix:<path>`` or ``host:port``) or a cluster spec as
-  ``--cluster`` takes it.  ``push`` uploads a cold run's
-  translations, ``pull`` warm-starts from the server.  Any server
-  failure degrades to the local ``--cache-dir`` repository and
-  ultimately to cold translation (see ``docs/cache_server.md``).
-* ``serve [--socket PATH | --port N] [--cache-dir DIR] [--max-conns N]
-  [--shard-id NAME --role {primary,replica}]`` — run the shared
-  translation-cache server over one repository until SIGTERM/SIGINT,
-  then drain gracefully (finish in-flight requests, release the writer
-  lease, print per-op latency percentiles); ``--max-conns`` rejects
-  excess clients with a retryable ``busy`` error; ``--shard-id`` /
-  ``--role`` tag the server's wire ``health`` answer for cluster
-  membership.
-* ``cluster {health,repair} --cluster SPEC`` — the sharded/replicated
-  cluster tier (:mod:`repro.cluster`, ``docs/cluster.md``): ``health``
-  prints every replica's liveness/lease state via the wire ``health``
-  op plus each endpoint's circuit-breaker state (open/half-open/
-  closed, consecutive failures), ``repair`` runs one anti-entropy pass
-  (diff replica manifests, re-replicate missing records).  ``SPEC`` is
-  ``shard0=h:p,h:p;shard1=...`` or ``@spec.json``.
-* ``monitor --cluster SPEC [--once|--watch] [--slo @file.json]`` — the
-  central telemetry collector (:mod:`repro.obs.collector`,
-  ``docs/observability.md``): scrape every replica's wire
-  ``telemetry`` op, merge the metric registries exactly, evaluate SLO
-  verdicts (pass/warn/fail with burn accounting) and print anomalies;
-  exits 1 while any SLO is failing.
-* ``fleet {run,sweep,report}`` — the mass-boot scenario harness
-  (:mod:`repro.fleet`, ``docs/fleet.md``): boot N instances on a
-  thread pool against a self-hosted cache server (``run``; with
-  ``--shards``/``--replicas`` > 1, against a self-hosted sharded
-  cluster), expand a
-  {N, boot policy, image policy} grid and boot every scenario
-  (``sweep``, emitting a deterministic ``results/fleet_boot.json``
-  with p50/p95/p99 time-to-steady-state and per-rank amortization
-  curves), or validate and pretty-print a saved report (``report``).
-  ``--collect`` attaches the telemetry collector to the hosted
-  server(s): SLO verdicts embed in the report and the merged trace
-  gains per-server span lanes with client→server flow arrows.
-* ``lint [PATHS...] [--json] [--rules IDS] [--no-style]``
-  — run reprolint, the project-invariant static analyzer (determinism,
-  lock discipline, fault-point coverage, taxonomy conformance, plus the
-  style pack); see :mod:`repro.lint` and
-  ``docs/static_analysis.md``.
+``python -m repro --help`` lists the commands and ``python -m repro
+<command> --help`` one command's options: the parser is their one
+description.  An option more than one command takes is declared once,
+in :data:`SHARED_OPTIONS`.
 """
 
 from __future__ import annotations
@@ -87,13 +15,13 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import normalized_curve
-from repro.analysis.breakeven import format_breakeven
+from repro.analysis.breakeven import breakeven_for_app, format_breakeven
 from repro.analysis.frequency_profile import suite_frequency_profile
 from repro.analysis.reporting import format_table
 from repro.analysis.startup_curves import log_grid
 from repro.core import ALL_CONFIGS, CoDesignedVM
 from repro.core.config import resolve_config
-from repro.isa.x86lite import assemble
+from repro.isa.x86lite import AssemblerError, assemble
 from repro.obs.logutil import LOG_LEVELS, configure_logging
 from repro.timing import simulate_startup
 from repro.timing.sampler import crossover_cycles
@@ -101,6 +29,62 @@ from repro.workloads import generate_workload, winstone_app, \
     winstone_suite
 
 log = logging.getLogger("repro.cli")
+
+#: Every option more than one command takes, declared once: group ->
+#: ``(flags, add_argument keywords)`` rows.  :func:`_add_shared` adds a
+#: group to one command and takes that command's own defaults by dest.
+SHARED_OPTIONS = {
+    "vm": [
+        (("--config",), dict(default="soft",
+                             help="machine configuration: ref, soft, be, "
+                                  "fe, interp or a Table 2 name "
+                                  "(default %(default)s)")),
+        (("--hot-threshold",), dict(type=int, default=None,
+                                    help="block executions before SBT "
+                                         "optimizes it (default "
+                                         "%(default)s: the "
+                                         "configuration's)")),
+        (("--max-instructions",), dict(type=int, default=10_000_000,
+                                       help="stop the run after this "
+                                            "many instructions (default "
+                                            "%(default)s)")),
+    ],
+    "seed": [(("--seed",), dict(type=int, default=0))],
+    "client": [
+        (("--timeout",), dict(type=float, default=2.0,
+                              help="per-request timeout in seconds "
+                                   "(default %(default)s)")),
+        (("--retries",), dict(type=int, default=1,
+                              help="retry budget per request (default "
+                                   "%(default)s)")),
+    ],
+    "cluster": [(("--cluster",), dict(
+        required=True, help="cluster spec: 'shard0=h:p,h:p;shard1=...' "
+                            "or @spec.json (a single server is "
+                            "'shard0=host:port')"))],
+    "store": [(("--cache-dir",), dict(
+        default=".repro-cache",
+        help="repository directory (default: %(default)s)"))],
+    "queue": [(("--max-queue-depth",), dict(
+        type=int, default=None,
+        help="server-side admission bound: shed store ops (retryable "
+             "'overloaded' with a retry_after hint) past this many "
+             "concurrent dispatches (default: unlimited; "
+             "docs/overload.md)"))],
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *groups: str,
+                **defaults) -> None:
+    """Add the option ``groups`` to one command, with ``defaults`` (by
+    dest) replacing the shared ones.  Every call makes its own
+    ``Action``s, so one command's default never leaks into another's."""
+    for group in groups:
+        for flags, kwargs in SHARED_OPTIONS[group]:
+            dest = flags[0][2:].replace("-", "_")
+            parser.add_argument(*flags, **{
+                **kwargs, "default": defaults.get(dest,
+                                                  kwargs.get("default"))})
 
 
 def _config_by_name(name: str):
@@ -110,13 +94,37 @@ def _config_by_name(name: str):
         raise SystemExit(str(error))
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    with open(args.program) as handle:
-        source = handle.read()
-    config = _config_by_name(args.config)
+def _program_source(name_or_path: str) -> str:
+    """Resolve a seed-workload name or an assembly file path to source."""
+    from repro.workloads.programs import PROGRAMS
+    if name_or_path in PROGRAMS:
+        return PROGRAMS[name_or_path]
+    try:
+        with open(name_or_path) as handle:
+            return handle.read()
+    except OSError as error:
+        raise SystemExit(
+            f"{name_or_path!r} is neither a seed workload "
+            f"({sorted(PROGRAMS)}) nor a readable file: {error}")
+
+
+def _boot(args: argparse.Namespace, program: str,
+          trace: bool = False) -> CoDesignedVM:
+    """A VM of ``--config`` / ``--hot-threshold`` with ``program`` (a
+    seed-workload name or an assembly file) loaded; source that does not
+    assemble is a clean exit that names the line."""
+    try:
+        image = assemble(_program_source(program))
+    except AssemblerError as error:
+        raise SystemExit(f"{program}: {error}")
+    config = _config_by_name(args.config).with_(trace=trace)
     vm = CoDesignedVM(config, hot_threshold=args.hot_threshold)
-    vm.load(assemble(source))
-    report = vm.run(max_instructions=args.max_instructions)
+    vm.load(image)
+    return vm
+
+
+def _print_run(report) -> int:
+    """The program's output, then the run summary; the exit code."""
     for item in report.output:
         print(item)
     print()
@@ -124,8 +132,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     return report.exit_code or 0
 
 
+def cmd_run(args: argparse.Namespace) -> int:
+    vm = _boot(args, args.program)
+    return _print_run(vm.run(max_instructions=args.max_instructions))
+
+
 def cmd_startup(args: argparse.Namespace) -> int:
-    app = winstone_app(args.app)
+    try:
+        app = winstone_app(args.app)
+    except KeyError as error:
+        raise SystemExit(error.args[0])
     workload = generate_workload(app, dyn_instrs=args.instrs,
                                  seed=args.seed)
     configs = ALL_CONFIGS()
@@ -155,27 +171,19 @@ def cmd_breakeven(args: argparse.Namespace) -> int:
     vm_names = ["VM.soft", "VM.be", "VM.fe"]
     rows = []
     for app in winstone_suite():
-        workload = generate_workload(app, dyn_instrs=args.instrs,
-                                     seed=args.seed)
-        reference = simulate_startup(configs["Ref: superscalar"],
-                                     workload)
-        row = [app.name]
-        for name in vm_names:
-            result = simulate_startup(configs[name], workload)
-            row.append(format_breakeven(crossover_cycles(
-                result.series, reference.series, start=1e4)))
-        rows.append(row)
+        row = breakeven_for_app(app, [configs[name] for name in vm_names],
+                                configs["Ref: superscalar"],
+                                dyn_instrs=args.instrs, seed=args.seed)
+        rows.append([row.app] + [format_breakeven(row.cycles_by_config[
+            name]) for name in vm_names])
     print(format_table(["benchmark"] + vm_names, rows,
                        title="breakeven points (Fig. 9)"))
     return 0
 
 
 def _traced_run(args: argparse.Namespace) -> CoDesignedVM:
-    """Assemble, load and run one workload with tracing enabled."""
-    source = _program_source(args.workload)
-    config = _config_by_name(args.config).with_(trace=True)
-    vm = CoDesignedVM(config, hot_threshold=args.hot_threshold)
-    vm.load(assemble(source))
+    """Boot and run one workload with tracing enabled."""
+    vm = _boot(args, args.workload, trace=True)
     vm.run(max_instructions=args.max_instructions)
     return vm
 
@@ -232,28 +240,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify import VerifierReport, sanitizer, verify_directory
     from repro.workloads.programs import PROGRAMS
 
-    programs = {}
-    if args.program:
-        try:
-            with open(args.program) as handle:
-                programs[args.program] = handle.read()
-        except OSError as error:
-            raise SystemExit(f"cannot read program: {error}")
-    else:
-        if args.workload == "all":
-            programs.update(PROGRAMS)
-        elif args.workload in PROGRAMS:
-            programs[args.workload] = PROGRAMS[args.workload]
-        else:
-            raise SystemExit(f"unknown workload {args.workload!r}; "
-                             f"choose from {sorted(PROGRAMS)} or 'all'")
-
-    config = _config_by_name(args.config)
+    names = [args.program] if args.program else \
+        list(PROGRAMS) if args.workload == "all" else [args.workload]
     total = VerifierReport()
     per_workload = {}
-    for name, source in programs.items():
-        vm = CoDesignedVM(config, hot_threshold=args.hot_threshold)
-        vm.load(assemble(source))
+    for name in names:
+        vm = _boot(args, name)
         with sanitizer.collecting() as collected:
             vm.run(max_instructions=args.max_instructions)
             # final sweep over the steady-state caches: catches chaining
@@ -277,20 +269,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print()
         print(total.format())
     return 0 if total.ok else 1
-
-
-def _program_source(name_or_path: str) -> str:
-    """Resolve a seed-workload name or an assembly file path to source."""
-    from repro.workloads.programs import PROGRAMS
-    if name_or_path in PROGRAMS:
-        return PROGRAMS[name_or_path]
-    try:
-        with open(name_or_path) as handle:
-            return handle.read()
-    except OSError as error:
-        raise SystemExit(
-            f"{name_or_path!r} is neither a seed workload "
-            f"({sorted(PROGRAMS)}) nor a readable file: {error}")
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -366,23 +344,22 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     if args.action == "report":
         if not args.input:
             raise SystemExit("fleet report requires a report JSON file")
-        with open(args.input) as handle:
-            doc = json.load(handle)
+        try:
+            with open(args.input) as handle:
+                doc = json.load(handle)
+        except (OSError, ValueError) as error:
+            raise SystemExit(f"cannot read fleet report {args.input}: "
+                             f"{error}")
         print(FleetReport(doc).format())
         problems = validate_report(doc)
         for problem in problems:
             print(f"INVALID: {problem}", file=sys.stderr)
         return 1 if problems else 0
 
-    fixed = dict(config=args.config, warm=args.warm,
-                 workload=args.workload,
-                 seed=args.seed, workers=args.workers,
-                 hot_threshold=args.hot_threshold,
-                 max_instructions=args.max_instructions,
-                 shards=args.shards, replicas=args.replicas,
-                 request_budget=args.request_budget,
-                 max_queue_depth=args.max_queue_depth,
-                 collect=args.collect)
+    fixed = {name: getattr(args, name) for name in (
+        "config", "warm", "workload", "seed", "workers", "hot_threshold",
+        "max_instructions", "shards", "replicas", "request_budget",
+        "max_queue_depth", "collect")}
     try:
         if args.action == "run":
             scenarios = [FleetScenario(
@@ -433,30 +410,31 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_spec(text: str):
+def _cluster_spec(text: str, what: str = "--cluster spec"):
     """Parse a ``--cluster`` / ``--server`` value: a spec string
     (``shard0=host:port,host:port;shard1=...``), ``@file.json``
     holding a spec document, or one server's address (the 1x1
-    cluster)."""
+    cluster).  An unreadable or unusable one is a clean exit, not a
+    failure mid-request."""
     from repro.persist import parse_address
     from repro.persist.remote import as_spec
-    if text.startswith("@"):
-        with open(text[1:]) as handle:
-            spec = as_spec(json.load(handle))
-    else:
-        spec = as_spec(text)
-    for address in spec.addresses():
-        parse_address(address)      # unusable addresses fail here, as
-    return spec                     # a clean CLI error, not mid-request
+    try:
+        if text.startswith("@"):
+            with open(text[1:]) as handle:
+                spec = as_spec(json.load(handle))
+        else:
+            spec = as_spec(text)
+        for address in spec.addresses():
+            parse_address(address)
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"bad {what}: {error}")
+    return spec
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster import anti_entropy
     from repro.persist import RemoteRepository
-    try:
-        spec = _cluster_spec(args.cluster)
-    except (OSError, ValueError, json.JSONDecodeError) as error:
-        raise SystemExit(f"bad --cluster spec: {error}")
+    spec = _cluster_spec(args.cluster)
 
     if args.action == "repair":
         report = anti_entropy(spec, timeout=args.timeout,
@@ -542,10 +520,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
     from repro.obs.collector import ClusterCollector
     from repro.obs.slo import load_slo_file, worst_status
-    try:
-        spec = _cluster_spec(args.cluster)
-    except (OSError, ValueError, json.JSONDecodeError) as error:
-        raise SystemExit(f"bad --cluster spec: {error}")
+    spec = _cluster_spec(args.cluster)
     slos = None
     if args.slo:
         try:
@@ -572,7 +547,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
                 else 0
             index += 1
             if not args.watch:
-                break               # --once (the default)
+                break               # one scrape unless --watch
             if args.iterations and index >= args.iterations:
                 break
     except KeyboardInterrupt:       # pragma: no cover - interactive
@@ -596,11 +571,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
             raise SystemExit(f"cache {args.action} requires --server "
                              "(unix:<path>, host:port or a cluster "
                              "spec)")
-        try:
-            spec = _cluster_spec(args.server)
-        except (OSError, ValueError, json.JSONDecodeError) as error:
-            raise SystemExit(f"bad --server: {error}")
-        remote = RemoteRepository(spec, local=args.cache_dir,
+        remote = RemoteRepository(_cluster_spec(args.server, "--server"),
+                                  local=args.cache_dir,
                                   timeout=args.timeout,
                                   retries=args.retries)
         repo = remote
@@ -628,10 +600,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     if not args.program:
         raise SystemExit(f"cache {args.action} requires a program "
                          "(seed workload name or assembly file)")
-    source = _program_source(args.program)
-    config = _config_by_name(args.config)
-    vm = CoDesignedVM(config, hot_threshold=args.hot_threshold)
-    vm.load(assemble(source))
+    vm = _boot(args, args.program)
     destination = args.server if remote is not None else args.cache_dir
 
     if args.action in ("save", "push"):
@@ -649,12 +618,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     print(load_report.format())
     _print_degradation(remote)
     print()
-    report = vm.run(max_instructions=args.max_instructions)
-    for item in report.output:
-        print(item)
-    print()
-    print(report.summary())
-    return report.exit_code or 0
+    return _print_run(vm.run(max_instructions=args.max_instructions))
 
 
 def _print_degradation(remote) -> None:
@@ -667,11 +631,6 @@ def _print_degradation(remote) -> None:
               f"{stats.retries} retrie(s), {stats.fallbacks} "
               f"fallback(s) to local/cold "
               f"(breaker opened {stats.breaker_opens}x)")
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import run_lint
-    return run_lint(args)
 
 
 def cmd_configs(_args: argparse.Namespace) -> int:
@@ -689,7 +648,11 @@ def cmd_configs(_args: argparse.Namespace) -> int:
     return 0
 
 
+PROGRAM_HELP = "seed workload name or assembly file"
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.lint.cli import add_lint_arguments, run_lint
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Co-designed VM startup-time study "
@@ -699,83 +662,59 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: warning)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run an x86lite program")
-    run.add_argument("program", help="assembly source file")
-    run.add_argument("--config", default="soft")
-    run.add_argument("--hot-threshold", type=int, default=None)
-    run.add_argument("--max-instructions", type=int, default=10_000_000)
-    run.set_defaults(func=cmd_run)
+    def command(name, func, text, *groups, **defaults):
+        """One subcommand: its parser, shared option groups, handler."""
+        cmd = sub.add_parser(name, help=text)
+        _add_shared(cmd, *groups, **defaults)
+        cmd.set_defaults(func=func)
+        return cmd
 
-    startup = sub.add_parser("startup",
-                             help="startup curves for one application")
+    run = command("run", cmd_run, "run an x86lite program", "vm")
+    run.add_argument("program", help=PROGRAM_HELP)
+
+    startup = command("startup", cmd_startup,
+                      "startup curves for one application", "seed")
     startup.add_argument("--app", default="Word")
     startup.add_argument("--instrs", type=int, default=500_000_000)
-    startup.add_argument("--seed", type=int, default=0)
-    startup.set_defaults(func=cmd_startup)
 
-    breakeven = sub.add_parser("breakeven",
-                               help="Fig. 9 per-app breakeven table")
+    breakeven = command("breakeven", cmd_breakeven,
+                        "Fig. 9 per-app breakeven table", "seed")
     breakeven.add_argument("--instrs", type=int, default=500_000_000)
-    breakeven.add_argument("--seed", type=int, default=0)
-    breakeven.set_defaults(func=cmd_breakeven)
 
-    profile = sub.add_parser(
-        "profile",
-        help="Fig. 3 frequency profile, or per-workload cycle "
-             "attribution")
+    profile = command("profile", cmd_profile,
+                      "Fig. 3 frequency profile, or per-workload cycle "
+                      "attribution", "vm", "seed")
     profile.add_argument("workload", nargs="?", default=None,
-                         help="seed workload name or assembly file; "
-                              "when given, run it traced and print the "
+                         help=PROGRAM_HELP + "; when given, run it "
+                              "traced and print the "
                               "ledger's Eq. 1 phase breakdown instead "
                               "of the Fig. 3 table")
     profile.add_argument("--top", type=int, default=10,
                          help="top-N blocks by BBT translation overhead "
                               "(default 10)")
-    profile.add_argument("--config", default="soft")
-    profile.add_argument("--hot-threshold", type=int, default=None)
-    profile.add_argument("--max-instructions", type=int,
-                         default=10_000_000)
     profile.add_argument("--instrs", type=int, default=100_000_000)
-    profile.add_argument("--seed", type=int, default=0)
-    profile.set_defaults(func=cmd_profile)
 
-    trace = sub.add_parser(
-        "trace",
-        help="run a workload traced; export Perfetto trace_event JSON")
-    trace.add_argument("workload",
-                       help="seed workload name or assembly file")
+    trace = command("trace", cmd_trace, "run a workload traced; export "
+                    "Perfetto trace_event JSON", "vm")
+    trace.add_argument("workload", help=PROGRAM_HELP)
     trace.add_argument("--out", default=None,
                        help="write the trace JSON here "
                             "(default: stdout)")
-    trace.add_argument("--config", default="soft")
-    trace.add_argument("--hot-threshold", type=int, default=None)
-    trace.add_argument("--max-instructions", type=int,
-                       default=10_000_000)
-    trace.set_defaults(func=cmd_trace)
 
-    configs = sub.add_parser("configs", help="list configurations")
-    configs.set_defaults(func=cmd_configs)
+    command("configs", cmd_configs, "list configurations")
 
-    verify = sub.add_parser(
-        "verify",
-        help="statically verify emitted translations for a workload")
+    verify = command("verify", cmd_verify, "statically verify emitted "
+                     "translations for a workload", "vm",
+                     hot_threshold=20)
     verify.add_argument("--workload", default="all",
                         help="seed program name, or 'all'")
     verify.add_argument("--program", default=None,
                         help="verify an assembly source file instead")
-    verify.add_argument("--config", default="soft")
-    verify.add_argument("--hot-threshold", type=int, default=20,
-                        help="low threshold so SBT superblocks are "
-                             "exercised too (default 20)")
-    verify.add_argument("--max-instructions", type=int,
-                        default=10_000_000)
     verify.add_argument("--json", action="store_true",
                         help="machine-readable violation report")
-    verify.set_defaults(func=cmd_verify)
 
-    serve = sub.add_parser(
-        "serve",
-        help="serve a translation repository to other VM instances")
+    serve = command("serve", cmd_serve, "serve a translation repository "
+                    "to other VM instances", "store", "queue")
     serve.add_argument("--socket", default=None,
                        help="listen on a Unix socket at this path")
     serve.add_argument("--host", default="127.0.0.1",
@@ -783,9 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (default: ephemeral; ignored "
                             "with --socket)")
-    serve.add_argument("--cache-dir", default=".repro-cache",
-                       help="repository directory to serve "
-                            "(default: .repro-cache)")
     serve.add_argument("--max-seconds", type=float, default=None,
                        help="exit after this many seconds "
                             "(smoke tests; default: run until "
@@ -794,11 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reject connections beyond this many "
                             "concurrent clients with a retryable "
                             "'busy' error (default: unlimited)")
-    serve.add_argument("--max-queue-depth", type=int, default=None,
-                       help="shed store ops (retryable 'overloaded' "
-                            "with a retry_after hint) once this many "
-                            "requests are dispatching concurrently "
-                            "(default: unlimited; docs/overload.md)")
     serve.add_argument("--shed-retry-after", type=float, default=0.05,
                        help="base client backoff hint (seconds) "
                             "attached to shed responses, scaled by "
@@ -814,12 +745,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds to let in-flight requests finish "
                             "during shutdown before idle connections "
                             "are cut (default 5.0)")
-    serve.set_defaults(func=cmd_serve)
 
-    fleet = sub.add_parser(
-        "fleet",
-        help="mass-boot scenario harness: herds of VMs against one "
-             "shared cache server")
+    fleet = command("fleet", cmd_fleet, "mass-boot scenario harness: "
+                    "herds of VMs against one shared cache server",
+                    "vm", "seed", "queue", hot_threshold=20,
+                    max_instructions=2_000_000)
     fleet.add_argument("action", choices=["run", "sweep", "report"],
                        help="run: boot one fleet scenario; sweep: "
                             "expand a parameter grid and boot every "
@@ -836,13 +766,11 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--image-policy", default=None,
                        help="one | one_per_vm (sweep: comma list; "
                             "default both)")
-    fleet.add_argument("--config", default="soft")
     fleet.add_argument("--workload", default="fibonacci",
                        help="seed workload every instance boots")
     fleet.add_argument("--warm", action="store_true",
                        help="pre-populate the server repository "
                             "before the herd boots")
-    fleet.add_argument("--seed", type=int, default=0)
     fleet.add_argument("--shards", type=int, default=1,
                        help="cluster shard groups to host (default 1: "
                             "the classic single cache server)")
@@ -857,57 +785,31 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-request deadline budget (seconds) "
                             "each instance's client spends across "
                             "retries and failovers (docs/overload.md)")
-    fleet.add_argument("--max-queue-depth", type=int, default=None,
-                       help="server-side admission bound: shed store "
-                            "ops past this many concurrent dispatches "
-                            "(default: unlimited)")
     fleet.add_argument("--workers", type=int, default=8,
                        help="boot threads (default 8)")
-    fleet.add_argument("--hot-threshold", type=int, default=20)
-    fleet.add_argument("--max-instructions", type=int,
-                       default=2_000_000)
     fleet.add_argument("--out", default=None,
                        help="write the report JSON here (sweep "
                             "default: results/fleet_boot.json)")
     fleet.add_argument("--trace-out", default=None,
                        help="write the first fleet's merged Perfetto "
                             "trace here")
-    fleet.set_defaults(func=cmd_fleet)
 
-    cluster = sub.add_parser(
-        "cluster",
-        help="sharded translation-cache cluster: health and "
-             "anti-entropy repair")
+    cluster = command("cluster", cmd_cluster, "sharded translation-cache "
+                      "cluster: health and anti-entropy repair",
+                      "cluster", "client")
     cluster.add_argument("action", choices=["health", "repair"],
                          help="health: per-replica liveness/breaker/"
                               "lease view via the wire health op; "
                               "repair: one anti-entropy pass (diff "
                               "replica manifests, re-replicate the "
                               "gaps)")
-    cluster.add_argument("--cluster", required=True,
-                         help="cluster spec: 'shard0=h:p,h:p;"
-                              "shard1=...' or @spec.json")
-    cluster.add_argument("--timeout", type=float, default=2.0,
-                         help="per-request timeout in seconds "
-                              "(default 2.0)")
-    cluster.add_argument("--retries", type=int, default=1,
-                         help="retry budget per request (default 1)")
-    cluster.set_defaults(func=cmd_cluster)
 
-    monitor = sub.add_parser(
-        "monitor",
-        help="central telemetry collector: scrape replicas, merge "
-             "metrics, evaluate SLO verdicts")
-    monitor.add_argument("--cluster", required=True,
-                         help="cluster spec: 'shard0=h:p,h:p;"
-                              "shard1=...' or @spec.json (a single "
-                              "server is 'shard0=host:port')")
-    group = monitor.add_mutually_exclusive_group()
-    group.add_argument("--once", action="store_true",
-                       help="one scrape + report (the default)")
-    group.add_argument("--watch", action="store_true",
-                       help="scrape repeatedly every --interval "
-                            "seconds")
+    monitor = command("monitor", cmd_monitor, "central telemetry "
+                      "collector: scrape replicas, merge metrics, "
+                      "evaluate SLO verdicts", "cluster", "client")
+    monitor.add_argument("--watch", action="store_true",
+                         help="scrape repeatedly every --interval "
+                              "seconds (default: one scrape)")
     monitor.add_argument("--interval", type=float, default=2.0,
                          help="seconds between --watch scrapes "
                               "(default 2.0)")
@@ -918,23 +820,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSON file of SLO rule objects "
                               "(@file.json or plain path; default: "
                               "the built-in rules)")
-    monitor.add_argument("--timeout", type=float, default=2.0,
-                         help="per-scrape request timeout in seconds "
-                              "(default 2.0)")
-    monitor.add_argument("--retries", type=int, default=1,
-                         help="retry budget per scrape request "
-                              "(default 1)")
     monitor.add_argument("--json", action="store_true",
                          help="print the full operator snapshot as "
                               "JSON instead of the table")
     monitor.add_argument("--out", default=None,
                          help="also write the last snapshot JSON here")
-    monitor.set_defaults(func=cmd_monitor)
 
-    cache = sub.add_parser(
-        "cache",
-        help="persistent translation repository "
-             "(save/load/push/pull/stats/gc)")
+    cache = command("cache", cmd_cache, "persistent translation "
+                    "repository (save/load/push/pull/stats/gc)",
+                    "store", "vm", "client", retries=3)
     cache.add_argument("action",
                        choices=["save", "load", "push", "pull",
                                 "stats", "gc", "fsck"],
@@ -947,38 +841,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "LRU records down to a size budget; fsck: "
                             "check (and with --repair, fix) the store")
     cache.add_argument("program", nargs="?", default=None,
-                       help="seed workload name or assembly file "
-                            "(required for save/load)")
-    cache.add_argument("--cache-dir", default=".repro-cache",
-                       help="repository directory "
-                            "(default: .repro-cache)")
-    cache.add_argument("--config", default="soft")
-    cache.add_argument("--hot-threshold", type=int, default=None)
-    cache.add_argument("--max-instructions", type=int,
-                       default=10_000_000)
+                       help=PROGRAM_HELP + " (required for save/load)")
     cache.add_argument("--server", default=None,
                        help="shared cache for push/pull: one server "
                             "(unix:<path> or host:port) or a cluster "
                             "spec (see cluster --cluster)")
-    cache.add_argument("--timeout", type=float, default=2.0,
-                       help="per-request server timeout in seconds "
-                            "(default 2.0)")
-    cache.add_argument("--retries", type=int, default=3,
-                       help="retry budget per server request "
-                            "(default 3)")
     cache.add_argument("--budget", type=int, default=64 * 1024 * 1024,
                        help="gc size budget in bytes (default 64 MiB)")
     cache.add_argument("--repair", action="store_true",
                        help="fsck: quarantine corrupt objects and "
                             "repair the index/manifests in place")
-    cache.set_defaults(func=cmd_cache)
 
-    lint = sub.add_parser(
-        "lint",
-        help="run reprolint, the project-invariant static analyzer")
-    from repro.lint.cli import add_lint_arguments
-    add_lint_arguments(lint)
-    lint.set_defaults(func=cmd_lint)
+    add_lint_arguments(command("lint", run_lint, "run reprolint, the "
+                               "project-invariant static analyzer"))
     return parser
 
 

@@ -329,10 +329,6 @@ class FleetEngine:
     def _images(scenario: FleetScenario) -> Tuple[Image, List[Image]]:
         """The gold image and each rank's: each distinct source assembled
         once and its ``Image`` shared (``load_image`` copies it in)."""
-        if scenario.workload not in PROGRAMS:
-            raise ValueError(
-                f"unknown workload {scenario.workload!r}; choose from "
-                f"{sorted(PROGRAMS)}")
         gold = PROGRAMS[scenario.workload]
         sources = [gold] * scenario.n if scenario.image_policy == "one" \
             else [perturb_source(gold, rank, scenario.seed)

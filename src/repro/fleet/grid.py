@@ -50,6 +50,8 @@ import itertools
 from dataclasses import dataclass, fields
 from typing import Dict, List, Mapping, Sequence
 
+from repro.workloads.programs import PROGRAMS
+
 BOOT_POLICIES = ("all_at_once", "one_then_others")
 IMAGE_POLICIES = ("one", "one_per_vm")
 
@@ -100,6 +102,10 @@ class FleetScenario:
             raise ValueError(
                 f"unknown image policy {self.image_policy!r}; "
                 f"choose from {IMAGE_POLICIES}")
+        if self.workload not in PROGRAMS:
+            raise ValueError(
+                f"unknown workload {self.workload!r}; choose from "
+                f"{sorted(PROGRAMS)}")
         if self.shards < 1 or self.replicas < 1:
             raise ValueError(
                 f"cluster topology must be >= 1x1, got "

@@ -304,9 +304,9 @@ class FusibleMachine:
     def _decode_run(self, pc: int) -> Run:
         """Decode, bind and cache the run that starts at ``pc``."""
         window = min(RUN_WINDOW, PAGE_SIZE - (pc & PAGE_MASK))
-        # two bytes of slack: a 32-bit micro-op may start in the last
-        # parcel of the window and straddle into the next page
-        data = self.memory.read(pc, min(window + 2, ADDRESS_MASK + 1 - pc))
+        # three bytes of slack: a 32-bit micro-op may start in the last
+        # byte of the window (an odd pc) and straddle into the next page
+        data = self.memory.read(pc, min(window + 3, ADDRESS_MASK + 1 - pc))
         words = self.words
         steps: List[Step] = []
         shape = bytearray()

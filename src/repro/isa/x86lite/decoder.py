@@ -4,8 +4,8 @@ This is the reference implementation of the "first-level (vertical) decode"
 that appears three times in the paper's system: in the software BBT (where
 it costs ~90 of the 105 native instructions per x86 instruction), in the
 XLTx86 backend functional unit, and in the first level of the dual-mode
-frontend decoder.  All three reuse this module so that they are decode-
-equivalent by construction.
+frontend decoder.  The first two reuse this module, so they are decode-
+equivalent by construction; the third is a timing-model mode only.
 """
 
 from __future__ import annotations

@@ -118,29 +118,36 @@ class Histogram(Series):
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> Optional[float]:
-        """Deterministic q-th percentile estimate from the pow2 buckets.
-
-        Walks the cumulative bucket counts and returns the upper bound
-        of the bucket containing the q-th observation, clamped to the
-        recorded ``max`` (so p99 never overshoots the data) and floored
-        at the recorded ``min``.  Monotone in ``q`` by construction —
-        the fleet report's p50 <= p95 <= p99 invariant rests on this.
-        Returns ``None`` for an empty histogram.
-        """
-        if not self.count:
-            return None
-        target = max(1, math.ceil(self.count * q / 100.0))
-        seen = 0
-        for bound in sorted(self.buckets):
-            seen += self.buckets[bound]
-            if seen >= target:
-                return float(min(max(bound, self.min), self.max))
-        return float(self.max)      # pragma: no cover - bucket invariant
+        """The q-th percentile estimate (:func:`bucket_percentile`)."""
+        return bucket_percentile(self.count, self.buckets, self.min,
+                                 self.max, q)
 
     def snapshot(self) -> Dict:
         return {"count": self.count, "total": self.total,
                 "min": self.min, "max": self.max, "mean": self.mean,
                 "buckets": dict(sorted(self.buckets.items()))}
+
+
+def bucket_percentile(count: int, buckets: Dict[int, int], lo, hi,
+                      q: float) -> Optional[float]:
+    """Deterministic q-th percentile estimate from pow2 buckets.
+
+    Walks the cumulative bucket counts and returns the upper bound of
+    the bucket containing the q-th observation, clamped to the recorded
+    max ``hi`` (so p99 never overshoots the data) and floored at the
+    recorded min ``lo``.  Monotone in ``q`` by construction — the fleet
+    report's p50 <= p95 <= p99 invariant rests on this.  Returns
+    ``None`` for an empty histogram.
+    """
+    if not count:
+        return None
+    target = max(1, math.ceil(count * q / 100.0))
+    seen = 0
+    for bound in sorted(buckets):
+        seen += buckets[bound]
+        if seen >= target:
+            return float(min(max(bound, lo), hi))
+    return float(hi)        # pragma: no cover - bucket invariant
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}

@@ -40,6 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.metrics import bucket_percentile
 from repro.obs.tracer import EVENT_TYPES
 
 #: Version stamped into every ``trace_ctx`` payload and ``telemetry``
@@ -245,22 +246,12 @@ def merge_histogram(snapshots: Iterable[Dict]) -> Dict:
 
 
 def histogram_percentile(snapshot: Dict, q: float) -> Optional[float]:
-    """:meth:`repro.obs.metrics.Histogram.percentile`, replayed over a
-    (possibly merged, possibly JSON-round-tripped) snapshot."""
-    import math
-    count = int(snapshot.get("count") or 0)
-    if not count:
-        return None
-    target = max(1, math.ceil(count * q / 100.0))
+    """:func:`repro.obs.metrics.bucket_percentile` over a (possibly
+    merged, possibly JSON-round-tripped) snapshot."""
     buckets = {int(bound): int(n)
                for bound, n in snapshot.get("buckets", {}).items()}
-    seen = 0
-    for bound in sorted(buckets):
-        seen += buckets[bound]
-        if seen >= target:
-            return float(min(max(bound, snapshot["min"]),
-                             snapshot["max"]))
-    return float(snapshot["max"])
+    return bucket_percentile(int(snapshot.get("count") or 0), buckets,
+                             snapshot.get("min"), snapshot.get("max"), q)
 
 
 def merge_snapshots(snapshots: Iterable[Dict]) -> Dict:

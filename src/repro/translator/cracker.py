@@ -1,11 +1,11 @@
 """Cracking: decompose x86lite instructions into fusible micro-ops.
 
 This is the common core shared by every translation path in the system —
-the software BBT, the SBT (which cracks and then optimizes), the XLTx86
-backend functional unit, and the first level of the dual-mode frontend
-decoder all call :func:`crack`.  That sharing is the repository's analogue
-of the paper's observation that all four are "the same decode/crack work"
-relocated to different places.
+the software BBT, the SBT (which cracks and then optimizes) and the XLTx86
+backend functional unit all reach :func:`crack` through the instruction-
+shape templates.  That sharing is the repository's analogue of the
+paper's observation that they are "the same decode/crack work" relocated
+to different places.
 
 Architected GPR *r* lives in native register *r* (R0..R7).  Temporaries
 R8..R10 are used inside a single instruction's cracked sequence and carry

@@ -16,9 +16,9 @@ Two execution strategies cover the paper's configurations:
 * **translated** (VM.soft, VM.be): cold code runs via BBT translations
   with embedded software profiling.
 * **interpretive** (VM.fe in x86-mode, and the Interp+SBT configuration
-  of Fig. 2): cold code is emulated instruction-at-a-time — by the
-  dual-mode decoder's x86-mode in VM.fe, by the software interpreter in
-  Interp+SBT — while a hotspot detector watches block entries.
+  of Fig. 2): cold code is emulated instruction-at-a-time by the
+  software interpreter (the timing layer charges VM.fe's dual-mode
+  decoder for it) while a hotspot detector watches block entries.
 
 Both converge to SBT superblocks for hotspots; the functional behaviour
 of hot code is identical across configurations, which the cross-

@@ -1,10 +1,21 @@
 """CLI tests (python -m repro)."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def subcommands(parser):
+    """Every subcommand ``build_parser()`` registers: name -> parser."""
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
 
 
 @pytest.fixture
@@ -46,6 +57,105 @@ class TestRunCommand:
     def test_unknown_config_rejected(self, program_file):
         with pytest.raises(SystemExit):
             main(["run", program_file, "--config", "bogus"])
+
+    def test_runs_seed_workload(self, capsys):
+        code = main(["run", "fibonacci", "--hot-threshold", "5"])
+        assert code == 0
+        assert "VM.soft" in capsys.readouterr().out
+
+
+@pytest.fixture
+def bad_program(tmp_path):
+    path = tmp_path / "bad.asm"
+    path.write_text("start:\n    frobnicate eax\n")
+    return str(path)
+
+
+class TestUserInputErrors:
+    """A mistake in what the user typed is a one-line exit, never a
+    traceback."""
+
+    @staticmethod
+    def exit_message(argv):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        message = caught.value.code
+        assert isinstance(message, str) and "\n" not in message
+        return message
+
+    def test_missing_program_file(self):
+        assert "nosuch.asm" in self.exit_message(["run", "nosuch.asm"])
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{}"], ["trace", "{}"], ["profile", "{}"],
+        ["verify", "--program", "{}"],
+        ["cache", "save", "{}", "--cache-dir", "{}.cache"]])
+    def test_malformed_assembly_names_the_line(self, argv, bad_program):
+        message = self.exit_message(
+            [arg.format(bad_program) for arg in argv])
+        assert "line 2" in message and "frobnicate" in message
+
+    def test_missing_fleet_report(self, tmp_path):
+        path = str(tmp_path / "missing.json")
+        assert path in self.exit_message(["fleet", "report", path])
+
+    def test_fleet_report_that_is_not_json(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("not json")
+        assert str(path) in self.exit_message(
+            ["fleet", "report", str(path)])
+
+    def test_unknown_fleet_workload(self):
+        assert "unknown workload" in self.exit_message(
+            ["fleet", "run", "--workload", "nosuch"])
+
+    def test_unknown_startup_app(self):
+        assert "Nope" in self.exit_message(["startup", "--app", "Nope"])
+
+
+#: What each subcommand parses to when given only what it requires, for
+#: the values more than one command takes: a command's own default must
+#: not leak into another's.
+PINNED = ("hot_threshold", "max_instructions", "seed", "instrs",
+          "timeout", "retries", "config", "cache_dir", "budget")
+VM = dict(config="soft", hot_threshold=None, max_instructions=10_000_000)
+PARSED_DEFAULTS = {
+    "run": (["prog.asm"], VM),
+    "startup": ([], dict(instrs=500_000_000, seed=0)),
+    "breakeven": ([], dict(instrs=500_000_000, seed=0)),
+    "profile": ([], dict(VM, instrs=100_000_000, seed=0)),
+    "trace": (["checksum"], VM),
+    "configs": ([], {}),
+    "verify": ([], dict(VM, hot_threshold=20)),
+    "serve": ([], dict(cache_dir=".repro-cache")),
+    "fleet": (["run"], dict(VM, hot_threshold=20,
+                            max_instructions=2_000_000, seed=0)),
+    "cluster": (["health", "--cluster", "s"], dict(timeout=2.0,
+                                                   retries=1)),
+    "monitor": (["--cluster", "s"], dict(timeout=2.0, retries=1)),
+    "cache": (["stats"], dict(VM, cache_dir=".repro-cache", timeout=2.0,
+                              retries=3, budget=64 * 1024 * 1024)),
+    "lint": ([], {}),
+}
+
+
+class TestParser:
+    def test_every_subcommand_is_pinned(self):
+        assert set(subcommands(build_parser())) == set(PARSED_DEFAULTS)
+
+    @pytest.mark.parametrize("command", sorted(PARSED_DEFAULTS))
+    def test_parsed_defaults(self, command):
+        argv, expected = PARSED_DEFAULTS[command]
+        parsed = vars(build_parser().parse_args([command] + argv))
+        assert {key: parsed[key] for key in PINNED
+                if key in parsed} == expected
+
+    def test_readme_names_every_subcommand(self):
+        text = (REPO / "README.md").read_text()
+        listed = re.search(r"python -m repro \{([a-z,]+)\}", text)
+        assert listed, "README.md lost its CLI command list"
+        assert set(listed.group(1).split(",")) == \
+            set(subcommands(build_parser()))
 
 
 class TestAnalysisCommands:

@@ -409,6 +409,17 @@ class TestRunMatchesStepping:
         machine.run(start, max_uops=50)
         assert machine.regs[2] == 0x145
 
+    def test_micro_op_in_the_last_byte_of_a_page(self):
+        # an odd pc: three of the 32-bit micro-op's bytes are in the
+        # next page (a run once decoded it from two and called it
+        # truncated while stepping executed it)
+        start = NATIVE_CODE_PAGE - 1
+        machine, seen = assert_run_matches_stepping(start, [
+            MicroOp(UOp.ADDI, rd=2, rs1=R_ZERO, imm=0x123),
+            MicroOp(UOp.HALT)], budget=50)
+        assert seen["outcome"].kind == "halt"
+        assert machine.regs[2] == 0x123
+
     @pytest.mark.parametrize("position", [0, 30, 62, 63, 64, 70])
     def test_run_cut_by_the_decode_window(self, position):
         # 80 32-bit micro-ops without a branch span more than one

@@ -1,16 +1,14 @@
-"""Hardware-assist tests: XLTx86 unit, dual-mode decoder, BBB detector."""
+"""Hardware-assist tests: XLTx86 unit, BBB detector."""
 
 import pytest
 from hypothesis import given, settings
 
 from repro.hwassist import (
     BranchBehaviorBuffer,
-    DualModeDecoder,
     XLTX86_LATENCY,
     XLTx86Unit,
 )
 from repro.isa.x86lite import assemble_to_bytes, decode, encode
-from repro.memory import AddressSpace
 from repro.translator import crack
 from tests.strategies import instructions
 
@@ -79,25 +77,6 @@ class TestXLTx86:
             assert [str(u) for u in result.uops] == \
                 [str(u) for u in software.uops]
             assert result.x86_ilen == decoded.length
-
-
-class TestDualModeDecoder:
-    def test_x86_mode_decodes_and_cracks(self):
-        memory = AddressSpace()
-        memory.write(0x400000, b"\x01\xd8")
-        decoder = DualModeDecoder()
-        group = decoder.decode_x86(memory, 0x400000)
-        assert group.instr.length == 2
-        assert group.uops and not group.cmplx
-        assert decoder.x86_mode_instructions == 1
-
-    def test_complex_traps_counted(self):
-        memory = AddressSpace()
-        memory.write(0x400000, b"\xcd\x80")
-        decoder = DualModeDecoder()
-        group = decoder.decode_x86(memory, 0x400000)
-        assert group.cmplx
-        assert decoder.complex_traps == 1
 
 
 class TestBranchBehaviorBuffer:

@@ -742,7 +742,7 @@ def collect_drill(workdir) -> List[str]:
 def monitor_drill(workdir) -> List[str]:
     """The telemetry CLI end to end: ``repro fleet run --collect``
     embeds verdicts in its report and flow arrows in its trace; ``repro
-    monitor --once`` scrapes a live cluster and exits 0 while SLOs hold
+    monitor`` scrapes a live cluster once and exits 0 while SLOs hold
     (``--json`` round-trips), 1 when a custom rule file fails."""
     report_path = workdir / "fleet_collect.json"
     trace_path = workdir / "fleet_collect_trace.json"
@@ -766,14 +766,13 @@ def monitor_drill(workdir) -> List[str]:
         "name": "always-red", "indicator": "breaker_flaps",
         "warn": -1.0, "fail": -0.5}]))
     with LocalCluster(workdir / "cluster") as grid:
-        monitor = ("monitor", "--cluster", grid.spec().to_string(),
-                   "--once")
+        monitor = ("monitor", "--cluster", grid.spec().to_string())
         codes = [cli(*monitor)[0]]
         code, out = cli(*monitor, "--json")
         codes += [code, cli(*monitor, "--slo", slo_path)[0]]
         if code == 0 and json.loads(out)["scrapes"] != 1:
             problems.append("repro monitor --json did not round-trip")
-    print(f"repro monitor --once exit codes (plain, --json, failing "
+    print(f"repro monitor exit codes (plain, --json, failing "
           f"--slo): {codes}")
     if codes != [0, 0, 1]:
         problems.append(f"repro monitor exit codes {codes}, wanted "
