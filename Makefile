@@ -117,7 +117,7 @@ perf-selftest:
 examples:
 	@for script in examples/*.py; do \
 		echo "== $$script"; \
-		$(PYTHON) $$script > /dev/null || exit 1; \
+		PYTHONPATH=src $(PYTHON) $$script > /dev/null || exit 1; \
 	done; echo "all examples ran"
 
 # Regenerate results/*.txt (the tests and the benchmarks write them).

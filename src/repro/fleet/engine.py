@@ -24,8 +24,10 @@ the same seed, under real thread concurrency):
   instance's pull races another instance's push.
 * **pushes are performed by the engine**, sequentially in boot-rank
   order, through one client — workers only *capture* their
-  translations and hand the records back.  Dedup counts are therefore
-  a pure function of the scenario, not of thread scheduling.
+  translations and hand back the records their own warm start did not
+  install; an instance with none makes no push.  Dedup counts are
+  therefore a pure function of the scenario, not of thread
+  scheduling.
 * **per-instance measurements are simulated-cycle**, never wall-clock:
   time-to-steady-state comes from the instance's own tracer stream on
   the :class:`~repro.obs.ledger.CycleLedger` clock.  Wall-clock lives
@@ -163,8 +165,9 @@ def _boot_instance(scenario: FleetScenario, rank: int, image: Image,
     ``cluster`` (warm start through a :class:`RemoteRepository` with
     **no** local fallback — degradation goes straight to cold
     translation), runs the workload, then captures its translations
-    for the engine to publish later.  It never pushes: see the module
-    determinism contract.
+    for the engine to publish later: those its warm start did not
+    install (a record the loader dropped is captured anew).  It never
+    pushes: see the module determinism contract.
     """
     config = resolve_config(scenario.config).with_(trace=True)
     vm = CoDesignedVM(config, hot_threshold=scenario.hot_threshold)
@@ -193,8 +196,9 @@ def _boot_instance(scenario: FleetScenario, rank: int, image: Image,
         superblocks_translated=stats["superblocks_translated"],
         remote=remote.remote_stats.to_dict(),
         trace_events=trace_events,
-        records=capture_translations(vm.runtime.directory,
-                                     vm.state.memory),
+        records=[record for record in capture_translations(
+                     vm.runtime.directory, vm.state.memory)
+                 if record["key"] not in load_report.installed_keys],
         config_fp=config_fingerprint(vm.config))
 
 
@@ -482,7 +486,10 @@ class FleetEngine:
     def _publish(instance: InstanceResult, push_client,
                  publisher: Optional[_Publisher] = None) -> None:
         """Push one instance's captured translations (engine-side, in
-        rank order — see the determinism contract)."""
+        rank order — see the determinism contract); an instance whose
+        warm start brought in all of them makes no request."""
+        if not instance.records:
+            return
         if publisher is not None:
             publisher.before(instance)
         push_client.save(instance.records, instance.config_fp,
@@ -490,8 +497,7 @@ class FleetEngine:
         push = push_client.last_push or {}
         instance.push_written = push.get("written", 0)
         instance.push_deduped = push.get("deduped", 0)
-        instance.remote["records_pushed"] = \
-            len([r for r in instance.records if r is not None])
+        instance.remote["records_pushed"] = len(instance.records)
         instance.records = []       # published: a result keeps no copy
 
     @staticmethod

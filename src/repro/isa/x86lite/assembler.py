@@ -68,6 +68,18 @@ _SIMPLE_OPS = {
 
 _BRANCH_OPS = frozenset({Op.JMP, Op.JCC, Op.CALL, Op.LOOP, Op.JECXZ})
 
+#: How many operands an op takes, where that is not two.  IMUL has its
+#: one-operand (EDX:EAX), two- and three-operand forms.
+_OPERAND_COUNTS = {
+    **dict.fromkeys((Op.INC, Op.DEC, Op.NEG, Op.NOT, Op.MUL, Op.DIV,
+                     Op.IDIV, Op.PUSH, Op.POP, Op.INT, Op.JMP, Op.JCC,
+                     Op.CALL, Op.LOOP, Op.JECXZ), (1,)),
+    **dict.fromkeys((Op.NOP, Op.HLT, Op.CPUID, Op.MOVS, Op.STOS,
+                     Op.LODS), (0,)),
+    Op.RET: (0, 1),
+    Op.IMUL: (1, 2, 3),
+}
+
 _LABEL_RE = re.compile(r"^[A-Za-z_.$][\w.$]*$")
 
 #: Placeholder for still-unresolved label values during pass 1; large enough
@@ -232,6 +244,11 @@ def _build_instruction(stmt: _Statement, labels: Dict[str, int],
         cond = COND_BY_NAME[mnemonic[4:]]
     else:
         raise AssemblerError(f"unknown mnemonic {mnemonic!r}", line_no)
+    counts = _OPERAND_COUNTS.get(op, (2,))
+    if len(stmt.operands) not in counts:
+        raise AssemblerError(
+            f"{mnemonic} takes {' or '.join(map(str, counts))} "
+            f"operand(s), not {len(stmt.operands)}", line_no)
 
     width = _statement_width(stmt)
     target = None
@@ -361,6 +378,11 @@ def assemble(source: str, base: int = DEFAULT_TEXT_BASE) -> Image:
                                          force_long_branch=stmt.force_long))
             except EncodeError as exc:
                 raise AssemblerError(str(exc), stmt.line_no)
+            except (AttributeError, TypeError):
+                # an operand of a kind the op's encoding has no form for
+                # (``ret eax``, ``inc 5``)
+                raise AssemblerError(f"{stmt.mnemonic} has no encoding "
+                                     f"with these operands", stmt.line_no)
             addr += stmt.length
 
     # -- pass 2: emit bytes --------------------------------------------------

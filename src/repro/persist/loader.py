@@ -35,7 +35,7 @@ steady state the cold VM ended in.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Set, Tuple
 
 from repro.faults.plane import fault_point
@@ -77,6 +77,11 @@ class LoadReport:
     #: records that blew up the materialize/encode/install machinery
     #: with an unforeseen error — quarantined (skipped), never fatal
     undecodable: int = 0
+    #: the ``key`` of every record installed (not a counter: never in
+    #: :meth:`to_dict`); what a capture of this VM holds besides these
+    #: is what the load did not bring in
+    installed_keys: Set[str] = field(default_factory=set, repr=False,
+                                     compare=False)
 
     @property
     def dropped(self) -> int:
@@ -86,7 +91,8 @@ class LoadReport:
 
     def to_dict(self) -> Dict[str, int]:
         """Flat counter dict (``CoDesignedVM.stats()['persist']``)."""
-        counters = asdict(self)
+        counters = {spec.name: getattr(self, spec.name)
+                    for spec in fields(self) if spec.name != "installed_keys"}
         counters["dropped"] = self.dropped
         return counters
 
@@ -227,6 +233,7 @@ class WarmStartLoader:
                 tracer.instant("warmstart.load", kind=kind,
                                entry=f"{entry:#x}", bytes=len(data))
             installed.add(key)
+            report.installed_keys.add(record["key"])
             loaded.append(translation)
             report.loaded += 1
             report.bytes_loaded += len(data)

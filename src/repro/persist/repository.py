@@ -470,8 +470,10 @@ class TranslationRepository:
         dirty |= self._stamp(meta, touched)
 
         previous = self._read_manifest(config_fp, image_fp)
-        if merge and previous is not None:
-            existing = [key for key in previous.get("entries", ())
+        if merge:
+            # a merged manifest is the sorted union, whatever order the
+            # pushes came in -- the first into an empty store included
+            existing = [key for key in (previous or {}).get("entries", ())
                         if isinstance(key, str)]
             keys = sorted(set(keys) | set(existing))
         # ``saved_clock`` is the tick of the last save that changed the

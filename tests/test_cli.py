@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,6 +97,25 @@ class TestUserInputErrors:
         message = self.exit_message(
             [arg.format(bad_program) for arg in argv])
         assert "line 2" in message and "frobnicate" in message
+
+    @pytest.mark.parametrize("line", [
+        "mov eax,", "add eax", "ret eax, ebx, ecx"])
+    def test_wrong_operand_count_names_the_line(self, line, tmp_path):
+        path = tmp_path / "bad.asm"
+        path.write_text(f"start:\n    {line}\n")
+        message = self.exit_message(["run", str(path)])
+        assert "line 2" in message and "operand(s)" in message
+
+    def test_python_m_repro_run_exits_without_a_traceback(self, tmp_path):
+        path = tmp_path / "bad.asm"
+        path.write_text("start:\n    add eax\n")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "run", str(path)], env=env,
+            capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stderr == \
+            f"{path}: line 2: add takes 2 operand(s), not 1\n"
 
     def test_missing_fleet_report(self, tmp_path):
         path = str(tmp_path / "missing.json")

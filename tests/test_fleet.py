@@ -31,10 +31,18 @@ from repro.fleet import (
     steady_state_cycle,
     validate_report,
 )
+from repro.cluster import LocalCluster
 from repro.core.config import resolve_config
+from repro.core.vm import CoDesignedVM
+from repro.fleet.engine import _boot_instance
 from repro.isa.x86lite import assemble
 from repro.obs.export import validate_trace
-from repro.persist import image_fingerprint
+from repro.persist import (
+    RemoteRepository,
+    capture_translations,
+    config_fingerprint,
+    image_fingerprint,
+)
 from repro.workloads.programs import PROGRAMS
 
 
@@ -181,8 +189,47 @@ class TestFleetEngine:
             assert later.records_loaded > 0
             assert later.blocks_translated == 0
             assert later.tts_cycles < rank0.tts_cycles
-            # ... and their pushes dedup to zero new objects
-            assert later.push_written == 0
+            # ... and capture nothing their pull lacked: no push
+            assert later.push_written == later.push_deduped == 0
+            assert later.remote["records_pushed"] == 0
+        # the one push request is rank 0's (1x1: one server)
+        assert result.server["requests"]["push"] == 1
+        assert result.server["records_received"] == \
+            rank0.remote["records_pushed"] == rank0.push_written
+
+    def test_a_follower_pushes_what_its_pull_lacked(self, tmp_path):
+        """A store missing one of rank 0's records: the follower loads
+        the rest, translates the missing block itself and pushes only
+        the record it made, which the store did not hold."""
+        scenario = FleetScenario(n=2, workload="fibonacci")
+        image = assemble(PROGRAMS[scenario.workload])
+        vm = CoDesignedVM(resolve_config(scenario.config),
+                          hot_threshold=scenario.hot_threshold)
+        vm.load(image)
+        vm.run(max_instructions=scenario.max_instructions)
+        records = capture_translations(vm.runtime.directory,
+                                       vm.state.memory)
+        missing, held = records[0], records[1:]
+        with LocalCluster(tmp_path / "grid", shards=1,
+                          replicas=1) as grid:
+            client = RemoteRepository(grid.spec(), local=None)
+            try:
+                client.save(held, config_fingerprint(vm.config),
+                            image_fingerprint(image))
+                follower = _boot_instance(scenario, 1, image,
+                                          grid.spec().to_string())
+                assert follower.records_loaded == len(held)
+                assert follower.blocks_translated == 1
+                assert [record["key"] for record in follower.records] \
+                    == [missing["key"]]
+                FleetEngine._publish(follower, client)
+            finally:
+                client.close()
+            server = grid.servers["shard0", 0].stats.to_dict()
+        assert (follower.push_written, follower.push_deduped) == (1, 0)
+        assert follower.remote["records_pushed"] == 1
+        assert server["requests"]["push"] == 2
+        assert server["records_received"] == len(held) + 1
 
     def test_one_per_vm_defeats_sharing(self):
         for boot_policy in BOOT_POLICIES:
@@ -363,10 +410,11 @@ class TestFleetCLI:
 
 def test_a_herd_writes_only_what_changes_its_stores():
     """``tools/callcounts.py herd``, the benchmark's herd at seed 0:
-    46 new records (the leader's 23, on both replicas of their group: a
-    follower captures the same texts, counter-free) in one pack per
-    replica that got any, and the manifests and indexes they change —
-    the publishes and pulls that change nothing write nothing."""
+    46 new records (the leader's 23, on both replicas of their group) in
+    one pack per replica that got any, and the manifests and indexes
+    they change.  The leader's push is the only one: a follower's warm
+    start installed every record it captures, so it pushes nothing, and
+    the pulls that change nothing write nothing."""
     repo = Path(__file__).resolve().parent.parent
     before = list(sys.path)
     try:
@@ -375,7 +423,7 @@ def test_a_herd_writes_only_what_changes_its_stores():
     finally:
         sys.path[:] = before
     assert callcounts.herd_counts() == {
-        "journaled writes": 16, "os.fsync": 16, "meta reads": 70,
-        "lease attempts": 48, "requests dispatched": 72,
+        "journaled writes": 12, "os.fsync": 12, "meta reads": 26,
+        "lease attempts": 4, "requests dispatched": 28,
         "connections accepted": 28, "packs written": 4,
-        "records written": 46}
+        "records written": 46, "records received": 46}

@@ -362,6 +362,42 @@ class TestOnePackPerSave:
         assert not rebuilt and len(meta["objects"]) == 7
 
 
+class TestMergedManifest:
+    """``merge=True`` writes the sorted union of keys, each once, from
+    the first push on: any push order converges on one manifest."""
+
+    def test_a_merged_push_into_an_empty_store_writes_sorted_entries(
+            self, tmp_path):
+        records = made_up(12)
+        repo = TranslationRepository(tmp_path / "store")
+        repo.save(records[::-1] + records[:3], "cfg", "img", merge=True)
+        assert repo._read_manifest("cfg", "img")["entries"] == \
+            sorted(record["key"] for record in records)
+
+    def test_repeating_a_merged_push_writes_nothing(
+            self, tmp_path, monkeypatch):
+        records = made_up(12)[::-1]
+        repo = TranslationRepository(tmp_path / "store")
+        repo.save(records, "cfg", "img", merge=True)
+        writes, real_point = [], repository_module.fault_point
+        monkeypatch.setattr(
+            repository_module, "fault_point",
+            lambda site, **context: (site == "repo.write"
+                                     and writes.append(context["path"]))
+            or real_point(site, **context))
+        assert repo.save(records, "cfg", "img", merge=True) == 0
+        assert writes == []
+
+    def test_push_order_does_not_change_the_manifest(self, tmp_path):
+        records = made_up(12)
+        manifests = []
+        for name, order in (("one", records), ("two", records[::-1])):
+            repo = TranslationRepository(tmp_path / name)
+            repo.save(order, "cfg", "img", merge=True)
+            manifests.append(repo._manifest_path("cfg", "img").read_bytes())
+        assert manifests[0] == manifests[1]
+
+
 class TestFlushCounters:
     def test_flush_pressure_counters_surface(self):
         """Tiny caches force flushes; the new counters must record the

@@ -127,8 +127,8 @@ class AlwaysStamp:
         self.clock += 1
         keys = [record["key"] for record in records]
         self.used.update(dict.fromkeys(keys, self.clock))
-        if merge and name in self.manifests:
-            keys = sorted(set(keys) | set(self.manifests[name]))
+        if merge:
+            keys = sorted(set(keys) | set(self.manifests.get(name, ())))
         self.manifests[name] = keys
 
     def load(self, name):

@@ -1,5 +1,7 @@
 """Tests for the two-pass x86lite assembler."""
 
+import re
+
 import pytest
 
 from repro.isa.x86lite import (
@@ -183,6 +185,25 @@ class TestErrors:
     def test_empty_program_rejected(self):
         with pytest.raises(AssemblerError):
             assemble("; nothing here")
+
+    @pytest.mark.parametrize("line,problem", [
+        ("mov eax,", "mov takes 2 operand(s), not 1"),
+        ("add eax", "add takes 2 operand(s), not 1"),
+        ("ret eax, ebx, ecx", "ret takes 0 or 1 operand(s), not 3"),
+        ("nop eax", "nop takes 0 operand(s), not 1")])
+    def test_operand_count_is_checked(self, line, problem):
+        with pytest.raises(AssemblerError,
+                           match=f"^line 2: {re.escape(problem)}$"):
+            assemble(f"nop\n{line}")
+
+    @pytest.mark.parametrize("line", [
+        "ret eax", "int eax", "inc 5", "mov 5, eax", "loop eax",
+        "imul eax, ebx, ecx", "cmovz [eax], ebx"])
+    def test_operand_kind_without_an_encoding_names_the_line(self, line):
+        mnemonic = line.split()[0]
+        with pytest.raises(AssemblerError, match=f"^line 2: {mnemonic} "
+                           "has no encoding with these operands$"):
+            assemble(f"nop\n{line}")
 
 
 class TestConditionAliases:

@@ -145,7 +145,10 @@ HERD_ROWS = WRITES + (
     ("connections accepted", CacheServer, "_admit", None),
     ("packs written", repository, "fault_point", _site("repo.write", ".pack")),
     ("records written", TranslationRepository, "_write_pack",
-     lambda args, _kwargs: len(args[1])))
+     lambda args, _kwargs: len(args[1])),
+    # what the servers parse and validate: every record a push carries
+    ("records received", CacheServer, "_op_push",
+     lambda args, _kwargs: len(args[1].get("records") or ())))
 
 
 def io_counts(rows, run) -> dict[str, int]:
