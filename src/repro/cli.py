@@ -786,7 +786,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "each instance's client spends across "
                             "retries and failovers (docs/overload.md)")
     fleet.add_argument("--workers", type=int, default=8,
-                       help="boot threads (default 8)")
+                       help="boot processes the herd is forked onto "
+                            "(default 8)")
     fleet.add_argument("--out", default=None,
                        help="write the report JSON here (sweep "
                             "default: results/fleet_boot.json)")

@@ -6,7 +6,7 @@ claim measurable.  See ``docs/fleet.md`` and the ``repro fleet``
 CLI verbs.
 
 * :mod:`repro.fleet.grid` — declarative scenarios + grid expansion;
-* :mod:`repro.fleet.engine` — boots the herd on a thread pool
+* :mod:`repro.fleet.engine` — boots the herd on forked boot processes
   against a self-hosted cache server, deterministically;
 * :mod:`repro.fleet.report` — percentile distributions, amortization
   curves, server load, degradation sums;

@@ -5,9 +5,10 @@ One :meth:`FleetEngine.run` call executes one
 :class:`~repro.fleet.grid.FleetScenario`: it hosts a private
 ``shards`` x ``replicas`` :class:`~repro.cluster.manager.LocalCluster`
 over scratch repositories (1x1, one cache server, unless the scenario
-says otherwise), boots ``scenario.n`` instances on a thread pool, and
-collects per-instance startup ledgers, tracer events, warm-start
-reports and client degradation counters into a :class:`FleetResult`.
+says otherwise), boots ``scenario.n`` instances — the herd on
+``scenario.workers`` forked boot processes — and collects per-instance
+startup ledgers, tracer events, warm-start reports and client
+degradation counters into a :class:`FleetResult`.
 Every instance warm-starts *through* the servers with its own
 :class:`~repro.persist.remote.RemoteRepository` client, so the herd
 exercises the exact pull/validate/degrade path a real consolidation
@@ -15,7 +16,7 @@ host would.  A herd is never faulted: chaos through one server or a
 cluster is :func:`repro.faults.harness.run_faulted`'s.
 
 Determinism contract (the acceptance bar is byte-identical reports at
-the same seed, under real thread concurrency):
+the same seed, under real process concurrency):
 
 * **pulls only ever see a static store.**  Under ``all_at_once`` the
   whole herd boots against the initial store state; under
@@ -23,10 +24,10 @@ the same seed, under real thread concurrency):
   translations, and only then does the rest of the herd start.  No
   instance's pull races another instance's push.
 * **pushes are performed by the engine**, sequentially in boot-rank
-  order, through one client — workers only *capture* their
+  order, through one client — boot processes only *capture* their
   translations and hand back the records their own warm start did not
   install; an instance with none makes no push.  Dedup counts are
-  therefore a pure function of the scenario, not of thread
+  therefore a pure function of the scenario, not of process
   scheduling.
 * **per-instance measurements are simulated-cycle**, never wall-clock:
   time-to-steady-state comes from the instance's own tracer stream on
@@ -39,18 +40,31 @@ request — may change an instance's architected results.  The engine
 checks every instance's :class:`~repro.faults.harness.ArchOutcome`
 against a local cold run's and records the diff in
 :attr:`InstanceResult.problems`.
+
+Boot processes (:class:`_BootPool`) are forked before the engine starts
+any server thread or opens any socket, and wait on a pipe until the
+parent releases them with the cluster spec.  A child touches only what
+it makes itself — its VMs, its clients and their sockets — never a
+server, a lock or a client the parent holds; it hands its results back
+pickled over a second pipe and leaves through :func:`os._exit`, so no
+inherited ``atexit`` hook, buffer or ``finally`` of the parent runs
+twice.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import logging
+import os
+import pickle
 import shutil
+import signal
+import sys
 import tempfile
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.manager import LocalCluster
 from repro.core.config import resolve_config
@@ -320,6 +334,130 @@ class _Publisher:
         return [event.to_trace_event() for event in self.tracer.events]
 
 
+@dataclass
+class _Child:
+    """One boot process, as its parent sees it: the pipe ends the
+    parent still holds are ``None`` once closed."""
+
+    pid: int
+    ranks: Sequence[int]
+    release: Optional[int]       # write end: the cluster spec, then EOF
+    results: Optional[int]       # read end: the pickled results
+
+
+class _BootPool:
+    """The herd's boot processes: ``min(workers, len(ranks))`` children
+    forked on construction; child *k* of *w* boots ``ranks[k::w]``, in
+    rank order, once :meth:`boot` releases it.  Leaving the ``with``
+    block reaps every child: one whose results were not read is killed
+    first, whether it is still waiting, booting, or failed."""
+
+    def __init__(self, scenario: FleetScenario, images: List[Image],
+                 ranks: Sequence[int]) -> None:
+        self.children: List[_Child] = []
+        width = min(scenario.workers, len(ranks))
+        # a child must not flush what the parent had buffered
+        sys.stdout.flush()
+        sys.stderr.flush()
+        try:
+            for k in range(width):
+                self._fork(scenario, images, ranks[k::width])
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "_BootPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _fork(self, scenario: FleetScenario, images: List[Image],
+              ranks: Sequence[int]) -> None:
+        release_read, release_write = os.pipe()
+        results_read, results_write = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (release_read, release_write, results_read,
+                       results_write):
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                for fd in [release_write, results_read] + [
+                        fd for child in self.children
+                        for fd in (child.release, child.results)]:
+                    os.close(fd)
+                _boot_share(scenario, images, ranks, release_read,
+                            results_write)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(release_read)
+        os.close(results_write)
+        self.children.append(_Child(pid, ranks, release_write,
+                                    results_read))
+
+    def boot(self, cluster: str) -> List[InstanceResult]:
+        """Release every child with the spec string ``cluster`` and
+        gather what they booted, merged in rank order.  A child's
+        failure is raised here, naming its rank."""
+        for child in self.children:
+            with os.fdopen(child.release, "wb") as pipe:
+                child.release = None
+                pipe.write(cluster.encode())
+        instances: List[InstanceResult] = []
+        for child in self.children:
+            with os.fdopen(child.results, "rb") as pipe:
+                child.results = None
+                try:
+                    payload = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError(
+                        f"fleet boot process {child.pid} (ranks "
+                        f"{list(child.ranks)}) exited without its results")
+            if payload[0] == "failed":
+                _, rank, error, trace = payload
+                raise RuntimeError(f"fleet instance {rank} failed in its "
+                                   f"boot process: {error}\n{trace}")
+            instances.extend(payload[1])
+        return sorted(instances, key=lambda instance: instance.rank)
+
+    def close(self) -> None:
+        for child in self.children:
+            if child.results is not None:   # its results were never read
+                os.kill(child.pid, signal.SIGKILL)
+            for fd in (child.release, child.results):
+                if fd is not None:
+                    os.close(fd)
+            os.waitpid(child.pid, 0)
+        self.children = []
+
+
+def _boot_share(scenario: FleetScenario, images: List[Image],
+                ranks: Sequence[int], release: int, results: int) -> None:
+    """A boot process's life: wait for the parent's release, boot
+    ``ranks`` one after another, and hand back their results — or the
+    rank that failed and how — pickled.  An empty release means the
+    parent gave up before the herd: nothing boots."""
+    with os.fdopen(release, "rb") as pipe:
+        cluster = pipe.read().decode()
+    if not cluster:
+        return
+    instances, rank = [], ranks[0]
+    try:
+        for rank in ranks:
+            instances.append(_boot_instance(scenario, rank, images[rank],
+                                            cluster))
+        payload: Tuple = ("booted", instances)
+    except Exception as error:      # raised again by the parent
+        payload = ("failed", rank, repr(error), traceback.format_exc())
+    with os.fdopen(results, "wb") as pipe:
+        pickle.dump(payload, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 class FleetEngine:
     """Boots fleets.  ``workdir`` (optional) hosts the scratch server
     repositories; without one each run uses a private temp dir."""
@@ -392,34 +530,37 @@ class FleetEngine:
         carry replicated, merged manifests), and boot every instance
         through its own client.  Priming and publishing happen outside
         the herd's pull window, in rank order — the determinism
-        contract."""
+        contract.  The herd's boot processes are forked first, while
+        the engine holds no server thread and no socket."""
         gold, images = self._images(scenario)
-        baseline = self._baseline(scenario, gold)
-        grid = LocalCluster(repo_root, shards=scenario.shards,
-                            replicas=scenario.replicas,
-                            max_queue_depth=scenario.max_queue_depth)
-        spec = grid.start()
-        push_client = RemoteRepository(spec, local=None,
-                                       timeout=TIMEOUT, retries=RETRIES)
-        collector, publisher = self._attach_collector(
-            scenario, spec, push_client)
-        try:
-            if scenario.warm:
-                self._prime(scenario, images, push_client)
-            instances = self._boot_fleet(scenario, images,
-                                         spec.to_string(), push_client,
-                                         publisher)
-            telemetry = self._collect(collector, publisher, instances,
-                                      push_client)
-            server_stats = _merge_server_stats(
-                {f"{group}/replica{index}":
-                 grid.servers[group, index].stats.to_dict()
-                 for group, index in sorted(grid.servers)})
-        finally:
-            push_client.close()
-            grid.stop()
-            if collector is not None:
-                collector.close()
+        first = 1 if scenario.boot_policy == "one_then_others" else 0
+        with _BootPool(scenario, images, range(first, scenario.n)) as pool:
+            baseline = self._baseline(scenario, gold)
+            grid = LocalCluster(repo_root, shards=scenario.shards,
+                                replicas=scenario.replicas,
+                                max_queue_depth=scenario.max_queue_depth)
+            spec = grid.start()
+            push_client = RemoteRepository(spec, local=None,
+                                           timeout=TIMEOUT, retries=RETRIES)
+            collector, publisher = self._attach_collector(
+                scenario, spec, push_client)
+            try:
+                if scenario.warm:
+                    self._prime(scenario, images, push_client)
+                instances = self._boot_fleet(scenario, images,
+                                             spec.to_string(), push_client,
+                                             publisher, pool)
+                telemetry = self._collect(collector, publisher, instances,
+                                          push_client)
+                server_stats = _merge_server_stats(
+                    {f"{group}/replica{index}":
+                     grid.servers[group, index].stats.to_dict()
+                     for group, index in sorted(grid.servers)})
+            finally:
+                push_client.close()
+                grid.stop()
+                if collector is not None:
+                    collector.close()
         for instance in instances:
             instance.problems = baseline.diff(instance.outcome)
         return FleetResult(scenario=scenario, instances=instances,
@@ -467,20 +608,19 @@ class FleetEngine:
 
     def _boot_fleet(self, scenario: FleetScenario, images: List[Image],
                     cluster: str, push_client,
-                    publisher: Optional[_Publisher]
+                    publisher: Optional[_Publisher], pool: "_BootPool"
                     ) -> List[InstanceResult]:
-        ranks = range(scenario.n)
+        """Under ``one_then_others`` rank 0 boots here, alone, and is
+        published before ``pool`` is released; the pool's ranks are
+        published in rank order once every one of them has booted."""
+        instances = []
         if scenario.boot_policy == "one_then_others":
-            first = _boot_instance(scenario, 0, images[0], cluster)
-            self._publish(first, push_client, publisher)
-            rest = self._pool_boot(scenario, images, cluster, ranks[1:])
-            for instance in rest:
-                self._publish(instance, push_client, publisher)
-            return [first] + rest
-        instances = self._pool_boot(scenario, images, cluster, ranks)
-        for instance in instances:
+            instances.append(_boot_instance(scenario, 0, images[0], cluster))
+            self._publish(instances[0], push_client, publisher)
+        herd = pool.boot(cluster)
+        for instance in herd:
             self._publish(instance, push_client, publisher)
-        return instances
+        return instances + herd
 
     @staticmethod
     def _publish(instance: InstanceResult, push_client,
@@ -499,17 +639,6 @@ class FleetEngine:
         instance.push_deduped = push.get("deduped", 0)
         instance.remote["records_pushed"] = len(instance.records)
         instance.records = []       # published: a result keeps no copy
-
-    @staticmethod
-    def _pool_boot(scenario: FleetScenario, images: List[Image],
-                   cluster: str, ranks: range) -> List[InstanceResult]:
-        workers = max(1, min(scenario.workers, len(ranks)))
-        with concurrent.futures.ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix="fleet-boot") as executor:
-            return list(executor.map(
-                lambda rank: _boot_instance(scenario, rank, images[rank],
-                                            cluster), ranks))
 
 
 def run_sweep(scenarios, workdir=None, progress=None) -> List[FleetResult]:

@@ -78,7 +78,8 @@ class FleetScenario:
     # execution knobs (not grid axes; excluded from the canonical dict)
     hot_threshold: int = 20
     max_instructions: int = 2_000_000
-    #: boot threads (at most ``n``)
+    #: boot processes the herd is forked onto (at most one a rank;
+    #: ``one_then_others`` boots rank 0 in the engine's own process)
     workers: int = 8
     #: per-request deadline budget (seconds) each instance's client
     #: spends across attempts/retries/failovers (docs/overload.md)
@@ -94,6 +95,9 @@ class FleetScenario:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"fleet size must be >= 1, got {self.n}")
+        if self.workers < 1:
+            raise ValueError(
+                f"boot processes must be >= 1, got workers={self.workers}")
         if self.boot_policy not in BOOT_POLICIES:
             raise ValueError(
                 f"unknown boot policy {self.boot_policy!r}; "

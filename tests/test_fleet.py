@@ -2,12 +2,13 @@
 
 The fleet engine's acceptance bar is stricter than "the herd boots":
 reports must be byte-identical across runs at the same seed (under
-real thread concurrency), every instance must match the fault-free
+real process concurrency), every instance must match the fault-free
 architected baseline, and the shared-image amortization curve must
 show later boot ranks starting cheaper than rank 0.
 """
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from repro.fleet import (
 from repro.cluster import LocalCluster
 from repro.core.config import resolve_config
 from repro.core.vm import CoDesignedVM
+from repro.fleet import engine as fleet_engine
 from repro.fleet.engine import _boot_instance
 from repro.isa.x86lite import assemble
 from repro.obs.export import validate_trace
@@ -104,6 +106,11 @@ class TestGrid:
             FleetScenario(image_policy="several")
         with pytest.raises(ValueError, match="fleet size"):
             FleetScenario(n=0)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers={workers}"):
+            FleetScenario(workers=workers)
 
     def test_canonical_dict_is_axes_only(self):
         doc = FleetScenario(workers=3, hot_threshold=5).to_dict()
@@ -279,6 +286,50 @@ class TestFleetEngine:
         assert server["errors"] == 0
 
 
+def assert_no_child_left():
+    """Every boot process the engine forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestBootProcesses:
+    """The herd boots on ``workers`` forked processes: what they hand
+    back does not depend on how many there are, a child's failure
+    reaches the caller, and none outlives ``FleetEngine.run``."""
+
+    def test_reports_do_not_depend_on_the_process_count(self):
+        for policy in BOOT_POLICIES:
+            reports = {workers: serialize_report(build_report(
+                [boot(n=4, boot_policy=policy, workers=workers)]))
+                for workers in (1, 2, 3)}
+            assert reports[1] == reports[2] == reports[3], policy
+        assert_no_child_left()
+
+    def test_a_child_failure_names_its_rank(self, monkeypatch):
+        real = fleet_engine._boot_instance
+
+        def failing(scenario, rank, image, cluster):
+            if rank == 2:
+                raise RuntimeError("boot broke")
+            return real(scenario, rank, image, cluster)
+
+        monkeypatch.setattr(fleet_engine, "_boot_instance", failing)
+        with pytest.raises(RuntimeError,
+                           match="fleet instance 2 failed.*boot broke"):
+            boot(n=4, workers=2)
+        assert_no_child_left()
+
+    def test_the_parent_failing_reaps_its_unreleased_children(
+            self, monkeypatch):
+        def broken(scenario, gold):
+            raise RuntimeError("baseline broke")
+
+        monkeypatch.setattr(FleetEngine, "_baseline", staticmethod(broken))
+        with pytest.raises(RuntimeError, match="baseline broke"):
+            boot(n=4, workers=3)
+        assert_no_child_left()
+
+
 class TestFleetReport:
     def test_report_validates(self, shared_fleets):
         report = build_report(list(shared_fleets.values()))
@@ -401,6 +452,11 @@ class TestFleetCLI:
         from repro.cli import main
         with pytest.raises(SystemExit, match="boot policy"):
             main(["fleet", "run", "--boot-policy", "sometimes"])
+
+    def test_workers_below_one_is_a_clean_exit(self):
+        from repro.cli import main
+        with pytest.raises(SystemExit, match="workers=0"):
+            main(["fleet", "run", "--n", "2", "--workers", "0"])
 
     def test_report_requires_a_file(self):
         from repro.cli import main

@@ -384,10 +384,10 @@ def _fingerprints(vm):
 
 class TestThunderingHerd:
     def test_cold_herd_through_undersized_server(self, tmp_path):
-        """16 cold boots, all at once on 8 threads, through one server
-        that admits two store ops at a time: amplification stays within
-        the 2x budget, nothing is accepted past its deadline, and every
-        instance byte-matches the local baseline."""
+        """16 cold boots, all at once on 8 boot processes, through one
+        server that admits two store ops at a time: amplification stays
+        within the 2x budget, nothing is accepted past its deadline, and
+        every instance byte-matches the local baseline."""
         scenario = FleetScenario(
             n=16, boot_policy="all_at_once", image_policy="one",
             config="soft", warm=False, workload="fibonacci", seed=0,

@@ -8,10 +8,11 @@
     python tools/callcounts.py imports served_boot  # what its process loads
 
 Boots one ``perf/gen.py`` image under cProfile — or runs the herd of
-``perf/workloads.py``, counting on all its threads — after one discarded
-run (lazy set-up, the template table), and prints the calls of a fixed
-list of functions as one JSON line: counts repeat exactly, so parent and
-change compare digit by digit.  Seed 0; writes only a temporary store.
+``perf/workloads.py``, counting the calls its servers and stores make,
+all in this process — after one discarded run (lazy set-up, the
+template table), and prints the calls of a fixed list of functions as
+one JSON line: counts repeat exactly, so parent and change compare
+digit by digit.  Seed 0; writes only a temporary store.
 ``imports`` is the one mode that is not a count: it runs one set-up and
 one sample of a ``perf/`` workload in a fresh interpreter, which imports
 what ``perf/run.py --workload`` imports, and prints that process's peak
@@ -153,7 +154,7 @@ HERD_ROWS = WRITES + (
 
 def io_counts(rows, run) -> dict[str, int]:
     """The weighed calls of ``rows`` that ``run()`` makes, on every
-    thread."""
+    thread of this process."""
     seen: dict[str, list] = {row: [] for row, *_call in rows}
 
     def counting(row, function, weigh):
@@ -172,7 +173,10 @@ def io_counts(rows, run) -> dict[str, int]:
 
 
 def herd_counts() -> dict[str, int]:
-    """What one herd asks of its stores and servers, on every thread."""
+    """What one herd asks of its stores and servers.  Every
+    ``HERD_ROWS`` row is a server or store call, and those run in this
+    process; the followers boot in forked processes, whose own calls no
+    patch here sees."""
     with tempfile.TemporaryDirectory() as tmp:
         herd = workloads.Herd(0, tmp)
         herd.setup()                        # runs one herd, discarded

@@ -524,7 +524,7 @@ OVERLOAD_SLOS = ("retry-amplification", "shed-rate", "deadline-miss-rate")
 
 
 def herd_through_undersized_server():
-    """A 16-instance ``all_at_once`` herd on 8 concurrent workers
+    """A 16-instance ``all_at_once`` herd on 8 boot processes
     through one server whose ``max_queue_depth`` is far below the herd
     width: every instance matches the fault-free baseline, retry
     amplification stays at or under the 2x retry-budget target, no
