@@ -8,7 +8,7 @@ Three roles, mirroring the paper:
 3. Precise-state reconstruction: the VMM re-interprets from a block entry
    to an exception point to materialize exact architected state (Fig. 1b).
 
-The interpreter optionally caches decoded instructions; the paper's
+The interpreter caches decoded instructions by address; the paper's
 emulation-speed discussion (10–100x slower than native) refers to real
 interpreters that re-dispatch per instruction, which our *timing* model
 accounts for separately via cycles-per-instruction costs.
@@ -17,7 +17,7 @@ accounts for separately via cycles-per-instruction costs.
 from __future__ import annotations
 
 import logging
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 from repro.isa.x86lite.decoder import decode
 from repro.isa.x86lite.instruction import Instruction, MAX_INSTRUCTION_LENGTH
@@ -34,27 +34,18 @@ class InterpreterLimit(Exception):
 class Interpreter:
     """Instruction-at-a-time emulator for x86lite programs."""
 
-    def __init__(self, state: X86State, cache_decodes: bool = True,
-                 on_instruction: Optional[Callable[[Instruction], None]]
-                 = None) -> None:
+    def __init__(self, state: X86State) -> None:
         self.state = state
         self.instructions_executed = 0
-        self._cache_decodes = cache_decodes
         self._decode_cache: Dict[int, Instruction] = {}
-        #: Observer invoked with each decoded instruction before execution;
-        #: used by profiling and by the hardware hotspot-detector models.
-        self.on_instruction = on_instruction
 
     def fetch_decode(self, addr: int) -> Instruction:
         """Fetch and decode the instruction at ``addr``."""
-        if self._cache_decodes:
-            cached = self._decode_cache.get(addr)
-            if cached is not None:
-                return cached
+        cached = self._decode_cache.get(addr)
+        if cached is not None:
+            return cached
         window = self.state.memory.read(addr, MAX_INSTRUCTION_LENGTH)
-        instr = decode(window, addr=addr)
-        if self._cache_decodes:
-            self._decode_cache[addr] = instr
+        instr = self._decode_cache[addr] = decode(window, addr=addr)
         return instr
 
     def invalidate_decodes(self) -> None:
@@ -67,8 +58,6 @@ class Interpreter:
     def step(self) -> Instruction:
         """Execute one instruction; returns the decoded instruction."""
         instr = self.fetch_decode(self.state.eip)
-        if self.on_instruction is not None:
-            self.on_instruction(instr)
         execute(instr, self.state)
         self.instructions_executed += 1
         return instr

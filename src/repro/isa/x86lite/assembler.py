@@ -32,7 +32,7 @@ from repro.isa.x86lite.instruction import (
     MemOperand,
     RegOperand,
 )
-from repro.isa.x86lite.opcodes import Op
+from repro.isa.x86lite.opcodes import FORMS, Op
 from repro.isa.x86lite.registers import (
     COND_BY_NAME,
     REG16_BY_NAME,
@@ -51,34 +51,24 @@ class AssemblerError(Exception):
         super().__init__(message)
 
 
+#: mnemonic -> op: every op's own name (a conditional one's takes its
+#: condition, ``jz`` / ``cmovne``) and the dword string aliases
 _SIMPLE_OPS = {
-    "mov": Op.MOV, "lea": Op.LEA, "add": Op.ADD, "adc": Op.ADC,
-    "sub": Op.SUB, "sbb": Op.SBB, "and": Op.AND, "or": Op.OR,
-    "xor": Op.XOR, "cmp": Op.CMP, "test": Op.TEST, "xchg": Op.XCHG,
-    "inc": Op.INC, "dec": Op.DEC, "neg": Op.NEG, "not": Op.NOT,
-    "shl": Op.SHL, "shr": Op.SHR, "sar": Op.SAR,
-    "imul": Op.IMUL, "mul": Op.MUL, "div": Op.DIV, "idiv": Op.IDIV,
-    "push": Op.PUSH, "pop": Op.POP,
-    "movzx": Op.MOVZX, "movsx": Op.MOVSX,
-    "nop": Op.NOP, "hlt": Op.HLT, "int": Op.INT, "cpuid": Op.CPUID,
-    "ret": Op.RET, "jmp": Op.JMP, "call": Op.CALL,
-    "loop": Op.LOOP, "jecxz": Op.JECXZ,
+    **{op.value: op for op in Op
+       if all(form.ext != "+cc" for form in FORMS if form.op is op)},
     "movsd": Op.MOVS, "stosd": Op.STOS, "lodsd": Op.LODS,
 }
 
-_BRANCH_OPS = frozenset({Op.JMP, Op.JCC, Op.CALL, Op.LOOP, Op.JECXZ})
+#: ops that take a branch target, and those of them with only a rel8 form
+_BRANCH_OPS = frozenset(form.op for form in FORMS
+                        if form.layout[:1] in (("Jb",), ("Jz",)))
+_REL8_ONLY_OPS = _BRANCH_OPS - {form.op for form in FORMS
+                                if form.layout == ("Jz",)}
 
-#: How many operands an op takes, where that is not two.  IMUL has its
-#: one-operand (EDX:EAX), two- and three-operand forms.
+#: How many operands an op takes (a branch target is one), by its forms
 _OPERAND_COUNTS = {
-    **dict.fromkeys((Op.INC, Op.DEC, Op.NEG, Op.NOT, Op.MUL, Op.DIV,
-                     Op.IDIV, Op.PUSH, Op.POP, Op.INT, Op.JMP, Op.JCC,
-                     Op.CALL, Op.LOOP, Op.JECXZ), (1,)),
-    **dict.fromkeys((Op.NOP, Op.HLT, Op.CPUID, Op.MOVS, Op.STOS,
-                     Op.LODS), (0,)),
-    Op.RET: (0, 1),
-    Op.IMUL: (1, 2, 3),
-}
+    op: tuple(sorted({len(form.layout) for form in FORMS if form.op is op}))
+    for op in Op}
 
 _LABEL_RE = re.compile(r"^[A-Za-z_.$][\w.$]*$")
 
@@ -244,7 +234,7 @@ def _build_instruction(stmt: _Statement, labels: Dict[str, int],
         cond = COND_BY_NAME[mnemonic[4:]]
     else:
         raise AssemblerError(f"unknown mnemonic {mnemonic!r}", line_no)
-    counts = _OPERAND_COUNTS.get(op, (2,))
+    counts = _OPERAND_COUNTS[op]
     if len(stmt.operands) not in counts:
         raise AssemblerError(
             f"{mnemonic} takes {' or '.join(map(str, counts))} "
@@ -272,7 +262,7 @@ def _build_instruction(stmt: _Statement, labels: Dict[str, int],
         elif resolved:
             raise AssemblerError(f"undefined label {pending.label!r}",
                                  line_no)
-        elif op in (Op.LOOP, Op.JECXZ):
+        elif op in _REL8_ONLY_OPS:
             # rel8-only forms: size with a nearby placeholder; pass 2
             # checks the real displacement fits
             target = stmt.addr
@@ -304,6 +294,18 @@ def _build_instruction(stmt: _Statement, labels: Dict[str, int],
     return Instruction(op=op, operands=tuple(operands), width=width,
                        cond=cond, target=target,
                        rep=stmt.rep, addr=stmt.addr)
+
+
+def _encode(stmt: _Statement, instr: Instruction) -> bytes:
+    """``instr`` encoded at the statement's address; no form of its op
+    taking these operands (``ret eax``, ``inc 5``, a ``loop`` target
+    past rel8) is the line's error."""
+    try:
+        return encode(instr, addr=stmt.addr,
+                      force_long_branch=stmt.force_long)
+    except EncodeError:
+        raise AssemblerError(f"{stmt.mnemonic} has no encoding with these "
+                             f"operands", stmt.line_no)
 
 
 def assemble(source: str, base: int = DEFAULT_TEXT_BASE) -> Image:
@@ -371,18 +373,8 @@ def assemble(source: str, base: int = DEFAULT_TEXT_BASE) -> Image:
         else:
             stmt = payload
             stmt.addr = addr
-            try:
-                instr = _build_instruction(stmt, labels, resolved=False,
-                                           line_no=stmt.line_no)
-                stmt.length = len(encode(instr, addr=stmt.addr,
-                                         force_long_branch=stmt.force_long))
-            except EncodeError as exc:
-                raise AssemblerError(str(exc), stmt.line_no)
-            except (AttributeError, TypeError):
-                # an operand of a kind the op's encoding has no form for
-                # (``ret eax``, ``inc 5``)
-                raise AssemblerError(f"{stmt.mnemonic} has no encoding "
-                                     f"with these operands", stmt.line_no)
+            stmt.length = len(_encode(stmt, _build_instruction(
+                stmt, labels, resolved=False, line_no=stmt.line_no)))
             addr += stmt.length
 
     # -- pass 2: emit bytes --------------------------------------------------
@@ -423,10 +415,8 @@ def assemble(source: str, base: int = DEFAULT_TEXT_BASE) -> Image:
         if stmt.addr != addr:
             raise AssemblerError("phase error (pass sizes disagree)",
                                  stmt.line_no)
-        instr = _build_instruction(stmt, labels, resolved=True,
-                                   line_no=stmt.line_no)
-        data = encode(instr, addr=stmt.addr,
-                      force_long_branch=stmt.force_long)
+        data = _encode(stmt, _build_instruction(stmt, labels, resolved=True,
+                                                line_no=stmt.line_no))
         if len(data) != stmt.length:
             raise AssemblerError("phase error (encoding length changed)",
                                  stmt.line_no)

@@ -6,11 +6,15 @@ it costs ~90 of the 105 native instructions per x86 instruction), in the
 XLTx86 backend functional unit, and in the first level of the dual-mode
 frontend decoder.  The first two reuse this module, so they are decode-
 equivalent by construction; the third is a timing-model mode only.
+
+It is one walk over ``opcodes.FORMS``: prefixes, the opcode's row, its
+ModRM (and ``/reg`` selector) if the row has one, then each operand by
+its layout letter.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Dict, List, Optional, Union
 
 from repro.isa.x86lite.instruction import (
     ImmOperand,
@@ -20,19 +24,12 @@ from repro.isa.x86lite.instruction import (
     RegOperand,
 )
 from repro.isa.x86lite.opcodes import (
-    ALU_ROW_BY_BASE,
-    GROUP1_TO_OP,
-    GROUP2_TO_OP,
-    GROUP3_TO_OP,
-    Group5,
-    Op,
-)
-from repro.isa.x86lite.registers import Cond, Reg
-from repro.isa.x86lite.encoder import (
+    FORMS,
     PREFIX_OPERAND_SIZE,
     PREFIX_REP,
-    TWO_BYTE_ESCAPE,
+    Form,
 )
+from repro.isa.x86lite.registers import Cond, Reg
 
 
 class DecodeError(Exception):
@@ -82,17 +79,8 @@ class Cursor:
         self._pos = end
         return int.from_bytes(raw, "little", signed=signed)
 
-    def imm8(self) -> int:
-        return self.value(1)
-
     def i8(self) -> int:
         return self.value(1, True)
-
-    def u16(self) -> int:
-        return self.value(2)
-
-    def u32(self) -> int:
-        return self.value(4)
 
     def i32(self) -> int:
         return self.value(4, True)
@@ -139,16 +127,56 @@ def _decode_modrm(cursor: Cursor, size: int = 32
     return reg_field, MemOperand(base, index, scale, disp, size)
 
 
-def _imm(cursor: Cursor, width: int) -> ImmOperand:
-    if width == 16:
-        return ImmOperand(cursor.u16(), 16)
-    return ImmOperand(cursor.u32(), 32)
+class _Opcode:
+    """What one opcode (its ``+r``/``+cc`` bits included) decodes as:
+    ``forms[reg]`` by the ModRM reg field (the same form eight times
+    where there is no ``/reg`` selector; ``forms[0]`` without a ModRM),
+    the opcode's ``low`` bits, and the ModRM r/m's memory size (None: the
+    operand size)."""
+
+    __slots__ = ("forms", "low", "modrm", "rm_size")
+
+    def __init__(self, form: Form, low: int) -> None:
+        rm = [letter for letter in form.layout
+              if letter in ("E", "M", "Mb", "Mw")]
+        self.forms: List[Optional[Form]] = [None] * 8
+        self.low = low
+        self.modrm = bool(rm)
+        self.rm_size = {"Mb": 8, "Mw": 16}.get(rm[0]) if rm else None
 
 
-def _sext_imm8(cursor: Cursor, width: int) -> ImmOperand:
-    value = cursor.i8()
-    mask = 0xFFFF if width == 16 else 0xFFFFFFFF
-    return ImmOperand(value & mask, width)
+def _opcodes() -> Dict[int, _Opcode]:
+    """Opcode (a two-byte one as ``first << 8 | second``) -> what it
+    decodes as, for every opcode ``FORMS`` names."""
+    table: Dict[int, _Opcode] = {}
+    for form in FORMS:
+        for low in {"+r": range(8), "+cc": range(16)}.get(form.ext, (0,)):
+            entry = table.setdefault(int.from_bytes(form.opcode, "big")
+                                     + low, _Opcode(form, low))
+            if type(form.ext) is int:
+                entry.forms[form.ext] = form
+            else:
+                entry.forms = [form] * 8
+    return table
+
+
+_OPCODES = _opcodes()
+
+#: the first bytes of the two-byte opcodes
+_ESCAPES = frozenset(form.opcode[0] for form in FORMS
+                     if len(form.opcode) == 2)
+
+#: register operand by number (operands are immutable: one of each)
+_REGISTERS = tuple(RegOperand(reg) for reg in Reg)
+#: the operands the A, CL and 1 letters stand for
+_IMPLIED = {"A": _REGISTERS[Reg.EAX], "CL": _REGISTERS[Reg.ECX],
+            "1": ImmOperand(1, 8)}
+
+#: immediate letter -> (bytes, signed, bits); 0 bytes / bits: the
+#: operand size
+_IMMEDIATES = {"Ib": (1, True, 0), "Ibd": (1, True, 32),
+               "Iu": (1, False, 8), "Iw": (2, False, 16),
+               "Id": (4, False, 32), "Iz": (0, False, 0)}
 
 
 def decode(data: bytes, addr: int = 0, offset: int = 0) -> Instruction:
@@ -177,182 +205,55 @@ def decode_from(cursor: Cursor, addr: int = 0) -> Instruction:
         if prefix_count > 4:
             raise DecodeError("too many prefixes")
         byte = cursor.u8()
-
-    def done(op: Op, operands=(), cond=None, target=None,
-             op_width: "int | None" = None, rep_flag: "bool | None" = None
-             ) -> Instruction:
-        length = cursor.consumed
-        if length > MAX_INSTRUCTION_LENGTH:
-            raise DecodeError(f"instruction longer than "
-                              f"{MAX_INSTRUCTION_LENGTH} bytes")
-        return Instruction(
-            op=op, operands=tuple(operands),
-            width=width if op_width is None else op_width,
-            cond=cond, target=target,
-            rep=rep if rep_flag is None else rep_flag,
-            length=length, addr=addr)
-
-    # -- classic ALU rows --------------------------------------------------
-    row_base = byte & 0xF8
-    row_form = byte & 0x07
-    if row_base in ALU_ROW_BY_BASE and row_form in (1, 3, 5):
-        op = ALU_ROW_BY_BASE[row_base]
-        if row_form == 1:
-            reg_field, rm = _decode_modrm(cursor, width)
-            return done(op, (rm, RegOperand(Reg(reg_field))))
-        if row_form == 3:
-            reg_field, rm = _decode_modrm(cursor, width)
-            return done(op, (RegOperand(Reg(reg_field)), rm))
-        return done(op, (RegOperand(Reg.EAX), _imm(cursor, width)))
-
-    if 0x40 <= byte <= 0x47:
-        return done(Op.INC, (RegOperand(Reg(byte - 0x40)),))
-    if 0x48 <= byte <= 0x4F:
-        return done(Op.DEC, (RegOperand(Reg(byte - 0x48)),))
-    if 0x50 <= byte <= 0x57:
-        return done(Op.PUSH, (RegOperand(Reg(byte - 0x50)),))
-    if 0x58 <= byte <= 0x5F:
-        return done(Op.POP, (RegOperand(Reg(byte - 0x58)),))
-    if byte == 0x68:
-        return done(Op.PUSH, (_imm(cursor, 32),))
-    if byte == 0x6A:
-        return done(Op.PUSH, (_sext_imm8(cursor, 32),))
-    if byte in (0x69, 0x6B):
-        reg_field, rm = _decode_modrm(cursor, width)
-        imm = (_imm(cursor, width) if byte == 0x69
-               else _sext_imm8(cursor, width))
-        return done(Op.IMUL, (RegOperand(Reg(reg_field)), rm, imm))
-    if 0x70 <= byte <= 0x7F:
-        rel = cursor.i8()
-        return done(Op.JCC, cond=_cond(byte - 0x70),
-                    target=(addr + cursor.consumed + rel) & 0xFFFFFFFF)
-    if byte in (0x81, 0x83):
-        reg_field, rm = _decode_modrm(cursor, width)
-        op = GROUP1_TO_OP[reg_field]
-        imm = (_imm(cursor, width) if byte == 0x81
-               else _sext_imm8(cursor, width))
-        return done(op, (rm, imm))
-    if byte == 0x85:
-        reg_field, rm = _decode_modrm(cursor, width)
-        return done(Op.TEST, (rm, RegOperand(Reg(reg_field))))
-    if byte == 0x87:
-        reg_field, rm = _decode_modrm(cursor, width)
-        return done(Op.XCHG, (rm, RegOperand(Reg(reg_field))))
-    if byte == 0x89:
-        reg_field, rm = _decode_modrm(cursor, width)
-        return done(Op.MOV, (rm, RegOperand(Reg(reg_field))))
-    if byte == 0x8B:
-        reg_field, rm = _decode_modrm(cursor, width)
-        return done(Op.MOV, (RegOperand(Reg(reg_field)), rm))
-    if byte == 0x8D:
-        reg_field, rm = _decode_modrm(cursor, width)
-        if not isinstance(rm, MemOperand):
-            raise DecodeError("LEA requires a memory operand")
-        return done(Op.LEA, (RegOperand(Reg(reg_field)), rm))
-    if byte == 0x90:
-        return done(Op.NOP)
-    if byte == 0xA5:
-        return done(Op.MOVS)
-    if byte == 0xAB:
-        return done(Op.STOS)
-    if byte == 0xAD:
-        return done(Op.LODS)
-    if 0xB8 <= byte <= 0xBF:
-        return done(Op.MOV, (RegOperand(Reg(byte - 0xB8)),
-                             _imm(cursor, width)))
-    if byte in (0xC1, 0xD1, 0xD3):
-        reg_field, rm = _decode_modrm(cursor, width)
-        if reg_field not in GROUP2_TO_OP:
-            raise DecodeError(f"invalid shift selector {reg_field}")
-        op = GROUP2_TO_OP[reg_field]
-        if byte == 0xC1:
-            count: "ImmOperand | RegOperand" = ImmOperand(cursor.imm8(), 8)
-        elif byte == 0xD1:
-            count = ImmOperand(1, 8)
-        else:
-            count = RegOperand(Reg.ECX)
-        return done(op, (rm, count))
-    if byte == 0xC2:
-        return done(Op.RET, (ImmOperand(cursor.u16(), 16),))
-    if byte == 0xC3:
-        return done(Op.RET)
-    if byte == 0xC7:
-        reg_field, rm = _decode_modrm(cursor, width)
-        if reg_field != 0:
-            raise DecodeError("invalid 0xC7 selector")
-        return done(Op.MOV, (rm, _imm(cursor, width)))
-    if byte == 0xCD:
-        return done(Op.INT, (ImmOperand(cursor.imm8(), 8),))
-    if byte == 0xE2:
-        rel = cursor.i8()
-        return done(Op.LOOP,
-                    target=(addr + cursor.consumed + rel) & 0xFFFFFFFF)
-    if byte == 0xE3:
-        rel = cursor.i8()
-        return done(Op.JECXZ,
-                    target=(addr + cursor.consumed + rel) & 0xFFFFFFFF)
-    if byte == 0xE8:
-        rel = cursor.i32()
-        return done(Op.CALL,
-                    target=(addr + cursor.consumed + rel) & 0xFFFFFFFF)
-    if byte == 0xE9:
-        rel = cursor.i32()
-        return done(Op.JMP,
-                    target=(addr + cursor.consumed + rel) & 0xFFFFFFFF)
-    if byte == 0xEB:
-        rel = cursor.i8()
-        return done(Op.JMP,
-                    target=(addr + cursor.consumed + rel) & 0xFFFFFFFF)
-    if byte == 0xF4:
-        return done(Op.HLT)
-    if byte == 0xF7:
-        reg_field, rm = _decode_modrm(cursor, width)
-        if reg_field == 0:
-            return done(Op.TEST, (rm, _imm(cursor, width)))
-        if reg_field in GROUP3_TO_OP:
-            return done(GROUP3_TO_OP[reg_field], (rm,))
-        raise DecodeError(f"invalid 0xF7 selector {reg_field}")
-    if byte == 0xFF:
-        reg_field, rm = _decode_modrm(cursor, width)
-        if reg_field == Group5.INC:
-            return done(Op.INC, (rm,))
-        if reg_field == Group5.DEC:
-            return done(Op.DEC, (rm,))
-        if reg_field == Group5.CALL:
-            return done(Op.CALL, (rm,))
-        if reg_field == Group5.JMP:
-            return done(Op.JMP, (rm,))
-        if reg_field == Group5.PUSH:
-            return done(Op.PUSH, (rm,))
-        raise DecodeError(f"invalid 0xFF selector {reg_field}")
-
-    # -- two-byte opcodes ----------------------------------------------------
-    if byte == TWO_BYTE_ESCAPE:
-        second = cursor.u8()
-        if 0x40 <= second <= 0x4F:
-            reg_field, rm = _decode_modrm(cursor, width)
-            return done(Op.CMOV, (RegOperand(Reg(reg_field)), rm),
-                        cond=_cond(second - 0x40))
-        if 0x80 <= second <= 0x8F:
-            rel = cursor.i32()
-            return done(Op.JCC, cond=_cond(second - 0x80),
-                        target=(addr + cursor.consumed + rel) & 0xFFFFFFFF)
-        if second == 0xA2:
-            return done(Op.CPUID)
-        if second == 0xAF:
-            reg_field, rm = _decode_modrm(cursor, width)
-            return done(Op.IMUL, (RegOperand(Reg(reg_field)), rm))
-        if second in (0xB6, 0xB7, 0xBE, 0xBF):
-            size = 8 if second in (0xB6, 0xBE) else 16
-            reg_field, rm = _decode_modrm(cursor, size)
+    key = byte
+    if byte in _ESCAPES:
+        key = byte << 8 | cursor.u8()
+    entry = _OPCODES.get(key)
+    if entry is None:
+        raise DecodeError(f"invalid opcode {key:#04x}")
+    form = entry.forms[0]
+    if entry.modrm:
+        rm_size = entry.rm_size
+        reg_field, rm = _decode_modrm(cursor, rm_size or width)
+        if rm_size:
+            width = 32
+        form = entry.forms[reg_field]
+        if form is None:
+            raise DecodeError(f"invalid selector {reg_field} of opcode "
+                              f"{key:#04x}")
+    cond = _cond(entry.low) if form.ext == "+cc" else None
+    operands: "List[Union[RegOperand, ImmOperand, MemOperand]]" = []
+    target = None
+    for letter in form.layout:
+        if letter == "E":
+            operands.append(rm)
+        elif letter == "G":
+            operands.append(_REGISTERS[reg_field])
+        elif letter in _IMMEDIATES:
+            size, signed, bits = _IMMEDIATES[letter]
+            bits = bits or width
+            value = cursor.value(size or bits // 8, signed)
+            operands.append(ImmOperand(
+                value & ((1 << bits) - 1) if signed else value, bits))
+        elif letter == "Z":
+            operands.append(_REGISTERS[entry.low])
+        elif letter in ("Jb", "Jz"):
+            rel = cursor.value(1 if letter == "Jb" else 4, True)
+            target = (addr + cursor.consumed + rel) & 0xFFFFFFFF
+        elif letter in _IMPLIED:
+            operands.append(_IMPLIED[letter])
+        else:   # M, Mb, Mw
             if not isinstance(rm, MemOperand):
-                raise DecodeError("MOVZX/MOVSX source must be memory "
-                                  "in x86lite")
-            op = Op.MOVZX if second in (0xB6, 0xB7) else Op.MOVSX
-            return done(op, (RegOperand(Reg(reg_field)), rm), op_width=32)
-        raise DecodeError(f"invalid two-byte opcode 0x0F {second:#04x}")
-
-    raise DecodeError(f"invalid opcode {byte:#04x}")
+                raise DecodeError(f"{form.op.name} requires a memory "
+                                  f"operand")
+            operands.append(rm)
+    length = cursor.consumed
+    if length > MAX_INSTRUCTION_LENGTH:
+        raise DecodeError(f"instruction longer than "
+                          f"{MAX_INSTRUCTION_LENGTH} bytes")
+    return Instruction(op=form.op, operands=tuple(operands), width=width,
+                       cond=cond, target=target, rep=rep, length=length,
+                       addr=addr)
 
 
 def decode_at(memory, addr: int) -> Instruction:

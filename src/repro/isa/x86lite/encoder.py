@@ -1,16 +1,18 @@
 """x86lite instruction encoder (assembler backend).
 
-Produces IA-32-shaped encodings: optional prefixes, one- or two-byte
-opcodes, ModRM/SIB, displacement, immediate.  The encoder always emits a
-canonical form (shortest applicable immediate/displacement), which the
-decoder reproduces — giving an encode/decode round-trip that the property
-tests rely on.
+An instruction is encoded in the first of its op's ``opcodes.FORMS`` rows
+whose layout takes its operands: optional prefixes, one- or two-byte
+opcode, ModRM/SIB, displacement, immediate.  The rows are in order of
+preference, so the encoder always emits a canonical form (shortest
+applicable immediate/displacement), which the decoder reproduces --
+giving an encode/decode round-trip that the property tests rely on.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Optional, Union
+from itertools import product
+from typing import Dict, List, Optional, Union
 
 from repro.isa.x86lite.instruction import (
     ImmOperand,
@@ -19,18 +21,13 @@ from repro.isa.x86lite.instruction import (
     RegOperand,
 )
 from repro.isa.x86lite.opcodes import (
-    ALU_ROW_BASE,
-    OP_TO_GROUP1,
-    OP_TO_GROUP2,
-    OP_TO_GROUP3,
-    Group5,
+    FORMS,
+    PREFIX_OPERAND_SIZE,
+    PREFIX_REP,
+    Form,
     Op,
 )
 from repro.isa.x86lite.registers import Reg
-
-PREFIX_OPERAND_SIZE = 0x66
-PREFIX_REP = 0xF3
-TWO_BYTE_ESCAPE = 0x0F
 
 
 class EncodeError(Exception):
@@ -45,27 +42,14 @@ def _u8(value: int) -> bytes:
     return struct.pack("<B", value & 0xFF)
 
 
-def _u16(value: int) -> bytes:
-    return struct.pack("<H", value & 0xFFFF)
-
-
 def _i32(value: int) -> bytes:
     return struct.pack("<i", ((value + 0x80000000) & 0xFFFFFFFF) - 0x80000000)
 
 
-def _u32(value: int) -> bytes:
-    return struct.pack("<I", value & 0xFFFFFFFF)
-
-
-def _signed(value: int, bits: int = 32) -> int:
-    mask = (1 << bits) - 1
-    value &= mask
-    sign = 1 << (bits - 1)
-    return value - (mask + 1) if value & sign else value
-
-
-def _fits_i8(value: int) -> bool:
-    return -128 <= _signed(value) <= 127
+def _fits_i8(value: int, bits: int) -> bool:
+    """Whether ``value``, read as a ``bits``-bit integer, is an imm8."""
+    value &= (1 << bits) - 1
+    return value < 0x80 or value >= (1 << bits) - 0x80
 
 
 def encode_modrm(reg_field: int, rm: Union[RegOperand, MemOperand]) -> bytes:
@@ -104,59 +88,39 @@ def encode_modrm(reg_field: int, rm: Union[RegOperand, MemOperand]) -> bytes:
     return _u8((mod << 6) | (reg_field << 3) | base) + disp_bytes
 
 
-def _imm_bytes(value: int, width: int) -> bytes:
-    return _u16(value) if width == 16 else _u32(value)
+#: the operand kinds each layout letter takes (the target a J letter
+#: encodes is not an operand)
+_KINDS = {"E": (RegOperand, MemOperand), "Jb": (), "Jz": ()}
+_KINDS.update(dict.fromkeys(("G", "Z", "A", "CL"), (RegOperand,)))
+_KINDS.update(dict.fromkeys(("M", "Mb", "Mw"), (MemOperand,)))
+_KINDS.update(dict.fromkeys(("1", "Ib", "Ibd", "Iu", "Iw", "Id", "Iz"),
+                            (ImmOperand,)))
+#: the register A and CL stand for; the memory size M, Mb and Mw take
+_IMPLIED = {"A": Reg.EAX, "CL": Reg.ECX}
+_MEMORY = {"M": None, "Mb": 8, "Mw": 16}
+#: bytes of an unsigned immediate (Iz: by the operand size)
+_IMMEDIATE_BYTES = {"Iu": 1, "Iw": 2, "Id": 4}
 
 
-def _alu_two_operand(instr: Instruction, prefix: bytes) -> bytes:
-    dst, src = instr.operands
-    base = ALU_ROW_BASE[instr.op]
-    if isinstance(src, ImmOperand):
-        selector = OP_TO_GROUP1[instr.op]
-        if _fits_i8(src.value):
-            body = _u8(0x83) + encode_modrm(selector, dst) + _i8(
-                _signed(src.value, 8) if src.value > 0x7F else _signed(src.value))
-            return prefix + body
-        if isinstance(dst, RegOperand) and dst.reg is Reg.EAX:
-            return prefix + _u8(base + 5) + _imm_bytes(src.value, instr.width)
-        return (prefix + _u8(0x81) + encode_modrm(selector, dst)
-                + _imm_bytes(src.value, instr.width))
-    if isinstance(src, RegOperand):
-        return prefix + _u8(base + 1) + encode_modrm(src.reg, dst)
-    if isinstance(dst, RegOperand) and isinstance(src, MemOperand):
-        return prefix + _u8(base + 3) + encode_modrm(dst.reg, src)
-    raise EncodeError(f"unencodable ALU form: {instr}")
+def _candidates(force_long_branch: bool) -> Dict[tuple, List[Form]]:
+    """``(op, operand kinds...)`` -> the op's forms whose letters take
+    operands of those kinds, in order of preference; under
+    ``force_long_branch`` without the rel8 form of an op that has a
+    rel32 one."""
+    table: Dict[tuple, List[Form]] = {}
+    for op in Op:
+        forms = [form for form in FORMS if form.op is op]
+        if force_long_branch and any(form.layout == ("Jz",)
+                                     for form in forms):
+            forms = [form for form in forms if form.layout != ("Jb",)]
+        for form in forms:
+            for kinds in product(*(_KINDS[letter] for letter in form.layout
+                                   if _KINDS[letter])):
+                table.setdefault((op, *kinds), []).append(form)
+    return table
 
 
-def _encode_mov(instr: Instruction, prefix: bytes) -> bytes:
-    dst, src = instr.operands
-    if isinstance(src, ImmOperand):
-        if isinstance(dst, RegOperand):
-            return prefix + _u8(0xB8 + dst.reg) + _imm_bytes(src.value,
-                                                             instr.width)
-        return (prefix + _u8(0xC7) + encode_modrm(0, dst)
-                + _imm_bytes(src.value, instr.width))
-    if isinstance(src, RegOperand):
-        return prefix + _u8(0x89) + encode_modrm(src.reg, dst)
-    if isinstance(dst, RegOperand) and isinstance(src, MemOperand):
-        return prefix + _u8(0x8B) + encode_modrm(dst.reg, src)
-    raise EncodeError(f"unencodable MOV form: {instr}")
-
-
-def _branch_displacement(instr: Instruction, addr: int,
-                         short_len: int, long_len: int,
-                         force_long: bool) -> "tuple[bool, int]":
-    """Pick the short (rel8) or long (rel32) branch form.
-
-    Returns ``(use_short, displacement)`` where the displacement is relative
-    to the end of the chosen encoding.
-    """
-    if instr.target is None:
-        raise EncodeError(f"direct branch without target: {instr}")
-    short_rel = instr.target - (addr + short_len)
-    if not force_long and -128 <= short_rel <= 127:
-        return True, short_rel
-    return False, instr.target - (addr + long_len)
+_CANDIDATES = {False: _candidates(False), True: _candidates(True)}
 
 
 def encode(instr: Instruction, addr: Optional[int] = None,
@@ -175,146 +139,63 @@ def encode(instr: Instruction, addr: Optional[int] = None,
         prefix += _u8(PREFIX_REP)
     if instr.width == 16:
         prefix += _u8(PREFIX_OPERAND_SIZE)
+    for form in _CANDIDATES[force_long_branch].get(
+            (instr.op, *map(type, instr.operands)), ()):
+        code = _encode_as(form, instr, prefix, addr)
+        if code is not None:
+            return code
+    raise EncodeError(f"{instr.op.value} has no encoding with these "
+                      f"operands")
 
-    op = instr.op
-    ops = instr.operands
 
-    if op in ALU_ROW_BASE:
-        return _alu_two_operand(instr, prefix)
-    if op is Op.MOV:
-        return _encode_mov(instr, prefix)
-    if op is Op.TEST:
-        dst, src = ops
-        if isinstance(src, ImmOperand):
-            return (prefix + _u8(0xF7) + encode_modrm(0, dst)
-                    + _imm_bytes(src.value, instr.width))
-        return prefix + _u8(0x85) + encode_modrm(src.reg, dst)
-    if op is Op.XCHG:
-        dst, src = ops
-        if not isinstance(src, RegOperand):
-            raise EncodeError("XCHG source must be a register")
-        return prefix + _u8(0x87) + encode_modrm(src.reg, dst)
-    if op is Op.LEA:
-        dst, src = ops
-        if not (isinstance(dst, RegOperand) and isinstance(src, MemOperand)):
-            raise EncodeError("LEA needs reg, mem")
-        return prefix + _u8(0x8D) + encode_modrm(dst.reg, src)
-    if op in (Op.MOVZX, Op.MOVSX):
-        dst, src = ops
-        if not (isinstance(dst, RegOperand) and isinstance(src, MemOperand)):
-            raise EncodeError(f"{op.value} needs reg, mem in x86lite")
-        table = {(Op.MOVZX, 8): 0xB6, (Op.MOVZX, 16): 0xB7,
-                 (Op.MOVSX, 8): 0xBE, (Op.MOVSX, 16): 0xBF}
-        second = table.get((op, src.size))
-        if second is None:
-            raise EncodeError(f"{op.value} source size {src.size} invalid")
-        return (prefix + _u8(TWO_BYTE_ESCAPE) + _u8(second)
-                + encode_modrm(dst.reg, src))
-    if op is Op.CMOV:
-        dst, src = ops
-        return (prefix + _u8(TWO_BYTE_ESCAPE) + _u8(0x40 + instr.cond)
-                + encode_modrm(dst.reg, src))
-    if op is Op.PUSH:
-        (src,) = ops
-        if isinstance(src, RegOperand):
-            return prefix + _u8(0x50 + src.reg)
-        if isinstance(src, ImmOperand):
-            if _fits_i8(src.value):
-                return prefix + _u8(0x6A) + _i8(_signed(src.value, 8)
-                                                if src.value > 0x7F
-                                                else _signed(src.value))
-            return prefix + _u8(0x68) + _u32(src.value)
-        return prefix + _u8(0xFF) + encode_modrm(Group5.PUSH, src)
-    if op is Op.POP:
-        (dst,) = ops
-        if isinstance(dst, RegOperand):
-            return prefix + _u8(0x58 + dst.reg)
-        raise EncodeError("POP destination must be a register")
-    if op in (Op.INC, Op.DEC):
-        (dst,) = ops
-        if isinstance(dst, RegOperand) and instr.width == 32:
-            base = 0x40 if op is Op.INC else 0x48
-            return prefix + _u8(base + dst.reg)
-        selector = Group5.INC if op is Op.INC else Group5.DEC
-        return prefix + _u8(0xFF) + encode_modrm(selector, dst)
-    if op in OP_TO_GROUP2:
-        dst, count = ops
-        selector = OP_TO_GROUP2[op]
-        if isinstance(count, ImmOperand):
-            if count.value == 1:
-                return prefix + _u8(0xD1) + encode_modrm(selector, dst)
-            return (prefix + _u8(0xC1) + encode_modrm(selector, dst)
-                    + _u8(count.value))
-        if isinstance(count, RegOperand) and count.reg is Reg.ECX:
-            return prefix + _u8(0xD3) + encode_modrm(selector, dst)
-        raise EncodeError("shift count must be imm8 or CL")
-    if op is Op.IMUL and len(ops) == 3:
-        dst, src, imm = ops
-        if _fits_i8(imm.value):
-            return (prefix + _u8(0x6B) + encode_modrm(dst.reg, src)
-                    + _i8(_signed(imm.value, 8) if imm.value > 0x7F
-                          else _signed(imm.value)))
-        return (prefix + _u8(0x69) + encode_modrm(dst.reg, src)
-                + _imm_bytes(imm.value, instr.width))
-    if op is Op.IMUL and len(ops) == 2:
-        dst, src = ops
-        return (prefix + _u8(TWO_BYTE_ESCAPE) + _u8(0xAF)
-                + encode_modrm(dst.reg, src))
-    if op in OP_TO_GROUP3 and len(ops) == 1:
-        (dst,) = ops
-        return prefix + _u8(0xF7) + encode_modrm(OP_TO_GROUP3[op], dst)
-
-    # -- control transfer -------------------------------------------------
-    if op is Op.JMP:
-        if instr.target is not None:
-            plen = len(prefix)
-            use_short, rel = _branch_displacement(
-                instr, addr, plen + 2, plen + 5, force_long_branch)
-            if use_short:
-                return prefix + _u8(0xEB) + _i8(rel)
-            return prefix + _u8(0xE9) + _i32(rel)
-        (dst,) = ops
-        return prefix + _u8(0xFF) + encode_modrm(Group5.JMP, dst)
-    if op is Op.JCC:
-        plen = len(prefix)
-        use_short, rel = _branch_displacement(
-            instr, addr, plen + 2, plen + 6, force_long_branch)
-        if use_short:
-            return prefix + _u8(0x70 + instr.cond) + _i8(rel)
-        return (prefix + _u8(TWO_BYTE_ESCAPE) + _u8(0x80 + instr.cond)
-                + _i32(rel))
-    if op in (Op.LOOP, Op.JECXZ):
-        opcode = 0xE2 if op is Op.LOOP else 0xE3
-        rel = instr.target - (addr + len(prefix) + 2)
-        if not -128 <= rel <= 127:
-            raise EncodeError(f"{op.value} target out of rel8 range")
-        return prefix + _u8(opcode) + _i8(rel)
-    if op is Op.CALL:
-        if instr.target is not None:
-            rel = instr.target - (addr + len(prefix) + 5)
-            return prefix + _u8(0xE8) + _i32(rel)
-        (dst,) = ops
-        return prefix + _u8(0xFF) + encode_modrm(Group5.CALL, dst)
-    if op is Op.RET:
-        if ops:
-            return prefix + _u8(0xC2) + _u16(ops[0].value)
-        return prefix + _u8(0xC3)
-
-    # -- string / misc -----------------------------------------------------
-    if op is Op.MOVS:
-        return prefix + _u8(0xA5)
-    if op is Op.STOS:
-        return prefix + _u8(0xAB)
-    if op is Op.LODS:
-        return prefix + _u8(0xAD)
-    if op is Op.NOP:
-        return prefix + _u8(0x90)
-    if op is Op.HLT:
-        return prefix + _u8(0xF4)
-    if op is Op.CPUID:
-        return prefix + _u8(TWO_BYTE_ESCAPE) + _u8(0xA2)
-    if op is Op.INT:
-        (vector,) = ops
-        return prefix + _u8(0xCD) + _u8(vector.value)
-
-    raise EncodeError(f"no encoding for {instr}")
+def _encode_as(form: Form, instr: Instruction, prefix: bytes,
+               addr: int) -> Optional[bytes]:
+    """``instr`` encoded in ``form``, whose letters take its operands'
+    kinds; None if their values (or its target or condition) do not
+    fit it."""
+    opcode = form.opcode
+    if form.ext == "+cc":
+        if instr.cond is None:
+            return None
+        opcode = opcode[:-1] + _u8(opcode[-1] + instr.cond)
+    layout = form.layout
+    if layout and layout[0] in ("Jb", "Jz"):
+        if instr.target is None:
+            return None
+        size = 1 if layout[0] == "Jb" else 4
+        rel = instr.target - (addr + len(prefix) + len(opcode) + size)
+        if size == 4:
+            return prefix + opcode + _i32(rel)
+        return prefix + opcode + _i8(rel) if -128 <= rel <= 127 else None
+    bits = 16 if instr.width == 16 else 32
+    reg_field = form.ext if type(form.ext) is int else 0
+    rm: "RegOperand | MemOperand | None" = None
+    tail = b""
+    for letter, operand in zip(layout, instr.operands):
+        if letter == "E":
+            rm = operand
+        elif letter == "G":
+            reg_field = operand.reg
+        elif letter == "Z":
+            opcode = opcode[:-1] + _u8(opcode[-1] + operand.reg)
+        elif letter in _IMPLIED:
+            if operand.reg != _IMPLIED[letter]:
+                return None
+        elif letter in _MEMORY:
+            if _MEMORY[letter] not in (None, operand.size):
+                return None
+            rm = operand
+        elif letter == "1":
+            if operand.value != 1:
+                return None
+        elif letter in ("Ib", "Ibd"):
+            if not _fits_i8(operand.value, bits if letter == "Ib" else 32):
+                return None
+            tail += _u8(operand.value)
+        else:
+            size = _IMMEDIATE_BYTES.get(letter, bits // 8)
+            tail += (operand.value & ((1 << 8 * size) - 1)).to_bytes(
+                size, "little")
+    if rm is not None:
+        tail = encode_modrm(reg_field, rm) + tail
+    return prefix + opcode + tail

@@ -1,15 +1,17 @@
-"""Operation vocabulary and classification for the x86lite ISA.
+"""Operation vocabulary, classification and the opcode map of x86lite.
 
 The subset follows IA-32's opcode-map structure closely enough that decoding
 is genuinely variable-length CISC work: one- and two-byte opcodes, ModRM/SIB
 addressing, 8/32-bit displacements and 8/16/32-bit immediates, and prefix
-bytes.  The concrete byte-level maps live in ``encoder.py``/``decoder.py``;
-this module defines the semantic vocabulary they share.
+bytes.  ``FORMS`` is the opcode map, one row per encoding form; the
+decoder and the encoder walk it, the assembler takes its mnemonics and
+operand counts from it, and ``docs/isa_reference.md`` lists it row by row.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple, Optional, Tuple, Union
 
 
 class Op(enum.Enum):
@@ -62,6 +64,11 @@ class Op(enum.Enum):
     INT = "int"
     CPUID = "cpuid"
 
+    # Members are singletons compared by identity; hashing them by
+    # identity keeps table and set lookups in C (``Enum.__hash__`` is a
+    # Python-level call), as ``fusible.opcodes.UOp`` does.
+    __hash__ = object.__hash__
+
 
 #: Control-transfer instructions; a basic block ends after any of these.
 CONTROL_TRANSFER_OPS = frozenset({Op.JMP, Op.JCC, Op.CALL, Op.RET, Op.INT,
@@ -89,69 +96,75 @@ FLAG_WRITING_OPS = frozenset({
 #: Operations that read the arithmetic flags.
 FLAG_READING_OPS = frozenset({Op.JCC, Op.CMOV, Op.ADC, Op.SBB})
 
-
-class Group1(enum.IntEnum):
-    """/reg selector for the 0x81/0x83 immediate-ALU group."""
-
-    ADD = 0
-    OR = 1
-    ADC = 2
-    SBB = 3
-    AND = 4
-    SUB = 5
-    XOR = 6
-    CMP = 7
+#: Prefix bytes: operand size 16 bits, and REP.
+PREFIX_OPERAND_SIZE = 0x66
+PREFIX_REP = 0xF3
 
 
-class Group2(enum.IntEnum):
-    """/reg selector for the 0xC1/0xD1 shift group (subset)."""
+class Form(NamedTuple):
+    """One encoding form: ``op`` as the ``opcode`` byte(s), then the
+    operands ``layout`` names.  ``ext`` is the ModRM ``/reg`` selector
+    (0-7), ``"+r"`` (the opcode's low three bits name the ``Z``
+    register), ``"+cc"`` (its low four name the condition) or None.
 
-    SHL = 4
-    SHR = 5
-    SAR = 7
+    Layout letters, after the Intel opcode map: ``E`` ModRM r/m, a
+    register or memory of the operand size; ``G`` ModRM reg, a register;
+    ``M`` r/m that must be memory, ``Mb``/``Mw`` a byte/word of memory
+    (the instruction is then 32-bit); ``Z`` the ``+r`` register; ``A``
+    EAX; ``CL`` ECX; ``1`` the count 1; ``Ib`` imm8 sign-extended to the
+    operand size, ``Ibd`` to 32 bits; ``Iu`` unsigned imm8; ``Iw``
+    imm16; ``Id`` imm32; ``Iz`` imm16 or imm32 by the operand size;
+    ``Jb``/``Jz`` rel8/rel32 to the instruction's target."""
 
-
-class Group3(enum.IntEnum):
-    """/reg selector for the 0xF7 unary group."""
-
-    NOT = 2
-    NEG = 3
-    MUL = 4
-    IMUL = 5
-    DIV = 6
-    IDIV = 7
-
-
-class Group5(enum.IntEnum):
-    """/reg selector for the 0xFF group."""
-
-    INC = 0
-    DEC = 1
-    CALL = 2
-    JMP = 4
-    PUSH = 6
+    op: Op
+    opcode: bytes
+    ext: Optional[Union[int, str]]
+    layout: Tuple[str, ...]
 
 
-GROUP1_TO_OP = {
-    Group1.ADD: Op.ADD, Group1.OR: Op.OR, Group1.ADC: Op.ADC,
-    Group1.SBB: Op.SBB, Group1.AND: Op.AND, Group1.SUB: Op.SUB,
-    Group1.XOR: Op.XOR, Group1.CMP: Op.CMP,
-}
-OP_TO_GROUP1 = {op: sel for sel, op in GROUP1_TO_OP.items()}
+#: The classic ALU row: an op's index is its ``/reg`` in 0x81/0x83 and
+#: the row (index * 8) of its r/m,r / r,r/m / eAX,imm opcodes
+_ALU = (Op.ADD, Op.OR, Op.ADC, Op.SBB, Op.AND, Op.SUB, Op.XOR, Op.CMP)
 
-GROUP2_TO_OP = {Group2.SHL: Op.SHL, Group2.SHR: Op.SHR, Group2.SAR: Op.SAR}
-OP_TO_GROUP2 = {op: sel for sel, op in GROUP2_TO_OP.items()}
-
-GROUP3_TO_OP = {
-    Group3.NOT: Op.NOT, Group3.NEG: Op.NEG, Group3.MUL: Op.MUL,
-    Group3.IMUL: Op.IMUL, Group3.DIV: Op.DIV, Group3.IDIV: Op.IDIV,
-}
-OP_TO_GROUP3 = {op: sel for sel, op in GROUP3_TO_OP.items()}
-
-#: Base bytes of the classic ALU row pattern (op r/m,r = base+1;
-#: op r,r/m = base+3; op eAX,imm = base+5).
-ALU_ROW_BASE = {
-    Op.ADD: 0x00, Op.OR: 0x08, Op.ADC: 0x10, Op.SBB: 0x18,
-    Op.AND: 0x20, Op.SUB: 0x28, Op.XOR: 0x30, Op.CMP: 0x38,
-}
-ALU_ROW_BY_BASE = {base: op for op, base in ALU_ROW_BASE.items()}
+#: Every encoding form of x86lite; an op's rows are in the encoder's order
+#: of preference (the shortest form that takes the operands comes first).
+FORMS = tuple(Form(op, bytes.fromhex(opcode), ext, tuple(layout.split()))
+              for op, opcode, ext, layout in (
+    *((op, opcode, ext, layout) for n, op in enumerate(_ALU)
+      for opcode, ext, layout in (
+          ("83", n, "E Ib"), (f"{8 * n + 5:02x}", None, "A Iz"),
+          ("81", n, "E Iz"), (f"{8 * n + 1:02x}", None, "E G"),
+          (f"{8 * n + 3:02x}", None, "G E"))),
+    (Op.MOV, "b8", "+r", "Z Iz"), (Op.MOV, "c7", 0, "E Iz"),
+    (Op.MOV, "89", None, "E G"), (Op.MOV, "8b", None, "G E"),
+    (Op.TEST, "f7", 0, "E Iz"), (Op.TEST, "85", None, "E G"),
+    (Op.XCHG, "87", None, "E G"),
+    (Op.LEA, "8d", None, "G M"),
+    (Op.MOVZX, "0f b6", None, "G Mb"), (Op.MOVZX, "0f b7", None, "G Mw"),
+    (Op.MOVSX, "0f be", None, "G Mb"), (Op.MOVSX, "0f bf", None, "G Mw"),
+    (Op.CMOV, "0f 40", "+cc", "G E"),
+    (Op.PUSH, "50", "+r", "Z"), (Op.PUSH, "6a", None, "Ibd"),
+    (Op.PUSH, "68", None, "Id"), (Op.PUSH, "ff", 6, "E"),
+    (Op.POP, "58", "+r", "Z"),
+    (Op.INC, "40", "+r", "Z"), (Op.INC, "ff", 0, "E"),
+    (Op.DEC, "48", "+r", "Z"), (Op.DEC, "ff", 1, "E"),
+    *((op, opcode, ext, layout)
+      for op, ext in ((Op.SHL, 4), (Op.SHR, 5), (Op.SAR, 7))
+      for opcode, layout in (("d1", "E 1"), ("c1", "E Iu"),
+                             ("d3", "E CL"))),
+    (Op.IMUL, "6b", None, "G E Ib"), (Op.IMUL, "69", None, "G E Iz"),
+    (Op.IMUL, "0f af", None, "G E"),
+    *((op, "f7", ext, "E") for op, ext in (
+        (Op.NOT, 2), (Op.NEG, 3), (Op.MUL, 4), (Op.IMUL, 5), (Op.DIV, 6),
+        (Op.IDIV, 7))),
+    (Op.JMP, "eb", None, "Jb"), (Op.JMP, "e9", None, "Jz"),
+    (Op.JMP, "ff", 4, "E"),
+    (Op.JCC, "70", "+cc", "Jb"), (Op.JCC, "0f 80", "+cc", "Jz"),
+    (Op.LOOP, "e2", None, "Jb"), (Op.JECXZ, "e3", None, "Jb"),
+    (Op.CALL, "e8", None, "Jz"), (Op.CALL, "ff", 2, "E"),
+    (Op.RET, "c3", None, ""), (Op.RET, "c2", None, "Iw"),
+    (Op.MOVS, "a5", None, ""), (Op.STOS, "ab", None, ""),
+    (Op.LODS, "ad", None, ""),
+    (Op.NOP, "90", None, ""), (Op.HLT, "f4", None, ""),
+    (Op.INT, "cd", None, "Iu"), (Op.CPUID, "0f a2", None, ""),
+))

@@ -40,6 +40,8 @@ scratch_regs = st.sampled_from([Reg.EAX, Reg.ECX, Reg.EDX, Reg.EBX,
                                 Reg.ESI, Reg.EDI])
 conds = st.sampled_from(list(Cond))
 imm32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
+#: operand widths of the forms that take the 0x66 prefix
+widths = st.sampled_from([32, 32, 32, 16])
 imm8ish = st.integers(min_value=-128, max_value=127)
 scales = st.sampled_from([1, 2, 4, 8])
 disps = st.one_of(st.just(0), st.integers(-128, 127),
@@ -61,37 +63,41 @@ def mem_operands(draw, size: int = 32) -> MemOperand:
 _ALU_OPS = [Op.ADD, Op.ADC, Op.SUB, Op.SBB, Op.AND, Op.OR, Op.XOR, Op.CMP]
 
 
+def immediates(width: int):
+    """Immediates of a ``width``-bit form, the imm8 boundary included."""
+    top = (1 << width) - 1
+    return st.one_of(st.integers(0, top),
+                     st.sampled_from([0x7F, 0x80, top - 0x80, top - 0x7F]),
+                     ).map(lambda value: ImmOperand(value, width))
+
+
+def _two_operand(draw, width: int) -> tuple:
+    """Operands of an ALU or MOV form (r,r / r,m / m,r / r,i / m,i)."""
+    form = draw(st.sampled_from(["rr", "rm", "mr", "ri", "mi"]))
+    if form == "rr":
+        return RegOperand(draw(regs)), RegOperand(draw(regs))
+    if form == "rm":
+        return RegOperand(draw(regs)), draw(mem_operands(width))
+    if form == "mr":
+        return draw(mem_operands(width)), RegOperand(draw(regs))
+    if form == "ri":
+        return RegOperand(draw(regs)), draw(immediates(width))
+    return draw(mem_operands(width)), draw(immediates(width))
+
+
 @st.composite
 def alu_instructions(draw) -> Instruction:
     op = draw(st.sampled_from(_ALU_OPS))
-    form = draw(st.sampled_from(["rr", "rm", "mr", "ri", "mi"]))
-    if form == "rr":
-        operands = (RegOperand(draw(regs)), RegOperand(draw(regs)))
-    elif form == "rm":
-        operands = (RegOperand(draw(regs)), draw(mem_operands()))
-    elif form == "mr":
-        operands = (draw(mem_operands()), RegOperand(draw(regs)))
-    elif form == "ri":
-        operands = (RegOperand(draw(regs)), ImmOperand(draw(imm32)))
-    else:
-        operands = (draw(mem_operands()), ImmOperand(draw(imm32)))
-    return Instruction(op=op, operands=operands)
+    width = draw(widths)
+    return Instruction(op=op, operands=_two_operand(draw, width),
+                       width=width)
 
 
 @st.composite
 def mov_instructions(draw) -> Instruction:
-    form = draw(st.sampled_from(["ri", "rr", "rm", "mr", "mi"]))
-    if form == "ri":
-        operands = (RegOperand(draw(regs)), ImmOperand(draw(imm32)))
-    elif form == "rr":
-        operands = (RegOperand(draw(regs)), RegOperand(draw(regs)))
-    elif form == "rm":
-        operands = (RegOperand(draw(regs)), draw(mem_operands()))
-    elif form == "mr":
-        operands = (draw(mem_operands()), RegOperand(draw(regs)))
-    else:
-        operands = (draw(mem_operands()), ImmOperand(draw(imm32)))
-    return Instruction(op=Op.MOV, operands=operands)
+    width = draw(widths)
+    return Instruction(op=Op.MOV, operands=_two_operand(draw, width),
+                       width=width)
 
 
 @st.composite
@@ -121,19 +127,17 @@ def misc_instructions(draw) -> Instruction:
             st.just(RegOperand(Reg.ECX))))
         dst = draw(st.one_of(regs.map(RegOperand), mem_operands()))
         return Instruction(op, (dst, count))
-    if choice == "imul2":
-        return Instruction(Op.IMUL, (RegOperand(draw(regs)),
-                                     draw(st.one_of(regs.map(RegOperand),
-                                                    mem_operands()))))
-    if choice == "imul3":
-        return Instruction(Op.IMUL, (RegOperand(draw(regs)),
-                                     draw(st.one_of(regs.map(RegOperand),
-                                                    mem_operands())),
-                                     ImmOperand(draw(imm32))))
-    if choice == "test":
-        return Instruction(Op.TEST, (draw(st.one_of(regs.map(RegOperand),
-                                                    mem_operands())),
-                                     RegOperand(draw(regs))))
+    if choice in ("imul2", "imul3", "test"):
+        width = draw(widths)
+        rm = draw(st.one_of(regs.map(RegOperand), mem_operands(width)))
+        if choice == "test":
+            operands = (rm, RegOperand(draw(regs)))
+        else:
+            operands = (RegOperand(draw(regs)), rm)
+        if choice == "imul3":
+            operands += (draw(immediates(width)),)
+        return Instruction(Op.IMUL if choice != "test" else Op.TEST,
+                           operands, width=width)
     if choice == "cmov":
         return Instruction(Op.CMOV, (RegOperand(draw(regs)),
                                      draw(st.one_of(regs.map(RegOperand),

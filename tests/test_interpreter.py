@@ -95,13 +95,6 @@ class TestInterpreterMechanics:
         with pytest.raises(InterpreterLimit):
             Interpreter(state).run(max_instructions=100)
 
-    def test_on_instruction_hook(self):
-        seen = []
-        image = assemble("mov eax, 1\nmov ebx, 2\nhlt")
-        state = make_state(image)
-        Interpreter(state, on_instruction=seen.append).run()
-        assert len(seen) == 3
-
     def test_decode_cache_hit_returns_same_object(self):
         image = assemble("top: dec eax\njmp top")
         state = make_state(image)
@@ -122,11 +115,3 @@ class TestInterpreterMechanics:
         again = interp.step()
         assert first is not again
         assert str(first) == str(again)
-
-    def test_uncached_mode(self):
-        image = assemble("top: dec eax\njmp top")
-        state = make_state(image)
-        interp = Interpreter(state, cache_decodes=False)
-        first = interp.step()
-        interp.step()
-        assert interp.fetch_decode(first.addr) is not first

@@ -70,6 +70,19 @@ class TestBasics:
         data = assemble_to_bytes("mov ax, 5")
         assert data[0] == 0x66
 
+    @pytest.mark.parametrize("line,data", [
+        ("add bx, 0xffff", "66 83 c3 ff"),
+        ("imul bx, bx, -2", "66 6b db fe"),
+        ("inc ax", "66 40")])
+    def test_16bit_forms_take_the_shortest_encoding(self, line, data):
+        """An imm8 fits by its value at the operand size, and the
+        one-byte INC/DEC take 16-bit registers too."""
+        assert assemble_to_bytes(line) == bytes.fromhex(data)
+
+    def test_string_ops_take_their_own_names(self):
+        assert assemble_to_bytes("rep movs\nstos\nlodsd") == \
+            b"\xf3\xa5\xab\xad"
+
     def test_rep_prefix(self):
         data = assemble_to_bytes("rep movsd")
         assert data == b"\xf3\xa5"
@@ -204,6 +217,12 @@ class TestErrors:
         with pytest.raises(AssemblerError, match=f"^line 2: {mnemonic} "
                            "has no encoding with these operands$"):
             assemble(f"nop\n{line}")
+
+    def test_loop_target_out_of_rel8_range_names_the_line(self):
+        source = "start: loop far\n" + "nop\n" * 200 + "far: hlt"
+        with pytest.raises(AssemblerError, match="^line 1: loop has no "
+                           "encoding with these operands$"):
+            assemble(source)
 
 
 class TestConditionAliases:
