@@ -70,6 +70,12 @@ _OPERAND_COUNTS = {
     op: tuple(sorted({len(form.layout) for form in FORMS if form.op is op}))
     for op in Op}
 
+#: Bits of each op's widest immediate field (0: the operand size, ``Iz``),
+#: its last row's: rows are in preference order, the shortest first
+_IMM_FIELD_BITS = {form.op: {"Iu": 8, "Iw": 16, "Id": 32, "Iz": 0}[letter]
+                   for form in FORMS for letter in form.layout
+                   if letter in ("Iu", "Iw", "Id", "Iz")}
+
 _LABEL_RE = re.compile(r"^[A-Za-z_.$][\w.$]*$")
 
 #: Placeholder for still-unresolved label values during pass 1; large enough
@@ -283,8 +289,14 @@ def _build_instruction(stmt: _Statement, labels: Dict[str, int],
                 operands.append(mem)
             else:  # imm or label-as-immediate
                 bits = 16 if width == 16 else 32
-                mask = (1 << bits) - 1
-                operands.append(ImmOperand(resolve(pending) & mask, bits))
+                value = resolve(pending)
+                field = _IMM_FIELD_BITS.get(op) or bits
+                if not -(1 << field - 1) <= value < 1 << field \
+                        and (resolved or pending.label is None):
+                    raise AssemblerError(f"immediate {value} does not fit "
+                                         f"the {field}-bit field of "
+                                         f"{mnemonic}", line_no)
+                operands.append(ImmOperand(value & (1 << bits) - 1, bits))
 
     # NASM sugar: "imul reg, imm" means "imul reg, reg, imm"
     if op is Op.IMUL and len(operands) == 2 \

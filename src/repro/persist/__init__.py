@@ -49,7 +49,6 @@ from repro.persist.format import (
     image_fingerprint,
     materialize,
     parse_record,
-    record_stream,
     serialize_translation,
     source_matches,
     validate_record,
@@ -97,7 +96,6 @@ __all__ = [
     "materialize",
     "parse_address",
     "parse_record",
-    "record_stream",
     "serialize_translation",
     "source_matches",
     "validate_record",

@@ -1,15 +1,17 @@
 """Serialization format for persisted translations.
 
-A persisted translation is a *record*: a JSON object holding the
-canonical (un-chained, un-redirected) micro-op stream of one BBT or SBT
-translation **as its encoded bytes** (``code``, hex) plus everything
-needed to re-materialize it in a fresh VM — the ``x86_addr`` metadata
-the bytes do not carry (``origins``, run-length ``[x86_addr, count]``
-pairs in stream order), exit-stub offsets, side-table offsets and a
-**source fingerprint** (``source``, the x86 bytes the translator read
-as contiguous ``[addr, hex]`` runs).  The micro-op decoder is the only
-parser of a record's code: there is no field-list form, and a record of
-an older layout reads as corrupt.
+A persisted translation is a *record*: a JSON object holding its
+``entry`` and a **source fingerprint** (``source``, the x86 bytes the
+translator read as contiguous ``[addr, hex]`` runs).  A BBT record holds
+nothing else: a basic block is a pure function of its one source run,
+so the loader derives it with the VM's own translator.  An SBT record
+also holds the canonical (un-chained, un-redirected) micro-op stream
+**as its encoded bytes** (``code``, hex) plus everything needed to
+re-materialize it in a fresh VM — the ``x86_addr`` metadata the bytes
+do not carry (``origins``, run-length ``[x86_addr, count]`` pairs in
+stream order), exit-stub and side-table offsets.  The micro-op decoder
+is the only parser of a record's code: there is no field-list form,
+and a record of an older layout reads as corrupt.
 
 A record is its bytes
 ---------------------
@@ -20,8 +22,7 @@ member cut out, so the one key check (:func:`validate_record`) hashes
 the bytes in hand, and a :class:`Record` (read-only) carries the text
 its fields are the parse of.  The loader re-reads the recorded source
 bytes from the *current* memory: a record whose source changed since it
-was saved is stale.  A BBT record's prologue is counter-free
-(:data:`STORED_PROLOGUE`), so identical translations are one record.
+was saved is stale.
 
 Configuration fingerprints
 --------------------------
@@ -38,23 +39,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional, Tuple
+import re
+from typing import Dict, Optional, Tuple
 
 from repro.memory.address_space import MemoryError_
-from repro.translator.code_cache import (
-    ExitStub,
-    Translation,
-    expand_origins,
-)
-from repro.translator.emit import prologue_code
+from repro.translator.code_cache import ExitStub, Translation
 
 #: Bump on any incompatible change to the record layout.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
-#: Every member of a record, ``key`` among them.
-_FIELDS = frozenset(("code", "entry", "exits", "format", "fused_pairs",
-                     "instr_count", "key", "kind", "origins", "side_table",
-                     "source", "x86_addrs"))
+#: Every member of a record of each kind, ``key`` among them.
+_FIELDS = {
+    "bbt": frozenset(("entry", "format", "key", "kind", "source")),
+    "sbt": frozenset(("code", "entry", "exits", "format", "fused_pairs",
+                      "instr_count", "key", "kind", "origins",
+                      "side_table", "source", "x86_addrs")),
+}
 
 #: Exit-stub kinds a record may carry (mirrors ExitStub.kind).  A tuple:
 #: membership compares, so an unhashable JSON value is just "not in".
@@ -68,19 +68,6 @@ _NO_KEY = "0" * 64
 
 #: a record's ``key`` member as its text spells it
 _key_member = '"key":"{}",'.format
-
-#: A profiled BBT block's first three words as a record stores them:
-#: RDFLG, then the LUI/ORI pair of the counter address with zero
-#: immediates.
-STORED_PROLOGUE = prologue_code(0)[:12]
-
-
-def splice_counter(code: bytes, counter_addr: int) -> bytes:
-    """A profiled BBT block's ``code`` with its prologue's LUI/ORI pair
-    pointed at ``counter_addr``, as the loader installs it."""
-    return prologue_code(counter_addr)[:len(STORED_PROLOGUE)] \
-        + code[len(STORED_PROLOGUE):]
-
 
 class PersistFormatError(Exception):
     """A record is structurally invalid (corrupt or wrong version)."""
@@ -168,14 +155,14 @@ def serialize_translation(translation: Translation,
                           memory) -> Optional[Record]:
     """One translation -> record, or None if unserializable.
 
-    Serializes the *canonical* stream (``translation.code``, the bytes
+    A basic block is written as its entry and source.  A superblock is
+    written as its *canonical* stream (``translation.code``, the bytes
     as installed), which chain patches and BBT->SBT redirects never
-    touch — persisted translations are therefore always in their
-    un-chained form and re-link naturally after loading.  A profiled
-    block's prologue is written as :data:`STORED_PROLOGUE`; the source,
-    ``translation.source``, is checked with one read a run: code whose
-    source memory no longer holds is not persisted (the loader's stale
-    rule, where a record is written).
+    touch -- persisted translations are therefore always in their
+    un-chained form and re-link naturally after loading.  The source,
+    ``translation.source``, is checked with one read a run: a
+    translation whose source memory no longer holds is not persisted
+    (the loader's stale rule, where a record is written).
     """
     code, origins = translation.code, translation.origins
     if not code or origins is None:
@@ -183,87 +170,87 @@ def serialize_translation(translation: Translation,
     if any(memory.read(addr, len(data)) != data
            for addr, data in translation.source):
         return None
-    if translation.counter_addr is not None:
-        code = STORED_PROLOGUE + code[len(STORED_PROLOGUE):]
-    return encode_record({
-        "format": FORMAT_VERSION,
-        "kind": translation.kind,
-        "entry": translation.entry,
-        "x86_addrs": list(translation.x86_addrs),
-        "instr_count": translation.instr_count,
-        "fused_pairs": translation.fused_pairs,
-        "code": code.hex(),
-        "origins": [list(run) for run in origins],
-        "exits": [[stub.stub_addr - translation.native_addr, stub.kind,
-                   stub.x86_target] for stub in translation.exits],
-        "side_table": [[addr - translation.native_addr, x86_addr]
-                       for addr, x86_addr
-                       in sorted(translation.side_table.items())],
-        "source": [[addr, data.hex()] for addr, data in translation.source],
-    })
+    fields = {"format": FORMAT_VERSION, "kind": translation.kind,
+              "entry": translation.entry,
+              "source": [[addr, data.hex()]
+                         for addr, data in translation.source]}
+    if translation.kind == "sbt":
+        native = translation.native_addr
+        fields.update(
+            x86_addrs=list(translation.x86_addrs),
+            instr_count=translation.instr_count,
+            fused_pairs=translation.fused_pairs, code=code.hex(),
+            origins=[list(run) for run in origins],
+            exits=[[stub.stub_addr - native, stub.kind, stub.x86_target]
+                   for stub in translation.exits],
+            side_table=[[addr - native, x86_addr] for addr, x86_addr
+                        in sorted(translation.side_table.items())])
+    return encode_record(fields)
 
 
 # -- record -> translation --------------------------------------------------
 
+def _is_int(value) -> bool:
+    return type(value) is int       # JSON ``true`` is no count of 1
+
+
+def _maybe_int(value) -> bool:
+    return value is None or type(value) is int
+
+
+def _rows(*columns):
+    """A check that a value is a list of rows, each a list holding one
+    value per column that passes the column's check."""
+    return lambda value: type(value) is list and all(
+        type(row) is list and len(row) == len(columns)
+        and all(check(cell) for check, cell in zip(columns, row))
+        for row in value)
+
+
+#: each field's JSON shape, as a check
+_CHECKS = {
+    "entry": lambda value: _is_int(value) and 0 <= value < 1 << 32,
+    "instr_count": _is_int, "fused_pairs": _is_int,
+    "x86_addrs": lambda value: type(value) is list
+    and all(map(_is_int, value)),
+    "code": lambda value: type(value) is str
+    and re.fullmatch("(?:[0-9a-fA-F]{2})+", value) is not None,
+    "source": _rows(_is_int, lambda value: type(value) is str),
+    "origins": _rows(_maybe_int, lambda value: _is_int(value) and value > 0),
+    "exits": _rows(_is_int, _EXIT_KINDS.__contains__, _maybe_int),
+    "side_table": _rows(_is_int, _is_int),
+}
+
+
 def validate_record(record) -> None:
-    """The one integrity check, raising PersistFormatError: every field
-    of its JSON type (a number is ``type(...) is int``: JSON ``true`` is
-    no count of 1), then the content key over the stored text."""
+    """The one integrity check, raising PersistFormatError: exactly the
+    fields of its kind's layout, each of its JSON shape (a BBT record's
+    source one run from its entry), then the content key over the
+    stored text."""
     if not isinstance(record, Record):
         raise PersistFormatError("record is not a stored object")
     if record.get("format") != FORMAT_VERSION:
         raise PersistFormatError(
             f"format version {record.get('format')!r} != {FORMAT_VERSION}")
-    if record.keys() != _FIELDS:
+    kind = record.get("kind")
+    if kind not in ("bbt", "sbt"):
+        raise PersistFormatError(f"bad kind {kind!r}")
+    if record.keys() != _FIELDS[kind]:
         raise PersistFormatError(
-            f"fields {sorted(record)} are not the layout's")
-    if record["kind"] not in ("bbt", "sbt"):
-        raise PersistFormatError(f"bad kind {record['kind']!r}")
-    for field in ("entry", "instr_count", "fused_pairs"):
-        if type(record[field]) is not int:
-            raise PersistFormatError(f"bad {field!r} field")
-    addrs = record["x86_addrs"]
-    if type(addrs) is not list:
-        raise PersistFormatError("bad 'x86_addrs' field")
-    for addr in addrs:
-        if type(addr) is not int:
-            raise PersistFormatError(f"bad x86 address {addr!r}")
-    code = record["code"]
-    if type(code) is not str or not code:
-        raise PersistFormatError("missing micro-op stream")
-    origins = record["origins"]
-    if type(origins) is not list:
-        raise PersistFormatError("missing origins")
-    covered = 0
-    for run in origins:
-        if (type(run) is not list or len(run) != 2
-                or not (run[0] is None or type(run[0]) is int)
-                or type(run[1]) is not int or run[1] < 1):
-            raise PersistFormatError(f"bad origins run {run!r}")
-        covered += run[1]
+            f"fields {sorted(record)} are not the {kind} layout's")
+    for name, check in _CHECKS.items():
+        if name in record and not check(record[name]):
+            raise PersistFormatError(f"bad {name!r} field")
+    if kind == "bbt":
+        if len(record["source"]) != 1 \
+                or record["source"][0][0] != record["entry"]:
+            raise PersistFormatError("source is not one run from the entry")
     # a micro-op is at least one 16-bit parcel (four hex digits): bounds
     # what expanding the runs may allocate; exact coverage is the
     # decoder's finding
-    if covered > len(code) // 4:
-        raise PersistFormatError(
-            f"origins cover {covered} micro-ops, more than the code holds")
-    exits, side_table, source = \
-        record["exits"], record["side_table"], record["source"]
-    if not type(exits) is type(side_table) is type(source) is list:
-        raise PersistFormatError("missing exits, side table or source")
-    for stub in exits:
-        if (type(stub) is not list or len(stub) != 3
-                or type(stub[0]) is not int or stub[1] not in _EXIT_KINDS
-                or not (stub[2] is None or type(stub[2]) is int)):
-            raise PersistFormatError(f"bad exit record {stub!r}")
-    for side in side_table:
-        if (type(side) is not list or len(side) != 2
-                or type(side[0]) is not int or type(side[1]) is not int):
-            raise PersistFormatError(f"bad side-table record {side!r}")
-    for run in source:
-        if (type(run) is not list or len(run) != 2
-                or type(run[0]) is not int or type(run[1]) is not str):
-            raise PersistFormatError(f"bad source run {run!r}")
+    elif sum(run[1] for run in record["origins"]) > len(record["code"]) // 4:
+        raise PersistFormatError("origins cover more micro-ops than the "
+                                 "code holds")
     around = _around_key(record.text, record["key"])
     try:
         if around is None or hashlib.sha256(
@@ -287,23 +274,9 @@ def source_matches(record, memory) -> bool:
     return True
 
 
-def record_code(record) -> bytes:
-    """A validated record's encoded stream."""
-    try:
-        return bytes.fromhex(record["code"])
-    except ValueError as error:
-        raise PersistFormatError(f"code is not hex: {error}") from error
-
-
-def record_stream(record) -> Tuple[bytes, List[Optional[int]]]:
-    """:func:`record_code` and the ``x86_addr`` of each micro-op in it
-    (``origins`` expanded)."""
-    return record_code(record), expand_origins(record["origins"])
-
-
 def materialize(record, native_addr: int,
                 uop_count: int) -> Translation:
-    """Build an installable Translation from a validated record.
+    """Build an installable Translation from a validated SBT record.
 
     The caller supplies the target ``native_addr`` (the owning cache's
     ``reserve()``); exit stubs and side-table entries are rebased onto

@@ -2,28 +2,21 @@
 
 Stores and servers hand records over unjudged: ``validate_record``
 here is the one integrity check on the read path.  The loader takes a
-pull in two steps, records in install order (BBT copies first):
+pull in two steps, records in install order (BBT records first):
 
-1. **read and screen, once**: every record's ``validate_record``; its
-   **source fingerprint** against the freshly loaded program memory (a
-   record translated from different bytes is stale); a profiled BBT
-   block's first 12 bytes checked to be the stored prologue (the
-   counter's LUI/ORI pair with zero immediates); its code read through
-   the VM's word table as one verifier ``Segment`` (each distinct word
-   decoded **once** per VM; code that does not decode, or that
-   ``origins`` does not cover exactly, is corrupt).  Then the
-   **verifier rule-pack** runs once over every segment, later copies of
-   a ``(kind, entry)`` included, as one ``VerifyContext``; nothing
-   crosses from one record to the next.  No rule's verdict depends on
-   the prologue's immediates, so the stored bytes are judged as
-   installed;
-2. **install in order**: the duplicate check; the read's drop; **the
-   new native address** from the owning code cache (BC/JMP
-   displacements are translation-relative, so only exit-stub and
-   side-table anchors need rebasing); capacity; the verdict -- a record
-   that violates any invariant is never installed, never executed;
-   then a profiled block is handed its counter, and the screened bytes,
-   the prologue's immediates set, go through
+1. **read and screen, once**: every record's ``validate_record``, then
+   its read against the freshly loaded program memory -- a basic block
+   **derived** at its entry by the cold path's translator, a
+   superblock's **source fingerprint** checked and its code read
+   through the VM's word table as one verifier ``Segment`` (code that
+   does not decode is corrupt); a record made from bytes memory no
+   longer holds is stale.  Then the **verifier rule-pack** runs once
+   over every segment as one ``VerifyContext``;
+2. **install in order**: the duplicate check; the read's drop; a
+   superblock's **new native address**; capacity; the verdict (a
+   superblock that violates any invariant never runs); then a block
+   goes through ``BasicBlockTranslator.install`` (which hands it its
+   counter), a superblock's screened bytes through
    ``TranslationDirectory.install``, the path new translations take.
 
 After installation the loader eagerly **re-chains** exit stubs whose
@@ -40,13 +33,12 @@ from typing import Dict, List, Set, Tuple
 
 from repro.faults.plane import fault_point
 from repro.isa.fusible.encoding import UopDecodeError
+from repro.isa.x86lite.decoder import DecodeError
+from repro.memory.address_space import MemoryError_
 from repro.persist.format import (
-    STORED_PROLOGUE,
     PersistFormatError,
     materialize,
-    record_code,
     source_matches,
-    splice_counter,
     validate_record,
 )
 from repro.verify.rules import Segment, VerifyContext
@@ -113,6 +105,10 @@ class LoadReport:
         return "\n".join(lines)
 
 
+#: why a record made from bytes memory no longer holds is dropped
+_STALE = ("stale_source", "stale-source", None)
+
+
 def _attempt(record, work):
     """``work()``, or why the record is dropped: ``(LoadReport field,
     reason, log message)``.  A record the format layer accepted but the
@@ -170,8 +166,8 @@ class WarmStartLoader:
             return (record.get("kind") != "bbt",
                     entry if isinstance(entry, int) else 0)
 
-        # step 1: every validated record read, and one screen of them
-        # all.  (kind, entry) is None where the record is not valid.
+        # step 1: every validated record read, and one screen of every
+        # superblock.  (kind, entry) is None where the record is not valid.
         items: List[tuple] = []     # ((kind, entry), record, read)
         for record in sorted(records, key=install_order):
             report.attempted += 1
@@ -183,7 +179,9 @@ class WarmStartLoader:
                                              f"{error}")))
                 continue
             items.append(((record["kind"], record["entry"]), record,
-                          self._read(record)))
+                          _attempt(record, lambda: self._derive(record)
+                                   if record["kind"] == "bbt"
+                                   else self._read(record))))
         image, failed = self._screen([read for _key, _record, read in items
                                       if isinstance(read, Segment)])
 
@@ -199,16 +197,17 @@ class WarmStartLoader:
                 continue
             kind, entry = key
             cache = directory.cache_for(kind)
-            translation = _attempt(record, lambda: materialize(
-                record, cache.reserve(), len(read.words)))
-            if isinstance(translation, tuple):
-                drop(record, *translation)
-                continue
+            if kind == "sbt":
+                translation = _attempt(record, lambda: materialize(
+                    record, cache.reserve(), len(read.words)))
+                if isinstance(translation, tuple):
+                    drop(record, *translation)
+                    continue
             if not cache.would_fit(read.size):
                 drop(record, "capacity_skipped", "capacity")
                 continue
-            # the PR-1 rule-pack gates every install: a record that
-            # breaks an invariant is dropped, never executed
+            # the verifier rule-pack gates every superblock's install: a
+            # record that breaks an invariant is dropped, never executed
             # (fault_point lets chaos runs force a false positive)
             if fault_point("loader.verify", entry=entry, kind=kind) \
                     or read in failed:
@@ -216,14 +215,13 @@ class WarmStartLoader:
                      f"record {kind}@{entry:#x} rejected by the "
                      f"verifier; skipped")
                 continue
-            # the bytes ENC001/ENC002 checked
-            data = image[read.base:read.base + read.size]
-            if kind == "bbt" and bbt.embed_profiling:
-                translation.counter_addr = bbt.allocate_counter()
-                data = splice_counter(data, translation.counter_addr)
-            directory.install(data, translation)
+            if kind == "bbt":
+                translation = bbt.install(read)
+            else:       # the bytes ENC001/ENC002 checked
+                directory.install(image[read.base:read.base + read.size],
+                                  translation)
             # warm-start work is a startup phase of its own: charge the
-            # deserialize/encode/screen cost to the run's ledger
+            # derive/deserialize/screen cost to the run's ledger
             if ledger is not None and phase_costs is not None:
                 ledger.charge("persist_load",
                               translation.instr_count
@@ -231,12 +229,12 @@ class WarmStartLoader:
                               block=entry)
             if tracer is not None:
                 tracer.instant("warmstart.load", kind=kind,
-                               entry=f"{entry:#x}", bytes=len(data))
+                               entry=f"{entry:#x}", bytes=read.size)
             installed.add(key)
             report.installed_keys.add(record["key"])
             loaded.append(translation)
             report.loaded += 1
-            report.bytes_loaded += len(data)
+            report.bytes_loaded += read.size
             if kind == "bbt":
                 report.bbt_loaded += 1
             else:
@@ -250,27 +248,26 @@ class WarmStartLoader:
         runtime.persist_report = report
         return report
 
-    def _read(self, record):
-        """A validated record's own checks: its source against memory,
-        its code read through the VM's word table.  Returns its
-        ``Segment``, or why it is dropped (:func:`_attempt`)."""
-        if not source_matches(record, self.runtime.memory):
-            return ("stale_source", "stale-source", None)
+    def _derive(self, record):
+        """A validated BBT record's block, derived at its entry from the
+        current memory by the cold path's translator; stale where the
+        entry does not decode or its bytes are not the record's source."""
+        try:
+            block = self.runtime.bbt.derive(record["entry"])
+        except (DecodeError, MemoryError_):
+            return _STALE
+        return block if block.source.hex() == record["source"][0][1] \
+            else _STALE
 
-        def read() -> Segment:
-            code = record_code(record)
-            # a profiled block is stored starting RDFLG and the counter's
-            # LUI/ORI pair with zero immediates: code that does not start
-            # so does not match its metadata
-            if record["kind"] == "bbt" and self.runtime.bbt.embed_profiling \
-                    and not code.startswith(STORED_PROLOGUE):
-                raise PersistFormatError(
-                    "profiling prologue is not the stored one")
-            return Segment(code, record["origins"],
-                           self.runtime.machine.words,
-                           exits=record["exits"],
-                           side_table=record["side_table"])
-        return _attempt(record, read)
+    def _read(self, record):
+        """A validated SBT record's own checks: its source against
+        memory, its code read through the VM's word table as a
+        ``Segment``; stale where memory no longer holds its source."""
+        if not source_matches(record, self.runtime.memory):
+            return _STALE
+        return Segment(bytes.fromhex(record["code"]), record["origins"],
+                       self.runtime.machine.words, exits=record["exits"],
+                       side_table=record["side_table"])
 
     def _screen(self, segments: List[Segment]
                 ) -> Tuple[bytes, Set[Segment]]:

@@ -23,11 +23,14 @@ instruction ends the block with and every exit stub is a byte template
 patched with that use's values (``templates.py``, ``emit.py``) -- no
 ``Instruction`` and no ``MicroOp`` is built for a shape seen before.
 ``Translation.uops`` is a view decoded from what was installed.
+A block is a pure function of the bytes at its entry (:meth:`derive`),
+installed with its counter (:meth:`install`) cold and warm alike.
 """
 
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.faults.plane import fault_point
@@ -46,12 +49,27 @@ from repro.translator.emit import (
     exit_code,
     prologue_code,
 )
-from repro.translator.templates import Shape, fetch, shape_at
+from repro.translator.templates import fetch, shape_at
 
 log = logging.getLogger("repro.translator")
 
 #: Where per-translation profiling counters live (concealed VMM data).
 COUNTER_AREA_BASE = 0x2800_0000
+
+
+@dataclass(eq=False)
+class Block:
+    """A derived block: ``code`` lacks only a profiled block's prologue,
+    which ``size`` and the exit and side-table offsets count."""
+
+    entry: int
+    code: bytes
+    size: int
+    origins: List[List]
+    exits: List[Tuple[int, str, Optional[int]]]
+    side: List[Tuple[int, int]]
+    source: bytes                   # the x86 bytes read from ``entry``
+    instr_count: int
 
 
 class BasicBlockTranslator:
@@ -77,8 +95,6 @@ class BasicBlockTranslator:
         self.blocks_translated = 0
         self.instrs_translated = 0
         self.uops_emitted = 0
-        self.hw_assisted_instrs = 0
-        self.hw_punted_instrs = 0
 
     # -- profiling counters ----------------------------------------------------
 
@@ -103,11 +119,24 @@ class BasicBlockTranslator:
     def translate(self, entry: int) -> Translation:
         """Translate the basic block at architected address ``entry``."""
         fault_point("translate.bbt", entry=entry)
+        translation = self.install(self.derive(entry, self.xlt_unit))
+        self.blocks_translated += 1
+        self.instrs_translated += translation.instr_count
+        self.uops_emitted += translation.uop_count
+        log.debug("bbt: %#x -> %#x (%d instr(s), %d uop(s))",
+                  entry, translation.native_addr, translation.instr_count,
+                  translation.uop_count)
+        return translation
+
+    def derive(self, entry: int, xlt_unit=None) -> Block:
+        """The block at ``entry``, a pure function of memory,
+        ``embed_profiling`` and ``max_block_instrs``; ``xlt_unit`` runs
+        the body through XLTx86 (same bytes, its counters move)."""
         parts: List[bytes] = []             # encoded pieces, in order
         origins: List[List] = []            # [x86_addr, micro-ops] runs
         side: List[Tuple[int, int]] = []    # (VMCALL offset, x86_addr)
         size = 0                            # bytes laid out so far
-        if self.embed_profiling:            # (its bytes once all decoded)
+        if self.embed_profiling:            # (installed with its counter)
             size = PROFILE_PROLOGUE_BYTES
             origins.append([entry, PROFILE_PROLOGUE_UOPS])
             side.append((PROFILE_VMCALL_OFFSET, entry))
@@ -125,7 +154,15 @@ class BasicBlockTranslator:
             if shape.cti or shape.cmplx \
                     or instr_count == self.max_block_instrs:
                 break
-            code, count = self._body(shape, window, offset, pc)
+            # VM.be runs the body through XLTx86, whose ``translate`` *is*
+            # ``shape.body``: the timing layer charges it differently, and
+            # a body over the 16-byte Fdst is punted back to software
+            result = None if xlt_unit is None else xlt_unit.translate(
+                window[offset:offset + MAX_INSTRUCTION_LENGTH], pc)
+            if result is None or result.flag_cmplx:
+                code, count = shape.body(window, offset, pc)
+            else:
+                code, count = result.uop_bytes, result.uop_count
             parts.append(code)
             size += len(code)
             extend_origins(origins, pc, count)
@@ -145,48 +182,28 @@ class BasicBlockTranslator:
             size += len(code)
             count += stub_uops
         extend_origins(origins, pc, count)
+        return Block(entry, b"".join(parts), size, origins, exits, side,
+                     read + window[:offset + shape.length], instr_count)
 
-        counter_addr = None
+    def install(self, block: Block) -> Translation:
+        """Install a derived block: a profiled one with its counter's
+        prologue, relocated against the cache."""
+        code, counter_addr = block.code, None
         if self.embed_profiling:
             counter_addr = self.allocate_counter()
-            parts.insert(0, prologue_code(counter_addr))
-
-        # relocate against the cache and materialize linkage records
+            code = prologue_code(counter_addr) + code
         native_addr = self.directory.bbt_cache.reserve()
-        uop_count = sum(run[1] for run in origins)
         translation = Translation(
-            entry=entry, kind="bbt", native_addr=native_addr,
-            x86_addrs=[entry], instr_count=instr_count,
-            uop_count=uop_count, counter_addr=counter_addr,
-            code=b"".join(parts), origins=origins,
-            source=[[entry, read + window[:offset + shape.length]]],
+            entry=block.entry, kind="bbt", native_addr=native_addr,
+            x86_addrs=[block.entry], instr_count=block.instr_count,
+            uop_count=sum(run[1] for run in block.origins),
+            counter_addr=counter_addr,
+            origins=block.origins, source=[[block.entry, block.source]],
             exits=[ExitStub(stub_addr=native_addr + at, kind=kind,
                             x86_target=x86_target)
-                   for at, kind, x86_target in exits],
+                   for at, kind, x86_target in block.exits],
             side_table={native_addr + at: x86_addr
-                        for at, x86_addr in side})
-
-        self.directory.install(translation.code, translation)
-        self.blocks_translated += 1
-        self.instrs_translated += instr_count
-        self.uops_emitted += uop_count
-        log.debug("bbt: %#x -> %#x (%d instr(s), %d uop(s))",
-                  entry, native_addr, instr_count, uop_count)
+                        for at, x86_addr in block.side})
+        self.directory.install(code, translation)
         return translation
-
-    def _body(self, shape: Shape, window: bytes, offset: int,
-              pc: int) -> Tuple[bytes, int]:
-        """One body instruction's micro-op bytes, via XLTx86 when
-        configured: the same function either way (the unit's
-        ``translate`` *is* ``shape.body``); VM.be differs in what the
-        timing layer charges, and in the 16-byte Fdst that makes the
-        unit punt an oversized body back to software."""
-        if self.xlt_unit is not None:
-            result = self.xlt_unit.translate(
-                window[offset:offset + MAX_INSTRUCTION_LENGTH], pc)
-            if not result.flag_cmplx:
-                self.hw_assisted_instrs += 1
-                return result.uop_bytes, result.uop_count
-            self.hw_punted_instrs += 1
-        return shape.body(window, offset, pc)
 

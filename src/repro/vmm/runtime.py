@@ -123,7 +123,6 @@ class VMRuntime:
                  max_superblock_instrs: int = 200,
                  enable_fusion: bool = True,
                  enable_chaining: bool = True,
-                 max_block_instrs: int = 64,
                  integrity_check_interval: int = 0,
                  costs=None,
                  trace: bool = False) -> None:
@@ -162,8 +161,7 @@ class VMRuntime:
         self.bbt = BasicBlockTranslator(
             self.directory, self.memory,
             embed_profiling=(initial_emulation == "bbt"),
-            hot_threshold=hot_threshold,
-            max_block_instrs=max_block_instrs)
+            hot_threshold=hot_threshold)
         self.sbt = SuperblockTranslator(
             self.directory, self.memory, bias=superblock_bias,
             max_instrs=max_superblock_instrs, enable_fusion=enable_fusion)

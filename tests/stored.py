@@ -11,7 +11,15 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.translator.code_cache import expand_origins
+
+
+def record_stream(record) -> Tuple[bytes, List[Optional[int]]]:
+    """An SBT record's encoded stream and the ``x86_addr`` of each
+    micro-op in it (``origins`` expanded)."""
+    return bytes.fromhex(record["code"]), expand_origins(record["origins"])
 
 
 def _meta(root) -> Dict:

@@ -146,8 +146,9 @@ class TestHardwareAssistedPath:
         sw = bbt_sw.translate(entry1)
         hw = bbt_hw.translate(entry2)
         assert [str(u) for u in sw.uops] == [str(u) for u in hw.uops]
-        assert bbt_hw.hw_assisted_instrs == 3  # body instrs (not the RET)
+        # the body instrs (not the RET), none punted
         assert bbt_hw.xlt_unit.invocations == 3
+        assert bbt_hw.xlt_unit.complex_punts == 0
 
     def test_hw_punt_falls_back_to_software(self):
         # a large-displacement RMW cracks to >16 micro-op bytes
@@ -155,7 +156,7 @@ class TestHardwareAssistedPath:
         bbt, _dir, _memory, entry = make_bbt(source)
         bbt.xlt_unit = XLTx86Unit()
         translation = bbt.translate(entry)
-        assert bbt.hw_punted_instrs == 1
+        assert bbt.xlt_unit.complex_punts == 1
         assert translation.uop_count > 4
 
 

@@ -3,19 +3,19 @@
 A persisted record is screened by the full rule-pack before it is
 installed.  These tests pin the properties of that screen:
 
-* a record whose code breaks an invariant is ``verifier_rejected`` — not
-  installed, not executed — for each rule the walk shares work between
-  (SCR001, PRS001, FUS002).  The violations are **byte edits** of the
-  record's ``code``.  Two records PR 14 tested here no longer exist: a
-  field out of its range (ENC001) and a field its form does not carry
-  (ENC002) cannot be written down in bytes — the decoder yields only
-  encodable, canonical micro-ops — so both rules are exercised on
-  contexts built from micro-ops instead;
+* an SBT record whose code breaks an invariant is ``verifier_rejected``
+  — not installed, not executed — for each rule the walk shares work
+  between (SCR001, PRS001, FUS002).  The violations are **byte edits**
+  of the record's ``code`` (a BBT record has none: the loader derives
+  its block).  Two records the first layout's tests held here no
+  longer exist: a field out of its range (ENC001) and a field its form
+  does not carry (ENC002) cannot be written down in bytes — the decoder
+  yields only encodable, canonical micro-ops — so both rules are
+  exercised on contexts built from micro-ops instead;
 * each micro-op is decoded at most once and encoded at most once per
   install — encoded only where its bytes were not canonical; everywhere
-  else the record's own bytes are its encoding, and the re-bound
-  profiling counter is spliced in as bytes — and the bytes written to
-  the code cache are the bytes the verifier checked: the canonical
+  else the record's own bytes are its encoding — and the bytes written
+  to the code cache are the bytes the verifier checked: the canonical
   encoding, even where the record's code had don't-care bits set;
 * ENC001 and ENC002 hold by construction only for micro-ops the context
   itself decoded from canonical bytes;
@@ -23,10 +23,10 @@ installed.  These tests pin the properties of that screen:
   junk never reach the loader's rebuild (``corrupt``);
 * ``MicroOp`` under its hand-written constructor is the value type it
   was;
-* a block cut short so that it ends in a plain ALU micro-op (the
-  ``wide_cold`` seed-0 record at 0x4000aa after 12 micro-ops) is
+* a superblock cut short so that it ends in a plain ALU micro-op (the
+  LOOP record at 0x40000a after its first micro-op, an ADD2) is
   ``verifier_rejected`` (CTL002) and the warm run equals the cold one;
-  loaded, the machine ran on into the next translation's bytes;
+  loaded, the machine would run on into the next translation's bytes;
 * a store damaged at one stage (corrupt, stale, duplicate, capacity,
   verifier) counts what it counted when each record had a context of
   its own, and every counter handed out is held by an installed
@@ -50,6 +50,7 @@ from repro.core.config import vm_soft
 from repro.core.vm import CoDesignedVM
 from repro.isa.fusible.encoding import (
     decode_stream,
+    decode_uop,
     encode_stream,
     encode_uop,
 )
@@ -64,20 +65,14 @@ from repro.persist import (
     capture_translations,
     encode_record,
     materialize,
-    record_stream,
     validate_record,
 )
-from repro.persist.format import STORED_PROLOGUE
 from repro.translator.bbt import COUNTER_AREA_BASE
-from repro.translator.emit import prologue_code
 from repro.verify import sanitizer, verify_directory, verify_translation
 from repro.verify.rules import VerifyContext
 from repro.verify.verifier import run_rules
+from tests.stored import record_stream
 from tests.test_persist import LOOP
-
-#: positions inside the BBT profiling prologue (emit.profile_prologue)
-PROLOGUE_LDW, PROLOGUE_WRFLG = 3, 8
-
 
 def booted(source=LOOP) -> CoDesignedVM:
     vm = CoDesignedVM(vm_soft(), hot_threshold=50)
@@ -98,13 +93,13 @@ def records():
 
 @pytest.fixture
 def victim(records):
-    """The fields of a BBT record (profiled, as every BBT block of this
-    VM is) whose body sets flags, as an editable dict."""
-    for record in records:
-        if record["kind"] == "bbt" \
-                and any(uop.setflags for uop in decoded(record)[9:]):
-            return json.loads(record.text)
-    raise AssertionError("no suitable record")
+    """The fields of the LOOP superblock, as an editable dict: the fused
+    ADD2/DECF pair, the BC out of the loop, the JMP back and the exit
+    stub (LUI/ORI to R29, VMEXIT)."""
+    (record,) = [r for r in records if r["kind"] == "sbt"]
+    assert [uop.op for uop in decoded(record)] == [
+        UOp.ADD2, UOp.DECF, UOp.BC, UOp.JMP, UOp.LUI, UOp.ORI, UOp.VMEXIT]
+    return json.loads(record.text)
 
 
 def resealed(fields):
@@ -132,14 +127,13 @@ def splice(record, index, **fields):
 
 
 def break_scr001(record):
-    splice(record, PROLOGUE_LDW, rs1=20)            # r20: never defined
+    splice(record, -2, rs1=20)          # the stub's ORI: r20 never defined
 
 
 def break_prs001(record):
-    # the save window opened by the prologue's RDFLG never closes, so
-    # the body's flag writes reach the exit as housekeeping
-    assert decoded(record)[PROLOGUE_WRFLG].op is UOp.WRFLG
-    splice(record, PROLOGUE_WRFLG, op=UOp.NOP, rs1=0)
+    # the back edge becomes a WRFLG from a copy no RDFLG saved: the
+    # exit is reached with the architected flags overwritten
+    splice(record, 3, op=UOp.WRFLG, rs1=20, imm=0)
 
 
 def break_fus002(record):
@@ -163,7 +157,7 @@ class TestViolatingRecordsNeverRun:
         vm = booted()
         directory = vm.runtime.directory
         # the record does break the rule it is meant to break
-        translation = materialize(record, directory.bbt_cache.reserve(),
+        translation = materialize(record, directory.sbt_cache.reserve(),
                                   len(decoded(record)))
         translation.code = record_stream(record)[0]
         found = verify_translation(translation)
@@ -174,8 +168,8 @@ class TestViolatingRecordsNeverRun:
         assert report.loaded == 0 and report.dropped == 1
         # not installed ...
         assert directory.lookup(record["entry"]) is None
-        assert directory.bbt_cache.used_bytes == 0
-        assert not directory.bbt_cache.translations
+        assert directory.sbt_cache.used_bytes == 0
+        assert not directory.sbt_cache.translations
         # ... and so never executed: the VM translates the block itself
         # and computes what a cold VM computes
         result = vm.run()
@@ -233,45 +227,48 @@ class TestOneEncodePerMicroOp:
         vm = booted()
         directory = vm.runtime.directory
         installs = recorded_installs(monkeypatch, directory, encoded)
-        bbt_records = [r for r in records if r["kind"] == "bbt"]
         report = WarmStartLoader(vm.runtime, rechain=False).load_records(
-            bbt_records)
-        assert report.loaded == len(bbt_records) > 1
+            records)
+        assert report.loaded == len(records) > 1
 
-        # every record here is canonical and the re-bound counter is
-        # spliced in as bytes: no micro-op is encoded
-        by_entry = {r["entry"]: r for r in bbt_records}
-        assert encoded == []
+        # every record here is canonical, and a block is derived as
+        # template bytes: the one micro-op encoded is the JMP that
+        # redirects the loop's block to its superblock
+        stored = {r["entry"]: bytes.fromhex(r["code"]) for r in records
+                  if r["kind"] == "sbt"}
+        assert [decode_uop(word).op for word in encoded] == \
+            [UOp.JMP] * len(stored) != []
         for _calls, data, translation in installs:
-            # the bytes handed to the code cache are the verifier's: the
-            # record's own, but for the stored LUI/ORI at bytes 4..12,
-            # now the pair of the counter allocated for this block
-            code = bytes.fromhex(by_entry[translation.entry]["code"])
-            assert code.startswith(STORED_PROLOGUE)
-            head = prologue_code(translation.counter_addr)[:12]
-            assert data == head + code[12:] != code
-            # ... and they are what the machine will decode
-            assert vm.state.memory.read(translation.native_addr,
-                                        len(data)) == data
+            # the bytes handed to the code cache are the verifier's:
+            # a superblock's are the record's own
+            if translation.kind == "sbt":
+                assert data == stored.pop(translation.entry)
+            # ... and they are what the machine will decode (but for
+            # the redirect JMP at the entry of a superseded block)
+            skip = 4 if directory.is_redirected(translation.native_addr) \
+                else 0
+            assert vm.state.memory.read(translation.native_addr + skip,
+                                        len(data) - skip) == data[skip:]
+        assert not stored
         assert verify_directory(directory).ok
 
     def test_at_most_one_decode_per_distinct_word_per_vm(
             self, records, monkeypatch):
         """Loader, verifier and machine share the VM's word table: an
         install and the run behind it decode each distinct word once,
-        however many micro-ops hold it -- the records' words, the
-        re-bound LUI/ORI (whose table decode is ENC002's comparison)
-        and what chaining patches into the code cache."""
+        however many micro-ops hold it -- the screened superblock's
+        words, the derived blocks' and what chaining patches into the
+        code cache."""
         monkeypatch.setattr(sanitizer._STATE, "mode", None)
         vm = booted()
-        total = sum(len(decoded(r)) for r in records)
+        total = sum(len(decoded(r)) for r in records if r["kind"] == "sbt")
         decodes = counted(monkeypatch, "decode_uop",
                           (encoding_module, rules_module, machine_module))
         report = WarmStartLoader(vm.runtime).load_records(records)
         assert report.loaded == len(records) > 1
         words = vm.runtime.machine.words
         screened = len(decodes)
-        assert 0 < screened == len(words) < total
+        assert 0 < screened == len(words) <= total
         vm.run()
         # the machine met words no record holds (chain JMPs) and decoded
         # those, and only those: every decode made is an entry's
@@ -345,9 +342,8 @@ class TestRoundTripByConstruction:
         report = WarmStartLoader(vm.runtime).load_records([record])
         assert (report.loaded, report.dropped) == (1, 0)
         (_, data, translation), = installs
-        # canonical: the clean code, but for the re-bound counter address
-        assert len(data) == len(clean_code)
-        assert data[12:] == clean_code[12:] != bytes(code)[12:]
+        # canonical: the clean code
+        assert data == clean_code != bytes(code)
         assert vm.state.memory.read(translation.native_addr,
                                     len(data)) == data
 
@@ -407,6 +403,8 @@ class TestRecordFieldTypes:
 
     @pytest.mark.parametrize("position", [1, 2, 3, 4, 5])
     def test_json_booleans_are_not_numbers(self, victim, position):
+        # the superblock has no VMCALL: give it a side-table entry
+        victim["side_table"] = [[0, victim["entry"]]]
         self.put(victim, position, True)
         self.assert_corrupt(json.loads(json.dumps(victim)))
 
@@ -420,7 +418,7 @@ class TestRecordFieldTypes:
         a record still spells out are the run counts of ``origins``:
         the same junk must not pass for one (``2`` is a fine count, and
         is corrupt because it no longer covers the code exactly)."""
-        assert victim["origins"][0][1] > 2 < victim["origins"][-1][1]
+        assert 2 not in (victim["origins"][0][1], victim["origins"][-1][1])
         self.put(victim, position, junk)
         self.assert_corrupt(json.loads(json.dumps(victim)))
 
@@ -430,7 +428,7 @@ class TestRecordFieldTypes:
         vm = booted()
         report = WarmStartLoader(vm.runtime).load_records([record])
         assert report.corrupt == 1 and report.loaded == 0
-        assert not vm.runtime.directory.bbt_cache.translations
+        assert not vm.runtime.directory.sbt_cache.translations
 
 
 class TestMicroOpIsStillAValue:
@@ -498,23 +496,10 @@ class TestMicroOpIsStillAValue:
 
 # -- a translation that runs off its end ---------------------------------------
 
-@pytest.fixture(scope="module")
-def wide():
-    """The ``wide_cold`` seed-0 image, its cold VM after the run, the
-    run's output, and its records."""
-    from tests.test_templates import IMAGES
-    image = IMAGES["wide_cold-0"]
-    vm = CoDesignedVM(vm_soft(), hot_threshold=50)
-    vm.load(image)
-    output = vm.run().output
-    return image, vm, output, capture_translations(vm.runtime.directory,
-                                                   vm.state.memory)
-
-
 def cut_short(record, keep: int):
     """``record`` with its code cut after ``keep`` micro-ops, its exits
     dropped and its origins trimmed to match, re-keyed: a valid record
-    of a block that ends mid-stream."""
+    of a superblock that ends mid-stream."""
     fields = json.loads(record.text)
     uops = decoded(record)[:keep]
     runs, left = [], keep
@@ -528,14 +513,13 @@ def cut_short(record, keep: int):
 
 class TestATranslationEndsWhereTheMachineLeavesIt:
     def test_a_block_cut_mid_stream_is_rejected_and_the_boot_is_cold(
-            self, wide):
-        image, cold, output, records = wide
-        (victim,) = [r for r in records
-                     if (r["kind"], r["entry"]) == ("bbt", 0x4000AA)]
-        cut, last = cut_short(victim, 12)
-        assert (last.op, last.rd, last.rs1, last.imm) == (UOp.SHLI, 8, 3, 1)
-        vm = CoDesignedVM(vm_soft(), hot_threshold=50)
-        vm.load(image)
+            self, records):
+        cold = booted()
+        output = cold.run().output
+        (victim,) = [r for r in records if r["kind"] == "sbt"]
+        cut, last = cut_short(victim, 1)
+        assert (last.op, last.rd, last.fused) == (UOp.ADD2, 6, False)
+        vm = booted()
         report = WarmStartLoader(vm.runtime).load_records(
             [cut if record is victim else record for record in records])
         assert (report.verifier_rejected, report.loaded) == \
@@ -543,15 +527,14 @@ class TestATranslationEndsWhereTheMachineLeavesIt:
         assert vm.run().output == output
         assert vm.state.regs == cold.state.regs
 
-    def test_ctl002_names_the_last_micro_op(self, wide):
-        records = wide[-1]
+    def test_ctl002_names_the_last_micro_op(self, records):
         cut, _last = cut_short(next(r for r in records
-                                    if r["entry"] == 0x4000AA), 12)
+                                    if r["kind"] == "sbt"), 1)
         report = run_rules(VerifyContext.from_code(
             *record_stream(cut),
-            translation=materialize(cut, 0x2000_0000, 12)))
+            translation=materialize(cut, 0x2000_0000, 1)))
         assert [(v.rule_id, v.index) for v in report.violations] == \
-            [("CTL002", 11)]
+            [("CTL002", 0)]
 
 
 # -- a damaged store counts what it counted -------------------------------------
@@ -576,7 +559,7 @@ def damaged_load(damage):
 
 def corrupt(vm, records):
     fields = json.loads(records[0].text)
-    fields["code"] = fields["code"][:-2]        # half a word
+    fields["code"] = "00"       # a field of the superblock layout
     return [dict(records[1]), encode_record(fields)] + records[2:]
 
 
@@ -592,17 +575,16 @@ def duplicate(vm, records):
 
 def capacity(vm, records):
     cache = vm.runtime.directory.bbt_cache
-    cache.capacity = sum(len(r["code"]) // 2 for r in records
-                         if r["kind"] == "bbt") - 1
+    cache.capacity = sum(vm.runtime.bbt.derive(r["entry"]).size
+                         for r in records if r["kind"] == "bbt") - 1
     return records
 
 
 def verifier(vm, records):
-    first, *rest = [r for r in records if r["kind"] == "bbt"]
-    fields = json.loads(first.text)
+    *blocks, superblock = records
+    fields = json.loads(superblock.text)
     fields["exits"][0][0] += 2                  # off its stub
-    return [encode_record(fields), first] + rest + \
-        [r for r in records if r["kind"] != "bbt"]
+    return blocks + [encode_record(fields), superblock]
 
 
 class TestADamagedStoreCountsTheSame:

@@ -188,12 +188,18 @@ class TestInvalidation:
     def test_corrupt_object_never_installs(self, tmp_path):
         repo = TranslationRepository(tmp_path / "cache")
         cold_save(repo)
-        # tamper every stored record: flip one bit of the encoded code
+        # tamper every stored record: flip one bit of a superblock's
+        # encoded code, of a block's source
         def flip(text):
             record = json.loads(text)
-            code = bytearray.fromhex(record["code"])
-            code[-1] ^= 1   # an immediate bit of the last exit stub
-            record["code"] = code.hex()
+            if record["kind"] == "sbt":
+                code = bytearray.fromhex(record["code"])
+                code[-1] ^= 1   # an immediate bit of the last exit stub
+                record["code"] = code.hex()
+            else:
+                source = bytearray.fromhex(record["source"][0][1])
+                source[-1] ^= 1
+                record["source"][0][1] = source.hex()
             return json.dumps(record)
 
         tampered = 0
@@ -227,7 +233,7 @@ class TestInvalidation:
         vm, _ = cold_save(repo)
         directory = vm.runtime.directory
         records = [serialize_translation(t, vm.state.memory)
-                   for t in directory.bbt_cache.translations]
+                   for t in directory.sbt_cache.translations]
         records = [r for r in records if r is not None]
         fresh_vm = CoDesignedVM(vm_soft(), hot_threshold=50)
         fresh_vm.load(assemble(LOOP))

@@ -60,7 +60,6 @@ TEST_FACING = frozenset({
     "repro.lint.core.LintEngine.lint_sources",
     "repro.memory.address_space.AddressSpace.read_i32",
     "repro.memory.address_space.AddressSpace.resident_pages",
-    "repro.persist.format.record_stream",
     "repro.persist.remote.RemoteRepository.ping",
     "repro.timing.caches.ColdFootprintModel.is_warm",
     "repro.translator.superblock.Superblock.side_exit_count",

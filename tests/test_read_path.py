@@ -70,12 +70,18 @@ def payload():
 # -- damage, applied to stored copies on disk --------------------------------
 
 def tamper(text: str, _others) -> str:
-    """Flip a code bit; the key stays, so the text parses and sits under
-    its own name: only recomputing the content key finds it."""
+    """Flip a bit of a superblock's code, of a block's source; the key
+    stays, so the text parses and sits under its own name: only
+    recomputing the content key finds it."""
     record = json.loads(text)
-    code = bytearray.fromhex(record["code"])
-    code[-1] ^= 1
-    record["code"] = code.hex()
+    if record["kind"] == "sbt":
+        code = bytearray.fromhex(record["code"])
+        code[-1] ^= 1
+        record["code"] = code.hex()
+    else:
+        source = bytearray.fromhex(record["source"][0][1])
+        source[-1] ^= 1
+        record["source"][0][1] = source.hex()
     return json.dumps(record)
 
 
@@ -369,9 +375,10 @@ class TestTheLoaderIsTheOneJudge:
     def test_every_rule_runs_on_a_warm_install(self, payload,
                                                monkeypatch):
         """The loader's screen runs every rule that needs no installed
-        memory, once, over every record of the pull as one context's
-        segments; the three that do run on the installed bytes whenever
-        the sanitizer is armed -- seventeen in all."""
+        memory, once, over every superblock of the pull as one context's
+        segments (a block is derived, not screened); the three that do
+        run on the installed bytes whenever the sanitizer is armed --
+        seventeen in all."""
         screens = []
         real = loader_module.run_rules
 
@@ -388,7 +395,8 @@ class TestTheLoaderIsTheOneJudge:
         before_install = tuple(spec.rule_id for spec in RULES
                                if spec.requires <= {"translation"})
         assert len(before_install) == 14
-        assert screens == [(before_install, report.loaded)]
+        assert screens == [(before_install, report.sbt_loaded)]
+        assert 0 < report.sbt_loaded < report.loaded
         assert installed.ok
         assert installed.rules_run == tuple(rule_ids())
         assert len(installed.rules_run) == 17

@@ -1,21 +1,22 @@
-"""Record layout v4: a record is its stored text.
+"""Record layout v5: a record is its stored text.
 
-A persisted record carries its micro-ops as ``code`` (hex of the encoded
-stream) plus ``origins`` (run-length ``[x86_addr, count]``), and the
-micro-op decoder is the only parser of that code.  Its text is written
-once, at capture, and its key is the SHA-256 of that text minus the key
-member.  Pinned here:
+A BBT record is a block's entry and the x86 bytes it was made from
+(``source``); the loader derives the block.  An SBT record carries its
+micro-ops as ``code`` (hex of the encoded stream) plus ``origins``
+(run-length ``[x86_addr, count]``), and the micro-op decoder is the only
+parser of that code.  A record's text is written once, at capture, and
+its key is the SHA-256 of that text minus the key member.  Pinned here:
 
-* the layout itself, against a checked-in golden record — it cannot
-  drift without a ``FORMAT_VERSION`` bump;
-* translation -> record -> translation is lossless on every field,
+* the layout itself, against a checked-in golden record of each kind --
+  it cannot drift without a ``FORMAT_VERSION`` bump;
+* superblock -> record -> translation is lossless on every field,
   ``x86_addr`` included, for generated micro-op streams;
 * every way a record can be damaged is ``corrupt`` (or, where its text
   no longer parses under its key, a missing object): counted, never
   installed, never raised — every field of the wrong JSON type, every
   one-byte flip and every truncation of the golden texts;
-* a store written in layout v1, v2 or v3 reads as empty: the VM boots
-  cold and ``fsck`` says why.
+* a store written in layout v1, v2, v3 or v4 reads as empty: the VM
+  boots cold and ``fsck`` says why.
 """
 
 import copy
@@ -54,15 +55,15 @@ from repro.persist import (
     encode_record,
     materialize,
     parse_record,
-    record_stream,
     serialize_translation,
     validate_record,
 )
-from repro.persist.format import STORED_PROLOGUE, source_matches
+from repro.persist.format import source_matches
 from repro.persist.remote import pulled_records
 from repro.translator.code_cache import ExitStub, Translation
 from tests.sbt_oracle import origin_runs
 from tests.source_oracle import covered_source
+from tests.stored import record_stream, stored_texts
 from tests.strategies import uops as any_uop
 from tests.test_persist import LOOP
 
@@ -83,8 +84,7 @@ def booted() -> CoDesignedVM:
 
 
 def rebuilt(record, native_addr=NATIVE) -> Translation:
-    """The record as a Translation, the way the loader builds one (its
-    prologue, if any, as stored)."""
+    """An SBT record as a Translation, the way the loader builds one."""
     code, x86_addrs = record_stream(record)
     translation = materialize(record, native_addr, len(x86_addrs))
     translation.code = code
@@ -110,10 +110,10 @@ def unsealed(fields):
 
 
 def golden_texts():
-    """The stored texts of ``tests/data/golden_record_v4.json``: one a
+    """The stored texts of ``tests/data/golden_record_v5.json``: one a
     line between the brackets of a JSON array."""
     return [line.rstrip(",") for line in
-            (DATA / "golden_record_v4.json").read_text().splitlines()[1:-1]]
+            (DATA / "golden_record_v5.json").read_text().splitlines()[1:-1]]
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +125,8 @@ def records():
 
 @pytest.fixture
 def victim(records):
-    return fields_of(records[0])
+    """The fields of the LOOP superblock, editable."""
+    return fields_of(next(r for r in records if r["kind"] == "sbt"))
 
 
 def assert_corrupt(record):
@@ -139,27 +140,29 @@ def assert_corrupt(record):
 
 
 class TestGoldenRecord:
-    """``tests/data/golden_record_v4.json``: the stored texts of a BBT
-    block with a profiling prologue and of a fused superblock."""
+    """``tests/data/golden_record_v5.json``: the stored texts of a
+    profiled BBT block and of a fused superblock."""
 
     def test_serialize_reproduces_the_golden_bytes(self):
         texts = golden_texts()
         golden = [parse_record(text) for text in texts]
         assert [r["kind"] for r in golden] == ["bbt", "sbt"]
         assert golden[1]["fused_pairs"] > 0
-        # the prologue is stored counter-free
-        assert bytes.fromhex(golden[0]["code"]).startswith(STORED_PROLOGUE)
-        memory = booted().state.memory
-        for record, text in zip(golden, texts):
+        vm = booted()
+        bbt = vm.runtime.bbt
+        block = bbt.install(bbt.derive(golden[0]["entry"]))
+        for record, text, translation in zip(golden, texts,
+                                             [block, rebuilt(golden[1])]):
             validate_record(record)
-            assert record["format"] == FORMAT_VERSION == 4
-            again = serialize_translation(rebuilt(record), memory)
+            assert record["format"] == FORMAT_VERSION == 5
+            again = serialize_translation(translation, vm.state.memory)
             assert again.text == text and again == record
 
     def test_a_live_capture_has_the_golden_layout(self, records):
-        golden = json.loads(golden_texts()[0])
+        golden = {record["kind"]: record for record in
+                  map(json.loads, golden_texts())}
         for record in records:
-            assert sorted(record) == sorted(golden)
+            assert sorted(record) == sorted(golden[record["kind"]])
             assert "uops" not in record and "counter_addr" not in record
             # the text is the one spelling: compact, keys sorted
             assert record.text == json.dumps(
@@ -177,17 +180,16 @@ class TestRoundTrip:
 
     @given(stream=st.lists(st.tuples(any_uop, st.integers(0, 5)),
                            min_size=1, max_size=24),
-           kind=st.sampled_from(["bbt", "sbt"]),
            native=st.sampled_from([NATIVE, 0x2800_0040]))
     @settings(max_examples=150, deadline=None)
-    def test_every_field_survives(self, stream, kind, native):
+    def test_every_field_survives(self, stream, native):
         memory = booted().state.memory
         addrs = [None] + self.instruction_addrs(memory)
         # what the bytes can hold of each micro-op, plus its x86_addr
         uops = [decode_uop(encode_uop(uop), 0, addrs[pick])
                 for uop, pick in stream]
         original = Translation(
-            entry=addrs[1], kind=kind, native_addr=NATIVE,
+            entry=addrs[1], kind="sbt", native_addr=NATIVE,
             x86_addrs=addrs[1:3], instr_count=2, uop_count=len(uops),
             fused_pairs=sum(uop.fused for uop in uops),
             code=encode_stream(uops), origins=origin_runs(uops),
@@ -206,7 +208,7 @@ class TestRoundTrip:
             [uop.x86_addr for uop in uops]
         assert (back.entry, back.kind, back.x86_addrs, back.instr_count,
                 back.uop_count, back.fused_pairs) == \
-            (original.entry, kind, original.x86_addrs, 2, len(uops),
+            (original.entry, "sbt", original.x86_addrs, 2, len(uops),
              original.fused_pairs)
         assert [(stub.stub_addr - native, stub.kind, stub.x86_target)
                 for stub in back.exits] == \
@@ -221,12 +223,17 @@ class TestDamagedCodeIsCorrupt:
     @settings(max_examples=60, deadline=None)
     def test_any_flipped_hex_digit_without_rekeying(self, records, data):
         fields = fields_of(data.draw(st.sampled_from(records)))
-        code = fields["code"]
+        field = "code" if fields["kind"] == "sbt" else "source"
+        code = fields[field] if field == "code" else fields[field][0][1]
         position = data.draw(st.integers(0, len(code) - 1))
         other = data.draw(st.sampled_from(
             [digit for digit in "0123456789abcdef"
              if digit != code[position]]))
-        fields["code"] = code[:position] + other + code[position + 1:]
+        code = code[:position] + other + code[position + 1:]
+        if field == "code":
+            fields["code"] = code
+        else:
+            fields["source"][0][1] = code
         record = unsealed(fields)
         with pytest.raises(PersistFormatError):
             validate_record(record)
@@ -616,8 +623,10 @@ def forge_manifest(store, vm) -> int:
     fingerprints; returns how many (old) records it lists."""
     manifest = json.loads(next((store / "manifests").glob("*.json"))
                           .read_text())
-    records = [parse_record((store / "objects" / f"{key}.json").read_text())
-               for key in manifest["entries"]]
+    texts = stored_texts(store) if (store / "packs").exists() else {
+        key: (store / "objects" / f"{key}.json").read_text()
+        for key in manifest["entries"]}
+    records = [parse_record(texts[key]) for key in manifest["entries"]]
     TranslationRepository(store).save(
         records, config_fingerprint(vm.config),
         manifest["image_fingerprint"], config_name=manifest["config_name"])
@@ -640,9 +649,17 @@ class TestV1Store:
         shutil.copytree(DATA / self.STORE, tmp_path / "store")
         return tmp_path / "store"
 
+    @staticmethod
+    def stored(store):
+        """The old store's record texts."""
+        return [path.read_text()
+                for path in (store / "objects").glob("*.json")]
+
     def test_it_is_the_old_layout(self, store):
-        for path in (store / "objects").glob("*.json"):
-            record = parse_record(path.read_text())
+        texts = self.stored(store)
+        assert len(texts) == 5
+        for text in texts:
+            record = parse_record(text)
             assert record["format"] == self.VERSION
             assert self.spells_its_layout(record)
             with pytest.raises(PersistFormatError, match=(
@@ -716,4 +733,21 @@ class TestV3Store(TestV1Store):
     @staticmethod
     def spells_its_layout(record) -> bool:
         """Layout 3 holds the fields of today's records."""
+        return "code" in record and "counter_addr" not in record
+
+
+class TestV4Store(TestV1Store):
+    """``tests/data/v4_store``: the same program's translations as the
+    layout-4 code saved them (one pack, every record's micro-op bytes,
+    a profiled block's prologue stored counter-free)."""
+
+    STORE, VERSION = "v4_store", 4
+
+    @staticmethod
+    def stored(store):
+        return list(stored_texts(store).values())
+
+    @staticmethod
+    def spells_its_layout(record) -> bool:
+        """Layout 4 keeps a basic block's code, as every record's."""
         return "code" in record and "counter_addr" not in record

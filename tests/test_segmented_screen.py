@@ -9,24 +9,22 @@ indices, offsets, x86 addresses and context lines, in the same order:
 
 * every translation of the seed images booted under ``vm_soft``,
   ``vm_be``, ``vm_fe`` and ``interp_sbt``, as installed (all seventeen
-  rules) and as their records keep them (the loader's fourteen);
+  rules), and every superblock as its record keeps it (the loader's
+  fourteen);
 * every corpus entry of ``test_verifier_rules.py`` that encodes, between
   two clean translations;
-* by search, a pull of good records with one damaged (a byte flipped,
-  the code cut short, an origins run shifted, an exit moved): the
-  joined screen finds what each record's own finds, the loader drops
-  that record alone when it drops it alone, and every counter handed out
-  is held by an installed translation;
+* by search, a pull of good records with its superblock damaged (a
+  byte flipped, the code cut short, an origins run shifted, an exit
+  moved): the joined screen finds what each record's own finds, the
+  loader drops that record alone when it drops it alone, and every
+  counter handed out is held by an installed translation;
 * the joins themselves: no fallthrough, branch target, fused pair or
   hoist scan crosses a boundary, and the dataflow starts each segment
   from the entry state.
 
-The loader screens a profiled block as stored, its counter's LUI/ORI
-pair with zero immediates, and splices the counter in after the
-verdict.  So every BBT record of the images, and by search a damaged
-one, gets the same verdict with a drawn counter address as with zero;
-and a pull whose early records drop is still screened once, every later
-record installed with the next armed counter.
+A BBT record holds no code: the loader derives its block and screens
+only superblocks.  A pull whose early records drop is still screened
+once, every later block installed with the next armed counter.
 """
 
 import json
@@ -47,20 +45,18 @@ from repro.isa.fusible.encoding import (
 )
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import UOp
-from repro.isa.x86lite import assemble
 from repro.isa.x86lite.registers import Cond
 from repro.persist import (
     WarmStartLoader,
     capture_translations,
     encode_record,
 )
-from repro.persist.format import STORED_PROLOGUE, record_code, splice_counter
 from repro.translator.bbt import COUNTER_AREA_BASE
+from repro.translator.emit import PROFILE_PROLOGUE_BYTES, prologue_code
 from repro.verify import verify_directory, verify_translation
 from repro.verify.rules import Segment, VerifyContext, live_native_entries
 from repro.verify.verifier import run_rules
 from tests.sbt_oracle import origin_runs
-from tests.test_persist import LOOP
 from tests.test_templates import IMAGES, cold_boot
 from tests.test_verifier_rules import CORPUS, exit_stub, make_translation
 
@@ -94,9 +90,9 @@ def joined_and_alone(parts, **where):
 
 
 def record_part(record):
-    """A record's code (counter-free prologue), runs, exits and side
-    table, as the loader hands them to a segment."""
-    return dict(code=record_code(record), origins=record["origins"],
+    """An SBT record's code, runs, exits and side table, as the loader
+    hands them to a segment."""
+    return dict(code=bytes.fromhex(record["code"]), origins=record["origins"],
                 exits=record["exits"], side_table=record["side_table"])
 
 
@@ -104,7 +100,7 @@ def record_part(record):
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_every_translation_of_the_images(config):
-    checked = 0
+    checked = screened = 0
     for name in sorted(IMAGES):
         vm = cold_boot(IMAGES[name], CONFIGS[config]())
         directory = vm.runtime.directory
@@ -125,89 +121,17 @@ def test_every_translation_of_the_images(config):
         assert len(joined.rules_run) == 17
         assert joined.to_dict()["violations"] == \
             [v.to_dict() for r in alone for v in r.violations]
-        records = capture_translations(directory, vm.state.memory)
+        parts = [record_part(r) for r in capture_translations(
+            directory, vm.state.memory) if r["kind"] == "sbt"]
+        if not parts:
+            continue
+        screened += 1
         (joined_found, joined_rules), (alone_found, alone_rules) = \
-            joined_and_alone([record_part(r) for r in records])
+            joined_and_alone(parts)
         assert joined_found == alone_found == []
         assert joined_rules == alone_rules
         assert len(next(iter(joined_rules))) == 14, name
-    assert checked >= 9
-
-
-# -- the prologue's immediates ------------------------------------------------
-
-@pytest.fixture(scope="module")
-def bbt_parts():
-    """Every BBT record of the images under the four configurations, as
-    segment arguments (the profiled ones: the stored prologue)."""
-    parts = []
-    for config in sorted(CONFIGS):
-        for name in sorted(IMAGES):
-            vm = cold_boot(IMAGES[name], CONFIGS[config]())
-            parts += [record_part(record) for record in capture_translations(
-                vm.runtime.directory, vm.state.memory)
-                if record["kind"] == "bbt"]
-    assert len(parts) > 500
-    assert all(part["code"].startswith(STORED_PROLOGUE) for part in parts)
-    return parts
-
-
-def screened(parts, counter_addr):
-    """What the rules say of ``parts`` as one context, each prologue's
-    LUI/ORI pair pointed at ``counter_addr``: (segment, rule id,
-    message, segment-relative index, offset) of each violation."""
-    table = WordTable()
-    report = run_rules(VerifyContext(words=table, segments=[
-        Segment(table=table, **dict(
-            part, code=splice_counter(part["code"], counter_addr)))
-        for part in parts]))
-    return [finding[:5] for finding in findings(report.violations)]
-
-
-counter_addrs = st.integers(0, 2 ** 20 - 1).map(
-    lambda slot: COUNTER_AREA_BASE + 4 * slot)
-
-
-def flip_past_the_prologue(fields, draw):
-    code = bytearray.fromhex(fields["code"])
-    position = draw(st.integers(len(STORED_PROLOGUE), len(code) - 1))
-    code[position] ^= draw(st.integers(1, 255))
-    fields["code"] = code.hex()
-
-
-class TestNoRuleReadsTheCounter:
-    """The loader screens a profiled block as stored (its counter pair
-    with zero immediates) and installs it with its counter spliced in:
-    the premise is that the rules say the same of both."""
-
-    @given(counter_addr=counter_addrs)
-    @settings(max_examples=4, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_every_bbt_record(self, bbt_parts, counter_addr):
-        assert screened(bbt_parts, counter_addr) == \
-            screened(bbt_parts, 0) == []
-
-    @given(data=st.data(), counter_addr=counter_addrs)
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_a_damaged_bbt_record(self, bbt_parts, data, counter_addr):
-        part = dict(data.draw(st.sampled_from(bbt_parts)))
-        fields = {"code": part["code"].hex(), "entry": 0,
-                  "origins": json.loads(json.dumps(part["origins"])),
-                  "exits": json.loads(json.dumps(part["exits"]))}
-        data.draw(st.sampled_from([flip_past_the_prologue, shift_a_run,
-                                   move_an_exit]))(fields, data.draw)
-        part.update(code=bytes.fromhex(fields["code"]),
-                    origins=fields["origins"], exits=fields["exits"])
-        if not reads(part):
-            return
-        spliced, stored = screened([part], counter_addr), screened([part], 0)
-        # the same verdict; only a message about the pair's own words (an
-        # exit moved onto them) may quote their immediates
-        assert [finding[:2] + finding[3:] for finding in spliced] == \
-            [finding[:2] + finding[3:] for finding in stored]
-        assert [finding for finding in spliced if finding[4] not in (4, 8)] \
-            == [finding for finding in stored if finding[4] not in (4, 8)]
+    assert checked >= 9 and screened >= 5
 
 
 # -- the corpus between two clean translations --------------------------------
@@ -275,8 +199,9 @@ def test_a_corpus_entry_between_clean_translations(expected, fixture,
 # -- one damaged record in a pull of good ones ---------------------------------
 
 def booted():
+    """The sieve image, whose pull holds six superblocks."""
     vm = CoDesignedVM(vm_soft(), hot_threshold=50)
-    vm.load(assemble(LOOP))
+    vm.load(IMAGES["sieve"])
     return vm
 
 
@@ -285,7 +210,7 @@ def pull():
     vm = booted()
     vm.run()
     records = capture_translations(vm.runtime.directory, vm.state.memory)
-    assert {record["kind"] for record in records} == {"bbt", "sbt"}
+    assert sum(record["kind"] == "sbt" for record in records) > 1
     return records
 
 
@@ -342,14 +267,17 @@ class TestOneDamagedRecordInAPull:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_judged_as_alone(self, pull, data):
-        position = data.draw(st.integers(0, len(pull) - 1))
+        position = data.draw(st.sampled_from(
+            [index for index, record in enumerate(pull)
+             if record["kind"] == "sbt"]))
         fields = json.loads(pull[position].text)
         data.draw(st.sampled_from(MUTATIONS))(fields, data.draw)
         damaged = encode_record(fields)
         records = [damaged if index == position else record
                    for index, record in enumerate(pull)]
         joined, alone = joined_and_alone(
-            [part for part in map(record_part, records) if reads(part)])
+            [record_part(record) for record in records
+             if record["kind"] == "sbt" and reads(record_part(record))])
         assert joined == alone
         report, vm = loaded(records)
         by_itself, _vm = loaded([damaged])
@@ -365,19 +293,23 @@ class TestOneDamagedRecordInAPull:
 
 class TestADroppedRecordMovesNoScreen:
     def test_one_screen_and_consecutive_counters(self, monkeypatch):
-        source = cold_boot(IMAGES["wide_cold-0"])
+        source = cold_boot(IMAGES["quicksort"])
+        cold = {t.entry: t for t in source.runtime.directory.bbt_cache
+                .translations}
         records = capture_translations(source.runtime.directory,
                                        source.state.memory)
         bbt_records = sorted((record for record in records
                               if record["kind"] == "bbt"),
                              key=lambda record: record["entry"])
-        stale, rejected = bbt_records[:2]
+        superblocks = [record for record in records
+                       if record["kind"] == "sbt"]
+        stale, rejected = bbt_records[0], superblocks[0]
         fields = json.loads(rejected.text)
         fields["exits"][0][0] += 2              # off its stub: STB001
         records = [encode_record(fields) if record is rejected else record
                    for record in records]
         vm = CoDesignedVM(vm_soft(), hot_threshold=50)
-        vm.load(IMAGES["wide_cold-0"])
+        vm.load(IMAGES["quicksort"])
         vm.state.memory.write(stale["entry"], b"\x90")
         screens = []
         real = loader_module.run_rules
@@ -387,24 +319,27 @@ class TestADroppedRecordMovesNoScreen:
             return real(ctx)
         monkeypatch.setattr(loader_module, "run_rules", counting)
         report = WarmStartLoader(vm.runtime).load_records(records)
-        # every record read is screened once, in one context, though
-        # the counter of each after the two dropped ones moved
-        assert screens == [len(records) - 1]
+        # every superblock is screened once, in one context, though the
+        # counter of each block after the dropped one moved
+        assert screens == [len(superblocks)] and len(superblocks) > 1
         assert (report.stale_source, report.verifier_rejected,
                 report.dropped) == (1, 1, 2)
         assert report.loaded == len(records) - 2
         installed = sorted(vm.runtime.directory.bbt_cache.translations,
                            key=lambda translation: translation.entry)
         assert [t.entry for t in installed] == \
-            [record["entry"] for record in bbt_records[2:]]
+            [record["entry"] for record in bbt_records[1:]]
         assert [t.counter_addr for t in installed] == list(range(
             COUNTER_AREA_BASE, COUNTER_AREA_BASE + 4 * len(installed), 4))
-        for translation, record in zip(installed, bbt_records[2:]):
-            assert vm.state.memory.read_u32(translation.counter_addr) \
-                == vm.runtime.bbt.hot_threshold
-            # the screened bytes with the prologue's immediates set
-            assert translation.code == splice_counter(
-                record_code(record), translation.counter_addr)
+        for translation in installed:
+            if not vm.runtime.directory.has_sbt(translation.entry):
+                assert vm.state.memory.read_u32(translation.counter_addr) \
+                    == vm.runtime.bbt.hot_threshold
+            # the cold block's bytes, its prologue counting its counter
+            code = cold[translation.entry].code
+            assert translation.code == \
+                prologue_code(translation.counter_addr) \
+                + code[PROFILE_PROLOGUE_BYTES:]
 
 
 # -- the boundaries ------------------------------------------------------------

@@ -323,9 +323,8 @@ class TestColdBoot:
         bbt = be.runtime.bbt
         # every body instruction went through the unit, once
         body_instrs = bbt.instrs_translated - bbt.blocks_translated
-        assert bbt.hw_assisted_instrs + bbt.hw_punted_instrs == body_instrs
         assert be.xlt_unit.invocations == body_instrs
-        assert soft.runtime.bbt.hw_assisted_instrs == 0
+        assert soft.runtime.bbt.xlt_unit is None
 
 
 # -- (e) self-modified code ----------------------------------------------------

@@ -2,9 +2,8 @@
 
 Since PR 22 a ``VerifyContext`` is a stream's bytes, the word-table
 entry at each offset and the ``x86_addr`` metadata as runs; the loader
-re-binds a profiling prologue in the bytes and hands ``materialize`` no
-micro-op list.  These tests hold that representation to the one it
-replaced:
+hands ``materialize`` no micro-op list.  These tests hold that
+representation to the one it replaced:
 
 * a context from micro-ops and a context from their bytes + runs return
   the same report, violation by violation, field by field
@@ -15,12 +14,13 @@ replaced:
   covers one micro-op more or fewer is a decode error (``corrupt``);
 * ``_DefinedAndFlags`` stepped a block at a time equals the product of
   the two per-micro-op analyses, on loops that lower an in-state too;
-* a warm load of SBT records (fused pairs, non-monotone origins)
-  installs what the object path -- decode, re-bind by ``replace``,
-  encode -- produces, byte for byte;
+* a warm load of SBT records (fused pairs, non-monotone origins) and
+  derived blocks installs what the object path -- decode, re-bind by
+  ``replace``, encode -- produces, byte for byte;
 * a dropped record holds no profiling counter;
-* exact counts (``tools/callcounts.py``): no per-occurrence constructor,
-  and one context, one CFG and one rule-pack run for a whole pull.
+* exact counts (``tools/callcounts.py``): no per-occurrence constructor;
+  no screen for a pull of basic blocks, and one context, one CFG and
+  one rule-pack run for a pull that holds superblocks.
 """
 
 import copy
@@ -54,7 +54,6 @@ from repro.persist import (
     WarmStartLoader,
     capture_translations,
     encode_record,
-    record_stream,
 )
 from repro.translator.bbt import COUNTER_AREA_BASE
 from repro.translator.code_cache import expand_origins
@@ -63,6 +62,7 @@ from repro.verify.rules import VerifyContext
 from repro.verify.verifier import run_rules
 from repro.workloads.programs import PROGRAMS
 from tests.sbt_oracle import origin_runs
+from tests.stored import record_stream
 from tests.strategies import native_programs
 from tests.strategies import uops as any_uop
 from tests.test_persist import LOOP
@@ -223,7 +223,7 @@ class TestCorpusThroughBytes:
         fields = next(
             json.loads(record.text) for record in capture_translations(
                 vm.runtime.directory, vm.state.memory)
-            if record["kind"] == "bbt")
+            if record["kind"] == "sbt")
         # one more micro-op than the code holds passes the format's
         # bound only on a stream of 16-bit words; one fewer always does
         fields["origins"][-1][1] += delta
@@ -305,21 +305,41 @@ def booted(source=LOOP, hot_threshold=50) -> CoDesignedVM:
     return vm
 
 
-def object_path(records):
-    """``(record, code, micro-op count, counter)`` per record in install
+def layout(translation):
+    """A cold block's code and metadata as layout 4 stored them: what a
+    BBT record held before the loader derived the block."""
+    native = translation.native_addr
+    return {"kind": "bbt", "entry": translation.entry,
+            "code": translation.code.hex(),
+            "origins": translation.origins,
+            "exits": [[stub.stub_addr - native, stub.kind,
+                       stub.x86_target] for stub in translation.exits],
+            "side_table": sorted([addr - native, x86_addr] for
+                                 addr, x86_addr
+                                 in translation.side_table.items())}
+
+
+def object_path(records, cold):
+    """``(fields, code, micro-op count, counter)`` per record in install
     order, the way the loader built them while it held micro-op lists:
-    decode with ``x86_addr`` attached, bind the stored prologue (every
-    BBT block of these VMs is profiled) by ``replace``, encode."""
+    decode with ``x86_addr`` attached, bind the counter of a block
+    (every BBT block of these VMs is profiled) by ``replace``, encode.
+    A block's fields are those of ``cold``'s translation (a record
+    holds only its entry)."""
+    blocks = {translation.entry: layout(translation) for translation
+              in cold.runtime.directory.bbt_cache.translations}
     counter = COUNTER_AREA_BASE
     for record in sorted(records, key=lambda r: (r["kind"] != "bbt",
                                                  r["entry"])):
-        uops = decode_stream(*record_stream(record))
+        fields = record if record["kind"] == "sbt" \
+            else blocks[record["entry"]]
+        uops = decode_stream(*record_stream(fields))
         bound = None
         if record["kind"] == "bbt":
             bound, counter = counter, counter + 4
             uops[1] = replace(uops[1], imm=bound >> 13 & 0x7FFFF)
             uops[2] = replace(uops[2], imm=bound & 0x1FFF)
-        yield record, encode_stream(uops), uops, bound
+        yield fields, encode_stream(uops), uops, bound
 
 
 class TestWarmLoadInstallsWhatTheObjectPathDid:
@@ -344,7 +364,7 @@ class TestWarmLoadInstallsWhatTheObjectPathDid:
             + directory.sbt_cache.translations
         assert len(installed) == len(records)
         for translation, (record, code, uops, counter) in zip(
-                installed, object_path(records)):
+                installed, object_path(records, cold)):
             native = translation.native_addr
             assert (translation.kind, translation.entry) == \
                 (record["kind"], record["entry"])
@@ -407,8 +427,7 @@ class TestDroppedRecordsLeakNoCounter:
         vm = booted()
         bbt = vm.runtime.bbt
         fields = json.loads(records[1].text)
-        fields["code"] = fields["code"][:8] + "00" * 8 \
-            + fields["code"][24:]           # no LUI/ORI at bytes 4..12
+        fields["code"] = "00"       # a field of the superblock layout
         corrupt = encode_record(fields)
         load = [corrupt if record is records[1] else copy.deepcopy(record)
                 for record in records]
@@ -462,16 +481,25 @@ class TestNoPerOccurrenceConstructor:
         assert counts["MicroOp.__init__"] <= \
             distinct + chains < micro_ops / 2
         assert counts["decode_uop"] == distinct
-        # the counter is spliced in as bytes: only chaining encodes
+        # a block is derived as template bytes: only chaining encodes
         assert counts["encode_uop"] == chains
         assert counts["Located.__new__"] == 0
         assert counts["dataflow.transfer"] == 0
-        assert 0 < counts["dataflow.step"] < micro_ops / 4
         # nothing re-encodes a record; each is hashed once, as stored,
         # beside the two fingerprints
         assert counts["JSON encodes"] == 0
         assert counts["SHA-256"] == load.loaded + 2
+        # a pull of basic blocks holds no code: nothing is screened
+        assert counts["VerifyContext"] == counts["build_cfg"] == \
+            counts["run_rules"] == counts["dataflow.step"] == 0
+
+    def test_a_warm_boot_with_superblocks_is_screened_once(
+            self, callcounts, monkeypatch):
+        monkeypatch.setattr(sanitizer._STATE, "mode", None)
+        counts = callcounts.call_counts("hot_loop", warm=True)
         # one screen for the whole pull: one context, one CFG, one run
-        # of the rule-pack over every record's segment
+        # of the rule-pack over every superblock's segment
         assert counts["VerifyContext"] == counts["build_cfg"] == \
             counts["run_rules"] == 1
+        assert counts["dataflow.step"] > 0
+        assert counts["JSON encodes"] == 0

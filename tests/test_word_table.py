@@ -12,9 +12,9 @@ the verifier, classified -- once per VM.  These tests hold
 * the table to its contract: an entry is only ever ``decode_uop``'s
   reading of its own key, nothing cut short or undecodable is entered,
   tables are per VM, and a code-cache flush drops them;
-* a warm boot to exact counts: ``decode_uop`` calls and classifications
-  equal the number of distinct words met (the CI guard: a count, not
-  the clock).
+* a warm boot to exact counts: a load of derived blocks decodes and
+  classifies nothing, and the run decodes each distinct word it meets
+  once (the CI guard: a count, not the clock).
 
 The machine's side (steps shared by word, rewritten code looked up
 afresh, the end of the address space) is in
@@ -61,12 +61,7 @@ from repro.persist import (
     WarmStartLoader,
     capture_translations,
 )
-from repro.persist.format import (
-    STORED_PROLOGUE,
-    encode_record,
-    parse_record,
-    record_stream,
-)
+from repro.persist.format import encode_record, parse_record
 from repro.translator import TranslationDirectory
 from repro.verify import build_cfg, sanitizer, verify_uops
 from repro.verify.dataflow import (
@@ -330,15 +325,17 @@ class TestTableSemantics:
         assert architected(vm_a) == interpreted
         table_a = dict(vm_a.runtime.machine.words)
 
-        keys = sorted(stored_texts(repo.root))
-        # one record's code edited under its old key, one re-keyed to
-        # hold a word that does not decode: the format check catches the
-        # first, the table's decode the second
-        edited, rekeyed = (json.loads(stored_texts(repo.root)[key])
-                           for key in keys[:2])
-        code = bytearray.fromhex(edited["code"])
-        code[-1] ^= 1
-        edited["code"] = code.hex()
+        texts = stored_texts(repo.root)
+        keys = [key for key in sorted(texts)
+                if json.loads(texts[key])["kind"] == "bbt"][:1] \
+            + [key for key in texts if json.loads(texts[key])["kind"] == "sbt"]
+        # a block's source edited under its old key, the superblock
+        # re-keyed to hold a word that does not decode: the format check
+        # catches the first, the table's decode the second
+        edited, rekeyed = (json.loads(texts[key]) for key in keys)
+        source = bytearray.fromhex(edited["source"][0][1])
+        source[-1] ^= 1
+        edited["source"][0][1] = source.hex()
         damage_stored(repo.root, keys[0], lambda _text: json.dumps(edited))
         rekeyed["code"] = "ff7fffff" + rekeyed["code"][8:]
         records = [encode_record(rekeyed)] + [
@@ -485,11 +482,9 @@ class TestExactCountsOnAWideImage:
         records = capture_translations(cold.runtime.directory,
                                        cold.state.memory)
         assert len(records) == cold_report.blocks_translated >= 200
-        streams = [record_stream(record)[0] for record in records]
+        streams = [translation.code for translation
+                   in cold.runtime.directory.bbt_cache.translations]
         micro_ops = sum(len(decode_stream(code)) for code in streams)
-        in_records = set()
-        for code in streams:
-            in_records |= {encode_uop(uop) for uop in decode_stream(code)}
 
         decodes = counted(monkeypatch, "decode_uop",
                           (encoding_module, rules_module, machine_module))
@@ -498,35 +493,20 @@ class TestExactCountsOnAWideImage:
         load = WarmStartLoader(vm.runtime).load_records(
             copy.deepcopy(records))
         assert (load.loaded, load.dropped) == (len(records), 0)
+        # the blocks were derived as template bytes: no record holds a
+        # word to screen, nothing was decoded or classified
+        assert decodes == classified == []
         words = vm.runtime.machine.words
-        # the install screened the records' words as stored, the LUI/ORI
-        # pair with zero immediates among them; it spliced in the pairs
-        # of the counters it handed out after the verdict
-        stored = {STORED_PROLOGUE[4:8], STORED_PROLOGUE[8:12]}
-        assert stored <= in_records
-        screened = set(words)
-        assert in_records - stored <= screened
-        assert stored <= screened
-        assert len(decodes) == len(classified) == len(screened)
-        assert len(screened) < micro_ops / 3    # what the table saves
-        assert all(word.facts is not None and word.step is None
-                   for word in words.values())
+        assert not words
 
         report = vm.run()
         assert report.blocks_translated == 0
         assert architected(vm) == architected(reference)
-        # running met the words chaining patched in (one JMP per chained
-        # stub) and the spliced counter pairs the screen did not meet:
-        # decoded once each, never classified; everything the loader
-        # screened was bound, not decoded again
-        assert len(decodes) == len(words) > len(classified)
+        # running decoded each distinct word it met once, the JMPs
+        # chaining patched in among them, and classified none
+        assert len(decodes) == len(words) and classified == []
+        assert len(words) < micro_ops / 3       # what the table saves
         assert {id(uop) for uop in decodes} == \
             {id(word.uop) for word in words.values()}
-        spliced = {translation.code[at:at + 4] for translation
-                   in vm.runtime.directory.bbt_cache.translations
-                   for at in (4, 8)}
-        patched = set(words) - screened
-        assert patched & spliced == spliced - screened != set()
-        assert patched - spliced and all(
-            words[chunk].uop.op is UOp.JMP for chunk in patched - spliced)
-        assert all(words[chunk].facts is None for chunk in patched)
+        assert all(word.facts is None for word in words.values())
+        assert any(word.uop.op is UOp.JMP for word in words.values())

@@ -218,6 +218,32 @@ class TestErrors:
                            "has no encoding with these operands$"):
             assemble(f"nop\n{line}")
 
+    @pytest.mark.parametrize("line,value,bits", [
+        ("mov ax, 70000", 70000, 16), ("mov ax, -32769", -32769, 16),
+        ("mov eax, 0x100000005", 0x100000005, 32),
+        ("add ecx, -0x80000001", -0x80000001, 32),
+        ("imul ax, bx, 0x10000", 0x10000, 16),
+        ("push 0x100000000", 0x100000000, 32),
+        ("shl eax, 300", 300, 8), ("int 0x180", 0x180, 8),
+        ("ret 0x10004", 0x10004, 16)])
+    def test_an_immediate_that_does_not_fit_names_the_line(self, line,
+                                                            value, bits):
+        mnemonic = line.split()[0]
+        with pytest.raises(AssemblerError, match=(
+                f"^line 2: immediate {value} does not fit the {bits}-bit "
+                f"field of {mnemonic}$")):
+            assemble(f"nop\n{line}")
+
+    @pytest.mark.parametrize("line,data", [
+        ("mov ax, 65535", "66b8ffff"), ("mov ax, -32768", "66b80080"),
+        ("mov eax, 0xffffffff", "b8ffffffff"),
+        ("mov eax, -0x80000000", "b800000080"),
+        ("shl eax, 255", "c1e0ff"), ("shl eax, -128", "c1e080"),
+        ("int 0xff", "cdff"), ("ret 0xffff", "c2ffff")])
+    def test_an_immediate_at_the_edge_of_its_field_assembles(self, line,
+                                                              data):
+        assert assemble_to_bytes(line).hex() == data
+
     def test_loop_target_out_of_rel8_range_names_the_line(self):
         source = "start: loop far\n" + "nop\n" * 200 + "far: hlt"
         with pytest.raises(AssemblerError, match="^line 1: loop has no "
