@@ -8,7 +8,7 @@ install:
 	pip install -e . --no-build-isolation
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # Static analysis (docs/static_analysis.md): reprolint's
 # project-invariant rules always run — determinism, lock discipline,

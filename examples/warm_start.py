@@ -9,8 +9,9 @@ Runs one seed workload twice under the software VM:
   repository;
 * **warm** — a fresh VM (new process, cold caches) re-materializes the
   snapshot at boot: each record is re-fingerprinted against the program
-  bytes, re-encoded at its new code-cache address, screened by the
-  verifier rule-pack and installed.  The run itself then translates
+  bytes; a basic block is derived again by the translator, a
+  superblock's own bytes are screened by the verifier rule-pack and
+  placed at its new code-cache address.  The run itself then translates
   nothing.
 
 Then the timing layer shows what that buys at full application scale:

@@ -638,7 +638,7 @@ class CacheServer:
         :class:`repro.obs.collector.ClusterCollector` polls this on
         every replica of every shard and re-merges the snapshots
         exactly (pow2 buckets sum bound-by-bound).  Versioned so a
-        future collector cannot misread an old server: an unknown
+        future collector cannot misinterpret an old server: an unknown
         ``"v"`` answers ``bad-request`` instead of guessing.
         """
         version = request.get("v")

@@ -75,8 +75,8 @@ from repro.isa.x86lite.assembler import assemble
 from repro.memory.loader import Image
 from repro.obs.telemetry import TraceContext
 from repro.obs.tracer import EventTracer
-from repro.persist import (capture_translations, config_fingerprint,
-                           image_fingerprint)
+from repro.persist import (config_fingerprint, image_fingerprint,
+                           serialize_translation)
 from repro.persist.remote import RemoteRepository
 from repro.workloads.programs import PROGRAMS
 
@@ -198,6 +198,13 @@ def _boot_instance(scenario: FleetScenario, rank: int, image: Image,
         remote.close()
     stats = vm.stats()
     trace_events = [event.to_trace_event() for event in vm.tracer.events]
+    # serialize only what the warm start did not install (by identity)
+    loaded = {id(translation) for translation in load_report.installed}
+    directory = vm.runtime.directory
+    unloaded = [serialize_translation(translation, vm.state.memory)
+                for cache in (directory.bbt_cache, directory.sbt_cache)
+                for translation in cache.translations
+                if id(translation) not in loaded]
     return InstanceResult(
         rank=rank,
         image_fp=image_fingerprint(vm._image),
@@ -210,9 +217,7 @@ def _boot_instance(scenario: FleetScenario, rank: int, image: Image,
         superblocks_translated=stats["superblocks_translated"],
         remote=remote.remote_stats.to_dict(),
         trace_events=trace_events,
-        records=[record for record in capture_translations(
-                     vm.runtime.directory, vm.state.memory)
-                 if record["key"] not in load_report.installed_keys],
+        records=[record for record in unloaded if record is not None],
         config_fp=config_fingerprint(vm.config))
 
 

@@ -219,9 +219,14 @@ def _split_operands(text: str) -> List[str]:
 
 
 def _statement_width(stmt: _Statement) -> int:
+    """The operand width: a register operand's, else 16 where a memory
+    operand is sized ``word`` (``add word [esi], 5``), else 32."""
     for operand in stmt.operands:
         if operand.kind == "reg":
             return operand.width
+    if any(operand.kind == "mem" and operand.mem.size == 16
+           for operand in stmt.operands):
+        return 16
     return 32
 
 
@@ -247,6 +252,10 @@ def _build_instruction(stmt: _Statement, labels: Dict[str, int],
             f"operand(s), not {len(stmt.operands)}", line_no)
 
     width = _statement_width(stmt)
+    if op in (Op.MOVZX, Op.MOVSX) and width == 16:
+        # no 0x66 form: the decoder reads one as the 32-bit destination
+        raise AssemblerError(f"{mnemonic} takes a 32-bit destination "
+                             f"register", line_no)
     target = None
     operands: List[Union[RegOperand, ImmOperand, MemOperand]] = []
 

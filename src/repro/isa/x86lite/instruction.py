@@ -19,7 +19,7 @@ from repro.isa.x86lite.opcodes import (
     FLAG_WRITING_OPS,
     Op,
 )
-from repro.isa.x86lite.registers import Cond, Reg
+from repro.isa.x86lite.registers import REG16_BY_NAME, Cond, Reg
 
 #: Maximum encoded length of an x86lite instruction, in bytes.  (Real x86
 #: allows up to 15/17; our subset tops out below 16, which is what lets the
@@ -74,7 +74,7 @@ class MemOperand:
             parts.append(self.base.name.lower())
         if self.index is not None:
             term = self.index.name.lower()
-            if self.scale != 1:
+            if self.scale != 1 or self.base is None:   # not a base
                 term += f"*{self.scale}"
             parts.append(term)
         if self.disp or not parts:
@@ -84,6 +84,12 @@ class MemOperand:
 
 
 Operand = Union[RegOperand, ImmOperand, MemOperand]
+
+#: register -> its name in a 16-bit (``0x66``-prefixed) instruction
+_REG16_NAMES = {reg: name for name, reg in REG16_BY_NAME.items()}
+
+#: a memory operand's access width -> the assembler's size keyword
+_SIZE_KEYWORDS = {8: "byte ", 16: "word ", 32: ""}
 
 
 @dataclass(frozen=True)
@@ -145,10 +151,21 @@ class Instruction:
         name = self.op.value
         return f"rep {name}" if self.rep else name
 
+    def operand_text(self, operand: Operand) -> str:
+        """``operand`` as the assembler reads it back in this
+        instruction: a register by the name of the instruction's width,
+        a narrow memory operand with its size keyword."""
+        if isinstance(operand, RegOperand) and self.width == 16:
+            return _REG16_NAMES[operand.reg]
+        if isinstance(operand, MemOperand):
+            return _SIZE_KEYWORDS[operand.size] + str(operand)
+        return str(operand)
+
     def __str__(self) -> str:
         parts = [self.mnemonic()]
         if self.target is not None:
             parts.append(f"{self.target:#x}")
         elif self.operands:
-            parts.append(", ".join(str(operand) for operand in self.operands))
+            parts.append(", ".join([self.operand_text(operand)
+                                    for operand in self.operands]))
         return " ".join(parts)

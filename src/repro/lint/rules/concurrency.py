@@ -11,8 +11,8 @@ these rules make the discipline checkable on every edit.
 ``threading.Lock``-style attribute, read-modify-write touches of shared
 instance state (``self.x += 1``, ``self.d[k] = v``,
 ``setattr(self, ...)``) outside ``with self.<lock>`` are violations.
-Plain rebinds (``self._server = None``) are exempt: the lifecycle
-methods run single-threaded before serving starts, and a rebind is
+Plain reassignments (``self._server = None``) are exempt: the lifecycle
+methods run single-threaded before serving starts, and a reassignment is
 atomic under the GIL where an RMW is not.
 
 **CONC002** — lock *acquisition order* must be globally consistent
@@ -92,7 +92,7 @@ class UnguardedSharedStateRule(Rule):
         if isinstance(node, ast.AugAssign):
             targets = [node.target]
         elif isinstance(node, ast.Assign):
-            # plain rebinds of self.<attr> are exempt; only container
+            # plain reassignments of self.<attr> are exempt; only container
             # stores (self.d[k] = v) are read-modify-write hazards
             targets = [t for t in node.targets
                        if isinstance(t, ast.Subscript)]

@@ -45,7 +45,7 @@ from repro.obs.tracer import EVENT_TYPES
 
 #: Version stamped into every ``trace_ctx`` payload and ``telemetry``
 #: request; servers reject frames from a future protocol rather than
-#: misreading them.
+#: misinterpreting them.
 TELEMETRY_VERSION = 1
 
 #: Default cap on span records a server keeps (oldest evicted first).

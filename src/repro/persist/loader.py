@@ -9,14 +9,15 @@ pull in two steps, records in install order (BBT records first):
    **derived** at its entry by the cold path's translator, a
    superblock's **source fingerprint** checked and its code read
    through the VM's word table as one verifier ``Segment`` (code that
-   does not decode is corrupt); a record made from bytes memory no
-   longer holds is stale.  Then the **verifier rule-pack** runs once
-   over every segment as one ``VerifyContext``;
+   does not decode, or holds a word with a don't-care bit set, is
+   corrupt); a record made from bytes memory no longer holds is stale.
+   Then the **verifier rule-pack** runs once over every segment as one
+   ``VerifyContext``;
 2. **install in order**: the duplicate check; the read's drop; a
    superblock's **new native address**; capacity; the verdict (a
    superblock that violates any invariant never runs); then a block
    goes through ``BasicBlockTranslator.install`` (which hands it its
-   counter), a superblock's screened bytes through
+   counter), a superblock's own screened bytes through
    ``TranslationDirectory.install``, the path new translations take.
 
 After installation the loader eagerly **re-chains** exit stubs whose
@@ -69,11 +70,11 @@ class LoadReport:
     #: records that blew up the materialize/encode/install machinery
     #: with an unforeseen error — quarantined (skipped), never fatal
     undecodable: int = 0
-    #: the ``key`` of every record installed (not a counter: never in
-    #: :meth:`to_dict`); what a capture of this VM holds besides these
-    #: is what the load did not bring in
-    installed_keys: Set[str] = field(default_factory=set, repr=False,
-                                     compare=False)
+    #: every translation installed, in install order (not a counter:
+    #: never in :meth:`to_dict`); what this VM's caches hold besides
+    #: these is what the load did not bring in
+    installed: List = field(default_factory=list, repr=False,
+                            compare=False)
 
     @property
     def dropped(self) -> int:
@@ -84,7 +85,7 @@ class LoadReport:
     def to_dict(self) -> Dict[str, int]:
         """Flat counter dict (``CoDesignedVM.stats()['persist']``)."""
         counters = {spec.name: getattr(self, spec.name)
-                    for spec in fields(self) if spec.name != "installed_keys"}
+                    for spec in fields(self) if spec.name != "installed"}
         counters["dropped"] = self.dropped
         return counters
 
@@ -182,11 +183,11 @@ class WarmStartLoader:
                           _attempt(record, lambda: self._derive(record)
                                    if record["kind"] == "bbt"
                                    else self._read(record))))
-        image, failed = self._screen([read for _key, _record, read in items
-                                      if isinstance(read, Segment)])
+        failed = self._screen([read for _key, _record, read in items
+                               if isinstance(read, Segment)])
 
         # step 2: in order, each record that passed is installed
-        loaded = []
+        loaded = report.installed
         installed: Set[Tuple[str, int]] = set()
         for key, record, read in items:
             if key in installed:
@@ -217,9 +218,8 @@ class WarmStartLoader:
                 continue
             if kind == "bbt":
                 translation = bbt.install(read)
-            else:       # the bytes ENC001/ENC002 checked
-                directory.install(image[read.base:read.base + read.size],
-                                  translation)
+            else:       # the record's own bytes, as screened
+                directory.install(read.code, translation)
             # warm-start work is a startup phase of its own: charge the
             # derive/deserialize/screen cost to the run's ledger
             if ledger is not None and phase_costs is not None:
@@ -231,7 +231,6 @@ class WarmStartLoader:
                 tracer.instant("warmstart.load", kind=kind,
                                entry=f"{entry:#x}", bytes=read.size)
             installed.add(key)
-            report.installed_keys.add(record["key"])
             loaded.append(translation)
             report.loaded += 1
             report.bytes_loaded += read.size
@@ -269,16 +268,15 @@ class WarmStartLoader:
                        self.runtime.machine.words, exits=record["exits"],
                        side_table=record["side_table"])
 
-    def _screen(self, segments: List[Segment]
-                ) -> Tuple[bytes, Set[Segment]]:
+    def _screen(self, segments: List[Segment]) -> Set[Segment]:
         """The rule-pack run once over ``segments`` as one context: the
-        context's image, and the segments a rule fired in."""
+        segments a rule fired in."""
         if not segments:
-            return b"", set()
+            return set()
         ctx = VerifyContext(words=self.runtime.machine.words,
                             segments=segments)
-        return ctx.image, {segments[violation.segment]
-                           for violation in run_rules(ctx).violations}
+        return {segments[violation.segment]
+                for violation in run_rules(ctx).violations}
 
     def _relink(self, loaded, report: LoadReport) -> None:
         """Restore steady-state linkage among the loaded translations."""

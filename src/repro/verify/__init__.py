@@ -2,14 +2,14 @@
 
 An independent re-derivation of the invariants the translators are
 supposed to maintain (macro-op fusion legality, exit-stub shape and the
-R29 continuation discipline, scratch-register hygiene, encoding
-round-trip, code-cache/chaining consistency).  The verifier never
+R29 continuation discipline, scratch-register hygiene, canonical
+words, code-cache/chaining consistency).  The verifier never
 consults the emitters; it re-checks their output from first principles
 so that a bug in :mod:`repro.translator` cannot hide itself.
 
-Four entry points:
+What it reads is bytes: a translation's ``code`` walked through a word
+table, one ``Segment`` each.  The entry points:
 
-* :func:`verify_uops` — stream-level rules over a bare micro-op list.
 * :func:`verify_translations` — the full rule-pack over installed
   translations (memory image, stubs, chaining, side tables), screened
   as the segments of one context; :func:`verify_translation` is the
@@ -30,7 +30,6 @@ from repro.verify.verifier import (
     verify_directory,
     verify_translation,
     verify_translations,
-    verify_uops,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "verify_directory",
     "verify_translation",
     "verify_translations",
-    "verify_uops",
 ]

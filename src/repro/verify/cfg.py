@@ -87,15 +87,12 @@ class CFG:
                 for index in self.transfers]
 
 
-def build_cfg(words: Sequence, starts: Sequence[int] = (0,)) -> CFG:
-    """Partition a stream -- its word-table entries or, a ``Word`` being
-    made of each, its micro-ops -- into basic blocks and wire successor
-    edges; ``starts`` (ascending, from 0) are its segments' first
-    micro-ops.  The words are walked for the offsets and for the control
-    transfers; what follows walks only those and the blocks.  Nothing
-    is allocated per micro-op."""
-    if words and not isinstance(words[0], Word):
-        words = [Word(uop) for uop in words]
+def build_cfg(words: Sequence[Word], starts: Sequence[int] = (0,)) -> CFG:
+    """Partition a stream -- its word-table entries -- into basic blocks
+    and wire successor edges; ``starts`` (ascending, from 0) are its
+    segments' first micro-ops.  The words are walked for the offsets and
+    for the control transfers; what follows walks only those and the
+    blocks.  Nothing is allocated per micro-op."""
     offsets = list(accumulate([word.shape & 0x7F for word in words],
                               initial=0))
     total_bytes = offsets.pop()

@@ -17,8 +17,6 @@ STB001      direct exit stubs have the fixed 12-byte patchable shape
 STB002      VMEXIT hands the continuation to the VMM in R29
 SCR001      VMM registers are defined before every use (scratch hygiene)
 PRS001      architected flags are intact at every VMM handoff
-ENC001      every emitted micro-op is encodable
-ENC002      encode -> decode is the identity on emitted micro-ops
 CCH001      cache memory matches the recorded micro-ops (mod patches)
 CHN001      chained stubs jump to a live translation entry
 CHN002      unpatched stubs still leave through VMEXIT
@@ -30,18 +28,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, groupby
 from typing import Callable, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.isa.fusible.encoding import (
     UopDecodeError,
-    UopEncodeError,
     Word,
     WordTable,
     decode_stream,
     decode_uop,
-    encode_uop,
     stream_words,
 )
 from repro.isa.fusible.microop import MicroOp
@@ -74,67 +69,47 @@ def live_native_entries(directory) -> Set[int]:
             for translation in cache.translations}
 
 
-def _encode(uop: MicroOp):
-    try:
-        return encode_uop(uop)
-    except UopEncodeError as error:
-        return error
-
-
-def _encoded_fields(uop: MicroOp) -> tuple:
-    """The fields a micro-op's bytes carry (``x86_addr`` is metadata)."""
-    return (uop.op, uop.rd, uop.rs1, uop.rs2, uop.imm, uop.cond, uop.fused,
-            uop.setflags)
-
-
 class Segment:
     """One translation's stretch of a context, read on its own: its
     ``code``, the table's entry of each word (``words``), the
     ``x86_addr`` runs (``origins``), its ``size`` in bytes, its exits
     (``[offset, kind, x86_target]``) and side table (``offset ->
     x86_addr``), offsets from its first byte (None: a bare stream), and
-    the ``translation`` where the rules read an installed copy.
-    ``encoded`` / ``misread`` are ENC001's and ENC002's findings.  The
+    the ``translation`` where the rules read an installed copy.  The
     joining context sets ``start`` / ``end`` (its micro-ops) and
     ``base`` (its first byte)."""
 
-    __slots__ = ("code", "words", "origins", "run_ends", "encoded",
-                 "misread", "exits", "side_table", "translation", "start",
-                 "end", "base", "size")
+    __slots__ = ("code", "words", "origins", "run_ends", "exits",
+                 "side_table", "translation", "start", "end", "base",
+                 "size")
 
-    def __init__(self, code: Optional[bytes], origins, table: WordTable,
-                 exits=None, side_table=None, translation=None,
-                 uops: Optional[List[MicroOp]] = None) -> None:
-        """Walk ``code`` through ``table`` (raises ``UopDecodeError``:
-        bytes that do not decode, or ``origins`` -- runs, or one
-        ``x86_addr`` a micro-op -- that do not cover them exactly); or
-        encode each of ``uops``, so ENC001 and ENC002 check every one."""
+    def __init__(self, code: bytes, origins, table: WordTable,
+                 exits=None, side_table=None, translation=None) -> None:
+        """Walk ``code`` through ``table``.  Raises ``UopDecodeError``:
+        bytes that do not decode, a word with a don't-care bit of its
+        form set (a word is its own encoding exactly when it is
+        canonical), or ``origins`` -- runs, or one ``x86_addr`` a
+        micro-op -- that do not cover the words exactly."""
         self.code, self.translation = code, translation
-        self.encoded: dict = {}
-        self.misread: dict = {}
-        if uops is not None:
-            self.words = [self._checked(index, uop, table)
-                          for index, uop in enumerate(uops)]
-            self.origins = self.run_ends = None
-            self.size = sum([word.shape & 0x7F for word in self.words])
-        else:
-            entries = self.words = stream_words(code, table)
-            for index in [index for index, word in enumerate(entries)
-                          if not word.canonical]:   # to other bytes
-                entries[index] = self._checked(index, entries[index].uop,
-                                               table)
-            if origins is None:
-                origins = [[None, len(entries)]]
-            elif origins and not isinstance(origins[0], (list, tuple)):
-                origins = [[addr, len(list(run))]       # one a micro-op
-                           for addr, run in groupby(origins)]
-            self.run_ends = list(accumulate([run[1] for run in origins]))
-            covered = self.run_ends[-1] if origins else 0
-            if covered != len(entries):
-                raise UopDecodeError(
-                    f"x86_addr list covers {covered} micro-op(s), not "
-                    f"the stream's {len(entries)}")
-            self.origins, self.size = origins, len(code)
+        entries = self.words = stream_words(code, table)
+        stray = next((index for index, word in enumerate(entries)
+                      if not word.canonical), None)
+        if stray is not None:
+            raise UopDecodeError(
+                f"micro-op {stray} ('{entries[stray].uop}') has a "
+                f"don't-care bit set: its bytes are not its encoding")
+        if origins is None:
+            origins = [[None, len(entries)]]
+        elif origins and not isinstance(origins[0], (list, tuple)):
+            origins = [[addr, len(list(run))]       # one a micro-op
+                       for addr, run in groupby(origins)]
+        self.run_ends = list(accumulate([run[1] for run in origins]))
+        covered = self.run_ends[-1] if origins else 0
+        if covered != len(entries):
+            raise UopDecodeError(
+                f"x86_addr list covers {covered} micro-op(s), not "
+                f"the stream's {len(entries)}")
+        self.origins, self.size = origins, len(code)
         if translation is not None and exits is None:
             base = translation.native_addr
             exits = [(stub.stub_addr - base, stub.kind, stub.x86_target)
@@ -145,76 +120,44 @@ class Segment:
             side_table = dict(side_table)
         self.exits, self.side_table = exits, side_table
 
-    def _checked(self, index: int, uop: MicroOp, table: WordTable) -> Word:
-        """Encode ``uop`` here, so it is checked: the table's decode of
-        those bytes is ENC002's comparison and, if equal, the entry."""
-        chunk = self.encoded[index] = _encode(uop)
-        word = None if isinstance(chunk, UopEncodeError) else table[chunk]
-        if word and _encoded_fields(word.uop) != _encoded_fields(uop):
-            self.misread[index], word = word.uop, None
-        # no bytes read as this micro-op: its facts are its own
-        return word or Word(uop)
-
 
 class VerifyContext:
     """Everything a rule may consult: one or more translations as
-    ``segments`` of one stream -- its bytes, the word-table entry
-    (``words``) at each offset (``offsets``) and the ``x86_addr``
-    metadata as ``[x86_addr, count]`` runs.  What several rules need is
-    built once per context, over the joined words: the CFG, the fused
-    pairs and (on first use) the forward dataflow facts; nothing crosses
-    a segment boundary.  Micro-ops with their ``x86_addr`` attached
-    (``uops``, ``locs``) are views built on demand for reports and
-    tests; no rule walks them."""
+    ``segments`` of one stream -- the word-table entry (``words``) at
+    each offset (``offsets``) and the ``x86_addr`` metadata as
+    ``[x86_addr, count]`` runs.  What several rules need is built once
+    per context, over the joined words: the CFG, the fused pairs and
+    (on first use) the forward dataflow facts; nothing crosses a
+    segment boundary.  Micro-ops with their ``x86_addr`` attached
+    (``uops``, ``locs``) are views built on demand for tests; no rule
+    walks them."""
 
-    def __init__(self, uops=None, translation=None, memory=None,
+    def __init__(self, segments: List[Segment], memory=None,
                  directory=None, live_entries: Optional[Set[int]] = None,
-                 words: Optional[WordTable] = None,
-                 segments: Optional[List[Segment]] = None) -> None:
+                 words: Optional[WordTable] = None) -> None:
         """A context over ``segments``, each read through ``words`` (the
-        VM's table or a private one), or over ``uops`` as one segment
-        of ``translation``."""
+        VM's table or a private one)."""
         self.memory = memory
         self.directory = directory
         self._table = WordTable() if words is None else words
         self._uops = None
-        if segments is None:
-            self._uops = list(uops)
-            segments = [Segment(None, None, self._table, uops=self._uops,
-                                translation=translation)]
         self.segments = segments
-        #: index -> ``encode_uop``'s answer (bytes or the error) for the
-        #: micro-ops encoded here; any other's encoding is the canonical
-        #: slice of ``_code`` it was read from
-        self._encoded: dict = {}
-        #: index -> what ``encoded`` decodes back as, where that is not
-        #: the micro-op that was encoded (ENC002's findings)
-        self.misread: dict = {}
         #: every segment knows its translation (exits, side table)
         self.translated = bool(segments)
         entries: List[Word] = []
         base = 0
         for seg in segments:
             seg.start, seg.base = len(entries), base
-            for index, data in seg.encoded.items():
-                self._encoded[seg.start + index] = data
-            for index, uop in seg.misread.items():
-                self.misread[seg.start + index] = uop
             entries += seg.words
             seg.end, base = len(entries), base + seg.size
             self.translated &= seg.exits is not None
         self._starts = [seg.start for seg in segments] or [0]
         if len(segments) == 1:      # nothing to join
-            self._code, self.origins, self._run_ends = \
-                seg.code, seg.origins, seg.run_ends
+            self.origins, self._run_ends = seg.origins, seg.run_ends
         else:
-            self._code = b"".join([seg.code for seg in segments])
             self.origins = [run for seg in segments for run in seg.origins]
             self._run_ends = [seg.start + end for seg in segments
                               for end in seg.run_ends]
-        #: indices ENC001/ENC002 must check; everywhere else the bytes
-        #: are the micro-op's encoding by construction
-        self.unproven: List[int] = sorted(self._encoded)
         self.cfg = build_cfg(entries, self._starts)
         self.words, self.offsets = self.cfg.words, self.cfg.offsets
         self.pairs = fused_pairs(entries, self._starts)
@@ -222,36 +165,19 @@ class VerifyContext:
         self._live_entries = live_entries
 
     @classmethod
-    def from_code(cls, code: bytes, origins=None, rebind=None,
+    def from_code(cls, code: bytes, origins=None,
                   words: Optional[WordTable] = None, translation=None,
                   **where) -> "VerifyContext":
-        """A context over the words *it reads* in ``code`` through
+        """A context over the words it reads in ``code`` through
         ``words`` (the installing VM's table: what is decoded here it
-        need not decode again; raises ``UopDecodeError``), as one
-        segment.  ``origins`` is the ``x86_addr`` metadata as a record
-        keeps it, ``[x86_addr, count]`` runs, or one ``x86_addr`` a
-        micro-op; it must cover the stream exactly.  A canonical word
-        (no don't-care bit of its form set) *is* the encoding of what it
-        decodes to: ENC001 and ENC002 hold by construction.  A
-        non-canonical one is encoded and checked like any other, and
-        ``image`` is the canonical re-encoding.  ``rebind`` (tests) may
-        swap micro-ops of the decoded list: the result is screened as
-        micro-ops, of which only the very objects decoded here, from
-        canonical bytes, stay proven.
+        need not decode again), as one segment.  ``origins`` is the
+        ``x86_addr`` metadata as a record keeps it, ``[x86_addr,
+        count]`` runs, or one ``x86_addr`` a micro-op; it must cover the
+        stream exactly.  Raises ``UopDecodeError`` as ``Segment`` does.
         """
         table = WordTable() if words is None else words
-        read = cls(segments=[Segment(code, origins, table,
-                                     translation=translation)],
+        return cls([Segment(code, origins, table, translation=translation)],
                    words=table, **where)
-        if rebind is None:
-            return read
-        decoded = read.uops
-        ctx = cls(rebind(decoded), translation=translation, words=table,
-                  **where)
-        ctx.unproven = [index for index, uop in enumerate(ctx.uops)
-                        if index >= len(decoded) or index in read._encoded
-                        or uop is not decoded[index]]
-        return ctx
 
     def segment_at(self, index: int) -> int:
         """The position of the segment micro-op ``index`` belongs to."""
@@ -260,8 +186,6 @@ class VerifyContext:
     def addr_at(self, index: int) -> Optional[int]:
         """The ``x86_addr`` of micro-op ``index``: FUS005's hoist scan
         and a ``Violation`` ask the run table, nobody else needs one."""
-        if self._run_ends is None:
-            return self._uops[index].x86_addr
         return self.origins[bisect_right(self._run_ends, index)][0]
 
     @property
@@ -269,32 +193,14 @@ class VerifyContext:
         """The micro-ops, ``x86_addr`` attached (a view)."""
         if self._uops is None:
             self._uops = decode_stream(
-                self.image, [self.addr_at(index) for index
-                             in range(len(self.words))], self._table)
+                b"".join([seg.code for seg in self.segments]),
+                [self.addr_at(index) for index in range(len(self.words))],
+                self._table)
         return self._uops
 
     @property
     def locs(self) -> List[Located]:
         return self.cfg.located(0, len(self.words), self.uops)
-
-    def encoding(self, index: int):
-        """Micro-op ``index``'s encoded bytes, or its
-        ``UopEncodeError``: what ENC001, ENC002 and CCH001 check."""
-        if index in self._encoded:
-            return self._encoded[index]
-        offset = self.offsets[index]
-        return self._code[offset:offset + (self.words[index].shape & 0x7F)]
-
-    @property
-    def encoded(self) -> List:
-        """Per micro-op: :meth:`encoding`."""
-        return [self.encoding(index) for index in range(len(self.words))]
-
-    @cached_property
-    def image(self) -> bytes:
-        """The encoded stream (defined when ENC001 holds): for a warm
-        install, segment by segment, what goes into the code cache."""
-        return b"".join(self.encoded) if self._encoded else self._code
 
     @property
     def facts(self):
@@ -309,7 +215,6 @@ class VerifyContext:
         if self._live_entries is None:
             self._live_entries = live_native_entries(self.directory)
         return self._live_entries
-
 
 
 @dataclass(frozen=True)
@@ -584,27 +489,6 @@ def _check_prs001(ctx: VerifyContext) -> Iterator[Violation]:
                      ctx, index)
 
 
-# -- encoding ------------------------------------------------------------------
-
-
-@rule("ENC001", "every emitted micro-op is encodable")
-def _check_enc001(ctx: VerifyContext) -> Iterator[Violation]:
-    for index in ctx.unproven:
-        data = ctx._encoded[index]
-        if isinstance(data, UopEncodeError):
-            yield _v("ENC001", f"'{ctx.words[index].uop}' does not "
-                               f"encode: {data}", ctx, index)
-
-
-@rule("ENC002", "encode -> decode is the identity on emitted micro-ops")
-def _check_enc002(ctx: VerifyContext) -> Iterator[Violation]:
-    # the context compared each unproven micro-op with its bytes' decode
-    for index, decoded in ctx.misread.items():
-        yield _v("ENC002",
-                 f"round trip loses state: '{ctx.words[index].uop}' "
-                 f"decodes back as '{decoded}'", ctx, index)
-
-
 # -- code cache and chaining ---------------------------------------------------
 
 
@@ -635,30 +519,27 @@ def _check_cch001(ctx: VerifyContext, seg: Segment) -> Iterator[Violation]:
                  entry=translation.entry, kind=translation.kind)
     patched = _patched_ranges(ctx, seg)
     image = ctx.memory.read(translation.native_addr, seg.size + 2)
-    if not patched and not any(
-            isinstance(data, UopEncodeError)
-            for data in seg.encoded.values()) \
-            and image.startswith(ctx.image[seg.base:seg.base + seg.size]):
+    if not patched and image.startswith(seg.code):
         return      # the common case: what was installed, untouched
     for index in range(seg.start, seg.end):
-        offset, data = ctx.offsets[index] - seg.base, ctx.encoding(index)
+        offset = ctx.offsets[index] - seg.base
         if any(start <= offset < end for start, end in patched):
             continue
-        if isinstance(data, UopEncodeError):
-            continue  # ENC001's finding
+        word = ctx.words[index]
         window = image[offset:offset + 4]
-        if window.startswith(data):
-            continue  # the recorded micro-op's own bytes
+        if window.startswith(seg.code[offset:offset
+                                      + (word.shape & 0x7F)]):
+            continue  # the translation's own bytes
         try:
             in_memory = decode_uop(window)
         except UopDecodeError as error:
             yield _v("CCH001", f"cache bytes do not decode: {error}",
                      ctx, index)
             continue
-        if in_memory != decode_uop(data):
+        if in_memory != word.uop:
             yield _v("CCH001",
                      f"cache image holds '{in_memory}' where the "
-                     f"translation recorded '{ctx.words[index].uop}'",
+                     f"translation recorded '{word.uop}'",
                      ctx, index)
 
 

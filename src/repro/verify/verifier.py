@@ -54,10 +54,9 @@ def _placed(ctx: VerifyContext, number: int,
 def run_rules(ctx: VerifyContext) -> VerifierReport:
     """Run every rule the context can support, each once: a stream rule
     over the joined words, a translation rule over each segment.  The
-    one walk all entry points (and the warm-start loader, which keeps
-    the context for the bytes it encoded) go through.  Violations come
-    segment by segment, each segment's in rule order, and say which
-    segment they are in (``Violation.segment``)."""
+    one walk every entry point and the warm-start loader go through.
+    Violations come segment by segment, each segment's in rule order,
+    and say which segment they are in (``Violation.segment``)."""
     found: List[List[Violation]] = [[] for _ in ctx.segments]
     rules_run, specs = _runnable(ctx.translated, ctx.memory is not None,
                                  ctx.directory is not None)
@@ -86,14 +85,6 @@ def _runnable(*have: bool) -> tuple:
     return tuple(spec.rule_id for spec in specs), specs
 
 
-def verify_uops(uops, translation=None, memory=None, directory=None,
-                live_entries=None) -> VerifierReport:
-    """Run every applicable rule over a micro-op stream."""
-    return run_rules(VerifyContext(uops, translation=translation,
-                                   memory=memory, directory=directory,
-                                   live_entries=live_entries))
-
-
 def verify_translations(translations, memory=None, directory=None,
                         live_entries=None, words=None) -> VerifierReport:
     """Run the full rule-pack over installed translations, as the
@@ -102,7 +93,8 @@ def verify_translations(translations, memory=None, directory=None,
     What is screened is each translation's installed ``code`` +
     ``origins`` of either translator (or the warm loader), read through
     ``words`` (the installing VM's table; left out, a private one).
-    Bytes that do not decode are that translation's CCH001.
+    Bytes that do not decode, or a word that is not its own encoding,
+    are that translation's CCH001.
     ``live_entries`` (native entry addresses of the directory's live
     translations) lets a sweep build that set once; left out, CHN001
     derives it from ``directory`` when needed.

@@ -588,12 +588,12 @@ class TestStepsSharedByWord:
                 MicroOp(UOp.ADDI, rd=2, rs1=1, imm=5, x86_addr=0x40_0000),
                 MicroOp(UOp.ADDI2, rd=1, imm=1), MicroOp(UOp.HALT)]
         machine = FusibleMachine(AddressSpace())
+        code = encode_stream(uops)
         screen = VerifyContext.from_code(
-            encode_stream(uops), [uop.x86_addr for uop in uops],
-            words=machine.words)
-        assert screen.uops == uops and not screen.unproven
+            code, [uop.x86_addr for uop in uops], words=machine.words)
+        assert screen.uops == uops
         assert len(decodes) == len(machine.words) == 3
-        machine.memory.write(CODE, screen.image)
+        machine.memory.write(CODE, code)
         assert machine.run(CODE).kind == "halt"
         assert machine.regs[2] == 6
         assert len(decodes) == 3        # bound, not decoded again

@@ -7,18 +7,13 @@ installed.  These tests pin the properties of that screen:
   — not installed, not executed — for each rule the walk shares work
   between (SCR001, PRS001, FUS002).  The violations are **byte edits**
   of the record's ``code`` (a BBT record has none: the loader derives
-  its block).  Two records the first layout's tests held here no
-  longer exist: a field out of its range (ENC001) and a field its form
-  does not carry (ENC002) cannot be written down in bytes — the decoder
-  yields only encodable, canonical micro-ops — so both rules are
-  exercised on contexts built from micro-ops instead;
-* each micro-op is decoded at most once and encoded at most once per
-  install — encoded only where its bytes were not canonical; everywhere
-  else the record's own bytes are its encoding — and the bytes written
-  to the code cache are the bytes the verifier checked: the canonical
-  encoding, even where the record's code had don't-care bits set;
-* ENC001 and ENC002 hold by construction only for micro-ops the context
-  itself decoded from canonical bytes;
+  its block);
+* each distinct word is decoded at most once per VM and no record's
+  micro-op is encoded: the record's own bytes are its encoding, and
+  they are what the code cache receives, the bytes the verifier read;
+* a screen reads canonical bytes: a record whose code has a don't-care
+  bit set is ``corrupt``, none of its bytes reach the code cache, and
+  the warm run equals the cold one;
 * numbers a record spells out in JSON are numbers: booleans and other
   junk never reach the loader's rebuild (``corrupt``);
 * ``MicroOp`` under its hand-written constructor is the value type it
@@ -49,6 +44,7 @@ import repro.verify.verifier as verifier_module
 from repro.core.config import vm_soft
 from repro.core.vm import CoDesignedVM
 from repro.isa.fusible.encoding import (
+    UopDecodeError,
     decode_stream,
     decode_uop,
     encode_stream,
@@ -56,7 +52,6 @@ from repro.isa.fusible.encoding import (
 )
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import UOp
-from repro.isa.fusible.registers import R_EXIT_TARGET
 from repro.isa.x86lite import assemble
 from repro.isa.x86lite.registers import Cond
 from repro.persist import (
@@ -222,8 +217,7 @@ class TestOneEncodePerMicroOp:
         # install a second time; this test counts the loader's own work
         monkeypatch.setattr(sanitizer._STATE, "mode", None)
         encoded = counted(monkeypatch, "encode_uop",
-                          (encoding_module, rules_module,
-                           code_cache_module))
+                          (encoding_module, code_cache_module))
         vm = booted()
         directory = vm.runtime.directory
         installs = recorded_installs(monkeypatch, directory, encoded)
@@ -283,46 +277,24 @@ class TestOneEncodePerMicroOp:
 
 
 class TestRoundTripByConstruction:
-    def clean(self, record):
-        return VerifyContext.from_code(*record_stream(record))
+    """A screen reads canonical bytes: a word is its own encoding
+    exactly when no don't-care bit of its form is set
+    (``is_canonical``), and a stream holding any other word does not
+    read."""
 
     def test_every_decoded_micro_op_is_proven(self, victim):
-        ctx = self.clean(victim)
-        assert ctx.unproven == []
-        assert ctx.image == bytes.fromhex(victim["code"])
+        ctx = VerifyContext.from_code(*record_stream(victim))
+        assert all(word.canonical for word in ctx.words)
+        assert encode_stream(ctx.uops) == bytes.fromhex(victim["code"])
         assert run_rules(ctx).ok
-
-    def test_a_context_built_from_micro_ops_proves_nothing(self, victim):
-        ctx = VerifyContext(decoded(victim))
-        assert ctx.unproven == list(range(len(ctx.uops)))
-
-    def test_enc002_fires_on_a_micro_op_whose_decode_differs(self):
-        # VMEXIT's form carries no rs2: the field is lost in the bytes
-        ctx = VerifyContext([MicroOp(UOp.VMEXIT, rs1=R_EXIT_TARGET,
-                                     rs2=7)])
-        assert "ENC002" in {v.rule_id for v in run_rules(ctx).violations}
-
-    def test_enc001_fires_on_a_field_out_of_range(self):
-        ctx = VerifyContext([MicroOp(UOp.LDW, rd=17, rs1=16, imm=5000)])
-        assert "ENC001" in {v.rule_id for v in run_rules(ctx).violations}
-
-    def test_a_swapped_micro_op_is_checked_like_any_other(self, victim):
-        bad = MicroOp(UOp.VMEXIT, rs1=R_EXIT_TARGET, rs2=7)
-
-        def rebind(uops):
-            return uops[:-1] + [bad]
-
-        ctx = VerifyContext.from_code(*record_stream(victim),
-                                      rebind=rebind)
-        last = len(ctx.uops) - 1
-        # same bytes as the micro-op it replaced, yet not proven: it is
-        # not the object this context decoded
-        assert ctx.encoded[last] == bytes.fromhex(victim["code"])[-4:]
-        assert ctx.unproven == [last]
-        assert "ENC002" in {v.rule_id for v in run_rules(ctx).violations}
 
     def test_dont_care_bits_install_canonical_bytes(self, victim,
                                                     monkeypatch):
+        """The only bytes that reach the code cache are canonical: a
+        record whose final VMEXIT has its rs2 bits set (a field its form
+        does not carry), re-keyed, decodes to the clean record's
+        micro-ops, yet is corrupt, and the VM translates the loop
+        itself."""
         clean_code = bytes.fromhex(victim["code"])
         code = bytearray(clean_code)
         code[-2] |= 0x07         # rs2 bits of the final VMEXIT: no field
@@ -330,22 +302,27 @@ class TestRoundTripByConstruction:
         record = resealed(victim)
         assert decoded(record) == decoded({**record,
                                            "code": clean_code.hex()})
-        encoded = counted(monkeypatch, "encode_uop", (rules_module,))
-        ctx = VerifyContext.from_code(*record_stream(record))
-        last = len(ctx.uops) - 1
-        assert ctx.unproven == [last]
-        assert ctx.image == clean_code
-        assert encoded == [clean_code[-4:]]     # the one non-canonical word
+        with pytest.raises(UopDecodeError, match="don't-care"):
+            VerifyContext.from_code(*record_stream(record))
 
+        cold = booted()
+        cold.run()
         vm = booted()
         installs = recorded_installs(monkeypatch, vm.runtime.directory, [])
         report = WarmStartLoader(vm.runtime).load_records([record])
-        assert (report.loaded, report.dropped) == (1, 0)
-        (_, data, translation), = installs
-        # canonical: the clean code
-        assert data == clean_code != bytes(code)
-        assert vm.state.memory.read(translation.native_addr,
-                                    len(data)) == data
+        assert (report.corrupt, report.loaded, report.dropped) == (1, 0, 1)
+        assert installs == []
+        vm.run()
+        stray = bytes(code[-4:])
+        assert installs and all(stray not in data
+                                for _calls, data, _translation in installs)
+        assert all(stray not in vm.state.memory.read(
+            translation.native_addr, translation.native_len)
+            for cache in (vm.runtime.directory.bbt_cache,
+                          vm.runtime.directory.sbt_cache)
+            for translation in cache.translations)
+        assert (vm.state.exit_code, vm.state.output, vm.state.regs) == \
+            (cold.state.exit_code, cold.state.output, cold.state.regs)
 
 
 class TestDirectorySweepIsLinear:

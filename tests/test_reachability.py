@@ -69,7 +69,6 @@ TEST_FACING = frozenset({
     "repro.verify.rules.VerifyContext.from_code",
     "repro.verify.rules.rule_ids",
     "repro.verify.sanitizer.raising",
-    "repro.verify.verifier.verify_uops",
     "repro.vmm.profiling.SoftwareProfiler.forget",
     "repro.vmm.profiling.SoftwareProfiler.is_hot",
     "repro.vmm.profiling.SoftwareProfiler.reset",

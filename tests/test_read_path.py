@@ -378,7 +378,7 @@ class TestTheLoaderIsTheOneJudge:
         memory, once, over every superblock of the pull as one context's
         segments (a block is derived, not screened); the three that do
         run on the installed bytes whenever the sanitizer is armed --
-        seventeen in all."""
+        fifteen in all."""
         screens = []
         real = loader_module.run_rules
 
@@ -394,9 +394,9 @@ class TestTheLoaderIsTheOneJudge:
         assert report.loaded == len(payload[0])
         before_install = tuple(spec.rule_id for spec in RULES
                                if spec.requires <= {"translation"})
-        assert len(before_install) == 14
+        assert len(before_install) == 12
         assert screens == [(before_install, report.sbt_loaded)]
         assert 0 < report.sbt_loaded < report.loaded
         assert installed.ok
         assert installed.rules_run == tuple(rule_ids())
-        assert len(installed.rules_run) == 17
+        assert len(installed.rules_run) == 15

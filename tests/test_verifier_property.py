@@ -9,6 +9,7 @@ the full rule-pack and fusion accounting must stay within bounds.
 from hypothesis import given, settings
 
 from repro.core import CoDesignedVM, vm_soft
+from repro.isa.fusible.encoding import decode_stream, encode_stream
 from repro.isa.x86lite import assemble
 from repro.isa.x86lite.encoder import encode
 from repro.isa.x86lite.instruction import Instruction
@@ -17,9 +18,10 @@ from repro.memory import AddressSpace
 from repro.translator import crack, fusion, is_crackable
 from repro.translator.bbt import BasicBlockTranslator
 from repro.translator.code_cache import TranslationDirectory
-from repro.verify import verify_directory, verify_translation, verify_uops
+from repro.verify import verify_directory, verify_translation
 from tests.sbt_oracle import on_uops
 from tests.strategies import basic_blocks, loop_programs
+from tests.test_verifier_rules import verify_stream
 
 ENTRY = 0x40_0000
 
@@ -55,7 +57,10 @@ class TestTranslatorOutputsVerify:
                 body.extend(crack(instr).uops)
         fused, stats = on_uops(fusion.fuse_microops, body)
         assert 0.0 <= stats.fused_fraction <= 1.0
-        report = verify_uops(fused)
+        # the bytes say everything the fused micro-ops do, and pass
+        assert decode_stream(encode_stream(fused),
+                             [uop.x86_addr for uop in fused]) == fused
+        report = verify_stream(fused)
         assert report.ok, report.format()
 
     @given(source=loop_programs())

@@ -2,7 +2,9 @@
 
 Every rule in the pack has at least one hand-constructed illegal
 sequence here that must be flagged with exactly that rule ID — no rule
-is allowed to be vacuous.  Clean counterparts pin the absence of false
+is allowed to be vacuous.  The verifier reads bytes only: a stream is
+written down as micro-ops, encoded, and screened as the bytes read back
+(``verify_stream``).  Clean counterparts pin the absence of false
 positives, and the dataflow engine gets direct unit coverage.
 """
 
@@ -12,11 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa.fusible.encoding import encode_stream, encode_uop, \
-    stream_length
+from repro.core import CoDesignedVM, ref_superscalar, vm_soft
+from repro.isa.fusible.encoding import (
+    UopEncodeError,
+    WordTable,
+    encode_stream,
+    encode_uop,
+    stream_length,
+    stream_words,
+)
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import OP_INFO, UOp
 from repro.isa.fusible.registers import R_EXIT_TARGET
+from repro.isa.x86lite import assemble
 from repro.isa.x86lite.registers import Cond
 from repro.memory import AddressSpace
 from repro.translator.code_cache import (
@@ -25,21 +35,33 @@ from repro.translator.code_cache import (
     TranslationDirectory,
 )
 from repro.translator import fusion
-from repro.verify import (
-    build_cfg,
-    rule_ids,
-    verify_translation,
-    verify_uops,
-)
+from repro.verify import build_cfg, rule_ids, verifier, verify_translation
 from repro.verify.dataflow import (
     defined_and_flags,
     definitely_defined,
     flag_provenance,
 )
+from repro.verify.rules import VerifyContext
 from tests.sbt_oracle import on_uops, origin_runs
 from tests.strategies import uops as any_uop
 
 NOP = MicroOp(UOp.NOP)
+
+
+def verify_stream(uops, **where):
+    """The rule-pack over ``uops`` as their bytes read back: encoded,
+    and read through ``VerifyContext.from_code`` with the ``x86_addr``
+    of each micro-op (``where``: the translation, memory, directory);
+    ``verifier.run_rules`` is looked up per call, so a test may watch
+    the contexts."""
+    uops = list(uops)
+    return verifier.run_rules(VerifyContext.from_code(
+        encode_stream(uops), [uop.x86_addr for uop in uops], **where))
+
+
+def cfg_of(uops):
+    """The CFG of ``uops`` as their bytes read back."""
+    return build_cfg(stream_words(encode_stream(uops), WordTable()))
 
 
 def ids(report):
@@ -81,14 +103,14 @@ def make_translation(uops, exits=(), side=(), native_addr=0x2000_0000,
 
 
 def fus001_nonalu_head():
-    return verify_uops([
+    return verify_stream([
         MicroOp(UOp.MULL, rd=5, rs1=1, rs2=2, fused=True),  # multi-cycle
         MicroOp(UOp.ADD, rd=6, rs1=5, rs2=3),
     ])
 
 
 def fus001_flagless_compare_branch():
-    return verify_uops([
+    return verify_stream([
         MicroOp(UOp.ADDI, rd=5, rs1=1, imm=1, fused=True),  # no .f bit
         MicroOp(UOp.BC, cond=Cond.NE, imm=0),
         NOP,
@@ -98,7 +120,7 @@ def fus001_flagless_compare_branch():
 def fus002_overlapping_pairs():
     # the historical close_region bug: the flag producer fused with a
     # region-ending BC even though it was already the tail of a pair
-    return verify_uops([
+    return verify_stream([
         MicroOp(UOp.ADDI, rd=5, rs1=1, imm=1, fused=True),
         MicroOp(UOp.AND, rd=6, rs1=5, rs2=2, setflags=True, fused=True),
         MicroOp(UOp.BC, cond=Cond.NE, imm=0),
@@ -107,32 +129,32 @@ def fus002_overlapping_pairs():
 
 
 def fus002_dangling_head():
-    return verify_uops([MicroOp(UOp.ADDI, rd=5, rs1=1, imm=1, fused=True)])
+    return verify_stream([MicroOp(UOp.ADDI, rd=5, rs1=1, imm=1, fused=True)])
 
 
 def fus002_tail_not_consuming():
-    return verify_uops([
+    return verify_stream([
         MicroOp(UOp.ADDI, rd=5, rs1=1, imm=1, fused=True),
         MicroOp(UOp.ADD, rd=6, rs1=2, rs2=3),  # ignores r5
     ])
 
 
 def fus003_four_source_pair():
-    return verify_uops([
+    return verify_stream([
         MicroOp(UOp.ADD, rd=5, rs1=1, rs2=2, fused=True),
         MicroOp(UOp.ADD, rd=7, rs1=3, rs2=4),  # r1,r2,r3,r4: 4 ports
     ])
 
 
 def fus004_barrier_head():
-    return verify_uops([
+    return verify_stream([
         MicroOp(UOp.VMCALL, imm=3, fused=True),
         NOP,
     ])
 
 
 def fus004_pair_into_jump():
-    return verify_uops([
+    return verify_stream([
         MicroOp(UOp.ADDI, rd=5, rs1=1, imm=1, fused=True),
         MicroOp(UOp.JMP, imm=-8),  # loops to offset 0
     ])
@@ -141,7 +163,7 @@ def fus004_pair_into_jump():
 def fus005_hoist_across_flag_writer():
     # the tail (architecturally at 0x108) was hoisted above the flag
     # writer at 0x104; both write flags, so the move was illegal
-    return verify_uops([
+    return verify_stream([
         MicroOp(UOp.ADDI, rd=5, rs1=1, imm=1, x86_addr=0x100, fused=True),
         MicroOp(UOp.ADD2, rd=6, rs1=5, setflags=True, x86_addr=0x108),
         MicroOp(UOp.SUBI, rd=2, rs1=2, imm=1, setflags=True,
@@ -150,7 +172,7 @@ def fus005_hoist_across_flag_writer():
 
 
 def ctl001_misaligned_branch():
-    return verify_uops([
+    return verify_stream([
         MicroOp(UOp.BC, cond=Cond.E, imm=3),  # lands at byte 7
         NOP,
     ])
@@ -181,16 +203,16 @@ def stb001_wrong_target_immediates():
 
 
 def stb002_vmexit_wrong_register():
-    return verify_uops([MicroOp(UOp.VMEXIT, rs1=5)])
+    return verify_stream([MicroOp(UOp.VMEXIT, rs1=5)])
 
 
 def scr001_scratch_use_before_def():
-    return verify_uops([MicroOp(UOp.ADD, rd=1, rs1=16, rs2=2)])
+    return verify_stream([MicroOp(UOp.ADD, rd=1, rs1=16, rs2=2)])
 
 
 def scr001_defined_on_one_path_only():
     # r16 is defined only on the branch-taken path
-    return verify_uops([
+    return verify_stream([
         MicroOp(UOp.BC, cond=Cond.E, imm=4),
         MicroOp(UOp.ADDI, rd=16, rs1=31, imm=7),
         MicroOp(UOp.ADD, rd=1, rs1=16, rs2=2),  # join: maybe undefined
@@ -203,22 +225,7 @@ def prs001_unbalanced_save_window():
         MicroOp(UOp.RDFLG, rd=18),
         MicroOp(UOp.ADDI, rd=17, rs1=31, imm=1, setflags=True),
     ] + exit_stub(0x40_0100)
-    return verify_uops(uops)
-
-
-def enc001_oversized_immediate():
-    return verify_uops([MicroOp(UOp.ADDI, rd=5, rs1=1, imm=999_999)])
-
-
-def enc002_short_form_drops_rd():
-    return verify_uops([MicroOp(UOp.NOP, rd=5)])
-
-
-def enc002_bc_drops_setflags():
-    return verify_uops([
-        MicroOp(UOp.BC, cond=Cond.E, imm=0, setflags=True),
-        NOP,
-    ])
+    return verify_stream(uops)
 
 
 def cch001_corrupted_cache_image():
@@ -284,9 +291,6 @@ CORPUS = [
     ("SCR001", scr001_scratch_use_before_def),
     ("SCR001", scr001_defined_on_one_path_only),
     ("PRS001", prs001_unbalanced_save_window),
-    ("ENC001", enc001_oversized_immediate),
-    ("ENC002", enc002_short_form_drops_rd),
-    ("ENC002", enc002_bc_drops_setflags),
     ("CCH001", cch001_corrupted_cache_image),
     ("CHN001", chn001_stale_chain_target),
     ("CHN002", chn002_unpatched_stub_not_vmexit),
@@ -316,9 +320,6 @@ PARENT_FINDINGS = {
     "scr001_scratch_use_before_def": {("SCR001", 0)},
     "scr001_defined_on_one_path_only": {("SCR001", 2)},
     "prs001_unbalanced_save_window": {("PRS001", 4)},
-    "enc001_oversized_immediate": {("ENC001", 0)},
-    "enc002_short_form_drops_rd": {("ENC002", 0)},
-    "enc002_bc_drops_setflags": {("ENC002", 0)},
     "cch001_corrupted_cache_image": {("CCH001", 0)},
     "chn001_stale_chain_target": {("CHN001", None)},
     "chn002_unpatched_stub_not_vmexit": {("CCH001", 2), ("CHN002", None)},
@@ -359,16 +360,58 @@ class TestCorpus:
         assert all("rule" in entry for entry in payload["violations"])
 
 
+#: ``ret 0x1000`` cracks to an ADDI of 4 + 0x1000, past its imm13 field
+RET_PAST_IMM13 = """
+start:
+    sub esp, 0x4000
+    mov ecx, 3
+again:
+    call f
+    sub esp, 0x1000
+    dec ecx
+    jnz again
+    mov eax, 1
+    mov ebx, esi
+    int 0x80
+    mov eax, 0
+    mov ebx, 0
+    int 0x80
+f:
+    add esi, 7
+    ret 0x1000
+"""
+
+
+class TestEncodingHoldsAtEmit:
+    def test_a_micro_op_that_does_not_encode_is_a_translation_fault(self):
+        """No screen sees a micro-op that does not encode: the
+        translator's ``encode_uop`` raises, the block is a translation
+        fault, and the interpreter runs it."""
+        with pytest.raises(UopEncodeError, match="imm13 4100"):
+            encode_uop(MicroOp(UOp.ADDI, rd=4, rs1=4, imm=4100))
+        runs = []
+        for config in (vm_soft(), ref_superscalar()):
+            vm = CoDesignedVM(config, hot_threshold=2)
+            vm.load(assemble(RET_PAST_IMM13))
+            vm.run()
+            runs.append(((vm.state.exit_code, vm.state.output,
+                          list(vm.state.regs)),
+                         vm.stats().get("translation_faults", 0)))
+        (translated, faults), (interpreted, _none) = runs
+        assert faults >= 1
+        assert translated == interpreted and translated[1] == [21]
+
+
 class TestCleanStreams:
     def test_legal_fused_pair_passes(self):
-        report = verify_uops([
+        report = verify_stream([
             MicroOp(UOp.ADDI, rd=5, rs1=1, imm=1, fused=True),
             MicroOp(UOp.ADD, rd=6, rs1=5, rs2=2),
         ])
         assert report.ok, report.format()
 
     def test_legal_compare_branch_pair_passes(self):
-        report = verify_uops([
+        report = verify_stream([
             MicroOp(UOp.SUBI, rd=31, rs1=1, imm=3, setflags=True,
                     fused=True),
             MicroOp(UOp.BC, cond=Cond.E, imm=0),
@@ -391,7 +434,7 @@ class TestCleanStreams:
             MicroOp(UOp.ADDI, rd=17, rs1=31, imm=1, setflags=True),
             MicroOp(UOp.WRFLG, rs1=18),
         ] + exit_stub(0x40_0100)
-        report = verify_uops(uops)
+        report = verify_stream(uops)
         assert report.ok, report.format()
 
 
@@ -409,7 +452,7 @@ class TestFusionRegression:
         ]
         fused, stats = on_uops(fusion.fuse_microops, uops)
         assert stats.pairs == 1
-        report = verify_uops(fused)
+        report = verify_stream(fused)
         assert report.ok, report.format()
 
     def test_compare_branch_fusion_still_happens_when_legal(self):
@@ -421,7 +464,7 @@ class TestFusionRegression:
         fused, stats = on_uops(fusion.fuse_microops, uops)
         assert stats.pairs == 1
         assert fused[0].fused
-        assert verify_uops(fused).ok
+        assert verify_stream(fused).ok
 
 
 class TestControlTransfersAreFoundOnce:
@@ -436,15 +479,15 @@ class TestControlTransfersAreFoundOnce:
             NOP,
             MicroOp(UOp.VMEXIT, rs1=3),
         ]
-        cfg = build_cfg(stream)
+        cfg = cfg_of(stream)
         assert [loc.index for loc in cfg.branches] == [1, 2, 4]
-        found = {v.rule_id for v in verify_uops(stream).violations}
+        found = {v.rule_id for v in verify_stream(stream).violations}
         assert "STB002" in found        # VMEXIT through r3, not R29
 
 
 class TestDataflowEngine:
     def test_definitely_defined_intersects_paths(self):
-        cfg = build_cfg([
+        cfg = cfg_of([
             MicroOp(UOp.BC, cond=Cond.E, imm=4),
             MicroOp(UOp.ADDI, rd=16, rs1=31, imm=7),   # skipped if taken
             MicroOp(UOp.ADDI, rd=17, rs1=31, imm=8),   # join point
@@ -457,7 +500,7 @@ class TestDataflowEngine:
         assert before[2] >> 1 & 1       # an architected register is
 
     def test_flag_provenance_tracks_save_window(self):
-        cfg = build_cfg([
+        cfg = cfg_of([
             MicroOp(UOp.RDFLG, rd=18),
             MicroOp(UOp.ADDI, rd=17, rs1=31, imm=1, setflags=True),
             MicroOp(UOp.WRFLG, rs1=18),
@@ -539,7 +582,7 @@ def branchy_cfgs(draw):
     micro-op boundaries of the stream (forwards and backwards: joins,
     loops, unreachable tails), and sometimes nowhere."""
     stream = draw(st.lists(any_uop, min_size=1, max_size=24))
-    locs = build_cfg(stream).locs
+    locs = cfg_of(stream).locs
     retargeted = []
     for loc in locs:
         uop = loc.uop
@@ -547,7 +590,7 @@ def branchy_cfgs(draw):
             target = draw(st.sampled_from(locs)).offset
             uop = replace(uop, imm=target - (loc.offset + uop.length))
         retargeted.append(uop)
-    return build_cfg(retargeted)
+    return cfg_of(retargeted)
 
 
 class TestOneWalk:
@@ -608,7 +651,7 @@ class TestOneWalk:
         clobbered flags) modelled as ``CONFLICT`` the transfer is
         monotone and both read the join the same, conservative, way."""
         from repro.verify import dataflow
-        cfg = build_cfg([
+        cfg = cfg_of([
             MicroOp(UOp.RDFLG, rd=18),
             MicroOp(UOp.BC, cond=Cond.E, imm=4),        # -> the ADDI.f
             MicroOp(UOp.JMP, imm=4),                    # -> the 2nd RDFLG
@@ -637,7 +680,7 @@ class TestOneWalk:
         def below(low, high):
             return low[0] <= high[0] and low[1] in (high[1],
                                                     dataflow.CONFLICT)
-        loc = build_cfg([uop]).locs[0]
+        loc = cfg_of([uop]).locs[0]
         high = (arch, saved)
         for low in {(False, saved), (arch, dataflow.CONFLICT),
                     (False, dataflow.CONFLICT), high}:

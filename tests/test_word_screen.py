@@ -1,15 +1,17 @@
 """The word walk is the object walk, by search.
 
-Since PR 22 a ``VerifyContext`` is a stream's bytes, the word-table
-entry at each offset and the ``x86_addr`` metadata as runs; the loader
-hands ``materialize`` no micro-op list.  These tests hold that
-representation to the one it replaced:
+A ``VerifyContext`` is a stream's bytes, the word-table entry at each
+offset and the ``x86_addr`` metadata as runs; it is built from nothing
+else, and the loader hands ``materialize`` no micro-op list.  These
+tests hold that representation to the one it replaced:
 
-* a context from micro-ops and a context from their bytes + runs return
-  the same report, violation by violation, field by field
-  (``strategies.uops``, ``native_programs``, PR 14's branchy CFGs);
-* every corpus entry (``test_verifier_rules.py``) that encodes at all
-  fires the same rules through the bytes entry, FUS005's hoisted tail
+* a stream's metadata as runs and as one ``x86_addr`` a micro-op return
+  the same report, violation by violation, field by field, and the
+  context's micro-op view is the stream (``strategies.uops``,
+  ``native_programs``, the branchy CFGs);
+* every corpus entry (``test_verifier_rules.py``) raises, field for
+  field, what it raised through the micro-op entry the verifier had
+  before it read bytes only (a pinned digest), FUS005's hoisted tail
   with addresses that arrive only as runs included; a run table that
   covers one micro-op more or fewer is a decode error (``corrupt``);
 * ``_DefinedAndFlags`` stepped a block at a time equals the product of
@@ -24,6 +26,7 @@ representation to the one it replaced:
 """
 
 import copy
+import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -33,7 +36,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.verify.verifier as verifier_module
 from repro.core.config import vm_soft
 from repro.core.vm import CoDesignedVM
 from repro.faults.plane import injecting
@@ -57,7 +59,7 @@ from repro.persist import (
 )
 from repro.translator.bbt import COUNTER_AREA_BASE
 from repro.translator.code_cache import expand_origins
-from repro.verify import build_cfg, dataflow, sanitizer
+from repro.verify import dataflow, sanitizer
 from repro.verify.rules import VerifyContext
 from repro.verify.verifier import run_rules
 from repro.workloads.programs import PROGRAMS
@@ -69,6 +71,7 @@ from tests.test_persist import LOOP
 from tests.test_verifier_rules import (
     CORPUS,
     branchy_cfgs,
+    cfg_of,
     has_back_edge,
     product_oracle,
     worklist_solve,
@@ -93,21 +96,23 @@ def fields(report):
 
 
 def assert_both_entries_agree(stream):
-    from_uops = run_rules(VerifyContext(stream))
-    from_bytes = run_rules(VerifyContext.from_code(
-        encode_stream(stream), origin_runs(stream)))
-    assert fields(from_bytes) == fields(from_uops)
-    # one x86_addr a micro-op is the same metadata, spelled out
-    spelled = VerifyContext.from_code(
-        encode_stream(stream), [uop.x86_addr for uop in stream])
-    assert fields(run_rules(spelled)) == fields(from_uops)
+    """``stream``'s bytes screened with its metadata as runs and spelled
+    out, one ``x86_addr`` a micro-op: the same report; and the
+    context's view of its micro-ops is ``stream``."""
+    code = encode_stream(stream)
+    from_runs = run_rules(VerifyContext.from_code(code, origin_runs(stream)))
+    spelled = VerifyContext.from_code(code, [uop.x86_addr for uop in stream])
+    assert fields(run_rules(spelled)) == fields(from_runs)
     assert spelled.uops == stream
     assert [uop.x86_addr for uop in spelled.uops] == \
         [uop.x86_addr for uop in stream]
-    return from_uops
+    return from_runs
 
 
 class TestBothEntriesAgree:
+    """Both spellings of the metadata, on streams as their bytes hold
+    them."""
+
     @given(stream=st.lists(st.tuples(any_uop, ADDRS), min_size=1,
                            max_size=24))
     @settings(max_examples=300, deadline=None)
@@ -150,45 +155,49 @@ class TestBothEntriesAgree:
 
 # -- the corpus through the bytes entry ----------------------------------------
 
-def through_bytes(fixture, monkeypatch):
-    """``fixture()`` with every context it builds from micro-ops built
-    from their bytes + runs instead; None where they do not encode, or
-    do not read back as themselves (ENC001's and ENC002's entries)."""
-    skipped = []
+#: every field of every violation, and ``uops_checked``, that each
+#: corpus entry raised through the micro-op entry (``verify_uops``) the
+#: verifier had before it read bytes only, as ``digest`` spells it
+PARENT_DIGESTS = {
+    "fus001_nonalu_head": "9ea212ccf461b0c7",
+    "fus001_flagless_compare_branch": "d3435de2c4898698",
+    "fus002_overlapping_pairs": "3d559032c621e9c3",
+    "fus002_dangling_head": "3f7441fdfa4ea8ab",
+    "fus002_tail_not_consuming": "73c255e02aa7af78",
+    "fus003_four_source_pair": "120938b456d4c2c1",
+    "fus004_barrier_head": "db18e92b79da19b3",
+    "fus004_pair_into_jump": "2323e95b10d3785b",
+    "fus005_hoist_across_flag_writer": "9261472403884415",
+    "ctl001_misaligned_branch": "a47c0a944b07202e",
+    "ctl002_runs_off_its_end": "ed9f14d57040fc99",
+    "stb001_truncated_stub": "4339056704563eb3",
+    "stb001_wrong_target_immediates": "d4eb6c365a1b9df7",
+    "stb002_vmexit_wrong_register": "581cac76a7f23272",
+    "scr001_scratch_use_before_def": "cf0aa726706a0cdf",
+    "scr001_defined_on_one_path_only": "08cb97c3a2d4e094",
+    "prs001_unbalanced_save_window": "f455ba44372459d1",
+    "cch001_corrupted_cache_image": "b721447af13c6373",
+    "chn001_stale_chain_target": "def7ef403b09f3d2",
+    "chn002_unpatched_stub_not_vmexit": "8a3be2d307ca54b1",
+    "sid001_vmcall_without_side_table": "79ae25cc081640c1",
+}
 
-    def bytes_entry(uops=None, **where):
-        if uops is None:        # segments, already read from bytes
-            return VerifyContext(**where)
-        uops = list(uops)
-        try:
-            code = encode_stream(uops)
-        except UopEncodeError:
-            skipped.append("does not encode")
-            return VerifyContext(uops, **where)
-        if decode_stream(code, [uop.x86_addr for uop in uops]) != uops:
-            skipped.append("does not read back")
-            return VerifyContext(uops, **where)
-        return VerifyContext.from_code(code, origin_runs(uops), **where)
 
-    bytes_entry.from_code = VerifyContext.from_code
-    monkeypatch.setattr(verifier_module, "VerifyContext", bytes_entry)
-    report = fixture()
-    monkeypatch.undo()
-    return None if skipped else report
+def digest(report):
+    violations = [dict(v.to_dict(), segment=v.segment)
+                  for v in report.violations]
+    return hashlib.sha256(json.dumps(
+        [report.uops_checked, violations],
+        sort_keys=True).encode()).hexdigest()[:16]
 
 
 class TestCorpusThroughBytes:
     @pytest.mark.parametrize("expected,fixture", CORPUS,
                              ids=[fn.__name__ for _rule, fn in CORPUS])
-    def test_same_violations_field_for_field(self, expected, fixture,
-                                             monkeypatch):
-        report = through_bytes(fixture, monkeypatch)
-        if report is None:
-            assert expected in ("ENC001", "ENC002")
-            return
+    def test_same_violations_field_for_field(self, expected, fixture):
+        report = fixture()
         assert expected in {v.rule_id for v in report.violations}
-        assert report.violations == fixture().violations
-        assert fields(report) == fields(fixture())
+        assert digest(report) == PARENT_DIGESTS[fixture.__name__]
 
     def test_a_hoisted_tail_whose_addresses_arrive_only_as_runs(self):
         # five micro-ops, three runs: the tail (0x108) sits above the
@@ -269,7 +278,7 @@ class TestBlockStepEqualsTheProduct:
         # the back edge brings clobbered flags under an open window to a
         # head first entered with neither: its in-state drops to
         # (False, CONFLICT), and the re-save there saves nothing
-        cfg = build_cfg([
+        cfg = cfg_of([
             MicroOp(UOp.ADDI, rd=16, rs1=31, imm=1),
             MicroOp(UOp.RDFLG, rd=18),                  # <- loop head
             MicroOp(UOp.ADDI, rd=17, rs1=16, imm=1, setflags=True),
@@ -291,7 +300,7 @@ class TestBlockStepEqualsTheProduct:
                            st.integers(0, 31)))
     @settings(max_examples=1000, deadline=None)
     def test_one_word_from_any_state(self, uop, arch, defined, saved):
-        loc = build_cfg([uop]).locs[0]
+        loc = cfg_of([uop]).locs[0]
         state = (defined, (arch, saved))
         assert dataflow._DefinedAndFlags().transfer(state, loc) == \
             product_oracle().transfer(state, loc)

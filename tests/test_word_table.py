@@ -9,6 +9,8 @@ the verifier, classified -- once per VM.  These tests hold
   (which stays the one definition in ``verify/dataflow.py``), by search;
 * a context's verdicts to the per-micro-op derivations the rules made
   before the table existed;
+* a word with a don't-care bit set to its entry of its own, which no
+  screen reads;
 * the table to its contract: an entry is only ever ``decode_uop``'s
   reading of its own key, nothing cut short or undecodable is entered,
   tables are per VM, and a code-cache flush drops them;
@@ -27,7 +29,6 @@ import copy
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -63,7 +64,7 @@ from repro.persist import (
 )
 from repro.persist.format import encode_record, parse_record
 from repro.translator import TranslationDirectory
-from repro.verify import build_cfg, sanitizer, verify_uops
+from repro.verify import sanitizer
 from repro.verify.dataflow import (
     VMM_MASK,
     definitely_defined,
@@ -80,6 +81,7 @@ from tests.stored import damage_stored, stored_texts
 from tests.strategies import uops as any_uop
 from tests.test_install_screen import counted
 from tests.test_persist import LOOP
+from tests.test_verifier_rules import cfg_of, verify_stream
 
 
 def assert_entry_is_the_direct_derivation(chunk, word):
@@ -167,7 +169,7 @@ class TestEntryFields:
         assert find(words_of_every_form(), undecodable)
 
     def test_a_word_outside_any_table_reads_as_its_micro_op(self):
-        # what a context falls back to for a micro-op no bytes read as
+        # a word made of a micro-op, not read from bytes
         uop = MicroOp(UOp.LDW, rd=17, rs1=16, imm=5000, x86_addr=0x40_0000)
         word = Word(uop)
         assert word.uop is uop and not word.canonical
@@ -176,26 +178,19 @@ class TestEntryFields:
 
 # -- a context's verdicts, rule by rule ----------------------------------------
 
-CHANGED_RULES = ("ENC001", "ENC002", "SCR001", "PRS001")
+CHANGED_RULES = ("SCR001", "PRS001")
 
 
 def direct_findings(stream):
-    """``(rule, index)`` of every violation of the four rules whose
-    facts now come from table entries, derived per micro-op the way the
-    rules did before: ``encode_uop`` + ``decode_uop`` of each micro-op,
-    ``regs_read`` of each micro-op, the two separate analyses."""
-    cfg = build_cfg(stream)
+    """``(rule, index)`` of every violation of the two rules whose facts
+    now come from table entries, derived per micro-op the way the rules
+    did before: ``regs_read`` of each micro-op its bytes read back as,
+    the two separate analyses."""
+    cfg = cfg_of(stream)
     found = Counter()
     for loc, defined, flags in zip(cfg.locs, definitely_defined(cfg),
                                    flag_provenance(cfg)):
         uop = loc.uop
-        try:
-            back = decode_uop(encode_uop(uop))
-        except UopEncodeError:
-            found["ENC001", loc.index] += 1
-        else:
-            if replace(back, x86_addr=uop.x86_addr) != uop:
-                found["ENC002", loc.index] += 1
         if defined is None:
             continue    # unreachable
         found["SCR001", loc.index] += len(
@@ -214,37 +209,24 @@ def findings(report, rules=CHANGED_RULES):
 
 
 class TestAContextFromMicroOps:
+    """A stream written down as micro-ops, screened as its bytes."""
+
     @given(stream=st.lists(any_uop, min_size=1, max_size=24))
     @settings(max_examples=400, deadline=None)
     def test_same_verdicts_as_the_per_micro_op_derivations(self, stream):
-        report = verify_uops(stream)
+        report = verify_stream(stream)
         assert findings(report) == direct_findings(stream)
         # whatever a shared table already holds, the report is the same,
         # rule by rule, message by message
         shared = WordTable()
         for uop in stream:
-            try:
-                shared[encode_uop(uop)]
-            except UopEncodeError:
-                pass
+            shared[encode_uop(uop)]
         held = len(shared)
-        again = run_rules(VerifyContext(stream, words=shared))
+        again = run_rules(VerifyContext.from_code(
+            encode_stream(stream), [uop.x86_addr for uop in stream],
+            words=shared))
         assert again == report
         assert len(shared) == held      # nothing new to decode
-
-    def test_a_micro_op_no_bytes_read_as_keeps_its_own_facts(self):
-        # LUI's form carries no .f bit: the bytes read back without it
-        # (ENC002) -- but the flag write the *micro-op* makes still
-        # opens the PRS001 finding at the VMEXIT, as it always did
-        stream = [MicroOp(UOp.RDFLG, rd=18),
-                  MicroOp(UOp.LUI, rd=R_EXIT_TARGET, imm=1, setflags=True),
-                  MicroOp(UOp.VMEXIT, rs1=R_EXIT_TARGET)]
-        ctx = VerifyContext(stream)
-        assert list(ctx.misread) == [1]
-        assert not ctx.misread[1].setflags
-        assert ctx.locs[1].word.uop is stream[1]
-        assert findings(run_rules(ctx)) == direct_findings(stream) == \
-            Counter({("ENC002", 1): 1, ("PRS001", 2): 1})
 
 
 # -- the table's contract -------------------------------------------------------
@@ -283,15 +265,13 @@ class TestTableSemantics:
         clean = encode_uop(vmexit)
         stray = clean[:2] + bytes([clean[2] | 0x07, clean[3]])  # rs2 bits
         table = WordTable()
-        ctx = VerifyContext.from_code(clean + stray, words=table)
-        assert ctx.uops == [vmexit, vmexit]
+        assert decode_stream(clean + stray, words=table) == [vmexit, vmexit]
         assert set(table) == {clean, stray}
         assert table[clean].canonical and not table[stray].canonical
         assert table[clean].uop == table[stray].uop
-        # ... and is still encoded and checked, and installs canonical
-        assert ctx.unproven == [1] and not ctx.misread
-        assert ctx.image == clean + clean
-        assert ctx.locs[1].word is table[clean]
+        # ... which no screen reads: its bytes are not its encoding
+        with pytest.raises(UopDecodeError, match="micro-op 1 .*don't-care"):
+            VerifyContext.from_code(clean + stray, words=table)
 
     def test_without_a_table_every_word_is_decoded(self, monkeypatch):
         # a table for one stream would only cost: same micro-ops, no

@@ -79,6 +79,31 @@ class TestBasics:
         one-byte INC/DEC take 16-bit registers too."""
         assert assemble_to_bytes(line) == bytes.fromhex(data)
 
+    @pytest.mark.parametrize("line,data", [
+        ("add word [esi], 5", "66 83 06 05"), ("inc word [esi]", "66 ff 06"),
+        ("push word [esi]", "66 ff 36"), ("add dword [esi], 5", "83 06 05")])
+    def test_a_word_memory_operand_selects_width(self, line, data):
+        """With no register to say so, ``word`` on the memory operand
+        makes the instruction 16-bit."""
+        assert assemble_to_bytes(line) == bytes.fromhex(data)
+
+    @pytest.mark.parametrize("line,text", [
+        ("add bx, 0xffff", "add bx, 0xffff"),
+        ("mov ax, [esi]", "mov ax, word [esi]"),
+        ("mov [esi+8], dx", "mov word [esi+0x8], dx"),
+        ("add word [esi], 5", "add word [esi], 0x5"),
+        ("push ax", "push ax"),
+        ("movzx eax, byte [esi]", "movzx eax, byte [esi]"),
+        ("movsx ecx, word [esi]", "movsx ecx, word [esi]"),
+        ("mov eax, [esi]", "mov eax, [esi]")])
+    def test_an_instruction_prints_as_it_reassembles(self, line, text):
+        """Registers by the names of the instruction's width, a narrow
+        memory operand with its size keyword: the text is the bytes."""
+        data = assemble_to_bytes(line)
+        (instr,) = decode_all(data)
+        assert str(instr) == text
+        assert assemble_to_bytes(text) == data
+
     def test_string_ops_take_their_own_names(self):
         assert assemble_to_bytes("rep movs\nstos\nlodsd") == \
             b"\xf3\xa5\xab\xad"
@@ -243,6 +268,17 @@ class TestErrors:
     def test_an_immediate_at_the_edge_of_its_field_assembles(self, line,
                                                               data):
         assert assemble_to_bytes(line).hex() == data
+
+    @pytest.mark.parametrize("line", [
+        "movzx ax, byte [esi]", "movzx bx, word [esi+4]",
+        "movsx cx, byte [esi]", "movsx dx, word [esi]"])
+    def test_movzx_movsx_into_a_16_bit_register_names_the_line(self, line):
+        """No form of either has a 16-bit destination: the decoder
+        would read ``66 0f b6 06`` as ``movzx eax, byte [esi]``."""
+        mnemonic = line.split()[0]
+        with pytest.raises(AssemblerError, match=f"^line 2: {mnemonic} "
+                           "takes a 32-bit destination register$"):
+            assemble(f"nop\n{line}")
 
     def test_loop_target_out_of_rel8_range_names_the_line(self):
         source = "start: loop far\n" + "nop\n" * 200 + "far: hlt"
