@@ -30,6 +30,8 @@ bits 18..0 as its immediate.
 from __future__ import annotations
 
 import struct
+from contextlib import suppress
+from operator import attrgetter
 from typing import List, Optional, Sequence
 
 from repro.isa.fusible.microop import MicroOp
@@ -69,7 +71,8 @@ def imm13_in_range(op: UOp, imm: int) -> bool:
 #: greatest value): the fields a template (``template.py``) may leave open
 _IMM_FIELDS = {"I13": (0x1FFF, _IMM13_MIN, _IMM13_MAX),
                "U13": (0x1FFF, 0, 0x1FFF),
-               "U19": (0x7FFFF, 0, 0x7FFFF)}
+               "U19": (0x7FFFF, 0, 0x7FFFF),
+               "J24": (0xFFFFFF, _IMM24_MIN, _IMM24_MAX)}
 
 
 def imm_field(op: UOp) -> "tuple[int, int, int]":
@@ -93,18 +96,18 @@ def _check_cond(uop: MicroOp) -> int:
 def _rd_rs1_f(uop: MicroOp) -> int:
     return (_check_reg(uop.rd, 32, "rd") << 19
             | _check_reg(uop.rs1, 32, "rs1") << 14
-            | int(uop.setflags) << 13)
+            | uop.setflags << 13)
 
 
 # -- per-form packers: the operand bits of the encoded word --------------------
 
 def _pack_s2(uop: MicroOp) -> int:
     return (_check_reg(uop.rd, 16, "short rd") << 5
-            | _check_reg(uop.rs1, 16, "short rs") << 1 | int(uop.setflags))
+            | _check_reg(uop.rs1, 16, "short rs") << 1 | uop.setflags)
 
 
 def _pack_s2i(uop: MicroOp) -> int:
-    word = _check_reg(uop.rd, 16, "short rd") << 5 | int(uop.setflags)
+    word = _check_reg(uop.rd, 16, "short rd") << 5 | uop.setflags
     if not -8 <= uop.imm <= 7:
         raise UopEncodeError(f"imm4 {uop.imm} out of range")
     return word | (uop.imm & 0xF) << 1
@@ -230,11 +233,32 @@ _CODECS = {
     "J24": (_pack_j24, _unpacker(imm=_sext24), 0xFFFFFF),
 }
 
-#: opcode -> (packer, word with the format bit and opcode number set)
+_OPERANDS = ("rd", "rs1", "rs2", "imm", "cond", "setflags")
+
+
+def _dropped(op: UOp, form: str) -> List[str]:
+    """The operands ``op``'s form drops: no carried bit, set alone,
+    changes them in the micro-op its word decodes to."""
+    unpack, carried = _CODECS[form][1:]
+    bare, kept = unpack(op, 0, None), set()
+    for bit in range(24):
+        with suppress(UopDecodeError):      # no condition of that number
+            probe = unpack(op, carried & 1 << bit, None)
+            kept.update(name for name in _OPERANDS
+                        if getattr(probe, name) != getattr(bare, name))
+    return [name for name in _OPERANDS if name not in kept]
+
+
+#: opcode -> the operand fields its form drops
+_DROPPED = {op: _dropped(op, info.form) for op, info in OP_INFO.items()}
+
+#: opcode -> (packer, word with the format bit and opcode number set,
+#: the getter of the operands its form drops, and their unset values)
 _ENCODERS = {
     op: (_CODECS[info.form][0],
          info.number << 9 if info.length == 2
-         else _LONG_FORMAT | info.number << 24)
+         else _LONG_FORMAT | info.number << 24,
+         attrgetter(*_DROPPED[op]), attrgetter(*_DROPPED[op])(MicroOp(op)))
     for op, info in OP_INFO.items()}
 
 #: opcode number -> (opcode, unpacker), per format
@@ -265,12 +289,18 @@ def is_canonical(op: UOp, chunk: bytes) -> bool:
 
 
 def encode_uop(uop: MicroOp) -> bytes:
-    """Encode one micro-op to its 2- or 4-byte form."""
-    pack, word = _ENCODERS[uop.op]
+    """Encode one micro-op to its 2- or 4-byte form (an operand its
+    form drops must be unset: the bytes would decode to another)."""
+    pack, word, dropped, unset = _ENCODERS[uop.op]
+    if dropped(uop) != unset:
+        raise UopEncodeError(f"{uop.op.name} carries no " + ", ".join(
+            name for name, value, blank in zip(_DROPPED[uop.op],
+                                               dropped(uop), unset)
+            if value != blank))
     word |= pack(uop)
     if not word & _LONG_FORMAT:
-        return _PARCEL(word | int(uop.fused) << 15)
-    return _PARCELS(word >> 16 | int(uop.fused) << 15, word & 0xFFFF)
+        return _PARCEL(word | uop.fused << 15)
+    return _PARCELS(word >> 16 | uop.fused << 15, word & 0xFFFF)
 
 
 def decode_uop(data: bytes, offset: int = 0,

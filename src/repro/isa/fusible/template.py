@@ -8,23 +8,31 @@ immediate, a displacement, an address) and it leaves a
 it filled from such a value, a *guard* for every question it asked of
 one.  A use whose values answer the guards alike gets its bytes by
 patching the holes; another took a different path through the rule.
-The rule stays the one place its logic is written, and a template holds
-no value (``docs/isa_reference.md``, "Templates").
+Both are one Python function per template, ``fill``, compiled once from
+its guards and holes.  The rule stays the one place its logic is
+written, and a template (so its function) holds no value
+(``docs/isa_reference.md``, "Templates").
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import replace
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List
 
 from repro.isa.fusible.encoding import encode_uop, imm_field
 from repro.isa.fusible.microop import MicroOp
 
 
-def _then(step: Callable[[int, int], int]):
+#: each operator a ``Sym`` supports -> its symbol in generated code
+SYMBOLS: Dict[Callable, str] = {}
+
+
+def _then(step: Callable[[int, int], int], symbol: str):
     """``Sym <op> operand``: the same value one step further on; the
     operand is a constant or another ``Sym`` (kept as its recipe)."""
+    SYMBOLS[step] = symbol
+
     def apply(self: "Sym", operand) -> "Sym":
         number = operand
         if type(operand) is Sym:
@@ -36,8 +44,10 @@ def _then(step: Callable[[int, int], int]):
     return apply
 
 
-def _ask(test: Callable[[int, int], bool]):
+def _ask(test: Callable[[int, int], bool], symbol: str):
     """``Sym <cmp> constant``: this run's answer, logged as a guard."""
+    SYMBOLS[test] = symbol
+
     def answer(self: "Sym", constant: int) -> bool:
         if type(constant) is not int:
             return NotImplemented
@@ -50,7 +60,7 @@ def _ask(test: Callable[[int, int], bool]):
 class Sym:
     """An integer a template must not remember: its value in this run,
     and its recipe for another -- ``source`` indexes the values handed
-    to :meth:`Template.fill`, ``chain`` is the ``(operator, operand)``
+    to a template's ``fill``, ``chain`` is the ``(operator, operand)``
     steps applied since.  Arithmetic extends the chain; a comparison
     with a constant, or a truth test, answers for this run's value and
     is entered in ``asked``, the log all values of one run share.
@@ -65,33 +75,45 @@ class Sym:
         self.value, self.source = value, source
         self.chain, self.asked = chain, asked
 
-    __and__ = __rand__ = _then(operator.and_)
-    __xor__ = __rxor__ = _then(operator.xor)
-    __add__ = __radd__ = _then(operator.add)
-    __sub__ = _then(operator.sub)
-    __rshift__ = _then(operator.rshift)
-    __le__, __lt__ = _ask(operator.le), _ask(operator.lt)
-    __ge__, __gt__ = _ask(operator.ge), _ask(operator.gt)
-    __eq__, __ne__ = _ask(operator.eq), _ask(operator.ne)
+    __and__ = __rand__ = _then(operator.and_, "&")
+    __xor__ = __rxor__ = _then(operator.xor, "^")
+    __add__ = __radd__ = _then(operator.add, "+")
+    __sub__ = _then(operator.sub, "-")
+    __rshift__ = _then(operator.rshift, ">>")
+    __le__, __lt__ = _ask(operator.le, "<="), _ask(operator.lt, "<")
+    __ge__, __gt__ = _ask(operator.ge, ">="), _ask(operator.gt, ">")
+    __eq__, __ne__ = _ask(operator.eq, "=="), _ask(operator.ne, "!=")
 
     def __bool__(self) -> bool:
         return self != 0
 
 
-def resolve(values: Sequence[int], source: int, chain: tuple) -> int:
-    """A ``Sym``'s recipe ``(source, chain)`` applied to ``values``."""
-    value = values[source]
+def recipe(source: int, chain: tuple) -> str:
+    """A ``Sym``'s recipe as an expression over the values ``v``, as
+    ``((v[1] & 4294967295) ^ 2147483648) - 2147483648``."""
+    text = f"v[{source}]"
     for step, operand in chain:
         if type(operand) is tuple:      # another value's recipe
-            operand = resolve(values, *operand)
-        value = step(value, operand)
-    return value
+            operand = recipe(*operand)
+        text, operand = (f"({part})" if " " in str(part) else part
+                         for part in (text, operand))
+        text = f"{text} {SYMBOLS[step]} {operand}"
+    return text
+
+
+def define(name: str, text: str, **names) -> Callable:
+    """The function ``name`` that ``text`` defines, with ``names`` for
+    globals and no builtins; it keeps ``text`` as ``source``."""
+    scope = dict(names, little="little", __builtins__={})
+    exec(compile(text, "<template>", "exec"), scope)
+    scope[name].source = text
+    return scope[name]
 
 
 class Template:
     """What one run of a rule emitted, as bytes to patch."""
 
-    __slots__ = ("code", "uops", "guards", "holes")
+    __slots__ = ("code", "uops", "guards", "holes", "tested", "fill")
 
     def __init__(self, uops: Iterable[MicroOp], asked: Iterable = ()
                  ) -> None:
@@ -118,6 +140,44 @@ class Template:
         #: ``(offset of a 32-bit word, mask, least, greatest, source,
         #: chain)``: the immediate field there takes the resolved value
         self.holes = tuple(holes)
+        #: whether some values are not served (a guard or a hole)
+        self.tested = bool(self.guards or self.holes)
+        #: ``fill(values)``: the bytes the rule would emit for
+        #: ``values``, or None if they answer a guard differently (or
+        #: overflow a field, which the rule then has to report itself)
+        self.fill = define("fill", "def fill(v):\n" + self.serving("code")
+                           + "    return None\n" * self.tested, code=self.code)
+
+    def serving(self, name: str, more: str = "") -> str:
+        """The lines that return this template's bytes (``name`` meaning
+        ``self.code``), then ``more``, for the values ``v`` if they
+        answer each guard as when traced and fit each hole."""
+        named: Dict[str, str] = {}
+
+        def value(source: int, chain: tuple) -> str:   # computed once
+            text = recipe(source, chain)
+            if text in named:
+                return named[text]
+            named[text] = f"r{len(named)}"
+            return f"({named[text]} := {text})"
+        tests = [f"{'' if outcome else 'not '}{value(source, chain)} "
+                 f"{SYMBOLS[test]} {constant}"
+                 for source, chain, test, constant, outcome in self.guards]
+        # the code as one little-endian number: a word's high parcel
+        # leads the stream, so a field's low 16 bits lie at word + 2,
+        # its top bits (a long word's field is < 1 << 24) at word + 0
+        code = f"{int.from_bytes(self.code, 'little'):#x}"
+        for at, mask, least, greatest, source, chain in self.holes:
+            tests.append(f"{least} <= {value(source, chain)} <= {greatest}")
+            held = named[recipe(source, chain)]
+            code += f" | ({held} & {mask & 0xFFFF}) << {8 * at + 16}"
+            if mask >> 16:
+                code += f" | ({held} >> 16 & {mask >> 16}) << {8 * at}"
+        code = f"({code}).to_bytes({len(self.code)}, little)" \
+            if self.holes else name
+        test = "\n            and ".join(tests)
+        return f"    if ({test}):\n        return {code}{more}\n" if tests \
+            else f"    return {code}{more}\n"
 
     @classmethod
     def of(cls, rule: Callable[..., Iterable[MicroOp]], *sample: int
@@ -126,25 +186,3 @@ class Template:
         asked: list = []
         return cls(rule(*(Sym(value, source, (), asked)
                           for source, value in enumerate(sample))), asked)
-
-    def fill(self, values: Sequence[int]) -> Optional[bytes]:
-        """The bytes the rule would emit for ``values``, or None if they
-        answer a guard differently (or overflow a field, which the rule
-        then has to report itself)."""
-        for source, chain, test, constant, outcome in self.guards:
-            if test(resolve(values, source, chain), constant) \
-                    is not outcome:
-                return None
-        if not self.holes:
-            return self.code
-        code = bytearray(self.code)
-        for offset, mask, least, greatest, source, chain in self.holes:
-            value = resolve(values, source, chain)
-            if not least <= value <= greatest:
-                return None
-            value &= mask       # < 1 << 24: a long word's operand bits
-            # the word's high parcel leads the stream, each little-endian
-            code[offset + 2] |= value & 0xFF
-            code[offset + 3] |= value >> 8 & 0xFF
-            code[offset] |= value >> 16
-        return bytes(code)

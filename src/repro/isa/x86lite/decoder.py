@@ -211,12 +211,11 @@ def decode_from(cursor: Cursor, addr: int = 0) -> Instruction:
     entry = _OPCODES.get(key)
     if entry is None:
         raise DecodeError(f"invalid opcode {key:#04x}")
+    if entry.rm_size and width == 16:   # no 16-bit destination (movzx)
+        raise DecodeError(f"opcode {key:#04x} takes no operand-size prefix")
     form = entry.forms[0]
     if entry.modrm:
-        rm_size = entry.rm_size
-        reg_field, rm = _decode_modrm(cursor, rm_size or width)
-        if rm_size:
-            width = 32
+        reg_field, rm = _decode_modrm(cursor, entry.rm_size or width)
         form = entry.forms[reg_field]
         if form is None:
             raise DecodeError(f"invalid selector {reg_field} of opcode "

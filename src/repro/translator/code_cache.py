@@ -25,6 +25,7 @@ from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import UOp
 from repro.isa.fusible.registers import R_EXIT_TARGET
 from repro.memory.address_space import AddressSpace
+from repro.translator.emit import jump_code
 from repro.verify.sanitizer import check_install
 
 log = logging.getLogger("repro.translator")
@@ -283,8 +284,7 @@ class TranslationDirectory:
                 saved = self.memory.read(bbt_copy.native_addr, 4)
                 offset = translation.native_addr - \
                     (bbt_copy.native_addr + 4)
-                self.memory.write(bbt_copy.native_addr,
-                                  encode_uop(MicroOp(UOp.JMP, imm=offset)))
+                self.memory.write(bbt_copy.native_addr, jump_code(offset))
                 self._redirects[bbt_copy.native_addr] = (bbt_copy, saved)
                 self.redirects_made += 1
         check_install(self, translation)
@@ -313,7 +313,7 @@ class TranslationDirectory:
     def _patch(self, stub: ExitStub, native_target: int) -> None:
         """Overwrite the stub head with a direct JMP (the chain)."""
         offset = native_target - (stub.stub_addr + 4)
-        jmp = encode_uop(MicroOp(UOp.JMP, imm=offset))
+        jmp = jump_code(offset)
         self.memory.write(stub.stub_addr, jmp)
         stub.chained_to = native_target
         self.chains_made += 1

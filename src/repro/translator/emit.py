@@ -11,17 +11,18 @@ The VMM dispatcher receives the architected continuation address in R29
 whether the exit was direct (built by the stub) or indirect (materialized
 by the cracked body).
 
-The stub and the profiling prologue have one shape each, so BBT emits
-them as bytes: :func:`exit_code` and :func:`prologue_code` patch the
-target / counter address into a ``Template`` traced once from the
-micro-op builders below, which stay the one place either is written.
+The stub, the profiling prologue and a chain's JMP have one shape each,
+so they are emitted as bytes: :func:`exit_code`, :func:`prologue_code`
+and :func:`jump_code` patch the target / counter address / displacement
+into a ``Template`` traced once from the micro-op builders below, which
+stay the one place each is written.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List, Optional, Tuple
 
-from repro.isa.fusible.encoding import encode_stream
+from repro.isa.fusible.encoding import UopEncodeError, encode_stream
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import UOp, VMService
 from repro.isa.fusible.registers import (
@@ -126,6 +127,7 @@ def side_entries(uops: List[MicroOp]
 _STUB = Template.of(lambda target: direct_exit_stub(target, 0), 0)
 _INDIRECT = encode_stream(indirect_exit(0)), 1
 _PROLOGUE = Template.of(lambda counter: profile_prologue(counter, 0), 0)
+_JUMP = Template.of(lambda offset: [MicroOp(UOp.JMP, imm=offset)], 0)
 
 #: micro-ops in the profiling prologue, and where its VMCALL lies
 PROFILE_PROLOGUE_UOPS = _PROLOGUE.uops
@@ -144,3 +146,10 @@ def prologue_code(counter_addr: int) -> bytes:
     """``encode_stream(profile_prologue(counter_addr, ...))``."""
     return _PROLOGUE.fill((counter_addr,))
 
+
+def jump_code(offset: int) -> bytes:
+    """``encode_uop(MicroOp(UOp.JMP, imm=offset))``: a chain's JMP."""
+    code = _JUMP.fill((offset,))
+    if code is None:
+        raise UopEncodeError(f"imm24 {offset} out of range")
+    return code

@@ -8,16 +8,19 @@ An instruction's *shape* is its leading bytes that are not displacement
 or immediate; the first of a shape is decoded and cracked by the one
 decoder and the one cracker with its address and values as ``Sym``s, and
 what they emit is the ``Template`` its like are served from -- as is
-what ends a block after it (``emit.terminator``).  The table holds no
+what ends a block after it (``emit.terminator``); a shape serves
+through one function compiled from its templates.  The table holds no
 value of any program, so it is one per process and nothing invalidates
 it: ``docs/isa_reference.md``, "Templates".
 """
 
 from __future__ import annotations
 
+import struct
+from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.isa.fusible.template import Sym, Template, resolve
+from repro.isa.fusible.template import Sym, Template, define, recipe
 from repro.isa.x86lite.decoder import Cursor, decode_from
 from repro.isa.x86lite.instruction import MAX_INSTRUCTION_LENGTH
 from repro.isa.x86lite.opcodes import Op
@@ -42,14 +45,21 @@ def fetch(memory, addr: int) -> bytes:
                                  min(FETCH_BYTES, ADDRESS_MASK + 1 - addr)))
 
 
+#: what reads a value field: ``i8`` to ``u32``, little-endian
+_UNPACK = {f"{sign}{8 * size}": struct.Struct(
+    "<" + (form if sign == "i" else form.upper())).unpack_from
+    for size, form in ((1, "b"), (2, "h"), (4, "i")) for sign in "iu"}
+
+
 class _FieldCursor(Cursor):
     """A cursor that hands out each displacement / immediate as a
     ``Sym`` and notes where it lay: ``(start, end, signed)``, relative
-    to the instruction."""
+    to the instruction, and its value in ``sample``."""
 
     def __init__(self, data: bytes, offset: int) -> None:
         super().__init__(data, offset)
         self.fields: List[Tuple[int, int, bool]] = []
+        self.sample: List[int] = []
         self.asked: list = []
 
     def u8(self) -> int:
@@ -62,6 +72,7 @@ class _FieldCursor(Cursor):
         start = self.consumed
         number = super().value(size, signed)
         self.fields.append((start, start + size, signed))
+        self.sample.append(number)
         return Sym(number, len(self.fields), (), self.asked)
 
 
@@ -83,7 +94,7 @@ class Shape:
     """What all instructions with the same shape bytes share."""
 
     __slots__ = ("length", "fields", "cti", "cmplx", "op", "cond", "bodies",
-                 "endings")
+                 "endings", "body", "ending")
 
     def __init__(self, length: int, fields: tuple, cti: bool, cmplx: bool,
                  op: Op, cond: Optional[Cond]) -> None:
@@ -97,41 +108,45 @@ class Shape:
         #: shape, and one per path through what ends a block after it
         self.bodies: List[Template] = []
         self.endings: List[Ending] = []
+        #: ``body(data, offset=0, addr=0)``: ``(encoded micro-ops, how
+        #: many)`` of the cracked body of the instruction at ``data[
+        #: offset:]``; ``ending(data, offset, addr)``: ``(encoded head,
+        #: micro-ops in it, offsets of its VMCALLs, [(exit kind, x86 target
+        #: or None)])``, what ends a block after it (``compile``)
+        self.body = partial(self._miss, False)
+        self.ending = partial(self._miss, True)
 
-    def _serve(self, ending: bool, data: bytes, offset: int, addr: int):
-        """``(template, its bytes for this instruction, its values)``."""
-        values = [addr] + [
-            int.from_bytes(data[offset + start:offset + end], "little",
-                           signed=signed)
-            for start, end, signed in self.fields]
-        paths = self.endings if ending else self.bodies
-        for template in paths:
-            code = template.fill(values)
-            if code is not None:
-                return template, code, values
+    def compile(self, ending: bool) -> None:
+        """Write ``body`` or ``ending`` anew: read the value fields, try
+        each template of the kind in order, learn a path none takes."""
+        name, paths = ("ending", self.endings) if ending \
+            else ("body", self.bodies)
+        values = ", ".join(["addr"] + [
+            f"{'iu'[not signed]}{8 * (end - start)}(data, offset + {start})[0]"
+            for start, end, signed in self.fields])
+        text = f"def {name}(data, offset=0, addr=0):\n    v = [{values}]\n"
+        names = dict(_UNPACK, miss=self._miss)
+        for index, template in enumerate(paths):
+            names[f"code{index}"] = template.code
+            more = f", {template.uops}"
+            if ending:
+                names.update((kind, kind) for kind, _ in template.stubs)
+                more += f", {template.vmcalls}, [" + ", ".join(
+                    f"({kind}, {target and recipe(*target)})"
+                    for kind, target in template.stubs) + "]"
+            text += template.serving(f"code{index}", more)
+            if not template.tested:
+                break
+        else:
+            text += f"    return miss({ending}, data, offset, addr)\n"
+        setattr(self, name, define(name, text, **names))
+
+    def _miss(self, ending: bool, data: bytes, offset: int = 0,
+              addr: int = 0):
         # a path not taken yet (or one on which cracker or encoder
-        # raise, as they then do here)
+        # raise, as they then do here): learn it, serve it
         _learn(data, offset, addr, ending)
-        code = paths[-1].fill(values)
-        assert code is not None, "a template must serve its own sample"
-        return paths[-1], code, values
-
-    def body(self, data: bytes, offset: int = 0, addr: int = 0
-             ) -> Tuple[bytes, int]:
-        """``(encoded micro-ops, how many)`` of the cracked body of the
-        instruction of this shape at ``data[offset:]``."""
-        template, code, _values = self._serve(False, data, offset, addr)
-        return code, template.uops
-
-    def ending(self, data: bytes, offset: int, addr: int
-               ) -> Tuple[bytes, int, List[int], List[Tuple]]:
-        """The block terminator after that instruction: ``(encoded
-        head, micro-ops in it, offsets of its VMCALLs, [(exit kind,
-        x86 target or None)])`` -- ``emit.terminator`` in bytes."""
-        template, code, values = self._serve(True, data, offset, addr)
-        return code, template.uops, template.vmcalls, [
-            (kind, target and resolve(values, *target))
-            for kind, target in template.stubs]
+        return (self.ending if ending else self.body)(data, offset, addr)
 
 
 #: a key that only starts a shape: a longer one decides
@@ -187,5 +202,8 @@ def _learn(data: bytes, offset: int, addr: int,
         for shorter in range(1, size):
             marker = _SHAPES.setdefault(key[:shorter], _MORE)
             assert marker is _MORE, "one shape is a prefix of another"
+    assert template.fill([addr, *cursor.sample]) is not None, \
+        "a template must serve its own sample"
     (shape.endings if ending else shape.bodies).append(template)
+    shape.compile(ending)
     return shape

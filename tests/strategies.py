@@ -15,6 +15,7 @@ from typing import List
 
 from hypothesis import strategies as st
 
+from repro.isa.fusible.encoding import _DROPPED
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import (
     I_FORM_OPS,
@@ -282,6 +283,13 @@ def loop_programs(draw, min_iterations: int = 5,
 
 def _uop_strategy():
     def build(draw):
+        # an operand the op's form drops is left unset: ``encode_uop``
+        # refuses one that is set
+        uop = draw_fields(draw)
+        return replace(uop, **{name: getattr(MicroOp(uop.op), name)
+                               for name in _DROPPED[uop.op]})
+
+    def draw_fields(draw):
         kind = draw(st.sampled_from(
             ["short", "r", "i", "rr", "mem", "lui", "bc", "jmp", "sel",
              "special"]))

@@ -100,6 +100,33 @@ class TestErrors:
             decode_uop(raw)
 
 
+class TestDroppedOperands:
+    """An operand its form has no bits for is refused, not dropped: the
+    bytes would decode to another micro-op."""
+
+    @pytest.mark.parametrize("uop, field", [
+        (MicroOp(UOp.BC, cond=Cond.E, setflags=True), "setflags"),
+        (MicroOp(UOp.NOP, rd=5), "rd"),
+        (MicroOp(UOp.LUI, rd=29, imm=1, setflags=True), "setflags")])
+    def test_refused_naming_the_field(self, uop, field):
+        with pytest.raises(UopEncodeError, match=f"carries no {field}$"):
+            encode_uop(uop)
+
+    @given(op=st.sampled_from(sorted(OP_INFO, key=lambda op: op.value)),
+           rd=st.integers(0, 31), rs1=st.integers(0, 31),
+           rs2=st.integers(0, 31), imm=st.integers(-(1 << 23), 1 << 23),
+           cond=st.none() | st.sampled_from(list(Cond)),
+           fused=st.booleans(), setflags=st.booleans())
+    @settings(max_examples=1500)
+    def test_every_micro_op_encoded_decodes_back_equal(self, **fields):
+        uop = MicroOp(**fields)
+        try:
+            code = encode_uop(uop)
+        except UopEncodeError:
+            return
+        assert decode_uop(code) == uop
+
+
 class TestRoundtrip:
     @given(uop=uops)
     @settings(max_examples=400)

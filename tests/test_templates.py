@@ -13,7 +13,12 @@ it replaced -- ``decode`` + ``crack`` + ``encode_stream``, ``scan_block``
 from __future__ import annotations
 
 import importlib.util
+import io
+import operator
+import random
+import re
 import sys
+import tokenize
 from itertools import groupby
 from pathlib import Path
 
@@ -21,24 +26,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import CoDesignedVM, vm_be, vm_soft
-from repro.isa.fusible import FusibleMachine, UOp
+from repro.isa.fusible import FusibleMachine, MicroOp, UOp
+from repro.isa.fusible import template as template_module
 from repro.isa.fusible.encoding import (
     UopEncodeError,
     decode_stream,
     encode_stream,
+    encode_uop,
     stream_length,
 )
+from repro.isa.fusible.template import Template
 from repro.isa.x86lite import assemble, decode
 from repro.isa.x86lite.decoder import DecodeError
 from repro.memory import AddressSpace, load_image
 from repro.translator import BasicBlockTranslator, TranslationDirectory
-from repro.translator import templates
+from repro.translator import emit, templates
 from repro.translator.code_cache import expand_origins
 from repro.translator.cracker import crack
 from repro.translator.emit import (
     direct_exit_stub,
     exit_code,
     indirect_exit,
+    jump_code,
     profile_prologue,
     prologue_code,
     side_entries,
@@ -46,6 +55,7 @@ from repro.translator.emit import (
 )
 from repro.translator.templates import Shape, shape_at
 from repro.workloads.programs import PROGRAMS
+from tests import template_oracle as oracle
 from tests.sbt_oracle import scan_block
 from tests.strategies import boundary_values, raw_instructions
 
@@ -82,11 +92,29 @@ def serving(shape: Shape, raw: bytes, addr: int = ADDR):
             if template.fill(values) is not None]
 
 
+def learned_shapes():
+    return [entry for entry in templates._SHAPES.values()
+            if isinstance(entry, Shape)]
+
+
 def table_size():
-    shapes = [entry for entry in templates._SHAPES.values()
-              if isinstance(entry, Shape)]
+    shapes = learned_shapes()
     return (len(templates._SHAPES),
             sum(len(shape.bodies) + len(shape.endings) for shape in shapes))
+
+
+def compiled_functions():
+    """Every function the template modules have compiled and serve
+    through now: each shape's two (a kind no template of which is
+    learned has none yet), each template's ``fill``, and the exit
+    stub's, the profiling prologue's and the chaining JMP's."""
+    shapes = learned_shapes()
+    return [function for shape in shapes
+            for function in (shape.body, shape.ending)
+            if hasattr(function, "source")] + [
+        template.fill for shape in shapes
+        for template in shape.bodies + shape.endings] + [
+        emit._STUB.fill, emit._PROLOGUE.fill, emit._JUMP.fill]
 
 
 # -- (a) one instruction -------------------------------------------------------
@@ -202,6 +230,17 @@ class TestFixedShapeTemplates:
         assert prologue_code(counter) == \
             encode_stream(profile_prologue(counter, addr))
 
+    @given(offset=st.integers(-(1 << 23) - 2, 1 << 23))
+    @settings(max_examples=300, deadline=None)
+    def test_chain_jump(self, offset):
+        try:
+            expected = encode_uop(MicroOp(UOp.JMP, imm=offset))
+        except UopEncodeError:
+            with pytest.raises(UopEncodeError):
+                jump_code(offset)
+            return
+        assert jump_code(offset) == expected
+
 
 # -- (c) whole cold boots ------------------------------------------------------
 
@@ -256,6 +295,23 @@ def cold_boot(image, config=None):
     return vm
 
 
+def same_shaped_sources():
+    """Three ``wide_cold`` sources of one set of shapes and other
+    values.  A seed decides which register plays which role (so which
+    ModRM bytes, so which shapes) and every value: take seeds that
+    agree on the registers and differ in the values."""
+    by_roles = {}
+    for seed in range(200):
+        roles = list(gen._REGS)
+        gen.random.Random(seed).shuffle(roles)
+        by_roles.setdefault(tuple(roles), []).append(seed)
+    seeds = next(seeds for seeds in by_roles.values() if len(seeds) >= 3)
+    sources = [gen.generate_source(gen.WIDE_COLD, seed)
+               for seed in seeds[:3]]
+    assert len(set(sources)) == 3
+    return sources
+
+
 IMAGES = {name: assemble(source) for name, source in PROGRAMS.items()}
 IMAGES.update({f"{name}-{seed}": assemble(gen.generate_source(shape, seed))
                for name, shape in (("hot_loop", gen.HOT_LOOP),
@@ -289,19 +345,7 @@ class TestColdBoot:
     # -- (d) nothing remembered about a program -------------------------------
 
     def test_a_second_image_of_the_shape_adds_no_table_entry(self):
-        # a seed decides which register plays which role (so which
-        # ModRM bytes, so which shapes) and every value: take seeds
-        # that agree on the registers and differ in the values
-        by_roles = {}
-        for seed in range(200):
-            roles = list(gen._REGS)
-            gen.random.Random(seed).shuffle(roles)
-            by_roles.setdefault(tuple(roles), []).append(seed)
-        first, second, third = next(seeds for seeds in by_roles.values()
-                                    if len(seeds) >= 3)[:3]
-        sources = [gen.generate_source(gen.WIDE_COLD, seed)
-                   for seed in (first, second, third)]
-        assert len(set(sources)) == 3
+        sources = same_shaped_sources()
         cold_boot(assemble(sources[0]))
         before = table_size()
         cold_boot(assemble(sources[1]))
@@ -360,3 +404,162 @@ def test_retranslating_a_stored_over_block_yields_the_new_immediate():
     assert second.code != first.code
     assert run(second) == (0x33333, 0x445, 0x33333)
     assert table_size() == table
+
+
+# -- (g) compiled serving ------------------------------------------------------
+
+#: every seed program and both ``perf/gen.py`` shapes, seeds 0-2
+LEARNED = dict(IMAGES, **{
+    f"{name}-2": assemble(gen.generate_source(shape, 2))
+    for name, shape in (("hot_loop", gen.HOT_LOOP),
+                        ("wide_cold", gen.WIDE_COLD))})
+
+
+@pytest.fixture(scope="module")
+def learned():
+    """Boot every ``LEARNED`` image, so the table holds their shapes."""
+    for image in LEARNED.values():
+        cold_boot(image)
+    return LEARNED
+
+
+def instructions(image):
+    """``(text bytes, offset, address)`` of each instruction laid out
+    from the start of ``image``'s text, up to the first that does not
+    decode."""
+    text = image.text
+    offset = 0
+    while offset < len(text.data):
+        try:
+            shape = shape_at(text.data, offset, text.addr + offset)
+        except DecodeError:
+            return
+        yield text.data, offset, text.addr + offset
+        offset += shape.length
+
+
+def served(serve, *args):
+    try:
+        return serve(*args)
+    except UopEncodeError:
+        return UopEncodeError
+
+
+def probes(width: int, template, rng: random.Random):
+    """Value lists around every constant the template tests or bounds:
+    each one below, at and above a guard's constant and a hole's least
+    and greatest (and those shifted past a ``>> 13``), one source at a
+    time, then seeded draws."""
+    points = {guard[3] for guard in template.guards}
+    points |= {bound for hole in template.holes for bound in hole[2:4]}
+    points = {point + step for point in points for step in (-1, 0, 1)}
+    points |= {point << 13 for point in points}
+
+    def draw():
+        return rng.choice([rng.randrange(-2 ** 31, 2 ** 32),
+                           rng.randrange(-4200, 4200),
+                           rng.randrange(2 ** 32 - 4200, 2 ** 32)])
+
+    base = [draw() for _ in range(width)]
+    for source in range(width):
+        for point in sorted(points):
+            yield base[:source] + [point] + base[source + 1:]
+    for _ in range(64):
+        yield [draw() for _ in range(width)]
+
+
+#: what a generated text may hold besides integer literals: the symbols
+#: of the operators a ``Sym`` supports, the ones that patch and call,
+#: and fixed names -- no string, so no bytes of any program
+SYMBOLS = set(template_module.SYMBOLS.values()) | {
+    "|", "<<", "=", ":=", "(", ")", "[", "]", ",", ":", "."}
+NAMES = {"def", "if", "and", "not", "return", "None", "True", "False",
+         "v", "data", "offset", "addr", "fill", "body", "ending", "miss",
+         "code", "little", "to_bytes", "u8", "i8", "u16", "i16", "u32",
+         "i32", "fallthrough", "taken", "jump", "indirect"}
+NUMBERED = re.compile(r"(code|r)[0-9]+")
+INTEGER = re.compile(r"0x[0-9a-f]+|0|[1-9][0-9]*")
+LAYOUT = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
+          tokenize.ENDMARKER}
+
+
+class TestCompiledServing:
+    @pytest.mark.parametrize("name", sorted(LEARNED))
+    def test_every_instruction_is_served_as_the_oracle_serves_it(
+            self, learned, name):
+        count = 0
+        for data, offset, addr in instructions(learned[name]):
+            shape = shape_at(data, offset, addr)
+            # compiled first: a path not taken yet is learned there
+            for compiled, interpreted in ((shape.body, oracle.body),
+                                          (shape.ending, oracle.ending)):
+                got = served(compiled, data, offset, addr)
+                expected = interpreted(shape, data, offset, addr)
+                assert got == (UopEncodeError if expected is None
+                               else expected)
+            count += 1
+        assert count > 10
+
+    def test_every_template_fills_as_the_oracle_fills(self, learned):
+        rng = random.Random(43)
+        checked = 0
+        shaped = [(1 + len(shape.fields), template)
+                  for shape in learned_shapes()
+                  for template in shape.bodies + shape.endings]
+        for width, template in shaped + [(1, emit._STUB), (1, emit._JUMP),
+                                         (1, emit._PROLOGUE)]:
+            for values in probes(width, template, rng):
+                assert template.fill(values) == \
+                    oracle.fill(template, values), template.fill.source
+                checked += 1
+        assert len(shaped) > 100 and checked > 10 * len(shaped)
+
+    def test_every_generated_text_holds_only_constants_and_fixed_names(
+            self, learned):
+        functions = compiled_functions()
+        assert len(functions) > 300
+        for function in functions:
+            for token in tokenize.generate_tokens(
+                    io.StringIO(function.source).readline):
+                kind, text = token.type, token.string
+                assert kind in LAYOUT \
+                    or kind == tokenize.NUMBER and INTEGER.fullmatch(text) \
+                    or kind == tokenize.OP and text in SYMBOLS \
+                    or kind == tokenize.NAME and (
+                        text in NAMES or NUMBERED.fullmatch(text)), \
+                    (text, function.source)
+
+    def test_a_second_image_of_the_shapes_compiles_nothing(
+            self, monkeypatch):
+        sources = same_shaped_sources()
+        cold_boot(assemble(sources[0]))
+        before = compiled_functions()
+        compiles, define = [], template_module.define
+
+        def counting(name, text, **names):
+            compiles.append(text)
+            return define(name, text, **names)
+        monkeypatch.setattr(templates, "define", counting)
+        monkeypatch.setattr(template_module, "define", counting)
+        cold_boot(assemble(sources[1]))
+        cold_boot(assemble(sources[2]))
+        assert compiles == []
+        after = compiled_functions()
+        assert len(after) == len(before)
+        assert all(map(operator.is_, after, before))
+
+
+@pytest.mark.parametrize("sample", [4, 5, 6])
+@pytest.mark.parametrize("test", [operator.lt, operator.le, operator.gt,
+                                  operator.ge, operator.eq, operator.ne])
+def test_every_comparison_and_step_compiles_as_it_interprets(test, sample):
+    def rule(value, other):
+        test(value, 5)          # a question asked of a value
+        return [MicroOp(UOp.ADDI, rd=1, rs1=1,
+                        imm=((value + other - 1) ^ 6) >> 1 & 0xFFF)]
+    template = Template.of(rule, sample, 9)
+    for value in range(-2, 12):
+        for other in (-3, 0, 9):
+            assert template.fill([value, other]) == \
+                oracle.fill(template, [value, other])
+    assert template.fill([sample, 9]) is not None

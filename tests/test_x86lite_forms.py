@@ -11,8 +11,11 @@ the decode map it spells out.
 import hashlib
 from pathlib import Path
 
+import pytest
+
 from repro.isa.x86lite.decoder import DecodeError, decode
 from repro.isa.x86lite.opcodes import FORMS, Op
+from repro.translator.templates import shape_at
 
 ISA_REFERENCE = Path(__file__).resolve().parent.parent / "docs" / \
     "isa_reference.md"
@@ -79,9 +82,23 @@ MODRMS = [mod << 6 | reg << 3 | rm for mod in range(4) for reg in range(8)
 #: bytes with their sign bits mixed
 TAIL = bytes([0x9D, 0x80, 0xF1, 0x02, 0xFF, 0x7E, 0x13, 0x85, 0xC4, 0x39,
               0xEA, 0x05, 0x96])
-#: the digest of the if-chain decoder that ``FORMS`` replaced
+#: the digest of the if-chain decoder that ``FORMS`` replaced, with the
+#: 288 strings ``66 0f b6|b7|be|bf`` + a memory ModRM moved to
+#: ``DecodeError`` (a ``movzx`` / ``movsx`` has no 16-bit destination)
 DECODE_MAP_SHA256 = \
-    "1172d3f5df63ff32e67e4c354ed4c0ba9e377dd7bc7ea7aad96b8ce7d8d451bd"
+    "3e756bafc9280a8b4484cb6429643eb430611e46ca57d9399f69297b60a64faf"
+
+
+@pytest.mark.parametrize("raw", ["660fb606", "660fb706", "660fbe06",
+                                 "660fbf06", "66f30fb606"])
+def test_an_operand_size_prefix_on_movzx_or_movsx_does_not_decode(raw):
+    # x86lite has no 16-bit destination for them (the assembler refuses
+    # ``movzx ax, byte [esi]``); IA-32 would write AX only
+    with pytest.raises(DecodeError, match="operand-size prefix"):
+        decode(bytes.fromhex(raw))
+    with pytest.raises(DecodeError):
+        shape_at(bytes.fromhex(raw))
+    assert decode(bytes.fromhex(raw.replace("66", "", 1))).width == 32
 
 
 def test_decode_map_is_pinned():

@@ -6,6 +6,7 @@
     python tools/callcounts.py publish  # writes of one wide_cold publish,
                                         # and what one capture re-derives
     python tools/callcounts.py imports served_boot  # what its process loads
+    python tools/callcounts.py templates [--source]  # the template table
 
 Boots one ``perf/gen.py`` image under cProfile — or runs the herd of
 ``perf/workloads.py``, counting the calls its servers and stores make,
@@ -18,6 +19,12 @@ one sample of a ``perf/`` workload in a fresh interpreter, which imports
 what ``perf/run.py --workload`` imports, and prints that process's peak
 resident set, the third-party packages it loaded and the
 timing-simulator modules (``TIMING_LAYER``) among its modules.
+``templates`` cold-boots every seed program and both ``perf/gen.py``
+shapes and prints what the template table learned: shapes, templates,
+the functions compiled from them and the compiles that took (a
+template's ``fill``, and its shape's function of that kind anew);
+``--source`` then prints the text of every compiled function, which
+is all that ``exec`` built.
 """
 
 from __future__ import annotations
@@ -42,13 +49,16 @@ import gen                                                # noqa: E402
 import workloads                                          # noqa: E402
 from repro.cacheserver.server import CacheServer          # noqa: E402
 from repro.core import CoDesignedVM, vm_soft              # noqa: E402
+from repro.isa.fusible import template                    # noqa: E402
 from repro.isa.x86lite import assemble                    # noqa: E402
 from repro.persist import (TranslationRepository,  # noqa: E402
                            capture_translations, repository)
 from repro.persist.lease import WriterLease               # noqa: E402
+from repro.translator import emit, templates              # noqa: E402
 from repro.verify.cfg import build_cfg                    # noqa: E402
 from repro.verify.rules import VerifyContext              # noqa: E402
 from repro.verify.verifier import run_rules               # noqa: E402
+from repro.workloads.programs import PROGRAMS             # noqa: E402
 
 SHAPES = {"hot_loop": gen.HOT_LOOP, "wide_cold": gen.WIDE_COLD}
 #: row -> (end of the file name, function name) as cProfile spells them
@@ -78,15 +88,18 @@ COUNTED = {
 
 
 #: rows of a capture's counts: the walk and the template fills a record's
-#: source and prologue cost when capture derives them again
+#: source and prologue cost when capture derives them again (a compiled
+#: template serves through its ``fill`` or its shape's ``body`` /
+#: ``ending``)
 CAPTURED = {
     "shape_at": ("translator/templates.py", "shape_at"),
-    "template fills": ("isa/fusible/template.py", "fill"),
+    "template fills": ("<template>", "fill", "body", "ending"),
     "fetch": ("translator/templates.py", "fetch")}
 
 
 def counted(stats: pstats.Stats, rows: dict) -> dict[str, int]:
-    """The calls of each row's function in ``stats``."""
+    """The calls of each row's function in ``stats``: a row names it by
+    its code object, or by the end of its file name and its name(s)."""
     counts = dict.fromkeys(rows, 0)
     for (path, line, name), called in stats.stats.items():  # type: ignore
         for row, where in rows.items():
@@ -95,7 +108,7 @@ def counted(stats: pstats.Stats, rows: dict) -> dict[str, int]:
                 found = (path, line, name) == \
                     (code.co_filename, code.co_firstlineno, code.co_name)
             else:
-                found = name == where[1] and path.endswith(where[0])
+                found = name in where[1:] and path.endswith(where[0])
             if found:
                 counts[row] += called[1]
     return counts
@@ -210,6 +223,40 @@ def publish_counts() -> dict[str, int]:
     return counts
 
 
+def template_table() -> tuple[dict[str, int], list]:
+    """What cold boots of every seed program and both ``perf/gen.py``
+    shapes (seed 0) teach the template table of this process, and every
+    function compiled from it: each shape's ``body`` and ``ending``,
+    each template's ``fill``, the exit stub's, the prologue's and the
+    chaining JMP's."""
+    compiles, define = [], template.define
+
+    def counting(*args, **names):
+        compiles.append(args[0])
+        return define(*args, **names)
+
+    sources = [*PROGRAMS.values(),
+               *(gen.generate_source(shape, 0) for shape in SHAPES.values())]
+    with mock.patch.object(template, "define", counting), \
+            mock.patch.object(templates, "define", counting):
+        for source in sources:
+            vm = CoDesignedVM(vm_soft(), hot_threshold=50)
+            vm.load(assemble(source))
+            vm.run()
+    shapes = [shape for shape in templates._SHAPES.values()
+              if isinstance(shape, templates.Shape)]
+    learned = [learned for shape in shapes
+               for learned in shape.bodies + shape.endings]
+    functions = [function for shape in shapes
+                 for function in (shape.body, shape.ending)
+                 if hasattr(function, "source")] + [
+        learned.fill for learned
+        in learned + [emit._STUB, emit._PROLOGUE, emit._JUMP]]
+    return {"shapes": len(shapes), "templates": len(learned),
+            "compiled functions": len(functions),
+            "compiles while booting": len(compiles)}, functions
+
+
 #: module prefixes of the timing simulator, which no boot calls
 TIMING_LAYER = ("repro.timing", "repro.analysis", "repro.workloads.trace",
                 "repro.workloads.winstone", "repro.workloads.spec")
@@ -255,14 +302,24 @@ def import_footprint(workload: str) -> dict:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workload",
-                        choices=[*SHAPES, "herd", "publish", "imports"])
+    parser.add_argument("workload", choices=[*SHAPES, "herd", "publish",
+                                             "imports", "templates"])
     parser.add_argument("imported", nargs="?", choices=workloads.WORKLOADS,
                         help="with imports: the perf/ workload to run")
     parser.add_argument("--warm", action="store_true")
+    parser.add_argument("--source", action="store_true",
+                        help="with templates: every compiled text too")
     args = parser.parse_args()
     if (args.workload == "imports") != (args.imported is not None):
         parser.error("a workload after imports, and only there")
+    if args.source and args.workload != "templates":
+        parser.error("--source goes with templates")
+    if args.workload == "templates":
+        counts, functions = template_table()
+        print(json.dumps(counts))
+        if args.source:
+            print("\n".join(function.source for function in functions))
+        sys.exit()
     print(json.dumps(import_footprint(args.imported) if args.imported
                      else herd_counts() if args.workload == "herd"
                      else publish_counts() if args.workload == "publish"
