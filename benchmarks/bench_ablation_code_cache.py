@@ -49,7 +49,8 @@ def _run(bbt_capacity):
         state.memory, bbt_capacity=bbt_capacity,
         sbt_base=0x2000_0000 + max(bbt_capacity, 4096),
         sbt_capacity=1 << 20)
-    runtime = VMRuntime(state, hot_threshold=25, directory=directory)
+    runtime = VMRuntime(state, vm_soft().with_(hot_threshold=25),
+                        directory=directory)
     runtime.run()
     assert state.halted
     return runtime, directory

@@ -60,7 +60,8 @@ def run_functional(bbt_capacity):
         state.memory, bbt_capacity=bbt_capacity,
         sbt_base=0x2000_0000 + max(bbt_capacity, 4096),
         sbt_capacity=1 << 20)
-    runtime = VMRuntime(state, hot_threshold=50, directory=directory)
+    runtime = VMRuntime(state, vm_soft().with_(hot_threshold=50),
+                        directory=directory)
     runtime.run()
     return runtime, directory
 

@@ -24,15 +24,12 @@ from typing import Optional
 
 from repro.core.config import MachineConfig, vm_soft
 from repro.core.stats import ExecutionReport
-from repro.hwassist.hotspot_detector import BranchBehaviorBuffer
-from repro.hwassist.xltx86 import XLTx86Unit
 from repro.interp.interpreter import Interpreter
 from repro.isa.x86lite.registers import Reg
 from repro.isa.x86lite.state import X86State
 from repro.memory.address_space import AddressSpace
 from repro.memory.loader import DEFAULT_STACK_TOP, Image, load_image
 from repro.translator.code_cache import BBT_CACHE_BASE
-from repro.vmm.profiling import SoftwareProfiler
 from repro.vmm.runtime import VMRuntime
 
 log = logging.getLogger("repro.core")
@@ -49,7 +46,6 @@ class CoDesignedVM:
         self.state = X86State(memory=AddressSpace())
         self.state.regs[Reg.ESP] = DEFAULT_STACK_TOP
         self.runtime: Optional[VMRuntime] = None
-        self.xlt_unit: Optional[XLTx86Unit] = None
         self._loaded = False
         self._image: Optional[Image] = None
         #: the repository last used for save/warm_start (stats surface)
@@ -63,7 +59,7 @@ class CoDesignedVM:
         self.state.eip = load_image(image, self.state.memory)
         self._loaded = True
         if self.config.is_vm:
-            self.runtime = self._build_runtime()
+            self.runtime = VMRuntime(self.state, self.config)
 
     def restart(self, warm: bool = True) -> None:
         """Rewind the program for another run.
@@ -94,31 +90,7 @@ class CoDesignedVM:
             if warm and self.runtime is not None:
                 self.runtime.interp.invalidate_decodes()
             else:
-                self.runtime = self._build_runtime()
-
-    def _build_runtime(self) -> VMRuntime:
-        config = self.config
-        if config.hotspot_detector == "bbb":
-            profiler = BranchBehaviorBuffer(config.hot_threshold)
-        else:
-            profiler = SoftwareProfiler(config.hot_threshold)
-        runtime = VMRuntime(
-            self.state,
-            hot_threshold=config.hot_threshold,
-            initial_emulation=config.initial_emulation,
-            profiler=profiler,
-            superblock_bias=config.superblock_bias,
-            max_superblock_instrs=config.max_superblock_instrs,
-            enable_fusion=config.enable_fusion,
-            enable_chaining=config.enable_chaining,
-            integrity_check_interval=config.integrity_check_interval,
-            costs=config.costs,
-            trace=config.trace)
-        if config.mode == "be":
-            # route the BBT's decode/crack step through the XLTx86 unit
-            self.xlt_unit = XLTx86Unit()
-            runtime.bbt.xlt_unit = self.xlt_unit
-        return runtime
+                self.runtime = VMRuntime(self.state, self.config)
 
     # -- persistent translation cache --------------------------------------
 

@@ -8,10 +8,12 @@ immediate, a displacement, an address) and it leaves a
 it filled from such a value, a *guard* for every question it asked of
 one.  A use whose values answer the guards alike gets its bytes by
 patching the holes; another took a different path through the rule.
-Both are one Python function per template, ``fill``, compiled once from
-its guards and holes.  The rule stays the one place its logic is
-written, and a template (so its function) holds no value
-(``docs/isa_reference.md``, "Templates").
+Both are Python compiled once from the guards and holes: a template
+traced on its own (``Template.of``) serves through its ``fill``
+(``compile_fill``), an instruction shape's templates through the
+shape's function, which inlines them.  The rule stays the one place
+its logic is written, and a template (so any function made from it)
+holds no value (``docs/isa_reference.md``, "Templates").
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ def define(name: str, text: str, **names) -> Callable:
 
 
 class Template:
-    """What one run of a rule emitted, as bytes to patch."""
+    """What one run of a rule emitted, as bytes to patch (one made by
+    ``of`` serves through its ``fill``)."""
 
     __slots__ = ("code", "uops", "guards", "holes", "tested", "fill")
 
@@ -142,11 +145,6 @@ class Template:
         self.holes = tuple(holes)
         #: whether some values are not served (a guard or a hole)
         self.tested = bool(self.guards or self.holes)
-        #: ``fill(values)``: the bytes the rule would emit for
-        #: ``values``, or None if they answer a guard differently (or
-        #: overflow a field, which the rule then has to report itself)
-        self.fill = define("fill", "def fill(v):\n" + self.serving("code")
-                           + "    return None\n" * self.tested, code=self.code)
 
     def serving(self, name: str, more: str = "") -> str:
         """The lines that return this template's bytes (``name`` meaning
@@ -168,7 +166,12 @@ class Template:
         # its top bits (a long word's field is < 1 << 24) at word + 0
         code = f"{int.from_bytes(self.code, 'little'):#x}"
         for at, mask, least, greatest, source, chain in self.holes:
-            tests.append(f"{least} <= {value(source, chain)} <= {greatest}")
+            # a range the guards hold the recipe to is not tested again
+            if (source, chain, operator.ge, least, True) not in self.guards \
+                    or (source, chain, operator.le, greatest, True) \
+                    not in self.guards:
+                tests.append(f"{least} <= {value(source, chain)} "
+                             f"<= {greatest}")
             held = named[recipe(source, chain)]
             code += f" | ({held} & {mask & 0xFFFF}) << {8 * at + 16}"
             if mask >> 16:
@@ -182,7 +185,18 @@ class Template:
     @classmethod
     def of(cls, rule: Callable[..., Iterable[MicroOp]], *sample: int
            ) -> "Template":
-        """The template of ``rule(*values)``, traced on ``sample``."""
+        """The template of ``rule(*values)``, traced on ``sample``,
+        served through its own ``fill``."""
         asked: list = []
-        return cls(rule(*(Sym(value, source, (), asked)
-                          for source, value in enumerate(sample))), asked)
+        template = cls(rule(*(Sym(value, source, (), asked)
+                              for source, value in enumerate(sample))), asked)
+        template.fill = compile_fill(template)
+        return template
+
+
+def compile_fill(template: Template) -> Callable:
+    """``fill(values)``: the bytes ``template``'s rule would emit for
+    ``values``, or None if they answer a guard differently (or overflow
+    a field, which the rule then has to report itself)."""
+    return define("fill", "def fill(v):\n" + template.serving("code")
+                  + "    return None\n" * template.tested, code=template.code)

@@ -80,11 +80,10 @@ class RuntimePhaseCosts:
     uop_cycles: float = 1.0
 
 
-def runtime_phase_costs(costs=None) -> RuntimePhaseCosts:
+def runtime_phase_costs(costs) -> RuntimePhaseCosts:
     """Derive runtime clock weights from a
-    :class:`~repro.core.config.TranslationCosts` (None = defaults)."""
-    if costs is None:
-        return RuntimePhaseCosts()
+    :class:`~repro.core.config.TranslationCosts` (a mechanism it
+    disables keeps the default weight)."""
     return RuntimePhaseCosts(
         bbt_translate_cpi=costs.bbt_cycles_per_instr or 83.0,
         sbt_translate_cpi=costs.sbt_cycles_per_instr or 1500.0,

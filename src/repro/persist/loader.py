@@ -130,9 +130,8 @@ def _attempt(record, work):
 class WarmStartLoader:
     """Loads persisted records into a booted :class:`VMRuntime`."""
 
-    def __init__(self, runtime, rechain: bool = True) -> None:
+    def __init__(self, runtime) -> None:
         self.runtime = runtime
-        self.rechain = rechain and runtime.enable_chaining
 
     def load_records(self, records: List[Dict]) -> LoadReport:
         """Install every loadable record; returns the hit/miss report."""
@@ -140,9 +139,8 @@ class WarmStartLoader:
         runtime = self.runtime
         directory = runtime.directory
         bbt = runtime.bbt
-        tracer = getattr(runtime, "tracer", None)
-        ledger = getattr(runtime, "ledger", None)
-        phase_costs = getattr(runtime, "phase_costs", None)
+        tracer = runtime.tracer
+        load_cpi = runtime.phase_costs.persist_load_cpi
 
         def drop(record, field: str, reason: str, message=None) -> None:
             setattr(report, field, getattr(report, field) + 1)
@@ -222,11 +220,9 @@ class WarmStartLoader:
                 directory.install(read.code, translation)
             # warm-start work is a startup phase of its own: charge the
             # derive/deserialize/screen cost to the run's ledger
-            if ledger is not None and phase_costs is not None:
-                ledger.charge("persist_load",
-                              translation.instr_count
-                              * phase_costs.persist_load_cpi,
-                              block=entry)
+            runtime.ledger.charge("persist_load",
+                                  translation.instr_count * load_cpi,
+                                  block=entry)
             if tracer is not None:
                 tracer.instant("warmstart.load", kind=kind,
                                entry=f"{entry:#x}", bytes=read.size)
@@ -281,7 +277,7 @@ class WarmStartLoader:
     def _relink(self, loaded, report: LoadReport) -> None:
         """Restore steady-state linkage among the loaded translations."""
         directory = self.runtime.directory
-        if self.rechain:
+        if self.runtime.enable_chaining:
             for translation in loaded:
                 for stub in translation.exits:
                     if directory.request_chain(stub):

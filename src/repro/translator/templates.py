@@ -112,7 +112,8 @@ class Shape:
         #: many)`` of the cracked body of the instruction at ``data[
         #: offset:]``; ``ending(data, offset, addr)``: ``(encoded head,
         #: micro-ops in it, offsets of its VMCALLs, [(exit kind, x86 target
-        #: or None)])``, what ends a block after it (``compile``)
+        #: or None)])``, what ends a block after it (``compile``); each
+        #: calls ``miss`` (its fourth argument) for what none serves
         self.body = partial(self._miss, False)
         self.ending = partial(self._miss, True)
 
@@ -124,7 +125,8 @@ class Shape:
         values = ", ".join(["addr"] + [
             f"{'iu'[not signed]}{8 * (end - start)}(data, offset + {start})[0]"
             for start, end, signed in self.fields])
-        text = f"def {name}(data, offset=0, addr=0):\n    v = [{values}]\n"
+        text = (f"def {name}(data, offset=0, addr=0, miss=miss):\n"
+                f"    v = [{values}]\n")
         names = dict(_UNPACK, miss=self._miss)
         for index, template in enumerate(paths):
             names[f"code{index}"] = template.code
@@ -202,8 +204,13 @@ def _learn(data: bytes, offset: int, addr: int,
         for shorter in range(1, size):
             marker = _SHAPES.setdefault(key[:shorter], _MORE)
             assert marker is _MORE, "one shape is a prefix of another"
-    assert template.fill([addr, *cursor.sample]) is not None, \
-        "a template must serve its own sample"
     (shape.endings if ending else shape.bodies).append(template)
     shape.compile(ending)
+    # no sibling served the sample before, so the new one must: asked
+    # with a miss that raises, the function never learns again here
+    (shape.ending if ending else shape.body)(data, offset, addr, _unserved)
     return shape
+
+
+def _unserved(ending: bool, data: bytes, offset: int, addr: int):
+    raise AssertionError("a template must serve its own sample")

@@ -11,24 +11,28 @@ Responsibilities, mirroring the paper's component (4):
 * manage code-cache pressure (flush and re-translate);
 * recover precise architected state at exceptions.
 
-Two execution strategies cover the paper's configurations:
+One dispatch loop serves every configuration of Table 2: each dispatch
+runs the translation at ``eip`` natively when there is one.  The
+configurations differ in one branch only, what becomes of *cold* code:
 
-* **translated** (VM.soft, VM.be): cold code runs via BBT translations
-  with embedded software profiling.
-* **interpretive** (VM.fe in x86-mode, and the Interp+SBT configuration
-  of Fig. 2): cold code is emulated instruction-at-a-time by the
-  software interpreter (the timing layer charges VM.fe's dual-mode
-  decoder for it) while a hotspot detector watches block entries.
+* **BBT** (VM.soft, VM.be): a miss is translated, and the BBT code
+  counts its own executions (embedded software profiling).
+* **emulation** (VM.fe in x86-mode, and the Interp+SBT configuration
+  of Fig. 2): a miss is emulated a block at a time by the software
+  interpreter (the timing layer charges VM.fe's dual-mode decoder for
+  it) while a hotspot detector watches block entries.
 
-Both converge to SBT superblocks for hotspots; the functional behaviour
-of hot code is identical across configurations, which the cross-
-configuration equivalence tests pin down.
+A block whose BBT translation is quarantined is emulated too, without
+profiling.  Every strategy converges to SBT superblocks for hotspots;
+the functional behaviour of hot code is identical across
+configurations, which the cross-configuration equivalence tests pin
+down.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.faults.plane import fault_point
 from repro.interp.interpreter import Interpreter
@@ -43,6 +47,7 @@ from repro.obs.tracer import EventTracer
 from repro.isa.fusible.opcodes import VMService
 from repro.isa.x86lite.state import X86State
 from repro.hwassist.hotspot_detector import BranchBehaviorBuffer
+from repro.hwassist.xltx86 import XLTx86Unit
 from repro.translator.bbt import BasicBlockTranslator
 from repro.translator.code_cache import (
     CodeCacheFull,
@@ -51,8 +56,11 @@ from repro.translator.code_cache import (
 )
 from repro.translator.sbt import SuperblockTranslator
 from repro.vmm.precise_state import copy_arch_to_native, copy_native_to_arch
-from repro.vmm.profiling import SoftwareProfiler
+from repro.vmm.profiling import EdgeProfile, SoftwareProfiler
 from repro.vmm.quarantine import TranslationQuarantine
+
+if TYPE_CHECKING:   # repro.core imports this module
+    from repro.core.config import MachineConfig
 
 log = logging.getLogger("repro.vmm")
 
@@ -68,10 +76,8 @@ class VMRuntimeError(Exception):
     program* and *which execution strategy* broke, not just what.
     """
 
-    def __init__(self, message: str, *, pc: Optional[int] = None,
-                 mode: Optional[str] = None,
-                 dispatches: Optional[int] = None,
-                 native_pc: Optional[int] = None) -> None:
+    def __init__(self, message: str, *, pc: int, mode: str,
+                 dispatches: int, native_pc: Optional[int] = None) -> None:
         self.pc = pc
         self.mode = mode
         self.dispatches = dispatches
@@ -79,18 +85,9 @@ class VMRuntimeError(Exception):
         #: flight-recorder dump attached by the runtime when tracing is
         #: on: the last events before the failure, with fault context
         self.flight_recording = None
-        context = []
-        if pc is not None:
-            context.append(f"pc={pc:#x}")
-        if native_pc is not None:
-            context.append(f"native_pc={native_pc:#x}")
-        if mode is not None:
-            context.append(f"mode={mode}")
-        if dispatches is not None:
-            context.append(f"dispatch={dispatches}")
-        if context:
-            message = f"{message} [{', '.join(context)}]"
-        super().__init__(message)
+        native = "" if native_pc is None else f"native_pc={native_pc:#x}, "
+        super().__init__(f"{message} [pc={pc:#x}, {native}mode={mode}, "
+                         f"dispatch={dispatches}]")
 
 
 class UopBudgetExhausted(VMRuntimeError):
@@ -111,28 +108,27 @@ class VMServiceFault(VMRuntimeError):
 
 
 class VMRuntime:
-    """Orchestrates staged emulation over one architected machine state."""
+    """Orchestrates staged emulation over one architected machine state.
 
-    def __init__(self, state: X86State,
-                 hot_threshold: int = 8000,
-                 initial_emulation: str = "bbt",
-                 profiler: Union[SoftwareProfiler, BranchBehaviorBuffer,
-                                 None] = None,
-                 directory: Optional[TranslationDirectory] = None,
-                 superblock_bias: float = 0.6,
-                 max_superblock_instrs: int = 200,
-                 enable_fusion: bool = True,
-                 enable_chaining: bool = True,
-                 integrity_check_interval: int = 0,
-                 costs=None,
-                 trace: bool = False) -> None:
+    ``config`` is the :class:`~repro.core.config.MachineConfig` the
+    runtime is built from: its cold-code strategy
+    (``initial_emulation``), hot threshold and hotspot detector, the
+    superblock, fusion and chaining knobs, the integrity-sweep interval,
+    the cycle costs and ``trace``; a ``be`` mode routes the BBT through
+    an XLTx86 unit.  ``directory`` replaces the default code caches.
+    """
+
+    def __init__(self, state: X86State, config: MachineConfig,
+                 directory: Optional[TranslationDirectory] = None) -> None:
+        initial_emulation = config.initial_emulation
         if initial_emulation not in ("bbt", "interp", "x86-mode"):
             raise ValueError(f"bad initial emulation {initial_emulation!r}")
+        hot_threshold = config.hot_threshold
         self.state = state
         self.memory = state.memory
         self.hot_threshold = hot_threshold
         self.initial_emulation = initial_emulation
-        self.enable_chaining = enable_chaining
+        self.enable_chaining = config.enable_chaining
 
         self.machine = FusibleMachine(self.memory)
         self.directory = directory if directory is not None \
@@ -142,29 +138,32 @@ class VMRuntime:
         # (every charge is attributed to exactly one Eq. 1 phase); the
         # tracer only exists when tracing is on, so hot-path hooks are
         # a single ``is not None`` test on non-traced runs
-        self.phase_costs = runtime_phase_costs(costs)
+        self.phase_costs = runtime_phase_costs(config.costs)
         self.ledger = CycleLedger()
         self.tracer = EventTracer(clock=lambda: self.ledger.total) \
-            if trace else None
+            if config.trace else None
         self.directory.tracer = self.tracer
         self.directory.words = self.machine.words
-        if initial_emulation == "x86-mode":
-            self._interp_category = "x86_mode"
-            self._interp_cpi = self.phase_costs.x86_mode_cpi
-        else:
-            self._interp_category = "interpretation"
-            self._interp_cpi = self.phase_costs.interp_cpi
+        x86_mode = initial_emulation == "x86-mode"
+        self._interp_category = "x86_mode" if x86_mode else "interpretation"
+        self._interp_cpi = self.phase_costs.x86_mode_cpi if x86_mode \
+            else self.phase_costs.interp_cpi
         #: ledger category of the currently dispatched translation
         self._exec_category = "bbt_execution"
-        self.profiler = profiler if profiler is not None \
+        self._translate_cpi = {"bbt": self.phase_costs.bbt_translate_cpi,
+                               "sbt": self.phase_costs.sbt_translate_cpi}
+        self.profiler = BranchBehaviorBuffer(hot_threshold) \
+            if config.hotspot_detector == "bbb" \
             else SoftwareProfiler(hot_threshold)
         self.bbt = BasicBlockTranslator(
             self.directory, self.memory,
             embed_profiling=(initial_emulation == "bbt"),
-            hot_threshold=hot_threshold)
+            hot_threshold=hot_threshold,
+            xlt_unit=XLTx86Unit() if config.mode == "be" else None)
         self.sbt = SuperblockTranslator(
-            self.directory, self.memory, bias=superblock_bias,
-            max_instrs=max_superblock_instrs, enable_fusion=enable_fusion)
+            self.directory, self.memory, bias=config.superblock_bias,
+            max_instrs=config.max_superblock_instrs,
+            enable_fusion=config.enable_fusion)
         self.interp = Interpreter(state)
 
         #: failed-translation ledger: bounded retry, then permanent
@@ -172,7 +171,7 @@ class VMRuntime:
         self.quarantine = TranslationQuarantine()
         #: sweep the code caches for corruption every N dispatches
         #: (0 = off; enabled by chaos runs and the config debug knob)
-        self.integrity_check_interval = integrity_check_interval
+        self.integrity_check_interval = config.integrity_check_interval
         self._dispatches_since_sweep = 0
 
         # statistics: plain counters, reported by ``stats()`` (the one
@@ -185,12 +184,11 @@ class VMRuntime:
         self.total_uops_executed = 0
         #: translations evicted by wholesale flushes (work thrown away)
         self.translations_lost_in_flushes = 0
-        #: blocks translated again after their copy was lost to a flush
-        self.bbt_retranslations = 0
-        #: hotspots that had to be re-optimized after an SBT flush
-        self.hotspot_retranslations = 0
-        self._bbt_entries_ever: set = set()
-        self._sbt_entries_ever: set = set()
+        #: kind -> translations made again of an entry whose copy was
+        #: lost (a flushed block, a re-optimized hotspot)
+        self.retranslations = {"bbt": 0, "sbt": 0}
+        #: ``(entry, kind)`` of every translation ever made
+        self._translated_ever: set = set()
         #: warm-start outcome, set by the persist loader (None = cold)
         self.persist_report = None
         # fault / recovery counters (the self-healing story)
@@ -207,93 +205,84 @@ class VMRuntime:
         self.hotspot_misfires = 0
         self._integrity_evicted_entries: set = set()
 
-    # -- top-level run loops ------------------------------------------------
+    # -- the dispatch loop ----------------------------------------------------
 
     def run(self, max_uops: int = 50_000_000,
             max_dispatches: int = 1_000_000) -> None:
-        """Emulate until the architected program halts."""
-        if self.tracer is not None:
-            self.tracer.instant("run.begin", mode=self.initial_emulation,
-                                pc=f"{self.state.eip:#x}")
-        if self.initial_emulation == "bbt":
-            self._run_translated(max_uops, max_dispatches)
-        else:
-            self._run_interpretive(max_uops, max_dispatches)
-        if self.tracer is not None:
-            self.tracer.instant("run.end", dispatches=self.dispatches,
-                                exit_code=self.state.exit_code)
+        """Emulate until the architected program halts.
 
-    def _run_translated(self, max_uops: int, max_dispatches: int) -> None:
-        """VM.soft / VM.be style: everything runs out of the code caches.
-
-        Almost: a block whose translation is quarantined or permanently
-        degraded is emulated by the interpreter instead — translation is
-        an optimization, never a prerequisite for forward progress.
+        Each dispatch runs the translation at ``eip`` natively and
+        services its exit.  Cold code has none: under BBT it is
+        translated on the miss, otherwise (and when its translation is
+        quarantined or degraded -- translation is an optimization, never
+        a prerequisite for forward progress) the block is emulated.
         """
+        state = self.state
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.instant("run.begin", mode=self.initial_emulation,
+                           pc=f"{state.eip:#x}")
+        translates_cold = self.initial_emulation == "bbt"
+        lookup = self.directory.lookup
         budget = max_uops
         for _ in range(max_dispatches):
-            if self.state.halted:
-                return
+            if state.halted:
+                break
             self.dispatches += 1
             self._pre_dispatch()
-            translation = self._lookup_or_translate(self.state.eip)
-            if translation is None:       # quarantined: emulate the block
-                self._interpret_fallback_block()
+            entry = state.eip
+            translation = lookup(entry)
+            if translation is None and translates_cold:
+                translation = self._translate("bbt", entry,
+                                              self.bbt.translate)
+            if translation is None:
+                self._emulate_block(entry, profile=not translates_cold)
                 continue
             self._exec_category = "bbt_execution" \
                 if translation.kind == "bbt" else "sbt_execution"
-            copy_arch_to_native(self.state, self.machine)
+            copy_arch_to_native(state, self.machine)
             event = self._run_native(translation.native_addr, budget)
             budget -= self._service(event, budget)
             if budget <= 0:
-                raise self._vm_error(UopBudgetExhausted(
-                    "micro-op budget exhausted", **self._error_context()))
-        raise self._vm_error(DispatchBudgetExhausted(
-            "dispatch budget exhausted", **self._error_context()))
+                raise self._fail(UopBudgetExhausted,
+                                 "micro-op budget exhausted")
+        else:
+            raise self._fail(DispatchBudgetExhausted,
+                             "dispatch budget exhausted")
+        if tracer is not None:
+            tracer.instant("run.end", dispatches=self.dispatches,
+                           exit_code=state.exit_code)
 
-    def _run_interpretive(self, max_uops: int,
-                          max_dispatches: int) -> None:
-        """VM.fe x86-mode / Interp+SBT: emulate cold code one instruction
-        at a time, watching block entries for hotspots."""
-        budget = max_uops
-        for _ in range(max_dispatches):
-            if self.state.halted:
-                return
-            self.dispatches += 1
-            self._pre_dispatch()
-            entry = self.state.eip
-            sbt_translation = self.directory.lookup(entry)
-            if sbt_translation is not None:
-                self._exec_category = "sbt_execution"
-                copy_arch_to_native(self.state, self.machine)
-                event = self._run_native(sbt_translation.native_addr,
-                                         budget)
-                budget -= self._service(event, budget)
-                if budget <= 0:
-                    raise self._vm_error(UopBudgetExhausted(
-                        "micro-op budget exhausted",
-                        **self._error_context()))
-                continue
+    def _emulate_block(self, entry: int, profile: bool) -> None:
+        """Emulate the basic block at ``entry`` one instruction at a
+        time, up to and including its control transfer, or until a
+        translated successor exists.
+
+        ``profile`` (the emulating strategies) reports the block entry
+        and its control edge to the hotspot detector and promotes what
+        turned hot; without it (a quarantined block's fallback) the
+        block counts as fallback work instead.
+        """
+        if profile:
             self.profiler.record_entry(entry)
             self._maybe_optimize_hotspots()
-            # emulate one basic block (up to and including its CTI)
-            block_instrs = 0
-            while not self.state.halted:
-                instr = self.interp.step()
-                block_instrs += 1
-                if instr.is_control_transfer:
-                    self.profiler.record_edge(entry, self.state.eip)
-                    break
-                # non-CTI block boundary: a translated successor exists
-                if self.directory.has_translation(self.state.eip):
-                    break
-            self.instructions_interpreted += block_instrs
-            self.ledger.charge(self._interp_category,
-                               block_instrs * self._interp_cpi,
-                               block=entry)
-        else:
-            raise self._vm_error(DispatchBudgetExhausted(
-                "dispatch budget exhausted", **self._error_context()))
+        state = self.state
+        block_instrs = 0
+        while not state.halted:
+            instr = self.interp.step()
+            block_instrs += 1
+            if instr.is_control_transfer:
+                if profile:
+                    self.profiler.record_edge(entry, state.eip)
+                break
+            # non-CTI block boundary: a translated successor exists
+            if self.directory.has_translation(state.eip):
+                break
+        self.instructions_interpreted += block_instrs
+        if not profile:
+            self.interpreted_fallback_instrs += block_instrs
+        self.ledger.charge(self._interp_category,
+                           block_instrs * self._interp_cpi, block=entry)
 
     def _run_native(self, native_addr: int, budget: int,
                     **where) -> ExitEvent:
@@ -302,33 +291,26 @@ class VMRuntime:
         try:
             return self.machine.run(native_addr, max_uops=budget)
         except NativeBudgetExhausted as exc:
-            raise self._vm_error(UopBudgetExhausted(
-                "micro-op budget exhausted", **where,
-                **self._error_context())) from exc
+            raise self._fail(UopBudgetExhausted,
+                             "micro-op budget exhausted", **where) from exc
         except NativeMachineError as exc:
-            raise self._vm_error(NativeExecutionFault(
-                str(exc), **where, **self._error_context())) from exc
+            raise self._fail(NativeExecutionFault, str(exc), **where) \
+                from exc
 
-    def _error_context(self) -> dict:
-        return {"pc": self.state.eip, "mode": self.initial_emulation,
-                "dispatches": self.dispatches}
-
-    def _vm_error(self, error: VMRuntimeError) -> VMRuntimeError:
-        """Attach a flight-recorder dump before an error propagates.
-
-        Returns the same exception, with ``flight_recording`` populated
-        when tracing is on: the last events before the failure plus the
-        faulting pc/mode/dispatch context (the forensic artifact the
-        chaos harness and ``docs/observability.md`` build on).
-        """
-        if self.tracer is not None and error.flight_recording is None:
+    def _fail(self, error_class: type, message: str,
+              **where) -> VMRuntimeError:
+        """``error_class`` with the dispatch context (pc, emulation mode,
+        dispatch count, and ``where``).  When tracing is on it carries a
+        flight-recorder dump: the last events before the failure plus
+        that context (the forensic artifact the chaos harness and
+        ``docs/observability.md`` build on)."""
+        error = error_class(message, pc=self.state.eip,
+                            mode=self.initial_emulation,
+                            dispatches=self.dispatches, **where)
+        if self.tracer is not None:
             error.flight_recording = self.tracer.flight_dump(
-                type(error).__name__,
-                pc=f"{self.state.eip:#x}" if error.pc is None
-                else f"{error.pc:#x}",
-                mode=error.mode or self.initial_emulation,
-                dispatches=error.dispatches
-                if error.dispatches is not None else self.dispatches)
+                error_class.__name__, pc=f"{error.pc:#x}", mode=error.mode,
+                dispatches=error.dispatches)
         return error
 
     # -- self-healing ----------------------------------------------------------
@@ -373,78 +355,60 @@ class VMRuntime:
         if found and self.tracer is not None:
             self.tracer.instant("integrity.sweep", evicted=found)
 
-    def _interpret_fallback_block(self) -> None:
-        """Emulate one basic block whose translation is unavailable.
-
-        Mirrors the interpretive strategy's inner loop: step precisely
-        up to and including the block's control transfer, or until a
-        translated successor exists.  Architected results are identical
-        to the translated path by construction (the cross-configuration
-        equivalence tests pin this down).
-        """
-        entry = self.state.eip
-        block_instrs = 0
-        while not self.state.halted:
-            instr = self.interp.step()
-            block_instrs += 1
-            if instr.is_control_transfer:
-                break
-            if self.directory.has_translation(self.state.eip):
-                break
-        self.instructions_interpreted += block_instrs
-        self.interpreted_fallback_instrs += block_instrs
-        self.ledger.charge(self._interp_category,
-                           block_instrs * self._interp_cpi, block=entry)
-
     # -- translation policy ----------------------------------------------------
 
-    def _lookup_or_translate(self, entry: int) -> Optional[Translation]:
-        """The installed translation for ``entry``, translating on miss.
+    def _translate(self, kind: str, entry: int,
+                   translate: Callable[[int], Translation]
+                   ) -> Optional[Translation]:
+        """``translate(entry)`` into the ``kind`` code cache, flushing
+        it once when it is full.
 
         Returns None when the entry is quarantined (recent translator
-        failure, bounded-backoff retry pending) or permanently degraded
-        — the caller must emulate the block instead.  Any translator
-        failure other than cache pressure lands in the quarantine; it
-        never propagates out of the dispatch loop.
+        failure, bounded-backoff retry pending) or permanently degraded:
+        the block keeps running as before, emulated or out of its BBT
+        copy.  Any translator failure other than cache pressure lands in
+        the quarantine; it never propagates out of the dispatch loop.
         """
-        translation = self.directory.lookup(entry)
-        if translation is not None:
-            return translation
-        if not self.quarantine.may_translate(entry, "bbt",
-                                             self.dispatches):
+        if not self.quarantine.may_translate(entry, kind, self.dispatches):
             return None
         tracer = self.tracer
-        if tracer is not None and entry not in self._bbt_entries_ever:
-            tracer.instant("block.first_exec", entry=f"{entry:#x}")
+        again = (entry, kind) in self._translated_ever
+        if tracer is not None:
+            if kind == "sbt":
+                tracer.instant("hotspot.promote", entry=f"{entry:#x}")
+            elif not again:
+                tracer.instant("block.first_exec", entry=f"{entry:#x}")
         start = self.ledger.total
         try:
             try:
-                translation = self.bbt.translate(entry)
+                translation = translate(entry)
             except CodeCacheFull:
-                self._flush("bbt")
-                translation = self.bbt.translate(entry)
+                self._flush(kind)
+                translation = translate(entry)
         except (AssertionError, KeyboardInterrupt, SystemExit):
             raise           # verifier findings and aborts are not faults
         except VMRuntimeError:
             raise
         except Exception as exc:   # noqa: BLE001 - degrade, never crash
-            self._note_translation_fault(entry, "bbt", exc)
+            self._note_translation_fault(entry, kind, exc)
             return None
         self.ledger.charge(
-            "bbt_translation",
-            translation.instr_count * self.phase_costs.bbt_translate_cpi,
+            f"{kind}_translation",
+            translation.instr_count * self._translate_cpi[kind],
             block=entry)
         if tracer is not None:
-            tracer.complete("translate.bbt", start, entry=f"{entry:#x}",
+            fused = {"fused_pairs": translation.fused_pairs} \
+                if kind == "sbt" else {}
+            tracer.complete(f"translate.{kind}", start, entry=f"{entry:#x}",
                             instrs=translation.instr_count,
-                            uops=translation.uop_count)
-        self.quarantine.record_success(entry, "bbt")
-        if (entry, "bbt") in self._integrity_evicted_entries:
-            self._integrity_evicted_entries.discard((entry, "bbt"))
+                            uops=translation.uop_count, **fused)
+        self.quarantine.record_success(entry, kind)
+        if (entry, kind) in self._integrity_evicted_entries:
+            self._integrity_evicted_entries.discard((entry, kind))
             self.integrity_retranslations += 1
-        if entry in self._bbt_entries_ever:
-            self.bbt_retranslations += 1
-        self._bbt_entries_ever.add(entry)
+        if again:
+            self.retranslations[kind] += 1
+        self._translated_ever.add((entry, kind))
         return translation
 
     def _flush(self, kind: str) -> None:
@@ -455,7 +419,7 @@ class VMRuntime:
         self.translations_lost_in_flushes += len(self.directory.flush(kind))
         self.machine.words.clear()
 
-    def _optimize(self, entry: int) -> Optional[Translation]:
+    def _optimize(self, entry: int) -> None:
         """Run the SBT on a newly hot region.
 
         SBT failure is pure graceful degradation: the BBT copy (or the
@@ -463,45 +427,10 @@ class VMRuntime:
         the quarantine and eventually given up on for good.
         """
         if self.directory.has_sbt(entry):
-            return None
-        if not self.quarantine.may_translate(entry, "sbt",
-                                             self.dispatches):
-            return None
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant("hotspot.promote", entry=f"{entry:#x}")
-        start = self.ledger.total
+            return
         edges = getattr(self.profiler, "edges", _NO_EDGES)
-        try:
-            try:
-                translation = self.sbt.translate(entry, edges)
-            except CodeCacheFull:
-                self._flush("sbt")
-                translation = self.sbt.translate(entry, edges)
-        except (AssertionError, KeyboardInterrupt, SystemExit):
-            raise
-        except VMRuntimeError:
-            raise
-        except Exception as exc:   # noqa: BLE001 - degrade, never crash
-            self._note_translation_fault(entry, "sbt", exc)
-            return None
-        self.ledger.charge(
-            "sbt_translation",
-            translation.instr_count * self.phase_costs.sbt_translate_cpi,
-            block=entry)
-        if tracer is not None:
-            tracer.complete("translate.sbt", start, entry=f"{entry:#x}",
-                            instrs=translation.instr_count,
-                            uops=translation.uop_count,
-                            fused_pairs=translation.fused_pairs)
-        self.quarantine.record_success(entry, "sbt")
-        if (entry, "sbt") in self._integrity_evicted_entries:
-            self._integrity_evicted_entries.discard((entry, "sbt"))
-            self.integrity_retranslations += 1
-        if entry in self._sbt_entries_ever:
-            self.hotspot_retranslations += 1
-        self._sbt_entries_ever.add(entry)
-        return translation
+        self._translate("sbt", entry,
+                        lambda seed: self.sbt.translate(seed, edges))
 
     def _note_translation_fault(self, entry: int, kind: str,
                                 error: Exception) -> None:
@@ -573,9 +502,9 @@ class VMRuntime:
             self.interp_one_calls += 1
             self._service_interp_one(event)
             return consumed
-        raise self._vm_error(VMServiceFault(
-            f"unknown VMCALL service {event.value}",
-            native_pc=event.native_pc, **self._error_context()))
+        raise self._fail(VMServiceFault,
+                         f"unknown VMCALL service {event.value}",
+                         native_pc=event.native_pc)
 
     def _note_exit_edge(self, event: ExitEvent, target: int) -> None:
         """Record the control edge and chain the exiting stub."""
@@ -590,14 +519,18 @@ class VMRuntime:
             self.directory.request_chain(stub)
         self._maybe_optimize_hotspots()
 
-    def _service_profile(self, event: ExitEvent) -> None:
-        """A BBT block's countdown counter hit zero: apply hot policy."""
+    def _side_entry(self, event: ExitEvent, service: str) -> tuple:
+        """``(x86 address, translation)`` of the VMCALL that exited."""
         resolved = self.directory.resolve_side_table(event.native_pc)
         if resolved is None:
-            raise self._vm_error(VMServiceFault(
-                "PROFILE vmcall without side-table entry",
-                native_pc=event.native_pc, **self._error_context()))
-        entry, translation = resolved
+            raise self._fail(VMServiceFault,
+                             f"{service} vmcall without side-table entry",
+                             native_pc=event.native_pc)
+        return resolved
+
+    def _service_profile(self, event: ExitEvent) -> None:
+        """A BBT block's countdown counter hit zero: apply hot policy."""
+        entry, translation = self._side_entry(event, "PROFILE")
         self.profiler.record_entry(entry, self.hot_threshold)
         self._maybe_optimize_hotspots()
         # disable further countdowns on the (now superseded) BBT copy
@@ -610,12 +543,7 @@ class VMRuntime:
         exception (e.g. divide error) propagates from here with exact
         architected state, reconstructed from the native registers.
         """
-        resolved = self.directory.resolve_side_table(event.native_pc)
-        if resolved is None:
-            raise self._vm_error(VMServiceFault(
-                "INTERP_ONE vmcall without side-table entry",
-                native_pc=event.native_pc, **self._error_context()))
-        x86_addr, _translation = resolved
+        x86_addr, _translation = self._side_entry(event, "INTERP_ONE")
         self.state.eip = x86_addr
         self.interp.step()
         self.instructions_interpreted += 1
@@ -649,8 +577,8 @@ class VMRuntime:
             "sbt_flushes": self.directory.sbt_cache.flushes,
             "translations_lost_in_flushes":
                 self.translations_lost_in_flushes,
-            "bbt_retranslations": self.bbt_retranslations,
-            "hotspot_retranslations": self.hotspot_retranslations,
+            "bbt_retranslations": self.retranslations["bbt"],
+            "hotspot_retranslations": self.retranslations["sbt"],
             "persist_loaded": (self.persist_report.loaded
                                if self.persist_report else 0),
             "persist_dropped": (self.persist_report.dropped
@@ -673,11 +601,5 @@ class VMRuntime:
         }
 
 
-class _StaticEdges:
-    """Edge-profile stand-in when only hardware detection exists (VM.fe)."""
-
-    def biased_successor(self, source: int, bias: float = 0.6):
-        return None
-
-
-_NO_EDGES = _StaticEdges()
+#: the hardware detector (VM.fe) profiles no edges: SBT follows none
+_NO_EDGES = EdgeProfile()

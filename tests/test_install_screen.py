@@ -220,7 +220,8 @@ class TestOneEncodePerMicroOp:
         vm = booted()
         directory = vm.runtime.directory
         installs = recorded_installs(monkeypatch, directory, encoded)
-        report = WarmStartLoader(vm.runtime, rechain=False).load_records(
+        vm.runtime.enable_chaining = False
+        report = WarmStartLoader(vm.runtime).load_records(
             records)
         assert report.loaded == len(records) > 1
 

@@ -425,7 +425,7 @@ class TestFlushCounters:
                                          bbt_capacity=1024,
                                          sbt_base=0x2000_0000 + 1024,
                                          sbt_capacity=16384)
-        runtime = VMRuntime(state, hot_threshold=50,
+        runtime = VMRuntime(state, vm_soft().with_(hot_threshold=50),
                             directory=directory)
         runtime.run()
         stats = runtime.stats()

@@ -12,6 +12,7 @@ it replaced -- ``decode`` + ``crack`` + ``encode_stream``, ``scan_block``
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import io
 import operator
@@ -89,7 +90,7 @@ def serving(shape: Shape, raw: bytes, addr: int = ADDR):
     """The sibling body templates whose guards ``raw`` answers alike."""
     values = values_of(shape, raw, addr)
     return [template for template in shape.bodies
-            if template.fill(values) is not None]
+            if fill_of(template)(values) is not None]
 
 
 def learned_shapes():
@@ -103,17 +104,24 @@ def table_size():
             sum(len(shape.bodies) + len(shape.endings) for shape in shapes))
 
 
+@functools.cache
+def fill_of(template: Template):
+    """``template``'s ``fill``: its own where it serves through one
+    (``Template.of``), else compiled as ``Template.of`` compiles one.  A
+    shape's templates serve through the shape's function, so nothing in
+    ``src/`` compiles theirs: this is where their texts are checked."""
+    return getattr(template, "fill", None) \
+        or template_module.compile_fill(template)
+
+
 def compiled_functions():
     """Every function the template modules have compiled and serve
     through now: each shape's two (a kind no template of which is
-    learned has none yet), each template's ``fill``, and the exit
-    stub's, the profiling prologue's and the chaining JMP's."""
-    shapes = learned_shapes()
-    return [function for shape in shapes
+    learned has none yet), and the exit stub's, the profiling
+    prologue's and the chaining JMP's ``fill``."""
+    return [function for shape in learned_shapes()
             for function in (shape.body, shape.ending)
             if hasattr(function, "source")] + [
-        template.fill for shape in shapes
-        for template in shape.bodies + shape.endings] + [
         emit._STUB.fill, emit._PROLOGUE.fill, emit._JUMP.fill]
 
 
@@ -173,7 +181,7 @@ class TestInstructionTemplates:
                                               signed=True)
         other = bytes(other)
         assert shape_at(other) is shape
-        answers_alike = first.fill(values_of(shape, other)) is not None
+        answers_alike = fill_of(first)(values_of(shape, other)) is not None
         siblings = len(shape.bodies)
         try:
             cracked, expected = object_path(other)
@@ -358,7 +366,8 @@ class TestColdBoot:
                                       "wide_cold-0"])
     def test_vm_be_installs_the_same_bytes(self, name):
         soft, be = cold_boot(IMAGES[name]), cold_boot(IMAGES[name], vm_be())
-        assert be.xlt_unit is not None and soft.xlt_unit is None
+        unit = be.runtime.bbt.xlt_unit
+        assert unit is not None and soft.runtime.bbt.xlt_unit is None
 
         def bytes_of(vm):
             return [(t.entry, t.code, t.origins) for t
@@ -367,8 +376,7 @@ class TestColdBoot:
         bbt = be.runtime.bbt
         # every body instruction went through the unit, once
         body_instrs = bbt.instrs_translated - bbt.blocks_translated
-        assert be.xlt_unit.invocations == body_instrs
-        assert soft.runtime.bbt.xlt_unit is None
+        assert unit.invocations == body_instrs
 
 
 # -- (e) self-modified code ----------------------------------------------------
@@ -509,14 +517,16 @@ class TestCompiledServing:
         for width, template in shaped + [(1, emit._STUB), (1, emit._JUMP),
                                          (1, emit._PROLOGUE)]:
             for values in probes(width, template, rng):
-                assert template.fill(values) == \
-                    oracle.fill(template, values), template.fill.source
+                assert fill_of(template)(values) == \
+                    oracle.fill(template, values), fill_of(template).source
                 checked += 1
         assert len(shaped) > 100 and checked > 10 * len(shaped)
 
     def test_every_generated_text_holds_only_constants_and_fixed_names(
             self, learned):
-        functions = compiled_functions()
+        functions = compiled_functions() + [
+            fill_of(template) for shape in learned_shapes()
+            for template in shape.bodies + shape.endings]
         assert len(functions) > 300
         for function in functions:
             for token in tokenize.generate_tokens(
@@ -549,6 +559,44 @@ class TestCompiledServing:
         assert all(map(operator.is_, after, before))
 
 
+    def test_a_hole_the_guards_bound_is_not_tested_again(self, learned):
+        """Each bound of a hole's range is tested once: by the guards
+        that asked it (``imm13_in_range``), else by the hole's own
+        range test."""
+        pruned = 0
+        templates_ = [template for shape in learned_shapes()
+                      for template in shape.bodies + shape.endings]
+        for template in templates_ + [emit._STUB, emit._PROLOGUE,
+                                      emit._JUMP]:
+            text = fill_of(template).source
+            lines = [line.strip().removeprefix("if (").removeprefix(
+                "and ").removesuffix("):") for line in text.splitlines()]
+            for at, mask, least, greatest, _source, _chain in \
+                    template.holes:
+                name = re.search(rf"\((r[0-9]+) & {mask & 0xFFFF}\) << "
+                                 rf"{8 * at + 16}\b", text).group(1)
+                mine = [line for line in lines if not line.startswith(
+                    "not ") and re.search(rf"\b{name}\b", line)]
+                lower = [line for line in mine
+                         if line.endswith(f" >= {least}")
+                         or line.startswith(f"{least} <= ")]
+                upper = [line for line in mine
+                         if line.endswith(f" <= {greatest}")]
+                assert len(lower) == len(upper) == 1, (lower, upper, text)
+                pruned += not lower[0].startswith(f"{least} <= ")
+        assert pruned > 50      # every imm13 template's guarded hole
+
+    def test_a_template_that_does_not_serve_its_sample_raises(
+            self, monkeypatch):
+        monkeypatch.setattr(templates, "_SHAPES", {})
+        monkeypatch.setattr(Template, "serving",
+                            lambda self, name, more="": "    if False:\n"
+                            "        return None\n")
+        data = assemble("start:\n    add eax, 100000\n").text.data
+        with pytest.raises(AssertionError, match="serve its own sample"):
+            shape_at(data)
+
+
 @pytest.mark.parametrize("sample", [4, 5, 6])
 @pytest.mark.parametrize("test", [operator.lt, operator.le, operator.gt,
                                   operator.ge, operator.eq, operator.ne])
@@ -563,3 +611,18 @@ def test_every_comparison_and_step_compiles_as_it_interprets(test, sample):
             assert template.fill([value, other]) == \
                 oracle.fill(template, [value, other])
     assert template.fill([sample, 9]) is not None
+
+
+@pytest.mark.parametrize("bounds", [(-4096,), (4095,), (-4096, 4095)],
+                         ids=["least", "greatest", "both"])
+def test_a_hole_guarded_on_one_side_keeps_the_other(bounds):
+    """A hole's range test goes only where the guards hold both of its
+    bounds; a bound they leave open is still tested."""
+    def rule(value):
+        assert all(value >= bound if bound < 0 else value <= bound
+                   for bound in bounds)
+        return [MicroOp(UOp.ADDI, rd=1, rs1=1, imm=value)]
+    template = Template.of(rule, 7)
+    for value in (-5000, -4097, -4096, 0, 4095, 4096, 5000):
+        assert template.fill([value]) == oracle.fill(template, [value])
+    assert ("-4096 <= " in template.fill.source) == (len(bounds) < 2)

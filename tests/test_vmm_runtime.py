@@ -3,11 +3,13 @@ profiling plumbing."""
 
 import pytest
 
-from repro.core import CoDesignedVM, vm_soft
+from repro.core import CoDesignedVM, interp_sbt, vm_be, vm_fe, vm_soft
+from repro.hwassist import BranchBehaviorBuffer
 from repro.isa.fusible import MicroOp, R_ZERO, UOp, encode_uop
 from repro.isa.x86lite import assemble, Reg, X86State
 from repro.memory import AddressSpace, load_image
 from repro.memory.loader import DEFAULT_STACK_TOP
+from repro.obs.ledger import RuntimePhaseCosts, runtime_phase_costs
 from repro.translator import TranslationDirectory
 from repro.vmm import (
     NativeExecutionFault,
@@ -43,7 +45,8 @@ def make_runtime(source, hot_threshold=5, **kwargs):
     state = X86State(memory=AddressSpace())
     state.regs[Reg.ESP] = DEFAULT_STACK_TOP
     state.eip = load_image(image, state.memory)
-    runtime = VMRuntime(state, hot_threshold=hot_threshold, **kwargs)
+    runtime = VMRuntime(
+        state, vm_soft().with_(hot_threshold=hot_threshold, **kwargs))
     return runtime, image.labels
 
 
@@ -105,7 +108,7 @@ class TestCodeCachePressure:
         directory = TranslationDirectory(
             state.memory, bbt_capacity=160, sbt_capacity=1 << 20,
             sbt_base=0x2000_0000 + 4096)
-        runtime = VMRuntime(state, hot_threshold=1000,
+        runtime = VMRuntime(state, vm_soft().with_(hot_threshold=1000),
                             directory=directory)
         runtime.run()
         assert state.halted
@@ -143,7 +146,8 @@ class TestCodeCachePressure:
         directory = TranslationDirectory(
             state.memory, bbt_capacity=1 << 20,
             sbt_base=0x2010_0000, sbt_capacity=48)
-        runtime = VMRuntime(state, hot_threshold=5, directory=directory)
+        runtime = VMRuntime(state, vm_soft().with_(hot_threshold=5),
+                            directory=directory)
         runtime.run()
         assert state.halted
         assert directory.sbt_cache.flushes >= 1
@@ -170,11 +174,33 @@ class TestProfileService:
         assert runtime.interp_one_calls >= 1  # the INT 0x80 at the end
 
 
+class TestBuiltFromConfig:
+    def test_vm_soft_charges_the_default_weights(self):
+        # a bare ``VMRuntime(state, vm_soft())`` clocks a run as one
+        # built with no costs at all did
+        assert runtime_phase_costs(vm_soft().costs) == RuntimePhaseCosts()
+
+    @pytest.mark.parametrize("config, detector, xlt", [
+        (vm_soft(), SoftwareProfiler, False),
+        (vm_be(), SoftwareProfiler, True),
+        (vm_fe(), BranchBehaviorBuffer, False),
+        (interp_sbt(), SoftwareProfiler, False),
+    ], ids=["soft", "be", "fe", "interp"])
+    def test_the_config_picks_profiler_and_xltx86(self, config, detector,
+                                                   xlt):
+        runtime = VMRuntime(X86State(memory=AddressSpace()), config)
+        assert type(runtime.profiler) is detector
+        assert (runtime.bbt.xlt_unit is not None) == xlt
+        assert runtime.bbt.embed_profiling == config.uses_bbt
+        assert runtime.hot_threshold == config.hot_threshold \
+            == runtime.profiler.hot_threshold
+
+
 class TestErrors:
     def test_bad_initial_emulation_rejected(self):
         state = X86State(memory=AddressSpace())
         with pytest.raises(ValueError):
-            VMRuntime(state, initial_emulation="bogus")
+            VMRuntime(state, vm_soft().with_(initial_emulation="bogus"))
 
     def test_uop_budget_enforced(self):
         runtime, _labels = make_runtime("start: jmp start")

@@ -365,7 +365,8 @@ class TestWarmLoadInstallsWhatTheObjectPathDid:
              if addr is not None] for record in sbt))
 
         vm = booted(PROGRAMS[program], hot_threshold=8)
-        report = WarmStartLoader(vm.runtime, rechain=False).load_records(
+        vm.runtime.enable_chaining = False
+        report = WarmStartLoader(vm.runtime).load_records(
             copy.deepcopy(records))
         assert (report.loaded, report.dropped) == (len(records), 0)
         directory = vm.runtime.directory

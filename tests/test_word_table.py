@@ -381,7 +381,8 @@ class TestBoundedByLiveCode:
         directory = TranslationDirectory(
             state.memory, bbt_capacity=400, sbt_base=0x2010_0000,
             sbt_capacity=200)
-        runtime = VMRuntime(state, hot_threshold=5, directory=directory)
+        runtime = VMRuntime(state, vm_soft().with_(hot_threshold=5),
+                            directory=directory)
         sizes = []
         real_flush = runtime._flush
 

@@ -22,7 +22,7 @@ timing-simulator modules (``TIMING_LAYER``) among its modules.
 ``templates`` cold-boots every seed program and both ``perf/gen.py``
 shapes and prints what the template table learned: shapes, templates,
 the functions compiled from them and the compiles that took (a
-template's ``fill``, and its shape's function of that kind anew);
+learned template's shape function of that kind, anew);
 ``--source`` then prints the text of every compiled function, which
 is all that ``exec`` built.
 """
@@ -226,9 +226,9 @@ def publish_counts() -> dict[str, int]:
 def template_table() -> tuple[dict[str, int], list]:
     """What cold boots of every seed program and both ``perf/gen.py``
     shapes (seed 0) teach the template table of this process, and every
-    function compiled from it: each shape's ``body`` and ``ending``,
-    each template's ``fill``, the exit stub's, the prologue's and the
-    chaining JMP's."""
+    function compiled from it: each shape's ``body`` and ``ending``
+    (its templates inlined), and the ``fill`` of the exit stub, the
+    prologue and the chaining JMP."""
     compiles, define = [], template.define
 
     def counting(*args, **names):
@@ -250,8 +250,7 @@ def template_table() -> tuple[dict[str, int], list]:
     functions = [function for shape in shapes
                  for function in (shape.body, shape.ending)
                  if hasattr(function, "source")] + [
-        learned.fill for learned
-        in learned + [emit._STUB, emit._PROLOGUE, emit._JUMP]]
+        served.fill for served in (emit._STUB, emit._PROLOGUE, emit._JUMP)]
     return {"shapes": len(shapes), "templates": len(learned),
             "compiled functions": len(functions),
             "compiles while booting": len(compiles)}, functions

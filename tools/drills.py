@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -799,7 +800,7 @@ loop:
 #: Disabled-tracing overhead allowance (timer noise included).
 OVERHEAD_ALLOWANCE = 1.05
 TIMING_ROUNDS = 15
-#: Runs of the hot loop timed together as one sample.
+#: Runs of the hot loop a side is timed for in one round.
 SAMPLE_BOOTS = 5
 
 
@@ -809,43 +810,51 @@ def trace_overhead_drill(workdir) -> List[str]:
     throughput hot loop must not be measurably slower than a traced
     run of the same loop.
 
-    Warmed-up, interleaved samples.  One run is tens of milliseconds
-    (the native machine replays pre-decoded runs), short enough for a
-    busy host to double it: a sample is several runs, and since the two
-    samples of a round share the host's mood, the gate reads the median
-    of the per-round quotients, not a quotient of medians.  Rounds
-    alternate which side runs first, so neither always meets the
-    warmer host, and the quotients' interquartile range is printed as
-    the noise band the median sits in.
+    Warmed-up, interleaved samples of this process's CPU time, which
+    the host's other work does not add to as it adds to the wall
+    clock; the collector is run before each timed run and held off
+    during it.  One run is tens of milliseconds (the native machine
+    replays pre-decoded runs), and a shared host still slows whole
+    stretches of them (caches, frequency), so a round times each side
+    for several runs, one of each side after the other, alternating
+    which goes first: both see the host as it is then.  The gate reads
+    the median of the per-round quotients, not a quotient of medians,
+    and prints their interquartile range as the noise band the median
+    sits in.
     """
     loop = prepare_baseline("hot_loop", HOT_LOOP, str(workdir),
                             hot_threshold=50)
 
-    def sample(trace: bool) -> float:
-        elapsed = 0.0
-        for _ in range(SAMPLE_BOOTS):
-            vm = loop.fresh_vm(vm_soft().with_(trace=trace))
-            started = time.perf_counter()
+    def timed(trace: bool) -> float:
+        vm = loop.fresh_vm(vm_soft().with_(trace=trace))
+        gc.collect()
+        gc.disable()
+        try:
+            started = time.process_time()
             vm.run(max_uops=80_000_000)
-            elapsed += time.perf_counter() - started
-        return elapsed
+            return time.process_time() - started
+        finally:
+            gc.enable()
 
-    def timed_round(order) -> tuple:
-        seconds = {trace: sample(trace) for trace in order}
+    def timed_round(index: int) -> tuple:
+        seconds = {False: 0.0, True: 0.0}
+        for boot in range(SAMPLE_BOOTS):
+            for trace in (False, True) if (index + boot) % 2 \
+                    else (True, False):
+                seconds[trace] += timed(trace)
         return seconds[False], seconds[True]
 
-    sample(False), sample(True)         # warm caches / allocator
-    rounds = [timed_round((False, True) if index % 2 else (True, False))
-              for index in range(TIMING_ROUNDS)]
+    timed(False), timed(True)           # warm caches / allocator
+    rounds = [timed_round(index) for index in range(TIMING_ROUNDS)]
     quotients = [untraced / traced for untraced, traced in rounds]
     ratio = statistics.median(quotients)
     low, _, high = statistics.quantiles(quotients, n=4)
     untraced, traced = (statistics.median(column) * 1e3
                         for column in zip(*rounds))
     print(f"hot loop: untraced {untraced:.1f} ms, traced {traced:.1f} "
-          f"ms (untraced/traced = {ratio:.3f}, IQR {low:.3f}-{high:.3f}, "
-          f"over {TIMING_ROUNDS} rounds alternating which runs first, "
-          f"allowed <= {OVERHEAD_ALLOWANCE})")
+          f"ms CPU (untraced/traced = {ratio:.3f}, IQR {low:.3f}-"
+          f"{high:.3f}, over {TIMING_ROUNDS} rounds of {SAMPLE_BOOTS} "
+          f"runs a side alternating, allowed <= {OVERHEAD_ALLOWANCE})")
     return [f"untraced/traced = {ratio:.3f} > {OVERHEAD_ALLOWANCE}"] \
         if ratio > OVERHEAD_ALLOWANCE else []
 
