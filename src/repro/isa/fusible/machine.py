@@ -377,7 +377,8 @@ class FusibleMachine:
     def execute_uops(self, uops) -> Optional[ExitEvent]:
         """Execute a straight-line micro-op list (no fetch, no branches).
 
-        Used by the VMM for stub sequences and by differential tests.
+        Only tests call it (the differential tests of the cracker,
+        fusion and redundancy passes); the VMM runs code from memory.
         In-stream branches (BC/JMP/JR) are rejected — lists have no
         program counter to branch within.
         """

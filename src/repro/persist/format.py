@@ -43,7 +43,7 @@ import re
 from typing import Dict, Optional, Tuple
 
 from repro.memory.address_space import MemoryError_
-from repro.translator.code_cache import ExitStub, Translation
+from repro.translator.code_cache import Translation
 
 #: Bump on any incompatible change to the record layout.
 FORMAT_VERSION = 5
@@ -274,28 +274,17 @@ def source_matches(record, memory) -> bool:
     return True
 
 
-def materialize(record, native_addr: int,
-                uop_count: int) -> Translation:
+def materialize(record, uop_count: int) -> Translation:
     """Build an installable Translation from a validated SBT record.
 
-    The caller supplies the target ``native_addr`` (the owning cache's
-    ``reserve()``); exit stubs and side-table entries are rebased onto
-    it.  Micro-op displacements (BC/JMP) are translation-relative and
-    need no adjustment.  The loader passes the ``uop_count`` its walk
-    found, and installs the code it screened.
+    The loader passes the ``uop_count`` its walk found, and installs the
+    code it screened with the record's ``exits`` and ``side_table``
+    offsets: the directory places it (:meth:`Translation.place`).
     """
-    translation = Translation(
+    return Translation(
         entry=record["entry"], kind=record["kind"],
-        native_addr=native_addr,
         x86_addrs=list(record["x86_addrs"]),
         instr_count=record["instr_count"], uop_count=uop_count,
         fused_pairs=record["fused_pairs"], origins=record["origins"],
         source=[[addr, bytes.fromhex(data)]
                 for addr, data in record["source"]])
-    for offset, kind, x86_target in record["exits"]:
-        translation.exits.append(ExitStub(
-            stub_addr=native_addr + offset, kind=kind,
-            x86_target=x86_target))
-    for offset, x86_addr in record["side_table"]:
-        translation.side_table[native_addr + offset] = x86_addr
-    return translation

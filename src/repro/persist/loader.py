@@ -198,7 +198,7 @@ class WarmStartLoader:
             cache = directory.cache_for(kind)
             if kind == "sbt":
                 translation = _attempt(record, lambda: materialize(
-                    record, cache.reserve(), len(read.words)))
+                    record, len(read.words)))
                 if isinstance(translation, tuple):
                     drop(record, *translation)
                     continue
@@ -217,7 +217,8 @@ class WarmStartLoader:
             if kind == "bbt":
                 translation = bbt.install(read)
             else:       # the record's own bytes, as screened
-                directory.install(read.code, translation)
+                directory.install(read.code, translation, record["exits"],
+                                  record["side_table"])
             # warm-start work is a startup phase of its own: charge the
             # derive/deserialize/screen cost to the run's ledger
             runtime.ledger.charge("persist_load",
@@ -285,8 +286,6 @@ class WarmStartLoader:
         # a loaded SBT copy supersedes the BBT copy's profiling: stop the
         # countdown so the warm run does not re-trigger promotion
         for translation in loaded:
-            if (translation.kind == "bbt"
-                    and translation.counter_addr is not None
-                    and directory.has_sbt(translation.entry)):
-                self.runtime.memory.write_u32(translation.counter_addr,
-                                              COUNTER_DISABLED)
+            if translation.kind == "bbt" and \
+                    directory.has_sbt(translation.entry):
+                self.runtime.bbt.reset_counter(translation, COUNTER_DISABLED)

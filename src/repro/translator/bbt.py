@@ -37,7 +37,6 @@ from repro.faults.plane import fault_point
 from repro.isa.x86lite.instruction import MAX_INSTRUCTION_LENGTH
 from repro.memory.address_space import AddressSpace
 from repro.translator.code_cache import (
-    ExitStub,
     Translation,
     TranslationDirectory,
     extend_origins,
@@ -192,18 +191,12 @@ class BasicBlockTranslator:
         if self.embed_profiling:
             counter_addr = self.allocate_counter()
             code = prologue_code(counter_addr) + code
-        native_addr = self.directory.bbt_cache.reserve()
         translation = Translation(
-            entry=block.entry, kind="bbt", native_addr=native_addr,
+            entry=block.entry, kind="bbt",
             x86_addrs=[block.entry], instr_count=block.instr_count,
             uop_count=sum(run[1] for run in block.origins),
             counter_addr=counter_addr,
-            origins=block.origins, source=[[block.entry, block.source]],
-            exits=[ExitStub(stub_addr=native_addr + at, kind=kind,
-                            x86_target=x86_target)
-                   for at, kind, x86_target in block.exits],
-            side_table={native_addr + at: x86_addr
-                        for at, x86_addr in block.side})
-        self.directory.install(code, translation)
+            origins=block.origins, source=[[block.entry, block.source]])
+        self.directory.install(code, translation, block.exits, block.side)
         return translation
 

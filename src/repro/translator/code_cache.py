@@ -7,11 +7,16 @@ translation lookup table; once the target translation exists, the stub's
 first micro-op is patched into a direct ``JMP`` — *chaining* — so steady-
 state execution never re-enters the VMM.
 
-Capacity is finite.  When an allocation does not fit, the owning cache is
-flushed wholesale (the management policy of that era's production systems,
-and the mechanism behind the paper's "limited code cache size can cause
-hotspot re-translations" observation); the VMM is notified so it can drop
-lookup entries and profiling state.
+:class:`TranslationDirectory` runs a translation's one lifecycle.  It
+*places* it at the owning cache's next address (:meth:`Translation.place`)
+and links it: waiting stubs chain to it, and an SBT copy redirects its
+BBT copy's entry word to itself.  Capacity is finite: when an allocation
+does not fit, the owning cache is flushed wholesale (the management
+policy of that era's production systems, and the mechanism behind the
+paper's "limited code cache size can cause hotspot re-translations"
+observation); the integrity sweep evicts one corrupt copy.  Both
+*forget* through one path, which undoes every link into the dead range
+by writing back the canonical bytes (``Translation.code``) it patched.
 """
 
 from __future__ import annotations
@@ -20,10 +25,8 @@ import logging
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.isa.fusible.encoding import WordTable, decode_stream, encode_uop
+from repro.isa.fusible.encoding import WordTable, decode_stream
 from repro.isa.fusible.microop import MicroOp
-from repro.isa.fusible.opcodes import UOp
-from repro.isa.fusible.registers import R_EXIT_TARGET
 from repro.memory.address_space import AddressSpace
 from repro.translator.emit import jump_code
 from repro.verify.sanitizer import check_install
@@ -107,6 +110,19 @@ class Translation:
                        for stub in self.exits)
         return offsets
 
+    def place(self, native_addr: int, exits: Iterable = (),
+              side: Iterable = ()) -> "Translation":
+        """Relocate to ``native_addr``: offset-relative exits ``(offset,
+        kind, x86 target)`` become its stubs and side entries ``(offset,
+        x86 addr)`` its side table.  Micro-op displacements (BC/JMP) are
+        translation-relative and need nothing.  Returns ``self``."""
+        self.native_addr = native_addr
+        self.exits = [ExitStub(native_addr + offset, kind, x86_target)
+                      for offset, kind, x86_target in exits]
+        self.side_table = {native_addr + offset: x86_addr
+                           for offset, x86_addr in side}
+        return self
+
 
 def expand_origins(origins: Iterable) -> List[Optional[int]]:
     """``[x86_addr, count]`` runs back to one ``x86_addr`` a micro-op."""
@@ -150,26 +166,18 @@ class CodeCache:
     def would_fit(self, nbytes: int) -> bool:
         return nbytes <= self.free_bytes
 
-    def install(self, data: bytes, translation: Translation) -> int:
-        """Write translation bytes into the cache; returns the address.
-
-        The caller must have relocated the translation to
-        ``self.reserve(len(data))`` beforehand (stub offsets are absolute).
-        """
+    def install(self, data: bytes, translation: Translation) -> None:
+        """Write a translation placed at :meth:`reserve` into the cache."""
         if not self.would_fit(len(data)):
             raise CodeCacheFull(
                 f"{self.name}: {len(data)} bytes do not fit "
                 f"({self.free_bytes} free)")
-        addr = self._next
-        if translation.native_addr != addr:
-            raise ValueError("translation not relocated to reserve() addr")
-        self.memory.write(addr, data)
+        self.memory.write(self._next, data)
         self._next += len(data)
         translation.native_len = len(data)
         translation.code = data
         self.translations.append(translation)
         self.bytes_installed_total += len(data)
-        return addr
 
     def reserve(self) -> int:
         """The address the next install() will use."""
@@ -192,8 +200,8 @@ class TranslationDirectory:
 
     Unifies the BBT and SBT caches: lookups prefer SBT translations (the
     optimized copy supersedes the simple one), chaining requests are
-    resolved against whichever cache a target lands in, and flushes
-    invalidate the affected entries and any chains into the flushed region.
+    resolved against whichever cache a target lands in, and a flush or an
+    eviction forgets the affected entries and undoes links into them.
     """
 
     def __init__(self, memory: AddressSpace,
@@ -219,8 +227,8 @@ class TranslationDirectory:
         #: native VMCALL address -> (x86 addr, owning translation)
         self._side_by_addr: Dict[int, Tuple[int, Translation]] = {}
         #: BBT entry redirections to superseding SBT copies:
-        #: bbt native_addr -> (bbt translation, original first 4 bytes)
-        self._redirects: Dict[int, Tuple[Translation, bytes]] = {}
+        #: bbt native_addr -> (bbt copy, the sbt copy it jumps to)
+        self._redirects: Dict[int, Tuple[Translation, Translation]] = {}
         self.chains_made = 0
         self.lookups = 0
         self.lookup_misses = 0
@@ -262,13 +270,16 @@ class TranslationDirectory:
     def cache_for(self, kind: str) -> CodeCache:
         return self.bbt_cache if kind == "bbt" else self.sbt_cache
 
-    def install(self, data: bytes, translation: Translation) -> None:
-        """Install a finished translation and wire up all linkage."""
+    def _lookup_for(self, kind: str) -> Dict[int, Translation]:
+        return self._bbt_lookup if kind == "bbt" else self._sbt_lookup
+
+    def install(self, data: bytes, translation: Translation,
+                exits: Iterable = (), side: Iterable = ()) -> None:
+        """Place a finished translation at its cache's next address (see
+        :meth:`Translation.place`), install it and wire up all linkage."""
         cache = self.cache_for(translation.kind)
-        cache.install(data, translation)
-        lookup = (self._bbt_lookup if translation.kind == "bbt"
-                  else self._sbt_lookup)
-        lookup[translation.entry] = translation
+        cache.install(data, translation.place(cache.reserve(), exits, side))
+        self._lookup_for(translation.kind)[translation.entry] = translation
         for stub in translation.exits:
             self._stub_by_addr[stub.stub_addr] = (stub, translation)
         for native_addr, x86_addr in translation.side_table.items():
@@ -281,11 +292,11 @@ class TranslationDirectory:
             bbt_copy = self._bbt_lookup.get(translation.entry)
             if bbt_copy is not None and \
                     bbt_copy.native_addr not in self._redirects:
-                saved = self.memory.read(bbt_copy.native_addr, 4)
                 offset = translation.native_addr - \
                     (bbt_copy.native_addr + 4)
                 self.memory.write(bbt_copy.native_addr, jump_code(offset))
-                self._redirects[bbt_copy.native_addr] = (bbt_copy, saved)
+                self._redirects[bbt_copy.native_addr] = (bbt_copy,
+                                                         translation)
                 self.redirects_made += 1
         check_install(self, translation)
 
@@ -322,29 +333,59 @@ class TranslationDirectory:
                                 stub=f"{stub.stub_addr:#x}",
                                 target=f"{native_target:#x}")
 
-    # -- flushing --------------------------------------------------------------
+    def _unpatch(self, stub: ExitStub) -> None:
+        """Write back the stub head's canonical word (undo chaining)."""
+        _stub, owner = self._stub_by_addr[stub.stub_addr]
+        at = stub.stub_addr - owner.native_addr
+        self.memory.write(stub.stub_addr, owner.code[at:at + 4])
+        stub.chained_to = None
+        if self.tracer is not None:
+            self.tracer.instant("chain.broken",
+                                stub=f"{stub.stub_addr:#x}")
+
+    # -- forgetting --------------------------------------------------------------
 
     def flush(self, kind: str) -> List[Translation]:
-        """Flush one cache; unlink every affected structure.
-
-        Stubs elsewhere that were chained *into* the flushed region are
-        un-chained (their VMEXIT path is restored) so execution safely
-        falls back to the lookup table.
-        """
+        """Flush one cache wholesale and forget what it held; returns
+        the translations that were evicted."""
         cache = self.cache_for(kind)
-        low, high = cache.base, cache.base + cache.capacity
         evicted = cache.flush()
         if self.tracer is not None:
             self.tracer.instant("cache.flush", cache=kind,
                                 evicted=len(evicted))
-        lookup = self._bbt_lookup if kind == "bbt" else self._sbt_lookup
-        lookup.clear()
-        for translation in evicted:
+        self._forget(evicted, cache.base, cache.base + cache.capacity)
+        return evicted
+
+    def evict(self, translation: Translation) -> None:
+        """Forget one translation (detected corruption) without a flush.
+
+        Its cache bytes are abandoned (bump allocation cannot reclaim
+        holes); a later wholesale flush reclaims them.
+        """
+        cache = self.cache_for(translation.kind)
+        if translation in cache.translations:
+            cache.translations.remove(translation)
+        if self.tracer is not None:
+            self.tracer.instant("cache.evict", cache=translation.kind,
+                                entry=f"{translation.entry:#x}")
+        self._forget([translation], translation.native_addr,
+                     translation.native_addr + translation.native_len)
+
+    def _forget(self, translations: Iterable[Translation], low: int,
+                high: int) -> None:
+        """Unlink ``translations``, whose code lies in ``[low, high)``:
+        their lookup entries, stubs and side-table entries, the pending
+        chains of stubs in the range, and every link into the range (a
+        chained stub or a redirected BBT entry gets its canonical word
+        back, so execution falls back to the lookup table)."""
+        for translation in translations:
+            lookup = self._lookup_for(translation.kind)
+            if lookup.get(translation.entry) is translation:
+                del lookup[translation.entry]
             for stub in translation.exits:
                 self._stub_by_addr.pop(stub.stub_addr, None)
             for native_addr in translation.side_table:
                 self._side_by_addr.pop(native_addr, None)
-        # drop pending chain requests originating in the flushed region
         for target in list(self._pending_chains):
             remaining = [stub for stub in self._pending_chains[target]
                          if not low <= stub.stub_addr < high]
@@ -352,20 +393,17 @@ class TranslationDirectory:
                 self._pending_chains[target] = remaining
             else:
                 del self._pending_chains[target]
-        # un-chain surviving stubs that pointed into the flushed region
         for stub, _owner in self._stub_by_addr.values():
             if stub.chained_to is not None and \
                     low <= stub.chained_to < high:
                 self._unpatch(stub)
-        # undo / drop entry redirections touching the flushed region
-        for native_addr in list(self._redirects):
-            bbt_copy, saved = self._redirects[native_addr]
-            if kind == "bbt" and low <= native_addr < high:
-                del self._redirects[native_addr]       # redirect source gone
-            elif kind == "sbt":
-                self.memory.write(native_addr, saved)  # restore BBT entry
+        for native_addr, (bbt_copy, sbt_copy) in list(
+                self._redirects.items()):
+            if low <= native_addr < high:
                 del self._redirects[native_addr]
-        return evicted
+            elif low <= sbt_copy.native_addr < high:
+                self.memory.write(native_addr, bbt_copy.code[:4])
+                del self._redirects[native_addr]
 
     # -- integrity ---------------------------------------------------------
 
@@ -386,65 +424,3 @@ class TranslationDirectory:
         for offset in translation.integrity_mask():
             data[offset:offset + 4] = code[offset:offset + 4]
         return data == code
-
-    def evict(self, translation: Translation) -> None:
-        """Unlink one translation (detected corruption) without a flush.
-
-        The lookup entry, stubs, side-table entries, pending chains and
-        redirects involving the translation are all removed, and stubs
-        elsewhere that were chained into its body are un-chained so
-        execution falls back to the lookup table — exactly the flush
-        recovery, scoped to one victim.  Its cache bytes are abandoned
-        (bump allocation cannot reclaim holes); a later wholesale flush
-        reclaims them.
-        """
-        cache = self.cache_for(translation.kind)
-        if translation in cache.translations:
-            cache.translations.remove(translation)
-        if self.tracer is not None:
-            self.tracer.instant("cache.evict", cache=translation.kind,
-                                entry=f"{translation.entry:#x}")
-        low = translation.native_addr
-        high = translation.native_addr + translation.native_len
-        lookup = (self._bbt_lookup if translation.kind == "bbt"
-                  else self._sbt_lookup)
-        if lookup.get(translation.entry) is translation:
-            del lookup[translation.entry]
-        for stub in translation.exits:
-            self._stub_by_addr.pop(stub.stub_addr, None)
-        for native_addr in translation.side_table:
-            self._side_by_addr.pop(native_addr, None)
-        # drop this translation's own pending chain requests
-        for target in list(self._pending_chains):
-            remaining = [stub for stub in self._pending_chains[target]
-                         if not low <= stub.stub_addr < high]
-            if remaining:
-                self._pending_chains[target] = remaining
-            else:
-                del self._pending_chains[target]
-        # un-chain surviving stubs that jump into the evicted body
-        for stub, _owner in self._stub_by_addr.values():
-            if stub.chained_to is not None and \
-                    low <= stub.chained_to < high:
-                self._unpatch(stub)
-        # redirects: an evicted BBT copy takes its redirect record with
-        # it; an evicted SBT copy must restore the BBT entry it patched
-        for native_addr in list(self._redirects):
-            bbt_copy, saved = self._redirects[native_addr]
-            if translation.kind == "bbt" and bbt_copy is translation:
-                del self._redirects[native_addr]
-            elif translation.kind == "sbt" and \
-                    bbt_copy.entry == translation.entry:
-                self.memory.write(native_addr, saved)
-                del self._redirects[native_addr]
-
-    def _unpatch(self, stub: ExitStub) -> None:
-        """Restore a stub head to its original LUI (undo chaining)."""
-        target = stub.x86_target if stub.x86_target is not None else 0
-        lui = encode_uop(MicroOp(UOp.LUI, rd=R_EXIT_TARGET,
-                                 imm=(target >> 13)))
-        self.memory.write(stub.stub_addr, lui)
-        stub.chained_to = None
-        if self.tracer is not None:
-            self.tracer.instant("chain.broken",
-                                stub=f"{stub.stub_addr:#x}")

@@ -34,7 +34,6 @@ from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import UOp
 from repro.memory.address_space import AddressSpace
 from repro.translator.code_cache import (
-    ExitStub,
     Translation,
     TranslationDirectory,
     extend_origins,
@@ -106,29 +105,23 @@ class SuperblockTranslator:
         if self.enable_fusion:
             body, stats = fuse_microops(body)
 
-        native_addr = self.directory.sbt_cache.reserve()
         code, origins, exits, side = self._layout(body, bc_stub_indices,
                                                   stub_plans, superblock)
         uop_count = sum(run[1] for run in origins)
         translation = Translation(
-            entry=superblock.head, kind="sbt", native_addr=native_addr,
+            entry=superblock.head, kind="sbt",
             x86_addrs=superblock.entries,
             instr_count=superblock.instr_count, uop_count=uop_count,
-            fused_pairs=stats.pairs, code=code, origins=origins,
-            source=_source(superblock, origins),
-            exits=[ExitStub(stub_addr=native_addr + at, kind=kind,
-                            x86_target=target)
-                   for at, kind, target in exits],
-            side_table={native_addr + at: x86_addr
-                        for at, x86_addr in side})
+            fused_pairs=stats.pairs, origins=origins,
+            source=_source(superblock, origins))
 
-        self.directory.install(code, translation)
+        self.directory.install(code, translation, exits, side)
         self.superblocks_translated += 1
         self.instrs_translated += superblock.instr_count
         self.uops_emitted += uop_count
         self.pairs_fused += stats.pairs
         log.debug("sbt: %#x -> %#x (%d instr(s), %d uop(s), "
-                  "%d fused pair(s))", superblock.head, native_addr,
+                  "%d fused pair(s))", superblock.head, translation.native_addr,
                   superblock.instr_count, uop_count, stats.pairs)
         return translation
 

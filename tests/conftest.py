@@ -6,11 +6,15 @@ import os
 
 import pytest
 
+from repro.core import CoDesignedVM
 from repro.interp import Interpreter
 from repro.isa.x86lite import X86State, assemble
 from repro.memory import AddressSpace, load_image
 from repro.memory.loader import DEFAULT_STACK_TOP
+from repro.translator import TranslationDirectory
+from repro.translator.code_cache import BBT_CACHE_BASE
 from repro.verify import sanitizer
+from repro.vmm.runtime import VMRuntime
 
 
 @pytest.fixture(autouse=True)
@@ -37,6 +41,28 @@ def make_state(image=None) -> X86State:
     if image is not None:
         state.eip = load_image(image, state.memory)
     return state
+
+
+def run_on_tiny_caches(factory, image, max_uops: int = 200_000_000):
+    """Run ``image`` under ``factory()`` at hot threshold 1 (every block
+    executed is promoted) on code caches each as large as the largest
+    translation of its kind the same run makes on the default caches:
+    each translation fits alone and not all together, so
+    ``VMRuntime._flush`` fires.  Returns the finished VM."""
+    sizing = CoDesignedVM(factory(), hot_threshold=1)
+    sizing.load(image)
+    sizing.run(max_uops=max_uops)
+    directory = sizing.runtime.directory
+    bbt, sbt = (max((t.native_len for t in cache.translations), default=0)
+                for cache in (directory.bbt_cache, directory.sbt_cache))
+    vm = CoDesignedVM(factory(), hot_threshold=1)
+    vm.load(image)
+    directory = TranslationDirectory(
+        vm.state.memory, bbt_base=BBT_CACHE_BASE, bbt_capacity=bbt,
+        sbt_base=BBT_CACHE_BASE + bbt, sbt_capacity=sbt)
+    vm.runtime = VMRuntime(vm.state, vm.config, directory=directory)
+    vm.run(max_uops=max_uops)
+    return vm
 
 
 def run_source(source: str, max_instructions: int = 1_000_000) -> X86State:

@@ -32,15 +32,12 @@ def make_directory(bbt_capacity=4096, sbt_capacity=4096):
 
 def install_simple(directory, entry, kind="bbt", x86_target=0x400100):
     """Install a minimal translation: a direct exit stub."""
-    cache = directory.cache_for(kind)
-    native = cache.reserve()
     uops = direct_exit_stub(x86_target, entry)
-    translation = Translation(entry=entry, kind=kind, native_addr=native,
-                              x86_addrs=[entry], uop_count=len(uops),
+    translation = Translation(entry=entry, kind=kind, x86_addrs=[entry],
+                              uop_count=len(uops),
                               origins=[[entry, len(uops)]])
-    translation.exits.append(ExitStub(stub_addr=native, kind="jump",
-                                      x86_target=x86_target))
-    directory.install(encode_stream(uops), translation)
+    directory.install(encode_stream(uops), translation,
+                      exits=[(0, "jump", x86_target)])
     return translation
 
 
@@ -240,26 +237,24 @@ class TestRedirection:
 class TestSideTable:
     def test_side_table_resolution(self):
         directory, _memory = make_directory()
-        cache = directory.bbt_cache
-        native = cache.reserve()
+        native = directory.bbt_cache.reserve()
         uops = [MicroOp(UOp.VMCALL, imm=0, x86_addr=0x400123)]
         translation = Translation(entry=0x400120, kind="bbt",
-                                  native_addr=native, origins=[[0x400123, 1]],
-                                  side_table={native: 0x400123})
-        directory.install(encode_stream(uops), translation)
+                                  origins=[[0x400123, 1]])
+        directory.install(encode_stream(uops), translation,
+                          side=[(0, 0x400123)])
         x86_addr, owner = directory.resolve_side_table(native)
         assert x86_addr == 0x400123
         assert owner is translation
 
     def test_side_table_cleared_on_flush(self):
         directory, _memory = make_directory()
-        cache = directory.bbt_cache
-        native = cache.reserve()
+        native = directory.bbt_cache.reserve()
         uops = [MicroOp(UOp.VMCALL, imm=0, x86_addr=0x400123)]
         translation = Translation(entry=0x400120, kind="bbt",
-                                  native_addr=native, origins=[[0x400123, 1]],
-                                  side_table={native: 0x400123})
-        directory.install(encode_stream(uops), translation)
+                                  origins=[[0x400123, 1]])
+        directory.install(encode_stream(uops), translation,
+                          side=[(0, 0x400123)])
         directory.flush("bbt")
         assert directory.resolve_side_table(native) is None
 
@@ -320,6 +315,24 @@ class TestExecutionFollowsMemory:
         assert self.leaves_through(machine, first) == self.C
         directory.evict(second)
         assert self.leaves_through(machine, first) == self.B
+
+    def test_evict_superblock_restores_the_bbt_entry(self):
+        directory, _memory, machine, first, _second = self.setup_pair()
+        superblock = install_simple(directory, self.A, "sbt",
+                                    x86_target=0x400300)
+        assert self.leaves_through(machine, first) == 0x400300
+        directory.evict(superblock)
+        assert not directory.is_redirected(first.native_addr)
+        assert self.leaves_through(machine, first) == self.B
+
+    def test_evict_redirected_bbt_copy_drops_the_redirect(self):
+        directory, _memory, machine, first, _second = self.setup_pair()
+        superblock = install_simple(directory, self.A, "sbt",
+                                    x86_target=0x400300)
+        directory.evict(first)
+        assert not directory._redirects
+        assert directory.lookup(self.A) is superblock
+        assert self.leaves_through(machine, superblock) == 0x400300
 
     def test_byte_poked_into_the_code_page(self):
         # what the code-cache-corruption fault class does: the ORI's

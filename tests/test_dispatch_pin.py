@@ -8,6 +8,11 @@ fails here.  A digest is the first 16 hex digits of the SHA-256 of the
 value's canonical JSON, so a mismatch names the configuration and
 program but not the field: print ``observed(...)`` on both sides to see
 which moved.
+
+The runs on tiny code caches pin what flushes and evictions leave
+behind: the same three digests plus the code-cache region's bytes.
+Those digests were taken before one path came to place and forget a
+translation for both.
 """
 
 import hashlib
@@ -16,8 +21,10 @@ import json
 import pytest
 
 from repro.core import CoDesignedVM, interp_sbt, vm_be, vm_fe, vm_soft
-from repro.faults import InjectedTranslatorFault, injecting
+from repro.faults import FaultInjector, InjectedTranslatorFault, injecting
 from repro.isa.x86lite import assemble
+from repro.translator import TranslationDirectory
+from repro.vmm.runtime import VMRuntime
 from repro.workloads.programs import PROGRAMS
 
 #: low enough that every program forms superblocks under every strategy
@@ -151,3 +158,80 @@ def test_a_quarantined_block_is_emulated_without_profiling():
         [source, target, count]
         for source, targets in profiler.edges._edges.items()
         for target, count in targets.items())) == PINNED_EDGES
+
+
+#: per program, ``(bbt_capacity, sbt_capacity)`` small enough that both
+#: caches flush mid-run under VM.soft.  checksum and fibonacci form one
+#: superblock each, so their SBT cache is smaller than it: the cache
+#: flushes empty, the promotion faults into the quarantine, and the loop
+#: stays on its BBT code
+TINY_CACHES = {
+    "bubble_sort": (384, 96), "checksum": (128, 16),
+    "fib_recursive": (384, 64), "fibonacci": (128, 16),
+    "matmul": (768, 224), "mixhash": (256, 64),
+    "quicksort": (1216, 128), "sieve": (384, 160),
+}
+TINY_BASE = 0x2000_0000
+
+
+def tiny_observed(program: str, config) -> tuple:
+    """One traced VM.soft run on ``TINY_CACHES[program]``: the run's
+    ``observed`` digests and the digest of the code-cache region."""
+    bbt_capacity, sbt_capacity = TINY_CACHES[program]
+    vm = CoDesignedVM(config.with_(trace=True), hot_threshold=HOT_THRESHOLD)
+    vm.load(assemble(PROGRAMS[program]))
+    directory = TranslationDirectory(
+        vm.state.memory, bbt_base=TINY_BASE, bbt_capacity=bbt_capacity,
+        sbt_base=TINY_BASE + bbt_capacity, sbt_capacity=sbt_capacity)
+    vm.runtime = VMRuntime(vm.state, vm.config, directory=directory)
+    vm.run()
+    stats = vm.stats()
+    region = vm.state.memory.read(TINY_BASE, bbt_capacity + sbt_capacity)
+    return stats, (digest(stats), digest(vm.ledger.totals()),
+                   digest([event.name for event in vm.tracer.events]),
+                   hashlib.sha256(region).hexdigest()[:16])
+
+
+#: ``program -> (stats, phases, events, code-cache region)`` digests
+PINNED_TINY = {
+    "bubble_sort": ("a934f5b10f43e991", "0cacd6abb2afda62",
+        "705ecf4a8fff47d0", "7b3298875628b7ae"),
+    "checksum": ("c2184ec10b66a904", "521735e4b99fa9ec",
+        "749bc68f5fea8779", "c29e3a97c0f73bf0"),
+    "fib_recursive": ("00dec0465dce8ff9", "9bf309a1c949cd77",
+        "5ac7bbb21ba861e6", "5afc4d58410f8cf7"),
+    "fibonacci": ("e5e8e8a5b2fd5dba", "4d7c20326bfd6cc5",
+        "23031e8b3787cfef", "37dc26b1aeebcead"),
+    "matmul": ("ee4ee99a04334de0", "82c00c8947064f11",
+        "6a3331be52a1ee53", "45ff584fd6d5bfb6"),
+    "mixhash": ("9b29842201fb37eb", "127849f3ab9e8aa2",
+        "5fc2dd02ba0ba3ae", "ba32a6e37b4bda63"),
+    "quicksort": ("c6940cb006ae0cc2", "43ce999944052e0d",
+        "66cef688ffa1cce2", "9073ac0a618759bc"),
+    "sieve": ("6336a510018b62e9", "57dd6f5acfd4e110",
+        "a39d205ec91d6141", "8402c957f118277d"),
+}
+
+
+@pytest.mark.parametrize("program", sorted(PROGRAMS))
+def test_flushes_are_pinned(program):
+    stats, digests = tiny_observed(program, vm_soft())
+    assert stats["bbt_flushes"] and stats["sbt_flushes"]
+    assert digests == PINNED_TINY[program]
+
+
+#: the corrupted run"s ``(integrity_faults_detected,
+#: integrity_retranslations)`` and its four digests
+PINNED_EVICTIONS = ((25, 21), ("14720599b78f3821", "76642a6ce04777ee",
+                                 "903b7b8d1a3b1c68", "be8ea101c4f60c89"))
+
+
+def test_evictions_are_pinned():
+    injector = FaultInjector(4, ["cache-corruption"], rate=0.2)
+    with injecting(injector):
+        stats, digests = tiny_observed(
+            "sieve", vm_soft().with_(integrity_check_interval=1))
+    assert stats["bbt_flushes"] and stats["sbt_flushes"]
+    assert ((stats["integrity_faults_detected"],
+             stats["integrity_retranslations"]), digests) \
+        == PINNED_EVICTIONS

@@ -38,7 +38,6 @@ import pytest
 
 import repro.isa.fusible.encoding as encoding_module
 import repro.isa.fusible.machine as machine_module
-import repro.translator.code_cache as code_cache_module
 import repro.verify.rules as rules_module
 import repro.verify.verifier as verifier_module
 from repro.core.config import vm_soft
@@ -151,8 +150,9 @@ class TestViolatingRecordsNeverRun:
         vm = booted()
         directory = vm.runtime.directory
         # the record does break the rule it is meant to break
-        translation = materialize(record, directory.sbt_cache.reserve(),
-                                  len(decoded(record)))
+        translation = materialize(record, len(decoded(record))).place(
+            directory.sbt_cache.reserve(), record["exits"],
+            record["side_table"])
         translation.code = record_stream(record)[0]
         found = verify_translation(translation)
         assert rule in {violation.rule_id for violation in found.violations}
@@ -201,9 +201,9 @@ def recorded_installs(monkeypatch, directory, progress):
     installs = []
     real_install = directory.install
 
-    def recording_install(data, translation):
+    def recording_install(data, translation, *placement):
         installs.append((len(progress), data, translation))
-        real_install(data, translation)
+        real_install(data, translation, *placement)
 
     monkeypatch.setattr(directory, "install", recording_install)
     return installs
@@ -215,8 +215,7 @@ class TestOneEncodePerMicroOp:
         # the autouse sanitizer would verify (and so encode) each
         # install a second time; this test counts the loader's own work
         monkeypatch.setattr(sanitizer._STATE, "mode", None)
-        encoded = counted(monkeypatch, "encode_uop",
-                          (encoding_module, code_cache_module))
+        encoded = counted(monkeypatch, "encode_uop", (encoding_module,))
         vm = booted()
         directory = vm.runtime.directory
         installs = recorded_installs(monkeypatch, directory, encoded)
@@ -508,7 +507,8 @@ class TestATranslationEndsWhereTheMachineLeavesIt:
                                     if r["kind"] == "sbt"), 1)
         report = run_rules(VerifyContext.from_code(
             *record_stream(cut),
-            translation=materialize(cut, 0x2000_0000, 1)))
+            translation=materialize(cut, 1).place(
+                0x2000_0000, cut["exits"], cut["side_table"])))
         assert [(v.rule_id, v.index) for v in report.violations] == \
             [("CTL002", 0)]
 

@@ -4,7 +4,9 @@ Extends the straight-line-loop property of ``test_vm_end_to_end`` with
 structured control flow — nested counted loops containing data-dependent
 if/else diamonds and early-skip branches — which exercises superblock
 formation with side exits, condition inversion, chaining across many
-blocks, and multi-path profiling.
+blocks, and multi-path profiling.  VM.soft and Interp+SBT run each
+program once more on code caches too small to hold it, so every example
+also checks what a flush leaves behind.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from repro.core import (
     vm_soft,
 )
 from repro.isa.x86lite import assemble
+from tests.conftest import run_on_tiny_caches
 
 ALL = [ref_superscalar, vm_soft, vm_be, vm_fe, interp_sbt]
 
@@ -106,6 +109,12 @@ class TestBranchyEquivalence:
             vm = CoDesignedVM(factory(), hot_threshold=threshold)
             vm.load(image)
             vm.run(max_uops=200_000_000)
+            results.append((vm.state.regs, vm.state.output,
+                            vm.state.flags_tuple(), vm.state.exit_code))
+        for factory in (vm_soft, interp_sbt):
+            vm = run_on_tiny_caches(factory, image)
+            stats = vm.stats()
+            assert stats["bbt_flushes"] + stats["sbt_flushes"]
             results.append((vm.state.regs, vm.state.output,
                             vm.state.flags_tuple(), vm.state.exit_code))
         assert all(result == results[0] for result in results[1:])

@@ -359,9 +359,9 @@ class TestTheLoaderIsTheOneJudge:
         installed = []
         real_install = vm.runtime.directory.install
 
-        def recording(data, translation):
+        def recording(data, translation, *placement):
             installed.append((translation.kind, translation.entry))
-            real_install(data, translation)
+            real_install(data, translation, *placement)
         monkeypatch.setattr(vm.runtime.directory, "install", recording)
         report = WarmStartLoader(vm.runtime).load_records(
             records + [broken])

@@ -86,7 +86,8 @@ def booted() -> CoDesignedVM:
 def rebuilt(record, native_addr=NATIVE) -> Translation:
     """An SBT record as a Translation, the way the loader builds one."""
     code, x86_addrs = record_stream(record)
-    translation = materialize(record, native_addr, len(x86_addrs))
+    translation = materialize(record, len(x86_addrs)).place(
+        native_addr, record["exits"], record["side_table"])
     translation.code = code
     return translation
 

@@ -16,6 +16,7 @@ from repro.core import (
     vm_soft,
 )
 from repro.isa.x86lite import ArchException, Reg, assemble
+from tests.conftest import run_on_tiny_caches
 
 ALL = [ref_superscalar, vm_soft, vm_be, vm_fe, interp_sbt]
 VM_ONLY = [vm_soft, vm_be, vm_fe, interp_sbt]
@@ -392,6 +393,13 @@ class TestRandomProgramEquivalence:
             vm = CoDesignedVM(factory(), hot_threshold=threshold)
             vm.load(image)
             vm.run()
+            results.append((vm.state.regs, vm.state.output,
+                            vm.state.flags_tuple()))
+        # and on caches too small for the program: a flush mid-run
+        for factory in (vm_soft, interp_sbt):
+            vm = run_on_tiny_caches(factory, image)
+            stats = vm.stats()
+            assert stats["bbt_flushes"] + stats["sbt_flushes"]
             results.append((vm.state.regs, vm.state.output,
                             vm.state.flags_tuple()))
         assert all(result == results[0] for result in results[1:])
