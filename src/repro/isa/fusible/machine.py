@@ -42,6 +42,11 @@ Decode work is paid once per static micro-op, not once per dynamic one
   a guest store — drops every run decoded from it.  A store micro-op
   that does so ends the run it belongs to, so even code that rewrites
   its own next micro-op behaves as if fetched one micro-op at a time.
+* **Compiled loops.**  A superblock head whose code loops back to it
+  runs, once entered often enough for its size (:data:`LOOP_ENTRIES`),
+  as one generated function with registers and flags in locals.  It
+  stops and retires exactly where the runs would; write-watch drops it,
+  and the bound steps stay its test oracle.
 """
 
 from __future__ import annotations
@@ -73,6 +78,12 @@ SIGN32 = 0x80000000
 #: Most code bytes one run is decoded from (it also ends at its first
 #: control micro-op and at the end of its page).
 RUN_WINDOW = 256
+
+#: A loop of L micro-ops compiles after ``LOOP_ENTRIES + LOOP_FIXED // L``
+#: entries of its head since its page last changed: a compile has a fixed
+#: cost, so a short loop must run longer to repay it.
+LOOP_ENTRIES = 48
+LOOP_FIXED = 1800
 
 #: What a bound micro-op returns: None or False to go on, True when it
 #: wrote to memory that runs were decoded from, an ExitEvent on a VM exit.
@@ -141,6 +152,12 @@ class FusibleMachine:
         self._code_written = False
         #: where bound micro-ops put a result destined for R_ZERO
         self._bit_bucket = [0]
+        #: superblock head (the VMM adds and removes them) -> entries owed
+        #: before its loop compiles (0: unsized); only run misses look
+        self.loop_heads: Dict[int, int] = {}
+        self._head_runs: Dict[int, Run] = {}
+        self._loops: Dict[int, Callable[[int], int]] = {}
+        self.loop_iterations = 0
         self._xlt_unit = None
 
     # -- register helpers -----------------------------------------------------
@@ -336,19 +353,27 @@ class FusibleMachine:
         fused_pairs = sum(entry >> 7 for entry in shape)
         run = (tuple(steps[:-1]), steps[-1], len(steps), offset,
                fused_pairs, pc + offset, bytes(shape))
-        for page in {pc >> PAGE_SHIFT, (pc + offset - 1) >> PAGE_SHIFT}:
+        self._watch(pc, {pc >> PAGE_SHIFT, (pc + offset - 1) >> PAGE_SHIFT})
+        (self._head_runs if pc in self.loop_heads else self._runs)[pc] = run
+        return run
+
+    def _watch(self, pc: int, pages) -> None:
+        """File ``pc`` under each of ``pages``, watched."""
+        for page in pages:
             pcs = self._run_pcs_by_page.get(page)
             if pcs is None:
                 pcs = self._run_pcs_by_page[page] = set()
                 self.memory.watch(page, self._drop_runs)
             pcs.add(pc)
-        self._runs[pc] = run
-        return run
 
     def _drop_runs(self, page_index: int) -> None:
-        """Write-watch callback: forget every run decoded from the page."""
+        """Write-watch callback: forget what was decoded from the page."""
         for pc in self._run_pcs_by_page.pop(page_index):
             self._runs.pop(pc, None)
+            self._head_runs.pop(pc, None)
+            self._loops.pop(pc, None)
+            if pc in self.loop_heads:
+                self.loop_heads[pc] = 0
         self._code_written = True
 
     def _retire(self, uop_count: int, nbytes: int, fused_pairs: int) -> None:
@@ -396,13 +421,22 @@ class FusibleMachine:
         """Run from ``start_pc`` until the next VM exit event."""
         self.pc = start_pc
         self._code_written = False
-        runs = self._runs
+        runs, heads = self._runs, self.loop_heads
         budget = max_uops
         while budget > 0:
             pc = self.pc
             run = runs.get(pc)
             if run is None:
-                run = self._decode_run(pc)
+                owed = heads.get(pc)
+                if owed is not None:
+                    if owed > 1:
+                        heads[pc] = owed - 1
+                    else:   # sized, or compiled: 0 if no iteration fit
+                        done = self._enter_head(pc, budget)
+                        if done:
+                            budget -= done
+                            continue
+                run = self._head_runs.get(pc) or self._decode_run(pc)
             body, tail, steps, nbytes, fused_pairs, end_pc, shape = run
             if steps > budget:
                 # the budget ends inside this run: finish it one micro-op
@@ -451,6 +485,59 @@ class FusibleMachine:
         self._retire(len(done), nbytes, sum(entry >> 7 for entry in done))
         self.pc = pc + nbytes
         return len(done)
+
+    # -- compiled loops -------------------------------------------------------
+
+    def _enter_head(self, head: int, budget: int) -> int:
+        """An entry of ``head`` that owes none: size the loop there (or drop
+        the head), or compile and run it; returns the micro-ops run."""
+        loop = self._loops.get(head)
+        if loop is None:
+            items = self._walk_loop(head)
+            if items is None:           # plain code from now on
+                del self.loop_heads[head]
+                self._head_runs.pop(head, None)
+                return 0
+            if not self.loop_heads[head]:   # sized: count entries now
+                self.loop_heads[head] = LOOP_ENTRIES + LOOP_FIXED // len(items)
+                return 0
+            loop = self._loops[head] = self._compile_loop(items)
+        return loop(budget)
+
+    def _compile_loop(self, items: list) -> Callable[[int], int]:
+        """``items``' loop as a function ``loop(budget) -> micro-ops run``
+        (its text as ``source``), dropped with its pages' runs."""
+        text, names = _loop_source(items)
+        scope = dict(names, m=self, regs=self.regs, _sar=_sar, _mulh=_mulh,
+                     _mulhu=_mulhu, BaseException=BaseException,
+                     __builtins__={})
+        exec(compile(text, "<loop>", "exec"), scope)
+        scope["loop"].source = text
+        self._watch(items[0][1], range(items[0][1] >> PAGE_SHIFT,
+                                       ((items[-1][2] - 1) >> PAGE_SHIFT) + 1))
+        return scope["loop"]
+
+    def _walk_loop(self, head: int) -> Optional[list]:
+        """``(uop, native_pc, next_pc, shape)`` of each micro-op from
+        ``head`` to a JMP back to it, all in ``_LOOP_OPS``; or None."""
+        data = self.memory.read(head, min(PAGE_SIZE, ADDRESS_MASK + 1 - head))
+        items, offset = [], 0
+        while offset + 1 < len(data):
+            end = offset + (4 if data[offset + 1] & 0x40 else 2)
+            try:
+                word = self.words[data[offset:end]]
+            except UopDecodeError:
+                return None
+            uop = word.uop
+            items.append((uop, head + offset, head + end, word.shape))
+            offset = end
+            if uop.op is UOp.JMP:
+                return items if (head + end + uop.imm) & MASK32 == head \
+                    else None
+            if uop.op not in _LOOP_OPS:
+                return None
+        return None
+
 
 
 # -- binders: one per micro-op, resolved operands in, host callable out ------
@@ -568,25 +655,31 @@ _TWO_ADDRESS_OPS = frozenset({UOp.ADD2, UOp.SUB2, UOp.AND2, UOp.OR2,
                               UOp.XOR2, UOp.CMP2, UOp.TEST2})
 
 
+def _alu_operands(uop: MicroOp) -> tuple:
+    """``(rd, a, b)`` of a two-operand ALU form: the register its result
+    goes to, and each operand as a register index or a ``(constant,)``."""
+    op = uop.op
+    rd = R_ZERO if op in (UOp.CMP2, UOp.TEST2) else uop.rd
+    if op in _TWO_ADDRESS_OPS:
+        return rd, uop.rd, uop.rs1
+    if op is UOp.ADDI2:
+        return rd, uop.rd, (uop.imm,)
+    if op in I_FORM_OPS:
+        return rd, uop.rs1, (uop.imm,)
+    if op in RR_FORM_OPS:
+        return rd, uop.rs1, (1,)
+    return rd, uop.rs1, uop.rs2
+
+
 def _bind_alu(m: FusibleMachine, uop: MicroOp, native_pc, next_pc) -> Step:
     """``rd <- kernel(a, b)`` for every two-operand ALU form."""
-    op = uop.op
-    kernel = _ALU[op][uop.setflags]
+    kernel = _ALU[uop.op][uop.setflags]
     pure = not isinstance(kernel, str)
     if not pure:
         kernel = getattr(m, kernel)
-    rd = R_ZERO if op in (UOp.CMP2, UOp.TEST2) else uop.rd
-    if op in _TWO_ADDRESS_OPS:
-        first, second = _source(m, uop.rd), _source(m, uop.rs1)
-    elif op is UOp.ADDI2:
-        first, second = _source(m, uop.rd), ((uop.imm,), 0)
-    elif op in I_FORM_OPS:
-        first, second = _source(m, uop.rs1), ((uop.imm,), 0)
-    elif op in RR_FORM_OPS:
-        first, second = _source(m, uop.rs1), ((1,), 0)
-    else:
-        first, second = _source(m, uop.rs1), _source(m, uop.rs2)
-    (xa, a), (xb, b) = first, second
+    rd, first, second = _alu_operands(uop)
+    xa, a = _source(m, first) if type(first) is int else (first, 0)
+    xb, b = _source(m, second) if type(second) is int else (second, 0)
     if pure and isinstance(xa, tuple) and isinstance(xb, tuple):
         return _move(m, rd, ((kernel(xa[a], xb[b]),), 0))
     dst, d = _dest(m, rd)
@@ -801,3 +894,146 @@ _BINDERS: Dict[UOp, Callable[[FusibleMachine, MicroOp, int, int], Step]] = {
 _BINDERS.update(dict.fromkeys(_ALU, _bind_alu))
 _BINDERS.update(dict.fromkeys(_LOADS, _bind_load))
 _BINDERS.update(dict.fromkeys(_STORES, _bind_store))
+
+
+# -- compiled loops: the binders' rows as host code text ---------------------
+#
+# A text below computes a kernel of ``_ALU`` from operand texts ``{a}`` /
+# ``{b}`` into ``{d}``, over locals: ``rn`` for register n, ``cf`` / ``zf``
+# / ``sf`` / ``of`` for the flags.  A kernel without one is called.
+
+_FLAG_RESULT = ["x &= 4294967295", "zf = x == 0", "sf = x > 2147483647"]
+_ADD_FLAGS = ["x = ({a} & 4294967295) + ({b} & 4294967295)",
+              "cf = x > 4294967295", *_FLAG_RESULT,
+              "of = (~({a} ^ {b}) & ({a} ^ x) & 2147483648) != 0", "{d} = x"]
+_SUB_FLAGS = ["x = ({a} & 4294967295) - ({b} & 4294967295)",
+              "cf = x < 0", *_FLAG_RESULT,
+              "of = (({a} ^ {b}) & ({a} ^ x) & 2147483648) != 0", "{d} = x"]
+_KERNEL_TEXT = {
+    _shl: ["{d} = (({a} & 4294967295) << ({b} & 31)) & 4294967295"],
+    _shr: ["{d} = ({a} & 4294967295) >> ({b} & 31)"],
+    "_adc": ["{d} = ({a} + {b} + cf) & 4294967295"],
+    "_sbb": ["{d} = ({a} - {b} - cf) & 4294967295"],
+    "_flags_add": _ADD_FLAGS,
+    "_flags_sub": _SUB_FLAGS,
+    "_inc_f": [line for line in _ADD_FLAGS if not line.startswith("cf")],
+    "_dec_f": [line for line in _SUB_FLAGS if not line.startswith("cf")],
+}
+for _kernel, _operator in ((_add, "+"), (_sub, "-"), (_mull, "*"),
+                           (_and, "&"), (_or, "|"), (_xor, "^")):
+    _KERNEL_TEXT[_kernel] = [f"{{d}} = ({{a}} {_operator} {{b}}) & 4294967295"]
+for _name, _operator in (("_and_f", "&"), ("_or_f", "|"), ("_xor_f", "^")):
+    _KERNEL_TEXT[_name] = [f"x = {{a}} {_operator} {{b}}",
+                           "cf = of = False", *_FLAG_RESULT, "{d} = x"]
+
+#: each condition over the flags, as ``cond_holds`` reads them
+_COND_TEXT = {Cond.O: "of", Cond.B: "cf", Cond.E: "zf", Cond.BE: "cf or zf",
+              Cond.S: "sf", Cond.L: "sf != of", Cond.LE: "zf or sf != of"}
+_COND_TEXT.update({Cond(cond | 1): f"not ({text})"
+                   for cond, text in _COND_TEXT.items()})
+
+#: what a compiled loop holds besides its BC side exits and closing JMP
+_LOOP_OPS = frozenset({*_ALU, *_LOADS, *_STORES, UOp.MOV2, UOp.LUI,
+                       UOp.SEL, UOp.NOP, UOp.NOP2, UOp.BC})
+
+#: the function ``_loop_source`` fills in
+_LOOP_TEXT = """def loop(budget, m=m, regs=regs, exits=exits, lines=lines,
+         {accessors}):
+    {loads}cf, zf, sf, of = m.cf, m.zf, m.sf, m.of
+    n = at = 0
+    limit = budget // {size}
+    try:
+        while n < limit:
+{body}
+    except BaseException as exc:
+        at = lines.get(exc.__traceback__.tb_lineno, 0)
+        raise
+    finally:
+        {stores}m.cf, m.zf, m.sf, m.of = cf, zf, sf, of
+        uops, nbytes, fused, m.pc = exits[at]
+        done = n * {size} + uops
+        m._retire(done, n * {nbytes} + nbytes, n * {fused} + fused)
+        m._code_written = False
+        m.loop_iterations += n
+    return done
+"""
+_BODY_LINE = _LOOP_TEXT.count("\n", 0, _LOOP_TEXT.index("{body}")) + 1
+_ACCESSORS = ", ".join(f"{name}=m.memory.{name}" for name in sorted(
+    {accessor for accessor, _sign in _LOADS.values()} | {*_STORES.values()}))
+
+
+def _loop_source(items) -> Tuple[str, dict]:
+    """The text of the loop over ``items`` (see :meth:`_walk_loop`), and
+    its names.  It runs an iteration only when the budget holds all of
+    it; each way out (a taken BC, a store that rewrote decoded code, an
+    exception, found by its line) names an entry of ``exits``: what of
+    its iteration ran (micro-ops, bytes, fused pairs) and the ``pc``."""
+    used = set()
+    exits = [(0, 0, 0, items[0][1])]
+
+    def reg(index: int, dest: bool = False) -> str:
+        if index == R_ZERO:
+            return "_" if dest else "0"
+        used.add(index)
+        return f"r{index}"
+
+    body: List[Tuple[str, int]] = []    # (line, exit on an exception)
+    done_bytes = done_fused = 0
+    for count, (uop, _native_pc, next_pc, shape) in enumerate(items, 1):
+        op = uop.op
+        done_bytes += shape & 0x7F
+        done_fused += shape >> 7
+        exits.append((count, done_bytes, done_fused,
+                      exits[0][3] if op is UOp.JMP else next_pc))
+        after = len(exits) - 1
+        if op in _ALU:
+            kernel = _ALU[op][uop.setflags]
+            rd, *operands = _alu_operands(uop)
+            a, b = (reg(operand) if type(operand) is int
+                    else f"({operand[0]})" for operand in operands)
+            text = _KERNEL_TEXT.get(kernel) or (
+                ["m.cf, m.zf, m.sf, m.of = cf, zf, sf, of",
+                 f"{{d}} = m.{kernel}({{a}}, {{b}})",
+                 "cf, zf, sf, of = m.cf, m.zf, m.sf, m.of"]
+                if isinstance(kernel, str)
+                else [f"{{d}} = {kernel.__name__}({{a}}, {{b}})"])
+            if rd == R_ZERO:    # flags only: no result to keep
+                text = [line for line in text if line != "{d} = x"]
+            lines = [line.format(a=a, b=b, d=reg(rd, True))
+                     for line in text]
+        elif op is UOp.MOV2:
+            lines = [f"{reg(uop.rd, True)} = {reg(uop.rs1)}"]
+        elif op is UOp.LUI:
+            lines = [f"{reg(uop.rd, True)} = {(uop.imm << 13) & MASK32}"]
+        elif op is UOp.SEL:
+            lines = [f"if {_COND_TEXT[uop.cond]}:",
+                     f"    {reg(uop.rd, True)} = {reg(uop.rs1)}"]
+        elif op in _LOADS:
+            accessor, sign = _LOADS[op]
+            load = f"{accessor}(({reg(uop.rs1)} + {uop.imm}) & 4294967295)"
+            lines = [f"x = {load}", f"{reg(uop.rd, True)} = (x - "
+                     f"{sign << 1}) & 4294967295 if x & {sign} else x"] \
+                if sign else [f"{reg(uop.rd, True)} = {load}"]
+        elif op in _STORES:
+            lines = [f"{_STORES[op]}(({reg(uop.rs1)} + {uop.imm})"
+                     f" & 4294967295, {reg(uop.rd)})",
+                     "if m._code_written:", f"    at = {after}", "    break"]
+        elif op is UOp.BC:
+            exits.append((count, done_bytes, done_fused,
+                          (next_pc + uop.imm) & MASK32))
+            lines = [f"if {_COND_TEXT[uop.cond]}:",
+                     f"    at = {len(exits) - 1}", "    break"]
+        else:   # the closing JMP; a NOP holds nothing
+            lines = ["n += 1"] if op is UOp.JMP else []
+        body += [(line, after) for line in lines]
+
+    text = _LOOP_TEXT.format(
+        accessors=_ACCESSORS, size=len(items), nbytes=done_bytes,
+        fused=done_fused,
+        loads="".join(f"r{index} = regs[{index}]; " for index in sorted(used)),
+        stores="".join(f"regs[{index}] = r{index}; "
+                       for index in sorted(used)),
+        body="\n".join(f"            {line}" for line, _after in body))
+    lines_at = {number: after
+                for number, (_line, after) in enumerate(body, _BODY_LINE)}
+    return text, {"exits": exits, "lines": lines_at}

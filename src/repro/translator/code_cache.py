@@ -43,7 +43,11 @@ SBT_CACHE_CAPACITY = 4 * 1024 * 1024
 
 
 class CodeCacheFull(Exception):
-    """Internal signal: an allocation did not fit (triggers a flush)."""
+    """Internal signal: ``nbytes`` did not fit (flush if that helps)."""
+
+    def __init__(self, message: str, nbytes: int) -> None:
+        super().__init__(message)
+        self.nbytes = nbytes
 
 
 @dataclass
@@ -171,7 +175,7 @@ class CodeCache:
         if not self.would_fit(len(data)):
             raise CodeCacheFull(
                 f"{self.name}: {len(data)} bytes do not fit "
-                f"({self.free_bytes} free)")
+                f"({self.free_bytes} free)", len(data))
         self.memory.write(self._next, data)
         self._next += len(data)
         translation.native_len = len(data)
@@ -216,6 +220,8 @@ class TranslationDirectory:
         #: the owning VM's word table (``VMRuntime`` sets it): what SBT
         #: and the install-time sanitizer read code through
         self.words = WordTable()
+        #: superblock heads: the machine's ``loop_heads`` (``VMRuntime``)
+        self.loop_heads: Dict[int, int] = {}
         self.bbt_cache = CodeCache(memory, bbt_base, bbt_capacity, "bbt")
         self.sbt_cache = CodeCache(memory, sbt_base, sbt_capacity, "sbt")
         self._bbt_lookup: Dict[int, Translation] = {}
@@ -289,6 +295,7 @@ class TranslationDirectory:
         # an SBT copy supersedes the BBT copy: patch the BBT entry with a
         # direct JMP so already-chained paths transition to hotspot code
         if translation.kind == "sbt":
+            self.loop_heads[translation.native_addr] = 0
             bbt_copy = self._bbt_lookup.get(translation.entry)
             if bbt_copy is not None and \
                     bbt_copy.native_addr not in self._redirects:
@@ -386,6 +393,7 @@ class TranslationDirectory:
                 self._stub_by_addr.pop(stub.stub_addr, None)
             for native_addr in translation.side_table:
                 self._side_by_addr.pop(native_addr, None)
+            self.loop_heads.pop(translation.native_addr, None)
         for target in list(self._pending_chains):
             remaining = [stub for stub in self._pending_chains[target]
                          if not low <= stub.stub_addr < high]

@@ -86,8 +86,8 @@ class Ending(Template):
     def __init__(self, head, asked, stubs) -> None:
         super().__init__(head, asked)
         self.vmcalls = [offset for offset, _ in side_entries(head)]
-        self.stubs = [(kind, target and (target.source, target.chain))
-                      for kind, target in stubs]
+        self.stubs = [(kind, (target.source, target.chain) if target
+                       is not None else None) for kind, target in stubs]
 
 
 class Shape:

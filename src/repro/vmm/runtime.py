@@ -144,6 +144,7 @@ class VMRuntime:
             if config.trace else None
         self.directory.tracer = self.tracer
         self.directory.words = self.machine.words
+        self.directory.loop_heads = self.machine.loop_heads
         x86_mode = initial_emulation == "x86-mode"
         self._interp_category = "x86_mode" if x86_mode else "interpretation"
         self._interp_cpi = self.phase_costs.x86_mode_cpi if x86_mode \
@@ -361,7 +362,8 @@ class VMRuntime:
                    translate: Callable[[int], Translation]
                    ) -> Optional[Translation]:
         """``translate(entry)`` into the ``kind`` code cache, flushing
-        it once when it is full.
+        it once when it is full, unless the translation is larger than
+        the whole cache: that one fails without evicting anything.
 
         Returns None when the entry is quarantined (recent translator
         failure, bounded-backoff retry pending) or permanently degraded:
@@ -382,7 +384,9 @@ class VMRuntime:
         try:
             try:
                 translation = translate(entry)
-            except CodeCacheFull:
+            except CodeCacheFull as full:
+                if full.nbytes > self.directory.cache_for(kind).capacity:
+                    raise       # (an empty cache it did not fit, too)
                 self._flush(kind)
                 translation = translate(entry)
         except (AssertionError, KeyboardInterrupt, SystemExit):

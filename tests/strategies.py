@@ -428,3 +428,71 @@ def native_programs(draw, max_size: int = 24) -> NativeProgram:
                             st.just(8 * len(body))))
     return NativeProgram(start, body, regs, draw(st.integers(0, 15)),
                          budget)
+
+
+# -- looping superblocks, as the machine compiles them ------------------------
+
+#: where a looping superblock is placed: a few parcels below a page
+#: boundary, so it may straddle two pages
+LOOP_CODE = NATIVE_CODE_PAGE - 0x40
+#: the register a counted exit counts down
+LOOP_COUNTER = 12
+#: with ``CMP2 r, r`` before it (ZF set, CF/SF/OF clear) these never branch
+_NEVER_AFTER_EQUAL = [Cond.O, Cond.B, Cond.NE, Cond.NBE, Cond.S, Cond.L,
+                      Cond.NLE]
+_LOOP_BODY_OPS = frozenset(
+    op for op in UOp
+    if op in SHORT_OPS | R_FORM_OPS | I_FORM_OPS | RR_FORM_OPS
+    | LOAD_OPS | STORE_OPS
+    and op not in (UOp.BC, UOp.JMP, UOp.JCSRC, UOp.JCSRT, UOp.LDF,
+                   UOp.STF))
+
+
+@st.composite
+def looping_superblocks(draw, max_exits: int = 6) -> NativeProgram:
+    """A superblock that closes on its head, laid out as SBT lays one
+    out: 1..``max_exits`` segments of body micro-ops (any ALU form,
+    flagged or not, ``R_ZERO`` operands, loads and stores through
+    R8..R11), each ended by a BC to its own exit stub; the JMP back to
+    the head; then the stubs, a VMEXIT each.  A segment's BC tests the
+    flags its body left, or never branches (after ``CMP2 r, r``), or
+    counts R12 down to zero, so some loops run for many iterations."""
+    body_ops = st.one_of(
+        uops.filter(lambda uop: uop.op in _LOOP_BODY_OPS),
+        _pointer_accesses())
+    code: List[MicroOp] = []
+    branches = []
+    for _ in range(draw(st.integers(1, max_exits))):
+        code += draw(st.lists(body_ops, max_size=6))
+        exit_kind = draw(st.sampled_from(["flags", "never", "counted"]))
+        if exit_kind == "never":
+            reg = draw(st.integers(0, 15))
+            code.append(MicroOp(UOp.CMP2, rd=reg, rs1=reg, setflags=True))
+            cond = draw(st.sampled_from(_NEVER_AFTER_EQUAL))
+        elif exit_kind == "counted":
+            code.append(MicroOp(UOp.DECF, rd=LOOP_COUNTER,
+                                rs1=LOOP_COUNTER, setflags=True))
+            cond = Cond.E
+        else:
+            cond = draw(conds)
+        branches.append(len(code))
+        code.append(MicroOp(UOp.BC, cond=cond))
+    code.append(MicroOp(UOp.JMP))
+    stubs = [MicroOp(UOp.VMEXIT, rs1=draw(st.integers(0, 31)))
+             for _ in branches]
+    offsets = [0]
+    for uop in code + stubs:
+        offsets.append(offsets[-1] + uop.length)
+    for stub, index in enumerate(branches):
+        code[index] = replace(code[index], imm=offsets[len(code) + stub]
+                              - offsets[index + 1])
+    code[-1] = replace(code[-1], imm=-offsets[len(code)])
+    regs = draw(st.lists(imm32, min_size=32, max_size=32))
+    regs[8:12] = [NATIVE_DATA_BASE, LOOP_CODE,
+                  draw(st.sampled_from([0xFFFFFFF0, 0xFFFFFFFC])),
+                  NATIVE_DATA_BASE + 64]
+    regs[LOOP_COUNTER] = draw(st.integers(1, 40))
+    budget = draw(st.one_of(st.integers(0, 4 * len(code)),
+                            st.just(100 * len(code))))
+    return NativeProgram(LOOP_CODE, code + stubs, regs,
+                         draw(st.integers(0, 15)), budget)

@@ -12,7 +12,10 @@ which moved.
 The runs on tiny code caches pin what flushes and evictions leave
 behind: the same three digests plus the code-cache region's bytes.
 Those digests were taken before one path came to place and forget a
-translation for both.
+translation for both; checksum's and fibonacci's stats and events moved
+once since, when a promotion that cannot fit an empty SBT cache stopped
+flushing it first (``sbt_flushes`` 1 -> 0, one ``cache.flush`` event
+fewer; cycles and code bytes unchanged).
 """
 
 import hashlib
@@ -162,9 +165,9 @@ def test_a_quarantined_block_is_emulated_without_profiling():
 
 #: per program, ``(bbt_capacity, sbt_capacity)`` small enough that both
 #: caches flush mid-run under VM.soft.  checksum and fibonacci form one
-#: superblock each, so their SBT cache is smaller than it: the cache
-#: flushes empty, the promotion faults into the quarantine, and the loop
-#: stays on its BBT code
+#: superblock each, so their SBT cache is smaller than it: the promotion
+#: faults into the quarantine without a flush (an empty cache has
+#: nothing to reclaim), and the loop stays on its BBT code
 TINY_CACHES = {
     "bubble_sort": (384, 96), "checksum": (128, 16),
     "fib_recursive": (384, 64), "fibonacci": (128, 16),
@@ -172,6 +175,8 @@ TINY_CACHES = {
     "quicksort": (1216, 128), "sieve": (384, 160),
 }
 TINY_BASE = 0x2000_0000
+#: the programs whose one superblock does not fit their SBT cache
+NO_SBT_FIT = {"checksum", "fibonacci"}
 
 
 def tiny_observed(program: str, config) -> tuple:
@@ -196,12 +201,12 @@ def tiny_observed(program: str, config) -> tuple:
 PINNED_TINY = {
     "bubble_sort": ("a934f5b10f43e991", "0cacd6abb2afda62",
         "705ecf4a8fff47d0", "7b3298875628b7ae"),
-    "checksum": ("c2184ec10b66a904", "521735e4b99fa9ec",
-        "749bc68f5fea8779", "c29e3a97c0f73bf0"),
+    "checksum": ("6e20c257566f8cf9", "521735e4b99fa9ec",
+        "9392e7763884cd59", "c29e3a97c0f73bf0"),
     "fib_recursive": ("00dec0465dce8ff9", "9bf309a1c949cd77",
         "5ac7bbb21ba861e6", "5afc4d58410f8cf7"),
-    "fibonacci": ("e5e8e8a5b2fd5dba", "4d7c20326bfd6cc5",
-        "23031e8b3787cfef", "37dc26b1aeebcead"),
+    "fibonacci": ("458ca16aa1d5dce1", "4d7c20326bfd6cc5",
+        "1b34f0db58c759cc", "37dc26b1aeebcead"),
     "matmul": ("ee4ee99a04334de0", "82c00c8947064f11",
         "6a3331be52a1ee53", "45ff584fd6d5bfb6"),
     "mixhash": ("9b29842201fb37eb", "127849f3ab9e8aa2",
@@ -216,7 +221,11 @@ PINNED_TINY = {
 @pytest.mark.parametrize("program", sorted(PROGRAMS))
 def test_flushes_are_pinned(program):
     stats, digests = tiny_observed(program, vm_soft())
-    assert stats["bbt_flushes"] and stats["sbt_flushes"]
+    assert stats["bbt_flushes"]
+    if program in NO_SBT_FIT:
+        assert not stats["sbt_flushes"] and stats["translation_faults"]
+    else:
+        assert stats["sbt_flushes"]
     assert digests == PINNED_TINY[program]
 
 

@@ -626,3 +626,14 @@ def test_a_hole_guarded_on_one_side_keeps_the_other(bounds):
     for value in (-5000, -4097, -4096, 0, 4095, 4096, 5000):
         assert template.fill([value]) == oracle.fill(template, [value])
     assert ("-4096 <= " in template.fill.source) == (len(bounds) < 2)
+
+
+def test_an_exit_target_of_zero_keeps_its_recipe():
+    # ``jz -2`` at address 0 exits to 0 when taken: the stub keeps the
+    # target's recipe, not the value (a Sym printed into the text)
+    sample = b"\x74\xfe" + bytes(14)
+    instr = decode(sample, addr=0)
+    target = template_module.Sym(0, 0, (), [])
+    ending = templates.Ending(encode_stream(crack(instr).uops), [],
+                              [("taken", target), ("indirect", None)])
+    assert ending.stubs == [("taken", (0, ())), ("indirect", None)]

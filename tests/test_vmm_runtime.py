@@ -18,6 +18,7 @@ from repro.vmm import (
     VMRuntime,
 )
 from repro.vmm.profiling import EdgeProfile
+from repro.workloads.programs import PROGRAMS
 
 LOOP = """
 start:
@@ -152,6 +153,38 @@ class TestCodeCachePressure:
         assert state.halted
         assert directory.sbt_cache.flushes >= 1
         assert runtime.stats()["sbt_flushes"] >= 1
+
+    def test_a_translation_larger_than_the_cache_flushes_nothing(self):
+        # matmul's 264-byte superblock cannot fit a 256-byte SBT cache
+        # even empty: it fails into the quarantine and leaves the two
+        # live superblocks; the one flush makes room for a 216-byte one
+        # (flushing for the 264-byte one too lost 49 translations)
+        vm = CoDesignedVM(vm_soft(), hot_threshold=20)
+        vm.load(assemble(PROGRAMS["matmul"]))
+        directory = TranslationDirectory(
+            vm.state.memory, bbt_capacity=512, sbt_base=0x2000_0000 + 512,
+            sbt_capacity=256)
+        vm.runtime = VMRuntime(vm.state, vm.config, directory=directory)
+        report = vm.run()
+        assert report.output == [7840]
+        stats = vm.stats()
+        assert (stats["sbt_flushes"], stats["translation_faults"],
+                stats["translations_lost_in_flushes"]) == (1, 1, 21)
+
+    def test_an_empty_cache_is_not_flushed(self):
+        # the LOOP superblock is larger than the whole SBT cache
+        state = X86State(memory=AddressSpace())
+        state.regs[Reg.ESP] = DEFAULT_STACK_TOP
+        state.eip = load_image(assemble(LOOP), state.memory)
+        directory = TranslationDirectory(
+            state.memory, bbt_capacity=1 << 20, sbt_base=0x2010_0000,
+            sbt_capacity=16)
+        runtime = VMRuntime(state, vm_soft().with_(hot_threshold=5),
+                            directory=directory)
+        runtime.run()
+        assert state.halted
+        assert runtime.stats()["sbt_flushes"] == 0
+        assert runtime.translation_faults >= 1
 
 
 class TestProfileService:

@@ -7,6 +7,7 @@
                                         # and what one capture re-derives
     python tools/callcounts.py imports served_boot  # what its process loads
     python tools/callcounts.py templates [--source]  # the template table
+    python tools/callcounts.py loops [--source]  # the loops compiled
 
 Boots one ``perf/gen.py`` image under cProfile — or runs the herd of
 ``perf/workloads.py``, counting the calls its servers and stores make,
@@ -24,7 +25,12 @@ shapes and prints what the template table learned: shapes, templates,
 the functions compiled from them and the compiles that took (a
 learned template's shape function of that kind, anew);
 ``--source`` then prints the text of every compiled function, which
-is all that ``exec`` built.
+is all that ``exec`` built.  ``loops`` boots the same programs cold,
+each shape warm too (as ``served_boot`` boots), and quicksort at the
+herd's hot threshold, cold and warm, and prints per boot the loops the
+machine compiled, the compiles of a head compiled before (after a
+write-watch drop), the iterations run compiled and the process time
+the compiles took; ``--source`` prints each compiled loop's text.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+import time
 from unittest import mock
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -49,6 +56,8 @@ import gen                                                # noqa: E402
 import workloads                                          # noqa: E402
 from repro.cacheserver.server import CacheServer          # noqa: E402
 from repro.core import CoDesignedVM, vm_soft              # noqa: E402
+from repro.fleet import FleetScenario                     # noqa: E402
+from repro.isa.fusible import FusibleMachine              # noqa: E402
 from repro.isa.fusible import template                    # noqa: E402
 from repro.isa.x86lite import assemble                    # noqa: E402
 from repro.persist import (TranslationRepository,  # noqa: E402
@@ -256,6 +265,51 @@ def template_table() -> tuple[dict[str, int], list]:
             "compiles while booting": len(compiles)}, functions
 
 
+def loop_table() -> tuple[dict[str, dict], list[str]]:
+    """The loops each boot of ``loops`` compiled (see the module
+    docstring), and the text of every compile."""
+    compiles: list = []         # (machine, head, process seconds, text)
+    compile_loop = FusibleMachine._compile_loop
+
+    def timed(machine, items):
+        start = time.process_time()
+        loop = compile_loop(machine, items)
+        compiles.append((machine, items[0][1], time.process_time() - start,
+                         loop.source))
+        return loop
+
+    boots = [(name, source, 50, False) for name, source in PROGRAMS.items()]
+    for name, shape in SHAPES.items():
+        source = gen.generate_source(shape, 0)
+        boots += [(name, source, 50, False), (f"{name} --warm", source, 50,
+                                               True)]
+    herd = FleetScenario.hot_threshold
+    boots += [(f"quicksort @{herd}{warm}", PROGRAMS["quicksort"], herd,
+               bool(warm)) for warm in ("", " --warm")]
+    table = {}
+    with tempfile.TemporaryDirectory() as scratch, \
+            mock.patch.object(FusibleMachine, "_compile_loop", timed):
+        for number, (name, source, threshold, warm) in enumerate(boots):
+            image = assemble(source)
+            repository = TranslationRepository(f"{scratch}/{number}")
+            for boot_warm in (False, True) if warm else (False,):
+                vm = CoDesignedVM(vm_soft(), hot_threshold=threshold)
+                vm.load(image)
+                if boot_warm:
+                    vm.warm_start(repository)
+                vm.run()
+                vm.save_translations(repository)
+            machine = vm.runtime.machine
+            mine = [entry for entry in compiles if entry[0] is machine]
+            heads = {head for _machine, head, _s, _t in mine}
+            table[name] = {
+                "loops": len(heads), "recompiles": len(mine) - len(heads),
+                "iterations": machine.loop_iterations,
+                "compile_ms": round(1e3 * sum(s for _m, _h, s, _t in mine),
+                                    2)}
+    return table, [text for _m, _h, _s, text in compiles]
+
+
 #: module prefixes of the timing simulator, which no boot calls
 TIMING_LAYER = ("repro.timing", "repro.analysis", "repro.workloads.trace",
                 "repro.workloads.winstone", "repro.workloads.spec")
@@ -302,22 +356,31 @@ def import_footprint(workload: str) -> dict:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=[*SHAPES, "herd", "publish",
-                                             "imports", "templates"])
+                                             "imports", "templates",
+                                             "loops"])
     parser.add_argument("imported", nargs="?", choices=workloads.WORKLOADS,
                         help="with imports: the perf/ workload to run")
     parser.add_argument("--warm", action="store_true")
     parser.add_argument("--source", action="store_true",
-                        help="with templates: every compiled text too")
+                        help="with templates or loops: every compiled "
+                        "text too")
     args = parser.parse_args()
     if (args.workload == "imports") != (args.imported is not None):
         parser.error("a workload after imports, and only there")
-    if args.source and args.workload != "templates":
-        parser.error("--source goes with templates")
+    if args.source and args.workload not in ("templates", "loops"):
+        parser.error("--source goes with templates or loops")
     if args.workload == "templates":
         counts, functions = template_table()
         print(json.dumps(counts))
         if args.source:
             print("\n".join(function.source for function in functions))
+        sys.exit()
+    if args.workload == "loops":
+        table, texts = loop_table()
+        for name, row in table.items():
+            print(f"{name:22} {json.dumps(row)}")
+        if args.source:
+            print("\n".join(texts))
         sys.exit()
     print(json.dumps(import_footprint(args.imported) if args.imported
                      else herd_counts() if args.workload == "herd"
