@@ -7,12 +7,12 @@ Runs one seed workload twice under the software VM:
   code is re-optimized by the SBT, exactly as in a first-ever launch;
   the resulting code caches are then snapshotted to an on-disk
   repository;
-* **warm** — a fresh VM (new process, cold caches) re-materializes the
+* **warm** — a fresh VM (new process, cold caches) rebuilds the
   snapshot at boot: each record is re-fingerprinted against the program
   bytes; a basic block is derived again by the translator, a
-  superblock's own bytes are screened by the verifier rule-pack and
-  placed at its new code-cache address.  The run itself then translates
-  nothing.
+  superblock re-formed along its recorded path and built by the SBT,
+  each placed at its new code-cache address.  The run itself then
+  translates nothing.
 
 Then the timing layer shows what that buys at full application scale:
 the PERSISTENT_WARM startup curve against the paper's memory-startup

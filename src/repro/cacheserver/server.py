@@ -47,8 +47,8 @@ Design points:
   *into* an overloaded server.
 
 The server is deliberately dumb about *correctness* of translations —
-every client re-fingerprints sources and re-screens records through
-the verifier at load, so a stale or hostile server can waste a
+every client re-fingerprints sources and rebuilds every record with its
+own translators at load, so a stale or hostile server can waste a
 client's time but never change its architected results.
 """
 

@@ -133,12 +133,13 @@ class CoDesignedVM:
             image_fingerprint(self._image), config_name=self.config.name)
 
     def warm_start(self, repository):
-        """Re-materialize persisted translations into this VM's caches.
+        """Rebuild persisted translations into this VM's caches.
 
-        Call after :meth:`load` and before :meth:`run`.  Every loaded
-        translation is re-fingerprinted against the current program
-        bytes and screened by the verifier rule-pack; stale or corrupt
-        entries are dropped.  Returns the
+        Call after :meth:`load` and before :meth:`run`.  Every record is
+        re-fingerprinted against the current program bytes and rebuilt
+        by this VM's own translators (a block from its entry, a
+        superblock along its path); stale or corrupt records are
+        dropped.  Returns the
         :class:`~repro.persist.LoadReport`.
         """
         from repro.persist import (WarmStartLoader, config_fingerprint,

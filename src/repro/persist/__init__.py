@@ -4,7 +4,7 @@ The startup transient the paper attacks comes from translating cold
 code.  Its hardware assists cut the *per-instruction* cost of that
 translation; this subsystem removes the *recurrence*: translations
 produced during one run are serialized into an on-disk, content-
-addressed repository and re-materialized into the code caches at the
+addressed repository and rebuilt into the code caches at the
 next boot, so a workload's second launch starts warm and pays no BBT
 cost for previously-seen blocks.
 
@@ -15,8 +15,8 @@ Pieces:
 * :mod:`repro.persist.capture` — snapshot a live translation directory;
 * :mod:`repro.persist.repository` — the on-disk store (manifests,
   content-addressed records in packs, LRU eviction);
-* :mod:`repro.persist.loader` — boot-time re-materialization with
-  source re-fingerprinting and verifier screening;
+* :mod:`repro.persist.loader` — boot-time rebuild of each record with
+  the VM's own translators, after source re-fingerprinting;
 * :mod:`repro.persist.fsck` — consistency check and repair of the
   on-disk store (the ``repro cache fsck`` CLI);
 * :mod:`repro.persist.lease` — the cross-process writer lease that
@@ -47,7 +47,6 @@ from repro.persist.format import (
     config_fingerprint,
     encode_record,
     image_fingerprint,
-    materialize,
     parse_record,
     serialize_translation,
     source_matches,
@@ -93,7 +92,6 @@ __all__ = [
     "encode_record",
     "fsck_repository",
     "image_fingerprint",
-    "materialize",
     "parse_address",
     "parse_record",
     "serialize_translation",

@@ -2,16 +2,15 @@
 
 A persisted translation is a *record*: a JSON object holding its
 ``entry`` and a **source fingerprint** (``source``, the x86 bytes the
-translator read as contiguous ``[addr, hex]`` runs).  A BBT record holds
-nothing else: a basic block is a pure function of its one source run,
-so the loader derives it with the VM's own translator.  An SBT record
-also holds the canonical (un-chained, un-redirected) micro-op stream
-**as its encoded bytes** (``code``, hex) plus everything needed to
-re-materialize it in a fresh VM — the ``x86_addr`` metadata the bytes
-do not carry (``origins``, run-length ``[x86_addr, count]`` pairs in
-stream order), exit-stub and side-table offsets.  The micro-op decoder
-is the only parser of a record's code: there is no field-list form,
-and a record of an older layout reads as corrupt.
+translator read as contiguous ``[addr, hex]`` runs).  No record holds
+code.  A BBT record holds nothing else: a basic block is a pure function
+of its one source run, so the loader derives it with the VM's own
+translator.  An SBT record also holds its **path**: the entries of its
+blocks (``x86_addrs``) and whether the trace closes on its head
+(``loops``).  A superblock is a pure function of its path and the
+configuration's SBT fields, so the loader re-forms and rebuilds it with
+the VM's own translator too.  A record of an older layout reads as
+corrupt.
 
 A record is its bytes
 ---------------------
@@ -39,26 +38,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from typing import Dict, Optional, Tuple
 
 from repro.memory.address_space import MemoryError_
 from repro.translator.code_cache import Translation
 
 #: Bump on any incompatible change to the record layout.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 #: Every member of a record of each kind, ``key`` among them.
 _FIELDS = {
     "bbt": frozenset(("entry", "format", "key", "kind", "source")),
-    "sbt": frozenset(("code", "entry", "exits", "format", "fused_pairs",
-                      "instr_count", "key", "kind", "origins",
-                      "side_table", "source", "x86_addrs")),
+    "sbt": frozenset(("entry", "format", "key", "kind", "loops", "source",
+                      "x86_addrs")),
 }
-
-#: Exit-stub kinds a record may carry (mirrors ExitStub.kind).  A tuple:
-#: membership compares, so an unhashable JSON value is just "not in".
-_EXIT_KINDS = ("jump", "fallthrough", "taken", "indirect", "vmcall", "loop")
 
 #: the one JSON spelling of a record: compact, keys sorted
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -153,19 +146,15 @@ def image_fingerprint(image) -> str:
 
 def serialize_translation(translation: Translation,
                           memory) -> Optional[Record]:
-    """One translation -> record, or None if unserializable.
+    """One installed translation -> record, or None if unserializable.
 
-    A basic block is written as its entry and source.  A superblock is
-    written as its *canonical* stream (``translation.code``, the bytes
-    as installed), which chain patches and BBT->SBT redirects never
-    touch -- persisted translations are therefore always in their
-    un-chained form and re-link naturally after loading.  The source,
-    ``translation.source``, is checked with one read a run: a
-    translation whose source memory no longer holds is not persisted
-    (the loader's stale rule, where a record is written).
+    A basic block is written as its entry and source, a superblock as
+    its entry, source and path.  The source, ``translation.source``, is
+    checked with one read a run: a translation whose source memory no
+    longer holds is not persisted (the loader's stale rule, where a
+    record is written).
     """
-    code, origins = translation.code, translation.origins
-    if not code or origins is None:
+    if not translation.code:
         return None
     if any(memory.read(addr, len(data)) != data
            for addr, data in translation.source):
@@ -175,50 +164,26 @@ def serialize_translation(translation: Translation,
               "source": [[addr, data.hex()]
                          for addr, data in translation.source]}
     if translation.kind == "sbt":
-        native = translation.native_addr
-        fields.update(
-            x86_addrs=list(translation.x86_addrs),
-            instr_count=translation.instr_count,
-            fused_pairs=translation.fused_pairs, code=code.hex(),
-            origins=[list(run) for run in origins],
-            exits=[[stub.stub_addr - native, stub.kind, stub.x86_target]
-                   for stub in translation.exits],
-            side_table=[[addr - native, x86_addr] for addr, x86_addr
-                        in sorted(translation.side_table.items())])
+        fields.update(x86_addrs=list(translation.x86_addrs),
+                      loops=translation.loops)
     return encode_record(fields)
 
 
-# -- record -> translation --------------------------------------------------
+# -- record checks ---------------------------------------------------------
 
 def _is_int(value) -> bool:
     return type(value) is int       # JSON ``true`` is no count of 1
 
 
-def _maybe_int(value) -> bool:
-    return value is None or type(value) is int
-
-
-def _rows(*columns):
-    """A check that a value is a list of rows, each a list holding one
-    value per column that passes the column's check."""
-    return lambda value: type(value) is list and all(
-        type(row) is list and len(row) == len(columns)
-        and all(check(cell) for check, cell in zip(columns, row))
-        for row in value)
-
-
 #: each field's JSON shape, as a check
 _CHECKS = {
     "entry": lambda value: _is_int(value) and 0 <= value < 1 << 32,
-    "instr_count": _is_int, "fused_pairs": _is_int,
     "x86_addrs": lambda value: type(value) is list
     and all(map(_is_int, value)),
-    "code": lambda value: type(value) is str
-    and re.fullmatch("(?:[0-9a-fA-F]{2})+", value) is not None,
-    "source": _rows(_is_int, lambda value: type(value) is str),
-    "origins": _rows(_maybe_int, lambda value: _is_int(value) and value > 0),
-    "exits": _rows(_is_int, _EXIT_KINDS.__contains__, _maybe_int),
-    "side_table": _rows(_is_int, _is_int),
+    "loops": lambda value: type(value) is bool,
+    "source": lambda value: type(value) is list and all(
+        type(run) is list and len(run) == 2 and _is_int(run[0])
+        and type(run[1]) is str for run in value),
 }
 
 
@@ -241,16 +206,9 @@ def validate_record(record) -> None:
     for name, check in _CHECKS.items():
         if name in record and not check(record[name]):
             raise PersistFormatError(f"bad {name!r} field")
-    if kind == "bbt":
-        if len(record["source"]) != 1 \
-                or record["source"][0][0] != record["entry"]:
-            raise PersistFormatError("source is not one run from the entry")
-    # a micro-op is at least one 16-bit parcel (four hex digits): bounds
-    # what expanding the runs may allocate; exact coverage is the
-    # decoder's finding
-    elif sum(run[1] for run in record["origins"]) > len(record["code"]) // 4:
-        raise PersistFormatError("origins cover more micro-ops than the "
-                                 "code holds")
+    if kind == "bbt" and (len(record["source"]) != 1
+                          or record["source"][0][0] != record["entry"]):
+        raise PersistFormatError("source is not one run from the entry")
     around = _around_key(record.text, record["key"])
     try:
         if around is None or hashlib.sha256(
@@ -272,19 +230,3 @@ def source_matches(record, memory) -> bool:
     except (ValueError, MemoryError_):
         return False
     return True
-
-
-def materialize(record, uop_count: int) -> Translation:
-    """Build an installable Translation from a validated SBT record.
-
-    The loader passes the ``uop_count`` its walk found, and installs the
-    code it screened with the record's ``exits`` and ``side_table``
-    offsets: the directory places it (:meth:`Translation.place`).
-    """
-    return Translation(
-        entry=record["entry"], kind=record["kind"],
-        x86_addrs=list(record["x86_addrs"]),
-        instr_count=record["instr_count"], uop_count=uop_count,
-        fused_pairs=record["fused_pairs"], origins=record["origins"],
-        source=[[addr, bytes.fromhex(data)]
-                for addr, data in record["source"]])

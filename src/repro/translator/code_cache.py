@@ -56,7 +56,7 @@ class ExitStub:
 
     stub_addr: int                   # native address of the stub
     kind: str                        # 'jump'|'fallthrough'|'taken'|
-    #                                  'indirect'|'vmcall'|'loop'
+    #                                  'indirect'|'vmcall'
     x86_target: Optional[int] = None  # None for indirect/vmcall exits
     chained_to: Optional[int] = None  # native target once patched
 
@@ -74,13 +74,15 @@ class Translation:
     instr_count: int = 0
     uop_count: int = 0
     fused_pairs: int = 0
+    #: a superblock that closes on its head (its path's last successor)
+    loops: bool = False
     exits: List[ExitStub] = field(default_factory=list)
     #: native VMCALL address -> architected address (precise-state map)
     side_table: Dict[int, int] = field(default_factory=dict)
     counter_addr: Optional[int] = None
     #: the canonical (un-chained, un-redirected) bytes as installed, and
     #: the ``x86_addr`` of their micro-ops as ``[x86_addr, count]`` runs
-    #: in stream order: what persists, and what the verifier screens
+    #: in stream order: what the verifier screens
     code: bytes = b""
     origins: Optional[List[List]] = None
     #: the x86 bytes it was made from, as contiguous ``[addr, bytes]`` runs

@@ -18,6 +18,10 @@ Translation of a formed superblock proceeds in four steps:
    and their ``origins`` in the SBT code cache with a side table for
    precise-state reconstruction.
 
+Steps 1-4 up to the install are :meth:`SuperblockTranslator.build`,
+which the warm loader shares: a persisted superblock is its path, which
+the loader re-forms (:meth:`SuperblockTranslator.form`) and builds.
+
 Measured SBT costs from the paper (kept as configuration for the timing
 layer): Δ_SBT = 1152 x86 instructions ≈ 1674 native instructions per hot
 x86 instruction; optimized code runs p = 1.15–1.2x faster than BBT code.
@@ -26,6 +30,7 @@ x86 instruction; optimized code runs p = 1.15–1.2x faster than BBT code.
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.faults.plane import fault_point
@@ -50,6 +55,24 @@ from repro.translator.superblock import (
 from repro.isa.x86lite.registers import Cond
 
 log = logging.getLogger("repro.translator")
+
+
+@dataclass(eq=False)
+class Built:
+    """A superblock as :meth:`SuperblockTranslator.build` makes it: its
+    code, its translation not yet placed, its exits and side entries as
+    offsets, and what its passes removed."""
+
+    code: bytes
+    translation: Translation
+    exits: List[Tuple[int, str, Optional[int]]]
+    side: List[Tuple[int, int]]
+    flags_eliminated: int
+    loads_eliminated: int
+
+    @property
+    def size(self) -> int:
+        return len(self.code)
 
 
 def invert_cond(cond: Cond) -> Cond:
@@ -87,43 +110,62 @@ class SuperblockTranslator:
     def translate(self, seed: int, edges) -> Translation:
         """Form a superblock at ``seed`` and install its translation."""
         fault_point("translate.sbt", entry=seed)
-        superblock = form_superblock(self.memory, seed, edges,
-                                     max_instrs=self.max_instrs,
-                                     bias=self.bias)
-        return self.translate_superblock(superblock)
+        return self.translate_superblock(self.form(seed, edges))
+
+    def form(self, seed: int, edges) -> Superblock:
+        """The superblock at ``seed`` along ``edges``' biased successors,
+        under this translator's size cap and bias."""
+        return form_superblock(self.memory, seed, edges,
+                               max_instrs=self.max_instrs, bias=self.bias)
 
     def translate_superblock(self, superblock: Superblock) -> Translation:
-        body, bc_stub_indices, stub_plans = self._build_body(superblock)
+        """Build ``superblock``, install it and count it."""
+        built = self.build(superblock)
+        translation = self.install(built)
+        self.superblocks_translated += 1
+        self.instrs_translated += translation.instr_count
+        self.uops_emitted += translation.uop_count
+        self.pairs_fused += translation.fused_pairs
+        self.flags_eliminated += built.flags_eliminated
+        self.loads_eliminated += built.loads_eliminated
+        log.debug("sbt: %#x -> %#x (%d instr(s), %d uop(s), "
+                  "%d fused pair(s))", superblock.head, translation.native_addr,
+                  translation.instr_count, translation.uop_count,
+                  translation.fused_pairs)
+        return translation
 
+    def install(self, built: Built) -> Translation:
+        """Place and link a built superblock; no counter moves."""
+        self.directory.install(built.code, built.translation, built.exits,
+                               built.side)
+        return built.translation
+
+    def build(self, superblock: Superblock) -> Built:
+        """Gather, straighten, optimize and lay out ``superblock``: its
+        code and its translation, ready for :meth:`install`.  The cold
+        path and the warm loader share it; no counter moves here."""
+        body, bc_stub_indices, stub_plans = self._build_body(superblock)
+        flags_eliminated = loads_eliminated = 0
         if self.enable_dead_flag_elim:
-            body, eliminated = eliminate_dead_flags(body)
-            self.flags_eliminated += eliminated
+            body, flags_eliminated = eliminate_dead_flags(body)
         if self.enable_load_elim:
             body, load_stats = eliminate_redundant_loads(body)
-            self.loads_eliminated += load_stats.loads_eliminated
+            loads_eliminated = load_stats.loads_eliminated
         stats = FusionStats(uops_total=len(body))
         if self.enable_fusion:
             body, stats = fuse_microops(body)
 
         code, origins, exits, side = self._layout(body, bc_stub_indices,
                                                   stub_plans, superblock)
-        uop_count = sum(run[1] for run in origins)
         translation = Translation(
             entry=superblock.head, kind="sbt",
             x86_addrs=superblock.entries,
-            instr_count=superblock.instr_count, uop_count=uop_count,
-            fused_pairs=stats.pairs, origins=origins,
-            source=_source(superblock, origins))
-
-        self.directory.install(code, translation, exits, side)
-        self.superblocks_translated += 1
-        self.instrs_translated += superblock.instr_count
-        self.uops_emitted += uop_count
-        self.pairs_fused += stats.pairs
-        log.debug("sbt: %#x -> %#x (%d instr(s), %d uop(s), "
-                  "%d fused pair(s))", superblock.head, translation.native_addr,
-                  superblock.instr_count, uop_count, stats.pairs)
-        return translation
+            instr_count=superblock.instr_count,
+            uop_count=sum(run[1] for run in origins),
+            fused_pairs=stats.pairs, loops=superblock.loops_to_head,
+            origins=origins, source=_source(superblock, origins))
+        return Built(code, translation, exits, side, flags_eliminated,
+                     loads_eliminated)
 
     # -- body construction ------------------------------------------------------
 

@@ -56,7 +56,7 @@ class Superblock:
 
     head: int
     blocks: List[SuperblockBlock] = field(default_factory=list)
-    #: 'loop' when the trace closes on its head; otherwise the final
+    #: True when the trace closes on its head; otherwise the final
     #: block's own terminator decides the tail.
     loops_to_head: bool = False
 

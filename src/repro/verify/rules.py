@@ -72,10 +72,10 @@ def live_native_entries(directory) -> Set[int]:
 class Segment:
     """One translation's stretch of a context, read on its own: its
     ``code``, the table's entry of each word (``words``), the
-    ``x86_addr`` runs (``origins``), its ``size`` in bytes, its exits
+    ``x86_addr`` runs (``origins``), its ``size`` in bytes, and, where
+    the rules read an installed copy (``translation``), its exits
     (``[offset, kind, x86_target]``) and side table (``offset ->
-    x86_addr``), offsets from its first byte (None: a bare stream), and
-    the ``translation`` where the rules read an installed copy.  The
+    x86_addr``), offsets from its first byte (None: a bare stream).  The
     joining context sets ``start`` / ``end`` (its micro-ops) and
     ``base`` (its first byte)."""
 
@@ -84,7 +84,7 @@ class Segment:
                  "size")
 
     def __init__(self, code: bytes, origins, table: WordTable,
-                 exits=None, side_table=None, translation=None) -> None:
+                 translation=None) -> None:
         """Walk ``code`` through ``table``.  Raises ``UopDecodeError``:
         bytes that do not decode, a word with a don't-care bit of its
         form set (a word is its own encoding exactly when it is
@@ -110,15 +110,13 @@ class Segment:
                 f"x86_addr list covers {covered} micro-op(s), not "
                 f"the stream's {len(entries)}")
         self.origins, self.size = origins, len(code)
-        if translation is not None and exits is None:
+        self.exits = self.side_table = None
+        if translation is not None:
             base = translation.native_addr
-            exits = [(stub.stub_addr - base, stub.kind, stub.x86_target)
-                     for stub in translation.exits]
-            side_table = {addr - base: x86_addr for addr, x86_addr
-                          in translation.side_table.items()}
-        elif side_table is not None:        # a record's pairs
-            side_table = dict(side_table)
-        self.exits, self.side_table = exits, side_table
+            self.exits = [(stub.stub_addr - base, stub.kind,
+                           stub.x86_target) for stub in translation.exits]
+            self.side_table = {addr - base: x86_addr for addr, x86_addr
+                               in translation.side_table.items()}
 
 
 class VerifyContext:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import os
+import tempfile
 
 import pytest
 
 from repro.core import CoDesignedVM
 from repro.interp import Interpreter
-from repro.isa.x86lite import X86State, assemble
+from repro.isa.x86lite import ArchException, X86State, assemble
 from repro.memory import AddressSpace, load_image
+from repro.memory.address_space import PAGE_SHIFT
 from repro.memory.loader import DEFAULT_STACK_TOP
 from repro.translator import TranslationDirectory
 from repro.translator.code_cache import BBT_CACHE_BASE
@@ -63,6 +65,34 @@ def run_on_tiny_caches(factory, image, max_uops: int = 200_000_000):
     vm.runtime = VMRuntime(vm.state, vm.config, directory=directory)
     vm.run(max_uops=max_uops)
     return vm
+
+
+def outcome(vm, max_uops: int = 200_000_000):
+    """Run a loaded ``vm``: its registers, flags, guest pages (those
+    below the code caches, with their bytes), output, and its exit code
+    or ``ArchException``."""
+    try:
+        vm.run(max_uops=max_uops)
+        ending = ("exit", vm.state.exit_code)
+    except ArchException as error:
+        ending = (error.kind, error.addr)
+    pages = vm.state.memory._pages
+    return (list(vm.state.regs), vm.state.flags_tuple(),
+            {index: bytes(pages[index]) for index in sorted(pages)
+             if index < BBT_CACHE_BASE >> PAGE_SHIFT},
+            vm.state.output, ending)
+
+
+def warm_from(cold, image, max_uops: int = 200_000_000):
+    """The ``(outcome, LoadReport)`` of a VM of ``cold``'s configuration
+    warm-booted from the store ``cold``, a finished run of ``image``,
+    saves."""
+    with tempfile.TemporaryDirectory() as store:
+        cold.save_translations(store)
+        vm = CoDesignedVM(cold.config)
+        vm.load(image)
+        report = vm.warm_start(store)
+    return outcome(vm, max_uops), report
 
 
 def run_source(source: str, max_instructions: int = 1_000_000) -> X86State:

@@ -16,10 +16,32 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.translator.code_cache import expand_origins
 
 
-def record_stream(record) -> Tuple[bytes, List[Optional[int]]]:
-    """An SBT record's encoded stream and the ``x86_addr`` of each
-    micro-op in it (``origins`` expanded)."""
-    return bytes.fromhex(record["code"]), expand_origins(record["origins"])
+def translation_stream(translation) -> Tuple[bytes, List[Optional[int]]]:
+    """A translation's canonical bytes and the ``x86_addr`` of each
+    micro-op in them (``origins`` expanded)."""
+    return translation.code, expand_origins(translation.origins)
+
+
+def with_stored_code(fields, translation, code: Optional[bytes] = None
+                     ) -> Dict:
+    """An SBT record's ``fields`` as layout 5 spelled them: ``code`` (the
+    translation's own bytes when left out) as hex, with the metadata
+    layout 5 kept to place it, and no ``loops``.  Re-keyed at the
+    current ``FORMAT_VERSION``, it is a record that carries code."""
+    native = translation.native_addr
+    fields = {name: value for name, value in fields.items()
+              if name != "loops"}
+    fields.update(
+        code=(translation.code if code is None else code).hex(),
+        origins=[list(run) for run in translation.origins],
+        exits=[[stub.stub_addr - native, stub.kind, stub.x86_target]
+               for stub in translation.exits],
+        side_table=sorted([addr - native, x86_addr] for addr, x86_addr
+                          in translation.side_table.items()),
+        instr_count=translation.instr_count,
+        fused_pairs=translation.fused_pairs)
+    fields.setdefault("x86_addrs", list(translation.x86_addrs))
+    return fields
 
 
 def _meta(root) -> Dict:

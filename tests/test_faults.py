@@ -441,16 +441,17 @@ def test_warm_start_works_after_fsck_repair(tmp_path):
 def test_loader_counts_undecodable_records(tmp_path, monkeypatch):
     repo = _populated_repo(tmp_path)
     import repro.persist.loader as loader_module
-    real_materialize = loader_module.materialize
+    real_rebuild = loader_module.WarmStartLoader._rebuild
     calls = []
 
     def explode_once(*args):
         if not calls:
             calls.append(1)
             raise RuntimeError("injected rebuild meltdown")
-        return real_materialize(*args)
+        return real_rebuild(*args)
 
-    monkeypatch.setattr(loader_module, "materialize", explode_once)
+    monkeypatch.setattr(loader_module.WarmStartLoader, "_rebuild",
+                        explode_once)
     vm = _fresh_vm(PROGRAMS["fibonacci"])
     report = vm.warm_start(repo)
     assert report.undecodable == 1

@@ -1,31 +1,25 @@
-"""The warm-install screen: one walk per record, nothing weakened.
+"""What the warm install admits: translations the VM built itself.
 
-A persisted record is screened by the full rule-pack before it is
-installed.  These tests pin the properties of that screen:
+A record holds no code (layout 6): the loader rebuilds every
+translation with the VM's own translators, so nothing but the cold
+path's bytes reaches the code cache.  These tests pin the properties of
+that install:
 
-* an SBT record whose code breaks an invariant is ``verifier_rejected``
-  — not installed, not executed — for each rule the walk shares work
-  between (SCR001, PRS001, FUS002).  The violations are **byte edits**
-  of the record's ``code`` (a BBT record has none: the loader derives
-  its block);
-* each distinct word is decoded at most once per VM and no record's
-  micro-op is encoded: the record's own bytes are its encoding, and
-  they are what the code cache receives, the bytes the verifier read;
-* a screen reads canonical bytes: a record whose code has a don't-care
-  bit set is ``corrupt``, none of its bytes reach the code cache, and
-  the warm run equals the cold one;
+* a clean superblock record loads;
+* each distinct word is decoded at most once per VM; the bytes the
+  code cache receives are the ones the install-time sanitizer screens
+  and the machine decodes, and a superblock's are the cold VM's own;
+* the SBT's own stream reads canonically and passes the rule-pack;
 * numbers a record spells out in JSON are numbers: booleans and other
   junk never reach the loader's rebuild (``corrupt``);
 * ``MicroOp`` under its hand-written constructor is the value type it
   was;
 * a superblock cut short so that it ends in a plain ALU micro-op (the
-  LOOP record at 0x40000a after its first micro-op, an ADD2) is
-  ``verifier_rejected`` (CTL002) and the warm run equals the cold one;
-  loaded, the machine would run on into the next translation's bytes;
+  LOOP superblock at 0x40000a after its first micro-op, an ADD2) breaks
+  CTL002, and no record can make the VM run it;
 * a store damaged at one stage (corrupt, stale, duplicate, capacity,
-  verifier) counts what it counted when each record had a context of
-  its own, and every counter handed out is held by an installed
-  translation.
+  the install gate) counts what it counted, and every counter handed
+  out is held by an installed translation.
 """
 
 import copy
@@ -42,6 +36,7 @@ import repro.verify.rules as rules_module
 import repro.verify.verifier as verifier_module
 from repro.core.config import vm_soft
 from repro.core.vm import CoDesignedVM
+from repro.faults.plane import injecting
 from repro.isa.fusible.encoding import (
     UopDecodeError,
     decode_stream,
@@ -53,19 +48,18 @@ from repro.isa.fusible.opcodes import UOp
 from repro.isa.x86lite import assemble
 from repro.isa.x86lite.registers import Cond
 from repro.persist import (
-    PersistFormatError,
     WarmStartLoader,
     capture_translations,
     encode_record,
-    materialize,
-    validate_record,
 )
 from repro.translator.bbt import COUNTER_AREA_BASE
-from repro.verify import sanitizer, verify_directory, verify_translation
+from repro.verify import sanitizer, verify_directory
 from repro.verify.rules import VerifyContext
 from repro.verify.verifier import run_rules
-from tests.stored import record_stream
+from tests.stored import translation_stream, with_stored_code
 from tests.test_persist import LOOP
+from tests.test_word_screen import Rejecting
+
 
 def booted(source=LOOP) -> CoDesignedVM:
     vm = CoDesignedVM(vm_soft(), hot_threshold=50)
@@ -73,106 +67,42 @@ def booted(source=LOOP) -> CoDesignedVM:
     return vm
 
 
-def decoded(record):
-    return decode_stream(*record_stream(record))
+@pytest.fixture(scope="module")
+def cold():
+    vm = booted()
+    vm.run()
+    return vm
 
 
 @pytest.fixture(scope="module")
-def records():
-    vm = booted()
-    vm.run()
-    return capture_translations(vm.runtime.directory, vm.state.memory)
+def records(cold):
+    return capture_translations(cold.runtime.directory, cold.state.memory)
+
+
+@pytest.fixture(scope="module")
+def superblock(cold):
+    """The LOOP superblock as the cold VM installed it: the fused
+    ADD2/DECF pair, the BC out of the loop, the JMP back and the exit
+    stub (LUI/ORI to R29, VMEXIT)."""
+    (translation,) = cold.runtime.directory.sbt_cache.translations
+    assert [uop.op for uop in translation.uops] == [
+        UOp.ADD2, UOp.DECF, UOp.BC, UOp.JMP, UOp.LUI, UOp.ORI, UOp.VMEXIT]
+    return translation
 
 
 @pytest.fixture
 def victim(records):
-    """The fields of the LOOP superblock, as an editable dict: the fused
-    ADD2/DECF pair, the BC out of the loop, the JMP back and the exit
-    stub (LUI/ORI to R29, VMEXIT)."""
+    """The fields of the LOOP superblock's record, as an editable dict."""
     (record,) = [r for r in records if r["kind"] == "sbt"]
-    assert [uop.op for uop in decoded(record)] == [
-        UOp.ADD2, UOp.DECF, UOp.BC, UOp.JMP, UOp.LUI, UOp.ORI, UOp.VMEXIT]
     return json.loads(record.text)
 
 
 def resealed(fields):
-    """The fields as a record with its content key recomputed:
-    structurally valid, so only the decoder and the verifier stand
-    between it and the code cache."""
-    record = encode_record(fields)
-    validate_record(record)
-    return record
-
-
-def splice(record, index, **fields):
-    """Overwrite the bytes of micro-op ``index`` of the record's code
-    with those of the same micro-op with ``fields`` changed (an edit
-    that keeps the length, so nothing else moves)."""
-    uops = decoded(record)
-    if index < 0:
-        index += len(uops)
-    offset = len(encode_stream(uops[:index]))
-    patch = encode_uop(replace(uops[index], **fields))
-    assert len(patch) == uops[index].length
-    code = bytearray.fromhex(record["code"])
-    code[offset:offset + len(patch)] = patch
-    record["code"] = code.hex()
-
-
-def break_scr001(record):
-    splice(record, -2, rs1=20)          # the stub's ORI: r20 never defined
-
-
-def break_prs001(record):
-    # the back edge becomes a WRFLG from a copy no RDFLG saved: the
-    # exit is reached with the architected flags overwritten
-    splice(record, 3, op=UOp.WRFLG, rs1=20, imm=0)
-
-
-def break_fus002(record):
-    # a head with no successor: the fused bit is bit 15 of the first
-    # (little-endian) parcel of the last, 32-bit micro-op
-    code = bytearray.fromhex(record["code"])
-    code[-3] |= 0x80
-    record["code"] = code.hex()
-    assert decoded(record)[-1].fused
-
-
-BREAKS = {"SCR001": break_scr001, "PRS001": break_prs001,
-          "FUS002": break_fus002}
+    """The fields as a record with its content key recomputed."""
+    return encode_record(fields)
 
 
 class TestViolatingRecordsNeverRun:
-    @pytest.mark.parametrize("rule", sorted(BREAKS))
-    def test_record_is_verifier_rejected(self, rule, victim):
-        BREAKS[rule](victim)
-        record = resealed(victim)
-        vm = booted()
-        directory = vm.runtime.directory
-        # the record does break the rule it is meant to break
-        translation = materialize(record, len(decoded(record))).place(
-            directory.sbt_cache.reserve(), record["exits"],
-            record["side_table"])
-        translation.code = record_stream(record)[0]
-        found = verify_translation(translation)
-        assert rule in {violation.rule_id for violation in found.violations}
-
-        report = WarmStartLoader(vm.runtime).load_records([record])
-        assert report.verifier_rejected == 1
-        assert report.loaded == 0 and report.dropped == 1
-        # not installed ...
-        assert directory.lookup(record["entry"]) is None
-        assert directory.sbt_cache.used_bytes == 0
-        assert not directory.sbt_cache.translations
-        # ... and so never executed: the VM translates the block itself
-        # and computes what a cold VM computes
-        result = vm.run()
-        reference = booted()
-        expected = reference.run()
-        assert result.blocks_translated == expected.blocks_translated
-        assert (vm.state.exit_code, vm.state.output) == \
-            (reference.state.exit_code, reference.state.output)
-
     def test_clean_record_still_loads(self, victim):
         vm = booted()
         report = WarmStartLoader(vm.runtime).load_records(
@@ -196,13 +126,13 @@ def counted(monkeypatch, name, modules):
     return results
 
 
-def recorded_installs(monkeypatch, directory, progress):
-    """Record ``(len(progress), data, translation)`` at every install."""
+def recorded_installs(monkeypatch, directory):
+    """Record ``(data, translation)`` at every install."""
     installs = []
     real_install = directory.install
 
     def recording_install(data, translation, *placement):
-        installs.append((len(progress), data, translation))
+        installs.append((data, translation))
         real_install(data, translation, *placement)
 
     monkeypatch.setattr(directory, "install", recording_install)
@@ -211,116 +141,75 @@ def recorded_installs(monkeypatch, directory, progress):
 
 class TestOneEncodePerMicroOp:
     def test_installed_bytes_are_the_bytes_the_verifier_saw(
-            self, records, monkeypatch):
-        # the autouse sanitizer would verify (and so encode) each
-        # install a second time; this test counts the loader's own work
-        monkeypatch.setattr(sanitizer._STATE, "mode", None)
-        encoded = counted(monkeypatch, "encode_uop", (encoding_module,))
+            self, records, superblock, monkeypatch):
+        screened = []
+        real_check = sanitizer.check_install
+
+        def checking(directory, translation):
+            screened.append(translation.code)
+            return real_check(directory, translation)
+
+        monkeypatch.setattr("repro.translator.code_cache.check_install",
+                            checking)
         vm = booted()
         directory = vm.runtime.directory
-        installs = recorded_installs(monkeypatch, directory, encoded)
+        installs = recorded_installs(monkeypatch, directory)
         vm.runtime.enable_chaining = False
-        report = WarmStartLoader(vm.runtime).load_records(
-            records)
+        report = WarmStartLoader(vm.runtime).load_records(records)
         assert report.loaded == len(records) > 1
-
-        # every record here is canonical, and a block is derived as
-        # template bytes, as is the JMP that redirects the loop's block
-        # to its superblock (``emit.jump_code``): nothing is encoded
-        stored = {r["entry"]: bytes.fromhex(r["code"]) for r in records
-                  if r["kind"] == "sbt"}
-        assert stored and encoded == []
-        for _calls, data, translation in installs:
-            # the bytes handed to the code cache are the verifier's:
-            # a superblock's are the record's own
-            if translation.kind == "sbt":
-                assert data == stored.pop(translation.entry)
+        # the bytes handed to the code cache are the sanitizer's, and a
+        # superblock's are the ones the cold VM built
+        assert [data for data, _translation in installs] == screened
+        (built,) = [data for data, translation in installs
+                    if translation.kind == "sbt"]
+        assert built == superblock.code
+        for data, translation in installs:
             # ... and they are what the machine will decode (but for
             # the redirect JMP at the entry of a superseded block)
             skip = 4 if directory.is_redirected(translation.native_addr) \
                 else 0
             assert vm.state.memory.read(translation.native_addr + skip,
                                         len(data) - skip) == data[skip:]
-        assert not stored
         assert verify_directory(directory).ok
 
     def test_at_most_one_decode_per_distinct_word_per_vm(
             self, records, monkeypatch):
-        """Loader, verifier and machine share the VM's word table: an
-        install and the run behind it decode each distinct word once,
-        however many micro-ops hold it -- the screened superblock's
-        words, the derived blocks' and what chaining patches into the
-        code cache."""
+        """Loader, translators, verifier and machine share the VM's word
+        table: an install and the run behind it decode each distinct
+        word once, however many micro-ops hold it -- the derived
+        blocks', the rebuilt superblock's and what chaining patches into
+        the code cache."""
         monkeypatch.setattr(sanitizer._STATE, "mode", None)
         vm = booted()
-        total = sum(len(decoded(r)) for r in records if r["kind"] == "sbt")
         decodes = counted(monkeypatch, "decode_uop",
                           (encoding_module, rules_module, machine_module))
         report = WarmStartLoader(vm.runtime).load_records(records)
         assert report.loaded == len(records) > 1
         words = vm.runtime.machine.words
-        screened = len(decodes)
-        assert 0 < screened == len(words) <= total
+        loaded = len(decodes)
+        assert loaded == len(words)
         vm.run()
-        # the machine met words no record holds (chain JMPs) and decoded
-        # those, and only those: every decode made is an entry's
-        assert len(decodes) == len(words) > screened
+        # every decode made is an entry's
+        assert len(decodes) == len(words) >= loaded
         assert {id(uop) for uop in decodes} == \
             {id(word.uop) for word in words.values()}
         # a second VM shares nothing with the first
         other = booted()
         assert not other.runtime.machine.words
         WarmStartLoader(other.runtime).load_records(records)
-        assert len(decodes) == len(words) + screened
+        assert len(decodes) == len(words) + loaded
 
 
 class TestRoundTripByConstruction:
-    """A screen reads canonical bytes: a word is its own encoding
-    exactly when no don't-care bit of its form is set
-    (``is_canonical``), and a stream holding any other word does not
-    read."""
+    """A word is its own encoding exactly when no don't-care bit of its
+    form is set (``is_canonical``), and a stream holding any other word
+    does not read."""
 
-    def test_every_decoded_micro_op_is_proven(self, victim):
-        ctx = VerifyContext.from_code(*record_stream(victim))
+    def test_every_decoded_micro_op_is_proven(self, superblock):
+        ctx = VerifyContext.from_code(*translation_stream(superblock))
         assert all(word.canonical for word in ctx.words)
-        assert encode_stream(ctx.uops) == bytes.fromhex(victim["code"])
+        assert encode_stream(ctx.uops) == superblock.code
         assert run_rules(ctx).ok
-
-    def test_dont_care_bits_install_canonical_bytes(self, victim,
-                                                    monkeypatch):
-        """The only bytes that reach the code cache are canonical: a
-        record whose final VMEXIT has its rs2 bits set (a field its form
-        does not carry), re-keyed, decodes to the clean record's
-        micro-ops, yet is corrupt, and the VM translates the loop
-        itself."""
-        clean_code = bytes.fromhex(victim["code"])
-        code = bytearray(clean_code)
-        code[-2] |= 0x07         # rs2 bits of the final VMEXIT: no field
-        victim["code"] = code.hex()
-        record = resealed(victim)
-        assert decoded(record) == decoded({**record,
-                                           "code": clean_code.hex()})
-        with pytest.raises(UopDecodeError, match="don't-care"):
-            VerifyContext.from_code(*record_stream(record))
-
-        cold = booted()
-        cold.run()
-        vm = booted()
-        installs = recorded_installs(monkeypatch, vm.runtime.directory, [])
-        report = WarmStartLoader(vm.runtime).load_records([record])
-        assert (report.corrupt, report.loaded, report.dropped) == (1, 0, 1)
-        assert installs == []
-        vm.run()
-        stray = bytes(code[-4:])
-        assert installs and all(stray not in data
-                                for _calls, data, _translation in installs)
-        assert all(stray not in vm.state.memory.read(
-            translation.native_addr, translation.native_len)
-            for cache in (vm.runtime.directory.bbt_cache,
-                          vm.runtime.directory.sbt_cache)
-            for translation in cache.translations)
-        assert (vm.state.exit_code, vm.state.output, vm.state.regs) == \
-            (cold.state.exit_code, cold.state.output, cold.state.regs)
 
 
 class TestDirectorySweepIsLinear:
@@ -349,23 +238,24 @@ class TestDirectorySweepIsLinear:
 
 
 class TestRecordFieldTypes:
-    """What a record still spells out as JSON numbers must be numbers.
+    """What a record spells out as JSON numbers must be numbers.
 
     The test names and ids are those of the v1 suite, where ``position``
-    indexed the nine-element micro-op lists; v2 and v3 have no such
+    indexed the nine-element micro-op lists; later layouts have no such
     lists, so ``position`` picks one of the places a record keeps an
-    integer.
+    integer: in layout 6, its entry, its path, its source runs' addresses
+    and its format.
     """
 
     #: position -> (what it is, path into the record)
     PLACES = {
-        1: ("origins run: x86_addr", ("origins", 0, 0)),
-        2: ("origins run: count", ("origins", 0, 1)),
-        3: ("exit stub: offset", ("exits", 0, 0)),
-        4: ("side table: offset", ("side_table", 0, 0)),
+        1: ("path: the head", ("x86_addrs", 0)),
+        2: ("path: the last entry", ("x86_addrs", -1)),
+        3: ("source run: address", ("source", 0, 0)),
+        4: ("format", ("format",)),
         5: ("entry", ("entry",)),
-        6: ("origins: count of the first run", ("origins", 0, 1)),
-        7: ("origins: count of the last run", ("origins", -1, 1)),
+        6: ("path: the head", ("x86_addrs", 0)),
+        7: ("path: the last entry", ("x86_addrs", -1)),
     }
 
     @classmethod
@@ -378,8 +268,6 @@ class TestRecordFieldTypes:
 
     @pytest.mark.parametrize("position", [1, 2, 3, 4, 5])
     def test_json_booleans_are_not_numbers(self, victim, position):
-        # the superblock has no VMCALL: give it a side-table entry
-        victim["side_table"] = [[0, victim["entry"]]]
         self.put(victim, position, True)
         self.assert_corrupt(json.loads(json.dumps(victim)))
 
@@ -388,12 +276,11 @@ class TestRecordFieldTypes:
     def test_flag_fields_are_exactly_zero_or_one(self, victim, position,
                                                   junk):
         """v1 spelled ``fused``/``setflags`` out per micro-op (positions
-        6 and 7) and had to police them; in v2 they are single bits of
-        ``code`` and cannot be anything but 0 or 1.  The small integers
-        a record still spells out are the run counts of ``origins``:
-        the same junk must not pass for one (``2`` is a fine count, and
-        is corrupt because it no longer covers the code exactly)."""
-        assert 2 not in (victim["origins"][0][1], victim["origins"][-1][1])
+        6 and 7) and had to police them; since v2 they are single bits
+        of the code, and since v6 no record holds code.  The integers a
+        record's path spells out are block entries: the same junk must
+        not pass for one (``2`` is a fine integer, and is corrupt
+        because memory forms no such path)."""
         self.put(victim, position, junk)
         self.assert_corrupt(json.loads(json.dumps(victim)))
 
@@ -471,44 +358,34 @@ class TestMicroOpIsStillAValue:
 
 # -- a translation that runs off its end ---------------------------------------
 
-def cut_short(record, keep: int):
-    """``record`` with its code cut after ``keep`` micro-ops, its exits
-    dropped and its origins trimmed to match, re-keyed: a valid record
-    of a superblock that ends mid-stream."""
-    fields = json.loads(record.text)
-    uops = decoded(record)[:keep]
-    runs, left = [], keep
-    for addr, count in fields["origins"]:
-        if left:
-            runs.append([addr, min(count, left)])
-            left -= runs[-1][1]
-    fields.update(code=encode_stream(uops).hex(), origins=runs, exits=[])
-    return resealed(fields), uops[-1]
+def first_micro_op(superblock) -> bytes:
+    """The bytes of the superblock's first micro-op."""
+    return superblock.code[:superblock.uops[0].length]
 
 
 class TestATranslationEndsWhereTheMachineLeavesIt:
     def test_a_block_cut_mid_stream_is_rejected_and_the_boot_is_cold(
-            self, records):
-        cold = booted()
-        output = cold.run().output
-        (victim,) = [r for r in records if r["kind"] == "sbt"]
-        cut, last = cut_short(victim, 1)
-        assert (last.op, last.rd, last.fused) == (UOp.ADD2, 6, False)
+            self, records, victim, superblock, cold):
+        """The superblock's code cut after its first micro-op, carried
+        by its record: refused, and the warm run is the cold one."""
+        cut = resealed(with_stored_code(victim, superblock,
+                                        first_micro_op(superblock)))
         vm = booted()
         report = WarmStartLoader(vm.runtime).load_records(
-            [cut if record is victim else record for record in records])
-        assert (report.verifier_rejected, report.loaded) == \
-            (1, len(records) - 1)
-        assert vm.run().output == output
+            [cut if record["kind"] == "sbt" else record
+             for record in records])
+        assert (report.corrupt, report.loaded) == (1, len(records) - 1)
+        assert vm.run().output == cold.state.output
         assert vm.state.regs == cold.state.regs
 
-    def test_ctl002_names_the_last_micro_op(self, records):
-        cut, _last = cut_short(next(r for r in records
-                                    if r["kind"] == "sbt"), 1)
+    def test_ctl002_names_the_last_micro_op(self, superblock):
+        code = first_micro_op(superblock)
+        (last,) = decode_stream(code)
+        assert (last.op, last.rd, last.fused) == (UOp.ADD2, 6, False)
+        cut = replace(superblock, code=code, exits=[], side_table={},
+                      origins=[[superblock.entry, 1]])
         report = run_rules(VerifyContext.from_code(
-            *record_stream(cut),
-            translation=materialize(cut, 1).place(
-                0x2000_0000, cut["exits"], cut["side_table"])))
+            code, cut.origins, translation=cut))
         assert [(v.rule_id, v.index) for v in report.violations] == \
             [("CTL002", 0)]
 
@@ -523,8 +400,10 @@ def damaged_load(damage):
     records = capture_translations(source.runtime.directory,
                                    source.state.memory)
     vm = booted()
+    vm.gate = None
     load = damage(vm, list(records))
-    report = WarmStartLoader(vm.runtime).load_records(load)
+    with injecting(vm.gate):
+        report = WarmStartLoader(vm.runtime).load_records(load)
     # every counter handed out is held by an installed translation
     held = sorted(t.counter_addr for t in
                   vm.runtime.directory.bbt_cache.translations)
@@ -557,16 +436,17 @@ def capacity(vm, records):
 
 
 def verifier(vm, records):
+    # the install gate refuses the first of two copies of the
+    # superblock; the second installs
     *blocks, superblock = records
-    fields = json.loads(superblock.text)
-    fields["exits"][0][0] += 2                  # off its stub
-    return blocks + [encode_record(fields), superblock]
+    vm.gate = Rejecting({superblock["entry"]}, times=1, kind="sbt")
+    return blocks + [superblock, superblock]
 
 
 class TestADamagedStoreCountsTheSame:
     """Each store damaged at one stage of the loader: the counts (zeros
-    left out) are the ones the loader reported when it gave each record
-    a context of its own."""
+    left out) are the ones the loader reported when it screened each
+    superblock record's code in a context of its own."""
 
     @pytest.mark.parametrize("damage,counts", [
         (corrupt, {"attempted": 5, "bbt_loaded": 2, "bytes_loaded": 120,

@@ -20,12 +20,13 @@ from repro.persist import (
     WarmStartLoader,
     capture_translations,
     config_fingerprint,
+    encode_record,
     image_fingerprint,
     parse_record,
     serialize_translation,
 )
 from repro.workloads.programs import PROGRAMS
-from tests.stored import damage_stored, stored_texts
+from tests.stored import damage_stored, stored_texts, with_stored_code
 
 LOOP = """
 start:
@@ -188,18 +189,12 @@ class TestInvalidation:
     def test_corrupt_object_never_installs(self, tmp_path):
         repo = TranslationRepository(tmp_path / "cache")
         cold_save(repo)
-        # tamper every stored record: flip one bit of a superblock's
-        # encoded code, of a block's source
+        # tamper every stored record: flip one bit of its source
         def flip(text):
             record = json.loads(text)
-            if record["kind"] == "sbt":
-                code = bytearray.fromhex(record["code"])
-                code[-1] ^= 1   # an immediate bit of the last exit stub
-                record["code"] = code.hex()
-            else:
-                source = bytearray.fromhex(record["source"][0][1])
-                source[-1] ^= 1
-                record["source"][0][1] = source.hex()
+            source = bytearray.fromhex(record["source"][0][1])
+            source[-1] ^= 1
+            record["source"][0][1] = source.hex()
             return json.dumps(record)
 
         tampered = 0
@@ -227,22 +222,21 @@ class TestInvalidation:
         assert load.loaded == load.attempted
 
     def test_verifier_rejects_bad_record(self, tmp_path):
-        """A structurally valid record whose code breaks a verifier
-        invariant is dropped before install."""
+        """A record carrying code that breaks a verifier invariant is
+        dropped before install: no layout since 6 holds code."""
         repo = TranslationRepository(tmp_path / "cache")
         vm, _ = cold_save(repo)
-        directory = vm.runtime.directory
-        records = [serialize_translation(t, vm.state.memory)
-                   for t in directory.sbt_cache.translations]
-        records = [r for r in records if r is not None]
+        translation = vm.runtime.directory.sbt_cache.translations[0]
+        record = serialize_translation(translation, vm.state.memory)
         fresh_vm = CoDesignedVM(vm_soft(), hot_threshold=50)
         fresh_vm.load(assemble(LOOP))
-        # drop the terminating exit stub from one record: the verifier's
-        # control-flow rule must reject a fall-through-into-nothing body
-        victim = dict(records[0])
+        # drop the terminating exit stub: the verifier's control-flow
+        # rule would reject a fall-through-into-nothing body
+        victim = with_stored_code(json.loads(record.text), translation,
+                                  translation.code[:-12])
         victim["exits"] = []
-        victim["code"] = victim["code"][:-24]   # the last 12-byte stub
-        report = WarmStartLoader(fresh_vm.runtime).load_records([victim])
+        report = WarmStartLoader(fresh_vm.runtime).load_records(
+            [encode_record(victim)])
         assert report.loaded == 0
         assert report.verifier_rejected + report.corrupt == 1
 

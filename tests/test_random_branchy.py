@@ -6,7 +6,9 @@ if/else diamonds and early-skip branches — which exercises superblock
 formation with side exits, condition inversion, chaining across many
 blocks, and multi-path profiling.  VM.soft and Interp+SBT run each
 program once more on code caches too small to hold it, so every example
-also checks what a flush leaves behind.
+also checks what a flush leaves behind; a sixth VM warm-boots from the
+store VM.soft's run saves, so every example also checks what a warm
+start rebuilds (the fixed-seed run loads superblocks).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from repro.core import (
     vm_soft,
 )
 from repro.isa.x86lite import assemble
-from tests.conftest import run_on_tiny_caches
+from tests.conftest import outcome, run_on_tiny_caches, warm_from
 
 ALL = [ref_superscalar, vm_soft, vm_be, vm_fe, interp_sbt]
 
@@ -99,22 +101,32 @@ def branchy_program(draw):
 
 
 class TestBranchyEquivalence:
-    @given(source=branchy_program(),
-           threshold=st.sampled_from([2, 7]))
-    @settings(max_examples=25, deadline=None)
-    def test_branchy_programs_agree_everywhere(self, source, threshold):
-        image = assemble(source)
-        results = []
-        for factory in ALL:
-            vm = CoDesignedVM(factory(), hot_threshold=threshold)
-            vm.load(image)
-            vm.run(max_uops=200_000_000)
-            results.append((vm.state.regs, vm.state.output,
-                            vm.state.flags_tuple(), vm.state.exit_code))
-        for factory in (vm_soft, interp_sbt):
-            vm = run_on_tiny_caches(factory, image)
-            stats = vm.stats()
-            assert stats["bbt_flushes"] + stats["sbt_flushes"]
-            results.append((vm.state.regs, vm.state.output,
-                            vm.state.flags_tuple(), vm.state.exit_code))
-        assert all(result == results[0] for result in results[1:])
+    def test_branchy_programs_agree_everywhere(self):
+        superblocks_loaded = []
+
+        @given(source=branchy_program(),
+               threshold=st.sampled_from([2, 7]))
+        @settings(max_examples=25, deadline=None, derandomize=True)
+        def check(source, threshold):
+            image = assemble(source)
+            results = []
+            for factory in ALL:
+                vm = CoDesignedVM(factory(), hot_threshold=threshold)
+                vm.load(image)
+                results.append(outcome(vm))
+                if factory is vm_soft:
+                    warm, report = warm_from(vm, image)
+            # a sixth VM, warm-booted from VM.soft's store
+            results.append(warm)
+            superblocks_loaded.append(report.sbt_loaded)
+            assert all(result == results[0] for result in results[1:])
+            regs, flags, _pages, output, (_exit, code) = results[0]
+            for factory in (vm_soft, interp_sbt):
+                vm = run_on_tiny_caches(factory, image)
+                stats = vm.stats()
+                assert stats["bbt_flushes"] + stats["sbt_flushes"]
+                assert (list(vm.state.regs), vm.state.output,
+                        vm.state.flags_tuple(), vm.state.exit_code) == \
+                    (regs, output, flags, code)
+        check()
+        assert sum(superblocks_loaded) > 0

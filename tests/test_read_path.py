@@ -38,7 +38,6 @@ from repro.persist import (
 )
 from repro.persist.remote import pulled_records
 from repro.verify import rule_ids, sanitizer
-from repro.verify.rules import RULES
 from tests.test_persist import LOOP
 from tests.stored import damage_stored, stored_texts
 from tests.test_record_format import forge_manifest
@@ -70,18 +69,13 @@ def payload():
 # -- damage, applied to stored copies on disk --------------------------------
 
 def tamper(text: str, _others) -> str:
-    """Flip a bit of a superblock's code, of a block's source; the key
-    stays, so the text parses and sits under its own name: only
-    recomputing the content key finds it."""
+    """Flip a bit of a record's source; the key stays, so the text
+    parses and sits under its own name: only recomputing the content key
+    finds it."""
     record = json.loads(text)
-    if record["kind"] == "sbt":
-        code = bytearray.fromhex(record["code"])
-        code[-1] ^= 1
-        record["code"] = code.hex()
-    else:
-        source = bytearray.fromhex(record["source"][0][1])
-        source[-1] ^= 1
-        record["source"][0][1] = source.hex()
+    source = bytearray.fromhex(record["source"][0][1])
+    source[-1] ^= 1
+    record["source"][0][1] = source.hex()
     return json.dumps(record)
 
 
@@ -372,30 +366,16 @@ class TestTheLoaderIsTheOneJudge:
         assert sorted(installed) == sorted(
             (r["kind"], r["entry"]) for r in records)
 
-    def test_every_rule_runs_on_a_warm_install(self, payload,
-                                               monkeypatch):
-        """The loader's screen runs every rule that needs no installed
-        memory, once, over every superblock of the pull as one context's
-        segments (a block is derived, not screened); the three that do
-        run on the installed bytes whenever the sanitizer is armed --
-        fifteen in all."""
-        screens = []
-        real = loader_module.run_rules
-
-        def watching(ctx):
-            report = real(ctx)
-            screens.append((report.rules_run, len(ctx.segments)))
-            return report
-        monkeypatch.setattr(loader_module, "run_rules", watching)
+    def test_every_rule_runs_on_a_warm_install(self, payload):
+        """The loader runs no screen: it installs only what the VM's own
+        translators built.  Whenever the sanitizer is armed, all fifteen
+        rules run on the installed bytes of every translation."""
+        assert not hasattr(loader_module, "run_rules")
         vm = booted()
         with sanitizer.collecting() as installed:
             report = WarmStartLoader(vm.runtime).load_records(
                 [parse_record(record.text) for record in payload[0]])
         assert report.loaded == len(payload[0])
-        before_install = tuple(spec.rule_id for spec in RULES
-                               if spec.requires <= {"translation"})
-        assert len(before_install) == 12
-        assert screens == [(before_install, report.sbt_loaded)]
         assert 0 < report.sbt_loaded < report.loaded
         assert installed.ok
         assert installed.rules_run == tuple(rule_ids())

@@ -1,22 +1,24 @@
-"""Record layout v5: a record is its stored text.
+"""Record layout v6: a record is its stored text, and holds no code.
 
 A BBT record is a block's entry and the x86 bytes it was made from
-(``source``); the loader derives the block.  An SBT record carries its
-micro-ops as ``code`` (hex of the encoded stream) plus ``origins``
-(run-length ``[x86_addr, count]``), and the micro-op decoder is the only
-parser of that code.  A record's text is written once, at capture, and
-its key is the SHA-256 of that text minus the key member.  Pinned here:
+(``source``); the loader derives the block.  An SBT record adds its
+path: its blocks' entries (``x86_addrs``) and whether the trace closes
+on its head (``loops``); the loader re-forms the trace along that path
+and builds it with the VM's own SBT.  A record's text is written once,
+at capture, and its key is the SHA-256 of that text minus the key
+member.  Pinned here:
 
 * the layout itself, against a checked-in golden record of each kind --
   it cannot drift without a ``FORMAT_VERSION`` bump;
 * superblock -> record -> translation is lossless on every field,
-  ``x86_addr`` included, for generated micro-op streams;
+  ``x86_addr`` included, for the superblocks of generated programs;
 * every way a record can be damaged is ``corrupt`` (or, where its text
   no longer parses under its key, a missing object): counted, never
-  installed, never raised — every field of the wrong JSON type, every
-  one-byte flip and every truncation of the golden texts;
-* a store written in layout v1, v2, v3 or v4 reads as empty: the VM
-  boots cold and ``fsck`` says why.
+  installed, never raised — every field of the wrong JSON type, a path
+  memory does not form, code carried in any shape, every one-byte flip
+  and every truncation of the golden texts;
+* a store written in layout v1, v2, v3, v4 or v5 reads as empty: the
+  VM boots cold and ``fsck`` says why.
 """
 
 import copy
@@ -31,17 +33,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cacheserver import protocol
-from repro.core.config import vm_soft
+from repro.core.config import interp_sbt, vm_soft
 from repro.core.vm import CoDesignedVM
-from repro.isa.fusible.encoding import (
-    UopDecodeError,
-    decode_uop,
-    encode_stream,
-    encode_uop,
-)
+from repro.isa.fusible.encoding import UopDecodeError, decode_uop
 from repro.isa.fusible.opcodes import OP_INFO
 from repro.isa.x86lite import assemble
-from repro.isa.x86lite.decoder import decode_at
 from repro.memory import AddressSpace
 from repro.memory.address_space import MemoryError_
 from repro.persist import (
@@ -53,22 +49,19 @@ from repro.persist import (
     capture_translations,
     config_fingerprint,
     encode_record,
-    materialize,
     parse_record,
     serialize_translation,
     validate_record,
 )
 from repro.persist.format import source_matches
 from repro.persist.remote import pulled_records
-from repro.translator.code_cache import ExitStub, Translation
-from tests.sbt_oracle import origin_runs
-from tests.source_oracle import covered_source
-from tests.stored import record_stream, stored_texts
-from tests.strategies import uops as any_uop
+from repro.translator.code_cache import Translation
+from tests.stored import stored_texts
 from tests.test_persist import LOOP
+from tests.test_random_branchy import branchy_program
+from tests.test_vm_end_to_end import random_loop_program
 
 DATA = Path(__file__).parent / "data"
-NATIVE = 0x2000_0000
 
 #: a 16-bit parcel (as hex, little-endian) whose opcode number is unassigned
 INVALID_PARCEL = next(
@@ -83,13 +76,12 @@ def booted() -> CoDesignedVM:
     return vm
 
 
-def rebuilt(record, native_addr=NATIVE) -> Translation:
-    """An SBT record as a Translation, the way the loader builds one."""
-    code, x86_addrs = record_stream(record)
-    translation = materialize(record, len(x86_addrs)).place(
-        native_addr, record["exits"], record["side_table"])
-    translation.code = code
-    return translation
+def rebuilt(record, vm=None) -> Translation:
+    """An SBT record as the loader installs it into ``vm`` (a fresh LOOP
+    VM when left out): re-formed along its path by the VM's own SBT."""
+    report = WarmStartLoader((vm or booted()).runtime).load_records([record])
+    assert report.sbt_loaded == 1
+    return report.installed[0]
 
 
 def fields_of(record) -> dict:
@@ -111,10 +103,10 @@ def unsealed(fields):
 
 
 def golden_texts():
-    """The stored texts of ``tests/data/golden_record_v5.json``: one a
+    """The stored texts of ``tests/data/golden_record_v6.json``: one a
     line between the brackets of a JSON array."""
     return [line.rstrip(",") for line in
-            (DATA / "golden_record_v5.json").read_text().splitlines()[1:-1]]
+            (DATA / "golden_record_v6.json").read_text().splitlines()[1:-1]]
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +122,13 @@ def victim(records):
     return fields_of(next(r for r in records if r["kind"] == "sbt"))
 
 
+@pytest.fixture(scope="module")
+def stored_code(records):
+    """The hex of the LOOP superblock's code: what layout 5 stored."""
+    (superblock,) = (record for record in records if record["kind"] == "sbt")
+    return rebuilt(superblock).code.hex()
+
+
 def assert_corrupt(record):
     vm = booted()
     report = WarmStartLoader(vm.runtime).load_records([record])
@@ -141,21 +140,22 @@ def assert_corrupt(record):
 
 
 class TestGoldenRecord:
-    """``tests/data/golden_record_v5.json``: the stored texts of a
-    profiled BBT block and of a fused superblock."""
+    """``tests/data/golden_record_v6.json``: the stored texts of a
+    profiled BBT block and of a fused superblock that loops."""
 
     def test_serialize_reproduces_the_golden_bytes(self):
         texts = golden_texts()
         golden = [parse_record(text) for text in texts]
         assert [r["kind"] for r in golden] == ["bbt", "sbt"]
-        assert golden[1]["fused_pairs"] > 0
         vm = booted()
         bbt = vm.runtime.bbt
         block = bbt.install(bbt.derive(golden[0]["entry"]))
+        superblock = rebuilt(golden[1], vm)
+        assert superblock.fused_pairs > 0 and superblock.loops
         for record, text, translation in zip(golden, texts,
-                                             [block, rebuilt(golden[1])]):
+                                             [block, superblock]):
             validate_record(record)
-            assert record["format"] == FORMAT_VERSION == 5
+            assert record["format"] == FORMAT_VERSION == 6
             again = serialize_translation(translation, vm.state.memory)
             assert again.text == text and again == record
 
@@ -170,71 +170,55 @@ class TestGoldenRecord:
                 fields_of(record), sort_keys=True, separators=(",", ":"))
 
 
+def summary(t: Translation):
+    """Every field of a translation but where it sits: its exits and
+    side table as offsets from its native address."""
+    return (t.entry, t.kind, t.x86_addrs, t.instr_count, t.uop_count,
+            t.fused_pairs, t.loops, t.code, t.origins, t.source,
+            [(stub.stub_addr - t.native_addr, stub.kind, stub.x86_target)
+             for stub in t.exits],
+            {addr - t.native_addr: x86_addr
+             for addr, x86_addr in t.side_table.items()})
+
+
 class TestRoundTrip:
-    @staticmethod
-    def instruction_addrs(memory, count=5):
-        addrs, addr = [], assemble(LOOP).entry
-        for _ in range(count):
-            addrs.append(addr)
-            addr = decode_at(memory, addr).next_addr
-        return addrs
-
-    @given(stream=st.lists(st.tuples(any_uop, st.integers(0, 5)),
-                           min_size=1, max_size=24),
-           native=st.sampled_from([NATIVE, 0x2800_0040]))
-    @settings(max_examples=150, deadline=None)
-    def test_every_field_survives(self, stream, native):
-        memory = booted().state.memory
-        addrs = [None] + self.instruction_addrs(memory)
-        # what the bytes can hold of each micro-op, plus its x86_addr
-        uops = [decode_uop(encode_uop(uop), 0, addrs[pick])
-                for uop, pick in stream]
-        original = Translation(
-            entry=addrs[1], kind="sbt", native_addr=NATIVE,
-            x86_addrs=addrs[1:3], instr_count=2, uop_count=len(uops),
-            fused_pairs=sum(uop.fused for uop in uops),
-            code=encode_stream(uops), origins=origin_runs(uops),
-            source=covered_source(origin_runs(uops), memory))
-        original.exits.append(ExitStub(stub_addr=NATIVE + 8, kind="taken",
-                                       x86_target=addrs[2]))
-        original.exits.append(ExitStub(stub_addr=NATIVE + 20,
-                                       kind="indirect", x86_target=None))
-        original.side_table[NATIVE + 4] = addrs[1]
-
-        record = parse_record(serialize_translation(original, memory).text)
-        validate_record(record)
-        back = rebuilt(record, native)
-        assert back.uops == uops
-        assert [uop.x86_addr for uop in back.uops] == \
-            [uop.x86_addr for uop in uops]
-        assert (back.entry, back.kind, back.x86_addrs, back.instr_count,
-                back.uop_count, back.fused_pairs) == \
-            (original.entry, "sbt", original.x86_addrs, 2, len(uops),
-             original.fused_pairs)
-        assert [(stub.stub_addr - native, stub.kind, stub.x86_target)
-                for stub in back.exits] == \
-            [(8, "taken", addrs[2]), (20, "indirect", None)]
-        assert back.side_table == {native + 4: addrs[1]}
-        # and the record of the rebuilt translation is the same text
-        assert serialize_translation(back, memory).text == record.text
+    @given(source=st.one_of(branchy_program(), random_loop_program()))
+    @settings(max_examples=20, deadline=None)
+    def test_every_field_survives(self, source):
+        """Each superblock of a generated program, serialized and
+        rebuilt from its record in a fresh VM, is the cold one on every
+        field; the rebuilt translation's record is the same text."""
+        image = assemble(source)
+        cold = CoDesignedVM(interp_sbt(), hot_threshold=2)
+        cold.load(image)
+        cold.run()
+        memory = cold.state.memory
+        warm = CoDesignedVM(interp_sbt(), hot_threshold=2)
+        warm.load(image)
+        for original in cold.runtime.directory.sbt_cache.translations:
+            record = parse_record(
+                serialize_translation(original, memory).text)
+            validate_record(record)
+            back = rebuilt(record, warm)
+            assert summary(back) == summary(original)
+            assert serialize_translation(back, memory).text == record.text
 
 
 class TestDamagedCodeIsCorrupt:
+    """What a record says of its code -- in layout 6 its source and its
+    path, and any code it smuggles in -- damaged is ``corrupt``."""
+
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_any_flipped_hex_digit_without_rekeying(self, records, data):
         fields = fields_of(data.draw(st.sampled_from(records)))
-        field = "code" if fields["kind"] == "sbt" else "source"
-        code = fields[field] if field == "code" else fields[field][0][1]
+        run = data.draw(st.sampled_from(fields["source"]))
+        code = run[1]
         position = data.draw(st.integers(0, len(code) - 1))
         other = data.draw(st.sampled_from(
             [digit for digit in "0123456789abcdef"
              if digit != code[position]]))
-        code = code[:position] + other + code[position + 1:]
-        if field == "code":
-            fields["code"] = code
-        else:
-            fields["source"][0][1] = code
+        run[1] = code[:position] + other + code[position + 1:]
         record = unsealed(fields)
         with pytest.raises(PersistFormatError):
             validate_record(record)
@@ -250,8 +234,10 @@ class TestDamagedCodeIsCorrupt:
         lambda code: [code],
     ], ids=["odd-length", "non-hex", "truncated", "undecodable", "empty",
             "null", "list"])
-    def test_rekeyed_damage(self, victim, damage):
-        victim["code"] = damage(victim["code"])
+    def test_rekeyed_damage(self, victim, stored_code, damage):
+        """Code in a record, damaged or not, never reaches the loader:
+        the layout has no such field."""
+        victim["code"] = damage(stored_code)
         assert_corrupt(resealed(victim))
 
     def test_the_invalid_parcel_is_invalid(self):
@@ -260,26 +246,33 @@ class TestDamagedCodeIsCorrupt:
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_origins_must_cover_the_code_exactly(self, victim, delta):
-        victim["origins"][-1][1] += delta
+        """The path is the trace exactly: one block short or one block
+        long is a path memory does not form."""
+        addrs = victim["x86_addrs"]
+        victim["x86_addrs"] = addrs[:-1] if delta < 0 \
+            else addrs + [victim["source"][-1][0]]
         assert_corrupt(resealed(victim))
 
     def test_origins_may_not_claim_more_than_the_code_could_hold(
             self, victim):
-        victim["origins"][0][1] = 10 ** 12     # never expanded
-        with pytest.raises(PersistFormatError):
-            validate_record(resealed(victim))
+        """A path far longer than any trace costs one formation, which
+        stops at its caps, and is corrupt."""
+        victim["x86_addrs"] = victim["x86_addrs"] * 10 ** 5
+        validate_record(resealed(victim))
         assert_corrupt(resealed(victim))
 
     @pytest.mark.parametrize("origins", [
         None, [], "runs", [[None]], [[0, 1, 2]], [None], [[1.5, 20]],
         [["0x400000", 20]]])
     def test_malformed_origins(self, victim, origins):
-        victim["origins"] = origins
+        """A path that is no list of entries, or the empty one."""
+        victim["x86_addrs"] = origins
         assert_corrupt(resealed(victim))
 
     def test_json_booleans_are_not_counts(self, victim):
-        victim["origins"] = [[victim["origins"][0][0], True]]
-        assert_corrupt(resealed(victim))
+        """An entry ``true`` is no address, and a ``loops`` of 1 no flag."""
+        assert_corrupt(resealed(dict(victim, x86_addrs=[True])))
+        assert_corrupt(resealed(dict(victim, loops=1)))
 
     @pytest.mark.parametrize("field", ["exits", "side_table", "source"])
     @pytest.mark.parametrize("junk", [None, 5, [[0, ["taken"], None]]])
@@ -336,7 +329,7 @@ class TestEveryFieldIsTyped:
         assert (report.corrupt, report.undecodable) == (1, 0)
 
     def test_a_missing_field_is_corrupt(self, victim):
-        del victim["fused_pairs"]
+        del victim["loops"]
         assert load_one(resealed(victim)).corrupt == 1
 
     @given(data=st.data())
@@ -752,3 +745,17 @@ class TestV4Store(TestV1Store):
     def spells_its_layout(record) -> bool:
         """Layout 4 keeps a basic block's code, as every record's."""
         return "code" in record and "counter_addr" not in record
+
+
+class TestV5Store(TestV4Store):
+    """``tests/data/v5_store``: the same program's translations as the
+    layout-5 code saved them (a basic block as its entry and source, a
+    superblock's micro-op bytes and the metadata to place them)."""
+
+    STORE, VERSION = "v5_store", 5
+
+    @staticmethod
+    def spells_its_layout(record) -> bool:
+        """Layout 5 keeps a superblock's code, and no basic block's."""
+        return ("code" in record) == (record["kind"] == "sbt") \
+            and "loops" not in record

@@ -2,9 +2,9 @@
 
 Each producer of a ``Translation`` fills ``source`` from what it read:
 BBT one run per block from its fetched windows, SBT the runs of the
-sites its final ``origins`` still cover, ``materialize`` the record's
-own.  Capture writes that field and checks it against memory.  Pinned
-here:
+sites its final ``origins`` still cover -- on a cold boot and when the
+warm loader rebuilds a record.  Capture writes that field and checks it
+against memory.  Pinned here:
 
 * every translation's ``source`` equals the walk capture used to make
   over memory (``tests/source_oracle.py``): on the benchmark images,
@@ -183,8 +183,9 @@ class TestCaptureChecksTheSource:
         assert warm.run().output == reference.run().output == [70]
 
     def test_a_loaded_record_keeps_its_source(self, tmp_path):
-        """``materialize`` fills ``source`` from the record: capture of a
-        warm VM whose source was rewritten skips the loaded copy too."""
+        """A rebuilt translation keeps the source it was built from:
+        capture of a warm VM whose source was rewritten skips the loaded
+        copy too."""
         five = assemble(ADD_LOOP.format(imm=5))
         cold, _output = booted(five, hot_threshold=8000)
         repository = TranslationRepository(tmp_path)

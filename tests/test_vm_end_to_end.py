@@ -16,7 +16,7 @@ from repro.core import (
     vm_soft,
 )
 from repro.isa.x86lite import ArchException, Reg, assemble
-from tests.conftest import run_on_tiny_caches
+from tests.conftest import outcome, run_on_tiny_caches, warm_from
 
 ALL = [ref_superscalar, vm_soft, vm_be, vm_fe, interp_sbt]
 VM_ONLY = [vm_soft, vm_be, vm_fe, interp_sbt]
@@ -383,23 +383,32 @@ def random_loop_program(draw):
 
 
 class TestRandomProgramEquivalence:
-    @given(source=random_loop_program(),
-           threshold=st.sampled_from([2, 5, 23]))
-    @settings(max_examples=40, deadline=None)
-    def test_random_loops_agree_everywhere(self, source, threshold):
-        image = assemble(source)
-        results = []
-        for factory in ALL:
-            vm = CoDesignedVM(factory(), hot_threshold=threshold)
-            vm.load(image)
-            vm.run()
-            results.append((vm.state.regs, vm.state.output,
-                            vm.state.flags_tuple()))
-        # and on caches too small for the program: a flush mid-run
-        for factory in (vm_soft, interp_sbt):
-            vm = run_on_tiny_caches(factory, image)
-            stats = vm.stats()
-            assert stats["bbt_flushes"] + stats["sbt_flushes"]
-            results.append((vm.state.regs, vm.state.output,
-                            vm.state.flags_tuple()))
-        assert all(result == results[0] for result in results[1:])
+    def test_random_loops_agree_everywhere(self):
+        superblocks_loaded = []
+
+        @given(source=random_loop_program(),
+               threshold=st.sampled_from([2, 5, 23]))
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        def check(source, threshold):
+            image = assemble(source)
+            results = []
+            for factory in ALL:
+                vm = CoDesignedVM(factory(), hot_threshold=threshold)
+                vm.load(image)
+                results.append(outcome(vm))
+                if factory is vm_soft:
+                    warm, report = warm_from(vm, image)
+            # a sixth VM, warm-booted from VM.soft's store
+            results.append(warm)
+            superblocks_loaded.append(report.sbt_loaded)
+            assert all(result == results[0] for result in results[1:])
+            # and on caches too small for the program: a flush mid-run
+            for factory in (vm_soft, interp_sbt):
+                vm = run_on_tiny_caches(factory, image)
+                stats = vm.stats()
+                assert stats["bbt_flushes"] + stats["sbt_flushes"]
+                assert (list(vm.state.regs), vm.state.output,
+                        vm.state.flags_tuple()) == \
+                    (results[0][0], results[0][3], results[0][1])
+        check()
+        assert sum(superblocks_loaded) > 0

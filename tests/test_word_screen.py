@@ -2,8 +2,7 @@
 
 A ``VerifyContext`` is a stream's bytes, the word-table entry at each
 offset and the ``x86_addr`` metadata as runs; it is built from nothing
-else, and the loader hands ``materialize`` no micro-op list.  These
-tests hold that representation to the one it replaced:
+else.  These tests hold that representation to the one it replaced:
 
 * a stream's metadata as runs and as one ``x86_addr`` a micro-op return
   the same report, violation by violation, field by field, and the
@@ -13,16 +12,18 @@ tests hold that representation to the one it replaced:
   field, what it raised through the micro-op entry the verifier had
   before it read bytes only (a pinned digest), FUS005's hoisted tail
   with addresses that arrive only as runs included; a run table that
-  covers one micro-op more or fewer is a decode error (``corrupt``);
+  covers one micro-op more or fewer is a decode error, and a record
+  that carries one is ``corrupt``;
 * ``_DefinedAndFlags`` stepped a block at a time equals the product of
   the two per-micro-op analyses, on loops that lower an in-state too;
-* a warm load of SBT records (fused pairs, non-monotone origins) and
-  derived blocks installs what the object path -- decode, re-bind by
-  ``replace``, encode -- produces, byte for byte;
+* a warm load of rebuilt superblocks (fused pairs, non-monotone
+  origins) and derived blocks installs what the object path -- decode
+  the cold VM's code, re-bind by ``replace``, encode -- produces, byte
+  for byte;
 * a dropped record holds no profiling counter;
-* exact counts (``tools/callcounts.py``): no per-occurrence constructor;
-  no screen for a pull of basic blocks, and one context, one CFG and
-  one rule-pack run for a pull that holds superblocks.
+* exact counts (``tools/callcounts.py``): no per-occurrence constructor,
+  and no screen in a warm boot; a pull that holds superblocks forms and
+  builds each once.
 """
 
 import copy
@@ -64,7 +65,7 @@ from repro.verify.rules import VerifyContext
 from repro.verify.verifier import run_rules
 from repro.workloads.programs import PROGRAMS
 from tests.sbt_oracle import origin_runs
-from tests.stored import record_stream
+from tests.stored import translation_stream, with_stored_code
 from tests.strategies import native_programs
 from tests.strategies import uops as any_uop
 from tests.test_persist import LOOP
@@ -233,8 +234,9 @@ class TestCorpusThroughBytes:
             json.loads(record.text) for record in capture_translations(
                 vm.runtime.directory, vm.state.memory)
             if record["kind"] == "sbt")
-        # one more micro-op than the code holds passes the format's
-        # bound only on a stream of 16-bit words; one fewer always does
+        # the superblock's code, carried with runs that miss it by one
+        fields = with_stored_code(
+            fields, vm.runtime.directory.lookup(fields["entry"]))
         fields["origins"][-1][1] += delta
         record = encode_record(fields)
         fresh = booted()
@@ -314,35 +316,26 @@ def booted(source=LOOP, hot_threshold=50) -> CoDesignedVM:
     return vm
 
 
-def layout(translation):
-    """A cold block's code and metadata as layout 4 stored them: what a
-    BBT record held before the loader derived the block."""
-    native = translation.native_addr
-    return {"kind": "bbt", "entry": translation.entry,
-            "code": translation.code.hex(),
-            "origins": translation.origins,
-            "exits": [[stub.stub_addr - native, stub.kind,
-                       stub.x86_target] for stub in translation.exits],
-            "side_table": sorted([addr - native, x86_addr] for
-                                 addr, x86_addr
-                                 in translation.side_table.items())}
-
-
 def object_path(records, cold):
-    """``(fields, code, micro-op count, counter)`` per record in install
+    """``(fields, code, micro-ops, counter)`` per record in install
     order, the way the loader built them while it held micro-op lists:
     decode with ``x86_addr`` attached, bind the counter of a block
     (every BBT block of these VMs is profiled) by ``replace``, encode.
-    A block's fields are those of ``cold``'s translation (a record
-    holds only its entry)."""
-    blocks = {translation.entry: layout(translation) for translation
-              in cold.runtime.directory.bbt_cache.translations}
+    The fields are those of ``cold``'s translation (a record holds only
+    its entry and path)."""
+    directory = cold.runtime.directory
+    stored = {(translation.kind, translation.entry): translation
+              for translation in directory.bbt_cache.translations
+              + directory.sbt_cache.translations}
     counter = COUNTER_AREA_BASE
     for record in sorted(records, key=lambda r: (r["kind"] != "bbt",
                                                  r["entry"])):
-        fields = record if record["kind"] == "sbt" \
-            else blocks[record["entry"]]
-        uops = decode_stream(*record_stream(fields))
+        translation = stored[record["kind"], record["entry"]]
+        # its code and metadata as layouts 4 (a block) and 5 (a
+        # superblock) stored them
+        fields = with_stored_code({"kind": translation.kind,
+                                   "entry": translation.entry}, translation)
+        uops = decode_stream(*translation_stream(translation))
         bound = None
         if record["kind"] == "bbt":
             bound, counter = counter, counter + 4
@@ -358,11 +351,11 @@ class TestWarmLoadInstallsWhatTheObjectPathDid:
         cold.run()
         records = capture_translations(cold.runtime.directory,
                                        cold.state.memory)
-        sbt = [record for record in records if record["kind"] == "sbt"]
-        assert any(record["fused_pairs"] for record in sbt)
+        sbt = cold.runtime.directory.sbt_cache.translations
+        assert any(translation.fused_pairs for translation in sbt)
         assert any(addrs != sorted(addrs) for addrs in (
-            [addr for addr, _count in record["origins"]
-             if addr is not None] for record in sbt))
+            [addr for addr, _count in translation.origins
+             if addr is not None] for translation in sbt))
 
         vm = booted(PROGRAMS[program], hot_threshold=8)
         vm.runtime.enable_chaining = False
@@ -403,13 +396,24 @@ class TestWarmLoadInstallsWhatTheObjectPathDid:
 # -- a dropped record holds no counter -----------------------------------------
 
 class Rejecting:
-    """A fault injector that fails ``loader.verify`` for chosen entries."""
+    """A fault injector that fails ``loader.verify`` for chosen entries
+    (of one ``kind``, or of both): each one's first ``times`` visits, or
+    every visit."""
 
-    def __init__(self, entries):
-        self.entries = entries
+    def __init__(self, entries, times=None, kind=None):
+        self.left = dict.fromkeys(entries, times)
+        self.kind = kind
 
     def visit(self, site, context):
-        return site == "loader.verify" and context["entry"] in self.entries
+        entry = context["entry"]
+        if site != "loader.verify" or entry not in self.left \
+                or self.kind not in (None, context["kind"]):
+            return False
+        if self.left[entry] is not None:
+            self.left[entry] -= 1
+            if self.left[entry] < 0:
+                return False
+        return True
 
 
 class TestDroppedRecordsLeakNoCounter:
@@ -503,13 +507,14 @@ class TestNoPerOccurrenceConstructor:
         assert counts["VerifyContext"] == counts["build_cfg"] == \
             counts["run_rules"] == counts["dataflow.step"] == 0
 
-    def test_a_warm_boot_with_superblocks_is_screened_once(
+    def test_a_warm_boot_with_superblocks_forms_each_once(
             self, callcounts, monkeypatch):
         monkeypatch.setattr(sanitizer._STATE, "mode", None)
         counts = callcounts.call_counts("hot_loop", warm=True)
-        # one screen for the whole pull: one context, one CFG, one run
-        # of the rule-pack over every superblock's segment
+        # no screen: the loader builds what it installs
         assert counts["VerifyContext"] == counts["build_cfg"] == \
-            counts["run_rules"] == 1
-        assert counts["dataflow.step"] > 0
+            counts["run_rules"] == counts["dataflow.step"] == 0
+        # each superblock record is re-formed and built once, by the
+        # cold path's former and build step, and nothing else translates
+        assert counts["form_superblock"] == counts["SBT build"] > 0
         assert counts["JSON encodes"] == 0

@@ -77,7 +77,7 @@ from repro.verify.dataflow import (
 from repro.verify.rules import VerifyContext
 from repro.verify.verifier import run_rules
 from repro.vmm import VMRuntime
-from tests.stored import damage_stored, stored_texts
+from tests.stored import damage_stored, stored_texts, with_stored_code
 from tests.strategies import uops as any_uop
 from tests.test_install_screen import counted
 from tests.test_persist import LOOP
@@ -310,14 +310,16 @@ class TestTableSemantics:
                 if json.loads(texts[key])["kind"] == "bbt"][:1] \
             + [key for key in texts if json.loads(texts[key])["kind"] == "sbt"]
         # a block's source edited under its old key, the superblock
-        # re-keyed to hold a word that does not decode: the format check
-        # catches the first, the table's decode the second
+        # re-keyed to carry code holding a word that does not decode:
+        # the format check catches both, before any decode
         edited, rekeyed = (json.loads(texts[key]) for key in keys)
         source = bytearray.fromhex(edited["source"][0][1])
         source[-1] ^= 1
         edited["source"][0][1] = source.hex()
         damage_stored(repo.root, keys[0], lambda _text: json.dumps(edited))
-        rekeyed["code"] = "ff7fffff" + rekeyed["code"][8:]
+        (superblock,) = cold.runtime.directory.sbt_cache.translations
+        rekeyed = with_stored_code(rekeyed, superblock, bytes.fromhex(
+            "ff7fffff") + superblock.code[4:])
         records = [encode_record(rekeyed)] + [
             parse_record(text) for key, text
             in sorted(stored_texts(repo.root).items()) if key != keys[1]]

@@ -91,6 +91,10 @@ COUNTED = {
     "read_u32": ("memory/address_space.py", "read_u32"),
     "write_u32": ("memory/address_space.py", "write_u32"),
     "fusion._conflict": ("translator/fusion.py", "_conflict"),
+    # a superblock formed and built, by a cold translation or by the
+    # warm loader's replay of a record's path
+    "form_superblock": ("translator/superblock.py", "form_superblock"),
+    "SBT build": ("translator/sbt.py", "build"),
     "VerifyContext": VerifyContext.__init__,
     "build_cfg": build_cfg,
     "run_rules": run_rules}
